@@ -24,7 +24,12 @@
 //!   a `for_each_successor(...)` call.  Successor closures run on the expansion
 //!   hot path with frontier read locks held; a blocking acquisition there drags
 //!   user-controlled code into the lock hierarchy.  Callbacks must buffer and let
-//!   the caller flush after the closure returns (see `bfs::expand_range`).
+//!   the caller flush after the closure returns (see `kernel::expand_range`).
+//! * **`single-successor-pipeline`** — in non-test code under `crates/checker/src`,
+//!   `for_each_successor(...)` is called from exactly one file (the shared pipeline,
+//!   `expand.rs`).  Every engine that enumerates successors on its own grows its own
+//!   copy of prune → canonicalize → fingerprint, and the copies drift: a reduction
+//!   added to one engine silently misses the others.
 //! * **`poison-handled-centrally`** — no `PoisonError` handling (`into_inner`)
 //!   outside `checker::sync`'s `lock_or_recover` family; scattered poison
 //!   recovery is how policy drifts.
@@ -53,6 +58,8 @@ const POISON: &str = concat!("Poison", "Error");
 const SUCCESSOR_CALL: &str = concat!("for_each_", "successor(");
 const CFG_TEST: &str = concat!("#[cfg(", "test)]");
 const SANCTIONED_FILE: &str = "crates/checker/src/sync.rs";
+/// The tree in which successor enumeration must go through one shared pipeline.
+const PIPELINE_SCOPE: &str = "crates/checker/src/";
 
 /// Identifiers whose appearance in a `use std::sync` line makes it a raw-sync
 /// import (anything that blocks, fences or orders).
@@ -86,6 +93,7 @@ pub fn lint_concurrency(root: &Path) -> AnalysisReport {
         }
     }
     files.sort();
+    let mut enumerators = Vec::new();
     for path in &files {
         let Ok(source) = fs::read_to_string(path) else {
             continue;
@@ -97,9 +105,11 @@ pub fn lint_concurrency(root: &Path) -> AnalysisReport {
             .to_string()
             .replace('\\', "/");
         lint_concurrency_file(&rel, &source, &mut report);
+        enumerators.extend(successor_call_line(&rel, &source).map(|line| (rel, line)));
         // The lint's "corpus" is the set of scanned source files.
         report.corpus_states += 1;
     }
+    rule_single_successor_pipeline(&enumerators, &mut report);
     report
 }
 
@@ -238,6 +248,45 @@ fn rule_no_lock_in_successor_callback(rel: &str, source: &str, report: &mut Anal
     }
 }
 
+/// 1-indexed line of the first non-test, non-comment `for_each_successor(` call of a
+/// file inside the single-pipeline rule's scope (`None` outside it or without a call).
+fn successor_call_line(rel: &str, source: &str) -> Option<usize> {
+    if !rel.starts_with(PIPELINE_SCOPE) {
+        return None;
+    }
+    let scan_end = source.find(CFG_TEST).unwrap_or(source.len());
+    source[..scan_end]
+        .lines()
+        .position(|line| !line.trim_start().starts_with("//") && line.contains(SUCCESSOR_CALL))
+        .map(|lineno| lineno + 1)
+}
+
+/// The cross-file rule: `enumerators` holds every `(file, line)` that
+/// [`successor_call_line`] found; more than one file is one finding per file.
+fn rule_single_successor_pipeline(enumerators: &[(String, usize)], report: &mut AnalysisReport) {
+    if enumerators.len() <= 1 {
+        return;
+    }
+    for (rel, line) in enumerators {
+        let others: Vec<&str> = enumerators
+            .iter()
+            .map(|(other, _)| other.as_str())
+            .filter(|other| other != rel)
+            .collect();
+        push(
+            report,
+            "single-successor-pipeline",
+            format!("{rel}:{line}"),
+            format!(
+                "successor enumeration outside the shared pipeline (also called from {}); \
+                 engines under {PIPELINE_SCOPE} call `expand::Pipeline::expand`, so \
+                 pruning, canonicalization and fingerprinting exist once",
+                others.join(", ")
+            ),
+        );
+    }
+}
+
 fn rule_poison_centrally(rel: &str, source: &str, report: &mut AnalysisReport) {
     for (lineno, line) in source.lines().enumerate() {
         let trimmed = line.trim_start();
@@ -365,6 +414,7 @@ pub fn concurrency_rules() -> BTreeSet<&'static str> {
         "raw-sync-import",
         "ordering-justified",
         "no-lock-in-successor-callback",
+        "single-successor-pipeline",
         "poison-handled-centrally",
     ]
     .into_iter()
@@ -443,6 +493,44 @@ mod tests {
              buf.push(n);\n}});\nlet g = store.lock_shard(0);\n}}\n"
         );
         assert!(run("crates/x/src/a.rs", &buffered).is_empty());
+    }
+
+    #[test]
+    fn second_successor_enumerator_is_flagged_and_one_is_clean() {
+        let call =
+            format!("fn f() {{ spec.{SUCCESSOR_CALL}state, labels, |l, n, e| buf.push(n)); }}\n");
+        let commented = format!("// spec.{SUCCESSOR_CALL}..) is the pipeline's job\nfn f() {{}}\n");
+        let in_tests = format!("fn f() {{}}\n{CFG_TEST}\nmod tests {{ {call} }}\n");
+        let scan = |files: &[(&str, &str)]| {
+            let enumerators: Vec<(String, usize)> = files
+                .iter()
+                .filter_map(|(rel, src)| {
+                    successor_call_line(rel, src).map(|line| (rel.to_string(), line))
+                })
+                .collect();
+            let mut report = AnalysisReport::default();
+            rule_single_successor_pipeline(&enumerators, &mut report);
+            report.findings
+        };
+        let flagged = scan(&[
+            ("crates/checker/src/expand.rs", &call),
+            ("crates/checker/src/refine.rs", &call),
+        ]);
+        assert_eq!(flagged.len(), 2, "one finding per enumerating file");
+        assert!(flagged
+            .iter()
+            .all(|f| f.action == "single-successor-pipeline"));
+        assert_eq!(flagged[1].location, "crates/checker/src/refine.rs:1");
+        assert!(flagged[1].detail.contains("crates/checker/src/expand.rs"));
+        // One pipeline file is clean, however many comments, tests and out-of-scope
+        // files (the benchmark's reference loop) mention the call.
+        assert!(scan(&[
+            ("crates/checker/src/expand.rs", &call),
+            ("crates/checker/src/dfs.rs", &commented),
+            ("crates/checker/src/bfs.rs", &in_tests),
+            ("crates/bench/src/bin/remix-bench/reference.rs", &call),
+        ])
+        .is_empty());
     }
 
     #[test]

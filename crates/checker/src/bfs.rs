@@ -4,49 +4,32 @@
 //! violation found for each invariant has minimal depth, which produces short, debuggable
 //! counterexample traces.
 //!
-//! # Parallel engine
+//! [`check_bfs`] is the level-synchronous kernel ([`crate::kernel`]: persistent worker
+//! pool, batched shard inserts, work stealing, frontier spilling, deterministic stop
+//! precedence) plus the invariant visitor defined here: every state that enters the
+//! store is checked against the specification's invariants on the worker that inserted
+//! it, and the violations of a level are resolved into traces at its barrier.
+//! Discovered states live in a lock-striped [`StateStore`]: `u32` state indices,
+//! parent-by-index, interned action labels, and (in
+//! [`StoreMode::Full`](crate::store::StoreMode)) states inline in the arena;
+//! [`StoreMode::FingerprintOnly`](crate::store::StoreMode) drops the states entirely
+//! for memory-bounded runs; see [`crate::store`].
 //!
-//! Exploration is level-synchronous and scales across [`CheckOptions::workers`] threads:
+//! # Stop precedence
 //!
-//! * **Persistent worker pool** — worker threads are spawned *once per run* and park on
-//!   a condition variable between levels; the coordinator publishes each level
-//!   (frontier, steal ranges, depth) and wakes them.  The previous engine re-spawned
-//!   its workers at every level boundary, which made small-frontier levels pay thread
-//!   spawn latency over and over — the measured cause of the *negative* multi-worker
-//!   scaling in earlier `BENCH_table5.json` artefacts.
-//! * **Arena state store** — discovered states live in a lock-striped
-//!   [`StateStore`]: `u32` state indices, parent-by-index, interned action labels, and
-//!   (in [`StoreMode::Full`](crate::store::StoreMode)) states inline in the arena — no
-//!   per-state `Arc`, no per-transition `String`.
-//!   [`StoreMode::FingerprintOnly`](crate::store::StoreMode) drops the states entirely
-//!   for memory-bounded runs; see [`crate::store`].
-//! * **Per-worker successor buffers** — each worker accumulates successors in local
-//!   per-shard buffers and merges a buffer into its stripe in one batch of
-//!   [`CheckOptions::batch_size`] states (and unconditionally at the level boundary),
-//!   amortising one lock acquisition over the whole batch.
-//! * **Work stealing** — the frontier of each level is split into one contiguous range
-//!   per worker; a worker that drains its range steals the back half of the largest
-//!   remaining range, so skewed successor costs cannot leave threads idle.  Range bounds
-//!   live in one packed atomic word, so a claim and a steal can never hand the same
-//!   index to two workers: every state is expanded exactly once for any worker count.
-//! * **Deterministic stop precedence** — several stop conditions can trip within one
-//!   level (a violation on one worker, the state limit on another, the wall clock on a
-//!   third).  Stop requests accumulate in a bitmask and are resolved once per level
-//!   under a fixed precedence — violation stops over [`StopReason::StateLimit`] over
-//!   [`StopReason::TimeBudget`] — so the reported [`StopReason`] does not depend on
-//!   which worker tripped its condition first.  Expansion aborts a level early once any
-//!   stop is requested (as the engine always has); sequentially that abort point — and
-//!   hence the fired set and reported reason — is reproducible because states are
-//!   claimed and flushed in a fixed order, while across workers the fired set can vary
-//!   with scheduling — the precedence then guarantees the *resolution* over the fired
-//!   set is still fixed, and a scheduling-dependent wall-clock stop can never mask a
-//!   violation stop.
-//!
-//! With `workers = 1` the same code runs inline on the calling thread, with no thread
-//! spawns and no atomics on the hot path beyond the shard counters, so sequential runs
-//! behave exactly like the pre-parallel engine.  Parallel and sequential runs discover
-//! the same state space and report the same minimal violation depth (all states of a
-//! level share one depth); see the `parallel_matches_sequential_*` regression tests.
+//! Several stop conditions can trip within one level (a violation on one worker, the
+//! state limit on another, the wall clock on a third).  Stop requests accumulate in a
+//! bitmask and are resolved once per level under a fixed precedence — violation stops
+//! over [`StopReason::StateLimit`] over [`StopReason::TimeBudget`] — so the reported
+//! [`StopReason`] does not depend on which worker tripped its condition first.
+//! Sequentially the abort point — and hence the fired set and reported reason — is
+//! reproducible because states are claimed and flushed in a fixed order, while across
+//! workers the fired set can vary with scheduling — the precedence then guarantees the
+//! *resolution* over the fired set is still fixed, and a scheduling-dependent
+//! wall-clock stop can never mask a violation stop.  Parallel and sequential runs
+//! discover the same state space and report the same minimal violation depth (all
+//! states of a level share one depth); see the `parallel_matches_sequential_*`
+//! regression tests.
 //!
 //! # Partial-order reduction and incremental canonicalization
 //!
@@ -61,1207 +44,182 @@
 //! footprint bounds which servers changed, the per-successor canonicalization reuses
 //! the parent's sort keys instead of recomputing all of them — the parent is already
 //! canonical, so untouched keys are unchanged by construction (debug builds verify
-//! every incremental result against the full recomputation).
+//! every incremental result against the full recomputation).  Both live in the shared
+//! successor pipeline ([`crate::expand`]).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::path::Path;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
-use remix_spec::{
-    canon_stats, CanonFn, Effect, IncrementalCanon, LabelId, LabelTable, Perm, Spec, SpecState,
-    Trace,
-};
+use remix_spec::{canon_stats, LabelTable, Spec, SpecState, Trace};
 
-use crate::fingerprint::{fingerprint, Fingerprint};
+use crate::expand::Pipeline;
+use crate::kernel::{self, Arrival, LevelEnd, Run, Visitor};
 use crate::options::{CheckMode, CheckOptions, SymmetryMode};
 use crate::outcome::{CheckOutcome, CheckStats, StopReason, Violation};
-use crate::por::{self, FootprintTable, SleepSet};
-use crate::spill::IndexQueue;
-use crate::stop::{
-    StopCell, STOP_FIRST_VIOLATION, STOP_STATE_LIMIT, STOP_TIME_BUDGET, STOP_VIOLATION_LIMIT,
-};
-use crate::store::{Insert, StateIndex, StateStore, StoreMode};
-use crate::sync::{
-    AtomicU32, AtomicU64, AtomicU8, AtomicUsize, FrontierRank, FrontierSleepsRank, GateRank,
-    MailboxRank, OrderedCondvar, OrderedMutex, OrderedRwLock, Ordering, PanicSlotRank, ResultsRank,
-};
+use crate::stop::{StopCell, STOP_FIRST_VIOLATION, STOP_STATE_LIMIT, STOP_VIOLATION_LIMIT};
+use crate::store::{StateIndex, StateStore};
+use crate::sync::{AtomicUsize, Ordering};
 
-/// One worker's slice of the frontier, stealable by other workers.
-///
-/// `next` and `end` are packed into one 64-bit word (32 bits each) so that claims and
-/// steals are single compare-exchange operations on the same atomic: an index can never
-/// be handed to both its owner and a thief, which keeps transition counts — not just the
-/// explored state set — identical across worker counts.  Frontier levels are bounded far
-/// below `u32::MAX` by the configuration's budgets.
-struct StealRange {
-    packed: AtomicU64,
-}
-
-fn pack(next: usize, end: usize) -> u64 {
-    debug_assert!(next <= u32::MAX as usize && end <= u32::MAX as usize);
-    ((next as u64) << 32) | end as u64
-}
-
-fn unpack(word: u64) -> (usize, usize) {
-    ((word >> 32) as usize, (word & 0xffff_ffff) as usize)
-}
-
-impl StealRange {
-    fn new(start: usize, end: usize) -> Self {
-        StealRange {
-            packed: AtomicU64::new(pack(start, end)),
-        }
-    }
-
-    /// Re-arms this range for a new level (only the coordinator writes between levels).
-    fn reset(&self, start: usize, end: usize) {
-        // ordering: Release — publishes the new bounds before workers wake (the gate
-        // handshake also orders this; Release keeps reset safe on its own).
-        self.packed.store(pack(start, end), Ordering::Release);
-    }
-
-    /// Claims the next index of this range, if any remains.
-    fn claim(&self) -> Option<usize> {
-        // ordering: Acquire — sees the coordinator's reset and other claims/steals.
-        let mut word = self.packed.load(Ordering::Acquire);
-        loop {
-            let (next, end) = unpack(word);
-            if next >= end {
-                return None;
-            }
-            match self.packed.compare_exchange_weak(
-                word,
-                pack(next + 1, end),
-                // ordering: AcqRel on success (the claim both observes and extends
-                // the claim history), Acquire on failure to reload a current word.
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(next),
-                Err(current) => word = current,
-            }
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        // ordering: Acquire — an advisory victim-size read; pairs with the CAS.
-        let (next, end) = unpack(self.packed.load(Ordering::Acquire));
-        end.saturating_sub(next)
-    }
-
-    /// Tries to steal the back half of this range, returning the stolen bounds.
-    fn steal_half(&self) -> Option<(usize, usize)> {
-        // ordering: Acquire — sees the victim's current bounds; pairs with the CAS.
-        let mut word = self.packed.load(Ordering::Acquire);
-        loop {
-            let (next, end) = unpack(word);
-            if end.saturating_sub(next) < 2 {
-                return None;
-            }
-            let mid = next + (end - next) / 2;
-            match self.packed.compare_exchange_weak(
-                word,
-                pack(next, mid),
-                // ordering: AcqRel/Acquire — same contract as claim's CAS: a range
-                // index is handed to exactly one of owner and thief.
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((mid, end)),
-                Err(current) => word = current,
-            }
-        }
-    }
-}
-
-/// A violation observed by a worker, resolved into a [`Violation`] (with trace) after the
-/// level completes.
+/// A violation observed by a worker, resolved into a [`Violation`] (with trace) at the
+/// level barrier.
 struct PendingViolation {
-    index: StateIndex,
-    /// The violating state's fingerprint: the scheduling-independent tie-breaker when
-    /// choosing each invariant's representative (state indices depend on insert order).
-    fp: Fingerprint,
-    depth: u32,
+    at: Arrival,
     invariant: &'static str,
     invariant_name: &'static str,
 }
 
-/// Everything one worker produced while expanding (part of) one level.
-struct WorkerLevelResult<S> {
-    next_frontier: Vec<(StateIndex, S)>,
-    transitions: u64,
-    /// Transitions skipped by sleep-set POR (not counted in `transitions`).
-    pruned: u64,
-    violations: Vec<PendingViolation>,
-    /// Arrival edges recorded under POR: the sleep set each inserted (fresh *or*
-    /// already-known) successor would inherit through this edge.  The coordinator
-    /// intersects the contributions per target at the level barrier.
-    sleep_edges: Vec<(StateIndex, SleepSet)>,
-}
-
-impl<S> Default for WorkerLevelResult<S> {
-    fn default() -> Self {
-        WorkerLevelResult {
-            next_frontier: Vec::new(),
-            transitions: 0,
-            pruned: 0,
-            violations: Vec::new(),
-            sleep_edges: Vec::new(),
-        }
-    }
-}
-
-/// Coordination state of the persistent worker pool: generation counter, in-flight
-/// worker count and the shutdown flag, guarded by one mutex with two condvars.
-struct Gate {
-    generation: u64,
-    remaining: usize,
-    shutdown: bool,
-}
-
-/// What the pool workers do in the next gate cycle: expand the published frontier, or
-/// (under owner routing) drain the shard mailboxes they own.
-const PHASE_EXPAND: u8 = 0;
-const PHASE_DRAIN: u8 = 1;
-
-/// One producer's batch of successors routed to the shard that owns their fingerprint
-/// range.  `(producer, seq)` gives drain a scheduling-independent replay order, so the
-/// owner-routed engine assigns slots deterministically for any worker interleaving.
-struct RoutedBatch<S> {
-    producer: u32,
-    seq: u32,
-    items: Vec<BufferedSuccessor<S>>,
-}
-
-/// Everything shared between the coordinator and the pool workers for a whole run.
-///
-/// Run-constant fields are plain references; per-level fields (`frontier`, `ranges`,
-/// `child_depth`) are rewritten by the coordinator *between* levels, while every worker
-/// is parked — the generation handshake in `gate` is the synchronisation point.
-struct RunShared<'a, S> {
-    spec: &'a Spec<S>,
-    labels: &'a LabelTable,
+/// The kernel visitor that checks invariants: `()` notes, nothing to learn from
+/// re-arrivals, every fresh state is expanded.
+struct InvariantVisitor<'a, S> {
+    pipeline: &'a Pipeline<'a, S>,
     store: &'a StateStore<S>,
-    /// The active canonicalization function under
-    /// [`SymmetryMode::Canonicalize`] (`None` when symmetry is off or the spec has no
-    /// symmetry group).  When set, the frontier and the store hold canonical
-    /// representatives and violation traces are de-canonicalized on reconstruction.
-    canon: Option<&'a CanonFn<S>>,
-    /// The incremental variant of `canon`, used for successors whose footprint bounds
-    /// the touched servers (`None` when symmetry is off or the spec only provides the
-    /// full recomputation).
-    incr: Option<&'a IncrementalCanon<S>>,
-    /// Sleep-set partial-order reduction is active ([`CheckOptions::por`]).
-    por: bool,
-    /// Declared footprint per interned label (grown lazily as labels are explored).
-    footprints: FootprintTable,
-    /// The sleep set of each current-frontier state, index-aligned with the published
-    /// frontier.  Rewritten by the coordinator between levels; empty for spilled
-    /// levels (their sleeps degrade to ∅, which is always sound).
-    frontier_sleeps: OrderedRwLock<FrontierSleepsRank, Vec<SleepSet>>,
     stop: &'a StopCell,
-    violation_count: &'a AtomicUsize,
+    options: &'a CheckOptions,
     violation_limit: usize,
     violation_stop: u8,
-    batch_size: usize,
-    max_states: Option<usize>,
-    deadline: Option<Instant>,
-    frontier: OrderedRwLock<FrontierRank, Vec<(StateIndex, S)>>,
-    ranges: Vec<StealRange>,
-    child_depth: AtomicU32,
-    /// Owner-routed sharding (see [`CheckOptions::route_by_owner`]): when set, workers
-    /// deposit successor batches into the owning shard's mailbox during the expand
-    /// phase instead of locking the stripe, and a second drain phase lets each shard's
-    /// owner merge them single-threadedly.
-    route_by_owner: bool,
-    /// The phase the pool runs in the next gate cycle ([`PHASE_EXPAND`] or
-    /// [`PHASE_DRAIN`]); only the coordinator writes it, between cycles.
-    phase: AtomicU8,
-    /// Number of pool workers (drain ownership is `shard % pool_workers == worker`).
-    pool_workers: usize,
-    /// One mailbox per store shard for owner-routed batches.
-    mailboxes: Vec<OrderedMutex<MailboxRank, Vec<RoutedBatch<S>>>>,
-    results: Vec<OrderedMutex<ResultsRank, Option<WorkerLevelResult<S>>>>,
-    /// The first panic payload caught on a pool worker, re-raised by the coordinator
-    /// after the level completes (a dead worker must still decrement `gate.remaining`,
-    /// or the coordinator would wait forever — see `pool_worker`).
-    worker_panic: OrderedMutex<PanicSlotRank, Option<Box<dyn std::any::Any + Send>>>,
-    gate: OrderedMutex<GateRank, Gate>,
-    work_ready: OrderedCondvar,
-    work_done: OrderedCondvar,
+    violation_count: AtomicUsize,
+    /// At most one per invariant: the first recorded, lowest depth first.
+    violations: Vec<Violation<S>>,
+}
+
+impl<S: SpecState> Visitor<S> for InvariantVisitor<'_, S> {
+    type Note = ();
+    type Local = Vec<PendingViolation>;
+
+    fn annotate(&self, _parent: Option<StateIndex>, _child: &S) {}
+
+    fn on_fresh(&self, local: &mut Self::Local, at: Arrival, state: &S, _note: ()) -> bool {
+        // The limit is checked as successor batches merge; seeding alone never trips it.
+        let limit = self.options.max_states.filter(|_| at.depth > 0);
+        if limit.is_some_and(|max| self.store.len() >= max) {
+            self.stop.request(STOP_STATE_LIMIT);
+        }
+        let violated = self.pipeline.spec.violated_invariants(state);
+        if !violated.is_empty() {
+            let total = self
+                .violation_count
+                // ordering: AcqRel — the running total decides the stop request
+                // below, so each increment must observe and publish its peers.
+                .fetch_add(violated.len(), Ordering::AcqRel)
+                + violated.len();
+            local.extend(violated.into_iter().map(|inv| PendingViolation {
+                at,
+                invariant: inv.id,
+                invariant_name: inv.name,
+            }));
+            if total >= self.violation_limit {
+                self.stop.request(self.violation_stop);
+            }
+        }
+        true
+    }
+
+    /// Turns the level's pending violation records into [`Violation`]s with
+    /// reconstructed traces, keeping only the first recorded violation of each invariant.
+    fn on_level_end(
+        &mut self,
+        locals: Vec<Self::Local>,
+        _end: LevelEnd,
+        _requeue: &mut Vec<(StateIndex, S)>,
+    ) -> ControlFlow<StopReason> {
+        let mut pending: Vec<PendingViolation> = locals.into_iter().flatten().collect();
+        // Sort so the representative chosen for each invariant does not depend on worker
+        // scheduling: lowest depth first, ties broken by fingerprint.
+        pending.sort_by_key(|p| (p.at.depth, p.invariant, p.at.fp));
+        for p in pending {
+            if self.violations.iter().any(|v| v.invariant == p.invariant) {
+                continue;
+            }
+            // A symmetry-reduced chain is a sequence of canonical forms, not an
+            // execution; the witness is replayed back into the original id frame so it
+            // runs step-by-step through `Spec::successors` on the original spec.
+            let trace = if self.options.collect_traces {
+                let Pipeline { spec, labels, .. } = *self.pipeline;
+                self.store
+                    .trace_to(spec, labels, p.at.index, self.pipeline.canon)
+            } else {
+                Trace::default()
+            };
+            self.violations.push(Violation {
+                invariant: p.invariant,
+                invariant_name: p.invariant_name,
+                depth: p.at.depth,
+                trace,
+            });
+        }
+        ControlFlow::Continue(())
+    }
 }
 
 /// Runs breadth-first model checking of `spec` under `options`.
 pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckOutcome<S> {
     let start = Instant::now();
     let fallbacks_before = canon_stats::tie_cap_fallbacks();
-    let workers = options.workers.max(1);
     let labels = LabelTable::new();
     let store: StateStore<S> =
         StateStore::with_spill(options.store_mode, options.shards, &options.spill);
     let stop = StopCell::new();
-    let violation_count = AtomicUsize::new(0);
-    let mut violations: Vec<Violation<S>> = Vec::new();
-
     let (violation_limit, violation_stop) = match options.mode {
         CheckMode::FirstViolation => (1, STOP_FIRST_VIOLATION),
         CheckMode::Completion { violation_limit } => (violation_limit, STOP_VIOLATION_LIMIT),
     };
-
-    // Symmetry reduction is active only when both the options request it and the spec
-    // carries a canonicalization function; otherwise the engine runs untouched.
-    let canon: Option<&CanonFn<S>> = match options.symmetry {
-        SymmetryMode::Canonicalize => spec.symmetry.as_ref(),
-        SymmetryMode::Off => None,
-    };
-    // The incremental path only makes sense when the full canonicalization is active
-    // (it shares the same canonical-representative invariant).
-    let incr: Option<&IncrementalCanon<S>> = canon.and(spec.incremental_symmetry.as_ref());
-
-    // Seed the store with the initial states (depth 0), checking invariants on each.
-    let mut frontier: Vec<(StateIndex, S)> = Vec::new();
-    let mut pending: Vec<PendingViolation> = Vec::new();
-    for init in &spec.init {
-        let insert = match canon {
-            Some(canon) => {
-                let (canonical, perm) = canon(init);
-                let fp = fingerprint(&canonical);
-                let mut handle = store.lock_shard(store.shard_of(fp));
-                (
-                    handle.insert_canonical(fp, None, LabelTable::init_id(), canonical, perm),
-                    fp,
-                )
-            }
-            None => {
-                let fp = fingerprint(init);
-                let mut handle = store.lock_shard(store.shard_of(fp));
-                (
-                    handle.insert(fp, None, LabelTable::init_id(), init.clone()),
-                    fp,
-                )
-            }
-        };
-        let (Insert::Fresh(index, state), fp) = insert else {
-            continue;
-        };
-        let violated = spec.violated_invariants(&state);
-        if !violated.is_empty() {
-            // ordering: AcqRel — the running total decides whether to request a stop,
-            // so each increment must both publish and observe concurrent increments.
-            let total =
-                violation_count.fetch_add(violated.len(), Ordering::AcqRel) + violated.len();
-            for inv in violated {
-                pending.push(PendingViolation {
-                    index,
-                    fp,
-                    depth: 0,
-                    invariant: inv.id,
-                    invariant_name: inv.name,
-                });
-            }
-            if total >= violation_limit {
-                stop.request(violation_stop);
-            }
-        }
-        frontier.push((index, state));
-    }
-
-    let shared = RunShared {
+    let pipeline = Pipeline::new(
         spec,
-        labels: &labels,
-        store: &store,
-        canon,
-        incr,
-        por: options.por,
-        footprints: FootprintTable::new(),
-        frontier_sleeps: OrderedRwLock::new(Vec::new()),
-        stop: &stop,
-        violation_count: &violation_count,
-        violation_limit,
-        violation_stop,
-        batch_size: options.batch_size.max(1),
-        max_states: options.max_states,
-        deadline: options.time_budget.map(|b| start + b),
-        frontier: OrderedRwLock::new(Vec::new()),
-        ranges: (0..workers).map(|_| StealRange::new(0, 0)).collect(),
-        child_depth: AtomicU32::new(1),
-        route_by_owner: options.route_by_owner,
-        phase: AtomicU8::new(PHASE_EXPAND),
-        pool_workers: workers,
-        mailboxes: (0..store.shard_count())
-            .map(|_| OrderedMutex::new(Vec::new()))
-            .collect(),
-        results: (0..workers).map(|_| OrderedMutex::new(None)).collect(),
-        worker_panic: OrderedMutex::new(None),
-        gate: OrderedMutex::new(Gate {
-            generation: 0,
-            remaining: 0,
-            shutdown: false,
-        }),
-        work_ready: OrderedCondvar::new(),
-        work_done: OrderedCondvar::new(),
-    };
-
-    resolve_violations(&shared, options, pending, &mut violations);
-    if let Some(reason) = stop.stop_reason() {
-        let stats = stats_from(&store, &vec![0u64; workers], 0, start, 0, fallbacks_before);
-        return CheckOutcome {
-            spec_name: spec.name.clone(),
-            stats,
-            stop_reason: reason,
-            violations,
-            // ordering: Acquire — pairs with the AcqRel counter updates; reads the
-            // final total after all inserts above.
-            violation_count: violation_count.load(Ordering::Acquire),
-        };
-    }
-
-    let mut per_worker_transitions = vec![0u64; workers];
-    let mut pruned_transitions: u64 = 0;
-    let mut max_depth_reached: u32 = 0;
-    let mut stop_reason = StopReason::Exhausted;
-
-    let run = |pool: bool| {
-        level_loop(
-            &shared,
-            options,
-            start,
-            frontier,
-            pool,
-            &mut per_worker_transitions,
-            &mut pruned_transitions,
-            &mut max_depth_reached,
-            &mut violations,
-        )
-    };
-    if workers == 1 {
-        stop_reason = run(false);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let shared = &shared;
-                scope.spawn(move || pool_worker(shared, w));
-            }
-            stop_reason = run(true);
-            // Unpark everyone one last time so the scope can join.
-            let mut gate = shared.gate.lock();
-            gate.shutdown = true;
-            drop(gate);
-            shared.work_ready.notify_all();
-        });
-    }
-
-    let stats = stats_from(
-        &store,
-        &per_worker_transitions,
-        max_depth_reached,
-        start,
-        pruned_transitions,
-        fallbacks_before,
+        &labels,
+        options.symmetry == SymmetryMode::Canonicalize,
+        options.por,
     );
+    let explored = kernel::explore(
+        Run {
+            pipeline: &pipeline,
+            store: &store,
+            stop: &stop,
+            workers: options.workers,
+            batch_size: options.batch_size.max(1),
+            route_by_owner: options.route_by_owner,
+            max_depth: options.max_depth,
+            deadline: options.time_budget.map(|b| start + b),
+            // Only the invariant visitor spills frontiers: it never re-enqueues, so a
+            // level on disk needs nothing but its indices.
+            frontier_budget: options.spill.budget_bytes,
+        },
+        InvariantVisitor {
+            pipeline: &pipeline,
+            store: &store,
+            stop: &stop,
+            options,
+            violation_limit,
+            violation_stop,
+            violation_count: AtomicUsize::new(0),
+            violations: Vec::new(),
+        },
+    );
+
     CheckOutcome {
         spec_name: spec.name.clone(),
-        stats,
-        stop_reason,
-        violations,
-        // ordering: Acquire — the final total, read after every worker joined.
-        violation_count: violation_count.load(Ordering::Acquire),
-    }
-}
-
-/// Frontier levels smaller than this are never spilled, whatever the memory budget:
-/// below it the queue's syscall overhead dwarfs the memory saved.
-const MIN_FRONTIER_CHUNK: usize = 256;
-
-/// One BFS level, either resident or round-tripping through an on-disk index queue.
-///
-/// Spilled levels store only the `u32` state indices; the states themselves are reloaded
-/// from the full-state arena chunk by chunk, which is why frontier spilling requires
-/// [`StoreMode::Full`] — in fingerprint-only mode the frontier is the *sole* holder of
-/// the live states and dropping them would lose the level.
-enum LevelFrontier<S> {
-    Ram(Vec<(StateIndex, S)>),
-    Disk(IndexQueue),
-}
-
-impl<S> LevelFrontier<S> {
-    fn len(&self) -> usize {
-        match self {
-            LevelFrontier::Ram(v) => v.len(),
-            LevelFrontier::Disk(q) => q.remaining(),
-        }
-    }
-}
-
-/// Accumulates the next BFS level across the chunks of the current one, spilling index
-/// runs to disk whenever the resident tail outgrows the memory budget.
-struct NextFrontier<'a, S> {
-    ram: Vec<(StateIndex, S)>,
-    disk: Option<IndexQueue>,
-    /// `(chunk_size, spill_dir)`; `None` disables frontier spilling entirely.
-    spill: Option<(usize, &'a Path)>,
-    child_depth: u32,
-    store: &'a StateStore<S>,
-}
-
-impl<'a, S: SpecState> NextFrontier<'a, S> {
-    fn new(spill: Option<(usize, &'a Path)>, child_depth: u32, store: &'a StateStore<S>) -> Self {
-        NextFrontier {
-            ram: Vec::new(),
-            disk: None,
-            spill,
-            child_depth,
-            store,
-        }
-    }
-
-    fn extend(&mut self, items: Vec<(StateIndex, S)>) {
-        self.ram.extend(items);
-        if let Some((threshold, dir)) = self.spill {
-            if self.ram.len() > threshold {
-                self.flush(dir);
-            }
-        }
-    }
-
-    /// Moves the resident entries onto the level's index queue, dropping the states
-    /// (they stay reloadable from the full-state arena).
-    fn flush(&mut self, dir: &Path) {
-        let queue = match &mut self.disk {
-            Some(queue) => queue,
-            None => {
-                let path = dir.join(format!("frontier-{:06}.idx", self.child_depth));
-                self.disk
-                    .insert(IndexQueue::create(&path).expect("creating a frontier spill queue"))
-            }
-        };
-        let indices: Vec<u32> = self.ram.drain(..).map(|(index, _)| index.0).collect();
-        queue
-            .push(&indices)
-            .expect("appending to a frontier spill queue");
-        self.store.note_frontier_spilled(indices.len() as u64);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ram.is_empty() && self.disk.as_ref().is_none_or(|q| q.remaining() == 0)
-    }
-
-    /// Finalizes the level: fully resident, or fully on disk once any part spilled (a
-    /// mixed level would expand its two halves in a scheduling-dependent order).
-    fn into_frontier(mut self) -> LevelFrontier<S> {
-        match self.disk.take() {
-            Some(queue) => {
-                self.disk = Some(queue);
-                if !self.ram.is_empty() {
-                    let (_, dir) = self.spill.expect("a spilled frontier has a spill dir");
-                    self.flush(dir);
-                }
-                LevelFrontier::Disk(self.disk.take().expect("queue restored above"))
-            }
-            None => LevelFrontier::Ram(self.ram),
-        }
-    }
-}
-
-/// The level-synchronous main loop, shared by the inline (1-worker) and pooled paths.
-#[allow(clippy::too_many_arguments)]
-fn level_loop<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    options: &CheckOptions,
-    start: Instant,
-    frontier: Vec<(StateIndex, S)>,
-    pool: bool,
-    per_worker_transitions: &mut [u64],
-    pruned_transitions: &mut u64,
-    max_depth_reached: &mut u32,
-    violations: &mut Vec<Violation<S>>,
-) -> StopReason {
-    // Frontier spilling is active only with a memory budget AND the full-state store
-    // (see `LevelFrontier`).  The chunk size is how many frontier entries the budget
-    // buys; states round-trip through disk only when a level outgrows it.
-    let frontier_spill: Option<(usize, &Path)> = match (
-        shared.store.spill_dir(),
-        options.spill.budget_bytes,
-        shared.store.mode(),
-    ) {
-        (Some(dir), Some(budget), StoreMode::Full) => {
-            let entry = std::mem::size_of::<(StateIndex, S)>().max(1);
-            Some(((budget as usize / entry).max(MIN_FRONTIER_CHUNK), dir))
-        }
-        _ => None,
-    };
-
-    let mut frontier = LevelFrontier::Ram(frontier);
-    let mut level_depth: u32 = 0;
-    while frontier.len() > 0 {
-        // Check resource budgets between levels (workers also check them within a level).
-        if let Some(budget) = options.time_budget {
-            if start.elapsed() >= budget {
-                return StopReason::TimeBudget;
-            }
-        }
-        if let Some(max_depth) = options.max_depth {
-            if level_depth >= max_depth {
-                return StopReason::DepthBound;
-            }
-        }
-
-        // ordering: Release — pairs with the workers' Acquire loads; the gate
-        // handshake already orders the level publication, this keeps the field
-        // self-consistent even read in isolation.
-        shared.child_depth.store(level_depth + 1, Ordering::Release);
-        let mut next = NextFrontier::new(frontier_spill, level_depth + 1, shared.store);
-        let mut pending: Vec<PendingViolation> = Vec::new();
-        let mut sleep_edges: Vec<(StateIndex, SleepSet)> = Vec::new();
-
-        // A resident level is one chunk; a spilled level streams back in budget-sized
-        // chunks, each expanded exactly like a whole level used to be.
-        loop {
-            let chunk: Vec<(StateIndex, S)> = match &mut frontier {
-                LevelFrontier::Ram(v) => std::mem::take(v),
-                LevelFrontier::Disk(queue) => {
-                    let max = frontier_spill
-                        .map(|(chunk_size, _)| chunk_size)
-                        .unwrap_or(usize::MAX);
-                    queue
-                        .next_chunk(max)
-                        .expect("reading back a spilled frontier queue")
-                        .into_iter()
-                        .map(|raw| {
-                            let index = StateIndex(raw);
-                            let state = shared
-                                .store
-                                .with_state(index, S::clone)
-                                .expect("spilled frontiers require the full-state store");
-                            (index, state)
-                        })
-                        .collect()
-                }
-            };
-            if chunk.is_empty() {
-                break;
-            }
-            expand_level_chunk(
-                shared,
-                chunk,
-                pool,
-                per_worker_transitions,
-                pruned_transitions,
-                &mut next,
-                &mut pending,
-                &mut sleep_edges,
-            );
-            // Mid-level stops abort the remaining chunks, exactly as expansion of a
-            // resident level aborts its remaining claims.
-            if shared.stop.requested() || matches!(frontier, LevelFrontier::Ram(_)) {
-                break;
-            }
-        }
-
-        resolve_violations(shared, options, pending, violations);
-        if !next.is_empty() {
-            *max_depth_reached = (*max_depth_reached).max(level_depth + 1);
-        }
-        if let Some(reason) = shared.stop.stop_reason() {
-            return reason;
-        }
-        frontier = next.into_frontier();
-        if shared.por {
-            publish_frontier_sleeps(shared, sleep_edges, &frontier);
-        }
-        level_depth += 1;
-    }
-    StopReason::Exhausted
-}
-
-/// Builds the next level's sleep sets from the arrival edges recorded during the level
-/// just expanded, and publishes them index-aligned with the next frontier.
-///
-/// A state reached through several same-level edges keeps only the labels *every*
-/// arrival keeps asleep (set intersection — commutative, so the result is independent
-/// of worker scheduling).  Edges to states of older levels (re-visits at greater depth)
-/// have no aligned frontier slot and are dropped; spilled levels get no sleep sets at
-/// all — both degrade the reduction, never its soundness.
-fn publish_frontier_sleeps<S>(
-    shared: &RunShared<'_, S>,
-    sleep_edges: Vec<(StateIndex, SleepSet)>,
-    frontier: &LevelFrontier<S>,
-) {
-    let mut by_index: HashMap<u32, SleepSet> = HashMap::with_capacity(sleep_edges.len());
-    for (index, sleep) in sleep_edges {
-        match by_index.entry(index.0) {
-            Entry::Occupied(mut slot) => por::intersect_sorted(slot.get_mut(), &sleep),
-            Entry::Vacant(slot) => {
-                slot.insert(sleep);
-            }
-        }
-    }
-    let aligned: Vec<SleepSet> = match frontier {
-        LevelFrontier::Ram(v) => v
-            .iter()
-            .map(|(index, _)| by_index.remove(&index.0).unwrap_or_default())
-            .collect(),
-        LevelFrontier::Disk(_) => Vec::new(),
-    };
-    *shared.frontier_sleeps.write() = aligned;
-}
-
-/// Expands one chunk of the current level (inline or on the pool), merging the per-worker
-/// results into the accumulators.  Under owner routing each chunk runs as two phases:
-/// expand (deposit successors into shard mailboxes) then drain (each shard's owner
-/// merges its mailbox).
-#[allow(clippy::too_many_arguments)]
-fn expand_level_chunk<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    chunk: Vec<(StateIndex, S)>,
-    pool: bool,
-    per_worker_transitions: &mut [u64],
-    pruned_transitions: &mut u64,
-    next: &mut NextFrontier<'_, S>,
-    pending: &mut Vec<PendingViolation>,
-    sleep_edges: &mut Vec<(StateIndex, SleepSet)>,
-) {
-    let workers = per_worker_transitions.len();
-    let mut merge = |results: Vec<WorkerLevelResult<S>>| {
-        for (w, result) in results.into_iter().enumerate() {
-            per_worker_transitions[w] += result.transitions;
-            *pruned_transitions += result.pruned;
-            next.extend(result.next_frontier);
-            pending.extend(result.violations);
-            sleep_edges.extend(result.sleep_edges);
-        }
-    };
-
-    // Small frontiers are not worth waking the pool for; expand them inline.
-    let use_pool = pool && chunk.len() >= 64;
-    if use_pool {
-        {
-            let mut shared_frontier = shared.frontier.write();
-            *shared_frontier = chunk;
-            let len = shared_frontier.len();
-            let per_worker = len.div_ceil(workers);
-            for (w, range) in shared.ranges.iter().enumerate() {
-                range.reset((w * per_worker).min(len), ((w + 1) * per_worker).min(len));
-            }
-        }
-        // ordering: Release — the phase is read by workers after the gate wake;
-        // Release pairs with their Acquire load so a cycle never runs a stale phase.
-        shared.phase.store(PHASE_EXPAND, Ordering::Release);
-        merge(run_pool_cycle(shared, workers));
-        if shared.route_by_owner {
-            if shared.stop.requested() {
-                // The level is being aborted: deposited batches are discarded just as
-                // the unrouted engine drops unflushed worker buffers on a stop.
-                clear_mailboxes(shared);
-            } else {
-                // ordering: Release — see the PHASE_EXPAND store above.
-                shared.phase.store(PHASE_DRAIN, Ordering::Release);
-                merge(run_pool_cycle(shared, workers));
-            }
-        }
-    } else {
-        shared.ranges[0].reset(0, chunk.len());
-        for range in &shared.ranges[1..] {
-            range.reset(0, 0);
-        }
-        merge(vec![expand_range(shared, &chunk, 0)]);
-        if shared.route_by_owner {
-            if shared.stop.requested() {
-                clear_mailboxes(shared);
-            } else {
-                merge(vec![drain_mailboxes(shared, 0, 1)]);
-            }
-        }
-    }
-}
-
-/// Runs one gate cycle of the persistent pool (all workers execute the current phase)
-/// and collects the published per-worker results.
-fn run_pool_cycle<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    workers: usize,
-) -> Vec<WorkerLevelResult<S>> {
-    // Wake the pool and wait for every worker to finish the cycle.
-    {
-        let mut gate = shared.gate.lock();
-        gate.generation += 1;
-        gate.remaining = workers;
-        drop(gate);
-        shared.work_ready.notify_all();
-        let mut gate = shared.gate.lock();
-        while gate.remaining > 0 {
-            gate = shared.work_done.wait(gate);
-        }
-    }
-    if let Some(payload) = shared.worker_panic.lock().take() {
-        // Wake the parked workers so `thread::scope` can join, then re-raise
-        // the worker's panic from the coordinator.
-        let mut gate = shared.gate.lock();
-        gate.shutdown = true;
-        drop(gate);
-        shared.work_ready.notify_all();
-        std::panic::resume_unwind(payload);
-    }
-    let mut results = Vec::with_capacity(workers);
-    for slot in &shared.results {
-        let result = slot
-            .lock()
-            .take()
-            .expect("every pool worker publishes a cycle result");
-        results.push(result);
-    }
-    results
-}
-
-fn clear_mailboxes<S>(shared: &RunShared<'_, S>) {
-    for mailbox in &shared.mailboxes {
-        mailbox.lock().clear();
-    }
-}
-
-/// The body of one pool worker: park until the coordinator publishes a level (or shuts
-/// the run down), expand it, publish the result, repeat.
-fn pool_worker<S: SpecState>(shared: &RunShared<'_, S>, worker: usize) {
-    let mut last_generation = 0u64;
-    loop {
-        {
-            let mut gate = shared.gate.lock();
-            while gate.generation == last_generation && !gate.shutdown {
-                gate = shared.work_ready.wait(gate);
-            }
-            if gate.shutdown {
-                return;
-            }
-            last_generation = gate.generation;
-        }
-        // A panicking spec closure (action or invariant) must not leave the
-        // coordinator waiting forever on `gate.remaining`: catch the panic, publish an
-        // empty result, request a stop so the other workers drain, and let the
-        // coordinator re-raise the payload after the level completes.  (The previous
-        // per-level-spawn engine propagated worker panics through `join()`; this keeps
-        // that contract under the persistent pool.)
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // ordering: Acquire — pairs with the coordinator's Release store; the
-            // phase decides which cycle body runs, so it must not be stale.
-            if shared.phase.load(Ordering::Acquire) == PHASE_DRAIN {
-                drain_mailboxes(shared, worker, shared.pool_workers)
-            } else {
-                let frontier = shared.frontier.read();
-                expand_range(shared, &frontier, worker)
-            }
-        }))
-        .unwrap_or_else(|payload| {
-            shared.worker_panic.lock().get_or_insert(payload);
-            shared.stop.request(STOP_TIME_BUDGET);
-            WorkerLevelResult::default()
-        });
-        *shared.results[worker].lock() = Some(result);
-        let mut gate = shared.gate.lock();
-        gate.remaining -= 1;
-        if gate.remaining == 0 {
-            shared.work_done.notify_all();
-        }
-    }
-}
-
-/// One buffered successor awaiting its batch merge: 24 bytes of metadata plus the state
-/// (the canonical representative, with the applied permutation, under symmetry).
-struct BufferedSuccessor<S> {
-    fp: Fingerprint,
-    parent: StateIndex,
-    label: LabelId,
-    state: S,
-    perm: Option<Perm>,
-    /// The sleep set this edge hands down to its target (empty when POR is off).
-    sleep: SleepSet,
-}
-
-/// The worker loop: claims frontier indices (own range first, then stolen halves),
-/// expands each state, and buffers successors per shard, flushing in batches.
-fn expand_range<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    frontier: &[(StateIndex, S)],
-    worker: usize,
-) -> WorkerLevelResult<S> {
-    let mut result = WorkerLevelResult::default();
-    let shard_count = shared.store.shard_count();
-    let mut buffers: Vec<Vec<BufferedSuccessor<S>>> =
-        (0..shard_count).map(|_| Vec::new()).collect();
-    let mut seqs: Vec<u32> = vec![
-        0;
-        if shared.route_by_owner {
-            shard_count
-        } else {
-            0
-        }
-    ];
-    let mut stolen: Option<StealRange> = None;
-    let mut processed: u64 = 0;
-    // ordering: Acquire — pairs with the coordinator's Release store between levels.
-    let child_depth = shared.child_depth.load(Ordering::Acquire);
-    // Index-aligned sleep sets of the published frontier (empty map when POR is off or
-    // the level was spilled).  Workers hold the read lock for the whole cycle; the
-    // coordinator only writes between cycles, while every worker is parked.
-    let frontier_sleeps = shared.por.then(|| shared.frontier_sleeps.read());
-
-    'claim: loop {
-        if shared.stop.requested() {
-            break;
-        }
-        // Claim from the stolen range first (it was taken to be worked on), then from the
-        // worker's own range, then steal from the largest remaining range.
-        let idx = loop {
-            if let Some(range) = &stolen {
-                if let Some(idx) = range.claim() {
-                    break idx;
-                }
-                stolen = None;
-            }
-            if let Some(idx) = shared.ranges[worker].claim() {
-                break idx;
-            }
-            let victim = shared
-                .ranges
-                .iter()
-                .enumerate()
-                .filter(|(v, _)| *v != worker)
-                .max_by_key(|(_, r)| r.remaining())
-                .filter(|(_, r)| r.remaining() >= 2);
-            let Some((_, victim)) = victim else {
-                // No range anywhere holds stealable work: the level is drained.
-                break 'claim;
-            };
-            match victim.steal_half() {
-                Some((start, end)) => stolen = Some(StealRange::new(start, end)),
-                // Lost the race to the victim's owner (or another thief); other ranges
-                // may still hold work, so rescan rather than leaving this worker idle
-                // for the rest of the level.
-                None => continue,
-            }
-        };
-
-        let (parent_index, state) = &frontier[idx];
-        // POR bookkeeping for this parent: the labels it must not re-explore (sorted),
-        // their footprints (resolved once, outside the hot closure), and the explored
-        // earlier siblings accumulated as enumeration proceeds.
-        let sleep_in: &[LabelId] = frontier_sleeps
-            .as_ref()
-            .and_then(|sleeps| sleeps.get(idx))
-            .map_or(&[], |sleep| sleep.as_slice());
-        let sleep_in_effects: Vec<(LabelId, Effect)> = if sleep_in.is_empty() {
-            Vec::new()
-        } else {
-            shared.footprints.resolve(sleep_in)
-        };
-        let mut retained: Vec<(LabelId, Effect)> = Vec::new();
-        // The parent's canonicalization memo, built lazily on the first successor that
-        // can use the incremental path (the parent state is already canonical).
-        let mut memo: Option<Box<dyn std::any::Any + Send + Sync>> = None;
-        // Effects observed during this expansion; recorded into the (locked) footprint
-        // table only after the callback returns — the successor callback itself stays
-        // lock-free (the concurrency lint's no-lock-in-callback rule, which keeps spec
-        // enumeration code unable to deadlock against engine locks).
-        let mut fresh_effects: Vec<(LabelId, Effect)> = Vec::new();
-        shared
-            .spec
-            .for_each_successor(state, shared.labels, |label, next, effect| {
-                if shared.por && sleep_in.binary_search(&label).is_ok() {
-                    // Already covered through a sibling interleaving of an earlier
-                    // edge: skip before canonicalization and fingerprinting.
-                    result.pruned += 1;
-                    return;
-                }
-                result.transitions += 1;
-                let mut sleep = SleepSet::new();
-                if shared.por {
-                    if let Some(e) = effect {
-                        fresh_effects.push((label, e));
-                    }
-                    sleep = por::child_sleep(&sleep_in_effects, &retained, effect);
-                    if let Some(e) = effect.filter(|e| !e.is_global()) {
-                        retained.push((label, e));
-                    }
-                }
-                // Under symmetry the successor is replaced by the canonical
-                // representative of its orbit before fingerprinting, so the whole
-                // orbit dedups to one store entry; the applied permutation rides
-                // along for later trace de-canonicalization.  When the successor's
-                // footprint bounds the touched servers, the incremental path reuses
-                // the parent's sort keys instead of recomputing all of them.
-                let (next, perm) = match (shared.canon, shared.incr) {
-                    (Some(_canon), Some(incr)) if effect.is_some_and(|e| !e.is_global()) => {
-                        let touched = effect.expect("guarded above").touched_servers();
-                        let parent_memo = memo.get_or_insert_with(|| (incr.memo)(state));
-                        #[cfg(debug_assertions)]
-                        let oracle = next.clone();
-                        let (canonical, perm) = (incr.canon)(next, &**parent_memo, touched);
-                        #[cfg(debug_assertions)]
-                        debug_assert_eq!(
-                            canonical,
-                            _canon(&oracle).0,
-                            "incremental canonicalization diverged from the full \
-                             recomputation (label {label:?})"
-                        );
-                        (canonical, Some(perm))
-                    }
-                    (Some(_canon), Some(incr)) => {
-                        // No usable footprint, but the owned full path still skips the
-                        // deep rewrite when the canonical permutation is the identity.
-                        let (canonical, perm) = (incr.full_owned)(next);
-                        (canonical, Some(perm))
-                    }
-                    (Some(canon), None) => {
-                        let (canonical, perm) = canon(&next);
-                        (canonical, Some(perm))
-                    }
-                    (None, _) => (next, None),
-                };
-                // Sleep-set labels live in the parent's id frame; a relabelling edge
-                // invalidates them, so the child starts awake (always sound).
-                if perm.as_ref().is_some_and(|p| !p.is_identity()) {
-                    sleep.clear();
-                }
-                let fp = fingerprint(&next);
-                let shard = shared.store.shard_of(fp);
-                buffers[shard].push(BufferedSuccessor {
-                    fp,
-                    parent: *parent_index,
-                    label,
-                    state: next,
-                    perm,
-                    sleep,
-                });
-            });
-        for (label, effect) in fresh_effects.drain(..) {
-            shared.footprints.record(label, effect);
-        }
-        // Batch flushing happens here, between parents, instead of inside the
-        // callback: a buffer can overshoot `batch_size` by at most one parent's
-        // successor count, and the merged outcome is unchanged (flush order within
-        // a worker was already a function of claim order alone).
-        for shard in 0..shard_count {
-            if buffers[shard].len() >= shared.batch_size {
-                if shared.route_by_owner {
-                    deposit(shared, shard, worker, &mut seqs[shard], &mut buffers[shard]);
-                } else {
-                    flush_shard(shared, shard, &mut buffers[shard], child_depth, &mut result);
-                }
-            }
-        }
-
-        processed += 1;
-        if processed.is_multiple_of(64) {
-            if let Some(deadline) = shared.deadline {
-                if Instant::now() >= deadline {
-                    shared.stop.request(STOP_TIME_BUDGET);
-                }
-            }
-        }
-    }
-
-    // Merge whatever is still buffered at the level boundary — unless a stop was
-    // requested, in which case exploration is being aborted anyway and merging the
-    // leftovers would only push `distinct_states` further past the stop condition (the
-    // pre-parallel engine likewise broke out without expanding the rest of the level).
-    if !shared.stop.requested() {
-        for (shard, buffer) in buffers.iter_mut().enumerate() {
-            if !buffer.is_empty() {
-                if shared.route_by_owner {
-                    deposit(shared, shard, worker, &mut seqs[shard], buffer);
-                } else {
-                    flush_shard(shared, shard, buffer, child_depth, &mut result);
-                }
-            }
-        }
-    }
-    result
-}
-
-/// Routes one successor batch to its owning shard's mailbox (owner-routed mode), tagging
-/// it with `(producer, seq)` so the drain phase can replay batches deterministically.
-fn deposit<S>(
-    shared: &RunShared<'_, S>,
-    shard: usize,
-    worker: usize,
-    seq: &mut u32,
-    buffer: &mut Vec<BufferedSuccessor<S>>,
-) {
-    let items = std::mem::take(buffer);
-    shared.mailboxes[shard].lock().push(RoutedBatch {
-        producer: worker as u32,
-        seq: *seq,
-        items,
-    });
-    *seq += 1;
-}
-
-/// The drain phase of an owner-routed chunk: each of the `drainers` workers merges the
-/// mailboxes of the shards it owns (`shard % drainers == worker`), replaying batches in
-/// `(producer, seq)` order.  Every shard has exactly one drainer, so inserts into a
-/// stripe are single-threaded — the lock in `flush_shard` is uncontended by design.
-/// `drainers` is the number of workers participating in *this* drain cycle: the pool
-/// size on the pooled path, 1 when a small chunk drains inline.
-fn drain_mailboxes<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    worker: usize,
-    drainers: usize,
-) -> WorkerLevelResult<S> {
-    let mut result = WorkerLevelResult::default();
-    // ordering: Acquire — pairs with the coordinator's Release store between levels.
-    let child_depth = shared.child_depth.load(Ordering::Acquire);
-    let workers = drainers.max(1);
-    for shard in (worker..shared.mailboxes.len()).step_by(workers) {
-        let mut batches = std::mem::take(&mut *shared.mailboxes[shard].lock());
-        if batches.is_empty() {
-            continue;
-        }
-        batches.sort_by_key(|b| (b.producer, b.seq));
-        let mut combined: Vec<BufferedSuccessor<S>> =
-            batches.into_iter().flat_map(|b| b.items).collect();
-        flush_shard(shared, shard, &mut combined, child_depth, &mut result);
-    }
-    result
-}
-
-/// Merges one per-worker buffer into its stripe under a single lock acquisition, then
-/// (outside the lock) checks invariants on the states that were actually new.
-fn flush_shard<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    shard: usize,
-    buffer: &mut Vec<BufferedSuccessor<S>>,
-    child_depth: u32,
-    result: &mut WorkerLevelResult<S>,
-) {
-    let mut fresh: Vec<(StateIndex, Fingerprint, S)> = Vec::new();
-    {
-        let mut handle = shared.store.lock_shard(shard);
-        for mut item in buffer.drain(..) {
-            let sleep = std::mem::take(&mut item.sleep);
-            let insert = match item.perm {
-                Some(perm) => handle.insert_canonical(
-                    item.fp,
-                    Some(item.parent),
-                    item.label,
-                    item.state,
-                    perm,
-                ),
-                None => handle.insert(item.fp, Some(item.parent), item.label, item.state),
-            };
-            // Both fresh and already-known targets contribute an arrival edge: a state
-            // reached again within the same level only keeps a label asleep if every
-            // minimal-depth arrival does (re-visits from older levels are dropped at
-            // the barrier — their targets have no slot in the next frontier).
-            let index = match &insert {
-                Insert::Fresh(index, _) | Insert::Existing(index, _) => *index,
-            };
-            if shared.por {
-                result.sleep_edges.push((index, sleep));
-            }
-            if let Insert::Fresh(index, state) = insert {
-                fresh.push((index, item.fp, state));
-            }
-        }
-    }
-    for (index, fp, state) in fresh {
-        if let Some(max_states) = shared.max_states {
-            if shared.store.len() >= max_states {
-                shared.stop.request(STOP_STATE_LIMIT);
-            }
-        }
-        let violated = shared.spec.violated_invariants(&state);
-        if !violated.is_empty() {
-            let total = shared
-                .violation_count
-                // ordering: AcqRel — the running total decides the stop request
-                // below, so each increment must observe and publish its peers.
-                .fetch_add(violated.len(), Ordering::AcqRel)
-                + violated.len();
-            for inv in violated {
-                result.violations.push(PendingViolation {
-                    index,
-                    fp,
-                    depth: child_depth,
-                    invariant: inv.id,
-                    invariant_name: inv.name,
-                });
-            }
-            if total >= shared.violation_limit {
-                shared.stop.request(shared.violation_stop);
-            }
-        }
-        result.next_frontier.push((index, state));
-    }
-}
-
-/// Turns pending worker-side violation records into [`Violation`]s with reconstructed
-/// traces, keeping (as before) only the first recorded violation of each invariant.
-fn resolve_violations<S: SpecState>(
-    shared: &RunShared<'_, S>,
-    options: &CheckOptions,
-    mut pending: Vec<PendingViolation>,
-    violations: &mut Vec<Violation<S>>,
-) {
-    // Sort so the representative chosen for each invariant does not depend on worker
-    // scheduling: lowest depth first, ties broken by fingerprint.
-    pending.sort_by_key(|p| (p.depth, p.invariant, p.fp));
-    for p in pending {
-        if violations.iter().any(|v| v.invariant == p.invariant) {
-            continue;
-        }
-        let trace = if options.collect_traces {
-            match shared.canon {
-                // A symmetry-reduced chain is a sequence of canonical forms, not an
-                // execution; replay it back into the original id frame so the witness
-                // runs step-by-step through `Spec::successors` on the original spec.
-                Some(canon) => shared.store.reconstruct_trace_decanonicalized(
-                    shared.spec,
-                    shared.labels,
-                    p.index,
-                    canon,
-                ),
-                None => shared
-                    .store
-                    .reconstruct_trace(shared.spec, shared.labels, p.index),
-            }
-        } else {
-            Trace::default()
-        };
-        violations.push(Violation {
-            invariant: p.invariant,
-            invariant_name: p.invariant_name,
-            depth: p.depth,
-            trace,
-        });
-    }
-}
-
-fn stats_from<S: SpecState>(
-    store: &StateStore<S>,
-    per_worker_transitions: &[u64],
-    max_depth: u32,
-    start: Instant,
-    pruned_transitions: u64,
-    canon_fallbacks_before: u64,
-) -> CheckStats {
-    CheckStats {
-        distinct_states: store.len(),
-        transitions: per_worker_transitions.iter().sum(),
-        max_depth,
-        elapsed: start.elapsed(),
-        per_worker_transitions: per_worker_transitions.to_vec(),
-        shard_contention: store.contention_counters(),
-        peak_entry_bytes: store.entry_bytes(),
-        entry_bytes_per_state: store.entry_bytes_per_state(),
-        spill: store.spill_stats(),
-        pruned_transitions,
-        canon_fallbacks: canon_stats::tie_cap_fallbacks().saturating_sub(canon_fallbacks_before),
+        stats: CheckStats {
+            distinct_states: store.len(),
+            transitions: explored.totals.per_worker_transitions.iter().sum(),
+            max_depth: explored.totals.max_depth,
+            elapsed: start.elapsed(),
+            per_worker_transitions: explored.totals.per_worker_transitions,
+            shard_contention: store.contention_counters(),
+            peak_entry_bytes: store.entry_bytes(),
+            entry_bytes_per_state: store.entry_bytes_per_state(),
+            spill: store.spill_stats(),
+            pruned_transitions: explored.totals.pruned_transitions,
+            canon_fallbacks: canon_stats::tie_cap_fallbacks().saturating_sub(fallbacks_before),
+        },
+        stop_reason: explored.stop_reason,
+        violations: explored.visitor.violations,
+        violation_count: explored.visitor.violation_count.into_inner(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stop::STOP_TIME_BUDGET;
     use crate::store::StoreMode;
     use remix_spec::{
         ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
@@ -1588,6 +546,98 @@ mod tests {
             full_seq.stats.distinct_states,
             full_par.stats.distinct_states
         );
+    }
+
+    /// The visitor seam, counted: what the kernel tells a visitor must not depend on
+    /// how the work was scheduled.
+    #[derive(Default)]
+    struct Counting {
+        fresh: Vec<StateIndex>,
+        existing: u64,
+        levels: u32,
+    }
+
+    impl Visitor<Pair> for Counting {
+        type Note = ();
+        type Local = (Vec<StateIndex>, u64);
+
+        fn annotate(&self, _parent: Option<StateIndex>, _child: &Pair) {}
+
+        fn on_fresh(&self, local: &mut Self::Local, at: Arrival, _: &Pair, _: ()) -> bool {
+            local.0.push(at.index);
+            true
+        }
+
+        fn on_existing(&self, local: &mut Self::Local, _: Arrival, _: Pair, _: ()) {
+            local.1 += 1;
+        }
+
+        fn on_level_end(
+            &mut self,
+            locals: Vec<Self::Local>,
+            _end: LevelEnd,
+            _requeue: &mut Vec<(StateIndex, Pair)>,
+        ) -> ControlFlow<StopReason> {
+            for (fresh, existing) in locals {
+                self.fresh.extend(fresh);
+                self.existing += existing;
+            }
+            self.levels += 1;
+            ControlFlow::Continue(())
+        }
+    }
+
+    #[test]
+    fn visitor_hooks_fire_once_per_arrival_however_the_work_is_scheduled() {
+        // Levels of pair_spec(140) grow past 64 states, so the pool (not just the
+        // inline path) runs for workers > 1, and its diamonds produce dedup hits.
+        let spec = pair_spec(140, None);
+        let mut baseline = None;
+        for workers in [1, 2, 4] {
+            for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+                for route_by_owner in [false, true] {
+                    let labels = LabelTable::new();
+                    let store: StateStore<Pair> = StateStore::new(mode, 64);
+                    let explored = kernel::explore(
+                        Run {
+                            pipeline: &Pipeline::new(&spec, &labels, false, false),
+                            store: &store,
+                            stop: &StopCell::new(),
+                            workers,
+                            batch_size: 16,
+                            route_by_owner,
+                            max_depth: None,
+                            deadline: None,
+                            frontier_budget: None,
+                        },
+                        Counting::default(),
+                    );
+                    let cell = format!("workers {workers}, {mode}, routed {route_by_owner}");
+                    assert_eq!(explored.stop_reason, StopReason::Exhausted, "{cell}");
+                    let Counting {
+                        mut fresh,
+                        existing,
+                        levels,
+                    } = explored.visitor;
+                    let announced = fresh.len();
+                    fresh.sort();
+                    fresh.dedup();
+                    assert_eq!(
+                        fresh.len(),
+                        announced,
+                        "on_fresh twice for one state: {cell}"
+                    );
+                    assert_eq!(announced, store.len(), "{cell}");
+                    let transitions: u64 = explored.totals.per_worker_transitions.iter().sum();
+                    // Every explored edge is exactly one arrival; the initial state is
+                    // the one fresh arrival that is not an edge.
+                    assert_eq!(announced as u64 - 1 + existing, transitions, "{cell}");
+                    let signature = (announced, existing, transitions, levels);
+                    assert_eq!(*baseline.get_or_insert(signature), signature, "{cell}");
+                }
+            }
+        }
+        assert_eq!(baseline.expect("ran").0, 141 * 142 / 2);
     }
 
     #[test]

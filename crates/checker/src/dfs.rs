@@ -31,33 +31,53 @@
 //! discovery, and a later arrival whose incoming sleep set is *smaller* shrinks the
 //! record (intersection) and re-pushes the state so the newly-awake transitions get
 //! explored — without the re-push, edges pruned on the first visit could be lost for
-//! good.  Sets only shrink, so the re-push loop terminates.  Incremental
-//! canonicalization (`Spec::incremental_symmetry`) is applied exactly as in the BFS
-//! engine: successors whose footprint bounds the touched servers reuse the parent's
-//! sort keys.
+//! good.  Sets only shrink, so the re-push loop terminates.  Pruning, sleep-set
+//! inheritance and (incremental) canonicalization are the shared successor pipeline
+//! ([`crate::expand`]), exactly as in the BFS engine.
 
 use std::time::Instant;
 
-use remix_spec::{
-    canon_stats, CanonFn, Effect, IncrementalCanon, LabelId, LabelTable, Perm, Spec, SpecState,
-    Trace,
-};
+use remix_spec::{canon_stats, LabelTable, Spec, SpecState, Trace};
 
-use crate::fingerprint::{fingerprint, Fingerprint};
+use crate::expand::{Pipeline, Successor};
 use crate::options::{CheckMode, CheckOptions, SymmetryMode};
 use crate::outcome::{CheckOutcome, CheckStats, StopReason, Violation};
-use crate::por::{self, FootprintTable, SleepSet};
+use crate::por::{self, SleepSet};
 use crate::store::{Insert, StateIndex, StateStore};
 
-/// One successor buffered by the (lock-free) enumeration callback, carrying
-/// everything the post-enumeration store pass needs.
-struct PendingSuccessor<S> {
-    label: LabelId,
-    effect: Option<Effect>,
-    state: S,
-    perm: Option<Perm>,
-    sleep: SleepSet,
-    fp: Fingerprint,
+/// Violation bookkeeping of one run: invariants are checked once per state, at first
+/// discovery, and the first violation of each invariant keeps its trace.
+struct Violations<'a, S> {
+    pipeline: &'a Pipeline<'a, S>,
+    store: &'a StateStore<S>,
+    collect_traces: bool,
+    found: Vec<Violation<S>>,
+    count: usize,
+}
+
+impl<S: SpecState> Violations<'_, S> {
+    fn check(&mut self, index: StateIndex, depth: u32, state: &S) {
+        let violated = self.pipeline.spec.violated_invariants(state);
+        self.count += violated.len();
+        for inv in violated {
+            if self.found.iter().any(|v| v.invariant == inv.id) {
+                continue;
+            }
+            let trace = if self.collect_traces {
+                let Pipeline { spec, labels, .. } = *self.pipeline;
+                self.store
+                    .trace_to(spec, labels, index, self.pipeline.canon)
+            } else {
+                Trace::default()
+            };
+            self.found.push(Violation {
+                invariant: inv.id,
+                invariant_name: inv.name,
+                depth,
+                trace,
+            });
+        }
+    }
 }
 
 /// Runs depth-first model checking of `spec` under `options`.
@@ -70,8 +90,6 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
     let store: StateStore<S> = StateStore::new(options.store_mode, 1);
     let mut best_depth: Vec<u32> = Vec::new();
     let mut stack: Vec<(StateIndex, S, u32)> = Vec::new();
-    let mut violations: Vec<Violation<S>> = Vec::new();
-    let mut violation_count = 0usize;
     let mut transitions = 0u64;
     let mut pruned = 0u64;
     let mut max_depth_reached = 0u32;
@@ -80,57 +98,35 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
     // recorded sleep set of each state lives in a flat vector parallel to `best_depth`.
     let use_por = options.por && options.max_depth.is_none();
     let mut sleeps: Vec<SleepSet> = Vec::new();
-    let footprints = FootprintTable::new();
-
+    // Symmetry reduction is active only when both the options request it and the spec
+    // carries a canonicalization function (same contract as the BFS engine).
+    let pipeline = Pipeline::new(
+        spec,
+        &labels,
+        options.symmetry == SymmetryMode::Canonicalize,
+        use_por,
+    );
+    let mut violations = Violations {
+        pipeline: &pipeline,
+        store: &store,
+        collect_traces: options.collect_traces,
+        found: Vec::new(),
+        count: 0,
+    };
     let violation_limit = match options.mode {
         CheckMode::FirstViolation => 1,
         CheckMode::Completion { violation_limit } => violation_limit,
     };
 
-    // Symmetry reduction is active only when both the options request it and the spec
-    // carries a canonicalization function (same contract as the BFS engine).
-    let canon: Option<&CanonFn<S>> = match options.symmetry {
-        SymmetryMode::Canonicalize => spec.symmetry.as_ref(),
-        SymmetryMode::Off => None,
-    };
-    let incr: Option<&IncrementalCanon<S>> = canon.and(spec.incremental_symmetry.as_ref());
-
-    for init in &spec.init {
-        let insert = match canon {
-            Some(canon) => {
-                let (canonical, perm) = canon(init);
-                let fp = fingerprint(&canonical);
-                let mut handle = store.lock_shard(store.shard_of(fp));
-                handle.insert_canonical(fp, None, LabelTable::init_id(), canonical, perm)
-            }
-            None => {
-                let fp = fingerprint(init);
-                let mut handle = store.lock_shard(store.shard_of(fp));
-                handle.insert(fp, None, LabelTable::init_id(), init.clone())
-            }
-        };
-        let Insert::Fresh(index, state) = insert else {
-            continue;
-        };
+    pipeline.seed(&store, |index, _fp, state| {
         best_depth.push(0);
         sleeps.push(SleepSet::new());
-        check_state(
-            spec,
-            &labels,
-            &store,
-            canon,
-            index,
-            0,
-            &state,
-            options,
-            &mut violations,
-            &mut violation_count,
-        );
+        violations.check(index, 0, &state);
         stack.push((index, state, 0));
-    }
+    });
 
     'outer: while let Some((index, state, depth)) = stack.pop() {
-        if violation_count >= violation_limit {
+        if violations.count >= violation_limit {
             stop_reason = if matches!(options.mode, CheckMode::FirstViolation) {
                 StopReason::FirstViolation
             } else {
@@ -156,110 +152,35 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
             }
         }
         let ndepth = depth + 1;
-        let mut successors: Vec<(StateIndex, S, u32, bool)> = Vec::new();
-        // POR bookkeeping for this expansion: the state's recorded sleep set (cloned —
-        // the closure grows `sleeps` for fresh successors), its resolved footprints,
-        // and the explored earlier siblings.
+        // The state's recorded sleep set (cloned — the store pass below grows `sleeps`
+        // for fresh successors); empty when POR is off.
         let sleep_in: SleepSet = if use_por {
             sleeps[index.0 as usize].clone()
         } else {
             SleepSet::new()
         };
-        let sleep_in_effects: Vec<(LabelId, Effect)> = if sleep_in.is_empty() {
-            Vec::new()
-        } else {
-            footprints.resolve(&sleep_in)
-        };
-        let mut retained: Vec<(LabelId, Effect)> = Vec::new();
-        let mut memo: Option<Box<dyn std::any::Any + Send + Sync>> = None;
-        let mut pending: Vec<PendingSuccessor<S>> = Vec::new();
-        // The successor callback must stay lock-free (the concurrency lint enforces
-        // this workspace-wide): it prunes, canonicalizes and fingerprints, buffering
-        // each survivor; the store pass below does every locked operation.
-        spec.for_each_successor(&state, &labels, |label, next, effect| {
-            if use_por && sleep_in.binary_search(&label).is_ok() {
-                // Covered through a sibling interleaving: skip before
-                // canonicalization and fingerprinting.
-                pruned += 1;
-                return;
-            }
-            transitions += 1;
-            let mut sleep = SleepSet::new();
-            if use_por {
-                sleep = por::child_sleep(&sleep_in_effects, &retained, effect);
-                if let Some(e) = effect.filter(|e| !e.is_global()) {
-                    retained.push((label, e));
-                }
-            }
-            // Under symmetry the successor is replaced by its orbit's canonical
-            // representative before fingerprinting (see the BFS engine); footprinted
-            // successors take the incremental path, reusing the parent's sort keys.
-            let (next, perm) = match (canon, incr) {
-                (Some(_canon), Some(incr)) if effect.is_some_and(|e| !e.is_global()) => {
-                    let touched = effect.expect("guarded above").touched_servers();
-                    let parent_memo = memo.get_or_insert_with(|| (incr.memo)(&state));
-                    #[cfg(debug_assertions)]
-                    let oracle = next.clone();
-                    let (canonical, perm) = (incr.canon)(next, &**parent_memo, touched);
-                    #[cfg(debug_assertions)]
-                    debug_assert_eq!(
-                        canonical,
-                        _canon(&oracle).0,
-                        "incremental canonicalization diverged from the full \
-                         recomputation (label {label:?})"
-                    );
-                    (canonical, Some(perm))
-                }
-                (Some(_canon), Some(incr)) => {
-                    // No usable footprint, but the owned full path still skips the
-                    // deep rewrite when the canonical permutation is the identity.
-                    let (canonical, perm) = (incr.full_owned)(next);
-                    (canonical, Some(perm))
-                }
-                (Some(canon), None) => {
-                    let (canonical, perm) = canon(&next);
-                    (canonical, Some(perm))
-                }
-                (None, _) => (next, None),
-            };
-            // Sleep labels live in the parent's id frame; a relabelling edge starts
-            // the child awake (always sound).
-            if perm.as_ref().is_some_and(|p| !p.is_identity()) {
-                sleep.clear();
-            }
-            let fp = fingerprint(&next);
-            pending.push(PendingSuccessor {
-                label,
-                effect,
-                state: next,
-                perm,
-                sleep,
+        // The pipeline's callback must stay lock-free: buffer each surviving successor;
+        // the store pass below does every locked operation.
+        let mut pending: Vec<Successor<S>> = Vec::new();
+        let (explored, skipped) = pipeline.expand(&state, &sleep_in, |succ| pending.push(succ));
+        transitions += explored;
+        pruned += skipped;
+        let mut successors: Vec<(StateIndex, S, u32, bool)> = Vec::new();
+        for Successor {
+            label,
+            state: next,
+            perm,
+            sleep,
+            fp,
+        } in pending
+        {
+            let insert = store.lock_shard(store.shard_of(fp)).insert_edge(
                 fp,
-            });
-        });
-        // Store pass: record footprints and dedup/insert the buffered successors.
-        // Footprint recording is first-writer-wins over values that are a function of
-        // the label alone, so deferring it past the enumeration changes nothing.
-        for rec in pending {
-            let PendingSuccessor {
+                Some(index),
                 label,
-                effect,
-                state: next,
-                perm,
-                sleep,
-                fp: nfp,
-            } = rec;
-            if use_por {
-                if let Some(e) = effect {
-                    footprints.record(label, e);
-                }
-            }
-            let mut handle = store.lock_shard(store.shard_of(nfp));
-            let insert = match perm.clone() {
-                Some(perm) => handle.insert_canonical(nfp, Some(index), label, next, perm),
-                None => handle.insert(nfp, Some(index), label, next),
-            };
-            drop(handle);
+                next,
+                perm.clone(),
+            );
             match insert {
                 Insert::Fresh(nindex, next) => {
                     best_depth.push(ndepth);
@@ -281,7 +202,7 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
                         // shallower arm, or their length would exceed the reported
                         // violation depth (and the bound itself).  Under symmetry the
                         // edge's recorded permutation moves with it.
-                        store.set_parent(nindex, index, label, perm.clone());
+                        store.set_parent(nindex, index, label, perm);
                         successors.push((nindex, next, ndepth, false));
                     } else if use_por {
                         // Sleep-set shrink: this arrival keeps fewer labels asleep
@@ -302,24 +223,12 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
             }
         }
         for (nindex, next, ndepth, is_fresh) in successors {
-            // Invariants are checked once, at first discovery (re-pushed states were
-            // already checked).
+            // Re-pushed states were already checked.
             if is_fresh {
-                check_state(
-                    spec,
-                    &labels,
-                    &store,
-                    canon,
-                    nindex,
-                    ndepth,
-                    &next,
-                    options,
-                    &mut violations,
-                    &mut violation_count,
-                );
+                violations.check(nindex, ndepth, &next);
             }
             stack.push((nindex, next, ndepth));
-            if violation_count >= violation_limit
+            if violations.count >= violation_limit
                 && matches!(options.mode, CheckMode::FirstViolation)
             {
                 stop_reason = StopReason::FirstViolation;
@@ -351,47 +260,8 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         spec_name: spec.name.clone(),
         stats,
         stop_reason,
-        violations,
-        violation_count,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_state<S: SpecState>(
-    spec: &Spec<S>,
-    labels: &LabelTable,
-    store: &StateStore<S>,
-    canon: Option<&CanonFn<S>>,
-    index: StateIndex,
-    depth: u32,
-    state: &S,
-    options: &CheckOptions,
-    violations: &mut Vec<Violation<S>>,
-    violation_count: &mut usize,
-) {
-    let violated = spec.violated_invariants(state);
-    if violated.is_empty() {
-        return;
-    }
-    *violation_count += violated.len();
-    for inv in violated {
-        if violations.iter().any(|v| v.invariant == inv.id) {
-            continue;
-        }
-        let trace = if options.collect_traces {
-            match canon {
-                Some(canon) => store.reconstruct_trace_decanonicalized(spec, labels, index, canon),
-                None => store.reconstruct_trace(spec, labels, index),
-            }
-        } else {
-            Trace::default()
-        };
-        violations.push(Violation {
-            invariant: inv.id,
-            invariant_name: inv.name,
-            depth,
-            trace,
-        });
+        violations: violations.found,
+        violation_count: violations.count,
     }
 }
 

@@ -1,0 +1,194 @@
+//! The successor pipeline and the init-state seeding, each written once.
+//!
+//! Every exhaustive engine does the same thing to an enumerated successor before the
+//! store sees it: skip it if its label is asleep (sleep-set POR, see [`crate::por`]),
+//! compute the sleep set it hands down, replace it by its orbit's canonical
+//! representative (incrementally when its footprint bounds the touched servers),
+//! reset the sleep set if canonicalization relabelled it, and fingerprint it.  The
+//! level-synchronous kernel and [`crate::dfs`] both call [`Pipeline::expand`]; it is
+//! the only caller of `Spec::for_each_successor` in this crate (the
+//! `single-successor-pipeline` lint rule keeps it that way), so a reduction added here
+//! reaches BFS, DFS and refinement at once.
+
+use remix_spec::{CanonFn, Effect, IncrementalCanon, LabelId, LabelTable, Perm, Spec, SpecState};
+
+use crate::fingerprint::{fingerprint, Fingerprint};
+use crate::por::{self, FootprintTable, SleepSet};
+use crate::store::{Insert, StateIndex, StateStore};
+
+/// One successor that survived pruning, ready for a dedup insert.
+pub(crate) struct Successor<S> {
+    pub(crate) label: LabelId,
+    /// The successor — the canonical representative of its orbit under symmetry.
+    pub(crate) state: S,
+    /// The permutation that canonicalized `state` (`None` when symmetry is off).
+    pub(crate) perm: Option<Perm>,
+    /// The sleep set this edge hands down to its target (empty when POR is off).
+    pub(crate) sleep: SleepSet,
+    pub(crate) fp: Fingerprint,
+}
+
+/// A specification together with the reductions one run applies to it.
+pub(crate) struct Pipeline<'a, S> {
+    pub(crate) spec: &'a Spec<S>,
+    pub(crate) labels: &'a LabelTable,
+    /// The active canonicalization function (`None` when symmetry is off or the spec
+    /// has no symmetry group).  When set, frontiers and the store hold canonical
+    /// representatives and traces are de-canonicalized on reconstruction.
+    pub(crate) canon: Option<&'a CanonFn<S>>,
+    /// The incremental variant of `canon`; shares its canonical-representative
+    /// invariant, so it is only ever active together with it.
+    incr: Option<&'a IncrementalCanon<S>>,
+    /// Sleep-set partial-order reduction is active.
+    pub(crate) por: bool,
+    /// Declared footprint per interned label (grown lazily as labels are explored).
+    footprints: FootprintTable,
+}
+
+impl<'a, S: SpecState> Pipeline<'a, S> {
+    /// `symmetry` requests canonicalization; it is a no-op for specs without a
+    /// symmetry group.
+    pub(crate) fn new(
+        spec: &'a Spec<S>,
+        labels: &'a LabelTable,
+        symmetry: bool,
+        por: bool,
+    ) -> Self {
+        let canon = spec.symmetry.as_ref().filter(|_| symmetry);
+        Pipeline {
+            spec,
+            labels,
+            canon,
+            incr: canon.and(spec.incremental_symmetry.as_ref()),
+            por,
+            footprints: FootprintTable::new(),
+        }
+    }
+
+    /// Inserts the (canonicalized) initial states, handing each distinct one to `fresh`.
+    pub(crate) fn seed(
+        &self,
+        store: &StateStore<S>,
+        mut fresh: impl FnMut(StateIndex, Fingerprint, S),
+    ) {
+        for init in &self.spec.init {
+            let (state, perm) = match self.canon {
+                Some(canon) => {
+                    let (canonical, perm) = canon(init);
+                    (canonical, Some(perm))
+                }
+                None => (init.clone(), None),
+            };
+            let fp = fingerprint(&state);
+            let insert = store.lock_shard(store.shard_of(fp)).insert_edge(
+                fp,
+                None,
+                LabelTable::init_id(),
+                state,
+                perm,
+            );
+            if let Insert::Fresh(index, state) = insert {
+                fresh(index, fp, state);
+            }
+        }
+    }
+
+    /// Streams the successors of `state` that survive the sleep set `sleep_in` (sorted;
+    /// empty when POR is off) to `emit`, returning `(explored, pruned)` edge counts.
+    ///
+    /// `emit` runs inside the enumeration callback and must stay lock-free like the
+    /// rest of it (the `no-lock-in-successor-callback` rule): buffer, flush later.
+    pub(crate) fn expand(
+        &self,
+        state: &S,
+        sleep_in: &[LabelId],
+        mut emit: impl FnMut(Successor<S>),
+    ) -> (u64, u64) {
+        let sleep_in_effects: Vec<(LabelId, Effect)> = if sleep_in.is_empty() {
+            Vec::new()
+        } else {
+            self.footprints.resolve(sleep_in)
+        };
+        // Explored earlier siblings with a declared footprint, in enumeration order.
+        let mut retained: Vec<(LabelId, Effect)> = Vec::new();
+        // The parent's canonicalization memo, built lazily on the first successor that
+        // can use the incremental path (the parent state is already canonical).
+        let mut memo: Option<Box<dyn std::any::Any + Send + Sync>> = None;
+        // Effects observed during this expansion; recorded into the (locked) footprint
+        // table only after the callback returns.  Recording is first-writer-wins over
+        // values that are a function of the label alone, so deferring changes nothing.
+        let mut fresh_effects: Vec<(LabelId, Effect)> = Vec::new();
+        let (mut explored, mut pruned) = (0u64, 0u64);
+        self.spec
+            .for_each_successor(state, self.labels, |label, next, effect| {
+                if self.por && sleep_in.binary_search(&label).is_ok() {
+                    // Already covered through a sibling interleaving of an earlier
+                    // edge: skip before canonicalization and fingerprinting.
+                    pruned += 1;
+                    return;
+                }
+                explored += 1;
+                let mut sleep = SleepSet::new();
+                if self.por {
+                    if let Some(e) = effect {
+                        fresh_effects.push((label, e));
+                    }
+                    sleep = por::child_sleep(&sleep_in_effects, &retained, effect);
+                    if let Some(e) = effect.filter(|e| !e.is_global()) {
+                        retained.push((label, e));
+                    }
+                }
+                // Under symmetry the successor is replaced by the canonical
+                // representative of its orbit before fingerprinting, so the whole
+                // orbit dedups to one store entry; the applied permutation rides
+                // along for later trace de-canonicalization.
+                let (next, perm) = match (self.canon, self.incr) {
+                    (Some(_canon), Some(incr)) if effect.is_some_and(|e| !e.is_global()) => {
+                        // The footprint bounds the touched servers: reuse the parent's
+                        // sort keys for every other server.
+                        let touched = effect.expect("guarded above").touched_servers();
+                        let parent_memo = memo.get_or_insert_with(|| (incr.memo)(state));
+                        #[cfg(debug_assertions)]
+                        let oracle = next.clone();
+                        let (canonical, perm) = (incr.canon)(next, &**parent_memo, touched);
+                        #[cfg(debug_assertions)]
+                        debug_assert_eq!(
+                            canonical,
+                            _canon(&oracle).0,
+                            "incremental canonicalization diverged from the full \
+                             recomputation (label {label:?})"
+                        );
+                        (canonical, Some(perm))
+                    }
+                    (Some(_canon), Some(incr)) => {
+                        // No usable footprint, but the owned full path still skips the
+                        // deep rewrite when the canonical permutation is the identity.
+                        let (canonical, perm) = (incr.full_owned)(next);
+                        (canonical, Some(perm))
+                    }
+                    (Some(canon), None) => {
+                        let (canonical, perm) = canon(&next);
+                        (canonical, Some(perm))
+                    }
+                    (None, _) => (next, None),
+                };
+                // Sleep-set labels live in the parent's id frame; a relabelling edge
+                // invalidates them, so the child starts awake (always sound).
+                if perm.as_ref().is_some_and(|p| !p.is_identity()) {
+                    sleep.clear();
+                }
+                let fp = fingerprint(&next);
+                emit(Successor {
+                    label,
+                    state: next,
+                    perm,
+                    sleep,
+                    fp,
+                });
+            });
+        for (label, effect) in fresh_effects {
+            self.footprints.record(label, effect);
+        }
+        (explored, pruned)
+    }
+}

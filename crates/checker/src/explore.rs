@@ -240,56 +240,47 @@ impl<S> ExploreOutcome<S> {
     }
 }
 
-/// A violation found while sampling, tagged with its trace index for deterministic
-/// merging.
-struct IndexedViolation<S> {
-    trace_index: usize,
-    violation: Violation<S>,
+/// Where a walk records coverage and how it biases its choices; a walk without one is
+/// the plain uniform walk of [`crate::simulate`], which records nothing.
+pub(crate) struct Guide<'a, S> {
+    coverage: &'a CoverageMap,
+    guidance: Guidance,
+    /// Under symmetry reduction coverage keys on canonical fingerprints while the walk
+    /// itself stays in the original frame.
+    canon: Option<&'a CanonFn<S>>,
 }
 
-/// Samples one trace, biased by `guidance` over the shared `coverage` map.
+/// Samples one trace of at most `max_depth` transitions from a random initial state —
+/// the one walk behind [`explore_one`] and [`crate::simulate::simulate_one`].
 ///
-/// Like [`crate::simulate::simulate_one`] this returns a legal execution — every step
-/// applies one enabled action — and handles the degenerate cases without panicking: an
-/// empty initial-state set yields an empty trace, and `max_depth == 0` yields the
-/// initial state alone.
-///
-/// Coverage accounting: each fingerprint prefix is recorded **at most once per
-/// trace** (revisits within the same walk bump only the action counters), so prefix
-/// hit counts read as "traces that reached this region" and
-/// [`CoverageSnapshot::max_prefix_hits`] is bounded by the trace count.
-///
-/// When `deadline` is set, the walk is cut off as soon as the deadline passes —
-/// checked before every step, so a single deep trace cannot overshoot a run's time
-/// budget by more than one step.  When `canon` is set (symmetry reduction), coverage
-/// keys on canonical fingerprints while the walk itself stays in the original frame.
-pub fn explore_one<S: SpecState>(
+/// The result is a legal execution (every step applies one enabled action), and the
+/// degenerate cases do not panic: an empty initial-state set yields an empty trace, and
+/// `max_depth == 0` yields the initial state alone.  When `deadline` is set, the walk is
+/// cut off as soon as the deadline passes — checked before every step, so a single deep
+/// trace cannot overshoot a run's time budget by more than one step.
+pub(crate) fn walk<S: SpecState>(
     spec: &Spec<S>,
     max_depth: u32,
     rng: &mut CheckerRng,
-    coverage: &CoverageMap,
-    guidance: Guidance,
     deadline: Option<Instant>,
-    canon: Option<&CanonFn<S>>,
+    guide: Option<&Guide<'_, S>>,
 ) -> Trace<S> {
     if spec.init.is_empty() {
         return Trace::default();
     }
-    let coverage_fp = |s: &S| match canon {
-        Some(canon) => fingerprint(&canon(s).0),
-        None => fingerprint(s),
-    };
     // Prefixes already recorded by *this* trace: revisits add no prefix hit.
     let mut seen_prefixes: HashSet<u64> = HashSet::new();
-    let record = |fp: Fingerprint, label: &str, seen: &mut HashSet<u64>| {
-        if seen.insert(coverage.prefix_of(fp)) {
-            coverage.record(fp, label);
+    let mut record = |guide: &Guide<'_, S>, fp: Fingerprint, label: &str| {
+        if seen_prefixes.insert(guide.coverage.prefix_of(fp)) {
+            guide.coverage.record(fp, label);
         } else {
-            coverage.record_action(label);
+            guide.coverage.record_action(label);
         }
     };
     let init = spec.init[rng.index(spec.init.len())].clone();
-    record(coverage_fp(&init), "Init", &mut seen_prefixes);
+    if let Some(guide) = guide {
+        record(guide, coverage_fp(&init, guide.canon), "Init");
+    }
     let mut trace = Trace::from_init(init.clone());
     let mut current = init;
     for _ in 0..max_depth {
@@ -303,23 +294,102 @@ pub fn explore_one<S: SpecState>(
         // Guided choices hand back the chosen candidate's (canonical) fingerprint,
         // which weighted_choice computed anyway — recomputing it for recording would
         // repeat the most expensive per-step operation under symmetry.
-        let (choice, chosen_fp) = match guidance {
-            Guidance::Uniform => (rng.index(successors.len()), None),
-            Guidance::CoverageGuided { rarity_weight } => {
-                let (i, fp) = weighted_choice(&successors, coverage, rarity_weight, rng, canon);
+        let (choice, chosen_fp) = match guide {
+            Some(Guide {
+                coverage,
+                guidance: Guidance::CoverageGuided { rarity_weight },
+                canon,
+            }) => {
+                let (i, fp) = weighted_choice(&successors, coverage, *rarity_weight, rng, *canon);
                 (i, Some(fp))
             }
+            _ => (rng.index(successors.len()), None),
         };
         let (label, next) = successors
             .into_iter()
             .nth(choice)
             .expect("choice is in bounds");
-        let fp = chosen_fp.unwrap_or_else(|| coverage_fp(&next));
-        record(fp, &label, &mut seen_prefixes);
+        if let Some(guide) = guide {
+            let fp = chosen_fp.unwrap_or_else(|| coverage_fp(&next, guide.canon));
+            record(guide, fp, &label);
+        }
         trace.push(label, next.clone());
         current = next;
     }
     trace
+}
+
+/// The fingerprint coverage keys `state` on.
+fn coverage_fp<S: SpecState>(state: &S, canon: Option<&CanonFn<S>>) -> Fingerprint {
+    match canon {
+        Some(canon) => fingerprint(&canon(state).0),
+        None => fingerprint(state),
+    }
+}
+
+/// Samples one trace, biased by `guidance` over the shared `coverage` map (see [`walk`]
+/// for the walk itself; `canon` keys coverage on canonical fingerprints).
+///
+/// Coverage accounting: each fingerprint prefix is recorded **at most once per
+/// trace** (revisits within the same walk bump only the action counters), so prefix
+/// hit counts read as "traces that reached this region" and
+/// [`CoverageSnapshot::max_prefix_hits`] is bounded by the trace count.
+pub fn explore_one<S: SpecState>(
+    spec: &Spec<S>,
+    max_depth: u32,
+    rng: &mut CheckerRng,
+    coverage: &CoverageMap,
+    guidance: Guidance,
+    deadline: Option<Instant>,
+    canon: Option<&CanonFn<S>>,
+) -> Trace<S> {
+    let guide = Guide {
+        coverage,
+        guidance,
+        canon,
+    };
+    walk(spec, max_depth, rng, deadline, Some(&guide))
+}
+
+/// Runs `job(index)` for the indices `0..total` on `workers` threads, each striding its
+/// own stripe (`worker`, `worker + workers`, …), and returns the results in index
+/// order — the one runner behind [`explore`], [`crate::simulate::simulate`] and the
+/// conformance checker's replay.
+///
+/// A stripe ends early once `halt()` holds (a spent budget, a stop flag), checked
+/// before every index but 0, so a run always produces at least one result.  Because a
+/// job sees nothing but its index, the results of the indices that did run are the same
+/// for every worker count.  A panicking job is re-raised on the caller.
+pub fn striped<T: Send>(
+    total: usize,
+    workers: usize,
+    halt: impl Fn() -> bool + Sync,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let total = total.max(1);
+    let workers = workers.clamp(1, total);
+    let run_stripe = |worker: usize| -> Vec<(usize, T)> {
+        (worker..total)
+            .step_by(workers)
+            .take_while(|&index| index == 0 || !halt())
+            .map(|index| (index, job(index)))
+            .collect()
+    };
+    let mut indexed: Vec<(usize, T)> = if workers == 1 {
+        run_stripe(0)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| scope.spawn(move || run_stripe(w)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    indexed.sort_by_key(|(index, _)| *index);
+    indexed.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Weighted successor choice, relative to the least-visited candidate per dimension
@@ -348,10 +418,7 @@ fn weighted_choice<S: SpecState>(
     let hits: Vec<(Fingerprint, u64, u64)> = successors
         .iter()
         .map(|(label, next)| {
-            let fp = match canon {
-                Some(canon) => fingerprint(&canon(next).0),
-                None => fingerprint(next),
-            };
+            let fp = coverage_fp(next, canon);
             (
                 fp,
                 coverage.prefix_hits(fp),
@@ -390,132 +457,78 @@ fn weighted_choice<S: SpecState>(
 /// checking every visited state against the specification's invariants.
 pub fn explore<S: SpecState>(spec: &Spec<S>, options: &ExploreOptions) -> ExploreOutcome<S> {
     let start = Instant::now();
-    let total = options.traces.max(1);
-    let workers = options.workers.max(1).min(total);
     let coverage = CoverageMap::new(options.shards, options.prefix_bits);
     let stop = AtomicBool::new(false);
     let first_violation_nanos = AtomicU64::new(u64::MAX);
     let deadline = options.time_budget.map(|b| start + b);
     // Symmetry reduction keys coverage on canonical forms when requested and the spec
     // carries a canonicalization function.
-    let canon: Option<&CanonFn<S>> = match options.symmetry {
-        SymmetryMode::Canonicalize => spec.symmetry.as_ref(),
-        SymmetryMode::Off => None,
+    let symmetry = options.symmetry == SymmetryMode::Canonicalize;
+    let guide = Guide {
+        coverage: &coverage,
+        guidance: options.guidance,
+        canon: spec.symmetry.as_ref().filter(|_| symmetry),
     };
-
-    let run_stripe = |worker: usize| -> (usize, u64, Vec<IndexedViolation<S>>) {
-        let mut traces = 0usize;
-        let mut steps = 0u64;
-        let mut found: Vec<IndexedViolation<S>> = Vec::new();
-        let mut index = worker;
-        while index < total {
-            // Trace 0 is always sampled so a budget-bound run still reports something.
-            if index > 0 {
-                // ordering: Acquire — pairs with the Release store below; a worker
-                // that observes the stop also observes the violation that caused it.
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if let Some(budget) = options.time_budget {
-                    if start.elapsed() >= budget {
-                        break;
-                    }
-                }
-            }
-            let mut rng = CheckerRng::for_trace(options.seed, index as u64);
-            // Trace 0 skips only the *scheduling* budget check above (so a
-            // budget-bound run still reports at least one trace); the in-walk
-            // deadline applies to every trace, keeping the documented one-step
-            // overshoot bound — an expired deadline still yields the initial state.
-            let trace = explore_one(
-                spec,
-                options.max_depth,
-                &mut rng,
-                &coverage,
-                options.guidance,
-                deadline,
-                canon,
-            );
-            traces += 1;
-            steps += trace.depth() as u64;
-            // Record the first violating state *per invariant* of this trace: later
-            // violations of the same invariant add no information (the walk typically
-            // stays in violation), but a different invariant first violated deeper in
-            // the same trace must not be dropped.
-            let mut seen_in_trace: Vec<&'static str> = Vec::new();
-            for (depth, step) in trace.steps.iter().enumerate() {
-                let violated = spec.violated_invariants(&step.state);
-                if violated.is_empty() {
+    // ordering: Acquire — pairs with the Release store below; a worker that observes
+    // the stop also observes the violation that caused it.
+    let halt = || stop.load(Ordering::Acquire) || deadline.is_some_and(|d| Instant::now() >= d);
+    let sample = |index: usize| -> (usize, u64, Vec<Violation<S>>) {
+        let mut rng = CheckerRng::for_trace(options.seed, index as u64);
+        // Trace 0 skips only the *scheduling* budget check (so a budget-bound run still
+        // reports at least one trace); the in-walk deadline applies to every trace,
+        // keeping the documented one-step overshoot bound — an expired deadline still
+        // yields the initial state.
+        let trace = walk(spec, options.max_depth, &mut rng, deadline, Some(&guide));
+        // Record the first violating state *per invariant* of this trace: later
+        // violations of the same invariant add no information (the walk typically
+        // stays in violation), but a different invariant first violated deeper in
+        // the same trace must not be dropped.
+        let mut found: Vec<Violation<S>> = Vec::new();
+        for (depth, step) in trace.steps.iter().enumerate() {
+            let before = found.len();
+            for inv in spec.violated_invariants(&step.state) {
+                if found.iter().any(|f| f.invariant == inv.id) {
                     continue;
                 }
-                let mut fresh = false;
-                for inv in violated {
-                    if seen_in_trace.contains(&inv.id) {
-                        continue;
-                    }
-                    seen_in_trace.push(inv.id);
-                    fresh = true;
-                    found.push(IndexedViolation {
-                        trace_index: index,
-                        violation: Violation {
-                            invariant: inv.id,
-                            invariant_name: inv.name,
-                            depth: depth as u32,
-                            trace: prefix_trace(&trace, depth),
-                        },
-                    });
-                }
-                if fresh {
-                    let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    // ordering: AcqRel — concurrent minima must all join (Acquire)
-                    // and publish (Release) so the final load sees the true minimum.
-                    first_violation_nanos.fetch_min(nanos, Ordering::AcqRel);
-                    if options.stop_on_violation {
-                        // ordering: Release — publishes this worker's recorded
-                        // violation before other workers observe the stop flag.
-                        stop.store(true, Ordering::Release);
-                    }
+                found.push(Violation {
+                    invariant: inv.id,
+                    invariant_name: inv.name,
+                    depth: depth as u32,
+                    trace: prefix_trace(&trace, depth),
+                });
+            }
+            if found.len() > before {
+                let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                // ordering: AcqRel — concurrent minima must all join (Acquire)
+                // and publish (Release) so the final load sees the true minimum.
+                first_violation_nanos.fetch_min(nanos, Ordering::AcqRel);
+                if options.stop_on_violation {
+                    // ordering: Release — publishes this worker's recorded
+                    // violation before other workers observe the stop flag.
+                    stop.store(true, Ordering::Release);
                 }
             }
-            index += workers;
         }
-        (traces, steps, found)
+        (index, trace.depth() as u64, found)
     };
+    let results = striped(options.traces, options.workers, halt, sample);
 
-    let results: Vec<(usize, u64, Vec<IndexedViolation<S>>)> = if workers == 1 {
-        vec![run_stripe(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| scope.spawn(move || run_stripe(w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("explore worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut traces = 0usize;
+    let traces = results.len();
     let mut steps = 0u64;
-    let mut all: Vec<IndexedViolation<S>> = Vec::new();
-    for (t, s, found) in results {
-        traces += t;
+    // Violations tagged with their trace index for the deterministic merge: lowest
+    // trace index wins per invariant, ties by depth.
+    let mut all: Vec<(usize, Violation<S>)> = Vec::new();
+    for (index, s, found) in results {
         steps += s;
-        all.extend(found);
+        all.extend(found.into_iter().map(|v| (index, v)));
     }
-    // Deterministic merge: lowest trace index wins per invariant, ties by depth.
-    all.sort_by_key(|v| (v.trace_index, v.violation.depth, v.violation.invariant));
-    let first_violation_trace = all.first().map(|v| v.trace_index);
+    all.sort_by_key(|(index, v)| (*index, v.depth, v.invariant));
+    let first_violation_trace = all.first().map(|(index, _)| *index);
     let mut violations: Vec<Violation<S>> = Vec::new();
-    for v in all {
-        if violations
-            .iter()
-            .any(|k| k.invariant == v.violation.invariant)
-        {
-            continue;
+    for (_, v) in all {
+        if !violations.iter().any(|k| k.invariant == v.invariant) {
+            violations.push(v);
         }
-        violations.push(v.violation);
     }
 
     // ordering: Acquire — pairs with the AcqRel fetch_min above (workers have joined

@@ -1,0 +1,922 @@
+//! The level-synchronous exploration kernel.
+//!
+//! One loop explores a specification level by level for every engine that needs
+//! breadth-first order: [`crate::bfs`] (invariant checking) and [`crate::refine`]
+//! (refinement bookkeeping) are [`Visitor`]s of it.  The kernel owns everything that is
+//! not domain behaviour — seeding, the successor pipeline ([`crate::expand`]), dedup
+//! inserts, the next frontier, budgets, and the parallel machinery:
+//!
+//! * **Persistent worker pool** — worker threads are spawned *once per run* and park on
+//!   a condition variable between levels; the coordinator publishes each level
+//!   (frontier, sleep sets, depth, phase) and wakes them.  Re-spawning workers at every
+//!   level boundary makes small-frontier levels pay thread spawn latency over and over.
+//! * **Per-worker successor buffers** — each worker accumulates successors in local
+//!   per-shard buffers and merges a buffer into its store stripe in one batch of
+//!   `batch_size` states (and unconditionally at the level boundary), amortising one
+//!   lock acquisition over the whole batch.
+//! * **Work stealing** — the frontier of each level is split into one contiguous range
+//!   per worker; a worker that drains its range steals the back half of the largest
+//!   remaining range, so skewed successor costs cannot leave threads idle.  Range bounds
+//!   live in one packed atomic word, so a claim and a steal can never hand the same
+//!   index to two workers: every state is expanded exactly once for any worker count.
+//! * **Deterministic stop precedence** — stop requests accumulate in the run's
+//!   [`StopCell`] and are resolved once per level under its fixed precedence, so the
+//!   reported [`StopReason`] does not depend on which worker tripped its condition
+//!   first.  Expansion aborts a level early once any stop is requested.
+//! * **Panic containment** — a panicking spec closure on a pool worker is caught, the
+//!   level drains, and the coordinator re-raises the original payload.
+//! * **Arrival folding** — under POR every arrival edge carries the sleep set it hands
+//!   down; the coordinator intersects them per target at the level barrier.  Visitor
+//!   notes travel the same way (buffered with the successor, delivered at the flush,
+//!   folded by the visitor at the barrier); a `()` note costs nothing.
+//!
+//! With `workers = 1` the same code runs inline on the calling thread, with no thread
+//! spawns.  Parallel and sequential runs discover the same state space level by level.
+//!
+//! # The visitor seam
+//!
+//! | hook | runs | invariant visitor | refinement visitor |
+//! |---|---|---|---|
+//! | `annotate` | worker, per explored edge, lock-free | `()` | stable-projection key of the child + the parent's lset |
+//! | `on_fresh` | worker, per new state, after the batch insert | state limit, invariants → pending violations; always enqueue | record the arrival; enqueue unless draining a capped run past a stable state |
+//! | `on_existing` | worker, per dedup hit | nothing | record the arrival unless the known lset already covers it |
+//! | `on_level_end` | coordinator, workers parked | resolve violations into traces | fold arrivals into lsets / projections / quotient edges, re-enqueue grown states, edge matching, state cap, early stops |
+//!
+//! Visitors are generic parameters, never `dyn`: each engine is its own
+//! monomorphisation of the loop.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::ops::ControlFlow;
+use std::path::Path;
+use std::time::Instant;
+
+use remix_spec::{LabelId, SpecState};
+
+use crate::expand::{Pipeline, Successor};
+use crate::fingerprint::Fingerprint;
+use crate::outcome::StopReason;
+use crate::por::{self, SleepSet};
+use crate::spill::IndexQueue;
+use crate::stop::{StopCell, STOP_TIME_BUDGET};
+use crate::store::{Insert, StateIndex, StateStore, StoreMode};
+use crate::sync::{
+    AtomicU64, FrontierRank, GateRank, MailboxRank, OrderedCondvar, OrderedMutex, OrderedRwLock,
+    Ordering, PanicSlotRank, ResultsRank,
+};
+
+/// Which store entry an edge arrived at, and at which depth.
+#[derive(Clone, Copy)]
+pub(crate) struct Arrival {
+    pub(crate) index: StateIndex,
+    /// The scheduling-independent tie-breaker among same-depth arrivals (state indices
+    /// depend on insert order).
+    pub(crate) fp: Fingerprint,
+    pub(crate) depth: u32,
+}
+
+/// What a visitor is told at a level barrier.
+pub(crate) struct LevelEnd {
+    /// Depth of the states the level discovered (0 for the initial states).
+    pub(crate) depth: u32,
+    /// States `on_fresh` already enqueued for the next level.
+    pub(crate) enqueued: usize,
+}
+
+/// The domain behaviour of one exploration; see the module docs for the contract.
+pub(crate) trait Visitor<S: SpecState>: Send + Sync {
+    /// Per-edge annotation, computed on the worker that enumerated the edge.
+    type Note: Send;
+    /// Per-worker accumulator of one level, handed over at the barrier.
+    type Local: Default + Send;
+
+    /// Annotates the edge `parent → child` (`None`: `child` is an initial state).
+    /// Runs inside the successor callback: it must not block.
+    fn annotate(&self, parent: Option<StateIndex>, child: &S) -> Self::Note;
+
+    /// A state entered the store; returns whether to expand it in the next level.
+    fn on_fresh(&self, local: &mut Self::Local, at: Arrival, state: &S, note: Self::Note) -> bool;
+
+    /// An edge reached a state the store already holds (`state` is the moved-in copy).
+    fn on_existing(&self, _local: &mut Self::Local, _at: Arrival, _state: S, _note: Self::Note) {}
+
+    /// The level barrier: every worker is parked.  States pushed to `requeue` join the
+    /// next level; `Break` ends the run with the given reason unless a mid-level stop
+    /// request (which outranks it) is pending.
+    fn on_level_end(
+        &mut self,
+        locals: Vec<Self::Local>,
+        end: LevelEnd,
+        requeue: &mut Vec<(StateIndex, S)>,
+    ) -> ControlFlow<StopReason>;
+}
+
+/// Everything the kernel needs to know about one run besides its visitor.
+pub(crate) struct Run<'a, S> {
+    pub(crate) pipeline: &'a Pipeline<'a, S>,
+    pub(crate) store: &'a StateStore<S>,
+    pub(crate) stop: &'a StopCell,
+    pub(crate) workers: usize,
+    pub(crate) batch_size: usize,
+    /// Owner-routed insertion (see `CheckOptions::route_by_owner`): workers deposit
+    /// successor batches into the owning shard's mailbox during the expand phase, and a
+    /// drain phase lets each shard's owner merge them single-threadedly.
+    pub(crate) route_by_owner: bool,
+    pub(crate) max_depth: Option<u32>,
+    pub(crate) deadline: Option<Instant>,
+    /// Memory budget that arms frontier spilling (effective only with a spill
+    /// directory and the full-state store, see [`LevelFrontier`]).
+    pub(crate) frontier_budget: Option<u64>,
+}
+
+/// What a finished run hands back.
+pub(crate) struct Explored<V> {
+    pub(crate) visitor: V,
+    pub(crate) stop_reason: StopReason,
+    pub(crate) totals: Totals,
+}
+
+struct ShutdownOnDrop<'a>(&'a OrderedMutex<GateRank, Gate>, &'a OrderedCondvar);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.lock().shutdown = true;
+        self.1.notify_all();
+    }
+}
+
+/// Run-wide counters the coordinator accumulates.
+pub(crate) struct Totals {
+    pub(crate) per_worker_transitions: Vec<u64>,
+    /// Transitions skipped by sleep-set POR (not counted as transitions).
+    pub(crate) pruned_transitions: u64,
+    pub(crate) max_depth: u32,
+}
+
+/// One worker's slice of the frontier, stealable by other workers.
+///
+/// `next` and `end` are packed into one 64-bit word (32 bits each) so that claims and
+/// steals are single compare-exchange operations on the same atomic: an index can never
+/// be handed to both its owner and a thief, which keeps transition counts — not just the
+/// explored state set — identical across worker counts.  Frontier levels are bounded far
+/// below `u32::MAX` by the configuration's budgets.
+struct StealRange {
+    packed: AtomicU64,
+}
+
+fn pack(next: usize, end: usize) -> u64 {
+    debug_assert!(next <= u32::MAX as usize && end <= u32::MAX as usize);
+    ((next as u64) << 32) | end as u64
+}
+
+fn unpack(word: u64) -> (usize, usize) {
+    ((word >> 32) as usize, (word & 0xffff_ffff) as usize)
+}
+
+impl StealRange {
+    fn new(start: usize, end: usize) -> Self {
+        StealRange {
+            packed: AtomicU64::new(pack(start, end)),
+        }
+    }
+
+    /// Re-arms this range for a new level (only the coordinator writes between levels).
+    fn reset(&self, start: usize, end: usize) {
+        // ordering: Release — publishes the new bounds before workers wake (the gate
+        // handshake also orders this; Release keeps reset safe on its own).
+        self.packed.store(pack(start, end), Ordering::Release);
+    }
+
+    /// One compare-exchange loop for claims and steals: replaces the bounds by the
+    /// word `step` computes from them and returns what it hands out (`None` from `step`
+    /// leaves the range alone).
+    fn update<R>(&self, step: impl Fn(usize, usize) -> Option<(u64, R)>) -> Option<R> {
+        // ordering: Acquire — sees the coordinator's reset and other claims/steals.
+        let mut word = self.packed.load(Ordering::Acquire);
+        loop {
+            let (next, end) = unpack(word);
+            let (replacement, handed_out) = step(next, end)?;
+            match self.packed.compare_exchange_weak(
+                word,
+                replacement,
+                // ordering: AcqRel on success (the update observes and extends the claim
+                // history: an index goes to exactly one of owner and thief), Acquire on failure.
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return Some(handed_out),
+                Err(current) => word = current,
+            }
+        }
+    }
+
+    /// Claims the next index of this range, if any remains.
+    fn claim(&self) -> Option<usize> {
+        self.update(|next, end| (next < end).then(|| (pack(next + 1, end), next)))
+    }
+
+    fn remaining(&self) -> usize {
+        // ordering: Acquire — an advisory victim-size read; pairs with the CAS.
+        let (next, end) = unpack(self.packed.load(Ordering::Acquire));
+        end.saturating_sub(next)
+    }
+
+    /// Tries to steal the back half of this range, returning the stolen bounds.
+    fn steal_half(&self) -> Option<(usize, usize)> {
+        self.update(|next, end| {
+            let mid = next + end.saturating_sub(next) / 2;
+            (end.saturating_sub(next) >= 2).then(|| (pack(next, mid), (mid, end)))
+        })
+    }
+}
+
+/// Everything one worker produced in one pool cycle.
+struct WorkerResult<S, L> {
+    next_frontier: Vec<(StateIndex, S)>,
+    transitions: u64,
+    pruned: u64,
+    /// The visitor's per-worker accumulator.
+    local: L,
+    /// Arrival edges recorded under POR: the sleep set each inserted (fresh *or*
+    /// already-known) successor would inherit through this edge.
+    sleep_edges: Vec<(StateIndex, SleepSet)>,
+}
+
+impl<S, L: Default> Default for WorkerResult<S, L> {
+    fn default() -> Self {
+        WorkerResult {
+            next_frontier: Vec::new(),
+            transitions: 0,
+            pruned: 0,
+            local: L::default(),
+            sleep_edges: Vec::new(),
+        }
+    }
+}
+
+/// Coordination state of the persistent worker pool: generation counter, in-flight
+/// worker count and the shutdown flag, guarded by one mutex with two condvars.
+#[derive(Default)]
+struct Gate {
+    generation: u64,
+    remaining: usize,
+    shutdown: bool,
+}
+
+/// What the workers do in the next cycle: expand the published frontier, or (under
+/// owner routing) drain the shard mailboxes they own.
+#[derive(Clone, Copy)]
+enum Phase {
+    Expand,
+    Drain,
+}
+
+/// One buffered successor awaiting its batch merge.
+struct Buffered<S, N> {
+    parent: StateIndex,
+    succ: Successor<S>,
+    note: N,
+}
+
+/// One producer's batch of successors routed to the shard that owns their fingerprint
+/// range.  `(producer, seq)` gives drain a scheduling-independent replay order, so the
+/// owner-routed engine assigns slots deterministically for any worker interleaving.
+struct RoutedBatch<S, N> {
+    producer: u32,
+    seq: u32,
+    items: Vec<Buffered<S, N>>,
+}
+
+/// One store shard's mailbox of owner-routed batches.
+type Mailbox<S, N> = OrderedMutex<MailboxRank, Vec<RoutedBatch<S, N>>>;
+
+/// One pool worker's per-cycle result slot.
+type ResultSlot<S, L> = OrderedMutex<ResultsRank, Option<WorkerResult<S, L>>>;
+
+/// What the coordinator publishes for one cycle.  It writes between cycles, while every
+/// worker is parked (the generation handshake in `gate` is the synchronisation point);
+/// workers hold the read lock for a whole cycle.
+struct Level<S, V> {
+    frontier: Vec<(StateIndex, S)>,
+    /// The sleep set of each frontier state, index-aligned with `frontier`; empty when
+    /// POR is off or the level was spilled (sleeps degrade to ∅, which is always sound).
+    sleeps: Vec<SleepSet>,
+    /// Depth of the successors this level generates.
+    child_depth: u32,
+    phase: Phase,
+    /// Shared by the workers during a cycle, exclusive to the coordinator at barriers.
+    visitor: V,
+}
+
+/// Everything shared between the coordinator and the pool workers for a whole run.
+struct Shared<'a, S: SpecState, V: Visitor<S>> {
+    run: Run<'a, S>,
+    level: OrderedRwLock<FrontierRank, Level<S, V>>,
+    /// One steal range per pool worker.
+    ranges: Vec<StealRange>,
+    /// One per store shard.
+    mailboxes: Vec<Mailbox<S, V::Note>>,
+    /// One per pool worker.
+    results: Vec<ResultSlot<S, V::Local>>,
+    /// The first panic payload caught on a pool worker, re-raised by the coordinator
+    /// after the level completes (a dead worker must still decrement `gate.remaining`,
+    /// or the coordinator would wait forever — see `pool_worker`).
+    worker_panic: OrderedMutex<PanicSlotRank, Option<Box<dyn std::any::Any + Send>>>,
+    gate: OrderedMutex<GateRank, Gate>,
+    work_ready: OrderedCondvar,
+    work_done: OrderedCondvar,
+}
+
+/// Explores `run.pipeline.spec` level by level, driving `visitor`.
+pub(crate) fn explore<S: SpecState, V: Visitor<S>>(run: Run<'_, S>, visitor: V) -> Explored<V> {
+    let workers = run.workers.max(1);
+    let shared = Shared {
+        level: OrderedRwLock::new(Level {
+            frontier: Vec::new(),
+            sleeps: Vec::new(),
+            child_depth: 0,
+            phase: Phase::Expand,
+            visitor,
+        }),
+        ranges: (0..workers).map(|_| StealRange::new(0, 0)).collect(),
+        mailboxes: (0..run.store.shard_count())
+            .map(|_| OrderedMutex::new(Vec::new()))
+            .collect(),
+        results: (0..workers).map(|_| OrderedMutex::new(None)).collect(),
+        worker_panic: OrderedMutex::new(None),
+        gate: OrderedMutex::new(Gate::default()),
+        work_ready: OrderedCondvar::new(),
+        work_done: OrderedCondvar::new(),
+        run,
+    };
+    let mut totals = Totals {
+        per_worker_transitions: vec![0; workers],
+        pruned_transitions: 0,
+        max_depth: 0,
+    };
+    let stop_reason = if workers == 1 {
+        level_loop(&shared, &mut totals)
+    } else {
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let shared = &shared;
+                scope.spawn(move || pool_worker(shared, w));
+            }
+            // Unparks everyone one last time so the scope can join — also when the
+            // coordinator unwinds (a small level's closure panicking inline, or a
+            // worker's payload re-raised by `run_cycle`).
+            let _shutdown = ShutdownOnDrop(&shared.gate, &shared.work_ready);
+            level_loop(&shared, &mut totals)
+        })
+    };
+    Explored {
+        visitor: shared.level.into_inner().visitor,
+        stop_reason,
+        totals,
+    }
+}
+
+/// Frontier levels smaller than this are never spilled, whatever the memory budget:
+/// below it the queue's syscall overhead dwarfs the memory saved.
+const MIN_FRONTIER_CHUNK: usize = 256;
+
+/// One level of the search: accumulated while the previous level expands, then sealed
+/// and expanded chunk by chunk.  It stays resident unless it outgrows the memory
+/// budget, in which case it round-trips through an on-disk index queue.
+///
+/// Spilled levels store only the `u32` state indices; the states themselves are reloaded
+/// from the full-state arena chunk by chunk, which is why frontier spilling requires
+/// [`StoreMode::Full`] — in fingerprint-only mode the frontier is the *sole* holder of
+/// the live states and dropping them would lose the level.
+struct Frontier<'a, S> {
+    ram: Vec<(StateIndex, S)>,
+    disk: Option<IndexQueue>,
+    /// `(chunk_size, spill_dir)`; `None` disables frontier spilling entirely.
+    spill: Option<(usize, &'a Path)>,
+    depth: u32,
+    store: &'a StateStore<S>,
+}
+
+impl<S: SpecState> Frontier<'_, S> {
+    fn extend(&mut self, items: Vec<(StateIndex, S)>) {
+        self.ram.extend(items);
+        if let Some((threshold, dir)) = self.spill {
+            if self.ram.len() > threshold {
+                self.flush(dir);
+            }
+        }
+    }
+
+    /// Moves the resident entries onto the level's index queue, dropping the states
+    /// (they stay reloadable from the full-state arena).
+    fn flush(&mut self, dir: &Path) {
+        let queue = match &mut self.disk {
+            Some(queue) => queue,
+            None => {
+                let path = dir.join(format!("frontier-{:06}.idx", self.depth));
+                self.disk
+                    .insert(IndexQueue::create(&path).expect("creating a frontier spill queue"))
+            }
+        };
+        let indices: Vec<u32> = self.ram.drain(..).map(|(index, _)| index.0).collect();
+        queue
+            .push(&indices)
+            .expect("appending to a frontier spill queue");
+        self.store.note_frontier_spilled(indices.len() as u64);
+    }
+
+    fn len(&self) -> usize {
+        self.ram.len() + self.disk.as_ref().map_or(0, IndexQueue::remaining)
+    }
+
+    /// Seals the level for expansion: fully resident, or fully on disk once any part
+    /// spilled (a mixed level would expand its two halves in a scheduling-dependent
+    /// order).
+    fn seal(&mut self) {
+        if self.disk.is_some() && !self.ram.is_empty() {
+            let (_, dir) = self.spill.expect("a spilled frontier has a spill dir");
+            self.flush(dir);
+        }
+    }
+
+    /// The next chunk to expand, empty once the level is drained: a resident level is
+    /// one chunk; a spilled level streams back in budget-sized chunks, each expanded
+    /// exactly like a whole level.
+    fn next_chunk(&mut self) -> Vec<(StateIndex, S)> {
+        let (Some(queue), Some((chunk_size, _))) = (&mut self.disk, self.spill) else {
+            return std::mem::take(&mut self.ram);
+        };
+        let indices = queue
+            .next_chunk(chunk_size)
+            .expect("reading back a spilled frontier queue");
+        let reload = |raw| {
+            let state = self.store.with_state(StateIndex(raw), S::clone);
+            (
+                StateIndex(raw),
+                state.expect("spilled frontiers require the full-state store"),
+            )
+        };
+        indices.into_iter().map(reload).collect()
+    }
+}
+
+/// What one level accumulates across its chunks and cycles, for the barrier.
+struct LevelOutput<'a, S, L> {
+    next: Frontier<'a, S>,
+    locals: Vec<L>,
+    sleep_edges: Vec<(StateIndex, SleepSet)>,
+}
+
+impl<S: SpecState, L> LevelOutput<'_, S, L> {
+    fn merge(&mut self, results: Vec<WorkerResult<S, L>>, totals: &mut Totals) {
+        for (w, result) in results.into_iter().enumerate() {
+            totals.per_worker_transitions[w] += result.transitions;
+            totals.pruned_transitions += result.pruned;
+            self.next.extend(result.next_frontier);
+            self.locals.push(result.local);
+            self.sleep_edges.extend(result.sleep_edges);
+        }
+    }
+}
+
+/// The level-synchronous main loop, run by the coordinator (the calling thread).
+fn level_loop<S: SpecState, V: Visitor<S>>(
+    shared: &Shared<'_, S, V>,
+    totals: &mut Totals,
+) -> StopReason {
+    let run = &shared.run;
+    // Frontier spilling is active only with a memory budget AND the full-state store
+    // (see `Frontier`).  The chunk size is how many frontier entries the budget
+    // buys; states round-trip through disk only when a level outgrows it.
+    let frontier_spill: Option<(usize, &Path)> =
+        match (run.store.spill_dir(), run.frontier_budget, run.store.mode()) {
+            (Some(dir), Some(budget), StoreMode::Full) => {
+                let entry = std::mem::size_of::<(StateIndex, S)>().max(1);
+                Some(((budget as usize / entry).max(MIN_FRONTIER_CHUNK), dir))
+            }
+            _ => None,
+        };
+    let level_output = |depth: u32| LevelOutput {
+        next: Frontier {
+            ram: Vec::new(),
+            disk: None,
+            spill: frontier_spill,
+            depth,
+            store: run.store,
+        },
+        locals: Vec::new(),
+        sleep_edges: Vec::new(),
+    };
+
+    // Level 0: the initial states reach the visitor like any other fresh arrival.
+    let mut depth: u32 = 0;
+    let mut output = level_output(0);
+    {
+        let level = shared.level.read();
+        let mut seeds = WorkerResult::default();
+        run.pipeline.seed(run.store, |index, fp, state| {
+            let note = level.visitor.annotate(None, &state);
+            let at = Arrival {
+                index,
+                fp,
+                depth: 0,
+            };
+            if level.visitor.on_fresh(&mut seeds.local, at, &state, note) {
+                seeds.next_frontier.push((index, state));
+            }
+        });
+        output.merge(vec![seeds], totals);
+    }
+
+    loop {
+        // The barrier of level `depth`: `output` holds what the level discovered.
+        let LevelOutput {
+            mut next,
+            locals,
+            sleep_edges,
+        } = output;
+        let mut requeue = Vec::new();
+        let flow = {
+            let mut level = shared.level.write();
+            level.frontier = Vec::new();
+            let end = LevelEnd {
+                depth,
+                enqueued: next.len(),
+            };
+            level.visitor.on_level_end(locals, end, &mut requeue)
+        };
+        next.extend(requeue);
+        if next.len() > 0 {
+            totals.max_depth = totals.max_depth.max(depth);
+        }
+        // Stops requested mid-level (violations, limits, the deadline, a contained
+        // panic) outrank the visitor's barrier decision.
+        if let Some(reason) = run.stop.stop_reason() {
+            return reason;
+        }
+        if let ControlFlow::Break(reason) = flow {
+            return reason;
+        }
+        let mut frontier = next;
+        frontier.seal();
+        if frontier.len() == 0 {
+            return StopReason::Exhausted;
+        }
+        // Check resource budgets between levels (workers also check the deadline
+        // within a level).
+        if run.deadline.is_some_and(|d| Instant::now() >= d) {
+            return StopReason::TimeBudget;
+        }
+        if run.max_depth.is_some_and(|max_depth| depth >= max_depth) {
+            return StopReason::DepthBound;
+        }
+        {
+            let mut level = shared.level.write();
+            level.child_depth = depth + 1;
+            level.sleeps = align_sleeps(sleep_edges, &frontier);
+        }
+
+        output = level_output(depth + 1);
+        // Mid-level stops abort the remaining chunks, exactly as expansion of a chunk
+        // aborts its remaining claims.
+        while !run.stop.requested() {
+            let chunk = frontier.next_chunk();
+            if chunk.is_empty() {
+                break;
+            }
+            expand_chunk(shared, chunk, &mut output, totals);
+        }
+        depth += 1;
+    }
+}
+
+/// Builds a level's sleep sets, index-aligned with its frontier, from the arrival
+/// edges recorded while the previous level was expanded.
+///
+/// A state reached through several same-level edges keeps only the labels *every*
+/// arrival keeps asleep (set intersection — commutative, so the result is independent
+/// of worker scheduling).  Edges to states of older levels (re-visits at greater depth)
+/// have no aligned frontier slot and are dropped; spilled levels get no sleep sets at
+/// all — both degrade the reduction, never its soundness.
+fn align_sleeps<S>(
+    sleep_edges: Vec<(StateIndex, SleepSet)>,
+    frontier: &Frontier<'_, S>,
+) -> Vec<SleepSet> {
+    // No edges: POR is off (an expanded level always has arrivals otherwise).
+    if sleep_edges.is_empty() || frontier.disk.is_some() {
+        return Vec::new();
+    }
+    let mut by_index: HashMap<u32, SleepSet> = HashMap::with_capacity(sleep_edges.len());
+    for (index, sleep) in sleep_edges {
+        match by_index.entry(index.0) {
+            Entry::Occupied(mut slot) => por::intersect_sorted(slot.get_mut(), &sleep),
+            Entry::Vacant(slot) => {
+                slot.insert(sleep);
+            }
+        }
+    }
+    let aligned = |(index, _): &(StateIndex, S)| by_index.remove(&index.0).unwrap_or_default();
+    frontier.ram.iter().map(aligned).collect()
+}
+
+/// Expands one chunk of the current level (inline or on the pool), merging the per-worker
+/// results into `output`.  Under owner routing each chunk runs as two phases: expand
+/// (deposit successors into shard mailboxes) then drain (each shard's owner merges its
+/// mailbox).
+fn expand_chunk<S: SpecState, V: Visitor<S>>(
+    shared: &Shared<'_, S, V>,
+    chunk: Vec<(StateIndex, S)>,
+    output: &mut LevelOutput<'_, S, V::Local>,
+    totals: &mut Totals,
+) {
+    // Small frontiers are not worth waking the pool for; expand them inline.
+    let team = if chunk.len() >= 64 {
+        shared.ranges.len()
+    } else {
+        1
+    };
+    let per_worker = chunk.len().div_ceil(team);
+    for (w, range) in shared.ranges.iter().enumerate() {
+        range.reset(
+            (w * per_worker).min(chunk.len()),
+            ((w + 1) * per_worker).min(chunk.len()),
+        );
+    }
+    {
+        let mut level = shared.level.write();
+        level.frontier = chunk;
+        level.phase = Phase::Expand;
+    }
+    output.merge(run_cycle(shared, team), totals);
+    if shared.run.route_by_owner {
+        if shared.run.stop.requested() {
+            // The level is being aborted: deposited batches are discarded just as
+            // the unrouted engine drops unflushed worker buffers on a stop.
+            for mailbox in &shared.mailboxes {
+                mailbox.lock().clear();
+            }
+        } else {
+            shared.level.write().phase = Phase::Drain;
+            output.merge(run_cycle(shared, team), totals);
+        }
+    }
+}
+
+/// Runs the published phase once on `team` workers — inline for a team of one, else as
+/// one gate cycle of the persistent pool — and collects the per-worker results.
+fn run_cycle<S: SpecState, V: Visitor<S>>(
+    shared: &Shared<'_, S, V>,
+    team: usize,
+) -> Vec<WorkerResult<S, V::Local>> {
+    if team == 1 {
+        return vec![work(shared, 0, 1)];
+    }
+    // Wake the pool and wait for every worker to finish the cycle.
+    {
+        let mut gate = shared.gate.lock();
+        gate.generation += 1;
+        gate.remaining = team;
+        drop(gate);
+        shared.work_ready.notify_all();
+        let mut gate = shared.gate.lock();
+        while gate.remaining > 0 {
+            gate = shared.work_done.wait(gate);
+        }
+    }
+    if let Some(payload) = shared.worker_panic.lock().take() {
+        // Re-raise the worker's panic from the coordinator.
+        std::panic::resume_unwind(payload);
+    }
+    shared
+        .results
+        .iter()
+        .map(|slot| {
+            slot.lock()
+                .take()
+                .expect("every pool worker publishes a cycle result")
+        })
+        .collect()
+}
+
+/// The body of one pool worker: park until the coordinator publishes a cycle (or shuts
+/// the run down), run it, publish the result, repeat.
+fn pool_worker<S: SpecState, V: Visitor<S>>(shared: &Shared<'_, S, V>, worker: usize) {
+    let mut last_generation = 0u64;
+    loop {
+        {
+            let mut gate = shared.gate.lock();
+            while gate.generation == last_generation && !gate.shutdown {
+                gate = shared.work_ready.wait(gate);
+            }
+            if gate.shutdown {
+                return;
+            }
+            last_generation = gate.generation;
+        }
+        // A panicking spec closure (action, invariant or projection) must not leave the
+        // coordinator waiting forever on `gate.remaining`: catch the panic, publish an
+        // empty result, request a stop so the other workers drain, and let the
+        // coordinator re-raise the payload after the level completes.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            work(shared, worker, shared.ranges.len())
+        }))
+        .unwrap_or_else(|payload| {
+            shared.worker_panic.lock().get_or_insert(payload);
+            shared.run.stop.request(STOP_TIME_BUDGET);
+            WorkerResult::default()
+        });
+        *shared.results[worker].lock() = Some(result);
+        let mut gate = shared.gate.lock();
+        gate.remaining -= 1;
+        if gate.remaining == 0 {
+            shared.work_done.notify_all();
+        }
+    }
+}
+
+/// One worker's share of the published phase, as one of `team` participants.
+fn work<S: SpecState, V: Visitor<S>>(
+    shared: &Shared<'_, S, V>,
+    worker: usize,
+    team: usize,
+) -> WorkerResult<S, V::Local> {
+    let level = shared.level.read();
+    match level.phase {
+        Phase::Expand => expand_range(shared, &level, worker),
+        Phase::Drain => drain_mailboxes(shared, &level, worker, team),
+    }
+}
+
+/// The worker loop: claims frontier indices (own range first, then stolen halves),
+/// expands each state, and buffers successors per shard, flushing in batches.
+fn expand_range<S: SpecState, V: Visitor<S>>(
+    shared: &Shared<'_, S, V>,
+    level: &Level<S, V>,
+    worker: usize,
+) -> WorkerResult<S, V::Local> {
+    let run = &shared.run;
+    let mut result = WorkerResult::default();
+    let shard_count = run.store.shard_count();
+    let mut buffers: Vec<Vec<Buffered<S, V::Note>>> =
+        (0..shard_count).map(|_| Vec::new()).collect();
+    let mut seqs: Vec<u32> = vec![0; shard_count];
+    // Lock-striped insertion merges a full buffer into its stripe on the spot; owner
+    // routing hands it to the stripe's owner instead.
+    let mut hand_off = |shard: usize,
+                        buffer: &mut Vec<Buffered<S, V::Note>>,
+                        result: &mut WorkerResult<S, V::Local>| {
+        if run.route_by_owner {
+            let batch = RoutedBatch {
+                producer: worker as u32,
+                seq: seqs[shard],
+                items: std::mem::take(buffer),
+            };
+            shared.mailboxes[shard].lock().push(batch);
+            seqs[shard] += 1;
+        } else {
+            flush_shard(shared, level, shard, buffer, result);
+        }
+    };
+    let mut stolen: Option<StealRange> = None;
+    let mut processed: u64 = 0;
+
+    'claim: loop {
+        if run.stop.requested() {
+            break;
+        }
+        // Claim from the stolen range first (it was taken to be worked on), then from the
+        // worker's own range, then steal from the largest remaining range.
+        let idx = loop {
+            if let Some(range) = &stolen {
+                if let Some(idx) = range.claim() {
+                    break idx;
+                }
+                stolen = None;
+            }
+            if let Some(idx) = shared.ranges[worker].claim() {
+                break idx;
+            }
+            let victim = shared
+                .ranges
+                .iter()
+                .enumerate()
+                .filter(|(v, _)| *v != worker)
+                .max_by_key(|(_, r)| r.remaining())
+                .filter(|(_, r)| r.remaining() >= 2);
+            let Some((_, victim)) = victim else {
+                // No range anywhere holds stealable work: the level is drained.
+                break 'claim;
+            };
+            match victim.steal_half() {
+                Some((start, end)) => stolen = Some(StealRange::new(start, end)),
+                // Lost the race to the victim's owner (or another thief); other ranges
+                // may still hold work, so rescan rather than leaving this worker idle
+                // for the rest of the level.
+                None => continue,
+            }
+        };
+
+        let (parent, state) = &level.frontier[idx];
+        let sleep_in: &[LabelId] = level.sleeps.get(idx).map_or(&[], |sleep| sleep.as_slice());
+        let (explored, pruned) = run.pipeline.expand(state, sleep_in, |succ| {
+            let note = level.visitor.annotate(Some(*parent), &succ.state);
+            buffers[run.store.shard_of(succ.fp)].push(Buffered {
+                parent: *parent,
+                succ,
+                note,
+            });
+        });
+        result.transitions += explored;
+        result.pruned += pruned;
+        // Batch flushing happens here, between parents, instead of inside the
+        // callback: a buffer can overshoot `batch_size` by at most one parent's
+        // successor count, and the merged outcome is unchanged (flush order within
+        // a worker is a function of claim order alone).
+        for (shard, buffer) in buffers.iter_mut().enumerate() {
+            if buffer.len() >= run.batch_size {
+                hand_off(shard, buffer, &mut result);
+            }
+        }
+
+        processed += 1;
+        if processed.is_multiple_of(64) && run.deadline.is_some_and(|d| Instant::now() >= d) {
+            run.stop.request(STOP_TIME_BUDGET);
+        }
+    }
+
+    // Merge whatever is still buffered at the level boundary — unless a stop was
+    // requested, in which case exploration is being aborted anyway and merging the
+    // leftovers would only push the state count further past the stop condition.
+    if !run.stop.requested() {
+        for (shard, buffer) in buffers.iter_mut().enumerate() {
+            if !buffer.is_empty() {
+                hand_off(shard, buffer, &mut result);
+            }
+        }
+    }
+    result
+}
+
+/// The drain phase of an owner-routed chunk: each of the `team` workers merges the
+/// mailboxes of the shards it owns (`shard % team == worker`), replaying batches in
+/// `(producer, seq)` order.  Every shard has exactly one drainer, so inserts into a
+/// stripe are single-threaded — the lock in `flush_shard` is uncontended by design.
+fn drain_mailboxes<S: SpecState, V: Visitor<S>>(
+    shared: &Shared<'_, S, V>,
+    level: &Level<S, V>,
+    worker: usize,
+    team: usize,
+) -> WorkerResult<S, V::Local> {
+    let mut result = WorkerResult::default();
+    for shard in (worker..shared.mailboxes.len()).step_by(team) {
+        let mut batches = std::mem::take(&mut *shared.mailboxes[shard].lock());
+        if batches.is_empty() {
+            continue;
+        }
+        batches.sort_by_key(|b| (b.producer, b.seq));
+        let mut combined: Vec<Buffered<S, V::Note>> =
+            batches.into_iter().flat_map(|b| b.items).collect();
+        flush_shard(shared, level, shard, &mut combined, &mut result);
+    }
+    result
+}
+
+/// Merges one buffer into its stripe under a single lock acquisition, then (outside the
+/// lock) tells the visitor about every arrival.
+fn flush_shard<S: SpecState, V: Visitor<S>>(
+    shared: &Shared<'_, S, V>,
+    level: &Level<S, V>,
+    shard: usize,
+    buffer: &mut Vec<Buffered<S, V::Note>>,
+    result: &mut WorkerResult<S, V::Local>,
+) {
+    let mut inserted: Vec<(Insert<S>, Fingerprint, V::Note)> = Vec::with_capacity(buffer.len());
+    {
+        let mut handle = shared.run.store.lock_shard(shard);
+        for Buffered { parent, succ, note } in buffer.drain(..) {
+            let insert =
+                handle.insert_edge(succ.fp, Some(parent), succ.label, succ.state, succ.perm);
+            // Both fresh and already-known targets contribute an arrival edge: a state
+            // reached again within the same level only keeps a label asleep if every
+            // minimal-depth arrival does.
+            if shared.run.pipeline.por {
+                let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = &insert;
+                result.sleep_edges.push((*index, succ.sleep));
+            }
+            inserted.push((insert, succ.fp, note));
+        }
+    }
+    let (visitor, depth) = (&level.visitor, level.child_depth);
+    for (insert, fp, note) in inserted {
+        let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = insert;
+        let at = Arrival { index, fp, depth };
+        match insert {
+            Insert::Fresh(_, state) => {
+                if visitor.on_fresh(&mut result.local, at, &state, note) {
+                    result.next_frontier.push((index, state));
+                }
+            }
+            Insert::Existing(_, state) => visitor.on_existing(&mut result.local, at, state, note),
+        }
+    }
+}

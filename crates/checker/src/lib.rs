@@ -18,8 +18,11 @@ pub mod bfs;
 pub mod corpus;
 pub mod coverage;
 pub mod dfs;
+mod env;
+mod expand;
 pub mod explore;
 pub mod fingerprint;
+mod kernel;
 pub mod options;
 pub mod outcome;
 pub(crate) mod por;

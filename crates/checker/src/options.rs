@@ -41,17 +41,16 @@ impl fmt::Display for SymmetryMode {
 
 impl SymmetryMode {
     /// The mode selected by the `REMIX_SYMMETRY` environment variable
-    /// (`"canonicalize"` / `"on"` → [`SymmetryMode::Canonicalize`]), defaulting to
-    /// [`SymmetryMode::Off`] when unset or unrecognised.
+    /// (`"canonicalize"` / `"canonical"` / `"on"` → [`SymmetryMode::Canonicalize`],
+    /// `"off"` → [`SymmetryMode::Off`]), defaulting to [`SymmetryMode::Off`] when
+    /// unset.  Any other value aborts with the accepted spellings: a mistyped mode
+    /// must not be a silently different run.
     ///
     /// Like [`StoreMode::from_env`], this is the hook CI uses to run the release-gated
     /// suites once per symmetry mode without a per-test parameter; explicit
     /// `with_symmetry(..)` calls always win.
     pub fn from_env() -> SymmetryMode {
-        match std::env::var("REMIX_SYMMETRY").as_deref() {
-            Ok("canonicalize") | Ok("canonical") | Ok("on") => SymmetryMode::Canonicalize,
-            _ => SymmetryMode::Off,
-        }
+        crate::env::SYMMETRY.read().unwrap_or_default()
     }
 }
 
@@ -160,14 +159,8 @@ impl Default for CheckOptions {
             store_mode: StoreMode::from_env(),
             symmetry: SymmetryMode::from_env(),
             spill: SpillConfig::from_env(),
-            route_by_owner: matches!(
-                std::env::var("REMIX_ROUTE_BY_OWNER").as_deref(),
-                Ok("1") | Ok("true") | Ok("on") | Ok("owner")
-            ),
-            por: matches!(
-                std::env::var("REMIX_POR").as_deref(),
-                Ok("1") | Ok("true") | Ok("on")
-            ),
+            route_by_owner: crate::env::ROUTE_BY_OWNER.read().unwrap_or(false),
+            por: crate::env::POR.read().unwrap_or(false),
         }
     }
 }
@@ -333,10 +326,7 @@ mod tests {
         assert_eq!(o.symmetry, SymmetryMode::from_env());
         assert_eq!(
             o.por,
-            matches!(
-                std::env::var("REMIX_POR").as_deref(),
-                Ok("1") | Ok("true") | Ok("on")
-            ),
+            crate::env::POR.read().unwrap_or(false),
             "POR defaults follow the REMIX_POR env hook"
         );
         assert!(o.collect_traces);

@@ -2,10 +2,12 @@
 //!
 //! The composer's interaction-preservation check (§3.2) is *syntactic* — it compares
 //! declared variable footprints.  This module is the semantic counterpart: it explores
-//! the state spaces of a fine and a coarse composition in parallel (reusing the
-//! lock-striped fingerprint-shard design of [`crate::bfs`]) and verifies that, under a
-//! [`TraceProjection`], the coarse specification admits exactly the externally visible
-//! behaviours of the fine one:
+//! the state spaces of a fine and a coarse composition — each side is a visitor of the
+//! level-synchronous kernel that also drives [`crate::bfs`], so it inherits the worker
+//! pool, batched shard inserts, symmetry (incremental canonicalization included), the
+//! spill tier and panic containment — and verifies that, under a [`TraceProjection`],
+//! the coarse specification admits exactly the externally visible behaviours of the
+//! fine one:
 //!
 //! * every *stable* reachable projection of the fine composition is a reachable
 //!   projection of the coarse composition (the coarsening loses no interactions), and
@@ -25,22 +27,23 @@
 //! distinguish states below the projection, but it never reports a false divergence
 //! for that reason.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use remix_spec::{
-    CanonFn, LabelId, LabelTable, Perm, Spec, SpecState, Trace, TraceProjection, Value,
-};
+use remix_spec::{CanonFn, LabelTable, Spec, SpecState, Trace, TraceProjection, Value};
 
-use crate::fingerprint::{fingerprint, Fingerprint};
+use crate::expand::Pipeline;
+use crate::kernel::{self, Arrival, LevelEnd, Run, Visitor};
 use crate::options::SymmetryMode;
+use crate::outcome::StopReason;
 use crate::shrink::{shrink_trace, ShrinkOutcome};
-use crate::store::{Insert, StateIndex, StateStore, StoreMode};
-use crate::sync::{OrderedRwLock, RefineLsetsRank};
+use crate::stop::StopCell;
+use crate::store::{StateIndex, StateStore, StoreMode};
 
 /// What the refinement checker verifies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -447,37 +450,32 @@ fn render_projection(projected: &BTreeMap<String, Value>) -> String {
     format!("[{}]", fields.join(", "))
 }
 
-/// One side's exploration summary.
-///
-/// Concrete states, parent indices and interned action labels live in the shared
-/// [`StateStore`] arena (in [`StoreMode::FingerprintOnly`] the states are dropped after
-/// expansion); the refinement-specific *lset* annotation — the stable projections a
-/// state can be "inside of": its own projection when stable, otherwise the stable
-/// projections last seen on some path leading here — lives in a side table keyed by
-/// [`StateIndex`].
-struct SideSummary<S: SpecState> {
-    /// Stable projections → representative state index and discovery depth.
-    projs: HashMap<u64, (StateIndex, u32)>,
+/// Records `at` as the representative of `key` — the concrete state a witness is
+/// reconstructed from — unless an earlier (or same-depth, lower-fingerprint) arrival
+/// already is: state indices follow insert order, which under batched flushing depends
+/// on worker scheduling, so representatives are chosen by `(depth, fingerprint)`.
+fn offer_rep<K: Eq + Hash>(reps: &mut HashMap<K, Arrival>, key: K, at: Arrival) {
+    let rep = reps.entry(key).or_insert(at);
+    if (at.depth, at.fp) < (rep.depth, rep.fp) {
+        *rep = at;
+    }
+}
+
+/// What exploring one side learns about its projected quotient graph.
+#[derive(Default)]
+struct Quotient {
+    /// Stable projections → representative state.
+    projs: HashMap<u64, Arrival>,
     /// Stabilization edges of the projected quotient: `from → {to}` with `from ≠ to`.
     edges: HashMap<u64, BTreeSet<u64>>,
-    /// Per-edge representative: the concrete state that first completed the edge (its
-    /// BFS parent chain need not stabilize from `from`, but it ends in the edge's
-    /// target and is the best concrete anchor available without per-context parents).
-    edge_reps: HashMap<(u64, u64), StateIndex>,
-    /// All discovered concrete states (dedup map, parent chains, optional states).
-    seen: StateStore<S>,
-    /// The run's interned action labels.
-    labels: LabelTable,
-    /// Per-state lsets.  Written only by the sequential level merge; read concurrently
-    /// by the expansion workers' dedup scout.
-    lsets: OrderedRwLock<RefineLsetsRank, HashMap<StateIndex, BTreeSet<u64>>>,
-    /// The active canonicalization function when this side explored canonical
-    /// representatives (symmetry reduction); `None` otherwise.
-    canon: Option<CanonFn<S>>,
+    /// Per-edge representative: a concrete state that completed the edge (its parent
+    /// chain need not stabilize from `from`, but it ends in the edge's target and is
+    /// the best concrete anchor available without per-context parents).
+    edge_reps: HashMap<(u64, u64), Arrival>,
     /// Whether exploration ran to exhaustion within the budgets.
     complete: bool,
     /// Stabilization edges checked incrementally against the other side's quotient
-    /// (fine side in [`RefineMode::Simulation`] with a complete coarse side only).
+    /// (fine side in [`RefineMode::Simulation`] only).
     edges_checked: usize,
     /// The first stabilization edge with no matching coarse path, by discovery level
     /// then key order (recorded during exploration; turned into a divergence by the
@@ -485,37 +483,50 @@ struct SideSummary<S: SpecState> {
     unmatched_edge: Option<(u64, u64)>,
 }
 
-impl<S: SpecState> SideSummary<S> {
+impl Quotient {
     /// Returns the set of projections reachable from `from` in the quotient graph
     /// (including `from` itself), memoized by the caller.
     fn reachable_from(&self, from: u64) -> HashSet<u64> {
         let mut out: HashSet<u64> = HashSet::new();
-        let mut frontier = vec![from];
+        let mut stack = vec![from];
         out.insert(from);
-        while let Some(p) = frontier.pop() {
+        while let Some(p) = stack.pop() {
             if let Some(succs) = self.edges.get(&p) {
                 for &q in succs {
                     if out.insert(q) {
-                        frontier.push(q);
+                        stack.push(q);
                     }
                 }
             }
         }
         out
     }
+}
 
+/// One explored side: its quotient plus the store its witnesses are rebuilt from.
+///
+/// Concrete states, parent indices and interned action labels live in the shared
+/// [`StateStore`] arena (in [`StoreMode::FingerprintOnly`] the states are dropped after
+/// expansion).
+struct SideSummary<S: SpecState> {
+    quotient: Quotient,
+    /// All discovered concrete states (dedup map, parent chains, optional states).
+    seen: StateStore<S>,
+    /// The run's interned action labels.
+    labels: LabelTable,
+    /// The active canonicalization function when this side explored canonical
+    /// representatives (symmetry reduction); `None` otherwise.
+    canon: Option<CanonFn<S>>,
+}
+
+impl<S: SpecState> SideSummary<S> {
     /// Reconstructs the concrete trace to `index` (a parent-index walk in the full
     /// store, a bounded label-chain replay in the fingerprint-only store; a
     /// de-canonicalizing replay under symmetry reduction, so the witness is an
     /// execution of the original specification).
     fn witness(&self, spec: &Spec<S>, index: StateIndex) -> Trace<S> {
-        match &self.canon {
-            Some(canon) => {
-                self.seen
-                    .reconstruct_trace_decanonicalized(spec, &self.labels, index, canon)
-            }
-            None => self.seen.reconstruct_trace(spec, &self.labels, index),
-        }
+        self.seen
+            .trace_to(spec, &self.labels, index, self.canon.as_ref())
     }
 
     /// The state at `index`: the stored (canonical, under symmetry) state when
@@ -530,333 +541,287 @@ impl<S: SpecState> SideSummary<S> {
                 .clone()
         })
     }
-
-    /// The projection key of a stable state.  No canonicalization is needed even
-    /// under symmetry reduction: the mode is gated on
-    /// `TraceProjection::assume_equivariant`, under which projection and stability
-    /// agree on every member of an orbit — so projecting the raw state yields the
-    /// same key the exploration recorded for its canonical representative.
-    fn project_key_of(&self, projection: &TraceProjection<S>, state: &S) -> Option<u64> {
-        projection
-            .is_stable(state)
-            .then(|| projection_key(&projection.project_state(state)))
-    }
 }
 
-/// One successor produced by a worker, to be merged into the side summary.
-struct SuccessorRecord<S> {
-    fp: Fingerprint,
-    parent: StateIndex,
-    label: LabelId,
-    state: S,
-    /// The permutation that canonicalized `state`, under symmetry reduction.
-    perm: Option<Perm>,
-    /// Projection key when the successor is stable.
+/// The projection key of `state` when it is stable.  No canonicalization is needed even
+/// under symmetry reduction: the mode is gated on `TraceProjection::assume_equivariant`,
+/// under which projection and stability agree on every member of an orbit — so
+/// projecting a raw state yields the same key the exploration recorded for its
+/// canonical representative.
+fn stable_key<S: SpecState>(projection: &TraceProjection<S>, state: &S) -> Option<u64> {
+    projection
+        .is_stable(state)
+        .then(|| projection_key(&projection.project_state(state)))
+}
+
+/// The *lset* of a state: the stable projections it can be "inside of" — its own
+/// projection when stable, otherwise the stable projections last seen on some path
+/// leading to it.  Shared, because an unstable stretch hands one set down unchanged.
+type Lset = Arc<BTreeSet<u64>>;
+
+/// The refinement visitor's per-edge note.
+struct EdgeNote {
+    /// Projection key of the child when it is stable.
     stable_key: Option<u64>,
-    /// The parent's `lset` at expansion time (stable parents carry their own key);
-    /// shared with the frontier entry — read-only until the merge.
-    parent_lset: Arc<BTreeSet<u64>>,
+    /// The parent's lset when the edge was enumerated (stable parents carry their own
+    /// key; empty for initial states).
+    from: Lset,
 }
 
-/// Explores one side of the refinement pair, recording stable projections and the
-/// stabilization edges of the projected quotient graph.
-///
-/// When `stop_when_missing_from` is set (the fully explored coarse projection set),
-/// exploration stops at the end of the first BFS level that discovers a stable
-/// projection absent from that set: deeper levels cannot contain a shallower
-/// divergence, so the minimal-depth divergence choice is unaffected while diverging
-/// checks skip the rest of the (often much larger) fine state space.
-///
-/// When `simulate_against` is set (the fine side of a [`RefineMode::Simulation`]
-/// check, after the coarse side completed), every stabilization edge is checked
-/// against the coarse quotient as soon as the level discovering it finishes, so a run
-/// truncated by a budget still reports how many edges it actually verified instead of
-/// `edges_checked: 0`.
-fn explore_side<S: SpecState>(
-    spec: &Spec<S>,
-    projection: &TraceProjection<S>,
-    options: &RefineOptions,
-    deadline: Option<Instant>,
-    stop_when_missing_from: Option<&HashMap<u64, (StateIndex, u32)>>,
-    simulate_against: Option<&SideSummary<S>>,
-) -> SideSummary<S> {
-    // Symmetry reduction in a refinement comparison additionally requires the
-    // projection to be equivariant (orbits of concrete states must project to one
-    // class), declared via `TraceProjection::assume_equivariant` — without it the two
-    // sides could pick different representatives of the same projected class and
-    // report a spurious divergence, so the knob is ignored rather than unsound.
-    let canon: Option<CanonFn<S>> = match options.symmetry {
-        SymmetryMode::Canonicalize if projection.is_equivariant() => spec.symmetry.clone(),
-        _ => None,
-    };
-    let mut summary = SideSummary {
-        projs: HashMap::new(),
-        edges: HashMap::new(),
-        edge_reps: HashMap::new(),
-        seen: StateStore::with_spill(options.store_mode, options.shards, &options.spill),
-        labels: LabelTable::new(),
-        lsets: OrderedRwLock::new(HashMap::new()),
-        canon,
-        complete: true,
-        edges_checked: 0,
-        unmatched_edge: None,
-    };
+/// What one worker saw during a level; folded sequentially at the barrier.
+struct Arrivals<S> {
+    edges: Vec<(Arrival, bool, EdgeNote)>,
+    /// The moved-in copies of older *unstable* states reached with a context their
+    /// lset does not cover yet: re-enqueued at the barrier if the lset really grew.
+    revisits: Vec<(StateIndex, S)>,
+}
 
-    // Frontier entries carry the lset snapshot their successors inherit.  Under
-    // symmetry reduction the frontier, the store, the stable-projection set and the
-    // quotient edges all live in canonical space.
-    let mut frontier: Vec<(StateIndex, S, Arc<BTreeSet<u64>>)> = Vec::new();
-    for init in &spec.init {
-        let (seed, perm) = match &summary.canon {
-            Some(canon) => {
-                let (c, p) = canon(init);
-                (c, Some(p))
-            }
-            None => (init.clone(), None),
-        };
-        let fp = fingerprint(&seed);
-        let mut handle = summary.seen.lock_shard(summary.seen.shard_of(fp));
-        let insert = match perm {
-            Some(p) => handle.insert_canonical(fp, None, LabelTable::init_id(), seed, p),
-            None => handle.insert(fp, None, LabelTable::init_id(), seed),
-        };
-        let Insert::Fresh(index, state) = insert else {
-            continue;
-        };
-        drop(handle);
-        let mut lset = BTreeSet::new();
-        if projection.is_stable(&state) {
-            let projected = projection.project_state(&state);
-            let key = projection_key(&projected);
-            lset.insert(key);
-            summary.projs.entry(key).or_insert((index, 0));
+impl<S> Default for Arrivals<S> {
+    fn default() -> Self {
+        Arrivals {
+            edges: Vec::new(),
+            revisits: Vec::new(),
         }
-        summary.lsets.write().insert(index, lset.clone());
-        frontier.push((index, state, Arc::new(lset)));
+    }
+}
+
+/// The kernel visitor that records one side's stable projections and the
+/// stabilization edges of its projected quotient graph.
+///
+/// Workers only project (`annotate`) and collect arrivals; every table is written at
+/// the level barrier, so nothing here is locked and the fold order — hence every
+/// statistic — is independent of worker scheduling.
+struct RefineVisitor<'a, S: SpecState> {
+    projection: &'a TraceProjection<S>,
+    options: &'a RefineOptions,
+    store: &'a StateStore<S>,
+    /// The fully explored coarse projection set, when known: exploration stops at the
+    /// end of the first level that discovers a stable projection absent from it —
+    /// deeper levels cannot contain a shallower divergence, so the minimal-depth
+    /// divergence choice is unaffected while diverging checks skip the rest of the
+    /// (often much larger) fine state space.
+    stop_when_missing_from: Option<&'a HashMap<u64, Arrival>>,
+    /// The coarse quotient of a [`RefineMode::Simulation`] check: every stabilization
+    /// edge is matched against it as soon as the level discovering it finishes, so a
+    /// run truncated by a budget still reports how many edges it actually verified.
+    simulate_against: Option<&'a Quotient>,
+    /// Coarse-quotient reachability, memoized across levels.
+    reach_memo: HashMap<u64, HashSet<u64>>,
+    quotient: Quotient,
+    lsets: HashMap<StateIndex, Lset>,
+    /// `Some(levels_drained)` once a state or depth budget has tripped: the run is
+    /// incomplete, but stabilizations already in progress are finished (unstable
+    /// states only) for up to `stabilization_grace` extra levels, so the projection
+    /// and edge sets are populated instead of frozen mid-atomic-stretch.
+    draining: Option<u32>,
+}
+
+impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
+    type Note = EdgeNote;
+    type Local = Arrivals<S>;
+
+    fn annotate(&self, parent: Option<StateIndex>, child: &S) -> EdgeNote {
+        EdgeNote {
+            stable_key: stable_key(self.projection, child),
+            from: parent.map_or_else(Lset::default, |p| Arc::clone(&self.lsets[&p])),
+        }
     }
 
-    let workers = options.workers.max(1);
-    let mut depth: u32 = 0;
-    // Coarse-quotient reachability, memoized across levels for the incremental edge
-    // check (Simulation mode, complete coarse side).
-    let mut reach_memo: HashMap<u64, HashSet<u64>> = HashMap::new();
-    // `Some(levels_drained)` once a state/depth budget has tripped: the run is
-    // incomplete, but stabilizations already in progress are finished (unstable
-    // states only) for up to `stabilization_grace` extra levels, so the projection
-    // and edge sets are populated instead of frozen mid-atomic-stretch.
-    let mut draining: Option<u32> = None;
-    while !frontier.is_empty() {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                summary.complete = false;
-                break;
-            }
-        }
-        if draining.is_none() {
-            let depth_hit = options.max_depth.is_some_and(|max| depth >= max);
-            let states_hit = options
-                .max_states
-                .is_some_and(|max| summary.seen.len() >= max);
-            if depth_hit || states_hit {
-                summary.complete = false;
-                if options.stabilization_grace == 0 {
-                    break;
-                }
-                draining = Some(0);
-            }
-        }
-        if let Some(drained) = draining {
-            if drained >= options.stabilization_grace {
-                break;
-            }
-            draining = Some(drained + 1);
-        }
+    fn on_fresh(&self, local: &mut Arrivals<S>, at: Arrival, _state: &S, note: EdgeNote) -> bool {
+        // While draining, stable successors close their stabilization and are not
+        // expanded further: only the unstable closure of the final frontier grows the
+        // capped exploration.
+        let expand = self.draining.is_none() || note.stable_key.is_none();
+        local.edges.push((at, true, note));
+        expand
+    }
 
-        // Expand the frontier: successor enumeration, fingerprinting and projection run
-        // in parallel; workers share the store's dedup map and the lset table read-only.
-        let effective = if frontier.len() < 64 { 1 } else { workers };
-        let chunk = frontier.len().div_ceil(effective);
-        let mut batches: Vec<Vec<SuccessorRecord<S>>> = Vec::with_capacity(effective);
-        if effective == 1 {
-            batches.push(expand_chunk(spec, projection, &summary, &frontier));
-        } else {
-            std::thread::scope(|scope| {
-                let summary = &summary;
-                let handles: Vec<_> = frontier
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || expand_chunk(spec, projection, summary, slice))
-                    })
-                    .collect();
-                for h in handles {
-                    batches.push(h.join().expect("refine worker panicked"));
-                }
-            });
+    fn on_existing(&self, local: &mut Arrivals<S>, at: Arrival, state: S, note: EdgeNote) {
+        // A state the barrier has not seen yet was inserted earlier in this very level
+        // and is already enqueued; older states are worth carrying to the barrier only
+        // if this edge brings a context their lset lacks.
+        if let Some(known) = self.lsets.get(&at.index) {
+            if note.from.is_subset(known) {
+                return;
+            }
+            if note.stable_key.is_none() {
+                local.revisits.push((at.index, state));
+            }
         }
+        local.edges.push((at, false, note));
+    }
 
-        // Merge sequentially at the level boundary: dedup against the store, record
-        // stable projections and stabilization edges, and build the next frontier.
-        // States whose lset grew are re-enqueued so their successors learn the new
-        // contexts.
-        let child_depth = depth + 1;
-        let mut next: Vec<(StateIndex, S, Arc<BTreeSet<u64>>)> = Vec::new();
+    fn on_level_end(
+        &mut self,
+        locals: Vec<Arrivals<S>>,
+        end: LevelEnd,
+        requeue: &mut Vec<(StateIndex, S)>,
+    ) -> ControlFlow<StopReason> {
         let mut new_edges: Vec<(u64, u64)> = Vec::new();
-        for batch in batches {
-            for rec in batch {
-                let child_lset: BTreeSet<u64> = match rec.stable_key {
-                    Some(key) => std::iter::once(key).collect(),
-                    None => (*rec.parent_lset).clone(),
-                };
-                let mut handle = summary.seen.lock_shard(summary.seen.shard_of(rec.fp));
-                let insert = match rec.perm {
-                    Some(perm) => handle.insert_canonical(
-                        rec.fp,
-                        Some(rec.parent),
-                        rec.label,
-                        rec.state,
-                        perm,
-                    ),
-                    None => handle.insert(rec.fp, Some(rec.parent), rec.label, rec.state),
-                };
-                drop(handle);
-                let index = match &insert {
-                    Insert::Fresh(index, _) | Insert::Existing(index, _) => *index,
-                };
-                if let Some(key) = rec.stable_key {
-                    for &from in &*rec.parent_lset {
-                        if from != key {
-                            if summary.edges.entry(from).or_default().insert(key) {
+        let mut grown: HashSet<StateIndex> = HashSet::new();
+        let mut revisits: Vec<(StateIndex, S)> = Vec::new();
+        let mut missing = false;
+        for local in locals {
+            revisits.extend(local.revisits);
+            for (at, fresh, note) in local.edges {
+                let lset = match note.stable_key {
+                    Some(key) => {
+                        for &from in note.from.iter().filter(|&&from| from != key) {
+                            if self.quotient.edges.entry(from).or_default().insert(key) {
                                 new_edges.push((from, key));
                             }
-                            // Remember the concrete state completing this edge, so an
+                            // Remember a concrete state completing this edge, so an
                             // unmatched-step divergence can reconstruct a witness that
                             // actually ends with the offending stabilization.
-                            summary.edge_reps.entry((from, key)).or_insert(index);
+                            offer_rep(&mut self.quotient.edge_reps, (from, key), at);
                         }
+                        if fresh {
+                            offer_rep(&mut self.quotient.projs, key, at);
+                            missing |= self
+                                .stop_when_missing_from
+                                .is_some_and(|known| !known.contains_key(&key));
+                        }
+                        Arc::new(BTreeSet::from([key]))
                     }
-                }
-                match insert {
-                    Insert::Existing(index, state) => {
-                        // Known state: merge the lset; a grown lset on an *unstable*
-                        // state changes what its successors stabilize from, so re-expand.
-                        let mut lsets = summary.lsets.write();
-                        let existing = lsets.entry(index).or_default();
-                        let before = existing.len();
-                        existing.extend(child_lset.iter().copied());
-                        let grew = existing.len() > before;
-                        let merged = Arc::new(existing.clone());
-                        drop(lsets);
-                        if grew && rec.stable_key.is_none() {
-                            next.push((index, state, merged));
-                        }
+                    None => note.from,
+                };
+                match self.lsets.entry(at.index) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(lset);
                     }
-                    Insert::Fresh(index, state) => {
-                        if let Some(key) = rec.stable_key {
-                            summary.projs.entry(key).or_insert((index, child_depth));
-                        }
-                        summary.lsets.write().insert(index, child_lset.clone());
-                        // While draining, stable successors close their stabilization
-                        // and are not expanded further: only the unstable closure of
-                        // the final frontier grows the capped exploration.
-                        if draining.is_none() || rec.stable_key.is_none() {
-                            next.push((index, state, Arc::new(child_lset)));
-                        }
+                    // A grown lset on an *unstable* state changes what its successors
+                    // stabilize from (a stable state's lset is its own key for good).
+                    Entry::Occupied(mut slot) if !lset.is_subset(slot.get()) => {
+                        slot.insert(Arc::new(slot.get().union(&lset).copied().collect()));
+                        grown.insert(at.index);
                     }
+                    Entry::Occupied(_) => {}
                 }
             }
         }
+        // Re-enqueue each grown older state once, so its successors learn the new
+        // contexts (states of this level are already enqueued and read the folded lset).
+        for (index, state) in revisits {
+            if grown.remove(&index) {
+                requeue.push((index, state));
+            }
+        }
+
         // Incremental simulation check: match the level's fresh stabilization edges
-        // against the (complete) coarse quotient right away, so a budget-truncated
-        // run reports the edge coverage it actually achieved.  The first unmatched
-        // edge is recorded, not acted on: the caller keeps the established check
-        // precedence (projection inclusion first, then edge matching).
-        if let Some(coarse) = simulate_against {
-            if summary.unmatched_edge.is_none() {
+        // against the coarse quotient right away.  The first unmatched edge is
+        // recorded, not acted on: the caller keeps the established check precedence
+        // (projection inclusion first, then edge matching).
+        if let Some(coarse) = self.simulate_against {
+            if self.quotient.unmatched_edge.is_none() {
                 new_edges.sort_unstable();
                 for (from, to) in new_edges {
-                    summary.edges_checked += 1;
-                    let reach = reach_memo
+                    self.quotient.edges_checked += 1;
+                    let reach = self
+                        .reach_memo
                         .entry(from)
                         .or_insert_with(|| coarse.reachable_from(from));
                     if !reach.contains(&to) && coarse.complete {
                         // Absence from an *incomplete* coarse quotient proves
                         // nothing (the matching path may lie past the coarse
                         // budget); only a complete quotient condemns an edge.
-                        summary.unmatched_edge = Some((from, to));
+                        self.quotient.unmatched_edge = Some((from, to));
                         break;
                     }
                 }
             }
         }
-        if let Some(known) = stop_when_missing_from {
-            if summary.projs.keys().any(|k| !known.contains_key(k)) {
-                // A divergence exists at (or above) this level; deeper levels cannot
-                // beat its depth.  The side is intentionally left incomplete.
-                summary.complete = false;
-                break;
+        if missing {
+            // A divergence exists at (or above) this level; deeper levels cannot
+            // beat its depth.  The side is intentionally left incomplete.
+            return ControlFlow::Break(StopReason::FirstViolation);
+        }
+        if end.enqueued + requeue.len() == 0 {
+            return ControlFlow::Continue(());
+        }
+        // The budgets are evaluated here, between levels, never at the flush: the
+        // level about to be expanded holds the states of depth `end.depth`.
+        if self.draining.is_none() {
+            let depth_hit = self.options.max_depth.is_some_and(|max| end.depth >= max);
+            let states_hit = self
+                .options
+                .max_states
+                .is_some_and(|max| self.store.len() >= max);
+            if depth_hit || states_hit {
+                self.draining = Some(0);
             }
         }
-        frontier = next;
-        depth += 1;
+        if let Some(drained) = self.draining {
+            if drained >= self.options.stabilization_grace {
+                return ControlFlow::Break(StopReason::StateLimit);
+            }
+            self.draining = Some(drained + 1);
+        }
+        ControlFlow::Continue(())
     }
-    summary
 }
 
-/// Expands one slice of the frontier, computing successors, fingerprints and projections.
-fn expand_chunk<S: SpecState>(
+/// Successor batch size of a refinement side (`RefineOptions` has no such knob; this
+/// is `CheckOptions`' default).
+const BATCH_SIZE: usize = 128;
+
+/// Explores one side of the refinement pair on the level-synchronous kernel, recording
+/// stable projections and the stabilization edges of the projected quotient graph (see
+/// [`RefineVisitor`] for `stop_when_missing_from` and `simulate_against`).
+fn explore_side<S: SpecState>(
     spec: &Spec<S>,
     projection: &TraceProjection<S>,
-    summary: &SideSummary<S>,
-    slice: &[(StateIndex, S, Arc<BTreeSet<u64>>)],
-) -> Vec<SuccessorRecord<S>> {
-    let mut out = Vec::new();
-    for (parent_index, state, lset) in slice {
-        // The successor callback must stay lock-free (the concurrency lint enforces
-        // this workspace-wide): it only canonicalizes, fingerprints and projects.
-        // The store/lset scout that decides whether a record is worth carrying to
-        // the merge runs *after* the callback returns, over the buffered records.
-        let first = out.len();
-        spec.for_each_successor(state, &summary.labels, |label, next, _effect| {
-            // Under symmetry the successor is replaced by its orbit's canonical
-            // representative before fingerprinting and projecting.
-            let (next, perm) = match &summary.canon {
-                Some(canon) => {
-                    let (c, p) = canon(&next);
-                    (c, Some(p))
-                }
-                None => (next, None),
-            };
-            let fp = fingerprint(&next);
-            let stable_key = if projection.is_stable(&next) {
-                Some(projection_key(&projection.project_state(&next)))
-            } else {
-                None
-            };
-            out.push(SuccessorRecord {
-                fp,
-                parent: *parent_index,
-                label,
-                state: next,
-                perm,
-                stable_key,
-                parent_lset: Arc::clone(lset),
-            });
-        });
-        // Cheap scout: drop successors that are already known *and* whose lset
-        // already covers the parent context (the merge re-checks authoritatively).
-        // Stable (order-preserving) so merge order stays the enumeration order.
-        let tail = out.split_off(first);
-        out.extend(tail.into_iter().filter(|rec| {
-            !summary.seen.find(rec.fp).is_some_and(|index| {
-                summary
-                    .lsets
-                    .read()
-                    .get(&index)
-                    .is_some_and(|known| rec.parent_lset.iter().all(|l| known.contains(l)))
-            })
-        }));
+    options: &RefineOptions,
+    deadline: Option<Instant>,
+    stop_when_missing_from: Option<&HashMap<u64, Arrival>>,
+    simulate_against: Option<&Quotient>,
+) -> SideSummary<S> {
+    let seen = StateStore::with_spill(options.store_mode, options.shards, &options.spill);
+    let labels = LabelTable::new();
+    // Symmetry reduction in a refinement comparison additionally requires the
+    // projection to be equivariant (orbits of concrete states must project to one
+    // class), declared via `TraceProjection::assume_equivariant` — without it the two
+    // sides could pick different representatives of the same projected class and
+    // report a spurious divergence, so the knob is ignored rather than unsound.  When
+    // active, the frontier, the store, the stable-projection set and the quotient
+    // edges all live in canonical space.
+    let symmetry = options.symmetry == SymmetryMode::Canonicalize && projection.is_equivariant();
+    let pipeline = Pipeline::new(spec, &labels, symmetry, false);
+    let explored = kernel::explore(
+        Run {
+            pipeline: &pipeline,
+            store: &seen,
+            stop: &StopCell::new(),
+            workers: options.workers,
+            batch_size: BATCH_SIZE,
+            route_by_owner: false,
+            // The depth bound starts the stabilization drain instead of stopping the
+            // run, so it is the visitor's to evaluate.
+            max_depth: None,
+            deadline,
+            frontier_budget: None,
+        },
+        RefineVisitor {
+            projection,
+            options,
+            store: &seen,
+            stop_when_missing_from,
+            simulate_against,
+            reach_memo: HashMap::new(),
+            quotient: Quotient::default(),
+            lsets: HashMap::new(),
+            draining: None,
+        },
+    );
+    let canon = pipeline.canon.cloned();
+    let capped = explored.visitor.draining.is_some();
+    let mut quotient = explored.visitor.quotient;
+    quotient.complete = explored.stop_reason == StopReason::Exhausted && !capped;
+    SideSummary {
+        quotient,
+        seen,
+        labels,
+        canon,
     }
-    out
 }
 
 /// Checks that `coarse` simulates `fine` under `projection`.
@@ -873,9 +838,11 @@ pub fn check_refinement<S: SpecState>(
     options: &RefineOptions,
 ) -> RefineOutcome<S> {
     let start = Instant::now();
+    // One deadline spans both sides.
     let deadline = options.time_budget.map(|b| start + b);
 
     let coarse_side = explore_side(coarse, projection, options, deadline, None, None);
+    let coarse_q = &coarse_side.quotient;
     let fine_side = explore_side(
         fine,
         projection,
@@ -883,77 +850,65 @@ pub fn check_refinement<S: SpecState>(
         deadline,
         // With the coarse set fully known, the fine exploration may stop at the first
         // level exhibiting a missing projection instead of exhausting its state space.
-        if coarse_side.complete {
-            Some(&coarse_side.projs)
-        } else {
-            None
-        },
+        coarse_q.complete.then_some(&coarse_q.projs),
         // ... and stabilization edges are checked level by level, so even a truncated
         // fine exploration reports the simulation coverage it achieved.  The coarse
         // side may itself be truncated: matches against its partial quotient still
         // count as coverage, but only a *complete* quotient can condemn an edge.
-        if options.mode == RefineMode::Simulation {
-            Some(&coarse_side)
-        } else {
-            None
-        },
+        (options.mode == RefineMode::Simulation).then_some(coarse_q),
     );
+    let fine_q = &fine_side.quotient;
 
     let mut stats = RefineStats {
         fine_states: fine_side.seen.len(),
         coarse_states: coarse_side.seen.len(),
-        fine_projections: fine_side.projs.len(),
-        coarse_projections: coarse_side.projs.len(),
-        edges_checked: fine_side.edges_checked,
-        fine_complete: fine_side.complete,
-        coarse_complete: coarse_side.complete,
+        fine_projections: fine_q.projs.len(),
+        coarse_projections: coarse_q.projs.len(),
+        edges_checked: fine_q.edges_checked,
+        fine_complete: fine_q.complete,
+        coarse_complete: coarse_q.complete,
         fine_spill: fine_side.seen.spill_stats(),
         coarse_spill: coarse_side.seen.spill_stats(),
         elapsed: Duration::default(),
     };
 
+    // The shallowest projection of `of` that `other` (explored to exhaustion) lacks.
+    let first_absent = |of: &Quotient, other: &Quotient| -> Option<(u64, StateIndex)> {
+        of.projs
+            .iter()
+            .filter(|(key, _)| !other.projs.contains_key(key))
+            .map(|(key, rep)| (rep.depth, *key, rep.index))
+            .min()
+            .map(|(_, key, index)| (key, index))
+    };
     let mut divergence: Option<RefineDivergence<S>> = None;
 
     // 1. Every stable fine projection must be coarse-reachable (no lost behaviour).
-    if coarse_side.complete {
-        let mut missing: Vec<(u32, u64, StateIndex)> = fine_side
-            .projs
-            .iter()
-            .filter(|(key, _)| !coarse_side.projs.contains_key(key))
-            .map(|(key, (index, depth))| (*depth, *key, *index))
-            .collect();
-        missing.sort();
-        if let Some((_, key, index)) = missing.first() {
+    if coarse_q.complete {
+        if let Some((key, index)) = first_absent(fine_q, coarse_q) {
             divergence = Some(build_divergence(
                 DivergenceKind::MissingInCoarse,
                 fine,
                 &fine_side,
-                *index,
+                index,
                 projection,
                 options,
-                |candidate| trace_reaches_projection(candidate, projection, &fine_side, *key),
+                |candidate| trace_reaches_projection(candidate, projection, key),
             ));
         }
     }
 
     // 2. Every stable coarse projection must be fine-reachable (no invented behaviour).
-    if divergence.is_none() && fine_side.complete {
-        let mut extra: Vec<(u32, u64, StateIndex)> = coarse_side
-            .projs
-            .iter()
-            .filter(|(key, _)| !fine_side.projs.contains_key(key))
-            .map(|(key, (index, depth))| (*depth, *key, *index))
-            .collect();
-        extra.sort();
-        if let Some((_, key, index)) = extra.first() {
+    if divergence.is_none() && fine_q.complete {
+        if let Some((key, index)) = first_absent(coarse_q, fine_q) {
             divergence = Some(build_divergence(
                 DivergenceKind::ExtraInCoarse,
                 coarse,
                 &coarse_side,
-                *index,
+                index,
                 projection,
                 options,
-                |candidate| trace_reaches_projection(candidate, projection, &coarse_side, *key),
+                |candidate| trace_reaches_projection(candidate, projection, key),
             ));
         }
     }
@@ -964,15 +919,14 @@ pub fn check_refinement<S: SpecState>(
     //    explored prefix even under a budget); here the first recorded unmatched edge
     //    is turned into a witness, after the cheaper inclusion checks came up clean.
     if divergence.is_none() {
-        if let Some((from, to)) = fine_side.unmatched_edge {
+        if let Some((from, to)) = fine_q.unmatched_edge {
             // Prefer the concrete state that completed this edge over the class
             // representative: its trace ends in the offending stabilization.
-            let index = fine_side
+            let index = fine_q
                 .edge_reps
                 .get(&(from, to))
-                .copied()
-                .unwrap_or_else(|| fine_side.projs[&to].0);
-            let (fine_ref, coarse_ref) = (&fine_side, &coarse_side);
+                .unwrap_or_else(|| &fine_q.projs[&to])
+                .index;
             let mut d = build_divergence(
                 DivergenceKind::UnmatchedStep,
                 fine,
@@ -980,13 +934,13 @@ pub fn check_refinement<S: SpecState>(
                 index,
                 projection,
                 options,
-                |candidate| trace_has_unmatched_edge(candidate, projection, fine_ref, coarse_ref),
+                |candidate| trace_has_unmatched_edge(candidate, projection, coarse_q),
             );
             // Render both endpoints of the unmatched step: the target is already in
             // `d.projection`; prepend the source class the coarse side cannot leave.
-            if let Some((from_index, _)) = fine_side.projs.get(&from) {
+            if let Some(from_rep) = fine_q.projs.get(&from) {
                 let rendered = render_projection(
-                    &projection.project_state(&fine_side.state_of(fine, *from_index)),
+                    &projection.project_state(&fine_side.state_of(fine, from_rep.index)),
                 );
                 d.projection = format!("{rendered} ⟶ {}", d.projection);
             }
@@ -1036,33 +990,28 @@ fn build_divergence<S: SpecState>(
     }
 }
 
-/// Oracle: the candidate trace visits a stable state with projection key `key` (keys
-/// are compared in `side`'s canonical frame under symmetry reduction).
+/// Oracle: the candidate trace visits a stable state with projection key `key`.
 fn trace_reaches_projection<S: SpecState>(
     candidate: &Trace<S>,
     projection: &TraceProjection<S>,
-    side: &SideSummary<S>,
     key: u64,
 ) -> bool {
     candidate
         .steps
         .iter()
-        .any(|step| side.project_key_of(projection, &step.state) == Some(key))
+        .any(|step| stable_key(projection, &step.state) == Some(key))
 }
 
 /// Oracle: the candidate trace still contains a stabilization edge with no matching
-/// coarse path (used to shrink [`DivergenceKind::UnmatchedStep`] witnesses).  The
-/// candidate is a fine-side execution, so its states are keyed in the fine side's
-/// canonical frame before the coarse quotient is consulted.
+/// coarse path (used to shrink [`DivergenceKind::UnmatchedStep`] witnesses).
 fn trace_has_unmatched_edge<S: SpecState>(
     candidate: &Trace<S>,
     projection: &TraceProjection<S>,
-    fine: &SideSummary<S>,
-    coarse: &SideSummary<S>,
+    coarse: &Quotient,
 ) -> bool {
     let mut last_stable: Option<u64> = None;
     for step in &candidate.steps {
-        let Some(key) = fine.project_key_of(projection, &step.state) else {
+        let Some(key) = stable_key(projection, &step.state) else {
             continue;
         };
         if let Some(from) = last_stable {
@@ -1412,22 +1361,89 @@ mod tests {
 
     #[test]
     fn parallel_workers_agree_with_sequential() {
-        let seq = check_refinement(
-            &fine_spec(40),
-            &coarse_spec(40, false),
-            &projection(),
-            &RefineOptions::default(),
-        );
-        let par = check_refinement(
-            &fine_spec(40),
-            &coarse_spec(40, false),
-            &projection(),
-            &RefineOptions::default().with_workers(4),
-        );
-        assert_eq!(seq.refines(), par.refines());
-        assert_eq!(seq.stats.fine_states, par.stats.fine_states);
-        assert_eq!(seq.stats.fine_projections, par.stats.fine_projections);
-        assert_eq!(seq.stats.coarse_projections, par.stats.coarse_projections);
+        // Everything the checker reports — not just the verdict — must be independent
+        // of the worker count, on the refining pair and on the diverging one.
+        for broken in [false, true] {
+            let run = |workers: usize| {
+                let mut outcome = check_refinement(
+                    &fine_spec(40),
+                    &coarse_spec(40, broken),
+                    &projection(),
+                    &RefineOptions::default().with_workers(workers),
+                );
+                outcome.stats.elapsed = Duration::default();
+                outcome
+            };
+            let (seq, par) = (run(1), run(4));
+            assert_eq!(seq.stats, par.stats, "broken coarse side: {broken}");
+            assert_eq!(seq.refines(), Some(!broken));
+            assert_eq!(seq.refines(), par.refines());
+            let witness = |o: &RefineOutcome<TState>| {
+                o.divergence.as_ref().map(|d| {
+                    let labels: Vec<String> = d
+                        .witness
+                        .action_labels()
+                        .iter()
+                        .map(|l| l.to_string())
+                        .collect();
+                    (d.kind, labels)
+                })
+            };
+            assert_eq!(witness(&seq), witness(&par), "broken coarse side: {broken}");
+            assert_eq!(witness(&seq).is_some(), broken);
+        }
+    }
+
+    #[test]
+    fn panicking_action_closures_resurface_with_their_payload() {
+        // The refinement twin of bfs's `pool_worker_panics_propagate_instead_of_hanging`:
+        // a 100-wide level runs on the kernel's pool for workers = 4 (inline for 1),
+        // the poisoned state's closure panics there, and check_refinement must re-raise
+        // that very payload — not hang, and not a generic "worker panicked".  Poisoning
+        // the successors of state 1 instead panics in a one-state level, which the
+        // coordinator expands inline while the pool is parked.
+        let wide = |poisoned: u32| {
+            let spawn = ActionDef::new(
+                "Spawn",
+                M,
+                Granularity::Baseline,
+                vec!["n"],
+                vec!["n"],
+                move |s: &TState| match s.n {
+                    n if n == poisoned => panic!("boom in refinement closure"),
+                    0 => vec![ActionInstance::new("Seed", TState { n: 1, mid: false })],
+                    1 => (2..=101)
+                        .map(|n| {
+                            ActionInstance::new(format!("Spawn({n})"), TState { n, mid: false })
+                        })
+                        .collect(),
+                    _ => vec![],
+                },
+            );
+            Spec::new(
+                "wide",
+                vec![TState { n: 0, mid: false }],
+                vec![ModuleSpec::new(M, Granularity::Baseline, vec![spawn])],
+                vec![],
+            )
+        };
+        for (workers, poisoned) in [(1, 42), (4, 42), (4, 1)] {
+            let spec = wide(poisoned);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                check_refinement(
+                    &spec,
+                    &spec,
+                    &projection(),
+                    &RefineOptions::default().with_workers(workers),
+                )
+            }))
+            .expect_err("the closure's panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"boom in refinement closure"),
+                "workers {workers}, poisoned state {poisoned}"
+            );
+        }
     }
 
     /// Satellite of the out-of-core PR: a refinement check whose fingerprint sets

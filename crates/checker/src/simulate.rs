@@ -9,11 +9,12 @@ use std::time::Instant;
 
 use remix_spec::{Spec, SpecState, Trace};
 
+use crate::explore::{striped, walk};
 use crate::options::SimulationOptions;
 use crate::rng::CheckerRng;
 
 /// Generates one random trace of at most `max_depth` transitions starting from a random
-/// initial state.
+/// initial state: the explorer's walk with uniform choices and no coverage recording.
 ///
 /// Degenerate inputs are handled without panicking: a specification with no initial
 /// states yields an empty trace, and `max_depth == 0` yields a trace holding the chosen
@@ -23,25 +24,7 @@ pub fn simulate_one<S: SpecState>(
     max_depth: u32,
     rng: &mut CheckerRng,
 ) -> Trace<S> {
-    if spec.init.is_empty() {
-        return Trace::default();
-    }
-    let init = spec.init[rng.index(spec.init.len())].clone();
-    let mut trace = Trace::from_init(init.clone());
-    let mut current = init;
-    for _ in 0..max_depth {
-        let successors = spec.successors(&current);
-        if successors.is_empty() {
-            break;
-        }
-        let (label, next) = rng
-            .choose(&successors)
-            .expect("non-empty successors")
-            .clone();
-        trace.push(label, next.clone());
-        current = next;
-    }
-    trace
+    walk(spec, max_depth, rng, None, None)
 }
 
 /// Generates a batch of random traces under the given options.
@@ -55,42 +38,15 @@ pub fn simulate_one<S: SpecState>(
 /// trace (index 0) is always produced.
 pub fn simulate<S: SpecState>(spec: &Spec<S>, options: &SimulationOptions) -> Vec<Trace<S>> {
     let start = Instant::now();
-    let total = options.traces.max(1);
-    let workers = options.workers.max(1).min(total);
-
-    let run_stripe = |worker: usize| -> Vec<(usize, Trace<S>)> {
-        let mut out = Vec::new();
-        let mut index = worker;
-        while index < total {
-            if index > 0 {
-                if let Some(budget) = options.time_budget {
-                    if start.elapsed() >= budget {
-                        break;
-                    }
-                }
-            }
+    striped(
+        options.traces,
+        options.workers,
+        || options.time_budget.is_some_and(|b| start.elapsed() >= b),
+        |index| {
             let mut rng = CheckerRng::for_trace(options.seed, index as u64);
-            out.push((index, simulate_one(spec, options.max_depth, &mut rng)));
-            index += workers;
-        }
-        out
-    };
-
-    let mut indexed: Vec<(usize, Trace<S>)> = if workers == 1 {
-        run_stripe(0)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| scope.spawn(move || run_stripe(w)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("simulation worker panicked"))
-                .collect()
-        })
-    };
-    indexed.sort_by_key(|(index, _)| *index);
-    indexed.into_iter().map(|(_, trace)| trace).collect()
+            simulate_one(spec, options.max_depth, &mut rng)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -63,13 +63,12 @@ pub struct SpillConfig {
 
 impl SpillConfig {
     /// The configuration selected by `REMIX_MEM_BUDGET` / `REMIX_SPILL_DIR`;
-    /// spilling stays off when `REMIX_MEM_BUDGET` is unset or unparseable.
+    /// spilling stays off when `REMIX_MEM_BUDGET` is unset, and an unparseable budget
+    /// aborts rather than silently running in RAM.
     pub fn from_env() -> SpillConfig {
         SpillConfig {
-            budget_bytes: std::env::var("REMIX_MEM_BUDGET")
-                .ok()
-                .and_then(|s| parse_mem_budget(&s)),
-            dir: std::env::var_os("REMIX_SPILL_DIR").map(PathBuf::from),
+            budget_bytes: crate::env::mem_budget(),
+            dir: crate::env::spill_dir(),
         }
     }
 

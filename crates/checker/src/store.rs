@@ -70,17 +70,15 @@ impl fmt::Display for StoreMode {
 impl StoreMode {
     /// The backend selected by the `REMIX_STORE_MODE` environment variable
     /// (`"fingerprint-only"` / `"fingerprint_only"` / `"full"`), defaulting to
-    /// [`StoreMode::Full`] when unset or unrecognised.
+    /// [`StoreMode::Full`] when unset.  Any other value aborts with the accepted
+    /// spellings: a mistyped mode must not be a silently different run.
     ///
     /// `CheckOptions::default()` and `RefineOptions::default()` start from this value,
     /// which is how CI runs the release-gated refinement and exploration suites once
     /// per backend without a per-test parameter.  Explicit `with_store_mode(..)` calls
     /// always win.
     pub fn from_env() -> StoreMode {
-        match std::env::var("REMIX_STORE_MODE").as_deref() {
-            Ok("fingerprint-only") | Ok("fingerprint_only") => StoreMode::FingerprintOnly,
-            _ => StoreMode::Full,
-        }
+        crate::env::STORE_MODE.read().unwrap_or(StoreMode::Full)
     }
 }
 
@@ -201,7 +199,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
         label: LabelId,
         state: S,
     ) -> Insert<S> {
-        self.insert_impl(fp, parent, label, state, None)
+        self.insert_edge(fp, parent, label, state, None)
     }
 
     /// Like [`ShardHandle::insert`], but for symmetry-reduced runs: `state` must be
@@ -221,10 +219,12 @@ impl<S: SpecState> ShardHandle<'_, S> {
         state: S,
         perm: Perm,
     ) -> Insert<S> {
-        self.insert_impl(fp, parent, label, state, Some(perm))
+        self.insert_edge(fp, parent, label, state, Some(perm))
     }
 
-    fn insert_impl(
+    /// [`ShardHandle::insert_canonical`] when `perm` is set, [`ShardHandle::insert`]
+    /// otherwise — the form the engines use, which carry the permutation as an option.
+    pub(crate) fn insert_edge(
         &mut self,
         fp: Fingerprint,
         parent: Option<StateIndex>,
@@ -442,7 +442,7 @@ impl<S: SpecState> StateStore<S> {
 
     /// Total number of entries across all stripes.
     pub fn len(&self) -> usize {
-        // ordering: Acquire — pairs with the AcqRel fetch_add in insert_impl; the
+        // ordering: Acquire — pairs with the AcqRel fetch_add in insert_edge; the
         // reader uses this total for the max_states stop decision.
         self.len.load(Ordering::Acquire)
     }
@@ -616,6 +616,22 @@ impl<S: SpecState> StateStore<S> {
             current = next;
         }
         trace
+    }
+
+    /// The witness ending at `index`, in the original id frame: a de-canonicalizing
+    /// replay when the run explored canonical representatives (`canon` set), the
+    /// recorded chain otherwise.
+    pub(crate) fn trace_to(
+        &self,
+        spec: &Spec<S>,
+        labels: &LabelTable,
+        index: StateIndex,
+        canon: Option<&CanonFn<S>>,
+    ) -> Trace<S> {
+        match canon {
+            Some(canon) => self.reconstruct_trace_decanonicalized(spec, labels, index, canon),
+            None => self.reconstruct_trace(spec, labels, index),
+        }
     }
 
     /// Reconstructs a trace to `index` in the **original** (un-canonicalized) id frame

@@ -11,8 +11,8 @@
 //!    *outermost-first*: a thread may acquire a lock of rank `r` only while every
 //!    lock it already holds has rank strictly **greater** than `r`.  Written in the
 //!    inner-to-outer direction the engine's hierarchy reads
-//!    `shard < coverage < por < mailbox < refine-lsets < results < frontier-sleeps
-//!    < frontier < spill < panic-slot < gate` — the store shard is the innermost
+//!    `shard < coverage < por < mailbox < results < frontier < spill < panic-slot
+//!    < gate` — the store shard is the innermost
 //!    lock (acquired last, with everything else already held), the pool gate the
 //!    outermost (always acquired with nothing held).
 //! 2. **A lock-order audit.**  Under `REMIX_SYNC_AUDIT=1` (or a programmatic
@@ -36,7 +36,7 @@
 //! its RwLock siblings) treat a poisoned lock as recoverable, because every
 //! engine-side critical section leaves shared state consistent at every await-free
 //! point and worker panics are separately caught and re-raised by the pool (see
-//! `bfs::pool_worker`).  All `Ordered*` acquisition methods route through it.
+//! `kernel::pool_worker`).  All `Ordered*` acquisition methods route through it.
 
 // The one sanctioned raw-sync import site (see the module docs above).
 use std::cell::RefCell;
@@ -100,23 +100,14 @@ declare_rank!(
     MailboxRank, 30, "bfs.mailbox"
 );
 declare_rank!(
-    /// The refinement checker's per-state label-set map; read by expansion
-    /// post-processing, written by the sequential level merge.
-    RefineLsetsRank, 40, "refine.lsets"
-);
-declare_rank!(
     /// One worker's per-level result slot; written by the worker after its frontier
     /// guards drop, read by the coordinator between cycles.
     ResultsRank, 50, "bfs.results"
 );
 declare_rank!(
-    /// The published frontier's index-aligned sleep sets; read-held by workers for a
-    /// whole expansion cycle, written by the coordinator while workers are parked.
-    FrontierSleepsRank, 60, "bfs.frontier_sleeps"
-);
-declare_rank!(
-    /// The published frontier itself; same holding pattern as the sleep sets but
-    /// acquired first (it is the outer of the two).
+    /// The published level (frontier, its index-aligned sleep sets, the visitor);
+    /// read-held by workers for a whole cycle, written by the coordinator while
+    /// workers are parked.
     FrontierRank, 70, "bfs.frontier"
 );
 declare_rank!(
@@ -184,10 +175,7 @@ fn audit_on() -> bool {
 
 #[cold]
 fn init_gate() -> bool {
-    let env = matches!(
-        std::env::var("REMIX_SYNC_AUDIT").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    );
+    let env = crate::env::SYNC_AUDIT.read().unwrap_or(false);
     // ordering: Relaxed — see audit_on; recompute_gate below re-derives the value
     // whenever sessions begin or end, so a racy double-init is idempotent.
     let on = env || AUDIT_SESSIONS.load(Ordering::Relaxed) > 0;
@@ -814,6 +802,14 @@ impl<R: LockRank, T> OrderedRwLock<R, T> {
             audited,
             _rank: PhantomData,
         }
+    }
+
+    /// Consumes the lock and returns the protected value (poison-recovering; ownership
+    /// proves exclusivity, so nothing is acquired or audited).
+    pub fn into_inner(self) -> T {
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquires the exclusive write guard (poison-recovering, audited).

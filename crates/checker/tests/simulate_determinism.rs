@@ -82,4 +82,12 @@ fn uniform_exploration_matches_across_worker_counts() {
         one.stats.coverage.distinct_prefixes,
         four.stats.coverage.distinct_prefixes
     );
+    // `simulate` is the same walk without the coverage map: for one seed, trace budget
+    // and depth, uniform exploration takes exactly the steps of simulate's batch.
+    let batch = simulate(&spec, &options());
+    assert_eq!(
+        one.stats.steps,
+        batch.iter().map(|t| t.depth() as u64).sum::<u64>(),
+        "explore(Uniform) and simulate draw the same choices from the same sub-streams"
+    );
 }

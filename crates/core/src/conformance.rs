@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use remix_checker::explore::striped;
 use remix_checker::{
     explore_one, shrink_trace, simulate_one, CheckerRng, CoverageMap, Guidance, ShrinkOutcome,
 };
@@ -206,8 +207,6 @@ impl ConformanceChecker {
     /// at a scheduling-dependent index, so budget-limited reports may differ.
     pub fn check(&self, spec: &Spec<ZabState>, options: &ConformanceOptions) -> ConformanceReport {
         let start = Instant::now();
-        let total = options.traces.max(1);
-        let workers = options.workers.max(1).min(total);
         // One coverage map shared by every sampling worker (only consulted when the
         // guidance is coverage-guided; recording for uniform runs would change nothing),
         // at the explorer's default striping/granularity so guided conformance sampling
@@ -217,76 +216,57 @@ impl ConformanceChecker {
             remix_checker::explore::DEFAULT_PREFIX_BITS,
         );
 
-        let run_stripe = |worker: usize| -> Vec<(usize, ConformanceReport)> {
-            let mut out = Vec::new();
-            let mut index = worker;
-            while index < total {
-                // At least one trace (index 0) is always produced, budget or not.
-                if index > 0 {
-                    if let Some(budget) = options.time_budget {
-                        if start.elapsed() >= budget {
-                            break;
-                        }
-                    }
-                }
-                let schedule_seed = trace_seed(options.seed, index);
-                let mut rng = CheckerRng::for_trace(options.seed, index as u64);
-                let trace = match options.guidance {
-                    Guidance::Uniform => simulate_one(spec, options.max_depth, &mut rng),
-                    Guidance::CoverageGuided { .. } => explore_one(
-                        spec,
-                        options.max_depth,
-                        &mut rng,
-                        &coverage,
-                        options.guidance,
-                        None,
-                        None,
-                    ),
-                };
-                let mut partial = ConformanceReport {
-                    traces_checked: 1,
-                    ..Default::default()
-                };
-                self.replay_trace_seeded(index, &trace, &mut partial, schedule_seed);
-                if options.shrink_divergences && !partial.discrepancies.is_empty() {
-                    let outcome = self.shrink_divergence(spec, &trace, schedule_seed);
-                    partial.shrunk_divergences.push(ShrunkDivergence {
-                        trace: index,
-                        original_depth: outcome.original_depth,
-                        shrunk_depth: outcome.shrunk_depth(),
-                        actions: outcome
-                            .trace
-                            .action_labels()
-                            .iter()
-                            .map(|l| (*l).to_owned())
-                            .collect(),
-                        schedule_seed,
-                    });
-                }
-                out.push((index, partial));
-                index += workers;
+        let check_one = |index: usize| -> ConformanceReport {
+            // The value `CheckerRng::for_trace` seeds this trace's sampling sub-stream
+            // with, reused as the replay cluster's schedule identity (one shared
+            // derivation, so the recorded identity cannot drift from the stream).
+            let schedule_seed = CheckerRng::trace_seed(options.seed, index as u64);
+            let mut rng = CheckerRng::for_trace(options.seed, index as u64);
+            let trace = match options.guidance {
+                Guidance::Uniform => simulate_one(spec, options.max_depth, &mut rng),
+                Guidance::CoverageGuided { .. } => explore_one(
+                    spec,
+                    options.max_depth,
+                    &mut rng,
+                    &coverage,
+                    options.guidance,
+                    None,
+                    None,
+                ),
+            };
+            let mut partial = ConformanceReport {
+                traces_checked: 1,
+                ..Default::default()
+            };
+            self.replay_trace_seeded(index, &trace, &mut partial, schedule_seed);
+            if options.shrink_divergences && !partial.discrepancies.is_empty() {
+                let outcome = self.shrink_divergence(spec, &trace, schedule_seed);
+                partial.shrunk_divergences.push(ShrunkDivergence {
+                    trace: index,
+                    original_depth: outcome.original_depth,
+                    shrunk_depth: outcome.shrunk_depth(),
+                    actions: outcome
+                        .trace
+                        .action_labels()
+                        .iter()
+                        .map(|l| (*l).to_owned())
+                        .collect(),
+                    schedule_seed,
+                });
             }
-            out
+            partial
         };
+        // At least one trace (index 0) is always produced, budget or not; partial
+        // reports come back in trace-index order, so the merge is deterministic.
+        let partials = striped(
+            options.traces,
+            options.workers,
+            || options.time_budget.is_some_and(|b| start.elapsed() >= b),
+            check_one,
+        );
 
-        let mut partials: Vec<(usize, ConformanceReport)> = if workers == 1 {
-            run_stripe(0)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| scope.spawn(move || run_stripe(w)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("replay worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Merge in trace-index order so the report is deterministic.
-        partials.sort_by_key(|(index, _)| *index);
         let mut report = ConformanceReport::default();
-        for (_, partial) in partials {
+        for partial in partials {
             report.traces_checked += partial.traces_checked;
             report.steps_replayed += partial.steps_replayed;
             report.discrepancies.extend(partial.discrepancies);
@@ -406,14 +386,6 @@ impl ConformanceChecker {
         self.replay_trace(0, trace, &mut report);
         report
     }
-}
-
-/// The deterministic per-trace seed: the value `CheckerRng::for_trace` seeds the
-/// sampling sub-stream of trace `index` with (shared derivation, so the recorded
-/// schedule identity can never drift from the sampling stream), reused as the replay
-/// cluster's schedule identity.
-fn trace_seed(seed: u64, index: usize) -> u64 {
-    CheckerRng::trace_seed(seed, index as u64)
 }
 
 /// Compares two projected variable views, returning the differing variables.
