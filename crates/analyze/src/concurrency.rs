@@ -4,8 +4,8 @@
 //! every blocking primitive goes through the instrumented `checker::sync` layer,
 //! every memory-ordering choice is justified in place, successor callbacks stay
 //! lock-free, and poisoning is handled by exactly one policy helper.  This module
-//! turns each convention into a scannable rule over `crates/*/src` (same
-//! no-parser, needle-based scanner style as [`crate::lint`]) and converts the sync
+//! turns each convention into a scannable rule over `crates/*/src` (the
+//! no-parser, needle-based scanner [`crate::lint`] runs on) and converts the sync
 //! layer's [`AuditReport`] into findings:
 //!
 //! * **`raw-sync-import`** — no `use std::sync::…` importing `Mutex`, `RwLock`,
@@ -40,12 +40,12 @@
 //! deadlock" exactly like "the engine drops states".
 
 use std::collections::BTreeSet;
-use std::fs;
 use std::path::Path;
 
 use remix_checker::AuditReport;
 
 use crate::finding::{AnalysisReport, Finding, FindingClass, Tier};
+use crate::source::{balanced_span_end, flag, line_of, occurrences, workspace_sources};
 
 // Needles are assembled at compile time so this file does not trip its own rules
 // (the scanner lints every crate, including this one).
@@ -85,25 +85,10 @@ const MEMORY_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "
 /// Lints every `crates/*/src` tree under `root` for the concurrency conventions.
 pub fn lint_concurrency(root: &Path) -> AnalysisReport {
     let mut report = AnalysisReport::default();
-    let crates_dir = root.join("crates");
-    let mut files = Vec::new();
-    if let Ok(rd) = fs::read_dir(&crates_dir) {
-        for crate_dir in rd.filter_map(Result::ok).map(|e| e.path()) {
-            collect_rs_files(&crate_dir.join("src"), &mut files);
-        }
-    }
-    files.sort();
     let mut enumerators = Vec::new();
-    for path in &files {
-        let Ok(source) = fs::read_to_string(path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .display()
-            .to_string()
-            .replace('\\', "/");
+    // An unreadable workspace is `lint_workspace`'s finding.
+    let crates = workspace_sources(root).unwrap_or_default();
+    for (rel, source) in crates.into_iter().flatten() {
         lint_concurrency_file(&rel, &source, &mut report);
         enumerators.extend(successor_call_line(&rel, &source).map(|line| (rel, line)));
         // The lint's "corpus" is the set of scanned source files.
@@ -111,18 +96,6 @@ pub fn lint_concurrency(root: &Path) -> AnalysisReport {
     }
     rule_single_successor_pipeline(&enumerators, &mut report);
     report
-}
-
-fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-    let Ok(rd) = fs::read_dir(dir) else { return };
-    for entry in rd.filter_map(Result::ok) {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
 }
 
 /// Runs the concurrency rules on one source file (`rel` is the workspace-relative
@@ -140,16 +113,7 @@ pub fn lint_concurrency_file(rel: &str, source: &str, report: &mut AnalysisRepor
 }
 
 fn push(report: &mut AnalysisReport, rule: &str, location: String, detail: String) {
-    report.findings.push(Finding {
-        tier: Tier::ConcurrencyLint,
-        class: FindingClass::Convention,
-        action: rule.to_owned(),
-        location,
-        field_path: String::new(),
-        effect_bits: String::new(),
-        detail,
-        estimated_lost_pruning: 0,
-    });
+    flag(report, Tier::ConcurrencyLint, rule, location, detail);
 }
 
 fn rule_raw_sync_import(rel: &str, source: &str, report: &mut AnalysisReport) {
@@ -303,52 +267,6 @@ fn rule_poison_centrally(rel: &str, source: &str, report: &mut AnalysisReport) {
                 .to_owned(),
         );
     }
-}
-
-/// 1-indexed line of a byte offset.
-fn line_of(source: &str, offset: usize) -> usize {
-    source.as_bytes()[..offset]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1
-}
-
-fn occurrences<'a>(source: &'a str, needle: &'a str) -> impl Iterator<Item = usize> + 'a {
-    source.match_indices(needle).map(|(i, _)| i)
-}
-
-/// Byte offset just past the `(`-balanced span starting at `open`, skipping
-/// double-quoted string content (same scanner as [`crate::lint`]).
-fn balanced_span_end(source: &str, open: usize) -> Option<usize> {
-    let bytes = source.as_bytes();
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                i += 1;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'\\' => i += 1,
-                        b'"' => break,
-                        _ => {}
-                    }
-                    i += 1;
-                }
-            }
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i + 1);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
 }
 
 /// Converts a sync-audit [`AuditReport`] into analysis findings: one

@@ -41,6 +41,7 @@ pub mod concurrency;
 pub mod finding;
 pub mod lint;
 pub mod schedule;
+mod source;
 
 pub use audit::{effect_audit, effect_audit_corpus};
 pub use commute::{commute_oracle, commute_oracle_corpus};

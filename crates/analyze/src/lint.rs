@@ -26,10 +26,10 @@
 //! follow the convention, which is the point.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::finding::{AnalysisReport, Finding, FindingClass, Tier};
+use crate::finding::{AnalysisReport, Tier};
+use crate::source::{balanced_span_end, flag, line_of, occurrences, workspace_sources};
 
 // Needles are assembled at compile time so this file does not contain its own
 // patterns (the linter scans every crate, including this one).
@@ -44,84 +44,44 @@ const ENABLED_SUFFIX: &str = concat!("_enab", "led");
 /// Lints every `crates/*/src` tree under `root` (the workspace root).
 pub fn lint_workspace(root: &Path) -> AnalysisReport {
     let mut report = AnalysisReport::default();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = match fs::read_dir(&crates_dir) {
-        Ok(rd) => rd
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.join("src").is_dir())
-            .collect(),
-        Err(e) => {
-            report.findings.push(Finding {
-                tier: Tier::SpecLint,
-                class: FindingClass::Convention,
-                action: "workspace-layout".to_owned(),
-                location: crates_dir.display().to_string(),
-                field_path: String::new(),
-                effect_bits: String::new(),
-                detail: format!("cannot read crates directory: {e}"),
-                estimated_lost_pruning: 0,
-            });
-            return report;
-        }
-    };
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        lint_crate(root, &crate_dir, &mut report);
+    match workspace_sources(root) {
+        Ok(crates) => crates
+            .iter()
+            .for_each(|sources| lint_crate(sources, &mut report)),
+        Err(e) => flag(
+            &mut report,
+            Tier::SpecLint,
+            "workspace-layout",
+            root.join("crates").display().to_string(),
+            format!("cannot read crates directory: {e}"),
+        ),
     }
     report
 }
 
-fn lint_crate(root: &Path, crate_dir: &Path, report: &mut AnalysisReport) {
-    let mut files = Vec::new();
-    collect_rs_files(&crate_dir.join("src"), &mut files);
-    files.sort();
+/// Lints one crate's `(path, content)` sources.
+fn lint_crate(sources: &[(String, String)], report: &mut AnalysisReport) {
     // name -> (definition site, reference count across the crate's sources)
     let mut guards: BTreeMap<String, (String, usize)> = BTreeMap::new();
-    let mut sources = Vec::new();
-    for path in &files {
-        let Ok(source) = fs::read_to_string(path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .display()
-            .to_string();
-        lint_file(&rel, &source, report);
-        collect_guard_defs(&rel, &source, &mut guards);
-        sources.push(source);
+    for (rel, source) in sources {
+        lint_file(rel, source, report);
+        collect_guard_defs(rel, source, &mut guards);
     }
-    for source in &sources {
+    for (_, source) in sources {
         count_guard_refs(source, &mut guards);
     }
     for (name, (site, refs)) in guards {
         if refs < 2 {
-            report.findings.push(Finding {
-                tier: Tier::SpecLint,
-                class: FindingClass::Convention,
-                action: "guard-extracted".to_owned(),
-                location: site,
-                field_path: String::new(),
-                effect_bits: String::new(),
-                detail: format!(
+            flag(
+                report,
+                Tier::SpecLint,
+                "guard-extracted",
+                site,
+                format!(
                     "guard fn {name} is defined but never called in its crate; step \
                      functions must call the extracted guard, not re-inline it"
                 ),
-                estimated_lost_pruning: 0,
-            });
-        }
-    }
-}
-
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(rd) = fs::read_dir(dir) else { return };
-    for entry in rd.filter_map(Result::ok) {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
+            );
         }
     }
 }
@@ -137,53 +97,6 @@ pub fn lint_file(rel: &str, source: &str, report: &mut AnalysisReport) {
         }
     }
     rule_no_panic_in_action(rel, source, report);
-}
-
-/// 1-indexed line of a byte offset.
-fn line_of(source: &str, offset: usize) -> usize {
-    source.as_bytes()[..offset]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1
-}
-
-/// Byte offset just past the `(`-balanced span starting at `open` (the offset of the
-/// opening parenthesis), skipping double-quoted string content.  Returns `None` when
-/// the span never closes (malformed source).
-fn balanced_span_end(source: &str, open: usize) -> Option<usize> {
-    let bytes = source.as_bytes();
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                i += 1;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'\\' => i += 1,
-                        b'"' => break,
-                        _ => {}
-                    }
-                    i += 1;
-                }
-            }
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i + 1);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-fn occurrences<'a>(source: &'a str, needle: &'a str) -> impl Iterator<Item = usize> + 'a {
-    source.match_indices(needle).map(|(i, _)| i)
 }
 
 /// `rest` with leading whitespace and `//` line comments skipped: a comment between
@@ -210,19 +123,16 @@ fn rule_effect_annotation(rel: &str, source: &str, report: &mut AnalysisReport) 
         };
         let rest = skip_trivia(&source[end..]);
         if !rest.starts_with(WITH_EFFECT) {
-            report.findings.push(Finding {
-                tier: Tier::SpecLint,
-                class: FindingClass::Convention,
-                action: "effect-annotation".to_owned(),
-                location: format!("{rel}:{}", line_of(source, start)),
-                field_path: String::new(),
-                effect_bits: String::new(),
-                detail: "action instance constructed without a declared Effect \
+            flag(
+                report,
+                Tier::SpecLint,
+                "effect-annotation",
+                format!("{rel}:{}", line_of(source, start)),
+                "action instance constructed without a declared Effect \
                          footprint; unannotated instances opt out of POR and of the \
                          effect audit"
                     .to_owned(),
-                estimated_lost_pruning: 0,
-            });
+            );
         }
     }
 }
@@ -239,19 +149,16 @@ fn rule_fault_link_bits(rel: &str, source: &str, report: &mut AnalysisReport) {
     for w in fn_starts.windows(2) {
         let body = &source[w[0]..w[1]];
         if body.contains(INSTANCE_NEW) && !body.contains(WRITES_CHANNEL) {
-            report.findings.push(Finding {
-                tier: Tier::SpecLint,
-                class: FindingClass::Convention,
-                action: "fault-link-bits".to_owned(),
-                location: format!("{rel}:{}", line_of(source, w[0])),
-                field_path: String::new(),
-                effect_bits: String::new(),
-                detail: "fault action declares no channel-pair link bits; faults flip \
+            flag(
+                report,
+                Tier::SpecLint,
+                "fault-link-bits",
+                format!("{rel}:{}", line_of(source, w[0])),
+                "fault action declares no channel-pair link bits; faults flip \
                          reachability, so a footprint without channel writes is the \
                          NodeRestart-class under-declaration"
                     .to_owned(),
-                estimated_lost_pruning: 0,
-            });
+            );
         }
     }
 }
@@ -265,19 +172,16 @@ fn rule_no_panic_in_action(rel: &str, source: &str, report: &mut AnalysisReport)
         let span = &source[start..end];
         for needle in [UNWRAP, EXPECT] {
             for hit in occurrences(span, needle) {
-                report.findings.push(Finding {
-                    tier: Tier::SpecLint,
-                    class: FindingClass::Convention,
-                    action: "no-panic-in-action".to_owned(),
-                    location: format!("{rel}:{}", line_of(source, start + hit)),
-                    field_path: String::new(),
-                    effect_bits: String::new(),
-                    detail: "panicking call inside an action definition closure; \
+                flag(
+                    report,
+                    Tier::SpecLint,
+                    "no-panic-in-action",
+                    format!("{rel}:{}", line_of(source, start + hit)),
+                    "panicking call inside an action definition closure; \
                              action closures must degrade (skip the instance or record \
                              a violation), not abort the checker"
                         .to_owned(),
-                    estimated_lost_pruning: 0,
-                });
+                );
             }
         }
     }
@@ -333,6 +237,7 @@ fn count_guard_refs(source: &str, guards: &mut BTreeMap<String, (String, usize)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finding::Finding;
 
     fn run(rel: &str, source: &str) -> Vec<Finding> {
         let mut r = AnalysisReport::default();

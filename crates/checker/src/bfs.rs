@@ -68,8 +68,8 @@ struct PendingViolation {
     invariant_name: &'static str,
 }
 
-/// The kernel visitor that checks invariants: `()` notes, nothing to learn from
-/// re-arrivals, every fresh state is expanded.
+/// The kernel visitor that checks invariants: nothing to learn from re-arrivals, every
+/// fresh state is expanded.
 struct InvariantVisitor<'a, S> {
     pipeline: &'a Pipeline<'a, S>,
     store: &'a StateStore<S>,
@@ -83,12 +83,9 @@ struct InvariantVisitor<'a, S> {
 }
 
 impl<S: SpecState> Visitor<S> for InvariantVisitor<'_, S> {
-    type Note = ();
     type Local = Vec<PendingViolation>;
 
-    fn annotate(&self, _parent: Option<StateIndex>, _child: &S) {}
-
-    fn on_fresh(&self, local: &mut Self::Local, at: Arrival, state: &S, _note: ()) -> bool {
+    fn on_fresh(&self, local: &mut Self::Local, at: Arrival, state: &S) -> bool {
         // The limit is checked as successor batches merge; seeding alone never trips it.
         let limit = self.options.max_states.filter(|_| at.depth > 0);
         if limit.is_some_and(|max| self.store.len() >= max) {
@@ -224,7 +221,7 @@ mod tests {
     use remix_spec::{
         ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
     };
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashSet};
     use std::time::Duration;
 
     /// A pair of counters where `b` may only be incremented after `a`, bounded by `max`.
@@ -553,22 +550,38 @@ mod tests {
     #[derive(Default)]
     struct Counting {
         fresh: Vec<StateIndex>,
+        /// `fresh` as of the last barrier, for the parent check.
+        earlier: HashSet<StateIndex>,
         existing: u64,
         levels: u32,
     }
 
+    impl Counting {
+        /// Seeds have no parent; every other arrival names a state this visitor was
+        /// told about in an earlier level.
+        fn check_parent(&self, at: Arrival) {
+            match at.parent {
+                None => assert_eq!(at.depth, 0, "only seeds are parentless"),
+                Some(parent) => assert!(
+                    at.depth > 0 && self.earlier.contains(&parent),
+                    "parent {parent:?} of an arrival at depth {} was never announced",
+                    at.depth
+                ),
+            }
+        }
+    }
+
     impl Visitor<Pair> for Counting {
-        type Note = ();
         type Local = (Vec<StateIndex>, u64);
 
-        fn annotate(&self, _parent: Option<StateIndex>, _child: &Pair) {}
-
-        fn on_fresh(&self, local: &mut Self::Local, at: Arrival, _: &Pair, _: ()) -> bool {
+        fn on_fresh(&self, local: &mut Self::Local, at: Arrival, _: &Pair) -> bool {
+            self.check_parent(at);
             local.0.push(at.index);
             true
         }
 
-        fn on_existing(&self, local: &mut Self::Local, _: Arrival, _: Pair, _: ()) {
+        fn on_existing(&self, local: &mut Self::Local, at: Arrival, _: Pair) {
+            self.check_parent(at);
             local.1 += 1;
         }
 
@@ -579,6 +592,7 @@ mod tests {
             _requeue: &mut Vec<(StateIndex, Pair)>,
         ) -> ControlFlow<StopReason> {
             for (fresh, existing) in locals {
+                self.earlier.extend(&fresh);
                 self.fresh.extend(fresh);
                 self.existing += existing;
             }
@@ -618,6 +632,7 @@ mod tests {
                         mut fresh,
                         existing,
                         levels,
+                        ..
                     } = explored.visitor;
                     let announced = fresh.len();
                     fresh.sort();

@@ -13,9 +13,10 @@
 //! | `REMIX_STORE_MODE` | `fingerprint-only` / `fingerprint_only`, `full` |
 //! | `REMIX_POR`, `REMIX_SYNC_AUDIT` | `1` / `true` / `on`, `0` / `false` / `off` |
 //! | `REMIX_ROUTE_BY_OWNER` | `1` / `true` / `on` / `owner`, `0` / `false` / `off` |
-//! | `REMIX_MEM_BUDGET` | a byte count, optionally suffixed `k`/`m`/`g` (`kb`, `mib`, …) |
-//! | `REMIX_SPILL_DIR` | any path |
+//! | `REMIX_MEM_BUDGET` | a byte count below 2^64, optionally suffixed `k`/`m`/`g` (`kb`, `mib`, …) |
+//! | `REMIX_SPILL_DIR` | any non-empty path |
 
+use std::ffi::OsString;
 use std::path::PathBuf;
 
 use crate::options::SymmetryMode;
@@ -100,8 +101,8 @@ fn parse_budget(raw: Option<&str>) -> Result<Option<u64>, String> {
     let Some(raw) = raw else { return Ok(None) };
     parse_mem_budget(raw).map(Some).ok_or_else(|| {
         format!(
-            "REMIX_MEM_BUDGET={raw:?} is not an accepted value (accepted: a byte count, \
-             optionally suffixed k/kb/kib, m/mb/mib or g/gb/gib, or unset)"
+            "REMIX_MEM_BUDGET={raw:?} is not an accepted value (accepted: a byte count \
+             below 2^64, optionally suffixed k/kb/kib, m/mb/mib or g/gb/gib, or unset)"
         )
     })
 }
@@ -119,8 +120,18 @@ pub(crate) fn mem_budget() -> Option<u64> {
     or_abort(parse_budget(raw("REMIX_MEM_BUDGET").as_deref()))
 }
 
+/// An empty path would silently spill into the working directory.
+fn parse_dir(raw: Option<OsString>) -> Result<Option<PathBuf>, String> {
+    match raw {
+        Some(raw) if raw.is_empty() => Err("REMIX_SPILL_DIR=\"\" is not an accepted value \
+             (accepted: a non-empty path, or unset)"
+            .to_owned()),
+        raw => Ok(raw.map(PathBuf::from)),
+    }
+}
+
 pub(crate) fn spill_dir() -> Option<PathBuf> {
-    std::env::var_os("REMIX_SPILL_DIR").map(PathBuf::from)
+    or_abort(parse_dir(std::env::var_os("REMIX_SPILL_DIR")))
 }
 
 #[cfg(test)]
@@ -133,6 +144,7 @@ mod tests {
         assert_eq!(STORE_MODE.parse(None), Ok(None));
         assert_eq!(POR.parse(None), Ok(None));
         assert_eq!(parse_budget(None), Ok(None));
+        assert_eq!(parse_dir(None), Ok(None));
     }
 
     #[test]
@@ -161,6 +173,10 @@ mod tests {
         assert_eq!(parse_budget(Some("1m")), Ok(Some(1 << 20)));
         assert_eq!(parse_budget(Some("64 KiB")), Ok(Some(64 << 10)));
         assert_eq!(parse_budget(Some("4096")), Ok(Some(4096)));
+        assert_eq!(
+            parse_dir(Some("spill/here".into())),
+            Ok(Some(PathBuf::from("spill/here")))
+        );
     }
 
     #[test]
@@ -184,6 +200,17 @@ mod tests {
         let err = parse_budget(Some("1mib x")).unwrap_err();
         assert!(
             err.contains("REMIX_MEM_BUDGET") && err.contains("\"1mib x\""),
+            "{err}"
+        );
+        // 2^34 GiB is 2^64 bytes: it used to wrap to a zero-byte budget.
+        let err = parse_budget(Some("17179869184g")).unwrap_err();
+        assert!(
+            err.contains("REMIX_MEM_BUDGET") && err.contains("\"17179869184g\""),
+            "{err}"
+        );
+        let err = parse_dir(Some(OsString::new())).unwrap_err();
+        assert!(
+            err.contains("REMIX_SPILL_DIR") && err.contains("non-empty path"),
             "{err}"
         );
         let err = POR.parse(Some("yes")).unwrap_err();

@@ -26,9 +26,9 @@
 //! * **Panic containment** — a panicking spec closure on a pool worker is caught, the
 //!   level drains, and the coordinator re-raises the original payload.
 //! * **Arrival folding** — under POR every arrival edge carries the sleep set it hands
-//!   down; the coordinator intersects them per target at the level barrier.  Visitor
-//!   notes travel the same way (buffered with the successor, delivered at the flush,
-//!   folded by the visitor at the barrier); a `()` note costs nothing.
+//!   down; the coordinator intersects them per target at the level barrier.  Visitors
+//!   fold the same way: an [`Arrival`] names its parent, workers collect arrivals, and
+//!   the visitor reads whatever it knows about the parent at the barrier.
 //!
 //! With `workers = 1` the same code runs inline on the calling thread, with no thread
 //! spawns.  Parallel and sequential runs discover the same state space level by level.
@@ -37,13 +37,13 @@
 //!
 //! | hook | runs | invariant visitor | refinement visitor |
 //! |---|---|---|---|
-//! | `annotate` | worker, per explored edge, lock-free | `()` | stable-projection key of the child + the parent's lset |
-//! | `on_fresh` | worker, per new state, after the batch insert | state limit, invariants → pending violations; always enqueue | record the arrival; enqueue unless draining a capped run past a stable state |
-//! | `on_existing` | worker, per dedup hit | nothing | record the arrival unless the known lset already covers it |
-//! | `on_level_end` | coordinator, workers parked | resolve violations into traces | fold arrivals into lsets / projections / quotient edges, re-enqueue grown states, edge matching, state cap, early stops |
+//! | `on_fresh` | worker, per new state, after the batch insert | state limit, invariants → pending violations; always enqueue | key the state (its stable projection, once); enqueue unless draining a capped run past a stable state |
+//! | `on_existing` | worker, per dedup hit | nothing | record the arrival unless the target's known contexts already cover the parent's |
+//! | `on_level_end` | coordinator, workers parked | resolve violations into traces | fold keys into the per-state table, arrivals into projections / quotient edges / lsets, re-enqueue grown states, edge matching, state cap, early stops |
 //!
-//! Visitors are generic parameters, never `dyn`: each engine is its own
-//! monomorphisation of the loop.
+//! No hook runs inside the successor-enumeration callback: an edge reaches a visitor
+//! only as the [`Arrival`] of its flush.  Visitors are generic parameters, never `dyn`:
+//! each engine is its own monomorphisation of the loop.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -65,10 +65,13 @@ use crate::sync::{
     Ordering, PanicSlotRank, ResultsRank,
 };
 
-/// Which store entry an edge arrived at, and at which depth.
+/// Which store entry an edge arrived at, from where, and at which depth.
 #[derive(Clone, Copy)]
 pub(crate) struct Arrival {
     pub(crate) index: StateIndex,
+    /// The state the edge left (`None`: an initial state).  Parents were announced in
+    /// an earlier level, so a visitor's barrier-written tables already know them.
+    pub(crate) parent: Option<StateIndex>,
     /// The scheduling-independent tie-breaker among same-depth arrivals (state indices
     /// depend on insert order).
     pub(crate) fp: Fingerprint,
@@ -85,20 +88,14 @@ pub(crate) struct LevelEnd {
 
 /// The domain behaviour of one exploration; see the module docs for the contract.
 pub(crate) trait Visitor<S: SpecState>: Send + Sync {
-    /// Per-edge annotation, computed on the worker that enumerated the edge.
-    type Note: Send;
     /// Per-worker accumulator of one level, handed over at the barrier.
     type Local: Default + Send;
 
-    /// Annotates the edge `parent → child` (`None`: `child` is an initial state).
-    /// Runs inside the successor callback: it must not block.
-    fn annotate(&self, parent: Option<StateIndex>, child: &S) -> Self::Note;
-
     /// A state entered the store; returns whether to expand it in the next level.
-    fn on_fresh(&self, local: &mut Self::Local, at: Arrival, state: &S, note: Self::Note) -> bool;
+    fn on_fresh(&self, local: &mut Self::Local, at: Arrival, state: &S) -> bool;
 
     /// An edge reached a state the store already holds (`state` is the moved-in copy).
-    fn on_existing(&self, _local: &mut Self::Local, _at: Arrival, _state: S, _note: Self::Note) {}
+    fn on_existing(&self, _local: &mut Self::Local, _at: Arrival, _state: S) {}
 
     /// The level barrier: every worker is parked.  States pushed to `requeue` join the
     /// next level; `Break` ends the run with the given reason unless a mid-level stop
@@ -272,23 +269,22 @@ enum Phase {
 }
 
 /// One buffered successor awaiting its batch merge.
-struct Buffered<S, N> {
+struct Buffered<S> {
     parent: StateIndex,
     succ: Successor<S>,
-    note: N,
 }
 
 /// One producer's batch of successors routed to the shard that owns their fingerprint
 /// range.  `(producer, seq)` gives drain a scheduling-independent replay order, so the
 /// owner-routed engine assigns slots deterministically for any worker interleaving.
-struct RoutedBatch<S, N> {
+struct RoutedBatch<S> {
     producer: u32,
     seq: u32,
-    items: Vec<Buffered<S, N>>,
+    items: Vec<Buffered<S>>,
 }
 
 /// One store shard's mailbox of owner-routed batches.
-type Mailbox<S, N> = OrderedMutex<MailboxRank, Vec<RoutedBatch<S, N>>>;
+type Mailbox<S> = OrderedMutex<MailboxRank, Vec<RoutedBatch<S>>>;
 
 /// One pool worker's per-cycle result slot.
 type ResultSlot<S, L> = OrderedMutex<ResultsRank, Option<WorkerResult<S, L>>>;
@@ -315,7 +311,7 @@ struct Shared<'a, S: SpecState, V: Visitor<S>> {
     /// One steal range per pool worker.
     ranges: Vec<StealRange>,
     /// One per store shard.
-    mailboxes: Vec<Mailbox<S, V::Note>>,
+    mailboxes: Vec<Mailbox<S>>,
     /// One per pool worker.
     results: Vec<ResultSlot<S, V::Local>>,
     /// The first panic payload caught on a pool worker, re-raised by the coordinator
@@ -515,13 +511,13 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
         let level = shared.level.read();
         let mut seeds = WorkerResult::default();
         run.pipeline.seed(run.store, |index, fp, state| {
-            let note = level.visitor.annotate(None, &state);
             let at = Arrival {
                 index,
+                parent: None,
                 fp,
                 depth: 0,
             };
-            if level.visitor.on_fresh(&mut seeds.local, at, &state, note) {
+            if level.visitor.on_fresh(&mut seeds.local, at, &state) {
                 seeds.next_frontier.push((index, state));
             }
         });
@@ -757,26 +753,24 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
     let run = &shared.run;
     let mut result = WorkerResult::default();
     let shard_count = run.store.shard_count();
-    let mut buffers: Vec<Vec<Buffered<S, V::Note>>> =
-        (0..shard_count).map(|_| Vec::new()).collect();
+    let mut buffers: Vec<Vec<Buffered<S>>> = (0..shard_count).map(|_| Vec::new()).collect();
     let mut seqs: Vec<u32> = vec![0; shard_count];
     // Lock-striped insertion merges a full buffer into its stripe on the spot; owner
     // routing hands it to the stripe's owner instead.
-    let mut hand_off = |shard: usize,
-                        buffer: &mut Vec<Buffered<S, V::Note>>,
-                        result: &mut WorkerResult<S, V::Local>| {
-        if run.route_by_owner {
-            let batch = RoutedBatch {
-                producer: worker as u32,
-                seq: seqs[shard],
-                items: std::mem::take(buffer),
-            };
-            shared.mailboxes[shard].lock().push(batch);
-            seqs[shard] += 1;
-        } else {
-            flush_shard(shared, level, shard, buffer, result);
-        }
-    };
+    let mut hand_off =
+        |shard: usize, buffer: &mut Vec<Buffered<S>>, result: &mut WorkerResult<S, V::Local>| {
+            if run.route_by_owner {
+                let batch = RoutedBatch {
+                    producer: worker as u32,
+                    seq: seqs[shard],
+                    items: std::mem::take(buffer),
+                };
+                shared.mailboxes[shard].lock().push(batch);
+                seqs[shard] += 1;
+            } else {
+                flush_shard(shared, level, shard, buffer, result);
+            }
+        };
     let mut stolen: Option<StealRange> = None;
     let mut processed: u64 = 0;
 
@@ -819,11 +813,9 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
         let (parent, state) = &level.frontier[idx];
         let sleep_in: &[LabelId] = level.sleeps.get(idx).map_or(&[], |sleep| sleep.as_slice());
         let (explored, pruned) = run.pipeline.expand(state, sleep_in, |succ| {
-            let note = level.visitor.annotate(Some(*parent), &succ.state);
             buffers[run.store.shard_of(succ.fp)].push(Buffered {
                 parent: *parent,
                 succ,
-                note,
             });
         });
         result.transitions += explored;
@@ -874,8 +866,7 @@ fn drain_mailboxes<S: SpecState, V: Visitor<S>>(
             continue;
         }
         batches.sort_by_key(|b| (b.producer, b.seq));
-        let mut combined: Vec<Buffered<S, V::Note>> =
-            batches.into_iter().flat_map(|b| b.items).collect();
+        let mut combined: Vec<Buffered<S>> = batches.into_iter().flat_map(|b| b.items).collect();
         flush_shard(shared, level, shard, &mut combined, &mut result);
     }
     result
@@ -887,36 +878,39 @@ fn flush_shard<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
     level: &Level<S, V>,
     shard: usize,
-    buffer: &mut Vec<Buffered<S, V::Note>>,
+    buffer: &mut Vec<Buffered<S>>,
     result: &mut WorkerResult<S, V::Local>,
 ) {
-    let mut inserted: Vec<(Insert<S>, Fingerprint, V::Note)> = Vec::with_capacity(buffer.len());
+    let mut inserted: Vec<(Arrival, Insert<S>)> = Vec::with_capacity(buffer.len());
     {
         let mut handle = shared.run.store.lock_shard(shard);
-        for Buffered { parent, succ, note } in buffer.drain(..) {
+        for Buffered { parent, succ } in buffer.drain(..) {
             let insert =
                 handle.insert_edge(succ.fp, Some(parent), succ.label, succ.state, succ.perm);
+            let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = &insert;
+            let at = Arrival {
+                index: *index,
+                parent: Some(parent),
+                fp: succ.fp,
+                depth: level.child_depth,
+            };
             // Both fresh and already-known targets contribute an arrival edge: a state
             // reached again within the same level only keeps a label asleep if every
             // minimal-depth arrival does.
             if shared.run.pipeline.por {
-                let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = &insert;
-                result.sleep_edges.push((*index, succ.sleep));
+                result.sleep_edges.push((at.index, succ.sleep));
             }
-            inserted.push((insert, succ.fp, note));
+            inserted.push((at, insert));
         }
     }
-    let (visitor, depth) = (&level.visitor, level.child_depth);
-    for (insert, fp, note) in inserted {
-        let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = insert;
-        let at = Arrival { index, fp, depth };
+    for (at, insert) in inserted {
         match insert {
             Insert::Fresh(_, state) => {
-                if visitor.on_fresh(&mut result.local, at, &state, note) {
-                    result.next_frontier.push((index, state));
+                if level.visitor.on_fresh(&mut result.local, at, &state) {
+                    result.next_frontier.push((at.index, state));
                 }
             }
-            Insert::Existing(_, state) => visitor.on_existing(&mut result.local, at, state, note),
+            Insert::Existing(_, state) => level.visitor.on_existing(&mut result.local, at, state),
         }
     }
 }

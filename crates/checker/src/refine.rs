@@ -27,12 +27,11 @@
 //! distinguish states below the projection, but it never reports a false divergence
 //! for that reason.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use remix_spec::{CanonFn, LabelTable, Spec, SpecState, Trace, TraceProjection, Value};
@@ -441,9 +440,10 @@ fn projection_key(projected: &BTreeMap<String, Value>) -> u64 {
     h.finish()
 }
 
-/// Renders a projected state for divergence reports.
-fn render_projection(projected: &BTreeMap<String, Value>) -> String {
-    let fields: Vec<String> = projected
+/// Renders the projection of `state` for divergence reports.
+fn render_projection<S: SpecState>(projection: &TraceProjection<S>, state: &S) -> String {
+    let fields: Vec<String> = projection
+        .project_state(state)
         .iter()
         .map(|(k, v)| format!("{k} = {v}"))
         .collect();
@@ -554,23 +554,39 @@ fn stable_key<S: SpecState>(projection: &TraceProjection<S>, state: &S) -> Optio
         .then(|| projection_key(&projection.project_state(state)))
 }
 
-/// The *lset* of a state: the stable projections it can be "inside of" — its own
-/// projection when stable, otherwise the stable projections last seen on some path
-/// leading to it.  Shared, because an unstable stretch hands one set down unchanged.
-type Lset = Arc<BTreeSet<u64>>;
+/// The *lset* of an unstable state: the stable projections last seen on some path
+/// leading to it, sorted.
+type Lset = Box<[u64]>;
 
-/// The refinement visitor's per-edge note.
-struct EdgeNote {
-    /// Projection key of the child when it is stable.
-    stable_key: Option<u64>,
-    /// The parent's lset when the edge was enumerated (stable parents carry their own
-    /// key; empty for initial states).
-    from: Lset,
+/// What the barrier knows about a discovered state.
+enum Known {
+    /// A stable state is "inside" its own projection for good.
+    Stable(u64),
+    Unstable(Lset),
+}
+
+impl Known {
+    /// The stable projections the state can be inside of, sorted: the context it hands
+    /// to its successors.
+    fn contexts(&self) -> &[u64] {
+        match self {
+            Known::Stable(key) => std::slice::from_ref(key),
+            Known::Unstable(lset) => lset,
+        }
+    }
+}
+
+/// Whether every key of `from` occurs in the sorted `known`.
+fn covered(from: &[u64], known: &[u64]) -> bool {
+    from.iter().all(|key| known.binary_search(key).is_ok())
 }
 
 /// What one worker saw during a level; folded sequentially at the barrier.
 struct Arrivals<S> {
-    edges: Vec<(Arrival, bool, EdgeNote)>,
+    /// Every state this worker inserted, with its stable-projection key.
+    fresh: Vec<(Arrival, Option<u64>)>,
+    /// Dedup hits that may teach their target a new context.
+    existing: Vec<Arrival>,
     /// The moved-in copies of older *unstable* states reached with a context their
     /// lset does not cover yet: re-enqueued at the barrier if the lset really grew.
     revisits: Vec<(StateIndex, S)>,
@@ -579,7 +595,8 @@ struct Arrivals<S> {
 impl<S> Default for Arrivals<S> {
     fn default() -> Self {
         Arrivals {
-            edges: Vec::new(),
+            fresh: Vec::new(),
+            existing: Vec::new(),
             revisits: Vec::new(),
         }
     }
@@ -588,27 +605,28 @@ impl<S> Default for Arrivals<S> {
 /// The kernel visitor that records one side's stable projections and the
 /// stabilization edges of its projected quotient graph.
 ///
-/// Workers only project (`annotate`) and collect arrivals; every table is written at
-/// the level barrier, so nothing here is locked and the fold order — hence every
-/// statistic — is independent of worker scheduling.
+/// Workers key each state once, when it enters the store (`on_fresh`), and collect
+/// arrivals; every table is written at the level barrier, so nothing here is locked
+/// and the fold order — hence every statistic — is independent of worker scheduling.
 struct RefineVisitor<'a, S: SpecState> {
     projection: &'a TraceProjection<S>,
     options: &'a RefineOptions,
     store: &'a StateStore<S>,
-    /// The fully explored coarse projection set, when known: exploration stops at the
-    /// end of the first level that discovers a stable projection absent from it —
-    /// deeper levels cannot contain a shallower divergence, so the minimal-depth
-    /// divergence choice is unaffected while diverging checks skip the rest of the
-    /// (often much larger) fine state space.
-    stop_when_missing_from: Option<&'a HashMap<u64, Arrival>>,
-    /// The coarse quotient of a [`RefineMode::Simulation`] check: every stabilization
-    /// edge is matched against it as soon as the level discovering it finishes, so a
-    /// run truncated by a budget still reports how many edges it actually verified.
-    simulate_against: Option<&'a Quotient>,
+    /// The coarse quotient, while the fine side is explored.  When it is complete,
+    /// exploration stops at the end of the first level that discovers a stable
+    /// projection absent from it — deeper levels cannot contain a shallower divergence,
+    /// so the minimal-depth divergence choice is unaffected while diverging checks skip
+    /// the rest of the (often much larger) fine state space.  In
+    /// [`RefineMode::Simulation`] every stabilization edge is matched against it as
+    /// soon as the level discovering it finishes, so a run truncated by a budget still
+    /// reports how many edges it actually verified; matches against a truncated coarse
+    /// quotient count as coverage, but only a *complete* one can condemn an edge.
+    coarse: Option<&'a Quotient>,
     /// Coarse-quotient reachability, memoized across levels.
     reach_memo: HashMap<u64, HashSet<u64>>,
     quotient: Quotient,
-    lsets: HashMap<StateIndex, Lset>,
+    /// Every state announced at an earlier barrier.
+    known: HashMap<StateIndex, Known>,
     /// `Some(levels_drained)` once a state or depth budget has tripped: the run is
     /// incomplete, but stabilizations already in progress are finished (unstable
     /// states only) for up to `stabilization_grace` extra levels, so the projection
@@ -616,39 +634,37 @@ struct RefineVisitor<'a, S: SpecState> {
     draining: Option<u32>,
 }
 
+/// The contexts the edge behind `at` carries: its parent's (none for a seed).  The
+/// parent was expanded this level, so an earlier barrier announced it.
+fn contexts_from(known: &HashMap<StateIndex, Known>, at: Arrival) -> &[u64] {
+    at.parent.map_or(&[], |parent| known[&parent].contexts())
+}
+
 impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
-    type Note = EdgeNote;
     type Local = Arrivals<S>;
 
-    fn annotate(&self, parent: Option<StateIndex>, child: &S) -> EdgeNote {
-        EdgeNote {
-            stable_key: stable_key(self.projection, child),
-            from: parent.map_or_else(Lset::default, |p| Arc::clone(&self.lsets[&p])),
-        }
-    }
-
-    fn on_fresh(&self, local: &mut Arrivals<S>, at: Arrival, _state: &S, note: EdgeNote) -> bool {
+    fn on_fresh(&self, local: &mut Arrivals<S>, at: Arrival, state: &S) -> bool {
+        let key = stable_key(self.projection, state);
+        local.fresh.push((at, key));
         // While draining, stable successors close their stabilization and are not
         // expanded further: only the unstable closure of the final frontier grows the
         // capped exploration.
-        let expand = self.draining.is_none() || note.stable_key.is_none();
-        local.edges.push((at, true, note));
-        expand
+        self.draining.is_none() || key.is_none()
     }
 
-    fn on_existing(&self, local: &mut Arrivals<S>, at: Arrival, state: S, note: EdgeNote) {
+    fn on_existing(&self, local: &mut Arrivals<S>, at: Arrival, state: S) {
         // A state the barrier has not seen yet was inserted earlier in this very level
         // and is already enqueued; older states are worth carrying to the barrier only
-        // if this edge brings a context their lset lacks.
-        if let Some(known) = self.lsets.get(&at.index) {
-            if note.from.is_subset(known) {
+        // if this edge brings a context they lack.
+        if let Some(known) = self.known.get(&at.index) {
+            if covered(contexts_from(&self.known, at), known.contexts()) {
                 return;
             }
-            if note.stable_key.is_none() {
+            if let Known::Unstable(_) = known {
                 local.revisits.push((at.index, state));
             }
         }
-        local.edges.push((at, false, note));
+        local.existing.push(at);
     }
 
     fn on_level_end(
@@ -657,52 +673,62 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         end: LevelEnd,
         requeue: &mut Vec<(StateIndex, S)>,
     ) -> ControlFlow<StopReason> {
-        let mut new_edges: Vec<(u64, u64)> = Vec::new();
-        let mut grown: HashSet<StateIndex> = HashSet::new();
-        let mut revisits: Vec<(StateIndex, S)> = Vec::new();
+        // Pass 1: announce the level's states, so pass 2 finds the key of a target
+        // another worker inserted.
         let mut missing = false;
-        for local in locals {
-            revisits.extend(local.revisits);
-            for (at, fresh, note) in local.edges {
-                let lset = match note.stable_key {
-                    Some(key) => {
-                        for &from in note.from.iter().filter(|&&from| from != key) {
-                            if self.quotient.edges.entry(from).or_default().insert(key) {
-                                new_edges.push((from, key));
-                            }
-                            // Remember a concrete state completing this edge, so an
-                            // unmatched-step divergence can reconstruct a witness that
-                            // actually ends with the offending stabilization.
-                            offer_rep(&mut self.quotient.edge_reps, (from, key), at);
-                        }
-                        if fresh {
-                            offer_rep(&mut self.quotient.projs, key, at);
-                            missing |= self
-                                .stop_when_missing_from
-                                .is_some_and(|known| !known.contains_key(&key));
-                        }
-                        Arc::new(BTreeSet::from([key]))
-                    }
-                    None => note.from,
-                };
-                match self.lsets.entry(at.index) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(lset);
-                    }
-                    // A grown lset on an *unstable* state changes what its successors
-                    // stabilize from (a stable state's lset is its own key for good).
-                    Entry::Occupied(mut slot) if !lset.is_subset(slot.get()) => {
-                        slot.insert(Arc::new(slot.get().union(&lset).copied().collect()));
-                        grown.insert(at.index);
-                    }
-                    Entry::Occupied(_) => {}
+        for &(at, key) in locals.iter().flat_map(|local| &local.fresh) {
+            let known = match key {
+                Some(key) => {
+                    offer_rep(&mut self.quotient.projs, key, at);
+                    missing |= self
+                        .coarse
+                        .is_some_and(|coarse| coarse.complete && !coarse.projs.contains_key(&key));
+                    Known::Stable(key)
                 }
+                None => Known::Unstable(Lset::default()),
+            };
+            self.known.insert(at.index, known);
+        }
+
+        // Pass 2: every arrival hands its parent's contexts to its target — a quotient
+        // edge into a stable target, lset growth on an unstable one.  Growth is
+        // collected and applied after the pass: parents are read as the level saw them.
+        let mut new_edges: Vec<(u64, u64)> = Vec::new();
+        let mut grown: HashMap<StateIndex, Vec<u64>> = HashMap::new();
+        let arrivals = locals
+            .iter()
+            .flat_map(|local| local.fresh.iter().map(|(at, _)| at).chain(&local.existing));
+        for &at in arrivals {
+            let from = contexts_from(&self.known, at);
+            match &self.known[&at.index] {
+                Known::Stable(key) => {
+                    for &from in from.iter().filter(|&from| from != key) {
+                        if self.quotient.edges.entry(from).or_default().insert(*key) {
+                            new_edges.push((from, *key));
+                        }
+                        // Remember a concrete state completing this edge, so an
+                        // unmatched-step divergence can reconstruct a witness that
+                        // actually ends with the offending stabilization.
+                        offer_rep(&mut self.quotient.edge_reps, (from, *key), at);
+                    }
+                }
+                Known::Unstable(lset) if !covered(from, lset) => {
+                    grown.entry(at.index).or_default().extend(from);
+                }
+                Known::Unstable(_) => {}
             }
         }
-        // Re-enqueue each grown older state once, so its successors learn the new
-        // contexts (states of this level are already enqueued and read the folded lset).
-        for (index, state) in revisits {
-            if grown.remove(&index) {
+        for (index, extra) in &grown {
+            let mut lset: Vec<u64> = [self.known[index].contexts(), extra].concat();
+            lset.sort_unstable();
+            lset.dedup();
+            self.known.insert(*index, Known::Unstable(lset.into()));
+        }
+        // A grown lset on an *older* unstable state changes what its successors
+        // stabilize from: re-enqueue it once (states of this level are already
+        // enqueued and hand down the folded lset).
+        for (index, state) in locals.into_iter().flat_map(|local| local.revisits) {
+            if grown.remove(&index).is_some() {
                 requeue.push((index, state));
             }
         }
@@ -711,7 +737,7 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         // against the coarse quotient right away.  The first unmatched edge is
         // recorded, not acted on: the caller keeps the established check precedence
         // (projection inclusion first, then edge matching).
-        if let Some(coarse) = self.simulate_against {
+        if let (Some(coarse), RefineMode::Simulation) = (self.coarse, self.options.mode) {
             if self.quotient.unmatched_edge.is_none() {
                 new_edges.sort_unstable();
                 for (from, to) in new_edges {
@@ -766,14 +792,13 @@ const BATCH_SIZE: usize = 128;
 
 /// Explores one side of the refinement pair on the level-synchronous kernel, recording
 /// stable projections and the stabilization edges of the projected quotient graph (see
-/// [`RefineVisitor`] for `stop_when_missing_from` and `simulate_against`).
+/// [`RefineVisitor`] for what the fine side does with the `coarse` quotient).
 fn explore_side<S: SpecState>(
     spec: &Spec<S>,
     projection: &TraceProjection<S>,
     options: &RefineOptions,
     deadline: Option<Instant>,
-    stop_when_missing_from: Option<&HashMap<u64, Arrival>>,
-    simulate_against: Option<&Quotient>,
+    coarse: Option<&Quotient>,
 ) -> SideSummary<S> {
     let seen = StateStore::with_spill(options.store_mode, options.shards, &options.spill);
     let labels = LabelTable::new();
@@ -804,11 +829,10 @@ fn explore_side<S: SpecState>(
             projection,
             options,
             store: &seen,
-            stop_when_missing_from,
-            simulate_against,
+            coarse,
             reach_memo: HashMap::new(),
             quotient: Quotient::default(),
-            lsets: HashMap::new(),
+            known: HashMap::new(),
             draining: None,
         },
     );
@@ -841,22 +865,9 @@ pub fn check_refinement<S: SpecState>(
     // One deadline spans both sides.
     let deadline = options.time_budget.map(|b| start + b);
 
-    let coarse_side = explore_side(coarse, projection, options, deadline, None, None);
+    let coarse_side = explore_side(coarse, projection, options, deadline, None);
     let coarse_q = &coarse_side.quotient;
-    let fine_side = explore_side(
-        fine,
-        projection,
-        options,
-        deadline,
-        // With the coarse set fully known, the fine exploration may stop at the first
-        // level exhibiting a missing projection instead of exhausting its state space.
-        coarse_q.complete.then_some(&coarse_q.projs),
-        // ... and stabilization edges are checked level by level, so even a truncated
-        // fine exploration reports the simulation coverage it achieved.  The coarse
-        // side may itself be truncated: matches against its partial quotient still
-        // count as coverage, but only a *complete* quotient can condemn an edge.
-        (options.mode == RefineMode::Simulation).then_some(coarse_q),
-    );
+    let fine_side = explore_side(fine, projection, options, deadline, Some(coarse_q));
     let fine_q = &fine_side.quotient;
 
     let mut stats = RefineStats {
@@ -872,39 +883,30 @@ pub fn check_refinement<S: SpecState>(
         elapsed: Duration::default(),
     };
 
-    // The shallowest projection of `of` that `other` (explored to exhaustion) lacks.
-    let first_absent = |of: &Quotient, other: &Quotient| -> Option<(u64, StateIndex)> {
-        of.projs
+    let mut divergence: Option<RefineDivergence<S>> = None;
+
+    // 1. Every stable fine projection must be coarse-reachable (no lost behaviour), and
+    // 2. every stable coarse projection fine-reachable (no invented behaviour) — each
+    //    checked only against a side explored to exhaustion.
+    for (kind, spec, side, other) in [
+        (DivergenceKind::MissingInCoarse, fine, &fine_side, coarse_q),
+        (DivergenceKind::ExtraInCoarse, coarse, &coarse_side, fine_q),
+    ] {
+        if divergence.is_some() || !other.complete {
+            continue;
+        }
+        // The shallowest projection of `side` that `other` lacks.
+        let projs = &side.quotient.projs;
+        let first_absent = projs
             .iter()
             .filter(|(key, _)| !other.projs.contains_key(key))
             .map(|(key, rep)| (rep.depth, *key, rep.index))
-            .min()
-            .map(|(_, key, index)| (key, index))
-    };
-    let mut divergence: Option<RefineDivergence<S>> = None;
-
-    // 1. Every stable fine projection must be coarse-reachable (no lost behaviour).
-    if coarse_q.complete {
-        if let Some((key, index)) = first_absent(fine_q, coarse_q) {
+            .min();
+        if let Some((_, key, index)) = first_absent {
             divergence = Some(build_divergence(
-                DivergenceKind::MissingInCoarse,
-                fine,
-                &fine_side,
-                index,
-                projection,
-                options,
-                |candidate| trace_reaches_projection(candidate, projection, key),
-            ));
-        }
-    }
-
-    // 2. Every stable coarse projection must be fine-reachable (no invented behaviour).
-    if divergence.is_none() && fine_q.complete {
-        if let Some((key, index)) = first_absent(coarse_q, fine_q) {
-            divergence = Some(build_divergence(
-                DivergenceKind::ExtraInCoarse,
-                coarse,
-                &coarse_side,
+                kind,
+                spec,
+                side,
                 index,
                 projection,
                 options,
@@ -939,9 +941,8 @@ pub fn check_refinement<S: SpecState>(
             // Render both endpoints of the unmatched step: the target is already in
             // `d.projection`; prepend the source class the coarse side cannot leave.
             if let Some(from_rep) = fine_q.projs.get(&from) {
-                let rendered = render_projection(
-                    &projection.project_state(&fine_side.state_of(fine, from_rep.index)),
-                );
+                let rendered =
+                    render_projection(projection, &fine_side.state_of(fine, from_rep.index));
                 d.projection = format!("{rendered} ⟶ {}", d.projection);
             }
             divergence = Some(d);
@@ -973,7 +974,7 @@ fn build_divergence<S: SpecState>(
     let original_depth = witness.depth();
     let rendered = witness
         .last_state()
-        .map(|s| render_projection(&projection.project_state(s)))
+        .map(|s| render_projection(projection, s))
         .unwrap_or_default();
     let witness = if options.shrink_witness {
         let ShrinkOutcome { trace, .. } = shrink_trace(witness_spec, &witness, oracle);
@@ -1392,6 +1393,53 @@ mod tests {
             assert_eq!(witness(&seq), witness(&par), "broken coarse side: {broken}");
             assert_eq!(witness(&seq).is_some(), broken);
         }
+    }
+
+    #[test]
+    fn each_state_is_projected_at_most_once_whatever_its_in_degree() {
+        use crate::sync::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        // A self-loop on every state doubles the explored edges without adding a
+        // state (or a quotient edge: both ends share one class).
+        let looping = |mut spec: Spec<TState>| {
+            let stutter = ActionDef::new(
+                "Stutter",
+                ModuleId("Loop"),
+                Granularity::Baseline,
+                vec!["n"],
+                vec![],
+                |s: &TState| vec![ActionInstance::new("Stutter", s.clone())],
+            );
+            spec.modules.push(ModuleSpec::new(
+                ModuleId("Loop"),
+                Granularity::Baseline,
+                vec![stutter],
+            ));
+            spec
+        };
+        let (fine, coarse) = (looping(fine_spec(200)), looping(coarse_spec(200, false)));
+        let projections_at = |workers: usize| {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&calls);
+            let counting = projection().with_state(move |s: &TState| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                s.project(&["n"])
+            });
+            let options = RefineOptions::default()
+                .with_workers(workers)
+                .without_shrinking();
+            let outcome = check_refinement(&fine, &coarse, &counting, &options);
+            assert_eq!(outcome.verdict(), RefineVerdict::Refines, "{outcome}");
+            let states = outcome.stats.fine_states + outcome.stats.coarse_states;
+            let calls = calls.load(Ordering::Relaxed);
+            assert!(
+                calls <= states,
+                "{calls} projections for {states} states: projection must not scale with edges"
+            );
+            calls
+        };
+        assert_eq!(projections_at(1), projections_at(4));
     }
 
     #[test]

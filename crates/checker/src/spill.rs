@@ -96,7 +96,8 @@ impl SpillConfig {
 }
 
 /// Parses a memory budget: a plain byte count or a number with a `k`/`m`/`g` suffix
-/// (powers of 1024, case-insensitive, optional trailing `b`/`ib`).
+/// (powers of 1024, case-insensitive, optional trailing `b`/`ib`).  `None` also for a
+/// budget that does not fit 64 bits.
 pub fn parse_mem_budget(s: &str) -> Option<u64> {
     let s = s.trim().to_ascii_lowercase();
     let digits_end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
@@ -108,7 +109,7 @@ pub fn parse_mem_budget(s: &str) -> Option<u64> {
         "g" | "gb" | "gib" => 30,
         _ => return None,
     };
-    value.checked_shl(shift)
+    value.checked_mul(1 << shift)
 }
 
 /// Out-of-core activity counters of one run, surfaced in `CheckStats` and
@@ -398,6 +399,10 @@ mod tests {
         assert_eq!(parse_mem_budget(""), None);
         assert_eq!(parse_mem_budget("lots"), None);
         assert_eq!(parse_mem_budget("64x"), None);
+        // Bits shifted out are an overflow, not a smaller budget.
+        assert_eq!(parse_mem_budget("17179869183g"), Some(17179869183 << 30));
+        assert_eq!(parse_mem_budget("17179869184g"), None);
+        assert_eq!(parse_mem_budget("18446744073709551616"), None);
     }
 
     fn fp(i: u64) -> Fingerprint {

@@ -572,6 +572,89 @@ impl<S: SpecState> StateStore<S> {
         labels: &LabelTable,
         index: StateIndex,
     ) -> Trace<S> {
+        self.trace_to(spec, labels, index, None)
+    }
+
+    /// Bounded re-exploration along a recorded chain: starting from the initial state
+    /// the root entry records, takes at each step a successor of the current state that
+    /// the next entry records; `None` when some step has none.
+    ///
+    /// Without `canon` a successor matches by interned label *and* fingerprint.  With
+    /// it the chain is a sequence of canonical forms replayed in the original frame: a
+    /// successor matches by its *canonical* fingerprint, and among the matches the one
+    /// canonicalized by `π_edge ∘ σ` is preferred (see
+    /// [`reconstruct_trace_decanonicalized`](Self::reconstruct_trace_decanonicalized)).
+    fn replay(
+        &self,
+        spec: &Spec<S>,
+        labels: &LabelTable,
+        chain: &[(StateIndex, Fingerprint, LabelId)],
+        canon: Option<&CanonFn<S>>,
+    ) -> Option<Trace<S>> {
+        // What a recorded entry is matched by, and the permutation onto that frame.
+        let keyed = |state: &S| match canon {
+            Some(canon) => {
+                let (canonical, perm) = canon(state);
+                (fingerprint(&canonical), Some(perm))
+            }
+            None => (fingerprint(state), None),
+        };
+        let (_, root_fp, root_label) = chain[0];
+        debug_assert_eq!(labels.resolve(root_label), INIT_LABEL);
+        let mut current = spec
+            .init
+            .iter()
+            .find(|s| keyed(s).0 == root_fp)
+            .cloned()
+            .expect("chain root is (the canonical form of) an initial state of the replayed spec");
+        // σ: the permutation mapping the current original-frame state onto its
+        // canonical representative (the frame the chain is recorded in).
+        let mut sigma = keyed(&current).1;
+        let mut trace = Trace::from_init(current.clone());
+        for &(index, fp, label) in &chain[1..] {
+            // Labels name server ids, so they only identify a step in the frame they
+            // were recorded in.
+            let recorded = canon.is_none().then(|| labels.resolve(label));
+            // The exact discovered execution satisfies canon(next).1 == π_edge ∘ σ.
+            let expected = sigma
+                .as_ref()
+                .and_then(|sigma| Some(self.perm_of(index)?.compose(sigma)));
+            let mut chosen = None;
+            for (l, s) in spec.successors(&current) {
+                if recorded.as_ref().is_some_and(|recorded| *recorded != l) {
+                    continue;
+                }
+                let (key, perm) = keyed(&s);
+                if key != fp {
+                    continue;
+                }
+                let exact = perm == expected;
+                if exact || chosen.is_none() {
+                    chosen = Some((l, s, perm));
+                }
+                if exact {
+                    break;
+                }
+            }
+            let (label, next, perm) = chosen?;
+            sigma = perm;
+            trace.push(label, next.clone());
+            current = next;
+        }
+        Some(trace)
+    }
+
+    /// The witness ending at `index`, in the original id frame: a de-canonicalizing
+    /// replay when the run explored canonical representatives (`canon` set), the
+    /// recorded chain otherwise — cloned out of the arena when it holds the states,
+    /// else replayed.
+    pub(crate) fn trace_to(
+        &self,
+        spec: &Spec<S>,
+        labels: &LabelTable,
+        index: StateIndex,
+        canon: Option<&CanonFn<S>>,
+    ) -> Trace<S> {
         // Collect the chain root-first (one parent walk covers both backends).
         let mut chain: Vec<(StateIndex, Fingerprint, LabelId)> = Vec::new();
         let mut cursor = Some(index);
@@ -581,9 +664,22 @@ impl<S: SpecState> StateStore<S> {
             cursor = parent;
         }
         chain.reverse();
-
-        if self.mode == StoreMode::Full {
-            // States are in the arena: clone them out along the collected chain.
+        let replayed = match (canon, self.mode) {
+            (None, StoreMode::Full) => None,
+            _ => self.replay(spec, labels, &chain, canon),
+        };
+        replayed.unwrap_or_else(|| {
+            // Either the arena holds the execution itself, or a symmetry-reduced chain
+            // hit a non-equivariant step (the canonical edge has no counterpart from
+            // some original-frame state) and the stored canonical chain keeps the
+            // report alive.
+            assert!(
+                self.mode == StoreMode::Full,
+                "the recorded chain does not replay through the specification (a \
+                 different spec, label table or canonicalization than the store was \
+                 filled from, or a non-equivariant spec) and the fingerprint-only \
+                 store kept no states to fall back to"
+            );
             let mut trace = Trace::default();
             for (idx, _, label) in &chain {
                 let state = self
@@ -591,47 +687,8 @@ impl<S: SpecState> StateStore<S> {
                     .expect("full store keeps every state");
                 trace.push(labels.resolve(*label), state);
             }
-            return trace;
-        }
-
-        // Fingerprint-only: bounded re-exploration along the recorded chain.
-        let (_, root_fp, root_label) = chain[0];
-        debug_assert_eq!(labels.resolve(root_label), INIT_LABEL);
-        let mut current = spec
-            .init
-            .iter()
-            .find(|s| fingerprint(*s) == root_fp)
-            .cloned()
-            .expect("chain root is an initial state of the replayed spec");
-        let mut trace = Trace::from_init(current.clone());
-        for (_, fp, label) in &chain[1..] {
-            let label_str = labels.resolve(*label);
-            let next = spec
-                .successors(&current)
-                .into_iter()
-                .find(|(l, s)| l == &label_str && fingerprint(s) == *fp)
-                .map(|(_, s)| s)
-                .expect("recorded (parent, label) chain replays through the spec");
-            trace.push(label_str, next.clone());
-            current = next;
-        }
-        trace
-    }
-
-    /// The witness ending at `index`, in the original id frame: a de-canonicalizing
-    /// replay when the run explored canonical representatives (`canon` set), the
-    /// recorded chain otherwise.
-    pub(crate) fn trace_to(
-        &self,
-        spec: &Spec<S>,
-        labels: &LabelTable,
-        index: StateIndex,
-        canon: Option<&CanonFn<S>>,
-    ) -> Trace<S> {
-        match canon {
-            Some(canon) => self.reconstruct_trace_decanonicalized(spec, labels, index, canon),
-            None => self.reconstruct_trace(spec, labels, index),
-        }
+            trace
+        })
     }
 
     /// Reconstructs a trace to `index` in the **original** (un-canonicalized) id frame
@@ -684,65 +741,7 @@ impl<S: SpecState> StateStore<S> {
         index: StateIndex,
         canon: &CanonFn<S>,
     ) -> Trace<S> {
-        // Collect the chain root-first, each edge with its recorded permutation.
-        let mut chain: Vec<(Fingerprint, LabelId, Option<Perm>)> = Vec::new();
-        let mut cursor = Some(index);
-        while let Some(c) = cursor {
-            let (fp, parent, label) = self.meta(c);
-            chain.push((fp, label, self.perm_of(c)));
-            cursor = parent;
-        }
-        chain.reverse();
-
-        let (root_fp, root_label, _) = &chain[0];
-        debug_assert_eq!(labels.resolve(*root_label), INIT_LABEL);
-        let mut current = spec
-            .init
-            .iter()
-            .find(|s| fingerprint(&canon(s).0) == *root_fp)
-            .cloned()
-            .expect("chain root is the canonical form of an initial state");
-        // σ: the permutation mapping the current original-frame state onto its
-        // canonical representative (the frame the chain is recorded in).
-        let mut sigma = canon(&current).1;
-        let mut trace = Trace::from_init(current.clone());
-        for (fp, _, edge_perm) in &chain[1..] {
-            // The exact discovered execution satisfies canon(next).1 == π_edge ∘ σ.
-            let expected = edge_perm.as_ref().map(|p| p.compose(&sigma));
-            let mut fallback: Option<(String, S, Perm)> = None;
-            let mut exact: Option<(String, S, Perm)> = None;
-            for (l, s) in spec.successors(&current) {
-                let (c, p) = canon(&s);
-                if fingerprint(&c) != *fp {
-                    continue;
-                }
-                if expected.as_ref() == Some(&p) {
-                    exact = Some((l, s, p));
-                    break;
-                }
-                if fallback.is_none() {
-                    fallback = Some((l, s, p));
-                }
-            }
-            let Some((label, next, perm)) = exact.or(fallback) else {
-                // Non-equivariant step: the canonical edge has no counterpart from
-                // this original-frame state.  Keep the report alive with the stored
-                // canonical chain when the backend still has it.
-                if self.mode == StoreMode::Full {
-                    return self.reconstruct_trace(spec, labels, index);
-                }
-                panic!(
-                    "recorded canonical chain does not replay through the original \
-                     specification (non-equivariant spec or mismatched \
-                     canonicalization) and the fingerprint-only store kept no states \
-                     to fall back to"
-                );
-            };
-            sigma = perm;
-            trace.push(label, next.clone());
-            current = next;
-        }
-        trace
+        self.trace_to(spec, labels, index, Some(canon))
     }
 }
 

@@ -52,6 +52,8 @@
 //! acceptance tests verify verdict equality against `SymmetryMode::Off` empirically
 //! — see the symmetry section of `ARCHITECTURE.md` for the full argument.
 
+use std::borrow::Cow;
+
 use remix_spec::effect::MAX_EFFECT_SERVERS;
 use remix_spec::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm};
 
@@ -286,21 +288,33 @@ fn perm_of_order(order: &[usize]) -> Perm {
 }
 
 /// Minimizes the rewritten state over every ordering that differs from `order` only by
-/// rearranging servers within a tie group.
+/// rearranging servers within a tie group.  `None` when the state as it stands is the
+/// minimum: the identity ordering is a candidate exactly when `order` is the identity
+/// (both sorts are stable), it is enumerated first — so it wins the comparisons it
+/// ties — and it is never materialized.
 fn minimize_over_groups(
     state: &ZabState,
     mut order: Vec<usize>,
     groups: &[(usize, usize)],
-) -> (ZabState, Perm) {
+) -> Option<(ZabState, Perm)> {
+    let is_identity = |order: &[usize]| order.iter().enumerate().all(|(pos, old)| pos == *old);
+    let identity_is_candidate = is_identity(&order);
     let mut best: Option<(ZabState, Perm)> = None;
     permute_groups(&mut order, groups, 0, &mut |candidate| {
+        if is_identity(candidate) {
+            return;
+        }
         let perm = perm_of_order(candidate);
         let rewritten = state.permute(&perm);
-        if best.as_ref().is_none_or(|(b, _)| rewritten < *b) {
+        let beats = match &best {
+            Some((b, _)) => rewritten < *b,
+            None => !identity_is_candidate || rewritten < *state,
+        };
+        if beats {
             best = Some((rewritten, perm));
         }
     });
-    best.expect("at least one candidate ordering exists")
+    best
 }
 
 /// Packed orbit-invariant descriptor of the directed relation from server `i` to
@@ -419,6 +433,28 @@ fn ir_orderings(state: &ZabState, mut colors: Vec<usize>, out: &mut Vec<Vec<usiz
     }
 }
 
+/// The maximal runs of `order` whose servers `tied` deems equal, as `(start, len)` into
+/// `order`, and how many orderings differ from `order` only within a run.
+fn tie_groups(
+    order: &[usize],
+    tied: impl Fn(usize, usize) -> bool,
+) -> (Vec<(usize, usize)>, usize) {
+    let n = order.len();
+    let mut groups: Vec<(usize, usize)> = Vec::new();
+    let mut start = 0;
+    for i in 1..=n {
+        if i == n || !tied(order[i], order[start]) {
+            groups.push((start, i - start));
+            start = i;
+        }
+    }
+    let candidates = groups
+        .iter()
+        .map(|(_, len)| (1..=*len).product::<usize>())
+        .product();
+    (groups, candidates)
+}
+
 /// Resolves a tie structure too large to enumerate directly: refine with the relational
 /// coloring, re-enumerate if the refined classes are small enough, otherwise run
 /// individualization-refinement.  Only the residual overflow of the IR branch count
@@ -440,20 +476,10 @@ fn canonicalize_refined(
 
     let mut order2: Vec<usize> = (0..n).collect();
     order2.sort_by_key(|&i| colors[i]);
-    let mut groups2: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0;
-    for i in 1..=n {
-        if i == n || colors[order2[i]] != colors[order2[start]] {
-            groups2.push((start, i - start));
-            start = i;
-        }
-    }
-    let candidates: usize = groups2
-        .iter()
-        .map(|(_, len)| (1..=*len).product::<usize>())
-        .product();
+    let (groups2, candidates) = tie_groups(&order2, |a, b| colors[a] == colors[b]);
     if candidates <= MAX_TIE_CANDIDATES {
-        return minimize_over_groups(state, order2, &groups2);
+        return minimize_over_groups(state, order2, &groups2)
+            .unwrap_or_else(|| (state.clone(), Perm::identity(n)));
     }
 
     let mut orderings: Vec<Vec<usize>> = Vec::new();
@@ -485,7 +511,13 @@ fn canonicalize_refined(
 
 /// The shared canonicalization pipeline over precomputed per-server keys (borrowed so
 /// the incremental path can mix memoized and freshly computed keys).
-fn canonicalize_from_keys(state: &ZabState, keys: &[&ServerKey]) -> (ZabState, Perm) {
+///
+/// When the canonicalizing permutation is the identity an owned `state` is returned as
+/// it stands (a borrowed one is cloned) — no deep [`ZabState::permute`] rewrite.  Two
+/// cases hit that fast path: the keys are already strictly sorted (the only candidate
+/// is the identity), and the keys are weakly sorted with ties none of whose
+/// rearrangements beats the state.
+fn canonicalize_from_keys(state: Cow<'_, ZabState>, keys: &[&ServerKey]) -> (ZabState, Perm) {
     let n = keys.len();
     // 1. Key-sort the server indices (stable, so equal keys keep their relative order
     //    and the candidate set is deterministic).
@@ -493,96 +525,18 @@ fn canonicalize_from_keys(state: &ZabState, keys: &[&ServerKey]) -> (ZabState, P
     order.sort_by(|a, b| keys[*a].cmp(keys[*b]));
 
     // 2. Group ties.
-    let mut groups: Vec<(usize, usize)> = Vec::new(); // (start, len) into `order`
-    let mut start = 0;
-    for i in 1..=n {
-        if i == n || keys[order[i]] != keys[order[start]] {
-            groups.push((start, i - start));
-            start = i;
-        }
-    }
-    let candidates: usize = groups
-        .iter()
-        .map(|(_, len)| (1..=*len).product::<usize>())
-        .product();
+    let (groups, candidates) = tie_groups(&order, |a, b| keys[a] == keys[b]);
 
-    if candidates == 1 {
-        // Distinct keys pin the only order-preserving permutation.
-        let perm = perm_of_order(&order);
-        return (state.permute(&perm), perm);
-    }
-    if candidates <= MAX_TIE_CANDIDATES {
+    let rewritten = if candidates <= MAX_TIE_CANDIDATES {
         // 3. Minimize over the tie-break candidates: every ordering that differs from
-        //    `order` only by rearranging servers within a tie group.
-        return minimize_over_groups(state, order, &groups);
-    }
-    // 4. Too many candidates: refine the ties relationally before enumerating.
-    canonicalize_refined(state, &order, &groups)
-}
-
-/// Owned variant of [`canonicalize_from_keys`]: produces the same representative and
-/// permutation but returns `state` itself — no deep [`ZabState::permute`] rewrite — when
-/// the canonicalizing permutation is the identity.  Two cases hit that fast path: the
-/// keys are already strictly sorted (the only candidate is the identity), and the keys
-/// are weakly sorted with ties none of whose rearrangements beats the state as it stands
-/// (the identity is enumerated as a candidate but never materialized).
-fn canonicalize_owned_from_keys(state: ZabState, keys: &[&ServerKey]) -> (ZabState, Perm) {
-    let n = keys.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|a, b| keys[*a].cmp(keys[*b]));
-
-    let mut groups: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0;
-    for i in 1..=n {
-        if i == n || keys[order[i]] != keys[order[start]] {
-            groups.push((start, i - start));
-            start = i;
-        }
-    }
-    let candidates: usize = groups
-        .iter()
-        .map(|(_, len)| (1..=*len).product::<usize>())
-        .product();
-
-    if candidates == 1 {
-        let perm = perm_of_order(&order);
-        if perm.is_identity() {
-            return (state, perm);
-        }
-        return (state.permute(&perm), perm);
-    }
-    let sorted_in_place = order.iter().enumerate().all(|(pos, old)| pos == *old);
-    if candidates <= MAX_TIE_CANDIDATES && sorted_in_place {
-        // The identity ordering is one of the tie-break candidates (and, being
-        // enumerated first, wins comparisons it ties), so use the un-rewritten state as
-        // the running minimum and only materialize the non-identity rearrangements.
-        let mut best: Option<(ZabState, Perm)> = None;
-        permute_groups(&mut order, &groups, 0, &mut |candidate| {
-            if candidate.iter().enumerate().all(|(pos, old)| pos == *old) {
-                return;
-            }
-            let perm = perm_of_order(candidate);
-            let rewritten = state.permute(&perm);
-            let beats = match &best {
-                Some((b, _)) => rewritten < *b,
-                None => rewritten < state,
-            };
-            if beats {
-                best = Some((rewritten, perm));
-            }
-        });
-        return match best {
-            Some(found) => found,
-            None => {
-                let id = Perm::identity(n);
-                (state, id)
-            }
-        };
-    }
-    if candidates <= MAX_TIE_CANDIDATES {
-        return minimize_over_groups(&state, order, &groups);
-    }
-    canonicalize_refined(&state, &order, &groups)
+        //    `order` only by rearranging servers within a tie group (distinct keys pin
+        //    the only one).
+        minimize_over_groups(&state, order, &groups)
+    } else {
+        // 4. Too many candidates: refine the ties relationally before enumerating.
+        Some(canonicalize_refined(&state, &order, &groups))
+    };
+    rewritten.unwrap_or_else(|| (state.into_owned(), Perm::identity(n)))
 }
 
 impl Canonicalize for ZabState {
@@ -593,7 +547,7 @@ impl Canonicalize for ZabState {
         }
         let keys: Vec<ServerKey> = (0..n).map(|i| server_key(self, i)).collect();
         let key_refs: Vec<&ServerKey> = keys.iter().collect();
-        canonicalize_from_keys(self, &key_refs)
+        canonicalize_from_keys(Cow::Borrowed(self), &key_refs)
     }
 
     fn canonicalize_owned(self) -> (Self, Perm) {
@@ -604,7 +558,7 @@ impl Canonicalize for ZabState {
         }
         let keys: Vec<ServerKey> = (0..n).map(|i| server_key(&self, i)).collect();
         let key_refs: Vec<&ServerKey> = keys.iter().collect();
-        canonicalize_owned_from_keys(self, &key_refs)
+        canonicalize_from_keys(Cow::Owned(self), &key_refs)
     }
 
     fn permute(&self, perm: &Perm) -> Self {
@@ -734,7 +688,7 @@ impl IncrementalCanonicalize for ZabState {
             return (self, Perm::identity(n));
         }
         let key_refs: Vec<&ServerKey> = (0..n).map(key_at).collect();
-        canonicalize_owned_from_keys(self, &key_refs)
+        canonicalize_from_keys(Cow::Owned(self), &key_refs)
     }
 }
 
