@@ -30,6 +30,9 @@
 //! * **Field reflection** ([`reflect`]): enumeration of a state's semantic fields as
 //!   stable `(path, hash)` pairs mapped to effect domains, the substrate of the
 //!   `remix-analyze` effect audit (observed writes vs declared footprints).
+//! * **Structural sharing** ([`shared`]): [`Shared`], a transparent copy-on-write handle
+//!   a state type wraps its large components in, so a successor shares with its parent
+//!   everything the action did not write and a state copy is a few refcount bumps.
 //! * **Symmetry reduction** ([`symmetry`]): canonical representatives under a
 //!   permutation group of process ids ([`Canonicalize`] / [`Perm`]), attached to a
 //!   specification via [`Spec::with_canonicalization`] and consumed by the checker
@@ -47,6 +50,7 @@ pub mod label;
 pub mod module;
 pub mod projection;
 pub mod reflect;
+pub mod shared;
 pub mod spec;
 pub mod symmetry;
 pub mod trace;
@@ -65,6 +69,7 @@ pub use label::{LabelId, LabelTable, INIT_LABEL};
 pub use module::{ModuleId, ModuleSpec};
 pub use projection::{LabelProjectionFn, StabilityFn, StateProjectionFn, TraceProjection};
 pub use reflect::{FieldInfo, StateFields};
+pub use shared::Shared;
 pub use spec::{CanonFn, IncrementalCanon, Spec, SpecState};
 pub use symmetry::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm};
 pub use trace::{

@@ -288,7 +288,7 @@ pub(crate) fn follower_process_sync_packets_step(state: &mut ZabState, i: Sid, j
     else {
         return false;
     };
-    let sv = &mut state.servers[i];
+    let sv = &mut *state.servers[i];
     match mode {
         SyncMode::Diff => {
             // Transactions the follower already has and that are now known committed.

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use remix_spec::{SpecState, Value};
+use remix_spec::{Shared, SpecState, Value};
 
 use crate::config::ClusterConfig;
 use crate::types::{CodeViolation, Message, ServerState, Sid, Txn, Vote, ZabPhase, Zxid};
@@ -203,9 +203,10 @@ pub struct GhostState {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ZabState {
     /// Per-server state, indexed by sid.
-    pub servers: Vec<ServerData>,
-    /// FIFO channels: `msgs[from][to]` is the queue of in-flight messages.
-    pub msgs: Vec<Vec<Vec<Message>>>,
+    pub servers: Vec<Shared<ServerData>>,
+    /// FIFO channels: `msgs[from][to]` is the queue of in-flight messages (one shared
+    /// row per sender).
+    pub msgs: Vec<Shared<Vec<Vec<Message>>>>,
     /// Pairs of servers currently partitioned from each other (normalized `(min, max)`).
     pub partitioned: BTreeSet<(Sid, Sid)>,
     /// Remaining crash budget.
@@ -215,7 +216,7 @@ pub struct ZabState {
     /// Number of client transactions created so far (bounded by the configuration).
     pub txns_created: u32,
     /// Ghost variables for the protocol-level invariants.
-    pub ghost: GhostState,
+    pub ghost: Shared<GhostState>,
     /// The first code-level error path reached by this execution, if any.
     pub violation: Option<CodeViolation>,
 }
@@ -225,13 +226,13 @@ impl ZabState {
     pub fn initial(config: &ClusterConfig) -> Self {
         let n = config.num_servers;
         ZabState {
-            servers: (0..n).map(ServerData::initial).collect(),
-            msgs: vec![vec![Vec::new(); n]; n],
+            servers: (0..n).map(|i| ServerData::initial(i).into()).collect(),
+            msgs: vec![vec![Vec::new(); n].into(); n],
             partitioned: BTreeSet::new(),
             crashes_remaining: config.max_crashes,
             partitions_remaining: config.max_partitions,
             txns_created: 0,
-            ghost: GhostState::default(),
+            ghost: Shared::default(),
             violation: None,
         }
     }
@@ -283,19 +284,27 @@ impl ZabState {
         }
     }
 
+    /// Empties the channel `from → to`.  An already-empty queue is left alone: a
+    /// `&mut` into a shared row copies the row even when the write changes nothing.
+    fn clear_channel(&mut self, from: Sid, to: Sid) {
+        if !self.msgs[from][to].is_empty() {
+            self.msgs[from][to].clear();
+        }
+    }
+
     /// Clears every channel to and from server `i` (used when `i` crashes or when a
     /// partition forms: TCP connections break and in-flight messages are lost).
     pub fn clear_channels(&mut self, i: Sid) {
         for j in 0..self.n() {
-            self.msgs[i][j].clear();
-            self.msgs[j][i].clear();
+            self.clear_channel(i, j);
+            self.clear_channel(j, i);
         }
     }
 
     /// Clears the channels between a specific pair of servers.
     pub fn clear_pair_channels(&mut self, a: Sid, b: Sid) {
-        self.msgs[a][b].clear();
-        self.msgs[b][a].clear();
+        self.clear_channel(a, b);
+        self.clear_channel(b, a);
     }
 
     /// Records a code-level error path (only the first one is kept).
@@ -374,7 +383,7 @@ impl SpecState for ZabState {
     fn project(&self, requested: &[&str]) -> BTreeMap<String, Value> {
         let mut out = BTreeMap::new();
         let per_server = |f: &dyn Fn(&ServerData) -> Value| -> Value {
-            Value::Seq(self.servers.iter().map(f).collect())
+            Value::Seq(self.servers.iter().map(|s| f(s)).collect())
         };
         for var in requested {
             let value = match *var {

@@ -55,7 +55,7 @@
 use std::borrow::Cow;
 
 use remix_spec::effect::MAX_EFFECT_SERVERS;
-use remix_spec::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm};
+use remix_spec::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm, Shared};
 
 use crate::state::{GhostState, ServerData, ZabState};
 use crate::types::{Message, Sid, Vote, Zxid};
@@ -275,6 +275,16 @@ fn permute_ghost(perm: &Perm, g: &GhostState) -> GhostState {
         duplicate_establishment: g.duplicate_establishment,
         initial_history: g.initial_history.clone(),
         broadcast: g.broadcast.clone(),
+    }
+}
+
+/// Wraps a rewritten component, handing back the source's allocation when the renaming
+/// left it alone — a permuted state shares those components with its source.
+fn share_unchanged<T: Eq>(old: &Shared<T>, new: T) -> Shared<T> {
+    if **old == new {
+        old.clone()
+    } else {
+        new.into()
     }
 }
 
@@ -564,19 +574,30 @@ impl Canonicalize for ZabState {
     fn permute(&self, perm: &Perm) -> Self {
         let n = self.servers.len();
         debug_assert_eq!(perm.len(), n, "permutation domain must match the ensemble");
-        // Place each rewritten server directly at its destination slot (cloning the
-        // whole array first would throw those clones away immediately).
+        // Place each rewritten server and channel row directly at its destination slot
+        // (cloning the whole array first would throw those clones away immediately).
         let inv = perm.inverse();
-        let servers: Vec<ServerData> = (0..n)
-            .map(|new_pos| permute_server(perm, &self.servers[inv.apply(new_pos)]))
+        let servers = (0..n)
+            .map(|new_pos| {
+                let old = &self.servers[inv.apply(new_pos)];
+                share_unchanged(old, permute_server(perm, old))
+            })
             .collect();
-        let mut msgs = vec![vec![Vec::new(); n]; n];
-        for (i, row) in self.msgs.iter().enumerate() {
-            for (j, queue) in row.iter().enumerate() {
-                msgs[permute_sid(perm, i)][permute_sid(perm, j)] =
-                    queue.iter().map(|m| permute_message(perm, m)).collect();
-            }
-        }
+        let msgs = (0..n)
+            .map(|new_from| {
+                let old = &self.msgs[inv.apply(new_from)];
+                let row = (0..n)
+                    .map(|new_to| {
+                        let queue = &old[inv.apply(new_to)];
+                        queue.iter().map(|m| permute_message(perm, m)).collect()
+                    })
+                    .collect();
+                share_unchanged(old, row)
+            })
+            .collect();
+        // The ghost names servers only as establishing leaders.
+        let ghost_fixed = (self.ghost.established_leaders.values())
+            .all(|l| permute_sid(perm, *l) == *l);
         ZabState {
             servers,
             msgs,
@@ -591,7 +612,11 @@ impl Canonicalize for ZabState {
             crashes_remaining: self.crashes_remaining,
             partitions_remaining: self.partitions_remaining,
             txns_created: self.txns_created,
-            ghost: permute_ghost(perm, &self.ghost),
+            ghost: if ghost_fixed {
+                self.ghost.clone()
+            } else {
+                permute_ghost(perm, &self.ghost).into()
+            },
             violation: self
                 .violation
                 .as_ref()
