@@ -118,10 +118,17 @@ mod tests {
         let mut child = parent.clone();
         assert!(Shared::ptr_eq(&parent, &child));
         assert_eq!(child.len(), 2, "a read goes through Deref");
-        assert!(Shared::ptr_eq(&parent, &child), "and leaves the sharing intact");
+        assert!(
+            Shared::ptr_eq(&parent, &child),
+            "and leaves the sharing intact"
+        );
         child.push(3);
         assert!(!Shared::ptr_eq(&parent, &child));
-        assert_eq!(*parent, vec![1, 2], "the parent never sees the child's write");
+        assert_eq!(
+            *parent,
+            vec![1, 2],
+            "the parent never sees the child's write"
+        );
         assert_eq!(*child, vec![1, 2, 3]);
     }
 
@@ -130,7 +137,10 @@ mod tests {
         let parent: Shared<Vec<u32>> = Shared::default();
         let mut child = parent.clone();
         child.clear();
-        assert!(!Shared::ptr_eq(&parent, &child), "hence the guard-your-writes rule");
+        assert!(
+            !Shared::ptr_eq(&parent, &child),
+            "hence the guard-your-writes rule"
+        );
         assert_eq!(parent, child);
     }
 
@@ -141,7 +151,11 @@ mod tests {
         assert_eq!(sa.cmp(&sb), a.cmp(&b));
         assert_eq!(sa.partial_cmp(&sb), a.partial_cmp(&b));
         assert_eq!(sa.cmp(&sa.clone()), Ordering::Equal);
-        assert_eq!(sa, Shared::new(a.clone()), "equal values in separate allocations");
+        assert_eq!(
+            sa,
+            Shared::new(a.clone()),
+            "equal values in separate allocations"
+        );
         assert_ne!(sa, sb);
         assert_eq!(hash_of(&sa), hash_of(&a));
         assert_eq!(format!("{sa:?}"), format!("{a:?}"));

@@ -9,7 +9,9 @@ use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
 
 use crate::modules::BROADCAST;
 use crate::state::ZabState;
-use crate::types::{CodeViolation, Message, ServerState, Sid, Txn, ViolationKind, ZabPhase, Zxid};
+use crate::types::{
+    CodeViolation, Message, ServerState, Sid, SidSet, Txn, ViolationKind, ZabPhase, Zxid,
+};
 
 use super::{eff_recv, eff_recv_reply, pairs, servers, Cfg};
 
@@ -47,11 +49,10 @@ pub(crate) fn leader_process_request_step(cfg: &Cfg, state: &mut ZabState, i: Si
     let txn = Txn::new(epoch, counter, state.txns_created);
     state.servers[i].history.push(txn);
     state.ghost.broadcast.push(txn);
-    let mut ackers = std::collections::BTreeSet::new();
-    ackers.insert(i);
+    let ackers = SidSet::from_iter([i]);
     state.servers[i].pending_acks.insert(txn.zxid, ackers);
-    let followers: Vec<Sid> = state.servers[i].newleader_acks.iter().copied().collect();
-    for f in followers {
+    let followers = state.servers[i].newleader_acks;
+    for f in followers.iter() {
         state.send(i, f, Message::Proposal { txn });
     }
     true
@@ -139,8 +140,8 @@ pub(crate) fn commit_ready_proposals(state: &mut ZabState, i: Sid) {
         }
         state.servers[i].last_committed = next_index + 1;
         state.servers[i].pending_acks.remove(&zxid);
-        let followers: Vec<Sid> = state.servers[i].newleader_acks.iter().copied().collect();
-        for f in followers {
+        let followers = state.servers[i].newleader_acks;
+        for f in followers.iter() {
             state.send(i, f, Message::Commit { zxid });
         }
     }

@@ -9,22 +9,20 @@
 //! the externally visible effects (`state`, `zabState`, `acceptedEpoch`, `currentEpoch`
 //! of the leader, learner bookkeeping) are preserved.
 
-use std::collections::BTreeSet;
-
 use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
 
 use crate::modules::{DISCOVERY, ELECTION};
 use crate::state::ZabState;
-use crate::types::{ServerState, Sid, Vote, ZabPhase};
+use crate::types::{ServerState, Sid, SidSet, Vote, ZabPhase};
 
 use super::Cfg;
 
 /// Enumerates all subsets of `candidates` of size at least `min` (the candidate quorums).
-fn quorums(candidates: &[Sid], min: usize) -> Vec<BTreeSet<Sid>> {
+fn quorums(candidates: &[Sid], min: usize) -> Vec<SidSet> {
     let mut out = Vec::new();
     let n = candidates.len();
     for mask in 1u32..(1 << n) {
-        let set: BTreeSet<Sid> = candidates
+        let set: SidSet = candidates
             .iter()
             .enumerate()
             .filter(|(k, _)| mask & (1 << k) != 0)
@@ -92,16 +90,16 @@ fn election_and_discovery(cfg: &Cfg) -> ActionDef<ZabState> {
             for q in quorums(&looking, s.quorum_size()) {
                 // Every member of the quorum must be mutually reachable for the election
                 // (and the subsequent discovery round) to complete.
-                let connected = q.iter().all(|&a| q.iter().all(|&b| s.reachable(a, b)));
+                let connected = q.iter().all(|a| q.iter().all(|b| s.reachable(a, b)));
                 if !connected {
                     continue;
                 }
                 // Fast leader election elects the member with the maximal vote.
-                let Some(&leader) = q.iter().max_by_key(|&&i| candidate_vote(s, i)) else {
+                let Some(leader) = q.iter().max_by_key(|&i| candidate_vote(s, i)) else {
                     continue;
                 };
                 let mut next = s.clone();
-                for &member in &q {
+                for member in q.iter() {
                     let last_zxid = next.servers[member].last_zxid();
                     let sv = &mut next.servers[member];
                     sv.accepted_epoch = new_epoch;
@@ -125,7 +123,7 @@ fn election_and_discovery(cfg: &Cfg) -> ActionDef<ZabState> {
                 }
                 // Leader-side discovery bookkeeping: every follower of Q has reported its
                 // last zxid (ACKEPOCH) by the end of the combined action.
-                let followers: Vec<Sid> = q.iter().copied().filter(|&m| m != leader).collect();
+                let followers: Vec<Sid> = q.iter().filter(|&m| m != leader).collect();
                 for &f in &followers {
                     let fz = next.servers[f].last_zxid();
                     next.servers[leader].learners.insert(f);
@@ -145,7 +143,7 @@ fn election_and_discovery(cfg: &Cfg) -> ActionDef<ZabState> {
                         continue;
                     }
                     let mut overheard = false;
-                    for &member in &q {
+                    for member in q.iter() {
                         if s.reachable(o, member) {
                             next.servers[o].recv_votes.insert(member, winning);
                             overheard = true;
@@ -253,7 +251,7 @@ fn late_join(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 }
                 // FLE's decision rule over the gathered votes.
-                let mut agreeing: BTreeSet<Sid> = gathered
+                let mut agreeing: SidSet = gathered
                     .iter()
                     .filter(|(_, v)| *v == my_vote)
                     .map(|(j, _)| *j)
@@ -356,14 +354,14 @@ fn election_and_discovery_leader_crash(cfg: &Cfg) -> ActionDef<ZabState> {
                 return out;
             }
             for q in quorums(&looking, s.quorum_size()) {
-                let connected = q.iter().all(|&a| q.iter().all(|&b| s.reachable(a, b)));
+                let connected = q.iter().all(|a| q.iter().all(|b| s.reachable(a, b)));
                 if !connected {
                     continue;
                 }
-                let Some(&leader) = q.iter().max_by_key(|&&i| candidate_vote(s, i)) else {
+                let Some(leader) = q.iter().max_by_key(|&i| candidate_vote(s, i)) else {
                     continue;
                 };
-                let followers: Vec<Sid> = q.iter().copied().filter(|&m| m != leader).collect();
+                let followers: Vec<Sid> = q.iter().filter(|&m| m != leader).collect();
                 // Every subset J of followers may have completed the handshake before
                 // the crash (including none: the leader died right after proposing).
                 for joined in subsets(&followers) {

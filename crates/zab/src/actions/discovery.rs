@@ -104,16 +104,15 @@ fn leader_process_follower_info(cfg: &Cfg) -> ActionDef<ZabState> {
                     let epoch = next.servers[i].accepted_epoch;
                     next.send(i, j, Message::LeaderInfo { epoch });
                 } else {
-                    let mut connected = next.servers[i].learners.clone();
+                    let mut connected = next.servers[i].learners;
                     connected.insert(i);
                     if next.is_quorum(&connected) {
                         let epoch = next.max_accepted_epoch() + 1;
                         if epoch <= cfg.max_epoch {
                             next.servers[i].accepted_epoch = epoch;
                             next.servers[i].epoch_proposed = true;
-                            let learners: Vec<_> =
-                                next.servers[i].learners.iter().copied().collect();
-                            for l in learners {
+                            let learners = next.servers[i].learners;
+                            for l in learners.iter() {
                                 next.send(i, l, Message::LeaderInfo { epoch });
                             }
                         }
@@ -204,7 +203,7 @@ fn leader_process_ack_epoch(_cfg: &Cfg) -> ActionDef<ZabState> {
                 next.servers[i].epoch_acks.insert(j);
                 next.servers[i].learner_last_zxid.insert(j, last_zxid);
                 if next.servers[i].phase == ZabPhase::Discovery {
-                    let mut acked = next.servers[i].epoch_acks.clone();
+                    let mut acked = next.servers[i].epoch_acks;
                     acked.insert(i);
                     if next.is_quorum(&acked) {
                         next.servers[i].current_epoch = next.servers[i].accepted_epoch;

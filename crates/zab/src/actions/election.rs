@@ -10,7 +10,7 @@ use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
 
 use crate::modules::ELECTION;
 use crate::state::ZabState;
-use crate::types::{Message, ServerState, Sid, Vote, ZabPhase};
+use crate::types::{Message, ServerState, Sid, SidSet, Vote, ZabPhase};
 
 use super::{servers, Cfg};
 
@@ -135,7 +135,7 @@ fn fle_decide(_cfg: &Cfg) -> ActionDef<ZabState> {
                 if sv.state != ServerState::Looking || !sv.vote_broadcast {
                     continue;
                 }
-                let mut agreeing: std::collections::BTreeSet<Sid> = sv
+                let mut agreeing: SidSet = sv
                     .recv_votes
                     .iter()
                     .filter(|(_, v)| **v == sv.vote)

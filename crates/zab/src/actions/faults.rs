@@ -10,7 +10,7 @@ use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
 
 use crate::modules::FAULTS;
 use crate::state::ZabState;
-use crate::types::ServerState;
+use crate::types::{ServerState, SidSet};
 
 use super::{servers, Cfg};
 
@@ -156,8 +156,7 @@ fn leader_shutdown(cfg: &Cfg) -> ActionDef<ZabState> {
                 if !sv.is_up() || sv.state != ServerState::Leading {
                     continue;
                 }
-                let reachable: std::collections::BTreeSet<_> =
-                    (0..s.n()).filter(|&j| s.reachable(i, j)).collect();
+                let reachable: SidSet = (0..s.n()).filter(|&j| s.reachable(i, j)).collect();
                 if s.is_quorum(&reachable) {
                     continue;
                 }

@@ -135,8 +135,8 @@ pub(crate) fn establish_leader(state: &mut ZabState, i: Sid) {
     state.record_establishment(epoch, i, history);
 
     let last_zxid = state.servers[i].last_zxid();
-    let followers: Vec<Sid> = state.servers[i].newleader_acks.iter().copied().collect();
-    for f in followers {
+    let followers = state.servers[i].newleader_acks;
+    for f in followers.iter() {
         // ZooKeeper sends the commits of the leader's initial history before UPTODATE;
         // this ordering is what exposes ZK-4394 on followers still in synchronization.
         for z in &newly_committed {
@@ -168,7 +168,7 @@ pub(crate) fn leader_process_ackld_step(cfg: &Cfg, state: &mut ZabState, i: Sid,
     let newleader_zxid = state.servers[i].last_zxid();
     if zxid == newleader_zxid {
         state.servers[i].newleader_acks.insert(j);
-        let mut acked = state.servers[i].newleader_acks.clone();
+        let mut acked = state.servers[i].newleader_acks;
         acked.insert(i);
         if state.is_quorum(&acked) && !state.servers[i].established {
             establish_leader(state, i);

@@ -142,11 +142,11 @@ fn project_server(sv: &ServerData, spec: ProjectionSpec) -> Value {
         fields.push(("epochProposed".to_owned(), Value::Bool(sv.epoch_proposed)));
         fields.push((
             "syncSent".to_owned(),
-            Value::set(sv.sync_sent.iter().map(|s| Value::from(*s)).collect()),
+            Value::set(sv.sync_sent.iter().map(Value::from).collect()),
         ));
         fields.push((
             "ackldRecv".to_owned(),
-            Value::set(sv.newleader_acks.iter().map(|s| Value::from(*s)).collect()),
+            Value::set(sv.newleader_acks.iter().map(Value::from).collect()),
         ));
         fields.push((
             "proposalAcks".to_owned(),
@@ -158,7 +158,7 @@ fn project_server(sv: &ServerData, spec: ProjectionSpec) -> Value {
                             ("zxid".to_owned(), zxid_value(*z)),
                             (
                                 "acks".to_owned(),
-                                Value::set(acks.iter().map(|s| Value::from(*s)).collect()),
+                                Value::set(acks.iter().map(Value::from).collect()),
                             ),
                         ])
                     })
@@ -205,11 +205,11 @@ fn project_server(sv: &ServerData, spec: ProjectionSpec) -> Value {
         // identically and stays comparable.
         fields.push((
             "learners".to_owned(),
-            Value::set(sv.learners.iter().map(|s| Value::from(*s)).collect()),
+            Value::set(sv.learners.iter().map(Value::from).collect()),
         ));
         fields.push((
             "ackeRecv".to_owned(),
-            Value::set(sv.epoch_acks.iter().map(|s| Value::from(*s)).collect()),
+            Value::set(sv.epoch_acks.iter().map(Value::from).collect()),
         ));
     }
 

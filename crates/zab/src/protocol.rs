@@ -9,7 +9,6 @@
 //! Both variants are model-checked against the ten protocol-level invariants; the state
 //! type reuses [`ZabState`] so the same invariant library applies.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use remix_spec::{compose, ActionDef, ActionInstance, Granularity, ModuleSpec, Spec};
@@ -18,7 +17,7 @@ use crate::config::ClusterConfig;
 use crate::invariants::protocol_invariants;
 use crate::modules::{BROADCAST, ELECTION, FAULTS, SYNCHRONIZATION};
 use crate::state::ZabState;
-use crate::types::{Message, ServerState, Sid, ZabPhase, Zxid};
+use crate::types::{Message, ServerState, Sid, SidSet, ZabPhase, Zxid};
 
 /// Which protocol variant to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +61,7 @@ fn oracle_elect(cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
             // The oracle considers every quorum of looking servers.
             let n = looking.len();
             for mask in 1u32..(1 << n) {
-                let q: BTreeSet<Sid> = looking
+                let q: SidSet = looking
                     .iter()
                     .enumerate()
                     .filter(|(k, _)| mask & (1 << k) != 0)
@@ -71,14 +70,14 @@ fn oracle_elect(cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
                 if q.len() < s.quorum_size() {
                     continue;
                 }
-                let Some(&leader) = q
+                let Some(leader) = q
                     .iter()
-                    .max_by_key(|&&i| (s.servers[i].current_epoch, s.servers[i].last_zxid(), i))
+                    .max_by_key(|&i| (s.servers[i].current_epoch, s.servers[i].last_zxid(), i))
                 else {
                     continue;
                 };
                 let mut next = s.clone();
-                for &m in &q {
+                for m in q.iter() {
                     let sv = &mut next.servers[m];
                     sv.accepted_epoch = new_epoch;
                     sv.leader = Some(leader);
@@ -90,7 +89,7 @@ fn oracle_elect(cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
                         sv.state = ServerState::Following;
                     }
                 }
-                for &m in &q {
+                for m in q.iter() {
                     if m != leader {
                         let z = next.servers[m].last_zxid();
                         next.servers[leader].learners.insert(m);
@@ -126,7 +125,7 @@ fn leader_send_newleader(_cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
                 {
                     continue;
                 }
-                for j in s.servers[i].epoch_acks.clone() {
+                for j in s.servers[i].epoch_acks.iter() {
                     if s.servers[i].sync_sent.contains(&j) || !s.reachable(i, j) {
                         continue;
                     }
@@ -346,7 +345,7 @@ fn establishment_actions(_cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> 
                         let mut next = s.clone();
                         next.pop(j, i);
                         next.servers[i].newleader_acks.insert(j);
-                        let mut acked = next.servers[i].newleader_acks.clone();
+                        let mut acked = next.servers[i].newleader_acks;
                         acked.insert(i);
                         if next.is_quorum(&acked) && !next.servers[i].established {
                             let epoch = next.servers[i].accepted_epoch;
@@ -357,7 +356,7 @@ fn establishment_actions(_cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> 
                             next.servers[i].serving = true;
                             next.record_establishment(epoch, i, history);
                             let last = next.servers[i].last_zxid();
-                            for f in next.servers[i].newleader_acks.clone() {
+                            for f in next.servers[i].newleader_acks.iter() {
                                 next.send(i, f, Message::UpToDate { zxid: last });
                             }
                         }

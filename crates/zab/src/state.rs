@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use remix_spec::{Shared, SpecState, Value};
 
 use crate::config::ClusterConfig;
-use crate::types::{CodeViolation, Message, ServerState, Sid, Txn, Vote, ZabPhase, Zxid};
+use crate::types::{CodeViolation, Message, ServerState, Sid, SidSet, Txn, Vote, ZabPhase, Zxid};
 
 /// Per-server state.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,21 +46,21 @@ pub struct ServerData {
 
     // Leader-side bookkeeping.
     /// `learners`: followers connected to this leader (FOLLOWERINFO received).
-    pub learners: BTreeSet<Sid>,
+    pub learners: SidSet,
     /// Last zxid reported by each learner (from ACKEPOCH), used to pick the sync mode.
     pub learner_last_zxid: BTreeMap<Sid, Zxid>,
     /// Whether the leader has proposed its new epoch (sent LEADERINFO).
     pub epoch_proposed: bool,
     /// Followers that acknowledged the proposed epoch (ACKEPOCH received).
-    pub epoch_acks: BTreeSet<Sid>,
+    pub epoch_acks: SidSet,
     /// Followers to which the synchronization payload and NEWLEADER have been sent.
-    pub sync_sent: BTreeSet<Sid>,
+    pub sync_sent: SidSet,
     /// Followers that acknowledged NEWLEADER.
-    pub newleader_acks: BTreeSet<Sid>,
+    pub newleader_acks: SidSet,
     /// Whether this leader has established its epoch (quorum of NEWLEADER acks).
     pub established: bool,
     /// Outstanding broadcast proposals and the servers that acknowledged them.
-    pub pending_acks: BTreeMap<Zxid, BTreeSet<Sid>>,
+    pub pending_acks: BTreeMap<Zxid, SidSet>,
 
     // Follower-side synchronization bookkeeping.
     /// Whether the follower has sent FOLLOWERINFO to its leader.
@@ -97,12 +97,12 @@ impl ServerData {
             },
             vote_broadcast: false,
             recv_votes: BTreeMap::new(),
-            learners: BTreeSet::new(),
+            learners: SidSet::new(),
             learner_last_zxid: BTreeMap::new(),
             epoch_proposed: false,
-            epoch_acks: BTreeSet::new(),
-            sync_sent: BTreeSet::new(),
-            newleader_acks: BTreeSet::new(),
+            epoch_acks: SidSet::new(),
+            sync_sent: SidSet::new(),
+            newleader_acks: SidSet::new(),
             established: false,
             pending_acks: BTreeMap::new(),
             connected: false,
@@ -164,7 +164,10 @@ impl ServerData {
 
     /// Crashes the server: volatile state is lost, durable state is preserved.
     pub fn crash(&mut self) {
-        let sid = self.vote.leader; // placeholder, overwritten below
+        // `ServerData` does not know its own sid: the reset vote keeps naming the stale
+        // vote's leader while the server is down, until `restart` re-votes for the
+        // server itself.
+        let sid = self.vote.leader;
         self.shutdown_to_looking(sid, true);
         self.state = ServerState::Down;
     }
@@ -223,8 +226,18 @@ pub struct ZabState {
 
 impl ZabState {
     /// The initial state for a configuration: every server freshly booted and looking.
+    ///
+    /// # Panics
+    ///
+    /// When the ensemble is larger than [`SidSet::CAPACITY`], the widest set of servers
+    /// the state can represent.
     pub fn initial(config: &ClusterConfig) -> Self {
         let n = config.num_servers;
+        assert!(
+            n <= SidSet::CAPACITY,
+            "{n} servers exceed the {} a SidSet can hold",
+            SidSet::CAPACITY
+        );
         ZabState {
             servers: (0..n).map(|i| ServerData::initial(i).into()).collect(),
             msgs: vec![vec![Vec::new(); n].into(); n],
@@ -248,7 +261,7 @@ impl ZabState {
     }
 
     /// Returns `true` if the given set of servers is a quorum.
-    pub fn is_quorum(&self, set: &BTreeSet<Sid>) -> bool {
+    pub fn is_quorum(&self, set: &SidSet) -> bool {
         set.len() >= self.quorum_size()
     }
 
@@ -329,7 +342,7 @@ impl ZabState {
     }
 
     /// The set of up servers.
-    pub fn up_servers(&self) -> BTreeSet<Sid> {
+    pub fn up_servers(&self) -> SidSet {
         (0..self.n()).filter(|&i| self.servers[i].is_up()).collect()
     }
 
@@ -418,7 +431,7 @@ impl SpecState for ZabState {
                 })),
                 "receiveVotes" => Some(per_server(&|s| Value::from(s.recv_votes.len()))),
                 "learners" => Some(per_server(&|s| {
-                    Value::set(s.learners.iter().map(|l| Value::from(*l)).collect())
+                    Value::set(s.learners.iter().map(Value::from).collect())
                 })),
                 "packetsSync" => Some(per_server(&|s| {
                     Value::record(vec![
@@ -478,6 +491,15 @@ mod tests {
         assert!(s.violation.is_none());
         assert!(s.servers.iter().all(|sv| sv.state == ServerState::Looking));
         assert!(s.servers.iter().all(|sv| sv.history.is_empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 16 a SidSet can hold")]
+    fn an_ensemble_wider_than_a_sid_set_is_refused() {
+        ZabState::initial(&ClusterConfig {
+            num_servers: SidSet::CAPACITY + 1,
+            ..ClusterConfig::small(CodeVersion::V391)
+        });
     }
 
     #[test]

@@ -58,7 +58,7 @@ use remix_spec::effect::MAX_EFFECT_SERVERS;
 use remix_spec::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm, Shared};
 
 use crate::state::{GhostState, ServerData, ZabState};
-use crate::types::{Message, Sid, Vote, Zxid};
+use crate::types::{Message, Sid, SidSet, Vote, Zxid};
 
 /// Upper bound on the number of tie-break candidates `ZabState::canonicalize`
 /// enumerates directly, and on the orderings the individualization-refinement stage may
@@ -199,6 +199,10 @@ fn permute_sid(perm: &Perm, sid: Sid) -> Sid {
     perm.apply(sid)
 }
 
+fn permute_sids(perm: &Perm, sids: SidSet) -> SidSet {
+    sids.iter().map(|sid| permute_sid(perm, sid)).collect()
+}
+
 fn permute_vote(perm: &Perm, vote: &Vote) -> Vote {
     Vote {
         epoch: vote.epoch,
@@ -236,25 +240,21 @@ fn permute_server(perm: &Perm, s: &ServerData) -> ServerData {
             .iter()
             .map(|(sid, v)| (permute_sid(perm, *sid), permute_vote(perm, v)))
             .collect(),
-        learners: s.learners.iter().map(|l| permute_sid(perm, *l)).collect(),
+        learners: permute_sids(perm, s.learners),
         learner_last_zxid: s
             .learner_last_zxid
             .iter()
             .map(|(sid, z)| (permute_sid(perm, *sid), *z))
             .collect(),
         epoch_proposed: s.epoch_proposed,
-        epoch_acks: s.epoch_acks.iter().map(|a| permute_sid(perm, *a)).collect(),
-        sync_sent: s.sync_sent.iter().map(|a| permute_sid(perm, *a)).collect(),
-        newleader_acks: s
-            .newleader_acks
-            .iter()
-            .map(|a| permute_sid(perm, *a))
-            .collect(),
+        epoch_acks: permute_sids(perm, s.epoch_acks),
+        sync_sent: permute_sids(perm, s.sync_sent),
+        newleader_acks: permute_sids(perm, s.newleader_acks),
         established: s.established,
         pending_acks: s
             .pending_acks
             .iter()
-            .map(|(z, acks)| (*z, acks.iter().map(|a| permute_sid(perm, *a)).collect()))
+            .map(|(z, acks)| (*z, permute_sids(perm, *acks)))
             .collect(),
         connected: s.connected,
         packets_not_committed: s.packets_not_committed.clone(),
@@ -596,8 +596,8 @@ impl Canonicalize for ZabState {
             })
             .collect();
         // The ghost names servers only as establishing leaders.
-        let ghost_fixed = (self.ghost.established_leaders.values())
-            .all(|l| permute_sid(perm, *l) == *l);
+        let ghost_fixed =
+            (self.ghost.established_leaders.values()).all(|l| permute_sid(perm, *l) == *l);
         ZabState {
             servers,
             msgs,

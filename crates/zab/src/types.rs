@@ -1,9 +1,132 @@
-//! Basic Zab / ZooKeeper domain types: zxids, transactions, messages, votes.
+//! Basic Zab / ZooKeeper domain types: zxids, transactions, messages, votes, and
+//! [`SidSet`] — the bitmask every set of server ids in the state is stored as (an
+//! inline `u16` where a `BTreeSet<Sid>` cost a heap node per non-empty set per state,
+//! with `BTreeSet<Sid>`'s iteration order, `Ord` and `Hash` stream).
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Server identifier (the `sid` / `myid` of a ZooKeeper ensemble member).
 pub type Sid = usize;
+
+/// A set of server ids as a bitmask: bit `i` is set when server `i` is a member.
+///
+/// A drop-in for the `BTreeSet<Sid>` it replaced — same method names, ascending
+/// iteration (by value: there is no element to borrow), and, hand-written rather than
+/// derived, the same lexicographic [`Ord`] and length-prefixed [`Hash`] stream, so state
+/// fingerprints and canonical representatives do not depend on the representation.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct SidSet(u16);
+
+impl SidSet {
+    /// The number of distinct sids a set can hold: sids are `0..CAPACITY`.
+    pub const CAPACITY: usize = u16::BITS as usize;
+
+    /// The empty set.
+    pub const fn new() -> Self {
+        SidSet(0)
+    }
+
+    /// Panics on a sid the mask cannot hold: a shift that wrapped would put a
+    /// *different* server in the set, and a wrong set is a wrong verdict.
+    fn bit(sid: Sid) -> u16 {
+        assert!(
+            sid < Self::CAPACITY,
+            "sid {sid} exceeds SidSet::CAPACITY ({})",
+            Self::CAPACITY
+        );
+        1 << sid
+    }
+
+    /// Adds `sid`; returns whether it was newly inserted.
+    pub fn insert(&mut self, sid: Sid) -> bool {
+        let fresh = !self.contains(&sid);
+        self.0 |= Self::bit(sid);
+        fresh
+    }
+
+    /// Removes `sid`; returns whether it was a member.
+    pub fn remove(&mut self, sid: &Sid) -> bool {
+        let present = self.contains(sid);
+        self.0 &= !Self::bit(*sid);
+        present
+    }
+
+    /// Returns `true` when `sid` is a member.
+    pub fn contains(&self, sid: &Sid) -> bool {
+        *sid < Self::CAPACITY && self.0 & (1 << *sid) != 0
+    }
+
+    /// The number of members.
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Returns `true` when the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+
+    /// Removes every member.
+    pub fn clear(&mut self) {
+        self.0 = 0;
+    }
+
+    /// The members in ascending order.  The iterator owns a copy of the mask, so the
+    /// set's owner may be written while it runs.
+    pub fn iter(&self) -> impl Iterator<Item = Sid> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let sid = rest.trailing_zeros() as Sid;
+                rest &= rest - 1;
+                sid
+            })
+        })
+    }
+}
+
+impl FromIterator<Sid> for SidSet {
+    fn from_iter<I: IntoIterator<Item = Sid>>(iter: I) -> Self {
+        let mut set = SidSet::new();
+        for sid in iter {
+            set.insert(sid);
+        }
+        set
+    }
+}
+
+impl PartialOrd for SidSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic over the ascending members, as `BTreeSet`'s: `{0, 2} < {1}`, although
+/// as masks `0b101 > 0b010`.
+impl Ord for SidSet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+/// The byte stream `BTreeSet<usize>` feeds a hasher: the length, then each member.
+impl Hash for SidSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        for sid in self.iter() {
+            sid.hash(state);
+        }
+    }
+}
+
+/// Renders as the set it is (`{0, 2}`), not as a mask.
+impl fmt::Debug for SidSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
 
 /// A ZooKeeper transaction identifier: an (epoch, counter) pair, totally ordered
 /// epoch-major.
@@ -241,6 +364,24 @@ pub struct CodeViolation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sid_sets_order_lexicographically_not_by_mask() {
+        let (a, b) = (SidSet::from_iter([0, 2]), SidSet::from_iter([1]));
+        assert!(
+            a < b,
+            "{{0, 2}} < {{1}} as BTreeSets, although 0b101 > 0b010"
+        );
+        assert!(SidSet::new() < a);
+        assert!(SidSet::from_iter([0]) < a, "a strict prefix sorts first");
+        assert_eq!(format!("{a:?}"), "{0, 2}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds SidSet::CAPACITY")]
+    fn a_sid_past_the_capacity_is_refused_not_wrapped() {
+        SidSet::new().insert(SidSet::CAPACITY);
+    }
 
     #[test]
     fn zxid_ordering_is_epoch_major() {
