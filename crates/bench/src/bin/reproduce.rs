@@ -124,8 +124,16 @@ fn main() {
 fn print_efficiency(rows: &[remix_core::EfficiencyRow]) {
     for r in rows {
         println!(
-            "{:<9} time={:>8.2?} depth={:<3} states={:<10} violations={:<6} inv={:?} completed={}",
-            r.spec, r.time, r.depth, r.states, r.violations, r.violated_invariants, r.completed
+            "{:<9} time={:>8.2?} teardown={:>8.2?} depth={:<3} states={:<10} violations={:<6} \
+             inv={:?} completed={}",
+            r.spec,
+            r.time,
+            r.teardown,
+            r.depth,
+            r.states,
+            r.violations,
+            r.violated_invariants,
+            r.completed
         );
     }
 }

@@ -235,6 +235,7 @@ pub fn table5(completion: bool, budget: Duration) -> Vec<EfficiencyRow> {
             EfficiencyRow {
                 spec: preset.name().to_owned(),
                 time: run.outcome.stats.elapsed,
+                teardown: run.outcome.stats.teardown,
                 depth: run
                     .outcome
                     .first_violation()

@@ -166,7 +166,11 @@ pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         options.symmetry == SymmetryMode::Canonicalize,
         options.por,
     );
-    let explored = kernel::explore(
+    let kernel::Explored {
+        visitor,
+        stop_reason,
+        totals,
+    } = kernel::explore(
         Run {
             pipeline: &pipeline,
             store: &store,
@@ -192,24 +196,31 @@ pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         },
     );
 
+    let InvariantVisitor {
+        violations,
+        violation_count,
+        ..
+    } = visitor;
+    let mut stats = CheckStats {
+        distinct_states: store.len(),
+        transitions: totals.per_worker_transitions.iter().sum(),
+        max_depth: totals.max_depth,
+        per_worker_transitions: totals.per_worker_transitions,
+        shard_contention: store.contention_counters(),
+        peak_entry_bytes: store.entry_bytes(),
+        entry_bytes_per_state: store.entry_bytes_per_state(),
+        spill: store.spill_stats(),
+        pruned_transitions: totals.pruned_transitions,
+        canon_fallbacks: canon_stats::tie_cap_fallbacks().saturating_sub(fallbacks_before),
+        ..CheckStats::default()
+    };
+    stats.stamp_after_dropping(start, store);
     CheckOutcome {
         spec_name: spec.name.clone(),
-        stats: CheckStats {
-            distinct_states: store.len(),
-            transitions: explored.totals.per_worker_transitions.iter().sum(),
-            max_depth: explored.totals.max_depth,
-            elapsed: start.elapsed(),
-            per_worker_transitions: explored.totals.per_worker_transitions,
-            shard_contention: store.contention_counters(),
-            peak_entry_bytes: store.entry_bytes(),
-            entry_bytes_per_state: store.entry_bytes_per_state(),
-            spill: store.spill_stats(),
-            pruned_transitions: explored.totals.pruned_transitions,
-            canon_fallbacks: canon_stats::tie_cap_fallbacks().saturating_sub(fallbacks_before),
-        },
-        stop_reason: explored.stop_reason,
-        violations: explored.visitor.violations,
-        violation_count: explored.visitor.violation_count.into_inner(),
+        stats,
+        stop_reason,
+        violations,
+        violation_count: violation_count.into_inner(),
     }
 }
 
@@ -342,6 +353,19 @@ mod tests {
         assert_eq!(v.depth, 3);
         assert_eq!(v.trace.depth(), 3);
         assert_eq!(v.trace.last_state().unwrap(), &Pair { a: 2, b: 1, max: 3 });
+    }
+
+    #[test]
+    fn elapsed_covers_the_store_teardown() {
+        let spec = pair_spec(12, None);
+        let options = CheckOptions::default().with_store_mode(StoreMode::Full);
+        for stats in [
+            check_bfs(&spec, &options).stats,
+            crate::dfs::check_dfs(&spec, &options).stats,
+        ] {
+            assert!(stats.teardown > Duration::ZERO, "{stats:?}");
+            assert!(stats.elapsed >= stats.teardown, "{stats:?}");
+        }
     }
 
     #[test]

@@ -243,25 +243,26 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         }
     }
 
-    let stats = CheckStats {
+    let mut stats = CheckStats {
         distinct_states: store.len(),
         transitions,
         max_depth: max_depth_reached,
-        elapsed: start.elapsed(),
         per_worker_transitions: vec![transitions],
-        shard_contention: Vec::new(),
         peak_entry_bytes: store.entry_bytes(),
         entry_bytes_per_state: store.entry_bytes_per_state(),
         spill: store.spill_stats(),
         pruned_transitions: pruned,
         canon_fallbacks: canon_stats::tie_cap_fallbacks().saturating_sub(fallbacks_before),
+        ..CheckStats::default()
     };
+    let Violations { found, count, .. } = violations;
+    stats.stamp_after_dropping(start, (stack, sleeps, best_depth, store));
     CheckOutcome {
         spec_name: spec.name.clone(),
         stats,
         stop_reason,
-        violations: violations.found,
-        violation_count: violations.count,
+        violations: found,
+        violation_count: count,
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use remix_spec::Trace;
 
@@ -46,8 +46,12 @@ pub struct CheckStats {
     pub transitions: u64,
     /// Maximum depth (number of transitions from an initial state) reached.
     pub max_depth: u32,
-    /// Wall-clock time of the run.
+    /// Wall-clock time of the run, from the engine's entry until its discovered-state
+    /// store has been freed — what a caller waits for the verdict.
     pub elapsed: Duration,
+    /// The part of `elapsed` spent freeing the store and the engine's own work lists
+    /// after exploration stopped (`elapsed - teardown` is the exploration itself).
+    pub teardown: Duration,
     /// Transitions generated by each worker thread (index = worker id).  Sequential runs
     /// have a single entry equal to `transitions`; a balanced parallel run has roughly
     /// equal entries, so skew here points at frontier imbalance.
@@ -79,6 +83,15 @@ pub struct CheckStats {
 }
 
 impl CheckStats {
+    /// Frees `arena` — the run's store and whatever else the engine still holds — and
+    /// stamps both clocks, so `elapsed` covers the drop instead of stopping before it.
+    pub(crate) fn stamp_after_dropping(&mut self, start: Instant, arena: impl Sized) {
+        let teardown = Instant::now();
+        drop(arena);
+        self.teardown = teardown.elapsed();
+        self.elapsed = start.elapsed();
+    }
+
     /// Total contended lock acquisitions across all stripes of the state set.
     pub fn total_contention(&self) -> u64 {
         self.shard_contention.iter().sum()
@@ -165,6 +178,7 @@ impl<S> fmt::Display for CheckOutcome<S> {
         writeln!(f, "transitions:     {}", self.stats.transitions)?;
         writeln!(f, "max depth:       {}", self.stats.max_depth)?;
         writeln!(f, "elapsed:         {:.2?}", self.stats.elapsed)?;
+        writeln!(f, "teardown:        {:.2?}", self.stats.teardown)?;
         writeln!(f, "stop reason:     {}", self.stop_reason)?;
         writeln!(f, "violations:      {}", self.violation_count)?;
         for v in &self.violations {

@@ -534,8 +534,11 @@ impl<S: SpecState> StateStore<S> {
     /// the inline state.
     ///
     /// This is the *per-entry payload* accounting the bench artefact reports: it
-    /// excludes hash-map load-factor overhead and any heap owned by the state itself,
-    /// both of which only widen the gap in favour of [`StoreMode::FingerprintOnly`].
+    /// excludes hash-map load-factor overhead and any heap behind the state — both the
+    /// heap the state owns and, for a state type built on `remix_spec::Shared`, the
+    /// components it shares with its parent (counted once, wherever they were first
+    /// written) — all of which only widen the gap in favour of
+    /// [`StoreMode::FingerprintOnly`].
     pub fn entry_bytes_per_state(&self) -> usize {
         let fixed = std::mem::size_of::<SlotMeta>()
             + std::mem::size_of::<Fingerprint>()

@@ -53,6 +53,8 @@ pub struct EfficiencyRow {
     pub spec: String,
     /// Wall-clock time of the run.
     pub time: Duration,
+    /// The part of `time` spent freeing the state store after exploration stopped.
+    pub teardown: Duration,
     /// Maximum depth reached.
     pub depth: u32,
     /// Distinct states explored.
@@ -71,6 +73,7 @@ impl EfficiencyRow {
         JsonObject::new()
             .string("spec", &self.spec)
             .u128("time", self.time.as_millis())
+            .u128("teardown", self.teardown.as_millis())
             .u128("depth", self.depth.into())
             .u128("states", self.states as u128)
             .u128("violations", self.violations as u128)
@@ -530,6 +533,7 @@ mod tests {
         let eff = EfficiencyRow {
             spec: "mSpec-3".to_owned(),
             time: Duration::from_secs(11),
+            teardown: Duration::from_millis(700),
             depth: 13,
             states: 77_179,
             violations: 1,

@@ -6,6 +6,19 @@
 //! budgets, and a small set of *ghost* variables (established epochs and their initial
 //! histories, the global broadcast order) used only by the protocol-level invariants of
 //! Table 2.
+//!
+//! # Structural sharing
+//!
+//! An action rewrites one server and at most one channel row, so [`ZabState`] holds its
+//! large components — each server, each sender's row of channels, the ghost state —
+//! behind [`Shared`]: cloning a state bumps reference counts, and a successor shares
+//! with its parent everything its action did not write.  `Shared` derefs to the value,
+//! so reads (`state.servers[i].history.len()`, `state.msgs[i][j].first()`) are written
+//! as before and never copy; **any `&mut` copies a component that is still shared**,
+//! even when the write changes nothing, so writes that may be no-ops are guarded
+//! ([`ZabState::clear_channels`]).  `Shared`'s `Eq`/`Ord`/`Hash`/`Debug` are the value's
+//! and sets of sids are [`SidSet`] bitmasks with `BTreeSet<Sid>`'s `Ord` and `Hash`, so
+//! the layout is invisible to fingerprints, canonical forms and traces.
 
 use std::collections::{BTreeMap, BTreeSet};
 

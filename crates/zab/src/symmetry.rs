@@ -595,9 +595,6 @@ impl Canonicalize for ZabState {
                 share_unchanged(old, row)
             })
             .collect();
-        // The ghost names servers only as establishing leaders.
-        let ghost_fixed =
-            (self.ghost.established_leaders.values()).all(|l| permute_sid(perm, *l) == *l);
         ZabState {
             servers,
             msgs,
@@ -612,11 +609,7 @@ impl Canonicalize for ZabState {
             crashes_remaining: self.crashes_remaining,
             partitions_remaining: self.partitions_remaining,
             txns_created: self.txns_created,
-            ghost: if ghost_fixed {
-                self.ghost.clone()
-            } else {
-                permute_ghost(perm, &self.ghost).into()
-            },
+            ghost: share_unchanged(&self.ghost, permute_ghost(perm, &self.ghost)),
             violation: self
                 .violation
                 .as_ref()

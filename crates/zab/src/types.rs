@@ -28,28 +28,29 @@ impl SidSet {
         SidSet(0)
     }
 
-    /// Panics on a sid the mask cannot hold: a shift that wrapped would put a
-    /// *different* server in the set, and a wrong set is a wrong verdict.
-    fn bit(sid: Sid) -> u16 {
+    /// Adds `sid`; returns whether it was newly inserted.
+    ///
+    /// # Panics
+    ///
+    /// On a sid the mask cannot hold: a shift that wrapped would put a *different*
+    /// server in the set, and a wrong set is a wrong verdict.
+    pub fn insert(&mut self, sid: Sid) -> bool {
         assert!(
             sid < Self::CAPACITY,
             "sid {sid} exceeds SidSet::CAPACITY ({})",
             Self::CAPACITY
         );
-        1 << sid
-    }
-
-    /// Adds `sid`; returns whether it was newly inserted.
-    pub fn insert(&mut self, sid: Sid) -> bool {
         let fresh = !self.contains(&sid);
-        self.0 |= Self::bit(sid);
+        self.0 |= 1 << sid;
         fresh
     }
 
     /// Removes `sid`; returns whether it was a member.
     pub fn remove(&mut self, sid: &Sid) -> bool {
         let present = self.contains(sid);
-        self.0 &= !Self::bit(*sid);
+        if present {
+            self.0 &= !(1 << *sid);
+        }
         present
     }
 
