@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use remix_analyze::schedule::seeded_schedule_divergence;
 use remix_analyze::{schedule_oracle, ScheduleOracleOptions};
-use remix_checker::CheckOptions;
+use remix_checker::{check_bfs, CheckOptions};
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
 #[test]
@@ -55,4 +55,41 @@ fn seeded_divergence_regression_is_flagged() {
     assert_eq!(finding.action, "determinism-divergence");
     assert!(finding.location.contains("workers=2"));
     assert!(finding.detail.contains("perturb::install"));
+}
+
+/// The store's intern pool hands out allocations in insert order, which depends on
+/// the schedule; nothing derived from a pooled handle (an address, a pool slot) may
+/// reach a key, a trace or a statistic.  A run that records every violation of a buggy
+/// version to completion exposes all three in its signature.
+#[test]
+fn violating_completion_run_is_deterministic_under_schedule_perturbation() {
+    let config = ClusterConfig::small(CodeVersion::V391)
+        .with_transactions(1)
+        .with_crashes(0);
+    let spec = SpecPreset::MSpec3.build(&config);
+    let base = CheckOptions::completion();
+    assert!(
+        !check_bfs(&spec, &base).violations.is_empty(),
+        "the signature under test must carry violations"
+    );
+    let report = schedule_oracle(
+        "mspec3-v391-completion",
+        &spec,
+        &base,
+        &ScheduleOracleOptions {
+            workers: vec![1, 2, 4],
+            seeds: vec![0x5EED_F00D],
+        },
+    );
+    assert!(
+        report.findings.is_empty(),
+        "{:?}",
+        report
+            .findings
+            .iter()
+            .map(|f| f.to_string())
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(report.diamonds_checked, 3);
+    assert!(report.corpus_states > 100);
 }

@@ -4,11 +4,12 @@
 //! violation found for each invariant has minimal depth, which produces short, debuggable
 //! counterexample traces.
 //!
-//! [`check_bfs`] is the level-synchronous kernel ([`crate::kernel`]: persistent worker
-//! pool, batched shard inserts, work stealing, frontier spilling, deterministic stop
-//! precedence) plus the invariant visitor defined here: every state that enters the
-//! store is checked against the specification's invariants on the worker that inserted
-//! it, and the violations of a level are resolved into traces at its barrier.
+//! [`check_bfs`] is the level-synchronous kernel (the private `kernel` module:
+//! persistent worker pool, batched shard inserts, work stealing, frontier spilling,
+//! deterministic stop precedence) plus the invariant visitor defined here: every state
+//! that enters the store is checked against the specification's invariants on the worker
+//! that inserted it, and the violations of a level are resolved into traces at its
+//! barrier.
 //! Discovered states live in a lock-striped [`StateStore`]: `u32` state indices,
 //! parent-by-index, interned action labels, and (in
 //! [`StoreMode::Full`](crate::store::StoreMode)) states inline in the arena;
@@ -45,7 +46,7 @@
 //! the parent's sort keys instead of recomputing all of them — the parent is already
 //! canonical, so untouched keys are unchanged by construction (debug builds verify
 //! every incremental result against the full recomputation).  Both live in the shared
-//! successor pipeline ([`crate::expand`]).
+//! successor pipeline (the private `expand` module).
 
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -151,10 +152,22 @@ impl<S: SpecState> Visitor<S> for InvariantVisitor<'_, S> {
 /// Runs breadth-first model checking of `spec` under `options`.
 pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckOutcome<S> {
     let start = Instant::now();
-    let fallbacks_before = canon_stats::tie_cap_fallbacks();
-    let labels = LabelTable::new();
     let store: StateStore<S> =
         StateStore::with_spill(options.store_mode, options.shards, &options.spill);
+    let mut outcome = check_bfs_into(spec, options, start, &store);
+    outcome.stats.stamp_after_dropping(start, store);
+    outcome
+}
+
+/// [`check_bfs`] up to, but not including, the drop of its (initially empty) `store`.
+fn check_bfs_into<S: SpecState>(
+    spec: &Spec<S>,
+    options: &CheckOptions,
+    start: Instant,
+    store: &StateStore<S>,
+) -> CheckOutcome<S> {
+    let fallbacks_before = canon_stats::tie_cap_fallbacks();
+    let labels = LabelTable::new();
     let stop = StopCell::new();
     let (violation_limit, violation_stop) = match options.mode {
         CheckMode::FirstViolation => (1, STOP_FIRST_VIOLATION),
@@ -173,7 +186,7 @@ pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
     } = kernel::explore(
         Run {
             pipeline: &pipeline,
-            store: &store,
+            store,
             stop: &stop,
             workers: options.workers,
             batch_size: options.batch_size.max(1),
@@ -186,7 +199,7 @@ pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         },
         InvariantVisitor {
             pipeline: &pipeline,
-            store: &store,
+            store,
             stop: &stop,
             options,
             violation_limit,
@@ -201,7 +214,7 @@ pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         violation_count,
         ..
     } = visitor;
-    let mut stats = CheckStats {
+    let stats = CheckStats {
         distinct_states: store.len(),
         transitions: totals.per_worker_transitions.iter().sum(),
         max_depth: totals.max_depth,
@@ -214,7 +227,6 @@ pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         canon_fallbacks: canon_stats::tie_cap_fallbacks().saturating_sub(fallbacks_before),
         ..CheckStats::default()
     };
-    stats.stamp_after_dropping(start, store);
     CheckOutcome {
         spec_name: spec.name.clone(),
         stats,
@@ -227,12 +239,15 @@ pub fn check_bfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::Fingerprint;
     use crate::stop::STOP_TIME_BUDGET;
     use crate::store::StoreMode;
     use remix_spec::{
         ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
+        Shared,
     };
-    use std::collections::{BTreeMap, HashSet};
+    use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
+    use std::collections::{BTreeMap, HashMap, HashSet};
     use std::time::Duration;
 
     /// A pair of counters where `b` may only be incremented after `a`, bounded by `max`.
@@ -936,5 +951,83 @@ mod tests {
             outcome.stats.shard_contention.len(),
             CheckOptions::default().shards
         );
+    }
+    /// Distinct values and distinct allocations among the handles of one component
+    /// kind; `see` asserts `==` ⇒ `ptr_eq` (the converse holds by construction).
+    struct Census<T>(HashMap<Fingerprint, Vec<Shared<T>>>);
+
+    impl<T: std::hash::Hash + Eq + std::fmt::Debug> Census<T> {
+        fn see(&mut self, handle: &Shared<T>) {
+            let bucket = self.0.entry(handle.digest()).or_default();
+            if bucket.iter().any(|seen| Shared::ptr_eq(seen, handle)) {
+                return;
+            }
+            assert!(
+                bucket.iter().all(|seen| seen != handle),
+                "one value, two allocations: {handle:?}"
+            );
+            bucket.push(handle.clone());
+        }
+
+        fn distinct(&self) -> usize {
+            self.0.values().map(Vec::len).sum()
+        }
+    }
+
+    /// Exhausts mSpec-3 on `config` into a full store and returns the number of
+    /// distinct `(servers, channel rows, ghost states)` it holds — each of which must
+    /// be exactly one allocation, shared by every state that contains the value.
+    fn pooled_components(config: &ClusterConfig, workers: usize) -> (usize, usize, usize, usize) {
+        let spec = SpecPreset::MSpec3.build(config);
+        let options = CheckOptions::default()
+            .with_store_mode(StoreMode::Full)
+            .with_symmetry(SymmetryMode::Off)
+            .with_por(false)
+            .with_workers(workers);
+        let store = StateStore::with_spill(options.store_mode, options.shards, &options.spill);
+        let outcome = check_bfs_into(&spec, &options, Instant::now(), &store);
+        assert_eq!(outcome.stop_reason, StopReason::Exhausted);
+        let (mut servers, mut rows, mut ghosts) = (
+            Census(HashMap::new()),
+            Census(HashMap::new()),
+            Census(HashMap::new()),
+        );
+        let mut states = 0;
+        store.for_each_state(|state| {
+            states += 1;
+            state.servers.iter().for_each(|s| servers.see(s));
+            state.msgs.iter().for_each(|r| rows.see(r));
+            ghosts.see(&state.ghost);
+        });
+        let counts = (servers.distinct(), rows.distinct(), ghosts.distinct());
+        assert_eq!(
+            store.interned_components(),
+            counts.0 + counts.1 + counts.2,
+            "the pool holds exactly what the arena references"
+        );
+        (states, counts.0, counts.1, counts.2)
+    }
+
+    #[test]
+    fn a_full_store_holds_one_allocation_per_distinct_component() {
+        let smoke = ClusterConfig::small(CodeVersion::FinalFix)
+            .with_transactions(1)
+            .with_crashes(0);
+        for workers in [1, 4] {
+            assert_eq!(pooled_components(&smoke, workers), (503, 58, 83, 5));
+        }
+    }
+
+    /// ROADMAP's probe of the `exhaust-fine` space, pinned.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "expensive model-checking run; use --release"
+    )]
+    fn exhaust_fine_is_assembled_from_2510_components() {
+        let fine = ClusterConfig::small(CodeVersion::FinalFix)
+            .with_transactions(1)
+            .with_crashes(2);
+        assert_eq!(pooled_components(&fine, 1), (221_490, 1_657, 702, 151));
     }
 }

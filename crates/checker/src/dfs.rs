@@ -33,7 +33,7 @@
 //! explored — without the re-push, edges pruned on the first visit could be lost for
 //! good.  Sets only shrink, so the re-push loop terminates.  Pruning, sleep-set
 //! inheritance and (incremental) canonicalization are the shared successor pipeline
-//! ([`crate::expand`]), exactly as in the BFS engine.
+//! (the private `expand` module), exactly as in the BFS engine.
 
 use std::time::Instant;
 

@@ -4,7 +4,8 @@
 //! store sees it: skip it if its label is asleep (sleep-set POR, see [`crate::por`]),
 //! compute the sleep set it hands down, replace it by its orbit's canonical
 //! representative (incrementally when its footprint bounds the touched servers),
-//! reset the sleep set if canonicalization relabelled it, and fingerprint it.  The
+//! reset the sleep set if canonicalization relabelled it, and key it ([`state_key`]: a
+//! hash over memoized component digests, so only what the action wrote is hashed).  The
 //! level-synchronous kernel and [`crate::dfs`] both call [`Pipeline::expand`]; it is
 //! the only caller of `Spec::for_each_successor` in this crate (the
 //! `single-successor-pipeline` lint rule keeps it that way), so a reduction added here
@@ -12,7 +13,7 @@
 
 use remix_spec::{CanonFn, Effect, IncrementalCanon, LabelId, LabelTable, Perm, Spec, SpecState};
 
-use crate::fingerprint::{fingerprint, Fingerprint};
+use crate::fingerprint::{state_key, Fingerprint};
 use crate::por::{self, FootprintTable, SleepSet};
 use crate::store::{Insert, StateIndex, StateStore};
 
@@ -79,7 +80,7 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
                 }
                 None => (init.clone(), None),
             };
-            let fp = fingerprint(&state);
+            let fp = state_key(&state);
             let insert = store.lock_shard(store.shard_of(fp)).insert_edge(
                 fp,
                 None,
@@ -177,7 +178,7 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
                 if perm.as_ref().is_some_and(|p| !p.is_identity()) {
                     sleep.clear();
                 }
-                let fp = fingerprint(&next);
+                let fp = state_key(&next);
                 emit(Successor {
                     label,
                     state: next,

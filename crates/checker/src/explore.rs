@@ -327,7 +327,7 @@ fn coverage_fp<S: SpecState>(state: &S, canon: Option<&CanonFn<S>>) -> Fingerpri
     }
 }
 
-/// Samples one trace, biased by `guidance` over the shared `coverage` map (see [`walk`]
+/// Samples one trace, biased by `guidance` over the shared `coverage` map (see `walk`
 /// for the walk itself; `canon` keys coverage on canonical fingerprints).
 ///
 /// Coverage accounting: each fingerprint prefix is recorded **at most once per

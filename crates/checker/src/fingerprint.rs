@@ -1,301 +1,35 @@
-//! State fingerprinting.
+//! State fingerprinting: the two 128-bit functions of a state.
 //!
-//! TLC stores 64-bit fingerprints of states rather than the states themselves.  This
-//! checker indexes states by a **128-bit** fingerprint so that the fingerprint-only
-//! store ([`crate::store::StoreMode::FingerprintOnly`]) can drop full states without
-//! making accidental collisions a practical concern at the state counts this
-//! reproduction reaches.
+//! * [`fingerprint`] is the **value hash**: one [`PairHasher`] traversal of the state's
+//!   own `Hash` stream (the hasher lives in [`mod@remix_spec::fingerprint`], re-exported
+//!   here).  It is pinned — `crates/zab/tests/state_diet.rs` holds digests of whole
+//!   state spaces, and the samplers' coverage maps key on it, so seeded walks repeat
+//!   step for step across representation changes.
+//! * [`state_key`] is the **store identity**: the same hasher over
+//!   [`SpecState::hash_key`], which a state type built on [`remix_spec::Shared`]
+//!   components implements as its inline scalars plus one memoized 128-bit digest per
+//!   component.  A successor therefore hashes only the one or two components its action
+//!   wrote and ~150 bytes of digests, not the whole state.  Every exhaustive engine keys
+//!   its [`StateStore`](crate::store::StateStore) on it — seeding and the successor
+//!   pipeline (the private `expand` module) when filling the store, trace replay when reading it
+//!   back — and nothing else may: keys never reach a trace, a statistic or an artefact.
 //!
-//! The 128 bits are produced by a [`PairHasher`]: two SipHash-1-3 instances keyed with
-//! **genuinely distinct fixed 128-bit keys**, both fed from a *single* traversal of the
-//! state's [`Hash`] implementation.  Distinct keys matter: an earlier implementation ran
-//! two identically keyed hashers and merely prefixed a constant into the second, which
-//! correlates the halves (both were the same permutation walked from related starting
-//! points) — a collision of the first half then made a collision of the second far more
-//! likely than 2^-64, silently eroding the 128-bit guarantee the store relies on.  With
-//! independent keys the halves behave as two independent PRFs of the same input, and the
-//! single traversal halves the hashing cost of the old double-hash scheme.
+//! Both are functions of the state's *value* alone (a digest is the fingerprint of a
+//! component's value, never an address, a pool slot or an insertion order), and they
+//! induce the same partition of a state space unless a collision occurs.  The collision
+//! argument for the key: two unequal states share a key only if two unequal components
+//! share a 128-bit digest, or two distinct digest streams share a 128-bit hash.  With
+//! `n` states assembled from `m ≤ n · k` distinct components that is at most
+//! `(m² + n²) / 2^129` — the same order as the `n² / 2^129` of hashing whole states,
+//! and `m` is in practice orders of magnitude below `n`.
 
-use std::hash::{Hash, Hasher};
+use remix_spec::SpecState;
 
-/// A 128-bit state fingerprint: two halves from independently keyed hashers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Fingerprint(pub u64, pub u64);
+pub use remix_spec::fingerprint::{fingerprint, Fingerprint, PairHasher};
 
-/// One SipHash-1-3 state (the variant `DefaultHasher` uses: 1 compression round per
-/// message block, 3 finalization rounds), keyed explicitly.
-#[derive(Clone, Copy)]
-struct Sip13 {
-    v0: u64,
-    v1: u64,
-    v2: u64,
-    v3: u64,
-}
-
-#[inline]
-fn sip_round(v0: &mut u64, v1: &mut u64, v2: &mut u64, v3: &mut u64) {
-    *v0 = v0.wrapping_add(*v1);
-    *v1 = v1.rotate_left(13);
-    *v1 ^= *v0;
-    *v0 = v0.rotate_left(32);
-    *v2 = v2.wrapping_add(*v3);
-    *v3 = v3.rotate_left(16);
-    *v3 ^= *v2;
-    *v0 = v0.wrapping_add(*v3);
-    *v3 = v3.rotate_left(21);
-    *v3 ^= *v0;
-    *v2 = v2.wrapping_add(*v1);
-    *v1 = v1.rotate_left(17);
-    *v1 ^= *v2;
-    *v2 = v2.rotate_left(32);
-}
-
-impl Sip13 {
-    #[inline]
-    fn new(k0: u64, k1: u64) -> Self {
-        Sip13 {
-            v0: k0 ^ 0x736f_6d65_7073_6575,
-            v1: k1 ^ 0x646f_7261_6e64_6f6d,
-            v2: k0 ^ 0x6c79_6765_6e65_7261,
-            v3: k1 ^ 0x7465_6462_7974_6573,
-        }
-    }
-
-    #[inline]
-    fn compress(&mut self, block: u64) {
-        self.v3 ^= block;
-        sip_round(&mut self.v0, &mut self.v1, &mut self.v2, &mut self.v3);
-        self.v0 ^= block;
-    }
-
-    #[inline]
-    fn finish(mut self, tail_block: u64) -> u64 {
-        self.compress(tail_block);
-        self.v2 ^= 0xff;
-        for _ in 0..3 {
-            sip_round(&mut self.v0, &mut self.v1, &mut self.v2, &mut self.v3);
-        }
-        self.v0 ^ self.v1 ^ self.v2 ^ self.v3
-    }
-}
-
-/// The first hasher's fixed 128-bit key.
-const KEY_A: (u64, u64) = (0x9e37_79b9_7f4a_7c15, 0xf39c_c060_5ced_c834);
-/// The second hasher's fixed 128-bit key — unrelated to [`KEY_A`] (not a constant
-/// offset, not a prefix perturbation of the same key).
-const KEY_B: (u64, u64) = (0x1082_276b_f3a2_7251, 0x7109_88c0_bb3c_d9e2);
-
-/// A [`Hasher`] driving two distinctly keyed SipHash-1-3 states from one input stream.
-///
-/// One call to `state.hash(&mut PairHasher)` — a single traversal of the state — yields
-/// the full 128-bit [`Fingerprint`] via [`PairHasher::finish128`].
-pub struct PairHasher {
-    a: Sip13,
-    b: Sip13,
-    /// Pending input bytes not yet forming a full 8-byte block (little-endian, low
-    /// `pending_len` bytes valid).
-    pending: u64,
-    pending_len: usize,
-    /// Total bytes written (folded into the final block, as in SipHash proper).
-    written: u64,
-}
-
-impl Default for PairHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PairHasher {
-    /// Creates the hasher pair with the module's fixed, distinct keys.
-    pub fn new() -> Self {
-        PairHasher {
-            a: Sip13::new(KEY_A.0, KEY_A.1),
-            b: Sip13::new(KEY_B.0, KEY_B.1),
-            pending: 0,
-            pending_len: 0,
-            written: 0,
-        }
-    }
-
-    #[inline]
-    fn compress(&mut self, block: u64) {
-        self.a.compress(block);
-        self.b.compress(block);
-    }
-
-    /// Finalizes both hashers, producing the 128-bit fingerprint.
-    pub fn finish128(&self) -> Fingerprint {
-        // SipHash's final block: the pending tail bytes with the input length in the
-        // top byte, so streams of different lengths can never share a final block.
-        let tail = self.pending | (self.written << 56);
-        Fingerprint(self.a.finish(tail), self.b.finish(tail))
-    }
-}
-
-impl Hasher for PairHasher {
-    #[inline]
-    fn write(&mut self, mut bytes: &[u8]) {
-        self.written = self.written.wrapping_add(bytes.len() as u64);
-        // Fill the pending block first.
-        if self.pending_len > 0 {
-            let need = 8 - self.pending_len;
-            let take = need.min(bytes.len());
-            for (i, &byte) in bytes[..take].iter().enumerate() {
-                self.pending |= (byte as u64) << (8 * (self.pending_len + i));
-            }
-            self.pending_len += take;
-            bytes = &bytes[take..];
-            if self.pending_len == 8 {
-                let block = self.pending;
-                self.compress(block);
-                self.pending = 0;
-                self.pending_len = 0;
-            } else {
-                return;
-            }
-        }
-        // Whole blocks.
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let block = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            self.compress(block);
-        }
-        // Remainder becomes the new pending tail.
-        for (i, &byte) in chunks.remainder().iter().enumerate() {
-            self.pending |= (byte as u64) << (8 * i);
-        }
-        self.pending_len = chunks.remainder().len();
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        // The common case for integer-heavy states: feed the block directly when
-        // aligned, without staging through the byte buffer.
-        if self.pending_len == 0 {
-            self.written = self.written.wrapping_add(8);
-            self.compress(value);
-        } else {
-            self.write(&value.to_le_bytes());
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, value: u8) {
-        self.write(&[value]);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, value: u32) {
-        self.write(&value.to_le_bytes());
-    }
-
-    #[inline]
-    fn write_usize(&mut self, value: usize) {
-        self.write_u64(value as u64);
-    }
-
-    /// The first half of the fingerprint (the full 128 bits come from
-    /// [`PairHasher::finish128`]).
-    fn finish(&self) -> u64 {
-        self.finish128().0
-    }
-}
-
-/// Computes the 128-bit fingerprint of a hashable state in a single traversal.
-pub fn fingerprint<S: Hash + ?Sized>(state: &S) -> Fingerprint {
+/// The key the exhaustive engines store `state` under; see the module docs.
+pub fn state_key<S: SpecState>(state: &S) -> Fingerprint {
     let mut hasher = PairHasher::new();
-    state.hash(&mut hasher);
+    state.hash_key(&mut hasher);
     hasher.finish128()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn equal_states_have_equal_fingerprints() {
-        let a = (1u32, vec![1, 2, 3]);
-        let b = (1u32, vec![1, 2, 3]);
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-    }
-
-    #[test]
-    fn different_states_have_different_fingerprints() {
-        // Not guaranteed in general, but these simple cases must differ.
-        assert_ne!(fingerprint(&1u32), fingerprint(&2u32));
-        assert_ne!(fingerprint(&vec![1, 2]), fingerprint(&vec![2, 1]));
-    }
-
-    #[test]
-    fn halves_come_from_distinct_keys() {
-        // With identically keyed hashers the halves would be equal for every input;
-        // with the old prefix-perturbation scheme they were correlated.  Sanity-check
-        // that the halves differ and that neither tracks the other across inputs.
-        let mut xor_constant = true;
-        let mut prev: Option<Fingerprint> = None;
-        for i in 0..64u64 {
-            let fp = fingerprint(&i);
-            assert_ne!(fp.0, fp.1, "halves must not coincide (input {i})");
-            if let Some(p) = prev {
-                if fp.0 ^ fp.1 != p.0 ^ p.1 {
-                    xor_constant = false;
-                }
-            }
-            prev = Some(fp);
-        }
-        assert!(!xor_constant, "halves must not differ by a constant mask");
-    }
-
-    #[test]
-    fn byte_stream_chunking_does_not_change_the_fingerprint() {
-        // The same logical byte stream must fingerprint identically however `write` is
-        // chunked — mixed-size writes exercise the pending-block stitching.
-        let bytes: Vec<u8> = (0..37u8).collect();
-        let mut one = PairHasher::new();
-        one.write(&bytes);
-        let mut split = PairHasher::new();
-        split.write(&bytes[..3]);
-        split.write(&bytes[3..20]);
-        split.write(&bytes[20..21]);
-        split.write(&bytes[21..]);
-        assert_eq!(one.finish128(), split.finish128());
-        assert_eq!(one.finish(), one.finish128().0);
-    }
-
-    #[test]
-    fn length_is_part_of_the_fingerprint() {
-        let mut a = PairHasher::new();
-        a.write(&[0, 0]);
-        let mut b = PairHasher::new();
-        b.write(&[0, 0, 0]);
-        assert_ne!(a.finish128(), b.finish128());
-    }
-
-    #[test]
-    fn aligned_u64_fast_path_matches_the_byte_path() {
-        let mut fast = PairHasher::new();
-        fast.write_u64(0xdead_beef_0bad_cafe);
-        let mut slow = PairHasher::new();
-        slow.write(&0xdead_beef_0bad_cafeu64.to_le_bytes());
-        assert_eq!(fast.finish128(), slow.finish128());
-    }
-
-    #[test]
-    fn matches_pinned_reference_vectors() {
-        // Hard-coded expected values, computed once from this implementation and
-        // pinned for all time: any change to the sip rounds, the keys or the
-        // finalization (which would silently invalidate every persisted fingerprint)
-        // fails here instead of passing self-referentially.
-        assert_eq!(
-            fingerprint(&()),
-            Fingerprint(0x237abc25925bd676, 0xaed2a90a3dde3b40),
-            "zero-byte input"
-        );
-        assert_eq!(
-            fingerprint(&42u64),
-            Fingerprint(0x2ff00e6a9dd799f9, 0x6cc3af0669c3c982),
-            "one aligned u64 block"
-        );
-    }
 }

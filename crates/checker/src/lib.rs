@@ -40,7 +40,7 @@ pub use corpus::{corpus, CorpusOptions};
 pub use coverage::{CoverageMap, CoverageSnapshot};
 pub use dfs::check_dfs;
 pub use explore::{explore, explore_one, ExploreOptions, ExploreOutcome, ExploreStats, Guidance};
-pub use fingerprint::fingerprint;
+pub use fingerprint::{fingerprint, state_key};
 pub use options::{CheckMode, CheckOptions, SimulationOptions, SymmetryMode};
 pub use outcome::{CheckOutcome, CheckStats, StopReason, Violation};
 pub use refine::{

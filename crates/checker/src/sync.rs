@@ -3,7 +3,7 @@
 //! Every lock, condvar and atomic the checker uses goes through this module — it is
 //! the **only** file in the workspace allowed to name `std::sync` primitives directly
 //! (the `remix-analyze` concurrency lint enforces this; `// sync-exempt:` marks the
-//! two leaf exceptions in `remix-spec`, which sits below this crate).  Centralizing
+//! leaf exceptions in `remix-spec`, which sits below this crate).  Centralizing
 //! the substrate buys three things:
 //!
 //! 1. **A declared lock hierarchy.**  [`OrderedMutex`]`<R>` / [`OrderedRwLock`]`<R>`
@@ -11,10 +11,10 @@
 //!    *outermost-first*: a thread may acquire a lock of rank `r` only while every
 //!    lock it already holds has rank strictly **greater** than `r`.  Written in the
 //!    inner-to-outer direction the engine's hierarchy reads
-//!    `shard < coverage < por < mailbox < results < frontier < spill < panic-slot
-//!    < gate` — the store shard is the innermost
-//!    lock (acquired last, with everything else already held), the pool gate the
-//!    outermost (always acquired with nothing held).
+//!    `pool < shard < coverage < por < mailbox < results < frontier < spill
+//!    < panic-slot < gate` — the store's intern pool is the innermost lock (acquired
+//!    last, under the shard lock of a fresh insert, with everything else already
+//!    held), the worker-pool gate the outermost (always acquired with nothing held).
 //! 2. **A lock-order audit.**  Under `REMIX_SYNC_AUDIT=1` (or a programmatic
 //!    [`audit::session`]) every acquisition records the per-thread held-lock stack
 //!    and an acquisition edge `held-site → acquired-site` into a global lock-order
@@ -78,11 +78,16 @@ macro_rules! declare_rank {
 }
 
 declare_rank!(
-    /// Innermost: one stripe of the discovered-state store.  Acquired during
-    /// successor merges while frontier read locks (and, on the drain path, a
-    /// mailbox guard's *contents*, already released) are held; acquires nothing
-    /// nested (spill flushes inside the shard do file I/O and atomics only).
-    ShardRank, 0, "store.shard"
+    /// Innermost: the store's component intern pool.  Taken once per *fresh* insert,
+    /// under that insert's shard lock, for a few map probes; acquires nothing nested.
+    PoolRank, 0, "store.pool"
+);
+declare_rank!(
+    /// One stripe of the discovered-state store.  Acquired during successor merges
+    /// while frontier read locks (and, on the drain path, a mailbox guard's
+    /// *contents*, already released) are held; nests only the intern pool (spill
+    /// flushes inside the shard do file I/O and atomics only).
+    ShardRank, 5, "store.shard"
 );
 declare_rank!(
     /// The action-coverage map stripe; leaf — its critical sections touch only the
@@ -904,7 +909,7 @@ pub fn seeded_rank_inversion() -> AuditReport {
     let outer: OrderedMutex<SpillRank, u32> = OrderedMutex::with_site("seeded.outer", 0);
     let inner: OrderedMutex<ShardRank, u32> = OrderedMutex::with_site("seeded.inner", 0);
     std::thread::scope(|scope| {
-        // Thread one respects the hierarchy: outer (rank 80) before inner (rank 0).
+        // Thread one respects the hierarchy: outer (rank 80) before inner (rank 5).
         scope
             .spawn(|| {
                 let _o = outer.lock();

@@ -74,6 +74,13 @@ fn bfs_matrix_is_lock_order_clean_under_audit() {
         report.rank_violations,
         report.cycles()
     );
+    // The store's intern pool is taken under the shard lock of a fresh insert and is
+    // a leaf: the audit must have seen that nesting, and nothing acquired under it.
+    assert!(report
+        .edges
+        .iter()
+        .any(|e| e.from == "store.shard" && e.to == "store.pool"));
+    assert!(report.edges.iter().all(|e| e.from != "store.pool"));
 }
 
 #[test]

@@ -32,7 +32,9 @@
 //!   `remix-analyze` effect audit (observed writes vs declared footprints).
 //! * **Structural sharing** ([`shared`]): [`Shared`], a transparent copy-on-write handle
 //!   a state type wraps its large components in, so a successor shares with its parent
-//!   everything the action did not write and a state copy is a few refcount bumps.
+//!   everything the action did not write and a state copy is a few refcount bumps.  The
+//!   handle is hash-consed: it memoizes the 128-bit digest of its value
+//!   ([`mod@fingerprint`]) and an [`InternPool`] keeps one allocation per distinct value.
 //! * **Symmetry reduction** ([`symmetry`]): canonical representatives under a
 //!   permutation group of process ids ([`Canonicalize`] / [`Perm`]), attached to a
 //!   specification via [`Spec::with_canonicalization`] and consumed by the checker
@@ -45,6 +47,7 @@ pub mod analysis;
 pub mod compose;
 pub mod effect;
 pub mod error;
+pub mod fingerprint;
 pub mod invariant;
 pub mod label;
 pub mod module;
@@ -64,12 +67,13 @@ pub use analysis::{
 pub use compose::{compose, CompositionPlan, ModuleChoice};
 pub use effect::{Effect, EffectBit};
 pub use error::SpecError;
+pub use fingerprint::{fingerprint, Fingerprint, PairHasher};
 pub use invariant::{Invariant, InvariantScope, InvariantSource};
 pub use label::{LabelId, LabelTable, INIT_LABEL};
 pub use module::{ModuleId, ModuleSpec};
 pub use projection::{LabelProjectionFn, StabilityFn, StateProjectionFn, TraceProjection};
 pub use reflect::{FieldInfo, StateFields};
-pub use shared::Shared;
+pub use shared::{InternPool, Shared};
 pub use spec::{CanonFn, IncrementalCanon, Spec, SpecState};
 pub use symmetry::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm};
 pub use trace::{

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 use std::sync::Arc;
 
@@ -11,6 +11,7 @@ use crate::effect::Effect;
 use crate::invariant::Invariant;
 use crate::label::{LabelId, LabelTable};
 use crate::module::{ModuleId, ModuleSpec};
+use crate::shared::InternPool;
 use crate::symmetry::{Canonicalize, IncrementalCanonicalize, Perm};
 use crate::value::Value;
 
@@ -66,6 +67,22 @@ pub trait SpecState: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static {
 
     /// Returns the full list of variable names this state type exposes.
     fn variable_names() -> Vec<&'static str>;
+
+    /// Feeds the stream the exhaustive engines key their store on (`remix-checker`'s
+    /// `state_key`).  Like `Hash`, it must be a function of the state's *value* that
+    /// separates unequal states; unlike `Hash`, nothing outside the store depends on
+    /// its bytes, so a type built on [`Shared`](crate::Shared) components feeds each
+    /// component's memoized [`digest`](crate::Shared::digest) here and re-hashes only
+    /// what an action wrote.  The default is the `Hash` stream itself.
+    fn hash_key<H: Hasher>(&self, hasher: &mut H) {
+        self.hash(hasher);
+    }
+
+    /// Replaces every [`Shared`](crate::Shared) component by `pool`'s allocation of its
+    /// value ([`Shared::intern`](crate::Shared::intern)); the state's value must not
+    /// change.  The store calls this once per distinct state, before it keeps or hands
+    /// out copies.  The default — for types without shared components — does nothing.
+    fn intern(&mut self, _pool: &mut InternPool) {}
 }
 
 /// A complete specification: `Init /\ [][Next]_vars` plus invariants.

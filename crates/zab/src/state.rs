@@ -19,10 +19,22 @@
 //! ([`ZabState::clear_channels`]).  `Shared`'s `Eq`/`Ord`/`Hash`/`Debug` are the value's
 //! and sets of sids are [`SidSet`] bitmasks with `BTreeSet<Sid>`'s `Ord` and `Hash`, so
 //! the layout is invisible to fingerprints, canonical forms and traces.
+//!
+//! # Two hashes
+//!
+//! `Hash for ZabState` (derived) is the **value hash**: `fingerprint(&state)` feeds every
+//! byte of every component, is pinned by `tests/state_diet.rs`, and is what the samplers
+//! key coverage on.  [`SpecState::hash_key`] is the **store identity**: the same inline
+//! scalars, but each shared component as the 128-bit digest its allocation memoizes
+//! ([`Shared::digest`]), so keying a successor hashes the one or two components its
+//! action wrote and seven digests instead of the whole state.  Both are functions of
+//! the value alone.  [`SpecState::intern`] hands every component to the store's pool,
+//! which keeps one allocation per distinct server, channel row and ghost state of a run.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
-use remix_spec::{Shared, SpecState, Value};
+use remix_spec::{InternPool, Shared, SpecState, Value};
 
 use crate::config::ClusterConfig;
 use crate::types::{CodeViolation, Message, ServerState, Sid, SidSet, Txn, Vote, ZabPhase, Zxid};
@@ -483,6 +495,45 @@ impl SpecState for ZabState {
 
     fn variable_names() -> Vec<&'static str> {
         vars::ALL.to_vec()
+    }
+
+    /// The inline fields as `Hash` feeds them, each shared component as its memoized
+    /// digest.  `Self` is destructured so that a new field cannot be left out.
+    fn hash_key<H: Hasher>(&self, hasher: &mut H) {
+        let ZabState {
+            servers,
+            msgs,
+            partitioned,
+            crashes_remaining,
+            partitions_remaining,
+            txns_created,
+            ghost,
+            violation,
+        } = self;
+        hasher.write_usize(servers.len());
+        for server in servers {
+            server.digest().hash(hasher);
+        }
+        hasher.write_usize(msgs.len());
+        for row in msgs {
+            row.digest().hash(hasher);
+        }
+        partitioned.hash(hasher);
+        crashes_remaining.hash(hasher);
+        partitions_remaining.hash(hasher);
+        txns_created.hash(hasher);
+        ghost.digest().hash(hasher);
+        violation.hash(hasher);
+    }
+
+    fn intern(&mut self, pool: &mut InternPool) {
+        for server in &mut self.servers {
+            server.intern(pool);
+        }
+        for row in &mut self.msgs {
+            row.intern(pool);
+        }
+        self.ghost.intern(pool);
     }
 }
 

@@ -1,26 +1,43 @@
 //! Fingerprints are representation-independent: the digests below were computed on the
 //! deep-copy `ZabState` (plain `Vec<ServerData>`, `BTreeSet<Sid>` sid sets) and must
 //! never move when the state's *layout* changes — a moved digest means the `Hash`
-//! stream changed, and with it every stored fingerprint and canonical representative.
+//! stream changed, and with it every sampler's coverage key and canonical
+//! representative.
+//!
+//! The store identity, `state_key`, is a different function of the same value (a hash
+//! over memoized component digests).  Its bytes are pinned nowhere, but over each space
+//! it must induce exactly `fingerprint`'s partition: as many distinct keys as distinct
+//! fingerprints, paired one to one.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
-use remix_checker::fingerprint::{fingerprint, Fingerprint};
+use remix_checker::fingerprint::{fingerprint, state_key, Fingerprint};
 use remix_spec::Spec;
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset, ZabState};
 
 /// `(states, wrapping sum of fp.0, wrapping sum of fp.1)` over the reachable space,
-/// explored with nothing but `Spec::successors` and `fingerprint`.
+/// explored with nothing but `Spec::successors` and `fingerprint`; every generated
+/// state (duplicates included) also checks the fingerprint ↔ key bijection.
 fn digest(spec: &Spec<ZabState>) -> (usize, u64, u64) {
-    let mut seen: HashSet<Fingerprint> = HashSet::new();
+    let mut key_of: HashMap<Fingerprint, Fingerprint> = HashMap::new();
+    let mut keys: HashSet<Fingerprint> = HashSet::new();
     let mut frontier: Vec<ZabState> = Vec::new();
     let (mut sum0, mut sum1) = (0u64, 0u64);
     let mut visit = |state: ZabState, frontier: &mut Vec<ZabState>| {
         let fp = fingerprint(&state);
-        if seen.insert(fp) {
-            sum0 = sum0.wrapping_add(fp.0);
-            sum1 = sum1.wrapping_add(fp.1);
-            frontier.push(state);
+        let key = state_key(&state);
+        match key_of.entry(fp) {
+            Entry::Occupied(seen) => {
+                assert_eq!(*seen.get(), key, "one fingerprint, two keys:\n{state:#?}")
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(key);
+                assert!(keys.insert(key), "two fingerprints, one key:\n{state:#?}");
+                sum0 = sum0.wrapping_add(fp.0);
+                sum1 = sum1.wrapping_add(fp.1);
+                frontier.push(state);
+            }
         }
     };
     for init in &spec.init {
@@ -31,7 +48,8 @@ fn digest(spec: &Spec<ZabState>) -> (usize, u64, u64) {
             visit(child, &mut frontier);
         }
     }
-    (seen.len(), sum0, sum1)
+    assert_eq!(keys.len(), key_of.len());
+    (key_of.len(), sum0, sum1)
 }
 
 #[test]

@@ -12,9 +12,9 @@
 //! exercising the `CodeViolation::server` rewriting too).
 
 use proptest::prelude::*;
-use remix_checker::{simulate_one, CheckerRng};
+use remix_checker::{fingerprint, simulate_one, state_key, CheckerRng};
 use remix_spec::effect::{flags, MAX_EFFECT_SERVERS};
-use remix_spec::{Canonicalize, IncrementalCanonicalize, Perm};
+use remix_spec::{Canonicalize, IncrementalCanonicalize, InternPool, Perm, Shared, SpecState};
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset, ZabState};
 
 fn config(version: CodeVersion) -> ClusterConfig {
@@ -48,7 +48,83 @@ fn perms3() -> Vec<Perm> {
     .collect()
 }
 
+/// An equal state in which every shared component is a fresh allocation without a
+/// memoized digest.
+fn rebuilt(s: &ZabState) -> ZabState {
+    ZabState {
+        servers: s
+            .servers
+            .iter()
+            .map(|c| Shared::new((**c).clone()))
+            .collect(),
+        msgs: s.msgs.iter().map(|c| Shared::new((**c).clone())).collect(),
+        ghost: Shared::new((*s.ghost).clone()),
+        ..s.clone()
+    }
+}
+
 proptest! {
+    /// The store key is a function of the state's value alone: where a component is
+    /// allocated, whether its digest was memoized before or after it was pooled, and
+    /// what was written to it and taken back in between can never show in the key.
+    #[test]
+    fn state_key_is_a_function_of_the_value_alone(
+        seed in 0u64..48,
+        depth in 0u32..40,
+        buggy in 0u8..2,
+    ) {
+        let version = if buggy == 1 { CodeVersion::V391 } else { CodeVersion::FinalFix };
+        let s = walk_state(version, seed, depth);
+        let (key, fp) = (state_key(&s), fingerprint(&s));
+
+        // Fresh allocations, memo set by this very call.
+        let fresh = rebuilt(&s);
+        prop_assert_eq!(state_key(&fresh), key);
+
+        // Pooled, memo set before `intern` (by `state_key` above) ...
+        let mut pool = InternPool::new();
+        let mut early = s.clone();
+        early.intern(&mut pool);
+        prop_assert_eq!(&early, &s, "interning never changes the value");
+        prop_assert_eq!(state_key(&early), key);
+        // ... and memo set by `intern` itself, on allocations the pool then drops.
+        let mut late = rebuilt(&s);
+        late.intern(&mut pool);
+        prop_assert_eq!(&late, &s);
+        prop_assert_eq!(state_key(&late), key);
+        prop_assert_eq!(fingerprint(&late), fp);
+        for (a, b) in early.servers.iter().zip(&late.servers) {
+            prop_assert!(Shared::ptr_eq(a, b), "equal values share the pool's allocation");
+        }
+
+        // Write, then revert: through a shared handle (copies) and through the then
+        // unique handle (writes in place) the memo must follow the value.
+        for i in 0..s.n() {
+            let mut w = s.clone();
+            let epoch = w.servers[i].current_epoch;
+            w.servers[i].current_epoch = epoch + 1;
+            prop_assert_ne!(state_key(&w), key, "server {}", i);
+            w.servers[i].current_epoch = epoch;
+            prop_assert_eq!(state_key(&w), key, "server {}", i);
+        }
+        let mut w = s.clone();
+        w.ghost.duplicate_establishment ^= true;
+        prop_assert_ne!(state_key(&w), key);
+        w.ghost.duplicate_establishment ^= true;
+        prop_assert_eq!(state_key(&w), key);
+
+        // Permute and back: components rebuilt at another index and returned.
+        for perm in perms3() {
+            let renamed = s.permute(&perm);
+            if renamed != s {
+                prop_assert_ne!(state_key(&renamed), key, "π = {}", &perm);
+            }
+            let back = renamed.permute(&perm.inverse());
+            prop_assert_eq!(&back, &s);
+            prop_assert_eq!(state_key(&back), key, "π = {}", &perm);
+        }
+    }
+
     /// Consistency: the returned permutation really maps the state onto its
     /// representative, and canonicalization is idempotent (`canon(canon(s)) ==
     /// canon(s)`).
