@@ -246,8 +246,10 @@ mod tests {
         ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
         Shared,
     };
-    use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
-    use std::collections::{BTreeMap, HashMap, HashSet};
+    use remix_zab::{
+        ClusterConfig, CodeVersion, CodeViolation, GhostState, Message, ServerData, Sid, SpecPreset,
+    };
+    use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
     use std::time::Duration;
 
     /// A pair of counters where `b` may only be incremented after `a`, bounded by `max`.
@@ -976,7 +978,9 @@ mod tests {
 
     /// Exhausts mSpec-3 on `config` into a full store and returns the number of
     /// distinct `(servers, channel rows, ghost states)` it holds — each of which must
-    /// be exactly one allocation, shared by every state that contains the value.
+    /// be exactly one allocation, shared by every state that contains the value, and
+    /// together with the non-empty partition sets and the code violations the rows
+    /// point at, everything the pool holds.
     fn pooled_components(config: &ClusterConfig, workers: usize) -> (usize, usize, usize, usize) {
         let spec = SpecPreset::MSpec3.build(config);
         let options = CheckOptions::default()
@@ -992,17 +996,35 @@ mod tests {
             Census(HashMap::new()),
             Census(HashMap::new()),
         );
+        let (mut partitions, mut violations) = (HashSet::new(), HashSet::new());
         let mut states = 0;
         store.for_each_state(|state| {
             states += 1;
             state.servers.iter().for_each(|s| servers.see(s));
             state.msgs.iter().for_each(|r| rows.see(r));
             ghosts.see(&state.ghost);
+            if !state.partitioned.is_empty() {
+                partitions.insert(state.partitioned.clone());
+            }
+            violations.extend(state.violation.clone());
         });
         let counts = (servers.distinct(), rows.distinct(), ghosts.distinct());
+        fn kind<T>(count: usize) -> Option<(&'static str, usize)> {
+            (count > 0).then_some((std::any::type_name::<T>(), count))
+        }
+        let expected: BTreeMap<_, _> = [
+            kind::<ServerData>(counts.0),
+            kind::<Vec<Vec<Message>>>(counts.1),
+            kind::<GhostState>(counts.2),
+            kind::<BTreeSet<(Sid, Sid)>>(partitions.len()),
+            kind::<CodeViolation>(violations.len()),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
         assert_eq!(
             store.interned_components(),
-            counts.0 + counts.1 + counts.2,
+            expected,
             "the pool holds exactly what the arena references"
         );
         (states, counts.0, counts.1, counts.2)

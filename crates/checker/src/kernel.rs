@@ -446,7 +446,7 @@ impl<S: SpecState> Frontier<'_, S> {
             .next_chunk(chunk_size)
             .expect("reading back a spilled frontier queue");
         let reload = |raw| {
-            let state = self.store.with_state(StateIndex(raw), S::clone);
+            let state = self.store.state_at(StateIndex(raw));
             (
                 StateIndex(raw),
                 state.expect("spilled frontiers require the full-state store"),

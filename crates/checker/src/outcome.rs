@@ -62,10 +62,13 @@ pub struct CheckStats {
     pub shard_contention: Vec<u64>,
     /// Peak resident entry-payload bytes of the discovered-state store (the store is
     /// append-only, so the final size is the peak).  Counts the fixed per-entry
-    /// metadata, the dedup-map entry, and — in the full-state backend — the inline
-    /// state; see `StateStore::entry_bytes_per_state` for the exact accounting.
+    /// metadata, the dedup-map entry, and — in the full-state backend — the state's
+    /// row of pool slots; see `StateStore::entry_bytes_per_state` for the exact
+    /// accounting.
     pub peak_entry_bytes: usize,
-    /// Fixed bytes the selected store backend pays per discovered state.
+    /// Fixed bytes the selected store backend pays per discovered state: 44, plus in
+    /// the full-state backend 4 per word of the state's row (92 on three servers).
+    /// The intern pool the rows point into is shared by all states and not counted.
     pub entry_bytes_per_state: usize,
     /// Out-of-core activity: fingerprint runs spilled to disk, probe traffic, and
     /// frontier entries round-tripped through on-disk queues.  All-zero when no

@@ -534,7 +534,7 @@ impl<S: SpecState> SideSummary<S> {
     /// under a declared-equivariant projection, whose values agree across a state and
     /// its renamings, so the original-frame replay result projects identically.
     fn state_of(&self, spec: &Spec<S>, index: StateIndex) -> S {
-        self.seen.with_state(index, S::clone).unwrap_or_else(|| {
+        self.seen.state_at(index).unwrap_or_else(|| {
             self.witness(spec, index)
                 .last_state()
                 .expect("a stored chain is never empty")

@@ -11,14 +11,15 @@
 //!   walks are array reads, not hash lookups),
 //! * the action label stored as an interned [`LabelId`] (4 bytes; the label string is
 //!   allocated once per *distinct* label per run, see [`remix_spec::LabelTable`]), and
-//! * the state stored inline in the arena (no per-state `Arc`), or — in
-//!   [`StoreMode::FingerprintOnly`] — not at all.
+//! * the state stored as a **row of `u32` words** — the pool slots of its components
+//!   and its scalars, see "Rows" below — or, in [`StoreMode::FingerprintOnly`], not at
+//!   all.
 //!
 //! # Backends
 //!
 //! [`StoreMode::Full`] (the compact full-state store) keeps every discovered state in
 //! the arena, so counterexample traces are reconstructed by walking parent indices and
-//! cloning states out — O(depth) with no successor re-evaluation.
+//! rebuilding each state from its row — O(depth) with no successor re-evaluation.
 //!
 //! [`StoreMode::FingerprintOnly`] is the TLC-style memory-bounded backend: only the
 //! 128-bit fingerprint, parent index and label id are kept (24 bytes of payload per
@@ -48,22 +49,44 @@
 //! A state space is assembled from few distinct components (221,490 states of the
 //! fine three-server model from 2,510 servers, channel rows and ghost states), so the
 //! store owns one [`InternPool`] per run and, on the **fresh-insert path only**, calls
-//! [`SpecState::intern`] before it keeps or hands back the state: each component the
+//! [`SpecState::intern`] before it hands back the state: each component the
 //! discovering action wrote is replaced by the pool's allocation of the same value
 //! (equality-checked, so a digest collision never merges two values), and the
-//! duplicate is freed while still hot.  The arena, the frontier and every later
-//! successor then share one allocation per distinct component value, and dropping the
-//! store frees 2.5 k components instead of walking 1.5 M handles to their last owner.
-//! The pool is spec-agnostic (digest → type-erased `Arc`), lives exactly as long as
-//! the store — it is dropped with it, inside what `CheckStats::teardown` clocks — and
-//! is **resident and unbudgeted**: [`StoreMode::FingerprintOnly`] and the spill tier
-//! bound what the store keeps per *state*, not the pool, which is small for the same
-//! reason it works (≈ 2.5 k components, a few hundred KiB, on the space above).  Pool
-//! slots and allocation addresses are per-run and never reach a key, a trace or a
-//! statistic.
+//! duplicate is freed while still hot.  The frontier and every later successor then
+//! share one allocation per distinct component value, and dropping the store frees
+//! 2.5 k components and a few hundred chunks, not one heap block per state.
+//! The pool is spec-agnostic (digest → slot → type-erased `Arc`), lives exactly as
+//! long as the store — it is dropped with it, inside what `CheckStats::teardown`
+//! clocks — and is **resident and unbudgeted**: [`StoreMode::FingerprintOnly`] and the
+//! spill tier bound what the store keeps per *state*, not the pool, which is small for
+//! the same reason it works (≈ 2.5 k components, a few hundred KiB, on the space
+//! above).  Pool slots and allocation addresses are per-run and never reach a key, a
+//! trace or a statistic.
+//!
+//! # Rows
+//!
+//! Every pooled allocation has a dense `u32` slot, and a row of slots is the **only**
+//! thing [`StoreMode::Full`] keeps per state — SPIN's COLLAPSE compression, flat (one
+//! level of ids).  [`SpecState::intern`] writes the row while it interns (for the
+//! three-server `ZabState` twelve words: three server slots, three channel-row slots,
+//! the ghost slot, the three budgets, and a sentinel or a slot each for the partition
+//! set and the code violation); [`SpecState::from_row`] is its inverse, `2n + 1`
+//! reference-count bumps.  A state type that overrides neither is pooled whole and its
+//! row is the one slot, so there is one arena layout for every state type.  Nothing is
+//! cloned at insert: the moved-in state goes back to the caller, and the readers
+//! ([`StateStore::state_at`]: trace reconstruction, the spilled frontier's reload,
+//! refinement's witnesses) rebuild from the row under the stripe's lock and then the
+//! pool's (rank order `store.shard` → `store.pool`, the insert's).
+//!
+//! A stripe's rows, metadata and permutations live in fixed-size chunks that are never
+//! reallocated (the private `ChunkVec`): a doubling `Vec` copies the whole stripe at
+//! each growth step and hands the allocator back a half-size buffer it cannot return
+//! to the system, which on the 221,490-state space above was 8 MiB of a 48 MiB peak.
+//! The row width is fixed by the first stored state and asserted for every later one.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 use crate::sync::{
@@ -80,8 +103,8 @@ use crate::spill::{self, SpillConfig, SpillCounters, SpillRun, SpillStats};
 /// Which backend a run stores discovered states in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreMode {
-    /// The compact full-state store: states live inline in the arena, traces are
-    /// reconstructed by parent-index walks.  The default.
+    /// The compact full-state store: every state is kept, as a row of pool slots in
+    /// the arena, and traces are reconstructed by parent-index walks.  The default.
     #[default]
     Full,
     /// The TLC-style fingerprint-only store: full states are dropped after expansion;
@@ -124,7 +147,10 @@ pub struct StateIndex(pub u32);
 /// The reserved parent marker of initial states.
 const NO_PARENT: u32 = u32::MAX;
 
-/// Fixed per-entry metadata: 24 bytes regardless of the state type.
+/// Why indexing the arena by a [`StateIndex`] cannot fail.
+const NO_ENTRY: &str = "a StateIndex names an entry of the store that issued it";
+
+/// Fixed per-entry metadata: 24 bytes regardless of the state type and the backend.
 struct SlotMeta {
     fp: Fingerprint,
     /// Packed [`StateIndex`] of the parent, or [`NO_PARENT`] for initial states.
@@ -135,7 +161,7 @@ struct SlotMeta {
 
 /// One lock stripe of the arena.
 struct StoreShard<S> {
-    /// Fingerprint → local slot index (dedup map; values index `meta`/`states`).
+    /// Fingerprint → local slot index (dedup map; values index `meta`/`rows`).
     ///
     /// Under a memory budget this is the stripe's *delta table*: once it reaches its
     /// share of the budget it is flushed to an immutable sorted run in `runs` and
@@ -146,14 +172,80 @@ struct StoreShard<S> {
     /// fingerprint is probed against every run before it may enter the delta table).
     /// Empty when no memory budget is configured.
     runs: Vec<SpillRun>,
-    meta: Vec<SlotMeta>,
-    /// Parallel to `meta` in [`StoreMode::Full`]; stays empty in
+    meta: ChunkVec<SlotMeta>,
+    /// Parallel to `meta` in [`StoreMode::Full`] — each state as the row of words
+    /// [`SpecState::intern`] wrote for it — and empty in
     /// [`StoreMode::FingerprintOnly`].
-    states: Vec<S>,
+    rows: ChunkVec<u32>,
     /// Parallel to `meta` under symmetry reduction (every insert then records the
     /// permutation that canonicalized the inserted state); stays empty otherwise.
     /// Mixing permuted and unpermuted inserts in one store is a caller bug.
-    perms: Vec<Perm>,
+    perms: ChunkVec<Perm>,
+    /// Where a fresh state's row is written before it is appended to `rows`.
+    row: Vec<u32>,
+    /// Rows are words; the state type only says how to write and read them.
+    state: PhantomData<fn() -> S>,
+}
+
+/// Records per chunk of a [`ChunkVec`]: 6 KiB of metadata, 12 KiB of three-server
+/// rows.  Each stripe ends in a partly filled chunk per sequence, and with 64 stripes
+/// those tails are resident: 8,192 records per chunk cost `exhaust-fine` 20 MiB over
+/// this, 1,024 cost 1.5 MiB; below 256 the chunk list and malloc's headers take over.
+const CHUNK_RECORDS: usize = 256;
+
+/// An append-only sequence of equally wide records, kept in fixed-size chunks that are
+/// never reallocated: growing costs one chunk, not a copy of everything so far, and
+/// leaves no freed half-size buffer behind for the allocator to retain (a doubling
+/// `Vec` per stripe held `exhaust-fine` at 47.8 MiB where chunks hold it at 39.6).
+struct ChunkVec<T> {
+    chunks: Vec<Vec<T>>,
+    /// Elements per record, fixed by the first push.
+    width: usize,
+    /// Records pushed.
+    len: usize,
+}
+
+impl<T> ChunkVec<T> {
+    const fn new() -> Self {
+        ChunkVec {
+            chunks: Vec::new(),
+            width: 0,
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, record: impl ExactSizeIterator<Item = T>) {
+        if self.len == 0 {
+            self.width = record.len();
+        }
+        assert!(
+            record.len() == self.width && self.width > 0,
+            "a store's records are all {} wide, not {}",
+            self.width,
+            record.len()
+        );
+        if self.len.is_multiple_of(CHUNK_RECORDS) {
+            self.chunks
+                .push(Vec::with_capacity(CHUNK_RECORDS * self.width));
+        }
+        let chunk = self.chunks.last_mut().expect("pushed above when full");
+        chunk.extend(record);
+        self.len += 1;
+    }
+
+    fn get(&self, index: usize) -> Option<&[T]> {
+        let at = index % CHUNK_RECORDS * self.width;
+        self.chunks
+            .get(index / CHUNK_RECORDS)?
+            .get(at..at + self.width)
+    }
+
+    fn get_mut(&mut self, index: usize) -> Option<&mut [T]> {
+        let at = index % CHUNK_RECORDS * self.width;
+        self.chunks
+            .get_mut(index / CHUNK_RECORDS)?
+            .get_mut(at..at + self.width)
+    }
 }
 
 struct ShardCell<S> {
@@ -186,6 +278,9 @@ pub struct StateStore<S> {
     /// Right-shift extracting the stripe from the fingerprint's leading bits.
     shift: u32,
     len: AtomicUsize,
+    /// Words per stored row: 0 until the first state is stored, the same for every
+    /// state after it.
+    stride: AtomicUsize,
     /// One allocation per distinct component value of the run; see the module docs.
     pool: OrderedMutex<PoolRank, InternPool>,
     /// The out-of-core tier; `None` when no memory budget is configured (the store
@@ -208,9 +303,8 @@ pub enum Insert<S> {
     /// along with the (unconsumed) moved-in state.
     Existing(StateIndex, S),
     /// A fresh entry was created.  The returned state is for the caller's frontier: the
-    /// moved-in state in [`StoreMode::FingerprintOnly`] (the store keeps nothing), or a
-    /// clone in [`StoreMode::Full`] (the store keeps the original inline) — in both
-    /// modes with its components interned into the store's pool.
+    /// moved-in state, in both modes ([`StoreMode::Full`] keeps a row of pool slots,
+    /// not the state), with its components interned into the store's pool.
     Fresh(StateIndex, S),
 }
 
@@ -221,6 +315,7 @@ pub struct ShardHandle<'a, S> {
     shard_bits: u32,
     mode: StoreMode,
     len: &'a AtomicUsize,
+    stride: &'a AtomicUsize,
     pool: &'a OrderedMutex<PoolRank, InternPool>,
     spill: Option<&'a StoreSpill>,
 }
@@ -283,7 +378,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
                 }
             }
         }
-        let local = inner.meta.len() as u32;
+        let local = inner.meta.len as u32;
         // The packed index must round-trip: `local` may not spill into the
         // shard bits, and `NO_PARENT` (u32::MAX) stays reserved.
         assert!(
@@ -295,30 +390,30 @@ impl<S: SpecState> ShardHandle<'_, S> {
         let index = pack(local, self.shard, self.shard_bits);
         assert_ne!(index.0, NO_PARENT, "state store is full (2^32 entries)");
         inner.map.insert(fp, local);
-        inner.meta.push(SlotMeta {
+        inner.meta.push(std::iter::once(SlotMeta {
             fp,
             parent: parent.map_or(NO_PARENT, |p| p.0),
             label,
-        });
+        }));
         if let Some(perm) = perm {
             debug_assert_eq!(
-                inner.perms.len() + 1,
-                inner.meta.len(),
+                inner.perms.len + 1,
+                inner.meta.len,
                 "stores mixing canonical and plain inserts cannot de-canonicalize"
             );
-            inner.perms.push(perm);
+            inner.perms.push(std::iter::once(perm));
         }
         // Only a distinct state reaches this point, so the pool is probed once per
         // freshly written component of the run, never per edge.
-        state.intern(&mut self.pool.lock());
-        let for_caller = match self.mode {
+        match self.mode {
             StoreMode::Full => {
-                let clone = state.clone();
-                inner.states.push(state);
-                clone
+                inner.row.clear();
+                state.intern(&mut self.pool.lock(), Some(&mut inner.row));
+                fix_stride(self.stride, inner.row.len());
+                inner.rows.push(inner.row.iter().copied());
             }
-            StoreMode::FingerprintOnly => state,
-        };
+            StoreMode::FingerprintOnly => state.intern(&mut self.pool.lock(), None),
+        }
         // ordering: AcqRel — the global length feeds the max_states stop decision on
         // other workers, so it must publish with the insert and join prior counts.
         self.len.fetch_add(1, Ordering::AcqRel);
@@ -327,7 +422,24 @@ impl<S: SpecState> ShardHandle<'_, S> {
                 flush_delta_table(inner, spill, self.shard);
             }
         }
-        Insert::Fresh(index, for_caller)
+        Insert::Fresh(index, state)
+    }
+}
+
+/// Fixes a store's row width at its first stored state and holds every later one to it.
+fn fix_stride(stride: &AtomicUsize, words: usize) {
+    // ordering: Relaxed — the stride publishes nothing: it is one number that every
+    // writer either agrees on or panics over, and readers only report it.
+    if stride.load(Ordering::Relaxed) != words {
+        let before = stride
+            // ordering: Relaxed (×2) — see the load above.
+            .compare_exchange(0, words, Ordering::Relaxed, Ordering::Relaxed)
+            .unwrap_or_else(|known| known);
+        assert!(
+            before == 0 || before == words,
+            "one store, rows of {before} and of {words} words: `SpecState::intern` \
+             must write the same number of words for every state"
+        );
     }
 }
 
@@ -406,9 +518,11 @@ impl<S: SpecState> StateStore<S> {
                     inner: OrderedMutex::new(StoreShard {
                         map: HashMap::new(),
                         runs: Vec::new(),
-                        meta: Vec::new(),
-                        states: Vec::new(),
-                        perms: Vec::new(),
+                        meta: ChunkVec::new(),
+                        rows: ChunkVec::new(),
+                        perms: ChunkVec::new(),
+                        row: Vec::new(),
+                        state: PhantomData,
                     }),
                     contention: AtomicU64::new(0),
                 })
@@ -420,6 +534,7 @@ impl<S: SpecState> StateStore<S> {
             // collapses every stripe index to zero anyway.
             shift: (64 - bits) % 64,
             len: AtomicUsize::new(0),
+            stride: AtomicUsize::new(0),
             pool: OrderedMutex::new(InternPool::new()),
             spill,
         }
@@ -477,6 +592,7 @@ impl<S: SpecState> StateStore<S> {
             shard_bits: self.shard_bits,
             mode: self.mode,
             len: &self.len,
+            stride: &self.stride,
             pool: &self.pool,
             spill: self.spill.as_ref(),
         }
@@ -494,10 +610,12 @@ impl<S: SpecState> StateStore<S> {
         self.len() == 0
     }
 
-    /// Number of distinct component values in the store's intern pool (0 for a state
-    /// type without shared components).
-    pub fn interned_components(&self) -> usize {
-        self.pool.lock().len()
+    /// What the store's intern pool holds, per kind (`std::any::type_name` of the
+    /// value → distinct values): a state type's shared components and whatever else
+    /// its rows point at — in [`StoreMode::Full`], for a type that keeps the default
+    /// [`SpecState::intern`], every whole state.
+    pub fn interned_components(&self) -> BTreeMap<&'static str, usize> {
+        self.pool.lock().census()
     }
 
     /// Per-stripe contended-lock-acquisition counters.
@@ -529,7 +647,7 @@ impl<S: SpecState> StateStore<S> {
     pub fn meta(&self, index: StateIndex) -> (Fingerprint, Option<StateIndex>, LabelId) {
         let (local, shard) = unpack(index, self.shard_bits);
         let guard = self.shards[shard as usize].inner.lock();
-        let meta = &guard.meta[local as usize];
+        let meta = &guard.meta.get(local as usize).expect(NO_ENTRY)[0];
         let parent = (meta.parent != NO_PARENT).then_some(StateIndex(meta.parent));
         (meta.fp, parent, meta.label)
     }
@@ -552,11 +670,11 @@ impl<S: SpecState> StateStore<S> {
     ) {
         let (local, shard) = unpack(index, self.shard_bits);
         let mut guard = self.shards[shard as usize].inner.lock();
-        let meta = &mut guard.meta[local as usize];
+        let meta = &mut guard.meta.get_mut(local as usize).expect(NO_ENTRY)[0];
         meta.parent = parent.0;
         meta.label = label;
         if let Some(perm) = perm {
-            guard.perms[local as usize] = perm;
+            guard.perms.get_mut(local as usize).expect(NO_ENTRY)[0] = perm;
         }
     }
 
@@ -566,15 +684,17 @@ impl<S: SpecState> StateStore<S> {
     pub fn perm_of(&self, index: StateIndex) -> Option<Perm> {
         let (local, shard) = unpack(index, self.shard_bits);
         let guard = self.shards[shard as usize].inner.lock();
-        guard.perms.get(local as usize).cloned()
+        Some(guard.perms.get(local as usize)?[0].clone())
     }
 
-    /// Maps an entry's stored state through `f`.  Returns `None` in
-    /// [`StoreMode::FingerprintOnly`] (the state was dropped after expansion).
-    pub fn with_state<T>(&self, index: StateIndex, f: impl FnOnce(&S) -> T) -> Option<T> {
+    /// The state stored at `index`, rebuilt from its row (for a state type built on
+    /// `remix_spec::Shared`, one reference-count bump per component).  `None` in
+    /// [`StoreMode::FingerprintOnly`], which keeps no rows.
+    pub fn state_at(&self, index: StateIndex) -> Option<S> {
         let (local, shard) = unpack(index, self.shard_bits);
         let guard = self.shards[shard as usize].inner.lock();
-        guard.states.get(local as usize).map(f)
+        let row = guard.rows.get(local as usize)?;
+        Some(S::from_row(row, &self.pool.lock()))
     }
 
     /// Visits every stored state, stripe by stripe (nothing in
@@ -582,40 +702,47 @@ impl<S: SpecState> StateStore<S> {
     #[cfg(test)]
     pub(crate) fn for_each_state(&self, mut f: impl FnMut(&S)) {
         for shard in &self.shards {
-            shard.inner.lock().states.iter().for_each(&mut f);
+            let guard = shard.inner.lock();
+            let pool = self.pool.lock();
+            for local in 0..guard.rows.len {
+                f(&S::from_row(
+                    guard.rows.get(local).expect("in range"),
+                    &pool,
+                ));
+            }
         }
     }
 
     /// Fixed resident bytes the store pays per entry: the 24-byte metadata slot, the
-    /// dedup-map entry (fingerprint key + `u32` slot), and — in [`StoreMode::Full`] —
-    /// the inline state.
+    /// dedup-map entry (fingerprint key + `u32` slot) — 44 bytes in both backends —
+    /// and, in [`StoreMode::Full`], the state's row: 4 bytes per word
+    /// [`SpecState::intern`] writes (0 while the store is empty; 12 words on a
+    /// three-server `ZabState`, one for a type that keeps the default).
     ///
     /// This is the *per-entry payload* accounting the bench artefact reports: it
-    /// excludes hash-map load-factor overhead and any heap behind the state — both the
-    /// heap the state owns and, for a state type built on `remix_spec::Shared`, the
-    /// components it shares with its parent (counted once, wherever they were first
-    /// written) — all of which only widen the gap in favour of
-    /// [`StoreMode::FingerprintOnly`].
+    /// excludes hash-map load-factor overhead, the tail of each stripe's last chunk,
+    /// and the intern pool the rows point into (one allocation per distinct component
+    /// of the run, or per distinct state under the default `intern`) — all of which
+    /// only widen the gap in favour of [`StoreMode::FingerprintOnly`].
     pub fn entry_bytes_per_state(&self) -> usize {
         let fixed = std::mem::size_of::<SlotMeta>()
             + std::mem::size_of::<Fingerprint>()
             + std::mem::size_of::<u32>();
-        match self.mode {
-            StoreMode::Full => fixed + std::mem::size_of::<S>(),
-            StoreMode::FingerprintOnly => fixed,
-        }
+        // ordering: Relaxed — see `fix_stride`.
+        fixed + std::mem::size_of::<u32>() * self.stride.load(Ordering::Relaxed)
     }
 
-    /// Resident entry-payload bytes of the whole store.  The store is append-only, so
-    /// this is also the run's peak.
+    /// Resident entry-payload bytes of the whole store (rows, metadata and dedup
+    /// entries; not the pool).  The store is append-only, so this is also the run's
+    /// peak.
     pub fn entry_bytes(&self) -> usize {
         self.len() * self.entry_bytes_per_state()
     }
 
     /// Reconstructs the trace from an initial state to `index`.
     ///
-    /// In [`StoreMode::Full`] this walks parent indices and clones the stored states —
-    /// no successor evaluation.  In [`StoreMode::FingerprintOnly`] the stored states
+    /// In [`StoreMode::Full`] this walks parent indices and rebuilds each stored state
+    /// from its row — no successor evaluation.  In [`StoreMode::FingerprintOnly`] the stored states
     /// are gone, so the recorded `(parent, label)` chain is replayed forward through
     /// [`Spec::successors`]: at each step the successor whose interned label matches
     /// the recorded [`LabelId`] *and* whose fingerprint matches the recorded entry is
@@ -707,7 +834,7 @@ impl<S: SpecState> StateStore<S> {
 
     /// The witness ending at `index`, in the original id frame: a de-canonicalizing
     /// replay when the run explored canonical representatives (`canon` set), the
-    /// recorded chain otherwise — cloned out of the arena when it holds the states,
+    /// recorded chain otherwise — rebuilt from the arena's rows when it holds them,
     /// else replayed.
     pub(crate) fn trace_to(
         &self,
@@ -743,9 +870,7 @@ impl<S: SpecState> StateStore<S> {
             );
             let mut trace = Trace::default();
             for (idx, _, label) in &chain {
-                let state = self
-                    .with_state(*idx, S::clone)
-                    .expect("full store keeps every state");
+                let state = self.state_at(*idx).expect("full store keeps every state");
                 trace.push(labels.resolve(*label), state);
             }
             trace
@@ -908,7 +1033,7 @@ mod tests {
             assert_eq!(store.len(), 1);
             assert_eq!(store.find(fp), Some(idx));
             assert_eq!(store.find(fingerprint(&N(8))), None);
-            let kept = store.with_state(idx, |s| s.clone());
+            let kept = store.state_at(idx);
             match mode {
                 StoreMode::Full => assert_eq!(kept, Some(N(7))),
                 StoreMode::FingerprintOnly => assert_eq!(kept, None),
@@ -918,13 +1043,65 @@ mod tests {
 
     #[test]
     fn fingerprint_only_entries_are_strictly_smaller() {
+        let labels = LabelTable::new();
         let full: StateStore<N> = StateStore::new(StoreMode::Full, 1);
         let fp_only: StateStore<N> = StateStore::new(StoreMode::FingerprintOnly, 1);
-        assert!(fp_only.entry_bytes_per_state() < full.entry_bytes_per_state());
+        assert_eq!(
+            full.entry_bytes_per_state(),
+            fp_only.entry_bytes_per_state(),
+            "an empty store has no row width yet"
+        );
+        fill(&full, &labels, 3);
+        fill(&fp_only, &labels, 3);
+        assert_eq!(fp_only.entry_bytes_per_state(), 44);
         assert_eq!(
             full.entry_bytes_per_state() - fp_only.entry_bytes_per_state(),
-            std::mem::size_of::<N>()
+            std::mem::size_of::<u32>(),
+            "the default row is one word: the slot of the pooled state"
         );
+        let kind = std::any::type_name::<N>();
+        assert_eq!(full.interned_components(), BTreeMap::from([(kind, 4)]));
+        assert!(
+            fp_only.interned_components().is_empty(),
+            "without rows the default `intern` keeps nothing"
+        );
+    }
+
+    #[test]
+    fn rows_survive_chunk_boundaries_and_keep_one_width() {
+        let mut rows: ChunkVec<u32> = ChunkVec::new();
+        assert_eq!(rows.get(0), None);
+        let records = 2 * CHUNK_RECORDS + 3;
+        rows.push([0, !0, 7].into_iter());
+        let first = rows.chunks[0].as_ptr();
+        for i in 1..records as u32 {
+            rows.push([i, !i, 7].into_iter());
+        }
+        assert_eq!((rows.len, rows.chunks.len()), (records, 3));
+        for i in [0, 1, CHUNK_RECORDS - 1, CHUNK_RECORDS, records - 1] {
+            assert_eq!(rows.get(i), Some(&[i as u32, !(i as u32), 7][..]));
+        }
+        assert_eq!(rows.get(records), None);
+        rows.get_mut(CHUNK_RECORDS).expect("stored")[2] = 9;
+        assert_eq!(rows.get(CHUNK_RECORDS).expect("stored")[2], 9);
+        assert!(
+            rows.chunks
+                .iter()
+                .all(|c| c.capacity() == 3 * CHUNK_RECORDS),
+            "chunks are allocated once, at full size"
+        );
+        assert_eq!(rows.chunks[0].as_ptr(), first, "and never moved");
+        let narrow = std::panic::catch_unwind(move || rows.push([1, 2].into_iter()));
+        assert!(narrow.is_err(), "a record of another width is refused");
+    }
+
+    #[test]
+    fn a_store_holds_every_row_to_the_first_ones_width() {
+        let stride = AtomicUsize::new(0);
+        fix_stride(&stride, 12);
+        fix_stride(&stride, 12);
+        assert_eq!(stride.load(Ordering::Relaxed), 12);
+        assert!(std::panic::catch_unwind(|| fix_stride(&stride, 16)).is_err());
     }
 
     #[test]
@@ -938,6 +1115,14 @@ mod tests {
         assert_eq!(trace.last_state(), Some(&N(5)));
         assert_eq!(trace.steps[0].action, INIT_LABEL);
         assert_eq!(trace.action_labels()[0], "Inc(0)");
+        let mut stored = Vec::new();
+        store.for_each_state(|s| stored.push(s.0));
+        stored.sort_unstable();
+        assert_eq!(
+            stored,
+            [0, 1, 2, 3, 4, 5],
+            "every row rebuilds to its state"
+        );
     }
 
     #[test]
@@ -947,7 +1132,7 @@ mod tests {
         let store: StateStore<N> = StateStore::new(StoreMode::FingerprintOnly, 8);
         let last = fill(&store, &labels, 5);
         // No states are kept...
-        assert_eq!(store.with_state(last, |s| s.clone()), None);
+        assert_eq!(store.state_at(last), None);
         // ...yet the trace replays to the same execution the full store records.
         let trace = store.reconstruct_trace(&spec, &labels, last);
         assert_eq!(trace.depth(), 5);

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use remix_checker::{check_bfs, CheckMode, CheckOptions, StopReason, StoreMode};
+use remix_checker::{check_bfs, CheckMode, CheckOptions, StopReason, StoreMode, SymmetryMode};
 use remix_spec::Spec;
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset, ZabState};
 
@@ -156,4 +156,43 @@ fn fingerprint_only_traces_replay_through_spec_successors() {
     assert_eq!(full_violation.invariant, violation.invariant);
     assert_eq!(full_violation.depth, violation.depth);
     assert_eq!(full_violation.trace.action_labels(), trace.action_labels());
+}
+
+/// The three `remix-bench` `bug-hunt` counterexamples (ZK-4394, ZK-3023, ZK-4685),
+/// twice each: rebuilt state by state from the Full arena's rows, and replayed through
+/// `Spec::successors` from the fingerprint-only store's `(parent, label)` chain.  The
+/// two share nothing but the recorded chain, so equal traces mean every row along the
+/// parent walk read back as the state that was stored.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "expensive model-checking run; use --release"
+)]
+fn row_rebuilt_traces_equal_replayed_ones_on_the_bug_hunt_violations() {
+    let table4 = ClusterConfig::table4(CodeVersion::V391);
+    for (config, preset, invariant, depth) in [
+        (table4.unmask_zk4394(), SpecPreset::MSpec1, "I-14", 20),
+        (table4, SpecPreset::MSpec3, "I-11", 15),
+        (table4, SpecPreset::MSpec3, "I-12", 15),
+    ] {
+        let mut spec = preset.build(&config);
+        spec.invariants.retain(|inv| inv.id == invariant);
+        let counterexample = |mode| {
+            let options = CheckOptions::default()
+                .with_store_mode(mode)
+                .with_symmetry(SymmetryMode::Off)
+                .with_por(false)
+                .with_workers(1);
+            let outcome = check_bfs(&spec, &options);
+            let violation = outcome.first_violation().expect("v3.9.1 violates");
+            assert_eq!((violation.invariant, violation.depth), (invariant, depth));
+            violation.trace.clone()
+        };
+        let rebuilt = counterexample(StoreMode::Full);
+        assert_eq!(rebuilt.depth() as u32, depth);
+        assert!(
+            rebuilt == counterexample(StoreMode::FingerprintOnly),
+            "{invariant}: the arena's trace is not the replayed one"
+        );
+    }
 }

@@ -15,11 +15,13 @@
 
 use std::time::Duration;
 
+use remix_checker::store::Insert;
 use remix_checker::sync::audit;
 use remix_checker::{
-    check_bfs, check_dfs, check_refinement, explore, CheckOptions, ExploreOptions, RefineOptions,
-    RefineVerdict, StoreMode, SymmetryMode,
+    check_bfs, check_dfs, check_refinement, explore, state_key, CheckOptions, ExploreOptions,
+    RefineOptions, RefineVerdict, StateStore, StoreMode, SymmetryMode,
 };
+use remix_spec::LabelTable;
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
 fn workload() -> remix_spec::Spec<remix_zab::ZabState> {
@@ -81,6 +83,50 @@ fn bfs_matrix_is_lock_order_clean_under_audit() {
         .iter()
         .any(|e| e.from == "store.shard" && e.to == "store.pool"));
     assert!(report.edges.iter().all(|e| e.from != "store.pool"));
+}
+
+/// The Full store keeps a state as a row of pool slots, so *reading* one back takes the
+/// pool under the stripe's lock, as a fresh insert does.  The store is filled before
+/// the session opens: the only acquisitions the audit sees are the reads'.
+#[test]
+fn reading_a_stored_state_nests_the_pool_under_its_stripe() {
+    let spec = workload();
+    let labels = LabelTable::new();
+    let store: StateStore<remix_zab::ZabState> = StateStore::new(StoreMode::Full, 4);
+    let mut last = None;
+    let mut state = spec.init[0].clone();
+    for _ in 0..4 {
+        let key = state_key(&state);
+        let label = match last {
+            None => LabelTable::init_id(),
+            Some(_) => labels.intern("step"),
+        };
+        let inserted = store
+            .lock_shard(store.shard_of(key))
+            .insert(key, last, label, state);
+        let Insert::Fresh(index, back) = inserted else {
+            panic!("a walk along distinct successors");
+        };
+        last = Some(index);
+        state = spec.successors(&back).remove(0).1;
+    }
+    let tip = last.expect("four states stored");
+
+    let session = audit::session();
+    let rebuilt = store
+        .state_at(tip)
+        .expect("the full store keeps every state");
+    assert_eq!(store.find(state_key(&rebuilt)), Some(tip));
+    let trace = store.reconstruct_trace(&spec, &labels, tip);
+    assert_eq!(trace.last_state(), Some(&rebuilt));
+    let report = session.report();
+    assert!(report.is_clean(), "{:?}", report.rank_violations);
+    let nested: Vec<_> = report
+        .edges
+        .iter()
+        .map(|e| (e.from.as_str(), e.to.as_str()))
+        .collect();
+    assert_eq!(nested, [("store.shard", "store.pool")]);
 }
 
 #[test]

@@ -34,7 +34,9 @@
 //!   a state type wraps its large components in, so a successor shares with its parent
 //!   everything the action did not write and a state copy is a few refcount bumps.  The
 //!   handle is hash-consed: it memoizes the 128-bit digest of its value
-//!   ([`mod@fingerprint`]) and an [`InternPool`] keeps one allocation per distinct value.
+//!   ([`mod@fingerprint`]) and an [`InternPool`] keeps one allocation per distinct value
+//!   under a dense `u32` slot, so a store can keep a state as a row of slots
+//!   ([`SpecState::intern`] / [`SpecState::from_row`]).
 //! * **Symmetry reduction** ([`symmetry`]): canonical representatives under a
 //!   permutation group of process ids ([`Canonicalize`] / [`Perm`]), attached to a
 //!   specification via [`Spec::with_canonicalization`] and consumed by the checker

@@ -14,7 +14,7 @@
 //! `clear()` on a collection that is already empty.  Guard writes that may change
 //! nothing (`if !q.is_empty() { q.clear() }`).
 //!
-//! # Hash-consing: one digest and one allocation per distinct value
+//! # Hash-consing: one digest, one allocation and one slot per distinct value
 //!
 //! A state space is assembled from far fewer distinct components than states (221,490
 //! states of the three-server fine model from 1,657 servers, 702 channel rows and 151
@@ -30,18 +30,24 @@
 //!   function of the value alone — never of an address, a pool or an insertion order —
 //!   and it is *not* what `Hash for Shared<T>` feeds: that stays the value's own stream,
 //!   so [`fingerprint`] of a state is unchanged by the wrapper;
-//! * a tag naming the [`InternPool`] that holds this very allocation, so
-//!   [`Shared::intern`] recognises a pooled handle without a lookup.
+//! * a **tag** naming the [`InternPool`] that holds this very allocation and the slot
+//!   it holds it in (`(pool id << 32) | slot`, one word), so [`Shared::intern`]
+//!   recognises a pooled handle — and knows its slot — without a lookup.
 //!
 //! [`Shared::intern`] replaces a handle by the pool's allocation of an equal value (or
-//! makes this allocation the pool's).  Equality is checked on every digest hit, so two
-//! unequal values that collide in all 128 bits are never merged — the later one just
-//! stays outside the pool.
+//! makes this allocation the pool's) and returns the allocation's **slot**: a dense
+//! `u32` that [`InternPool::get`] turns back into a handle on the same allocation.  A
+//! slot is the dictionary code of a value — the checker's store keeps a state as a row
+//! of them ([`SpecState::intern`](crate::SpecState::intern) /
+//! [`SpecState::from_row`](crate::SpecState::from_row)) — and, like an address, is
+//! per-pool and per-run: it never reaches a key, a trace or a statistic.  Equality is
+//! checked on every digest hit, so two unequal values that collide in all 128 bits are
+//! never merged — the later one gets a slot of its own.
 
 use std::any::{Any, TypeId};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -60,9 +66,10 @@ struct Inner<T> {
     value: T,
     /// `fingerprint(&value)`, set at the first [`Shared::digest`] after a write.
     digest: OnceLock<Fingerprint>,
-    /// Id of the [`InternPool`] known to hold this allocation; 0 for none.  A hint:
-    /// a stale or foreign id only costs [`Shared::intern`] a lookup.
-    pool: AtomicU64,
+    /// `(pool id << 32) | slot` of an [`InternPool`] known to hold this allocation; 0
+    /// for none (no pool has id 0).  A hint: a stale or foreign tag only costs
+    /// [`Shared::intern`] a lookup.
+    tag: AtomicU64,
 }
 
 impl<T> Inner<T> {
@@ -70,7 +77,7 @@ impl<T> Inner<T> {
         Inner {
             value,
             digest: OnceLock::new(),
-            pool: AtomicU64::new(0),
+            tag: AtomicU64::new(0),
         }
     }
 }
@@ -102,6 +109,20 @@ impl<T> Shared<T> {
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
     }
+
+    /// The slot `pool` holds this allocation in, when the allocation's tag says so.
+    /// `Some(slot)` is exact (`pool.get(slot)` is this allocation); `None` only means
+    /// the tag names no pool or another one — an allocation interned into two pools
+    /// remembers the later — so take the slot [`Shared::intern`] returns where one is
+    /// needed.
+    pub fn slot(&self, pool: &InternPool) -> Option<u32> {
+        // The tag is a hint about this one allocation: only a holder of `pool` ever
+        // stores `pool.id`, in one word with the slot, after the allocation entered
+        // `pool`, which never forgets or moves an entry.
+        // ordering: Relaxed — the tag publishes nothing but itself.
+        let tag = self.0.tag.load(atomic::Ordering::Relaxed);
+        (tag >> 32 == u64::from(pool.id)).then_some(tag as u32)
+    }
 }
 
 impl<T: Hash> Shared<T> {
@@ -114,39 +135,74 @@ impl<T: Hash> Shared<T> {
 
 impl<T: Hash + Eq + Send + Sync + 'static> Shared<T> {
     /// Points this handle at `pool`'s allocation of its value, adding this allocation
-    /// to the pool when the value is new to it.  The value behind the handle never
-    /// changes; a duplicate allocation is released (freed, if this was its last handle).
-    pub fn intern(&mut self, pool: &mut InternPool) {
-        // ordering: Relaxed — the tag is a hint about this one allocation and
-        // publishes nothing: only a holder of `pool` ever stores `pool.id`, and it
-        // does so after the allocation entered `pool`, which never forgets an entry.
-        if self.0.pool.load(atomic::Ordering::Relaxed) == pool.id {
-            return;
+    /// to the pool when the value is new to it, and returns the allocation's slot.
+    /// The value behind the handle never changes; a duplicate allocation is released
+    /// (freed, if this was its last handle).
+    pub fn intern(&mut self, pool: &mut InternPool) -> u32 {
+        if let Some(slot) = self.slot(pool) {
+            return slot;
         }
-        match pool.entries.entry((TypeId::of::<T>(), self.digest())) {
-            Entry::Vacant(slot) => {
-                slot.insert(Arc::clone(&self.0) as Arc<dyn Any + Send + Sync>);
-            }
-            Entry::Occupied(slot) => {
-                let pooled = Arc::clone(slot.get())
-                    .downcast::<Inner<T>>()
-                    .expect("pool entries are keyed by their type");
-                if !Arc::ptr_eq(&pooled, &self.0) {
-                    if pooled.value != self.0.value {
-                        // A 128-bit collision: never merge unequal values.
-                        return;
-                    }
+        let slot = match pool.index.entry((TypeId::of::<T>(), self.digest())) {
+            Entry::Vacant(entry) => *entry.insert(push_slot(&mut pool.slots, &self.0)),
+            Entry::Occupied(entry) => {
+                let pooled = downcast::<T>(&pool.slots[*entry.get() as usize]);
+                if Arc::ptr_eq(&pooled, &self.0) || pooled.value == self.0.value {
                     self.0 = pooled;
+                    *entry.get()
+                } else {
+                    // A 128-bit collision: never merge unequal values.  The later
+                    // one is addressable all the same, through a slot no digest
+                    // leads to.
+                    push_slot(&mut pool.slots, &self.0)
                 }
             }
-        }
-        // ordering: Relaxed — see the load above.
-        self.0.pool.store(pool.id, atomic::Ordering::Relaxed);
+        };
+        // ordering: Relaxed — see `slot`.
+        self.0.tag.store(
+            (u64::from(pool.id) << 32) | u64::from(slot),
+            atomic::Ordering::Relaxed,
+        );
+        slot
     }
 }
 
-/// A hash-consing table for [`Shared`] components of any type: digest → the one
-/// allocation the pool's users share for that value.
+/// One pooled allocation, type-erased, and the name of its type (for the census).
+type Slot = (Arc<dyn Any + Send + Sync>, &'static str);
+
+/// Appends `inner` to a pool's slots and returns where.
+///
+/// # Panics
+///
+/// When the pool is full: a slot is one `u32` word of an allocation's tag and of a
+/// stored row, and [`InternPool::NO_SLOT`] is never handed out.
+fn push_slot<T: Send + Sync + 'static>(slots: &mut Vec<Slot>, inner: &Arc<Inner<T>>) -> u32 {
+    let slot = slot_number(slots.len());
+    slots.push((
+        Arc::clone(inner) as Arc<dyn Any + Send + Sync>,
+        std::any::type_name::<T>(),
+    ));
+    slot
+}
+
+fn slot_number(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&slot| slot != InternPool::NO_SLOT)
+        .expect("intern pool is full: a slot must fit one u32 word")
+}
+
+fn pool_id(counter: u64) -> u32 {
+    u32::try_from(counter).expect("intern pool ids are exhausted: an id must fit one u32 word")
+}
+
+fn downcast<T: Send + Sync + 'static>(slot: &Slot) -> Arc<Inner<T>> {
+    Arc::clone(&slot.0)
+        .downcast::<Inner<T>>()
+        .expect("a slot is read back at the type it was interned at")
+}
+
+/// A hash-consing table for [`Shared`] components of any type: digest → the slot of
+/// the one allocation the pool's users share for that value, and slot → allocation.
 ///
 /// A pool belongs to one exploration (the checker's `StateStore` owns it) and only
 /// grows; dropping it releases the pool's own handle on every entry.  It is
@@ -154,29 +210,55 @@ impl<T: Hash + Eq + Send + Sync + 'static> Shared<T> {
 /// [`SpecState::intern`](crate::SpecState::intern).
 pub struct InternPool {
     /// Process-unique and never 0, so an allocation's tag names at most one live pool.
-    id: u64,
-    entries: HashMap<(TypeId, Fingerprint), Arc<dyn Any + Send + Sync>>,
+    id: u32,
+    index: HashMap<(TypeId, Fingerprint), u32>,
+    slots: Vec<Slot>,
 }
 
 impl InternPool {
+    /// The one `u32` that is never a slot: free for a state type's row to mean "no
+    /// pooled value here" (an empty set, a `None`).
+    pub const NO_SLOT: u32 = u32::MAX;
+
     /// An empty pool.
     pub fn new() -> Self {
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         InternPool {
             // ordering: Relaxed — only uniqueness matters, and fetch_add is atomic.
-            id: NEXT_ID.fetch_add(1, atomic::Ordering::Relaxed),
-            entries: HashMap::new(),
+            id: pool_id(NEXT_ID.fetch_add(1, atomic::Ordering::Relaxed)),
+            index: HashMap::new(),
+            slots: Vec::new(),
         }
     }
 
-    /// Number of distinct values the pool holds.
+    /// A handle on the allocation in `slot` (a reference-count bump).
+    ///
+    /// # Panics
+    ///
+    /// When `slot` was not handed out by this pool for a `Shared<T>`.
+    pub fn get<T: Send + Sync + 'static>(&self, slot: u32) -> Shared<T> {
+        Shared(downcast(&self.slots[slot as usize]))
+    }
+
+    /// Number of allocations the pool holds: one per distinct value (and one per
+    /// collider, see [`Shared::intern`]).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// `true` when nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// What the pool holds, per kind: `std::any::type_name` of the value → number of
+    /// allocations.
+    pub fn census(&self) -> BTreeMap<&'static str, usize> {
+        let mut kinds = BTreeMap::new();
+        for (_, kind) in &self.slots {
+            *kinds.entry(*kind).or_default() += 1;
+        }
+        kinds
     }
 }
 
@@ -219,7 +301,7 @@ impl<T: Clone> DerefMut for Shared<T> {
         // the old value goes (a pool that holds the allocation also holds a handle,
         // so a pooled allocation is never unique and never written).
         inner.digest.take();
-        *inner.pool.get_mut() = 0;
+        *inner.tag.get_mut() = 0;
         &mut inner.value
     }
 }
@@ -433,8 +515,119 @@ mod tests {
         );
         assert!(
             !Shared::ptr_eq(&handles[1], &handles[3]),
-            "the collider stays outside"
+            "no digest leads to a collider, so nothing joins it"
         );
-        assert_eq!(pool.len(), 1);
+
+        // Each collider is addressable all the same: a slot of its own, which reads
+        // back as that very allocation, and a second `intern` goes by the tag.
+        let slots: Vec<u32> = handles
+            .iter()
+            .map(|h| h.slot(&pool).expect("tagged by intern"))
+            .collect();
+        assert_eq!(slots, [0, 1, 0, 2]);
+        for (handle, &slot) in handles.iter_mut().zip(&slots) {
+            assert!(Shared::ptr_eq(&pool.get::<Unhashed>(slot), handle));
+            assert_eq!(handle.intern(&mut pool), slot);
+        }
+        assert_eq!(pool.len(), 3);
+        assert_eq!(
+            pool.census(),
+            BTreeMap::from([(std::any::type_name::<Unhashed>(), 3)])
+        );
+    }
+
+    #[test]
+    fn a_slot_reads_back_as_the_allocation_it_names() {
+        let mut pool = InternPool::new();
+        let mut a: Shared<Vec<u32>> = vec![7].into();
+        let mut b: Shared<String> = String::from("seven").into();
+        assert_eq!(a.slot(&pool), None, "never interned");
+        let (slot_a, slot_b) = (a.intern(&mut pool), b.intern(&mut pool));
+        assert_eq!((slot_a, slot_b), (0, 1), "slots are dense, across types");
+        assert_eq!(a.slot(&pool), Some(slot_a));
+        assert!(Shared::ptr_eq(&pool.get::<Vec<u32>>(slot_a), &a));
+        assert!(Shared::ptr_eq(&pool.get::<String>(slot_b), &b));
+        assert_eq!(a.clone().slot(&pool), Some(slot_a), "handles share the tag");
+
+        // An equal value arriving later is given the same slot (and allocation).
+        let mut again: Shared<Vec<u32>> = vec![7].into();
+        assert_eq!(again.intern(&mut pool), slot_a);
+        assert!(Shared::ptr_eq(&again, &a));
+
+        // A foreign pool knows nothing of the tag; once it interns the allocation the
+        // tag names *it*, and the first pool finds its slot again by lookup.
+        let mut foreign = InternPool::new();
+        assert_eq!(a.slot(&foreign), None);
+        assert_eq!(b.intern(&mut foreign), 0);
+        assert_eq!((b.slot(&foreign), b.slot(&pool)), (Some(0), None));
+        assert_eq!(b.intern(&mut pool), slot_b);
+        assert_eq!(
+            (pool.len(), foreign.len()),
+            (2, 1),
+            "re-tagging adds nothing"
+        );
+    }
+
+    #[test]
+    fn a_write_clears_the_slot() {
+        let mut pool = InternPool::new();
+        let mut a: Shared<Vec<u32>> = vec![7].into();
+        let slot = a.intern(&mut pool);
+
+        // Through a shared handle (the pool holds the other reference) the write
+        // copies, and the copy is in no pool; the pool's allocation is untouched.
+        let mut written = a.clone();
+        written.push(8);
+        assert_eq!(written.slot(&pool), None);
+        assert_eq!(a.slot(&pool), Some(slot));
+        assert_eq!(*pool.get::<Vec<u32>>(slot), vec![7]);
+        assert_ne!(written.intern(&mut pool), slot);
+
+        // Through a unique handle — the pool is gone — the write is in place, and
+        // the tag must go with the old value.
+        drop((pool, written));
+        assert_ne!(a.0.tag.load(atomic::Ordering::Relaxed), 0);
+        a.push(9);
+        assert_eq!(a.0.tag.load(atomic::Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn the_tag_is_one_word_of_two_halves() {
+        assert_eq!(
+            std::mem::size_of::<Inner<u64>>(),
+            std::mem::size_of::<(u64, OnceLock<Fingerprint>, u64)>(),
+            "value, digest memo and one tag word"
+        );
+        assert_eq!(slot_number(0), 0);
+        assert_eq!(slot_number(u32::MAX as usize - 1), u32::MAX - 1);
+        assert_eq!(pool_id(u64::from(u32::MAX)), u32::MAX);
+        // The last slot of the last pool still reads back exactly.
+        let tagged: Shared<u8> = Shared::new(0);
+        let last = InternPool {
+            id: u32::MAX,
+            index: HashMap::new(),
+            slots: Vec::new(),
+        };
+        tagged.0.tag.store(u64::MAX - 1, atomic::Ordering::Relaxed);
+        assert_eq!(tagged.slot(&last), Some(u32::MAX - 1));
+        assert_eq!(tagged.slot(&InternPool::new()), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "intern pool is full")]
+    fn the_reserved_slot_is_never_handed_out() {
+        slot_number(InternPool::NO_SLOT as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "intern pool is full")]
+    fn a_slot_past_one_word_panics_instead_of_wrapping() {
+        slot_number(1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "intern pool ids are exhausted")]
+    fn a_pool_id_past_one_word_panics_instead_of_wrapping() {
+        pool_id(1 << 32);
     }
 }

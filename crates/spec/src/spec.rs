@@ -11,7 +11,7 @@ use crate::effect::Effect;
 use crate::invariant::Invariant;
 use crate::label::{LabelId, LabelTable};
 use crate::module::{ModuleId, ModuleSpec};
-use crate::shared::InternPool;
+use crate::shared::{InternPool, Shared};
 use crate::symmetry::{Canonicalize, IncrementalCanonicalize, Perm};
 use crate::value::Value;
 
@@ -71,18 +71,39 @@ pub trait SpecState: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static {
     /// Feeds the stream the exhaustive engines key their store on (`remix-checker`'s
     /// `state_key`).  Like `Hash`, it must be a function of the state's *value* that
     /// separates unequal states; unlike `Hash`, nothing outside the store depends on
-    /// its bytes, so a type built on [`Shared`](crate::Shared) components feeds each
+    /// its bytes, so a type built on [`Shared`] components feeds each
     /// component's memoized [`digest`](crate::Shared::digest) here and re-hashes only
     /// what an action wrote.  The default is the `Hash` stream itself.
     fn hash_key<H: Hasher>(&self, hasher: &mut H) {
         self.hash(hasher);
     }
 
-    /// Replaces every [`Shared`](crate::Shared) component by `pool`'s allocation of its
-    /// value ([`Shared::intern`](crate::Shared::intern)); the state's value must not
-    /// change.  The store calls this once per distinct state, before it keeps or hands
-    /// out copies.  The default — for types without shared components — does nothing.
-    fn intern(&mut self, _pool: &mut InternPool) {}
+    /// Hands the state to a store's `pool`, and (when `row` is given) writes the state
+    /// down as a **row** of `u32` words from which [`SpecState::from_row`] rebuilds it:
+    /// the pool slots of its parts ([`Shared::intern`](crate::Shared::intern)) and
+    /// whatever scalars fit a word.  The state's value must not change, every state of
+    /// one specification must append the same number of words (at least one), and a
+    /// word may depend on nothing but the state's value and `pool`.
+    ///
+    /// The store calls this once per distinct state, before it hands the state back to
+    /// its caller.  `row` is `None` when the store keeps no states
+    /// (`StoreMode::FingerprintOnly`): only the sharing is wanted then — a type built
+    /// on [`Shared`] components still replaces each by the pool's
+    /// allocation of its value, so that the frontier shares them.
+    ///
+    /// The default treats the whole state as one pooled component: a one-word row,
+    /// and nothing at all without a row to write.
+    fn intern(&mut self, pool: &mut InternPool, row: Option<&mut Vec<u32>>) {
+        if let Some(row) = row {
+            row.push(Shared::new(self.clone()).intern(pool));
+        }
+    }
+
+    /// The inverse of [`SpecState::intern`]: the state `row` was written for, read
+    /// back out of the same `pool`.
+    fn from_row(row: &[u32], pool: &InternPool) -> Self {
+        (*pool.get::<Self>(row[0])).clone()
+    }
 }
 
 /// A complete specification: `Init /\ [][Next]_vars` plus invariants.
@@ -409,6 +430,23 @@ mod tests {
         assert_eq!(s.module_granularity(MOD_X), Some(Granularity::Baseline));
         assert_eq!(s.module_granularity(ModuleId("Z")), None);
         assert_eq!(s.composition().len(), 2);
+    }
+
+    #[test]
+    fn the_default_row_is_the_slot_of_the_whole_state() {
+        let mut pool = InternPool::new();
+        let mut row = Vec::new();
+        let mut states = [Counters { x: 3, y: 1 }, Counters { x: 0, y: 0 }];
+        for state in &mut states {
+            state.intern(&mut pool, Some(&mut row));
+        }
+        assert_eq!(row, [0, 1], "one word per state");
+        assert_eq!(Counters::from_row(&row[1..], &pool), states[1]);
+        assert_eq!(Counters::from_row(&row[..1], &pool), states[0]);
+        // Without a row to write there is nothing to keep.
+        states[0].x = 9;
+        states[0].intern(&mut pool, None);
+        assert_eq!(pool.len(), 2);
     }
 
     #[test]

@@ -28,8 +28,19 @@
 //! scalars, but each shared component as the 128-bit digest its allocation memoizes
 //! ([`Shared::digest`]), so keying a successor hashes the one or two components its
 //! action wrote and seven digests instead of the whole state.  Both are functions of
-//! the value alone.  [`SpecState::intern`] hands every component to the store's pool,
-//! which keeps one allocation per distinct server, channel row and ghost state of a run.
+//! the value alone.
+//!
+//! # The stored row
+//!
+//! [`SpecState::intern`] hands every component to the store's pool, which keeps one
+//! allocation per distinct server, channel row and ghost state of a run, and writes the
+//! state down as the `2n + 6` words the Full store keeps of it: the pool slots of its
+//! `2n + 1` components, the three budgets, and one word each for `partitioned` and
+//! `violation` (a sentinel while empty / `None`, else the slot of a pooled copy).
+//! [`SpecState::from_row`] reads the row back — `2n + 1` reference-count bumps into the
+//! same allocations — and `tests/state_diet.rs` round-trips every state of its spaces.
+//! A new field of [`ZabState`] fails to compile in `hash_key` and `intern` (both
+//! destructure `Self`) and in `from_row` (a struct literal) until it has a word.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
@@ -526,14 +537,73 @@ impl SpecState for ZabState {
         violation.hash(hasher);
     }
 
-    fn intern(&mut self, pool: &mut InternPool) {
-        for server in &mut self.servers {
-            server.intern(pool);
+    /// `2n + 6` words: the slots of the `n` servers, the `n` channel rows and the ghost
+    /// state, the three budgets, then `partitioned` and `violation` — [`NO_SLOT`] when
+    /// empty / `None` (nearly always), else the slot of a pooled copy, since neither a
+    /// set of pairs nor a `&'static str` is a word.
+    ///
+    /// [`NO_SLOT`]: InternPool::NO_SLOT
+    fn intern(&mut self, pool: &mut InternPool, row: Option<&mut Vec<u32>>) {
+        let ZabState {
+            servers,
+            msgs,
+            partitioned,
+            crashes_remaining,
+            partitions_remaining,
+            txns_created,
+            ghost,
+            violation,
+        } = self;
+        let Some(row) = row else {
+            for server in servers {
+                server.intern(pool);
+            }
+            for channels in msgs {
+                channels.intern(pool);
+            }
+            ghost.intern(pool);
+            return;
+        };
+        row.extend(servers.iter_mut().map(|s| s.intern(pool)));
+        row.extend(msgs.iter_mut().map(|r| r.intern(pool)));
+        row.push(ghost.intern(pool));
+        row.extend([*crashes_remaining, *partitions_remaining, *txns_created]);
+        row.push(if partitioned.is_empty() {
+            InternPool::NO_SLOT
+        } else {
+            Shared::new(partitioned.clone()).intern(pool)
+        });
+        row.push(match violation {
+            None => InternPool::NO_SLOT,
+            Some(violation) => Shared::new(violation.clone()).intern(pool),
+        });
+    }
+
+    fn from_row(row: &[u32], pool: &InternPool) -> Self {
+        let n = (row.len() - 6) / 2;
+        let (servers, rest) = row.split_at(n);
+        let (msgs, rest) = rest.split_at(n);
+        let &[ghost, crashes_remaining, partitions_remaining, txns_created, partitioned, violation] =
+            rest
+        else {
+            panic!("a ZabState row is 2n + 6 words, not {}", row.len());
+        };
+        ZabState {
+            servers: servers.iter().map(|&slot| pool.get(slot)).collect(),
+            msgs: msgs.iter().map(|&slot| pool.get(slot)).collect(),
+            partitioned: match partitioned {
+                InternPool::NO_SLOT => BTreeSet::new(),
+                slot => (*pool.get::<BTreeSet<(Sid, Sid)>>(slot)).clone(),
+            },
+            crashes_remaining,
+            partitions_remaining,
+            txns_created,
+            ghost: pool.get(ghost),
+            violation: match violation {
+                InternPool::NO_SLOT => None,
+                slot => Some((*pool.get::<CodeViolation>(slot)).clone()),
+            },
         }
-        for row in &mut self.msgs {
-            row.intern(pool);
-        }
-        self.ghost.intern(pool);
     }
 }
 

@@ -84,12 +84,12 @@ proptest! {
         // Pooled, memo set before `intern` (by `state_key` above) ...
         let mut pool = InternPool::new();
         let mut early = s.clone();
-        early.intern(&mut pool);
+        early.intern(&mut pool, None);
         prop_assert_eq!(&early, &s, "interning never changes the value");
         prop_assert_eq!(state_key(&early), key);
         // ... and memo set by `intern` itself, on allocations the pool then drops.
         let mut late = rebuilt(&s);
-        late.intern(&mut pool);
+        late.intern(&mut pool, None);
         prop_assert_eq!(&late, &s);
         prop_assert_eq!(state_key(&late), key);
         prop_assert_eq!(fingerprint(&late), fp);
