@@ -5,7 +5,7 @@
 //! counterexample traces.
 //!
 //! [`check_bfs`] is the level-synchronous kernel (the private `kernel` module:
-//! persistent worker pool, batched shard inserts, work stealing, frontier spilling,
+//! persistent worker pool, insert-while-hot staging, work stealing, frontier spilling,
 //! deterministic stop precedence) plus the invariant visitor defined here: every state
 //! that enters the store is checked against the specification's invariants on the worker
 //! that inserted it, and the violations of a level are resolved into traces at its
@@ -189,8 +189,7 @@ fn check_bfs_into<S: SpecState>(
             store,
             stop: &stop,
             workers: options.workers,
-            batch_size: options.batch_size.max(1),
-            route_by_owner: options.route_by_owner,
+            route_by_owner: options.route_by_owner.then_some(options.batch_size.max(1)),
             max_depth: options.max_depth,
             deadline: options.time_budget.map(|b| start + b),
             // Only the invariant visitor spills frontiers: it never re-enqueues, so a
@@ -650,7 +649,9 @@ mod tests {
         let mut baseline = None;
         for workers in [1, 2, 4] {
             for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-                for route_by_owner in [false, true] {
+                // Lock-striped, then owner-routed with one successor per mailbox
+                // batch and with the default 128.
+                for route_by_owner in [None, Some(1), Some(128)] {
                     let labels = LabelTable::new();
                     let store: StateStore<Pair> = StateStore::new(mode, 64);
                     let explored = kernel::explore(
@@ -659,7 +660,6 @@ mod tests {
                             store: &store,
                             stop: &StopCell::new(),
                             workers,
-                            batch_size: 16,
                             route_by_owner,
                             max_depth: None,
                             deadline: None,
@@ -667,7 +667,7 @@ mod tests {
                         },
                         Counting::default(),
                     );
-                    let cell = format!("workers {workers}, {mode}, routed {route_by_owner}");
+                    let cell = format!("workers {workers}, {mode}, routed {route_by_owner:?}");
                     assert_eq!(explored.stop_reason, StopReason::Exhausted, "{cell}");
                     let Counting {
                         mut fresh,
@@ -694,6 +694,73 @@ mod tests {
             }
         }
         assert_eq!(baseline.expect("ran").0, 141 * 142 / 2);
+    }
+
+    #[test]
+    fn the_state_limit_overshoots_by_at_most_one_parents_successors() {
+        // pair_spec states have at most two successors, and its levels are narrower
+        // than any batch: an engine that parks successors until a batch fills or the
+        // level ends overshoots by what is left of the level (56 states for a cap of
+        // 50), not by what is left of one parent.
+        let spec = pair_spec(140, None);
+        for cap in [2, 50, 51, 200, 1_000] {
+            let outcome = check_bfs(&spec, &CheckOptions::default().with_max_states(cap));
+            assert_eq!(outcome.stop_reason, StopReason::StateLimit, "cap {cap}");
+            let states = outcome.stats.distinct_states;
+            assert!(
+                (cap..=cap + 2).contains(&states),
+                "cap {cap}: stopped at {states} states"
+            );
+        }
+    }
+
+    /// The textbook queue loop in `FirstViolation` mode: the first violating state in
+    /// (frontier, enumeration) order, and how many states were known when it was found.
+    fn reference_first_violation(spec: &Spec<Pair>) -> (Pair, usize) {
+        let mut seen: HashSet<Pair> = spec.init.iter().cloned().collect();
+        let mut frontier = spec.init.clone();
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for parent in &frontier {
+                for (_, child) in spec.successors(parent) {
+                    if !seen.insert(child.clone()) {
+                        continue;
+                    }
+                    if !spec.violated_invariants(&child).is_empty() {
+                        return (child, seen.len());
+                    }
+                    next.push(child);
+                }
+            }
+            frontier = next;
+        }
+        panic!("the spec has a reachable violation");
+    }
+
+    #[test]
+    fn one_worker_reports_the_first_violation_in_frontier_then_enumeration_order() {
+        // Depth 2 of the comb holds 600 states and 590 of them violate: which one a
+        // run reports says in which order it walked the level, and where it stopped.
+        let mut spec = wide_spec(600);
+        spec.invariants = vec![Invariant::always(
+            "EARLY-TEETH-ONLY",
+            "only the first ten teeth tick",
+            InvariantSource::Protocol,
+            |p: &Pair| p.a <= 10 || p.b == 0,
+        )];
+        let (state, known) = reference_first_violation(&spec);
+        assert_eq!((state.a, state.b), (11, 1), "the reference order's");
+        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+            let outcome = check_bfs(&spec, &CheckOptions::default().with_store_mode(mode));
+            assert_eq!(outcome.stop_reason, StopReason::FirstViolation, "{mode}");
+            let v = outcome.first_violation().expect("violation found");
+            assert_eq!(v.depth, 2, "{mode}");
+            assert_eq!(v.trace.last_state(), Some(&state), "{mode}");
+            assert_eq!(
+                outcome.stats.distinct_states, known,
+                "{mode}: the run ends at the state that stopped it"
+            );
+        }
     }
 
     #[test]

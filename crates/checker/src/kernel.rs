@@ -10,10 +10,18 @@
 //!   a condition variable between levels; the coordinator publishes each level
 //!   (frontier, sleep sets, depth, phase) and wakes them.  Re-spawning workers at every
 //!   level boundary makes small-frontier levels pay thread spawn latency over and over.
-//! * **Per-worker successor buffers** — each worker accumulates successors in local
-//!   per-shard buffers and merges a buffer into its store stripe in one batch of
-//!   `batch_size` states (and unconditionally at the level boundary), amortising one
-//!   lock acquisition over the whole batch.
+//! * **Insert while hot** — what a worker stages is *one parent's successors*: the
+//!   enumeration callback pushes them into one per-worker `Vec` (no lock may be taken
+//!   inside it), and as soon as it returns each is inserted in enumeration order —
+//!   lock its stripe, `insert_edge`, unlock, then the visitor hook and the POR sleep
+//!   edge.  Half to four fifths of all successors are duplicates the dedup insert
+//!   frees, and a fresh one is interned (its just-written components replaced by the
+//!   pool's) inside that insert; parking successors per stripe until a batch filled
+//!   kept thousands of them — each with freshly allocated components — cold between
+//!   `state_key` and the insert, and freed them late.  A batch amortised nothing but
+//!   an uncontended stripe mutex: the pool lock is taken per fresh state inside it.
+//!   Only the owner-routed hand-off still batches (`batch_size` successors per
+//!   mailbox deposit), because there a batch is a message, not a lock acquisition.
 //! * **Work stealing** — the frontier of each level is split into one contiguous range
 //!   per worker; a worker that drains its range steals the back half of the largest
 //!   remaining range, so skewed successor costs cannot leave threads idle.  Range bounds
@@ -37,12 +45,12 @@
 //!
 //! | hook | runs | invariant visitor | refinement visitor |
 //! |---|---|---|---|
-//! | `on_fresh` | worker, per new state, after the batch insert | state limit, invariants → pending violations; always enqueue | key the state (its stable projection, once); enqueue unless draining a capped run past a stable state |
+//! | `on_fresh` | worker, per new state, right after its insert, outside the stripe lock | state limit, invariants → pending violations; always enqueue | key the state (its stable projection, once); enqueue unless draining a capped run past a stable state |
 //! | `on_existing` | worker, per dedup hit | nothing | record the arrival unless the target's known contexts already cover the parent's |
 //! | `on_level_end` | coordinator, workers parked | resolve violations into traces | fold keys into the per-state table, arrivals into projections / quotient edges / lsets, re-enqueue grown states, edge matching, state cap, early stops |
 //!
 //! No hook runs inside the successor-enumeration callback: an edge reaches a visitor
-//! only as the [`Arrival`] of its flush.  Visitors are generic parameters, never `dyn`:
+//! only as the [`Arrival`] of its insert.  Visitors are generic parameters, never `dyn`:
 //! each engine is its own monomorphisation of the loop.
 
 use std::collections::hash_map::Entry;
@@ -114,11 +122,11 @@ pub(crate) struct Run<'a, S> {
     pub(crate) store: &'a StateStore<S>,
     pub(crate) stop: &'a StopCell,
     pub(crate) workers: usize,
-    pub(crate) batch_size: usize,
-    /// Owner-routed insertion (see `CheckOptions::route_by_owner`): workers deposit
-    /// successor batches into the owning shard's mailbox during the expand phase, and a
-    /// drain phase lets each shard's owner merge them single-threadedly.
-    pub(crate) route_by_owner: bool,
+    /// Owner-routed insertion (see `CheckOptions::route_by_owner`), with the number of
+    /// successors per mailbox batch: workers deposit successor batches into the owning
+    /// shard's mailbox during the expand phase, and a drain phase lets each shard's
+    /// owner merge them single-threadedly.  `None`: the discovering worker inserts.
+    pub(crate) route_by_owner: Option<usize>,
     pub(crate) max_depth: Option<u32>,
     pub(crate) deadline: Option<Instant>,
     /// Memory budget that arms frontier spilling (effective only with a spill
@@ -268,8 +276,8 @@ enum Phase {
     Drain,
 }
 
-/// One buffered successor awaiting its batch merge.
-struct Buffered<S> {
+/// One successor on its way to the owner of its stripe.
+struct Routed<S> {
     parent: StateIndex,
     succ: Successor<S>,
 }
@@ -280,7 +288,7 @@ struct Buffered<S> {
 struct RoutedBatch<S> {
     producer: u32,
     seq: u32,
-    items: Vec<Buffered<S>>,
+    items: Vec<Routed<S>>,
 }
 
 /// One store shard's mailbox of owner-routed batches.
@@ -644,10 +652,10 @@ fn expand_chunk<S: SpecState, V: Visitor<S>>(
         level.phase = Phase::Expand;
     }
     output.merge(run_cycle(shared, team), totals);
-    if shared.run.route_by_owner {
+    if shared.run.route_by_owner.is_some() {
         if shared.run.stop.requested() {
-            // The level is being aborted: deposited batches are discarded just as
-            // the unrouted engine drops unflushed worker buffers on a stop.
+            // The level is being aborted: deposited batches are discarded just as the
+            // unrouted engine drops what a parent still has staged on a stop.
             for mailbox in &shared.mailboxes {
                 mailbox.lock().clear();
             }
@@ -743,8 +751,42 @@ fn work<S: SpecState, V: Visitor<S>>(
     }
 }
 
+/// The expand-phase half of owner routing: one worker's successors parked per owning
+/// stripe until `batch_size` of them leave for that stripe's mailbox as one message.
+struct Outbox<S> {
+    buffers: Vec<Vec<Routed<S>>>,
+    /// Batches sent so far, per stripe.
+    seqs: Vec<u32>,
+    batch_size: usize,
+}
+
+impl<S> Outbox<S> {
+    fn new(shards: usize, batch_size: usize) -> Self {
+        Outbox {
+            buffers: (0..shards).map(|_| Vec::new()).collect(),
+            seqs: vec![0; shards],
+            batch_size,
+        }
+    }
+
+    /// Deposits every full buffer — at the level boundary (`all`), every non-empty one.
+    fn send(&mut self, mailboxes: &[Mailbox<S>], producer: usize, all: bool) {
+        let min_len = if all { 1 } else { self.batch_size };
+        for (shard, buffer) in self.buffers.iter_mut().enumerate() {
+            if buffer.len() >= min_len {
+                mailboxes[shard].lock().push(RoutedBatch {
+                    producer: producer as u32,
+                    seq: self.seqs[shard],
+                    items: std::mem::take(buffer),
+                });
+                self.seqs[shard] += 1;
+            }
+        }
+    }
+}
+
 /// The worker loop: claims frontier indices (own range first, then stolen halves),
-/// expands each state, and buffers successors per shard, flushing in batches.
+/// expands each state into `staged`, and inserts what it staged before the next claim.
 fn expand_range<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
     level: &Level<S, V>,
@@ -752,25 +794,11 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
 ) -> WorkerResult<S, V::Local> {
     let run = &shared.run;
     let mut result = WorkerResult::default();
-    let shard_count = run.store.shard_count();
-    let mut buffers: Vec<Vec<Buffered<S>>> = (0..shard_count).map(|_| Vec::new()).collect();
-    let mut seqs: Vec<u32> = vec![0; shard_count];
-    // Lock-striped insertion merges a full buffer into its stripe on the spot; owner
-    // routing hands it to the stripe's owner instead.
-    let mut hand_off =
-        |shard: usize, buffer: &mut Vec<Buffered<S>>, result: &mut WorkerResult<S, V::Local>| {
-            if run.route_by_owner {
-                let batch = RoutedBatch {
-                    producer: worker as u32,
-                    seq: seqs[shard],
-                    items: std::mem::take(buffer),
-                };
-                shared.mailboxes[shard].lock().push(batch);
-                seqs[shard] += 1;
-            } else {
-                flush_shard(shared, level, shard, buffer, result);
-            }
-        };
+    // One parent's successors, in enumeration order; empty between parents.
+    let mut staged: Vec<Successor<S>> = Vec::new();
+    let mut outbox = run
+        .route_by_owner
+        .map(|batch_size| Outbox::new(run.store.shard_count(), batch_size));
     let mut stolen: Option<StealRange> = None;
     let mut processed: u64 = 0;
 
@@ -812,21 +840,32 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
 
         let (parent, state) = &level.frontier[idx];
         let sleep_in: &[LabelId] = level.sleeps.get(idx).map_or(&[], |sleep| sleep.as_slice());
-        let (explored, pruned) = run.pipeline.expand(state, sleep_in, |succ| {
-            buffers[run.store.shard_of(succ.fp)].push(Buffered {
-                parent: *parent,
-                succ,
-            });
-        });
+        let (explored, pruned) = run
+            .pipeline
+            .expand(state, sleep_in, |succ| staged.push(succ));
         result.transitions += explored;
         result.pruned += pruned;
-        // Batch flushing happens here, between parents, instead of inside the
-        // callback: a buffer can overshoot `batch_size` by at most one parent's
-        // successor count, and the merged outcome is unchanged (flush order within
-        // a worker is a function of claim order alone).
-        for (shard, buffer) in buffers.iter_mut().enumerate() {
-            if buffer.len() >= run.batch_size {
-                hand_off(shard, buffer, &mut result);
+        // The callback has returned, so locks are allowed again: every staged successor
+        // meets the store now, while the components its action wrote are still in cache.
+        match &mut outbox {
+            None => {
+                for succ in staged.drain(..) {
+                    // A stop ends the run at the state that asked for it: in a team of
+                    // one, the first in (frontier, enumeration) order.
+                    if run.stop.requested() {
+                        break;
+                    }
+                    arrive(shared, level, *parent, succ, &mut result);
+                }
+            }
+            Some(outbox) => {
+                for succ in staged.drain(..) {
+                    outbox.buffers[run.store.shard_of(succ.fp)].push(Routed {
+                        parent: *parent,
+                        succ,
+                    });
+                }
+                outbox.send(&shared.mailboxes, worker, false);
             }
         }
 
@@ -836,15 +875,10 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
         }
     }
 
-    // Merge whatever is still buffered at the level boundary — unless a stop was
-    // requested, in which case exploration is being aborted anyway and merging the
-    // leftovers would only push the state count further past the stop condition.
-    if !run.stop.requested() {
-        for (shard, buffer) in buffers.iter_mut().enumerate() {
-            if !buffer.is_empty() {
-                hand_off(shard, buffer, &mut result);
-            }
-        }
+    // Owner routing deposits what is still parked at the level boundary — unless a stop
+    // was requested: `expand_chunk` then discards the mailboxes anyway.
+    if let Some(mut outbox) = outbox.filter(|_| !run.stop.requested()) {
+        outbox.send(&shared.mailboxes, worker, true);
     }
     result
 }
@@ -852,7 +886,8 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
 /// The drain phase of an owner-routed chunk: each of the `team` workers merges the
 /// mailboxes of the shards it owns (`shard % team == worker`), replaying batches in
 /// `(producer, seq)` order.  Every shard has exactly one drainer, so inserts into a
-/// stripe are single-threaded — the lock in `flush_shard` is uncontended by design.
+/// stripe are single-threaded — the stripe lock [`arrive`] takes is uncontended by
+/// design.
 fn drain_mailboxes<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
     level: &Level<S, V>,
@@ -862,55 +897,51 @@ fn drain_mailboxes<S: SpecState, V: Visitor<S>>(
     let mut result = WorkerResult::default();
     for shard in (worker..shared.mailboxes.len()).step_by(team) {
         let mut batches = std::mem::take(&mut *shared.mailboxes[shard].lock());
-        if batches.is_empty() {
-            continue;
-        }
         batches.sort_by_key(|b| (b.producer, b.seq));
-        let mut combined: Vec<Buffered<S>> = batches.into_iter().flat_map(|b| b.items).collect();
-        flush_shard(shared, level, shard, &mut combined, &mut result);
+        for Routed { parent, succ } in batches.into_iter().flat_map(|b| b.items) {
+            arrive(shared, level, parent, succ, &mut result);
+        }
     }
     result
 }
 
-/// Merges one buffer into its stripe under a single lock acquisition, then (outside the
-/// lock) tells the visitor about every arrival.
-fn flush_shard<S: SpecState, V: Visitor<S>>(
+/// One edge meets the store: lock the successor's stripe, insert, unlock, then (outside
+/// the lock) tell the visitor and record the sleep set the edge hands down.
+fn arrive<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
     level: &Level<S, V>,
-    shard: usize,
-    buffer: &mut Vec<Buffered<S>>,
+    parent: StateIndex,
+    succ: Successor<S>,
     result: &mut WorkerResult<S, V::Local>,
 ) {
-    let mut inserted: Vec<(Arrival, Insert<S>)> = Vec::with_capacity(buffer.len());
-    {
-        let mut handle = shared.run.store.lock_shard(shard);
-        for Buffered { parent, succ } in buffer.drain(..) {
-            let insert =
-                handle.insert_edge(succ.fp, Some(parent), succ.label, succ.state, succ.perm);
-            let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = &insert;
-            let at = Arrival {
-                index: *index,
-                parent: Some(parent),
-                fp: succ.fp,
-                depth: level.child_depth,
-            };
-            // Both fresh and already-known targets contribute an arrival edge: a state
-            // reached again within the same level only keeps a label asleep if every
-            // minimal-depth arrival does.
-            if shared.run.pipeline.por {
-                result.sleep_edges.push((at.index, succ.sleep));
-            }
-            inserted.push((at, insert));
-        }
+    let store = shared.run.store;
+    // The handle is a temporary: the stripe is unlocked at the end of this statement.
+    let insert = store.lock_shard(store.shard_of(succ.fp)).insert_edge(
+        succ.fp,
+        Some(parent),
+        succ.label,
+        succ.state,
+        succ.perm,
+    );
+    let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = &insert;
+    let at = Arrival {
+        index: *index,
+        parent: Some(parent),
+        fp: succ.fp,
+        depth: level.child_depth,
+    };
+    // Both fresh and already-known targets contribute an arrival edge: a state reached
+    // again within the same level only keeps a label asleep if every minimal-depth
+    // arrival does.
+    if shared.run.pipeline.por {
+        result.sleep_edges.push((at.index, succ.sleep));
     }
-    for (at, insert) in inserted {
-        match insert {
-            Insert::Fresh(_, state) => {
-                if level.visitor.on_fresh(&mut result.local, at, &state) {
-                    result.next_frontier.push((at.index, state));
-                }
+    match insert {
+        Insert::Fresh(_, state) => {
+            if level.visitor.on_fresh(&mut result.local, at, &state) {
+                result.next_frontier.push((at.index, state));
             }
-            Insert::Existing(_, state) => level.visitor.on_existing(&mut result.local, at, state),
         }
+        Insert::Existing(_, state) => level.visitor.on_existing(&mut result.local, at, state),
     }
 }

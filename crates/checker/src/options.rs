@@ -60,7 +60,13 @@ impl SymmetryMode {
 /// "(b) running to completion (till the limit)".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckMode {
-    /// Stop as soon as any invariant violation is found (Table 5, mode (a)).
+    /// Stop as soon as any invariant violation is found (Table 5, mode (a)).  With one
+    /// worker BFS reports the first violating state in (frontier, enumeration) order —
+    /// the order of the textbook queue loop, and TLC's: successors meet the store one
+    /// parent at a time, in the order the parent enumerated them, and the run ends at
+    /// the one that asked for the stop.  With several workers it is a violating state
+    /// of the same (minimal) depth, chosen by `(invariant, fingerprint)` among those the
+    /// workers reached before they saw the stop.
     #[default]
     FirstViolation,
     /// Keep exploring; record up to `violation_limit` violating states (Table 5, mode (b)).
@@ -85,9 +91,10 @@ pub struct CheckOptions {
     /// 24-hour budget; the scaled-down reproduction defaults to minutes.
     pub time_budget: Option<Duration>,
     /// Maximum number of distinct states to explore; `None` means unbounded.  Used to
-    /// bound the deep Table 4 bugs (ZK-4643/4646/4712) in bench loops.  In parallel runs
-    /// the limit is checked as workers merge their successor batches, so the final count
-    /// may overshoot by up to one in-flight batch (`batch_size`) per worker.
+    /// bound the deep Table 4 bugs (ZK-4643/4646/4712) in bench loops.  The limit is
+    /// checked at every fresh insert and a worker looks for a stop request before each
+    /// insert, so the final count overshoots by at most one parent's successors per
+    /// worker (by none at one worker).
     pub max_states: Option<usize>,
     /// Number of worker threads expanding each BFS frontier, like TLC's `-workers` flag
     /// (§4.4: the paper's runs use a 40-core machine).  `1` runs inline on the calling
@@ -99,9 +106,12 @@ pub struct CheckOptions {
     /// (reported in `CheckStats::shard_contention`) negligible for any realistic core
     /// count.
     pub shards: usize,
-    /// Number of successors a worker buffers per stripe before merging them into the
-    /// discovered-state set under one lock acquisition.  Remaining buffers are always
-    /// merged at the BFS level boundary, preserving level-synchronous semantics.
+    /// Owner-routed mailbox batches only: the number of successors a worker parks per
+    /// stripe before depositing them into the owning worker's mailbox as one message
+    /// (`route_by_owner`; remaining ones are deposited at the level boundary).  The
+    /// default lock-striped engine does not read it — there a worker inserts each
+    /// parent's successors as soon as it has enumerated them — and the field is queued
+    /// for deletion (ROADMAP, knob diet).
     pub batch_size: usize,
     /// Whether to keep full predecessor information for violation-trace reconstruction
     /// (the counterexample traces of §3.5.3 / Table 4).
@@ -206,7 +216,8 @@ impl CheckOptions {
         self
     }
 
-    /// Sets the per-stripe successor batch size.
+    /// Sets the owner-routed mailbox batch size (see the field docs: owner-routed
+    /// mailbox batches only).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
         self

@@ -57,8 +57,8 @@ pub struct CheckStats {
     /// equal entries, so skew here points at frontier imbalance.
     pub per_worker_transitions: Vec<u64>,
     /// Per-stripe contention counters of the sharded discovered-state set: how many lock
-    /// acquisitions on each stripe had to wait.  High values relative to `transitions`
-    /// mean `CheckOptions::shards` or `CheckOptions::batch_size` should be raised.
+    /// acquisitions on each stripe had to wait (a stripe is locked once per edge).  High
+    /// values relative to `transitions` mean `CheckOptions::shards` should be raised.
     pub shard_contention: Vec<u64>,
     /// Peak resident entry-payload bytes of the discovered-state store (the store is
     /// append-only, so the final size is the peak).  Counts the fixed per-entry

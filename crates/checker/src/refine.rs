@@ -4,7 +4,7 @@
 //! declared variable footprints.  This module is the semantic counterpart: it explores
 //! the state spaces of a fine and a coarse composition — each side is a visitor of the
 //! level-synchronous kernel that also drives [`crate::bfs`], so it inherits the worker
-//! pool, batched shard inserts, symmetry (incremental canonicalization included), the
+//! pool, insert-while-hot staging, symmetry (incremental canonicalization included), the
 //! spill tier and panic containment — and verifies that, under a [`TraceProjection`],
 //! the coarse specification admits exactly the externally visible behaviours of the
 //! fine one:
@@ -452,8 +452,8 @@ fn render_projection<S: SpecState>(projection: &TraceProjection<S>, state: &S) -
 
 /// Records `at` as the representative of `key` — the concrete state a witness is
 /// reconstructed from — unless an earlier (or same-depth, lower-fingerprint) arrival
-/// already is: state indices follow insert order, which under batched flushing depends
-/// on worker scheduling, so representatives are chosen by `(depth, fingerprint)`.
+/// already is: state indices follow insert order, which with several workers depends
+/// on their scheduling, so representatives are chosen by `(depth, fingerprint)`.
 fn offer_rep<K: Eq + Hash>(reps: &mut HashMap<K, Arrival>, key: K, at: Arrival) {
     let rep = reps.entry(key).or_insert(at);
     if (at.depth, at.fp) < (rep.depth, rep.fp) {
@@ -764,7 +764,7 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         if end.enqueued + requeue.len() == 0 {
             return ControlFlow::Continue(());
         }
-        // The budgets are evaluated here, between levels, never at the flush: the
+        // The budgets are evaluated here, between levels, never at the insert: the
         // level about to be expanded holds the states of depth `end.depth`.
         if self.draining.is_none() {
             let depth_hit = self.options.max_depth.is_some_and(|max| end.depth >= max);
@@ -785,10 +785,6 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         ControlFlow::Continue(())
     }
 }
-
-/// Successor batch size of a refinement side (`RefineOptions` has no such knob; this
-/// is `CheckOptions`' default).
-const BATCH_SIZE: usize = 128;
 
 /// Explores one side of the refinement pair on the level-synchronous kernel, recording
 /// stable projections and the stabilization edges of the projected quotient graph (see
@@ -817,8 +813,7 @@ fn explore_side<S: SpecState>(
             store: &seen,
             stop: &StopCell::new(),
             workers: options.workers,
-            batch_size: BATCH_SIZE,
-            route_by_owner: false,
+            route_by_owner: None,
             // The depth bound starts the stabilization drain instead of stopping the
             // run, so it is the visitor's to evaluate.
             max_depth: None,

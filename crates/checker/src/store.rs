@@ -84,7 +84,8 @@
 //! to the system, which on the 221,490-state space above was 8 MiB of a 48 MiB peak.
 //! The row width is fixed by the first stored state and asserted for every later one.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
@@ -94,7 +95,7 @@ use crate::sync::{
 };
 
 use remix_spec::{
-    CanonFn, InternPool, LabelId, LabelTable, Perm, Spec, SpecState, Trace, INIT_LABEL,
+    CanonFn, DigestMap, InternPool, LabelId, LabelTable, Perm, Spec, SpecState, Trace, INIT_LABEL,
 };
 
 use crate::fingerprint::{state_key, Fingerprint};
@@ -166,7 +167,10 @@ struct StoreShard<S> {
     /// Under a memory budget this is the stripe's *delta table*: once it reaches its
     /// share of the budget it is flushed to an immutable sorted run in `runs` and
     /// restarted empty, so its resident size stays bounded while `len` keeps growing.
-    map: HashMap<Fingerprint, u32>,
+    ///
+    /// Hashed by the fingerprint's own second word (its first picked the stripe): the
+    /// key is uniform already, so the table probes with it instead of rehashing it.
+    map: DigestMap<Fingerprint, u32>,
     /// Spilled portions of the dedup map: immutable sorted `(fingerprint, slot)` runs
     /// on disk, mutually disjoint with each other and with `map` by construction (a
     /// fingerprint is probed against every run before it may enter the delta table).
@@ -368,9 +372,13 @@ impl<S: SpecState> ShardHandle<'_, S> {
         // Dedup: the in-RAM delta table first, then (budgeted stores only) every
         // spilled run, bloom filters first.  Runs and delta table are disjoint, so
         // the probe order never affects the answer — only which tier pays for it.
-        if let Some(&local) = inner.map.get(&fp) {
-            return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
-        }
+        // The table is probed once: a miss keeps its vacant slot for the insert below.
+        let vacant = match inner.map.entry(fp) {
+            Entry::Occupied(known) => {
+                return Insert::Existing(pack(*known.get(), self.shard, self.shard_bits), state);
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
         if let Some(spill) = self.spill {
             for run in &inner.runs {
                 if let Some(local) = run.probe(fp, &spill.counters) {
@@ -389,7 +397,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
         );
         let index = pack(local, self.shard, self.shard_bits);
         assert_ne!(index.0, NO_PARENT, "state store is full (2^32 entries)");
-        inner.map.insert(fp, local);
+        vacant.insert(local);
         inner.meta.push(std::iter::once(SlotMeta {
             fp,
             parent: parent.map_or(NO_PARENT, |p| p.0),
@@ -516,7 +524,7 @@ impl<S: SpecState> StateStore<S> {
             shards: (0..n)
                 .map(|_| ShardCell {
                     inner: OrderedMutex::new(StoreShard {
-                        map: HashMap::new(),
+                        map: DigestMap::default(),
                         runs: Vec::new(),
                         meta: ChunkVec::new(),
                         rows: ChunkVec::new(),

@@ -43,22 +43,18 @@ fn store_modes_explore_identical_state_spaces() {
 #[test]
 fn stop_reason_precedence_is_deterministic_across_store_modes() {
     let spec = spec(CodeVersion::V391);
-    // Find the minimal violation depth d, then the state count within depth d - 1, so
-    // a `max_states` of that count + 1 is first exceeded in exactly the level that
-    // merges the first violating state: both conditions fire in the same level.
+    // A one-worker run ends at the state that stops it, so the probe's violating state
+    // is the last of its `distinct_states`: a `max_states` of exactly that count trips
+    // inside the violating parent's own successors — at the insert of the violating
+    // state — and both conditions fire in the same level, for the same state.
     let probe = check_bfs(&spec, &CheckOptions::default());
     let violation_depth = probe.first_violation().expect("v3.9.1 violates").depth;
     assert!(violation_depth > 1, "a deep violation makes the race real");
-    let before = check_bfs(
-        &spec,
-        &CheckOptions::default().with_max_depth(violation_depth - 1),
-    );
-    let cap = before.stats.distinct_states + 1;
+    let cap = probe.stats.distinct_states;
 
     for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-        // Sequential claim/flush order is fixed, so the fired set is reproducible: the
-        // violating state is merged in the same level where the cap trips (batched
-        // flushing merges it before the early abort under the default batch size), and
+        // Sequential claim and insert order is fixed — parents in frontier order, each
+        // one's successors in enumeration order — so the fired set is reproducible and
         // the resolved reason is exactly the documented precedence.
         let outcome = check_bfs(
             &spec,
@@ -76,6 +72,12 @@ fn stop_reason_precedence_is_deterministic_across_store_modes() {
             "mode {mode}: violation stop outranks the state limit"
         );
         assert!(!outcome.passed());
+        assert_eq!(
+            outcome.first_violation().expect("reported").depth,
+            violation_depth,
+            "mode {mode}: the cap does not hide the minimal depth"
+        );
+        assert_eq!(outcome.stats.distinct_states, cap, "mode {mode}");
 
         // Parallel runs may abort the level as soon as a resource limit trips (so the
         // violating state of the same level is not always discovered), but the resolved
@@ -106,7 +108,7 @@ fn stop_reason_precedence_is_deterministic_across_store_modes() {
             &spec,
             &CheckOptions::default()
                 .with_store_mode(mode)
-                .with_max_states(before.stats.distinct_states.min(8))
+                .with_max_states(cap.min(8))
                 .with_time_budget(Duration::from_secs(3600)),
         );
         assert_eq!(clean.stop_reason, StopReason::StateLimit);

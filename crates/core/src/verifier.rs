@@ -98,7 +98,7 @@ pub struct VerifierOptions {
     /// Lock stripes of the checker's discovered-state set; see
     /// [`CheckOptions::shards`](remix_checker::CheckOptions).
     pub shards: usize,
-    /// Per-stripe successor batch size; see
+    /// Owner-routed mailbox batches only; see
     /// [`CheckOptions::batch_size`](remix_checker::CheckOptions).
     pub batch_size: usize,
     /// Which backend the checker keeps discovered states in: the compact full-state

@@ -19,7 +19,8 @@
 //! fingerprint of the value behind it; `remix_checker::fingerprint` re-exports it, next
 //! to `state_key`, the store identity built from those memoized digests.
 
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A 128-bit state fingerprint: two halves from independently keyed hashers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,6 +128,28 @@ impl PairHasher {
         self.b.compress(block);
     }
 
+    /// Appends the low `len` bytes (1–8) of `value` — which must be zero above them — to
+    /// the stream: the same bytes `write(&value.to_le_bytes()[..len])` would feed, shifted
+    /// into the pending block as one word instead of byte by byte.  `derive(Hash)` feeds
+    /// every integer field, enum discriminant and length prefix of a state through the
+    /// typed writes, so this is the per-edge path of every digest.
+    #[inline]
+    fn write_short(&mut self, value: u64, len: usize) {
+        debug_assert!((1..=8).contains(&len) && (len == 8 || value >> (8 * len) == 0));
+        self.written = self.written.wrapping_add(len as u64);
+        let shift = 8 * self.pending_len as u32;
+        self.pending |= value << shift;
+        self.pending_len += len;
+        if self.pending_len >= 8 {
+            let block = self.pending;
+            self.compress(block);
+            self.pending_len -= 8;
+            // What did not fit: `value >> (64 - shift)`, written so that an empty block
+            // (`shift` 0, which only a full word overflows) leaves nothing behind.
+            self.pending = (value >> 1) >> (63 - shift);
+        }
+    }
+
     /// Finalizes both hashers, producing the 128-bit fingerprint.
     pub fn finish128(&self) -> Fingerprint {
         // SipHash's final block: the pending tail bytes with the input length in the
@@ -172,25 +195,23 @@ impl Hasher for PairHasher {
     }
 
     #[inline]
-    fn write_u64(&mut self, value: u64) {
-        // The common case for integer-heavy states: feed the block directly when
-        // aligned, without staging through the byte buffer.
-        if self.pending_len == 0 {
-            self.written = self.written.wrapping_add(8);
-            self.compress(value);
-        } else {
-            self.write(&value.to_le_bytes());
-        }
+    fn write_u8(&mut self, value: u8) {
+        self.write_short(value as u64, 1);
     }
 
     #[inline]
-    fn write_u8(&mut self, value: u8) {
-        self.write(&[value]);
+    fn write_u16(&mut self, value: u16) {
+        self.write_short(value as u64, 2);
     }
 
     #[inline]
     fn write_u32(&mut self, value: u32) {
-        self.write(&value.to_le_bytes());
+        self.write_short(value as u64, 4);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.write_short(value, 8);
     }
 
     #[inline]
@@ -212,6 +233,36 @@ pub fn fingerprint<S: Hash + ?Sized>(state: &S) -> Fingerprint {
     state.hash(&mut hasher);
     hasher.finish128()
 }
+
+/// The pass-through [`Hasher`] of a table keyed on a [`Fingerprint`]: the hash of a key
+/// is the last `u64` it writes — the fingerprint's second word.  A fingerprint is 128
+/// uniform bits already; rehashing it (SipHash under `RandomState`, once per lookup and
+/// once more per insert) buys nothing.  Use it only for keys this program computed: a
+/// table of outside input needs the default hasher's protection against crafted keys.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    /// Keys that end in anything but a `u64` still hash correctly, just not fast.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` whose keys end in a [`Fingerprint`], probed by [`DigestHasher`].
+pub type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<DigestHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -69,7 +69,7 @@ pub use analysis::{
 pub use compose::{compose, CompositionPlan, ModuleChoice};
 pub use effect::{Effect, EffectBit};
 pub use error::SpecError;
-pub use fingerprint::{fingerprint, Fingerprint, PairHasher};
+pub use fingerprint::{fingerprint, DigestMap, Fingerprint, PairHasher};
 pub use invariant::{Invariant, InvariantScope, InvariantSource};
 pub use label::{LabelId, LabelTable, INIT_LABEL};
 pub use module::{ModuleId, ModuleSpec};

@@ -47,7 +47,7 @@
 use std::any::{Any, TypeId};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -59,7 +59,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, OnceLock};
 
-use crate::fingerprint::{fingerprint, Fingerprint};
+use crate::fingerprint::{fingerprint, DigestMap, Fingerprint};
 
 /// What one shared allocation holds: the value and what is memoized about it.
 struct Inner<T> {
@@ -211,7 +211,8 @@ fn downcast<T: Send + Sync + 'static>(slot: &Slot) -> Arc<Inner<T>> {
 pub struct InternPool {
     /// Process-unique and never 0, so an allocation's tag names at most one live pool.
     id: u32,
-    index: HashMap<(TypeId, Fingerprint), u32>,
+    /// Hashed by the digest's own second word, see [`DigestMap`].
+    index: DigestMap<(TypeId, Fingerprint), u32>,
     slots: Vec<Slot>,
 }
 
@@ -226,7 +227,7 @@ impl InternPool {
         InternPool {
             // ordering: Relaxed — only uniqueness matters, and fetch_add is atomic.
             id: pool_id(NEXT_ID.fetch_add(1, atomic::Ordering::Relaxed)),
-            index: HashMap::new(),
+            index: DigestMap::default(),
             slots: Vec::new(),
         }
     }
@@ -605,7 +606,7 @@ mod tests {
         let tagged: Shared<u8> = Shared::new(0);
         let last = InternPool {
             id: u32::MAX,
-            index: HashMap::new(),
+            index: DigestMap::default(),
             slots: Vec::new(),
         };
         tagged.0.tag.store(u64::MAX - 1, atomic::Ordering::Relaxed);

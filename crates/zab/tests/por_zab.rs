@@ -5,7 +5,9 @@
 //! depths — under both store backends, with and without symmetry reduction, and the
 //! seeded v3.9.1 I-11 witness must still replay on the original specification.
 
-use remix_checker::{check_bfs, check_dfs, CheckOptions, StopReason, StoreMode, SymmetryMode};
+use remix_checker::{
+    check_bfs, check_dfs, CheckMode, CheckOptions, StopReason, StoreMode, SymmetryMode, Violation,
+};
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset, ZabState};
 
 fn exhaustion_config() -> ClusterConfig {
@@ -36,6 +38,25 @@ fn assert_replays(spec: &remix_spec::Spec<ZabState>, trace: &remix_spec::Trace<Z
             w[1].action
         );
     }
+}
+
+/// The invariants violated at `depth` on `spec`, from an unreduced run to completion of
+/// that depth: which of them a `FirstViolation` run meets first depends on the order it
+/// walks the level in, and reductions change that order.
+fn invariants_violated_at(spec: &remix_spec::Spec<ZabState>, depth: u32) -> Vec<&'static str> {
+    let all = check_bfs(
+        spec,
+        &CheckOptions {
+            mode: CheckMode::Completion {
+                violation_limit: usize::MAX,
+            },
+            ..options(false, StoreMode::Full)
+        }
+        .with_max_depth(depth),
+    );
+    assert_eq!(all.stop_reason, StopReason::DepthBound);
+    let at_depth = |v: &Violation<ZabState>| (v.depth == depth).then_some(v.invariant);
+    all.violations.iter().filter_map(at_depth).collect()
 }
 
 #[test]
@@ -152,8 +173,10 @@ fn por_composes_with_symmetry_reduction() {
     assert!(both.stats.pruned_transitions > 0);
     assert!(both.stats.transitions < canon.stats.transitions);
 
-    // And on the seeded violation workload the composed run still reports the same
-    // invariant at the same minimal depth with a replayable witness.
+    // And on the seeded violation workload the composed run still reports a violation
+    // of the minimal depth — of an invariant the unreduced space violates there (the
+    // canonical level is walked in another order, so not necessarily the one the
+    // baseline met first) — with a replayable witness that exhibits it.
     let buggy = SpecPreset::MSpec3.build(&ClusterConfig::small(CodeVersion::V391));
     let base = check_bfs(&buggy, &options(false, StoreMode::Full));
     let v_base = base.first_violation().expect("v3.9.1 violates");
@@ -161,8 +184,18 @@ fn por_composes_with_symmetry_reduction() {
         &buggy,
         &options(true, StoreMode::Full).with_symmetry(SymmetryMode::Canonicalize),
     );
+    assert_eq!(composed.stop_reason, base.stop_reason);
     let v = composed.first_violation().expect("violation found");
-    assert_eq!(v.invariant, v_base.invariant);
+    let at_depth = invariants_violated_at(&buggy, v_base.depth);
+    assert!(at_depth.contains(&v_base.invariant), "{at_depth:?}");
+    assert!(
+        at_depth.contains(&v.invariant),
+        "{} ∉ {at_depth:?}",
+        v.invariant
+    );
     assert_eq!(v.depth, v_base.depth);
     assert_replays(&buggy, &v.trace);
+    let endpoint = v.trace.last_state().expect("non-empty witness");
+    let violated = buggy.violated_invariants(endpoint);
+    assert!(violated.iter().any(|i| i.id == v.invariant));
 }
