@@ -189,7 +189,6 @@ fn check_bfs_into<S: SpecState>(
             store,
             stop: &stop,
             workers: options.workers,
-            route_by_owner: options.route_by_owner.then_some(options.batch_size.max(1)),
             max_depth: options.max_depth,
             deadline: options.time_budget.map(|b| start + b),
             // Only the invariant visitor spills frontiers: it never re-enqueues, so a
@@ -649,51 +648,56 @@ mod tests {
         let mut baseline = None;
         for workers in [1, 2, 4] {
             for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-                // Lock-striped, then owner-routed with one successor per mailbox
-                // batch and with the default 128.
-                for route_by_owner in [None, Some(1), Some(128)] {
-                    let labels = LabelTable::new();
-                    let store: StateStore<Pair> = StateStore::new(mode, 64);
-                    let explored = kernel::explore(
-                        Run {
-                            pipeline: &Pipeline::new(&spec, &labels, false, false),
-                            store: &store,
-                            stop: &StopCell::new(),
-                            workers,
-                            route_by_owner,
-                            max_depth: None,
-                            deadline: None,
-                            frontier_budget: None,
-                        },
-                        Counting::default(),
-                    );
-                    let cell = format!("workers {workers}, {mode}, routed {route_by_owner:?}");
-                    assert_eq!(explored.stop_reason, StopReason::Exhausted, "{cell}");
-                    let Counting {
-                        mut fresh,
-                        existing,
-                        levels,
-                        ..
-                    } = explored.visitor;
-                    let announced = fresh.len();
-                    fresh.sort();
-                    fresh.dedup();
-                    assert_eq!(
-                        fresh.len(),
-                        announced,
-                        "on_fresh twice for one state: {cell}"
-                    );
-                    assert_eq!(announced, store.len(), "{cell}");
-                    let transitions: u64 = explored.totals.per_worker_transitions.iter().sum();
-                    // Every explored edge is exactly one arrival; the initial state is
-                    // the one fresh arrival that is not an edge.
-                    assert_eq!(announced as u64 - 1 + existing, transitions, "{cell}");
-                    let signature = (announced, existing, transitions, levels);
-                    assert_eq!(*baseline.get_or_insert(signature), signature, "{cell}");
-                }
+                let labels = LabelTable::new();
+                let store: StateStore<Pair> = StateStore::new(mode, 64);
+                let explored = kernel::explore(
+                    Run {
+                        pipeline: &Pipeline::new(&spec, &labels, false, false),
+                        store: &store,
+                        stop: &StopCell::new(),
+                        workers,
+                        max_depth: None,
+                        deadline: None,
+                        frontier_budget: None,
+                    },
+                    Counting::default(),
+                );
+                let cell = format!("workers {workers}, {mode}");
+                assert_eq!(explored.stop_reason, StopReason::Exhausted, "{cell}");
+                let Counting {
+                    mut fresh,
+                    existing,
+                    levels,
+                    ..
+                } = explored.visitor;
+                let announced = fresh.len();
+                fresh.sort();
+                fresh.dedup();
+                assert_eq!(
+                    fresh.len(),
+                    announced,
+                    "on_fresh twice for one state: {cell}"
+                );
+                assert_eq!(announced, store.len(), "{cell}");
+                let transitions: u64 = explored.totals.per_worker_transitions.iter().sum();
+                // Every explored edge is exactly one arrival; the initial state is the
+                // one fresh arrival that is not an edge.
+                assert_eq!(announced as u64 - 1 + existing, transitions, "{cell}");
+                let signature = (announced, existing, transitions, levels);
+                assert_eq!(*baseline.get_or_insert(signature), signature, "{cell}");
             }
         }
         assert_eq!(baseline.expect("ran").0, 141 * 142 / 2);
+    }
+
+    /// `base` with the ignored routing fields set as in the deleted owner-routed engine,
+    /// which broke the two one-worker contracts below: `true` must now keep them.
+    fn routed(base: &CheckOptions) -> CheckOptions {
+        CheckOptions {
+            route_by_owner: true,
+            batch_size: 1,
+            ..base.clone()
+        }
     }
 
     #[test]
@@ -704,13 +708,17 @@ mod tests {
         // 50), not by what is left of one parent.
         let spec = pair_spec(140, None);
         for cap in [2, 50, 51, 200, 1_000] {
-            let outcome = check_bfs(&spec, &CheckOptions::default().with_max_states(cap));
-            assert_eq!(outcome.stop_reason, StopReason::StateLimit, "cap {cap}");
-            let states = outcome.stats.distinct_states;
-            assert!(
-                (cap..=cap + 2).contains(&states),
-                "cap {cap}: stopped at {states} states"
-            );
+            let base = CheckOptions::default().with_max_states(cap);
+            for options in [routed(&base), base] {
+                let cell = format!("cap {cap}, route_by_owner {}", options.route_by_owner);
+                let outcome = check_bfs(&spec, &options);
+                assert_eq!(outcome.stop_reason, StopReason::StateLimit, "{cell}");
+                let states = outcome.stats.distinct_states;
+                assert!(
+                    (cap..=cap + 2).contains(&states),
+                    "{cell}: stopped at {states} states"
+                );
+            }
         }
     }
 
@@ -751,15 +759,19 @@ mod tests {
         let (state, known) = reference_first_violation(&spec);
         assert_eq!((state.a, state.b), (11, 1), "the reference order's");
         for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-            let outcome = check_bfs(&spec, &CheckOptions::default().with_store_mode(mode));
-            assert_eq!(outcome.stop_reason, StopReason::FirstViolation, "{mode}");
-            let v = outcome.first_violation().expect("violation found");
-            assert_eq!(v.depth, 2, "{mode}");
-            assert_eq!(v.trace.last_state(), Some(&state), "{mode}");
-            assert_eq!(
-                outcome.stats.distinct_states, known,
-                "{mode}: the run ends at the state that stopped it"
-            );
+            let base = CheckOptions::default().with_store_mode(mode);
+            for options in [routed(&base), base] {
+                let cell = format!("{mode}, route_by_owner {}", options.route_by_owner);
+                let outcome = check_bfs(&spec, &options);
+                assert_eq!(outcome.stop_reason, StopReason::FirstViolation, "{cell}");
+                let v = outcome.first_violation().expect("violation found");
+                assert_eq!(v.depth, 2, "{cell}");
+                assert_eq!(v.trace.last_state(), Some(&state), "{cell}");
+                assert_eq!(
+                    outcome.stats.distinct_states, known,
+                    "{cell}: the run ends at the state that stopped it"
+                );
+            }
         }
     }
 
@@ -767,16 +779,21 @@ mod tests {
     fn sharding_and_batching_knobs_do_not_change_the_search() {
         let spec = pair_spec(14, None);
         let baseline = check_bfs(&spec, &CheckOptions::default());
-        for (shards, batch) in [(1, 1), (2, 3), (256, 4096)] {
-            for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-                let outcome = check_bfs(
-                    &spec,
-                    &CheckOptions::default()
+        let mut cell = 0;
+        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+            for (shards, batch) in [(1, 1), (2, 3), (256, 4096)] {
+                // `batch_size` and `route_by_owner` are ignored: every other cell turns
+                // routing on, so both values meet both store modes.
+                let options = CheckOptions {
+                    batch_size: batch,
+                    route_by_owner: cell % 2 == 1,
+                    ..CheckOptions::default()
                         .with_workers(3)
                         .with_shards(shards)
-                        .with_batch_size(batch)
-                        .with_store_mode(mode),
-                );
+                        .with_store_mode(mode)
+                };
+                cell += 1;
+                let outcome = check_bfs(&spec, &options);
                 assert_eq!(
                     outcome.stats.distinct_states,
                     baseline.stats.distinct_states
@@ -940,71 +957,6 @@ mod tests {
         assert_eq!(a.trace.last_state(), b.trace.last_state());
         assert_eq!(a.trace.action_labels(), b.trace.action_labels());
         assert!(spilled.stats.spill.spilled());
-    }
-
-    #[test]
-    fn owner_routing_agrees_with_lock_striping() {
-        let spec = pair_spec(14, None);
-        let baseline = check_bfs(&spec, &CheckOptions::default());
-        for workers in [1, 3] {
-            for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-                let routed = check_bfs(
-                    &spec,
-                    &CheckOptions::default()
-                        .with_workers(workers)
-                        .with_store_mode(mode)
-                        .with_owner_routing(true),
-                );
-                assert_eq!(
-                    routed.stats.distinct_states, baseline.stats.distinct_states,
-                    "workers {workers}, store mode {mode}"
-                );
-                assert_eq!(routed.stats.transitions, baseline.stats.transitions);
-                assert_eq!(routed.stats.max_depth, baseline.stats.max_depth);
-                assert_eq!(routed.stop_reason, StopReason::Exhausted);
-            }
-        }
-    }
-
-    #[test]
-    fn owner_routing_reports_the_same_minimal_violation() {
-        let spec = pair_spec(12, Some((9, 4)));
-        let plain = check_bfs(&spec, &CheckOptions::default());
-        for workers in [1, 4] {
-            let routed = check_bfs(
-                &spec,
-                &CheckOptions::default()
-                    .with_workers(workers)
-                    .with_owner_routing(true),
-            );
-            assert_eq!(
-                routed.first_violation().unwrap().depth,
-                plain.first_violation().unwrap().depth,
-                "workers {workers}"
-            );
-            assert_eq!(routed.stop_reason, StopReason::FirstViolation);
-        }
-    }
-
-    #[test]
-    fn owner_routing_composes_with_spilling() {
-        use crate::spill::SpillConfig;
-        let spec = pair_spec(30, None);
-        let baseline = check_bfs(&spec, &CheckOptions::default());
-        let combined = check_bfs(
-            &spec,
-            &CheckOptions::default()
-                .with_workers(3)
-                .with_owner_routing(true)
-                .with_spill(SpillConfig::in_ram().with_budget_bytes(1 << 10)),
-        );
-        assert_eq!(
-            combined.stats.distinct_states,
-            baseline.stats.distinct_states
-        );
-        assert_eq!(combined.stats.transitions, baseline.stats.transitions);
-        assert_eq!(combined.stats.max_depth, baseline.stats.max_depth);
-        assert!(combined.stats.spill.spilled());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The seven `REMIX_*` environment hooks, parsed in one place.
+//! The six `REMIX_*` environment hooks, parsed in one place.
 //!
 //! CI flips whole suites between modes by setting these variables (the option structs'
 //! `Default` impls read them), so a value that is *almost* right must never fall back
@@ -12,7 +12,6 @@
 //! | `REMIX_SYMMETRY` | `canonicalize` / `canonical` / `on`, `off` |
 //! | `REMIX_STORE_MODE` | `fingerprint-only` / `fingerprint_only`, `full` |
 //! | `REMIX_POR`, `REMIX_SYNC_AUDIT` | `1` / `true` / `on`, `0` / `false` / `off` |
-//! | `REMIX_ROUTE_BY_OWNER` | `1` / `true` / `on` / `owner`, `0` / `false` / `off` |
 //! | `REMIX_MEM_BUDGET` | a byte count below 2^64, optionally suffixed `k`/`m`/`g` (`kb`, `mib`, …) |
 //! | `REMIX_SPILL_DIR` | any non-empty path |
 
@@ -60,10 +59,6 @@ pub(crate) const POR: Hook<bool> = Hook {
 pub(crate) const SYNC_AUDIT: Hook<bool> = Hook {
     var: "REMIX_SYNC_AUDIT",
     table: &[ON, OFF],
-};
-pub(crate) const ROUTE_BY_OWNER: Hook<bool> = Hook {
-    var: "REMIX_ROUTE_BY_OWNER",
-    table: &[(&["1", "true", "on", "owner"], true), OFF],
 };
 
 impl<T: Copy> Hook<T> {
@@ -169,7 +164,6 @@ mod tests {
         for off in ["0", "false", "off"] {
             assert_eq!(POR.parse(Some(off)), Ok(Some(false)));
         }
-        assert_eq!(ROUTE_BY_OWNER.parse(Some("owner")), Ok(Some(true)));
         assert_eq!(parse_budget(Some("1m")), Ok(Some(1 << 20)));
         assert_eq!(parse_budget(Some("64 KiB")), Ok(Some(64 << 10)));
         assert_eq!(parse_budget(Some("4096")), Ok(Some(4096)));
@@ -219,7 +213,7 @@ mod tests {
             "{err}"
         );
         assert!(err.contains("1, true, on, 0, false, off"), "{err}");
-        // `owner` is a spelling of the routing hook only; case and padding count.
+        // No hook spells "on" as `owner`; case and padding count.
         assert!(POR.parse(Some("owner")).is_err());
         assert!(SYMMETRY.parse(Some("Canonicalize")).is_err());
         assert!(STORE_MODE.parse(Some(" full")).is_err());

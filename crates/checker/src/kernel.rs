@@ -8,7 +8,7 @@
 //!
 //! * **Persistent worker pool** — worker threads are spawned *once per run* and park on
 //!   a condition variable between levels; the coordinator publishes each level
-//!   (frontier, sleep sets, depth, phase) and wakes them.  Re-spawning workers at every
+//!   (frontier, sleep sets, depth) and wakes them.  Re-spawning workers at every
 //!   level boundary makes small-frontier levels pay thread spawn latency over and over.
 //! * **Insert while hot** — what a worker stages is *one parent's successors*: the
 //!   enumeration callback pushes them into one per-worker `Vec` (no lock may be taken
@@ -20,8 +20,7 @@
 //!   kept thousands of them — each with freshly allocated components — cold between
 //!   `state_key` and the insert, and freed them late.  A batch amortised nothing but
 //!   an uncontended stripe mutex: the pool lock is taken per fresh state inside it.
-//!   Only the owner-routed hand-off still batches (`batch_size` successors per
-//!   mailbox deposit), because there a batch is a message, not a lock acquisition.
+//!   Every team size inserts this way: there is one insert rule.
 //! * **Work stealing** — the frontier of each level is split into one contiguous range
 //!   per worker; a worker that drains its range steals the back half of the largest
 //!   remaining range, so skewed successor costs cannot leave threads idle.  Range bounds
@@ -69,8 +68,8 @@ use crate::spill::IndexQueue;
 use crate::stop::{StopCell, STOP_TIME_BUDGET};
 use crate::store::{Insert, StateIndex, StateStore, StoreMode};
 use crate::sync::{
-    AtomicU64, FrontierRank, GateRank, MailboxRank, OrderedCondvar, OrderedMutex, OrderedRwLock,
-    Ordering, PanicSlotRank, ResultsRank,
+    AtomicU64, FrontierRank, GateRank, OrderedCondvar, OrderedMutex, OrderedRwLock, Ordering,
+    PanicSlotRank, ResultsRank,
 };
 
 /// Which store entry an edge arrived at, from where, and at which depth.
@@ -122,11 +121,6 @@ pub(crate) struct Run<'a, S> {
     pub(crate) store: &'a StateStore<S>,
     pub(crate) stop: &'a StopCell,
     pub(crate) workers: usize,
-    /// Owner-routed insertion (see `CheckOptions::route_by_owner`), with the number of
-    /// successors per mailbox batch: workers deposit successor batches into the owning
-    /// shard's mailbox during the expand phase, and a drain phase lets each shard's
-    /// owner merge them single-threadedly.  `None`: the discovering worker inserts.
-    pub(crate) route_by_owner: Option<usize>,
     pub(crate) max_depth: Option<u32>,
     pub(crate) deadline: Option<Instant>,
     /// Memory budget that arms frontier spilling (effective only with a spill
@@ -268,32 +262,6 @@ struct Gate {
     shutdown: bool,
 }
 
-/// What the workers do in the next cycle: expand the published frontier, or (under
-/// owner routing) drain the shard mailboxes they own.
-#[derive(Clone, Copy)]
-enum Phase {
-    Expand,
-    Drain,
-}
-
-/// One successor on its way to the owner of its stripe.
-struct Routed<S> {
-    parent: StateIndex,
-    succ: Successor<S>,
-}
-
-/// One producer's batch of successors routed to the shard that owns their fingerprint
-/// range.  `(producer, seq)` gives drain a scheduling-independent replay order, so the
-/// owner-routed engine assigns slots deterministically for any worker interleaving.
-struct RoutedBatch<S> {
-    producer: u32,
-    seq: u32,
-    items: Vec<Routed<S>>,
-}
-
-/// One store shard's mailbox of owner-routed batches.
-type Mailbox<S> = OrderedMutex<MailboxRank, Vec<RoutedBatch<S>>>;
-
 /// One pool worker's per-cycle result slot.
 type ResultSlot<S, L> = OrderedMutex<ResultsRank, Option<WorkerResult<S, L>>>;
 
@@ -307,7 +275,6 @@ struct Level<S, V> {
     sleeps: Vec<SleepSet>,
     /// Depth of the successors this level generates.
     child_depth: u32,
-    phase: Phase,
     /// Shared by the workers during a cycle, exclusive to the coordinator at barriers.
     visitor: V,
 }
@@ -318,8 +285,6 @@ struct Shared<'a, S: SpecState, V: Visitor<S>> {
     level: OrderedRwLock<FrontierRank, Level<S, V>>,
     /// One steal range per pool worker.
     ranges: Vec<StealRange>,
-    /// One per store shard.
-    mailboxes: Vec<Mailbox<S>>,
     /// One per pool worker.
     results: Vec<ResultSlot<S, V::Local>>,
     /// The first panic payload caught on a pool worker, re-raised by the coordinator
@@ -339,13 +304,9 @@ pub(crate) fn explore<S: SpecState, V: Visitor<S>>(run: Run<'_, S>, visitor: V) 
             frontier: Vec::new(),
             sleeps: Vec::new(),
             child_depth: 0,
-            phase: Phase::Expand,
             visitor,
         }),
         ranges: (0..workers).map(|_| StealRange::new(0, 0)).collect(),
-        mailboxes: (0..run.store.shard_count())
-            .map(|_| OrderedMutex::new(Vec::new()))
-            .collect(),
         results: (0..workers).map(|_| OrderedMutex::new(None)).collect(),
         worker_panic: OrderedMutex::new(None),
         gate: OrderedMutex::new(Gate::default()),
@@ -624,9 +585,7 @@ fn align_sleeps<S>(
 }
 
 /// Expands one chunk of the current level (inline or on the pool), merging the per-worker
-/// results into `output`.  Under owner routing each chunk runs as two phases: expand
-/// (deposit successors into shard mailboxes) then drain (each shard's owner merges its
-/// mailbox).
+/// results into `output`.
 fn expand_chunk<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
     chunk: Vec<(StateIndex, S)>,
@@ -646,34 +605,18 @@ fn expand_chunk<S: SpecState, V: Visitor<S>>(
             ((w + 1) * per_worker).min(chunk.len()),
         );
     }
-    {
-        let mut level = shared.level.write();
-        level.frontier = chunk;
-        level.phase = Phase::Expand;
-    }
+    shared.level.write().frontier = chunk;
     output.merge(run_cycle(shared, team), totals);
-    if shared.run.route_by_owner.is_some() {
-        if shared.run.stop.requested() {
-            // The level is being aborted: deposited batches are discarded just as the
-            // unrouted engine drops what a parent still has staged on a stop.
-            for mailbox in &shared.mailboxes {
-                mailbox.lock().clear();
-            }
-        } else {
-            shared.level.write().phase = Phase::Drain;
-            output.merge(run_cycle(shared, team), totals);
-        }
-    }
 }
 
-/// Runs the published phase once on `team` workers — inline for a team of one, else as
-/// one gate cycle of the persistent pool — and collects the per-worker results.
+/// Expands the published chunk once on `team` workers — inline for a team of one, else
+/// as one gate cycle of the persistent pool — and collects the per-worker results.
 fn run_cycle<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
     team: usize,
 ) -> Vec<WorkerResult<S, V::Local>> {
     if team == 1 {
-        return vec![work(shared, 0, 1)];
+        return vec![expand_range(shared, 0)];
     }
     // Wake the pool and wait for every worker to finish the cycle.
     {
@@ -722,7 +665,7 @@ fn pool_worker<S: SpecState, V: Visitor<S>>(shared: &Shared<'_, S, V>, worker: u
         // empty result, request a stop so the other workers drain, and let the
         // coordinator re-raise the payload after the level completes.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            work(shared, worker, shared.ranges.len())
+            expand_range(shared, worker)
         }))
         .unwrap_or_else(|payload| {
             shared.worker_panic.lock().get_or_insert(payload);
@@ -738,67 +681,18 @@ fn pool_worker<S: SpecState, V: Visitor<S>>(shared: &Shared<'_, S, V>, worker: u
     }
 }
 
-/// One worker's share of the published phase, as one of `team` participants.
-fn work<S: SpecState, V: Visitor<S>>(
-    shared: &Shared<'_, S, V>,
-    worker: usize,
-    team: usize,
-) -> WorkerResult<S, V::Local> {
-    let level = shared.level.read();
-    match level.phase {
-        Phase::Expand => expand_range(shared, &level, worker),
-        Phase::Drain => drain_mailboxes(shared, &level, worker, team),
-    }
-}
-
-/// The expand-phase half of owner routing: one worker's successors parked per owning
-/// stripe until `batch_size` of them leave for that stripe's mailbox as one message.
-struct Outbox<S> {
-    buffers: Vec<Vec<Routed<S>>>,
-    /// Batches sent so far, per stripe.
-    seqs: Vec<u32>,
-    batch_size: usize,
-}
-
-impl<S> Outbox<S> {
-    fn new(shards: usize, batch_size: usize) -> Self {
-        Outbox {
-            buffers: (0..shards).map(|_| Vec::new()).collect(),
-            seqs: vec![0; shards],
-            batch_size,
-        }
-    }
-
-    /// Deposits every full buffer — at the level boundary (`all`), every non-empty one.
-    fn send(&mut self, mailboxes: &[Mailbox<S>], producer: usize, all: bool) {
-        let min_len = if all { 1 } else { self.batch_size };
-        for (shard, buffer) in self.buffers.iter_mut().enumerate() {
-            if buffer.len() >= min_len {
-                mailboxes[shard].lock().push(RoutedBatch {
-                    producer: producer as u32,
-                    seq: self.seqs[shard],
-                    items: std::mem::take(buffer),
-                });
-                self.seqs[shard] += 1;
-            }
-        }
-    }
-}
-
-/// The worker loop: claims frontier indices (own range first, then stolen halves),
-/// expands each state into `staged`, and inserts what it staged before the next claim.
+/// The worker loop: claims frontier indices of the published chunk (own range first,
+/// then stolen halves), expands each state into `staged`, and inserts what it staged
+/// before the next claim.  Holds the level read lock for the whole cycle.
 fn expand_range<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
-    level: &Level<S, V>,
     worker: usize,
 ) -> WorkerResult<S, V::Local> {
     let run = &shared.run;
+    let level = shared.level.read();
     let mut result = WorkerResult::default();
     // One parent's successors, in enumeration order; empty between parents.
     let mut staged: Vec<Successor<S>> = Vec::new();
-    let mut outbox = run
-        .route_by_owner
-        .map(|batch_size| Outbox::new(run.store.shard_count(), batch_size));
     let mut stolen: Option<StealRange> = None;
     let mut processed: u64 = 0;
 
@@ -847,59 +741,18 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
         result.pruned += pruned;
         // The callback has returned, so locks are allowed again: every staged successor
         // meets the store now, while the components its action wrote are still in cache.
-        match &mut outbox {
-            None => {
-                for succ in staged.drain(..) {
-                    // A stop ends the run at the state that asked for it: in a team of
-                    // one, the first in (frontier, enumeration) order.
-                    if run.stop.requested() {
-                        break;
-                    }
-                    arrive(shared, level, *parent, succ, &mut result);
-                }
+        for succ in staged.drain(..) {
+            // A stop ends the run at the state that asked for it: in a team of one, the
+            // first in (frontier, enumeration) order.
+            if run.stop.requested() {
+                break;
             }
-            Some(outbox) => {
-                for succ in staged.drain(..) {
-                    outbox.buffers[run.store.shard_of(succ.fp)].push(Routed {
-                        parent: *parent,
-                        succ,
-                    });
-                }
-                outbox.send(&shared.mailboxes, worker, false);
-            }
+            arrive(shared, &level, *parent, succ, &mut result);
         }
 
         processed += 1;
         if processed.is_multiple_of(64) && run.deadline.is_some_and(|d| Instant::now() >= d) {
             run.stop.request(STOP_TIME_BUDGET);
-        }
-    }
-
-    // Owner routing deposits what is still parked at the level boundary — unless a stop
-    // was requested: `expand_chunk` then discards the mailboxes anyway.
-    if let Some(mut outbox) = outbox.filter(|_| !run.stop.requested()) {
-        outbox.send(&shared.mailboxes, worker, true);
-    }
-    result
-}
-
-/// The drain phase of an owner-routed chunk: each of the `team` workers merges the
-/// mailboxes of the shards it owns (`shard % team == worker`), replaying batches in
-/// `(producer, seq)` order.  Every shard has exactly one drainer, so inserts into a
-/// stripe are single-threaded — the stripe lock [`arrive`] takes is uncontended by
-/// design.
-fn drain_mailboxes<S: SpecState, V: Visitor<S>>(
-    shared: &Shared<'_, S, V>,
-    level: &Level<S, V>,
-    worker: usize,
-    team: usize,
-) -> WorkerResult<S, V::Local> {
-    let mut result = WorkerResult::default();
-    for shard in (worker..shared.mailboxes.len()).step_by(team) {
-        let mut batches = std::mem::take(&mut *shared.mailboxes[shard].lock());
-        batches.sort_by_key(|b| (b.producer, b.seq));
-        for Routed { parent, succ } in batches.into_iter().flat_map(|b| b.items) {
-            arrive(shared, level, parent, succ, &mut result);
         }
     }
     result

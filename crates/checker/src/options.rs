@@ -106,12 +106,7 @@ pub struct CheckOptions {
     /// (reported in `CheckStats::shard_contention`) negligible for any realistic core
     /// count.
     pub shards: usize,
-    /// Owner-routed mailbox batches only: the number of successors a worker parks per
-    /// stripe before depositing them into the owning worker's mailbox as one message
-    /// (`route_by_owner`; remaining ones are deposited at the level boundary).  The
-    /// default lock-striped engine does not read it — there a worker inserts each
-    /// parent's successors as soon as it has enumerated them — and the field is queued
-    /// for deletion (ROADMAP, knob diet).
+    /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub batch_size: usize,
     /// Whether to keep full predecessor information for violation-trace reconstruction
     /// (the counterexample traces of §3.5.3 / Table 4).
@@ -135,13 +130,7 @@ pub struct CheckOptions {
     /// what is explored).  Defaults to [`SpillConfig::from_env`] (the
     /// `REMIX_MEM_BUDGET` / `REMIX_SPILL_DIR` hooks); inactive when no budget is set.
     pub spill: SpillConfig,
-    /// Routes each successor batch to the worker *owning* its fingerprint's stripe
-    /// (shard `% workers`) instead of letting the discovering worker insert it: every
-    /// BFS level becomes an expand phase followed by an exchange-and-drain phase, so
-    /// each stripe has a single writer — the communication pattern of a
-    /// multi-process distributed checker, runnable in-process.  Off by default;
-    /// results are unchanged (see `bfs` tests), only insert scheduling differs.
-    /// Also enabled by `REMIX_ROUTE_BY_OWNER=1`.
+    /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub route_by_owner: bool,
     /// Dynamic partial-order reduction via sleep sets: transitions whose declared
     /// read/write footprints ([`remix_spec::Effect`]) prove them independent of an
@@ -169,7 +158,7 @@ impl Default for CheckOptions {
             store_mode: StoreMode::from_env(),
             symmetry: SymmetryMode::from_env(),
             spill: SpillConfig::from_env(),
-            route_by_owner: crate::env::ROUTE_BY_OWNER.read().unwrap_or(false),
+            route_by_owner: false,
             por: crate::env::POR.read().unwrap_or(false),
         }
     }
@@ -216,13 +205,6 @@ impl CheckOptions {
         self
     }
 
-    /// Sets the owner-routed mailbox batch size (see the field docs: owner-routed
-    /// mailbox batches only).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
     /// Selects the discovered-state store backend.
     pub fn with_store_mode(mut self, mode: StoreMode) -> Self {
         self.store_mode = mode;
@@ -245,12 +227,6 @@ impl CheckOptions {
     /// [`CheckOptions::with_spill`] on the current config).
     pub fn with_mem_budget(mut self, bytes: u64) -> Self {
         self.spill.budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Enables or disables owner-routed insertion (see the field docs).
-    pub fn with_owner_routing(mut self, on: bool) -> Self {
-        self.route_by_owner = on;
         self
     }
 
@@ -341,7 +317,7 @@ mod tests {
             "POR defaults follow the REMIX_POR env hook"
         );
         assert!(o.collect_traces);
-        assert!(o.shards >= 1 && o.batch_size >= 1);
+        assert!(o.shards >= 1);
         let c = CheckOptions::completion();
         assert_eq!(
             c.mode,
@@ -358,23 +334,19 @@ mod tests {
             .with_max_states(100)
             .with_workers(0)
             .with_shards(0)
-            .with_batch_size(0)
             .with_store_mode(StoreMode::FingerprintOnly)
             .with_symmetry(SymmetryMode::Canonicalize)
             .with_mem_budget(1 << 20)
-            .with_owner_routing(true)
             .with_por(true)
             .with_time_budget(Duration::from_secs(1));
         assert_eq!(o.store_mode, StoreMode::FingerprintOnly);
         assert_eq!(o.symmetry, SymmetryMode::Canonicalize);
         assert_eq!(o.spill.budget_bytes, Some(1 << 20));
-        assert!(o.route_by_owner);
         assert!(o.por);
         assert_eq!(o.max_depth, Some(5));
         assert_eq!(o.max_states, Some(100));
         assert_eq!(o.workers, 1, "worker count is clamped to at least one");
         assert_eq!(o.shards, 1, "shard count is clamped to at least one");
-        assert_eq!(o.batch_size, 1, "batch size is clamped to at least one");
         assert_eq!(o.time_budget, Some(Duration::from_secs(1)));
     }
 }

@@ -813,7 +813,6 @@ fn explore_side<S: SpecState>(
             store: &seen,
             stop: &StopCell::new(),
             workers: options.workers,
-            route_by_owner: None,
             // The depth bound starts the stabilization drain instead of stopping the
             // run, so it is the visitor's to evaluate.
             max_depth: None,

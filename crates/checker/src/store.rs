@@ -312,7 +312,7 @@ pub enum Insert<S> {
     Fresh(StateIndex, S),
 }
 
-/// A locked stripe, ready for a batch of insertions under one lock acquisition.
+/// A locked stripe; the kernel holds one for a single `insert_edge`.
 pub struct ShardHandle<'a, S> {
     guard: OrderedMutexGuard<'a, ShardRank, StoreShard<S>>,
     shard: u32,
@@ -579,17 +579,12 @@ impl<S: SpecState> StateStore<S> {
         self.mode
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The stripe owning a fingerprint (routed by its leading bits).
     pub fn shard_of(&self, fp: Fingerprint) -> usize {
         ((fp.0 >> self.shift) as usize) & self.mask
     }
 
-    /// Locks one stripe for a batch of insertions, counting the acquisition as
+    /// Locks one stripe (the kernel: for one edge's insert), counting the acquisition as
     /// contended when it had to wait (the try-then-count-then-block pattern lives in
     /// [`OrderedMutex::lock_counting`], poison policy in `sync::lock_or_recover`).
     pub fn lock_shard(&self, shard: usize) -> ShardHandle<'_, S> {

@@ -11,7 +11,7 @@
 //!    *outermost-first*: a thread may acquire a lock of rank `r` only while every
 //!    lock it already holds has rank strictly **greater** than `r`.  Written in the
 //!    inner-to-outer direction the engine's hierarchy reads
-//!    `pool < shard < coverage < por < mailbox < results < frontier < spill
+//!    `pool < shard < coverage < por < results < frontier < spill
 //!    < panic-slot < gate` — the store's intern pool is the innermost lock (acquired
 //!    last, under the shard lock of a fresh insert, with everything else already
 //!    held), the worker-pool gate the outermost (always acquired with nothing held).
@@ -83,9 +83,8 @@ declare_rank!(
     PoolRank, 0, "store.pool"
 );
 declare_rank!(
-    /// One stripe of the discovered-state store.  Acquired during successor merges
-    /// while frontier read locks (and, on the drain path, a mailbox guard's
-    /// *contents*, already released) are held; nests only the intern pool (spill
+    /// One stripe of the discovered-state store.  Acquired once per successor insert
+    /// while the frontier read lock is held; nests only the intern pool (spill
     /// flushes inside the shard do file I/O and atomics only).
     ShardRank, 5, "store.shard"
 );
@@ -98,11 +97,6 @@ declare_rank!(
     /// The POR footprint table (`label → effect`); read/written during frontier
     /// expansion while the frontier read locks are held.
     PorEffectsRank, 20, "por.footprints"
-);
-declare_rank!(
-    /// One owner-routed successor mailbox; pushed to mid-expansion (frontier locks
-    /// held), drained before the owner takes its shard locks.
-    MailboxRank, 30, "bfs.mailbox"
 );
 declare_rank!(
     /// One worker's per-level result slot; written by the worker after its frontier

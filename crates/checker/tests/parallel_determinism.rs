@@ -2,8 +2,8 @@
 //! sequential engine explores, and report violations at the same (minimal) depth.
 //!
 //! These run on a small Zab preset rather than a toy spec so the whole production path —
-//! composed mixed-grained specification, sharded fingerprint set, per-worker batch
-//! buffers, work-stealing frontier split — is exercised end to end.
+//! composed mixed-grained specification, sharded fingerprint set, per-worker staging
+//! of one parent's successors, work-stealing frontier split — is exercised end to end.
 
 use std::time::Duration;
 

@@ -26,7 +26,7 @@ use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
 fn workload() -> remix_spec::Spec<remix_zab::ZabState> {
     // Crash-free single-transaction mSpec-1: small enough to exhaust in every cell,
-    // yet it exercises the full production path (sharded store, batch buffers,
+    // yet it exercises the full production path (sharded store, per-edge stripe locks,
     // work-stealing frontier, condvar sleeps, POR footprint table).
     let config = ClusterConfig::small(CodeVersion::FinalFix)
         .with_transactions(1)

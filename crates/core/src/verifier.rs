@@ -98,8 +98,7 @@ pub struct VerifierOptions {
     /// Lock stripes of the checker's discovered-state set; see
     /// [`CheckOptions::shards`](remix_checker::CheckOptions).
     pub shards: usize,
-    /// Owner-routed mailbox batches only; see
-    /// [`CheckOptions::batch_size`](remix_checker::CheckOptions).
+    /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub batch_size: usize,
     /// Which backend the checker keeps discovered states in: the compact full-state
     /// arena, or the TLC-style memory-bounded fingerprint-only store; see
@@ -114,8 +113,7 @@ pub struct VerifierOptions {
     /// honour `REMIX_MEM_BUDGET` / `REMIX_SPILL_DIR`.  See
     /// [`SpillConfig`].
     pub spill: SpillConfig,
-    /// Owner-routed sharding of the discovered-state set; see
-    /// [`CheckOptions::route_by_owner`](remix_checker::CheckOptions).
+    /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub route_by_owner: bool,
     /// Whether the checker prunes provably redundant interleavings of independent
     /// actions with sleep sets (the default honours `REMIX_POR`); see

@@ -125,12 +125,7 @@ fn bfs_por_is_deterministic_across_worker_counts() {
     // level sets alone, so pruning must not depend on worker scheduling.
     let spec = SpecPreset::MSpec3.build(&exhaustion_config());
     let seq = check_bfs(&spec, &options(true, StoreMode::Full));
-    let par = check_bfs(
-        &spec,
-        &options(true, StoreMode::Full)
-            .with_workers(4)
-            .with_batch_size(16),
-    );
+    let par = check_bfs(&spec, &options(true, StoreMode::Full).with_workers(4));
     assert_eq!(seq.stats.distinct_states, par.stats.distinct_states);
     assert_eq!(seq.stats.transitions, par.stats.transitions);
     assert_eq!(seq.stats.pruned_transitions, par.stats.pruned_transitions);

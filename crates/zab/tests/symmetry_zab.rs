@@ -142,14 +142,12 @@ fn seeded_violation_decanonicalizes_and_replays_in_both_store_modes() {
 
 #[test]
 fn rest_of_engine_knobs_compose_with_symmetry() {
-    // Workers and batching must not change what a symmetric run explores.
+    // Workers must not change what a symmetric run explores.
     let spec = SpecPreset::MSpec3.build(&exhaustion_config());
     let seq = check_bfs(&spec, &options(SymmetryMode::Canonicalize, StoreMode::Full));
     let par = check_bfs(
         &spec,
-        &options(SymmetryMode::Canonicalize, StoreMode::Full)
-            .with_workers(4)
-            .with_batch_size(16),
+        &options(SymmetryMode::Canonicalize, StoreMode::Full).with_workers(4),
     );
     assert_eq!(seq.stats.distinct_states, par.stats.distinct_states);
     assert_eq!(seq.stats.transitions, par.stats.transitions);
