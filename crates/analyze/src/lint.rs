@@ -18,6 +18,10 @@
 //! * **`no-panic-in-action`** — no `.unwrap()` / `.expect(` inside the span of an
 //!   action-definition constructor call: a panicking action closure takes down the
 //!   whole checker rather than reporting a violation trace.
+//! * **`env-read`** — no `std::env::var` / `var_os` / `vars` / `vars_os` outside
+//!   `crates/checker/src/sync.rs` (the lock audit's gate) and the binaries under
+//!   `crates/bench/src/bin/`: a verdict must depend on nothing but the spec and the
+//!   options a caller built, so library code never reads the environment.
 //!
 //! Findings are [`Convention`](crate::finding::FindingClass::Convention)-class; CI
 //! fails on any of them.  The scanner skips string/character content only at the
@@ -40,6 +44,10 @@ const WRITES_CHANNEL: &str = concat!("writes_", "channel");
 const UNWRAP: &str = concat!(".unw", "rap()");
 const EXPECT: &str = concat!(".exp", "ect(");
 const ENABLED_SUFFIX: &str = concat!("_enab", "led");
+const ENV_READ: &str = concat!("env::", "var");
+
+/// Where reading the environment is allowed: a file, or every file under a directory.
+const ENV_READ_ALLOWED: [&str; 2] = ["crates/checker/src/sync.rs", "crates/bench/src/bin/"];
 
 /// Lints every `crates/*/src` tree under `root` (the workspace root).
 pub fn lint_workspace(root: &Path) -> AnalysisReport {
@@ -97,6 +105,12 @@ pub fn lint_file(rel: &str, source: &str, report: &mut AnalysisReport) {
         }
     }
     rule_no_panic_in_action(rel, source, report);
+    if !ENV_READ_ALLOWED
+        .iter()
+        .any(|allowed| rel.starts_with(allowed))
+    {
+        rule_env_read(rel, source, report);
+    }
 }
 
 /// `rest` with leading whitespace and `//` line comments skipped: a comment between
@@ -184,6 +198,23 @@ fn rule_no_panic_in_action(rel: &str, source: &str, report: &mut AnalysisReport)
                 );
             }
         }
+    }
+}
+
+fn rule_env_read(rel: &str, source: &str, report: &mut AnalysisReport) {
+    for (lineno, line) in source.lines().enumerate() {
+        if line.trim_start().starts_with("//") || !line.contains(ENV_READ) {
+            continue;
+        }
+        flag(
+            report,
+            Tier::SpecLint,
+            "env-read",
+            format!("{rel}:{}", lineno + 1),
+            "environment read outside checker::sync and the bench binaries; take the \
+             value as an option field instead, so a run depends only on its options"
+                .to_owned(),
+        );
     }
 }
 
@@ -298,6 +329,35 @@ mod tests {
         // The same panic outside an action span is not this lint's business.
         let outside = format!("fn m() {{ let x = q.iter().max(){EXPECT}\"nonempty\"); }}\n");
         assert!(run("crates/x/src/foo.rs", &outside).is_empty());
+    }
+
+    #[test]
+    fn env_reads_outside_the_sanctioned_files_are_flagged() {
+        let src = format!(
+            "fn f() {{\n    // {ENV_READ}(\"X\") in a comment is fine\n\
+             \x20   let a = std::{ENV_READ}_os(\"X\");\n\
+             \x20   let b = {ENV_READ}s_os().count();\n}}\n"
+        );
+        let findings = run("crates/checker/src/options.rs", &src);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.action == "env-read"));
+        assert!(findings[0].location.ends_with("options.rs:3"));
+        assert!(findings[1].location.ends_with("options.rs:4"));
+        for allowed in [
+            "crates/checker/src/sync.rs",
+            "crates/bench/src/bin/reproduce.rs",
+            "crates/bench/src/bin/remix-bench/main.rs",
+        ] {
+            assert!(run(allowed, &src).is_empty(), "{allowed}");
+        }
+    }
+
+    #[test]
+    fn other_env_items_are_clean() {
+        let src = "fn f() {\n    let dir = std::env::temp_dir();\n    \
+                   let args: Vec<String> = std::env::args().collect();\n    \
+                   let root = env!(\"CARGO_MANIFEST_DIR\");\n}\n";
+        assert!(run("crates/checker/src/spill.rs", src).is_empty());
     }
 
     #[test]

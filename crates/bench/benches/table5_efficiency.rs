@@ -250,7 +250,7 @@ fn bench_workers_scaling(c: &mut Criterion) {
         .map(|n| n.get())
         .unwrap_or(1);
     let json = format!(
-        "{{\n  \"bench\": \"table5_workers_scaling\",\n  \"workload\": \"mSpec-3 on FinalFix, small config with 1 transaction, run to exhaustion ({} concrete states; {} canonical representatives under symmetry reduction), one row per (store mode, symmetry mode, POR, worker count)\",\n  \"host_cores\": {cores},\n  \"combined_reduction_factor\": {combined_reduction:.3},\n  \"note\": \"each row is the fastest of three identical runs (exploration is deterministic; min wall-clock is the noise-robust estimator). throughput is transitions_per_sec (generated edges per second): unlike states_per_sec it is comparable across symmetry/POR rows, which change how many distinct states the same work discovers; speedup_vs_1_worker is measured on it and bounded by host_cores. reduction_factor is the off/off leg's transition count over the row's (same store mode and worker count); combined_reduction_factor is that factor for the canonicalize+POR single-worker full-store row. por=true enables sleep-set pruning (REMIX_POR hook): pruned_transitions counts skipped edges and distinct_states must match the por=false twin. peak_entry_bytes counts per-entry store payload (metadata + dedup entry + inline state for the full mode); the fingerprint-only backend must be strictly lower. symmetry=canonicalize dedups whole server-id-permutation orbits (REMIX_SYMMETRY hook), so its distinct_states must be strictly lower than the off rows'. mem_budget/bytes_spilled record out-of-core fingerprint-set activity (0 when the run ran fully in RAM; REMIX_MEM_BUDGET hook).\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"table5_workers_scaling\",\n  \"workload\": \"mSpec-3 on FinalFix, small config with 1 transaction, run to exhaustion ({} concrete states; {} canonical representatives under symmetry reduction), one row per (store mode, symmetry mode, POR, worker count)\",\n  \"host_cores\": {cores},\n  \"combined_reduction_factor\": {combined_reduction:.3},\n  \"note\": \"each row is the fastest of three identical runs (exploration is deterministic; min wall-clock is the noise-robust estimator). throughput is transitions_per_sec (generated edges per second): unlike states_per_sec it is comparable across symmetry/POR rows, which change how many distinct states the same work discovers; speedup_vs_1_worker is measured on it and bounded by host_cores. reduction_factor is the off/off leg's transition count over the row's (same store mode and worker count); combined_reduction_factor is that factor for the canonicalize+POR single-worker full-store row. por=true enables sleep-set pruning: pruned_transitions counts skipped edges and distinct_states must match the por=false twin. peak_entry_bytes counts per-entry store payload (metadata + dedup entry + inline state for the full mode); the fingerprint-only backend must be strictly lower. symmetry=canonicalize dedups whole server-id-permutation orbits, so its distinct_states must be strictly lower than the off rows'. mem_budget/bytes_spilled record out-of-core fingerprint-set activity (0 when the run ran fully in RAM).\",\n  \"rows\": [\n{}\n  ]\n}}\n",
         concrete_states.unwrap_or(0),
         canonical_states.unwrap_or(0),
         rows.join(",\n")

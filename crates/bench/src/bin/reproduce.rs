@@ -2,28 +2,88 @@
 //!
 //! Usage: `cargo run --release -p remix-bench --bin reproduce -- [experiment ...]`
 //! where `experiment` is one of `table1 table2 table3 table4 table5a table5b table6
-//! figure8 improved-protocol conformance actions all` (default: `all`).
+//! figure8 improved-protocol conformance actions all` (default: `all`).  The
+//! per-experiment budget is `REPRODUCE_BUDGET_SECS` whole seconds (default 60).  An
+//! unknown experiment or a malformed budget exits non-zero before anything runs.
 
 use std::env;
+use std::process::ExitCode;
 use std::time::Duration;
 
 use remix_bench as bench;
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
-fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let budget = Duration::from_secs(
-        env::var("REPRODUCE_BUDGET_SECS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(60),
-    );
-    let selected: Vec<String> = if args.is_empty() {
-        vec!["all".to_owned()]
-    } else {
-        args
+/// Every accepted experiment name, `all` last.
+const EXPERIMENTS: [&str; 12] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5a",
+    "table5b",
+    "table6",
+    "figure8",
+    "improved-protocol",
+    "conformance",
+    "actions",
+    "all",
+];
+
+/// What one invocation runs.
+#[derive(Debug, PartialEq)]
+struct Selection {
+    experiments: Vec<String>,
+    budget: Duration,
+}
+
+impl Selection {
+    fn wants(&self, name: &str) -> bool {
+        self.experiments.iter().any(|a| a == name || a == "all")
+    }
+}
+
+/// Parses the experiment arguments and the raw `REPRODUCE_BUDGET_SECS` value.  The
+/// error names the offending value and the accepted ones: a typo must not silently
+/// run nothing, or run with the default budget.
+fn parse(args: &[String], budget_secs: Option<&str>) -> Result<Selection, String> {
+    if let Some(unknown) = args.iter().find(|a| !EXPERIMENTS.contains(&a.as_str())) {
+        return Err(format!(
+            "unknown experiment {unknown:?} (accepted: {})",
+            EXPERIMENTS.join(", ")
+        ));
+    }
+    let secs = match budget_secs {
+        None => 60,
+        Some(raw) => raw.parse().map_err(|_| {
+            format!(
+                "REPRODUCE_BUDGET_SECS={raw:?} is not an accepted value \
+                 (accepted: a whole number of seconds, or unset)"
+            )
+        })?,
     };
-    let want = |name: &str| selected.iter().any(|a| a == name || a == "all");
+    Ok(Selection {
+        experiments: if args.is_empty() {
+            vec!["all".to_owned()]
+        } else {
+            args.to_vec()
+        },
+        budget: Duration::from_secs(secs),
+    })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = env::args().skip(1).collect();
+    let budget_secs =
+        env::var_os("REPRODUCE_BUDGET_SECS").map(|v| v.to_string_lossy().into_owned());
+    let selection = match parse(&args, budget_secs.as_deref()) {
+        Ok(selection) => selection,
+        Err(message) => {
+            eprintln!("reproduce: {message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let budget = selection.budget;
+    let want = |name: &str| selection.wants(name);
     let config = ClusterConfig::small(CodeVersion::V391);
 
     if want("table1") {
@@ -119,6 +179,7 @@ fn main() {
         }
         println!();
     }
+    ExitCode::SUCCESS
 }
 
 fn print_efficiency(rows: &[remix_core::EfficiencyRow]) {
@@ -135,5 +196,44 @@ fn print_efficiency(rows: &[remix_core::EfficiencyRow]) {
             r.violated_invariants,
             r.completed
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(names: &[&str]) -> Vec<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn defaults_to_every_experiment_for_sixty_seconds() {
+        let all = parse(&[], None).unwrap();
+        assert_eq!(all.budget, Duration::from_secs(60));
+        assert!(EXPERIMENTS.iter().all(|e| all.wants(e)));
+        let some = parse(&args(&["table1", "table4"]), Some("30")).unwrap();
+        assert_eq!(some.budget, Duration::from_secs(30));
+        assert!(some.wants("table4") && !some.wants("table5a"));
+    }
+
+    #[test]
+    fn an_unknown_experiment_is_rejected_with_the_accepted_list() {
+        let err = parse(&args(&["table1", "table5"]), None).unwrap_err();
+        assert!(err.contains("\"table5\""), "{err}");
+        assert!(err.contains("table5a, table5b"), "{err}");
+        assert!(err.contains("actions, all"), "{err}");
+    }
+
+    #[test]
+    fn a_malformed_budget_is_rejected_not_defaulted() {
+        for raw in ["30s", "", "-1", "1.5", " 30"] {
+            let err = parse(&[], Some(raw)).unwrap_err();
+            assert!(
+                err.contains(&format!("REPRODUCE_BUDGET_SECS={raw:?}")),
+                "{err}"
+            );
+            assert!(err.contains("whole number of seconds"), "{err}");
+        }
     }
 }

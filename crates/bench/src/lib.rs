@@ -453,7 +453,7 @@ pub fn refine_matrix(
         if servers > 3 {
             capped = capped.with_max_states(large_ensemble_state_cap);
             if let Some(bytes) = large_ensemble_mem_budget {
-                capped = capped.with_spill(SpillConfig::from_env().with_budget_bytes(bytes));
+                capped = capped.with_spill(SpillConfig::in_ram().with_budget_bytes(bytes));
             }
         }
         rows.push(

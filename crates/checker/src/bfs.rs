@@ -811,12 +811,7 @@ mod tests {
         // the violation identical to the in-RAM run.
         use crate::spill::SpillConfig;
         let spec = pair_spec(40, None);
-        // Explicitly in-RAM so the baseline ignores any ambient REMIX_MEM_BUDGET
-        // (the CI spill leg sets one for the whole test suite).
-        let baseline = check_bfs(
-            &spec,
-            &CheckOptions::default().with_spill(SpillConfig::in_ram()),
-        );
+        let baseline = check_bfs(&spec, &CheckOptions::default());
         for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
             let spilled = check_bfs(
                 &spec,

@@ -7,7 +7,9 @@
 //! Discovered states live in the same [`StateStore`] arena as
 //! the BFS engine's (sequential here, so a single stripe): `u32` indices, parent-by-
 //! index, interned labels, and optionally no stored states at all
-//! ([`StoreMode::FingerprintOnly`](crate::store::StoreMode)).
+//! ([`StoreMode::FingerprintOnly`](crate::store::StoreMode)).  Under a memory budget
+//! ([`CheckOptions::spill`]) the store spills its fingerprint set to disk runs exactly
+//! as it does for BFS; the DFS stack itself stays in RAM.
 //!
 //! # Depth-bounded soundness
 //!
@@ -87,7 +89,7 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
     let labels = LabelTable::new();
     // DFS is sequential; a single stripe makes `StateIndex` values dense (0, 1, 2, …),
     // which lets the best-known depths live in a flat vector indexed by state.
-    let store: StateStore<S> = StateStore::new(options.store_mode, 1);
+    let store: StateStore<S> = StateStore::with_spill(options.store_mode, 1, &options.spill);
     let mut best_depth: Vec<u32> = Vec::new();
     let mut stack: Vec<(StateIndex, S, u32)> = Vec::new();
     let mut transitions = 0u64;
@@ -491,5 +493,62 @@ mod tests {
         let outcome = check_dfs(&diamond_spec(), &CheckOptions::default());
         assert_eq!(outcome.stop_reason, StopReason::Exhausted);
         assert_eq!(outcome.stats.distinct_states, 7);
+    }
+
+    /// `chain_spec` plus a `Dbl` shortcut `n → 2n`: most states are reached twice, so a
+    /// spilled run meets fingerprints it has already moved to disk.
+    fn doubling_spec(limit: u32, bad: u32) -> Spec<N> {
+        let mut spec = chain_spec(limit, Some(bad));
+        let dbl = ActionDef::new(
+            "Dbl",
+            ModuleId("Chain"),
+            Granularity::Baseline,
+            vec!["n"],
+            vec!["n"],
+            move |s: &N| {
+                if s.0 > 0 && 2 * s.0 <= limit {
+                    vec![ActionInstance::new(format!("Dbl({})", s.0), N(2 * s.0))]
+                } else {
+                    vec![]
+                }
+            },
+        );
+        spec.modules[0].actions.push(dbl);
+        spec
+    }
+
+    #[test]
+    fn tiny_memory_budget_spills_without_changing_the_dfs() {
+        let spec = doubling_spec(200, 150);
+        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+            let in_ram = check_dfs(&spec, &CheckOptions::completion().with_store_mode(mode));
+            let spilled = check_dfs(
+                &spec,
+                &CheckOptions::completion()
+                    .with_store_mode(mode)
+                    .with_mem_budget(512),
+            );
+            assert!(
+                spilled.stats.spill.spilled(),
+                "a 512-byte budget over {} states must spill ({mode}): {:?}",
+                spilled.stats.distinct_states,
+                spilled.stats.spill
+            );
+            assert_eq!(in_ram.stats.distinct_states, 201, "{mode}");
+            assert_eq!(
+                spilled.stats.distinct_states, in_ram.stats.distinct_states,
+                "{mode}"
+            );
+            assert_eq!(
+                spilled.stats.transitions, in_ram.stats.transitions,
+                "{mode}"
+            );
+            let (a, b) = (
+                in_ram.first_violation().expect("150 is reachable"),
+                spilled.first_violation().expect("spilling never hides it"),
+            );
+            assert_eq!(a.depth, b.depth, "{mode}");
+            assert_eq!(a.trace.action_labels(), b.trace.action_labels(), "{mode}");
+        }
     }
 }

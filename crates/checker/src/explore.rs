@@ -112,7 +112,7 @@ pub struct ExploreOptions {
     /// then share one hit counter, so guidance stops mistaking a renamed copy of a
     /// hot region for fresh territory.  The sampled walks themselves stay in the
     /// original id frame — violations need no de-canonicalization.  Defaults to
-    /// [`SymmetryMode::from_env`]; a no-op for specs without `Spec::symmetry`.
+    /// [`SymmetryMode::Off`]; a no-op for specs without `Spec::symmetry`.
     pub symmetry: SymmetryMode,
 }
 
@@ -128,7 +128,7 @@ impl Default for ExploreOptions {
             shards: DEFAULT_COVERAGE_SHARDS,
             prefix_bits: DEFAULT_PREFIX_BITS,
             stop_on_violation: true,
-            symmetry: SymmetryMode::from_env(),
+            symmetry: SymmetryMode::Off,
         }
     }
 }
@@ -860,5 +860,135 @@ mod tests {
         assert_eq!(outcome.stats.traces, 32);
         assert!(outcome.stats.coverage.total_hits > 0);
         assert!(outcome.stats.steps > 0);
+    }
+
+    /// Three interchangeable counters, each incremented up to 3: every renaming of a
+    /// counter vector is reachable, and sorting is an exact canonical form.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Counters(Vec<u8>);
+
+    impl SpecState for Counters {
+        fn project(&self, _vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
+            BTreeMap::new()
+        }
+        fn variable_names() -> Vec<&'static str> {
+            vec!["counters"]
+        }
+    }
+
+    fn counters_spec() -> Spec<Counters> {
+        let m = ModuleId("Counters");
+        let inc = ActionDef::new(
+            "Inc",
+            m,
+            Granularity::Baseline,
+            vec!["counters"],
+            vec!["counters"],
+            |s: &Counters| {
+                (0..s.0.len())
+                    .filter(|&i| s.0[i] < 3)
+                    .map(|i| {
+                        let mut next = s.clone();
+                        next.0[i] += 1;
+                        ActionInstance::new(format!("Inc({i})"), next)
+                    })
+                    .collect()
+            },
+        );
+        // The canonical form sorts the counters; `perm` sends each one to its sorted
+        // position.
+        let canon: CanonFn<Counters> = std::sync::Arc::new(|s: &Counters| {
+            let mut order: Vec<usize> = (0..s.0.len()).collect();
+            order.sort_by_key(|&i| s.0[i]);
+            let mut image = vec![0u32; s.0.len()];
+            for (sorted, &old) in order.iter().enumerate() {
+                image[old] = sorted as u32;
+            }
+            let sorted = order.iter().map(|&i| s.0[i]).collect();
+            (Counters(sorted), remix_spec::Perm::from_image(image))
+        });
+        Spec::new(
+            "counters",
+            vec![Counters(vec![0; 3])],
+            vec![ModuleSpec::new(m, Granularity::Baseline, vec![inc])],
+            vec![],
+        )
+        .with_symmetry(canon)
+    }
+
+    #[test]
+    fn canonical_keys_merge_renamed_siblings_and_keep_walks_in_the_original_frame() {
+        let spec = counters_spec();
+        let run = |symmetry, guidance, workers| {
+            let opts = ExploreOptions {
+                guidance,
+                ..options()
+                    .with_traces(64)
+                    .with_max_depth(9)
+                    .with_workers(workers)
+                    .with_symmetry(symmetry)
+            };
+            explore(&spec, &opts)
+        };
+        // A uniform walk never reads coverage, so both modes sample the same traces
+        // and only the keys differ: renamed siblings share one canonical counter.
+        let off = run(SymmetryMode::Off, Guidance::Uniform, 1);
+        let canon = run(SymmetryMode::Canonicalize, Guidance::Uniform, 1);
+        assert_eq!(off.stats.steps, canon.stats.steps);
+        assert_eq!(
+            off.stats.coverage.total_hits,
+            canon.stats.coverage.total_hits
+        );
+        assert!(
+            canon.stats.coverage.distinct_prefixes < off.stats.coverage.distinct_prefixes,
+            "canonical {} vs concrete {}",
+            canon.stats.coverage.distinct_prefixes,
+            off.stats.coverage.distinct_prefixes
+        );
+        // Guided choices read the canonical counters, yet every sampled walk is an
+        // execution of the original spec: no canonical form leaks into a trace.
+        let coverage = CoverageMap::new(8, DEFAULT_PREFIX_BITS);
+        let mut saw_unsorted = false;
+        for seed in 0..32 {
+            let trace = explore_one(
+                &spec,
+                9,
+                &mut CheckerRng::seed_from_u64(seed),
+                &coverage,
+                Guidance::CoverageGuided { rarity_weight: 24 },
+                None,
+                spec.symmetry.as_ref(),
+            );
+            assert_eq!(trace.steps[0].state, spec.init[0]);
+            for w in trace.steps.windows(2) {
+                assert!(
+                    spec.successors(&w[0].state)
+                        .iter()
+                        .any(|(l, s)| *l == w[1].action && *s == w[1].state),
+                    "seed {seed}: {:?} -> {:?} via {} is not a transition",
+                    w[0].state,
+                    w[1].state,
+                    w[1].action
+                );
+            }
+            saw_unsorted |= trace.steps.iter().any(|s| !s.state.0.is_sorted());
+        }
+        assert!(
+            saw_unsorted,
+            "the walks must leave the canonical (sorted) forms"
+        );
+        // The sampled traces are a function of the seed alone, whatever the workers.
+        let one = run(SymmetryMode::Canonicalize, Guidance::Uniform, 1);
+        let four = run(SymmetryMode::Canonicalize, Guidance::Uniform, 4);
+        assert_eq!(one.stats.traces, four.stats.traces);
+        assert_eq!(one.stats.steps, four.stats.steps);
+        assert_eq!(
+            one.stats.coverage.distinct_prefixes,
+            four.stats.coverage.distinct_prefixes
+        );
+        assert_eq!(
+            one.stats.coverage.total_hits,
+            four.stats.coverage.total_hits
+        );
     }
 }

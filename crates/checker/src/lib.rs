@@ -18,7 +18,6 @@ pub mod bfs;
 pub mod corpus;
 pub mod coverage;
 pub mod dfs;
-mod env;
 mod expand;
 pub mod explore;
 pub mod fingerprint;

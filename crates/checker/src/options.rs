@@ -17,8 +17,8 @@ use crate::store::StoreMode;
 /// [`crate::store::StateStore::reconstruct_trace_decanonicalized`].
 ///
 /// The mode is a no-op for specifications without an attached symmetry group
-/// (`Spec::symmetry` is `None`), which keeps the `REMIX_SYMMETRY` CI matrix safe for
-/// state types that implement no `Canonicalize`.
+/// (`Spec::symmetry` is `None`), so it is safe to select for state types that
+/// implement no `Canonicalize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SymmetryMode {
     /// Explore every concrete state (no symmetry reduction).  The default.
@@ -36,21 +36,6 @@ impl fmt::Display for SymmetryMode {
             SymmetryMode::Off => "off",
             SymmetryMode::Canonicalize => "canonicalize",
         })
-    }
-}
-
-impl SymmetryMode {
-    /// The mode selected by the `REMIX_SYMMETRY` environment variable
-    /// (`"canonicalize"` / `"canonical"` / `"on"` → [`SymmetryMode::Canonicalize`],
-    /// `"off"` → [`SymmetryMode::Off`]), defaulting to [`SymmetryMode::Off`] when
-    /// unset.  Any other value aborts with the accepted spellings: a mistyped mode
-    /// must not be a silently different run.
-    ///
-    /// Like [`StoreMode::from_env`], this is the hook CI uses to run the release-gated
-    /// suites once per symmetry mode without a per-test parameter; explicit
-    /// `with_symmetry(..)` calls always win.
-    pub fn from_env() -> SymmetryMode {
-        crate::env::SYMMETRY.read().unwrap_or_default()
     }
 }
 
@@ -115,20 +100,19 @@ pub struct CheckOptions {
     /// ([`StoreMode::Full`], the default), or the TLC-style memory-bounded
     /// [`StoreMode::FingerprintOnly`] store that drops full states and reconstructs
     /// violation traces by bounded re-exploration of the recorded `(parent, label)`
-    /// chains.  Defaults to [`StoreMode::from_env`] (the `REMIX_STORE_MODE` CI matrix
-    /// hook); see [`crate::store`] for the memory model.
+    /// chains.  See [`crate::store`] for the memory model.
     pub store_mode: StoreMode,
     /// Whether dedup, fingerprints and violation bookkeeping key on canonical
     /// representatives under the specification's symmetry group (see [`SymmetryMode`]).
-    /// Defaults to [`SymmetryMode::from_env`] (the `REMIX_SYMMETRY` CI matrix hook);
-    /// a no-op for specifications without `Spec::symmetry`.
+    /// Defaults to [`SymmetryMode::Off`]; a no-op for specifications without
+    /// `Spec::symmetry`.
     pub symmetry: SymmetryMode,
     /// The out-of-core tier: when a memory budget is set, the store spills its
     /// fingerprint set to sorted disk runs and — in [`StoreMode::Full`] — BFS
     /// round-trips oversized frontiers through on-disk queues, so runs whose state
     /// count exceeds RAM still finish (with the same results; spilling never changes
-    /// what is explored).  Defaults to [`SpillConfig::from_env`] (the
-    /// `REMIX_MEM_BUDGET` / `REMIX_SPILL_DIR` hooks); inactive when no budget is set.
+    /// what is explored).  Both engines honour it.  Defaults to
+    /// [`SpillConfig::in_ram`]; arm it with [`CheckOptions::with_mem_budget`].
     pub spill: SpillConfig,
     /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub route_by_owner: bool,
@@ -140,7 +124,7 @@ pub struct CheckOptions {
     /// interleavings between two reached states are skipped, so verdicts, distinct
     /// state counts and minimal violation depths are unchanged — see the partial-order
     /// reduction section of `ARCHITECTURE.md`.  A no-op for actions without declared
-    /// effects.  Off by default; also enabled by `REMIX_POR=1`.
+    /// effects.  Off by default.
     pub por: bool,
 }
 
@@ -155,11 +139,11 @@ impl Default for CheckOptions {
             shards: 64,
             batch_size: 128,
             collect_traces: true,
-            store_mode: StoreMode::from_env(),
-            symmetry: SymmetryMode::from_env(),
-            spill: SpillConfig::from_env(),
+            store_mode: StoreMode::Full,
+            symmetry: SymmetryMode::Off,
+            spill: SpillConfig::in_ram(),
             route_by_owner: false,
-            por: crate::env::POR.read().unwrap_or(false),
+            por: false,
         }
     }
 }
@@ -306,16 +290,10 @@ mod tests {
         let o = CheckOptions::default();
         assert_eq!(o.mode, CheckMode::FirstViolation);
         assert_eq!(o.workers, 1);
-        // The defaults follow the REMIX_STORE_MODE / REMIX_SYMMETRY env hooks, so
-        // assert against them rather than literals — the test then holds in CI's
-        // (store mode × symmetry mode) matrix too.
-        assert_eq!(o.store_mode, StoreMode::from_env());
-        assert_eq!(o.symmetry, SymmetryMode::from_env());
-        assert_eq!(
-            o.por,
-            crate::env::POR.read().unwrap_or(false),
-            "POR defaults follow the REMIX_POR env hook"
-        );
+        assert_eq!(o.store_mode, StoreMode::Full);
+        assert_eq!(o.symmetry, SymmetryMode::Off);
+        assert_eq!(o.spill, SpillConfig::in_ram());
+        assert!(!o.por);
         assert!(o.collect_traces);
         assert!(o.shards >= 1);
         let c = CheckOptions::completion();

@@ -102,10 +102,10 @@ pub struct RefineOptions {
     /// different representatives of the same projected class and report a spurious
     /// divergence).  The checker therefore applies this mode only when the projection
     /// declares `TraceProjection::assume_equivariant` (and the spec carries
-    /// `Spec::symmetry`); otherwise the knob is ignored, which keeps the
-    /// `REMIX_SYMMETRY` CI matrix sound for the per-server Zab projections.
-    /// Divergence witnesses are de-canonicalized before shrinking, so they replay on
-    /// the original specification.  Defaults to [`SymmetryMode::from_env`].
+    /// `Spec::symmetry`); otherwise the knob is ignored, which keeps it sound to
+    /// select for the per-server Zab projections.  Divergence witnesses are
+    /// de-canonicalized before shrinking, so they replay on the original
+    /// specification.  Defaults to [`SymmetryMode::Off`].
     pub symmetry: SymmetryMode,
     /// Extra BFS levels explored after a state or depth budget trips, expanding only
     /// *unstable* states (stable successors are recorded but not re-expanded).
@@ -120,8 +120,8 @@ pub struct RefineOptions {
     /// expanded, for at most this many levels.  `0` restores the hard stop.
     pub stabilization_grace: u32,
     /// Memory budget and spill directory for each side's discovered-state store
-    /// (see [`crate::spill::SpillConfig`]); defaults to the `REMIX_MEM_BUDGET` /
-    /// `REMIX_SPILL_DIR` environment hooks.
+    /// (see [`crate::spill::SpillConfig`]); defaults to
+    /// [`SpillConfig::in_ram`](crate::spill::SpillConfig::in_ram).
     pub spill: crate::spill::SpillConfig,
 }
 
@@ -135,10 +135,10 @@ impl Default for RefineOptions {
             max_states: None,
             time_budget: None,
             shrink_witness: true,
-            store_mode: StoreMode::from_env(),
-            symmetry: SymmetryMode::from_env(),
+            store_mode: StoreMode::Full,
+            symmetry: SymmetryMode::Off,
             stabilization_grace: 16,
-            spill: crate::spill::SpillConfig::from_env(),
+            spill: crate::spill::SpillConfig::in_ram(),
         }
     }
 }
@@ -1510,7 +1510,7 @@ mod tests {
                     &fine_spec(120),
                     &coarse_spec(120, false),
                     &projection(),
-                    &base.clone().with_spill(SpillConfig::in_ram()),
+                    &base,
                 );
                 let spilled = check_refinement(
                     &fine_spec(120),

@@ -45,10 +45,9 @@ pub(crate) const MIN_FLUSH_ENTRIES: usize = 8;
 
 /// Where (and whether) a run may spill its fingerprint set and frontiers to disk.
 ///
-/// The default is fully in-RAM (`budget_bytes: None`).  [`SpillConfig::from_env`]
-/// reads the `REMIX_MEM_BUDGET` (e.g. `"64m"`, `"2g"`, `"500k"`, or plain bytes) and
-/// `REMIX_SPILL_DIR` environment variables, which is how CI runs the spill-path legs
-/// without per-test parameters; explicit builder calls always win.
+/// The default is fully in-RAM (`budget_bytes: None`); a run goes out of core only
+/// when its options carry a budget (`SpillConfig::in_ram().with_budget_bytes(..)`, or
+/// `CheckOptions::with_mem_budget`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpillConfig {
     /// Memory budget in bytes for the store's fingerprint set (and, in
@@ -62,17 +61,7 @@ pub struct SpillConfig {
 }
 
 impl SpillConfig {
-    /// The configuration selected by `REMIX_MEM_BUDGET` / `REMIX_SPILL_DIR`;
-    /// spilling stays off when `REMIX_MEM_BUDGET` is unset, and an unparseable budget
-    /// aborts rather than silently running in RAM.
-    pub fn from_env() -> SpillConfig {
-        SpillConfig {
-            budget_bytes: crate::env::mem_budget(),
-            dir: crate::env::spill_dir(),
-        }
-    }
-
-    /// A configuration that never spills, regardless of the environment.
+    /// A configuration that never spills (the default).
     pub fn in_ram() -> SpillConfig {
         SpillConfig::default()
     }
@@ -93,23 +82,6 @@ impl SpillConfig {
     pub fn is_active(&self) -> bool {
         self.budget_bytes.is_some()
     }
-}
-
-/// Parses a memory budget: a plain byte count or a number with a `k`/`m`/`g` suffix
-/// (powers of 1024, case-insensitive, optional trailing `b`/`ib`).  `None` also for a
-/// budget that does not fit 64 bits.
-pub fn parse_mem_budget(s: &str) -> Option<u64> {
-    let s = s.trim().to_ascii_lowercase();
-    let digits_end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
-    let value: u64 = s[..digits_end].parse().ok()?;
-    let shift = match s[digits_end..].trim_start() {
-        "" | "b" => 0,
-        "k" | "kb" | "kib" => 10,
-        "m" | "mb" | "mib" => 20,
-        "g" | "gb" | "gib" => 30,
-        _ => return None,
-    };
-    value.checked_mul(1 << shift)
 }
 
 /// Out-of-core activity counters of one run, surfaced in `CheckStats` and
@@ -386,24 +358,6 @@ impl IndexQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_budget_suffixes() {
-        assert_eq!(parse_mem_budget("1048576"), Some(1 << 20));
-        assert_eq!(parse_mem_budget("64k"), Some(64 << 10));
-        assert_eq!(parse_mem_budget("64K"), Some(64 << 10));
-        assert_eq!(parse_mem_budget("512m"), Some(512 << 20));
-        assert_eq!(parse_mem_budget("512MiB"), Some(512 << 20));
-        assert_eq!(parse_mem_budget("2g"), Some(2 << 30));
-        assert_eq!(parse_mem_budget("2 gb"), Some(2 << 30));
-        assert_eq!(parse_mem_budget(""), None);
-        assert_eq!(parse_mem_budget("lots"), None);
-        assert_eq!(parse_mem_budget("64x"), None);
-        // Bits shifted out are an overflow, not a smaller budget.
-        assert_eq!(parse_mem_budget("17179869183g"), Some(17179869183 << 30));
-        assert_eq!(parse_mem_budget("17179869184g"), None);
-        assert_eq!(parse_mem_budget("18446744073709551616"), None);
-    }
 
     fn fp(i: u64) -> Fingerprint {
         // Spread keys so sort order differs from insertion order.

@@ -123,21 +123,6 @@ impl fmt::Display for StoreMode {
     }
 }
 
-impl StoreMode {
-    /// The backend selected by the `REMIX_STORE_MODE` environment variable
-    /// (`"fingerprint-only"` / `"fingerprint_only"` / `"full"`), defaulting to
-    /// [`StoreMode::Full`] when unset.  Any other value aborts with the accepted
-    /// spellings: a mistyped mode must not be a silently different run.
-    ///
-    /// `CheckOptions::default()` and `RefineOptions::default()` start from this value,
-    /// which is how CI runs the release-gated refinement and exploration suites once
-    /// per backend without a per-test parameter.  Explicit `with_store_mode(..)` calls
-    /// always win.
-    pub fn from_env() -> StoreMode {
-        crate::env::STORE_MODE.read().unwrap_or(StoreMode::Full)
-    }
-}
-
 /// Dense identifier of a discovered state: `(local slot << shard bits) | shard`.
 ///
 /// `u32::MAX` is reserved as the no-parent sentinel, capping a run at just under 2^32

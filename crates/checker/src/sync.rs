@@ -153,6 +153,24 @@ pub fn write_or_recover<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 // REMIX_SYNC_AUDIT environment variable, forced on while a session is live.
 // ---------------------------------------------------------------------------
 
+/// The workspace's one environment hook.  It only instruments locks and never changes
+/// a result, so it is the one run-wide switch that may live outside the option structs.
+const AUDIT_VAR: &str = "REMIX_SYNC_AUDIT";
+
+/// Parses [`AUDIT_VAR`]: `1` / `true` / `on`, `0` / `false` / `off`, or unset (off).
+/// Anything else is an error naming the variable, the value and the accepted list — a
+/// mistyped value must not silently leave the audit off.
+fn parse_audit_var(raw: Option<&str>) -> Result<bool, String> {
+    match raw {
+        None | Some("0" | "false" | "off") => Ok(false),
+        Some("1" | "true" | "on") => Ok(true),
+        Some(other) => Err(format!(
+            "{AUDIT_VAR}={other:?} is not an accepted value \
+             (accepted: 1, true, on, 0, false, off, or unset)"
+        )),
+    }
+}
+
 const GATE_OFF: u8 = 0;
 const GATE_ON: u8 = 1;
 const GATE_UNINIT: u8 = 2;
@@ -174,7 +192,8 @@ fn audit_on() -> bool {
 
 #[cold]
 fn init_gate() -> bool {
-    let env = crate::env::SYNC_AUDIT.read().unwrap_or(false);
+    let raw = std::env::var_os(AUDIT_VAR).map(|v| v.to_string_lossy().into_owned());
+    let env = parse_audit_var(raw.as_deref()).unwrap_or_else(|message| panic!("{message}"));
     // ordering: Relaxed — see audit_on; recompute_gate below re-derives the value
     // whenever sessions begin or end, so a racy double-init is idempotent.
     let on = env || AUDIT_SESSIONS.load(Ordering::Relaxed) > 0;
@@ -926,6 +945,23 @@ pub fn seeded_rank_inversion() -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn audit_var_accepts_exactly_its_spellings() {
+        assert_eq!(parse_audit_var(None), Ok(false));
+        for on in ["1", "true", "on"] {
+            assert_eq!(parse_audit_var(Some(on)), Ok(true));
+        }
+        for off in ["0", "false", "off"] {
+            assert_eq!(parse_audit_var(Some(off)), Ok(false));
+        }
+        // Case, padding and near misses count: each would otherwise run unaudited.
+        for typo in ["", "yes", "On", " 1", "owner"] {
+            let err = parse_audit_var(Some(typo)).unwrap_err();
+            assert!(err.contains(&format!("REMIX_SYNC_AUDIT={typo:?}")), "{err}");
+            assert!(err.contains("1, true, on, 0, false, off"), "{err}");
+        }
+    }
 
     #[test]
     fn guards_balance_the_held_stack() {

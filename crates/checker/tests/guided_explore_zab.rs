@@ -28,10 +28,9 @@ fn options() -> ExploreOptions {
         .with_time_budget(Duration::from_secs(90))
         // The guided-vs-uniform asymmetry this test documents was tuned against
         // *concrete* coverage keys; canonical (symmetry-reduced) keys change the bias
-        // distribution and its trace indices, so the comparison pins symmetry off
-        // rather than inheriting the REMIX_SYMMETRY matrix value.  The symmetry
-        // suites (`checker/tests/symmetry.rs`, `zab/tests/symmetry_zab.rs`) cover
-        // canonical-keyed runs in both env settings.
+        // distribution and its trace indices.  Canonical-keyed sampling is covered by
+        // `explore.rs`'s
+        // `canonical_keys_merge_renamed_siblings_and_keep_walks_in_the_original_frame`.
         .with_symmetry(SymmetryMode::Off)
 }
 

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use remix_checker::{check_bfs, check_dfs, CheckOptions, StopReason, SymmetryMode};
+use remix_checker::{check_bfs, check_dfs, CheckOptions, StopReason, StoreMode};
 use remix_spec::{
     ActionDef, ActionInstance, Effect, Granularity, Invariant, InvariantSource, ModuleId,
     ModuleSpec, Spec, SpecState,
@@ -101,44 +101,64 @@ fn grid_spec(nx: u32, ny: u32) -> Spec<Grid> {
     )
 }
 
-fn options(por: bool) -> CheckOptions {
-    CheckOptions::default()
-        .with_por(por)
-        .with_symmetry(SymmetryMode::Off)
+/// Each test runs once per store backend.
+const STORES: [StoreMode; 2] = [StoreMode::Full, StoreMode::FingerprintOnly];
+
+fn options(por: bool, store: StoreMode) -> CheckOptions {
+    CheckOptions::default().with_por(por).with_store_mode(store)
 }
 
 #[test]
 fn bfs_por_preserves_every_grid_point() {
     let (nx, ny) = (5, 4);
     let spec = grid_spec(nx, ny);
-    let off = check_bfs(&spec, &options(false));
-    let on = check_bfs(&spec, &options(true));
-    assert_eq!(off.stop_reason, StopReason::Exhausted);
-    assert_eq!(on.stop_reason, StopReason::Exhausted);
-    assert_eq!(off.stats.distinct_states as u32, (nx + 1) * (ny + 1));
-    assert_eq!(
-        on.stats.distinct_states, off.stats.distinct_states,
-        "sleep sets prune edges, never states"
-    );
-    assert_eq!(on.stats.max_depth, off.stats.max_depth);
-    assert!(on.stats.pruned_transitions > 0, "the diamonds must prune");
-    assert_eq!(
-        on.stats.transitions + on.stats.pruned_transitions,
-        off.stats.transitions
-    );
+    for store in STORES {
+        let off = check_bfs(&spec, &options(false, store));
+        let on = check_bfs(&spec, &options(true, store));
+        assert_eq!(off.stop_reason, StopReason::Exhausted, "{store}");
+        assert_eq!(on.stop_reason, StopReason::Exhausted, "{store}");
+        assert_eq!(
+            off.stats.distinct_states as u32,
+            (nx + 1) * (ny + 1),
+            "{store}"
+        );
+        assert_eq!(
+            on.stats.distinct_states, off.stats.distinct_states,
+            "sleep sets prune edges, never states ({store})"
+        );
+        assert_eq!(on.stats.max_depth, off.stats.max_depth, "{store}");
+        assert!(
+            on.stats.pruned_transitions > 0,
+            "the diamonds must prune ({store})"
+        );
+        assert_eq!(
+            on.stats.transitions + on.stats.pruned_transitions,
+            off.stats.transitions,
+            "{store}"
+        );
+    }
 }
 
 #[test]
 fn dfs_por_preserves_every_grid_point() {
     let (nx, ny) = (5, 4);
     let spec = grid_spec(nx, ny);
-    let off = check_dfs(&spec, &options(false));
-    let on = check_dfs(&spec, &options(true));
-    assert_eq!(on.stop_reason, StopReason::Exhausted);
-    assert_eq!(off.stats.distinct_states as u32, (nx + 1) * (ny + 1));
-    assert_eq!(
-        on.stats.distinct_states, off.stats.distinct_states,
-        "sleep sets prune edges, never states"
-    );
-    assert!(on.stats.pruned_transitions > 0, "the diamonds must prune");
+    for store in STORES {
+        let off = check_dfs(&spec, &options(false, store));
+        let on = check_dfs(&spec, &options(true, store));
+        assert_eq!(on.stop_reason, StopReason::Exhausted, "{store}");
+        assert_eq!(
+            off.stats.distinct_states as u32,
+            (nx + 1) * (ny + 1),
+            "{store}"
+        );
+        assert_eq!(
+            on.stats.distinct_states, off.stats.distinct_states,
+            "sleep sets prune edges, never states ({store})"
+        );
+        assert!(
+            on.stats.pruned_transitions > 0,
+            "the diamonds must prune ({store})"
+        );
+    }
 }

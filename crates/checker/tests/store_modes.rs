@@ -1,6 +1,7 @@
 //! Integration tests of the two discovered-state store backends on the real Zab model:
 //! stop-reason precedence must be deterministic across both modes, and fingerprint-only
-//! violation traces must replay through `Spec::successors` to the violating state.
+//! violation traces must replay through `Spec::successors` to the violating state — in
+//! every symmetry × POR cell and out of core.
 
 use std::time::Duration;
 
@@ -13,27 +14,55 @@ fn spec(version: CodeVersion) -> Spec<ZabState> {
     SpecPreset::MSpec3.build(&config)
 }
 
+/// The engine cells the store backends are compared in: symmetry × POR, plus an
+/// out-of-core cell whose 64 KiB budget spills fingerprint runs and (Full store)
+/// frontier levels.  Each cell is named for assertion messages.
+fn cells() -> Vec<(CheckOptions, String)> {
+    let mut cells = Vec::new();
+    for symmetry in [SymmetryMode::Off, SymmetryMode::Canonicalize] {
+        for por in [false, true] {
+            let options = CheckOptions::default()
+                .with_symmetry(symmetry)
+                .with_por(por);
+            cells.push((options, format!("symmetry {symmetry}, por {por}")));
+        }
+    }
+    let spilled = CheckOptions::default().with_mem_budget(64 << 10);
+    cells.push((spilled, "64 KiB budget".to_owned()));
+    cells
+}
+
 /// Both backends explore the identical state space and agree on every statistic that
 /// does not describe memory layout.
 #[test]
 fn store_modes_explore_identical_state_spaces() {
     let spec = spec(CodeVersion::FinalFix);
-    let options = CheckOptions::default().with_max_states(4_000);
-    let full = check_bfs(&spec, &options.clone().with_store_mode(StoreMode::Full));
-    let fp_only = check_bfs(
-        &spec,
-        &options.clone().with_store_mode(StoreMode::FingerprintOnly),
-    );
-    assert_eq!(full.stats.distinct_states, fp_only.stats.distinct_states);
-    assert_eq!(full.stats.transitions, fp_only.stats.transitions);
-    assert_eq!(full.stats.max_depth, fp_only.stats.max_depth);
-    assert_eq!(full.stop_reason, fp_only.stop_reason);
-    assert!(
-        fp_only.stats.peak_entry_bytes < full.stats.peak_entry_bytes,
-        "fingerprint-only entries must be strictly smaller: {} vs {}",
-        fp_only.stats.peak_entry_bytes,
-        full.stats.peak_entry_bytes
-    );
+    for (options, cell) in cells() {
+        let options = options.with_max_states(4_000);
+        let full = check_bfs(&spec, &options.clone().with_store_mode(StoreMode::Full));
+        let fp_only = check_bfs(
+            &spec,
+            &options.clone().with_store_mode(StoreMode::FingerprintOnly),
+        );
+        assert_eq!(
+            full.stats.distinct_states, fp_only.stats.distinct_states,
+            "{cell}"
+        );
+        assert_eq!(full.stats.transitions, fp_only.stats.transitions, "{cell}");
+        assert_eq!(full.stats.max_depth, fp_only.stats.max_depth, "{cell}");
+        assert_eq!(full.stop_reason, fp_only.stop_reason, "{cell}");
+        assert!(
+            fp_only.stats.peak_entry_bytes < full.stats.peak_entry_bytes,
+            "fingerprint-only entries must be strictly smaller ({cell}): {} vs {}",
+            fp_only.stats.peak_entry_bytes,
+            full.stats.peak_entry_bytes
+        );
+        assert_eq!(
+            options.spill.is_active(),
+            full.stats.spill.spilled() && fp_only.stats.spill.spilled(),
+            "{cell}"
+        );
+    }
 }
 
 /// `max_states`, `time_budget` and `violation_limit` may all trip within the same BFS
@@ -43,75 +72,85 @@ fn store_modes_explore_identical_state_spaces() {
 #[test]
 fn stop_reason_precedence_is_deterministic_across_store_modes() {
     let spec = spec(CodeVersion::V391);
-    // A one-worker run ends at the state that stops it, so the probe's violating state
-    // is the last of its `distinct_states`: a `max_states` of exactly that count trips
-    // inside the violating parent's own successors — at the insert of the violating
-    // state — and both conditions fire in the same level, for the same state.
-    let probe = check_bfs(&spec, &CheckOptions::default());
-    let violation_depth = probe.first_violation().expect("v3.9.1 violates").depth;
-    assert!(violation_depth > 1, "a deep violation makes the race real");
-    let cap = probe.stats.distinct_states;
-
-    for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-        // Sequential claim and insert order is fixed — parents in frontier order, each
-        // one's successors in enumeration order — so the fired set is reproducible and
-        // the resolved reason is exactly the documented precedence.
-        let outcome = check_bfs(
-            &spec,
-            &CheckOptions {
-                mode: CheckMode::Completion { violation_limit: 1 },
-                ..CheckOptions::default()
-            }
-            .with_store_mode(mode)
-            .with_max_states(cap)
-            .with_time_budget(Duration::from_secs(3600)),
-        );
-        assert_eq!(
-            outcome.stop_reason,
-            StopReason::ViolationLimit,
-            "mode {mode}: violation stop outranks the state limit"
-        );
-        assert!(!outcome.passed());
-        assert_eq!(
-            outcome.first_violation().expect("reported").depth,
-            violation_depth,
-            "mode {mode}: the cap does not hide the minimal depth"
-        );
-        assert_eq!(outcome.stats.distinct_states, cap, "mode {mode}");
-
-        // Parallel runs may abort the level as soon as a resource limit trips (so the
-        // violating state of the same level is not always discovered), but the resolved
-        // reason still follows the precedence over whatever conditions fired — never
-        // the scheduling-dependent wall clock.
-        let parallel = check_bfs(
-            &spec,
-            &CheckOptions {
-                mode: CheckMode::Completion { violation_limit: 1 },
-                ..CheckOptions::default()
-            }
-            .with_store_mode(mode)
-            .with_workers(4)
-            .with_max_states(cap)
-            .with_time_budget(Duration::from_secs(3600)),
-        );
+    for (base, cell) in cells() {
+        // A one-worker run ends at the state that stops it, so the probe's violating state
+        // is the last of its `distinct_states`: a `max_states` of exactly that count trips
+        // inside the violating parent's own successors — at the insert of the violating
+        // state — and both conditions fire in the same level, for the same state.
+        let probe = check_bfs(&spec, &base);
+        let violation_depth = probe.first_violation().expect("v3.9.1 violates").depth;
         assert!(
-            matches!(
-                parallel.stop_reason,
-                StopReason::ViolationLimit | StopReason::StateLimit
-            ),
-            "mode {mode}: got {}",
-            parallel.stop_reason
+            violation_depth > 1,
+            "a deep violation makes the race real ({cell})"
         );
+        let cap = probe.stats.distinct_states;
 
-        // Without any violating state in reach, the same cap yields StateLimit.
-        let clean = check_bfs(
-            &spec,
-            &CheckOptions::default()
+        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+            // Sequential claim and insert order is fixed — parents in frontier order, each
+            // one's successors in enumeration order — so the fired set is reproducible and
+            // the resolved reason is exactly the documented precedence.
+            let outcome = check_bfs(
+                &spec,
+                &CheckOptions {
+                    mode: CheckMode::Completion { violation_limit: 1 },
+                    ..base.clone()
+                }
                 .with_store_mode(mode)
-                .with_max_states(cap.min(8))
+                .with_max_states(cap)
                 .with_time_budget(Duration::from_secs(3600)),
-        );
-        assert_eq!(clean.stop_reason, StopReason::StateLimit);
+            );
+            assert_eq!(
+                outcome.stop_reason,
+                StopReason::ViolationLimit,
+                "{cell}, mode {mode}: violation stop outranks the state limit"
+            );
+            assert!(!outcome.passed());
+            assert_eq!(
+                outcome.first_violation().expect("reported").depth,
+                violation_depth,
+                "{cell}, mode {mode}: the cap does not hide the minimal depth"
+            );
+            assert_eq!(outcome.stats.distinct_states, cap, "{cell}, mode {mode}");
+
+            // Parallel runs may abort the level as soon as a resource limit trips (so the
+            // violating state of the same level is not always discovered), but the resolved
+            // reason still follows the precedence over whatever conditions fired — never
+            // the scheduling-dependent wall clock.
+            let parallel = check_bfs(
+                &spec,
+                &CheckOptions {
+                    mode: CheckMode::Completion { violation_limit: 1 },
+                    ..base.clone()
+                }
+                .with_store_mode(mode)
+                .with_workers(4)
+                .with_max_states(cap)
+                .with_time_budget(Duration::from_secs(3600)),
+            );
+            assert!(
+                matches!(
+                    parallel.stop_reason,
+                    StopReason::ViolationLimit | StopReason::StateLimit
+                ),
+                "{cell}, mode {mode}: got {}",
+                parallel.stop_reason
+            );
+
+            // Without any violating state in reach, the same cap yields StateLimit.
+            let clean = check_bfs(
+                &spec,
+                &base
+                    .clone()
+                    .with_store_mode(mode)
+                    .with_max_states(cap.min(8))
+                    .with_time_budget(Duration::from_secs(3600)),
+            );
+            assert_eq!(
+                clean.stop_reason,
+                StopReason::StateLimit,
+                "{cell}, mode {mode}"
+            );
+        }
     }
 }
 
@@ -121,43 +160,46 @@ fn stop_reason_precedence_is_deterministic_across_store_modes() {
 #[test]
 fn fingerprint_only_traces_replay_through_spec_successors() {
     let spec = spec(CodeVersion::V391);
-    let outcome = check_bfs(
-        &spec,
-        &CheckOptions::default().with_store_mode(StoreMode::FingerprintOnly),
-    );
-    let violation = outcome.first_violation().expect("v3.9.1 violates mSpec-3");
-    let trace = &violation.trace;
-    assert!(!trace.is_empty(), "trace collection is on by default");
-    assert_eq!(trace.depth() as u32, violation.depth);
+    for (base, cell) in cells() {
+        let outcome = check_bfs(
+            &spec,
+            &base.clone().with_store_mode(StoreMode::FingerprintOnly),
+        );
+        let violation = outcome.first_violation().expect("v3.9.1 violates mSpec-3");
+        let trace = &violation.trace;
+        assert!(!trace.is_empty(), "trace collection is on by default");
+        assert_eq!(trace.depth() as u32, violation.depth);
 
-    // Step 0 is an initial state; each later step must be among its predecessor's
-    // successors with exactly the recorded label.
-    assert!(spec.init.contains(&trace.steps[0].state));
-    for window in trace.steps.windows(2) {
-        let successors = spec.successors(&window[0].state);
+        // Step 0 is an initial state; each later step must be among its predecessor's
+        // successors with exactly the recorded label.
+        assert!(spec.init.contains(&trace.steps[0].state));
+        for window in trace.steps.windows(2) {
+            let successors = spec.successors(&window[0].state);
+            assert!(
+                successors
+                    .iter()
+                    .any(|(label, next)| label == &window[1].action && next == &window[1].state),
+                "{cell}: step `{}` must be a successor of its predecessor",
+                window[1].action
+            );
+        }
+        let last = trace.last_state().expect("non-empty");
         assert!(
-            successors
-                .iter()
-                .any(|(label, next)| label == &window[1].action && next == &window[1].state),
-            "step `{}` must be a successor of its predecessor",
-            window[1].action
+            !spec.violated_invariants(last).is_empty(),
+            "the replayed trace ends in the violating state ({cell})"
+        );
+
+        // And the replayed counterexample is identical to the full store's.
+        let full = check_bfs(&spec, &base.with_store_mode(StoreMode::Full));
+        let full_violation = full.first_violation().expect("same violation");
+        assert_eq!(full_violation.invariant, violation.invariant);
+        assert_eq!(full_violation.depth, violation.depth);
+        assert_eq!(
+            full_violation.trace.action_labels(),
+            trace.action_labels(),
+            "{cell}"
         );
     }
-    let last = trace.last_state().expect("non-empty");
-    assert!(
-        !spec.violated_invariants(last).is_empty(),
-        "the replayed trace ends in the violating state"
-    );
-
-    // And the replayed counterexample is identical to the full store's.
-    let full = check_bfs(
-        &spec,
-        &CheckOptions::default().with_store_mode(StoreMode::Full),
-    );
-    let full_violation = full.first_violation().expect("same violation");
-    assert_eq!(full_violation.invariant, violation.invariant);
-    assert_eq!(full_violation.depth, violation.depth);
-    assert_eq!(full_violation.trace.action_labels(), trace.action_labels());
 }
 
 /// The three `remix-bench` `bug-hunt` counterexamples (ZK-4394, ZK-3023, ZK-4685),

@@ -1,7 +1,8 @@
 //! Symmetry reduction on a toy fully symmetric spec: canonicalization must shrink the
 //! explored state count without changing any verdict, and violation witnesses must be
 //! de-canonicalized back into executions of the *original* specification — in both
-//! store backends and both engines.
+//! store backends and both engines, with and without sleep-set POR, in RAM and out of
+//! core.
 //!
 //! The model: `k` identical workers, each holding a counter; any worker may increment
 //! its counter up to `max`.  States are plain counter vectors, so the symmetric group
@@ -13,8 +14,8 @@ use std::collections::BTreeMap;
 
 use remix_checker::{check_bfs, check_dfs, CheckOptions, StopReason, StoreMode, SymmetryMode};
 use remix_spec::{
-    ActionDef, ActionInstance, Canonicalize, Granularity, Invariant, InvariantSource, ModuleId,
-    ModuleSpec, Perm, Spec, SpecState,
+    ActionDef, ActionInstance, Canonicalize, Effect, Granularity, Invariant, InvariantSource,
+    ModuleId, ModuleSpec, Perm, Spec, SpecState,
 };
 
 /// `k` interchangeable workers, each a bare counter.
@@ -68,6 +69,7 @@ impl Canonicalize for Workers {
 
 /// The spec: every worker may increment below `max`; optionally an invariant that the
 /// counter multiset never reaches `bad` (a multiset, so it is permutation-invariant).
+/// `Inc(i)` declares that it writes worker `i` alone, so POR may prune the diamonds.
 fn workers_spec(k: usize, max: u8, bad: Option<Vec<u8>>) -> Spec<Workers> {
     let m = ModuleId("Workers");
     let inc = ActionDef::new(
@@ -83,6 +85,7 @@ fn workers_spec(k: usize, max: u8, bad: Option<Vec<u8>>) -> Spec<Workers> {
                     let mut next = s.clone();
                     next.0[i] += 1;
                     ActionInstance::new(format!("Inc({i})"), next)
+                        .with_effect(Effect::new().writes_server(i))
                 })
                 .collect()
         },
@@ -109,10 +112,34 @@ fn workers_spec(k: usize, max: u8, bad: Option<Vec<u8>>) -> Spec<Workers> {
     .with_canonicalization()
 }
 
-fn options(symmetry: SymmetryMode, store: StoreMode) -> CheckOptions {
-    CheckOptions::default()
-        .with_symmetry(symmetry)
-        .with_store_mode(store)
+/// The engine cells each test runs in, all with `symmetry`: both store backends, each
+/// plain, under sleep-set POR, and out of core (one stripe under a 512-byte budget, so
+/// even these few states spill fingerprint runs).
+fn cells(symmetry: SymmetryMode) -> Vec<CheckOptions> {
+    let mut cells = Vec::new();
+    for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
+        let base = CheckOptions::default()
+            .with_symmetry(symmetry)
+            .with_store_mode(store);
+        cells.push(base.clone());
+        cells.push(base.clone().with_por(true));
+        cells.push(base.with_shards(1).with_mem_budget(512));
+    }
+    cells
+}
+
+/// The `(Off, Canonicalize)` pair of every cell, and the cell's name for messages.
+fn cell_pairs() -> impl Iterator<Item = (CheckOptions, CheckOptions, String)> {
+    cells(SymmetryMode::Off)
+        .into_iter()
+        .zip(cells(SymmetryMode::Canonicalize))
+        .map(|(off, canon)| {
+            let name = format!(
+                "{} store, por {}, budget {:?}",
+                off.store_mode, off.por, off.spill.budget_bytes
+            );
+            (off, canon, name)
+        })
 }
 
 /// `C(n, k)` (number of multisets of size `k` over `n` values is `C(max+k, k)`).
@@ -124,29 +151,35 @@ fn binomial(n: usize, k: usize) -> usize {
 fn canonicalization_collapses_orbits_without_changing_the_verdict() {
     let (k, max) = (3usize, 4u8);
     let spec = workers_spec(k, max, None);
-    for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
-        let off = check_bfs(&spec, &options(SymmetryMode::Off, store));
-        let canon = check_bfs(&spec, &options(SymmetryMode::Canonicalize, store));
-        assert_eq!(off.stop_reason, StopReason::Exhausted, "{store}");
-        assert_eq!(canon.stop_reason, StopReason::Exhausted, "{store}");
-        assert!(off.passed() && canon.passed(), "{store}");
+    for (off_options, canon_options, cell) in cell_pairs() {
+        let off = check_bfs(&spec, &off_options);
+        let canon = check_bfs(&spec, &canon_options);
+        assert_eq!(off.stop_reason, StopReason::Exhausted, "{cell}");
+        assert_eq!(canon.stop_reason, StopReason::Exhausted, "{cell}");
+        assert!(off.passed() && canon.passed(), "{cell}");
         assert_eq!(
             off.stats.distinct_states,
             (max as usize + 1).pow(k as u32),
-            "all counter vectors ({store})"
+            "all counter vectors ({cell})"
         );
         assert_eq!(
             canon.stats.distinct_states,
             binomial(max as usize + k, k),
-            "one representative per counter multiset ({store})"
+            "one representative per counter multiset ({cell})"
         );
         assert!(
             canon.stats.distinct_states < off.stats.distinct_states,
-            "symmetry must strictly reduce the explored space ({store})"
+            "symmetry must strictly reduce the explored space ({cell})"
         );
         // The BFS level structure is preserved: the deepest state (all counters at
         // max) sits at the same minimal depth in both runs.
-        assert_eq!(off.stats.max_depth, canon.stats.max_depth, "{store}");
+        assert_eq!(off.stats.max_depth, canon.stats.max_depth, "{cell}");
+        assert_eq!(off_options.por, off.stats.pruned_transitions > 0, "{cell}");
+        assert_eq!(
+            off_options.spill.is_active(),
+            off.stats.spill.spilled() && canon.stats.spill.spilled(),
+            "{cell}"
+        );
     }
 }
 
@@ -156,19 +189,19 @@ fn decanonicalized_traces_replay_on_the_original_spec() {
     // same minimal depth with and without symmetry, and the symmetric run's witness —
     // recorded as a chain of canonical forms — must replay as a real execution.
     let spec = workers_spec(3, 3, Some(vec![1, 2, 2]));
-    for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
-        let off = check_bfs(&spec, &options(SymmetryMode::Off, store));
-        let canon = check_bfs(&spec, &options(SymmetryMode::Canonicalize, store));
+    for (off_options, canon_options, cell) in cell_pairs() {
+        let off = check_bfs(&spec, &off_options);
+        let canon = check_bfs(&spec, &canon_options);
         let (v_off, v_canon) = (
             off.first_violation().expect("off finds the violation"),
             canon.first_violation().expect("canonicalize finds it too"),
         );
-        assert_eq!(v_off.invariant, v_canon.invariant, "{store}");
+        assert_eq!(v_off.invariant, v_canon.invariant, "{cell}");
         assert_eq!(
             v_off.depth, v_canon.depth,
-            "minimal depth is preserved ({store})"
+            "minimal depth is preserved ({cell})"
         );
-        assert_eq!(v_canon.trace.depth() as u32, v_canon.depth, "{store}");
+        assert_eq!(v_canon.trace.depth() as u32, v_canon.depth, "{cell}");
         // Step-by-step replay through `Spec::successors` on the original spec: every
         // consecutive pair must be one of its labelled transitions.
         for w in v_canon.trace.steps.windows(2) {
@@ -178,7 +211,7 @@ fn decanonicalized_traces_replay_on_the_original_spec() {
                     .iter()
                     .any(|(l, s)| *l == w[1].action && *s == w[1].state),
                 "step {:?} -> {:?} via {} is not a transition of the original spec \
-                 ({store})",
+                 ({cell})",
                 w[0].state,
                 w[1].state,
                 w[1].action
@@ -189,7 +222,7 @@ fn decanonicalized_traces_replay_on_the_original_spec() {
             !spec
                 .violated_invariants(v_canon.trace.last_state().unwrap())
                 .is_empty(),
-            "{store}"
+            "{cell}"
         );
     }
 }
@@ -197,59 +230,66 @@ fn decanonicalized_traces_replay_on_the_original_spec() {
 #[test]
 fn dfs_reduces_and_replays_under_symmetry_too() {
     let spec = workers_spec(3, 3, Some(vec![1, 2, 2]));
-    for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
-        let passing = workers_spec(3, 3, None);
-        let off = check_dfs(&passing, &options(SymmetryMode::Off, store));
-        let canon = check_dfs(&passing, &options(SymmetryMode::Canonicalize, store));
-        assert_eq!(off.stop_reason, StopReason::Exhausted, "{store}");
-        assert_eq!(canon.stop_reason, StopReason::Exhausted, "{store}");
+    let passing = workers_spec(3, 3, None);
+    for (off_options, canon_options, cell) in cell_pairs() {
+        let off = check_dfs(&passing, &off_options);
+        let canon = check_dfs(&passing, &canon_options);
+        assert_eq!(off.stop_reason, StopReason::Exhausted, "{cell}");
+        assert_eq!(canon.stop_reason, StopReason::Exhausted, "{cell}");
         assert!(
             canon.stats.distinct_states < off.stats.distinct_states,
-            "{store}"
+            "{cell}"
         );
 
-        let outcome = check_dfs(&spec, &options(SymmetryMode::Canonicalize, store));
+        let outcome = check_dfs(&spec, &canon_options);
         let v = outcome.first_violation().expect("DFS finds the violation");
         for w in v.trace.steps.windows(2) {
             assert!(
                 spec.successors(&w[0].state)
                     .iter()
                     .any(|(l, s)| *l == w[1].action && *s == w[1].state),
-                "DFS witness must replay on the original spec ({store})"
+                "DFS witness must replay on the original spec ({cell})"
             );
         }
         assert!(
             !spec
                 .violated_invariants(v.trace.last_state().unwrap())
                 .is_empty(),
-            "{store}"
+            "{cell}"
         );
     }
 }
 
 #[test]
 fn symmetry_mode_is_a_no_op_without_an_attached_group() {
-    // A spec without `Spec::symmetry` must explore identically whatever the mode —
-    // this is what keeps the REMIX_SYMMETRY CI matrix safe for asymmetric models.
+    // A spec without `Spec::symmetry` must explore identically whatever the mode, so
+    // selecting symmetry is safe for asymmetric models.
     let mut spec = workers_spec(2, 3, None);
     spec.symmetry = None;
-    let off = check_bfs(&spec, &options(SymmetryMode::Off, StoreMode::Full));
-    let canon = check_bfs(&spec, &options(SymmetryMode::Canonicalize, StoreMode::Full));
-    assert_eq!(off.stats.distinct_states, canon.stats.distinct_states);
-    assert_eq!(off.stats.transitions, canon.stats.transitions);
+    for (off_options, canon_options, cell) in cell_pairs() {
+        let off = check_bfs(&spec, &off_options);
+        let canon = check_bfs(&spec, &canon_options);
+        assert_eq!(
+            off.stats.distinct_states, canon.stats.distinct_states,
+            "{cell}"
+        );
+        assert_eq!(off.stats.transitions, canon.stats.transitions, "{cell}");
+    }
 }
 
 #[test]
 fn parallel_symmetric_runs_agree_with_sequential() {
     let spec = workers_spec(3, 4, None);
-    let seq = check_bfs(&spec, &options(SymmetryMode::Canonicalize, StoreMode::Full));
-    let par = check_bfs(
-        &spec,
-        &options(SymmetryMode::Canonicalize, StoreMode::Full).with_workers(4),
-    );
-    assert_eq!(seq.stats.distinct_states, par.stats.distinct_states);
-    assert_eq!(seq.stats.transitions, par.stats.transitions);
-    assert_eq!(seq.stats.max_depth, par.stats.max_depth);
+    for (_, options, cell) in cell_pairs() {
+        let seq = check_bfs(&spec, &options);
+        let par = check_bfs(&spec, &options.with_workers(4));
+        assert_eq!(
+            seq.stats.distinct_states, par.stats.distinct_states,
+            "{cell}"
+        );
+        assert_eq!(seq.stats.transitions, par.stats.transitions, "{cell}");
+        assert_eq!(seq.stats.max_depth, par.stats.max_depth, "{cell}");
+    }
 }
 
 #[test]
@@ -315,70 +355,71 @@ fn refinement_applies_symmetry_only_under_a_declared_equivariant_projection() {
         .with_stability(move |s: &Workers| s.0.iter().all(|&c| c == 0 || c == max))
     };
 
-    let opts = RefineOptions::default()
-        .with_mode(RefineMode::TraceInclusion)
-        .with_symmetry(SymmetryMode::Canonicalize);
-
-    // Without the equivariance declaration the knob is ignored: state counts match a
-    // symmetry-off run exactly.
-    let plain = check_refinement(&fine, &coarse, &projection(), &opts);
-    let off = check_refinement(
-        &fine,
-        &coarse,
-        &projection(),
-        &RefineOptions::default()
+    for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
+        let base = RefineOptions::default()
             .with_mode(RefineMode::TraceInclusion)
-            .with_symmetry(SymmetryMode::Off),
-    );
-    assert!(
-        plain.refines() == Some(true) && off.refines() == Some(true),
-        "{plain}\n{off}"
-    );
-    assert_eq!(plain.stats.fine_states, off.stats.fine_states);
-    assert_eq!(plain.stats.coarse_states, off.stats.coarse_states);
+            .with_store_mode(store);
+        let opts = base.clone().with_symmetry(SymmetryMode::Canonicalize);
 
-    // With the declaration, both sides explore canonical representatives: strictly
-    // fewer concrete states, identical verdict, identical projected classes.
-    let reduced = check_refinement(&fine, &coarse, &projection().assume_equivariant(), &opts);
-    assert_eq!(reduced.refines(), Some(true), "{reduced}");
-    assert!(reduced.conclusive());
-    assert!(
-        reduced.stats.fine_states < off.stats.fine_states,
-        "{} vs {}",
-        reduced.stats.fine_states,
-        off.stats.fine_states
-    );
-    assert!(reduced.stats.coarse_states < off.stats.coarse_states);
-    assert_eq!(reduced.stats.fine_projections, off.stats.fine_projections);
-    assert_eq!(
-        reduced.stats.coarse_projections,
-        off.stats.coarse_projections
-    );
-
-    // And a genuinely diverging pair still yields a replayable, de-canonicalized
-    // witness: forbid the all-max multiset on the coarse side only.
-    let fine_capped = workers_spec(3, 2, None);
-    let diverging = check_refinement(
-        &fine_capped,
-        &coarse,
-        &projection().assume_equivariant(),
-        &opts,
-    );
-    let divergence = diverging
-        .divergence
-        .as_ref()
-        .expect("coarse reaches settled multisets the capped fine spec cannot");
-    for w in divergence.witness.steps.windows(2) {
-        let spec = if divergence.witness_spec == "workers-coarse" {
-            &coarse
-        } else {
-            &fine_capped
-        };
-        assert!(
-            spec.successors(&w[0].state)
-                .iter()
-                .any(|(l, s)| *l == w[1].action && *s == w[1].state),
-            "witness must replay on the original spec"
+        // Without the equivariance declaration the knob is ignored: state counts match a
+        // symmetry-off run exactly.
+        let plain = check_refinement(&fine, &coarse, &projection(), &opts);
+        let off = check_refinement(
+            &fine,
+            &coarse,
+            &projection(),
+            &base.with_symmetry(SymmetryMode::Off),
         );
+        assert!(
+            plain.refines() == Some(true) && off.refines() == Some(true),
+            "{store}: {plain}\n{off}"
+        );
+        assert_eq!(plain.stats.fine_states, off.stats.fine_states);
+        assert_eq!(plain.stats.coarse_states, off.stats.coarse_states);
+
+        // With the declaration, both sides explore canonical representatives: strictly
+        // fewer concrete states, identical verdict, identical projected classes.
+        let reduced = check_refinement(&fine, &coarse, &projection().assume_equivariant(), &opts);
+        assert_eq!(reduced.refines(), Some(true), "{reduced}");
+        assert!(reduced.conclusive());
+        assert!(
+            reduced.stats.fine_states < off.stats.fine_states,
+            "{} vs {}",
+            reduced.stats.fine_states,
+            off.stats.fine_states
+        );
+        assert!(reduced.stats.coarse_states < off.stats.coarse_states);
+        assert_eq!(reduced.stats.fine_projections, off.stats.fine_projections);
+        assert_eq!(
+            reduced.stats.coarse_projections,
+            off.stats.coarse_projections
+        );
+
+        // And a genuinely diverging pair still yields a replayable, de-canonicalized
+        // witness: forbid the all-max multiset on the coarse side only.
+        let fine_capped = workers_spec(3, 2, None);
+        let diverging = check_refinement(
+            &fine_capped,
+            &coarse,
+            &projection().assume_equivariant(),
+            &opts,
+        );
+        let divergence = diverging
+            .divergence
+            .as_ref()
+            .expect("coarse reaches settled multisets the capped fine spec cannot");
+        for w in divergence.witness.steps.windows(2) {
+            let spec = if divergence.witness_spec == "workers-coarse" {
+                &coarse
+            } else {
+                &fine_capped
+            };
+            assert!(
+                spec.successors(&w[0].state)
+                    .iter()
+                    .any(|(l, s)| *l == w[1].action && *s == w[1].state),
+                "witness must replay on the original spec ({store})"
+            );
+        }
     }
 }

@@ -101,22 +101,21 @@ pub struct VerifierOptions {
     /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub batch_size: usize,
     /// Which backend the checker keeps discovered states in: the compact full-state
-    /// arena, or the TLC-style memory-bounded fingerprint-only store; see
-    /// [`StoreMode`].
+    /// arena (the default), or the TLC-style memory-bounded fingerprint-only store;
+    /// see [`StoreMode`].
     pub store_mode: StoreMode,
     /// Whether the checker dedups on canonical representatives under the
     /// specification's symmetry group (all Zab presets attach one: `ZabState` is
     /// symmetric under server-id permutation); violation traces are de-canonicalized
-    /// before they are reported.  See [`SymmetryMode`].
+    /// before they are reported.  Off by default; see [`SymmetryMode`].
     pub symmetry: SymmetryMode,
-    /// Memory budget and spill directory of the checker's out-of-core tier; defaults
-    /// honour `REMIX_MEM_BUDGET` / `REMIX_SPILL_DIR`.  See
-    /// [`SpillConfig`].
+    /// Memory budget and spill directory of the checker's out-of-core tier; in RAM by
+    /// default, armed by [`VerifierOptions::with_mem_budget`].  See [`SpillConfig`].
     pub spill: SpillConfig,
     /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub route_by_owner: bool,
     /// Whether the checker prunes provably redundant interleavings of independent
-    /// actions with sleep sets (the default honours `REMIX_POR`); see
+    /// actions with sleep sets (off by default); see
     /// [`CheckOptions::por`](remix_checker::CheckOptions).
     pub por: bool,
     /// Restrict checking to these invariant identifiers (empty = all selected by the
@@ -141,11 +140,11 @@ impl Default for VerifierOptions {
             workers: 1,
             shards: check.shards,
             batch_size: check.batch_size,
-            store_mode: check.store_mode,
-            symmetry: check.symmetry,
-            spill: check.spill,
+            store_mode: StoreMode::Full,
+            symmetry: SymmetryMode::Off,
+            spill: SpillConfig::in_ram(),
             route_by_owner: check.route_by_owner,
-            por: check.por,
+            por: false,
             only_invariants: Vec::new(),
             shrink_counterexamples: false,
         }
@@ -587,18 +586,23 @@ mod tests {
             max_depth: 64,
         };
 
-        // The honest workspace passes the gate (and a tiny bounded check).
-        let composed = Composer::new(config)
-            .compose_preset(SpecPreset::MSpec3)
-            .expect("preset composes");
-        let run = verifier.verify_spec_gated(
-            composed.spec,
-            &VerifierOptions::default()
-                .with_time_budget(Duration::from_secs(10))
-                .with_max_states(500),
-            corpus,
-        );
-        assert!(run.is_ok(), "honest spec must pass the gate: {run:?}");
+        // The honest workspace passes the gate (and a tiny bounded check), whichever
+        // store the checker then runs on.
+        for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
+            let composed = Composer::new(config)
+                .compose_preset(SpecPreset::MSpec3)
+                .expect("preset composes");
+            let run = verifier.verify_spec_gated(
+                composed.spec,
+                &VerifierOptions::default()
+                    .with_store_mode(store)
+                    .with_time_budget(Duration::from_secs(10))
+                    .with_max_states(500),
+                corpus,
+            );
+            let run = run.unwrap_or_else(|e| panic!("honest spec must pass the gate: {e}"));
+            assert_eq!(run.outcome.stats.distinct_states, 500, "{store}");
+        }
 
         // The seeded NodeRestart under-declaration is refused before checking.
         let mut seeded = Composer::new(config)

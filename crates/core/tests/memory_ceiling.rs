@@ -2,16 +2,14 @@
 //! to a fraction of a percent (`peak_rss_mb`), gated where CI already runs.
 //!
 //! A test file is its own process, and this file holds a single test, so the process's
-//! peak resident set (`VmHWM`) belongs to that one exploration.  The options are built
-//! field by field: a `Default` would read the `REMIX_*` hooks of whichever CI leg runs
-//! this, and a fingerprint-only or spilling run says nothing about what a state costs.
+//! peak resident set (`VmHWM`) belongs to that one exploration.  The run uses the
+//! default options — Full store, in RAM, no reductions, one worker — because a
+//! fingerprint-only or spilling run says nothing about what a state costs.
 #![cfg(target_os = "linux")]
 
 use std::time::Duration;
 
-use remix_checker::{
-    check_bfs, CheckMode, CheckOptions, SpillConfig, StopReason, StoreMode, SymmetryMode,
-};
+use remix_checker::{check_bfs, CheckOptions, StopReason};
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
 /// `VmHWM` was 688 MiB with deep-copied states, 208 MiB with components shared along
@@ -41,21 +39,7 @@ fn exhaust_fine_stays_under_the_memory_ceiling() {
     let config = ClusterConfig::small(CodeVersion::FinalFix)
         .with_transactions(1)
         .with_crashes(2);
-    let options = CheckOptions {
-        mode: CheckMode::FirstViolation,
-        max_depth: None,
-        time_budget: Some(Duration::from_secs(600)),
-        max_states: None,
-        workers: 1,
-        shards: 64,
-        batch_size: 128,
-        collect_traces: true,
-        store_mode: StoreMode::Full,
-        symmetry: SymmetryMode::Off,
-        spill: SpillConfig::in_ram(),
-        route_by_owner: false,
-        por: false,
-    };
+    let options = CheckOptions::default().with_time_budget(Duration::from_secs(600));
     let outcome = check_bfs(&SpecPreset::MSpec3.build(&config), &options);
     assert_eq!(outcome.stop_reason, StopReason::Exhausted, "{outcome}");
     assert!(outcome.passed(), "{outcome}");

@@ -3,13 +3,16 @@
 //! shrunk fine-trace witness, and the differential version matrix localizes every
 //! injected bug to the module that carries it.
 //!
-//! These are expensive dual state-space explorations; like `guided_explore_zab.rs`
-//! they are release-gated.
+//! Every check runs in three store cells (see `cells`): verdicts and witnesses must
+//! not depend on the store backend or on going out of core.  These are expensive dual
+//! state-space explorations; like `guided_explore_zab.rs` they are release-gated.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use remix_checker::{check_refinement, replay_labels, DivergenceKind, RefineOptions};
+use remix_checker::{
+    check_refinement, replay_labels, DivergenceKind, RefineOptions, SpillConfig, StoreMode,
+};
 use remix_core::Verifier;
 use remix_spec::{CompositionPlan, Granularity};
 use remix_zab::modules::{BROADCAST, DISCOVERY, ELECTION, SYNCHRONIZATION};
@@ -17,6 +20,24 @@ use remix_zab::{coarse_vs_baseline, ClusterConfig, CodeVersion, ServerState, Spe
 
 fn options() -> RefineOptions {
     RefineOptions::default().with_time_budget(Duration::from_secs(120))
+}
+
+/// The store cells each check runs in: both backends in RAM, and the Full store under
+/// a 1 MiB budget, which sends the larger explorations' fingerprint sets to disk runs.
+fn cells(base: RefineOptions) -> [RefineOptions; 3] {
+    [
+        base.clone(),
+        base.clone().with_store_mode(StoreMode::FingerprintOnly),
+        base.with_spill(SpillConfig::in_ram().with_budget_bytes(1 << 20)),
+    ]
+}
+
+/// A cell's name for assertion messages.
+fn cell_name(options: &RefineOptions) -> String {
+    format!(
+        "{} store, budget {:?}",
+        options.store_mode, options.spill.budget_bytes
+    )
 }
 
 /// The FineAtomic counterpart of the system specification: the NEWLEADER handshake
@@ -42,19 +63,36 @@ fn coarse_election_refines_baseline_conclusively() {
             max_crashes: 0,
             ..ClusterConfig::small(version)
         };
-        let run = Verifier::new(config)
-            .check_refinement(SpecPreset::SysSpec, SpecPreset::MSpec1, &options())
-            .expect("presets form a refinement pair");
-        assert_eq!(run.refines(), Some(true), "{version:?}: {}", run.outcome);
-        assert!(run.outcome.conclusive(), "{version:?} must be conclusive");
-        assert!(run.outcome.stats.fine_states > run.outcome.stats.coarse_states);
-        assert_eq!(
-            run.outcome.stats.fine_projections, run.outcome.stats.coarse_projections,
-            "the stable projected state spaces coincide exactly"
-        );
-        let row = run.row();
-        assert!(row.verdict == "refines" && row.conclusive);
-        assert!(row.to_json().contains("\"verdict\":\"refines\""));
+        for options in cells(options()) {
+            let cell = cell_name(&options);
+            let run = Verifier::new(config)
+                .check_refinement(SpecPreset::SysSpec, SpecPreset::MSpec1, &options)
+                .expect("presets form a refinement pair");
+            assert_eq!(
+                run.refines(),
+                Some(true),
+                "{version:?}, {cell}: {}",
+                run.outcome
+            );
+            assert!(
+                run.outcome.conclusive(),
+                "{version:?}, {cell} must be conclusive"
+            );
+            assert!(run.outcome.stats.fine_states > run.outcome.stats.coarse_states);
+            assert_eq!(
+                run.outcome.stats.fine_spill.spilled(),
+                options.spill.is_active(),
+                "the budget cell's fine side goes out of core ({cell}): {:?}",
+                run.outcome.stats.fine_spill
+            );
+            assert_eq!(
+                run.outcome.stats.fine_projections, run.outcome.stats.coarse_projections,
+                "the stable projected state spaces coincide exactly ({cell})"
+            );
+            let row = run.row();
+            assert!(row.verdict == "refines" && row.conclusive);
+            assert!(row.to_json().contains("\"verdict\":\"refines\""));
+        }
     }
 }
 
@@ -73,37 +111,8 @@ fn coarse_election_under_crashes_diverges_until_fault_completed() {
         max_epoch: 2,
         ..ClusterConfig::small(CodeVersion::V391)
     };
-    let options = RefineOptions::default()
-        .with_time_budget(Duration::from_secs(150))
-        .with_max_states(900_000);
-
-    // (a) The stock preset under-approximates: a crash-interrupted round diverges.
-    let run = Verifier::new(config)
-        .check_refinement(SpecPreset::SysSpec, SpecPreset::MSpec1, &options)
-        .expect("presets form a refinement pair");
-    let divergence = run.outcome.divergence.as_ref().expect("must diverge");
-    assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse);
     let fine = SpecPreset::SysSpec.build(&config);
     let coarse = SpecPreset::MSpec1.build(&config);
-    let culprits = run.culprit_modules(&fine, &coarse);
-    assert!(
-        culprits.contains(&ELECTION) || culprits.contains(&DISCOVERY),
-        "the witness's fine-only actions are the interrupted election round: {culprits:?}"
-    );
-    assert!(
-        divergence
-            .witness
-            .action_labels()
-            .iter()
-            .any(|l| l.starts_with("NodeCrash")),
-        "the crash is load-bearing: {:?}",
-        divergence.witness.action_labels()
-    );
-
-    // (b) The fault-complete module closes the witnessed gap: the same check either
-    // refines within the bounds, or — in the spirit of §4.1's discrepancy-driven spec
-    // refinement — moves on to a *different*, deeper fault-interleaving gap.  Either
-    // way the interrupted-round interaction of (a) is now admitted by the coarse side.
     let mut completed = SpecPreset::MSpec1.build(&config);
     let cfg = std::sync::Arc::new(config);
     for module in &mut completed.modules {
@@ -112,18 +121,51 @@ fn coarse_election_under_crashes_diverges_until_fault_completed() {
         }
     }
     let projection = coarse_vs_baseline(&config);
-    let outcome = check_refinement(&fine, &completed, &projection, &options);
-    assert!(
-        outcome.stats.coarse_complete,
-        "the coarse side must be exhausted for the verdict to mean anything"
-    );
-    match &outcome.divergence {
-        None => {}
-        Some(next_gap) => assert_ne!(
-            next_gap.projection, divergence.projection,
-            "the interrupted-round gap itself must be closed; a remaining divergence \
-             must be a different missing interaction"
-        ),
+    let base = RefineOptions::default()
+        .with_time_budget(Duration::from_secs(150))
+        .with_max_states(900_000);
+
+    for options in cells(base) {
+        let cell = cell_name(&options);
+        // (a) The stock preset under-approximates: a crash-interrupted round diverges.
+        let run = Verifier::new(config)
+            .check_refinement(SpecPreset::SysSpec, SpecPreset::MSpec1, &options)
+            .expect("presets form a refinement pair");
+        let divergence = run.outcome.divergence.as_ref().expect("must diverge");
+        assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse, "{cell}");
+        let culprits = run.culprit_modules(&fine, &coarse);
+        assert!(
+            culprits.contains(&ELECTION) || culprits.contains(&DISCOVERY),
+            "{cell}: the witness's fine-only actions are the interrupted election round: \
+             {culprits:?}"
+        );
+        assert!(
+            divergence
+                .witness
+                .action_labels()
+                .iter()
+                .any(|l| l.starts_with("NodeCrash")),
+            "{cell}: the crash is load-bearing: {:?}",
+            divergence.witness.action_labels()
+        );
+
+        // (b) The fault-complete module closes the witnessed gap: the same check either
+        // refines within the bounds, or — in the spirit of §4.1's discrepancy-driven spec
+        // refinement — moves on to a *different*, deeper fault-interleaving gap.  Either
+        // way the interrupted-round interaction of (a) is now admitted by the coarse side.
+        let outcome = check_refinement(&fine, &completed, &projection, &options);
+        assert!(
+            outcome.stats.coarse_complete,
+            "{cell}: the coarse side must be exhausted for the verdict to mean anything"
+        );
+        match &outcome.divergence {
+            None => {}
+            Some(next_gap) => assert_ne!(
+                next_gap.projection, divergence.projection,
+                "{cell}: the interrupted-round gap itself must be closed; a remaining \
+                 divergence must be a different missing interaction"
+            ),
+        }
     }
 }
 
@@ -164,34 +206,36 @@ fn broken_coarse_action_yields_a_shrunk_fine_witness() {
         }
     }
     let projection = coarse_vs_baseline(&config);
-    let outcome = check_refinement(&fine, &coarse, &projection, &options());
-
-    let divergence = outcome.divergence.expect("the sabotage must be caught");
-    assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse);
-    assert_eq!(divergence.witness_spec, "SysSpec");
-    assert!(
-        divergence.witness.depth() <= divergence.original_depth,
-        "the witness is never longer than the raw trace"
-    );
-    assert!(divergence.witness.depth() > 0);
-    // The shrunk witness is a legal fine execution...
-    let labels: Vec<String> = divergence
-        .witness
-        .action_labels()
-        .iter()
-        .map(|l| l.to_string())
-        .collect();
-    let replayed = replay_labels(&fine, &fine.init[0], &labels).expect("witness replays");
-    // ...that still reaches a stable projection the broken coarse spec is missing:
-    // its final state has a committed leader epoch the sabotage can never produce.
-    let last = replayed.last_state().expect("non-empty");
-    assert!(projection.is_stable(last));
-    assert!(
-        last.servers
+    for options in cells(options()) {
+        let cell = cell_name(&options);
+        let outcome = check_refinement(&fine, &coarse, &projection, &options);
+        let divergence = outcome.divergence.expect("the sabotage must be caught");
+        assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse, "{cell}");
+        assert_eq!(divergence.witness_spec, "SysSpec", "{cell}");
+        assert!(
+            divergence.witness.depth() <= divergence.original_depth,
+            "the witness is never longer than the raw trace"
+        );
+        assert!(divergence.witness.depth() > 0);
+        // The shrunk witness is a legal fine execution...
+        let labels: Vec<String> = divergence
+            .witness
+            .action_labels()
             .iter()
-            .any(|sv| sv.state == ServerState::Leading && sv.current_epoch > 0),
-        "the distinguishing effect is the committed leader epoch"
-    );
+            .map(|l| l.to_string())
+            .collect();
+        let replayed = replay_labels(&fine, &fine.init[0], &labels).expect("witness replays");
+        // ...that still reaches a stable projection the broken coarse spec is missing:
+        // its final state has a committed leader epoch the sabotage can never produce.
+        let last = replayed.last_state().expect("non-empty");
+        assert!(projection.is_stable(last));
+        assert!(
+            last.servers
+                .iter()
+                .any(|sv| sv.state == ServerState::Leading && sv.current_epoch > 0),
+            "the distinguishing effect is the committed leader epoch ({cell})"
+        );
+    }
 }
 
 #[test]
@@ -203,24 +247,30 @@ fn compose_checked_makes_interaction_preserved_a_checked_property() {
         ..ClusterConfig::small(CodeVersion::V391)
     };
     let composer = remix_core::Composer::new(config);
-    let composed = composer
-        .compose_checked(&SpecPreset::MSpec1.plan(), &options())
-        .expect("composes");
-    let refinement = composed.refinement.as_ref().expect("semantic check ran");
-    assert_eq!(refinement.refines(), Some(true));
-    assert!(composed.interaction_preserved());
+    for options in cells(options()) {
+        let cell = cell_name(&options);
+        let composed = composer
+            .compose_checked(&SpecPreset::MSpec1.plan(), &options)
+            .expect("composes");
+        let refinement = composed.refinement.as_ref().expect("semantic check ran");
+        assert_eq!(refinement.refines(), Some(true), "{cell}");
+        assert!(composed.interaction_preserved());
 
-    // A composition with nothing coarsened skips the semantic check.
-    let baseline = composer
-        .compose_checked(&SpecPreset::SysSpec.plan(), &options())
-        .expect("composes");
-    assert!(baseline.refinement.is_none());
-    assert!(baseline.interaction_preserved());
+        // A composition with nothing coarsened skips the semantic check.
+        let baseline = composer
+            .compose_checked(&SpecPreset::SysSpec.plan(), &options)
+            .expect("composes");
+        assert!(baseline.refinement.is_none());
+        assert!(baseline.interaction_preserved());
+    }
 }
 
 /// One row of the differential version matrix: refinement of the fine-grained
 /// (concurrency) composition against the baseline, under one code version.
-fn version_row(version: CodeVersion) -> (remix_core::RefinementRun, Vec<&'static str>) {
+fn version_row(
+    version: CodeVersion,
+    options: &RefineOptions,
+) -> (remix_core::RefinementRun, Vec<&'static str>) {
     let config = ClusterConfig {
         max_transactions: 1,
         max_crashes: 0,
@@ -228,7 +278,7 @@ fn version_row(version: CodeVersion) -> (remix_core::RefinementRun, Vec<&'static
     };
     let verifier = Verifier::new(config);
     let run = verifier
-        .check_refinement(SpecPreset::MSpec4, SpecPreset::SysSpec, &options())
+        .check_refinement(SpecPreset::MSpec4, SpecPreset::SysSpec, options)
         .expect("presets form a refinement pair");
     let fine = SpecPreset::MSpec4.build(&config);
     let coarse = SpecPreset::SysSpec.build(&config);
@@ -256,23 +306,26 @@ fn version_matrix_localizes_every_injected_bug_to_its_module() {
         CodeVersion::Pr1993,
         CodeVersion::Pr2111,
     ] {
-        let (run, culprits) = version_row(version);
-        let divergence = run
-            .outcome
-            .divergence
-            .as_ref()
-            .unwrap_or_else(|| panic!("{version:?} must diverge: {}", run.outcome));
-        assert_eq!(
-            divergence.kind,
-            DivergenceKind::MissingInCoarse,
-            "{version:?}: the fine composition has behaviours the baseline lacks"
-        );
-        assert_eq!(
-            culprits,
-            vec!["Synchronization"],
-            "{version:?}: the witness's fine-only actions localize the bug"
-        );
-        assert!(divergence.witness.depth() <= divergence.original_depth);
+        for options in cells(options()) {
+            let cell = cell_name(&options);
+            let (run, culprits) = version_row(version, &options);
+            let divergence = run
+                .outcome
+                .divergence
+                .as_ref()
+                .unwrap_or_else(|| panic!("{version:?}, {cell} must diverge: {}", run.outcome));
+            assert_eq!(
+                divergence.kind,
+                DivergenceKind::MissingInCoarse,
+                "{version:?}, {cell}: the fine composition has behaviours the baseline lacks"
+            );
+            assert_eq!(
+                culprits,
+                vec!["Synchronization"],
+                "{version:?}, {cell}: the witness's fine-only actions localize the bug"
+            );
+            assert!(divergence.witness.depth() <= divergence.original_depth);
+        }
     }
 }
 
@@ -284,19 +337,22 @@ fn final_fix_residual_divergence_is_the_missing_uptodate_ack() {
     // state transition" — the baseline omits the follower's UPTODATE acknowledgement,
     // which the implementation (and the fine spec) sends and the leader counts as a
     // proposal acknowledgement.  The witness still localizes to Synchronization.
-    let (run, culprits) = version_row(CodeVersion::FinalFix);
-    let divergence = run.outcome.divergence.as_ref().expect("§2.2.3 divergence");
-    assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse);
-    assert_eq!(culprits, vec!["Synchronization"]);
-    assert!(
-        divergence
-            .witness
-            .action_labels()
-            .iter()
-            .any(|l| l.starts_with("FollowerProcessUPTODATE")),
-        "the witness exercises the UPTODATE path: {:?}",
-        divergence.witness.action_labels()
-    );
+    for options in cells(options()) {
+        let cell = cell_name(&options);
+        let (run, culprits) = version_row(CodeVersion::FinalFix, &options);
+        let divergence = run.outcome.divergence.as_ref().expect("§2.2.3 divergence");
+        assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse, "{cell}");
+        assert_eq!(culprits, vec!["Synchronization"], "{cell}");
+        assert!(
+            divergence
+                .witness
+                .action_labels()
+                .iter()
+                .any(|l| l.starts_with("FollowerProcessUPTODATE")),
+            "{cell}: the witness exercises the UPTODATE path: {:?}",
+            divergence.witness.action_labels()
+        );
+    }
 }
 
 #[test]
@@ -319,31 +375,34 @@ fn fixed_versions_refine_cleanly_at_the_atomicity_granularity() {
             max_crashes: 0,
             ..ClusterConfig::small(version)
         };
-        let run = Verifier::new(config)
-            .check_refinement_plans(&fine_atomic_plan(), &SpecPreset::SysSpec.plan(), &options())
-            .expect("plans form a refinement pair");
-        assert!(
-            run.outcome.divergence.is_none(),
-            "{version:?}: {}",
-            run.outcome
-        );
-        if must_be_conclusive {
-            assert_eq!(
-                run.refines(),
-                Some(true),
-                "{version:?}: a conclusive clean run is a definite verdict"
+        for options in cells(options()) {
+            let cell = cell_name(&options);
+            let run = Verifier::new(config)
+                .check_refinement_plans(&fine_atomic_plan(), &SpecPreset::SysSpec.plan(), &options)
+                .expect("plans form a refinement pair");
+            assert!(
+                run.outcome.divergence.is_none(),
+                "{version:?}, {cell}: {}",
+                run.outcome
             );
-            assert!(run.outcome.conclusive(), "{version:?}");
-            assert_eq!(
-                run.outcome.stats.fine_projections,
-                run.outcome.stats.coarse_projections
-            );
-        } else {
-            assert_ne!(
-                run.refines(),
-                Some(false),
-                "{version:?}: no divergence may be claimed"
-            );
+            if must_be_conclusive {
+                assert_eq!(
+                    run.refines(),
+                    Some(true),
+                    "{version:?}, {cell}: a conclusive clean run is a definite verdict"
+                );
+                assert!(run.outcome.conclusive(), "{version:?}, {cell}");
+                assert_eq!(
+                    run.outcome.stats.fine_projections,
+                    run.outcome.stats.coarse_projections
+                );
+            } else {
+                assert_ne!(
+                    run.refines(),
+                    Some(false),
+                    "{version:?}, {cell}: no divergence may be claimed"
+                );
+            }
         }
     }
 }
@@ -424,25 +483,24 @@ fn zk4712_version_differential_localizes_to_faults_and_sync() {
             normalize_sync: true,
         },
     );
-    let outcome = check_refinement(
-        &fine,
-        &coarse,
-        &projection,
-        &RefineOptions::default().with_time_budget(Duration::from_secs(180)),
-    );
-    let divergence = outcome.divergence.as_ref().expect("ZK-4712 must diverge");
-    assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse);
-    let labels = divergence.witness.action_labels();
-    assert!(
-        labels
-            .iter()
-            .any(|l| l.starts_with("FollowerShutdown") || l.starts_with("LeaderShutdown")),
-        "the fault module's shutdown is load-bearing: {labels:?}"
-    );
-    assert!(
-        labels
-            .iter()
-            .any(|l| l.starts_with("FollowerSyncProcessorLogRequest")),
-        "the sync thread logging the stale request is load-bearing: {labels:?}"
-    );
+    let base = RefineOptions::default().with_time_budget(Duration::from_secs(180));
+    for options in cells(base) {
+        let cell = cell_name(&options);
+        let outcome = check_refinement(&fine, &coarse, &projection, &options);
+        let divergence = outcome.divergence.as_ref().expect("ZK-4712 must diverge");
+        assert_eq!(divergence.kind, DivergenceKind::MissingInCoarse, "{cell}");
+        let labels = divergence.witness.action_labels();
+        assert!(
+            labels
+                .iter()
+                .any(|l| l.starts_with("FollowerShutdown") || l.starts_with("LeaderShutdown")),
+            "{cell}: the fault module's shutdown is load-bearing: {labels:?}"
+        );
+        assert!(
+            labels
+                .iter()
+                .any(|l| l.starts_with("FollowerSyncProcessorLogRequest")),
+            "{cell}: the sync thread logging the stale request is load-bearing: {labels:?}"
+        );
+    }
 }

@@ -153,8 +153,8 @@ impl<S: SpecState> Spec<S> {
     ///
     /// Attaching symmetry does not change any behaviour by itself: engines key their
     /// dedup maps, fingerprints and coverage counters on canonical forms only when
-    /// their options select `SymmetryMode::Canonicalize` (the `REMIX_SYMMETRY` hook in
-    /// `remix-checker`).
+    /// their options select `SymmetryMode::Canonicalize` (`with_symmetry` on
+    /// `remix-checker`'s option structs).
     pub fn with_canonicalization(mut self) -> Self
     where
         S: Canonicalize,

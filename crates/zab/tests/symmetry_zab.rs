@@ -3,7 +3,7 @@
 //! must explore strictly fewer distinct states than `Off` with the same stop reason
 //! and invariant verdicts, and a seeded violation's de-canonicalized witness must
 //! replay step-by-step through `Spec::successors` on the *un*-canonicalized
-//! specification — under both store backends.
+//! specification — under both store backends, with and without sleep-set POR.
 //!
 //! Measured shape of the exhaustion workload (mSpec-3 on FinalFix, 1 transaction,
 //! 1 crash — the `BENCH_table5.json` workload): 16,702 concrete states collapse to
@@ -27,6 +27,13 @@ fn options(symmetry: SymmetryMode, store: StoreMode) -> CheckOptions {
     CheckOptions::default()
         .with_symmetry(symmetry)
         .with_store_mode(store)
+}
+
+/// Every `(store backend, POR)` cell a reduced run is checked in.
+fn cells() -> impl Iterator<Item = (StoreMode, bool)> {
+    [StoreMode::Full, StoreMode::FingerprintOnly]
+        .into_iter()
+        .flat_map(|store| [(store, false), (store, true)])
 }
 
 /// Replays a reported witness step-by-step through `Spec::successors` on the original
@@ -66,9 +73,13 @@ fn invariants_violated_at(spec: &remix_spec::Spec<ZabState>, depth: u32) -> Vec<
 #[test]
 fn canonicalize_exhausts_with_fewer_states_and_the_same_verdict() {
     let spec = SpecPreset::MSpec3.build(&exhaustion_config());
-    for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
-        let off = check_bfs(&spec, &options(SymmetryMode::Off, store));
-        let canon = check_bfs(&spec, &options(SymmetryMode::Canonicalize, store));
+    for (store, por) in cells() {
+        let off = check_bfs(&spec, &options(SymmetryMode::Off, store).with_por(por));
+        let canon = check_bfs(
+            &spec,
+            &options(SymmetryMode::Canonicalize, store).with_por(por),
+        );
+        let store = format!("{store}, por {por}");
         assert_eq!(off.stop_reason, StopReason::Exhausted, "{store}");
         assert_eq!(
             canon.stop_reason, off.stop_reason,
@@ -111,8 +122,12 @@ fn seeded_violation_decanonicalizes_and_replays_in_both_store_modes() {
     let v_base = baseline.first_violation().expect("v3.9.1 violates");
     let at_depth = invariants_violated_at(&spec, v_base.depth);
     assert!(at_depth.contains(&v_base.invariant), "{at_depth:?}");
-    for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
-        let outcome = check_bfs(&spec, &options(SymmetryMode::Canonicalize, store));
+    for (store, por) in cells() {
+        let outcome = check_bfs(
+            &spec,
+            &options(SymmetryMode::Canonicalize, store).with_por(por),
+        );
+        let store = format!("{store}, por {por}");
         assert_eq!(outcome.stop_reason, StopReason::FirstViolation, "{store}");
         let v = outcome.first_violation().expect("violation found");
         assert!(
@@ -142,13 +157,16 @@ fn seeded_violation_decanonicalizes_and_replays_in_both_store_modes() {
 
 #[test]
 fn rest_of_engine_knobs_compose_with_symmetry() {
-    // Workers must not change what a symmetric run explores.
+    // Workers must not change what a symmetric run explores, pruned or not.
     let spec = SpecPreset::MSpec3.build(&exhaustion_config());
-    let seq = check_bfs(&spec, &options(SymmetryMode::Canonicalize, StoreMode::Full));
-    let par = check_bfs(
-        &spec,
-        &options(SymmetryMode::Canonicalize, StoreMode::Full).with_workers(4),
-    );
-    assert_eq!(seq.stats.distinct_states, par.stats.distinct_states);
-    assert_eq!(seq.stats.transitions, par.stats.transitions);
+    for por in [false, true] {
+        let options = options(SymmetryMode::Canonicalize, StoreMode::Full).with_por(por);
+        let seq = check_bfs(&spec, &options);
+        let par = check_bfs(&spec, &options.with_workers(4));
+        assert_eq!(
+            seq.stats.distinct_states, par.stats.distinct_states,
+            "por {por}"
+        );
+        assert_eq!(seq.stats.transitions, par.stats.transitions, "por {por}");
+    }
 }
