@@ -27,14 +27,14 @@
 //! distinguish states below the projection, but it never reports a false divergence
 //! for that reason.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
-use remix_spec::{CanonFn, LabelTable, Spec, SpecState, Trace, TraceProjection, Value};
+use remix_spec::{CanonFn, LabelTable, Spec, SpecState, Trace, TraceProjection};
 
 use crate::expand::Pipeline;
 use crate::kernel::{self, Arrival, LevelEnd, Run, Visitor};
@@ -431,15 +431,6 @@ impl<S: fmt::Debug> fmt::Display for RefineOutcome<S> {
     }
 }
 
-/// Fingerprint of a projected state (64 bits suffice: projections are compared, not
-/// stored, and any collision would only *mask* a divergence on quotient classes that
-/// already over-approximate).
-fn projection_key(projected: &BTreeMap<String, Value>) -> u64 {
-    let mut h = DefaultHasher::new();
-    projected.hash(&mut h);
-    h.finish()
-}
-
 /// Renders the projection of `state` for divergence reports.
 fn render_projection<S: SpecState>(projection: &TraceProjection<S>, state: &S) -> String {
     let fields: Vec<String> = projection
@@ -543,15 +534,15 @@ impl<S: SpecState> SideSummary<S> {
     }
 }
 
-/// The projection key of `state` when it is stable.  No canonicalization is needed even
-/// under symmetry reduction: the mode is gated on `TraceProjection::assume_equivariant`,
-/// under which projection and stability agree on every member of an orbit — so
-/// projecting a raw state yields the same key the exploration recorded for its
-/// canonical representative.
+/// The projection key of `state` when it is stable ([`TraceProjection::key`]: 64 bits
+/// suffice, since projections are compared, not stored, and a collision would only
+/// *mask* a divergence on quotient classes that already over-approximate).  No
+/// canonicalization is needed even under symmetry reduction: the mode is gated on
+/// `TraceProjection::assume_equivariant`, under which key and stability agree on every
+/// member of an orbit — so keying a raw state yields the key the exploration recorded
+/// for its canonical representative.
 fn stable_key<S: SpecState>(projection: &TraceProjection<S>, state: &S) -> Option<u64> {
-    projection
-        .is_stable(state)
-        .then(|| projection_key(&projection.project_state(state)))
+    projection.is_stable(state).then(|| projection.key(state))
 }
 
 /// The *lset* of an unstable state: the stable projections last seen on some path
@@ -923,6 +914,9 @@ pub fn check_refinement<S: SpecState>(
                 .get(&(from, to))
                 .unwrap_or_else(|| &fine_q.projs[&to])
                 .index;
+            // Every ddmin candidate re-asks the coarse quotient where its stable steps
+            // lead: one reachability walk per source class serves the whole shrink.
+            let reach_memo = RefCell::new(HashMap::new());
             let mut d = build_divergence(
                 DivergenceKind::UnmatchedStep,
                 fine,
@@ -930,7 +924,7 @@ pub fn check_refinement<S: SpecState>(
                 index,
                 projection,
                 options,
-                |candidate| trace_has_unmatched_edge(candidate, projection, coarse_q),
+                |candidate| trace_has_unmatched_edge(candidate, projection, coarse_q, &reach_memo),
             );
             // Render both endpoints of the unmatched step: the target is already in
             // `d.projection`; prepend the source class the coarse side cannot leave.
@@ -999,10 +993,12 @@ fn trace_reaches_projection<S: SpecState>(
 
 /// Oracle: the candidate trace still contains a stabilization edge with no matching
 /// coarse path (used to shrink [`DivergenceKind::UnmatchedStep`] witnesses).
+/// `reach_memo` keeps [`Quotient::reachable_from`] per source class across candidates.
 fn trace_has_unmatched_edge<S: SpecState>(
     candidate: &Trace<S>,
     projection: &TraceProjection<S>,
     coarse: &Quotient,
+    reach_memo: &RefCell<HashMap<u64, HashSet<u64>>>,
 ) -> bool {
     let mut last_stable: Option<u64> = None;
     for step in &candidate.steps {
@@ -1010,7 +1006,13 @@ fn trace_has_unmatched_edge<S: SpecState>(
             continue;
         };
         if let Some(from) = last_stable {
-            if from != key && !coarse.reachable_from(from).contains(&key) {
+            let unmatched = from != key
+                && !reach_memo
+                    .borrow_mut()
+                    .entry(from)
+                    .or_insert_with(|| coarse.reachable_from(from))
+                    .contains(&key);
+            if unmatched {
                 return true;
             }
         }
@@ -1022,7 +1024,7 @@ fn trace_has_unmatched_edge<S: SpecState>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec};
+    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec, Value};
     use std::collections::BTreeMap;
 
     /// A two-phase toy: module `M` raises `n` by two in one coarse step, or in two fine
@@ -1239,7 +1241,23 @@ mod tests {
         // Fine's stabilization edge 2 → 4 is unmatched: the coarse quotient reaches 4
         // only directly from 0 (its edges are 0 → 4 → 2, nothing out of 2).
         assert_eq!(divergence.kind, DivergenceKind::UnmatchedStep);
-        assert!(divergence.witness.depth() >= 1);
+        // The shrunk witness is the whole fine chain up to the unmatched 2 → 4 step:
+        // no step can go without breaking the execution or the divergence.
+        let labels: Vec<String> = divergence
+            .witness
+            .action_labels()
+            .iter()
+            .map(|l| l.to_string())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "StepStart(0)",
+                "StepFinish(0)",
+                "StepStart(2)",
+                "StepFinish(2)"
+            ]
+        );
     }
 
     #[test]

@@ -73,7 +73,9 @@ pub use fingerprint::{fingerprint, DigestMap, Fingerprint, PairHasher};
 pub use invariant::{Invariant, InvariantScope, InvariantSource};
 pub use label::{LabelId, LabelTable, INIT_LABEL};
 pub use module::{ModuleId, ModuleSpec};
-pub use projection::{LabelProjectionFn, StabilityFn, StateProjectionFn, TraceProjection};
+pub use projection::{
+    LabelProjectionFn, StabilityFn, StateKeyFn, StateProjectionFn, TraceProjection,
+};
 pub use reflect::{FieldInfo, StateFields};
 pub use shared::{InternPool, Shared};
 pub use spec::{CanonFn, IncrementalCanon, Spec, SpecState};

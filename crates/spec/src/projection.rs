@@ -18,6 +18,13 @@
 //!   and are only compared once the stretch completes ("commit points" of the
 //!   coarsening).
 //!
+//! The checker compares projected states by their [`key`](TraceProjection::key), a
+//! 64-bit hash that is equal exactly when the projections are: by default the hash of
+//! [`project_state`](TraceProjection::project_state), or a cheaper function with the
+//! same equality set with [`with_key`](TraceProjection::with_key) (the Zab projections
+//! hash memoized per-component projection hashes instead of building the map).  The
+//! `Value` form is then only built to render divergences and projected traces.
+//!
 //! [`TraceProjection::project_trace`] applies all three to a concrete trace, producing
 //! the condensed, stable-snapshot [`ProjectedTrace`] on which trace equivalence (the
 //! `~` relation of Appendix B.4) is decided.
@@ -27,12 +34,16 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::action::Granularity;
+use crate::fingerprint::fingerprint;
 use crate::spec::SpecState;
 use crate::trace::{condense, ProjectedStep, ProjectedTrace, Trace};
 use crate::value::Value;
 
 /// Function projecting a state onto its externally visible variables.
 pub type StateProjectionFn<S> = Arc<dyn Fn(&S) -> BTreeMap<String, Value> + Send + Sync>;
+
+/// Function keying a state by its projection (see [`TraceProjection::key`]).
+pub type StateKeyFn<S> = Arc<dyn Fn(&S) -> u64 + Send + Sync>;
 
 /// Function mapping a fine action label onto the coarse label space (`None` = internal).
 pub type LabelProjectionFn = Arc<dyn Fn(&str) -> Option<String> + Send + Sync>;
@@ -50,6 +61,8 @@ pub struct TraceProjection<S> {
     /// The fine (concrete) granularity of the pair.
     pub fine: Granularity,
     state: StateProjectionFn<S>,
+    /// `None` while the key is the hash of `state`'s value.
+    key: Option<StateKeyFn<S>>,
     label: LabelProjectionFn,
     stable: StabilityFn<S>,
     /// Whether the projection is *equivariant* under the state type's symmetry group:
@@ -77,18 +90,29 @@ impl<S: SpecState> TraceProjection<S> {
                 let vars = S::variable_names();
                 s.project(&vars)
             }),
+            key: None,
             label: Arc::new(|l: &str| Some(l.to_owned())),
             stable: Arc::new(|_| true),
             equivariant: false,
         }
     }
 
-    /// Replaces the state projection.
+    /// Replaces the state projection.  The key goes back to the hash of the new
+    /// projection, so a key set earlier can never disagree with it.
     pub fn with_state(
         mut self,
         state: impl Fn(&S) -> BTreeMap<String, Value> + Send + Sync + 'static,
     ) -> Self {
         self.state = Arc::new(state);
+        self.key = None;
+        self
+    }
+
+    /// Replaces the projection key by a cheaper function with the same contract as the
+    /// default (see [`TraceProjection::key`]).  Set it after the state projection it
+    /// keys: [`TraceProjection::with_state`] resets it.
+    pub fn with_key(mut self, key: impl Fn(&S) -> u64 + Send + Sync + 'static) -> Self {
+        self.key = Some(Arc::new(key));
         self
     }
 
@@ -112,7 +136,8 @@ impl<S: SpecState> TraceProjection<S> {
     /// `p(s)` are the same projected class (e.g. the projection only exposes
     /// permutation-invariant summaries — multisets, cardinalities, budgets — rather
     /// than per-process-indexed values), and the stability predicate agrees on a
-    /// state and its renamings.
+    /// state and its renamings.  So must the [key](TraceProjection::key): a key set
+    /// with [`TraceProjection::with_key`] must agree on a state and its renamings too.
     ///
     /// This is the soundness precondition for running the refinement checker with
     /// `SymmetryMode::Canonicalize`: the checker only keys a refinement comparison on
@@ -133,6 +158,18 @@ impl<S: SpecState> TraceProjection<S> {
     /// Projects one state onto its externally visible variables.
     pub fn project_state(&self, state: &S) -> BTreeMap<String, Value> {
         (self.state)(state)
+    }
+
+    /// The 64-bit key of `state`'s projected class: `key(a) == key(b)` exactly when
+    /// `project_state(a) == project_state(b)`, up to 64-bit hash collisions (a
+    /// collision can only merge two classes, which masks a divergence and never
+    /// invents one).  By default it is the [`fingerprint`] of
+    /// [`TraceProjection::project_state`]; [`TraceProjection::with_key`] replaces it.
+    pub fn key(&self, state: &S) -> u64 {
+        match &self.key {
+            Some(key) => key(state),
+            None => fingerprint(&self.project_state(state)).0,
+        }
     }
 
     /// Maps a fine action label onto the coarse label space (`None` = internal step).
@@ -254,6 +291,25 @@ mod tests {
         assert_eq!(projected.steps.len(), 2);
         assert_eq!(projected.steps[0].vars["y"], Value::Int(0));
         assert_eq!(projected.steps[1].vars["y"], Value::Int(1));
+    }
+
+    #[test]
+    fn the_default_key_hashes_the_projection() {
+        let p = y_projection();
+        let (a, b) = (Counters { x: 0, y: 1 }, Counters { x: 5, y: 1 });
+        assert_eq!(p.key(&a), fingerprint(&p.project_state(&a)).0);
+        assert_eq!(p.key(&a), p.key(&b), "x is projected away");
+        assert_ne!(p.key(&a), p.key(&Counters { x: 0, y: 2 }));
+    }
+
+    #[test]
+    fn with_state_after_with_key_restores_the_derived_key() {
+        let s = Counters { x: 3, y: 4 };
+        let keyed = y_projection().with_key(|_| 7);
+        assert_eq!(keyed.key(&s), 7);
+        let reset = keyed.with_state(|s: &Counters| s.project(&["x"]));
+        assert_eq!(reset.key(&s), fingerprint(&reset.project_state(&s)).0);
+        assert_ne!(reset.key(&s), 7);
     }
 
     #[test]

@@ -28,12 +28,29 @@
 //! partitions, the ghost variables (established epochs, initial histories, broadcast
 //! order) and the code-level `violation` marker — i.e. exactly the state the
 //! non-coarsened modules interact with.
+//!
+//! The projection is built per component — `project_server`, `project_row` (the
+//! channels out of one sender) and `project_ghost` — and so is its key: the refinement
+//! checker keys every stable state, and a state space has far fewer distinct servers,
+//! rows and ghost states than states, so each component's projection hash is memoized
+//! by the component's digest and a key is a hash over those plus the scalar fields.
 
-use remix_spec::{CompositionPlan, Granularity, TraceProjection, Value};
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+// sync-exempt: remix-zab sits below remix-checker and cannot use its instrumented
+// checker::sync layer.  The projection memo's RwLock is leaf-level: a miss is projected
+// and fingerprinted with no lock held, and nothing is acquired while it is held, so it
+// cannot take part in a lock-order cycle.
+use std::sync::{Arc, PoisonError, RwLock};
+
+use remix_spec::{
+    fingerprint, CompositionPlan, DigestMap, Fingerprint, Granularity, PairHasher, Shared,
+    TraceProjection, Value,
+};
 
 use crate::config::ClusterConfig;
-use crate::state::{ServerData, ZabState};
-use crate::types::{Message, ServerState, ZabPhase};
+use crate::state::{GhostState, ServerData, ZabState};
+use crate::types::{Message, ServerState, Sid, ZabPhase};
 
 /// Which normalizations a projection applies (derived from the pair of composition
 /// plans being compared).
@@ -227,38 +244,37 @@ fn election_internal_msg(msg: &Message) -> bool {
     )
 }
 
-/// Projects the network onto the visible message sequences.
-fn project_msgs(state: &ZabState, spec: ProjectionSpec) -> Value {
-    let mut channels: Vec<Value> = Vec::new();
-    for from in 0..state.n() {
-        for to in 0..state.n() {
-            let kept: Vec<Value> = state.msgs[from][to]
-                .iter()
-                .filter(|m| !(spec.normalize_election && election_internal_msg(m)))
-                .filter(|m| !(spec.normalize_sync && matches!(m, Message::Ack { .. })))
-                .map(|m| Value::str(format!("{m:?}")))
-                .collect();
-            if !kept.is_empty() {
-                channels.push(Value::record(vec![
-                    ("from".to_owned(), Value::from(from)),
-                    ("to".to_owned(), Value::from(to)),
-                    ("queue".to_owned(), Value::Seq(kept)),
-                ]));
-            }
+/// Projects the channels out of server `from` onto their visible message sequences:
+/// one record per channel with a visible message, in destination order.  Every record
+/// names its sender, so the network's projection is the concatenation of its rows'.
+fn project_row(state: &ZabState, from: Sid, spec: ProjectionSpec) -> Vec<Value> {
+    let mut channels = Vec::new();
+    for (to, queue) in state.msgs[from].iter().enumerate() {
+        let kept: Vec<Value> = queue
+            .iter()
+            .filter(|m| !(spec.normalize_election && election_internal_msg(m)))
+            .filter(|m| !(spec.normalize_sync && matches!(m, Message::Ack { .. })))
+            .map(|m| Value::str(format!("{m:?}")))
+            .collect();
+        if !kept.is_empty() {
+            channels.push(Value::record(vec![
+                ("from".to_owned(), Value::from(from)),
+                ("to".to_owned(), Value::from(to)),
+                ("queue".to_owned(), Value::Seq(kept)),
+            ]));
         }
     }
-    Value::Seq(channels)
+    channels
 }
 
 /// Projects the ghost variables (fully visible: the protocol-level invariants read
 /// them, so a coarsening that changed them would change verification results).
-fn project_ghost(state: &ZabState) -> Value {
+fn project_ghost(ghost: &GhostState) -> Value {
     Value::record(vec![
         (
             "establishedLeaders".to_owned(),
             Value::Seq(
-                state
-                    .ghost
+                ghost
                     .established_leaders
                     .iter()
                     .map(|(e, l)| {
@@ -272,13 +288,12 @@ fn project_ghost(state: &ZabState) -> Value {
         ),
         (
             "duplicate".to_owned(),
-            Value::Bool(state.ghost.duplicate_establishment),
+            Value::Bool(ghost.duplicate_establishment),
         ),
         (
             "initialHistory".to_owned(),
             Value::Seq(
-                state
-                    .ghost
+                ghost
                     .initial_history
                     .iter()
                     .map(|(e, h)| {
@@ -290,11 +305,151 @@ fn project_ghost(state: &ZabState) -> Value {
                     .collect(),
             ),
         ),
-        (
-            "broadcast".to_owned(),
-            history_value(&state.ghost.broadcast),
-        ),
+        ("broadcast".to_owned(), history_value(&ghost.broadcast)),
     ])
+}
+
+/// The `Value` form of a state's projection, assembled from the per-component
+/// builders (what divergence reports and projected traces render).
+fn project_state(s: &ZabState, spec: ProjectionSpec) -> BTreeMap<String, Value> {
+    let mut out = BTreeMap::new();
+    out.insert(
+        "servers".to_owned(),
+        Value::Seq(
+            s.servers
+                .iter()
+                .map(|sv| project_server(sv, spec))
+                .collect(),
+        ),
+    );
+    out.insert(
+        "msgs".to_owned(),
+        Value::Seq(
+            (0..s.n())
+                .flat_map(|from| project_row(s, from, spec))
+                .collect(),
+        ),
+    );
+    out.insert(
+        "partitions".to_owned(),
+        Value::set(
+            s.partitioned
+                .iter()
+                .map(|(a, b)| {
+                    Value::record(vec![
+                        ("a".to_owned(), Value::from(*a)),
+                        ("b".to_owned(), Value::from(*b)),
+                    ])
+                })
+                .collect(),
+        ),
+    );
+    out.insert("crashBudget".to_owned(), Value::from(s.crashes_remaining));
+    out.insert(
+        "partitionBudget".to_owned(),
+        Value::from(s.partitions_remaining),
+    );
+    out.insert("txnBudget".to_owned(), Value::from(s.txns_created));
+    out.insert(
+        "violation".to_owned(),
+        Value::str(format!("{:?}", s.violation)),
+    );
+    out.insert("ghost".to_owned(), project_ghost(&s.ghost));
+    out
+}
+
+/// Which kind of shared component a memoized projection hash belongs to.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Component {
+    Server,
+    Row,
+    Ghost,
+}
+
+/// The projection hashes of the components a projection has keyed, so that a state's
+/// key costs one lookup per component instead of a projection of the whole state: a
+/// state space is built from far fewer distinct servers, channel rows and ghost states
+/// than states.
+///
+/// Entries are keyed by `(kind, sender index, Shared::digest())`, never by pool slot:
+/// slots are per store and each side of a refinement check has its own, while a digest
+/// depends on the value alone — so the side explored first warms the memo for the
+/// other.  The sender index is 0 except for rows, whose projection names its sender.
+struct ProjectionMemo {
+    spec: ProjectionSpec,
+    hashes: RwLock<DigestMap<(Component, usize, Fingerprint), u64>>,
+}
+
+impl ProjectionMemo {
+    fn new(spec: ProjectionSpec) -> Self {
+        ProjectionMemo {
+            spec,
+            hashes: RwLock::default(),
+        }
+    }
+
+    /// The hash of `component`'s projection, projected (outside the lock) only the
+    /// first time its value is seen in this `kind` and `index`.
+    fn hash<T: Hash>(
+        &self,
+        kind: Component,
+        index: usize,
+        component: &Shared<T>,
+        project: impl FnOnce(&T) -> Value,
+    ) -> u64 {
+        let entry = (kind, index, component.digest());
+        let known = self
+            .hashes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&entry)
+            .copied();
+        known.unwrap_or_else(|| {
+            let hash = fingerprint(&project(component)).0;
+            *self
+                .hashes
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(entry)
+                .or_insert(hash)
+        })
+    }
+
+    /// The state's projection key: each component's memoized projection hash, and the
+    /// scalar fields as the projection shows them (a value for value image, so equal
+    /// exactly when `project_state` is).  `ZabState` is destructured so that a new
+    /// field cannot be left out.
+    fn key(&self, state: &ZabState) -> u64 {
+        let ZabState {
+            servers,
+            msgs,
+            partitioned,
+            crashes_remaining,
+            partitions_remaining,
+            txns_created,
+            ghost,
+            violation,
+        } = state;
+        let spec = self.spec;
+        let mut hasher = PairHasher::new();
+        hasher.write_usize(servers.len());
+        for server in servers {
+            hasher
+                .write_u64(self.hash(Component::Server, 0, server, |sv| project_server(sv, spec)));
+        }
+        for (from, row) in msgs.iter().enumerate() {
+            hasher.write_u64(self.hash(Component::Row, from, row, |_| {
+                Value::Seq(project_row(state, from, spec))
+            }));
+        }
+        hasher.write_u64(self.hash(Component::Ghost, 0, ghost, project_ghost));
+        partitioned.hash(&mut hasher);
+        crashes_remaining.hash(&mut hasher);
+        partitions_remaining.hash(&mut hasher);
+        txns_created.hash(&mut hasher);
+        violation.hash(&mut hasher);
+        hasher.finish()
+    }
 }
 
 /// `true` when the state is between coarse steps under `spec` (a commit point).
@@ -354,53 +509,30 @@ fn is_stable(state: &ZabState, spec: ProjectionSpec) -> bool {
     true
 }
 
-/// Builds the projection for a normalization choice.
+/// Builds the projection for a normalization choice.  Its key hashes the projection
+/// hash of each server, channel row and ghost state, memoized per distinct component,
+/// with the scalar fields; the `Value` form is only built to render divergences and
+/// projected traces.
 pub fn projection(
     name: impl Into<String>,
     coarse: Granularity,
     fine: Granularity,
     spec: ProjectionSpec,
 ) -> TraceProjection<ZabState> {
+    memoized_projection(name, coarse, fine, Arc::new(ProjectionMemo::new(spec)))
+}
+
+/// [`projection`] over a given memo.
+fn memoized_projection(
+    name: impl Into<String>,
+    coarse: Granularity,
+    fine: Granularity,
+    memo: Arc<ProjectionMemo>,
+) -> TraceProjection<ZabState> {
+    let spec = memo.spec;
     TraceProjection::identity(name, coarse, fine)
-        .with_state(move |s: &ZabState| {
-            let mut out = std::collections::BTreeMap::new();
-            out.insert(
-                "servers".to_owned(),
-                Value::Seq(
-                    s.servers
-                        .iter()
-                        .map(|sv| project_server(sv, spec))
-                        .collect(),
-                ),
-            );
-            out.insert("msgs".to_owned(), project_msgs(s, spec));
-            out.insert(
-                "partitions".to_owned(),
-                Value::set(
-                    s.partitioned
-                        .iter()
-                        .map(|(a, b)| {
-                            Value::record(vec![
-                                ("a".to_owned(), Value::from(*a)),
-                                ("b".to_owned(), Value::from(*b)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            );
-            out.insert("crashBudget".to_owned(), Value::from(s.crashes_remaining));
-            out.insert(
-                "partitionBudget".to_owned(),
-                Value::from(s.partitions_remaining),
-            );
-            out.insert("txnBudget".to_owned(), Value::from(s.txns_created));
-            out.insert(
-                "violation".to_owned(),
-                Value::str(format!("{:?}", s.violation)),
-            );
-            out.insert("ghost".to_owned(), project_ghost(s));
-            out
-        })
+        .with_state(move |s: &ZabState| project_state(s, spec))
+        .with_key(move |s: &ZabState| memo.key(s))
         .with_label(move |label: &str| {
             let name = action_name(label);
             if spec.normalize_election
@@ -599,6 +731,68 @@ mod tests {
             !q.is_stable(&s),
             "in-flight ACKs are hidden, so not comparable"
         );
+    }
+
+    #[test]
+    fn the_memo_keeps_one_hash_per_distinct_component() {
+        use remix_checker::{check_refinement, corpus, CorpusOptions, RefineOptions};
+        use std::collections::HashSet;
+
+        let config = ClusterConfig::small(CodeVersion::V391)
+            .with_transactions(1)
+            .with_crashes(0);
+        let fine = SpecPreset::MSpec2.build(&config);
+        let coarse = SpecPreset::MSpec1.build(&config);
+        let memo = Arc::new(ProjectionMemo::new(ProjectionSpec {
+            normalize_election: true,
+            normalize_sync: true,
+        }));
+        let p = memoized_projection(
+            "mSpec-1⊑mSpec-2",
+            Granularity::Coarse,
+            Granularity::Baseline,
+            Arc::clone(&memo),
+        );
+        let outcome = check_refinement(&fine, &coarse, &p, &RefineOptions::default());
+        assert_eq!(outcome.refines(), Some(true), "{outcome}");
+
+        // What both sides reach, component by component.
+        let everything = CorpusOptions {
+            max_states: usize::MAX,
+            max_depth: usize::MAX,
+        };
+        let states: Vec<ZabState> = [&fine, &coarse]
+            .into_iter()
+            .flat_map(|spec| corpus(spec, everything))
+            .collect();
+        let servers: HashSet<Fingerprint> = states
+            .iter()
+            .flat_map(|s| s.servers.iter().map(|sv| sv.digest()))
+            .collect();
+        let rows: HashSet<(usize, Fingerprint)> = states
+            .iter()
+            .flat_map(|s| s.msgs.iter().map(|row| row.digest()).enumerate())
+            .collect();
+        let ghosts: HashSet<Fingerprint> = states.iter().map(|s| s.ghost.digest()).collect();
+        let entries = || {
+            let hashes = memo.hashes.read().unwrap();
+            [Component::Server, Component::Row, Component::Ghost]
+                .map(|kind| hashes.keys().filter(|(k, ..)| *k == kind).count())
+        };
+        let seen = entries();
+        let distinct = [servers.len(), rows.len(), ghosts.len()];
+        assert!(
+            seen.iter().zip(&distinct).all(|(&s, &d)| 0 < s && s <= d),
+            "memo entries {seen:?} against distinct servers, rows, ghosts {distinct:?}"
+        );
+
+        // The run keyed every stable state: keying one again projects nothing new.
+        let stable: Vec<&ZabState> = states.iter().filter(|s| p.is_stable(s)).collect();
+        assert!(seen.iter().sum::<usize>() < stable.len());
+        for state in stable {
+            p.key(state);
+        }
+        assert_eq!(entries(), seen);
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! over generated inputs: projection is *total* on every simulated Baseline trace and
 //! *idempotent* (projecting a projected trace is a fixed point), the label projection
 //! is idempotent on its own image, and `Granularity::abstracts` is a strict partial
-//! order (the precondition of `TraceProjection::identity`).
+//! order (the precondition of `TraceProjection::identity`).  The memoized projection
+//! key the checker compares is pinned to the `Value` form it stands for.
+
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
-use remix_checker::{simulate_one, CheckerRng};
-use remix_spec::{condense, Granularity};
+use remix_checker::{corpus, simulate_one, CheckerRng, CorpusOptions};
+use remix_spec::{condense, Granularity, Value};
 use remix_zab::{
-    baseline_vs_fine_sync, coarse_vs_baseline, ClusterConfig, CodeVersion, SpecPreset,
+    baseline_vs_fine_sync, coarse_vs_baseline, projection_between, ClusterConfig, CodeVersion,
+    SpecPreset,
 };
 
 fn config() -> ClusterConfig {
@@ -120,4 +124,60 @@ proptest! {
         // "strictly less detail".
         prop_assert_eq!(a.abstracts(b), b.at_least(a) && !a.at_least(b));
     }
+}
+
+/// The key contract of all three normalizations: over the reachable states of both
+/// sides of each refinement pair, `key(a) == key(b)` exactly when `project_state(a) ==
+/// project_state(b)` — the per-component memo neither merges nor splits a class.
+#[test]
+fn keys_agree_with_projections_on_every_normalization() {
+    let three = ClusterConfig::small(CodeVersion::V391)
+        .with_transactions(1)
+        .with_crashes(0);
+    let two = ClusterConfig {
+        num_servers: 2,
+        ..three.with_crashes(1)
+    };
+    let pairs = [
+        // Election: SysSpec ⊑ mSpec-1.
+        (SpecPreset::SysSpec, SpecPreset::MSpec1, two),
+        // Sync: mSpec-4 ⊑ SysSpec.
+        (SpecPreset::MSpec4, SpecPreset::SysSpec, two),
+        // Both: mSpec-2 ⊑ mSpec-1.
+        (SpecPreset::MSpec2, SpecPreset::MSpec1, three),
+    ];
+    let mut classes = Vec::new();
+    for (fine, coarse, config) in pairs {
+        let projection =
+            projection_between(&fine.plan(), &coarse.plan(), &config).expect("a refinement pair");
+        let mut by_key: HashMap<u64, BTreeMap<String, Value>> = HashMap::new();
+        let mut by_projection: HashMap<BTreeMap<String, Value>, u64> = HashMap::new();
+        for preset in [fine, coarse] {
+            let states = corpus(
+                &preset.build(&config),
+                CorpusOptions {
+                    max_states: usize::MAX,
+                    max_depth: usize::MAX,
+                },
+            );
+            for state in states {
+                let (key, projected) = (projection.key(&state), projection.project_state(&state));
+                let class = by_key.entry(key).or_insert_with(|| projected.clone());
+                assert_eq!(
+                    class, &projected,
+                    "{}: one key for two projections",
+                    projection.name
+                );
+                let known = *by_projection.entry(projected).or_insert(key);
+                assert_eq!(
+                    known, key,
+                    "{}: two keys for one projection",
+                    projection.name
+                );
+            }
+        }
+        classes.push(by_key.len());
+    }
+    // 1,605 + 139, 1,972 + 1,605 and 207 + 181 states.
+    assert_eq!(classes, [127, 581, 199], "projected classes per pair");
 }
