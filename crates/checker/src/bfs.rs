@@ -5,14 +5,15 @@
 //! counterexample traces.
 //!
 //! [`check_bfs`] is the level-synchronous kernel (the private `kernel` module:
-//! persistent worker pool, insert-while-hot staging, work stealing, frontier spilling,
+//! index-only frontier, persistent worker pool, insert-while-hot staging, work stealing,
 //! deterministic stop precedence) plus the invariant visitor defined here: every state
 //! that enters the store is checked against the specification's invariants on the worker
 //! that inserted it, and the violations of a level are resolved into traces at its
 //! barrier.
 //! Discovered states live in a lock-striped [`StateStore`]: `u32` state indices,
 //! parent-by-index, interned action labels, and (in
-//! [`StoreMode::Full`](crate::store::StoreMode)) states inline in the arena;
+//! [`StoreMode::Full`](crate::store::StoreMode)) each state as a row of pool slots,
+//! which is also where the kernel reads every parent back from;
 //! [`StoreMode::FingerprintOnly`](crate::store::StoreMode) drops the states entirely
 //! for memory-bounded runs; see [`crate::store`].
 //!
@@ -191,9 +192,6 @@ fn check_bfs_into<S: SpecState>(
             workers: options.workers,
             max_depth: options.max_depth,
             deadline: options.time_budget.map(|b| start + b),
-            // Only the invariant visitor spills frontiers: it never re-enqueues, so a
-            // level on disk needs nothing but its indices.
-            frontier_budget: options.spill.budget_bytes,
         },
         InvariantVisitor {
             pipeline: &pipeline,
@@ -216,6 +214,7 @@ fn check_bfs_into<S: SpecState>(
         distinct_states: store.len(),
         transitions: totals.per_worker_transitions.iter().sum(),
         max_depth: totals.max_depth,
+        widest_level: totals.widest_level,
         per_worker_transitions: totals.per_worker_transitions,
         shard_contention: store.contention_counters(),
         peak_entry_bytes: store.entry_bytes(),
@@ -658,7 +657,6 @@ mod tests {
                         workers,
                         max_depth: None,
                         deadline: None,
-                        frontier_budget: None,
                     },
                     Counting::default(),
                 );
@@ -806,9 +804,8 @@ mod tests {
 
     #[test]
     fn tiny_memory_budget_spills_but_does_not_change_the_search() {
-        // A budget far below the state count must force fingerprint runs (and, in Full
-        // mode, frontier levels) onto disk while leaving every reported statistic and
-        // the violation identical to the in-RAM run.
+        // A budget far below the state count must force fingerprint runs onto disk
+        // while leaving every reported statistic identical to the in-RAM run.
         use crate::spill::SpillConfig;
         let spec = pair_spec(40, None);
         let baseline = check_bfs(&spec, &CheckOptions::default());
@@ -833,10 +830,6 @@ mod tests {
                 spilled.stats.spill
             );
             assert!(spilled.stats.spill.disk_probes > 0);
-            assert_eq!(
-                spilled.stats.spill.frontier_spilled, 0,
-                "pair_spec levels are narrower than the minimum spill chunk"
-            );
         }
         assert_eq!(
             baseline.stats.spill,
@@ -846,7 +839,7 @@ mod tests {
     }
 
     /// A three-level comb: one root fans out to `width` children, each ticking twice.
-    /// Every level after the root is `width` states wide, far past the budgeted chunk.
+    /// Every level after the root is `width` states wide.
     fn wide_spec(width: u32) -> Spec<Pair> {
         let m = ModuleId("Wide");
         let spawn = ActionDef::new(
@@ -895,44 +888,48 @@ mod tests {
     }
 
     #[test]
-    fn wide_levels_round_trip_through_the_frontier_queue() {
+    fn wide_levels_under_a_tiny_budget_keep_the_in_ram_stats() {
+        // Levels of 600 states under a 1 KiB budget: the dedup tables spill, the
+        // frontier stays resident as indices (or, without rows, as states), and the
+        // search is the in-RAM one in every (workers, store) cell.
         use crate::spill::SpillConfig;
         let spec = wide_spec(600);
         let baseline = check_bfs(&spec, &CheckOptions::default());
         assert_eq!(baseline.stats.distinct_states, 1 + 3 * 600);
+        assert_eq!(baseline.stats.widest_level, 600);
         for workers in [1, 3] {
-            let spilled = check_bfs(
-                &spec,
-                &CheckOptions::default()
-                    .with_workers(workers)
-                    .with_spill(SpillConfig::in_ram().with_budget_bytes(1 << 10)),
-            );
-            assert_eq!(
-                spilled.stats.distinct_states, baseline.stats.distinct_states,
-                "workers {workers}"
-            );
-            assert_eq!(spilled.stats.transitions, baseline.stats.transitions);
-            assert_eq!(spilled.stats.max_depth, baseline.stats.max_depth);
-            assert_eq!(spilled.stop_reason, StopReason::Exhausted);
-            assert!(
-                spilled.stats.spill.frontier_spilled > 0,
-                "600-wide levels exceed the budgeted chunk: {:?}",
-                spilled.stats.spill
-            );
+            for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+                let cell = format!("workers {workers}, {mode}");
+                let spilled = check_bfs(
+                    &spec,
+                    &CheckOptions::default()
+                        .with_workers(workers)
+                        .with_store_mode(mode)
+                        .with_spill(SpillConfig::in_ram().with_budget_bytes(1 << 10)),
+                );
+                assert_eq!(spilled.stop_reason, StopReason::Exhausted, "{cell}");
+                assert_eq!(
+                    (
+                        spilled.stats.distinct_states,
+                        spilled.stats.transitions,
+                        spilled.stats.max_depth,
+                        spilled.stats.widest_level
+                    ),
+                    (
+                        baseline.stats.distinct_states,
+                        baseline.stats.transitions,
+                        baseline.stats.max_depth,
+                        baseline.stats.widest_level
+                    ),
+                    "{cell}"
+                );
+                assert!(
+                    spilled.stats.spill.runs_spilled > 0,
+                    "{cell}: a 1 KiB budget over 1,801 states spills: {:?}",
+                    spilled.stats.spill
+                );
+            }
         }
-        // Fingerprint-only frontiers are the sole holders of the live states, so they
-        // must stay resident however small the budget is.
-        let fp_only = check_bfs(
-            &spec,
-            &CheckOptions::default()
-                .with_store_mode(StoreMode::FingerprintOnly)
-                .with_spill(SpillConfig::in_ram().with_budget_bytes(1 << 10)),
-        );
-        assert_eq!(
-            fp_only.stats.distinct_states,
-            baseline.stats.distinct_states
-        );
-        assert_eq!(fp_only.stats.spill.frontier_spilled, 0);
     }
 
     #[test]
@@ -1051,6 +1048,30 @@ mod tests {
             .with_crashes(0);
         for workers in [1, 4] {
             assert_eq!(pooled_components(&smoke, workers), (503, 58, 83, 5));
+        }
+    }
+
+    #[test]
+    fn the_smoke_space_widest_level_is_pinned_in_every_cell() {
+        // The frontier's share of a run's memory is this many entries (the pool path is
+        // covered by `wide_levels_under_a_tiny_budget_keep_the_in_ram_stats`).
+        let smoke = ClusterConfig::small(CodeVersion::FinalFix)
+            .with_transactions(1)
+            .with_crashes(0);
+        let spec = SpecPreset::MSpec3.build(&smoke);
+        for workers in [1, 4] {
+            for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+                let options = CheckOptions::default()
+                    .with_workers(workers)
+                    .with_store_mode(mode);
+                let outcome = check_bfs(&spec, &options);
+                assert_eq!(outcome.stop_reason, StopReason::Exhausted);
+                assert_eq!(
+                    (outcome.stats.distinct_states, outcome.stats.widest_level),
+                    (503, 41),
+                    "workers {workers}, {mode}"
+                );
+            }
         }
     }
 

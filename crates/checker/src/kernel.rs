@@ -6,6 +6,16 @@
 //! not domain behaviour — seeding, the successor pipeline ([`crate::expand`]), dedup
 //! inserts, the next frontier, budgets, and the parallel machinery:
 //!
+//! * **Index-only frontier** — a level is the [`StateIndex`] of each state to expand,
+//!   4 bytes per entry, and a worker rebuilds each parent it claims from its store row
+//!   ([`StateStore::state_at`], `2n + 1` reference-count bumps on an `n`-server Zab
+//!   state).  The store already holds every discovered state as a row, so an owned
+//!   copy per entry would hold each state twice (≈ 200 B per entry, over two levels of
+//!   up to 13,672 entries on the fine three-server space).  Only a store that
+//!   keeps no rows ([`StoreMode::FingerprintOnly`](crate::store::StoreMode)) cannot give
+//!   a state back, and there an index-aligned `Vec` of states rides along — the one
+//!   rule `state_at` follows, not a knob.  A level never leaves RAM: 4 bytes per entry
+//!   is less than the store pays per state.
 //! * **Persistent worker pool** — worker threads are spawned *once per run* and park on
 //!   a condition variable between levels; the coordinator publishes each level
 //!   (frontier, sleep sets, depth) and wakes them.  Re-spawning workers at every
@@ -55,7 +65,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::path::Path;
 use std::time::Instant;
 
 use remix_spec::{LabelId, SpecState};
@@ -64,9 +73,8 @@ use crate::expand::{Pipeline, Successor};
 use crate::fingerprint::Fingerprint;
 use crate::outcome::StopReason;
 use crate::por::{self, SleepSet};
-use crate::spill::IndexQueue;
 use crate::stop::{StopCell, STOP_TIME_BUDGET};
-use crate::store::{Insert, StateIndex, StateStore, StoreMode};
+use crate::store::{Insert, StateIndex, StateStore};
 use crate::sync::{
     AtomicU64, FrontierRank, GateRank, OrderedCondvar, OrderedMutex, OrderedRwLock, Ordering,
     PanicSlotRank, ResultsRank,
@@ -105,8 +113,9 @@ pub(crate) trait Visitor<S: SpecState>: Send + Sync {
     fn on_existing(&self, _local: &mut Self::Local, _at: Arrival, _state: S) {}
 
     /// The level barrier: every worker is parked.  States pushed to `requeue` join the
-    /// next level; `Break` ends the run with the given reason unless a mid-level stop
-    /// request (which outranks it) is pending.
+    /// next level (the kernel keeps a pushed state only when the store cannot rebuild
+    /// it); `Break` ends the run with the given reason unless a mid-level stop request
+    /// (which outranks it) is pending.
     fn on_level_end(
         &mut self,
         locals: Vec<Self::Local>,
@@ -123,9 +132,6 @@ pub(crate) struct Run<'a, S> {
     pub(crate) workers: usize,
     pub(crate) max_depth: Option<u32>,
     pub(crate) deadline: Option<Instant>,
-    /// Memory budget that arms frontier spilling (effective only with a spill
-    /// directory and the full-state store, see [`LevelFrontier`]).
-    pub(crate) frontier_budget: Option<u64>,
 }
 
 /// What a finished run hands back.
@@ -150,6 +156,8 @@ pub(crate) struct Totals {
     /// Transitions skipped by sleep-set POR (not counted as transitions).
     pub(crate) pruned_transitions: u64,
     pub(crate) max_depth: u32,
+    /// The most states one level expanded, re-enqueued ones included.
+    pub(crate) widest_level: usize,
 }
 
 /// One worker's slice of the frontier, stealable by other workers.
@@ -229,9 +237,47 @@ impl StealRange {
     }
 }
 
+/// States to expand, in order: the store index of each, and — only when the store keeps
+/// no rows to rebuild them from — the states themselves, index-aligned.
+struct Frontier<S> {
+    indices: Vec<StateIndex>,
+    /// Empty when the store keeps rows; otherwise `states[i]` is the state at
+    /// `indices[i]`, whose sole copy this is.
+    states: Vec<S>,
+}
+
+impl<S> Default for Frontier<S> {
+    fn default() -> Self {
+        Frontier {
+            indices: Vec::new(),
+            states: Vec::new(),
+        }
+    }
+}
+
+impl<S: SpecState> Frontier<S> {
+    /// Enqueues the state stored at `index`; `state` is dropped unless `store` could
+    /// not give it back.
+    fn push(&mut self, store: &StateStore<S>, index: StateIndex, state: S) {
+        self.indices.push(index);
+        if !store.keeps_rows() {
+            self.states.push(state);
+        }
+    }
+
+    fn append(&mut self, other: Frontier<S>) {
+        self.indices.extend(other.indices);
+        self.states.extend(other.states);
+    }
+
+    fn len(&self) -> usize {
+        self.indices.len()
+    }
+}
+
 /// Everything one worker produced in one pool cycle.
 struct WorkerResult<S, L> {
-    next_frontier: Vec<(StateIndex, S)>,
+    next_frontier: Frontier<S>,
     transitions: u64,
     pruned: u64,
     /// The visitor's per-worker accumulator.
@@ -244,7 +290,7 @@ struct WorkerResult<S, L> {
 impl<S, L: Default> Default for WorkerResult<S, L> {
     fn default() -> Self {
         WorkerResult {
-            next_frontier: Vec::new(),
+            next_frontier: Frontier::default(),
             transitions: 0,
             pruned: 0,
             local: L::default(),
@@ -269,9 +315,9 @@ type ResultSlot<S, L> = OrderedMutex<ResultsRank, Option<WorkerResult<S, L>>>;
 /// worker is parked (the generation handshake in `gate` is the synchronisation point);
 /// workers hold the read lock for a whole cycle.
 struct Level<S, V> {
-    frontier: Vec<(StateIndex, S)>,
+    frontier: Frontier<S>,
     /// The sleep set of each frontier state, index-aligned with `frontier`; empty when
-    /// POR is off or the level was spilled (sleeps degrade to ∅, which is always sound).
+    /// POR is off.
     sleeps: Vec<SleepSet>,
     /// Depth of the successors this level generates.
     child_depth: u32,
@@ -301,7 +347,7 @@ pub(crate) fn explore<S: SpecState, V: Visitor<S>>(run: Run<'_, S>, visitor: V) 
     let workers = run.workers.max(1);
     let shared = Shared {
         level: OrderedRwLock::new(Level {
-            frontier: Vec::new(),
+            frontier: Frontier::default(),
             sleeps: Vec::new(),
             child_depth: 0,
             visitor,
@@ -318,6 +364,7 @@ pub(crate) fn explore<S: SpecState, V: Visitor<S>>(run: Run<'_, S>, visitor: V) 
         per_worker_transitions: vec![0; workers],
         pruned_transitions: 0,
         max_depth: 0,
+        widest_level: 0,
     };
     let stop_reason = if workers == 1 {
         level_loop(&shared, &mut totals)
@@ -341,106 +388,28 @@ pub(crate) fn explore<S: SpecState, V: Visitor<S>>(run: Run<'_, S>, visitor: V) 
     }
 }
 
-/// Frontier levels smaller than this are never spilled, whatever the memory budget:
-/// below it the queue's syscall overhead dwarfs the memory saved.
-const MIN_FRONTIER_CHUNK: usize = 256;
-
-/// One level of the search: accumulated while the previous level expands, then sealed
-/// and expanded chunk by chunk.  It stays resident unless it outgrows the memory
-/// budget, in which case it round-trips through an on-disk index queue.
-///
-/// Spilled levels store only the `u32` state indices; the states themselves are reloaded
-/// from the full-state arena chunk by chunk, which is why frontier spilling requires
-/// [`StoreMode::Full`] — in fingerprint-only mode the frontier is the *sole* holder of
-/// the live states and dropping them would lose the level.
-struct Frontier<'a, S> {
-    ram: Vec<(StateIndex, S)>,
-    disk: Option<IndexQueue>,
-    /// `(chunk_size, spill_dir)`; `None` disables frontier spilling entirely.
-    spill: Option<(usize, &'a Path)>,
-    depth: u32,
-    store: &'a StateStore<S>,
-}
-
-impl<S: SpecState> Frontier<'_, S> {
-    fn extend(&mut self, items: Vec<(StateIndex, S)>) {
-        self.ram.extend(items);
-        if let Some((threshold, dir)) = self.spill {
-            if self.ram.len() > threshold {
-                self.flush(dir);
-            }
-        }
-    }
-
-    /// Moves the resident entries onto the level's index queue, dropping the states
-    /// (they stay reloadable from the full-state arena).
-    fn flush(&mut self, dir: &Path) {
-        let queue = match &mut self.disk {
-            Some(queue) => queue,
-            None => {
-                let path = dir.join(format!("frontier-{:06}.idx", self.depth));
-                self.disk
-                    .insert(IndexQueue::create(&path).expect("creating a frontier spill queue"))
-            }
-        };
-        let indices: Vec<u32> = self.ram.drain(..).map(|(index, _)| index.0).collect();
-        queue
-            .push(&indices)
-            .expect("appending to a frontier spill queue");
-        self.store.note_frontier_spilled(indices.len() as u64);
-    }
-
-    fn len(&self) -> usize {
-        self.ram.len() + self.disk.as_ref().map_or(0, IndexQueue::remaining)
-    }
-
-    /// Seals the level for expansion: fully resident, or fully on disk once any part
-    /// spilled (a mixed level would expand its two halves in a scheduling-dependent
-    /// order).
-    fn seal(&mut self) {
-        if self.disk.is_some() && !self.ram.is_empty() {
-            let (_, dir) = self.spill.expect("a spilled frontier has a spill dir");
-            self.flush(dir);
-        }
-    }
-
-    /// The next chunk to expand, empty once the level is drained: a resident level is
-    /// one chunk; a spilled level streams back in budget-sized chunks, each expanded
-    /// exactly like a whole level.
-    fn next_chunk(&mut self) -> Vec<(StateIndex, S)> {
-        let (Some(queue), Some((chunk_size, _))) = (&mut self.disk, self.spill) else {
-            return std::mem::take(&mut self.ram);
-        };
-        let indices = queue
-            .next_chunk(chunk_size)
-            .expect("reading back a spilled frontier queue");
-        let reload = |raw| {
-            let state = self.store.state_at(StateIndex(raw));
-            (
-                StateIndex(raw),
-                state.expect("spilled frontiers require the full-state store"),
-            )
-        };
-        indices.into_iter().map(reload).collect()
-    }
-}
-
-/// What one level accumulates across its chunks and cycles, for the barrier.
-struct LevelOutput<'a, S, L> {
-    next: Frontier<'a, S>,
+/// What one level discovered, gathered from its workers for the barrier.
+struct LevelOutput<S, L> {
+    next: Frontier<S>,
     locals: Vec<L>,
     sleep_edges: Vec<(StateIndex, SleepSet)>,
 }
 
-impl<S: SpecState, L> LevelOutput<'_, S, L> {
-    fn merge(&mut self, results: Vec<WorkerResult<S, L>>, totals: &mut Totals) {
+impl<S: SpecState, L> LevelOutput<S, L> {
+    fn gather(results: Vec<WorkerResult<S, L>>, totals: &mut Totals) -> Self {
+        let mut output = LevelOutput {
+            next: Frontier::default(),
+            locals: Vec::with_capacity(results.len()),
+            sleep_edges: Vec::new(),
+        };
         for (w, result) in results.into_iter().enumerate() {
             totals.per_worker_transitions[w] += result.transitions;
             totals.pruned_transitions += result.pruned;
-            self.next.extend(result.next_frontier);
-            self.locals.push(result.local);
-            self.sleep_edges.extend(result.sleep_edges);
+            output.next.append(result.next_frontier);
+            output.locals.push(result.local);
+            output.sleep_edges.extend(result.sleep_edges);
         }
+        output
     }
 }
 
@@ -450,33 +419,10 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
     totals: &mut Totals,
 ) -> StopReason {
     let run = &shared.run;
-    // Frontier spilling is active only with a memory budget AND the full-state store
-    // (see `Frontier`).  The chunk size is how many frontier entries the budget
-    // buys; states round-trip through disk only when a level outgrows it.
-    let frontier_spill: Option<(usize, &Path)> =
-        match (run.store.spill_dir(), run.frontier_budget, run.store.mode()) {
-            (Some(dir), Some(budget), StoreMode::Full) => {
-                let entry = std::mem::size_of::<(StateIndex, S)>().max(1);
-                Some(((budget as usize / entry).max(MIN_FRONTIER_CHUNK), dir))
-            }
-            _ => None,
-        };
-    let level_output = |depth: u32| LevelOutput {
-        next: Frontier {
-            ram: Vec::new(),
-            disk: None,
-            spill: frontier_spill,
-            depth,
-            store: run.store,
-        },
-        locals: Vec::new(),
-        sleep_edges: Vec::new(),
-    };
 
     // Level 0: the initial states reach the visitor like any other fresh arrival.
     let mut depth: u32 = 0;
-    let mut output = level_output(0);
-    {
+    let mut output = {
         let level = shared.level.read();
         let mut seeds = WorkerResult::default();
         run.pipeline.seed(run.store, |index, fp, state| {
@@ -487,11 +433,11 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
                 depth: 0,
             };
             if level.visitor.on_fresh(&mut seeds.local, at, &state) {
-                seeds.next_frontier.push((index, state));
+                seeds.next_frontier.push(run.store, index, state);
             }
         });
-        output.merge(vec![seeds], totals);
-    }
+        LevelOutput::gather(vec![seeds], totals)
+    };
 
     loop {
         // The barrier of level `depth`: `output` holds what the level discovered.
@@ -503,14 +449,16 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
         let mut requeue = Vec::new();
         let flow = {
             let mut level = shared.level.write();
-            level.frontier = Vec::new();
+            level.frontier = Frontier::default();
             let end = LevelEnd {
                 depth,
                 enqueued: next.len(),
             };
             level.visitor.on_level_end(locals, end, &mut requeue)
         };
-        next.extend(requeue);
+        for (index, state) in requeue {
+            next.push(run.store, index, state);
+        }
         if next.len() > 0 {
             totals.max_depth = totals.max_depth.max(depth);
         }
@@ -522,9 +470,7 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
         if let ControlFlow::Break(reason) = flow {
             return reason;
         }
-        let mut frontier = next;
-        frontier.seal();
-        if frontier.len() == 0 {
+        if next.len() == 0 {
             return StopReason::Exhausted;
         }
         // Check resource budgets between levels (workers also check the deadline
@@ -535,22 +481,8 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
         if run.max_depth.is_some_and(|max_depth| depth >= max_depth) {
             return StopReason::DepthBound;
         }
-        {
-            let mut level = shared.level.write();
-            level.child_depth = depth + 1;
-            level.sleeps = align_sleeps(sleep_edges, &frontier);
-        }
-
-        output = level_output(depth + 1);
-        // Mid-level stops abort the remaining chunks, exactly as expansion of a chunk
-        // aborts its remaining claims.
-        while !run.stop.requested() {
-            let chunk = frontier.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            expand_chunk(shared, chunk, &mut output, totals);
-        }
+        totals.widest_level = totals.widest_level.max(next.len());
+        output = LevelOutput::gather(expand_level(shared, next, sleep_edges, depth + 1), totals);
         depth += 1;
     }
 }
@@ -561,14 +493,14 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
 /// A state reached through several same-level edges keeps only the labels *every*
 /// arrival keeps asleep (set intersection — commutative, so the result is independent
 /// of worker scheduling).  Edges to states of older levels (re-visits at greater depth)
-/// have no aligned frontier slot and are dropped; spilled levels get no sleep sets at
-/// all — both degrade the reduction, never its soundness.
-fn align_sleeps<S>(
+/// have no aligned frontier slot and are dropped, which degrades the reduction, never
+/// its soundness.
+fn align_sleeps(
     sleep_edges: Vec<(StateIndex, SleepSet)>,
-    frontier: &Frontier<'_, S>,
+    frontier: &[StateIndex],
 ) -> Vec<SleepSet> {
     // No edges: POR is off (an expanded level always has arrivals otherwise).
-    if sleep_edges.is_empty() || frontier.disk.is_some() {
+    if sleep_edges.is_empty() {
         return Vec::new();
     }
     let mut by_index: HashMap<u32, SleepSet> = HashMap::with_capacity(sleep_edges.len());
@@ -580,36 +512,35 @@ fn align_sleeps<S>(
             }
         }
     }
-    let aligned = |(index, _): &(StateIndex, S)| by_index.remove(&index.0).unwrap_or_default();
-    frontier.ram.iter().map(aligned).collect()
+    let aligned = |index: &StateIndex| by_index.remove(&index.0).unwrap_or_default();
+    frontier.iter().map(aligned).collect()
 }
 
-/// Expands one chunk of the current level (inline or on the pool), merging the per-worker
-/// results into `output`.
-fn expand_chunk<S: SpecState, V: Visitor<S>>(
+/// Publishes `frontier` as the level whose successors have depth `child_depth` and
+/// expands it (inline or on the pool), returning the per-worker results.
+fn expand_level<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
-    chunk: Vec<(StateIndex, S)>,
-    output: &mut LevelOutput<'_, S, V::Local>,
-    totals: &mut Totals,
-) {
+    frontier: Frontier<S>,
+    sleep_edges: Vec<(StateIndex, SleepSet)>,
+    child_depth: u32,
+) -> Vec<WorkerResult<S, V::Local>> {
+    let len = frontier.len();
     // Small frontiers are not worth waking the pool for; expand them inline.
-    let team = if chunk.len() >= 64 {
-        shared.ranges.len()
-    } else {
-        1
-    };
-    let per_worker = chunk.len().div_ceil(team);
+    let team = if len >= 64 { shared.ranges.len() } else { 1 };
+    let per_worker = len.div_ceil(team);
     for (w, range) in shared.ranges.iter().enumerate() {
-        range.reset(
-            (w * per_worker).min(chunk.len()),
-            ((w + 1) * per_worker).min(chunk.len()),
-        );
+        range.reset((w * per_worker).min(len), ((w + 1) * per_worker).min(len));
     }
-    shared.level.write().frontier = chunk;
-    output.merge(run_cycle(shared, team), totals);
+    {
+        let mut level = shared.level.write();
+        level.sleeps = align_sleeps(sleep_edges, &frontier.indices);
+        level.frontier = frontier;
+        level.child_depth = child_depth;
+    }
+    run_cycle(shared, team)
 }
 
-/// Expands the published chunk once on `team` workers — inline for a team of one, else
+/// Expands the published level once on `team` workers — inline for a team of one, else
 /// as one gate cycle of the persistent pool — and collects the per-worker results.
 fn run_cycle<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
@@ -681,7 +612,7 @@ fn pool_worker<S: SpecState, V: Visitor<S>>(shared: &Shared<'_, S, V>, worker: u
     }
 }
 
-/// The worker loop: claims frontier indices of the published chunk (own range first,
+/// The worker loop: claims frontier indices of the published level (own range first,
 /// then stolen halves), expands each state into `staged`, and inserts what it staged
 /// before the next claim.  Holds the level read lock for the whole cycle.
 fn expand_range<S: SpecState, V: Visitor<S>>(
@@ -732,7 +663,21 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
             }
         };
 
-        let (parent, state) = &level.frontier[idx];
+        let parent = level.frontier.indices[idx];
+        // The frontier holds the parent only where the store keeps no row to rebuild it
+        // from; the read locks the parent's stripe and the pool, and both are released
+        // before the enumeration callback runs.
+        let rebuilt;
+        let state = match level.frontier.states.get(idx) {
+            Some(state) => state,
+            None => {
+                rebuilt = run
+                    .store
+                    .state_at(parent)
+                    .expect("a store that keeps rows rebuilds every frontier state");
+                &rebuilt
+            }
+        };
         let sleep_in: &[LabelId] = level.sleeps.get(idx).map_or(&[], |sleep| sleep.as_slice());
         let (explored, pruned) = run
             .pipeline
@@ -747,7 +692,7 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
             if run.stop.requested() {
                 break;
             }
-            arrive(shared, &level, *parent, succ, &mut result);
+            arrive(shared, &level, parent, succ, &mut result);
         }
 
         processed += 1;
@@ -759,7 +704,8 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
 }
 
 /// One edge meets the store: lock the successor's stripe, insert, unlock, then (outside
-/// the lock) tell the visitor and record the sleep set the edge hands down.
+/// the lock) tell the visitor and record the sleep set the edge hands down.  The
+/// moved-in state goes no further than the visitor unless the store cannot rebuild it.
 fn arrive<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
     level: &Level<S, V>,
@@ -792,7 +738,7 @@ fn arrive<S: SpecState, V: Visitor<S>>(
     match insert {
         Insert::Fresh(_, state) => {
             if level.visitor.on_fresh(&mut result.local, at, &state) {
-                result.next_frontier.push((at.index, state));
+                result.next_frontier.push(store, at.index, state);
             }
         }
         Insert::Existing(_, state) => level.visitor.on_existing(&mut result.local, at, state),

@@ -108,10 +108,9 @@ pub struct CheckOptions {
     /// `Spec::symmetry`.
     pub symmetry: SymmetryMode,
     /// The out-of-core tier: when a memory budget is set, the store spills its
-    /// fingerprint set to sorted disk runs and — in [`StoreMode::Full`] — BFS
-    /// round-trips oversized frontiers through on-disk queues, so runs whose state
-    /// count exceeds RAM still finish (with the same results; spilling never changes
-    /// what is explored).  Both engines honour it.  Defaults to
+    /// fingerprint set to sorted disk runs, so runs whose dedup tables exceed RAM
+    /// still finish (with the same results; spilling never changes what is
+    /// explored).  Both engines honour it.  Defaults to
     /// [`SpillConfig::in_ram`]; arm it with [`CheckOptions::with_mem_budget`].
     pub spill: SpillConfig,
     /// Ignored — results never depended on it; deleted in the next `benchmark` PR.

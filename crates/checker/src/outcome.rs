@@ -46,6 +46,10 @@ pub struct CheckStats {
     pub transitions: u64,
     /// Maximum depth (number of transitions from an initial state) reached.
     pub max_depth: u32,
+    /// The most states one BFS level expanded (re-enqueued states included; 0 for
+    /// DFS).  The frontier's resident share of a run's memory is this many entries: 4
+    /// bytes each with the full-state store, a whole state each without it.
+    pub widest_level: usize,
     /// Wall-clock time of the run, from the engine's entry until its discovered-state
     /// store has been freed — what a caller waits for the verdict.
     pub elapsed: Duration,
@@ -70,9 +74,8 @@ pub struct CheckStats {
     /// the full-state backend 4 per word of the state's row (92 on three servers).
     /// The intern pool the rows point into is shared by all states and not counted.
     pub entry_bytes_per_state: usize,
-    /// Out-of-core activity: fingerprint runs spilled to disk, probe traffic, and
-    /// frontier entries round-tripped through on-disk queues.  All-zero when no
-    /// memory budget was configured or everything fit.
+    /// Out-of-core activity: fingerprint runs spilled to disk and probe traffic.
+    /// All-zero when no memory budget was configured or everything fit.
     pub spill: crate::spill::SpillStats,
     /// Transitions pruned by sleep-set partial-order reduction
     /// (`CheckOptions::por`): redundant interleavings whose declared footprints prove
@@ -180,6 +183,7 @@ impl<S> fmt::Display for CheckOutcome<S> {
         writeln!(f, "distinct states: {}", self.stats.distinct_states)?;
         writeln!(f, "transitions:     {}", self.stats.transitions)?;
         writeln!(f, "max depth:       {}", self.stats.max_depth)?;
+        writeln!(f, "widest level:    {}", self.stats.widest_level)?;
         writeln!(f, "elapsed:         {:.2?}", self.stats.elapsed)?;
         writeln!(f, "teardown:        {:.2?}", self.stats.teardown)?;
         writeln!(f, "stop reason:     {}", self.stop_reason)?;
@@ -226,6 +230,7 @@ mod tests {
         assert_eq!(outcome.first_violation().unwrap().invariant, "I-10");
         let text = outcome.to_string();
         assert!(text.contains("I-8"));
+        assert!(text.contains("widest level:"));
         assert!(text.contains("stopped") || text.contains("exhausted"));
     }
 

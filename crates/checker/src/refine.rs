@@ -808,7 +808,6 @@ fn explore_side<S: SpecState>(
             // run, so it is the visitor's to evaluate.
             max_depth: None,
             deadline,
-            frontier_budget: None,
         },
         RefineVisitor {
             projection,

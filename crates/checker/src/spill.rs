@@ -12,9 +12,10 @@
 //! order never affects the answer and spilling cannot change which states a run
 //! discovers — only where their fingerprints live.
 //!
-//! The module also provides the on-disk index queue that [`crate::bfs`] round-trips
-//! oversized frontiers through, and the [`SpillConfig`] / [`SpillStats`] types the
-//! option and outcome structs surface.
+//! Only the fingerprint set goes out of core.  A BFS level is 4 bytes per state (the
+//! kernel keeps indices and rebuilds each parent from the store), less than the store
+//! pays per state, so it stays resident.  The module also provides the
+//! [`SpillConfig`] / [`SpillStats`] types the option and outcome structs surface.
 //!
 //! Everything here is `std`-only: plain files via [`std::os::unix::fs::FileExt`]
 //! positioned reads (no memory mapping — the workspace denies `unsafe`).
@@ -43,16 +44,17 @@ pub(crate) const DELTA_ENTRY_BYTES: usize = 48;
 /// into per-entry syscalls.
 pub(crate) const MIN_FLUSH_ENTRIES: usize = 8;
 
-/// Where (and whether) a run may spill its fingerprint set and frontiers to disk.
+/// Where (and whether) a run may spill its fingerprint set to disk.
 ///
 /// The default is fully in-RAM (`budget_bytes: None`); a run goes out of core only
 /// when its options carry a budget (`SpillConfig::in_ram().with_budget_bytes(..)`, or
 /// `CheckOptions::with_mem_budget`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpillConfig {
-    /// Memory budget in bytes for the store's fingerprint set (and, in
-    /// [`crate::store::StoreMode::Full`], the BFS frontier).  `None` disables
-    /// spilling entirely.
+    /// Memory budget in bytes for the store's fingerprint set: each stripe's dedup
+    /// table is flushed to a sorted run file once it reaches its share.  Rows, the
+    /// intern pool and the BFS frontier (4 bytes per state) stay resident.  `None`
+    /// disables spilling entirely.
     pub budget_bytes: Option<u64>,
     /// Directory spill files are created under (a unique per-store subdirectory is
     /// created inside it and removed when the store drops).  `None` uses the system
@@ -100,15 +102,13 @@ pub struct SpillStats {
     pub disk_probes: u64,
     /// Membership probes a bloom filter answered negatively without touching disk.
     pub bloom_negatives: u64,
-    /// Frontier entries round-tripped through on-disk level queues.
-    pub frontier_spilled: u64,
 }
 
 impl SpillStats {
-    /// `true` when the run actually exceeded its memory budget somewhere — the
-    /// fingerprint set spilled runs or a BFS frontier round-tripped through disk.
+    /// `true` when the run actually exceeded its memory budget: the fingerprint set
+    /// spilled runs.
     pub fn spilled(&self) -> bool {
-        self.runs_spilled > 0 || self.frontier_spilled > 0
+        self.runs_spilled > 0
     }
 }
 
@@ -120,12 +120,11 @@ pub(crate) struct SpillCounters {
     pub bytes_spilled: AtomicU64,
     pub disk_probes: AtomicU64,
     pub bloom_negatives: AtomicU64,
-    pub frontier_spilled: AtomicU64,
 }
 
 impl SpillCounters {
     pub fn snapshot(&self, budget_bytes: u64) -> SpillStats {
-        // ordering: Relaxed (×6) — counters are statistics reported after the run;
+        // ordering: Relaxed (×5) — counters are statistics reported after the run;
         // nothing branches on them while workers are live.
         SpillStats {
             budget_bytes,
@@ -134,7 +133,6 @@ impl SpillCounters {
             bytes_spilled: self.bytes_spilled.load(Ordering::Relaxed), // ordering: see above.
             disk_probes: self.disk_probes.load(Ordering::Relaxed),   // ordering: see above.
             bloom_negatives: self.bloom_negatives.load(Ordering::Relaxed), // ordering: see above.
-            frontier_spilled: self.frontier_spilled.load(Ordering::Relaxed), // ordering: see above.
         }
     }
 }
@@ -297,64 +295,6 @@ impl SpillRun {
     }
 }
 
-/// A bounded on-disk FIFO of `u32` state indices: the backing of BFS levels too
-/// large for their memory budget.  Writes append; reads stream sequential chunks.
-pub(crate) struct IndexQueue {
-    file: File,
-    written: usize,
-    read: usize,
-}
-
-impl IndexQueue {
-    /// Creates an empty queue file at `path` (which must not exist).
-    pub fn create(path: &Path) -> io::Result<IndexQueue> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(path)?;
-        Ok(IndexQueue {
-            file,
-            written: 0,
-            read: 0,
-        })
-    }
-
-    /// Appends a batch of indices.
-    pub fn push(&mut self, indices: &[u32]) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(indices.len() * 4);
-        for i in indices {
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        self.file.write_all_at(&buf, (self.written * 4) as u64)?;
-        self.written += indices.len();
-        Ok(())
-    }
-
-    /// Indices not yet consumed by [`IndexQueue::next_chunk`].
-    pub fn remaining(&self) -> usize {
-        self.written - self.read
-    }
-
-    /// Total indices ever appended.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.written
-    }
-
-    /// Reads up to `max` indices in FIFO order; empty when drained.
-    pub fn next_chunk(&mut self, max: usize) -> io::Result<Vec<u32>> {
-        let n = self.remaining().min(max);
-        let mut buf = vec![0u8; n * 4];
-        self.file.read_exact_at(&mut buf, (self.read * 4) as u64)?;
-        self.read += n;
-        Ok(buf
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,21 +329,6 @@ mod tests {
             "the bloom filter must answer most absent probes without disk reads: {}",
             counters.bloom_negatives.load(Ordering::Relaxed)
         );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn index_queue_streams_fifo_chunks() {
-        let dir = create_spill_dir(None).unwrap();
-        let mut q = IndexQueue::create(&dir.join("level-0.idx")).unwrap();
-        q.push(&[1, 2, 3]).unwrap();
-        q.push(&[4, 5]).unwrap();
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.next_chunk(2).unwrap(), vec![1, 2]);
-        q.push(&[6]).unwrap();
-        assert_eq!(q.next_chunk(10).unwrap(), vec![3, 4, 5, 6]);
-        assert_eq!(q.next_chunk(10).unwrap(), Vec::<u32>::new());
-        assert_eq!(q.remaining(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -74,9 +74,9 @@
 //! reference-count bumps.  A state type that overrides neither is pooled whole and its
 //! row is the one slot, so there is one arena layout for every state type.  Nothing is
 //! cloned at insert: the moved-in state goes back to the caller, and the readers
-//! ([`StateStore::state_at`]: trace reconstruction, the spilled frontier's reload,
-//! refinement's witnesses) rebuild from the row under the stripe's lock and then the
-//! pool's (rank order `store.shard` → `store.pool`, the insert's).
+//! ([`StateStore::state_at`]: the BFS kernel's parent of every expansion, trace
+//! reconstruction, refinement's witnesses) rebuild from the row under the stripe's lock
+//! and then the pool's (rank order `store.shard` → `store.pool`, the insert's).
 //!
 //! A stripe's rows, metadata and permutations live in fixed-size chunks that are never
 //! reallocated (the private `ChunkVec`): a doubling `Vec` copies the whole stripe at
@@ -88,7 +88,7 @@ use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::sync::{
     AtomicU64, AtomicUsize, OrderedMutex, OrderedMutexGuard, Ordering, PoolRank, ShardRank,
@@ -246,8 +246,7 @@ struct ShardCell<S> {
 /// The out-of-core plan of a budgeted store: where spill files go and when each
 /// stripe's delta table gives way to a sorted run.
 struct StoreSpill {
-    /// Unique per-store directory holding every run (and frontier queue) file;
-    /// removed when the store drops.
+    /// Unique per-store directory holding every run file; removed when the store drops.
     dir: PathBuf,
     /// Delta-table entries per stripe before it is flushed to a run.
     flush_entries: usize,
@@ -291,9 +290,9 @@ pub enum Insert<S> {
     /// The fingerprint was already present; the existing entry's index is returned
     /// along with the (unconsumed) moved-in state.
     Existing(StateIndex, S),
-    /// A fresh entry was created.  The returned state is for the caller's frontier: the
-    /// moved-in state, in both modes ([`StoreMode::Full`] keeps a row of pool slots,
-    /// not the state), with its components interned into the store's pool.
+    /// A fresh entry was created.  The returned state is the moved-in one, in both
+    /// modes ([`StoreMode::Full`] keeps a row of pool slots, not the state), with its
+    /// components interned into the store's pool.
     Fresh(StateIndex, S),
 }
 
@@ -542,21 +541,11 @@ impl<S: SpecState> StateStore<S> {
         }
     }
 
-    /// The store's spill directory, when the out-of-core tier is armed.  BFS borrows
-    /// it for frontier-level queue files so everything is cleaned up together.
-    pub(crate) fn spill_dir(&self) -> Option<&Path> {
-        self.spill.as_ref().map(|s| s.dir.as_path())
-    }
-
-    /// Records `n` frontier entries round-tripped through an on-disk level queue.
-    pub(crate) fn note_frontier_spilled(&self, n: u64) {
-        if let Some(spill) = &self.spill {
-            spill
-                .counters
-                .frontier_spilled
-                // ordering: Relaxed — observability counter, see flush_delta_table.
-                .fetch_add(n, Ordering::Relaxed);
-        }
+    /// Whether [`StateStore::state_at`] rebuilds stored states: `false` in
+    /// [`StoreMode::FingerprintOnly`], which keeps no rows, so a caller that needs a
+    /// state again must hold on to it.
+    pub(crate) fn keeps_rows(&self) -> bool {
+        self.mode == StoreMode::Full
     }
 
     /// The backend this store runs.

@@ -79,12 +79,15 @@ macro_rules! declare_rank {
 
 declare_rank!(
     /// Innermost: the store's component intern pool.  Taken once per *fresh* insert,
-    /// under that insert's shard lock, for a few map probes; acquires nothing nested.
+    /// under that insert's shard lock, for a few map probes, and once per state a Full
+    /// store rebuilds from its row (every BFS parent), under that stripe's lock;
+    /// acquires nothing nested.
     PoolRank, 0, "store.pool"
 );
 declare_rank!(
     /// One stripe of the discovered-state store.  Acquired once per successor insert
-    /// while the frontier read lock is held; nests only the intern pool (spill
+    /// and once per parent read back from its row, while the frontier read lock is
+    /// held; nests only the intern pool (spill
     /// flushes inside the shard do file I/O and atomics only).
     ShardRank, 5, "store.shard"
 );

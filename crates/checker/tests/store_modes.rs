@@ -1,11 +1,17 @@
 //! Integration tests of the two discovered-state store backends on the real Zab model:
 //! stop-reason precedence must be deterministic across both modes, and fingerprint-only
 //! violation traces must replay through `Spec::successors` to the violating state — in
-//! every symmetry × POR cell and out of core.
+//! every symmetry × POR cell and out of core, at one worker and at four.  The Full
+//! store's kernel rebuilds every parent from its row while the fingerprint-only one
+//! expands the states its frontier holds, so agreeing here is what says the rows read
+//! back as the states that were stored.
 
 use std::time::Duration;
 
-use remix_checker::{check_bfs, CheckMode, CheckOptions, StopReason, StoreMode, SymmetryMode};
+use remix_checker::{
+    check_bfs, CheckMode, CheckOptions, CheckOutcome, StopReason, StoreMode, SymmetryMode,
+    Violation,
+};
 use remix_spec::Spec;
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset, ZabState};
 
@@ -14,9 +20,21 @@ fn spec(version: CodeVersion) -> Spec<ZabState> {
     SpecPreset::MSpec3.build(&config)
 }
 
+/// The statistics that describe the search, not the memory layout.
+fn search(outcome: &CheckOutcome<ZabState>) -> (usize, u64, u32, usize, StopReason) {
+    let stats = &outcome.stats;
+    (
+        stats.distinct_states,
+        stats.transitions,
+        stats.max_depth,
+        stats.widest_level,
+        outcome.stop_reason,
+    )
+}
+
 /// The engine cells the store backends are compared in: symmetry × POR, plus an
-/// out-of-core cell whose 64 KiB budget spills fingerprint runs and (Full store)
-/// frontier levels.  Each cell is named for assertion messages.
+/// out-of-core cell whose 64 KiB budget spills fingerprint runs.  Each cell is named
+/// for assertion messages.
 fn cells() -> Vec<(CheckOptions, String)> {
     let mut cells = Vec::new();
     for symmetry in [SymmetryMode::Off, SymmetryMode::Canonicalize] {
@@ -33,35 +51,41 @@ fn cells() -> Vec<(CheckOptions, String)> {
 }
 
 /// Both backends explore the identical state space and agree on every statistic that
-/// does not describe memory layout.
+/// does not describe memory layout, at one worker and at four.  A depth bound (not a
+/// state cap, which a team overshoots by a schedule-dependent amount) ends the runs,
+/// so the worker counts must agree with each other too.
 #[test]
 fn store_modes_explore_identical_state_spaces() {
     let spec = spec(CodeVersion::FinalFix);
     for (options, cell) in cells() {
-        let options = options.with_max_states(4_000);
-        let full = check_bfs(&spec, &options.clone().with_store_mode(StoreMode::Full));
-        let fp_only = check_bfs(
-            &spec,
-            &options.clone().with_store_mode(StoreMode::FingerprintOnly),
-        );
-        assert_eq!(
-            full.stats.distinct_states, fp_only.stats.distinct_states,
-            "{cell}"
-        );
-        assert_eq!(full.stats.transitions, fp_only.stats.transitions, "{cell}");
-        assert_eq!(full.stats.max_depth, fp_only.stats.max_depth, "{cell}");
-        assert_eq!(full.stop_reason, fp_only.stop_reason, "{cell}");
-        assert!(
-            fp_only.stats.peak_entry_bytes < full.stats.peak_entry_bytes,
-            "fingerprint-only entries must be strictly smaller ({cell}): {} vs {}",
-            fp_only.stats.peak_entry_bytes,
-            full.stats.peak_entry_bytes
-        );
-        assert_eq!(
-            options.spill.is_active(),
-            full.stats.spill.spilled() && fp_only.stats.spill.spilled(),
-            "{cell}"
-        );
+        let mut one_worker = None;
+        for workers in [1, 4] {
+            let cell = format!("{cell}, workers {workers}");
+            let options = options.clone().with_max_depth(12).with_workers(workers);
+            let full = check_bfs(&spec, &options.clone().with_store_mode(StoreMode::Full));
+            let fp_only = check_bfs(
+                &spec,
+                &options.clone().with_store_mode(StoreMode::FingerprintOnly),
+            );
+            assert_eq!(full.stop_reason, StopReason::DepthBound, "{cell}");
+            assert_eq!(search(&full), search(&fp_only), "{cell}");
+            assert_eq!(
+                *one_worker.get_or_insert(search(&full)),
+                search(&full),
+                "{cell}"
+            );
+            assert!(
+                fp_only.stats.peak_entry_bytes < full.stats.peak_entry_bytes,
+                "fingerprint-only entries must be strictly smaller ({cell}): {} vs {}",
+                fp_only.stats.peak_entry_bytes,
+                full.stats.peak_entry_bytes
+            );
+            assert_eq!(
+                options.spill.is_active(),
+                full.stats.spill.spilled() && fp_only.stats.spill.spilled(),
+                "{cell}"
+            );
+        }
     }
 }
 
@@ -157,6 +181,10 @@ fn stop_reason_precedence_is_deterministic_across_store_modes() {
 /// A violation trace reconstructed by the fingerprint-only store's bounded
 /// re-exploration is a legal execution: every step is a successor of its predecessor
 /// under `Spec::successors` (matched by label), and it ends in the violating state.
+/// At one worker it is the Full store's trace, label for label.  At four, which parent
+/// inserts a state first depends on the schedule, and so does the recorded chain:
+/// there the two backends must agree on the violation — invariant, depth and the
+/// violating state's orbit — and each trace must replay.
 #[test]
 fn fingerprint_only_traces_replay_through_spec_successors() {
     let spec = spec(CodeVersion::V391);
@@ -166,40 +194,74 @@ fn fingerprint_only_traces_replay_through_spec_successors() {
             &base.clone().with_store_mode(StoreMode::FingerprintOnly),
         );
         let violation = outcome.first_violation().expect("v3.9.1 violates mSpec-3");
-        let trace = &violation.trace;
-        assert!(!trace.is_empty(), "trace collection is on by default");
-        assert_eq!(trace.depth() as u32, violation.depth);
-
-        // Step 0 is an initial state; each later step must be among its predecessor's
-        // successors with exactly the recorded label.
-        assert!(spec.init.contains(&trace.steps[0].state));
-        for window in trace.steps.windows(2) {
-            let successors = spec.successors(&window[0].state);
-            assert!(
-                successors
-                    .iter()
-                    .any(|(label, next)| label == &window[1].action && next == &window[1].state),
-                "{cell}: step `{}` must be a successor of its predecessor",
-                window[1].action
-            );
-        }
-        let last = trace.last_state().expect("non-empty");
-        assert!(
-            !spec.violated_invariants(last).is_empty(),
-            "the replayed trace ends in the violating state ({cell})"
-        );
+        assert_replays(&spec, violation, &cell);
 
         // And the replayed counterexample is identical to the full store's.
-        let full = check_bfs(&spec, &base.with_store_mode(StoreMode::Full));
+        let full = check_bfs(&spec, &base.clone().with_store_mode(StoreMode::Full));
         let full_violation = full.first_violation().expect("same violation");
         assert_eq!(full_violation.invariant, violation.invariant);
         assert_eq!(full_violation.depth, violation.depth);
         assert_eq!(
             full_violation.trace.action_labels(),
-            trace.action_labels(),
+            violation.trace.action_labels(),
             "{cell}"
         );
+
+        // Four workers: every violating state of the minimal depth is found (the run
+        // completes that level and stops before expanding it), and each invariant's
+        // representative is its least key, so the violation itself is deterministic.
+        let cell = format!("{cell}, workers 4");
+        let team = CheckOptions {
+            mode: CheckMode::Completion {
+                violation_limit: usize::MAX,
+            },
+            ..base.clone()
+        }
+        .with_workers(4)
+        .with_max_depth(violation.depth);
+        let orbit = |state: &ZabState| match (&spec.symmetry, base.symmetry) {
+            (Some(canon), SymmetryMode::Canonicalize) => canon(state).0,
+            _ => state.clone(),
+        };
+        let mut agreed = None;
+        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+            let outcome = check_bfs(&spec, &team.clone().with_store_mode(mode));
+            let found = outcome.first_violation().expect("the level holds it");
+            assert_eq!(found.depth, violation.depth, "{cell}, {mode}");
+            assert_replays(&spec, found, &cell);
+            let last = orbit(found.trace.last_state().expect("non-empty"));
+            let signature = (found.invariant, last, search(&outcome));
+            assert_eq!(
+                *agreed.get_or_insert(signature.clone()),
+                signature,
+                "{cell}, {mode}"
+            );
+        }
     }
+}
+
+/// `violation`'s trace starts in an initial state, takes each step as a successor of
+/// its predecessor with exactly the recorded label, and ends in a violating state.
+fn assert_replays(spec: &Spec<ZabState>, violation: &Violation<ZabState>, cell: &str) {
+    let trace = &violation.trace;
+    assert!(!trace.is_empty(), "trace collection is on by default");
+    assert_eq!(trace.depth() as u32, violation.depth);
+    assert!(spec.init.contains(&trace.steps[0].state));
+    for window in trace.steps.windows(2) {
+        let successors = spec.successors(&window[0].state);
+        assert!(
+            successors
+                .iter()
+                .any(|(label, next)| label == &window[1].action && next == &window[1].state),
+            "{cell}: step `{}` must be a successor of its predecessor",
+            window[1].action
+        );
+    }
+    let last = trace.last_state().expect("non-empty");
+    assert!(
+        !spec.violated_invariants(last).is_empty(),
+        "the replayed trace ends in the violating state ({cell})"
+    );
 }
 
 /// The three `remix-bench` `bug-hunt` counterexamples (ZK-4394, ZK-3023, ZK-4685),

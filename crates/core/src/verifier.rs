@@ -204,8 +204,8 @@ impl VerifierOptions {
         self
     }
 
-    /// Sets the checker's memory budget in bytes (fingerprint runs and — in the
-    /// full-state store — frontier levels beyond it spill to disk).
+    /// Sets the checker's memory budget in bytes (the fingerprint set spills sorted
+    /// runs to disk beyond it).
     pub fn with_mem_budget(mut self, bytes: u64) -> Self {
         self.spill.budget_bytes = Some(bytes);
         self
