@@ -33,7 +33,7 @@
 //! states of a level share one depth); see the `parallel_matches_sequential_*`
 //! regression tests.
 //!
-//! # Partial-order reduction and incremental canonicalization
+//! # Partial-order reduction and symmetry
 //!
 //! Under [`CheckOptions::por`] the engine prunes redundant interleavings with sleep
 //! sets derived from declared action footprints (see the `por` module): each frontier
@@ -41,13 +41,12 @@
 //! transitions are skipped *before* canonicalization and fingerprinting, and the sleep
 //! sets of all same-level arrival edges are intersected at the level barrier — which
 //! keeps the reduction sound for safety properties, minimal-depth preserving, and
-//! deterministic across worker counts.  Independently, when the spec provides an
-//! incremental canonicalization (`Spec::incremental_symmetry`) and a successor's
-//! footprint bounds which servers changed, the per-successor canonicalization reuses
-//! the parent's sort keys instead of recomputing all of them — the parent is already
-//! canonical, so untouched keys are unchanged by construction (debug builds verify
-//! every incremental result against the full recomputation).  Both live in the shared
-//! successor pipeline (the private `expand` module).
+//! deterministic across worker counts.  Under symmetry reduction every surviving
+//! successor is replaced by its orbit's canonical representative, by value
+//! (`Spec::symmetry_owned`): a successor that is already canonical — the common case
+//! for a canonical parent — is handed back as it is, not cloned.  Canonicalization
+//! reads no footprint.  Both live in the shared successor pipeline (the private
+//! `expand` module).
 
 use std::ops::ControlFlow;
 use std::time::Instant;

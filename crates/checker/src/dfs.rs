@@ -181,7 +181,7 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
                 Some(index),
                 label,
                 next,
-                perm.clone(),
+                perm,
             );
             match insert {
                 Insert::Fresh(nindex, next) => {

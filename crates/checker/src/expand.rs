@@ -3,7 +3,7 @@
 //! Every exhaustive engine does the same thing to an enumerated successor before the
 //! store sees it: skip it if its label is asleep (sleep-set POR, see [`crate::por`]),
 //! compute the sleep set it hands down, replace it by its orbit's canonical
-//! representative (incrementally when its footprint bounds the touched servers),
+//! representative (by value: an already canonical successor is not cloned),
 //! reset the sleep set if canonicalization relabelled it, and key it ([`state_key`]: a
 //! hash over memoized component digests, so only what the action wrote is hashed).  The
 //! level-synchronous kernel and [`crate::dfs`] both call [`Pipeline::expand`]; it is
@@ -11,7 +11,7 @@
 //! `single-successor-pipeline` lint rule keeps it that way), so a reduction added here
 //! reaches BFS, DFS and refinement at once.
 
-use remix_spec::{CanonFn, Effect, IncrementalCanon, LabelId, LabelTable, Perm, Spec, SpecState};
+use remix_spec::{CanonFn, Effect, LabelId, LabelTable, OwnedCanonFn, Perm, Spec, SpecState};
 
 use crate::fingerprint::{state_key, Fingerprint};
 use crate::por::{self, FootprintTable, SleepSet};
@@ -37,9 +37,9 @@ pub(crate) struct Pipeline<'a, S> {
     /// has no symmetry group).  When set, frontiers and the store hold canonical
     /// representatives and traces are de-canonicalized on reconstruction.
     pub(crate) canon: Option<&'a CanonFn<S>>,
-    /// The incremental variant of `canon`; shares its canonical-representative
-    /// invariant, so it is only ever active together with it.
-    incr: Option<&'a IncrementalCanon<S>>,
+    /// The owned form of `canon`, which successors go through when the spec has one;
+    /// only ever active together with `canon`.
+    owned: Option<&'a OwnedCanonFn<S>>,
     /// Sleep-set partial-order reduction is active.
     pub(crate) por: bool,
     /// Declared footprint per interned label (grown lazily as labels are explored).
@@ -60,7 +60,7 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
             spec,
             labels,
             canon,
-            incr: canon.and(spec.incremental_symmetry.as_ref()),
+            owned: canon.and(spec.symmetry_owned.as_ref()),
             por,
             footprints: FootprintTable::new(),
         }
@@ -112,9 +112,6 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
         };
         // Explored earlier siblings with a declared footprint, in enumeration order.
         let mut retained: Vec<(LabelId, Effect)> = Vec::new();
-        // The parent's canonicalization memo, built lazily on the first successor that
-        // can use the incremental path (the parent state is already canonical).
-        let mut memo: Option<Box<dyn std::any::Any + Send + Sync>> = None;
         // Effects observed during this expansion; recorded into the (locked) footprint
         // table only after the callback returns.  Recording is first-writer-wins over
         // values that are a function of the label alone, so deferring changes nothing.
@@ -143,39 +140,20 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
                 // representative of its orbit before fingerprinting, so the whole
                 // orbit dedups to one store entry; the applied permutation rides
                 // along for later trace de-canonicalization.
-                let (next, perm) = match (self.canon, self.incr) {
-                    (Some(_canon), Some(incr)) if effect.is_some_and(|e| !e.is_global()) => {
-                        // The footprint bounds the touched servers: reuse the parent's
-                        // sort keys for every other server.
-                        let touched = effect.expect("guarded above").touched_servers();
-                        let parent_memo = memo.get_or_insert_with(|| (incr.memo)(state));
-                        #[cfg(debug_assertions)]
-                        let oracle = next.clone();
-                        let (canonical, perm) = (incr.canon)(next, &**parent_memo, touched);
-                        #[cfg(debug_assertions)]
-                        debug_assert_eq!(
-                            canonical,
-                            _canon(&oracle).0,
-                            "incremental canonicalization diverged from the full \
-                             recomputation (label {label:?})"
-                        );
+                let (next, perm) = match (self.owned, self.canon) {
+                    (Some(owned), _) => {
+                        let (canonical, perm) = owned(next);
                         (canonical, Some(perm))
                     }
-                    (Some(_canon), Some(incr)) => {
-                        // No usable footprint, but the owned full path still skips the
-                        // deep rewrite when the canonical permutation is the identity.
-                        let (canonical, perm) = (incr.full_owned)(next);
-                        (canonical, Some(perm))
-                    }
-                    (Some(canon), None) => {
+                    (None, Some(canon)) => {
                         let (canonical, perm) = canon(&next);
                         (canonical, Some(perm))
                     }
-                    (None, _) => (next, None),
+                    (None, None) => (next, None),
                 };
                 // Sleep-set labels live in the parent's id frame; a relabelling edge
                 // invalidates them, so the child starts awake (always sound).
-                if perm.as_ref().is_some_and(|p| !p.is_identity()) {
+                if perm.is_some_and(|p| !p.is_identity()) {
                     sleep.clear();
                 }
                 let fp = state_key(&next);

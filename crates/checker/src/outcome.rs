@@ -66,13 +66,14 @@ pub struct CheckStats {
     pub shard_contention: Vec<u64>,
     /// Peak resident entry-payload bytes of the discovered-state store (the store is
     /// append-only, so the final size is the peak).  Counts the fixed per-entry
-    /// metadata, the dedup-map entry, and — in the full-state backend — the state's
-    /// row of pool slots; see `StateStore::entry_bytes_per_state` for the exact
-    /// accounting.
+    /// metadata, the dedup-map entry, in the full-state backend the state's row of
+    /// pool slots, and under symmetry reduction the recorded permutation; see
+    /// `StateStore::entry_bytes_per_state` for the exact accounting.
     pub peak_entry_bytes: usize,
     /// Fixed bytes the selected store backend pays per discovered state: 44, plus in
-    /// the full-state backend 4 per word of the state's row (92 on three servers).
-    /// The intern pool the rows point into is shared by all states and not counted.
+    /// the full-state backend 4 per word of the state's row (92 on three servers),
+    /// plus 16 for the recorded `Perm` under symmetry reduction (60 and 108).  The
+    /// intern pool the rows point into is shared by all states and not counted.
     pub entry_bytes_per_state: usize,
     /// Out-of-core activity: fingerprint runs spilled to disk and probe traffic.
     /// All-zero when no memory budget was configured or everything fit.

@@ -91,7 +91,8 @@ use std::marker::PhantomData;
 use std::path::PathBuf;
 
 use crate::sync::{
-    AtomicU64, AtomicUsize, OrderedMutex, OrderedMutexGuard, Ordering, PoolRank, ShardRank,
+    AtomicBool, AtomicU64, AtomicUsize, OrderedMutex, OrderedMutexGuard, Ordering, PoolRank,
+    ShardRank,
 };
 
 use remix_spec::{
@@ -167,8 +168,9 @@ struct StoreShard<S> {
     /// [`StoreMode::FingerprintOnly`].
     rows: ChunkVec<u32>,
     /// Parallel to `meta` under symmetry reduction (every insert then records the
-    /// permutation that canonicalized the inserted state); stays empty otherwise.
-    /// Mixing permuted and unpermuted inserts in one store is a caller bug.
+    /// permutation that canonicalized the inserted state, 16 inline bytes); stays
+    /// empty otherwise.  Mixing permuted and unpermuted inserts in one store is a
+    /// caller bug.
     perms: ChunkVec<Perm>,
     /// Where a fresh state's row is written before it is appended to `rows`.
     row: Vec<u32>,
@@ -269,6 +271,8 @@ pub struct StateStore<S> {
     /// Words per stored row: 0 until the first state is stored, the same for every
     /// state after it.
     stride: AtomicUsize,
+    /// Whether entries carry a recorded permutation (set by the first canonical insert).
+    records_perms: AtomicBool,
     /// One allocation per distinct component value of the run; see the module docs.
     pool: OrderedMutex<PoolRank, InternPool>,
     /// The out-of-core tier; `None` when no memory budget is configured (the store
@@ -304,6 +308,7 @@ pub struct ShardHandle<'a, S> {
     mode: StoreMode,
     len: &'a AtomicUsize,
     stride: &'a AtomicUsize,
+    records_perms: &'a AtomicBool,
     pool: &'a OrderedMutex<PoolRank, InternPool>,
     spill: Option<&'a StoreSpill>,
 }
@@ -394,6 +399,11 @@ impl<S: SpecState> ShardHandle<'_, S> {
                 "stores mixing canonical and plain inserts cannot de-canonicalize"
             );
             inner.perms.push(std::iter::once(perm));
+            // ordering: Relaxed — like the stride, one fact every canonical insert
+            // agrees on; only the size accounting reads it.
+            if !self.records_perms.load(Ordering::Relaxed) {
+                self.records_perms.store(true, Ordering::Relaxed); // ordering: see above.
+            }
         }
         // Only a distinct state reaches this point, so the pool is probed once per
         // freshly written component of the run, never per edge.
@@ -527,6 +537,7 @@ impl<S: SpecState> StateStore<S> {
             shift: (64 - bits) % 64,
             len: AtomicUsize::new(0),
             stride: AtomicUsize::new(0),
+            records_perms: AtomicBool::new(false),
             pool: OrderedMutex::new(InternPool::new()),
             spill,
         }
@@ -570,6 +581,7 @@ impl<S: SpecState> StateStore<S> {
             mode: self.mode,
             len: &self.len,
             stride: &self.stride,
+            records_perms: &self.records_perms,
             pool: &self.pool,
             spill: self.spill.as_ref(),
         }
@@ -661,7 +673,7 @@ impl<S: SpecState> StateStore<S> {
     pub fn perm_of(&self, index: StateIndex) -> Option<Perm> {
         let (local, shard) = unpack(index, self.shard_bits);
         let guard = self.shards[shard as usize].inner.lock();
-        Some(guard.perms.get(local as usize)?[0].clone())
+        Some(guard.perms.get(local as usize)?[0])
     }
 
     /// The state stored at `index`, rebuilt from its row (for a state type built on
@@ -692,9 +704,12 @@ impl<S: SpecState> StateStore<S> {
 
     /// Fixed resident bytes the store pays per entry: the 24-byte metadata slot, the
     /// dedup-map entry (fingerprint key + `u32` slot) — 44 bytes in both backends —
-    /// and, in [`StoreMode::Full`], the state's row: 4 bytes per word
-    /// [`SpecState::intern`] writes (0 while the store is empty; 12 words on a
-    /// three-server `ZabState`, one for a type that keeps the default).
+    /// in [`StoreMode::Full`] the state's row: 4 bytes per word [`SpecState::intern`]
+    /// writes (0 while the store is empty; 12 words on a three-server `ZabState`, one
+    /// for a type that keeps the default), and under symmetry reduction the recorded
+    /// [`Perm`] (16 bytes once the first canonical insert has happened).  A
+    /// symmetry-reduced three-server `ZabState` thus pays 60 bytes fingerprint-only
+    /// and 108 in Full.
     ///
     /// This is the *per-entry payload* accounting the bench artefact reports: it
     /// excludes hash-map load-factor overhead, the tail of each stripe's last chunk,
@@ -705,8 +720,14 @@ impl<S: SpecState> StateStore<S> {
         let fixed = std::mem::size_of::<SlotMeta>()
             + std::mem::size_of::<Fingerprint>()
             + std::mem::size_of::<u32>();
+        // ordering: Relaxed — see `fix_stride` and `insert_edge`.
+        let perm = if self.records_perms.load(Ordering::Relaxed) {
+            std::mem::size_of::<Perm>()
+        } else {
+            0
+        };
         // ordering: Relaxed — see `fix_stride`.
-        fixed + std::mem::size_of::<u32>() * self.stride.load(Ordering::Relaxed)
+        fixed + perm + std::mem::size_of::<u32>() * self.stride.load(Ordering::Relaxed)
     }
 
     /// Resident entry-payload bytes of the whole store (rows, metadata and dedup
@@ -1042,6 +1063,45 @@ mod tests {
             fp_only.interned_components().is_empty(),
             "without rows the default `intern` keeps nothing"
         );
+    }
+
+    #[test]
+    fn recorded_permutations_are_counted_per_entry() {
+        let perm = Perm::from_image(vec![1, 0]);
+        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+            let plain: StateStore<N> = StateStore::new(mode, 2);
+            let canonical: StateStore<N> = StateStore::new(mode, 2);
+            let mut indices = Vec::new();
+            for i in 0..3u32 {
+                let fp = fingerprint(&N(i));
+                let mut handle = plain.lock_shard(plain.shard_of(fp));
+                handle.insert(fp, None, LabelTable::init_id(), N(i));
+                drop(handle);
+                let mut handle = canonical.lock_shard(canonical.shard_of(fp));
+                let Insert::Fresh(index, _) =
+                    handle.insert_canonical(fp, None, LabelTable::init_id(), N(i), perm)
+                else {
+                    panic!("distinct states");
+                };
+                indices.push(index);
+            }
+            assert_eq!(
+                canonical.entry_bytes_per_state() - plain.entry_bytes_per_state(),
+                std::mem::size_of::<Perm>(),
+                "{mode}: the permutation column is part of every entry"
+            );
+            if mode == StoreMode::FingerprintOnly {
+                assert_eq!(canonical.entry_bytes_per_state(), 60);
+            }
+            assert_eq!(
+                canonical.entry_bytes(),
+                3 * canonical.entry_bytes_per_state()
+            );
+            for index in indices {
+                assert_eq!(canonical.perm_of(index), Some(perm));
+            }
+            assert_eq!(plain.perm_of(StateIndex(0)), None);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Static read/write footprints of action instances, used for dynamic partial-order
-//! reduction and incremental canonicalization.
+//! reduction and audited by `remix-analyze`.
 //!
 //! An [`Effect`] is a conservative, *label-determined* footprint: it must be a function
 //! of the action's parameters alone (never of the state it fires in), so that the same
@@ -7,7 +7,7 @@
 //! (e.g. "clear the channel to whoever my leader is"), the declaration must be a
 //! superset (e.g. the whole channel row).  Declaring no effect at all
 //! (`ActionInstance::effect == None`) is always sound: the checker treats such an action
-//! as dependent on everything and recomputes canonical forms from scratch after it.
+//! as dependent on everything.
 //!
 //! The footprint covers three resource domains:
 //!
@@ -292,24 +292,6 @@ impl Effect {
         }
         out
     }
-
-    /// The servers whose permutation-invariant canonical sort key may differ between
-    /// the pre- and post-state of this action: every written server plus both endpoints
-    /// of every written channel (channel lengths and partition status are part of both
-    /// endpoints' keys).  Meaningless for [`global`](Self::global) effects — callers
-    /// must recompute everything in that case.
-    #[must_use]
-    pub fn touched_servers(&self) -> u8 {
-        let mut touched = self.writes_servers;
-        let mut chans = self.writes_channels;
-        while chans != 0 {
-            let bit = chans.trailing_zeros() as usize;
-            touched |= 1 << (bit / MAX_EFFECT_SERVERS);
-            touched |= 1 << (bit % MAX_EFFECT_SERVERS);
-            chans &= chans - 1;
-        }
-        touched
-    }
 }
 
 #[cfg(test)]
@@ -351,14 +333,6 @@ mod tests {
         let other = Effect::new().writes_server(0).writes_channel(0, 2);
         assert!(!crash.independent(&send), "send into the crashed row");
         assert!(crash.independent(&other), "unrelated link commutes");
-    }
-
-    #[test]
-    fn touched_servers_covers_channel_endpoints() {
-        let e = Effect::new().writes_server(0).writes_channel(2, 1);
-        assert_eq!(e.touched_servers(), 0b111);
-        let crash = Effect::new().writes_server(3).writes_channels_of(3);
-        assert_eq!(crash.touched_servers(), 0xff);
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub use projection::{
 };
 pub use reflect::{FieldInfo, StateFields};
 pub use shared::{InternPool, Shared};
-pub use spec::{CanonFn, IncrementalCanon, Spec, SpecState};
-pub use symmetry::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm};
+pub use spec::{CanonFn, OwnedCanonFn, Spec, SpecState};
+pub use symmetry::{canon_stats, Canonicalize, Perm};
 pub use trace::{
     condense, condensed_states, project_trace, ProjectedStep, ProjectedTrace, Trace, TraceStep,
 };

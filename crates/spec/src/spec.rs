@@ -12,7 +12,7 @@ use crate::invariant::Invariant;
 use crate::label::{LabelId, LabelTable};
 use crate::module::{ModuleId, ModuleSpec};
 use crate::shared::{InternPool, Shared};
-use crate::symmetry::{Canonicalize, IncrementalCanonicalize, Perm};
+use crate::symmetry::{Canonicalize, Perm};
 use crate::value::Value;
 
 /// A canonicalization function attached to a [`Spec`]: maps a state to the canonical
@@ -23,36 +23,9 @@ use crate::value::Value;
 /// and checker options can switch symmetry reduction on and off without generic bounds.
 pub type CanonFn<S> = Arc<dyn Fn(&S) -> (S, Perm) + Send + Sync>;
 
-/// Type-erased incremental canonicalization attached to a [`Spec`] alongside its
-/// [`CanonFn`] (see [`IncrementalCanonicalize`]).
-///
-/// `memo` captures the per-process sort keys of a parent state about to be expanded;
-/// `canon` canonicalizes one owned successor, reusing the memo for every process not in
-/// the `touched` bitmask.  The memo travels as `Box<dyn Any>` so `Spec` needs no
-/// associated-type parameter; the closure pair is constructed together, so the
-/// downcast inside `canon` cannot fail.
-pub struct IncrementalCanon<S> {
-    /// Computes the expansion memo of a (canonical) parent state.
-    #[allow(clippy::type_complexity)]
-    pub memo: Arc<dyn Fn(&S) -> Box<dyn std::any::Any + Send + Sync> + Send + Sync>,
-    /// Canonicalizes an owned successor given the parent memo and touched mask.
-    #[allow(clippy::type_complexity)]
-    pub canon: Arc<dyn Fn(S, &(dyn std::any::Any + Send + Sync), u8) -> (S, Perm) + Send + Sync>,
-    /// Owned full canonicalization ([`Canonicalize::canonicalize_owned`]) for successors
-    /// without a usable effect footprint: still skips the deep rewrite when the
-    /// canonicalizing permutation is the identity.
-    pub full_owned: Arc<dyn Fn(S) -> (S, Perm) + Send + Sync>,
-}
-
-impl<S> Clone for IncrementalCanon<S> {
-    fn clone(&self) -> Self {
-        IncrementalCanon {
-            memo: Arc::clone(&self.memo),
-            canon: Arc::clone(&self.canon),
-            full_owned: Arc::clone(&self.full_owned),
-        }
-    }
-}
+/// The owned form of a [`CanonFn`] ([`Canonicalize::canonicalize_owned`]): it consumes
+/// the state, so a state that is already canonical comes back without a clone.
+pub type OwnedCanonFn<S> = Arc<dyn Fn(S) -> (S, Perm) + Send + Sync>;
 
 /// Trait bound for states explored by the model checker.
 ///
@@ -124,10 +97,11 @@ pub struct Spec<S> {
     /// state types without one).  Engines consult it only when their options request
     /// symmetry reduction; see [`Spec::with_canonicalization`].
     pub symmetry: Option<CanonFn<S>>,
-    /// The incremental companion of [`symmetry`](Self::symmetry), when the state type
-    /// provides one (see [`Spec::with_incremental_canonicalization`]).  Engines fall
-    /// back to the full `symmetry` function for successors without a declared effect.
-    pub incremental_symmetry: Option<IncrementalCanon<S>>,
+    /// The owned form of [`symmetry`](Self::symmetry), attached with it by
+    /// [`Spec::with_canonicalization`] (and cleared by [`Spec::with_symmetry`]).
+    /// Engines canonicalize each successor through it when it is set, and through
+    /// `symmetry` on a borrow otherwise; it is never consulted without `symmetry`.
+    pub symmetry_owned: Option<OwnedCanonFn<S>>,
 }
 
 impl<S: SpecState> Spec<S> {
@@ -144,12 +118,13 @@ impl<S: SpecState> Spec<S> {
             modules,
             invariants,
             symmetry: None,
-            incremental_symmetry: None,
+            symmetry_owned: None,
         }
     }
 
     /// Attaches the canonical-representative function of the state type's
-    /// [`Canonicalize`] implementation as this specification's symmetry group.
+    /// [`Canonicalize`] implementation as this specification's symmetry group, in
+    /// both its borrowed and its owned form.
     ///
     /// Attaching symmetry does not change any behaviour by itself: engines key their
     /// dedup maps, fingerprints and coverage counters on canonical forms only when
@@ -160,6 +135,7 @@ impl<S: SpecState> Spec<S> {
         S: Canonicalize,
     {
         self.symmetry = Some(Arc::new(|s: &S| s.canonicalize()));
+        self.symmetry_owned = Some(Arc::new(|s: S| s.canonicalize_owned()));
         self
     }
 
@@ -167,32 +143,7 @@ impl<S: SpecState> Spec<S> {
     /// symmetry group (see [`CanonFn`] and the laws in [`crate::symmetry`]).
     pub fn with_symmetry(mut self, canon: CanonFn<S>) -> Self {
         self.symmetry = Some(canon);
-        self
-    }
-
-    /// Like [`Spec::with_canonicalization`], additionally attaching the state type's
-    /// [`IncrementalCanonicalize`] implementation so engines can reuse the parent's
-    /// per-process sort keys on successors whose action declared an
-    /// [`Effect`] footprint.
-    pub fn with_incremental_canonicalization(mut self) -> Self
-    where
-        S: IncrementalCanonicalize,
-    {
-        self.symmetry = Some(Arc::new(|s: &S| s.canonicalize()));
-        self.incremental_symmetry = Some(IncrementalCanon {
-            memo: Arc::new(|s: &S| {
-                Box::new(s.canon_memo()) as Box<dyn std::any::Any + Send + Sync>
-            }),
-            canon: Arc::new(
-                |s: S, memo: &(dyn std::any::Any + Send + Sync), touched: u8| {
-                    let memo = memo
-                        .downcast_ref::<S::Memo>()
-                        .expect("memo built by the paired closure");
-                    s.canonicalize_incremental(memo, touched)
-                },
-            ),
-            full_owned: Arc::new(|s: S| s.canonicalize_owned()),
-        });
+        self.symmetry_owned = None;
         self
     }
 
@@ -221,7 +172,7 @@ impl<S: SpecState> Spec<S> {
     ///
     /// The third closure argument is the instance's declared [`Effect`] footprint
     /// (`None` when the action does not declare one), which drives partial-order
-    /// reduction and incremental canonicalization in the checker.
+    /// reduction in the checker.
     pub fn for_each_successor(
         &self,
         state: &S,
@@ -290,7 +241,7 @@ impl<S> fmt::Debug for Spec<S> {
             .field("modules", &self.modules.len())
             .field("invariants", &self.invariants.len())
             .field("symmetry", &self.symmetry.is_some())
-            .field("incremental_symmetry", &self.incremental_symmetry.is_some())
+            .field("symmetry_owned", &self.symmetry_owned.is_some())
             .finish()
     }
 }

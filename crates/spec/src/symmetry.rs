@@ -9,10 +9,11 @@
 //!
 //! This module provides the two pieces the engines need:
 //!
-//! * [`Perm`] — a permutation of `0..n` process ids, with identity, composition and
-//!   inversion.  Engines record the permutation applied at every discovery edge so a
+//! * [`Perm`] — a permutation of `0..n` process ids (`n` ≤ [`Perm::MAX_LEN`]), with
+//!   identity, composition and inversion.  It is a 16-byte `Copy` value that owns no
+//!   heap memory.  Engines record the permutation applied at every discovery edge so a
 //!   violation trace can later be *de-canonicalized* back into the original id frame
-//!   (see `remix-checker`'s store).
+//!   (see `remix-checker`'s store, which keeps one `Perm` per entry).
 //! * [`Canonicalize`] — the per-state-type contract: map a state to the canonical
 //!   representative of its orbit, returning the permutation that was applied, and
 //!   rewrite a state under an arbitrary permutation.
@@ -36,17 +37,66 @@
 
 use std::fmt;
 
-/// A permutation of the dense id domain `0..n`.
+/// A permutation of the dense id domain `0..n`, for `n` up to [`Perm::MAX_LEN`].
 ///
 /// `perm.apply(i)` is the new id of old id `i`.  Displayed in cycle-free one-line
 /// notation, e.g. `[2, 0, 1]` maps `0 → 2`, `1 → 0`, `2 → 1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Perm(Vec<u32>);
+///
+/// The image is packed into one `u64`, four bits per id with id 0 in the most
+/// significant nibble, and the ids from `n` to `MAX_LEN` map to themselves — so a
+/// `Perm` is `Copy`, 16 bytes, and never allocates.  The derived `Ord` (packed word,
+/// then length) is the lexicographic order of the image vectors: a first difference
+/// within both domains is the first differing nibble, and when the shorter image is a
+/// prefix of the longer, its fixed tail is the identity, which no permutation of the
+/// longer's remaining ids undercuts — so the tie falls to the length, as for vectors.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Perm {
+    packed: u64,
+    len: u8,
+}
 
 impl Perm {
+    /// The widest id domain a permutation covers (as many ids as `remix-zab`'s
+    /// `SidSet` holds).
+    pub const MAX_LEN: usize = 16;
+
+    /// Every id mapped to itself.
+    const IDENTITY: u64 = 0x0123_4567_89ab_cdef;
+
+    /// Bit offset of id `i`'s nibble.
+    const fn shift(i: usize) -> u32 {
+        (60 - 4 * i) as u32
+    }
+
+    /// The image of id `i` (any `i < MAX_LEN`).
+    const fn nibble(self, i: usize) -> usize {
+        ((self.packed >> Self::shift(i)) & 0xf) as usize
+    }
+
+    /// `packed` with id `i` mapped to `v`.
+    const fn with_nibble(packed: u64, i: usize, v: usize) -> u64 {
+        (packed & !(0xf << Self::shift(i))) | ((v as u64) << Self::shift(i))
+    }
+
+    fn check_len(n: usize) {
+        assert!(
+            n <= Self::MAX_LEN,
+            "{n} ids exceed Perm::MAX_LEN ({})",
+            Self::MAX_LEN
+        );
+    }
+
     /// The identity permutation over `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` exceeds [`Perm::MAX_LEN`].
     pub fn identity(n: usize) -> Self {
-        Perm((0..n as u32).collect())
+        Self::check_len(n);
+        Perm {
+            packed: Self::IDENTITY,
+            len: n as u8,
+        }
     }
 
     /// Builds a permutation from its one-line image vector (`image[i]` is the new id
@@ -54,27 +104,36 @@ impl Perm {
     ///
     /// # Panics
     ///
-    /// Panics when `image` is not a permutation of `0..image.len()`.
-    pub fn from_image(image: Vec<u32>) -> Self {
+    /// Panics when `image` is longer than [`Perm::MAX_LEN`] or is not a permutation of
+    /// `0..image.len()`.
+    pub fn from_image(image: impl AsRef<[u32]>) -> Self {
+        let image = image.as_ref();
         let n = image.len();
-        let mut seen = vec![false; n];
-        for &v in &image {
+        Self::check_len(n);
+        let mut seen = 0u32;
+        let mut packed = Self::IDENTITY;
+        for (i, &v) in image.iter().enumerate() {
             assert!(
-                (v as usize) < n && !std::mem::replace(&mut seen[v as usize], true),
+                (v as usize) < n && seen & (1 << v) == 0,
                 "not a permutation of 0..{n}: {image:?}"
             );
+            seen |= 1 << v;
+            packed = Self::with_nibble(packed, i, v as usize);
         }
-        Perm(image)
+        Perm {
+            packed,
+            len: n as u8,
+        }
     }
 
     /// The size of the id domain.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.len as usize
     }
 
     /// `true` for the empty domain.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len == 0
     }
 
     /// The new id of old id `i`.
@@ -83,12 +142,17 @@ impl Perm {
     ///
     /// Panics when `i` is outside the id domain.
     pub fn apply(&self, i: usize) -> usize {
-        self.0[i] as usize
+        assert!(
+            i < self.len(),
+            "id {i} is outside the domain 0..{}",
+            self.len
+        );
+        self.nibble(i)
     }
 
     /// `true` when this is the identity permutation.
     pub fn is_identity(&self) -> bool {
-        self.0.iter().enumerate().all(|(i, &v)| i as u32 == v)
+        self.packed == Self::IDENTITY
     }
 
     /// The composition *self ∘ other*: first apply `other`, then `self`.
@@ -101,35 +165,48 @@ impl Perm {
     ///
     /// Panics when the domains differ.
     pub fn compose(&self, other: &Perm) -> Perm {
-        assert_eq!(self.len(), other.len(), "composing different id domains");
-        Perm(other.0.iter().map(|&v| self.0[v as usize]).collect())
+        assert_eq!(self.len, other.len, "composing different id domains");
+        let mut packed = Self::IDENTITY;
+        for i in 0..self.len() {
+            packed = Self::with_nibble(packed, i, self.nibble(other.nibble(i)));
+        }
+        Perm { packed, ..*self }
     }
 
     /// The inverse permutation: `p.compose(&p.inverse())` is the identity.
     pub fn inverse(&self) -> Perm {
-        let mut inv = vec![0u32; self.0.len()];
-        for (i, &v) in self.0.iter().enumerate() {
-            inv[v as usize] = i as u32;
+        let mut packed = Self::IDENTITY;
+        for i in 0..self.len() {
+            packed = Self::with_nibble(packed, self.nibble(i), i);
         }
-        Perm(inv)
+        Perm { packed, ..*self }
     }
 
-    /// The one-line image vector (`image[i]` is the new id of old id `i`).
-    pub fn image(&self) -> &[u32] {
-        &self.0
+    /// The one-line image (item `i` is the new id of old id `i`).
+    pub fn image(&self) -> impl ExactSizeIterator<Item = u32> {
+        let perm = *self;
+        (0..perm.len()).map(move |i| perm.nibble(i) as u32)
     }
 }
 
 impl fmt::Display for Perm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, v) in self.0.iter().enumerate() {
+        for (i, v) in self.image().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
             write!(f, "{v}")?;
         }
         write!(f, "]")
+    }
+}
+
+/// Renders the image vector, as `Perm(Vec<u32>)` derived it: `Perm([2, 0, 1])`.
+impl fmt::Debug for Perm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let image: Vec<u32> = self.image().collect();
+        f.debug_tuple("Perm").field(&image).finish()
     }
 }
 
@@ -147,10 +224,12 @@ pub trait Canonicalize: Sized {
     fn canonicalize(&self) -> (Self, Perm);
 
     /// Owned variant of [`canonicalize`](Self::canonicalize): consumes `self` so an
-    /// implementation can return the state unchanged (no deep rewrite) when the
-    /// canonicalizing permutation turns out to be the identity — which in a checker
-    /// expanding successors of an already-canonical parent is the common case.
-    /// Must agree with `canonicalize` on both components for every state.
+    /// implementation can return the state unchanged (no deep rewrite, no clone) when
+    /// the canonicalizing permutation turns out to be the identity — which in a checker
+    /// expanding successors of an already-canonical parent is the common case.  The
+    /// engines canonicalize every successor through this method (attached by
+    /// `Spec::with_canonicalization`).  Must agree with `canonicalize` on both
+    /// components for every state.
     fn canonicalize_owned(self) -> (Self, Perm) {
         self.canonicalize()
     }
@@ -158,34 +237,6 @@ pub trait Canonicalize: Sized {
     /// Rewrites every id-bearing field of the state through `perm` (old id `i`
     /// becomes `perm.apply(i)`).
     fn permute(&self, perm: &Perm) -> Self;
-}
-
-/// Incremental canonicalization: reuse the parent state's per-process sort keys when
-/// only a known subset of processes changed.
-///
-/// A checker expands one (already canonical) parent into many successors.  With a memo
-/// of the parent's permutation-invariant sort keys and, per successor, a conservative
-/// bitmask of the processes the generating action may have *touched* (from
-/// [`Effect::touched_servers`](crate::effect::Effect::touched_servers)), the
-/// implementation only recomputes the touched keys — and when the merged key sequence
-/// is already strictly sorted, the successor is its own canonical form and is returned
-/// untouched, skipping the deep permuting rewrite entirely.
-///
-/// The law tying the two traits together: for every state `s`, memo `m = p.canon_memo()`
-/// of a parent `p`, and touched mask `t` that covers every process whose key differs
-/// between `p` and `s`,
-/// `s.clone().canonicalize_incremental(&m, t) == s.canonicalize()`.
-pub trait IncrementalCanonicalize: Canonicalize {
-    /// The memoized per-process keys of a state (opaque to the checker).
-    type Memo: Send + Sync + 'static;
-
-    /// Computes the memo for a state about to be expanded.
-    fn canon_memo(&self) -> Self::Memo;
-
-    /// Canonicalizes `self`, reusing `memo` for every process not in `touched`
-    /// (bit `i` set ⇒ process `i`'s key must be recomputed).  Takes ownership so the
-    /// common already-canonical case returns `self` without a clone.
-    fn canonicalize_incremental(self, memo: &Self::Memo, touched: u8) -> (Self, Perm);
 }
 
 /// Process-global counters for canonicalization edge cases, snapshotted by the checker

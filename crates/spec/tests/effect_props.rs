@@ -1,12 +1,10 @@
 //! Property tests of the [`Effect`] algebra, via the vendored `proptest` stand-in.
 //!
-//! The effect algebra underwrites two reductions (sleep-set POR, incremental
-//! canonicalization) and one analysis (the `remix-analyze` effect audit), so its
-//! algebraic laws are pinned down over generated footprints rather than single
-//! examples: independence is symmetric, widening a footprint is conflict-monotone
-//! (union can lose precision but never soundness), coverage behaves like the
-//! write-bit superset it claims to be, and `touched_servers` never exceeds the
-//! declared server bits plus the endpoints of declared channels.
+//! The effect algebra underwrites one reduction (sleep-set POR) and one analysis (the
+//! `remix-analyze` effect audit), so its algebraic laws are pinned down over generated
+//! footprints rather than single examples: independence is symmetric, widening a
+//! footprint is conflict-monotone (union can lose precision but never soundness), and
+//! coverage behaves like the write-bit superset it claims to be.
 
 use proptest::prelude::*;
 use remix_spec::effect::{flags, MAX_EFFECT_SERVERS};
@@ -64,26 +62,6 @@ proptest! {
         if !u.is_global() {
             prop_assert_eq!(u.writes_servers, a.writes_servers | b.writes_servers);
         }
-    }
-
-    /// `touched_servers` (the incremental-canonicalization invalidation set) is the
-    /// declared server write bits plus both endpoints of every declared channel
-    /// write — nothing more, and never less than the server write bits.
-    #[test]
-    fn touched_servers_is_bounded_by_declared_bits(e in any_effect()) {
-        let touched = e.touched_servers();
-        // Never less than the declared server writes.
-        prop_assert_eq!(touched & e.writes_servers, e.writes_servers);
-        // Every touched bit is justified by a server write or a channel endpoint.
-        let mut justified = e.writes_servers;
-        for from in 0..MAX_EFFECT_SERVERS {
-            for to in 0..MAX_EFFECT_SERVERS {
-                if e.writes_channels & (1u64 << (from * MAX_EFFECT_SERVERS + to)) != 0 {
-                    justified |= (1u8 << from) | (1u8 << to);
-                }
-            }
-        }
-        prop_assert_eq!(touched, justified);
     }
 
     /// Every write bit enumerated by `write_bits` is covered by the footprint that

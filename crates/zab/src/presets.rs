@@ -141,11 +141,10 @@ pub fn build_from_plan(
         all_invariants(),
     )
     // `ZabState` is symmetric under server-id permutation; attach its canonical-form
-    // function so checker runs may opt into symmetry reduction (options built
-    // `with_symmetry(SymmetryMode::Canonicalize)`), plus the incremental variant that
-    // reuses the parent's per-server sort keys on successors whose action declared a
-    // footprint.  Attaching them changes nothing by itself.
-    .map(Spec::with_incremental_canonicalization)
+    // function (borrowed and owned) so checker runs may opt into symmetry reduction
+    // (options built `with_symmetry(SymmetryMode::Canonicalize)`).  Attaching it
+    // changes nothing by itself.
+    .map(Spec::with_canonicalization)
 }
 
 #[cfg(test)]

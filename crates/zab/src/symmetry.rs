@@ -12,18 +12,22 @@
 //!
 //! # How the representative is chosen
 //!
-//! 1. Each server gets a **permutation-invariant sort key** (`server_key`): its
-//!    durable and volatile scalars, its history, self-relative renderings of the
+//! 1. Servers are compared by a **permutation-invariant order** (`cmp_servers`): their
+//!    durable and volatile scalars, their history, self-relative renderings of the
 //!    `Sid`-valued fields (`leader` is "none / other / myself", the vote is "for
-//!    myself or not"), invariant multiset summaries of its maps, and its message /
-//!    partition degrees.  Renaming ids never changes a server's key.
-//! 2. Servers are sorted by key.  When all keys are distinct this pins the *only*
-//!    permutation that can map the state onto a key-sorted sibling, and the rewrite
-//!    under that permutation is the canonical form.
-//! 3. Servers with **equal keys** may still differ through cross-references (who
+//!    myself or not"), invariant multiset summaries of their maps, and — only when all
+//!    of that ties — their message / partition degrees.  Renaming ids never changes
+//!    how two servers compare.  The comparison reads the state in place: multisets are
+//!    sorted into stack arrays, and nothing is allocated.
+//! 2. Servers are sorted in that order.  When no two compare equal this pins the
+//!    *only* permutation that can map the state onto a sorted sibling, and the rewrite
+//!    under that permutation is the canonical form.  A state whose servers are already
+//!    strictly sorted (most successors of a canonical parent) is its own canonical
+//!    form after `n - 1` comparisons.
+//! 3. Servers that **compare equal** may still differ through cross-references (who
 //!    follows whom, queue contents), so all orderings within each tie group are
 //!    enumerated — the candidate set is exactly the orbit members whose servers are
-//!    key-sorted — and the [`Ord`]-minimal rewritten state wins.  The candidate set,
+//!    sorted — and the [`Ord`]-minimal rewritten state wins.  The candidate set,
 //!    and hence the minimum, depends only on the orbit, which gives exact orbit
 //!    invariance: `canon(π(s)) == canon(s)` for every permutation `π`.
 //!
@@ -53,9 +57,9 @@
 //! — see the symmetry section of `ARCHITECTURE.md` for the full argument.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
-use remix_spec::effect::MAX_EFFECT_SERVERS;
-use remix_spec::{canon_stats, Canonicalize, IncrementalCanonicalize, Perm, Shared};
+use remix_spec::{canon_stats, Canonicalize, Perm, Shared};
 
 use crate::state::{GhostState, ServerData, ZabState};
 use crate::types::{Message, Sid, SidSet, Vote, Zxid};
@@ -76,9 +80,135 @@ enum LeaderRel {
     Myself,
 }
 
-/// The permutation-invariant per-server sort key: two servers related by an id
-/// renaming always produce equal keys, and the key discriminates aggressively enough
-/// that tie groups collapse to servers with identical summaries.
+fn leader_rel(s: &ServerData, i: Sid) -> LeaderRel {
+    match s.leader {
+        None => LeaderRel::None,
+        Some(l) if l == i => LeaderRel::Myself,
+        Some(_) => LeaderRel::Other,
+    }
+}
+
+/// The permutation-invariant order of servers `a` and `b` of `state`: renaming ids
+/// never changes how two servers compare, and the order discriminates aggressively
+/// enough that ties only remain between servers with identical summaries.
+///
+/// It is the derived `Ord` of the test-only `ServerKey` — the same fields in the same
+/// order — computed without building a key: scalars are compared in place, multisets
+/// are sorted into stack arrays, and the relational fields are read only when the
+/// server-local parts tie (they are last in the order).
+fn cmp_servers(state: &ZabState, a: Sid, b: Sid) -> Ordering {
+    cmp_local(&state.servers[a], a, &state.servers[b], b).then_with(|| cmp_relational(state, a, b))
+}
+
+/// Server `x` (id `a`) against server `y` (id `b`) on what each holds itself.
+fn cmp_local(x: &ServerData, a: Sid, y: &ServerData, b: Sid) -> Ordering {
+    x.current_epoch
+        .cmp(&y.current_epoch)
+        .then_with(|| x.accepted_epoch.cmp(&y.accepted_epoch))
+        .then_with(|| x.state.cmp(&y.state))
+        .then_with(|| x.phase.cmp(&y.phase))
+        .then_with(|| x.history.cmp(&y.history))
+        .then_with(|| x.last_committed.cmp(&y.last_committed))
+        .then_with(|| leader_rel(x, a).cmp(&leader_rel(y, b)))
+        .then_with(|| x.vote.epoch.cmp(&y.vote.epoch))
+        .then_with(|| x.vote.zxid.cmp(&y.vote.zxid))
+        .then_with(|| (x.vote.leader == a).cmp(&(y.vote.leader == b)))
+        .then_with(|| x.vote_broadcast.cmp(&y.vote_broadcast))
+        .then_with(|| cmp_multisets(recv_votes(x, a), recv_votes(y, b)))
+        .then_with(|| {
+            let from_self = |s: &ServerData, i: Sid| s.recv_votes.contains_key(&i);
+            from_self(x, a).cmp(&from_self(y, b))
+        })
+        .then_with(|| x.learners.len().cmp(&y.learners.len()))
+        .then_with(|| {
+            cmp_multisets(
+                x.learner_last_zxid.values().copied(),
+                y.learner_last_zxid.values().copied(),
+            )
+        })
+        .then_with(|| x.epoch_proposed.cmp(&y.epoch_proposed))
+        .then_with(|| x.epoch_acks.len().cmp(&y.epoch_acks.len()))
+        .then_with(|| x.sync_sent.len().cmp(&y.sync_sent.len()))
+        .then_with(|| x.newleader_acks.len().cmp(&y.newleader_acks.len()))
+        .then_with(|| x.established.cmp(&y.established))
+        .then_with(|| pending_acks(x, a).cmp(pending_acks(y, b)))
+        .then_with(|| x.connected.cmp(&y.connected))
+        .then_with(|| x.packets_not_committed.cmp(&y.packets_not_committed))
+        .then_with(|| x.packets_committed.cmp(&y.packets_committed))
+        .then_with(|| x.queued_requests.cmp(&y.queued_requests))
+        .then_with(|| x.pending_commits.cmp(&y.pending_commits))
+        .then_with(|| x.serving.cmp(&y.serving))
+}
+
+/// Server `s`'s (id `i`) received votes as `(epoch, zxid, vote is for s)`, in sid order.
+fn recv_votes(s: &ServerData, i: Sid) -> impl Iterator<Item = (u32, Zxid, bool)> + '_ {
+    s.recv_votes
+        .values()
+        .map(move |v| (v.epoch, v.zxid, v.leader == i))
+}
+
+/// Server `s`'s (id `i`) outstanding proposals as `(zxid, acks, acked by s)`.
+fn pending_acks(s: &ServerData, i: Sid) -> impl Iterator<Item = (Zxid, usize, bool)> + '_ {
+    s.pending_acks
+        .iter()
+        .map(move |(z, acks)| (*z, acks.len(), acks.contains(&i)))
+}
+
+/// Servers `a` and `b` on how the rest of the state relates to them.
+fn cmp_relational(state: &ZabState, a: Sid, b: Sid) -> Ordering {
+    let out_lens = move |i: Sid| state.msgs[i].iter().map(Vec::len);
+    let in_lens = move |i: Sid| state.msgs.iter().map(move |row| row[i].len());
+    let partitions = |i: Sid| {
+        state
+            .partitioned
+            .iter()
+            .filter(|(p, q)| *p == i || *q == i)
+            .count()
+    };
+    let violating = |i: Sid| state.violation.as_ref().is_some_and(|v| v.server == i);
+    let epochs = |i: Sid| {
+        state
+            .ghost
+            .established_leaders
+            .values()
+            .filter(|l| **l == i)
+            .count()
+    };
+    cmp_multisets(out_lens(a), out_lens(b))
+        .then_with(|| cmp_multisets(in_lens(a), in_lens(b)))
+        .then_with(|| partitions(a).cmp(&partitions(b)))
+        .then_with(|| violating(a).cmp(&violating(b)))
+        .then_with(|| epochs(a).cmp(&epochs(b)))
+}
+
+/// Two multisets of at most [`SidSet::CAPACITY`] items (one per server) compared as
+/// their sorted sequences, each sorted in a stack array.
+fn cmp_multisets<T: Ord + Copy + Default>(
+    x: impl Iterator<Item = T>,
+    y: impl Iterator<Item = T>,
+) -> Ordering {
+    fn sorted<T: Ord + Copy>(
+        items: impl Iterator<Item = T>,
+        buf: &mut [T; SidSet::CAPACITY],
+    ) -> &[T] {
+        let mut len = 0;
+        for item in items {
+            buf[len] = item;
+            len += 1;
+        }
+        let items = &mut buf[..len];
+        items.sort_unstable();
+        items
+    }
+    let mut bufs = [[T::default(); SidSet::CAPACITY]; 2];
+    let [bx, by] = &mut bufs;
+    sorted(x, bx).cmp(sorted(y, by))
+}
+
+/// The order [`cmp_servers`] computes, spelled out as a key whose derived `Ord` is the
+/// oracle the comparator is tested against: two servers related by an id renaming
+/// always produce equal keys.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct ServerKey {
     current_epoch: u32,
@@ -127,6 +257,7 @@ struct ServerKey {
     established_epochs: usize,
 }
 
+#[cfg(test)]
 fn server_key(state: &ZabState, i: Sid) -> ServerKey {
     let s = &state.servers[i];
     let mut recv_votes: Vec<(u32, Zxid, bool)> = s
@@ -290,11 +421,11 @@ fn share_unchanged<T: Eq>(old: &Shared<T>, new: T) -> Shared<T> {
 
 /// `order[new_pos] = old index  ⇒  π(old) = new_pos`.
 fn perm_of_order(order: &[usize]) -> Perm {
-    let mut image = vec![0u32; order.len()];
+    let mut image = [0u32; Perm::MAX_LEN];
     for (new_pos, old) in order.iter().enumerate() {
         image[*old] = new_pos as u32;
     }
-    Perm::from_image(image)
+    Perm::from_image(&image[..order.len()])
 }
 
 /// Minimizes the rewritten state over every ordering that differs from `order` only by
@@ -304,13 +435,13 @@ fn perm_of_order(order: &[usize]) -> Perm {
 /// ties — and it is never materialized.
 fn minimize_over_groups(
     state: &ZabState,
-    mut order: Vec<usize>,
+    order: &mut [usize],
     groups: &[(usize, usize)],
 ) -> Option<(ZabState, Perm)> {
     let is_identity = |order: &[usize]| order.iter().enumerate().all(|(pos, old)| pos == *old);
-    let identity_is_candidate = is_identity(&order);
+    let identity_is_candidate = is_identity(order);
     let mut best: Option<(ZabState, Perm)> = None;
-    permute_groups(&mut order, groups, 0, &mut |candidate| {
+    permute_groups(order, groups, 0, &mut |candidate| {
         if is_identity(candidate) {
             return;
         }
@@ -488,7 +619,7 @@ fn canonicalize_refined(
     order2.sort_by_key(|&i| colors[i]);
     let (groups2, candidates) = tie_groups(&order2, |a, b| colors[a] == colors[b]);
     if candidates <= MAX_TIE_CANDIDATES {
-        return minimize_over_groups(state, order2, &groups2)
+        return minimize_over_groups(state, &mut order2, &groups2)
             .unwrap_or_else(|| (state.clone(), Perm::identity(n)));
     }
 
@@ -519,56 +650,50 @@ fn canonicalize_refined(
     best.expect("at least one candidate ordering exists")
 }
 
-/// The shared canonicalization pipeline over precomputed per-server keys (borrowed so
-/// the incremental path can mix memoized and freshly computed keys).
+/// The canonicalization pipeline, for a borrowed or an owned state.
 ///
 /// When the canonicalizing permutation is the identity an owned `state` is returned as
 /// it stands (a borrowed one is cloned) — no deep [`ZabState::permute`] rewrite.  Two
-/// cases hit that fast path: the keys are already strictly sorted (the only candidate
-/// is the identity), and the keys are weakly sorted with ties none of whose
-/// rearrangements beats the state.
-fn canonicalize_from_keys(state: Cow<'_, ZabState>, keys: &[&ServerKey]) -> (ZabState, Perm) {
-    let n = keys.len();
-    // 1. Key-sort the server indices (stable, so equal keys keep their relative order
+/// cases hit that path: the servers are already strictly sorted (the only candidate
+/// is the identity; `n - 1` comparisons and no allocation decide it), and they are
+/// weakly sorted with ties none of whose rearrangements beats the state.
+fn canonicalize_cow(state: Cow<'_, ZabState>) -> (ZabState, Perm) {
+    let n = state.servers.len();
+    let cmp = |a: usize, b: usize| cmp_servers(&state, a, b);
+    if (1..n).all(|i| cmp(i - 1, i).is_lt()) {
+        return (state.into_owned(), Perm::identity(n));
+    }
+    // 1. Sort the server indices (stable, so equal servers keep their relative order
     //    and the candidate set is deterministic).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|a, b| keys[*a].cmp(keys[*b]));
+    let mut order = [0usize; Perm::MAX_LEN];
+    let order = &mut order[..n];
+    for (pos, slot) in order.iter_mut().enumerate() {
+        *slot = pos;
+    }
+    order.sort_by(|&a, &b| cmp(a, b));
 
     // 2. Group ties.
-    let (groups, candidates) = tie_groups(&order, |a, b| keys[a] == keys[b]);
+    let (groups, candidates) = tie_groups(order, |a, b| cmp(a, b).is_eq());
 
     let rewritten = if candidates <= MAX_TIE_CANDIDATES {
         // 3. Minimize over the tie-break candidates: every ordering that differs from
-        //    `order` only by rearranging servers within a tie group (distinct keys pin
-        //    the only one).
+        //    `order` only by rearranging servers within a tie group (a strict order
+        //    pins the only one).
         minimize_over_groups(&state, order, &groups)
     } else {
         // 4. Too many candidates: refine the ties relationally before enumerating.
-        Some(canonicalize_refined(&state, &order, &groups))
+        Some(canonicalize_refined(&state, order, &groups))
     };
     rewritten.unwrap_or_else(|| (state.into_owned(), Perm::identity(n)))
 }
 
 impl Canonicalize for ZabState {
     fn canonicalize(&self) -> (Self, Perm) {
-        let n = self.servers.len();
-        if n <= 1 {
-            return (self.clone(), Perm::identity(n));
-        }
-        let keys: Vec<ServerKey> = (0..n).map(|i| server_key(self, i)).collect();
-        let key_refs: Vec<&ServerKey> = keys.iter().collect();
-        canonicalize_from_keys(Cow::Borrowed(self), &key_refs)
+        canonicalize_cow(Cow::Borrowed(self))
     }
 
     fn canonicalize_owned(self) -> (Self, Perm) {
-        let n = self.servers.len();
-        if n <= 1 {
-            let id = Perm::identity(n);
-            return (self, id);
-        }
-        let keys: Vec<ServerKey> = (0..n).map(|i| server_key(&self, i)).collect();
-        let key_refs: Vec<&ServerKey> = keys.iter().collect();
-        canonicalize_from_keys(Cow::Owned(self), &key_refs)
+        canonicalize_cow(Cow::Owned(self))
     }
 
     fn permute(&self, perm: &Perm) -> Self {
@@ -624,7 +749,7 @@ impl Canonicalize for ZabState {
 /// Calls `f` with every ordering obtained by permuting `order` within each tie group
 /// (the cartesian product of per-group permutations), via recursive Heap-style swaps.
 fn permute_groups(
-    order: &mut Vec<usize>,
+    order: &mut [usize],
     groups: &[(usize, usize)],
     group: usize,
     f: &mut impl FnMut(&[usize]),
@@ -634,7 +759,7 @@ fn permute_groups(
         return;
     };
     fn inner(
-        order: &mut Vec<usize>,
+        order: &mut [usize],
         groups: &[(usize, usize)],
         group: usize,
         start: usize,
@@ -653,61 +778,6 @@ fn permute_groups(
         }
     }
     inner(order, groups, group, start, 0, len, f);
-}
-
-/// Memoized per-server canonical sort keys of an already-canonical parent state, reused
-/// by [`IncrementalCanonicalize`] for every successor of that parent.
-pub struct CanonMemo {
-    keys: Vec<ServerKey>,
-}
-
-impl IncrementalCanonicalize for ZabState {
-    type Memo = CanonMemo;
-
-    fn canon_memo(&self) -> CanonMemo {
-        CanonMemo {
-            keys: (0..self.servers.len())
-                .map(|i| server_key(self, i))
-                .collect(),
-        }
-    }
-
-    fn canonicalize_incremental(self, memo: &CanonMemo, touched: u8) -> (Self, Perm) {
-        let n = self.servers.len();
-        if n <= 1 {
-            return (self, Perm::identity(n));
-        }
-        if n != memo.keys.len() || n > MAX_EFFECT_SERVERS {
-            // The ensemble size changed under us or exceeds the footprint mask: the
-            // memo is useless, recompute everything.
-            return Canonicalize::canonicalize(&self);
-        }
-        // Recompute only the touched keys; every other server's key is identical to the
-        // parent's because the action's declared footprint did not reach it.
-        let fresh: Vec<Option<ServerKey>> = (0..n)
-            .map(|i| (touched & (1 << i) != 0).then(|| server_key(&self, i)))
-            .collect();
-        #[cfg(debug_assertions)]
-        for (i, f) in fresh.iter().enumerate() {
-            if f.is_none() {
-                debug_assert_eq!(
-                    server_key(&self, i),
-                    memo.keys[i],
-                    "server {i} is outside the action's declared footprint but its \
-                     canonical key changed: the Effect annotation is not conservative"
-                );
-            }
-        }
-        let key_at = |i: usize| fresh[i].as_ref().unwrap_or(&memo.keys[i]);
-        if (1..n).all(|i| key_at(i - 1) < key_at(i)) {
-            // Strictly key-sorted: the successor is its own canonical form, skip the
-            // deep permuting rewrite entirely.  This is the common case when the parent
-            // is canonical and the action perturbed few servers.
-            return (self, Perm::identity(n));
-        }
-        let key_refs: Vec<&ServerKey> = (0..n).map(key_at).collect();
-        canonicalize_from_keys(Cow::Owned(self), &key_refs)
-    }
 }
 
 #[cfg(test)]
@@ -832,49 +902,74 @@ mod tests {
         );
     }
 
-    #[test]
-    fn incremental_canonicalization_matches_full_recompute() {
-        // Parent with fully distinct keys: canonical, memoizable.
-        let mut parent = state();
-        parent.servers[1].current_epoch = 1;
-        parent.servers[2].current_epoch = 2;
-        let (parent, _) = parent.canonicalize();
-        let memo = parent.canon_memo();
-
-        // A successor that only touches server 1 and stays key-sorted: the fast path
-        // must return it unchanged with the identity permutation.
-        let mut child = parent.clone();
-        child.servers[1].epoch_proposed = true;
-        let (full, _) = child.canonicalize();
-        let (inc, perm) = child.clone().canonicalize_incremental(&memo, 0b010);
-        assert_eq!(inc, full);
-        assert!(perm.is_identity());
-
-        // A successor that reorders the keys (server 0 jumps ahead of server 2): the
-        // incremental path must agree with the full recompute, including the perm.
-        let mut child = parent.clone();
-        child.servers[0].current_epoch = 5;
-        child.send(0, 2, Message::LeaderInfo { epoch: 5 });
-        let (full, full_perm) = child.canonicalize();
-        let (inc, inc_perm) = child.clone().canonicalize_incremental(&memo, 0b101);
-        assert_eq!(inc, full);
-        assert_eq!(inc_perm, full_perm);
-
-        // Over-approximate touched masks are always safe.
-        let (inc, _) = child.clone().canonicalize_incremental(&memo, 0xff);
-        assert_eq!(inc, full);
+    /// The first `limit` distinct states of a plain BFS over `spec` (no reductions).
+    fn corpus(spec: &remix_spec::Spec<ZabState>, limit: usize) -> Vec<ZabState> {
+        use remix_spec::fingerprint;
+        let mut seen: std::collections::HashSet<_> = spec.init.iter().map(fingerprint).collect();
+        let mut states: Vec<ZabState> = spec.init.clone();
+        let mut next = 0;
+        while next < states.len() && states.len() < limit {
+            for (_, succ) in spec.successors(&states[next]) {
+                if states.len() < limit && seen.insert(fingerprint(&succ)) {
+                    states.push(succ);
+                }
+            }
+            next += 1;
+        }
+        states
     }
 
+    /// The comparator is the order it replaced: on every ordered pair of servers of
+    /// three 20,000-state corpora — the fine space (`exhaust-fine`'s cluster), the
+    /// election space (`exhaust-election`'s) and a buggy four-transaction space that
+    /// reaches code violations (`ClusterConfig::table4`) — `cmp_servers` agrees with
+    /// comparing the two servers' `ServerKey`s.  Together with
+    /// `owned_canonicalization_matches_borrowed` in `tests/symmetry_props.rs`, this is
+    /// what keeps every canonical form, and so every count, where it was.
     #[test]
-    fn incremental_canonicalization_handles_ties() {
-        // The fully symmetric initial state keys every server identically, so the
-        // incremental path must fall through to the tie-break enumeration.
-        let parent = state().canonicalize().0;
-        let memo = parent.canon_memo();
-        let mut child = parent.clone();
-        child.send(2, 0, Message::LeaderInfo { epoch: 1 });
-        let (full, _) = child.canonicalize();
-        let (inc, _) = child.clone().canonicalize_incremental(&memo, 0b101);
-        assert_eq!(inc, full);
+    fn comparator_is_the_server_key_order() {
+        use crate::presets::SpecPreset;
+        let fine = ClusterConfig::small(CodeVersion::FinalFix)
+            .with_transactions(1)
+            .with_crashes(2);
+        let election = ClusterConfig::small(CodeVersion::V391)
+            .with_transactions(1)
+            .with_crashes(0);
+        let corpora = [
+            (SpecPreset::MSpec3, fine),
+            (SpecPreset::SysSpec, election),
+            (SpecPreset::MSpec3, ClusterConfig::table4(CodeVersion::V391)),
+        ];
+        let (mut pairs, mut ties, mut relational) = (0u64, 0u64, 0u64);
+        for (preset, config) in corpora {
+            let states = corpus(&preset.build(&config), 20_000);
+            assert_eq!(states.len(), 20_000, "{}", preset.name());
+            for s in &states {
+                let keys: Vec<ServerKey> = (0..s.n()).map(|i| server_key(s, i)).collect();
+                for i in 0..s.n() {
+                    for j in 0..s.n() {
+                        let expected = keys[i].cmp(&keys[j]);
+                        assert_eq!(
+                            cmp_servers(s, i, j),
+                            expected,
+                            "{} servers {i} and {j} of {s:?}",
+                            preset.name()
+                        );
+                        pairs += 1;
+                        ties += u64::from(i != j && expected.is_eq());
+                        relational += u64::from(
+                            !expected.is_eq()
+                                && cmp_local(&s.servers[i], i, &s.servers[j], j).is_eq(),
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(pairs, 3 * 20_000 * 9);
+        assert!(ties > 0, "the corpora hold tie groups");
+        assert!(
+            relational > 0,
+            "the corpora hold servers only the relational part orders"
+        );
     }
 }

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use remix_checker::{fingerprint, simulate_one, state_key, CheckerRng};
 use remix_spec::effect::{flags, MAX_EFFECT_SERVERS};
-use remix_spec::{Canonicalize, IncrementalCanonicalize, InternPool, Perm, Shared, SpecState};
+use remix_spec::{Canonicalize, InternPool, Perm, Shared, SpecState};
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset, ZabState};
 
 fn config(version: CodeVersion) -> ClusterConfig {
@@ -44,7 +44,7 @@ fn perms3() -> Vec<Perm> {
         [2, 1, 0],
     ]
     .into_iter()
-    .map(|image| Perm::from_image(image.to_vec()))
+    .map(Perm::from_image)
     .collect()
 }
 
@@ -185,11 +185,12 @@ proptest! {
         }
     }
 
-    /// Owned canonicalization: the allocation-avoiding owned variant must agree with
-    /// the borrowed recomputation on both the representative and the permutation —
-    /// checked on reachable states and every id-renamed sibling, which exercises all
-    /// three of its paths (identity fast path, unmaterialized-identity tie minimization,
-    /// and the permuting fallback).
+    /// Owned canonicalization: the allocation-avoiding owned variant (what the engines
+    /// call on every successor) must agree with the borrowed recomputation on both the
+    /// representative and the permutation — checked on reachable states, every
+    /// id-renamed sibling and every successor of the walk's endpoint, which exercises
+    /// all three of its paths (strictly sorted servers, unmaterialized-identity tie
+    /// minimization, and the permuting fallback).
     #[test]
     fn owned_canonicalization_matches_borrowed(
         seed in 0u64..48,
@@ -197,56 +198,24 @@ proptest! {
         buggy in 0u8..2,
     ) {
         let version = if buggy == 1 { CodeVersion::V391 } else { CodeVersion::FinalFix };
-        let s = walk_state(version, seed, depth);
-        for perm in perms3() {
-            let renamed = s.permute(&perm);
-            let (canon, p) = renamed.canonicalize();
-            let (canon_owned, p_owned) = renamed.clone().canonicalize_owned();
-            prop_assert_eq!(&canon_owned, &canon, "representative differs under {}", &perm);
-            prop_assert_eq!(&p_owned, &p, "permutation differs under {}", &perm);
-        }
-    }
-
-    /// Incremental canonicalization: for every successor of a reachable state whose
-    /// action declares a (non-global) footprint, re-sorting only the touched servers
-    /// against the parent's memoized keys must yield exactly the representative of the
-    /// full recomputation — the law the checker's debug-assert oracle also enforces,
-    /// here checked over arbitrary action sequences.
-    #[test]
-    fn incremental_canonicalization_matches_full_on_successors(
-        seed in 0u64..48,
-        depth in 0u32..40,
-        buggy in 0u8..2,
-    ) {
-        let version = if buggy == 1 { CodeVersion::V391 } else { CodeVersion::FinalFix };
         let spec = SpecPreset::MSpec3.build(&config(version));
-        let mut rng = CheckerRng::seed_from_u64(seed);
-        let trace = simulate_one(&spec, depth, &mut rng);
-        let parent = trace.last_state().expect("walks start somewhere");
-        let memo = parent.canon_memo();
-        for module in &spec.modules {
-            for action in &module.actions {
-                for inst in action.enabled(parent) {
-                    let Some(e) = inst.effect.filter(|e| !e.is_global()) else {
-                        continue;
-                    };
-                    let (full, _) = inst.next.canonicalize();
-                    let (incr, _) = inst
-                        .next
-                        .clone()
-                        .canonicalize_incremental(&memo, e.touched_servers());
-                    prop_assert_eq!(&incr, &full, "label {}", inst.label);
-                }
-            }
+        let s = walk_state(version, seed, depth);
+        let successors = spec.successors(&s).into_iter().map(|(_, t)| t);
+        let renamed = perms3().into_iter().map(|perm| s.permute(&perm));
+        for t in renamed.chain(successors) {
+            let (canon, p) = t.canonicalize();
+            let (canon_owned, p_owned) = t.clone().canonicalize_owned();
+            prop_assert_eq!(&canon_owned, &canon, "representative differs on {:?}", &t);
+            prop_assert_eq!(p_owned, p, "permutation differs on {:?}", &t);
         }
     }
 
     /// Footprint conservatism: whatever an action's declared footprint does *not*
     /// write must be identical between the pre- and post-state — untouched servers,
     /// unwritten channels (content and partition status) and unwritten global
-    /// scalars.  An under-declared write set would make both sleep-set pruning and
-    /// incremental canonicalization unsound, so this is the safety net for every
-    /// `with_effect` annotation in the action library.
+    /// scalars.  An under-declared write set would make sleep-set pruning unsound, so
+    /// this is the safety net for every `with_effect` annotation in the action
+    /// library.
     #[test]
     fn declared_footprints_cover_every_write(
         seed in 0u64..48,
