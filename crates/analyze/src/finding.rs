@@ -1,7 +1,7 @@
 //! The finding model shared by all three analysis tiers.
 //!
 //! Every tier reports the same record shape so reports, the `Verifier` gate and the
-//! `BENCH_analysis.json` schema check can treat findings uniformly.  The severity
+//! `BENCH_analysis.json` bench's row checks can treat findings uniformly.  The severity
 //! split matters more than the tier:
 //!
 //! * **Soundness** findings mean a declared [`Effect`](remix_spec::Effect) is *too

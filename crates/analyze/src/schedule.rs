@@ -206,7 +206,7 @@ impl SpecState for RacyState {
 /// The baseline drains part of the counter budget, so every perturbed cell sees a
 /// different state space — the oracle must report a divergence for each cell,
 /// with its replayable seed.  `remix-bench` writes these findings with
-/// `"seeded": true`; CI requires at least one.
+/// `"seeded": true` and fails unless there is at least one.
 pub fn seeded_schedule_divergence() -> AnalysisReport {
     // ordering: Relaxed — the counter *is* the deliberate nondeterminism under
     // test; the RMW's atomicity is all the demo needs.

@@ -11,14 +11,15 @@
 //!   tighter; the truncation is recorded in the per-run counters, not hidden).
 //! * **Seeded regression** — `remix_zab::underdeclare_node_restart` re-creates the
 //!   PR 7 NodeRestart under-declaration; its findings are written with
-//!   `"seeded": true` and CI *requires* them (the analyzer must keep catching the
+//!   `"seeded": true` and are *required* (the analyzer must keep catching the
 //!   incident class it was built for).
 //! * **Spec lint** — `lint_workspace` over `crates/*/src`; rows carry spec
 //!   `"workspace"`.
 //!
-//! The process itself asserts the acceptance bar (no unseeded soundness finding, the
-//! seeded finding present, lint clean) so a bare `cargo bench --bench
-//! analysis_soundness` fails loudly without the CI schema check.
+//! After the write the process asserts the acceptance bar on the rows it wrote
+//! (every audit saw a transition, no unseeded soundness row, no convention row, the
+//! seeded finding present), so a bare `cargo bench --bench analysis_soundness` fails
+//! loudly.
 
 use remix_analyze::{commute_oracle, effect_audit, lint_workspace, FindingClass};
 use remix_checker::CorpusOptions;
@@ -38,18 +39,20 @@ fn main() {
     };
     let verifier = Verifier::new(config);
 
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<AnalysisRow> = Vec::new();
     let mut runs: Vec<String> = Vec::new();
-    let mut unseeded_soundness = 0usize;
+    let mut unaudited: Vec<&str> = Vec::new();
 
     for &preset in SpecPreset::all() {
         let spec = preset.build(&config);
         let mut report = effect_audit(&spec, audit_opts);
         let audit_states = report.corpus_states;
         report.merge(commute_oracle(&spec, commute_opts));
-        unseeded_soundness += report.soundness_count();
+        if report.audited_transitions == 0 {
+            unaudited.push(preset.name());
+        }
         for finding in &report.findings {
-            rows.push(AnalysisRow::from_finding(preset.name(), finding, false).to_json());
+            rows.push(AnalysisRow::from_finding(preset.name(), finding, false));
         }
         runs.push(
             JsonObject::new()
@@ -99,7 +102,11 @@ fn main() {
             && f.effect_bits.contains("channel[")
     });
     for finding in seeded_report.soundness() {
-        rows.push(AnalysisRow::from_finding("mSpec-3+seeded-NodeRestart", finding, true).to_json());
+        rows.push(AnalysisRow::from_finding(
+            "mSpec-3+seeded-NodeRestart",
+            finding,
+            true,
+        ));
     }
     println!(
         "seeded regression: {} soundness finding(s), NodeRestart/link/channel hit: {seeded_hit}",
@@ -110,7 +117,7 @@ fn main() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let lint = lint_workspace(std::path::Path::new(root));
     for finding in &lint.findings {
-        rows.push(AnalysisRow::from_finding("workspace", finding, false).to_json());
+        rows.push(AnalysisRow::from_finding("workspace", finding, false));
     }
     println!("spec lint: {} finding(s)", lint.findings.len());
 
@@ -123,25 +130,36 @@ fn main() {
         commute_opts.max_states,
         commute_opts.max_depth,
         runs.join(",\n"),
-        rows.join(",\n")
+        rows.iter()
+            .map(AnalysisRow::to_json)
+            .collect::<Vec<_>>()
+            .join(",\n")
     );
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+    println!("wrote {path}");
 
-    assert_eq!(
-        unseeded_soundness, 0,
-        "soundness findings on the honest workspace"
+    assert!(
+        unaudited.is_empty(),
+        "the audit ran on an empty corpus for {unaudited:?}"
+    );
+    let unseeded: Vec<_> = rows
+        .iter()
+        .filter(|r| r.class == FindingClass::Soundness.as_str() && !r.seeded)
+        .collect();
+    assert!(
+        unseeded.is_empty(),
+        "soundness findings on the honest workspace: {unseeded:?}"
+    );
+    let convention: Vec<_> = rows
+        .iter()
+        .filter(|r| r.class == FindingClass::Convention.as_str())
+        .collect();
+    assert!(
+        convention.is_empty(),
+        "spec lint findings reached the artefact: {convention:?}"
     );
     assert!(
         seeded_hit,
         "the seeded NodeRestart under-declaration was not reproduced"
-    );
-    assert!(
-        lint.findings.is_empty(),
-        "spec lint findings on the workspace: {:?}",
-        lint.findings
     );
 }

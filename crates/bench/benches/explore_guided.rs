@@ -1,57 +1,26 @@
-//! Criterion bench for guided schedule exploration: uniform vs coverage-guided
-//! sampling of the §3.5.2 loop, plus the committed comparison artefact.
+//! The guided-vs-uniform exploration artefact: runs the paired comparison of
+//! `remix_bench::explore_comparison` — same seeds, same budgets, deep Table 4
+//! invariants only (I-8/I-10) — and writes the rows to `BENCH_explore.json` (path
+//! overridable via `EXPLORE_JSON`).  Each row records the policy's time/traces to
+//! first violation, its coverage footprint, and how far delta debugging shrank the
+//! counterexample; uniform sampling typically finds nothing on these invariants within
+//! the budget, which is the asymmetry the artefact documents.
 //!
-//! Besides the timing loops, `bench_explore_artifact` runs the paired
-//! guided-vs-uniform comparison of `remix_bench::explore_comparison` — same seeds,
-//! same budgets, deep Table 4 invariants only (I-8/I-10) — and writes the rows to
-//! `BENCH_explore.json` (path overridable via `EXPLORE_JSON`).  Each row records the
-//! policy's time/traces to first violation, its coverage footprint, and how far delta
-//! debugging shrank the counterexample; uniform sampling typically finds nothing on
-//! these invariants within the budget, which is the asymmetry the artefact documents.
+//! After the write the process asserts every row's bar, so a bare
+//! `cargo bench --bench explore_guided` fails loudly: at least one trace sampled, the
+//! hottest prefix hit at most once per trace, and a shrunk counterexample no longer
+//! than the original.  Sampling throughput is `remix-bench`'s `sample-conform`
+//! workload.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use remix_bench::explore_comparison;
-use remix_checker::{explore, ExploreOptions};
-use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
-/// One bounded sampling run for the timing loops (easy target: all invariants, so both
-/// policies stop at the first shallow violation and the loop measures sampling cost,
-/// not luck).
-fn sampling_run(guided: bool) -> usize {
-    let config = ClusterConfig::explore(CodeVersion::V391);
-    let spec = SpecPreset::MSpec3.build(&config);
-    let base = if guided {
-        ExploreOptions::default().guided(24)
-    } else {
-        ExploreOptions::default().uniform()
-    };
-    let options = ExploreOptions {
-        traces: 64,
-        max_depth: 40,
-        seed: 7,
-        time_budget: Some(Duration::from_secs(30)),
-        ..base
-    };
-    explore(&spec, &options).stats.traces
-}
-
-fn bench_sampling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("explore_sampling");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(15));
-    group.bench_function("uniform", |b| b.iter(|| sampling_run(false)));
-    group.bench_function("coverage-guided", |b| b.iter(|| sampling_run(true)));
-    group.finish();
-}
-
-fn bench_explore_artifact(_c: &mut Criterion) {
-    // The committed artefact: paired runs on the deep invariants across several seeds.
-    // Budgets re-tuned for the late-join-capable coarse Election module (see
-    // `guided_explore_zab.rs`): the deep violations now sit thousands of traces into
-    // the sampling stream, so each run gets a larger trace budget.
+fn main() {
+    // Paired runs on the deep invariants across several seeds.  Budgets re-tuned for
+    // the late-join-capable coarse Election module (see `guided_explore_zab.rs`): the
+    // deep violations now sit thousands of traces into the sampling stream, so each
+    // run gets a larger trace budget.
     let seeds = [2u64, 3, 7];
     let rows = explore_comparison(8192, 60, Duration::from_secs(60), &seeds);
     for row in &rows {
@@ -87,12 +56,18 @@ fn bench_explore_artifact(_c: &mut Criterion) {
             .collect::<Vec<_>>()
             .join(",\n    ")
     );
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+    println!("wrote {path}");
+
+    for row in &rows {
+        let json = row.to_json();
+        assert!(row.traces >= 1, "a run that sampled no trace: {json}");
+        assert!(
+            row.max_prefix_hits <= row.traces as u64,
+            "coverage counted a prefix more than once per trace: {json}"
+        );
+        if let (Some(original), Some(shrunk)) = (row.original_depth, row.shrunk_depth) {
+            assert!(shrunk <= original, "shrinking lengthened the trace: {json}");
+        }
     }
 }
-
-criterion_group!(benches, bench_sampling, bench_explore_artifact);
-criterion_main!(benches);

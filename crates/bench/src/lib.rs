@@ -2,8 +2,9 @@
 //!
 //! Each `table*` function runs the corresponding experiment at laptop scale and returns
 //! the structured rows (see `remix-core::report`); the `reproduce` binary prints them in
-//! the paper's layout, and the Criterion benches in `benches/` time the underlying
-//! model-checking runs.
+//! the paper's layout.  The artefact benches in `benches/` write `explore_comparison`'s
+//! and `refine_matrix`'s rows (plus the two soundness artefacts) and assert them;
+//! timing is the `remix-bench` binary's alone (`src/bin/remix-bench/`).
 
 use std::time::Duration;
 

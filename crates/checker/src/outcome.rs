@@ -98,35 +98,6 @@ impl CheckStats {
         self.teardown = teardown.elapsed();
         self.elapsed = start.elapsed();
     }
-
-    /// Total contended lock acquisitions across all stripes of the state set.
-    pub fn total_contention(&self) -> u64 {
-        self.shard_contention.iter().sum()
-    }
-
-    /// States explored per second of wall-clock time (0 when the run was too fast to
-    /// measure).
-    pub fn states_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.distinct_states as f64 / secs
-        }
-    }
-
-    /// Transitions generated per second of wall-clock time (0 when the run was too
-    /// fast to measure).  The throughput unit of the Table 5 efficiency comparison:
-    /// unlike [`CheckStats::states_per_second`], it is comparable across symmetry and
-    /// POR modes, which change how many distinct states the same work discovers.
-    pub fn transitions_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.transitions as f64 / secs
-        }
-    }
 }
 
 /// An invariant violation together with its minimal-depth counterexample trace.

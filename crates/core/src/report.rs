@@ -261,8 +261,8 @@ impl RefineRow {
 
 /// One row of the spec-soundness analysis artefact (`BENCH_analysis.json`): one
 /// finding of one analysis tier, plus the spec it was found in and whether the
-/// finding comes from the deliberately seeded regression (CI fails on any
-/// soundness-class row with `seeded: false`).
+/// finding comes from the deliberately seeded regression (the bench that writes it
+/// fails on any soundness-class row with `seeded: false`).
 #[derive(Debug, Clone)]
 pub struct AnalysisRow {
     /// The analyzed specification (or `"workspace"` for source-lint rows).
@@ -324,8 +324,8 @@ impl AnalysisRow {
 /// One row of the concurrency-soundness artefact (`BENCH_concurrency.json`): one
 /// finding of the concurrency tiers (`concurrency_lint`, `lock_order`,
 /// `schedule_fuzz`), plus the workload it was found on and whether it comes from a
-/// deliberately seeded regression.  CI fails on any soundness-class row with
-/// `seeded: false` and *requires* the seeded rank-inversion and seeded
+/// deliberately seeded regression.  The bench that writes it fails on any unseeded
+/// finding and *requires* the seeded rank-inversion and seeded
 /// determinism-divergence rows, so the pass keeps catching the incident classes it
 /// was built for.
 #[derive(Debug, Clone)]

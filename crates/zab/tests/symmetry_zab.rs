@@ -6,9 +6,11 @@
 //! specification — under both store backends, with and without sleep-set POR.
 //!
 //! Measured shape of the exhaustion workload (mSpec-3 on FinalFix, 1 transaction,
-//! 1 crash — the `BENCH_table5.json` workload): 16,702 concrete states collapse to
-//! 8,152 canonical representatives, a 2.05× reduction on the exact memory/throughput
-//! axis Table 5 tracks.
+//! 1 crash — the configuration the analysis artefact audits): 16,702 concrete states
+//! collapse to 8,152 canonical representatives, a 2.05× reduction on the exact
+//! memory/throughput axis Table 5 tracks.  Both counts are pinned in every
+//! `(store backend, POR)` cell: backends and sleep sets change how a space is stored
+//! and how many edges reach it, never which states it holds.
 
 use remix_checker::{
     check_bfs, CheckMode, CheckOptions, StopReason, StoreMode, SymmetryMode, Violation,
@@ -96,6 +98,17 @@ fn canonicalize_exhausts_with_fewer_states_and_the_same_verdict() {
             "canonicalization must strictly reduce the state count: {} vs {} ({store})",
             canon.stats.distinct_states,
             off.stats.distinct_states
+        );
+        assert!(
+            canon.stats.transitions < off.stats.transitions,
+            "canonicalization must strictly reduce the transition count: {} vs {} ({store})",
+            canon.stats.transitions,
+            off.stats.transitions
+        );
+        assert_eq!(
+            (off.stats.distinct_states, canon.stats.distinct_states),
+            (16_702, 8_152),
+            "{store}"
         );
         // The memory axis shrinks: each entry also records its permutation, and there
         // are half as many entries.
