@@ -116,8 +116,7 @@ where
                                 field_path: field.path.clone(),
                                 effect_bits: missing,
                                 detail: "observed write outside the declared Effect: \
-                                         sleep-set POR and incremental canonicalization \
-                                         built on this footprint are unsound"
+                                         sleep-set POR built on this footprint is unsound"
                                     .to_owned(),
                                 estimated_lost_pruning: 0,
                             });
@@ -233,9 +232,8 @@ fn precision_findings<S: SpecState>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec, Value};
+    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec};
 
     /// Two counters in "server 0" and "server 1" slots; `IncBoth` writes both but can
     /// be built with an under-declared footprint to exercise the audit.
@@ -245,14 +243,7 @@ mod tests {
         b: u32,
     }
 
-    impl SpecState for Pair {
-        fn project(&self, _vars: &[&str]) -> BTreeMap<String, Value> {
-            BTreeMap::new()
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["a", "b"]
-        }
-    }
+    impl SpecState for Pair {}
 
     impl StateFields for Pair {
         fn fields(&self) -> Vec<FieldInfo> {

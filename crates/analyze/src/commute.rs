@@ -139,9 +139,8 @@ fn corners<S: SpecState>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec, Value};
+    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec};
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct Grid {
@@ -149,14 +148,7 @@ mod tests {
         y: u32,
     }
 
-    impl SpecState for Grid {
-        fn project(&self, _vars: &[&str]) -> BTreeMap<String, Value> {
-            BTreeMap::new()
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["x", "y"]
-        }
-    }
+    impl SpecState for Grid {}
 
     /// `IncX` and `IncY` declare disjoint footprints.  With `honest`, they are truly
     /// independent; without it, `IncY` is guarded on `x == 0` (IncX disables it) while

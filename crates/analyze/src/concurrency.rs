@@ -39,7 +39,6 @@
 //! soundness-class findings, so the artefact pipeline treats "the engine can
 //! deadlock" exactly like "the engine drops states".
 
-use std::collections::BTreeSet;
 use std::path::Path;
 
 use remix_checker::AuditReport;
@@ -323,20 +322,6 @@ pub fn lock_order_findings(report: &AuditReport) -> AnalysisReport {
         });
     }
     out
-}
-
-/// The distinct lint rule ids this tier can emit (used by the artefact schema
-/// check to validate rows).
-pub fn concurrency_rules() -> BTreeSet<&'static str> {
-    [
-        "raw-sync-import",
-        "ordering-justified",
-        "no-lock-in-successor-callback",
-        "single-successor-pipeline",
-        "poison-handled-centrally",
-    ]
-    .into_iter()
-    .collect()
 }
 
 #[cfg(test)]

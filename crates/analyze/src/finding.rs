@@ -6,9 +6,9 @@
 //!
 //! * **Soundness** findings mean a declared [`Effect`](remix_spec::Effect) is *too
 //!   narrow* (an observed write outside the declaration, a non-commuting pair declared
-//!   independent, or a label declaring two different footprints).  Any reduction built
-//!   on that declaration — sleep-set POR, incremental canonicalization — may silently
-//!   drop states, the NodeRestart failure mode of PR 7.  CI fails hard on these.
+//!   independent, or a label declaring two different footprints).  Sleep-set POR,
+//!   the one reduction built on that declaration, may then silently drop states, the
+//!   NodeRestart failure mode of PR 7.  CI fails hard on these.
 //! * **Precision** findings mean a declaration is *too wide* (declared-but-never-
 //!   observed write bits).  Nothing is unsound, but pruning opportunities are lost;
 //!   the finding estimates how many observed label pairs would become independent

@@ -1,10 +1,10 @@
 //! Spec soundness analyzer: effect audits, commute oracles and source lints.
 //!
 //! Declared [`Effect`](remix_spec::Effect) footprints are the soundness linchpin of
-//! both sleep-set partial-order reduction and incremental canonicalization: an
-//! under-declared footprint makes the checker silently drop states (the `NodeRestart`
-//! incident of PR 7 lost 12,565 of 16,702 states).  This crate turns that one-off
-//! lesson into a reusable, spec-generic analysis subsystem with three tiers:
+//! sleep-set partial-order reduction: an under-declared footprint makes the checker
+//! silently drop states (the `NodeRestart` incident of PR 7 lost 12,565 of 16,702
+//! states).  This crate turns that one-off lesson into a reusable, spec-generic
+//! analysis subsystem with three tiers:
 //!
 //! 1. **Effect audit** ([`audit`]) — walk a bounded BFS corpus, diff parent/child
 //!    per-field hashes ([`StateFields`]) for every enabled

@@ -181,24 +181,11 @@ pub fn schedule_oracle<S: SpecState>(
 // The seeded regression: a schedule-dependent spec the oracle must flag.
 // ---------------------------------------------------------------------------
 
-use std::collections::BTreeMap;
-
 /// State of the deliberately racy demo spec.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct RacyState(u64);
 
-impl SpecState for RacyState {
-    fn project(&self, vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-        let mut m = BTreeMap::new();
-        if vars.contains(&"n") {
-            m.insert("n".to_owned(), remix_spec::Value::from(self.0 as u32));
-        }
-        m
-    }
-    fn variable_names() -> Vec<&'static str> {
-        vec!["n"]
-    }
-}
+impl SpecState for RacyState {}
 
 /// The oracle's seeded regression: checks a spec whose successor function reads a
 /// process-global counter (the model-level analogue of an under-synchronized

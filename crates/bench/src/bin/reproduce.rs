@@ -186,7 +186,7 @@ fn print_efficiency(rows: &[remix_core::EfficiencyRow]) {
     for r in rows {
         println!(
             "{:<9} time={:>8.2?} teardown={:>8.2?} depth={:<3} states={:<10} violations={:<6} \
-             inv={:?} completed={}",
+             inv={:?} stop={}",
             r.spec,
             r.time,
             r.teardown,
@@ -194,7 +194,7 @@ fn print_efficiency(rows: &[remix_core::EfficiencyRow]) {
             r.states,
             r.violations,
             r.violated_invariants,
-            r.completed
+            r.stop.as_str()
         );
     }
 }

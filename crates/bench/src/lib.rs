@@ -250,10 +250,7 @@ pub fn table5(completion: bool, budget: Duration) -> Vec<EfficiencyRow> {
                     .iter()
                     .map(|s| s.to_string())
                     .collect(),
-                completed: !matches!(
-                    run.outcome.stop_reason,
-                    remix_checker::StopReason::TimeBudget
-                ),
+                stop: run.outcome.stop_reason,
             }
         })
         .collect()

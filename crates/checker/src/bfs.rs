@@ -256,26 +256,7 @@ mod tests {
         max: u32,
     }
 
-    impl SpecState for Pair {
-        fn project(&self, vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-            let mut m = BTreeMap::new();
-            for v in vars {
-                match *v {
-                    "a" => {
-                        m.insert("a".to_owned(), remix_spec::Value::from(self.a));
-                    }
-                    "b" => {
-                        m.insert("b".to_owned(), remix_spec::Value::from(self.b));
-                    }
-                    _ => {}
-                }
-            }
-            m
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["a", "b"]
-        }
-    }
+    impl SpecState for Pair {}
 
     fn pair_spec(max: u32, bad_at: Option<(u32, u32)>) -> Spec<Pair> {
         let m = ModuleId("Pair");

@@ -73,27 +73,13 @@ pub fn corpus<S: SpecState>(spec: &Spec<S>, opts: CorpusOptions) -> Vec<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
-    use remix_spec::{
-        ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec, SpecState, Value,
-    };
+    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec, SpecState};
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct Counter(u32);
 
-    impl SpecState for Counter {
-        fn project(&self, vars: &[&str]) -> BTreeMap<String, Value> {
-            let mut m = BTreeMap::new();
-            if vars.contains(&"n") {
-                m.insert("n".to_owned(), Value::from(self.0));
-            }
-            m
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["n"]
-        }
-    }
+    impl SpecState for Counter {}
 
     fn chain_spec(max: u32) -> Spec<Counter> {
         let m = ModuleId("Chain");

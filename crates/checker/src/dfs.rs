@@ -34,8 +34,8 @@
 //! record (intersection) and re-pushes the state so the newly-awake transitions get
 //! explored — without the re-push, edges pruned on the first visit could be lost for
 //! good.  Sets only shrink, so the re-push loop terminates.  Pruning, sleep-set
-//! inheritance and (incremental) canonicalization are the shared successor pipeline
-//! (the private `expand` module), exactly as in the BFS engine.
+//! inheritance and canonicalization are the shared successor pipeline (the private
+//! `expand` module), exactly as in the BFS engine.
 
 use std::time::Instant;
 
@@ -276,23 +276,11 @@ mod tests {
         ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
         Spec,
     };
-    use std::collections::BTreeMap;
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct N(u32);
 
-    impl SpecState for N {
-        fn project(&self, vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-            let mut m = BTreeMap::new();
-            if vars.contains(&"n") {
-                m.insert("n".to_owned(), remix_spec::Value::from(self.0));
-            }
-            m
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["n"]
-        }
-    }
+    impl SpecState for N {}
 
     fn chain_spec(limit: u32, bad: Option<u32>) -> Spec<N> {
         let m = ModuleId("Chain");

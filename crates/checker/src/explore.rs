@@ -566,7 +566,6 @@ mod tests {
     use remix_spec::{
         ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
     };
-    use std::collections::BTreeMap;
 
     /// A walk with a hot "noise" loop and one rare "advance" chain: `Advance` is only
     /// enabled when `noise == 0`, while three `Churn` actions shuffle `noise` through a
@@ -579,18 +578,7 @@ mod tests {
         noise: u32,
     }
 
-    impl SpecState for Walk {
-        fn project(&self, vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-            let mut m = BTreeMap::new();
-            if vars.contains(&"pos") {
-                m.insert("pos".to_owned(), remix_spec::Value::from(self.pos));
-            }
-            m
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["pos", "noise"]
-        }
-    }
+    impl SpecState for Walk {}
 
     fn needle_spec(target: u32) -> Spec<Walk> {
         let m = ModuleId("Walk");
@@ -867,14 +855,7 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct Counters(Vec<u8>);
 
-    impl SpecState for Counters {
-        fn project(&self, _vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-            BTreeMap::new()
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["counters"]
-        }
-    }
+    impl SpecState for Counters {}
 
     fn counters_spec() -> Spec<Counters> {
         let m = ModuleId("Counters");

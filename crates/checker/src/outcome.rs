@@ -23,6 +23,22 @@ pub enum StopReason {
     DepthBound,
 }
 
+impl StopReason {
+    /// Stable snake-case serialization used in JSON rows (`exhausted` /
+    /// `first_violation` / `violation_limit` / `time_budget` / `state_limit` /
+    /// `depth_bound`).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            StopReason::Exhausted => "exhausted",
+            StopReason::FirstViolation => "first_violation",
+            StopReason::ViolationLimit => "violation_limit",
+            StopReason::TimeBudget => "time_budget",
+            StopReason::StateLimit => "state_limit",
+            StopReason::DepthBound => "depth_bound",
+        }
+    }
+}
+
 impl fmt::Display for StopReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

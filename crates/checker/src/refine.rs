@@ -4,10 +4,9 @@
 //! declared variable footprints.  This module is the semantic counterpart: it explores
 //! the state spaces of a fine and a coarse composition — each side is a visitor of the
 //! level-synchronous kernel that also drives [`crate::bfs`], so it inherits the worker
-//! pool, insert-while-hot staging, symmetry (incremental canonicalization included), the
-//! spill tier and panic containment — and verifies that, under a [`TraceProjection`],
-//! the coarse specification admits exactly the externally visible behaviours of the
-//! fine one:
+//! pool, insert-while-hot staging, symmetry canonicalization, the spill tier and panic
+//! containment — and verifies that, under a [`TraceProjection`], the coarse
+//! specification admits exactly the externally visible behaviours of the fine one:
 //!
 //! * every *stable* reachable projection of the fine composition is a reachable
 //!   projection of the coarse composition (the coarsening loses no interactions), and
@@ -52,8 +51,8 @@ pub enum RefineMode {
     /// quotient).  The default and the strongest check.
     #[default]
     Simulation,
-    /// Two-sided inclusion of the reachable stable projections only (every condensed
-    /// stable snapshot of one side is reachable on the other).  Cheaper; skips the
+    /// Two-sided inclusion of the reachable stable projections only (every stable
+    /// snapshot of one side is reachable on the other).  Cheaper; skips the
     /// per-step matching.
     TraceInclusion,
 }
@@ -1034,21 +1033,7 @@ mod tests {
         mid: bool,
     }
 
-    impl SpecState for TState {
-        fn project(&self, vars: &[&str]) -> BTreeMap<String, Value> {
-            let mut m = BTreeMap::new();
-            if vars.contains(&"n") {
-                m.insert("n".to_owned(), Value::from(self.n));
-            }
-            if vars.contains(&"mid") {
-                m.insert("mid".to_owned(), Value::Bool(self.mid));
-            }
-            m
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["n", "mid"]
-        }
-    }
+    impl SpecState for TState {}
 
     const M: ModuleId = ModuleId("M");
 
@@ -1134,9 +1119,20 @@ mod tests {
         )
     }
 
+    /// The projection hides `mid`.
+    fn only_n(s: &TState) -> BTreeMap<String, Value> {
+        BTreeMap::from([("n".to_owned(), Value::from(s.n))])
+    }
+
     fn projection() -> TraceProjection<TState> {
-        TraceProjection::identity("n-only", Granularity::Coarse, Granularity::Baseline)
-            .with_state(|s: &TState| s.project(&["n"]))
+        projection_with(only_n)
+    }
+
+    /// [`projection`] with another state function.
+    fn projection_with(
+        state: impl Fn(&TState) -> BTreeMap<String, Value> + Send + Sync + 'static,
+    ) -> TraceProjection<TState> {
+        TraceProjection::new("n-only", Granularity::Coarse, Granularity::Baseline, state)
             .with_label(|l: &str| {
                 if l.starts_with("StepFinish") || l.starts_with("StepBoth") {
                     Some("Step".to_owned())
@@ -1328,8 +1324,7 @@ mod tests {
     /// cap always lands mid-stabilization — the shape of the 5-server mSpec-1 bench
     /// row that collected 1 fine projection against 16,355 coarse ones.
     fn deep_stability_projection() -> TraceProjection<TState> {
-        TraceProjection::identity("n-deep", Granularity::Coarse, Granularity::Baseline)
-            .with_state(|s: &TState| s.project(&["n"]))
+        TraceProjection::new("n-deep", Granularity::Coarse, Granularity::Baseline, only_n)
             .with_stability(|s: &TState| !s.mid && (s.n == 0 || s.n >= 4))
     }
 
@@ -1433,9 +1428,9 @@ mod tests {
         let projections_at = |workers: usize| {
             let calls = Arc::new(AtomicUsize::new(0));
             let counter = Arc::clone(&calls);
-            let counting = projection().with_state(move |s: &TState| {
+            let counting = projection_with(move |s: &TState| {
                 counter.fetch_add(1, Ordering::Relaxed);
-                s.project(&["n"])
+                only_n(s)
             });
             let options = RefineOptions::default()
                 .with_workers(workers)

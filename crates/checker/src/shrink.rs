@@ -197,7 +197,6 @@ mod tests {
     use remix_spec::{
         ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
     };
-    use std::collections::BTreeMap;
 
     /// Counter with an irrelevant toggle: `Inc` raises `n`, `Toggle` flips `t`, the
     /// violation only depends on `n`, so a minimal counterexample is all-`Inc`.
@@ -207,18 +206,7 @@ mod tests {
         t: bool,
     }
 
-    impl SpecState for TState {
-        fn project(&self, vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-            let mut m = BTreeMap::new();
-            if vars.contains(&"n") {
-                m.insert("n".to_owned(), remix_spec::Value::from(self.n));
-            }
-            m
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["n", "t"]
-        }
-    }
+    impl SpecState for TState {}
 
     fn toggle_spec(limit: u32) -> Spec<TState> {
         let m = ModuleId("T");

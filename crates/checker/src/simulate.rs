@@ -53,23 +53,11 @@ pub fn simulate<S: SpecState>(spec: &Spec<S>, options: &SimulationOptions) -> Ve
 mod tests {
     use super::*;
     use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec};
-    use std::collections::BTreeMap;
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct N(u32);
 
-    impl SpecState for N {
-        fn project(&self, vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-            let mut m = BTreeMap::new();
-            if vars.contains(&"n") {
-                m.insert("n".to_owned(), remix_spec::Value::from(self.0));
-            }
-            m
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["n"]
-        }
-    }
+    impl SpecState for N {}
 
     fn branching_spec() -> Spec<N> {
         let m = ModuleId("Branch");

@@ -950,18 +950,7 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct N(u32);
 
-    impl SpecState for N {
-        fn project(&self, vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-            let mut m = BTreeMap::new();
-            if vars.contains(&"n") {
-                m.insert("n".to_owned(), remix_spec::Value::from(self.0));
-            }
-            m
-        }
-        fn variable_names() -> Vec<&'static str> {
-            vec!["n"]
-        }
-    }
+    impl SpecState for N {}
 
     fn chain_spec(limit: u32) -> Spec<N> {
         let m = ModuleId("Chain");

@@ -4,8 +4,6 @@
 //! still reach every grid point.  A failure here indicts the engines' sleep-set
 //! propagation rather than any model's annotations.
 
-use std::collections::BTreeMap;
-
 use remix_checker::{check_bfs, check_dfs, CheckOptions, StopReason, StoreMode};
 use remix_spec::{
     ActionDef, ActionInstance, Effect, Granularity, Invariant, InvariantSource, ModuleId,
@@ -20,26 +18,7 @@ struct Grid {
     ny: u32,
 }
 
-impl SpecState for Grid {
-    fn project(&self, vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-        let mut m = BTreeMap::new();
-        for v in vars {
-            match *v {
-                "x" => {
-                    m.insert("x".to_owned(), remix_spec::Value::from(self.x));
-                }
-                "y" => {
-                    m.insert("y".to_owned(), remix_spec::Value::from(self.y));
-                }
-                _ => {}
-            }
-        }
-        m
-    }
-    fn variable_names() -> Vec<&'static str> {
-        vec!["x", "y"]
-    }
-}
+impl SpecState for Grid {}
 
 /// Two fully independent counters: `IncX` writes server slot 0, `IncY` slot 1.
 fn grid_spec(nx: u32, ny: u32) -> Spec<Grid> {

@@ -22,26 +22,7 @@ use remix_spec::{
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Workers(Vec<u8>);
 
-impl SpecState for Workers {
-    fn project(&self, vars: &[&str]) -> BTreeMap<String, remix_spec::Value> {
-        let mut m = BTreeMap::new();
-        if vars.contains(&"counters") {
-            m.insert(
-                "counters".to_owned(),
-                remix_spec::Value::Seq(
-                    self.0
-                        .iter()
-                        .map(|c| remix_spec::Value::from(*c as u32))
-                        .collect(),
-                ),
-            );
-        }
-        m
-    }
-    fn variable_names() -> Vec<&'static str> {
-        vec!["counters"]
-    }
-}
+impl SpecState for Workers {}
 
 impl Canonicalize for Workers {
     fn canonicalize(&self) -> (Self, Perm) {
@@ -332,26 +313,17 @@ fn refinement_applies_symmetry_only_under_a_declared_equivariant_projection() {
         .with_canonicalization()
     };
     let projection = || {
-        TraceProjection::identity(
+        TraceProjection::new(
             "settled-multiset",
             Granularity::Coarse,
             Granularity::Baseline,
+            |s: &Workers| {
+                let mut sorted = s.0.clone();
+                sorted.sort_unstable();
+                let multiset = sorted.iter().map(|&c| u32::from(c).into()).collect();
+                BTreeMap::from([("multiset".to_owned(), remix_spec::Value::Seq(multiset))])
+            },
         )
-        .with_state(|s: &Workers| {
-            let mut sorted = s.0.clone();
-            sorted.sort_unstable();
-            let mut m = BTreeMap::new();
-            m.insert(
-                "multiset".to_owned(),
-                remix_spec::Value::Seq(
-                    sorted
-                        .iter()
-                        .map(|c| remix_spec::Value::from(*c as u32))
-                        .collect(),
-                ),
-            );
-            m
-        })
         .with_stability(move |s: &Workers| s.0.iter().all(|&c| c == 0 || c == max))
     };
 

@@ -15,7 +15,7 @@ use remix_checker::explore::striped;
 use remix_checker::{
     explore_one, shrink_trace, simulate_one, CheckerRng, CoverageMap, Guidance, ShrinkOutcome,
 };
-use remix_spec::{Spec, SpecState, Trace, Value};
+use remix_spec::{Spec, Trace, Value};
 use remix_zab::{ClusterConfig, ZabState};
 use remix_zk_sim::{Cluster, Observation};
 

@@ -7,6 +7,8 @@
 
 use std::time::Duration;
 
+use remix_checker::StopReason;
+
 use crate::json::JsonObject;
 
 /// One row of Table 4 (bug detection) or of the per-bug appendix.
@@ -63,8 +65,9 @@ pub struct EfficiencyRow {
     pub violations: usize,
     /// The violated invariants.
     pub violated_invariants: Vec<String>,
-    /// Whether the run finished within the time budget.
-    pub completed: bool,
+    /// Why the run stopped: only [`StopReason::Exhausted`] means the reachable space
+    /// was explored to the end.
+    pub stop: StopReason,
 }
 
 impl EfficiencyRow {
@@ -78,7 +81,7 @@ impl EfficiencyRow {
             .u128("states", self.states as u128)
             .u128("violations", self.violations as u128)
             .string_array("violated_invariants", &self.violated_invariants)
-            .bool("completed", self.completed)
+            .string("stop", self.stop.as_str())
             .finish()
     }
 }
@@ -381,6 +384,25 @@ mod tests {
     use super::*;
 
     #[test]
+    fn efficiency_rows_serialize_why_the_run_stopped() {
+        // A run-to-completion row cut by its violation limit did not exhaust the
+        // space, and its row must not read as if it had.
+        let row = EfficiencyRow {
+            spec: "mSpec-1".to_owned(),
+            time: Duration::from_millis(3_400),
+            teardown: Duration::from_millis(90),
+            depth: 31,
+            states: 1_204_337,
+            violations: 10_000,
+            violated_invariants: vec!["I-10".to_owned()],
+            stop: StopReason::ViolationLimit,
+        };
+        let json = row.to_json();
+        assert!(json.contains("\"stop\":\"violation_limit\""), "{json}");
+        assert!(!json.contains("completed"), "{json}");
+    }
+
+    #[test]
     fn concurrency_rows_serialize_to_json() {
         let finding = remix_analyze::Finding {
             tier: remix_analyze::Tier::LockOrder,
@@ -538,7 +560,7 @@ mod tests {
             states: 77_179,
             violations: 1,
             violated_invariants: vec!["I-10".to_owned()],
-            completed: true,
+            stop: StopReason::FirstViolation,
         };
         assert!(eff.to_json().contains("I-10"));
 

@@ -48,8 +48,8 @@ pub enum VerifyError {
     /// soundness-class findings: some declared [`Effect`](remix_spec::Effect)
     /// footprint is narrower than the writes the effect audit observed (or a
     /// declared-independent pair fails its commute diamond).  Model checking with
-    /// sleep-set POR or incremental canonicalization on such a specification can
-    /// silently drop states, so the verifier refuses to run it.
+    /// sleep-set POR on such a specification can silently drop states, so the
+    /// verifier refuses to run it.
     UnsoundFootprint {
         /// Name of the analyzed specification.
         spec: String,
@@ -330,40 +330,18 @@ impl Verifier {
 
 impl Verifier {
     /// Runs the semantic analysis tiers — effect audit and commute oracle
-    /// (`remix-analyze`) — over a bounded BFS corpus of a preset composition.
+    /// (`remix-analyze`) — over a bounded BFS corpus of a composed specification.
     ///
     /// The corpus is explored without symmetry or partial-order reduction: those are
     /// exactly the reductions whose soundness the analysis establishes.
-    pub fn analyze_preset(&self, preset: SpecPreset, corpus: CorpusOptions) -> AnalysisReport {
-        let composed = Composer::new(self.config)
-            .compose_preset(preset)
-            .expect("preset composes");
-        self.analyze_spec(&composed.spec, corpus)
-    }
-
-    /// Runs the semantic analysis tiers over an already-composed specification.
     pub fn analyze_spec(&self, spec: &Spec<ZabState>, corpus: CorpusOptions) -> AnalysisReport {
         remix_analyze::analyze_spec(spec, corpus)
     }
 
-    /// Verifies a preset behind the analysis pre-check gate: the semantic analysis
-    /// runs first, and any soundness-class finding aborts the run with
-    /// [`VerifyError::UnsoundFootprint`] instead of model checking on declarations
-    /// that could silently drop states.
-    pub fn verify_preset_gated(
-        &self,
-        preset: SpecPreset,
-        options: &VerifierOptions,
-        corpus: CorpusOptions,
-    ) -> Result<VerificationRun, VerifyError> {
-        let composed = Composer::new(self.config)
-            .compose_preset(preset)
-            .expect("preset composes");
-        self.verify_spec_gated(composed.spec, options, corpus)
-    }
-
-    /// Verifies an already-composed specification behind the analysis gate; see
-    /// [`Verifier::verify_preset_gated`].
+    /// Verifies a specification behind the analysis pre-check gate: the semantic
+    /// analysis ([`Verifier::analyze_spec`]) runs first, and any soundness-class
+    /// finding aborts the run with [`VerifyError::UnsoundFootprint`] instead of model
+    /// checking on declarations that could silently drop states.
     pub fn verify_spec_gated(
         &self,
         spec: Spec<ZabState>,

@@ -203,13 +203,6 @@ impl Effect {
         self
     }
 
-    /// Declares a read of a flag scalar (see [`flags`]).
-    #[must_use]
-    pub fn reads_flag(mut self, f: u16) -> Self {
-        self.reads_flags |= f;
-        self
-    }
-
     /// Declares a write (and implicitly a read) of a flag scalar (see [`flags`]).
     #[must_use]
     pub fn writes_flag(mut self, f: u16) -> Self {

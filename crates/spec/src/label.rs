@@ -120,19 +120,6 @@ impl LabelTable {
     pub fn is_empty(&self) -> bool {
         self.len() <= 1
     }
-
-    /// Approximate resident bytes of the table: each distinct label's bytes once
-    /// (shared by the id map and the resolve vector), plus the two `Arc` handles and
-    /// the id per label.
-    pub fn approx_bytes(&self) -> usize {
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        inner
-            .labels
-            .iter()
-            .map(|l| l.len() + 2 * std::mem::size_of::<Arc<str>>())
-            .sum::<usize>()
-            + inner.labels.len() * std::mem::size_of::<u32>()
-    }
 }
 
 impl std::fmt::Debug for LabelTable {
@@ -160,7 +147,6 @@ mod tests {
         assert_eq!(t.len(), 3, "Init is pre-interned");
         assert_eq!(t.intern(INIT_LABEL), LabelTable::init_id());
         assert!(!t.is_empty());
-        assert!(t.approx_bytes() > 0);
     }
 
     #[test]

@@ -16,13 +16,12 @@
 //!   rules of Definitions 2 and 3 in the paper's Appendix B, computed over the variable
 //!   footprints that every action declares.
 //! * **Interaction-preservation checking** ([`analysis::check_interaction_preservation`]):
-//!   the two syntactic constraints of §3.2 that make coarsening safe, plus trace
-//!   projection and condensation utilities used for the empirical equivalence check.
+//!   the two syntactic constraints of §3.2 that make coarsening safe.
 //! * **Invariants** ([`invariant`]): protocol-level and code-level safety properties with
 //!   applicability scopes, so that a composed specification automatically selects the
 //!   invariants that make sense for its granularity (§3.5.1).
-//! * **Traces** ([`trace`]): counterexample and simulation traces with projection onto a
-//!   target module, used both for debugging and for conformance checking.
+//! * **Traces** ([`trace`]): counterexample and simulation traces, used both for
+//!   debugging and for conformance checking.
 //! * **Granularity projections** ([`projection`]): the abstraction relation between two
 //!   granularities of the same library — per-state and per-label projections plus a
 //!   stability predicate — consumed by the refinement checker
@@ -80,7 +79,5 @@ pub use reflect::{FieldInfo, StateFields};
 pub use shared::{InternPool, Shared};
 pub use spec::{CanonFn, OwnedCanonFn, Spec, SpecState};
 pub use symmetry::{canon_stats, Canonicalize, Perm};
-pub use trace::{
-    condense, condensed_states, project_trace, ProjectedStep, ProjectedTrace, Trace, TraceStep,
-};
+pub use trace::{Trace, TraceStep};
 pub use value::Value;

@@ -23,11 +23,10 @@
 //! [`project_state`](TraceProjection::project_state), or a cheaper function with the
 //! same equality set with [`with_key`](TraceProjection::with_key) (the Zab projections
 //! hash memoized per-component projection hashes instead of building the map).  The
-//! `Value` form is then only built to render divergences and projected traces.
+//! `Value` form is then only built to render divergences.
 //!
-//! [`TraceProjection::project_trace`] applies all three to a concrete trace, producing
-//! the condensed, stable-snapshot [`ProjectedTrace`] on which trace equivalence (the
-//! `~` relation of Appendix B.4) is decided.
+//! All three are applied state by state and label by label, as the checker folds each
+//! side into a quotient; no trace is ever projected as a whole.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -36,7 +35,6 @@ use std::sync::Arc;
 use crate::action::Granularity;
 use crate::fingerprint::fingerprint;
 use crate::spec::SpecState;
-use crate::trace::{condense, ProjectedStep, ProjectedTrace, Trace};
 use crate::value::Value;
 
 /// Function projecting a state onto its externally visible variables.
@@ -72,12 +70,19 @@ pub struct TraceProjection<S> {
 }
 
 impl<S: SpecState> TraceProjection<S> {
-    /// Creates the identity projection between two granularities: every variable is
-    /// visible, every label is visible unchanged, and every state is stable.
+    /// Creates the projection between two granularities that maps each state through
+    /// `state`, keeps every label visible unchanged and treats every state as stable;
+    /// [`with_label`](TraceProjection::with_label) and
+    /// [`with_stability`](TraceProjection::with_stability) replace the latter two.
     ///
     /// `coarse` must strictly abstract `fine` ([`Granularity::abstracts`]); the
     /// constructor asserts this so ill-ordered pairs fail loudly at construction time.
-    pub fn identity(name: impl Into<String>, coarse: Granularity, fine: Granularity) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        coarse: Granularity,
+        fine: Granularity,
+        state: impl Fn(&S) -> BTreeMap<String, Value> + Send + Sync + 'static,
+    ) -> Self {
         assert!(
             coarse.abstracts(fine),
             "{coarse} does not abstract {fine}: projections go from fine to coarse"
@@ -86,10 +91,7 @@ impl<S: SpecState> TraceProjection<S> {
             name: name.into(),
             coarse,
             fine,
-            state: Arc::new(|s: &S| {
-                let vars = S::variable_names();
-                s.project(&vars)
-            }),
+            state: Arc::new(state),
             key: None,
             label: Arc::new(|l: &str| Some(l.to_owned())),
             stable: Arc::new(|_| true),
@@ -97,20 +99,8 @@ impl<S: SpecState> TraceProjection<S> {
         }
     }
 
-    /// Replaces the state projection.  The key goes back to the hash of the new
-    /// projection, so a key set earlier can never disagree with it.
-    pub fn with_state(
-        mut self,
-        state: impl Fn(&S) -> BTreeMap<String, Value> + Send + Sync + 'static,
-    ) -> Self {
-        self.state = Arc::new(state);
-        self.key = None;
-        self
-    }
-
     /// Replaces the projection key by a cheaper function with the same contract as the
-    /// default (see [`TraceProjection::key`]).  Set it after the state projection it
-    /// keys: [`TraceProjection::with_state`] resets it.
+    /// default (see [`TraceProjection::key`]).
     pub fn with_key(mut self, key: impl Fn(&S) -> u64 + Send + Sync + 'static) -> Self {
         self.key = Some(Arc::new(key));
         self
@@ -182,33 +172,6 @@ impl<S: SpecState> TraceProjection<S> {
     pub fn is_stable(&self, state: &S) -> bool {
         (self.stable)(state)
     }
-
-    /// Projects a trace: keeps the stable snapshots, projects each onto the visible
-    /// variables, maps the labels, and condenses away stuttering steps.
-    ///
-    /// The result is total on every trace (projection never fails): unstable steps are
-    /// folded into the preceding stable snapshot, internal labels are replaced by `"τ"`
-    /// when the projected state still changed (which the condensation then keeps), and
-    /// repeated projections are dropped.
-    pub fn project_trace(&self, trace: &Trace<S>) -> ProjectedTrace {
-        let mut steps: Vec<ProjectedStep> = Vec::new();
-        for (i, step) in trace.steps.iter().enumerate() {
-            if !self.is_stable(&step.state) {
-                continue;
-            }
-            let action = if i == 0 {
-                step.action.clone()
-            } else {
-                self.project_label(&step.action)
-                    .unwrap_or_else(|| "τ".to_owned())
-            };
-            steps.push(ProjectedStep {
-                action,
-                vars: self.project_state(&step.state),
-            });
-        }
-        condense(&ProjectedTrace { steps })
-    }
 }
 
 impl<S> fmt::Debug for TraceProjection<S> {
@@ -226,17 +189,12 @@ mod tests {
     use super::*;
     use crate::spec::testutil::Counters;
 
-    fn sample() -> Trace<Counters> {
-        let mut t = Trace::from_init(Counters { x: 0, y: 0 });
-        t.push("IncX(0)", Counters { x: 1, y: 0 });
-        t.push("IncY(0)", Counters { x: 1, y: 1 });
-        t.push("IncX(1)", Counters { x: 2, y: 1 });
-        t
+    fn only_y(s: &Counters) -> BTreeMap<String, Value> {
+        BTreeMap::from([("y".to_owned(), Value::from(s.y))])
     }
 
     fn y_projection() -> TraceProjection<Counters> {
-        TraceProjection::identity("y-only", Granularity::Coarse, Granularity::Baseline)
-            .with_state(|s: &Counters| s.project(&["y"]))
+        TraceProjection::new("y-only", Granularity::Coarse, Granularity::Baseline, only_y)
             .with_label(|l: &str| {
                 if l.starts_with("IncY") {
                     Some(l.to_owned())
@@ -248,49 +206,39 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "does not abstract")]
-    fn identity_rejects_ill_ordered_pairs() {
-        let _ = TraceProjection::<Counters>::identity(
+    fn new_rejects_ill_ordered_pairs() {
+        let _ = TraceProjection::<Counters>::new(
             "bad",
             Granularity::FineAtomic,
             Granularity::Coarse,
+            only_y,
         );
     }
 
     #[test]
-    fn identity_projection_keeps_everything() {
-        let p: TraceProjection<Counters> =
-            TraceProjection::identity("id", Granularity::Coarse, Granularity::Baseline);
-        let t = sample();
-        let projected = p.project_trace(&t);
-        assert_eq!(projected.steps.len(), 4);
-        assert_eq!(projected.steps[1].action, "IncX(0)");
+    fn new_keeps_every_label_and_every_state() {
+        let p = TraceProjection::new("y", Granularity::Coarse, Granularity::Baseline, only_y);
+        let s = Counters { x: 2, y: 1 };
+        assert_eq!(p.project_state(&s), only_y(&s));
         assert!(p.is_stable(&Counters { x: 0, y: 0 }));
+        assert!(p.is_stable(&s));
         assert_eq!(p.project_label("IncX(0)"), Some("IncX(0)".to_owned()));
-    }
-
-    #[test]
-    fn state_and_label_projections_condense_internal_steps() {
+        // `with_label` hides the steps it maps to `None` and keeps the others.
         let p = y_projection();
-        let t = sample();
-        let projected = p.project_trace(&t);
-        // Only the y-changing step survives condensation; the IncX steps stutter.
-        assert_eq!(projected.steps.len(), 2);
-        assert_eq!(projected.steps[1].action, "IncY(0)");
-        assert_eq!(projected.steps[1].vars["y"], Value::Int(1));
-        // Projection is idempotent: condensing the projected trace is a fixed point.
-        assert_eq!(condense(&projected), projected);
+        assert_eq!(p.project_label("IncX(0)"), None);
+        assert_eq!(p.project_label("IncY(0)"), Some("IncY(0)".to_owned()));
     }
 
     #[test]
     fn unstable_snapshots_are_skipped() {
         // States with x > y are "mid-step" for this toy coarsening.
         let p = y_projection().with_stability(|s: &Counters| s.x == s.y);
-        let t = sample();
-        let projected = p.project_trace(&t);
-        // Only (0, 0) and (1, 1) are stable; their y-projections are 0 and 1.
-        assert_eq!(projected.steps.len(), 2);
-        assert_eq!(projected.steps[0].vars["y"], Value::Int(0));
-        assert_eq!(projected.steps[1].vars["y"], Value::Int(1));
+        let walk = [(0, 0), (1, 0), (1, 1), (2, 1)].map(|(x, y)| Counters { x, y });
+        let stable: Vec<_> = walk.iter().filter(|s| p.is_stable(s)).collect();
+        // Only (0, 0) and (1, 1) are compared; their y-projections are 0 and 1.
+        assert_eq!(stable, [&walk[0], &walk[2]]);
+        assert_eq!(p.project_state(stable[0])["y"], Value::Int(0));
+        assert_eq!(p.project_state(stable[1])["y"], Value::Int(1));
     }
 
     #[test]
@@ -303,23 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn with_state_after_with_key_restores_the_derived_key() {
+    fn with_key_replaces_the_derived_key() {
         let s = Counters { x: 3, y: 4 };
-        let keyed = y_projection().with_key(|_| 7);
-        assert_eq!(keyed.key(&s), 7);
-        let reset = keyed.with_state(|s: &Counters| s.project(&["x"]));
-        assert_eq!(reset.key(&s), fingerprint(&reset.project_state(&s)).0);
-        assert_ne!(reset.key(&s), 7);
-    }
-
-    #[test]
-    fn internal_label_with_visible_change_becomes_tau() {
-        // Everything visible in the state, but all labels internal: changes show as τ.
-        let p: TraceProjection<Counters> =
-            TraceProjection::identity("tau", Granularity::Coarse, Granularity::Baseline)
-                .with_label(|_| None);
-        let projected = p.project_trace(&sample());
-        assert!(projected.steps.iter().skip(1).all(|s| s.action == "τ"));
-        assert_eq!(projected.steps.len(), 4, "x/y change on every step");
+        let keyed = y_projection().with_key(|s: &Counters| u64::from(s.y) + 7);
+        assert_eq!(keyed.key(&s), 11);
+        assert_eq!(keyed.project_state(&s), only_y(&s), "the Value form stays");
     }
 }

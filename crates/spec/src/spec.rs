@@ -1,6 +1,5 @@
 //! Complete specifications: initial states, a next-state relation and invariants.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -13,7 +12,6 @@ use crate::label::{LabelId, LabelTable};
 use crate::module::{ModuleId, ModuleSpec};
 use crate::shared::{InternPool, Shared};
 use crate::symmetry::{Canonicalize, Perm};
-use crate::value::Value;
 
 /// A canonicalization function attached to a [`Spec`]: maps a state to the canonical
 /// representative of its orbit under the specification's symmetry group, returning the
@@ -29,18 +27,14 @@ pub type OwnedCanonFn<S> = Arc<dyn Fn(S) -> (S, Perm) + Send + Sync>;
 
 /// Trait bound for states explored by the model checker.
 ///
-/// States must be cloneable, hashable and comparable; `project` exposes selected
-/// variables as [`Value`]s for trace projection (Appendix B) and conformance checking.
+/// States must be cloneable, hashable and comparable.  Every method is provided, so a
+/// toy state needs nothing but `impl SpecState for T {}`; a type built on [`Shared`]
+/// components overrides [`hash_key`](SpecState::hash_key),
+/// [`intern`](SpecState::intern) and [`from_row`](SpecState::from_row) to key and store
+/// itself component by component.  Viewing a state as [`Value`](crate::Value)s is not
+/// the trait's business: a refinement check is handed its state projection as a
+/// function ([`TraceProjection::new`](crate::TraceProjection::new)).
 pub trait SpecState: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static {
-    /// Projects the named variables of this state into a uniform value representation.
-    ///
-    /// Unknown variable names are simply omitted from the result, which lets callers pass
-    /// the union of variable names from several granularities.
-    fn project(&self, vars: &[&str]) -> BTreeMap<String, Value>;
-
-    /// Returns the full list of variable names this state type exposes.
-    fn variable_names() -> Vec<&'static str>;
-
     /// Feeds the stream the exhaustive engines key their store on (`remix-checker`'s
     /// `state_key`).  Like `Hash`, it must be a function of the state's *value* that
     /// separates unequal states; unlike `Hash`, nothing outside the store depends on
@@ -261,27 +255,7 @@ pub(crate) mod testutil {
         pub y: u32,
     }
 
-    impl SpecState for Counters {
-        fn project(&self, vars: &[&str]) -> BTreeMap<String, Value> {
-            let mut m = BTreeMap::new();
-            for v in vars {
-                match *v {
-                    "x" => {
-                        m.insert("x".to_owned(), Value::from(self.x));
-                    }
-                    "y" => {
-                        m.insert("y".to_owned(), Value::from(self.y));
-                    }
-                    _ => {}
-                }
-            }
-            m
-        }
-
-        fn variable_names() -> Vec<&'static str> {
-            vec!["x", "y"]
-        }
-    }
+    impl SpecState for Counters {}
 
     pub const MOD_X: ModuleId = ModuleId("X");
     pub const MOD_Y: ModuleId = ModuleId("Y");
@@ -398,13 +372,5 @@ mod tests {
         states[0].x = 9;
         states[0].intern(&mut pool, None);
         assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn projection_skips_unknown_variables() {
-        let c = Counters { x: 3, y: 1 };
-        let p = c.project(&["x", "unknown"]);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p["x"], Value::Int(3));
     }
 }

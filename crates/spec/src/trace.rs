@@ -1,16 +1,11 @@
-//! Traces: sequences of states joined by action labels, with projection and condensation.
+//! Traces: sequences of states joined by action labels.
 //!
-//! Appendix B of the paper restricts attention to a target module by projecting every
-//! state onto the module's dependency and interaction variables, and then *condensing*
-//! the trace by dropping transitions that do not change the projection.  Those two
-//! operations — [`project_trace`] and [`condense`] — are used by the empirical
-//! interaction-preservation check and by conformance checking.
+//! Counterexamples, simulated walks and conformance replays are all [`Trace`]s: an
+//! initial state followed by action-labelled transitions.  Comparing two granularities
+//! is not done on traces — the refinement checker projects each state on its own (see
+//! [`crate::projection`]).
 
-use std::collections::BTreeMap;
 use std::fmt;
-
-use crate::spec::SpecState;
-use crate::value::Value;
 
 /// One step of a trace: the action that was taken and the state it produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,59 +84,6 @@ impl<S: fmt::Debug> fmt::Display for Trace<S> {
     }
 }
 
-/// A trace projected onto a set of variables: each step keeps only the projected values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProjectedTrace {
-    /// Per-step projected variable assignments.
-    pub steps: Vec<ProjectedStep>,
-}
-
-/// One step of a [`ProjectedTrace`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProjectedStep {
-    /// The action that produced this state (`"Init"` for the first step).
-    pub action: String,
-    /// The projected variable assignment.
-    pub vars: BTreeMap<String, Value>,
-}
-
-/// Projects every state of `trace` onto the given variables.
-pub fn project_trace<S: SpecState>(trace: &Trace<S>, vars: &[&str]) -> ProjectedTrace {
-    ProjectedTrace {
-        steps: trace
-            .steps
-            .iter()
-            .map(|s| ProjectedStep {
-                action: s.action.clone(),
-                vars: s.state.project(vars),
-            })
-            .collect(),
-    }
-}
-
-/// Condenses a projected trace by removing steps whose projection equals the previous
-/// step's projection (the "not-interesting transitions" of Appendix B.3).
-pub fn condense(trace: &ProjectedTrace) -> ProjectedTrace {
-    let mut steps: Vec<ProjectedStep> = Vec::new();
-    for step in &trace.steps {
-        match steps.last() {
-            Some(prev) if prev.vars == step.vars => {
-                // Not interesting for the target module: merge into the previous state.
-            }
-            _ => steps.push(step.clone()),
-        }
-    }
-    ProjectedTrace { steps }
-}
-
-/// The sequence of distinct projected assignments of a condensed trace.
-///
-/// Two traces are equivalent with respect to a target module exactly when their
-/// condensed projections are equal (the `~` relation of Appendix B.4).
-pub fn condensed_states(trace: &ProjectedTrace) -> Vec<BTreeMap<String, Value>> {
-    condense(trace).steps.into_iter().map(|s| s.vars).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,45 +105,5 @@ mod tests {
         assert_eq!(t.last_state(), Some(&Counters { x: 2, y: 1 }));
         assert!(!t.is_empty());
         assert!(t.to_string().contains("State 0: <Init>"));
-    }
-
-    #[test]
-    fn projection_keeps_only_requested_vars() {
-        let t = sample_trace();
-        let p = project_trace(&t, &["y"]);
-        assert_eq!(p.steps.len(), 4);
-        assert_eq!(p.steps[0].vars["y"], Value::Int(0));
-        assert_eq!(p.steps[2].vars["y"], Value::Int(1));
-        assert!(!p.steps[0].vars.contains_key("x"));
-    }
-
-    #[test]
-    fn condensation_drops_uninteresting_transitions() {
-        let t = sample_trace();
-        // Projected onto `y`, the IncX transitions do not change the projection.
-        let p = project_trace(&t, &["y"]);
-        let c = condense(&p);
-        assert_eq!(c.steps.len(), 2);
-        assert_eq!(c.steps[0].vars["y"], Value::Int(0));
-        assert_eq!(c.steps[1].vars["y"], Value::Int(1));
-        // Condensation is idempotent.
-        assert_eq!(condense(&c), c);
-    }
-
-    #[test]
-    fn condensed_states_define_equivalence() {
-        let t1 = sample_trace();
-        // A different interleaving with the same `y`-projection.
-        let mut t2 = Trace::from_init(Counters { x: 0, y: 0 });
-        t2.push("IncX(0)", Counters { x: 1, y: 0 });
-        t2.push("IncX(1)", Counters { x: 2, y: 0 });
-        t2.push("IncY(0)", Counters { x: 2, y: 1 });
-        let a = condensed_states(&project_trace(&t1, &["y"]));
-        let b = condensed_states(&project_trace(&t2, &["y"]));
-        assert_eq!(a, b);
-        // Projected onto everything, the traces differ.
-        let a = condensed_states(&project_trace(&t1, &["x", "y"]));
-        let b = condensed_states(&project_trace(&t2, &["x", "y"]));
-        assert_ne!(a, b);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Specifications in this framework use typed Rust structs for their states (for speed),
 //! but several cross-cutting facilities need a uniform, ordered, printable representation
-//! of variable values: trace projection and condensation (Appendix B of the paper),
-//! conformance checking (comparing a model-level variable with its code-level
+//! of variable values: the state projections of refinement checking (Appendix B of the
+//! paper), conformance checking (comparing a model-level variable with its code-level
 //! counterpart), and report serialization.  [`Value`] plays that role.
 
 use std::collections::BTreeMap;
@@ -56,61 +56,11 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Returns the integer payload, if this value is an integer.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// Returns the boolean payload, if this value is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the sequence elements, if this value is a sequence.
     pub fn as_seq(&self) -> Option<&[Value]> {
         match self {
             Value::Seq(v) => Some(v),
             _ => None,
-        }
-    }
-
-    /// Returns the set elements, if this value is a set.
-    pub fn as_set(&self) -> Option<&[Value]> {
-        match self {
-            Value::Set(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Returns the record fields, if this value is a record.
-    pub fn as_record(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Record(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` if `self` is a sequence and a prefix of the sequence `other`.
-    ///
-    /// This is the `⊑` relation the paper uses in invariants I-8/I-9/I-10.
-    pub fn is_prefix_of(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Seq(a), Value::Seq(b)) => a.len() <= b.len() && &b[..a.len()] == a.as_slice(),
-            _ => false,
-        }
-    }
-
-    /// Returns `true` if `self` is a set and a subset of the set `other`.
-    pub fn is_subset_of(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Set(a), Value::Set(b)) => a.iter().all(|x| b.binary_search(x).is_ok()),
-            _ => false,
         }
     }
 
@@ -226,25 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_relation() {
-        let a = Value::from(vec![1i64, 2]);
-        let b = Value::from(vec![1i64, 2, 3]);
-        assert!(a.is_prefix_of(&b));
-        assert!(!b.is_prefix_of(&a));
-        assert!(a.is_prefix_of(&a));
-        // Non-sequences are never prefixes.
-        assert!(!Value::Int(1).is_prefix_of(&b));
-    }
-
-    #[test]
-    fn subset_relation() {
-        let a = Value::set(vec![Value::Int(1)]);
-        let b = Value::set(vec![Value::Int(1), Value::Int(2)]);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
-    }
-
-    #[test]
     fn display_is_tla_like() {
         let v = Value::record(vec![
             ("mtype".to_owned(), Value::str("ACK")),
@@ -260,10 +191,11 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(Value::Int(7).as_int(), Some(7));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert!(Value::Int(7).as_bool().is_none());
-        assert_eq!(Value::from(vec![1i64]).len(), 1);
+        let seq = Value::from(vec![1i64, 2]);
+        assert_eq!(seq.as_seq(), Some(&[Value::Int(1), Value::Int(2)][..]));
+        assert!(Value::set(vec![Value::Int(1)]).as_seq().is_none());
+        assert_eq!(seq.len(), 2);
+        assert_eq!(Value::Int(7).len(), 1);
         assert!(Value::Seq(vec![]).is_empty());
         assert!(!Value::Int(0).is_empty());
     }

@@ -4,30 +4,17 @@
 //! Traces are the currency every layer above `remix-spec` trades in — the checker
 //! reconstructs them, the conformance checker replays them, the shrinker rewrites them
 //! — so the basic bookkeeping (`depth` = transitions, labels exclude the initial
-//! pseudo-action, projection/condensation behave) is pinned down over generated step
-//! sequences rather than single examples.
-
-use std::collections::BTreeMap;
+//! pseudo-action) is pinned down over generated step sequences rather than single
+//! examples.
 
 use proptest::prelude::*;
-use remix_spec::{condense, project_trace, SpecState, Trace, Value};
+use remix_spec::{SpecState, Trace};
 
-/// A minimal state for trace bookkeeping tests: one observable counter.
+/// A minimal state for trace bookkeeping tests: one counter.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct S(u32);
 
-impl SpecState for S {
-    fn project(&self, vars: &[&str]) -> BTreeMap<String, Value> {
-        let mut m = BTreeMap::new();
-        if vars.contains(&"v") {
-            m.insert("v".to_owned(), Value::from(self.0));
-        }
-        m
-    }
-    fn variable_names() -> Vec<&'static str> {
-        vec!["v"]
-    }
-}
+impl SpecState for S {}
 
 proptest! {
     /// `push` appends exactly one step: depth grows by one per push, the last state and
@@ -70,30 +57,5 @@ proptest! {
         }
         prop_assert_eq!(trace.depth(), trace.steps.len() - 1);
         prop_assert!(!trace.is_empty());
-    }
-
-    /// Projection preserves step count and only keeps requested variables; condensation
-    /// never grows a trace and is idempotent.
-    #[test]
-    fn projection_and_condensation_invariants(
-        values in proptest::collection::vec(0u32..4, 1..24),
-    ) {
-        let mut trace = Trace::from_init(S(0));
-        for v in &values {
-            trace.push(format!("Set({v})"), S(*v));
-        }
-        let projected = project_trace(&trace, &["v"]);
-        prop_assert_eq!(projected.steps.len(), trace.steps.len());
-        for step in &projected.steps {
-            prop_assert!(step.vars.contains_key("v"));
-            prop_assert_eq!(step.vars.len(), 1);
-        }
-        let condensed = condense(&projected);
-        prop_assert!(condensed.steps.len() <= projected.steps.len());
-        // Condensation removes exactly the steps whose projection repeats.
-        for w in condensed.steps.windows(2) {
-            prop_assert_ne!(&w[0].vars, &w[1].vars);
-        }
-        prop_assert_eq!(&condense(&condensed), &condensed);
     }
 }

@@ -310,7 +310,7 @@ fn project_ghost(ghost: &GhostState) -> Value {
 }
 
 /// The `Value` form of a state's projection, assembled from the per-component
-/// builders (what divergence reports and projected traces render).
+/// builders (what divergence reports render).
 fn project_state(s: &ZabState, spec: ProjectionSpec) -> BTreeMap<String, Value> {
     let mut out = BTreeMap::new();
     out.insert(
@@ -511,8 +511,7 @@ fn is_stable(state: &ZabState, spec: ProjectionSpec) -> bool {
 
 /// Builds the projection for a normalization choice.  Its key hashes the projection
 /// hash of each server, channel row and ghost state, memoized per distinct component,
-/// with the scalar fields; the `Value` form is only built to render divergences and
-/// projected traces.
+/// with the scalar fields; the `Value` form is only built to render divergences.
 pub fn projection(
     name: impl Into<String>,
     coarse: Granularity,
@@ -530,8 +529,8 @@ fn memoized_projection(
     memo: Arc<ProjectionMemo>,
 ) -> TraceProjection<ZabState> {
     let spec = memo.spec;
-    TraceProjection::identity(name, coarse, fine)
-        .with_state(move |s: &ZabState| project_state(s, spec))
+    let state = move |s: &ZabState| project_state(s, spec);
+    TraceProjection::new(name, coarse, fine, state)
         .with_key(move |s: &ZabState| memo.key(s))
         .with_label(move |label: &str| {
             let name = action_name(label);

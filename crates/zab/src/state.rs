@@ -377,11 +377,6 @@ impl ZabState {
         }
     }
 
-    /// The set of up servers.
-    pub fn up_servers(&self) -> SidSet {
-        (0..self.n()).filter(|&i| self.servers[i].is_up()).collect()
-    }
-
     /// All sids.
     pub fn sids(&self) -> impl Iterator<Item = Sid> {
         0..self.n()
@@ -428,8 +423,14 @@ pub mod vars {
     ];
 }
 
-impl SpecState for ZabState {
-    fn project(&self, requested: &[&str]) -> BTreeMap<String, Value> {
+impl ZabState {
+    /// Projects the named variables of this state into a uniform value representation:
+    /// the model side of conformance checking (§3.4), compared variable by variable
+    /// with `remix-zk-sim`'s `Observation`.
+    ///
+    /// Unknown variable names are simply omitted from the result, which lets callers pass
+    /// the union of variable names from several granularities.
+    pub fn project(&self, requested: &[&str]) -> BTreeMap<String, Value> {
         let mut out = BTreeMap::new();
         let per_server = |f: &dyn Fn(&ServerData) -> Value| -> Value {
             Value::Seq(self.servers.iter().map(|s| f(s)).collect())
@@ -504,10 +505,13 @@ impl SpecState for ZabState {
         out
     }
 
-    fn variable_names() -> Vec<&'static str> {
+    /// Every variable name [`ZabState::project`] knows, in a stable order.
+    pub fn variable_names() -> Vec<&'static str> {
         vars::ALL.to_vec()
     }
+}
 
+impl SpecState for ZabState {
     /// The inline fields as `Hash` feeds them, each shared component as its memoized
     /// digest.  `Self` is destructured so that a new field cannot be left out.
     fn hash_key<H: Hasher>(&self, hasher: &mut H) {

@@ -112,13 +112,6 @@ pub struct BugFlags {
     pub synchronous_sync_logging: bool,
 }
 
-impl BugFlags {
-    /// Flags with every bug fixed (the behaviour of the final verified implementation).
-    pub fn all_fixed() -> Self {
-        CodeVersion::FinalFix.bugs()
-    }
-}
-
 /// One edge of the bug lineage of Figure 8: a change (optimization or fix) and the bugs
 /// it introduced or left open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,7 +210,7 @@ mod tests {
 
     #[test]
     fn final_fix_clears_every_flag() {
-        let f = BugFlags::all_fixed();
+        let f = CodeVersion::FinalFix.bugs();
         assert!(!f.epoch_updated_before_history);
         assert!(!f.ack_newleader_before_persist);
         assert!(!f.leader_rejects_early_proposal_ack);

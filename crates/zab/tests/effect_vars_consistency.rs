@@ -1,9 +1,9 @@
 //! Single-source-of-truth check: every Zab action's module-level variable footprint
 //! (the `&'static str` read/write sets consumed by `remix_spec::analysis` for
 //! interaction-preservation checking) must be consistent with its bit-level
-//! [`Effect`] footprint (consumed by sleep-set POR and incremental
-//! canonicalization).  The two declarations describe the same semantics at
-//! different granularities; this test fails when either side drifts.
+//! [`Effect`] footprint (consumed by sleep-set POR).  The two declarations describe
+//! the same semantics at different granularities; this test fails when either side
+//! drifts.
 //!
 //! The mapping between the two vocabularies:
 //!

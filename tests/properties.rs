@@ -1,7 +1,6 @@
 //! Property-based tests on the core data structures and invariants of the framework.
 
 use multigrained::checker::fingerprint;
-use multigrained::spec::{condense, condensed_states, project_trace, SpecState, Trace, Value};
 use multigrained::zab::{ClusterConfig, CodeVersion, ServerData, Txn, ZabState, Zxid};
 use proptest::prelude::*;
 
@@ -60,44 +59,6 @@ proptest! {
         let delivered = sd.delivered();
         prop_assert!(delivered.len() <= history.len());
         prop_assert_eq!(delivered, &history[..delivered.len()]);
-    }
-
-    /// Value prefix relation: a sequence is a prefix of itself plus any suffix, and the
-    /// relation is antisymmetric up to equality.
-    #[test]
-    fn value_prefix_laws(a in proptest::collection::vec(0i64..10, 0..6),
-                         b in proptest::collection::vec(0i64..10, 0..6)) {
-        let va = Value::from(a.clone());
-        let mut ab = a.clone();
-        ab.extend(b.clone());
-        let vab = Value::from(ab);
-        prop_assert!(va.is_prefix_of(&vab));
-        let vb = Value::from(b.clone());
-        if va.is_prefix_of(&vb) && vb.is_prefix_of(&va) {
-            prop_assert_eq!(va.clone(), vb);
-        }
-    }
-
-    /// Trace condensation is idempotent and never lengthens a trace, and projection onto
-    /// the full variable set distinguishes states that differ in a projected variable.
-    #[test]
-    fn condensation_is_idempotent(epochs in proptest::collection::vec(0u32..4, 1..8)) {
-        let config = ClusterConfig::small(CodeVersion::V391);
-        let mut trace = Trace::from_init(ZabState::initial(&config));
-        let mut state = ZabState::initial(&config);
-        for (i, e) in epochs.iter().enumerate() {
-            state.servers[0].current_epoch = *e;
-            trace.push(format!("SetEpoch({i})"), state.clone());
-        }
-        let projected = project_trace(&trace, &["currentEpoch"]);
-        let condensed = condense(&projected);
-        prop_assert!(condensed.steps.len() <= projected.steps.len());
-        prop_assert_eq!(condense(&condensed.clone()), condensed);
-        // Consecutive condensed states always differ.
-        let states = condensed_states(&projected);
-        for w in states.windows(2) {
-            prop_assert_ne!(&w[0], &w[1]);
-        }
     }
 
     /// State projection is stable: projecting twice yields the same values, and the
