@@ -86,9 +86,10 @@ pub struct CheckStats {
     /// pool slots, and under symmetry reduction the recorded permutation; see
     /// `StateStore::entry_bytes_per_state` for the exact accounting.
     pub peak_entry_bytes: usize,
-    /// Fixed bytes the selected store backend pays per discovered state: 44, plus in
-    /// the full-state backend 4 per word of the state's row (92 on three servers),
-    /// plus 16 for the recorded `Perm` under symmetry reduction (60 and 108).  The
+    /// Fixed bytes the selected store backend pays per discovered state: 28 (the
+    /// 8-byte `(parent, label)` record and the dedup entry, fingerprint key and slot),
+    /// plus in the full-state backend 4 per word of the state's row (64 on three
+    /// servers), plus 16 for the recorded `Perm` under symmetry reduction (44 and 80).  The
     /// intern pool the rows point into is shared by all states and not counted.
     pub entry_bytes_per_state: usize,
     /// Out-of-core activity: fingerprint runs spilled to disk and probe traffic.

@@ -22,13 +22,19 @@
 //! rebuilding each state from its row — O(depth) with no successor re-evaluation.
 //!
 //! [`StoreMode::FingerprintOnly`] is the TLC-style memory-bounded backend: only the
-//! 128-bit fingerprint, parent index and label id are kept (24 bytes of payload per
-//! state, independent of the state type).  Traces are reconstructed on demand by
-//! **bounded re-exploration**: the recorded `(parent index, label)` chain is replayed
-//! forward through [`Spec::successors`], matching each step by label and fingerprint —
-//! O(depth × branching) successor evaluations, paid only when a violation is actually
-//! reported.  This is the backend for exhaustive runs whose state count, not state
-//! size, is the binding constraint.
+//! 128-bit fingerprint (in the dedup tier), parent index and label id are kept (28
+//! bytes of payload per state, independent of the state type, of which the 8-byte
+//! `(parent, label)` record stays resident when the fingerprints spill).  Traces are
+//! reconstructed on demand by **bounded re-exploration**: the recorded `(parent index,
+//! label)` chain is replayed forward through [`Spec::successors`], matching each step
+//! by label and by looking the successor's key up in the store, which must name the
+//! recorded entry — O(depth × branching) successor evaluations, paid only when a
+//! violation is actually reported.  This is the backend for exhaustive runs whose state
+//! count, not state size, is the binding constraint.
+//!
+//! Either way each stored state's fingerprint is kept exactly once, as the key of its
+//! dedup entry (a stripe's map or a spilled run); the per-entry record is the 8-byte
+//! `(parent, label)` pair in both backends.
 //!
 //! Both backends are safe for concurrent insertion from many workers: the arena is
 //! striped into power-of-two lock shards routed by the fingerprint's leading bits, and
@@ -68,15 +74,16 @@
 //! Every pooled allocation has a dense `u32` slot, and a row of slots is the **only**
 //! thing [`StoreMode::Full`] keeps per state — SPIN's COLLAPSE compression, flat (one
 //! level of ids).  [`SpecState::intern`] writes the row while it interns (for the
-//! three-server `ZabState` twelve words: three server slots, three channel-row slots,
-//! the ghost slot, the three budgets, and a sentinel or a slot each for the partition
-//! set and the code violation); [`SpecState::from_row`] is its inverse, `2n + 1`
-//! reference-count bumps.  A state type that overrides neither is pooled whole and its
-//! row is the one slot, so there is one arena layout for every state type.  Nothing is
-//! cloned at insert: the moved-in state goes back to the caller, and the readers
-//! ([`StateStore::state_at`]: the BFS kernel's parent of every expansion, trace
-//! reconstruction, refinement's witnesses) rebuild from the row under the stripe's lock
-//! and then the pool's (rank order `store.shard` → `store.pool`, the insert's).
+//! three-server `ZabState` nine words: three server slots, three channel-row slots,
+//! the ghost slot, the three budgets packed into one word, and a sentinel or the slot
+//! of a pooled `(partition set, code violation)` pair); [`SpecState::from_row`] is its
+//! inverse, `2n + 1` reference-count bumps.  A state type that overrides neither is
+//! pooled whole and its row is the one slot, so there is one arena layout for every
+//! state type.  Nothing is cloned at insert: the moved-in state goes back to the
+//! caller, and the readers ([`StateStore::state_at`]: the BFS kernel's parent of every
+//! expansion, trace reconstruction, refinement's witnesses) rebuild from the row under
+//! the stripe's lock and then the pool's (rank order `store.shard` → `store.pool`, the
+//! insert's).
 //!
 //! A stripe's rows, metadata and permutations live in fixed-size chunks that are never
 //! reallocated (the private `ChunkVec`): a doubling `Vec` copies the whole stripe at
@@ -109,9 +116,10 @@ pub enum StoreMode {
     /// the arena, and traces are reconstructed by parent-index walks.  The default.
     #[default]
     Full,
-    /// The TLC-style fingerprint-only store: full states are dropped after expansion;
-    /// traces are reconstructed by bounded re-exploration along the recorded
-    /// `(parent index, label)` chain.  Use for memory-bounded exhaustive runs.
+    /// The TLC-style fingerprint-only store: full states are dropped after expansion,
+    /// and an entry is its dedup key plus the 8-byte `(parent index, label)` record;
+    /// traces are reconstructed by bounded re-exploration along that chain, each step
+    /// matched by looking its key up.  Use for memory-bounded exhaustive runs.
     FingerprintOnly,
 }
 
@@ -127,7 +135,7 @@ impl fmt::Display for StoreMode {
 /// Dense identifier of a discovered state: `(local slot << shard bits) | shard`.
 ///
 /// `u32::MAX` is reserved as the no-parent sentinel, capping a run at just under 2^32
-/// discovered states — far beyond what fits in memory at 24+ bytes per entry.
+/// discovered states — far beyond what fits in memory at 28+ bytes per entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateIndex(pub u32);
 
@@ -137,9 +145,10 @@ const NO_PARENT: u32 = u32::MAX;
 /// Why indexing the arena by a [`StateIndex`] cannot fail.
 const NO_ENTRY: &str = "a StateIndex names an entry of the store that issued it";
 
-/// Fixed per-entry metadata: 24 bytes regardless of the state type and the backend.
+/// Fixed per-entry metadata: 8 bytes regardless of the state type and the backend.
+/// The entry's fingerprint is not among them: the dedup tier (the stripe's map or a
+/// spilled run) keeps it, once.
 struct SlotMeta {
-    fp: Fingerprint,
     /// Packed [`StateIndex`] of the parent, or [`NO_PARENT`] for initial states.
     parent: u32,
     /// Interned label of the action that first discovered this state.
@@ -388,7 +397,6 @@ impl<S: SpecState> ShardHandle<'_, S> {
         assert_ne!(index.0, NO_PARENT, "state store is full (2^32 entries)");
         vacant.insert(local);
         inner.meta.push(std::iter::once(SlotMeta {
-            fp,
             parent: parent.map_or(NO_PARENT, |p| p.0),
             label,
         }));
@@ -632,13 +640,15 @@ impl<S: SpecState> StateStore<S> {
             .map(|local| pack(local, shard as u32, self.shard_bits))
     }
 
-    /// The `(fingerprint, parent, label)` metadata of an entry.
-    pub fn meta(&self, index: StateIndex) -> (Fingerprint, Option<StateIndex>, LabelId) {
+    /// The `(parent, label)` discovery edge of an entry.  Its fingerprint is not
+    /// kept beside it: [`StateStore::find`] maps a fingerprint to its entry, and that
+    /// is the only direction replay needs.
+    pub fn meta(&self, index: StateIndex) -> (Option<StateIndex>, LabelId) {
         let (local, shard) = unpack(index, self.shard_bits);
         let guard = self.shards[shard as usize].inner.lock();
         let meta = &guard.meta.get(local as usize).expect(NO_ENTRY)[0];
         let parent = (meta.parent != NO_PARENT).then_some(StateIndex(meta.parent));
-        (meta.fp, parent, meta.label)
+        (parent, meta.label)
     }
 
     /// Rewrites an entry's discovery edge to `(parent, label)` (and, in a
@@ -702,14 +712,14 @@ impl<S: SpecState> StateStore<S> {
         }
     }
 
-    /// Fixed resident bytes the store pays per entry: the 24-byte metadata slot, the
-    /// dedup-map entry (fingerprint key + `u32` slot) — 44 bytes in both backends —
-    /// in [`StoreMode::Full`] the state's row: 4 bytes per word [`SpecState::intern`]
-    /// writes (0 while the store is empty; 12 words on a three-server `ZabState`, one
-    /// for a type that keeps the default), and under symmetry reduction the recorded
-    /// [`Perm`] (16 bytes once the first canonical insert has happened).  A
-    /// symmetry-reduced three-server `ZabState` thus pays 60 bytes fingerprint-only
-    /// and 108 in Full.
+    /// Fixed resident bytes the store pays per entry: the 8-byte `(parent, label)`
+    /// metadata slot, the dedup entry (fingerprint key + `u32` slot, the one place the
+    /// fingerprint is kept) — 28 bytes in both backends — in [`StoreMode::Full`] the
+    /// state's row: 4 bytes per word [`SpecState::intern`] writes (0 while the store is
+    /// empty; 9 words on a three-server `ZabState`, 64 bytes in all, one for a type
+    /// that keeps the default), and under symmetry reduction the recorded [`Perm`]
+    /// (16 bytes once the first canonical insert has happened).  A symmetry-reduced
+    /// three-server `ZabState` thus pays 44 bytes fingerprint-only and 80 in Full.
     ///
     /// This is the *per-entry payload* accounting the bench artefact reports: it
     /// excludes hash-map load-factor overhead, the tail of each stripe's last chunk,
@@ -743,9 +753,9 @@ impl<S: SpecState> StateStore<S> {
     /// from its row — no successor evaluation.  In [`StoreMode::FingerprintOnly`] the stored states
     /// are gone, so the recorded `(parent, label)` chain is replayed forward through
     /// [`Spec::successors`]: at each step the successor whose interned label matches
-    /// the recorded [`LabelId`] *and* whose fingerprint matches the recorded entry is
-    /// taken.  The replay is bounded by the chain's length; each step evaluates the
-    /// successors of exactly one state.
+    /// the recorded [`LabelId`] *and* whose key the store [finds](Self::find) at the
+    /// recorded entry is taken.  The replay is bounded by the chain's length; each step
+    /// evaluates the successors of exactly one state.
     ///
     /// # Panics
     ///
@@ -764,17 +774,19 @@ impl<S: SpecState> StateStore<S> {
     /// the root entry records, takes at each step a successor of the current state that
     /// the next entry records; `None` when some step has none.
     ///
-    /// Without `canon` a successor matches by interned label *and* fingerprint (the
-    /// [`state_key`] the engines stored it under).  With it the chain is a sequence
-    /// of canonical forms replayed in the original frame: a
-    /// successor matches by its *canonical* fingerprint, and among the matches the one
-    /// canonicalized by `π_edge ∘ σ` is preferred (see
+    /// The chain carries no fingerprints: a candidate state matches an entry when the
+    /// store [finds](Self::find) the candidate's key — the [`state_key`] the engines
+    /// stored it under — at that entry's index (the root, every step, and the
+    /// de-canonicalizing path alike).  Without `canon` a successor must also carry the
+    /// entry's interned label.  With it the chain is a sequence of canonical forms
+    /// replayed in the original frame: a successor matches by its *canonical* key, and
+    /// among the matches the one canonicalized by `π_edge ∘ σ` is preferred (see
     /// [`reconstruct_trace_decanonicalized`](Self::reconstruct_trace_decanonicalized)).
     fn replay(
         &self,
         spec: &Spec<S>,
         labels: &LabelTable,
-        chain: &[(StateIndex, Fingerprint, LabelId)],
+        chain: &[(StateIndex, LabelId)],
         canon: Option<&CanonFn<S>>,
     ) -> Option<Trace<S>> {
         // What a recorded entry is matched by, and the permutation onto that frame.
@@ -785,19 +797,19 @@ impl<S: SpecState> StateStore<S> {
             }
             None => (state_key(state), None),
         };
-        let (_, root_fp, root_label) = chain[0];
+        let (root, root_label) = chain[0];
         debug_assert_eq!(labels.resolve(root_label), INIT_LABEL);
         let mut current = spec
             .init
             .iter()
-            .find(|s| keyed(s).0 == root_fp)
+            .find(|s| self.find(keyed(s).0) == Some(root))
             .cloned()
             .expect("chain root is (the canonical form of) an initial state of the replayed spec");
         // σ: the permutation mapping the current original-frame state onto its
         // canonical representative (the frame the chain is recorded in).
         let mut sigma = keyed(&current).1;
         let mut trace = Trace::from_init(current.clone());
-        for &(index, fp, label) in &chain[1..] {
+        for &(index, label) in &chain[1..] {
             // Labels name server ids, so they only identify a step in the frame they
             // were recorded in.
             let recorded = canon.is_none().then(|| labels.resolve(label));
@@ -811,7 +823,7 @@ impl<S: SpecState> StateStore<S> {
                     continue;
                 }
                 let (key, perm) = keyed(&s);
-                if key != fp {
+                if self.find(key) != Some(index) {
                     continue;
                 }
                 let exact = perm == expected;
@@ -842,11 +854,11 @@ impl<S: SpecState> StateStore<S> {
         canon: Option<&CanonFn<S>>,
     ) -> Trace<S> {
         // Collect the chain root-first (one parent walk covers both backends).
-        let mut chain: Vec<(StateIndex, Fingerprint, LabelId)> = Vec::new();
+        let mut chain: Vec<(StateIndex, LabelId)> = Vec::new();
         let mut cursor = Some(index);
         while let Some(c) = cursor {
-            let (fp, parent, label) = self.meta(c);
-            chain.push((c, fp, label));
+            let (parent, label) = self.meta(c);
+            chain.push((c, label));
             cursor = parent;
         }
         chain.reverse();
@@ -867,7 +879,7 @@ impl<S: SpecState> StateStore<S> {
                  store kept no states to fall back to"
             );
             let mut trace = Trace::default();
-            for (idx, _, label) in &chain {
+            for (idx, label) in &chain {
                 let state = self.state_at(*idx).expect("full store keeps every state");
                 trace.push(labels.resolve(*label), state);
             }
@@ -886,10 +898,10 @@ impl<S: SpecState> StateStore<S> {
     /// other).  This method instead replays the recorded chain forward through
     /// [`Spec::successors`] in the original frame:
     ///
-    /// 1. the root is the original initial state whose canonical fingerprint matches
-    ///    the recorded root entry;
+    /// 1. the root is the original initial state whose canonical key the store finds
+    ///    at the recorded root entry;
     /// 2. at each step, the successors of the current original-frame state are
-    ///    enumerated and filtered to those whose *canonical* fingerprint matches the
+    ///    enumerated and filtered to those whose *canonical* key the store finds at the
     ///    recorded child entry — by orbit invariance these are exactly the concrete
     ///    moves the canonical edge stands for;
     /// 3. among the matches, the one whose canonicalization permutation equals the
@@ -1040,7 +1052,7 @@ mod tests {
         );
         fill(&full, &labels, 3);
         fill(&fp_only, &labels, 3);
-        assert_eq!(fp_only.entry_bytes_per_state(), 44);
+        assert_eq!(fp_only.entry_bytes_per_state(), 28);
         assert_eq!(
             full.entry_bytes_per_state() - fp_only.entry_bytes_per_state(),
             std::mem::size_of::<u32>(),
@@ -1080,7 +1092,7 @@ mod tests {
                 "{mode}: the permutation column is part of every entry"
             );
             if mode == StoreMode::FingerprintOnly {
-                assert_eq!(canonical.entry_bytes_per_state(), 60);
+                assert_eq!(canonical.entry_bytes_per_state(), 44);
             }
             assert_eq!(
                 canonical.entry_bytes(),
@@ -1171,6 +1183,39 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_only_replay_finds_entries_through_spilled_runs() {
+        let spec = chain_spec(300);
+        let labels = LabelTable::new();
+        // A one-byte budget floors every stripe's delta table at the minimum flush size.
+        let budget = SpillConfig::in_ram().with_budget_bytes(1);
+        let [full, fp_only] = [StoreMode::Full, StoreMode::FingerprintOnly]
+            .map(|mode| StateStore::<N>::with_spill(mode, 4, &budget));
+        let last = fill(&full, &labels, 300);
+        assert_eq!(
+            fill(&fp_only, &labels, 300),
+            last,
+            "the same inserts, the same indices"
+        );
+        for store in [&full, &fp_only] {
+            assert!(
+                store
+                    .shards
+                    .iter()
+                    .all(|cell| !cell.inner.lock().runs.is_empty()),
+                "every stripe flushed its delta table"
+            );
+        }
+        let probes_before = fp_only.spill_stats().disk_probes;
+        let replayed = fp_only.reconstruct_trace(&spec, &labels, last);
+        assert_eq!(replayed.depth(), 300);
+        assert_eq!(replayed, full.reconstruct_trace(&spec, &labels, last));
+        assert!(
+            fp_only.spill_stats().disk_probes > probes_before,
+            "replay looked entries up in the spilled runs"
+        );
+    }
+
+    #[test]
     fn indices_pack_shard_and_slot() {
         let store: StateStore<N> = StateStore::new(StoreMode::Full, 8);
         let labels = LabelTable::new();
@@ -1183,8 +1228,8 @@ mod tests {
             };
             drop(handle);
             assert!(seen.insert(idx), "indices are unique across shards");
-            let (meta_fp, parent, label) = store.meta(idx);
-            assert_eq!(meta_fp, fp);
+            let (parent, label) = store.meta(idx);
+            assert_eq!(store.find(fp), Some(idx));
             assert_eq!(parent, None);
             assert_eq!(label, LabelTable::init_id());
         }

@@ -18,8 +18,11 @@ use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 /// slots in fixed-size chunks it was about 43 MiB, and with the kernel staging one
 /// parent's successors instead of a batch per stripe about 33 MiB.  With the frontier
 /// holding store indices instead of owned states (the widest level, 13,672 states,
-/// was ≈ 200 B each) it is about 27 MiB, and the owned-state frontier's 33 fails.
-const CEILING_KIB: u64 = 30 * 1024;
+/// was ≈ 200 B each) it was about 27 MiB.  With each entry's fingerprint kept once, in
+/// the dedup map, beside an 8-byte `(parent, label)` record, and a 9-word row (the
+/// three budgets in one word, `partitioned` and `violation` in another) it is
+/// 20.7–20.8 MiB, and the 24-byte records and 12-word rows' 26.8–27.0 fail.
+const CEILING_KIB: u64 = 24 * 1024;
 
 fn peak_rss_kib() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");

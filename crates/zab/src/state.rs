@@ -34,9 +34,11 @@
 //!
 //! [`SpecState::intern`] hands every component to the store's pool, which keeps one
 //! allocation per distinct server, channel row and ghost state of a run, and writes the
-//! state down as the `2n + 6` words the Full store keeps of it: the pool slots of its
-//! `2n + 1` components, the three budgets, and one word each for `partitioned` and
-//! `violation` (a sentinel while empty / `None`, else the slot of a pooled copy).
+//! state down as the `2n + 3` words the Full store keeps of it: the pool slots of its
+//! `2n + 1` components, the three budgets packed into one word (a fixed bit field each,
+//! checked when the row is written), and one word for `partitioned` and `violation`
+//! together (a sentinel while the set is empty and the violation `None`, else the slot
+//! of a pooled copy of the pair).
 //! [`SpecState::from_row`] reads the row back — `2n + 1` reference-count bumps into the
 //! same allocations — and `tests/state_diet.rs` round-trips every state of its spaces.
 //! A new field of [`ZabState`] fails to compile in `hash_key` and `intern` (both
@@ -541,10 +543,17 @@ impl SpecState for ZabState {
         violation.hash(hasher);
     }
 
-    /// `2n + 6` words: the slots of the `n` servers, the `n` channel rows and the ghost
-    /// state, the three budgets, then `partitioned` and `violation` — [`NO_SLOT`] when
-    /// empty / `None` (nearly always), else the slot of a pooled copy, since neither a
-    /// set of pairs nor a `&'static str` is a word.
+    /// `2n + 3` words: the slots of the `n` servers, the `n` channel rows and the ghost
+    /// state, the three budgets packed into one word (low bits first: 8 bits of
+    /// `crashes_remaining`, 8 of `partitions_remaining`, 16 of `txns_created`), then
+    /// one word for `partitioned` and `violation` together — [`NO_SLOT`] while the set
+    /// is empty and the violation `None` (nearly always), else the slot of a pooled
+    /// copy of the pair, since neither a set of pairs nor a `&'static str` is a word.
+    ///
+    /// # Panics
+    ///
+    /// When a budget does not fit its field of the packed word; the message names the
+    /// field and its limit.
     ///
     /// [`NO_SLOT`]: InternPool::NO_SLOT
     fn intern(&mut self, pool: &mut InternPool, row: Option<&mut Vec<u32>>) {
@@ -571,44 +580,87 @@ impl SpecState for ZabState {
         row.extend(servers.iter_mut().map(|s| s.intern(pool)));
         row.extend(msgs.iter_mut().map(|r| r.intern(pool)));
         row.push(ghost.intern(pool));
-        row.extend([*crashes_remaining, *partitions_remaining, *txns_created]);
-        row.push(if partitioned.is_empty() {
+        row.push(pack_budgets([
+            *crashes_remaining,
+            *partitions_remaining,
+            *txns_created,
+        ]));
+        row.push(if partitioned.is_empty() && violation.is_none() {
             InternPool::NO_SLOT
         } else {
-            Shared::new(partitioned.clone()).intern(pool)
-        });
-        row.push(match violation {
-            None => InternPool::NO_SLOT,
-            Some(violation) => Shared::new(violation.clone()).intern(pool),
+            Shared::new((partitioned.clone(), violation.clone())).intern(pool)
         });
     }
 
+    /// Reads back the `2n + 3` words [`ZabState::intern`](SpecState::intern) wrote:
+    /// `2n + 1` reference-count bumps, the budgets unpacked, and a clone of the pooled
+    /// `(partitioned, violation)` pair when the last word is a slot.
     fn from_row(row: &[u32], pool: &InternPool) -> Self {
-        let n = (row.len() - 6) / 2;
+        let n = (row.len() - 3) / 2;
         let (servers, rest) = row.split_at(n);
         let (msgs, rest) = rest.split_at(n);
-        let &[ghost, crashes_remaining, partitions_remaining, txns_created, partitioned, violation] =
-            rest
-        else {
-            panic!("a ZabState row is 2n + 6 words, not {}", row.len());
+        let &[ghost, budgets, rare] = rest else {
+            panic!("a ZabState row is 2n + 3 words, not {}", row.len());
+        };
+        let [crashes_remaining, partitions_remaining, txns_created] = unpack_budgets(budgets);
+        let (partitioned, violation) = match rare {
+            InternPool::NO_SLOT => (BTreeSet::new(), None),
+            slot => (*pool.get::<RareFields>(slot)).clone(),
         };
         ZabState {
             servers: servers.iter().map(|&slot| pool.get(slot)).collect(),
             msgs: msgs.iter().map(|&slot| pool.get(slot)).collect(),
-            partitioned: match partitioned {
-                InternPool::NO_SLOT => BTreeSet::new(),
-                slot => (*pool.get::<BTreeSet<(Sid, Sid)>>(slot)).clone(),
-            },
+            partitioned,
             crashes_remaining,
             partitions_remaining,
             txns_created,
             ghost: pool.get(ghost),
-            violation: match violation {
-                InternPool::NO_SLOT => None,
-                slot => Some((*pool.get::<CodeViolation>(slot)).clone()),
-            },
+            violation,
         }
     }
+}
+
+/// The two fields of a [`ZabState`] that are nearly always empty, pooled together when
+/// either is not: they share one word of the stored row.
+type RareFields = (BTreeSet<(Sid, Sid)>, Option<CodeViolation>);
+
+/// `(name, bits)` of the three budgets' fields in their shared word of a [`ZabState`]'s
+/// stored row, low bits first: `crashes_remaining`, `partitions_remaining`,
+/// `txns_created`.
+const BUDGET_FIELDS: [(&str, u32); 3] = [
+    ("crashes_remaining", 8),
+    ("partitions_remaining", 8),
+    ("txns_created", 16),
+];
+
+/// The budgets as one word, laid out by [`BUDGET_FIELDS`].
+///
+/// # Panics
+///
+/// When a budget is wider than its field, naming the field and its limit.
+fn pack_budgets(budgets: [u32; 3]) -> u32 {
+    let mut word = 0;
+    let mut shift = 0;
+    for ((name, bits), value) in BUDGET_FIELDS.into_iter().zip(budgets) {
+        let limit = (1u32 << bits) - 1;
+        assert!(
+            value <= limit,
+            "{name} = {value} does not fit the stored row: the limit is {limit} ({bits} bits)"
+        );
+        word |= value << shift;
+        shift += bits;
+    }
+    word
+}
+
+/// The inverse of [`pack_budgets`].
+fn unpack_budgets(word: u32) -> [u32; 3] {
+    let mut shift = 0;
+    BUDGET_FIELDS.map(|(_, bits)| {
+        let value = (word >> shift) & ((1u32 << bits) - 1);
+        shift += bits;
+        value
+    })
 }
 
 #[cfg(test)]
@@ -734,6 +786,73 @@ mod tests {
         let all = ZabState::variable_names();
         let full = s.project(&all);
         assert_eq!(full.len(), all.len());
+    }
+
+    /// Writes `s` down as a row of `pool` and reads it back.
+    fn round_trip(s: &ZabState, pool: &mut InternPool) -> (Vec<u32>, ZabState) {
+        let mut row = Vec::new();
+        s.clone().intern(pool, Some(&mut row));
+        let rebuilt = ZabState::from_row(&row, pool);
+        (row, rebuilt)
+    }
+
+    #[test]
+    fn rows_pack_budgets_and_the_rare_fields_into_one_word_each() {
+        let mut pool = InternPool::new();
+        let plain = state();
+        let (row, rebuilt) = round_trip(&plain, &mut pool);
+        assert_eq!(row.len(), 2 * plain.n() + 3);
+        assert_eq!(row[2 * plain.n() + 2], InternPool::NO_SLOT);
+        assert_eq!(rebuilt, plain);
+
+        let mut s = state();
+        s.partitioned.insert((0, 2));
+        s.record_violation(CodeViolation {
+            kind: crate::types::ViolationKind::BadAck,
+            instance: 1,
+            server: 2,
+            issue: "ZK-4685",
+        });
+        [s.crashes_remaining, s.partitions_remaining, s.txns_created] =
+            BUDGET_FIELDS.map(|(_, bits)| (1u32 << bits) - 1);
+        let (row, rebuilt) = round_trip(&s, &mut pool);
+        assert_eq!(row.len(), 2 * s.n() + 3);
+        assert_eq!(row[2 * s.n() + 1], u32::MAX, "every budget at its maximum");
+        assert_ne!(row[2 * s.n() + 2], InternPool::NO_SLOT);
+        assert_eq!(rebuilt, s);
+
+        let mut only_partitioned = s.clone();
+        only_partitioned.violation = None;
+        assert_eq!(round_trip(&only_partitioned, &mut pool).1, only_partitioned);
+        let mut only_violation = s;
+        only_violation.partitioned.clear();
+        assert_eq!(round_trip(&only_violation, &mut pool).1, only_violation);
+    }
+
+    #[test]
+    fn a_budget_one_past_its_field_is_refused_naming_the_limit() {
+        for (field, (name, bits)) in BUDGET_FIELDS.into_iter().enumerate() {
+            let mut s = state();
+            let budgets = [
+                &mut s.crashes_remaining,
+                &mut s.partitions_remaining,
+                &mut s.txns_created,
+            ];
+            *budgets[field] = 1 << bits;
+            let refused = std::panic::catch_unwind(|| round_trip(&s, &mut InternPool::new()))
+                .expect_err("one past the field's width is refused");
+            let message = refused
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            let limit = (1u32 << bits) - 1;
+            assert_eq!(
+                *message,
+                format!(
+                    "{name} = {} does not fit the stored row: the limit is {limit} ({bits} bits)",
+                    limit + 1
+                )
+            );
+        }
     }
 
     #[test]
