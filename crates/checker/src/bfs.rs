@@ -118,7 +118,7 @@ impl<S: SpecState> Visitor<S> for InvariantVisitor<'_, S> {
         &mut self,
         locals: Vec<Self::Local>,
         _end: LevelEnd,
-        _requeue: &mut Vec<(StateIndex, S)>,
+        _requeue: &mut Vec<StateIndex>,
     ) -> ControlFlow<StopReason> {
         let mut pending: Vec<PendingViolation> = locals.into_iter().flatten().collect();
         // Sort so the representative chosen for each invariant does not depend on worker
@@ -598,7 +598,7 @@ mod tests {
             true
         }
 
-        fn on_existing(&self, local: &mut Self::Local, at: Arrival, _: Pair) {
+        fn on_existing(&self, local: &mut Self::Local, at: Arrival) {
             self.check_parent(at);
             local.1 += 1;
         }
@@ -607,7 +607,7 @@ mod tests {
             &mut self,
             locals: Vec<Self::Local>,
             _end: LevelEnd,
-            _requeue: &mut Vec<(StateIndex, Pair)>,
+            _requeue: &mut Vec<StateIndex>,
         ) -> ControlFlow<StopReason> {
             for (fresh, existing) in locals {
                 self.earlier.extend(&fresh);

@@ -26,7 +26,7 @@
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use remix_spec::{CanonFn, Spec, SpecState, Trace};
+use remix_spec::{Spec, SpecState, Trace};
 
 use crate::coverage::{CoverageMap, CoverageSnapshot};
 use crate::fingerprint::{fingerprint, Fingerprint};
@@ -107,12 +107,8 @@ pub struct ExploreOptions {
     /// Stop scheduling new traces once any invariant violation has been found
     /// (time-to-first-violation mode; in-flight traces still complete).
     pub stop_on_violation: bool,
-    /// Whether coverage counters (and the rarity bias) key on canonical
-    /// representatives under the specification's symmetry group: id-renamed siblings
-    /// then share one hit counter, so guidance stops mistaking a renamed copy of a
-    /// hot region for fresh territory.  The sampled walks themselves stay in the
-    /// original id frame — violations need no de-canonicalization.  Defaults to
-    /// [`SymmetryMode::Off`]; a no-op for specs without `Spec::symmetry`.
+    /// Must be [`SymmetryMode::Off`]: [`explore`] refuses any other value before
+    /// sampling.  Coverage keys on the fingerprints of concrete states.
     pub symmetry: SymmetryMode,
 }
 
@@ -173,12 +169,6 @@ impl ExploreOptions {
     /// Sets the wall-clock budget.
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
-        self
-    }
-
-    /// Selects the symmetry-reduction mode for the coverage counters.
-    pub fn with_symmetry(mut self, mode: SymmetryMode) -> Self {
-        self.symmetry = mode;
         self
     }
 }
@@ -242,12 +232,9 @@ impl<S> ExploreOutcome<S> {
 
 /// Where a walk records coverage and how it biases its choices; a walk without one is
 /// the plain uniform walk of [`crate::simulate`], which records nothing.
-pub(crate) struct Guide<'a, S> {
+pub(crate) struct Guide<'a> {
     coverage: &'a CoverageMap,
     guidance: Guidance,
-    /// Under symmetry reduction coverage keys on canonical fingerprints while the walk
-    /// itself stays in the original frame.
-    canon: Option<&'a CanonFn<S>>,
 }
 
 /// Samples one trace of at most `max_depth` transitions from a random initial state —
@@ -263,14 +250,14 @@ pub(crate) fn walk<S: SpecState>(
     max_depth: u32,
     rng: &mut CheckerRng,
     deadline: Option<Instant>,
-    guide: Option<&Guide<'_, S>>,
+    guide: Option<&Guide<'_>>,
 ) -> Trace<S> {
     if spec.init.is_empty() {
         return Trace::default();
     }
     // Prefixes already recorded by *this* trace: revisits add no prefix hit.
     let mut seen_prefixes: HashSet<u64> = HashSet::new();
-    let mut record = |guide: &Guide<'_, S>, fp: Fingerprint, label: &str| {
+    let mut record = |guide: &Guide<'_>, fp: Fingerprint, label: &str| {
         if seen_prefixes.insert(guide.coverage.prefix_of(fp)) {
             guide.coverage.record(fp, label);
         } else {
@@ -279,7 +266,7 @@ pub(crate) fn walk<S: SpecState>(
     };
     let init = spec.init[rng.index(spec.init.len())].clone();
     if let Some(guide) = guide {
-        record(guide, coverage_fp(&init, guide.canon), "Init");
+        record(guide, fingerprint(&init), "Init");
     }
     let mut trace = Trace::from_init(init.clone());
     let mut current = init;
@@ -291,16 +278,14 @@ pub(crate) fn walk<S: SpecState>(
         if successors.is_empty() {
             break;
         }
-        // Guided choices hand back the chosen candidate's (canonical) fingerprint,
-        // which weighted_choice computed anyway — recomputing it for recording would
-        // repeat the most expensive per-step operation under symmetry.
+        // Guided choices hand back the chosen candidate's fingerprint, which
+        // weighted_choice computed anyway.
         let (choice, chosen_fp) = match guide {
             Some(Guide {
                 coverage,
                 guidance: Guidance::CoverageGuided { rarity_weight },
-                canon,
             }) => {
-                let (i, fp) = weighted_choice(&successors, coverage, *rarity_weight, rng, *canon);
+                let (i, fp) = weighted_choice(&successors, coverage, *rarity_weight, rng);
                 (i, Some(fp))
             }
             _ => (rng.index(successors.len()), None),
@@ -310,7 +295,7 @@ pub(crate) fn walk<S: SpecState>(
             .nth(choice)
             .expect("choice is in bounds");
         if let Some(guide) = guide {
-            let fp = chosen_fp.unwrap_or_else(|| coverage_fp(&next, guide.canon));
+            let fp = chosen_fp.unwrap_or_else(|| fingerprint(&next));
             record(guide, fp, &label);
         }
         trace.push(label, next.clone());
@@ -319,16 +304,8 @@ pub(crate) fn walk<S: SpecState>(
     trace
 }
 
-/// The fingerprint coverage keys `state` on.
-fn coverage_fp<S: SpecState>(state: &S, canon: Option<&CanonFn<S>>) -> Fingerprint {
-    match canon {
-        Some(canon) => fingerprint(&canon(state).0),
-        None => fingerprint(state),
-    }
-}
-
 /// Samples one trace, biased by `guidance` over the shared `coverage` map (see `walk`
-/// for the walk itself; `canon` keys coverage on canonical fingerprints).
+/// for the walk itself).
 ///
 /// Coverage accounting: each fingerprint prefix is recorded **at most once per
 /// trace** (revisits within the same walk bump only the action counters), so prefix
@@ -341,13 +318,8 @@ pub fn explore_one<S: SpecState>(
     coverage: &CoverageMap,
     guidance: Guidance,
     deadline: Option<Instant>,
-    canon: Option<&CanonFn<S>>,
 ) -> Trace<S> {
-    let guide = Guide {
-        coverage,
-        guidance,
-        canon,
-    };
+    let guide = Guide { coverage, guidance };
     walk(spec, max_depth, rng, deadline, Some(&guide))
 }
 
@@ -393,10 +365,9 @@ pub fn striped<T: Send>(
 }
 
 /// Weighted successor choice, relative to the least-visited candidate per dimension
-/// (see [`Guidance::CoverageGuided`] for the formula and its rationale); hit counts
-/// key on canonical fingerprints under symmetry.  Returns the chosen index together
-/// with the candidate's (canonical) fingerprint so the caller records coverage
-/// without recomputing it.
+/// (see [`Guidance::CoverageGuided`] for the formula and its rationale).  Returns the
+/// chosen index together with the candidate's fingerprint so the caller records
+/// coverage without recomputing it.
 ///
 /// Normalizing each dimension by the candidate set's minimum makes the weights
 /// depend only on hit *ratios*, so the bias survives arbitrarily long runs: the old
@@ -408,7 +379,6 @@ fn weighted_choice<S: SpecState>(
     coverage: &CoverageMap,
     rarity_weight: u32,
     rng: &mut CheckerRng,
-    canon: Option<&CanonFn<S>>,
 ) -> (usize, Fingerprint) {
     const SCALE: u128 = 1024;
     // Prefix hits count *traces* that reached a region (per-trace dedup) while action
@@ -418,7 +388,7 @@ fn weighted_choice<S: SpecState>(
     let hits: Vec<(Fingerprint, u64, u64)> = successors
         .iter()
         .map(|(label, next)| {
-            let fp = coverage_fp(next, canon);
+            let fp = fingerprint(next);
             (
                 fp,
                 coverage.prefix_hits(fp),
@@ -455,19 +425,24 @@ fn weighted_choice<S: SpecState>(
 
 /// Runs coverage-guided (or uniform) trace sampling of `spec` under `options`,
 /// checking every visited state against the specification's invariants.
+///
+/// # Panics
+///
+/// When `options.symmetry` is not [`SymmetryMode::Off`], before anything is sampled.
 pub fn explore<S: SpecState>(spec: &Spec<S>, options: &ExploreOptions) -> ExploreOutcome<S> {
+    assert!(
+        options.symmetry == SymmetryMode::Off,
+        "ExploreOptions::symmetry must be off, got {}",
+        options.symmetry
+    );
     let start = Instant::now();
     let coverage = CoverageMap::new(options.shards, options.prefix_bits);
     let stop = AtomicBool::new(false);
     let first_violation_nanos = AtomicU64::new(u64::MAX);
     let deadline = options.time_budget.map(|b| start + b);
-    // Symmetry reduction keys coverage on canonical forms when requested and the spec
-    // carries a canonicalization function.
-    let symmetry = options.symmetry == SymmetryMode::Canonicalize;
     let guide = Guide {
         coverage: &coverage,
         guidance: options.guidance,
-        canon: spec.symmetry.as_ref().filter(|_| symmetry),
     };
     // ordering: Acquire — pairs with the Release store below; a worker that observes
     // the stop also observes the violation that caused it.
@@ -659,7 +634,6 @@ mod tests {
             &coverage,
             Guidance::CoverageGuided { rarity_weight: 16 },
             None,
-            None,
         );
         assert!(trace.depth() <= 24);
         for w in trace.steps.windows(2) {
@@ -728,19 +702,11 @@ mod tests {
         let spec: Spec<Walk> = Spec::new("empty", vec![], vec![], vec![]);
         let coverage = CoverageMap::new(1, 8);
         let mut rng = CheckerRng::seed_from_u64(1);
-        let trace = explore_one(
-            &spec,
-            10,
-            &mut rng,
-            &coverage,
-            Guidance::Uniform,
-            None,
-            None,
-        );
+        let trace = explore_one(&spec, 10, &mut rng, &coverage, Guidance::Uniform, None);
         assert!(trace.is_empty());
 
         let spec = needle_spec(5);
-        let trace = explore_one(&spec, 0, &mut rng, &coverage, Guidance::Uniform, None, None);
+        let trace = explore_one(&spec, 0, &mut rng, &coverage, Guidance::Uniform, None);
         assert_eq!(trace.depth(), 0);
         assert_eq!(trace.steps.len(), 1);
     }
@@ -783,7 +749,6 @@ mod tests {
             &coverage,
             Guidance::Uniform,
             Some(expired),
-            None,
         );
         assert_eq!(trace.depth(), 0, "no step may start after the deadline");
         assert_eq!(trace.steps.len(), 1, "the initial state is still reported");
@@ -830,7 +795,7 @@ mod tests {
         let mut rng = CheckerRng::seed_from_u64(9);
         let mut cold_choices = 0usize;
         for _ in 0..256 {
-            if weighted_choice(&successors, &coverage, 16, &mut rng, None).0 == 1 {
+            if weighted_choice(&successors, &coverage, 16, &mut rng).0 == 1 {
                 cold_choices += 1;
             }
         }
@@ -850,126 +815,13 @@ mod tests {
         assert!(outcome.stats.steps > 0);
     }
 
-    /// Three interchangeable counters, each incremented up to 3: every renaming of a
-    /// counter vector is reachable, and sorting is an exact canonical form.
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    struct Counters(Vec<u8>);
-
-    impl SpecState for Counters {}
-
-    fn counters_spec() -> Spec<Counters> {
-        let m = ModuleId("Counters");
-        let inc = ActionDef::new(
-            "Inc",
-            m,
-            Granularity::Baseline,
-            vec!["counters"],
-            vec!["counters"],
-            |s: &Counters| {
-                (0..s.0.len())
-                    .filter(|&i| s.0[i] < 3)
-                    .map(|i| {
-                        let mut next = s.clone();
-                        next.0[i] += 1;
-                        ActionInstance::new(format!("Inc({i})"), next)
-                    })
-                    .collect()
-            },
-        );
-        // The canonical form sorts the counters; `perm` sends each one to its sorted
-        // position.
-        let canon: CanonFn<Counters> = std::sync::Arc::new(|s: &Counters| {
-            let mut order: Vec<usize> = (0..s.0.len()).collect();
-            order.sort_by_key(|&i| s.0[i]);
-            let mut image = vec![0u32; s.0.len()];
-            for (sorted, &old) in order.iter().enumerate() {
-                image[old] = sorted as u32;
-            }
-            let sorted = order.iter().map(|&i| s.0[i]).collect();
-            (Counters(sorted), remix_spec::Perm::from_image(image))
-        });
-        Spec::new(
-            "counters",
-            vec![Counters(vec![0; 3])],
-            vec![ModuleSpec::new(m, Granularity::Baseline, vec![inc])],
-            vec![],
-        )
-        .with_symmetry(canon)
-    }
-
     #[test]
-    fn canonical_keys_merge_renamed_siblings_and_keep_walks_in_the_original_frame() {
-        let spec = counters_spec();
-        let run = |symmetry, guidance, workers| {
-            let opts = ExploreOptions {
-                guidance,
-                ..options()
-                    .with_traces(64)
-                    .with_max_depth(9)
-                    .with_workers(workers)
-                    .with_symmetry(symmetry)
-            };
-            explore(&spec, &opts)
+    #[should_panic(expected = "ExploreOptions::symmetry must be off, got canonicalize")]
+    fn canonical_coverage_keys_are_refused() {
+        let options = ExploreOptions {
+            symmetry: SymmetryMode::Canonicalize,
+            ..options()
         };
-        // A uniform walk never reads coverage, so both modes sample the same traces
-        // and only the keys differ: renamed siblings share one canonical counter.
-        let off = run(SymmetryMode::Off, Guidance::Uniform, 1);
-        let canon = run(SymmetryMode::Canonicalize, Guidance::Uniform, 1);
-        assert_eq!(off.stats.steps, canon.stats.steps);
-        assert_eq!(
-            off.stats.coverage.total_hits,
-            canon.stats.coverage.total_hits
-        );
-        assert!(
-            canon.stats.coverage.distinct_prefixes < off.stats.coverage.distinct_prefixes,
-            "canonical {} vs concrete {}",
-            canon.stats.coverage.distinct_prefixes,
-            off.stats.coverage.distinct_prefixes
-        );
-        // Guided choices read the canonical counters, yet every sampled walk is an
-        // execution of the original spec: no canonical form leaks into a trace.
-        let coverage = CoverageMap::new(8, DEFAULT_PREFIX_BITS);
-        let mut saw_unsorted = false;
-        for seed in 0..32 {
-            let trace = explore_one(
-                &spec,
-                9,
-                &mut CheckerRng::seed_from_u64(seed),
-                &coverage,
-                Guidance::CoverageGuided { rarity_weight: 24 },
-                None,
-                spec.symmetry.as_ref(),
-            );
-            assert_eq!(trace.steps[0].state, spec.init[0]);
-            for w in trace.steps.windows(2) {
-                assert!(
-                    spec.successors(&w[0].state)
-                        .iter()
-                        .any(|(l, s)| *l == w[1].action && *s == w[1].state),
-                    "seed {seed}: {:?} -> {:?} via {} is not a transition",
-                    w[0].state,
-                    w[1].state,
-                    w[1].action
-                );
-            }
-            saw_unsorted |= trace.steps.iter().any(|s| !s.state.0.is_sorted());
-        }
-        assert!(
-            saw_unsorted,
-            "the walks must leave the canonical (sorted) forms"
-        );
-        // The sampled traces are a function of the seed alone, whatever the workers.
-        let one = run(SymmetryMode::Canonicalize, Guidance::Uniform, 1);
-        let four = run(SymmetryMode::Canonicalize, Guidance::Uniform, 4);
-        assert_eq!(one.stats.traces, four.stats.traces);
-        assert_eq!(one.stats.steps, four.stats.steps);
-        assert_eq!(
-            one.stats.coverage.distinct_prefixes,
-            four.stats.coverage.distinct_prefixes
-        );
-        assert_eq!(
-            one.stats.coverage.total_hits,
-            four.stats.coverage.total_hits
-        );
+        explore(&needle_spec(1000), &options);
     }
 }

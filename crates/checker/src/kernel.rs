@@ -55,8 +55,8 @@
 //! | hook | runs | invariant visitor | refinement visitor |
 //! |---|---|---|---|
 //! | `on_fresh` | worker, per new state, right after its insert, outside the stripe lock | state limit, invariants → pending violations; always enqueue | key the state (its stable projection, once); enqueue unless draining a capped run past a stable state |
-//! | `on_existing` | worker, per dedup hit | nothing | record the arrival unless the target's known contexts already cover the parent's |
-//! | `on_level_end` | coordinator, workers parked | resolve violations into traces | fold keys into the per-state table, arrivals into projections / quotient edges / lsets, re-enqueue grown states, edge matching, state cap, early stops |
+//! | `on_existing` | worker, per dedup hit (the duplicate copy is already dropped) | nothing | record the arrival unless the target's known contexts already cover the parent's |
+//! | `on_level_end` | coordinator, workers parked | resolve violations into traces | fold keys into the per-state table, arrivals into projections / quotient edges / lsets, re-enqueue the indices of grown states, edge matching, state cap, early stops |
 //!
 //! No hook runs inside the successor-enumeration callback: an edge reaches a visitor
 //! only as the [`Arrival`] of its insert.  Visitors are generic parameters, never `dyn`:
@@ -109,18 +109,18 @@ pub(crate) trait Visitor<S: SpecState>: Send + Sync {
     /// A state entered the store; returns whether to expand it in the next level.
     fn on_fresh(&self, local: &mut Self::Local, at: Arrival, state: &S) -> bool;
 
-    /// An edge reached a state the store already holds (`state` is the moved-in copy).
-    fn on_existing(&self, _local: &mut Self::Local, _at: Arrival, _state: S) {}
+    /// An edge reached a state the store already holds.
+    fn on_existing(&self, _local: &mut Self::Local, _at: Arrival) {}
 
-    /// The level barrier: every worker is parked.  States pushed to `requeue` join the
-    /// next level (the kernel keeps a pushed state only when the store cannot rebuild
-    /// it); `Break` ends the run with the given reason unless a mid-level stop request
-    /// (which outranks it) is pending.
+    /// The level barrier: every worker is parked.  The states whose indices are pushed
+    /// to `requeue` join the next level, each rebuilt from its store row (the kernel
+    /// asserts the store keeps rows); `Break` ends the run with the given reason unless
+    /// a mid-level stop request (which outranks it) is pending.
     fn on_level_end(
         &mut self,
         locals: Vec<Self::Local>,
         end: LevelEnd,
-        requeue: &mut Vec<(StateIndex, S)>,
+        requeue: &mut Vec<StateIndex>,
     ) -> ControlFlow<StopReason>;
 }
 
@@ -456,9 +456,11 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
             };
             level.visitor.on_level_end(locals, end, &mut requeue)
         };
-        for (index, state) in requeue {
-            next.push(run.store, index, state);
-        }
+        assert!(
+            requeue.is_empty() || run.store.keeps_rows(),
+            "a re-queued state is rebuilt from its row, and this store keeps none"
+        );
+        next.indices.extend(requeue);
         if next.len() > 0 {
             totals.max_depth = totals.max_depth.max(depth);
         }
@@ -704,8 +706,9 @@ fn expand_range<S: SpecState, V: Visitor<S>>(
 }
 
 /// One edge meets the store: lock the successor's stripe, insert, unlock, then (outside
-/// the lock) tell the visitor and record the sleep set the edge hands down.  The
-/// moved-in state goes no further than the visitor unless the store cannot rebuild it.
+/// the lock) tell the visitor and record the sleep set the edge hands down.  A fresh
+/// state goes no further than `on_fresh` unless the store cannot rebuild it; a dedup
+/// hit's copy is dropped here.
 fn arrive<S: SpecState, V: Visitor<S>>(
     shared: &Shared<'_, S, V>,
     level: &Level<S, V>,
@@ -741,6 +744,6 @@ fn arrive<S: SpecState, V: Visitor<S>>(
                 result.next_frontier.push(store, at.index, state);
             }
         }
-        Insert::Existing(_, state) => level.visitor.on_existing(&mut result.local, at, state),
+        Insert::Existing(..) => level.visitor.on_existing(&mut result.local, at),
     }
 }

@@ -6,8 +6,9 @@ use std::time::Duration;
 use crate::spill::SpillConfig;
 use crate::store::StoreMode;
 
-/// Whether exploration keys its dedup maps, fingerprints and coverage counters on
-/// canonical representatives under the specification's symmetry group.
+/// Whether BFS and DFS key their dedup maps and fingerprints on canonical
+/// representatives under the specification's symmetry group (`check_refinement` and
+/// `explore` accept only [`SymmetryMode::Off`]).
 ///
 /// With `n` symmetric servers every reachable `ZabState` has up to `n!` siblings that
 /// differ only by a renaming of server ids; canonicalization explores one representative
@@ -24,9 +25,9 @@ pub enum SymmetryMode {
     /// Explore every concrete state (no symmetry reduction).  The default.
     #[default]
     Off,
-    /// Key dedup, fingerprints and coverage on canonical representatives
-    /// (`Spec::symmetry`), storing the per-edge permutations so violation traces can
-    /// be de-canonicalized back into the original id frame.
+    /// Key dedup and fingerprints on canonical representatives (`Spec::symmetry`),
+    /// storing the per-edge permutations so violation traces can be de-canonicalized
+    /// back into the original id frame.
     Canonicalize,
 }
 

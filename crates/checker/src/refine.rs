@@ -4,17 +4,20 @@
 //! declared variable footprints.  This module is the semantic counterpart: it explores
 //! the state spaces of a fine and a coarse composition — each side is a visitor of the
 //! level-synchronous kernel that also drives [`crate::bfs`], so it inherits the worker
-//! pool, insert-while-hot staging, symmetry canonicalization, the spill tier and panic
-//! containment — and verifies that, under a [`TraceProjection`], the coarse
-//! specification admits exactly the externally visible behaviours of the fine one:
+//! pool, insert-while-hot staging, the spill tier and panic containment — and verifies
+//! that, under a [`TraceProjection`], the coarse specification admits exactly the
+//! externally visible behaviours of the fine one:
 //!
 //! * every *stable* reachable projection of the fine composition is a reachable
 //!   projection of the coarse composition (the coarsening loses no interactions), and
 //!   vice versa (the coarsening invents none);
-//! * in [`RefineMode::Simulation`], additionally every fine *stabilization step* — a
-//!   transition between consecutive stable projections, possibly through a stretch of
-//!   unstable states that a coarse action executes atomically — is matched by a path in
-//!   the coarse projected quotient graph (weak simulation up to stuttering).
+//! * every fine *stabilization step* — a transition between consecutive stable
+//!   projections, possibly through a stretch of unstable states that a coarse action
+//!   executes atomically — is matched by a path in the coarse projected quotient graph
+//!   (weak simulation up to stuttering).
+//!
+//! Both sides explore concrete states into a Full store (in RAM or spilled): no
+//! symmetry reduction and no fingerprint-only store is layered on top of the check.
 //!
 //! On divergence the checker reconstructs a concrete witness trace of the offending
 //! side via BFS parent pointers and delta-debugs it down to a locally minimal trace
@@ -33,7 +36,7 @@ use std::hash::Hash;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
-use remix_spec::{CanonFn, LabelTable, Spec, SpecState, Trace, TraceProjection};
+use remix_spec::{LabelTable, Spec, SpecState, Trace, TraceProjection};
 
 use crate::expand::Pipeline;
 use crate::kernel::{self, Arrival, LevelEnd, Run, Visitor};
@@ -43,25 +46,20 @@ use crate::shrink::{shrink_trace, ShrinkOutcome};
 use crate::stop::StopCell;
 use crate::store::{StateIndex, StateStore, StoreMode};
 
-/// What the refinement checker verifies.
+/// What the refinement checker verifies: one mode, named in every outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RefineMode {
     /// Two-sided inclusion of the reachable stable projections plus matching of every
     /// fine stabilization step by a coarse path (weak simulation on the projected
-    /// quotient).  The default and the strongest check.
+    /// quotient).
     #[default]
     Simulation,
-    /// Two-sided inclusion of the reachable stable projections only (every stable
-    /// snapshot of one side is reachable on the other).  Cheaper; skips the
-    /// per-step matching.
-    TraceInclusion,
 }
 
 impl fmt::Display for RefineMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             RefineMode::Simulation => "simulation",
-            RefineMode::TraceInclusion => "trace-inclusion",
         })
     }
 }
@@ -69,7 +67,7 @@ impl fmt::Display for RefineMode {
 /// Options of a refinement check.
 #[derive(Debug, Clone)]
 pub struct RefineOptions {
-    /// What to verify.
+    /// What to verify; [`RefineMode::Simulation`] is the only mode.
     pub mode: RefineMode,
     /// Worker threads expanding each exploration frontier (both sides).
     pub workers: usize,
@@ -86,25 +84,12 @@ pub struct RefineOptions {
     /// Delta-debug the divergence witness down to a locally minimal trace that still
     /// diverges (via [`crate::shrink`]).
     pub shrink_witness: bool,
-    /// Which backend each side keeps its discovered states in.  With
-    /// [`StoreMode::FingerprintOnly`] the concrete states are dropped after expansion
-    /// and divergence witnesses are reconstructed by bounded re-exploration of the
-    /// recorded `(parent index, label)` chains — the memory-bounded configuration for
-    /// large refinement pairs.
+    /// The store backend of each side.  Must be [`StoreMode::Full`]:
+    /// [`check_refinement`] refuses any other value before exploring.  Re-queued
+    /// states and witness endpoints are rebuilt from their store rows.
     pub store_mode: StoreMode,
-    /// Whether each side's dedup map, fingerprints and projections key on canonical
-    /// representatives under its specification's symmetry group (see
-    /// [`SymmetryMode`]).  Sound only when the projection is *equivariant* — it must
-    /// map an orbit of concrete states to one orbit of projected states, which holds
-    /// for projections over permutation-invariant summaries but **not** for
-    /// projections exposing per-server-indexed values (two sides may then pick
-    /// different representatives of the same projected class and report a spurious
-    /// divergence).  The checker therefore applies this mode only when the projection
-    /// declares `TraceProjection::assume_equivariant` (and the spec carries
-    /// `Spec::symmetry`); otherwise the knob is ignored, which keeps it sound to
-    /// select for the per-server Zab projections.  Divergence witnesses are
-    /// de-canonicalized before shrinking, so they replay on the original
-    /// specification.  Defaults to [`SymmetryMode::Off`].
+    /// Must be [`SymmetryMode::Off`]: [`check_refinement`] refuses any other value
+    /// before exploring.  Both sides explore concrete states.
     pub symmetry: SymmetryMode,
     /// Extra BFS levels explored after a state or depth budget trips, expanding only
     /// *unstable* states (stable successors are recorded but not re-expanded).
@@ -149,12 +134,6 @@ impl RefineOptions {
         self
     }
 
-    /// Sets the check mode.
-    pub fn with_mode(mut self, mode: RefineMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Sets the per-side distinct-state cap.
     pub fn with_max_states(mut self, states: usize) -> Self {
         self.max_states = Some(states);
@@ -176,19 +155,6 @@ impl RefineOptions {
     /// Disables witness shrinking.
     pub fn without_shrinking(mut self) -> Self {
         self.shrink_witness = false;
-        self
-    }
-
-    /// Selects the discovered-state store backend for both sides.
-    pub fn with_store_mode(mut self, mode: StoreMode) -> Self {
-        self.store_mode = mode;
-        self
-    }
-
-    /// Selects the symmetry-reduction mode for both sides (see the field docs for the
-    /// equivariance requirement on the projection).
-    pub fn with_symmetry(mut self, mode: SymmetryMode) -> Self {
-        self.symmetry = mode;
         self
     }
 
@@ -267,7 +233,7 @@ pub struct RefineStats {
     pub fine_projections: usize,
     /// Distinct stable projections reached by the coarse side.
     pub coarse_projections: usize,
-    /// Fine stabilization edges checked against the coarse quotient (Simulation mode).
+    /// Fine stabilization edges checked against the coarse quotient.
     pub edges_checked: usize,
     /// Whether the fine side was explored to exhaustion within the budgets.
     pub fine_complete: bool,
@@ -465,7 +431,7 @@ struct Quotient {
     /// Whether exploration ran to exhaustion within the budgets.
     complete: bool,
     /// Stabilization edges checked incrementally against the other side's quotient
-    /// (fine side in [`RefineMode::Simulation`] only).
+    /// (fine side only).
     edges_checked: usize,
     /// The first stabilization edge with no matching coarse path, by discovery level
     /// then key order (recorded during exploration; turned into a divergence by the
@@ -493,53 +459,33 @@ impl Quotient {
     }
 }
 
-/// One explored side: its quotient plus the store its witnesses are rebuilt from.
-///
-/// Concrete states, parent indices and interned action labels live in the shared
-/// [`StateStore`] arena (in [`StoreMode::FingerprintOnly`] the states are dropped after
-/// expansion).
+/// One explored side: its quotient plus the Full store its witnesses are rebuilt from
+/// (concrete states as rows, parent indices and interned action labels).
 struct SideSummary<S: SpecState> {
     quotient: Quotient,
-    /// All discovered concrete states (dedup map, parent chains, optional states).
+    /// All discovered concrete states.
     seen: StateStore<S>,
     /// The run's interned action labels.
     labels: LabelTable,
-    /// The active canonicalization function when this side explored canonical
-    /// representatives (symmetry reduction); `None` otherwise.
-    canon: Option<CanonFn<S>>,
 }
 
 impl<S: SpecState> SideSummary<S> {
-    /// Reconstructs the concrete trace to `index` (a parent-index walk in the full
-    /// store, a bounded label-chain replay in the fingerprint-only store; a
-    /// de-canonicalizing replay under symmetry reduction, so the witness is an
-    /// execution of the original specification).
+    /// Reconstructs the concrete trace to `index` by a parent-index walk.
     fn witness(&self, spec: &Spec<S>, index: StateIndex) -> Trace<S> {
-        self.seen
-            .trace_to(spec, &self.labels, index, self.canon.as_ref())
+        self.seen.trace_to(spec, &self.labels, index, None)
     }
 
-    /// The state at `index`: the stored (canonical, under symmetry) state when
-    /// available, else the last state of the replayed chain.  Symmetry is only active
-    /// under a declared-equivariant projection, whose values agree across a state and
-    /// its renamings, so the original-frame replay result projects identically.
-    fn state_of(&self, spec: &Spec<S>, index: StateIndex) -> S {
-        self.seen.state_at(index).unwrap_or_else(|| {
-            self.witness(spec, index)
-                .last_state()
-                .expect("a stored chain is never empty")
-                .clone()
-        })
+    /// The state at `index`, rebuilt from its row.
+    fn state_of(&self, index: StateIndex) -> S {
+        self.seen
+            .state_at(index)
+            .expect("a Full store keeps every state's row")
     }
 }
 
 /// The projection key of `state` when it is stable ([`TraceProjection::key`]: 64 bits
 /// suffice, since projections are compared, not stored, and a collision would only
-/// *mask* a divergence on quotient classes that already over-approximate).  No
-/// canonicalization is needed even under symmetry reduction: the mode is gated on
-/// `TraceProjection::assume_equivariant`, under which key and stability agree on every
-/// member of an orbit — so keying a raw state yields the key the exploration recorded
-/// for its canonical representative.
+/// *mask* a divergence on quotient classes that already over-approximate).
 fn stable_key<S: SpecState>(projection: &TraceProjection<S>, state: &S) -> Option<u64> {
     projection.is_stable(state).then(|| projection.key(state))
 }
@@ -572,24 +518,15 @@ fn covered(from: &[u64], known: &[u64]) -> bool {
 }
 
 /// What one worker saw during a level; folded sequentially at the barrier.
-struct Arrivals<S> {
+#[derive(Default)]
+struct Arrivals {
     /// Every state this worker inserted, with its stable-projection key.
     fresh: Vec<(Arrival, Option<u64>)>,
     /// Dedup hits that may teach their target a new context.
     existing: Vec<Arrival>,
-    /// The moved-in copies of older *unstable* states reached with a context their
-    /// lset does not cover yet: re-enqueued at the barrier if the lset really grew.
-    revisits: Vec<(StateIndex, S)>,
-}
-
-impl<S> Default for Arrivals<S> {
-    fn default() -> Self {
-        Arrivals {
-            fresh: Vec::new(),
-            existing: Vec::new(),
-            revisits: Vec::new(),
-        }
-    }
+    /// Older *unstable* states reached with a context their lset does not cover yet:
+    /// re-enqueued at the barrier if the lset really grew.
+    revisits: Vec<StateIndex>,
 }
 
 /// The kernel visitor that records one side's stable projections and the
@@ -606,11 +543,11 @@ struct RefineVisitor<'a, S: SpecState> {
     /// exploration stops at the end of the first level that discovers a stable
     /// projection absent from it — deeper levels cannot contain a shallower divergence,
     /// so the minimal-depth divergence choice is unaffected while diverging checks skip
-    /// the rest of the (often much larger) fine state space.  In
-    /// [`RefineMode::Simulation`] every stabilization edge is matched against it as
-    /// soon as the level discovering it finishes, so a run truncated by a budget still
-    /// reports how many edges it actually verified; matches against a truncated coarse
-    /// quotient count as coverage, but only a *complete* one can condemn an edge.
+    /// the rest of the (often much larger) fine state space.  Every stabilization edge
+    /// is matched against it as soon as the level discovering it finishes, so a run
+    /// truncated by a budget still reports how many edges it actually verified;
+    /// matches against a truncated coarse quotient count as coverage, but only a
+    /// *complete* one can condemn an edge.
     coarse: Option<&'a Quotient>,
     /// Coarse-quotient reachability, memoized across levels.
     reach_memo: HashMap<u64, HashSet<u64>>,
@@ -631,9 +568,9 @@ fn contexts_from(known: &HashMap<StateIndex, Known>, at: Arrival) -> &[u64] {
 }
 
 impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
-    type Local = Arrivals<S>;
+    type Local = Arrivals;
 
-    fn on_fresh(&self, local: &mut Arrivals<S>, at: Arrival, state: &S) -> bool {
+    fn on_fresh(&self, local: &mut Arrivals, at: Arrival, state: &S) -> bool {
         let key = stable_key(self.projection, state);
         local.fresh.push((at, key));
         // While draining, stable successors close their stabilization and are not
@@ -642,7 +579,7 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         self.draining.is_none() || key.is_none()
     }
 
-    fn on_existing(&self, local: &mut Arrivals<S>, at: Arrival, state: S) {
+    fn on_existing(&self, local: &mut Arrivals, at: Arrival) {
         // A state the barrier has not seen yet was inserted earlier in this very level
         // and is already enqueued; older states are worth carrying to the barrier only
         // if this edge brings a context they lack.
@@ -651,7 +588,7 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
                 return;
             }
             if let Known::Unstable(_) = known {
-                local.revisits.push((at.index, state));
+                local.revisits.push(at.index);
             }
         }
         local.existing.push(at);
@@ -659,9 +596,9 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
 
     fn on_level_end(
         &mut self,
-        locals: Vec<Arrivals<S>>,
+        locals: Vec<Arrivals>,
         end: LevelEnd,
-        requeue: &mut Vec<(StateIndex, S)>,
+        requeue: &mut Vec<StateIndex>,
     ) -> ControlFlow<StopReason> {
         // Pass 1: announce the level's states, so pass 2 finds the key of a target
         // another worker inserted.
@@ -717,9 +654,9 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         // A grown lset on an *older* unstable state changes what its successors
         // stabilize from: re-enqueue it once (states of this level are already
         // enqueued and hand down the folded lset).
-        for (index, state) in locals.into_iter().flat_map(|local| local.revisits) {
+        for index in locals.into_iter().flat_map(|local| local.revisits) {
             if grown.remove(&index).is_some() {
-                requeue.push((index, state));
+                requeue.push(index);
             }
         }
 
@@ -727,7 +664,7 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         // against the coarse quotient right away.  The first unmatched edge is
         // recorded, not acted on: the caller keeps the established check precedence
         // (projection inclusion first, then edge matching).
-        if let (Some(coarse), RefineMode::Simulation) = (self.coarse, self.options.mode) {
+        if let Some(coarse) = self.coarse {
             if self.quotient.unmatched_edge.is_none() {
                 new_edges.sort_unstable();
                 for (from, to) in new_edges {
@@ -786,17 +723,9 @@ fn explore_side<S: SpecState>(
     deadline: Option<Instant>,
     coarse: Option<&Quotient>,
 ) -> SideSummary<S> {
-    let seen = StateStore::with_spill(options.store_mode, options.shards, &options.spill);
+    let seen = StateStore::with_spill(StoreMode::Full, options.shards, &options.spill);
     let labels = LabelTable::new();
-    // Symmetry reduction in a refinement comparison additionally requires the
-    // projection to be equivariant (orbits of concrete states must project to one
-    // class), declared via `TraceProjection::assume_equivariant` — without it the two
-    // sides could pick different representatives of the same projected class and
-    // report a spurious divergence, so the knob is ignored rather than unsound.  When
-    // active, the frontier, the store, the stable-projection set and the quotient
-    // edges all live in canonical space.
-    let symmetry = options.symmetry == SymmetryMode::Canonicalize && projection.is_equivariant();
-    let pipeline = Pipeline::new(spec, &labels, symmetry, false);
+    let pipeline = Pipeline::new(spec, &labels, false, false);
     let explored = kernel::explore(
         Run {
             pipeline: &pipeline,
@@ -819,7 +748,6 @@ fn explore_side<S: SpecState>(
             draining: None,
         },
     );
-    let canon = pipeline.canon.cloned();
     let capped = explored.visitor.draining.is_some();
     let mut quotient = explored.visitor.quotient;
     quotient.complete = explored.stop_reason == StopReason::Exhausted && !capped;
@@ -827,7 +755,6 @@ fn explore_side<S: SpecState>(
         quotient,
         seen,
         labels,
-        canon,
     }
 }
 
@@ -838,12 +765,27 @@ fn explore_side<S: SpecState>(
 /// Inclusion of one side's projections in the other is only checked when the other side
 /// was explored to exhaustion; a truncated side yields an inconclusive (but
 /// divergence-free) outcome rather than a spurious divergence.
+///
+/// # Panics
+///
+/// When `options.store_mode` is not [`StoreMode::Full`] or `options.symmetry` is not
+/// [`SymmetryMode::Off`], before anything is explored.
 pub fn check_refinement<S: SpecState>(
     fine: &Spec<S>,
     coarse: &Spec<S>,
     projection: &TraceProjection<S>,
     options: &RefineOptions,
 ) -> RefineOutcome<S> {
+    assert!(
+        options.store_mode == StoreMode::Full,
+        "RefineOptions::store_mode must be full, got {}",
+        options.store_mode
+    );
+    assert!(
+        options.symmetry == SymmetryMode::Off,
+        "RefineOptions::symmetry must be off, got {}",
+        options.symmetry
+    );
     let start = Instant::now();
     // One deadline spans both sides.
     let deadline = options.time_budget.map(|b| start + b);
@@ -898,8 +840,8 @@ pub fn check_refinement<S: SpecState>(
         }
     }
 
-    // 3. Simulation mode: every fine stabilization edge must be matched by a coarse
-    //    path between the same projected classes.  The matching itself ran
+    // 3. Every fine stabilization edge must be matched by a coarse path between the
+    //    same projected classes.  The matching itself ran
     //    incrementally inside the fine exploration (so `edges_checked` reflects the
     //    explored prefix even under a budget); here the first recorded unmatched edge
     //    is turned into a witness, after the cheaper inclusion checks came up clean.
@@ -927,8 +869,7 @@ pub fn check_refinement<S: SpecState>(
             // Render both endpoints of the unmatched step: the target is already in
             // `d.projection`; prepend the source class the coarse side cannot leave.
             if let Some(from_rep) = fine_q.projs.get(&from) {
-                let rendered =
-                    render_projection(projection, &fine_side.state_of(fine, from_rep.index));
+                let rendered = render_projection(projection, &fine_side.state_of(from_rep.index));
                 d.projection = format!("{rendered} ⟶ {}", d.projection);
             }
             divergence = Some(d);
@@ -1216,20 +1157,9 @@ mod tests {
             vec![ModuleSpec::new(M, Granularity::Coarse, vec![jump])],
             vec![],
         );
-        // Fine: 0 → 2 → 4 (and stops at 4).
+        // Fine: 0 → 2 → 4 (and stops at 4).  Both sides reach the same projections,
+        // so only the step matching can tell them apart.
         let fine = fine_spec(3);
-
-        let inclusion = check_refinement(
-            &fine,
-            &coarse,
-            &projection(),
-            &RefineOptions::default().with_mode(RefineMode::TraceInclusion),
-        );
-        assert_eq!(
-            inclusion.verdict(),
-            RefineVerdict::Refines,
-            "projection sets match: {inclusion}"
-        );
 
         let simulation = check_refinement(&fine, &coarse, &projection(), &RefineOptions::default());
         let divergence = simulation.divergence.expect("simulation must diverge");
@@ -1253,46 +1183,6 @@ mod tests {
                 "StepFinish(2)"
             ]
         );
-    }
-
-    #[test]
-    fn fingerprint_only_store_reproduces_the_same_divergence() {
-        // Dropping the concrete states must not change the verdict; the witness is
-        // reconstructed by replaying the recorded (parent, label) chain instead of
-        // cloning states out of the arena.
-        let full = check_refinement(
-            &fine_spec(6),
-            &coarse_spec(6, true),
-            &projection(),
-            &RefineOptions::default(),
-        );
-        let fp_only = check_refinement(
-            &fine_spec(6),
-            &coarse_spec(6, true),
-            &projection(),
-            &RefineOptions::default().with_store_mode(StoreMode::FingerprintOnly),
-        );
-        let (d_full, d_fp) = (
-            full.divergence.as_ref().expect("full store diverges"),
-            fp_only.divergence.as_ref().expect("fp-only store diverges"),
-        );
-        assert_eq!(d_full.kind, d_fp.kind);
-        assert_eq!(d_full.projection, d_fp.projection);
-        assert_eq!(d_full.witness.depth(), d_fp.witness.depth());
-        assert_eq!(
-            d_full.witness.action_labels(),
-            d_fp.witness.action_labels(),
-            "the replayed witness matches the stored one"
-        );
-        // The refining pair agrees too.
-        let ok = check_refinement(
-            &fine_spec(6),
-            &coarse_spec(6, false),
-            &projection(),
-            &RefineOptions::default().with_store_mode(StoreMode::FingerprintOnly),
-        );
-        assert_eq!(ok.verdict(), RefineVerdict::Refines, "{ok}");
-        assert!(ok.conclusive());
     }
 
     #[test]
@@ -1500,78 +1390,89 @@ mod tests {
         }
     }
 
-    /// Satellite of the out-of-core PR: a refinement check whose fingerprint sets
-    /// exceed a tiny memory budget must spill, finish, and produce the *identical*
-    /// verdict and per-side statistics as the fully in-RAM run — in every store mode ×
-    /// symmetry mode combination.
+    /// A refinement check whose fingerprint sets exceed a tiny memory budget must
+    /// spill, finish, and produce the *identical* verdict and per-side statistics as the
+    /// fully in-RAM run — in the one mode `check_refinement` accepts (Full store,
+    /// symmetry off).
     #[test]
     fn spilled_refinement_matches_the_in_ram_run_in_every_mode() {
-        use crate::options::SymmetryMode;
         use crate::spill::SpillConfig;
 
-        for store_mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-            for symmetry in [SymmetryMode::Off, SymmetryMode::Canonicalize] {
-                let mut base = RefineOptions::default()
-                    .with_store_mode(store_mode)
-                    .with_symmetry(symmetry);
-                // Few shards so the ~180-state sides overflow the per-shard flush
-                // floor (with the default 64 shards each delta table holds only a
-                // couple of entries and the budget can never force a flush).
-                base.shards = 2;
-                let in_ram = check_refinement(
-                    &fine_spec(120),
-                    &coarse_spec(120, false),
-                    &projection(),
-                    &base,
-                );
-                let spilled = check_refinement(
-                    &fine_spec(120),
-                    &coarse_spec(120, false),
-                    &projection(),
-                    // 512 bytes: far below the ~120-state fine side's delta table, so
-                    // both sides flush sorted runs to disk and probe them.
-                    &base
-                        .clone()
-                        .with_spill(SpillConfig::in_ram().with_budget_bytes(512)),
-                );
-                let label = format!("{store_mode:?}/{symmetry:?}");
-                assert_eq!(in_ram.verdict(), spilled.verdict(), "{label}");
-                assert_eq!(spilled.refines(), Some(true), "{label}");
-                assert_eq!(
-                    in_ram.stats.fine_states, spilled.stats.fine_states,
-                    "{label}"
-                );
-                assert_eq!(
-                    in_ram.stats.coarse_states, spilled.stats.coarse_states,
-                    "{label}"
-                );
-                assert_eq!(
-                    in_ram.stats.fine_projections, spilled.stats.fine_projections,
-                    "{label}"
-                );
-                assert_eq!(
-                    in_ram.stats.coarse_projections, spilled.stats.coarse_projections,
-                    "{label}"
-                );
-                assert_eq!(
-                    in_ram.stats.edges_checked, spilled.stats.edges_checked,
-                    "{label}"
-                );
-                // The budgeted run actually went out of core on both sides, and the
-                // disk tier was consulted on later inserts (the fine chain never
-                // revisits a state, so most probes are bloom-filtered misses).
-                assert!(spilled.stats.fine_spill.spilled(), "{label}");
-                assert!(spilled.stats.fine_spill.runs_spilled > 0, "{label}");
-                assert!(
-                    spilled.stats.fine_spill.disk_probes + spilled.stats.fine_spill.bloom_negatives
-                        > 0,
-                    "{label}"
-                );
-                assert!(spilled.stats.coarse_spill.runs_spilled > 0, "{label}");
-                // …and the in-RAM baseline did not.
-                assert!(!in_ram.stats.fine_spill.spilled(), "{label}");
-                assert!(!in_ram.stats.coarse_spill.spilled(), "{label}");
-            }
-        }
+        // Few shards so the ~180-state sides overflow the per-shard flush floor (with
+        // the default 64 shards each delta table holds only a couple of entries and the
+        // budget can never force a flush).
+        let base = RefineOptions {
+            shards: 2,
+            ..RefineOptions::default()
+        };
+        let in_ram = check_refinement(
+            &fine_spec(120),
+            &coarse_spec(120, false),
+            &projection(),
+            &base,
+        );
+        let spilled = check_refinement(
+            &fine_spec(120),
+            &coarse_spec(120, false),
+            &projection(),
+            // 512 bytes: far below the ~120-state fine side's delta table, so both
+            // sides flush sorted runs to disk and probe them.
+            &base.with_spill(SpillConfig::in_ram().with_budget_bytes(512)),
+        );
+        assert_eq!(in_ram.verdict(), spilled.verdict());
+        assert_eq!(spilled.refines(), Some(true));
+        assert_eq!(in_ram.stats.fine_states, spilled.stats.fine_states);
+        assert_eq!(in_ram.stats.coarse_states, spilled.stats.coarse_states);
+        assert_eq!(
+            in_ram.stats.fine_projections,
+            spilled.stats.fine_projections
+        );
+        assert_eq!(
+            in_ram.stats.coarse_projections,
+            spilled.stats.coarse_projections
+        );
+        assert_eq!(in_ram.stats.edges_checked, spilled.stats.edges_checked);
+        // The budgeted run actually went out of core on both sides, and the disk tier
+        // was consulted on later inserts (the fine chain never revisits a state, so
+        // most probes are bloom-filtered misses).
+        assert!(spilled.stats.fine_spill.spilled());
+        assert!(spilled.stats.fine_spill.runs_spilled > 0);
+        assert!(
+            spilled.stats.fine_spill.disk_probes + spilled.stats.fine_spill.bloom_negatives > 0
+        );
+        assert!(spilled.stats.coarse_spill.runs_spilled > 0);
+        // …and the in-RAM baseline did not.
+        assert!(!in_ram.stats.fine_spill.spilled());
+        assert!(!in_ram.stats.coarse_spill.spilled());
+    }
+
+    #[test]
+    #[should_panic(expected = "RefineOptions::store_mode must be full, got fingerprint-only")]
+    fn a_fingerprint_only_store_is_refused() {
+        let options = RefineOptions {
+            store_mode: StoreMode::FingerprintOnly,
+            ..RefineOptions::default()
+        };
+        check_refinement(
+            &fine_spec(6),
+            &coarse_spec(6, false),
+            &projection(),
+            &options,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "RefineOptions::symmetry must be off, got canonicalize")]
+    fn symmetry_reduction_is_refused() {
+        let options = RefineOptions {
+            symmetry: SymmetryMode::Canonicalize,
+            ..RefineOptions::default()
+        };
+        check_refinement(
+            &fine_spec(6),
+            &coarse_spec(6, false),
+            &projection(),
+            &options,
+        );
     }
 }

@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use remix_checker::{explore, shrink_violation, ExploreOptions, SymmetryMode};
+use remix_checker::{explore, shrink_violation, ExploreOptions};
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
 fn options() -> ExploreOptions {
@@ -26,12 +26,6 @@ fn options() -> ExploreOptions {
         .with_max_depth(60)
         .with_seed(7)
         .with_time_budget(Duration::from_secs(90))
-        // The guided-vs-uniform asymmetry this test documents was tuned against
-        // *concrete* coverage keys; canonical (symmetry-reduced) keys change the bias
-        // distribution and its trace indices.  Canonical-keyed sampling is covered by
-        // `explore.rs`'s
-        // `canonical_keys_merge_renamed_siblings_and_keep_walks_in_the_original_frame`.
-        .with_symmetry(SymmetryMode::Off)
 }
 
 #[test]

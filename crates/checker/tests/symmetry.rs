@@ -10,8 +10,6 @@
 //! the reachable space is `(max+1)^k` vectors; with it, the multisets —
 //! `C(max+k, k)` — which is where the strict `distinct_states` drop comes from.
 
-use std::collections::BTreeMap;
-
 use remix_checker::{check_bfs, check_dfs, CheckOptions, StopReason, StoreMode, SymmetryMode};
 use remix_spec::{
     ActionDef, ActionInstance, Canonicalize, Effect, Granularity, Invariant, InvariantSource,
@@ -270,128 +268,5 @@ fn parallel_symmetric_runs_agree_with_sequential() {
         );
         assert_eq!(seq.stats.transitions, par.stats.transitions, "{cell}");
         assert_eq!(seq.stats.max_depth, par.stats.max_depth, "{cell}");
-    }
-}
-
-#[test]
-fn refinement_applies_symmetry_only_under_a_declared_equivariant_projection() {
-    use remix_checker::{check_refinement, RefineMode, RefineOptions};
-    use remix_spec::TraceProjection;
-
-    // Fine: workers step one at a time.  Coarse: a worker jumps straight to `max`.
-    // Projection: the *multiset* of counters, restricted to "settled" states where
-    // every counter is 0 or max — permutation-invariant, hence safely declarable as
-    // equivariant.  Both sides stabilize through the same settled multisets, so the
-    // pair refines.
-    let max = 3u8;
-    let fine = workers_spec(3, max, None);
-    let coarse = {
-        let m = ModuleId("Workers");
-        let jump = ActionDef::new(
-            "Jump",
-            m,
-            Granularity::Coarse,
-            vec!["counters"],
-            vec!["counters"],
-            move |s: &Workers| {
-                (0..s.0.len())
-                    .filter(|&i| s.0[i] == 0)
-                    .map(|i| {
-                        let mut next = s.clone();
-                        next.0[i] = max;
-                        ActionInstance::new(format!("Jump({i})"), next)
-                    })
-                    .collect()
-            },
-        );
-        Spec::new(
-            "workers-coarse",
-            vec![Workers(vec![0; 3])],
-            vec![ModuleSpec::new(m, Granularity::Coarse, vec![jump])],
-            vec![],
-        )
-        .with_canonicalization()
-    };
-    let projection = || {
-        TraceProjection::new(
-            "settled-multiset",
-            Granularity::Coarse,
-            Granularity::Baseline,
-            |s: &Workers| {
-                let mut sorted = s.0.clone();
-                sorted.sort_unstable();
-                let multiset = sorted.iter().map(|&c| u32::from(c).into()).collect();
-                BTreeMap::from([("multiset".to_owned(), remix_spec::Value::Seq(multiset))])
-            },
-        )
-        .with_stability(move |s: &Workers| s.0.iter().all(|&c| c == 0 || c == max))
-    };
-
-    for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
-        let base = RefineOptions::default()
-            .with_mode(RefineMode::TraceInclusion)
-            .with_store_mode(store);
-        let opts = base.clone().with_symmetry(SymmetryMode::Canonicalize);
-
-        // Without the equivariance declaration the knob is ignored: state counts match a
-        // symmetry-off run exactly.
-        let plain = check_refinement(&fine, &coarse, &projection(), &opts);
-        let off = check_refinement(
-            &fine,
-            &coarse,
-            &projection(),
-            &base.with_symmetry(SymmetryMode::Off),
-        );
-        assert!(
-            plain.refines() == Some(true) && off.refines() == Some(true),
-            "{store}: {plain}\n{off}"
-        );
-        assert_eq!(plain.stats.fine_states, off.stats.fine_states);
-        assert_eq!(plain.stats.coarse_states, off.stats.coarse_states);
-
-        // With the declaration, both sides explore canonical representatives: strictly
-        // fewer concrete states, identical verdict, identical projected classes.
-        let reduced = check_refinement(&fine, &coarse, &projection().assume_equivariant(), &opts);
-        assert_eq!(reduced.refines(), Some(true), "{reduced}");
-        assert!(reduced.conclusive());
-        assert!(
-            reduced.stats.fine_states < off.stats.fine_states,
-            "{} vs {}",
-            reduced.stats.fine_states,
-            off.stats.fine_states
-        );
-        assert!(reduced.stats.coarse_states < off.stats.coarse_states);
-        assert_eq!(reduced.stats.fine_projections, off.stats.fine_projections);
-        assert_eq!(
-            reduced.stats.coarse_projections,
-            off.stats.coarse_projections
-        );
-
-        // And a genuinely diverging pair still yields a replayable, de-canonicalized
-        // witness: forbid the all-max multiset on the coarse side only.
-        let fine_capped = workers_spec(3, 2, None);
-        let diverging = check_refinement(
-            &fine_capped,
-            &coarse,
-            &projection().assume_equivariant(),
-            &opts,
-        );
-        let divergence = diverging
-            .divergence
-            .as_ref()
-            .expect("coarse reaches settled multisets the capped fine spec cannot");
-        for w in divergence.witness.steps.windows(2) {
-            let spec = if divergence.witness_spec == "workers-coarse" {
-                &coarse
-            } else {
-                &fine_capped
-            };
-            assert!(
-                spec.successors(&w[0].state)
-                    .iter()
-                    .any(|(l, s)| *l == w[1].action && *s == w[1].state),
-                "witness must replay on the original spec ({store})"
-            );
-        }
     }
 }

@@ -19,7 +19,7 @@ use remix_checker::store::Insert;
 use remix_checker::sync::audit;
 use remix_checker::{
     check_bfs, check_dfs, check_refinement, explore, state_key, CheckOptions, ExploreOptions,
-    RefineOptions, RefineVerdict, StateStore, StoreMode, SymmetryMode,
+    RefineOptions, RefineVerdict, StateStore, StoreMode,
 };
 use remix_spec::LabelTable;
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
@@ -154,7 +154,6 @@ fn dfs_and_guided_exploration_are_lock_order_clean_under_audit() {
             .with_max_depth(24)
             .with_seed(11)
             .with_time_budget(Duration::from_secs(60))
-            .with_symmetry(SymmetryMode::Off)
             .guided(8),
     );
     assert!(explored.stats.traces > 0);

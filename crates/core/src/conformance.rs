@@ -231,7 +231,6 @@ impl ConformanceChecker {
                     &coverage,
                     options.guidance,
                     None,
-                    None,
                 ),
             };
             let mut partial = ConformanceReport {

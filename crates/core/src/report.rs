@@ -191,7 +191,7 @@ pub struct RefineRow {
     pub coarse: String,
     /// The projection the comparison ran under.
     pub projection: String,
-    /// The check mode (`"simulation"` or `"trace-inclusion"`).
+    /// The check mode (always `"simulation"`).
     pub mode: String,
     /// The modelled code version.
     pub version: String,

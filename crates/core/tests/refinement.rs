@@ -3,16 +3,14 @@
 //! shrunk fine-trace witness, and the differential version matrix localizes every
 //! injected bug to the module that carries it.
 //!
-//! Every check runs in three store cells (see `cells`): verdicts and witnesses must
-//! not depend on the store backend or on going out of core.  These are expensive dual
-//! state-space explorations; like `guided_explore_zab.rs` they are release-gated.
+//! Every check runs in two store cells (see `cells`): verdicts and witnesses must
+//! not depend on going out of core.  These are expensive dual state-space
+//! explorations; like `guided_explore_zab.rs` they are release-gated.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use remix_checker::{
-    check_refinement, replay_labels, DivergenceKind, RefineOptions, SpillConfig, StoreMode,
-};
+use remix_checker::{check_refinement, replay_labels, DivergenceKind, RefineOptions, SpillConfig};
 use remix_core::Verifier;
 use remix_spec::{CompositionPlan, Granularity};
 use remix_zab::modules::{BROADCAST, DISCOVERY, ELECTION, SYNCHRONIZATION};
@@ -22,22 +20,18 @@ fn options() -> RefineOptions {
     RefineOptions::default().with_time_budget(Duration::from_secs(120))
 }
 
-/// The store cells each check runs in: both backends in RAM, and the Full store under
-/// a 1 MiB budget, which sends the larger explorations' fingerprint sets to disk runs.
-fn cells(base: RefineOptions) -> [RefineOptions; 3] {
+/// The store cells each check runs in: in RAM, and under a 1 MiB budget, which sends
+/// the larger explorations' fingerprint sets to disk runs.
+fn cells(base: RefineOptions) -> [RefineOptions; 2] {
     [
         base.clone(),
-        base.clone().with_store_mode(StoreMode::FingerprintOnly),
         base.with_spill(SpillConfig::in_ram().with_budget_bytes(1 << 20)),
     ]
 }
 
 /// A cell's name for assertion messages.
 fn cell_name(options: &RefineOptions) -> String {
-    format!(
-        "{} store, budget {:?}",
-        options.store_mode, options.spill.budget_bytes
-    )
+    format!("budget {:?}", options.spill.budget_bytes)
 }
 
 /// The FineAtomic counterpart of the system specification: the NEWLEADER handshake

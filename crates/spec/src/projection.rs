@@ -63,10 +63,6 @@ pub struct TraceProjection<S> {
     key: Option<StateKeyFn<S>>,
     label: LabelProjectionFn,
     stable: StabilityFn<S>,
-    /// Whether the projection is *equivariant* under the state type's symmetry group:
-    /// renaming process ids before projecting yields the same projected class as
-    /// projecting first (see [`TraceProjection::assume_equivariant`]).
-    equivariant: bool,
 }
 
 impl<S: SpecState> TraceProjection<S> {
@@ -95,7 +91,6 @@ impl<S: SpecState> TraceProjection<S> {
             key: None,
             label: Arc::new(|l: &str| Some(l.to_owned())),
             stable: Arc::new(|_| true),
-            equivariant: false,
         }
     }
 
@@ -119,30 +114,6 @@ impl<S: SpecState> TraceProjection<S> {
     pub fn with_stability(mut self, stable: impl Fn(&S) -> bool + Send + Sync + 'static) -> Self {
         self.stable = Arc::new(stable);
         self
-    }
-
-    /// Declares the projection *equivariant* under the state type's symmetry group:
-    /// for every state `s`, permutation `π` and this projection `p`, `p(π(s))` and
-    /// `p(s)` are the same projected class (e.g. the projection only exposes
-    /// permutation-invariant summaries — multisets, cardinalities, budgets — rather
-    /// than per-process-indexed values), and the stability predicate agrees on a
-    /// state and its renamings.  So must the [key](TraceProjection::key): a key set
-    /// with [`TraceProjection::with_key`] must agree on a state and its renamings too.
-    ///
-    /// This is the soundness precondition for running the refinement checker with
-    /// `SymmetryMode::Canonicalize`: the checker only keys a refinement comparison on
-    /// canonical forms when the projection carries this declaration, because a
-    /// non-equivariant projection would let the two sides pick different
-    /// representatives of one projected class and report a spurious divergence.  The
-    /// declaration is a promise by the projection author — it is not checked.
-    pub fn assume_equivariant(mut self) -> Self {
-        self.equivariant = true;
-        self
-    }
-
-    /// Whether [`TraceProjection::assume_equivariant`] was declared.
-    pub fn is_equivariant(&self) -> bool {
-        self.equivariant
     }
 
     /// Projects one state onto its externally visible variables.

@@ -120,10 +120,10 @@ impl<S: SpecState> Spec<S> {
     /// [`Canonicalize`] implementation as this specification's symmetry group, in
     /// both its borrowed and its owned form.
     ///
-    /// Attaching symmetry does not change any behaviour by itself: engines key their
-    /// dedup maps, fingerprints and coverage counters on canonical forms only when
+    /// Attaching symmetry does not change any behaviour by itself: the BFS and DFS
+    /// engines key their dedup maps and fingerprints on canonical forms only when
     /// their options select `SymmetryMode::Canonicalize` (`with_symmetry` on
-    /// `remix-checker`'s option structs).
+    /// `remix-checker`'s `CheckOptions`).
     pub fn with_canonicalization(mut self) -> Self
     where
         S: Canonicalize,

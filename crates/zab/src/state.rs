@@ -394,44 +394,12 @@ impl ZabState {
     }
 }
 
-/// Variable names exposed for footprint declarations, analysis and projection.
-pub mod vars {
-    /// All variable names of the ZooKeeper system specification, in a stable order.
-    pub const ALL: &[&str] = &[
-        "state",
-        "zabState",
-        "acceptedEpoch",
-        "currentEpoch",
-        "history",
-        "lastCommitted",
-        "leaderAddr",
-        "currentVote",
-        "receiveVotes",
-        "learners",
-        "electionMsgs",
-        "msgs",
-        "packetsSync",
-        "queuedRequests",
-        "committedRequests",
-        "ackeRecv",
-        "ackldRecv",
-        "proposalAcks",
-        "serving",
-        "partitions",
-        "crashBudget",
-        "txnBudget",
-        "violation",
-        "ghost",
-    ];
-}
-
 impl ZabState {
     /// Projects the named variables of this state into a uniform value representation:
     /// the model side of conformance checking (§3.4), compared variable by variable
-    /// with `remix-zk-sim`'s `Observation`.
-    ///
-    /// Unknown variable names are simply omitted from the result, which lets callers pass
-    /// the union of variable names from several granularities.
+    /// with `remix-zk-sim`'s `Observation`.  It answers exactly the variables
+    /// conformance compares (`Observation::comparable_variables`); any other name is
+    /// omitted from the result.
     pub fn project(&self, requested: &[&str]) -> BTreeMap<String, Value> {
         let mut out = BTreeMap::new();
         let per_server = |f: &dyn Fn(&ServerData) -> Value| -> Value {
@@ -439,8 +407,6 @@ impl ZabState {
         };
         for var in requested {
             let value = match *var {
-                "state" => Some(per_server(&|s| Value::str(format!("{:?}", s.state)))),
-                "zabState" => Some(per_server(&|s| Value::str(format!("{:?}", s.phase)))),
                 "acceptedEpoch" => Some(per_server(&|s| Value::from(s.accepted_epoch))),
                 "currentEpoch" => Some(per_server(&|s| Value::from(s.current_epoch))),
                 "history" => Some(per_server(&|s| {
@@ -458,46 +424,7 @@ impl ZabState {
                     )
                 })),
                 "lastCommitted" => Some(per_server(&|s| Value::from(s.last_committed))),
-                "leaderAddr" => Some(per_server(&|s| match s.leader {
-                    Some(l) => Value::from(l),
-                    None => Value::Int(-1),
-                })),
-                "currentVote" => Some(per_server(&|s| {
-                    Value::record(vec![
-                        ("epoch".to_owned(), Value::from(s.vote.epoch)),
-                        ("leader".to_owned(), Value::from(s.vote.leader)),
-                    ])
-                })),
-                "receiveVotes" => Some(per_server(&|s| Value::from(s.recv_votes.len()))),
-                "learners" => Some(per_server(&|s| {
-                    Value::set(s.learners.iter().map(Value::from).collect())
-                })),
-                "packetsSync" => Some(per_server(&|s| {
-                    Value::record(vec![
-                        (
-                            "notCommitted".to_owned(),
-                            Value::from(s.packets_not_committed.len()),
-                        ),
-                        (
-                            "committed".to_owned(),
-                            Value::from(s.packets_committed.len()),
-                        ),
-                    ])
-                })),
-                "queuedRequests" => Some(per_server(&|s| Value::from(s.queued_requests.len()))),
-                "committedRequests" => Some(per_server(&|s| Value::from(s.pending_commits.len()))),
-                "ackeRecv" => Some(per_server(&|s| Value::from(s.epoch_acks.len()))),
-                "ackldRecv" => Some(per_server(&|s| Value::from(s.newleader_acks.len()))),
-                "proposalAcks" => Some(per_server(&|s| Value::from(s.pending_acks.len()))),
-                "serving" => Some(per_server(&|s| Value::Bool(s.serving))),
-                "msgs" | "electionMsgs" => Some(Value::from(
-                    self.msgs.iter().flatten().map(|q| q.len()).sum::<usize>(),
-                )),
-                "partitions" => Some(Value::from(self.partitioned.len())),
-                "crashBudget" => Some(Value::from(self.crashes_remaining)),
-                "txnBudget" => Some(Value::from(self.txns_created)),
                 "violation" => Some(Value::Bool(self.violation.is_some())),
-                "ghost" => Some(Value::from(self.ghost.established_leaders.len())),
                 _ => None,
             };
             if let Some(v) = value {
@@ -505,11 +432,6 @@ impl ZabState {
             }
         }
         out
-    }
-
-    /// Every variable name [`ZabState::project`] knows, in a stable order.
-    pub fn variable_names() -> Vec<&'static str> {
-        vars::ALL.to_vec()
     }
 }
 
@@ -771,21 +693,18 @@ mod tests {
     #[test]
     fn projection_covers_registered_variables() {
         let s = state();
-        let p = s.project(&[
-            "state",
+        // The five variables conformance compares all project; other names are omitted.
+        let compared = [
             "currentEpoch",
+            "acceptedEpoch",
             "history",
-            "msgs",
+            "lastCommitted",
             "violation",
-            "nonexistent",
-        ]);
-        assert_eq!(p.len(), 5);
+        ];
+        let p = s.project(&[&compared[..], &["state", "msgs", "nonexistent"]].concat());
+        assert!(compared.iter().all(|v| p.contains_key(*v)), "{p:?}");
+        assert_eq!(p.len(), compared.len(), "{p:?}");
         assert_eq!(p["violation"], Value::Bool(false));
-        assert_eq!(p["msgs"], Value::Int(0));
-        // Every registered variable name projects to something.
-        let all = ZabState::variable_names();
-        let full = s.project(&all);
-        assert_eq!(full.len(), all.len());
     }
 
     /// Writes `s` down as a row of `pool` and reads it back.
