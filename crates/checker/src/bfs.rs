@@ -384,9 +384,14 @@ mod tests {
             v_fp.trace.action_labels(),
             "the replayed fingerprint-only trace matches the stored one"
         );
-        assert!(
-            fp_only.stats.entry_bytes_per_state < full.stats.entry_bytes_per_state,
-            "dropping states must shrink the per-entry footprint"
+        assert_eq!(
+            (
+                fp_only.stats.entry_bytes_per_state,
+                full.stats.entry_bytes_per_state
+            ),
+            (8 + 16 + 4, 8 + 4 + 5),
+            "beside its 8-byte record a fingerprint-only entry keeps its key and slot, a \
+             Full one its one-word row (the state is pooled whole) and an index bucket"
         );
     }
 
@@ -404,7 +409,12 @@ mod tests {
         assert_eq!(full.stats.distinct_states, fp_only.stats.distinct_states);
         assert_eq!(full.stats.transitions, fp_only.stats.transitions);
         assert_eq!(full.stats.max_depth, fp_only.stats.max_depth);
-        assert!(fp_only.stats.peak_entry_bytes < full.stats.peak_entry_bytes);
+        for stats in [&full.stats, &fp_only.stats] {
+            assert_eq!(
+                stats.peak_entry_bytes,
+                stats.distinct_states * stats.entry_bytes_per_state
+            );
+        }
     }
 
     #[test]

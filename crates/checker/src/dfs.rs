@@ -359,7 +359,12 @@ mod tests {
             full.first_violation().unwrap().trace.action_labels(),
             fp_only.first_violation().unwrap().trace.action_labels()
         );
-        assert!(fp_only.stats.peak_entry_bytes < full.stats.peak_entry_bytes);
+        for stats in [&full.stats, &fp_only.stats] {
+            assert_eq!(
+                stats.peak_entry_bytes,
+                stats.distinct_states * stats.entry_bytes_per_state
+            );
+        }
     }
 
     /// A diamond joined at `X = N(1)`: the short arm `0 → B → X` and the long arm

@@ -25,11 +25,13 @@
 //!   inside it), and as soon as it returns each is inserted in enumeration order —
 //!   lock its stripe, `insert_edge`, unlock, then the visitor hook and the POR sleep
 //!   edge.  Half to four fifths of all successors are duplicates the dedup insert
-//!   frees, and a fresh one is interned (its just-written components replaced by the
-//!   pool's) inside that insert; parking successors per stripe until a batch filled
-//!   kept thousands of them — each with freshly allocated components — cold between
-//!   `state_key` and the insert, and freed them late.  A batch amortised nothing but
-//!   an uncontended stripe mutex: the pool lock is taken per fresh state inside it.
+//!   frees, and each is interned (its just-written components replaced by the pool's)
+//!   inside that insert — in a Full store before the probe, whose key is the row it
+//!   writes, in a fingerprint-only one when it is fresh; parking successors per stripe
+//!   until a batch filled kept thousands of them — each with freshly allocated
+//!   components — cold between `state_key` and the insert, and freed them late.  A
+//!   batch amortised nothing but an uncontended stripe mutex: the pool lock is taken
+//!   per insert inside it.
 //!   Every team size inserts this way: there is one insert rule.
 //! * **Work stealing** — the frontier of each level is split into one contiguous range
 //!   per worker; a worker that drains its range steals the back half of the largest

@@ -82,15 +82,18 @@ pub struct CheckStats {
     pub shard_contention: Vec<u64>,
     /// Peak resident entry-payload bytes of the discovered-state store (the store is
     /// append-only, so the final size is the peak).  Counts the fixed per-entry
-    /// metadata, the dedup-map entry, in the full-state backend the state's row of
-    /// pool slots, and under symmetry reduction the recorded permutation; see
-    /// `StateStore::entry_bytes_per_state` for the exact accounting.
+    /// metadata, the dedup entry (a fingerprint-map entry, or in the full-state backend
+    /// a row-index bucket and the state's row of pool slots), and under symmetry
+    /// reduction the recorded permutation; see `StateStore::entry_bytes_per_state` for
+    /// the exact accounting.
     pub peak_entry_bytes: usize,
-    /// Fixed bytes the selected store backend pays per discovered state: 28 (the
-    /// 8-byte `(parent, label)` record and the dedup entry, fingerprint key and slot),
-    /// plus in the full-state backend 4 per word of the state's row (64 on three
-    /// servers), plus 16 for the recorded `Perm` under symmetry reduction (44 and 80).  The
-    /// intern pool the rows point into is shared by all states and not counted.
+    /// Fixed bytes the selected store backend pays per discovered state, all of them
+    /// beginning with the 8-byte `(parent, label)` record.  The fingerprint-only
+    /// backend adds its dedup entry, fingerprint key and slot: 28 in all.  The
+    /// full-state backend adds 4 per word of the state's row and a 5-byte row-index
+    /// bucket (a slot and a tag): 49 on three servers.  Symmetry reduction adds 16 for
+    /// the recorded `Perm` (44 and 65).  The intern pool the rows point into is shared
+    /// by all states and not counted.
     pub entry_bytes_per_state: usize,
     /// Out-of-core activity: fingerprint runs spilled to disk and probe traffic.
     /// All-zero when no memory budget was configured or everything fit.

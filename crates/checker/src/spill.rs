@@ -4,17 +4,19 @@
 //! This is the TLC-style disk-based fingerprint set (Yu/Manolios/Lamport): when a
 //! store stripe's in-RAM *delta table* reaches its share of the configured memory
 //! budget, the table is sorted and written out as an **immutable run** — a sorted
-//! array of fixed-width `(fingerprint, slot)` records.  Membership probes consult
-//! the delta table first, then each run through a per-run in-RAM bloom filter; only
-//! a bloom hit pays a disk read, which fetches one fence-indexed block and binary
-//! searches it.  Runs are mutually disjoint *by construction* (a fingerprint is
+//! array of fixed-width `(key, slot)` records.  The key is a 128-bit [`Fingerprint`]:
+//! the state's key in a fingerprint-only store, and in a Full store the digest of
+//! the state's row, read out of the arena when the row index is flushed.  Membership
+//! probes consult the delta table first, then each run through a per-run in-RAM bloom
+//! filter; only a bloom hit pays a disk read, which fetches one fence-indexed block
+//! and binary searches it.  Runs are mutually disjoint *by construction* (a key is
 //! deduplicated against every run before it may enter the delta table), so probe
 //! order never affects the answer and spilling cannot change which states a run
-//! discovers — only where their fingerprints live.
+//! discovers — only where their keys live.
 //!
-//! Only the fingerprint set goes out of core.  A BFS level is 4 bytes per state (the
-//! kernel keeps indices and rebuilds each parent from the store), less than the store
-//! pays per state, so it stays resident.  The module also provides the
+//! Only the dedup keys go out of core.  A Full store's rows stay resident, and so does
+//! a BFS level: 4 bytes per state (the kernel keeps indices and rebuilds each parent
+//! from the store), less than the store pays per state.  The module also provides the
 //! [`SpillConfig`] / [`SpillStats`] types the option and outcome structs surface.
 //!
 //! Everything here is `std`-only: plain files via [`std::os::unix::fs::FileExt`]
@@ -37,7 +39,9 @@ const FENCE_EVERY: usize = 256;
 
 /// Estimated resident bytes of one delta-table entry (`HashMap<Fingerprint, u32>`
 /// payload plus load-factor and control overhead); used to translate the byte budget
-/// into a per-stripe flush threshold.
+/// into a per-stripe flush threshold.  A Full store's row index keeps the same
+/// threshold, so a budget spills at the same points in both backends, though its
+/// entries are smaller.
 pub(crate) const DELTA_ENTRY_BYTES: usize = 48;
 
 /// The smallest delta table worth flushing: below this, run files would degenerate
@@ -51,10 +55,12 @@ pub(crate) const MIN_FLUSH_ENTRIES: usize = 8;
 /// `CheckOptions::with_mem_budget`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpillConfig {
-    /// Memory budget in bytes for the store's fingerprint set: each stripe's dedup
-    /// table is flushed to a sorted run file once it reaches its share.  Rows, the
-    /// intern pool and the BFS frontier (4 bytes per state) stay resident.  `None`
-    /// disables spilling entirely.
+    /// Memory budget in bytes for the store's dedup tables: each stripe's table (a
+    /// fingerprint map, or a Full store's row index) is flushed to a sorted run file
+    /// once it holds its share at 48 bytes per entry — a fingerprint map's cost, the
+    /// threshold in both backends.  Rows, the intern pool and the BFS
+    /// frontier (4 bytes per state) stay resident.  `None` disables spilling
+    /// entirely.
     pub budget_bytes: Option<u64>,
     /// Directory spill files are created under (a unique per-store subdirectory is
     /// created inside it and removed when the store drops).  `None` uses the system

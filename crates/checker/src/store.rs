@@ -27,14 +27,16 @@
 //! `(parent, label)` record stays resident when the fingerprints spill).  Traces are
 //! reconstructed on demand by **bounded re-exploration**: the recorded `(parent index,
 //! label)` chain is replayed forward through [`Spec::successors`], matching each step
-//! by label and by looking the successor's key up in the store, which must name the
-//! recorded entry — O(depth × branching) successor evaluations, paid only when a
-//! violation is actually reported.  This is the backend for exhaustive runs whose state
-//! count, not state size, is the binding constraint.
+//! by label and by looking the successor up in the store, which must name the recorded
+//! entry — O(depth × branching) successor evaluations, paid only when a violation is
+//! actually reported.  This is the backend for exhaustive runs whose state count, not
+//! state size, is the binding constraint.
 //!
-//! Either way each stored state's fingerprint is kept exactly once, as the key of its
-//! dedup entry (a stripe's map or a spilled run); the per-entry record is the 8-byte
-//! `(parent, label)` pair in both backends.
+//! The per-entry record is the 8-byte `(parent, label)` pair in both backends.  What
+//! identifies the state differs.  A fingerprint-only entry is its fingerprint, kept
+//! once, as the key of its dedup entry (a stripe's map or a spilled run).  A Full entry
+//! is its row, and its dedup entry is one 5-byte bucket of the stripe's row index (a
+//! `u32` slot and a tag byte) that names the row; no fingerprint is kept per state.
 //!
 //! Both backends are safe for concurrent insertion from many workers: the arena is
 //! striped into power-of-two lock shards routed by the fingerprint's leading bits, and
@@ -43,24 +45,39 @@
 //!
 //! # Keys
 //!
-//! The store dedups on whatever 128-bit [`Fingerprint`] the caller hands to
-//! [`ShardHandle::insert`].  The engines hand it [`state_key`] — the store identity,
-//! a hash over the state's memoized component digests (see [`mod@crate::fingerprint`]) —
-//! and trace replay recomputes the same function, so a store that is to reconstruct
-//! fingerprint-only traces must be filled with `state_key`s.  (For a state type
-//! without shared components the two functions coincide.)
+//! The caller hands [`ShardHandle::insert`] a 128-bit [`Fingerprint`] and locks the
+//! stripe its leading bits route to.  The engines hand it [`state_key`] — a hash over
+//! the state's memoized component digests (see [`mod@crate::fingerprint`]) — and
+//! [`StateStore::index_of`] recomputes the same function to find the stripe, so a store
+//! whose states are to be looked up again (trace replay) must be filled with
+//! `state_key`s.  (For a state type without shared components the two functions
+//! coincide.)
+//!
+//! [`StoreMode::FingerprintOnly`] dedups on that fingerprint: two states with one key
+//! are one state to it, a 2^-128 chance per pair it accepts for keeping nothing else.
+//! [`StoreMode::Full`] dedups on the state's row — its components hash-consed and
+//! equality-checked by the pool, its scalars written out — so its dedup is exact and
+//! the caller's fingerprint only picks the stripe.  The row index hashes the row's
+//! words and confirms a tag match by comparing the stored row word for word.  Under a
+//! memory budget a Full stripe spills its rows' 128-bit [`PairHasher`] digests, read
+//! out of the arena, and probes the runs with the digest of the row being inserted: the
+//! in-RAM tier stays exact, and the spilled one is as exact as the fingerprint-only
+//! store.
 //!
 //! # The intern pool
 //!
 //! A state space is assembled from few distinct components (221,490 states of the
 //! fine three-server model from 2,510 servers, channel rows and ghost states), so the
-//! store owns one [`InternPool`] per run and, on the **fresh-insert path only**, calls
-//! [`SpecState::intern`] before it hands back the state: each component the
-//! discovering action wrote is replaced by the pool's allocation of the same value
-//! (equality-checked, so a digest collision never merges two values), and the
-//! duplicate is freed while still hot.  The frontier and every later successor then
-//! share one allocation per distinct component value, and dropping the store frees
-//! 2.5 k components and a few hundred chunks, not one heap block per state.
+//! store owns one [`InternPool`] per run and calls [`SpecState::intern`] before it
+//! hands back the state: each component the discovering action wrote is replaced by
+//! the pool's allocation of the same value (equality-checked, so a digest collision
+//! never merges two values), and the duplicate is freed while still hot.  A Full store
+//! does so on **every insert**, before the dedup probe, because the row it writes is
+//! what the probe compares; a duplicate's components are all pooled already, so this
+//! never grows the pool.  A fingerprint-only store does so on the **fresh-insert path
+//! only**.  The frontier and every later successor then share one allocation per
+//! distinct component value, and dropping the store frees 2.5 k components and a few
+//! hundred chunks, not one heap block per state.
 //! The pool is spec-agnostic (digest → slot → type-erased `Arc`), lives exactly as
 //! long as the store — it is dropped with it, inside what `CheckStats::teardown`
 //! clocks — and is **resident and unbudgeted**: [`StoreMode::FingerprintOnly`] and the
@@ -91,9 +108,10 @@
 //! to the system, which on the 221,490-state space above was 8 MiB of a 48 MiB peak.
 //! The row width is fixed by the first stored state and asserted for every later one.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, VacantEntry};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::Hasher;
 use std::marker::PhantomData;
 use std::path::PathBuf;
 
@@ -103,7 +121,8 @@ use crate::sync::{
 };
 
 use remix_spec::{
-    CanonFn, DigestMap, InternPool, LabelId, LabelTable, Perm, Spec, SpecState, Trace, INIT_LABEL,
+    CanonFn, DigestMap, InternPool, LabelId, LabelTable, PairHasher, Perm, Spec, SpecState, Trace,
+    INIT_LABEL,
 };
 
 use crate::fingerprint::{state_key, Fingerprint};
@@ -157,19 +176,17 @@ struct SlotMeta {
 
 /// One lock stripe of the arena.
 struct StoreShard<S> {
-    /// Fingerprint → local slot index (dedup map; values index `meta`/`rows`).
+    /// The dedup table: local slot indices (into `meta`), found by key or by row.
     ///
     /// Under a memory budget this is the stripe's *delta table*: once it reaches its
     /// share of the budget it is flushed to an immutable sorted run in `runs` and
     /// restarted empty, so its resident size stays bounded while `len` keeps growing.
-    ///
-    /// Hashed by the fingerprint's own second word (its first picked the stripe): the
-    /// key is uniform already, so the table probes with it instead of rehashing it.
-    map: DigestMap<Fingerprint, u32>,
-    /// Spilled portions of the dedup map: immutable sorted `(fingerprint, slot)` runs
-    /// on disk, mutually disjoint with each other and with `map` by construction (a
-    /// fingerprint is probed against every run before it may enter the delta table).
-    /// Empty when no memory budget is configured.
+    table: DedupTable,
+    /// Spilled portions of the dedup table: immutable sorted `(key, slot)` runs on
+    /// disk — the fingerprint, or in [`StoreMode::Full`] the row's [`row_digest`] —
+    /// mutually disjoint with each other and with the delta table by construction (a
+    /// key is probed against every run before it may enter the delta table).  Empty
+    /// when no memory budget is configured.
     runs: Vec<SpillRun>,
     meta: ChunkVec<SlotMeta>,
     /// Parallel to `meta` in [`StoreMode::Full`] — each state as the row of words
@@ -248,6 +265,161 @@ impl<T> ChunkVec<T> {
     }
 }
 
+/// A stripe's dedup table, one kind per backend.
+enum DedupTable {
+    /// [`StoreMode::FingerprintOnly`]: fingerprint → local slot.  Hashed by the
+    /// fingerprint's own second word (its first picked the stripe): the key is uniform
+    /// already, so the table probes with it instead of rehashing it.
+    Keys(DigestMap<Fingerprint, u32>),
+    /// [`StoreMode::Full`]: local slots, found by the row they name in `rows`.  Boxed so
+    /// that a stripe is no larger than a map makes it: the stripe array's size moves
+    /// where the allocator places a run's later blocks, and with them its peak RSS.
+    Rows(Box<RowIndex>),
+}
+
+impl DedupTable {
+    fn new(mode: StoreMode) -> Self {
+        match mode {
+            StoreMode::Full => DedupTable::Rows(Box::default()),
+            StoreMode::FingerprintOnly => DedupTable::Keys(DigestMap::default()),
+        }
+    }
+
+    /// Entries held in RAM.
+    fn len(&self) -> usize {
+        match self {
+            DedupTable::Keys(map) => map.len(),
+            DedupTable::Rows(index) => index.len,
+        }
+    }
+}
+
+/// A [`RowIndex`] bucket that holds no slot.  A held slot's tag is never 0.
+const EMPTY: u8 = 0;
+
+/// Bytes of one [`RowIndex`] bucket: its `u32` slot and its tag.
+const ROW_INDEX_BUCKET_BYTES: usize = std::mem::size_of::<u32>() + std::mem::size_of::<u8>();
+
+/// A [`StoreMode::Full`] stripe's dedup table: open addressing over the stripe's local
+/// slots, one `u32` and one tag byte per bucket (5 bytes), probed linearly.  A bucket's
+/// slot is found by the hash of the row it names and confirmed by comparing that row
+/// word for word, so a hit is exact: two states meet only when their rows are equal,
+/// and a row is the state's value (its components hash-consed and equality-checked by
+/// the pool, its scalars written out).  Nothing of a row is kept here: a probe and a
+/// growth step read the rows back out of the arena.
+///
+/// At most 7/8 of the buckets are held, so a probe always ends at an [`EMPTY`] one.
+#[derive(Default)]
+struct RowIndex {
+    /// [`EMPTY`], or the top byte of the held row's [`row_hash`] (at least 1).
+    tags: Vec<u8>,
+    /// The local slot each held bucket names.
+    slots: Vec<u32>,
+    /// Held buckets.
+    len: usize,
+}
+
+/// A cheap mix of a row's words, for [`RowIndex`]: a multiply-rotate pass and
+/// SplitMix64's finalizer, so every word reaches both the low bits that pick the bucket
+/// and the top byte that tags it.
+fn row_hash(row: &[u32]) -> u64 {
+    let mut h = row.len() as u64;
+    for &word in row {
+        h = (h.rotate_left(29) ^ u64::from(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// The 128-bit key a [`StoreMode::Full`] row is spilled and probed under: the row's
+/// words through a [`PairHasher`], so the spill tier's bloom filters get the two
+/// independent halves they hash with.
+fn row_digest(row: &[u32]) -> Fingerprint {
+    let mut hasher = PairHasher::new();
+    for &word in row {
+        hasher.write_u32(word);
+    }
+    hasher.finish128()
+}
+
+impl RowIndex {
+    fn tag(hash: u64) -> u8 {
+        ((hash >> 56) as u8).max(1)
+    }
+
+    /// The slot whose row in `rows` equals `row` (`hash` is its [`row_hash`]).
+    fn find(&self, hash: u64, row: &[u32], rows: &ChunkVec<u32>) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.tags.len() - 1;
+        let tag = Self::tag(hash);
+        let mut bucket = hash as usize & mask;
+        loop {
+            match self.tags[bucket] {
+                EMPTY => return None,
+                held if held == tag => {
+                    let slot = self.slots[bucket];
+                    if rows.get(slot as usize) == Some(row) {
+                        return Some(slot);
+                    }
+                }
+                _ => {}
+            }
+            bucket = (bucket + 1) & mask;
+        }
+    }
+
+    /// Adds `slot`, whose row (hashed `hash`) is stored in `rows` and not yet held.
+    fn insert(&mut self, hash: u64, slot: u32, rows: &ChunkVec<u32>) {
+        if (self.len + 1) * 8 > self.tags.len() * 7 {
+            self.grow(rows);
+        }
+        self.place(hash, slot);
+        self.len += 1;
+    }
+
+    fn place(&mut self, hash: u64, slot: u32) {
+        let mask = self.tags.len() - 1;
+        let mut bucket = hash as usize & mask;
+        while self.tags[bucket] != EMPTY {
+            bucket = (bucket + 1) & mask;
+        }
+        self.tags[bucket] = Self::tag(hash);
+        self.slots[bucket] = slot;
+    }
+
+    /// Doubles the buckets (16 at first) and re-places every held slot by its row.
+    fn grow(&mut self, rows: &ChunkVec<u32>) {
+        let buckets = (self.tags.len() * 2).max(16);
+        let tags = std::mem::replace(&mut self.tags, vec![EMPTY; buckets]);
+        let slots = std::mem::replace(&mut self.slots, vec![0; buckets]);
+        for (tag, slot) in tags.into_iter().zip(slots) {
+            if tag != EMPTY {
+                self.place(row_hash(rows.get(slot as usize).expect(NO_ENTRY)), slot);
+            }
+        }
+    }
+
+    /// Every held slot, in bucket order.
+    fn held(&self) -> impl Iterator<Item = u32> + '_ {
+        self.tags
+            .iter()
+            .zip(&self.slots)
+            .filter(|(&tag, _)| tag != EMPTY)
+            .map(|(_, &slot)| slot)
+    }
+
+    /// Empties the index, keeping its buckets for the slots to come.
+    fn clear(&mut self) {
+        self.tags.fill(EMPTY);
+        self.len = 0;
+    }
+}
+
 struct ShardCell<S> {
     inner: OrderedMutex<ShardRank, StoreShard<S>>,
     /// Lock acquisitions on this stripe that found it already held.
@@ -300,8 +472,10 @@ impl<S> Drop for StateStore<S> {
 /// The result of an insertion attempt.  Both arms hand a state back to the caller, so
 /// an insert never swallows the moved-in value.
 pub enum Insert<S> {
-    /// The fingerprint was already present; the existing entry's index is returned
-    /// along with the (unconsumed) moved-in state.
+    /// The state was already stored (in [`StoreMode::Full`] an equal row, in
+    /// [`StoreMode::FingerprintOnly`] its fingerprint); the existing entry's index is
+    /// returned along with the (unconsumed) moved-in state — in Full with its
+    /// components interned.
     Existing(StateIndex, S),
     /// A fresh entry was created.  The returned state is the moved-in one, in both
     /// modes ([`StoreMode::Full`] keeps a row of pool slots, not the state), with its
@@ -314,7 +488,6 @@ pub struct ShardHandle<'a, S> {
     guard: OrderedMutexGuard<'a, ShardRank, StoreShard<S>>,
     shard: u32,
     shard_bits: u32,
-    mode: StoreMode,
     len: &'a AtomicUsize,
     stride: &'a AtomicUsize,
     records_perms: &'a AtomicBool,
@@ -324,8 +497,10 @@ pub struct ShardHandle<'a, S> {
 
 impl<S: SpecState> ShardHandle<'_, S> {
     /// Inserts one state discovered by `label` from `parent` (or an initial state when
-    /// `parent` is `None`).  Deduplicates by `fp`: any 128-bit function of the state's
-    /// value, [`state_key`] if traces are to be replayed (see the module docs).
+    /// `parent` is `None`).  `fp` is any 128-bit function of the state's value that
+    /// routed the caller to this stripe, [`state_key`] if states are to be looked up
+    /// again (see the module docs).  [`StoreMode::FingerprintOnly`] deduplicates by
+    /// `fp`, [`StoreMode::Full`] by the state's row.
     pub fn insert(
         &mut self,
         fp: Fingerprint,
@@ -370,16 +545,35 @@ impl<S: SpecState> ShardHandle<'_, S> {
         // Dedup: the in-RAM delta table first, then (budgeted stores only) every
         // spilled run, bloom filters first.  Runs and delta table are disjoint, so
         // the probe order never affects the answer — only which tier pays for it.
-        // The table is probed once: a miss keeps its vacant slot for the insert below.
-        let vacant = match inner.map.entry(fp) {
-            Entry::Occupied(known) => {
-                return Insert::Existing(pack(*known.get(), self.shard, self.shard_bits), state);
+        // The table is probed once: a miss keeps where the insert below goes.
+        let vacancy = match &mut inner.table {
+            DedupTable::Rows(index) => {
+                // The row is the state's identity, so it is written before the probe.
+                // Every component of a duplicate is pooled already: this finds them,
+                // and the pool grows only by what a fresh state brings.
+                inner.row.clear();
+                state.intern(&mut self.pool.lock(), Some(&mut inner.row));
+                let hash = row_hash(&inner.row);
+                if let Some(local) = index.find(hash, &inner.row, &inner.rows) {
+                    return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
+                }
+                Vacancy::Row(index, hash)
             }
-            Entry::Vacant(vacant) => vacant,
+            DedupTable::Keys(map) => match map.entry(fp) {
+                Entry::Occupied(known) => {
+                    let local = *known.get();
+                    return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
+                }
+                Entry::Vacant(vacant) => Vacancy::Key(vacant),
+            },
         };
-        if let Some(spill) = self.spill {
+        if let Some(spill) = self.spill.filter(|_| !inner.runs.is_empty()) {
+            let key = match vacancy {
+                Vacancy::Row(..) => row_digest(&inner.row),
+                Vacancy::Key(_) => fp,
+            };
             for run in &inner.runs {
-                if let Some(local) = run.probe(fp, &spill.counters) {
+                if let Some(local) = run.probe(key, &spill.counters) {
                     return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
                 }
             }
@@ -395,7 +589,6 @@ impl<S: SpecState> ShardHandle<'_, S> {
         );
         let index = pack(local, self.shard, self.shard_bits);
         assert_ne!(index.0, NO_PARENT, "state store is full (2^32 entries)");
-        vacant.insert(local);
         inner.meta.push(std::iter::once(SlotMeta {
             parent: parent.map_or(NO_PARENT, |p| p.0),
             label,
@@ -413,27 +606,37 @@ impl<S: SpecState> ShardHandle<'_, S> {
                 self.records_perms.store(true, Ordering::Relaxed); // ordering: see above.
             }
         }
-        // Only a distinct state reaches this point, so the pool is probed once per
-        // freshly written component of the run, never per edge.
-        match self.mode {
-            StoreMode::Full => {
-                inner.row.clear();
-                state.intern(&mut self.pool.lock(), Some(&mut inner.row));
+        match vacancy {
+            Vacancy::Row(index, hash) => {
                 fix_stride(self.stride, inner.row.len());
                 inner.rows.push(inner.row.iter().copied());
+                index.insert(hash, local, &inner.rows);
             }
-            StoreMode::FingerprintOnly => state.intern(&mut self.pool.lock(), None),
+            Vacancy::Key(vacant) => {
+                vacant.insert(local);
+                // Only a distinct state reaches this point, so the pool is probed once
+                // per freshly written component of the run, never per edge.
+                state.intern(&mut self.pool.lock(), None);
+            }
         }
         // ordering: AcqRel — the global length feeds the max_states stop decision on
         // other workers, so it must publish with the insert and join prior counts.
         self.len.fetch_add(1, Ordering::AcqRel);
         if let Some(spill) = self.spill {
-            if inner.map.len() >= spill.flush_entries {
+            if inner.table.len() >= spill.flush_entries {
                 flush_delta_table(inner, spill, self.shard);
             }
         }
         Insert::Fresh(index, state)
     }
+}
+
+/// Where a fresh insert goes in its stripe's delta table, found by the dedup probe.
+enum Vacancy<'m> {
+    /// [`StoreMode::Full`]: the row index, under the row's [`row_hash`].
+    Row(&'m mut RowIndex, u64),
+    /// [`StoreMode::FingerprintOnly`]: the fingerprint's vacant map entry.
+    Key(VacantEntry<'m, Fingerprint, u32>),
 }
 
 /// Fixes a store's row width at its first stored state and holds every later one to it.
@@ -456,8 +659,24 @@ fn fix_stride(stride: &AtomicUsize, words: usize) {
 /// Flushes a stripe's delta table to a new immutable sorted run.  Slot assignments
 /// are untouched — the entries only change *where* they live, so spilling can never
 /// alter which states a run discovers or which indices they get.
+///
+/// A [`StoreMode::Full`] stripe spills each held row under its [`row_digest`], read
+/// out of the arena: no state is rebuilt.
 fn flush_delta_table<S>(inner: &mut StoreShard<S>, spill: &StoreSpill, shard: u32) {
-    let entries: Vec<(Fingerprint, u32)> = inner.map.drain().collect();
+    let entries: Vec<(Fingerprint, u32)> = match &mut inner.table {
+        DedupTable::Keys(map) => map.drain().collect(),
+        DedupTable::Rows(index) => {
+            let entries = index
+                .held()
+                .map(|local| {
+                    let row = inner.rows.get(local as usize).expect(NO_ENTRY);
+                    (row_digest(row), local)
+                })
+                .collect();
+            index.clear();
+            entries
+        }
+    };
     let path = spill
         .dir
         .join(format!("shard{:04}-run{:04}.fps", shard, inner.runs.len()));
@@ -496,11 +715,12 @@ impl<S: SpecState> StateStore<S> {
     /// Creates a store with `shards` lock stripes (rounded up to a power of two),
     /// armed with the out-of-core tier when `config` carries a memory budget.
     ///
-    /// Under a budget, each stripe's dedup map becomes a bounded *delta table*: when
+    /// Under a budget, each stripe's dedup table becomes a bounded *delta table*: when
     /// it reaches its share of the budget (`budget / 48 bytes-per-entry / stripes`,
-    /// floored at a small minimum) it is sorted and flushed to an immutable run file
-    /// under the spill directory.  Lookups then probe the delta table, then each
-    /// run's bloom filter, and only pay a positioned disk read on a bloom hit.
+    /// floored at a small minimum, in both backends) it is sorted and flushed to an
+    /// immutable run file under the spill directory.  Lookups then probe the delta
+    /// table, then each run's bloom filter, and only pay a positioned disk read on a
+    /// bloom hit.
     /// Spilling never changes slot assignment, so a budgeted run discovers exactly
     /// the states — with exactly the indices — the in-RAM run would.
     ///
@@ -526,7 +746,7 @@ impl<S: SpecState> StateStore<S> {
             shards: (0..n)
                 .map(|_| ShardCell {
                     inner: OrderedMutex::new(StoreShard {
-                        map: DigestMap::default(),
+                        table: DedupTable::new(mode),
                         runs: Vec::new(),
                         meta: ChunkVec::new(),
                         rows: ChunkVec::new(),
@@ -586,7 +806,6 @@ impl<S: SpecState> StateStore<S> {
             guard: cell.inner.lock_counting(&cell.contention),
             shard: shard as u32,
             shard_bits: self.shard_bits,
-            mode: self.mode,
             len: &self.len,
             stride: &self.stride,
             records_perms: &self.records_perms,
@@ -624,24 +843,42 @@ impl<S: SpecState> StateStore<S> {
             .collect()
     }
 
-    /// Looks up the index of a fingerprint, if present (in the delta table or any
-    /// spilled run).
-    pub fn find(&self, fp: Fingerprint) -> Option<StateIndex> {
-        let shard = self.shard_of(fp);
-        let guard = self.shards[shard].inner.lock();
-        if let Some(&local) = guard.map.get(&fp) {
-            return Some(pack(local, shard as u32, self.shard_bits));
-        }
-        let spill = self.spill.as_ref()?;
-        guard
-            .runs
-            .iter()
-            .find_map(|run| run.probe(fp, &spill.counters))
-            .map(|local| pack(local, shard as u32, self.shard_bits))
+    /// The index of `state`, if the store holds it (in the delta table or any spilled
+    /// run).  The stripe is the one [`state_key`] routes to, so a store that is to
+    /// answer this must be filled under `state_key`s.
+    ///
+    /// [`StoreMode::Full`] matches the state's row, so it writes one: the state's
+    /// components are interned as an insert would, and those of an absent state stay in
+    /// the pool.  [`StoreMode::FingerprintOnly`] matches the `state_key` itself.
+    pub fn index_of(&self, state: &S) -> Option<StateIndex> {
+        let key = state_key(state);
+        let shard = self.shard_of(key);
+        let mut guard = self.shards[shard].inner.lock();
+        let inner = &mut *guard;
+        let spilled = |key| {
+            let spill = self.spill.as_ref()?;
+            inner
+                .runs
+                .iter()
+                .find_map(|run| run.probe(key, &spill.counters))
+        };
+        let local = match &inner.table {
+            DedupTable::Rows(index) => {
+                inner.row.clear();
+                state
+                    .clone()
+                    .intern(&mut self.pool.lock(), Some(&mut inner.row));
+                index
+                    .find(row_hash(&inner.row), &inner.row, &inner.rows)
+                    .or_else(|| spilled(row_digest(&inner.row)))
+            }
+            DedupTable::Keys(map) => map.get(&key).copied().or_else(|| spilled(key)),
+        }?;
+        Some(pack(local, shard as u32, self.shard_bits))
     }
 
-    /// The `(parent, label)` discovery edge of an entry.  Its fingerprint is not
-    /// kept beside it: [`StateStore::find`] maps a fingerprint to its entry, and that
+    /// The `(parent, label)` discovery edge of an entry.  Neither its key nor its state
+    /// is kept beside it: [`StateStore::index_of`] maps a state to its entry, and that
     /// is the only direction replay needs.
     pub fn meta(&self, index: StateIndex) -> (Option<StateIndex>, LabelId) {
         let (local, shard) = unpack(index, self.shard_bits);
@@ -713,31 +950,40 @@ impl<S: SpecState> StateStore<S> {
     }
 
     /// Fixed resident bytes the store pays per entry: the 8-byte `(parent, label)`
-    /// metadata slot, the dedup entry (fingerprint key + `u32` slot, the one place the
-    /// fingerprint is kept) — 28 bytes in both backends — in [`StoreMode::Full`] the
-    /// state's row: 4 bytes per word [`SpecState::intern`] writes (0 while the store is
-    /// empty; 9 words on a three-server `ZabState`, 64 bytes in all, one for a type
-    /// that keeps the default), and under symmetry reduction the recorded [`Perm`]
-    /// (16 bytes once the first canonical insert has happened).  A symmetry-reduced
-    /// three-server `ZabState` thus pays 44 bytes fingerprint-only and 80 in Full.
+    /// metadata slot, then the dedup entry and what identifies the state.  In
+    /// [`StoreMode::FingerprintOnly`] that is the map entry (fingerprint key + `u32`
+    /// slot, the one place the fingerprint is kept), 28 bytes in all.  In
+    /// [`StoreMode::Full`] it is the state's row — 4 bytes per word
+    /// [`SpecState::intern`] writes (0 while the store is empty; 9 words on a
+    /// three-server `ZabState`, one for a type that keeps the default) — and its
+    /// row-index bucket (a `u32` slot and a tag byte): 49 bytes on that `ZabState`, 17
+    /// on a one-word row.  Under symmetry reduction both add the recorded [`Perm`] (16
+    /// bytes once the first canonical insert has happened), so a symmetry-reduced
+    /// three-server `ZabState` pays 44 bytes fingerprint-only and 65 in Full.
     ///
     /// This is the *per-entry payload* accounting the bench artefact reports: it
-    /// excludes hash-map load-factor overhead, the tail of each stripe's last chunk,
+    /// excludes hash-table load-factor overhead, the tail of each stripe's last chunk,
     /// and the intern pool the rows point into (one allocation per distinct component
-    /// of the run, or per distinct state under the default `intern`) — all of which
-    /// only widen the gap in favour of [`StoreMode::FingerprintOnly`].
+    /// of the run, or in [`StoreMode::Full`] per distinct state under the default
+    /// `intern`).
     pub fn entry_bytes_per_state(&self) -> usize {
-        let fixed = std::mem::size_of::<SlotMeta>()
-            + std::mem::size_of::<Fingerprint>()
-            + std::mem::size_of::<u32>();
+        let identity = match self.mode {
+            StoreMode::Full => {
+                // ordering: Relaxed — see `fix_stride`.
+                let words = self.stride.load(Ordering::Relaxed);
+                std::mem::size_of::<u32>() * words + ROW_INDEX_BUCKET_BYTES
+            }
+            StoreMode::FingerprintOnly => {
+                std::mem::size_of::<Fingerprint>() + std::mem::size_of::<u32>()
+            }
+        };
         // ordering: Relaxed — see `fix_stride` and `insert_edge`.
         let perm = if self.records_perms.load(Ordering::Relaxed) {
             std::mem::size_of::<Perm>()
         } else {
             0
         };
-        // ordering: Relaxed — see `fix_stride`.
-        fixed + perm + std::mem::size_of::<u32>() * self.stride.load(Ordering::Relaxed)
+        std::mem::size_of::<SlotMeta>() + identity + perm
     }
 
     /// Resident entry-payload bytes of the whole store (rows, metadata and dedup
@@ -753,7 +999,7 @@ impl<S: SpecState> StateStore<S> {
     /// from its row — no successor evaluation.  In [`StoreMode::FingerprintOnly`] the stored states
     /// are gone, so the recorded `(parent, label)` chain is replayed forward through
     /// [`Spec::successors`]: at each step the successor whose interned label matches
-    /// the recorded [`LabelId`] *and* whose key the store [finds](Self::find) at the
+    /// the recorded [`LabelId`] *and* which the store [holds](Self::index_of) at the
     /// recorded entry is taken.  The replay is bounded by the chain's length; each step
     /// evaluates the successors of exactly one state.
     ///
@@ -774,11 +1020,10 @@ impl<S: SpecState> StateStore<S> {
     /// the root entry records, takes at each step a successor of the current state that
     /// the next entry records; `None` when some step has none.
     ///
-    /// The chain carries no fingerprints: a candidate state matches an entry when the
-    /// store [finds](Self::find) the candidate's key — the [`state_key`] the engines
-    /// stored it under — at that entry's index (the root, every step, and the
-    /// de-canonicalizing path alike).  Without `canon` a successor must also carry the
-    /// entry's interned label.  With it the chain is a sequence of canonical forms
+    /// The chain carries no keys: a candidate state matches an entry when the store
+    /// [holds](Self::index_of) the candidate at that entry's index (the root, every
+    /// step, and the de-canonicalizing path alike).  Without `canon` a successor must
+    /// also carry the entry's interned label.  With it the chain is a sequence of canonical forms
     /// replayed in the original frame: a successor matches by its *canonical* key, and
     /// among the matches the one canonicalized by `π_edge ∘ σ` is preferred (see
     /// [`reconstruct_trace_decanonicalized`](Self::reconstruct_trace_decanonicalized)).
@@ -789,25 +1034,25 @@ impl<S: SpecState> StateStore<S> {
         chain: &[(StateIndex, LabelId)],
         canon: Option<&CanonFn<S>>,
     ) -> Option<Trace<S>> {
-        // What a recorded entry is matched by, and the permutation onto that frame.
-        let keyed = |state: &S| match canon {
+        // The entry a state is recorded as, and the permutation onto that frame.
+        let located = |state: &S| match canon {
             Some(canon) => {
                 let (canonical, perm) = canon(state);
-                (state_key(&canonical), Some(perm))
+                (self.index_of(&canonical), Some(perm))
             }
-            None => (state_key(state), None),
+            None => (self.index_of(state), None),
         };
         let (root, root_label) = chain[0];
         debug_assert_eq!(labels.resolve(root_label), INIT_LABEL);
         let mut current = spec
             .init
             .iter()
-            .find(|s| self.find(keyed(s).0) == Some(root))
+            .find(|s| located(s).0 == Some(root))
             .cloned()
             .expect("chain root is (the canonical form of) an initial state of the replayed spec");
         // σ: the permutation mapping the current original-frame state onto its
         // canonical representative (the frame the chain is recorded in).
-        let mut sigma = keyed(&current).1;
+        let mut sigma = located(&current).1;
         let mut trace = Trace::from_init(current.clone());
         for &(index, label) in &chain[1..] {
             // Labels name server ids, so they only identify a step in the frame they
@@ -822,8 +1067,8 @@ impl<S: SpecState> StateStore<S> {
                 if recorded.as_ref().is_some_and(|recorded| *recorded != l) {
                     continue;
                 }
-                let (key, perm) = keyed(&s);
-                if self.find(key) != Some(index) {
+                let (at, perm) = located(&s);
+                if at != Some(index) {
                     continue;
                 }
                 let exact = perm == expected;
@@ -898,11 +1143,11 @@ impl<S: SpecState> StateStore<S> {
     /// other).  This method instead replays the recorded chain forward through
     /// [`Spec::successors`] in the original frame:
     ///
-    /// 1. the root is the original initial state whose canonical key the store finds
+    /// 1. the root is the original initial state whose canonical form the store holds
     ///    at the recorded root entry;
     /// 2. at each step, the successors of the current original-frame state are
-    ///    enumerated and filtered to those whose *canonical* key the store finds at the
-    ///    recorded child entry — by orbit invariance these are exactly the concrete
+    ///    enumerated and filtered to those whose *canonical* form the store holds at
+    ///    the recorded child entry — by orbit invariance these are exactly the concrete
     ///    moves the canonical edge stands for;
     /// 3. among the matches, the one whose canonicalization permutation equals the
     ///    **composition** `π_edge ∘ σ` of the edge's stored permutation with the
@@ -1030,8 +1275,8 @@ mod tests {
             assert_eq!(back, N(7), "duplicates hand the moved-in state back");
             drop(handle);
             assert_eq!(store.len(), 1);
-            assert_eq!(store.find(fp), Some(idx));
-            assert_eq!(store.find(fingerprint(&N(8))), None);
+            assert_eq!(store.index_of(&N(7)), Some(idx));
+            assert_eq!(store.index_of(&N(8)), None);
             let kept = store.state_at(idx);
             match mode {
                 StoreMode::Full => assert_eq!(kept, Some(N(7))),
@@ -1041,22 +1286,23 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_only_entries_are_strictly_smaller() {
+    fn entry_bytes_count_the_row_and_its_bucket_or_the_fingerprint() {
         let labels = LabelTable::new();
         let full: StateStore<N> = StateStore::new(StoreMode::Full, 1);
         let fp_only: StateStore<N> = StateStore::new(StoreMode::FingerprintOnly, 1);
         assert_eq!(
             full.entry_bytes_per_state(),
-            fp_only.entry_bytes_per_state(),
+            8 + 5,
             "an empty store has no row width yet"
         );
         fill(&full, &labels, 3);
         fill(&fp_only, &labels, 3);
-        assert_eq!(fp_only.entry_bytes_per_state(), 28);
+        assert_eq!(fp_only.entry_bytes_per_state(), 8 + 16 + 4);
         assert_eq!(
-            full.entry_bytes_per_state() - fp_only.entry_bytes_per_state(),
-            std::mem::size_of::<u32>(),
-            "the default row is one word: the slot of the pooled state"
+            full.entry_bytes_per_state(),
+            8 + 4 + 5,
+            "the default row is one word, the slot of the pooled state, and the row \
+             index holds it in a slot and a tag"
         );
         let kind = std::any::type_name::<N>();
         assert_eq!(full.interned_components(), BTreeMap::from([(kind, 4)]));
@@ -1091,9 +1337,11 @@ mod tests {
                 std::mem::size_of::<Perm>(),
                 "{mode}: the permutation column is part of every entry"
             );
-            if mode == StoreMode::FingerprintOnly {
-                assert_eq!(canonical.entry_bytes_per_state(), 44);
-            }
+            let expected = match mode {
+                StoreMode::Full => 33,
+                StoreMode::FingerprintOnly => 44,
+            };
+            assert_eq!(canonical.entry_bytes_per_state(), expected, "{mode}");
             assert_eq!(
                 canonical.entry_bytes(),
                 3 * canonical.entry_bytes_per_state()
@@ -1216,6 +1464,122 @@ mod tests {
     }
 
     #[test]
+    fn a_full_store_keeps_distinct_states_under_one_fingerprint() {
+        let fp = fingerprint(&N(1));
+        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
+            let store: StateStore<N> = StateStore::new(mode, 4);
+            let mut handle = store.lock_shard(store.shard_of(fp));
+            let Insert::Fresh(first, _) = handle.insert(fp, None, LabelTable::init_id(), N(1))
+            else {
+                panic!("the first insert is fresh");
+            };
+            let second = handle.insert(fp, None, LabelTable::init_id(), N(2));
+            match (mode, second) {
+                (StoreMode::Full, Insert::Fresh(second, _)) => {
+                    assert_ne!(second, first);
+                    let Insert::Existing(again, _) =
+                        handle.insert(fp, None, LabelTable::init_id(), N(1))
+                    else {
+                        panic!("N(1) is stored");
+                    };
+                    assert_eq!(again, first);
+                    drop(handle);
+                    assert_eq!(store.len(), 2);
+                    assert_eq!(store.state_at(second), Some(N(2)));
+                }
+                // The documented merge: a fingerprint is all this backend keeps.
+                (StoreMode::FingerprintOnly, Insert::Existing(known, _)) => {
+                    assert_eq!(known, first);
+                    drop(handle);
+                    assert_eq!(store.len(), 1);
+                }
+                (mode, _) => panic!("{mode}: wrong dedup answer for a second state"),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A Full store dedups on values alone: whatever fingerprint the caller hands
+        /// it, it keeps one entry per distinct state and finds each again.
+        #[test]
+        fn a_full_store_dedups_on_values_whatever_the_fingerprint(
+            values in proptest::collection::vec(0u32..64, 0..200),
+        ) {
+            let fp = Fingerprint(0x5eed, 0x5eed);
+            let store: StateStore<N> = StateStore::new(StoreMode::Full, 4);
+            let mut handle = store.lock_shard(store.shard_of(fp));
+            let mut first: BTreeMap<u32, StateIndex> = BTreeMap::new();
+            for &v in &values {
+                match handle.insert(fp, None, LabelTable::init_id(), N(v)) {
+                    Insert::Fresh(index, _) => {
+                        proptest::prop_assert!(first.insert(v, index).is_none());
+                    }
+                    Insert::Existing(index, _) => {
+                        proptest::prop_assert_eq!(first.get(&v), Some(&index));
+                    }
+                }
+            }
+            for (&v, &index) in &first {
+                let Insert::Existing(again, _) =
+                    handle.insert(fp, None, LabelTable::init_id(), N(v))
+                else {
+                    panic!("N({v}) is stored");
+                };
+                proptest::prop_assert_eq!(again, index);
+            }
+            drop(handle);
+            proptest::prop_assert_eq!(store.len(), first.len());
+        }
+    }
+
+    #[test]
+    fn a_budgeted_full_store_finds_every_state_through_its_runs() {
+        // A one-byte budget floors every stripe's delta table at the minimum flush size.
+        let budget = SpillConfig::in_ram().with_budget_bytes(1);
+        let store = StateStore::<N>::with_spill(StoreMode::Full, 4, &budget);
+        let insert = |i: u32| {
+            let fp = fingerprint(&N(i));
+            store
+                .lock_shard(store.shard_of(fp))
+                .insert(fp, None, LabelTable::init_id(), N(i))
+        };
+        let indices: Vec<StateIndex> = (0..300)
+            .map(|i| match insert(i) {
+                Insert::Fresh(index, _) => index,
+                Insert::Existing(..) => panic!("N({i}) is new"),
+            })
+            .collect();
+        assert!(
+            store
+                .shards
+                .iter()
+                .all(|cell| !cell.inner.lock().runs.is_empty()),
+            "every stripe flushed its row index"
+        );
+        let stats = store.spill_stats();
+        assert_eq!(
+            stats.bytes_spilled,
+            stats.entries_spilled * spill::RECORD_BYTES as u64
+        );
+        let probes_before = stats.disk_probes;
+        for (i, &index) in (0..).zip(&indices) {
+            match insert(i) {
+                Insert::Existing(again, back) => {
+                    assert_eq!((again, back), (index, N(i)));
+                }
+                Insert::Fresh(..) => panic!("N({i}) was stored once already"),
+            }
+            assert_eq!(store.index_of(&N(i)), Some(index));
+        }
+        assert_eq!(store.len(), 300);
+        assert_eq!(store.index_of(&N(300)), None);
+        assert!(
+            store.spill_stats().disk_probes > probes_before,
+            "re-inserts found rows in the spilled runs"
+        );
+    }
+
+    #[test]
     fn indices_pack_shard_and_slot() {
         let store: StateStore<N> = StateStore::new(StoreMode::Full, 8);
         let labels = LabelTable::new();
@@ -1229,7 +1593,7 @@ mod tests {
             drop(handle);
             assert!(seen.insert(idx), "indices are unique across shards");
             let (parent, label) = store.meta(idx);
-            assert_eq!(store.find(fp), Some(idx));
+            assert_eq!(store.index_of(&N(i)), Some(idx));
             assert_eq!(parent, None);
             assert_eq!(label, LabelTable::init_id());
         }

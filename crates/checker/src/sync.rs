@@ -13,7 +13,7 @@
 //!    inner-to-outer direction the engine's hierarchy reads
 //!    `pool < shard < coverage < por < results < frontier < spill
 //!    < panic-slot < gate` — the store's intern pool is the innermost lock (acquired
-//!    last, under the shard lock of a fresh insert, with everything else already
+//!    last, under the shard lock of an insert, with everything else already
 //!    held), the worker-pool gate the outermost (always acquired with nothing held).
 //! 2. **A lock-order audit.**  Under `REMIX_SYNC_AUDIT=1` (or a programmatic
 //!    [`audit::session`]) every acquisition records the per-thread held-lock stack

@@ -76,7 +76,7 @@ fn bfs_matrix_is_lock_order_clean_under_audit() {
         report.rank_violations,
         report.cycles()
     );
-    // The store's intern pool is taken under the shard lock of a fresh insert and of
+    // The store's intern pool is taken under the shard lock of an insert and of
     // every parent a Full run rebuilds from its row, and is a leaf.  Workers hold the
     // level's read lock while they insert, read parents and record footprints.  That
     // is every nesting there is: a new edge is a new deadlock candidate.
@@ -98,7 +98,7 @@ fn bfs_matrix_is_lock_order_clean_under_audit() {
 }
 
 /// The Full store keeps a state as a row of pool slots, so *reading* one back takes the
-/// pool under the stripe's lock, as a fresh insert does.  The store is filled before
+/// pool under the stripe's lock, as an insert does.  The store is filled before
 /// the session opens: the only acquisitions the audit sees are the reads'.
 #[test]
 fn reading_a_stored_state_nests_the_pool_under_its_stripe() {
@@ -128,7 +128,7 @@ fn reading_a_stored_state_nests_the_pool_under_its_stripe() {
     let rebuilt = store
         .state_at(tip)
         .expect("the full store keeps every state");
-    assert_eq!(store.find(state_key(&rebuilt)), Some(tip));
+    assert_eq!(store.index_of(&rebuilt), Some(tip));
     let trace = store.reconstruct_trace(&spec, &labels, tip);
     assert_eq!(trace.last_state(), Some(&rebuilt));
     let report = session.report();

@@ -52,11 +52,16 @@ pub trait SpecState: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static {
     /// one specification must append the same number of words (at least one), and a
     /// word may depend on nothing but the state's value and `pool`.
     ///
-    /// The store calls this once per distinct state, before it hands the state back to
-    /// its caller.  `row` is `None` when the store keeps no states
-    /// (`StoreMode::FingerprintOnly`): only the sharing is wanted then — a type built
-    /// on [`Shared`] components still replaces each by the pool's
-    /// allocation of its value, so that the frontier shares them.
+    /// A store that keeps states (`StoreMode::Full`) calls this once per insert, before
+    /// its dedup probe: the row is the state's identity there, compared word for word,
+    /// so equal states must write equal rows (and unequal ones unequal rows, which
+    /// [`from_row`](SpecState::from_row) needs anyway).  A duplicate's parts are pooled
+    /// already, so interning it never grows the pool.  `row` is `None` when the store
+    /// keeps no states (`StoreMode::FingerprintOnly`), which calls this once per
+    /// distinct state: only the sharing is wanted then — a type built on [`Shared`]
+    /// components still replaces each by the pool's allocation of its value, so that
+    /// the frontier shares them.  Either way it runs before the store hands the state
+    /// back.
     ///
     /// The default treats the whole state as one pooled component: a one-word row,
     /// and nothing at all without a row to write.
