@@ -389,9 +389,10 @@ mod tests {
                 fp_only.stats.entry_bytes_per_state,
                 full.stats.entry_bytes_per_state
             ),
-            (8 + 16 + 4, 8 + 4 + 5),
+            (8 + 16 + 4, 8 + 2 + 5),
             "beside its 8-byte record a fingerprint-only entry keeps its key and slot, a \
-             Full one its one-word row (the state is pooled whole) and an index bucket"
+             Full one its one-word row (the state is pooled whole) in one 16-bit unit and \
+             an index bucket"
         );
     }
 
@@ -980,8 +981,8 @@ mod tests {
     /// Exhausts mSpec-3 on `config` into a full store and returns the number of
     /// distinct `(servers, channel rows, ghost states)` it holds — each of which must
     /// be exactly one allocation, shared by every state that contains the value, and
-    /// together with the non-empty partition sets and the code violations the rows
-    /// point at, everything the pool holds.
+    /// together with the scalars the rows point at (those of a partitioned or violating
+    /// state; the budgets of these spaces fit a row inline), everything the pool holds.
     fn pooled_components(config: &ClusterConfig, workers: usize) -> (usize, usize, usize, usize) {
         let spec = SpecPreset::MSpec3.build(config);
         let options = CheckOptions::default()
@@ -997,17 +998,21 @@ mod tests {
             Census(HashMap::new()),
             Census(HashMap::new()),
         );
-        let (mut partitions, mut violations) = (HashSet::new(), HashSet::new());
+        let mut scalars = HashSet::new();
         let mut states = 0;
         store.for_each_state(|state| {
             states += 1;
             state.servers.iter().for_each(|s| servers.see(s));
             state.msgs.iter().for_each(|r| rows.see(r));
             ghosts.see(&state.ghost);
-            if !state.partitioned.is_empty() {
-                partitions.insert(state.partitioned.clone());
+            if !state.partitioned.is_empty() || state.violation.is_some() {
+                let budgets = [
+                    state.crashes_remaining,
+                    state.partitions_remaining,
+                    state.txns_created,
+                ];
+                scalars.insert((state.partitioned.clone(), state.violation.clone(), budgets));
             }
-            violations.extend(state.violation.clone());
         });
         let counts = (servers.distinct(), rows.distinct(), ghosts.distinct());
         fn kind<T>(count: usize) -> Option<(&'static str, usize)> {
@@ -1017,8 +1022,7 @@ mod tests {
             kind::<ServerData>(counts.0),
             kind::<Vec<Vec<Message>>>(counts.1),
             kind::<GhostState>(counts.2),
-            kind::<BTreeSet<(Sid, Sid)>>(partitions.len()),
-            kind::<CodeViolation>(violations.len()),
+            kind::<(BTreeSet<(Sid, Sid)>, Option<CodeViolation>, [u32; 3])>(scalars.len()),
         ]
         .into_iter()
         .flatten()

@@ -90,10 +90,11 @@ pub struct CheckStats {
     /// Fixed bytes the selected store backend pays per discovered state, all of them
     /// beginning with the 8-byte `(parent, label)` record.  The fingerprint-only
     /// backend adds its dedup entry, fingerprint key and slot: 28 in all.  The
-    /// full-state backend adds 4 per word of the state's row and a 5-byte row-index
-    /// bucket (a slot and a tag): 49 on three servers.  Symmetry reduction adds 16 for
-    /// the recorded `Perm` (44 and 65).  The intern pool the rows point into is shared
-    /// by all states and not counted.
+    /// full-state backend adds the 16-bit units its stripes hold the state's row in (2
+    /// bytes per word, 4 in a stripe that has stored a wider word) and a 5-byte
+    /// row-index bucket (a slot and a tag): 29 on three servers.  Symmetry reduction
+    /// adds 16 for the recorded `Perm` (44 and 45).  The intern pool the rows point into
+    /// is shared by all states and not counted.
     pub entry_bytes_per_state: usize,
     /// Out-of-core activity: fingerprint runs spilled to disk and probe traffic.
     /// All-zero when no memory budget was configured or everything fit.

@@ -11,9 +11,9 @@
 //!   walks are array reads, not hash lookups),
 //! * the action label stored as an interned [`LabelId`] (4 bytes; the label string is
 //!   allocated once per *distinct* label per run, see [`remix_spec::LabelTable`]), and
-//! * the state stored as a **row of `u32` words** — the pool slots of its components
-//!   and its scalars, see "Rows" below — or, in [`StoreMode::FingerprintOnly`], not at
-//!   all.
+//! * the state stored as a **row of words** in 16-bit units — the pool slots of its
+//!   components and its scalars, see "Rows" below — or, in
+//!   [`StoreMode::FingerprintOnly`], not at all.
 //!
 //! # Backends
 //!
@@ -91,22 +91,31 @@
 //! Every pooled allocation has a dense `u32` slot, and a row of slots is the **only**
 //! thing [`StoreMode::Full`] keeps per state — SPIN's COLLAPSE compression, flat (one
 //! level of ids).  [`SpecState::intern`] writes the row while it interns (for the
-//! three-server `ZabState` nine words: three server slots, three channel-row slots,
-//! the ghost slot, the three budgets packed into one word, and a sentinel or the slot
-//! of a pooled `(partition set, code violation)` pair); [`SpecState::from_row`] is its
-//! inverse, `2n + 1` reference-count bumps.  A state type that overrides neither is
-//! pooled whole and its row is the one slot, so there is one arena layout for every
-//! state type.  Nothing is cloned at insert: the moved-in state goes back to the
-//! caller, and the readers ([`StateStore::state_at`]: the BFS kernel's parent of every
-//! expansion, trace reconstruction, refinement's witnesses) rebuild from the row under
-//! the stripe's lock and then the pool's (rank order `store.shard` → `store.pool`, the
-//! insert's).
+//! three-server `ZabState` eight words: three server slots, three channel-row slots,
+//! the ghost slot, and one word for the budgets, inline or the slot of a pooled copy of
+//! the rarer scalars); [`SpecState::from_row`] is its inverse, `2n + 1` reference-count
+//! bumps.  A state type that overrides neither is pooled whole and its row is the one
+//! slot, so there is one arena layout for every state type.  Nothing is cloned at
+//! insert: the moved-in state goes back to the caller, and the readers
+//! ([`StateStore::state_at`]: the BFS kernel's parent of every expansion, trace
+//! reconstruction, refinement's witnesses) decode the row into the stripe's scratch
+//! row and rebuild from it under the stripe's lock and then the pool's (rank order
+//! `store.shard` → `store.pool`, the insert's).
+//!
+//! A row's words are `u32`s, but a run's pool holds a few thousand slots, so a stripe
+//! keeps its rows in 16-bit units: one unit per word while every word the stripe has
+//! stored fits in one, two (low unit first) from the first row with a wider word on,
+//! which re-encodes the stripe's rows once, in place, under its lock.  The record
+//! width against the store's row width says which encoding a stripe uses.  Rows are
+//! compared, hashed and digested as their `u32` words, so the dedup index, the
+//! spilled runs, slot assignment and visit order are the same at either width.
 //!
 //! A stripe's rows, metadata and permutations live in fixed-size chunks that are never
 //! reallocated (the private `ChunkVec`): a doubling `Vec` copies the whole stripe at
 //! each growth step and hands the allocator back a half-size buffer it cannot return
 //! to the system, which on the 221,490-state space above was 8 MiB of a 48 MiB peak.
-//! The row width is fixed by the first stored state and asserted for every later one.
+//! The row width in words is fixed by the first stored state and asserted for every
+//! later one.
 
 use std::collections::hash_map::{Entry, VacantEntry};
 use std::collections::BTreeMap;
@@ -190,24 +199,26 @@ struct StoreShard<S> {
     runs: Vec<SpillRun>,
     meta: ChunkVec<SlotMeta>,
     /// Parallel to `meta` in [`StoreMode::Full`] — each state as the row of words
-    /// [`SpecState::intern`] wrote for it — and empty in
-    /// [`StoreMode::FingerprintOnly`].
-    rows: ChunkVec<u32>,
+    /// [`SpecState::intern`] wrote for it, in 16-bit units (see "Rows" in the module
+    /// docs) — and empty in [`StoreMode::FingerprintOnly`].
+    rows: ChunkVec<u16>,
     /// Parallel to `meta` under symmetry reduction (every insert then records the
     /// permutation that canonicalized the inserted state, 16 inline bytes); stays
     /// empty otherwise.  Mixing permuted and unpermuted inserts in one store is a
     /// caller bug.
     perms: ChunkVec<Perm>,
-    /// Where a fresh state's row is written before it is appended to `rows`.
+    /// Where a state's row is written before it is probed and appended to `rows`, and
+    /// where a stored row is decoded to be rebuilt.
     row: Vec<u32>,
     /// Rows are words; the state type only says how to write and read them.
     state: PhantomData<fn() -> S>,
 }
 
-/// Records per chunk of a [`ChunkVec`]: 6 KiB of metadata, 12 KiB of three-server
-/// rows.  Each stripe ends in a partly filled chunk per sequence, and with 64 stripes
-/// those tails are resident: 8,192 records per chunk cost `exhaust-fine` 20 MiB over
-/// this, 1,024 cost 1.5 MiB; below 256 the chunk list and malloc's headers take over.
+/// Records per chunk of a [`ChunkVec`]: 2 KiB of metadata, 4 KiB of three-server rows
+/// (8 KiB once a stripe has widened).  Each stripe ends in a partly filled chunk per
+/// sequence, and with 64 stripes those tails are resident: 8,192 records per chunk cost
+/// `exhaust-fine` 20 MiB over this, 1,024 cost 1.5 MiB; below 256 the chunk list and
+/// malloc's headers take over.
 const CHUNK_RECORDS: usize = 256;
 
 /// An append-only sequence of equally wide records, kept in fixed-size chunks that are
@@ -216,7 +227,8 @@ const CHUNK_RECORDS: usize = 256;
 /// `Vec` per stripe held `exhaust-fine` at 47.8 MiB where chunks hold it at 39.6).
 struct ChunkVec<T> {
     chunks: Vec<Vec<T>>,
-    /// Elements per record, fixed by the first push.
+    /// Elements per record, fixed by the first push (a stripe's rows double it at most
+    /// once, see `push_row`).
     width: usize,
     /// Records pushed.
     len: usize,
@@ -262,6 +274,51 @@ impl<T> ChunkVec<T> {
         self.chunks
             .get_mut(index / CHUNK_RECORDS)?
             .get_mut(at..at + self.width)
+    }
+}
+
+/// A stripe's rows: one 16-bit unit per word while every word the stripe has stored
+/// fits in one, two units per word (low unit first) after that.  A record of a row of
+/// `words` words is `words` or `2 × words` units wide, which is how a reader tells.
+impl ChunkVec<u16> {
+    /// Appends `row`.  The first row with a word wider than 16 bits re-encodes the rows
+    /// before it at two units per word, once; a first row that has one starts wide.
+    fn push_row(&mut self, row: &[u32]) {
+        let fits = row.iter().all(|&word| word <= u32::from(u16::MAX));
+        if !fits && self.width == row.len() {
+            self.widen();
+        }
+        if fits && self.width != 2 * row.len() {
+            self.push(row.iter().map(|&word| word as u16));
+        } else {
+            self.push((0..2 * row.len()).map(|unit| (row[unit / 2] >> (unit % 2 * 16)) as u16));
+        }
+    }
+
+    /// Re-encodes every stored row at two units per word, a chunk at a time.
+    fn widen(&mut self) {
+        self.width *= 2;
+        for chunk in &mut self.chunks {
+            let mut wide = Vec::with_capacity(CHUNK_RECORDS * self.width);
+            wide.extend(chunk.iter().flat_map(|&unit| [unit, 0]));
+            *chunk = wide;
+        }
+    }
+
+    /// The `words` words of row `index`.
+    fn words(&self, index: usize, words: usize) -> Option<impl ExactSizeIterator<Item = u32> + '_> {
+        let units = self.get(index)?;
+        Some(units.chunks_exact(units.len() / words).map(|word| {
+            word.iter()
+                .rev()
+                .fold(0, |value, &unit| value << 16 | u32::from(unit))
+        }))
+    }
+
+    /// Whether row `index` holds exactly `row`'s words.
+    fn holds(&self, index: usize, row: &[u32]) -> bool {
+        self.words(index, row.len())
+            .is_some_and(|stored| stored.eq(row.iter().copied()))
     }
 }
 
@@ -322,9 +379,9 @@ struct RowIndex {
 /// A cheap mix of a row's words, for [`RowIndex`]: a multiply-rotate pass and
 /// SplitMix64's finalizer, so every word reaches both the low bits that pick the bucket
 /// and the top byte that tags it.
-fn row_hash(row: &[u32]) -> u64 {
+fn row_hash(row: impl ExactSizeIterator<Item = u32>) -> u64 {
     let mut h = row.len() as u64;
-    for &word in row {
+    for word in row {
         h = (h.rotate_left(29) ^ u64::from(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
     h ^= h >> 30;
@@ -337,9 +394,9 @@ fn row_hash(row: &[u32]) -> u64 {
 /// The 128-bit key a [`StoreMode::Full`] row is spilled and probed under: the row's
 /// words through a [`PairHasher`], so the spill tier's bloom filters get the two
 /// independent halves they hash with.
-fn row_digest(row: &[u32]) -> Fingerprint {
+fn row_digest(row: impl Iterator<Item = u32>) -> Fingerprint {
     let mut hasher = PairHasher::new();
-    for &word in row {
+    for word in row {
         hasher.write_u32(word);
     }
     hasher.finish128()
@@ -351,7 +408,7 @@ impl RowIndex {
     }
 
     /// The slot whose row in `rows` equals `row` (`hash` is its [`row_hash`]).
-    fn find(&self, hash: u64, row: &[u32], rows: &ChunkVec<u32>) -> Option<u32> {
+    fn find(&self, hash: u64, row: &[u32], rows: &ChunkVec<u16>) -> Option<u32> {
         if self.len == 0 {
             return None;
         }
@@ -363,7 +420,7 @@ impl RowIndex {
                 EMPTY => return None,
                 held if held == tag => {
                     let slot = self.slots[bucket];
-                    if rows.get(slot as usize) == Some(row) {
+                    if rows.holds(slot as usize, row) {
                         return Some(slot);
                     }
                 }
@@ -373,10 +430,11 @@ impl RowIndex {
         }
     }
 
-    /// Adds `slot`, whose row (hashed `hash`) is stored in `rows` and not yet held.
-    fn insert(&mut self, hash: u64, slot: u32, rows: &ChunkVec<u32>) {
+    /// Adds `slot`, whose row (hashed `hash`) is stored in `rows` and not yet held;
+    /// every row is `words` words.
+    fn insert(&mut self, hash: u64, slot: u32, rows: &ChunkVec<u16>, words: usize) {
         if (self.len + 1) * 8 > self.tags.len() * 7 {
-            self.grow(rows);
+            self.grow(rows, words);
         }
         self.place(hash, slot);
         self.len += 1;
@@ -393,13 +451,14 @@ impl RowIndex {
     }
 
     /// Doubles the buckets (16 at first) and re-places every held slot by its row.
-    fn grow(&mut self, rows: &ChunkVec<u32>) {
+    fn grow(&mut self, rows: &ChunkVec<u16>, words: usize) {
         let buckets = (self.tags.len() * 2).max(16);
         let tags = std::mem::replace(&mut self.tags, vec![EMPTY; buckets]);
         let slots = std::mem::replace(&mut self.slots, vec![0; buckets]);
         for (tag, slot) in tags.into_iter().zip(slots) {
             if tag != EMPTY {
-                self.place(row_hash(rows.get(slot as usize).expect(NO_ENTRY)), slot);
+                let row = rows.words(slot as usize, words).expect(NO_ENTRY);
+                self.place(row_hash(row), slot);
             }
         }
     }
@@ -553,7 +612,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
                 // and the pool grows only by what a fresh state brings.
                 inner.row.clear();
                 state.intern(&mut self.pool.lock(), Some(&mut inner.row));
-                let hash = row_hash(&inner.row);
+                let hash = row_hash(inner.row.iter().copied());
                 if let Some(local) = index.find(hash, &inner.row, &inner.rows) {
                     return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
                 }
@@ -569,7 +628,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
         };
         if let Some(spill) = self.spill.filter(|_| !inner.runs.is_empty()) {
             let key = match vacancy {
-                Vacancy::Row(..) => row_digest(&inner.row),
+                Vacancy::Row(..) => row_digest(inner.row.iter().copied()),
                 Vacancy::Key(_) => fp,
             };
             for run in &inner.runs {
@@ -609,8 +668,8 @@ impl<S: SpecState> ShardHandle<'_, S> {
         match vacancy {
             Vacancy::Row(index, hash) => {
                 fix_stride(self.stride, inner.row.len());
-                inner.rows.push(inner.row.iter().copied());
-                index.insert(hash, local, &inner.rows);
+                inner.rows.push_row(&inner.row);
+                index.insert(hash, local, &inner.rows, inner.row.len());
             }
             Vacancy::Key(vacant) => {
                 vacant.insert(local);
@@ -624,7 +683,9 @@ impl<S: SpecState> ShardHandle<'_, S> {
         self.len.fetch_add(1, Ordering::AcqRel);
         if let Some(spill) = self.spill {
             if inner.table.len() >= spill.flush_entries {
-                flush_delta_table(inner, spill, self.shard);
+                // ordering: Relaxed — see `fix_stride`.
+                let words = self.stride.load(Ordering::Relaxed);
+                flush_delta_table(inner, spill, self.shard, words);
             }
         }
         Insert::Fresh(index, state)
@@ -660,16 +721,16 @@ fn fix_stride(stride: &AtomicUsize, words: usize) {
 /// are untouched — the entries only change *where* they live, so spilling can never
 /// alter which states a run discovers or which indices they get.
 ///
-/// A [`StoreMode::Full`] stripe spills each held row under its [`row_digest`], read
-/// out of the arena: no state is rebuilt.
-fn flush_delta_table<S>(inner: &mut StoreShard<S>, spill: &StoreSpill, shard: u32) {
+/// A [`StoreMode::Full`] stripe spills each held row (of `words` words) under its
+/// [`row_digest`], read out of the arena: no state is rebuilt.
+fn flush_delta_table<S>(inner: &mut StoreShard<S>, spill: &StoreSpill, shard: u32, words: usize) {
     let entries: Vec<(Fingerprint, u32)> = match &mut inner.table {
         DedupTable::Keys(map) => map.drain().collect(),
         DedupTable::Rows(index) => {
             let entries = index
                 .held()
                 .map(|local| {
-                    let row = inner.rows.get(local as usize).expect(NO_ENTRY);
+                    let row = inner.rows.words(local as usize, words).expect(NO_ENTRY);
                     (row_digest(row), local)
                 })
                 .collect();
@@ -869,8 +930,8 @@ impl<S: SpecState> StateStore<S> {
                     .clone()
                     .intern(&mut self.pool.lock(), Some(&mut inner.row));
                 index
-                    .find(row_hash(&inner.row), &inner.row, &inner.rows)
-                    .or_else(|| spilled(row_digest(&inner.row)))
+                    .find(row_hash(inner.row.iter().copied()), &inner.row, &inner.rows)
+                    .or_else(|| spilled(row_digest(inner.row.iter().copied())))
             }
             DedupTable::Keys(map) => map.get(&key).copied().or_else(|| spilled(key)),
         }?;
@@ -928,38 +989,48 @@ impl<S: SpecState> StateStore<S> {
     /// [`StoreMode::FingerprintOnly`], which keeps no rows.
     pub fn state_at(&self, index: StateIndex) -> Option<S> {
         let (local, shard) = unpack(index, self.shard_bits);
-        let guard = self.shards[shard as usize].inner.lock();
-        let row = guard.rows.get(local as usize)?;
-        Some(S::from_row(row, &self.pool.lock()))
+        let mut guard = self.shards[shard as usize].inner.lock();
+        let inner = &mut *guard;
+        // ordering: Relaxed — see `fix_stride`; a stored row's stride was fixed before
+        // the row was written under this stripe's lock.
+        let words = self.stride.load(Ordering::Relaxed);
+        let stored = inner.rows.words(local as usize, words)?;
+        inner.row.clear();
+        inner.row.extend(stored);
+        Some(S::from_row(&inner.row, &self.pool.lock()))
     }
 
     /// Visits every stored state, stripe by stripe (nothing in
     /// [`StoreMode::FingerprintOnly`]).
     #[cfg(test)]
     pub(crate) fn for_each_state(&self, mut f: impl FnMut(&S)) {
+        // ordering: Relaxed — see `state_at`.
+        let words = self.stride.load(Ordering::Relaxed);
+        let mut row = Vec::new();
         for shard in &self.shards {
             let guard = shard.inner.lock();
             let pool = self.pool.lock();
             for local in 0..guard.rows.len {
-                f(&S::from_row(
-                    guard.rows.get(local).expect("in range"),
-                    &pool,
-                ));
+                row.clear();
+                row.extend(guard.rows.words(local, words).expect("in range"));
+                f(&S::from_row(&row, &pool));
             }
         }
     }
 
-    /// Fixed resident bytes the store pays per entry: the 8-byte `(parent, label)`
-    /// metadata slot, then the dedup entry and what identifies the state.  In
+    /// Resident bytes the store pays per entry: the 8-byte `(parent, label)` metadata
+    /// slot, then the dedup entry and what identifies the state.  In
     /// [`StoreMode::FingerprintOnly`] that is the map entry (fingerprint key + `u32`
     /// slot, the one place the fingerprint is kept), 28 bytes in all.  In
-    /// [`StoreMode::Full`] it is the state's row — 4 bytes per word
-    /// [`SpecState::intern`] writes (0 while the store is empty; 9 words on a
-    /// three-server `ZabState`, one for a type that keeps the default) — and its
-    /// row-index bucket (a `u32` slot and a tag byte): 49 bytes on that `ZabState`, 17
-    /// on a one-word row.  Under symmetry reduction both add the recorded [`Perm`] (16
-    /// bytes once the first canonical insert has happened), so a symmetry-reduced
-    /// three-server `ZabState` pays 44 bytes fingerprint-only and 65 in Full.
+    /// [`StoreMode::Full`] it is the state's row — the 16-bit units its stripe holds it
+    /// in, one per word [`SpecState::intern`] writes or two in a widened stripe (the
+    /// stripes' units averaged over the entries, rounded up; 0 while the store is
+    /// empty; 8 words on a three-server `ZabState`, one for a type that keeps the
+    /// default) — and its row-index bucket (a `u32` slot and a tag byte): 29 bytes on
+    /// that `ZabState`, 15 on a narrow one-word row.  Under symmetry reduction both add
+    /// the recorded [`Perm`] (16 bytes once the first canonical insert has happened),
+    /// so a symmetry-reduced three-server `ZabState` pays 44 bytes fingerprint-only and
+    /// 45 in Full.
     ///
     /// This is the *per-entry payload* accounting the bench artefact reports: it
     /// excludes hash-table load-factor overhead, the tail of each stripe's last chunk,
@@ -969,9 +1040,14 @@ impl<S: SpecState> StateStore<S> {
     pub fn entry_bytes_per_state(&self) -> usize {
         let identity = match self.mode {
             StoreMode::Full => {
-                // ordering: Relaxed — see `fix_stride`.
-                let words = self.stride.load(Ordering::Relaxed);
-                std::mem::size_of::<u32>() * words + ROW_INDEX_BUCKET_BYTES
+                let (units, rows) = self.shards.iter().fold((0, 0), |(units, rows), cell| {
+                    let shard = cell.inner.lock();
+                    (
+                        units + shard.rows.len * shard.rows.width,
+                        rows + shard.rows.len,
+                    )
+                });
+                (std::mem::size_of::<u16>() * units).div_ceil(rows.max(1)) + ROW_INDEX_BUCKET_BYTES
             }
             StoreMode::FingerprintOnly => {
                 std::mem::size_of::<Fingerprint>() + std::mem::size_of::<u32>()
@@ -1300,9 +1376,9 @@ mod tests {
         assert_eq!(fp_only.entry_bytes_per_state(), 8 + 16 + 4);
         assert_eq!(
             full.entry_bytes_per_state(),
-            8 + 4 + 5,
-            "the default row is one word, the slot of the pooled state, and the row \
-             index holds it in a slot and a tag"
+            8 + 2 + 5,
+            "the default row is one word, the slot of the pooled state, held in one \
+             16-bit unit, and the row index holds it in a slot and a tag"
         );
         let kind = std::any::type_name::<N>();
         assert_eq!(full.interned_components(), BTreeMap::from([(kind, 4)]));
@@ -1338,7 +1414,7 @@ mod tests {
                 "{mode}: the permutation column is part of every entry"
             );
             let expected = match mode {
-                StoreMode::Full => 33,
+                StoreMode::Full => 31,
                 StoreMode::FingerprintOnly => 44,
             };
             assert_eq!(canonical.entry_bytes_per_state(), expected, "{mode}");
@@ -1379,6 +1455,128 @@ mod tests {
         assert_eq!(rows.chunks[0].as_ptr(), first, "and never moved");
         let narrow = std::panic::catch_unwind(move || rows.push([1, 2].into_iter()));
         assert!(narrow.is_err(), "a record of another width is refused");
+    }
+
+    /// A stripe is 200 bytes, and `exhaust-outofcore`'s peak RSS follows that size even
+    /// though its fingerprint-only store keeps no rows: the stripe array's size moves
+    /// where the allocator places the run's later blocks.  On a 2-core host
+    /// (`remix-bench --seconds 8`, seed 7, one working directory) that peak read
+    /// 17.57–17.70 MiB at 200 bytes; a stripe with a `Narrow`/`Wide` rows enum and a
+    /// read buffer (232 bytes) read 16.2–16.3 MiB, and with the enum alone (208 bytes)
+    /// 18.4–18.5.  A layout change that moves this size re-measures
+    /// `exhaust-outofcore` first.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_stripe_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<StoreShard<N>>(), 200);
+    }
+
+    /// A state whose row is its own value, so a test picks the row's words.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct W(u32);
+
+    impl SpecState for W {
+        fn intern(&mut self, _: &mut InternPool, row: Option<&mut Vec<u32>>) {
+            row.into_iter().for_each(|row| row.push(self.0));
+        }
+
+        fn from_row(row: &[u32], _: &InternPool) -> Self {
+            W(row[0])
+        }
+    }
+
+    fn insert_w(store: &StateStore<W>, value: u32) -> Insert<W> {
+        let fp = fingerprint(&W(value));
+        store
+            .lock_shard(store.shard_of(fp))
+            .insert(fp, None, LabelTable::init_id(), W(value))
+    }
+
+    fn fresh_w(store: &StateStore<W>, value: u32) -> StateIndex {
+        match insert_w(store, value) {
+            Insert::Fresh(index, _) => index,
+            Insert::Existing(..) => panic!("W({value}) is new"),
+        }
+    }
+
+    /// Units per word of each stripe that holds rows.
+    fn unit_widths(store: &StateStore<W>) -> Vec<usize> {
+        let cells = store.shards.iter().map(|cell| cell.inner.lock());
+        cells
+            .filter(|s| s.rows.len > 0)
+            .map(|s| s.rows.width)
+            .collect()
+    }
+
+    /// Every state is stored at `index`, rebuilt from its row, found by value, and a
+    /// re-insert is a dedup hit on the same entry.
+    fn assert_holds(store: &StateStore<W>, stored: &[(u32, StateIndex)]) {
+        for &(value, index) in stored {
+            assert_eq!(store.state_at(index), Some(W(value)));
+            assert_eq!(store.index_of(&W(value)), Some(index));
+            match insert_w(store, value) {
+                Insert::Existing(again, back) => assert_eq!((again, back), (index, W(value))),
+                Insert::Fresh(..) => panic!("W({value}) was stored once already"),
+            }
+        }
+        assert_eq!(store.len(), stored.len());
+    }
+
+    #[test]
+    fn a_stripe_widens_once_and_keeps_every_entry() {
+        let store: StateStore<W> = StateStore::new(StoreMode::Full, 1);
+        let mut stored: Vec<(u32, StateIndex)> = (0..CHUNK_RECORDS as u32 + 44)
+            .map(|i| (i * 200, fresh_w(&store, i * 200)))
+            .collect();
+        assert_eq!(unit_widths(&store), [1], "every word so far fits one unit");
+        assert_eq!(store.entry_bytes_per_state(), 8 + 2 + 5);
+        assert_holds(&store, &stored);
+        for value in [1 << 16, u32::MAX, 7] {
+            stored.push((value, fresh_w(&store, value)));
+            assert_eq!(unit_widths(&store), [2], "widened by W({})", 1 << 16);
+            assert_holds(&store, &stored);
+        }
+        assert_eq!(
+            store.entry_bytes_per_state(),
+            8 + 4 + 5,
+            "two units a word now"
+        );
+    }
+
+    #[test]
+    fn a_store_whose_first_row_is_wide_starts_wide() {
+        let store: StateStore<W> = StateStore::new(StoreMode::Full, 1);
+        let stored = [1 << 20, 3].map(|value| (value, fresh_w(&store, value)));
+        assert_eq!(unit_widths(&store), [2]);
+        assert_holds(&store, &stored);
+    }
+
+    #[test]
+    fn a_budgeted_store_finds_every_row_through_its_runs_after_widening() {
+        // A one-byte budget floors every stripe's delta table at the minimum flush size.
+        let budget = SpillConfig::in_ram().with_budget_bytes(1);
+        let store = StateStore::<W>::with_spill(StoreMode::Full, 4, &budget);
+        let narrow: Vec<(u32, StateIndex)> = (0..300).map(|i| (i, fresh_w(&store, i))).collect();
+        assert!(
+            store
+                .shards
+                .iter()
+                .all(|cell| !cell.inner.lock().runs.is_empty()),
+            "every stripe flushed narrow rows"
+        );
+        assert_eq!(unit_widths(&store), [1; 4]);
+        let wide = (0..300).map(|i| {
+            let value = (1 << 16) + i;
+            (value, fresh_w(&store, value))
+        });
+        let stored: Vec<(u32, StateIndex)> = narrow.into_iter().chain(wide).collect();
+        assert_eq!(unit_widths(&store), [2; 4], "every stripe met a wide row");
+        let probes_before = store.spill_stats().disk_probes;
+        assert_holds(&store, &stored);
+        assert!(
+            store.spill_stats().disk_probes > probes_before,
+            "re-inserts found rows in the spilled runs"
+        );
     }
 
     #[test]

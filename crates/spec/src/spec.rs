@@ -50,7 +50,9 @@ pub trait SpecState: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static {
     /// the pool slots of its parts ([`Shared::intern`](crate::Shared::intern)) and
     /// whatever scalars fit a word.  The state's value must not change, every state of
     /// one specification must append the same number of words (at least one), and a
-    /// word may depend on nothing but the state's value and `pool`.
+    /// word may depend on nothing but the state's value and `pool`.  The store keeps rows
+    /// in 16-bit units while their words fit in one, so small words halve what a row
+    /// costs.
     ///
     /// A store that keeps states (`StoreMode::Full`) calls this once per insert, before
     /// its dedup probe: the row is the state's identity there, compared word for word,

@@ -34,11 +34,12 @@
 //!
 //! [`SpecState::intern`] hands every component to the store's pool, which keeps one
 //! allocation per distinct server, channel row and ghost state of a run, and writes the
-//! state down as the `2n + 3` words the Full store keeps of it: the pool slots of its
-//! `2n + 1` components, the three budgets packed into one word (a fixed bit field each,
-//! checked when the row is written), and one word for `partitioned` and `violation`
-//! together (a sentinel while the set is empty and the violation `None`, else the slot
-//! of a pooled copy of the pair).
+//! state down as the `2n + 2` words the Full store keeps of it: the pool slots of its
+//! `2n + 1` components and one scalar word.  The scalar word holds the three budgets
+//! inline (4 + 4 + 7 bits, below 2^15) while `partitioned` is empty, the violation
+//! `None` and the budgets fit — nearly always — and otherwise 2^15 plus the slot of a
+//! pooled copy of all five scalars.  A run's pool holds a few thousand slots, so every
+//! word fits the 16-bit units the store keeps rows in.
 //! [`SpecState::from_row`] reads the row back — `2n + 1` reference-count bumps into the
 //! same allocations — and `tests/state_diet.rs` round-trips every state of its spaces.
 //! A new field of [`ZabState`] fails to compile in `hash_key` and `intern` (both
@@ -465,19 +466,13 @@ impl SpecState for ZabState {
         violation.hash(hasher);
     }
 
-    /// `2n + 3` words: the slots of the `n` servers, the `n` channel rows and the ghost
-    /// state, the three budgets packed into one word (low bits first: 8 bits of
-    /// `crashes_remaining`, 8 of `partitions_remaining`, 16 of `txns_created`), then
-    /// one word for `partitioned` and `violation` together — [`NO_SLOT`] while the set
-    /// is empty and the violation `None` (nearly always), else the slot of a pooled
-    /// copy of the pair, since neither a set of pairs nor a `&'static str` is a word.
-    ///
-    /// # Panics
-    ///
-    /// When a budget does not fit its field of the packed word; the message names the
-    /// field and its limit.
-    ///
-    /// [`NO_SLOT`]: InternPool::NO_SLOT
+    /// `2n + 2` words: the slots of the `n` servers, the `n` channel rows and the ghost
+    /// state, then one scalar word.  While `partitioned` is empty, the violation `None`
+    /// and the budgets fit (nearly always), that word holds the budgets inline, low
+    /// bits first: 4 bits of `crashes_remaining`, 4 of `partitions_remaining`, 7 of
+    /// `txns_created`.  Otherwise it is 2^15 plus the slot of a pooled copy of all five
+    /// scalars, since neither a set of pairs nor a `&'static str` is a word.  Either
+    /// way the word is a function of the value, and no two values share it.
     fn intern(&mut self, pool: &mut InternPool, row: Option<&mut Vec<u32>>) {
         let ZabState {
             servers,
@@ -502,33 +497,48 @@ impl SpecState for ZabState {
         row.extend(servers.iter_mut().map(|s| s.intern(pool)));
         row.extend(msgs.iter_mut().map(|r| r.intern(pool)));
         row.push(ghost.intern(pool));
-        row.push(pack_budgets([
-            *crashes_remaining,
-            *partitions_remaining,
-            *txns_created,
-        ]));
-        row.push(if partitioned.is_empty() && violation.is_none() {
-            InternPool::NO_SLOT
+        let budgets = [*crashes_remaining, *partitions_remaining, *txns_created];
+        let inline = partitioned.is_empty()
+            && violation.is_none()
+            && budgets
+                .iter()
+                .zip(BUDGET_BITS)
+                .all(|(&b, bits)| b < 1 << bits);
+        row.push(if inline {
+            let fields = budgets.iter().zip(BUDGET_BITS).rev();
+            fields.fold(0, |word, (&budget, bits)| word << bits | budget)
         } else {
-            Shared::new((partitioned.clone(), violation.clone())).intern(pool)
+            let scalars = (partitioned.clone(), violation.clone(), budgets);
+            Shared::new(scalars)
+                .intern(pool)
+                .checked_add(POOLED_SCALARS)
+                .expect("a run's pool holds fewer than 2^32 - 2^15 allocations")
         });
     }
 
-    /// Reads back the `2n + 3` words [`ZabState::intern`](SpecState::intern) wrote:
-    /// `2n + 1` reference-count bumps, the budgets unpacked, and a clone of the pooled
-    /// `(partitioned, violation)` pair when the last word is a slot.
+    /// Reads back the `2n + 2` words [`ZabState::intern`](SpecState::intern) wrote:
+    /// `2n + 1` reference-count bumps, then the budgets read out of the scalar word, or
+    /// a clone of the pooled scalars when it names a slot.
     fn from_row(row: &[u32], pool: &InternPool) -> Self {
-        let n = (row.len() - 3) / 2;
+        let n = (row.len() - 2) / 2;
         let (servers, rest) = row.split_at(n);
         let (msgs, rest) = rest.split_at(n);
-        let &[ghost, budgets, rare] = rest else {
-            panic!("a ZabState row is 2n + 3 words, not {}", row.len());
+        let &[ghost, scalars] = rest else {
+            panic!("a ZabState row is 2n + 2 words, not {}", row.len());
         };
-        let [crashes_remaining, partitions_remaining, txns_created] = unpack_budgets(budgets);
-        let (partitioned, violation) = match rare {
-            InternPool::NO_SLOT => (BTreeSet::new(), None),
-            slot => (*pool.get::<RareFields>(slot)).clone(),
+        let (partitioned, violation, budgets) = match scalars.checked_sub(POOLED_SCALARS) {
+            Some(slot) => (*pool.get::<Scalars>(slot)).clone(),
+            None => {
+                let mut word = scalars;
+                let budgets = BUDGET_BITS.map(|bits| {
+                    let budget = word & ((1 << bits) - 1);
+                    word >>= bits;
+                    budget
+                });
+                (BTreeSet::new(), None, budgets)
+            }
         };
+        let [crashes_remaining, partitions_remaining, txns_created] = budgets;
         ZabState {
             servers: servers.iter().map(|&slot| pool.get(slot)).collect(),
             msgs: msgs.iter().map(|&slot| pool.get(slot)).collect(),
@@ -542,48 +552,18 @@ impl SpecState for ZabState {
     }
 }
 
-/// The two fields of a [`ZabState`] that are nearly always empty, pooled together when
-/// either is not: they share one word of the stored row.
-type RareFields = (BTreeSet<(Sid, Sid)>, Option<CodeViolation>);
+/// The scalar fields of a [`ZabState`], pooled together when they do not fit one word
+/// of the stored row inline: `partitioned`, `violation`, and the budgets
+/// (`crashes_remaining`, `partitions_remaining`, `txns_created`).
+type Scalars = (BTreeSet<(Sid, Sid)>, Option<CodeViolation>, [u32; 3]);
 
-/// `(name, bits)` of the three budgets' fields in their shared word of a [`ZabState`]'s
-/// stored row, low bits first: `crashes_remaining`, `partitions_remaining`,
-/// `txns_created`.
-const BUDGET_FIELDS: [(&str, u32); 3] = [
-    ("crashes_remaining", 8),
-    ("partitions_remaining", 8),
-    ("txns_created", 16),
-];
+/// Bits of `crashes_remaining`, `partitions_remaining` and `txns_created`, low bits
+/// first, when a [`ZabState`]'s row holds its budgets inline: 15 in all.
+const BUDGET_BITS: [u32; 3] = [4, 4, 7];
 
-/// The budgets as one word, laid out by [`BUDGET_FIELDS`].
-///
-/// # Panics
-///
-/// When a budget is wider than its field, naming the field and its limit.
-fn pack_budgets(budgets: [u32; 3]) -> u32 {
-    let mut word = 0;
-    let mut shift = 0;
-    for ((name, bits), value) in BUDGET_FIELDS.into_iter().zip(budgets) {
-        let limit = (1u32 << bits) - 1;
-        assert!(
-            value <= limit,
-            "{name} = {value} does not fit the stored row: the limit is {limit} ({bits} bits)"
-        );
-        word |= value << shift;
-        shift += bits;
-    }
-    word
-}
-
-/// The inverse of [`pack_budgets`].
-fn unpack_budgets(word: u32) -> [u32; 3] {
-    let mut shift = 0;
-    BUDGET_FIELDS.map(|(_, bits)| {
-        let value = (word >> shift) & ((1u32 << bits) - 1);
-        shift += bits;
-        value
-    })
-}
+/// The first scalar word that names a pool slot (of pooled [`Scalars`]) rather than
+/// holding the budgets inline: every inline word is below it.
+const POOLED_SCALARS: u32 = 1 << (BUDGET_BITS[0] + BUDGET_BITS[1] + BUDGET_BITS[2]);
 
 #[cfg(test)]
 mod tests {
@@ -716,62 +696,77 @@ mod tests {
     }
 
     #[test]
-    fn rows_pack_budgets_and_the_rare_fields_into_one_word_each() {
+    fn the_scalar_word_is_inline_exactly_while_the_scalars_fit() {
         let mut pool = InternPool::new();
         let plain = state();
         let (row, rebuilt) = round_trip(&plain, &mut pool);
-        assert_eq!(row.len(), 2 * plain.n() + 3);
-        assert_eq!(row[2 * plain.n() + 2], InternPool::NO_SLOT);
+        assert_eq!(row.len(), 2 * plain.n() + 2);
+        assert_eq!(
+            row[2 * plain.n() + 1],
+            1,
+            "one crash left, crashes in the low bits"
+        );
         assert_eq!(rebuilt, plain);
 
-        let mut s = state();
-        s.partitioned.insert((0, 2));
-        s.record_violation(CodeViolation {
-            kind: crate::types::ViolationKind::BadAck,
-            instance: 1,
-            server: 2,
-            issue: "ZK-4685",
-        });
-        [s.crashes_remaining, s.partitions_remaining, s.txns_created] =
-            BUDGET_FIELDS.map(|(_, bits)| (1u32 << bits) - 1);
-        let (row, rebuilt) = round_trip(&s, &mut pool);
-        assert_eq!(row.len(), 2 * s.n() + 3);
-        assert_eq!(row[2 * s.n() + 1], u32::MAX, "every budget at its maximum");
-        assert_ne!(row[2 * s.n() + 2], InternPool::NO_SLOT);
-        assert_eq!(rebuilt, s);
-
-        let mut only_partitioned = s.clone();
-        only_partitioned.violation = None;
-        assert_eq!(round_trip(&only_partitioned, &mut pool).1, only_partitioned);
-        let mut only_violation = s;
-        only_violation.partitioned.clear();
-        assert_eq!(round_trip(&only_violation, &mut pool).1, only_violation);
+        let with = |change: fn(&mut ZabState)| {
+            let mut s = state();
+            change(&mut s);
+            s
+        };
+        let cases = [
+            ("15 crashes", with(|s| s.crashes_remaining = 15), true),
+            ("16 crashes", with(|s| s.crashes_remaining = 16), false),
+            ("15 partitions", with(|s| s.partitions_remaining = 15), true),
+            (
+                "16 partitions",
+                with(|s| s.partitions_remaining = 16),
+                false,
+            ),
+            ("127 txns", with(|s| s.txns_created = 127), true),
+            ("128 txns", with(|s| s.txns_created = 128), false),
+            (
+                "a partition",
+                with(|s| s.partitioned.extend([(0, 2)])),
+                false,
+            ),
+            (
+                "a violation",
+                with(|s| {
+                    s.record_violation(CodeViolation {
+                        kind: crate::types::ViolationKind::BadAck,
+                        instance: 1,
+                        server: 2,
+                        issue: "ZK-4685",
+                    })
+                }),
+                false,
+            ),
+        ];
+        let mut pooled = BTreeSet::new();
+        for (case, s, inline) in cases {
+            let (row, rebuilt) = round_trip(&s, &mut pool);
+            assert_eq!(row.len(), 2 * s.n() + 2, "{case}");
+            let word = row[2 * s.n() + 1];
+            assert_eq!(word < POOLED_SCALARS, inline, "{case}: word {word}");
+            assert!(inline || pooled.insert(word), "{case}: a word of its own");
+            assert_eq!(rebuilt, s, "{case}");
+        }
+        assert_eq!(
+            round_trip(&plain, &mut pool).0,
+            row,
+            "the same value, the same row"
+        );
     }
 
     #[test]
-    fn a_budget_one_past_its_field_is_refused_naming_the_limit() {
-        for (field, (name, bits)) in BUDGET_FIELDS.into_iter().enumerate() {
-            let mut s = state();
-            let budgets = [
-                &mut s.crashes_remaining,
-                &mut s.partitions_remaining,
-                &mut s.txns_created,
-            ];
-            *budgets[field] = 1 << bits;
-            let refused = std::panic::catch_unwind(|| round_trip(&s, &mut InternPool::new()))
-                .expect_err("one past the field's width is refused");
-            let message = refused
-                .downcast_ref::<String>()
-                .expect("a formatted panic message");
-            let limit = (1u32 << bits) - 1;
-            assert_eq!(
-                *message,
-                format!(
-                    "{name} = {} does not fit the stored row: the limit is {limit} ({bits} bits)",
-                    limit + 1
-                )
-            );
-        }
+    fn budgets_of_any_size_round_trip() {
+        let mut s = state();
+        [s.crashes_remaining, s.partitions_remaining, s.txns_created] = [u32::MAX; 3];
+        let mut pool = InternPool::new();
+        let (row, rebuilt) = round_trip(&s, &mut pool);
+        assert!(row[2 * s.n() + 1] >= POOLED_SCALARS);
+        assert_eq!(rebuilt, s);
+        assert_eq!(round_trip(&s, &mut pool).0, row, "pooled once");
     }
 
     #[test]

@@ -26,7 +26,11 @@ fn round_trip(state: &ZabState, pool: &mut InternPool, row: &mut Vec<u32>) {
     row.clear();
     pooled.intern(pool, Some(row));
     assert_eq!(&pooled, state, "interning never changes the value");
-    assert_eq!(row.len(), 2 * state.n() + 3);
+    assert_eq!(row.len(), 2 * state.n() + 2);
+    assert!(
+        row.iter().all(|&word| word <= u32::from(u16::MAX)),
+        "every word fits the store's 16-bit units: {row:?}"
+    );
     let rebuilt = ZabState::from_row(row, pool);
     assert_eq!(&rebuilt, state, "row {row:?}");
     let servers = rebuilt.servers.iter().zip(&pooled.servers);
@@ -117,10 +121,10 @@ fn mspec3_exhaust_fine_digest_is_pinned() {
     );
 }
 
-/// The row's width follows the ensemble (`2n + 3`: 13 words on five servers), and its
-/// last word — `partitioned` and `violation` together — is a pool slot only when there
-/// is something to point at: this walk partitions the network, and its last state is
-/// given a code violation by hand.
+/// The row's width follows the ensemble (`2n + 2`: 12 words on five servers), and its
+/// last word — the scalars — holds the budgets inline (below 2^15) unless there is a
+/// partition or a violation to point at, when it is 2^15 plus a pool slot: this walk
+/// partitions the network, and its last state is given a code violation by hand.
 #[test]
 fn five_server_rows_round_trip() {
     let config = ClusterConfig {
@@ -137,9 +141,9 @@ fn five_server_rows_round_trip() {
     while let Some(state) = frontier.pop().filter(|_| seen.len() < 3_000) {
         for (_, child) in spec.successors(&state) {
             round_trip(&child, &mut pool, &mut row);
-            assert_eq!(row.len(), 13);
+            assert_eq!(row.len(), 12);
             assert!(child.violation.is_none(), "the final fix has no error path");
-            assert_eq!(row[12] == InternPool::NO_SLOT, child.partitioned.is_empty());
+            assert_eq!(row[11] < 1 << 15, child.partitioned.is_empty());
             if !child.partitioned.is_empty() {
                 partitioned = Some(child.clone());
             }
@@ -156,5 +160,5 @@ fn five_server_rows_round_trip() {
         issue: "ZK-4685",
     });
     round_trip(&flagged, &mut pool, &mut row);
-    assert_ne!(row[12], InternPool::NO_SLOT);
+    assert!(row[11] >= 1 << 15);
 }
