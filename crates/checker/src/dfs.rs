@@ -4,12 +4,13 @@
 //! counterexamples.  It is provided for completeness (TLC offers both strategies); the
 //! paper's experiments all use BFS.
 //!
-//! Discovered states live in the same [`StateStore`] arena as
-//! the BFS engine's (sequential here, so a single stripe): `u32` indices, parent-by-
-//! index, interned labels, and optionally no stored states at all
-//! ([`StoreMode::FingerprintOnly`](crate::store::StoreMode)).  Under a memory budget
-//! ([`CheckOptions::spill`]) the store spills its fingerprint set to disk runs exactly
-//! as it does for BFS; the DFS stack itself stays in RAM.
+//! DFS explores concrete states with no sleep sets, in a
+//! [`StoreMode::Full`] store: the same [`StateStore`] arena as the BFS engine's
+//! (sequential here, so a single stripe) — `u32` indices, parent-by-index, interned
+//! labels, each state a row.  Under a memory budget ([`CheckOptions::spill`]) the store
+//! spills its dedup keys to disk runs exactly as it does for BFS; the DFS stack itself
+//! stays in RAM.  Successors come from the shared pipeline (the private `expand`
+//! module) with both of its reductions off.
 //!
 //! # Depth-bounded soundness
 //!
@@ -24,28 +25,20 @@
 //! `depth_bounded_dfs_reexpands_states_reached_shallower` regression test, which fails
 //! against the previous first-discovery-depth engine.
 //!
-//! # Partial-order reduction
+//! # Panics
 //!
-//! Under [`CheckOptions::por`] (and no depth bound — sleep-set re-pushes and
-//! depth-improvement re-pushes would otherwise interact) the engine prunes redundant
-//! interleavings with sleep sets (see the `por` module).  DFS combines sleep sets with
-//! state matching the classical way: each state records the sleep set of its first
-//! discovery, and a later arrival whose incoming sleep set is *smaller* shrinks the
-//! record (intersection) and re-pushes the state so the newly-awake transitions get
-//! explored — without the re-push, edges pruned on the first visit could be lost for
-//! good.  Sets only shrink, so the re-push loop terminates.  Pruning, sleep-set
-//! inheritance and canonicalization are the shared successor pipeline (the private
-//! `expand` module), exactly as in the BFS engine.
+//! [`check_dfs`] refuses, before exploring, a `store_mode` other than
+//! [`StoreMode::Full`], a `symmetry` other than [`SymmetryMode::Off`] and `por: true`:
+//! those reductions run in BFS only.
 
 use std::time::Instant;
 
-use remix_spec::{canon_stats, LabelTable, Spec, SpecState, Trace};
+use remix_spec::{LabelTable, Spec, SpecState, Trace};
 
 use crate::expand::{Pipeline, Successor};
 use crate::options::{CheckMode, CheckOptions, SymmetryMode};
 use crate::outcome::{CheckOutcome, CheckStats, StopReason, Violation};
-use crate::por::{self, SleepSet};
-use crate::store::{Insert, StateIndex, StateStore};
+use crate::store::{Insert, StateIndex, StateStore, StoreMode};
 
 /// Violation bookkeeping of one run: invariants are checked once per state, at first
 /// discovery, and the first violation of each invariant keeps its trace.
@@ -67,8 +60,7 @@ impl<S: SpecState> Violations<'_, S> {
             }
             let trace = if self.collect_traces {
                 let Pipeline { spec, labels, .. } = *self.pipeline;
-                self.store
-                    .trace_to(spec, labels, index, self.pipeline.canon)
+                self.store.reconstruct_trace(spec, labels, index)
             } else {
                 Trace::default()
             };
@@ -83,31 +75,37 @@ impl<S: SpecState> Violations<'_, S> {
 }
 
 /// Runs depth-first model checking of `spec` under `options`.
+///
+/// # Panics
+///
+/// When `options.store_mode` is not [`StoreMode::Full`], `options.symmetry` is not
+/// [`SymmetryMode::Off`] or `options.por` is set, before anything is explored.
 pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckOutcome<S> {
+    assert!(
+        options.store_mode == StoreMode::Full,
+        "check_dfs: CheckOptions::store_mode must be full, got {}",
+        options.store_mode
+    );
+    assert!(
+        options.symmetry == SymmetryMode::Off,
+        "check_dfs: CheckOptions::symmetry must be off, got {}",
+        options.symmetry
+    );
+    assert!(
+        !options.por,
+        "check_dfs: CheckOptions::por must be false, got true"
+    );
     let start = Instant::now();
-    let fallbacks_before = canon_stats::tie_cap_fallbacks();
     let labels = LabelTable::new();
     // DFS is sequential; a single stripe makes `StateIndex` values dense (0, 1, 2, …),
     // which lets the best-known depths live in a flat vector indexed by state.
-    let store: StateStore<S> = StateStore::with_spill(options.store_mode, 1, &options.spill);
+    let store: StateStore<S> = StateStore::with_spill(StoreMode::Full, 1, &options.spill);
     let mut best_depth: Vec<u32> = Vec::new();
     let mut stack: Vec<(StateIndex, S, u32)> = Vec::new();
     let mut transitions = 0u64;
-    let mut pruned = 0u64;
     let mut max_depth_reached = 0u32;
     let mut stop_reason = StopReason::Exhausted;
-    // Sleep-set POR is only safe without a depth bound (see the module docs); the
-    // recorded sleep set of each state lives in a flat vector parallel to `best_depth`.
-    let use_por = options.por && options.max_depth.is_none();
-    let mut sleeps: Vec<SleepSet> = Vec::new();
-    // Symmetry reduction is active only when both the options request it and the spec
-    // carries a canonicalization function (same contract as the BFS engine).
-    let pipeline = Pipeline::new(
-        spec,
-        &labels,
-        options.symmetry == SymmetryMode::Canonicalize,
-        use_por,
-    );
+    let pipeline = Pipeline::new(spec, &labels, false, false);
     let mut violations = Violations {
         pipeline: &pipeline,
         store: &store,
@@ -122,7 +120,6 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
 
     pipeline.seed(&store, |index, _fp, state| {
         best_depth.push(0);
-        sleeps.push(SleepSet::new());
         violations.check(index, 0, &state);
         stack.push((index, state, 0));
     });
@@ -154,74 +151,44 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
             }
         }
         let ndepth = depth + 1;
-        // The state's recorded sleep set (cloned — the store pass below grows `sleeps`
-        // for fresh successors); empty when POR is off.
-        let sleep_in: SleepSet = if use_por {
-            sleeps[index.0 as usize].clone()
-        } else {
-            SleepSet::new()
-        };
-        // The pipeline's callback must stay lock-free: buffer each surviving successor;
-        // the store pass below does every locked operation.
+        // The pipeline's callback must stay lock-free: buffer each successor; the store
+        // pass below does every locked operation.
         let mut pending: Vec<Successor<S>> = Vec::new();
-        let (explored, skipped) = pipeline.expand(&state, &sleep_in, |succ| pending.push(succ));
+        let (explored, _) = pipeline.expand(&state, &[], |succ| pending.push(succ));
         transitions += explored;
-        pruned += skipped;
         let mut successors: Vec<(StateIndex, S, u32, bool)> = Vec::new();
         for Successor {
             label,
             state: next,
-            perm,
-            sleep,
             fp,
+            ..
         } in pending
         {
-            let insert = store.lock_shard(store.shard_of(fp)).insert_edge(
-                fp,
-                Some(index),
-                label,
-                next,
-                perm,
-            );
+            let insert = store
+                .lock_shard(store.shard_of(fp))
+                .insert(fp, Some(index), label, next);
             match insert {
                 Insert::Fresh(nindex, next) => {
                     best_depth.push(ndepth);
-                    if use_por {
-                        sleeps.push(sleep);
-                    }
                     max_depth_reached = max_depth_reached.max(ndepth);
                     successors.push((nindex, next, ndepth, true));
                 }
-                Insert::Existing(nindex, next) => {
-                    // The depth-bound soundness fix: a strictly shallower path makes
-                    // previously out-of-budget successors reachable, so the state goes
-                    // back on the stack at its improved depth.  Without a bound the
-                    // reachable set cannot change, so the re-expansion is skipped.
-                    if options.max_depth.is_some() && ndepth < best_depth[nindex.0 as usize] {
-                        best_depth[nindex.0 as usize] = ndepth;
-                        // Keep the recorded chain consistent with best-known depths:
-                        // traces reconstructed through this state must follow the
-                        // shallower arm, or their length would exceed the reported
-                        // violation depth (and the bound itself).  Under symmetry the
-                        // edge's recorded permutation moves with it.
-                        store.set_parent(nindex, index, label, perm);
-                        successors.push((nindex, next, ndepth, false));
-                    } else if use_por {
-                        // Sleep-set shrink: this arrival keeps fewer labels asleep
-                        // than the recorded first visit, so the state must be
-                        // re-expanded with the intersection or the newly-awake edges
-                        // would be lost.  The re-push uses the state's *recorded*
-                        // depth — a deeper `ndepth` would be skipped as stale at pop
-                        // time (`use_por` implies no depth bound, so depths play no
-                        // other role here).
-                        let recorded = &mut sleeps[nindex.0 as usize];
-                        let before = recorded.len();
-                        por::intersect_sorted(recorded, &sleep);
-                        if recorded.len() < before {
-                            successors.push((nindex, next, best_depth[nindex.0 as usize], false));
-                        }
-                    }
+                // The depth-bound soundness fix: a strictly shallower path makes
+                // previously out-of-budget successors reachable, so the state goes back
+                // on the stack at its improved depth.  Without a bound the reachable
+                // set cannot change, so the re-expansion is skipped.
+                Insert::Existing(nindex, next)
+                    if options.max_depth.is_some() && ndepth < best_depth[nindex.0 as usize] =>
+                {
+                    best_depth[nindex.0 as usize] = ndepth;
+                    // Keep the recorded chain consistent with best-known depths: traces
+                    // reconstructed through this state must follow the shallower arm,
+                    // or their length would exceed the reported violation depth (and
+                    // the bound itself).
+                    store.set_parent(nindex, index, label);
+                    successors.push((nindex, next, ndepth, false));
                 }
+                Insert::Existing(..) => {}
             }
         }
         for (nindex, next, ndepth, is_fresh) in successors {
@@ -253,12 +220,10 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         peak_entry_bytes: store.entry_bytes(),
         entry_bytes_per_state: store.entry_bytes_per_state(),
         spill: store.spill_stats(),
-        pruned_transitions: pruned,
-        canon_fallbacks: canon_stats::tie_cap_fallbacks().saturating_sub(fallbacks_before),
         ..CheckStats::default()
     };
     let Violations { found, count, .. } = violations;
-    stats.stamp_after_dropping(start, (stack, sleeps, best_depth, store));
+    stats.stamp_after_dropping(start, (stack, best_depth, store));
     CheckOutcome {
         spec_name: spec.name.clone(),
         stats,
@@ -271,7 +236,6 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::StoreMode;
     use remix_spec::{
         ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
         Spec,
@@ -343,30 +307,6 @@ mod tests {
         assert_eq!(d.stats.distinct_states, b.stats.distinct_states);
     }
 
-    #[test]
-    fn fingerprint_only_dfs_matches_full_dfs() {
-        let spec = chain_spec(12, Some(9));
-        let full = check_dfs(
-            &spec,
-            &CheckOptions::default().with_store_mode(StoreMode::Full),
-        );
-        let fp_only = check_dfs(
-            &spec,
-            &CheckOptions::default().with_store_mode(StoreMode::FingerprintOnly),
-        );
-        assert_eq!(full.stats.distinct_states, fp_only.stats.distinct_states);
-        assert_eq!(
-            full.first_violation().unwrap().trace.action_labels(),
-            fp_only.first_violation().unwrap().trace.action_labels()
-        );
-        for stats in [&full.stats, &fp_only.stats] {
-            assert_eq!(
-                stats.peak_entry_bytes,
-                stats.distinct_states * stats.entry_bytes_per_state
-            );
-        }
-    }
-
     /// A diamond joined at `X = N(1)`: the short arm `0 → B → X` and the long arm
     /// `0 → A1 → A2 → X`, with the tail `X → Y → Z` behind the join.  The long arm is
     /// enumerated *last* at the root, so the DFS stack pops it *first* and discovers `X`
@@ -422,23 +362,17 @@ mod tests {
     #[test]
     fn depth_bounded_dfs_reexpands_states_reached_shallower() {
         let spec = diamond_spec();
-        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-            let options = CheckOptions::default()
-                .with_max_depth(4)
-                .with_store_mode(mode);
-            let bfs = crate::bfs::check_bfs(&spec, &options);
-            let dfs = check_dfs(&spec, &options);
-            // All of {0, B, A1, A2, X, Y, Z} lie within 4 transitions of the initial
-            // state; a DFS that freezes first-discovery depths finds only 6 of them (Z
-            // is reachable within the bound only through the re-discovered shallower
-            // path to X).
-            assert_eq!(bfs.stats.distinct_states, 7);
-            assert_eq!(
-                dfs.stats.distinct_states, bfs.stats.distinct_states,
-                "depth-bounded DFS must reach every state BFS reaches within the same \
-                 bound (store mode {mode})"
-            );
-        }
+        let options = CheckOptions::default().with_max_depth(4);
+        let bfs = crate::bfs::check_bfs(&spec, &options);
+        let dfs = check_dfs(&spec, &options);
+        // All of {0, B, A1, A2, X, Y, Z} lie within 4 transitions of the initial state;
+        // a DFS that freezes first-discovery depths finds only 6 of them (Z is reachable
+        // within the bound only through the re-discovered shallower path to X).
+        assert_eq!(bfs.stats.distinct_states, 7);
+        assert_eq!(
+            dfs.stats.distinct_states, bfs.stats.distinct_states,
+            "depth-bounded DFS must reach every state BFS reaches within the same bound"
+        );
     }
 
     #[test]
@@ -454,29 +388,22 @@ mod tests {
             InvariantSource::Protocol,
             |s: &N| s.0 != 3,
         )];
-        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-            let outcome = check_dfs(
-                &spec,
-                &CheckOptions::default()
-                    .with_max_depth(4)
-                    .with_store_mode(mode),
-            );
-            let v = outcome
-                .first_violation()
-                .unwrap_or_else(|| panic!("Z is reachable within the bound ({mode})"));
-            assert_eq!(v.trace.last_state(), Some(&N(3)), "{mode}");
-            assert_eq!(
-                v.trace.depth() as u32,
-                v.depth,
-                "trace length must match the reported depth ({mode})"
-            );
-            assert!(v.depth <= 4, "no trace may exceed the bound ({mode})");
-            assert_eq!(
-                v.trace.action_labels(),
-                vec!["Hop(0)", "Hop(20)", "Hop(1)", "Hop(2)"],
-                "the chain follows the shallower arm ({mode})"
-            );
-        }
+        let outcome = check_dfs(&spec, &CheckOptions::default().with_max_depth(4));
+        let v = outcome
+            .first_violation()
+            .expect("Z is reachable within the bound");
+        assert_eq!(v.trace.last_state(), Some(&N(3)));
+        assert_eq!(
+            v.trace.depth() as u32,
+            v.depth,
+            "trace length must match the reported depth"
+        );
+        assert!(v.depth <= 4, "no trace may exceed the bound");
+        assert_eq!(
+            v.trace.action_labels(),
+            vec!["Hop(0)", "Hop(20)", "Hop(1)", "Hop(2)"],
+            "the chain follows the shallower arm"
+        );
     }
 
     #[test]
@@ -489,7 +416,7 @@ mod tests {
     }
 
     /// `chain_spec` plus a `Dbl` shortcut `n → 2n`: most states are reached twice, so a
-    /// spilled run meets fingerprints it has already moved to disk.
+    /// spilled run meets dedup keys it has already moved to disk.
     fn doubling_spec(limit: u32, bad: u32) -> Spec<N> {
         let mut spec = chain_spec(limit, Some(bad));
         let dbl = ActionDef::new(
@@ -513,35 +440,51 @@ mod tests {
     #[test]
     fn tiny_memory_budget_spills_without_changing_the_dfs() {
         let spec = doubling_spec(200, 150);
-        for mode in [StoreMode::Full, StoreMode::FingerprintOnly] {
-            let in_ram = check_dfs(&spec, &CheckOptions::completion().with_store_mode(mode));
-            let spilled = check_dfs(
-                &spec,
-                &CheckOptions::completion()
-                    .with_store_mode(mode)
-                    .with_mem_budget(512),
-            );
-            assert!(
-                spilled.stats.spill.spilled(),
-                "a 512-byte budget over {} states must spill ({mode}): {:?}",
-                spilled.stats.distinct_states,
-                spilled.stats.spill
-            );
-            assert_eq!(in_ram.stats.distinct_states, 201, "{mode}");
-            assert_eq!(
-                spilled.stats.distinct_states, in_ram.stats.distinct_states,
-                "{mode}"
-            );
-            assert_eq!(
-                spilled.stats.transitions, in_ram.stats.transitions,
-                "{mode}"
-            );
-            let (a, b) = (
-                in_ram.first_violation().expect("150 is reachable"),
-                spilled.first_violation().expect("spilling never hides it"),
-            );
-            assert_eq!(a.depth, b.depth, "{mode}");
-            assert_eq!(a.trace.action_labels(), b.trace.action_labels(), "{mode}");
-        }
+        let in_ram = check_dfs(&spec, &CheckOptions::completion());
+        let spilled = check_dfs(&spec, &CheckOptions::completion().with_mem_budget(512));
+        assert!(
+            spilled.stats.spill.spilled(),
+            "a 512-byte budget over {} states must spill: {:?}",
+            spilled.stats.distinct_states,
+            spilled.stats.spill
+        );
+        assert_eq!(in_ram.stats.distinct_states, 201);
+        assert_eq!(spilled.stats.distinct_states, in_ram.stats.distinct_states);
+        assert_eq!(spilled.stats.transitions, in_ram.stats.transitions);
+        let (a, b) = (
+            in_ram.first_violation().expect("150 is reachable"),
+            spilled.first_violation().expect("spilling never hides it"),
+        );
+        assert_eq!(a.depth, b.depth);
+        assert_eq!(a.trace.action_labels(), b.trace.action_labels());
+    }
+
+    #[test]
+    #[should_panic(expected = "check_dfs: CheckOptions::por must be false, got true")]
+    fn sleep_sets_are_refused() {
+        check_dfs(
+            &chain_spec(8, None),
+            &CheckOptions::default().with_por(true),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "check_dfs: CheckOptions::symmetry must be off, got canonicalize")]
+    fn symmetry_reduction_is_refused() {
+        check_dfs(
+            &chain_spec(8, None),
+            &CheckOptions::default().with_symmetry(SymmetryMode::Canonicalize),
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "check_dfs: CheckOptions::store_mode must be full, got fingerprint-only"
+    )]
+    fn a_fingerprint_only_store_is_refused() {
+        check_dfs(
+            &chain_spec(8, None),
+            &CheckOptions::default().with_store_mode(StoreMode::FingerprintOnly),
+        );
     }
 }

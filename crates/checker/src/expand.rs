@@ -8,8 +8,8 @@
 //! hash over memoized component digests, so only what the action wrote is hashed).  The
 //! level-synchronous kernel and [`crate::dfs`] both call [`Pipeline::expand`]; it is
 //! the only caller of `Spec::for_each_successor` in this crate (the
-//! `single-successor-pipeline` lint rule keeps it that way), so a reduction added here
-//! reaches BFS, DFS and refinement at once.
+//! `single-successor-pipeline` lint rule keeps it that way).  Only BFS turns the
+//! reductions on: DFS, refinement and `corpus` build the pipeline with both off.
 
 use remix_spec::{CanonFn, Effect, LabelId, LabelTable, OwnedCanonFn, Perm, Spec, SpecState};
 

@@ -6,16 +6,18 @@ use std::time::Duration;
 use crate::spill::SpillConfig;
 use crate::store::StoreMode;
 
-/// Whether BFS and DFS key their dedup maps and fingerprints on canonical
-/// representatives under the specification's symmetry group (`check_refinement` and
-/// `explore` accept only [`SymmetryMode::Off`]).
+/// Whether BFS keys its dedup maps and fingerprints on canonical representatives under
+/// the specification's symmetry group (`check_dfs`, `check_refinement` and `explore`
+/// accept only [`SymmetryMode::Off`]).
 ///
 /// With `n` symmetric servers every reachable `ZabState` has up to `n!` siblings that
 /// differ only by a renaming of server ids; canonicalization explores one representative
 /// per orbit, cutting `distinct_states` (and the memory/throughput axis of Table 5)
-/// accordingly.  Violation traces are *de-canonicalized* before they are reported, so
-/// witnesses still replay step-by-step on the original specification — see
-/// [`crate::store::StateStore::reconstruct_trace_decanonicalized`].
+/// accordingly.  Violation traces are *de-canonicalized* before they are reported: the
+/// recorded chain is replayed on the original specification.  That replay needs the
+/// successor relation to be equivariant along the chain; where a step is not, a
+/// [`StoreMode::Full`] run reports the stored canonical-frame chain instead, which need
+/// not replay step-by-step (see the symmetry section of `ARCHITECTURE.md`).
 ///
 /// The mode is a no-op for specifications without an attached symmetry group
 /// (`Spec::symmetry` is `None`), so it is safe to select for state types that
@@ -101,30 +103,31 @@ pub struct CheckOptions {
     /// ([`StoreMode::Full`], the default), or the TLC-style memory-bounded
     /// [`StoreMode::FingerprintOnly`] store that drops full states and reconstructs
     /// violation traces by bounded re-exploration of the recorded `(parent, label)`
-    /// chains.  See [`crate::store`] for the memory model.
+    /// chains, in BFS (`check_dfs` accepts only [`StoreMode::Full`]).  See
+    /// [`crate::store`] for the memory model.
     pub store_mode: StoreMode,
-    /// Whether dedup, fingerprints and violation bookkeeping key on canonical
+    /// Whether BFS's dedup, fingerprints and violation bookkeeping key on canonical
     /// representatives under the specification's symmetry group (see [`SymmetryMode`]).
     /// Defaults to [`SymmetryMode::Off`]; a no-op for specifications without
     /// `Spec::symmetry`.
     pub symmetry: SymmetryMode,
-    /// The out-of-core tier: when a memory budget is set, the store spills its
-    /// fingerprint set to sorted disk runs, so runs whose dedup tables exceed RAM
-    /// still finish (with the same results; spilling never changes what is
-    /// explored).  Both engines honour it.  Defaults to
-    /// [`SpillConfig::in_ram`]; arm it with [`CheckOptions::with_mem_budget`].
+    /// The out-of-core tier: when a memory budget is set, the store spills its dedup
+    /// keys to sorted disk runs, so runs whose dedup tables exceed RAM still finish
+    /// (with the same results; spilling never changes what is explored).  Both engines
+    /// honour it.  Defaults to [`SpillConfig::in_ram`]; arm it with
+    /// [`CheckOptions::with_mem_budget`].
     pub spill: SpillConfig,
     /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub route_by_owner: bool,
-    /// Dynamic partial-order reduction via sleep sets: transitions whose declared
-    /// read/write footprints ([`remix_spec::Effect`]) prove them independent of an
-    /// already-explored sibling are pruned, reported in
+    /// BFS's dynamic partial-order reduction via sleep sets (`check_dfs` refuses it):
+    /// transitions whose declared read/write footprints ([`remix_spec::Effect`]) prove
+    /// them independent of an already-explored sibling are pruned, reported in
     /// `CheckStats::pruned_transitions`.  Sound for safety properties: every reachable
-    /// state is still reached (at its minimal depth in BFS), only redundant
-    /// interleavings between two reached states are skipped, so verdicts, distinct
-    /// state counts and minimal violation depths are unchanged — see the partial-order
-    /// reduction section of `ARCHITECTURE.md`.  A no-op for actions without declared
-    /// effects.  Off by default.
+    /// state is still reached at its minimal depth, only redundant interleavings
+    /// between two reached states are skipped, so verdicts, distinct state counts and
+    /// minimal violation depths are unchanged — see the partial-order reduction section
+    /// of `ARCHITECTURE.md`.  A no-op for actions without declared effects.  Off by
+    /// default.
     pub por: bool,
 }
 

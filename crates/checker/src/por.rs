@@ -1,4 +1,4 @@
-//! Sleep-set dynamic partial-order reduction, shared by the BFS and DFS engines.
+//! Sleep-set dynamic partial-order reduction for the BFS engine (`check_dfs` refuses it).
 //!
 //! # What is pruned
 //!
@@ -27,20 +27,14 @@
 //!
 //! Sleep sets never remove *states*, only redundant edges between reached states:
 //! every reachable state is still reached, so invariant verdicts (and
-//! `distinct_states`) are unchanged.  The engines add two refinements:
-//!
-//! * **BFS** joins the sleep sets of all same-level arrival edges by intersection at
-//!   the level barrier (a transition is only kept asleep if *every* minimal-depth
-//!   arrival keeps it asleep), and ignores arrival edges from deeper levels entirely.
-//!   An induction over levels shows every state is still discovered at its minimal
-//!   BFS depth, so minimal counterexample depths — and depth-bounded runs — are also
-//!   unchanged, and the per-state sleep sets are a function of the level sets alone,
-//!   making pruned/explored transition counts identical for every worker count.
-//! * **DFS** records one sleep set per state; re-reaching a state with a smaller
-//!   incoming sleep set shrinks the recorded set (intersection) and re-pushes the
-//!   state for re-expansion — the standard fix for combining sleep sets with state
-//!   matching, which would otherwise lose states.  Sets only shrink, so this
-//!   terminates.
+//! `distinct_states`) are unchanged.  BFS joins the sleep sets of all same-level
+//! arrival edges by intersection at the level barrier (a transition is only kept
+//! asleep if *every* minimal-depth arrival keeps it asleep), and ignores arrival edges
+//! from deeper levels entirely.  An induction over levels shows every state is still
+//! discovered at its minimal BFS depth, so minimal counterexample depths — and
+//! depth-bounded runs — are also unchanged, and the per-state sleep sets are a function
+//! of the level sets alone, making pruned/explored transition counts identical for
+//! every worker count.
 //!
 //! Composition with symmetry reduction is frame-based: sleep sets hold labels in the
 //! parent's (canonical) id frame, so they are only propagated across edges whose

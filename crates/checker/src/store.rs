@@ -573,9 +573,8 @@ impl<S: SpecState> ShardHandle<'_, S> {
     /// Like [`ShardHandle::insert`], but for symmetry-reduced runs: `state` must be
     /// the *canonical* representative and `perm` the permutation that produced it
     /// from the concrete successor (see `remix_spec::Canonicalize`).  The permutation
-    /// is recorded alongside the discovery edge so
-    /// [`StateStore::reconstruct_trace_decanonicalized`] can later rebuild a witness
-    /// in the original id frame.
+    /// is recorded alongside the discovery edge so the engines' trace reconstruction
+    /// (the private `trace_to`) can later rebuild a witness in the original id frame.
     ///
     /// A store must be fed exclusively through this method or exclusively through
     /// [`ShardHandle::insert`]; mixing the two within one run is a caller bug.
@@ -949,30 +948,20 @@ impl<S: SpecState> StateStore<S> {
         (parent, meta.label)
     }
 
-    /// Rewrites an entry's discovery edge to `(parent, label)` (and, in a
-    /// symmetry-reduced store, its recorded permutation).
+    /// Rewrites an entry's discovery edge to `(parent, label)`.
     ///
-    /// Used by depth-bounded DFS when a strictly shallower path to an already-stored
-    /// state is found: the recorded chain must follow best-known depths, or traces
-    /// reconstructed through the re-discovered state would walk the old, deeper arm
-    /// and disagree with the reported violation depth (and the depth bound).  Parent
-    /// depths are strictly decreasing along any chain, so the rewrite cannot create a
-    /// cycle.
-    pub fn set_parent(
-        &self,
-        index: StateIndex,
-        parent: StateIndex,
-        label: LabelId,
-        perm: Option<Perm>,
-    ) {
+    /// Used by depth-bounded DFS (concrete states only) when a strictly shallower path
+    /// to an already-stored state is found: the recorded chain must follow best-known
+    /// depths, or traces reconstructed through the re-discovered state would walk the
+    /// old, deeper arm and disagree with the reported violation depth (and the depth
+    /// bound).  Parent depths are strictly decreasing along any chain, so the rewrite
+    /// cannot create a cycle.
+    pub fn set_parent(&self, index: StateIndex, parent: StateIndex, label: LabelId) {
         let (local, shard) = unpack(index, self.shard_bits);
         let mut guard = self.shards[shard as usize].inner.lock();
         let meta = &mut guard.meta.get_mut(local as usize).expect(NO_ENTRY)[0];
         meta.parent = parent.0;
         meta.label = label;
-        if let Some(perm) = perm {
-            guard.perms.get_mut(local as usize).expect(NO_ENTRY)[0] = perm;
-        }
     }
 
     /// The permutation recorded for an entry's discovery edge (the one that
@@ -1099,10 +1088,15 @@ impl<S: SpecState> StateStore<S> {
     /// The chain carries no keys: a candidate state matches an entry when the store
     /// [holds](Self::index_of) the candidate at that entry's index (the root, every
     /// step, and the de-canonicalizing path alike).  Without `canon` a successor must
-    /// also carry the entry's interned label.  With it the chain is a sequence of canonical forms
-    /// replayed in the original frame: a successor matches by its *canonical* key, and
-    /// among the matches the one canonicalized by `π_edge ∘ σ` is preferred (see
-    /// [`reconstruct_trace_decanonicalized`](Self::reconstruct_trace_decanonicalized)).
+    /// also carry the entry's interned label.  With it the chain is a sequence of
+    /// canonical forms replayed in the original frame: the root is the initial state
+    /// whose canonical form the store holds at the root entry; each step keeps the
+    /// successors whose *canonical* form the store holds at the child entry (by orbit
+    /// invariance, exactly the concrete moves the canonical edge stands for) and
+    /// prefers the one canonicalized by `π_edge ∘ σ` — the edge's stored permutation
+    /// composed with the running original→canonical map `σ`, i.e. the very execution
+    /// the checker discovered — over any other match.  On a non-equivariant step (see
+    /// the symmetry section of `ARCHITECTURE.md`) no successor may match.
     fn replay(
         &self,
         spec: &Spec<S>,
@@ -1164,9 +1158,17 @@ impl<S: SpecState> StateStore<S> {
     }
 
     /// The witness ending at `index`, in the original id frame: a de-canonicalizing
-    /// replay when the run explored canonical representatives (`canon` set), the
-    /// recorded chain otherwise — rebuilt from the arena's rows when it holds them,
-    /// else replayed.
+    /// [`replay`](Self::replay) when the run explored canonical representatives
+    /// (`canon` set), the recorded chain otherwise — rebuilt from the arena's rows when
+    /// it holds them, else replayed.  A symmetry-reduced chain that does not replay (a
+    /// non-equivariant step) falls back, in [`StoreMode::Full`], to the stored
+    /// canonical-frame chain: it need not replay step-by-step, but its endpoint still
+    /// exhibits the violation up to renaming.
+    ///
+    /// # Panics
+    ///
+    /// When the chain does not replay and the store is [`StoreMode::FingerprintOnly`],
+    /// which keeps no states to fall back to.
     pub(crate) fn trace_to(
         &self,
         spec: &Spec<S>,
@@ -1206,59 +1208,6 @@ impl<S: SpecState> StateStore<S> {
             }
             trace
         })
-    }
-
-    /// Reconstructs a trace to `index` in the **original** (un-canonicalized) id frame
-    /// of a symmetry-reduced run.
-    ///
-    /// Under symmetry reduction the arena holds canonical representatives: every entry
-    /// was canonicalized on insertion and the applied permutation recorded with its
-    /// discovery edge.  A trace cloned straight out of the arena would therefore be a
-    /// sequence of canonical states that is *not* an execution of the original
-    /// specification (consecutive canonical forms are generally not successors of each
-    /// other).  This method instead replays the recorded chain forward through
-    /// [`Spec::successors`] in the original frame:
-    ///
-    /// 1. the root is the original initial state whose canonical form the store holds
-    ///    at the recorded root entry;
-    /// 2. at each step, the successors of the current original-frame state are
-    ///    enumerated and filtered to those whose *canonical* form the store holds at
-    ///    the recorded child entry — by orbit invariance these are exactly the concrete
-    ///    moves the canonical edge stands for;
-    /// 3. among the matches, the one whose canonicalization permutation equals the
-    ///    **composition** `π_edge ∘ σ` of the edge's stored permutation with the
-    ///    running original→canonical frame map `σ` is preferred — that candidate is
-    ///    the very execution the checker discovered, not merely an isomorphic sibling
-    ///    (any match would still be a valid witness, and is used as a fallback).
-    ///
-    /// Works identically for both store backends — the stored canonical states (when
-    /// present) are never cloned into the result — at the same O(depth × branching)
-    /// successor-evaluation cost the fingerprint-only backend already pays, incurred
-    /// only when a violation is actually reported.
-    ///
-    /// # Non-equivariant chains
-    ///
-    /// If the specification is not equivariant along this chain (see the symmetry
-    /// section of `ARCHITECTURE.md`), a step of the recorded chain may have no
-    /// matching successor in the original frame.  Rather than losing the violation
-    /// that is being reported, [`StoreMode::Full`] then falls back to the stored
-    /// *canonical-frame* chain (a sequence of representatives that may not replay
-    /// step-by-step, but whose endpoint still exhibits the violation up to renaming).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the chain cannot be replayed **and** no fallback exists
-    /// ([`StoreMode::FingerprintOnly`] keeps no states): the store was filled from a
-    /// different specification or canonicalization function, or the spec is
-    /// non-equivariant along the chain.
-    pub fn reconstruct_trace_decanonicalized(
-        &self,
-        spec: &Spec<S>,
-        labels: &LabelTable,
-        index: StateIndex,
-        canon: &CanonFn<S>,
-    ) -> Trace<S> {
-        self.trace_to(spec, labels, index, Some(canon))
     }
 }
 

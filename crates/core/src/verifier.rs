@@ -105,9 +105,12 @@ pub struct VerifierOptions {
     /// see [`StoreMode`].
     pub store_mode: StoreMode,
     /// Whether the checker dedups on canonical representatives under the
-    /// specification's symmetry group (all Zab presets attach one: `ZabState` is
-    /// symmetric under server-id permutation); violation traces are de-canonicalized
-    /// before they are reported.  Off by default; see [`SymmetryMode`].
+    /// specification's symmetry group.  Every Zab preset attaches one, but the Zab
+    /// successor relation is not equivariant under server-id permutation (elections
+    /// break ties by server id), so the reduced run can explore states no execution
+    /// reaches, and a witness that does not replay is reported in canonical form (see
+    /// [`SymmetryMode`] and the symmetry section of `ARCHITECTURE.md`).  Off by
+    /// default.
     pub symmetry: SymmetryMode,
     /// Memory budget and spill directory of the checker's out-of-core tier; in RAM by
     /// default, armed by [`VerifierOptions::with_mem_budget`].  See [`SpillConfig`].

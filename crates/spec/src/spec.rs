@@ -99,9 +99,9 @@ pub struct Spec<S> {
     /// symmetry reduction; see [`Spec::with_canonicalization`].
     pub symmetry: Option<CanonFn<S>>,
     /// The owned form of [`symmetry`](Self::symmetry), attached with it by
-    /// [`Spec::with_canonicalization`] (and cleared by [`Spec::with_symmetry`]).
-    /// Engines canonicalize each successor through it when it is set, and through
-    /// `symmetry` on a borrow otherwise; it is never consulted without `symmetry`.
+    /// [`Spec::with_canonicalization`].  Engines canonicalize each successor through it
+    /// when it is set, and through `symmetry` on a borrow otherwise (a spec whose
+    /// `symmetry` field was set by hand); it is never consulted without `symmetry`.
     pub symmetry_owned: Option<OwnedCanonFn<S>>,
 }
 
@@ -127,24 +127,16 @@ impl<S: SpecState> Spec<S> {
     /// [`Canonicalize`] implementation as this specification's symmetry group, in
     /// both its borrowed and its owned form.
     ///
-    /// Attaching symmetry does not change any behaviour by itself: the BFS and DFS
-    /// engines key their dedup maps and fingerprints on canonical forms only when
-    /// their options select `SymmetryMode::Canonicalize` (`with_symmetry` on
-    /// `remix-checker`'s `CheckOptions`).
+    /// Attaching symmetry does not change any behaviour by itself: the BFS engine
+    /// keys its dedup maps and fingerprints on canonical forms only when its options
+    /// select `SymmetryMode::Canonicalize` (`with_symmetry` on `remix-checker`'s
+    /// `CheckOptions`).
     pub fn with_canonicalization(mut self) -> Self
     where
         S: Canonicalize,
     {
         self.symmetry = Some(Arc::new(|s: &S| s.canonicalize()));
         self.symmetry_owned = Some(Arc::new(|s: S| s.canonicalize_owned()));
-        self
-    }
-
-    /// Attaches an arbitrary canonicalization function as this specification's
-    /// symmetry group (see [`CanonFn`] and the laws in [`crate::symmetry`]).
-    pub fn with_symmetry(mut self, canon: CanonFn<S>) -> Self {
-        self.symmetry = Some(canon);
-        self.symmetry_owned = None;
         self
     }
 

@@ -902,23 +902,6 @@ mod tests {
         );
     }
 
-    /// The first `limit` distinct states of a plain BFS over `spec` (no reductions).
-    fn corpus(spec: &remix_spec::Spec<ZabState>, limit: usize) -> Vec<ZabState> {
-        use remix_spec::fingerprint;
-        let mut seen: std::collections::HashSet<_> = spec.init.iter().map(fingerprint).collect();
-        let mut states: Vec<ZabState> = spec.init.clone();
-        let mut next = 0;
-        while next < states.len() && states.len() < limit {
-            for (_, succ) in spec.successors(&states[next]) {
-                if states.len() < limit && seen.insert(fingerprint(&succ)) {
-                    states.push(succ);
-                }
-            }
-            next += 1;
-        }
-        states
-    }
-
     /// The comparator is the order it replaced: on every ordered pair of servers of
     /// three 20,000-state corpora — the fine space (`exhaust-fine`'s cluster), the
     /// election space (`exhaust-election`'s) and a buggy four-transaction space that
@@ -929,6 +912,7 @@ mod tests {
     #[test]
     fn comparator_is_the_server_key_order() {
         use crate::presets::SpecPreset;
+        use remix_checker::{corpus, CorpusOptions};
         let fine = ClusterConfig::small(CodeVersion::FinalFix)
             .with_transactions(1)
             .with_crashes(2);
@@ -942,7 +926,13 @@ mod tests {
         ];
         let (mut pairs, mut ties, mut relational) = (0u64, 0u64, 0u64);
         for (preset, config) in corpora {
-            let states = corpus(&preset.build(&config), 20_000);
+            let states = corpus(
+                &preset.build(&config),
+                CorpusOptions {
+                    max_states: 20_000,
+                    max_depth: usize::MAX,
+                },
+            );
             assert_eq!(states.len(), 20_000, "{}", preset.name());
             for s in &states {
                 let keys: Vec<ServerKey> = (0..s.n()).map(|i| server_key(s, i)).collect();
