@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 
 use remix_checker::{corpus, CorpusOptions};
 use remix_spec::effect::flags;
-use remix_spec::{Effect, FieldInfo, Spec, SpecState, StateFields};
+use remix_spec::{action_name, Effect, FieldInfo, Spec, SpecState, StateFields};
 
 use crate::finding::{AnalysisReport, Finding, FindingClass, Tier};
 
@@ -167,7 +167,7 @@ fn precision_findings<S: SpecState>(
 ) {
     // Label -> action name, for reporting.
     let action_of = |label: &str| -> String {
-        let prefix = label.split('(').next().unwrap_or(label);
+        let prefix = action_name(label);
         spec.modules
             .iter()
             .flat_map(|m| &m.actions)

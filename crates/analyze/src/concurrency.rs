@@ -21,10 +21,11 @@
 //!   skipped, as is `#[cfg(test)]` content (test assertions read counters, they
 //!   do not synchronize).
 //! * **`no-lock-in-successor-callback`** — no lock acquisition inside the span of
-//!   a `for_each_successor(...)` call.  Successor closures run on the expansion
-//!   hot path with frontier read locks held; a blocking acquisition there drags
-//!   user-controlled code into the lock hierarchy.  Callbacks must buffer and let
-//!   the caller flush after the closure returns (see `kernel::expand_range`).
+//!   a `for_each_successor(...)` call.  Successor closures run user-controlled
+//!   spec code on the expansion hot path; a blocking acquisition there drags that
+//!   code into the lock hierarchy (and would run under whatever lock the caller
+//!   holds).  Callbacks must buffer and let the caller flush after the closure
+//!   returns (see `Level::expand` in the checker's kernel).
 //! * **`single-successor-pipeline`** — in non-test code under `crates/checker/src`,
 //!   `for_each_successor(...)` is called from exactly one file (the shared pipeline,
 //!   `expand.rs`).  Every engine that enumerates successors on its own grows its own

@@ -12,7 +12,7 @@
 //! 2. re-run it across worker counts × perturbation seeds, with
 //!    [`perturb::install`](remix_checker::sync::perturb) injecting seeded
 //!    yields/sleeps at every instrumented sync point (lock acquisitions, guard
-//!    drops, condvar waits/notifies, stop-flag publications);
+//!    drops, stop-flag publications);
 //! 3. diff each run's [`RunSignature`] against the baseline — any divergence is a
 //!    **soundness** finding carrying the worker count and the seed, so the exact
 //!    perturbation stream can be replayed.

@@ -5,8 +5,8 @@
 //! counterexample traces.
 //!
 //! [`check_bfs`] is the level-synchronous kernel (the private `kernel` module:
-//! index-only frontier, persistent worker pool, insert-while-hot staging, work stealing,
-//! deterministic stop precedence) plus the invariant visitor defined here: every state
+//! index-only frontier, fork-join levels claimed from one cursor, insert-while-hot
+//! staging, deterministic stop precedence) plus the invariant visitor defined here: every state
 //! that enters the store is checked against the specification's invariants on the worker
 //! that inserted it, and the violations of a level are resolved into traces at its
 //! barrier.
@@ -508,11 +508,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "boom in successor closure")]
-    fn pool_worker_panics_propagate_instead_of_hanging() {
-        // A wide first level (>= 64 states) forces the persistent pool to run; the
-        // poisoned state's successor closure then panics on a worker thread.  The
-        // panic must resurface from check_bfs (as it did with the per-level-spawn
-        // engine), not leave the coordinator parked forever.
+    fn wide_level_panics_propagate_instead_of_hanging() {
+        // A wide first level (>= 64 states) runs as a fork-join of four workers; the
+        // poisoned state's successor closure then panics on one of them.  The panic
+        // must resurface from check_bfs, not be lost with its worker or leave the
+        // rest of the team expanding.
         let m = ModuleId("Wide");
         let spawn = ActionDef::new(
             "Spawn",
@@ -632,8 +632,8 @@ mod tests {
 
     #[test]
     fn visitor_hooks_fire_once_per_arrival_however_the_work_is_scheduled() {
-        // Levels of pair_spec(140) grow past 64 states, so the pool (not just the
-        // inline path) runs for workers > 1, and its diamonds produce dedup hits.
+        // Levels of pair_spec(140) grow past 64 states, so a fork-join team (not just
+        // the inline path) runs for workers > 1, and its diamonds produce dedup hits.
         let spec = pair_spec(140, None);
         let mut baseline = None;
         for workers in [1, 2, 4] {
@@ -1047,8 +1047,8 @@ mod tests {
 
     #[test]
     fn the_smoke_space_widest_level_is_pinned_in_every_cell() {
-        // The frontier's share of a run's memory is this many entries (the pool path is
-        // covered by `wide_levels_under_a_tiny_budget_keep_the_in_ram_stats`).
+        // The frontier's share of a run's memory is this many entries (the multi-worker
+        // path is covered by `wide_levels_under_a_tiny_budget_keep_the_in_ram_stats`).
         let smoke = ClusterConfig::small(CodeVersion::FinalFix)
             .with_transactions(1)
             .with_crashes(0);

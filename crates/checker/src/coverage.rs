@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use remix_spec::{LabelId, LabelTable};
+use remix_spec::{action_name, LabelId, LabelTable};
 
 use crate::sync::{AtomicU64, CoverageRank, OrderedMutex, Ordering};
 
@@ -156,7 +156,7 @@ impl CoverageMap {
     /// definition fires) while prefix counters count *traces* (how many walks reached
     /// a region).
     pub fn record_action(&self, action: &str) {
-        let id = self.labels.intern(action_definition(action));
+        let id = self.labels.intern(action_name(action));
         let action_shard = &self.shards[self.action_shard_index(id)];
         let mut actions = action_shard.actions.lock_counting(&action_shard.contention);
         *actions.entry(id).or_insert(0) += 1;
@@ -177,7 +177,7 @@ impl CoverageMap {
     /// name), so this locks a single stripe — it is on the guided explorer's
     /// per-successor hot path.
     pub fn action_hits_total(&self, action: &str) -> u64 {
-        let id = self.labels.intern(action_definition(action));
+        let id = self.labels.intern(action_name(action));
         let shard = &self.shards[self.action_shard_index(id)];
         let actions = shard.actions.lock_counting(&shard.contention);
         actions.get(&id).copied().unwrap_or(0)
@@ -206,12 +206,6 @@ impl CoverageMap {
         }
         snap
     }
-}
-
-/// The action *definition* name of an instantiated label: everything before the first
-/// `(`, e.g. `NodeCrash` for `NodeCrash(2)`.
-pub fn action_definition(label: &str) -> &str {
-    label.split('(').next().unwrap_or(label).trim()
 }
 
 #[cfg(test)]
@@ -254,9 +248,17 @@ mod tests {
 
     #[test]
     fn action_definition_strips_arguments() {
-        assert_eq!(action_definition("NodeCrash(2)"), "NodeCrash");
-        assert_eq!(action_definition("Init"), "Init");
-        assert_eq!(action_definition("Elect(1, [1, 2])"), "Elect");
+        // Coverage keys an action by its definition name, so every instantiation of a
+        // definition shares one counter, and a bare label is its own definition.
+        let map = CoverageMap::new(8, 16);
+        map.record_action("NodeCrash(2)");
+        map.record_action("Init");
+        map.record_action("Elect(1, [1, 2])");
+        map.record_action("Elect(2, [0])");
+        assert_eq!(map.action_hits_total("NodeCrash"), 1);
+        assert_eq!(map.action_hits_total("Init"), 1);
+        assert_eq!(map.action_hits_total("Elect"), 2);
+        assert_eq!(map.snapshot().distinct_actions, 3);
     }
 
     #[test]

@@ -156,7 +156,6 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         let mut pending: Vec<Successor<S>> = Vec::new();
         let (explored, _) = pipeline.expand(&state, &[], |succ| pending.push(succ));
         transitions += explored;
-        let mut successors: Vec<(StateIndex, S, u32, bool)> = Vec::new();
         for Successor {
             label,
             state: next,
@@ -171,12 +170,14 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
                 Insert::Fresh(nindex, next) => {
                     best_depth.push(ndepth);
                     max_depth_reached = max_depth_reached.max(ndepth);
-                    successors.push((nindex, next, ndepth, true));
+                    violations.check(nindex, ndepth, &next);
+                    stack.push((nindex, next, ndepth));
                 }
                 // The depth-bound soundness fix: a strictly shallower path makes
                 // previously out-of-budget successors reachable, so the state goes back
-                // on the stack at its improved depth.  Without a bound the reachable
-                // set cannot change, so the re-expansion is skipped.
+                // on the stack at its improved depth (it was already checked).  Without
+                // a bound the reachable set cannot change, so the re-expansion is
+                // skipped.
                 Insert::Existing(nindex, next)
                     if options.max_depth.is_some() && ndepth < best_depth[nindex.0 as usize] =>
                 {
@@ -186,28 +187,21 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
                     // or their length would exceed the reported violation depth (and
                     // the bound itself).
                     store.set_parent(nindex, index, label);
-                    successors.push((nindex, next, ndepth, false));
+                    stack.push((nindex, next, ndepth));
                 }
-                Insert::Existing(..) => {}
+                Insert::Existing(..) => continue,
             }
-        }
-        for (nindex, next, ndepth, is_fresh) in successors {
-            // Re-pushed states were already checked.
-            if is_fresh {
-                violations.check(nindex, ndepth, &next);
-            }
-            stack.push((nindex, next, ndepth));
             if violations.count >= violation_limit
                 && matches!(options.mode, CheckMode::FirstViolation)
             {
                 stop_reason = StopReason::FirstViolation;
                 break 'outer;
             }
-            if let Some(max_states) = options.max_states {
-                if store.len() >= max_states {
-                    stop_reason = StopReason::StateLimit;
-                    break 'outer;
-                }
+            // Checked after every insert, so the run stops at the state that reached
+            // the cap and no later sibling enters the store.
+            if options.max_states.is_some_and(|max| store.len() >= max) {
+                stop_reason = StopReason::StateLimit;
+                break 'outer;
             }
         }
     }
@@ -457,6 +451,21 @@ mod tests {
         );
         assert_eq!(a.depth, b.depth);
         assert_eq!(a.trace.action_labels(), b.trace.action_labels());
+    }
+
+    #[test]
+    fn both_engines_stop_at_the_state_that_reached_the_cap() {
+        // The third expansion (of `2`) has two fresh successors, `3` and `4`; the
+        // first of them is the fourth state, so neither engine may insert the second.
+        let spec = doubling_spec(200, 150);
+        let options = CheckOptions::default().with_max_states(4);
+        for outcome in [
+            check_dfs(&spec, &options),
+            crate::bfs::check_bfs(&spec, &options),
+        ] {
+            assert_eq!(outcome.stop_reason, StopReason::StateLimit);
+            assert_eq!(outcome.stats.distinct_states, 4);
+        }
     }
 
     #[test]

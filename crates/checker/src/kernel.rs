@@ -16,10 +16,14 @@
 //!   a state back, and there an index-aligned `Vec` of states rides along — the one
 //!   rule `state_at` follows, not a knob.  A level never leaves RAM: 4 bytes per entry
 //!   is less than the store pays per state.
-//! * **Persistent worker pool** — worker threads are spawned *once per run* and park on
-//!   a condition variable between levels; the coordinator publishes each level
-//!   (frontier, sleep sets, depth) and wakes them.  Re-spawning workers at every
-//!   level boundary makes small-frontier levels pay thread spawn latency over and over.
+//! * **Fork-join levels** — a level narrower than 64 states is expanded inline on the
+//!   calling thread; a wider one inside one `std::thread::scope`, where the calling
+//!   thread works as worker 0 beside `workers − 1` helpers spawned for that level.  The
+//!   coordinator keeps the frontier, its sleep sets, the depth and the visitor as
+//!   locals; the team borrows them for the scope and hands its results back through
+//!   `join`, so no lock guards the level: the borrow checker ends every worker's borrow
+//!   before the barrier takes the visitor mutably.  A fork-join costs tens of
+//!   microseconds, a run has at most a few dozen levels.
 //! * **Insert while hot** — what a worker stages is *one parent's successors*: the
 //!   enumeration callback pushes them into one per-worker `Vec` (no lock may be taken
 //!   inside it), and as soon as it returns each is inserted in enumeration order —
@@ -33,17 +37,20 @@
 //!   batch amortised nothing but an uncontended stripe mutex: the pool lock is taken
 //!   per insert inside it.
 //!   Every team size inserts this way: there is one insert rule.
-//! * **Work stealing** — the frontier of each level is split into one contiguous range
-//!   per worker; a worker that drains its range steals the back half of the largest
-//!   remaining range, so skewed successor costs cannot leave threads idle.  Range bounds
-//!   live in one packed atomic word, so a claim and a steal can never hand the same
-//!   index to two workers: every state is expanded exactly once for any worker count.
+//! * **One claim cursor** — every worker of a level claims its next run of frontier
+//!   indices from one shared atomic counter (`fetch_add`), so each state is expanded
+//!   exactly once for any worker count.  A run is half of what is left, split over the
+//!   team: long runs while the level is full keep sibling states (which share pooled
+//!   components) on one core, single states at the end let the team finish together,
+//!   and a worker with cheap states simply claims more runs.
 //! * **Deterministic stop precedence** — stop requests accumulate in the run's
 //!   [`StopCell`] and are resolved once per level under its fixed precedence, so the
 //!   reported [`StopReason`] does not depend on which worker tripped its condition
 //!   first.  Expansion aborts a level early once any stop is requested.
-//! * **Panic containment** — a panicking spec closure on a pool worker is caught, the
-//!   level drains, and the coordinator re-raises the original payload.
+//! * **Panic containment** — every worker body of a wide level runs under
+//!   `catch_unwind`; a panicking spec closure requests a stop so the rest of the team
+//!   drains the level, and once the scope has joined, the coordinator re-raises the
+//!   first payload (in worker order).
 //! * **Arrival folding** — under POR every arrival edge carries the sleep set it hands
 //!   down; the coordinator intersects them per target at the level barrier.  Visitors
 //!   fold the same way: an [`Arrival`] names its parent, workers collect arrivals, and
@@ -58,7 +65,7 @@
 //! |---|---|---|---|
 //! | `on_fresh` | worker, per new state, right after its insert, outside the stripe lock | state limit, invariants → pending violations; always enqueue | key the state (its stable projection, once); enqueue unless draining a capped run past a stable state |
 //! | `on_existing` | worker, per dedup hit (the duplicate copy is already dropped) | nothing | record the arrival unless the target's known contexts already cover the parent's |
-//! | `on_level_end` | coordinator, workers parked | resolve violations into traces | fold keys into the per-state table, arrivals into projections / quotient edges / lsets, re-enqueue the indices of grown states, edge matching, state cap, early stops |
+//! | `on_level_end` | coordinator, after the level's scope has joined (`&mut self`) | resolve violations into traces | fold keys into the per-state table, arrivals into projections / quotient edges / lsets, re-enqueue the indices of grown states, edge matching, state cap, early stops |
 //!
 //! No hook runs inside the successor-enumeration callback: an edge reaches a visitor
 //! only as the [`Arrival`] of its insert.  Visitors are generic parameters, never `dyn`:
@@ -77,10 +84,7 @@ use crate::outcome::StopReason;
 use crate::por::{self, SleepSet};
 use crate::stop::{StopCell, STOP_TIME_BUDGET};
 use crate::store::{Insert, StateIndex, StateStore};
-use crate::sync::{
-    AtomicU64, FrontierRank, GateRank, OrderedCondvar, OrderedMutex, OrderedRwLock, Ordering,
-    PanicSlotRank, ResultsRank,
-};
+use crate::sync::{AtomicUsize, Ordering};
 
 /// Which store entry an edge arrived at, from where, and at which depth.
 #[derive(Clone, Copy)]
@@ -114,10 +118,10 @@ pub(crate) trait Visitor<S: SpecState>: Send + Sync {
     /// An edge reached a state the store already holds.
     fn on_existing(&self, _local: &mut Self::Local, _at: Arrival) {}
 
-    /// The level barrier: every worker is parked.  The states whose indices are pushed
-    /// to `requeue` join the next level, each rebuilt from its store row (the kernel
-    /// asserts the store keeps rows); `Break` ends the run with the given reason unless
-    /// a mid-level stop request (which outranks it) is pending.
+    /// The level barrier: every worker of the level has returned.  The states whose
+    /// indices are pushed to `requeue` join the next level, each rebuilt from its store
+    /// row (the kernel asserts the store keeps rows); `Break` ends the run with the given
+    /// reason unless a mid-level stop request (which outranks it) is pending.
     fn on_level_end(
         &mut self,
         locals: Vec<Self::Local>,
@@ -143,15 +147,6 @@ pub(crate) struct Explored<V> {
     pub(crate) totals: Totals,
 }
 
-struct ShutdownOnDrop<'a>(&'a OrderedMutex<GateRank, Gate>, &'a OrderedCondvar);
-
-impl Drop for ShutdownOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.lock().shutdown = true;
-        self.1.notify_all();
-    }
-}
-
 /// Run-wide counters the coordinator accumulates.
 pub(crate) struct Totals {
     pub(crate) per_worker_transitions: Vec<u64>,
@@ -160,83 +155,6 @@ pub(crate) struct Totals {
     pub(crate) max_depth: u32,
     /// The most states one level expanded, re-enqueued ones included.
     pub(crate) widest_level: usize,
-}
-
-/// One worker's slice of the frontier, stealable by other workers.
-///
-/// `next` and `end` are packed into one 64-bit word (32 bits each) so that claims and
-/// steals are single compare-exchange operations on the same atomic: an index can never
-/// be handed to both its owner and a thief, which keeps transition counts — not just the
-/// explored state set — identical across worker counts.  Frontier levels are bounded far
-/// below `u32::MAX` by the configuration's budgets.
-struct StealRange {
-    packed: AtomicU64,
-}
-
-fn pack(next: usize, end: usize) -> u64 {
-    debug_assert!(next <= u32::MAX as usize && end <= u32::MAX as usize);
-    ((next as u64) << 32) | end as u64
-}
-
-fn unpack(word: u64) -> (usize, usize) {
-    ((word >> 32) as usize, (word & 0xffff_ffff) as usize)
-}
-
-impl StealRange {
-    fn new(start: usize, end: usize) -> Self {
-        StealRange {
-            packed: AtomicU64::new(pack(start, end)),
-        }
-    }
-
-    /// Re-arms this range for a new level (only the coordinator writes between levels).
-    fn reset(&self, start: usize, end: usize) {
-        // ordering: Release — publishes the new bounds before workers wake (the gate
-        // handshake also orders this; Release keeps reset safe on its own).
-        self.packed.store(pack(start, end), Ordering::Release);
-    }
-
-    /// One compare-exchange loop for claims and steals: replaces the bounds by the
-    /// word `step` computes from them and returns what it hands out (`None` from `step`
-    /// leaves the range alone).
-    fn update<R>(&self, step: impl Fn(usize, usize) -> Option<(u64, R)>) -> Option<R> {
-        // ordering: Acquire — sees the coordinator's reset and other claims/steals.
-        let mut word = self.packed.load(Ordering::Acquire);
-        loop {
-            let (next, end) = unpack(word);
-            let (replacement, handed_out) = step(next, end)?;
-            match self.packed.compare_exchange_weak(
-                word,
-                replacement,
-                // ordering: AcqRel on success (the update observes and extends the claim
-                // history: an index goes to exactly one of owner and thief), Acquire on failure.
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(handed_out),
-                Err(current) => word = current,
-            }
-        }
-    }
-
-    /// Claims the next index of this range, if any remains.
-    fn claim(&self) -> Option<usize> {
-        self.update(|next, end| (next < end).then(|| (pack(next + 1, end), next)))
-    }
-
-    fn remaining(&self) -> usize {
-        // ordering: Acquire — an advisory victim-size read; pairs with the CAS.
-        let (next, end) = unpack(self.packed.load(Ordering::Acquire));
-        end.saturating_sub(next)
-    }
-
-    /// Tries to steal the back half of this range, returning the stolen bounds.
-    fn steal_half(&self) -> Option<(usize, usize)> {
-        self.update(|next, end| {
-            let mid = next + end.saturating_sub(next) / 2;
-            (end.saturating_sub(next) >= 2).then(|| (pack(next, mid), (mid, end)))
-        })
-    }
 }
 
 /// States to expand, in order: the store index of each, and — only when the store keeps
@@ -277,7 +195,7 @@ impl<S: SpecState> Frontier<S> {
     }
 }
 
-/// Everything one worker produced in one pool cycle.
+/// Everything one worker produced in one level.
 struct WorkerResult<S, L> {
     next_frontier: Frontier<S>,
     transitions: u64,
@@ -301,90 +219,34 @@ impl<S, L: Default> Default for WorkerResult<S, L> {
     }
 }
 
-/// Coordination state of the persistent worker pool: generation counter, in-flight
-/// worker count and the shutdown flag, guarded by one mutex with two condvars.
-#[derive(Default)]
-struct Gate {
-    generation: u64,
-    remaining: usize,
-    shutdown: bool,
-}
-
-/// One pool worker's per-cycle result slot.
-type ResultSlot<S, L> = OrderedMutex<ResultsRank, Option<WorkerResult<S, L>>>;
-
-/// What the coordinator publishes for one cycle.  It writes between cycles, while every
-/// worker is parked (the generation handshake in `gate` is the synchronisation point);
-/// workers hold the read lock for a whole cycle.
-struct Level<S, V> {
-    frontier: Frontier<S>,
+/// One level under expansion: what its workers share, borrowed from the coordinator
+/// for the level, and the cursor they claim frontier indices from.
+struct Level<'a, S: SpecState, V> {
+    run: &'a Run<'a, S>,
+    visitor: &'a V,
+    frontier: &'a Frontier<S>,
     /// The sleep set of each frontier state, index-aligned with `frontier`; empty when
     /// POR is off.
-    sleeps: Vec<SleepSet>,
+    sleeps: &'a [SleepSet],
     /// Depth of the successors this level generates.
     child_depth: u32,
-    /// Shared by the workers during a cycle, exclusive to the coordinator at barriers.
-    visitor: V,
-}
-
-/// Everything shared between the coordinator and the pool workers for a whole run.
-struct Shared<'a, S: SpecState, V: Visitor<S>> {
-    run: Run<'a, S>,
-    level: OrderedRwLock<FrontierRank, Level<S, V>>,
-    /// One steal range per pool worker.
-    ranges: Vec<StealRange>,
-    /// One per pool worker.
-    results: Vec<ResultSlot<S, V::Local>>,
-    /// The first panic payload caught on a pool worker, re-raised by the coordinator
-    /// after the level completes (a dead worker must still decrement `gate.remaining`,
-    /// or the coordinator would wait forever — see `pool_worker`).
-    worker_panic: OrderedMutex<PanicSlotRank, Option<Box<dyn std::any::Any + Send>>>,
-    gate: OrderedMutex<GateRank, Gate>,
-    work_ready: OrderedCondvar,
-    work_done: OrderedCondvar,
+    /// How many workers expand the level.
+    team: usize,
+    /// The next frontier index to hand out.
+    cursor: AtomicUsize,
 }
 
 /// Explores `run.pipeline.spec` level by level, driving `visitor`.
-pub(crate) fn explore<S: SpecState, V: Visitor<S>>(run: Run<'_, S>, visitor: V) -> Explored<V> {
-    let workers = run.workers.max(1);
-    let shared = Shared {
-        level: OrderedRwLock::new(Level {
-            frontier: Frontier::default(),
-            sleeps: Vec::new(),
-            child_depth: 0,
-            visitor,
-        }),
-        ranges: (0..workers).map(|_| StealRange::new(0, 0)).collect(),
-        results: (0..workers).map(|_| OrderedMutex::new(None)).collect(),
-        worker_panic: OrderedMutex::new(None),
-        gate: OrderedMutex::new(Gate::default()),
-        work_ready: OrderedCondvar::new(),
-        work_done: OrderedCondvar::new(),
-        run,
-    };
+pub(crate) fn explore<S: SpecState, V: Visitor<S>>(run: Run<'_, S>, mut visitor: V) -> Explored<V> {
     let mut totals = Totals {
-        per_worker_transitions: vec![0; workers],
+        per_worker_transitions: vec![0; run.workers.max(1)],
         pruned_transitions: 0,
         max_depth: 0,
         widest_level: 0,
     };
-    let stop_reason = if workers == 1 {
-        level_loop(&shared, &mut totals)
-    } else {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let shared = &shared;
-                scope.spawn(move || pool_worker(shared, w));
-            }
-            // Unparks everyone one last time so the scope can join — also when the
-            // coordinator unwinds (a small level's closure panicking inline, or a
-            // worker's payload re-raised by `run_cycle`).
-            let _shutdown = ShutdownOnDrop(&shared.gate, &shared.work_ready);
-            level_loop(&shared, &mut totals)
-        })
-    };
+    let stop_reason = level_loop(&run, &mut visitor, &mut totals);
     Explored {
-        visitor: shared.level.into_inner().visitor,
+        visitor,
         stop_reason,
         totals,
     }
@@ -417,15 +279,13 @@ impl<S: SpecState, L> LevelOutput<S, L> {
 
 /// The level-synchronous main loop, run by the coordinator (the calling thread).
 fn level_loop<S: SpecState, V: Visitor<S>>(
-    shared: &Shared<'_, S, V>,
+    run: &Run<'_, S>,
+    visitor: &mut V,
     totals: &mut Totals,
 ) -> StopReason {
-    let run = &shared.run;
-
     // Level 0: the initial states reach the visitor like any other fresh arrival.
     let mut depth: u32 = 0;
     let mut output = {
-        let level = shared.level.read();
         let mut seeds = WorkerResult::default();
         run.pipeline.seed(run.store, |index, fp, state| {
             let at = Arrival {
@@ -434,7 +294,7 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
                 fp,
                 depth: 0,
             };
-            if level.visitor.on_fresh(&mut seeds.local, at, &state) {
+            if visitor.on_fresh(&mut seeds.local, at, &state) {
                 seeds.next_frontier.push(run.store, index, state);
             }
         });
@@ -449,15 +309,11 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
             sleep_edges,
         } = output;
         let mut requeue = Vec::new();
-        let flow = {
-            let mut level = shared.level.write();
-            level.frontier = Frontier::default();
-            let end = LevelEnd {
-                depth,
-                enqueued: next.len(),
-            };
-            level.visitor.on_level_end(locals, end, &mut requeue)
+        let end = LevelEnd {
+            depth,
+            enqueued: next.len(),
         };
+        let flow = visitor.on_level_end(locals, end, &mut requeue);
         assert!(
             requeue.is_empty() || run.store.keeps_rows(),
             "a re-queued state is rebuilt from its row, and this store keeps none"
@@ -486,7 +342,8 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
             return StopReason::DepthBound;
         }
         totals.widest_level = totals.widest_level.max(next.len());
-        output = LevelOutput::gather(expand_level(shared, next, sleep_edges, depth + 1), totals);
+        let results = expand_level(run, visitor, next, sleep_edges, depth + 1);
+        output = LevelOutput::gather(results, totals);
         depth += 1;
     }
 }
@@ -520,232 +377,167 @@ fn align_sleeps(
     frontier.iter().map(aligned).collect()
 }
 
-/// Publishes `frontier` as the level whose successors have depth `child_depth` and
-/// expands it (inline or on the pool), returning the per-worker results.
+/// Expands `frontier` into successors of depth `child_depth` and returns the results
+/// in worker order.  A level narrower than 64 states is expanded inline; a wider one
+/// by a team of `run.workers` in one fork-join, the calling thread being worker 0.
 fn expand_level<S: SpecState, V: Visitor<S>>(
-    shared: &Shared<'_, S, V>,
+    run: &Run<'_, S>,
+    visitor: &V,
     frontier: Frontier<S>,
     sleep_edges: Vec<(StateIndex, SleepSet)>,
     child_depth: u32,
 ) -> Vec<WorkerResult<S, V::Local>> {
-    let len = frontier.len();
-    // Small frontiers are not worth waking the pool for; expand them inline.
-    let team = if len >= 64 { shared.ranges.len() } else { 1 };
-    let per_worker = len.div_ceil(team);
-    for (w, range) in shared.ranges.iter().enumerate() {
-        range.reset((w * per_worker).min(len), ((w + 1) * per_worker).min(len));
-    }
-    {
-        let mut level = shared.level.write();
-        level.sleeps = align_sleeps(sleep_edges, &frontier.indices);
-        level.frontier = frontier;
-        level.child_depth = child_depth;
-    }
-    run_cycle(shared, team)
-}
-
-/// Expands the published level once on `team` workers — inline for a team of one, else
-/// as one gate cycle of the persistent pool — and collects the per-worker results.
-fn run_cycle<S: SpecState, V: Visitor<S>>(
-    shared: &Shared<'_, S, V>,
-    team: usize,
-) -> Vec<WorkerResult<S, V::Local>> {
-    if team == 1 {
-        return vec![expand_range(shared, 0)];
-    }
-    // Wake the pool and wait for every worker to finish the cycle.
-    {
-        let mut gate = shared.gate.lock();
-        gate.generation += 1;
-        gate.remaining = team;
-        drop(gate);
-        shared.work_ready.notify_all();
-        let mut gate = shared.gate.lock();
-        while gate.remaining > 0 {
-            gate = shared.work_done.wait(gate);
-        }
-    }
-    if let Some(payload) = shared.worker_panic.lock().take() {
-        // Re-raise the worker's panic from the coordinator.
-        std::panic::resume_unwind(payload);
-    }
-    shared
-        .results
-        .iter()
-        .map(|slot| {
-            slot.lock()
-                .take()
-                .expect("every pool worker publishes a cycle result")
-        })
-        .collect()
-}
-
-/// The body of one pool worker: park until the coordinator publishes a cycle (or shuts
-/// the run down), run it, publish the result, repeat.
-fn pool_worker<S: SpecState, V: Visitor<S>>(shared: &Shared<'_, S, V>, worker: usize) {
-    let mut last_generation = 0u64;
-    loop {
-        {
-            let mut gate = shared.gate.lock();
-            while gate.generation == last_generation && !gate.shutdown {
-                gate = shared.work_ready.wait(gate);
-            }
-            if gate.shutdown {
-                return;
-            }
-            last_generation = gate.generation;
-        }
-        // A panicking spec closure (action, invariant or projection) must not leave the
-        // coordinator waiting forever on `gate.remaining`: catch the panic, publish an
-        // empty result, request a stop so the other workers drain, and let the
-        // coordinator re-raise the payload after the level completes.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            expand_range(shared, worker)
-        }))
-        .unwrap_or_else(|payload| {
-            shared.worker_panic.lock().get_or_insert(payload);
-            shared.run.stop.request(STOP_TIME_BUDGET);
-            WorkerResult::default()
-        });
-        *shared.results[worker].lock() = Some(result);
-        let mut gate = shared.gate.lock();
-        gate.remaining -= 1;
-        if gate.remaining == 0 {
-            shared.work_done.notify_all();
-        }
-    }
-}
-
-/// The worker loop: claims frontier indices of the published level (own range first,
-/// then stolen halves), expands each state into `staged`, and inserts what it staged
-/// before the next claim.  Holds the level read lock for the whole cycle.
-fn expand_range<S: SpecState, V: Visitor<S>>(
-    shared: &Shared<'_, S, V>,
-    worker: usize,
-) -> WorkerResult<S, V::Local> {
-    let run = &shared.run;
-    let level = shared.level.read();
-    let mut result = WorkerResult::default();
-    // One parent's successors, in enumeration order; empty between parents.
-    let mut staged: Vec<Successor<S>> = Vec::new();
-    let mut stolen: Option<StealRange> = None;
-    let mut processed: u64 = 0;
-
-    'claim: loop {
-        if run.stop.requested() {
-            break;
-        }
-        // Claim from the stolen range first (it was taken to be worked on), then from the
-        // worker's own range, then steal from the largest remaining range.
-        let idx = loop {
-            if let Some(range) = &stolen {
-                if let Some(idx) = range.claim() {
-                    break idx;
-                }
-                stolen = None;
-            }
-            if let Some(idx) = shared.ranges[worker].claim() {
-                break idx;
-            }
-            let victim = shared
-                .ranges
-                .iter()
-                .enumerate()
-                .filter(|(v, _)| *v != worker)
-                .max_by_key(|(_, r)| r.remaining())
-                .filter(|(_, r)| r.remaining() >= 2);
-            let Some((_, victim)) = victim else {
-                // No range anywhere holds stealable work: the level is drained.
-                break 'claim;
-            };
-            match victim.steal_half() {
-                Some((start, end)) => stolen = Some(StealRange::new(start, end)),
-                // Lost the race to the victim's owner (or another thief); other ranges
-                // may still hold work, so rescan rather than leaving this worker idle
-                // for the rest of the level.
-                None => continue,
-            }
-        };
-
-        let parent = level.frontier.indices[idx];
-        // The frontier holds the parent only where the store keeps no row to rebuild it
-        // from; the read locks the parent's stripe and the pool, and both are released
-        // before the enumeration callback runs.
-        let rebuilt;
-        let state = match level.frontier.states.get(idx) {
-            Some(state) => state,
-            None => {
-                rebuilt = run
-                    .store
-                    .state_at(parent)
-                    .expect("a store that keeps rows rebuilds every frontier state");
-                &rebuilt
-            }
-        };
-        let sleep_in: &[LabelId] = level.sleeps.get(idx).map_or(&[], |sleep| sleep.as_slice());
-        let (explored, pruned) = run
-            .pipeline
-            .expand(state, sleep_in, |succ| staged.push(succ));
-        result.transitions += explored;
-        result.pruned += pruned;
-        // The callback has returned, so locks are allowed again: every staged successor
-        // meets the store now, while the components its action wrote are still in cache.
-        for succ in staged.drain(..) {
-            // A stop ends the run at the state that asked for it: in a team of one, the
-            // first in (frontier, enumeration) order.
-            if run.stop.requested() {
-                break;
-            }
-            arrive(shared, &level, parent, succ, &mut result);
-        }
-
-        processed += 1;
-        if processed.is_multiple_of(64) && run.deadline.is_some_and(|d| Instant::now() >= d) {
-            run.stop.request(STOP_TIME_BUDGET);
-        }
-    }
-    result
-}
-
-/// One edge meets the store: lock the successor's stripe, insert, unlock, then (outside
-/// the lock) tell the visitor and record the sleep set the edge hands down.  A fresh
-/// state goes no further than `on_fresh` unless the store cannot rebuild it; a dedup
-/// hit's copy is dropped here.
-fn arrive<S: SpecState, V: Visitor<S>>(
-    shared: &Shared<'_, S, V>,
-    level: &Level<S, V>,
-    parent: StateIndex,
-    succ: Successor<S>,
-    result: &mut WorkerResult<S, V::Local>,
-) {
-    let store = shared.run.store;
-    // The handle is a temporary: the stripe is unlocked at the end of this statement.
-    let insert = store.lock_shard(store.shard_of(succ.fp)).insert_edge(
-        succ.fp,
-        Some(parent),
-        succ.label,
-        succ.state,
-        succ.perm,
-    );
-    let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = &insert;
-    let at = Arrival {
-        index: *index,
-        parent: Some(parent),
-        fp: succ.fp,
-        depth: level.child_depth,
+    let sleeps = align_sleeps(sleep_edges, &frontier.indices);
+    let team = if frontier.len() >= 64 {
+        run.workers.max(1)
+    } else {
+        1
     };
-    // Both fresh and already-known targets contribute an arrival edge: a state reached
-    // again within the same level only keeps a label asleep if every minimal-depth
-    // arrival does.
-    if shared.run.pipeline.por {
-        result.sleep_edges.push((at.index, succ.sleep));
+    let level = Level {
+        run,
+        visitor,
+        frontier: &frontier,
+        sleeps: &sleeps,
+        child_depth,
+        team,
+        cursor: AtomicUsize::new(0),
+    };
+    if team == 1 {
+        return vec![level.expand()];
     }
-    match insert {
-        Insert::Fresh(_, state) => {
-            if level.visitor.on_fresh(&mut result.local, at, &state) {
-                result.next_frontier.push(store, at.index, state);
+    // A panicking spec closure (action, invariant or projection) on any worker requests
+    // a stop, so the rest of the team drains the level, and its payload is re-raised
+    // here once the scope has joined them all.
+    let contained = || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| level.expand())).inspect_err(
+            |_| {
+                run.stop.request(STOP_TIME_BUDGET);
+            },
+        )
+    };
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..team).map(|_| scope.spawn(contained)).collect();
+        let own = contained();
+        let joined = helpers.into_iter().map(|h| h.join().unwrap_or_else(Err));
+        std::iter::once(own).chain(joined).collect()
+    });
+    results
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
+impl<S: SpecState, V: Visitor<S>> Level<'_, S, V> {
+    /// One worker's share of the level: claims runs of frontier indices from the shared
+    /// cursor until the level is drained or a stop is requested, expands each claimed
+    /// state into `staged`, and inserts what it staged before the next state.
+    fn expand(&self) -> WorkerResult<S, V::Local> {
+        let run = self.run;
+        let mut result = WorkerResult::default();
+        // One parent's successors, in enumeration order; empty between parents.
+        let mut staged: Vec<Successor<S>> = Vec::new();
+        let mut processed: u64 = 0;
+
+        let len = self.frontier.len();
+        let mut claimed = 0..0;
+        while !run.stop.requested() {
+            if claimed.is_empty() {
+                // A claim takes half of what is left, split over the team: neighbouring
+                // frontier entries are siblings that share pooled components, so long
+                // runs keep one core bumping their reference counts, and the runs shrink
+                // to single states as the level drains, so the team finishes together.
+                // ordering: Relaxed — a stale read only sizes the run.
+                let left = len.saturating_sub(self.cursor.load(Ordering::Relaxed));
+                let run_len = (left / (2 * self.team)).max(1);
+                // ordering: Relaxed — the cursor only hands out indices (each `fetch_add`
+                // takes a range no other claim overlaps); the scope's spawns published
+                // the level to the team.
+                let start = self.cursor.fetch_add(run_len, Ordering::Relaxed);
+                claimed = start.min(len)..start.saturating_add(run_len).min(len);
+            }
+            let Some(idx) = claimed.next() else {
+                break;
+            };
+            let parent = self.frontier.indices[idx];
+            // The frontier holds the parent only where the store keeps no row to rebuild
+            // it from; the read locks the parent's stripe and the pool, and both are
+            // released before the enumeration callback runs.
+            let rebuilt;
+            let state = match self.frontier.states.get(idx) {
+                Some(state) => state,
+                None => {
+                    rebuilt = run
+                        .store
+                        .state_at(parent)
+                        .expect("a store that keeps rows rebuilds every frontier state");
+                    &rebuilt
+                }
+            };
+            let sleep_in: &[LabelId] = self.sleeps.get(idx).map_or(&[], |sleep| sleep.as_slice());
+            let (explored, pruned) = run
+                .pipeline
+                .expand(state, sleep_in, |succ| staged.push(succ));
+            result.transitions += explored;
+            result.pruned += pruned;
+            // The callback has returned, so locks are allowed again: every staged
+            // successor meets the store now, while the components its action wrote are
+            // still in cache.
+            for succ in staged.drain(..) {
+                // A stop ends the run at the state that asked for it: in a team of one,
+                // the first in (frontier, enumeration) order.
+                if run.stop.requested() {
+                    break;
+                }
+                self.arrive(parent, succ, &mut result);
+            }
+
+            processed += 1;
+            if processed.is_multiple_of(64) && run.deadline.is_some_and(|d| Instant::now() >= d) {
+                run.stop.request(STOP_TIME_BUDGET);
             }
         }
-        Insert::Existing(..) => level.visitor.on_existing(&mut result.local, at),
+        result
+    }
+
+    /// One edge meets the store: lock the successor's stripe, insert, unlock, then
+    /// (outside the lock) tell the visitor and record the sleep set the edge hands down.
+    /// A fresh state goes no further than `on_fresh` unless the store cannot rebuild
+    /// it; a dedup hit's copy is dropped here.
+    fn arrive(
+        &self,
+        parent: StateIndex,
+        succ: Successor<S>,
+        result: &mut WorkerResult<S, V::Local>,
+    ) {
+        let store = self.run.store;
+        // The handle is a temporary: the stripe is unlocked at the end of this statement.
+        let insert = store.lock_shard(store.shard_of(succ.fp)).insert_edge(
+            succ.fp,
+            Some(parent),
+            succ.label,
+            succ.state,
+            succ.perm,
+        );
+        let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = &insert;
+        let at = Arrival {
+            index: *index,
+            parent: Some(parent),
+            fp: succ.fp,
+            depth: self.child_depth,
+        };
+        // Both fresh and already-known targets contribute an arrival edge: a state
+        // reached again within the same level only keeps a label asleep if every
+        // minimal-depth arrival does.
+        if self.run.pipeline.por {
+            result.sleep_edges.push((at.index, succ.sleep));
+        }
+        match insert {
+            Insert::Fresh(_, state) => {
+                if self.visitor.on_fresh(&mut result.local, at, &state) {
+                    result.next_frontier.push(store, at.index, state);
+                }
+            }
+            Insert::Existing(..) => self.visitor.on_existing(&mut result.local, at),
+        }
     }
 }

@@ -3,10 +3,10 @@
 //! The composer's interaction-preservation check (§3.2) is *syntactic* — it compares
 //! declared variable footprints.  This module is the semantic counterpart: it explores
 //! the state spaces of a fine and a coarse composition — each side is a visitor of the
-//! level-synchronous kernel that also drives [`crate::bfs`], so it inherits the worker
-//! pool, insert-while-hot staging, the spill tier and panic containment — and verifies
-//! that, under a [`TraceProjection`], the coarse specification admits exactly the
-//! externally visible behaviours of the fine one:
+//! level-synchronous kernel that also drives [`crate::bfs`], so it inherits the
+//! fork-join levels, insert-while-hot staging, the spill tier and panic containment —
+//! and verifies that, under a [`TraceProjection`], the coarse specification admits
+//! exactly the externally visible behaviours of the fine one:
 //!
 //! * every *stable* reachable projection of the fine composition is a reachable
 //!   projection of the coarse composition (the coarsening loses no interactions), and
@@ -1074,13 +1074,6 @@ mod tests {
         state: impl Fn(&TState) -> BTreeMap<String, Value> + Send + Sync + 'static,
     ) -> TraceProjection<TState> {
         TraceProjection::new("n-only", Granularity::Coarse, Granularity::Baseline, state)
-            .with_label(|l: &str| {
-                if l.starts_with("StepFinish") || l.starts_with("StepBoth") {
-                    Some("Step".to_owned())
-                } else {
-                    None
-                }
-            })
             .with_stability(|s: &TState| !s.mid)
     }
 
@@ -1340,12 +1333,12 @@ mod tests {
 
     #[test]
     fn panicking_action_closures_resurface_with_their_payload() {
-        // The refinement twin of bfs's `pool_worker_panics_propagate_instead_of_hanging`:
-        // a 100-wide level runs on the kernel's pool for workers = 4 (inline for 1),
-        // the poisoned state's closure panics there, and check_refinement must re-raise
+        // The refinement twin of bfs's `wide_level_panics_propagate_instead_of_hanging`:
+        // a 100-wide level runs as a fork-join of four workers (inline for 1), the
+        // poisoned state's closure panics there, and check_refinement must re-raise
         // that very payload — not hang, and not a generic "worker panicked".  Poisoning
         // the successors of state 1 instead panics in a one-state level, which the
-        // coordinator expands inline while the pool is parked.
+        // coordinator expands inline, spawning no team.
         let wide = |poisoned: u32| {
             let spawn = ActionDef::new(
                 "Spawn",

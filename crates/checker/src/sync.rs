@@ -1,6 +1,6 @@
 //! Instrumented synchronization substrate for the parallel engine.
 //!
-//! Every lock, condvar and atomic the checker uses goes through this module — it is
+//! Every lock and atomic the checker uses goes through this module — it is
 //! the **only** file in the workspace allowed to name `std::sync` primitives directly
 //! (the `remix-analyze` concurrency lint enforces this; `// sync-exempt:` marks the
 //! leaf exceptions in `remix-spec`, which sits below this crate).  Centralizing
@@ -11,10 +11,10 @@
 //!    *outermost-first*: a thread may acquire a lock of rank `r` only while every
 //!    lock it already holds has rank strictly **greater** than `r`.  Written in the
 //!    inner-to-outer direction the engine's hierarchy reads
-//!    `pool < shard < coverage < por < results < frontier < spill
-//!    < panic-slot < gate` — the store's intern pool is the innermost lock (acquired
-//!    last, under the shard lock of an insert, with everything else already
-//!    held), the worker-pool gate the outermost (always acquired with nothing held).
+//!    `pool < shard < coverage < por < spill` — the store's intern pool is the
+//!    innermost lock (acquired last, under the shard lock of an insert or of a row
+//!    read), the seeded regression's spill rank the outermost.  The kernel's level
+//!    takes no lock: its workers borrow it for one `std::thread::scope`.
 //! 2. **A lock-order audit.**  Under `REMIX_SYNC_AUDIT=1` (or a programmatic
 //!    [`audit::session`]) every acquisition records the per-thread held-lock stack
 //!    and an acquisition edge `held-site → acquired-site` into a global lock-order
@@ -36,15 +36,15 @@
 //! Poisoning policy lives here too, in exactly one place: [`lock_or_recover`] (and
 //! its RwLock siblings) treat a poisoned lock as recoverable, because every
 //! engine-side critical section leaves shared state consistent at every await-free
-//! point and worker panics are separately caught and re-raised by the pool (see
-//! `kernel::pool_worker`).  All `Ordered*` acquisition methods route through it.
+//! point and worker panics are separately caught and re-raised by the kernel once
+//! the level's scope has joined.  All `Ordered*` acquisition methods route through it.
 
 // The one sanctioned raw-sync import site (see the module docs above).
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Duration;
 
@@ -79,17 +79,17 @@ macro_rules! declare_rank {
 }
 
 declare_rank!(
-    /// Innermost: the store's component intern pool.  Taken once per *fresh* insert,
-    /// under that insert's shard lock, for a few map probes, and once per state a Full
-    /// store rebuilds from its row (every BFS parent), under that stripe's lock;
-    /// acquires nothing nested.
+    /// Innermost: the store's component intern pool.  Taken once per insert into a
+    /// Full store (once per *fresh* insert into a fingerprint-only one), under that
+    /// insert's shard lock, for a few map probes, and once per state a Full store
+    /// rebuilds from its row (every BFS parent), under that stripe's lock; acquires
+    /// nothing nested.
     PoolRank, 0, "store.pool"
 );
 declare_rank!(
     /// One stripe of the discovered-state store.  Acquired once per successor insert
-    /// and once per parent read back from its row, while the frontier read lock is
-    /// held; nests only the intern pool (spill
-    /// flushes inside the shard do file I/O and atomics only).
+    /// and once per parent read back from its row, with nothing else held; nests only
+    /// the intern pool (spill flushes inside the shard do file I/O and atomics only).
     ShardRank, 5, "store.shard"
 );
 declare_rank!(
@@ -99,19 +99,8 @@ declare_rank!(
 );
 declare_rank!(
     /// The POR footprint table (`label → effect`); read/written during frontier
-    /// expansion while the frontier read locks are held.
+    /// expansion with nothing else held.
     PorEffectsRank, 20, "por.footprints"
-);
-declare_rank!(
-    /// One worker's per-level result slot; written by the worker after its frontier
-    /// guards drop, read by the coordinator between cycles.
-    ResultsRank, 50, "bfs.results"
-);
-declare_rank!(
-    /// The published level (frontier, its index-aligned sleep sets, the visitor);
-    /// read-held by workers for a whole cycle, written by the coordinator while
-    /// workers are parked.
-    FrontierRank, 70, "bfs.frontier"
 );
 declare_rank!(
     /// No engine lock takes this rank (the spill paths are atomics and
@@ -119,21 +108,11 @@ declare_rank!(
     /// rank-inversion regression.
     SpillRank, 80, "spill.queue"
 );
-declare_rank!(
-    /// The pool's first-worker-panic slot; taken with nothing else held.
-    PanicSlotRank, 90, "bfs.worker_panic"
-);
-declare_rank!(
-    /// Outermost: the worker-pool gate (generation + remaining counters) that the
-    /// pool condvars wait on.  Always acquired with an empty held-set.
-    GateRank, 100, "bfs.gate"
-);
-
 /// The single poisoning policy: recover the guard from a poisoned mutex.
 ///
 /// A poisoned lock means some thread panicked while holding it.  Engine critical
 /// sections keep their shared structures consistent at every unwind edge, and the
-/// worker pool separately catches, records and re-raises worker panics — so
+/// kernel separately catches, records and re-raises worker panics — so
 /// continuing with the recovered guard is sound and keeps a single panic from
 /// cascading into every other thread.  Every `Ordered*` acquisition routes through
 /// this helper (or its RwLock siblings below); nothing else in the workspace may
@@ -611,7 +590,7 @@ pub mod perturb {
 }
 
 /// A schedule-perturbation point: when a fuzz seed is installed, maybe yield or
-/// sleep here.  Every instrumented lock/condvar operation calls this; engine code
+/// sleep here.  Every instrumented lock operation calls this; engine code
 /// may add explicit points at logically interesting races (e.g. stop-flag
 /// publication).  One relaxed load when disarmed.
 #[inline]
@@ -730,66 +709,6 @@ impl<R: LockRank, T> Drop for OrderedMutexGuard<'_, R, T> {
     }
 }
 
-/// A [`Condvar`] paired with [`OrderedMutex`] guards: waiting releases the guard's
-/// audit entry and re-records it on wake, so held-stack bookkeeping stays exact
-/// across parks.
-pub struct OrderedCondvar {
-    inner: Condvar,
-}
-
-impl Default for OrderedCondvar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OrderedCondvar {
-    /// A new condition variable.
-    pub fn new() -> Self {
-        OrderedCondvar {
-            inner: Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified, releasing and re-acquiring the ordered guard.
-    pub fn wait<'a, R: LockRank, T>(
-        &self,
-        mut guard: OrderedMutexGuard<'a, R, T>,
-    ) -> OrderedMutexGuard<'a, R, T> {
-        let site = guard.site;
-        if guard.audited {
-            on_released(site);
-        }
-        let inner = guard.guard.take().expect("wait on a live guard");
-        perturb_point();
-        let inner = self
-            .inner
-            .wait(inner)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.guard = Some(inner);
-        guard.audited = on_acquired(R::RANK, site);
-        guard
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        perturb_point();
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        perturb_point();
-        self.inner.notify_all();
-    }
-}
-
-impl std::fmt::Debug for OrderedCondvar {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("OrderedCondvar")
-    }
-}
-
 /// An [`RwLock`] with a declared [`LockRank`] and audited acquisitions (reads and
 /// writes both count: read-side deadlocks through a writer in between are real).
 pub struct OrderedRwLock<R: LockRank, T> {
@@ -824,14 +743,6 @@ impl<R: LockRank, T> OrderedRwLock<R, T> {
             audited,
             _rank: PhantomData,
         }
-    }
-
-    /// Consumes the lock and returns the protected value (poison-recovering; ownership
-    /// proves exclusivity, so nothing is acquired or audited).
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquires the exclusive write guard (poison-recovering, audited).
@@ -984,14 +895,14 @@ mod tests {
     #[test]
     fn ordered_acquisitions_audit_clean() {
         let session = audit::session();
-        let gate: OrderedMutex<GateRank, ()> = OrderedMutex::new(());
-        let frontier: OrderedRwLock<FrontierRank, Vec<u8>> = OrderedRwLock::new(vec![1]);
+        let spill: OrderedMutex<SpillRank, ()> = OrderedMutex::new(());
+        let footprints: OrderedRwLock<PorEffectsRank, Vec<u8>> = OrderedRwLock::new(vec![1]);
         let shard: OrderedMutex<ShardRank, ()> = OrderedMutex::new(());
         {
-            let _g = gate.lock();
+            let _g = spill.lock();
         }
         {
-            let _f = frontier.read();
+            let _f = footprints.read();
             let _s = shard.lock();
         }
         let report = session.report();
@@ -1002,7 +913,7 @@ mod tests {
         assert!(report
             .edges
             .iter()
-            .any(|e| e.from == "bfs.frontier" && e.to == "store.shard"));
+            .any(|e| e.from == "por.footprints" && e.to == "store.shard"));
     }
 
     #[test]
@@ -1020,37 +931,6 @@ mod tests {
         assert_eq!(cycles.len(), 1, "the two-site inversion closes one cycle");
         assert_eq!(cycles[0].witnesses.len(), 2, "both directions witnessed");
         assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn condvar_wait_keeps_held_stack_exact() {
-        let session = audit::session();
-        let gate: std::sync::Arc<OrderedMutex<GateRank, bool>> =
-            std::sync::Arc::new(OrderedMutex::new(false));
-        let cv: std::sync::Arc<OrderedCondvar> = std::sync::Arc::new(OrderedCondvar::new());
-        let waiter = {
-            let gate = std::sync::Arc::clone(&gate);
-            let cv = std::sync::Arc::clone(&cv);
-            std::thread::spawn(move || {
-                let mut g = gate.lock();
-                while !*g {
-                    g = cv.wait(g);
-                }
-                HELD.with(|h| h.borrow().len())
-            })
-        };
-        loop {
-            let mut g = gate.lock();
-            *g = true;
-            cv.notify_all();
-            drop(g);
-            if waiter.is_finished() {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(waiter.join().expect("waiter"), 1, "exactly the gate held");
-        assert!(session.report().is_clean());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! These run on a small Zab preset rather than a toy spec so the whole production path —
 //! composed mixed-grained specification, sharded fingerprint set, per-worker staging
-//! of one parent's successors, work-stealing frontier split — is exercised end to end.
+//! of one parent's successors, one claim cursor per level — is exercised end to end.
 
 use std::time::Duration;
 

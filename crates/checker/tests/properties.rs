@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 
-use remix_checker::coverage::action_definition;
 use remix_checker::{fingerprint, CheckerRng, CoverageMap};
+use remix_spec::action_name;
 
 proptest! {
     /// Fingerprints are stable across clones: hashing is a pure function of the state
@@ -116,7 +116,7 @@ proptest! {
     ) {
         let name = String::from_utf8(name).expect("ascii");
         let label = format!("{name}({arg})");
-        prop_assert_eq!(action_definition(&label), name.as_str());
-        prop_assert_eq!(action_definition(action_definition(&label)), name.as_str());
+        prop_assert_eq!(action_name(&label), name.as_str());
+        prop_assert_eq!(action_name(action_name(&label)), name.as_str());
     }
 }

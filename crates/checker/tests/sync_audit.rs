@@ -27,7 +27,7 @@ use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 fn workload() -> remix_spec::Spec<remix_zab::ZabState> {
     // Crash-free single-transaction mSpec-1: small enough to exhaust in every cell,
     // yet it exercises the full production path (sharded store, per-edge stripe locks,
-    // work-stealing frontier, condvar sleeps, POR footprint table).
+    // fork-join levels, POR footprint table).
     let config = ClusterConfig::small(CodeVersion::FinalFix)
         .with_transactions(1)
         .with_crashes(0);
@@ -77,24 +77,17 @@ fn bfs_matrix_is_lock_order_clean_under_audit() {
         report.cycles()
     );
     // The store's intern pool is taken under the shard lock of an insert and of
-    // every parent a Full run rebuilds from its row, and is a leaf.  Workers hold the
-    // level's read lock while they insert, read parents and record footprints.  That
-    // is every nesting there is: a new edge is a new deadlock candidate.
+    // every parent a Full run rebuilds from its row, and is a leaf.  Workers borrow
+    // the level for its scope and hold no lock while they claim, insert, read parents
+    // or record footprints.  That is every nesting there is: a new edge is a new
+    // deadlock candidate.
     let mut edges: Vec<_> = report
         .edges
         .iter()
         .map(|e| (e.from.as_str(), e.to.as_str()))
         .collect();
     edges.sort_unstable();
-    assert_eq!(
-        edges,
-        [
-            ("bfs.frontier", "por.footprints"),
-            ("bfs.frontier", "store.pool"),
-            ("bfs.frontier", "store.shard"),
-            ("store.shard", "store.pool"),
-        ]
-    );
+    assert_eq!(edges, [("store.shard", "store.pool")]);
 }
 
 /// The Full store keeps a state as a row of pool slots, so *reading* one back takes the

@@ -6,6 +6,7 @@
 //! model action label (e.g. `"FollowerProcessNEWLEADER_UpdateEpoch(0, 2)"`) into the
 //! [`SimEvent`]s the simulated cluster executes.
 
+use remix_spec::action_name;
 use remix_zab::Sid;
 use remix_zk_sim::SimEvent;
 
@@ -90,7 +91,7 @@ fn sets_of(label: &str) -> Vec<Vec<Sid>> {
 /// exactly the model-code relationship the paper describes.
 pub fn default_mapping() -> ActionMapping {
     ActionMapping::new(|label: &str| {
-        let name = label.split('(').next().unwrap_or(label);
+        let name = action_name(label);
         let p = params(label);
         let first = p.first().copied().unwrap_or(0);
         let second = p.get(1).copied().unwrap_or(0);

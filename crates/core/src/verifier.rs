@@ -13,7 +13,7 @@ use remix_checker::{
     CorpusOptions, RefineOptions, RefineOutcome, RefineVerdict, SpillConfig, StoreMode,
     SymmetryMode,
 };
-use remix_spec::{CompositionPlan, Invariant, ModuleId, Spec, SpecError, Trace};
+use remix_spec::{action_name, CompositionPlan, Invariant, ModuleId, Spec, SpecError, Trace};
 use remix_zab::{projection_between, ClusterConfig, SpecPreset, ZabState};
 
 use crate::composer::Composer;
@@ -400,7 +400,7 @@ impl RefinementRun {
             coarse.actions().map(|a| a.name).collect();
         let mut culprits: std::collections::BTreeSet<ModuleId> = Default::default();
         for label in divergence.witness.action_labels() {
-            let name = label.split('(').next().unwrap_or(label);
+            let name = action_name(label);
             if coarse_names.contains(name) {
                 continue;
             }

@@ -101,12 +101,6 @@ impl LabelTable {
         inner.labels[id.0 as usize].to_string()
     }
 
-    /// Maps an id's label through `f` without cloning it out of the table.
-    pub fn with_label<T>(&self, id: LabelId, f: impl FnOnce(&str) -> T) -> T {
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        f(&inner.labels[id.0 as usize])
-    }
-
     /// Number of distinct labels interned so far (including the reserved `"Init"`).
     pub fn len(&self) -> usize {
         self.inner
@@ -147,13 +141,6 @@ mod tests {
         assert_eq!(t.len(), 3, "Init is pre-interned");
         assert_eq!(t.intern(INIT_LABEL), LabelTable::init_id());
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn with_label_avoids_the_clone() {
-        let t = LabelTable::new();
-        let id = t.intern("NodeCrash(2)");
-        assert_eq!(t.with_label(id, str::len), "NodeCrash(2)".len());
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! * **Traces** ([`trace`]): counterexample and simulation traces, used both for
 //!   debugging and for conformance checking.
 //! * **Granularity projections** ([`projection`]): the abstraction relation between two
-//!   granularities of the same library — per-state and per-label projections plus a
-//!   stability predicate — consumed by the refinement checker
+//!   granularities of the same library — a per-state projection plus a stability
+//!   predicate — consumed by the refinement checker
 //!   (`remix-checker::refine`) to prove that a coarse composition simulates a fine one.
 //! * **Field reflection** ([`reflect`]): enumeration of a state's semantic fields as
 //!   stable `(path, hash)` pairs mapped to effect domains, the substrate of the
@@ -72,12 +72,10 @@ pub use fingerprint::{fingerprint, DigestMap, Fingerprint, PairHasher};
 pub use invariant::{Invariant, InvariantScope, InvariantSource};
 pub use label::{LabelId, LabelTable, INIT_LABEL};
 pub use module::{ModuleId, ModuleSpec};
-pub use projection::{
-    LabelProjectionFn, StabilityFn, StateKeyFn, StateProjectionFn, TraceProjection,
-};
+pub use projection::{StabilityFn, StateKeyFn, StateProjectionFn, TraceProjection};
 pub use reflect::{FieldInfo, StateFields};
 pub use shared::{InternPool, Shared};
 pub use spec::{CanonFn, OwnedCanonFn, Spec, SpecState};
 pub use symmetry::{canon_stats, Canonicalize, Perm};
-pub use trace::{Trace, TraceStep};
+pub use trace::{action_name, Trace, TraceStep};
 pub use value::Value;

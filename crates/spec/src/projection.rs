@@ -4,14 +4,12 @@
 //! Composing modules at mixed granularities is only sound when the coarse module
 //! specifications admit exactly the cross-module interactions of the finer ones (§3.2).
 //! The refinement checker (`remix-checker::refine`) verifies this *semantically* by
-//! exploring both compositions and comparing them under a [`TraceProjection`] — a triple
-//! of
+//! exploring both compositions and comparing them under a [`TraceProjection`] — a pair
+//! of:
 //!
 //! * a **state projection**: the externally visible part of a state at the coarse
 //!   granularity, with the internal bookkeeping of the coarsened modules (votes,
 //!   notification messages, thread queues) normalized away;
-//! * a **label projection**: which fine action labels are visible at the coarse
-//!   granularity (`None` = internal step that the coarse side matches by stuttering);
 //! * a **stability predicate**: whether a state is *between* coarse steps.  A coarse
 //!   action such as `ElectionAndDiscovery` (Figure 5b) executes many fine transitions
 //!   atomically; fine states inside that stretch correspond to no coarse state at all
@@ -25,8 +23,10 @@
 //! hash memoized per-component projection hashes instead of building the map).  The
 //! `Value` form is then only built to render divergences.
 //!
-//! All three are applied state by state and label by label, as the checker folds each
-//! side into a quotient; no trace is ever projected as a whole.
+//! Both are applied state by state, as the checker folds each side into a quotient; no
+//! trace is ever projected as a whole, and action labels are never compared: the fine
+//! steps between two stable states are matched by whatever coarse path joins their
+//! projections.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -43,9 +43,6 @@ pub type StateProjectionFn<S> = Arc<dyn Fn(&S) -> BTreeMap<String, Value> + Send
 /// Function keying a state by its projection (see [`TraceProjection::key`]).
 pub type StateKeyFn<S> = Arc<dyn Fn(&S) -> u64 + Send + Sync>;
 
-/// Function mapping a fine action label onto the coarse label space (`None` = internal).
-pub type LabelProjectionFn = Arc<dyn Fn(&str) -> Option<String> + Send + Sync>;
-
 /// Predicate deciding whether a state lies between coarse steps (a commit point).
 pub type StabilityFn<S> = Arc<dyn Fn(&S) -> bool + Send + Sync>;
 
@@ -61,15 +58,13 @@ pub struct TraceProjection<S> {
     state: StateProjectionFn<S>,
     /// `None` while the key is the hash of `state`'s value.
     key: Option<StateKeyFn<S>>,
-    label: LabelProjectionFn,
     stable: StabilityFn<S>,
 }
 
 impl<S: SpecState> TraceProjection<S> {
     /// Creates the projection between two granularities that maps each state through
-    /// `state`, keeps every label visible unchanged and treats every state as stable;
-    /// [`with_label`](TraceProjection::with_label) and
-    /// [`with_stability`](TraceProjection::with_stability) replace the latter two.
+    /// `state` and treats every state as stable;
+    /// [`with_stability`](TraceProjection::with_stability) replaces the latter.
     ///
     /// `coarse` must strictly abstract `fine` ([`Granularity::abstracts`]); the
     /// constructor asserts this so ill-ordered pairs fail loudly at construction time.
@@ -89,7 +84,6 @@ impl<S: SpecState> TraceProjection<S> {
             fine,
             state: Arc::new(state),
             key: None,
-            label: Arc::new(|l: &str| Some(l.to_owned())),
             stable: Arc::new(|_| true),
         }
     }
@@ -98,15 +92,6 @@ impl<S: SpecState> TraceProjection<S> {
     /// default (see [`TraceProjection::key`]).
     pub fn with_key(mut self, key: impl Fn(&S) -> u64 + Send + Sync + 'static) -> Self {
         self.key = Some(Arc::new(key));
-        self
-    }
-
-    /// Replaces the label projection.
-    pub fn with_label(
-        mut self,
-        label: impl Fn(&str) -> Option<String> + Send + Sync + 'static,
-    ) -> Self {
-        self.label = Arc::new(label);
         self
     }
 
@@ -131,11 +116,6 @@ impl<S: SpecState> TraceProjection<S> {
             Some(key) => key(state),
             None => fingerprint(&self.project_state(state)).0,
         }
-    }
-
-    /// Maps a fine action label onto the coarse label space (`None` = internal step).
-    pub fn project_label(&self, label: &str) -> Option<String> {
-        (self.label)(label)
     }
 
     /// Returns `true` when `state` is a commit point of the coarsening (it corresponds
@@ -166,13 +146,6 @@ mod tests {
 
     fn y_projection() -> TraceProjection<Counters> {
         TraceProjection::new("y-only", Granularity::Coarse, Granularity::Baseline, only_y)
-            .with_label(|l: &str| {
-                if l.starts_with("IncY") {
-                    Some(l.to_owned())
-                } else {
-                    None
-                }
-            })
     }
 
     #[test]
@@ -193,11 +166,6 @@ mod tests {
         assert_eq!(p.project_state(&s), only_y(&s));
         assert!(p.is_stable(&Counters { x: 0, y: 0 }));
         assert!(p.is_stable(&s));
-        assert_eq!(p.project_label("IncX(0)"), Some("IncX(0)".to_owned()));
-        // `with_label` hides the steps it maps to `None` and keeps the others.
-        let p = y_projection();
-        assert_eq!(p.project_label("IncX(0)"), None);
-        assert_eq!(p.project_label("IncY(0)"), Some("IncY(0)".to_owned()));
     }
 
     #[test]

@@ -7,6 +7,13 @@
 
 use std::fmt;
 
+/// The action *definition* name of an instantiated label: everything before the first
+/// `(`, e.g. `"NodeCrash"` for `"NodeCrash(2)"`; a label without arguments (`"Init"`)
+/// is its own name.
+pub fn action_name(label: &str) -> &str {
+    label.split('(').next().unwrap_or(label).trim()
+}
+
 /// One step of a trace: the action that was taken and the state it produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStep<S> {
@@ -88,6 +95,16 @@ impl<S: fmt::Debug> fmt::Display for Trace<S> {
 mod tests {
     use super::*;
     use crate::spec::testutil::Counters;
+
+    #[test]
+    fn action_name_strips_arguments() {
+        assert_eq!(action_name("Init"), "Init");
+        assert_eq!(action_name("NodeCrash(1)"), "NodeCrash");
+        assert_eq!(
+            action_name("ElectionAndDiscovery(2, {0, 1, 2})"),
+            "ElectionAndDiscovery"
+        );
+    }
 
     fn sample_trace() -> Trace<Counters> {
         let mut t = Trace::from_init(Counters { x: 0, y: 0 });

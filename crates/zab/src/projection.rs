@@ -62,34 +62,6 @@ pub struct ProjectionSpec {
     pub normalize_sync: bool,
 }
 
-/// Action names internal to the Election/Discovery coarsening (matched by the coarse
-/// side by stuttering).
-const ELECTION_INTERNAL: &[&str] = &[
-    "FLEBroadcastNotification",
-    "FLEReceiveNotification",
-    "FLEDecide",
-    "FLENotificationTimeout",
-    "ConnectAndFollowerSendFOLLOWERINFO",
-    "LeaderProcessFOLLOWERINFO",
-    "FollowerProcessLEADERINFO",
-    "LeaderProcessACKEPOCH",
-];
-
-/// Action names internal to the fine-grained Synchronization/Broadcast thread model.
-const SYNC_INTERNAL: &[&str] = &[
-    "FollowerProcessNEWLEADER_UpdateEpoch",
-    "FollowerProcessNEWLEADER_LogAndAck",
-    "FollowerProcessNEWLEADER_LogAsync",
-    "FollowerProcessNEWLEADER_ReplyAck",
-    "FollowerSyncProcessorLogRequest",
-    "FollowerCommitProcessorCommit",
-];
-
-/// The action name of a fully instantiated label (`"FLEDecide(2)"` → `"FLEDecide"`).
-fn action_name(label: &str) -> &str {
-    label.split('(').next().unwrap_or(label).trim()
-}
-
 /// `true` when the server is inside the protocol phases the projection keeps fully
 /// visible (Synchronization or Broadcast, i.e. past the coarsened handshake).
 fn in_phase(sv: &ServerData) -> bool {
@@ -532,21 +504,6 @@ fn memoized_projection(
     let state = move |s: &ZabState| project_state(s, spec);
     TraceProjection::new(name, coarse, fine, state)
         .with_key(move |s: &ZabState| memo.key(s))
-        .with_label(move |label: &str| {
-            let name = action_name(label);
-            if spec.normalize_election
-                && (ELECTION_INTERNAL.contains(&name) || name == "ElectionAndDiscovery")
-            {
-                if name == "ElectionAndDiscovery" {
-                    return Some("ElectionAndDiscovery".to_owned());
-                }
-                return None;
-            }
-            if spec.normalize_sync && SYNC_INTERNAL.contains(&name) {
-                return None;
-            }
-            Some(label.to_owned())
-        })
         .with_stability(move |s: &ZabState| is_stable(s, spec))
 }
 
@@ -688,32 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_project_per_normalization() {
-        let p = coarse_vs_baseline(&config());
-        assert_eq!(p.project_label("FLEDecide(2)"), None);
-        assert_eq!(p.project_label("LeaderProcessACKEPOCH(2, 0)"), None);
-        assert_eq!(
-            p.project_label("ElectionAndDiscovery(2, {0, 1, 2})"),
-            Some("ElectionAndDiscovery".to_owned())
-        );
-        assert_eq!(
-            p.project_label("NodeCrash(1)"),
-            Some("NodeCrash(1)".to_owned())
-        );
-
-        let q = baseline_vs_fine_sync(&config(), Granularity::FineConcurrent);
-        assert_eq!(q.project_label("FollowerSyncProcessorLogRequest(0)"), None);
-        assert_eq!(
-            q.project_label("FollowerProcessNEWLEADER_ReplyAck(0, 2)"),
-            None
-        );
-        assert_eq!(
-            q.project_label("FollowerProcessNEWLEADER(0, 2)"),
-            Some("FollowerProcessNEWLEADER(0, 2)".to_owned())
-        );
-    }
-
-    #[test]
     fn sync_normalization_marks_queue_states_unstable() {
         let q = baseline_vs_fine_sync(&config(), Granularity::FineConcurrent);
         let mut s = ZabState::initial(&config());
@@ -805,7 +736,6 @@ mod tests {
         .expect("Coarse vs Baseline pair");
         assert_eq!(p.coarse, Granularity::Coarse);
         assert_eq!(p.fine, Granularity::Baseline);
-        assert_eq!(p.project_label("FLEDecide(1)"), None);
 
         let q = projection_between(
             &SpecPreset::MSpec4.plan(),
@@ -815,7 +745,6 @@ mod tests {
         .expect("Baseline vs FineConcurrent pair");
         assert_eq!(q.coarse, Granularity::Baseline);
         assert_eq!(q.fine, Granularity::FineConcurrent);
-        assert_eq!(q.project_label("FollowerCommitProcessorCommit(0)"), None);
 
         // Identical plans have no refinement relation.
         assert!(projection_between(

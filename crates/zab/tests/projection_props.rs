@@ -3,8 +3,7 @@
 //! The refinement checker's verdicts are only as trustworthy as the projections it
 //! compares under, so the properties the engine relies on are pinned down over
 //! generated inputs: the per-state calls refinement makes are *total* on every
-//! simulated Baseline trace, the label projection is idempotent on its own image, and
-//! `Granularity::abstracts` is a strict partial order (the precondition of
+//! simulated Baseline trace, and `Granularity::abstracts` is a strict partial order (the precondition of
 //! `TraceProjection::new`).  The memoized projection key the checker compares is pinned
 //! to the `Value` form it stands for.
 
@@ -33,10 +32,9 @@ const GRANULARITIES: [Granularity; 5] = [
 
 proptest! {
     /// The calls refinement makes along a simulated Baseline trace are total: every
-    /// state answers `is_stable` and `key`, every label maps to `Some` or `None`, all
-    /// without panicking, and the `Value` form a divergence renders holds the globally
-    /// visible variables.  Two states of the trace with equal projections have equal
-    /// keys.
+    /// state answers `is_stable` and `key` without panicking, and the `Value` form a
+    /// divergence renders holds the globally visible variables.  Two states of the
+    /// trace with equal projections have equal keys.
     #[test]
     fn baseline_trace_projection_is_total(seed in 0u64..64, depth in 1u32..40) {
         let config = config();
@@ -47,7 +45,6 @@ proptest! {
         let mut keys: HashMap<BTreeMap<String, Value>, u64> = HashMap::new();
         for step in &trace.steps {
             let _ = projection.is_stable(&step.state);
-            let _ = projection.project_label(&step.action);
             let key = projection.key(&step.state);
             let projected = projection.project_state(&step.state);
             prop_assert!(projected.contains_key("servers"));
@@ -57,27 +54,6 @@ proptest! {
             let known = *keys.entry(projected).or_insert(key);
             prop_assert_eq!(known, key);
         }
-    }
-
-    /// The label projection is idempotent on its image: a label that survives
-    /// projection projects to itself again.
-    #[test]
-    fn label_projection_is_idempotent_on_its_image(seed in 0u64..48, depth in 1u32..32) {
-        let config = config();
-        let spec = SpecPreset::SysSpec.build(&config);
-        let projection = coarse_vs_baseline(&config);
-        let mut rng = CheckerRng::seed_from_u64(seed);
-        let trace = simulate_one(&spec, depth, &mut rng);
-        for label in trace.action_labels() {
-            if let Some(mapped) = projection.project_label(label) {
-                prop_assert_eq!(projection.project_label(&mapped), Some(mapped.clone()));
-            }
-        }
-        // The coarse big-step label is a fixed point as well.
-        let ead = projection
-            .project_label("ElectionAndDiscovery(2, {0, 1, 2})")
-            .expect("visible");
-        prop_assert_eq!(projection.project_label(&ead), Some(ead.clone()));
     }
 
     /// `Granularity::abstracts` is a strict partial order: irreflexive, asymmetric and
