@@ -15,10 +15,10 @@
 //! The map is shared by all explorer workers, so it reuses the lock-striping scheme of
 //! the parallel BFS engine ([`crate::bfs`]): counters are split into power-of-two
 //! stripes — prefix counters keyed by the leading fingerprint bits, action counters by
-//! a hash of the definition name, so each counter lives on exactly one stripe and both
-//! reads and writes lock a single stripe.  Inserts only contend when two workers hit
-//! the same stripe, and contended acquisitions are counted so a run can report how much
-//! the sharing actually cost (mirroring `CheckStats::shard_contention`).
+//! the definition's interned [`LabelId`], so each counter lives on exactly one stripe
+//! and both reads and writes lock a single stripe.  Inserts only contend when two
+//! workers hit the same stripe, and contended acquisitions are counted so a run can
+//! report how much the sharing actually cost (mirroring `CheckStats::shard_contention`).
 
 use std::collections::HashMap;
 
@@ -173,9 +173,9 @@ impl CoverageMap {
     /// Total hit count of an action definition (instantiation arguments are ignored, so
     /// `NodeCrash(0)` and `NodeCrash(2)` share one counter).
     ///
-    /// A definition's counter lives on exactly one stripe (keyed by the hash of its
-    /// name), so this locks a single stripe — it is on the guided explorer's
-    /// per-successor hot path.
+    /// A definition's counter lives on exactly one stripe (keyed by the interned
+    /// [`LabelId`] of its name), so this locks a single stripe — it is on the guided
+    /// explorer's per-successor hot path.
     pub fn action_hits_total(&self, action: &str) -> u64 {
         let id = self.labels.intern(action_name(action));
         let shard = &self.shards[self.action_shard_index(id)];

@@ -65,7 +65,7 @@
 //! |---|---|---|---|
 //! | `on_fresh` | worker, per new state, right after its insert, outside the stripe lock | state limit, invariants → pending violations; always enqueue | key the state (its stable projection, once); enqueue unless draining a capped run past a stable state |
 //! | `on_existing` | worker, per dedup hit (the duplicate copy is already dropped) | nothing | record the arrival unless the target's known contexts already cover the parent's |
-//! | `on_level_end` | coordinator, after the level's scope has joined (`&mut self`) | resolve violations into traces | fold keys into the per-state table, arrivals into projections / quotient edges / lsets, re-enqueue the indices of grown states, edge matching, state cap, early stops |
+//! | `on_level_end` | coordinator, after the level's scope has joined (`&mut self`) | resolve violations into traces | fold keys into the dense per-state column (one interned context-set id and a stable bit per `StateIndex`), arrivals into projections / quotient edges / lsets, re-enqueue the indices of grown states, edge matching, state cap, early stops |
 //!
 //! No hook runs inside the successor-enumeration callback: an edge reaches a visitor
 //! only as the [`Arrival`] of its insert.  Visitors are generic parameters, never `dyn`:
@@ -186,8 +186,8 @@ impl<S: SpecState> Frontier<S> {
     }
 
     fn append(&mut self, other: Frontier<S>) {
-        self.indices.extend(other.indices);
-        self.states.extend(other.states);
+        append_moving(&mut self.indices, other.indices);
+        append_moving(&mut self.states, other.states);
     }
 
     fn len(&self) -> usize {
@@ -271,9 +271,19 @@ impl<S: SpecState, L> LevelOutput<S, L> {
             totals.pruned_transitions += result.pruned;
             output.next.append(result.next_frontier);
             output.locals.push(result.local);
-            output.sleep_edges.extend(result.sleep_edges);
+            append_moving(&mut output.sleep_edges, result.sleep_edges);
         }
         output
+    }
+}
+
+/// Appends `other` to `into`, or moves it in whole while `into` is empty: the first
+/// worker's buffers (a one-worker level's only ones) reach the barrier uncopied.
+fn append_moving<T>(into: &mut Vec<T>, mut other: Vec<T>) {
+    if into.is_empty() {
+        *into = other;
+    } else {
+        into.append(&mut other);
     }
 }
 

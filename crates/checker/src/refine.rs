@@ -19,6 +19,13 @@
 //! Both sides explore concrete states into a Full store (in RAM or spilled): no
 //! symmetry reduction and no fingerprint-only store is layered on top of the check.
 //!
+//! Beside the store, each side keeps one `u32` per state, in a column indexed by its
+//! [`StateIndex`]: the id of the context set the state hands to its successors — its
+//! own stable projection, or the stable projections it may still be stabilizing from —
+//! and a bit that marks it stable.  The sets themselves are interned once per side in
+//! a small table, since few distinct ones recur across the whole space; the column
+//! stays in RAM when the store spills.
+//!
 //! On divergence the checker reconstructs a concrete witness trace of the offending
 //! side via BFS parent pointers and delta-debugs it down to a locally minimal trace
 //! that still exhibits the divergence ([`crate::shrink`]).
@@ -490,31 +497,149 @@ fn stable_key<S: SpecState>(projection: &TraceProjection<S>, state: &S) -> Optio
     projection.is_stable(state).then(|| projection.key(state))
 }
 
-/// The *lset* of an unstable state: the stable projections last seen on some path
-/// leading to it, sorted.
-type Lset = Box<[u64]>;
+/// The id of a context set in its side's [`ContextTable`].
+type SetId = u32;
 
-/// What the barrier knows about a discovered state.
-enum Known {
-    /// A stable state is "inside" its own projection for good.
-    Stable(u64),
-    Unstable(Lset),
+/// The id of the empty context set: what a seed hands its successors.
+const NO_CONTEXTS: SetId = 0;
+
+/// One side's context sets, each distinct set stored once and named by a [`SetId`].
+///
+/// A context set is a sorted, deduplicated slice of stable-projection keys: a stable
+/// state's singleton `{key}`, or the *lset* of an unstable state — the stable
+/// projections last seen on some path leading to it.  Few sets recur across many
+/// states (SysSpec ⊑ mSpec-1 on three servers: 181 singletons and 23 lsets over
+/// 65,653 states), so each state pays a 4-byte id in the [`KnownColumn`] instead of
+/// its own set.  Ids follow intern order, which several workers make
+/// scheduling-dependent: equal ids mean equal sets, and no id is ordered or reported.
+struct ContextTable {
+    /// Id → the set it names.
+    sets: Vec<Box<[u64]>>,
+    /// Set → its id.
+    ids: HashMap<Box<[u64]>, SetId>,
 }
 
-impl Known {
-    /// The stable projections the state can be inside of, sorted: the context it hands
-    /// to its successors.
-    fn contexts(&self) -> &[u64] {
-        match self {
-            Known::Stable(key) => std::slice::from_ref(key),
-            Known::Unstable(lset) => lset,
+impl Default for ContextTable {
+    fn default() -> Self {
+        let mut table = ContextTable {
+            sets: Vec::new(),
+            ids: HashMap::new(),
+        };
+        let empty = table.intern(&[]);
+        debug_assert_eq!(empty, NO_CONTEXTS);
+        table
+    }
+}
+
+impl ContextTable {
+    /// The id of the sorted, deduplicated `set`, interning it on first sight.
+    fn intern(&mut self, set: &[u64]) -> SetId {
+        debug_assert!(set.windows(2).all(|pair| pair[0] < pair[1]), "{set:?}");
+        if let Some(&id) = self.ids.get(set) {
+            return id;
         }
+        let id = SetId::try_from(self.sets.len())
+            .ok()
+            .filter(|&id| id <= Known::MAX_SET)
+            .expect("fewer distinct context sets than a column entry can name");
+        self.sets.push(set.into());
+        self.ids.insert(set.into(), id);
+        id
+    }
+
+    /// The sorted keys of set `id`.
+    fn get(&self, id: SetId) -> &[u64] {
+        &self.sets[id as usize]
+    }
+
+    /// Whether every key of set `from` occurs in set `known`.
+    fn covers(&self, known: SetId, from: SetId) -> bool {
+        from == known || covered(self.get(from), self.get(known))
+    }
+
+    /// The id of set `id` ∪ `extra` (`extra` in any order, duplicates allowed).
+    fn union(&mut self, id: SetId, extra: &[u64]) -> SetId {
+        let mut set: Vec<u64> = [self.get(id), extra].concat();
+        set.sort_unstable();
+        set.dedup();
+        self.intern(&set)
     }
 }
 
 /// Whether every key of `from` occurs in the sorted `known`.
 fn covered(from: &[u64], known: &[u64]) -> bool {
     from.iter().all(|key| known.binary_search(key).is_ok())
+}
+
+/// What the barrier knows about a discovered state, packed into one `u32`: the
+/// [`SetId`] of the contexts it hands to its successors, and in the low bit whether
+/// it is stable.  A stable state is "inside" its own projection for good, so its set
+/// is the singleton `{key}`; an unstable state's set is its lset, which grows.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Known(u32);
+
+impl Known {
+    /// The largest set id an entry can hold: one below the [`KnownColumn`]'s sentinel.
+    const MAX_SET: SetId = (u32::MAX >> 1) - 1;
+
+    fn stable(singleton: SetId) -> Self {
+        Known(singleton << 1 | 1)
+    }
+
+    fn unstable(lset: SetId) -> Self {
+        Known(lset << 1)
+    }
+
+    fn is_stable(self) -> bool {
+        self.0 & 1 == 1
+    }
+
+    /// The id of the state's contexts.
+    fn set(self) -> SetId {
+        self.0 >> 1
+    }
+}
+
+/// One [`Known`] per [`StateIndex`], dense: the column a side's barrier writes and its
+/// workers read.  An entry no barrier has announced holds [`KnownColumn::UNANNOUNCED`].
+///
+/// Store indices pack `(local slot, stripe)`, so the column runs a little past the
+/// state count, as far as the fullest stripe reaches: 4 bytes an entry, in RAM when
+/// the store spills.
+#[derive(Default)]
+struct KnownColumn(Vec<u32>);
+
+impl KnownColumn {
+    /// The entry of a state not announced yet.
+    const UNANNOUNCED: u32 = u32::MAX;
+
+    fn get(&self, index: StateIndex) -> Option<Known> {
+        match self.0.get(index.0 as usize) {
+            Some(&entry) if entry != Self::UNANNOUNCED => Some(Known(entry)),
+            _ => None,
+        }
+    }
+
+    /// The entry of a state an earlier barrier (or pass 1 of this one) announced.
+    fn announced(&self, index: StateIndex) -> Known {
+        self.get(index)
+            .expect("every expanded state was announced at its barrier")
+    }
+
+    fn set(&mut self, index: StateIndex, known: Known) {
+        let slot = index.0 as usize;
+        if slot >= self.0.len() {
+            self.0.resize(slot + 1, Self::UNANNOUNCED);
+        }
+        self.0[slot] = known.0;
+    }
+
+    /// The contexts the edge behind `at` carries: its parent's (none for a seed).  The
+    /// parent was expanded this level, so an earlier barrier announced it.
+    fn contexts_from(&self, at: Arrival) -> SetId {
+        at.parent
+            .map_or(NO_CONTEXTS, |parent| self.announced(parent).set())
+    }
 }
 
 /// What one worker saw during a level; folded sequentially at the barrier.
@@ -535,6 +660,10 @@ struct Arrivals {
 /// Workers key each state once, when it enters the store (`on_fresh`), and collect
 /// arrivals; every table is written at the level barrier, so nothing here is locked
 /// and the fold order — hence every statistic — is independent of worker scheduling.
+/// Workers read the [`KnownColumn`] and the [`ContextTable`] (in `on_existing`); the
+/// barrier announces the level's fresh states in them, then grows lsets by interning
+/// their unions.  Set ids depend on the intern order, so none reaches an ordering, a
+/// statistic, a representative choice or a witness: those all read the sorted keys.
 struct RefineVisitor<'a, S: SpecState> {
     projection: &'a TraceProjection<S>,
     options: &'a RefineOptions,
@@ -552,19 +681,15 @@ struct RefineVisitor<'a, S: SpecState> {
     /// Coarse-quotient reachability, memoized across levels.
     reach_memo: HashMap<u64, HashSet<u64>>,
     quotient: Quotient,
-    /// Every state announced at an earlier barrier.
-    known: HashMap<StateIndex, Known>,
+    /// What each state announced at an earlier barrier hands its successors.
+    known: KnownColumn,
+    /// The context sets `known` names.
+    contexts: ContextTable,
     /// `Some(levels_drained)` once a state or depth budget has tripped: the run is
     /// incomplete, but stabilizations already in progress are finished (unstable
     /// states only) for up to `stabilization_grace` extra levels, so the projection
     /// and edge sets are populated instead of frozen mid-atomic-stretch.
     draining: Option<u32>,
-}
-
-/// The contexts the edge behind `at` carries: its parent's (none for a seed).  The
-/// parent was expanded this level, so an earlier barrier announced it.
-fn contexts_from(known: &HashMap<StateIndex, Known>, at: Arrival) -> &[u64] {
-    at.parent.map_or(&[], |parent| known[&parent].contexts())
 }
 
 impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
@@ -583,11 +708,14 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         // A state the barrier has not seen yet was inserted earlier in this very level
         // and is already enqueued; older states are worth carrying to the barrier only
         // if this edge brings a context they lack.
-        if let Some(known) = self.known.get(&at.index) {
-            if covered(contexts_from(&self.known, at), known.contexts()) {
+        if let Some(known) = self.known.get(at.index) {
+            if self
+                .contexts
+                .covers(known.set(), self.known.contexts_from(at))
+            {
                 return;
             }
-            if let Known::Unstable(_) = known {
+            if !known.is_stable() {
                 local.revisits.push(at.index);
             }
         }
@@ -610,11 +738,11 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
                     missing |= self
                         .coarse
                         .is_some_and(|coarse| coarse.complete && !coarse.projs.contains_key(&key));
-                    Known::Stable(key)
+                    Known::stable(self.contexts.intern(&[key]))
                 }
-                None => Known::Unstable(Lset::default()),
+                None => Known::unstable(NO_CONTEXTS),
             };
-            self.known.insert(at.index, known);
+            self.known.set(at.index, known);
         }
 
         // Pass 2: every arrival hands its parent's contexts to its target — a quotient
@@ -626,30 +754,30 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
             .iter()
             .flat_map(|local| local.fresh.iter().map(|(at, _)| at).chain(&local.existing));
         for &at in arrivals {
-            let from = contexts_from(&self.known, at);
-            match &self.known[&at.index] {
-                Known::Stable(key) => {
-                    for &from in from.iter().filter(|&from| from != key) {
-                        if self.quotient.edges.entry(from).or_default().insert(*key) {
-                            new_edges.push((from, *key));
-                        }
-                        // Remember a concrete state completing this edge, so an
-                        // unmatched-step divergence can reconstruct a witness that
-                        // actually ends with the offending stabilization.
-                        offer_rep(&mut self.quotient.edge_reps, (from, *key), at);
+            let from = self.known.contexts_from(at);
+            let target = self.known.announced(at.index);
+            if target.is_stable() {
+                let key = self.contexts.get(target.set())[0];
+                for &from in self.contexts.get(from).iter().filter(|&&from| from != key) {
+                    if self.quotient.edges.entry(from).or_default().insert(key) {
+                        new_edges.push((from, key));
                     }
+                    // Remember a concrete state completing this edge, so an
+                    // unmatched-step divergence can reconstruct a witness that
+                    // actually ends with the offending stabilization.
+                    offer_rep(&mut self.quotient.edge_reps, (from, key), at);
                 }
-                Known::Unstable(lset) if !covered(from, lset) => {
-                    grown.entry(at.index).or_default().extend(from);
-                }
-                Known::Unstable(_) => {}
+            } else if !self.contexts.covers(target.set(), from) {
+                grown
+                    .entry(at.index)
+                    .or_default()
+                    .extend(self.contexts.get(from));
             }
         }
-        for (index, extra) in &grown {
-            let mut lset: Vec<u64> = [self.known[index].contexts(), extra].concat();
-            lset.sort_unstable();
-            lset.dedup();
-            self.known.insert(*index, Known::Unstable(lset.into()));
+        for (&index, extra) in &grown {
+            let lset = self.known.announced(index).set();
+            let lset = self.contexts.union(lset, extra);
+            self.known.set(index, Known::unstable(lset));
         }
         // A grown lset on an *older* unstable state changes what its successors
         // stabilize from: re-enqueue it once (states of this level are already
@@ -744,7 +872,8 @@ fn explore_side<S: SpecState>(
             coarse,
             reach_memo: HashMap::new(),
             quotient: Quotient::default(),
-            known: HashMap::new(),
+            known: KnownColumn::default(),
+            contexts: ContextTable::default(),
             draining: None,
         },
     );
@@ -1437,6 +1566,93 @@ mod tests {
         // …and the in-RAM baseline did not.
         assert!(!in_ram.stats.fine_spill.spilled());
         assert!(!in_ram.stats.coarse_spill.spilled());
+    }
+
+    #[test]
+    fn equal_context_sets_share_one_id() {
+        let mut table = ContextTable::default();
+        assert_eq!(table.intern(&[]), NO_CONTEXTS);
+        let a = table.intern(&[3, 7]);
+        let b = table.intern(&[3]);
+        assert_ne!(a, b);
+        assert_eq!(table.intern(&[3, 7]), a);
+        assert_eq!(
+            table.union(b, &[7, 3, 7]),
+            a,
+            "a union equal to a known set is it"
+        );
+        assert_eq!(table.sets.len(), 3, "{{}}, {{3, 7}} and {{3}}, once each");
+    }
+
+    #[test]
+    fn a_stable_state_hands_down_its_singleton() {
+        let mut table = ContextTable::default();
+        let mut column = KnownColumn::default();
+        let (stable, unstable) = (StateIndex(9), StateIndex(2));
+        column.set(stable, Known::stable(table.intern(&[42])));
+        column.set(unstable, Known::unstable(table.intern(&[42])));
+        assert_eq!(
+            column.get(StateIndex(5)),
+            None,
+            "below the column's end, unannounced"
+        );
+        assert_eq!(column.get(StateIndex(10)), None, "past the column's end");
+        let at = |parent| Arrival {
+            index: StateIndex(0),
+            parent,
+            fp: crate::fingerprint::Fingerprint(0, 0),
+            depth: 1,
+        };
+        for index in [stable, unstable] {
+            assert_eq!(table.get(column.announced(index).set()), [42]);
+            assert_eq!(table.get(column.contexts_from(at(Some(index)))), [42]);
+        }
+        assert!(column.announced(stable).is_stable());
+        assert!(!column.announced(unstable).is_stable());
+        assert_eq!(column.contexts_from(at(None)), NO_CONTEXTS, "a seed's edge");
+        // The largest set id still differs from the sentinel in either role.
+        for known in [
+            Known::stable(Known::MAX_SET),
+            Known::unstable(Known::MAX_SET),
+        ] {
+            assert_ne!(known.0, KnownColumn::UNANNOUNCED);
+            assert_eq!(known.set(), Known::MAX_SET);
+        }
+    }
+
+    #[test]
+    fn a_union_is_sorted_and_deduplicated() {
+        let mut table = ContextTable::default();
+        let lset = table.intern(&[2, 9]);
+        let grown = table.union(lset, &[9, 5, 1, 5]);
+        assert_eq!(table.get(grown), [1, 2, 5, 9]);
+        assert_eq!(table.get(lset), [2, 9], "the grown set is a new one");
+        let fresh = table.union(NO_CONTEXTS, &[4, 4]);
+        assert_eq!(table.get(fresh), [4]);
+    }
+
+    #[test]
+    fn covers_through_ids_agrees_with_the_slice_check() {
+        // Every subset of four keys, against every other.
+        let subsets: Vec<Vec<u64>> = (0u32..16)
+            .map(|bits| {
+                (0u64..4)
+                    .filter(|b| bits & 1 << b != 0)
+                    .map(|b| 10 * b)
+                    .collect()
+            })
+            .collect();
+        let mut table = ContextTable::default();
+        let ids: Vec<SetId> = subsets.iter().map(|set| table.intern(set)).collect();
+        for (known, &known_id) in subsets.iter().zip(&ids) {
+            for (from, &from_id) in subsets.iter().zip(&ids) {
+                assert_eq!(
+                    table.covers(known_id, from_id),
+                    covered(from, known),
+                    "{from:?} ⊆ {known:?}"
+                );
+            }
+        }
     }
 
     #[test]

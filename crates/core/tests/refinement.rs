@@ -10,7 +10,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use remix_checker::{check_refinement, replay_labels, DivergenceKind, RefineOptions, SpillConfig};
+use remix_checker::{
+    check_refinement, replay_labels, DivergenceKind, RefineOptions, RefineVerdict, SpillConfig,
+};
 use remix_core::Verifier;
 use remix_spec::{CompositionPlan, Granularity};
 use remix_zab::modules::{BROADCAST, DISCOVERY, ELECTION, SYNCHRONIZATION};
@@ -86,6 +88,52 @@ fn coarse_election_refines_baseline_conclusively() {
             let row = run.row();
             assert!(row.verdict == "refines" && row.conclusive);
             assert!(row.to_json().contains("\"verdict\":\"refines\""));
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "expensive dual exploration; use --release")]
+fn explore_bound_counts_are_independent_of_workers_and_spilling() {
+    // SysSpec ⊑ mSpec-1, the refine workload's explore-bound pair: a one-worker run
+    // folds its context sets in one order, a two-worker run (the levels past 64 states
+    // are fork-joins) in another, and the set ids follow that order.  No count and no
+    // verdict may: every cell and worker count reports the one-worker in-RAM figures.
+    let config = ClusterConfig {
+        max_transactions: 1,
+        max_crashes: 0,
+        ..ClusterConfig::small(CodeVersion::V391)
+    };
+    let counts = |stats: &remix_checker::RefineStats| {
+        (
+            stats.fine_states,
+            stats.coarse_states,
+            stats.fine_projections,
+            stats.coarse_projections,
+            stats.edges_checked,
+            stats.fine_complete,
+            stats.coarse_complete,
+        )
+    };
+    let expected = (65_653, 181, 181, 181, 441, true, true);
+    for base in cells(options()) {
+        for workers in [1, 2] {
+            let options = base.clone().with_workers(workers);
+            let cell = cell_name(&options);
+            let run = Verifier::new(config)
+                .check_refinement(SpecPreset::SysSpec, SpecPreset::MSpec1, &options)
+                .expect("presets form a refinement pair");
+            assert_eq!(
+                run.outcome.verdict(),
+                RefineVerdict::Refines,
+                "{cell}, {workers} workers: {}",
+                run.outcome
+            );
+            assert_eq!(
+                counts(&run.outcome.stats),
+                expected,
+                "{cell}, {workers} workers"
+            );
         }
     }
 }
