@@ -63,9 +63,9 @@
 //!
 //! | hook | runs | invariant visitor | refinement visitor |
 //! |---|---|---|---|
-//! | `on_fresh` | worker, per new state, right after its insert, outside the stripe lock | state limit, invariants → pending violations; always enqueue | key the state (its stable projection, once); enqueue unless draining a capped run past a stable state |
-//! | `on_existing` | worker, per dedup hit (the duplicate copy is already dropped) | nothing | record the arrival unless the target's known contexts already cover the parent's |
-//! | `on_level_end` | coordinator, after the level's scope has joined (`&mut self`) | resolve violations into traces | fold keys into the dense per-state column (one interned context-set id and a stable bit per `StateIndex`), arrivals into projections / quotient edges / lsets, re-enqueue the indices of grown states, edge matching, state cap, early stops |
+//! | `on_fresh` | worker, per new state, right after its insert, outside the stripe lock | state limit, invariants → pending violations; always enqueue | key the state (its stable projection, once) and buffer the arrival (8 B unstable, 32 B stable with its fingerprint and key); enqueue unless draining a capped run past a stable state |
+//! | `on_existing` | worker, per dedup hit (the duplicate copy is already dropped) | nothing | buffer the arrival only if it can change the fold: drop it when the parent hands down no context, when an older unstable target's lset already covers the parent's contexts, or when an older stable target's quotient edges from all of them are already in the side's edge map (8 B per kept arrival, 24 B with the target's fingerprint when it is known to be stable) |
+//! | `on_level_end` | coordinator, after the level's scope has joined (`&mut self`) | resolve violations into traces | fold keys into the dense per-state column (one interned context-set id and a stable bit per `StateIndex`), arrivals into projections / the edge map (one 24-byte representative per edge) / lsets, re-enqueue the indices of grown states, match new edges by searching the frozen coarse adjacency, state cap, early stops |
 //!
 //! No hook runs inside the successor-enumeration callback: an edge reaches a visitor
 //! only as the [`Arrival`] of its insert.  Visitors are generic parameters, never `dyn`:

@@ -26,6 +26,16 @@
 //! a small table, since few distinct ones recur across the whole space; the column
 //! stays in RAM when the store spills.
 //!
+//! Everything else a side keeps grows with what it *learns*, not with the arrivals
+//! and queries that taught it: one 24-byte representative per stable projection and
+//! per quotient edge (one map whose keys are the edge set), each distinct context set
+//! once.  A level's arrivals are buffered only until its barrier, and only those that
+//! can change the fold: 8 bytes for an arrival at an unstable or not yet classified
+//! state, 24–32 for one at a stable state.  Once the coarse side is finished its edges
+//! are frozen into a sorted compressed-sparse-row adjacency, and each fine edge
+//! asks it `to ∈ reach(from)` by a search over an epoch-stamped visited array: no
+//! reachable set is memoized.
+//!
 //! On divergence the checker reconstructs a concrete witness trace of the offending
 //! side via BFS parent pointers and delta-debugs it down to a locally minimal trace
 //! that still exhibits the divergence ([`crate::shrink`]).
@@ -36,8 +46,8 @@
 //! distinguish states below the projection, but it never reports a false divergence
 //! for that reason.
 
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::ops::ControlFlow;
@@ -46,6 +56,7 @@ use std::time::{Duration, Instant};
 use remix_spec::{LabelTable, Spec, SpecState, Trace, TraceProjection};
 
 use crate::expand::Pipeline;
+use crate::fingerprint::Fingerprint;
 use crate::kernel::{self, Arrival, LevelEnd, Run, Visitor};
 use crate::options::SymmetryMode;
 use crate::outcome::StopReason;
@@ -413,14 +424,35 @@ fn render_projection<S: SpecState>(projection: &TraceProjection<S>, state: &S) -
     format!("[{}]", fields.join(", "))
 }
 
-/// Records `at` as the representative of `key` — the concrete state a witness is
-/// reconstructed from — unless an earlier (or same-depth, lower-fingerprint) arrival
-/// already is: state indices follow insert order, which with several workers depends
-/// on their scheduling, so representatives are chosen by `(depth, fingerprint)`.
-fn offer_rep<K: Eq + Hash>(reps: &mut HashMap<K, Arrival>, key: K, at: Arrival) {
-    let rep = reps.entry(key).or_insert(at);
-    if (at.depth, at.fp) < (rep.depth, rep.fp) {
-        *rep = at;
+/// The concrete state a divergence witness is rebuilt from, with the depth and the
+/// fingerprint it was reached with: 24 bytes.
+///
+/// State indices follow insert order, which with several workers depends on their
+/// scheduling, so representatives are chosen by `(depth, fingerprint)`: the one on
+/// record gives way only to an earlier arrival, or a same-depth one of lower
+/// fingerprint.
+#[derive(Clone, Copy, Debug)]
+struct Rep {
+    depth: u32,
+    index: StateIndex,
+    fp: Fingerprint,
+}
+
+/// Records `rep` for `key` unless the representative on record is lesser; returns
+/// whether `key` was new.
+fn offer_rep<K: Eq + Hash>(reps: &mut HashMap<K, Rep>, key: K, rep: Rep) -> bool {
+    match reps.entry(key) {
+        Entry::Occupied(mut slot) => {
+            let old = slot.get_mut();
+            if (rep.depth, rep.fp) < (old.depth, old.fp) {
+                *old = rep;
+            }
+            false
+        }
+        Entry::Vacant(slot) => {
+            slot.insert(rep);
+            true
+        }
     }
 }
 
@@ -428,13 +460,14 @@ fn offer_rep<K: Eq + Hash>(reps: &mut HashMap<K, Arrival>, key: K, at: Arrival) 
 #[derive(Default)]
 struct Quotient {
     /// Stable projections → representative state.
-    projs: HashMap<u64, Arrival>,
-    /// Stabilization edges of the projected quotient: `from → {to}` with `from ≠ to`.
-    edges: HashMap<u64, BTreeSet<u64>>,
-    /// Per-edge representative: a concrete state that completed the edge (its parent
-    /// chain need not stabilize from `from`, but it ends in the edge's target and is
-    /// the best concrete anchor available without per-context parents).
-    edge_reps: HashMap<(u64, u64), Arrival>,
+    projs: HashMap<u64, Rep>,
+    /// Stabilization edges of the projected quotient, `(from, to)` with `from ≠ to`
+    /// (the keys are the edge set), each with its representative: a concrete state
+    /// that completed the edge.  Its parent chain need not stabilize from `from`, but
+    /// it ends in the edge's target and is the best concrete anchor available without
+    /// per-context parents.  A finished coarse side hands its edges to an
+    /// [`Adjacency`] and keeps none.
+    edges: HashMap<(u64, u64), Rep>,
     /// Whether exploration ran to exhaustion within the budgets.
     complete: bool,
     /// Stabilization edges checked incrementally against the other side's quotient
@@ -446,24 +479,132 @@ struct Quotient {
     unmatched_edge: Option<(u64, u64)>,
 }
 
-impl Quotient {
-    /// Returns the set of projections reachable from `from` in the quotient graph
-    /// (including `from` itself), memoized by the caller.
-    fn reachable_from(&self, from: u64) -> HashSet<u64> {
-        let mut out: HashSet<u64> = HashSet::new();
-        let mut stack = vec![from];
-        out.insert(from);
-        while let Some(p) = stack.pop() {
-            if let Some(succs) = self.edges.get(&p) {
-                for &q in succs {
-                    if out.insert(q) {
-                        stack.push(q);
-                    }
+/// A finished quotient's edges, frozen for reachability queries: the keys that end an
+/// edge, sorted, name dense ids, and the successors of each id sit in one
+/// compressed-sparse-row array — 8 bytes per key, 4 per edge and 4 per row, where
+/// the edge map spent 40 and a control byte per bucket.  `to ∈ reach(from)` is a
+/// search over it (see [`Walk`]); no reachable set is kept between searches.
+#[derive(Default)]
+struct Adjacency {
+    /// Every key that ends an edge, sorted: `keys[id]` is the key of dense id `id`.
+    keys: Vec<u64>,
+    /// The successors of `id` are `targets[starts[id]..starts[id + 1]]`.
+    starts: Vec<u32>,
+    /// Successor ids, row after row in id order, each row sorted.
+    targets: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Freezes an edge set of `(from, to)` key pairs.
+    fn freeze(edges: impl IntoIterator<Item = (u64, u64)>) -> Self {
+        let mut pairs: Vec<(u64, u64)> = edges.into_iter().collect();
+        pairs.sort_unstable();
+        let mut keys: Vec<u64> = pairs.iter().flat_map(|&(from, to)| [from, to]).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.shrink_to_fit();
+        let dense = |key: u64| keys.binary_search(&key).expect("an endpoint is a key");
+        let mut starts = vec![0u32; keys.len() + 1];
+        for &(from, _) in &pairs {
+            starts[dense(from) + 1] += 1;
+        }
+        for id in 1..starts.len() {
+            starts[id] += starts[id - 1];
+        }
+        let targets = pairs.iter().map(|&(_, to)| dense(to) as u32).collect();
+        Adjacency {
+            keys,
+            starts,
+            targets,
+        }
+    }
+
+    /// The dense id of `key`, if it ends an edge.
+    fn id(&self, key: u64) -> Option<u32> {
+        self.keys.binary_search(&key).ok().map(|id| id as u32)
+    }
+
+    /// The ids `id` has an edge to.
+    fn successors(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        &self.targets[self.starts[id] as usize..self.starts[id + 1] as usize]
+    }
+
+    /// Whether `to` is reachable from `from`: every key reaches itself, and a key that
+    /// ends no edge reaches nothing else.
+    fn reaches(&self, walk: &mut Walk, from: u64, to: u64) -> bool {
+        if from == to {
+            return true;
+        }
+        match (self.id(from), self.id(to)) {
+            (Some(source), Some(target)) => walk.reaches(self, source, target),
+            _ => false,
+        }
+    }
+}
+
+/// The scratch of reachability searches over one [`Adjacency`]: a visited stamp per
+/// dense id and a depth-first stack.
+///
+/// A search marks what it reaches with its epoch, so starting the next one costs an
+/// increment, not a clear.  A search stops as soon as it reaches its target and is
+/// resumed, not restarted, by the next query from the same source — the fine side
+/// matches each level's new edges sorted by source — so the queries from one source
+/// cost at most one traversal between them.
+#[derive(Default)]
+struct Walk {
+    /// Per dense id, the epoch of the last search that reached it.
+    stamps: Vec<u32>,
+    epoch: u32,
+    /// Reached ids whose successors are not stamped yet.
+    stack: Vec<u32>,
+    /// The source of the search under way.
+    source: Option<u32>,
+}
+
+impl Walk {
+    /// Whether `target` is reachable from `source` in `graph`, the one adjacency this
+    /// walk searches.
+    fn reaches(&mut self, graph: &Adjacency, source: u32, target: u32) -> bool {
+        if self.source != Some(source) {
+            self.restart(graph.keys.len(), source);
+        }
+        while self.stamps[target as usize] != self.epoch {
+            let Some(id) = self.stack.pop() else {
+                return false;
+            };
+            for &next in graph.successors(id) {
+                let stamp = &mut self.stamps[next as usize];
+                if *stamp != self.epoch {
+                    *stamp = self.epoch;
+                    self.stack.push(next);
                 }
             }
         }
-        out
+        true
     }
+
+    /// Starts a search from `source` over `ids` dense ids.
+    fn restart(&mut self, ids: usize, source: u32) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 || self.stamps.len() != ids {
+            self.stamps.clear();
+            self.stamps.resize(ids, 0);
+            self.epoch = 1;
+        }
+        self.stack.clear();
+        self.stamps[source as usize] = self.epoch;
+        self.stack.push(source);
+        self.source = Some(source);
+    }
+}
+
+/// The coarse side as the fine side's exploration matches against it: its quotient's
+/// projections and completeness, and its edges frozen into an [`Adjacency`].
+#[derive(Clone, Copy)]
+struct Coarse<'a> {
+    quotient: &'a Quotient,
+    adjacency: &'a Adjacency,
 }
 
 /// One explored side: its quotient plus the Full store its witnesses are rebuilt from
@@ -510,20 +651,29 @@ const NO_CONTEXTS: SetId = 0;
 /// projections last seen on some path leading to it.  Few sets recur across many
 /// states (SysSpec ⊑ mSpec-1 on three servers: 181 singletons and 23 lsets over
 /// 65,653 states), so each state pays a 4-byte id in the [`KnownColumn`] instead of
-/// its own set.  Ids follow intern order, which several workers make
-/// scheduling-dependent: equal ids mean equal sets, and no id is ordered or reported.
+/// its own set.  The sets' keys sit back to back in one `Vec`, and a map from a set's
+/// hash to its id finds a set again, so each set is stored once: 8 bytes per key
+/// and 8 per set, plus a map entry per distinct hash.  Ids follow intern order,
+/// which several workers make scheduling-dependent: equal ids mean equal sets, and no
+/// id is ordered or reported.
 struct ContextTable {
-    /// Id → the set it names.
-    sets: Vec<Box<[u64]>>,
-    /// Set → its id.
-    ids: HashMap<Box<[u64]>, SetId>,
+    /// The keys of every set, back to back in id order.
+    keys: Vec<u64>,
+    /// Set `id` ends at `keys[ends[id]]` and starts where set `id − 1` ends.
+    ends: Vec<u32>,
+    /// A set's hash → the last set interned with that hash.
+    by_hash: HashMap<u64, SetId>,
+    /// Per set, the set interned before it with the same hash ([`Self::NO_SET`]: none).
+    same_hash: Vec<SetId>,
 }
 
 impl Default for ContextTable {
     fn default() -> Self {
         let mut table = ContextTable {
-            sets: Vec::new(),
-            ids: HashMap::new(),
+            keys: Vec::new(),
+            ends: Vec::new(),
+            by_hash: HashMap::new(),
+            same_hash: Vec::new(),
         };
         let empty = table.intern(&[]);
         debug_assert_eq!(empty, NO_CONTEXTS);
@@ -532,24 +682,47 @@ impl Default for ContextTable {
 }
 
 impl ContextTable {
+    /// The end of a `same_hash` chain: no id is this large (see [`Known::MAX_SET`]).
+    const NO_SET: SetId = SetId::MAX;
+
+    /// The hash a set is found again by; collisions are resolved by comparing sets.
+    fn hash(set: &[u64]) -> u64 {
+        // The keys are hashes already: a multiply-rotate fold mixes them enough.
+        set.iter().fold(set.len() as u64, |hash, &key| {
+            (hash ^ key)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .rotate_left(29)
+        })
+    }
+
     /// The id of the sorted, deduplicated `set`, interning it on first sight.
     fn intern(&mut self, set: &[u64]) -> SetId {
         debug_assert!(set.windows(2).all(|pair| pair[0] < pair[1]), "{set:?}");
-        if let Some(&id) = self.ids.get(set) {
-            return id;
+        let hash = Self::hash(set);
+        let mut probe = self.by_hash.get(&hash).copied().unwrap_or(Self::NO_SET);
+        while probe != Self::NO_SET {
+            if self.get(probe) == set {
+                return probe;
+            }
+            probe = self.same_hash[probe as usize];
         }
-        let id = SetId::try_from(self.sets.len())
+        let id = SetId::try_from(self.ends.len())
             .ok()
             .filter(|&id| id <= Known::MAX_SET)
             .expect("fewer distinct context sets than a column entry can name");
-        self.sets.push(set.into());
-        self.ids.insert(set.into(), id);
+        self.keys.extend_from_slice(set);
+        let end = u32::try_from(self.keys.len()).expect("fewer than 2^32 context keys");
+        self.ends.push(end);
+        let older = self.by_hash.insert(hash, id);
+        self.same_hash.push(older.unwrap_or(Self::NO_SET));
         id
     }
 
     /// The sorted keys of set `id`.
     fn get(&self, id: SetId) -> &[u64] {
-        &self.sets[id as usize]
+        let id = id as usize;
+        let start = id.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.keys[start as usize..self.ends[id] as usize]
     }
 
     /// Whether every key of set `from` occurs in set `known`.
@@ -604,8 +777,9 @@ impl Known {
 /// workers read.  An entry no barrier has announced holds [`KnownColumn::UNANNOUNCED`].
 ///
 /// Store indices pack `(local slot, stripe)`, so the column runs a little past the
-/// state count, as far as the fullest stripe reaches: 4 bytes an entry, in RAM when
-/// the store spills.
+/// state count, as far as the fullest stripe reaches.  The barrier grows it once per
+/// level, exactly to the largest index the level announces, never by doubling: 4
+/// bytes an entry, in RAM when the store spills.
 #[derive(Default)]
 struct KnownColumn(Vec<u32>);
 
@@ -626,60 +800,135 @@ impl KnownColumn {
             .expect("every expanded state was announced at its barrier")
     }
 
+    /// Makes room for the entries below `len`, allocating no more than that.
+    fn grow_to(&mut self, len: usize) {
+        if len > self.0.len() {
+            self.0.reserve_exact(len - self.0.len());
+            self.0.resize(len, Self::UNANNOUNCED);
+        }
+    }
+
     fn set(&mut self, index: StateIndex, known: Known) {
         let slot = index.0 as usize;
-        if slot >= self.0.len() {
-            self.0.resize(slot + 1, Self::UNANNOUNCED);
-        }
+        self.grow_to(slot + 1);
         self.0[slot] = known.0;
     }
 
-    /// The contexts the edge behind `at` carries: its parent's (none for a seed).  The
+    /// The contexts an edge from `parent` carries ([`NO_PARENT`]: a seed's, none).  The
     /// parent was expanded this level, so an earlier barrier announced it.
+    fn contexts_of(&self, parent: StateIndex) -> SetId {
+        if parent == NO_PARENT {
+            NO_CONTEXTS
+        } else {
+            self.announced(parent).set()
+        }
+    }
+
+    /// The contexts the edge behind `at` carries: its parent's.
     fn contexts_from(&self, at: Arrival) -> SetId {
-        at.parent
-            .map_or(NO_CONTEXTS, |parent| self.announced(parent).set())
+        self.contexts_of(Edge::from(at).parent)
     }
 }
 
-/// What one worker saw during a level; folded sequentially at the barrier.
+/// The parent of a buffered seed: the index the store reserves for "no parent".
+const NO_PARENT: StateIndex = StateIndex(u32::MAX);
+
+/// A buffered arrival: the state an edge reached and the state it left, 8 bytes.  The
+/// level it arrived in is the one being folded, so no depth is kept.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    index: StateIndex,
+    /// [`NO_PARENT`] for a seed.
+    parent: StateIndex,
+}
+
+impl From<Arrival> for Edge {
+    fn from(at: Arrival) -> Self {
+        Edge {
+            index: at.index,
+            parent: at.parent.unwrap_or(NO_PARENT),
+        }
+    }
+}
+
+/// A buffered arrival at a stable state, with that state's fingerprint, which a
+/// representative needs: 24 bytes.
+#[derive(Clone, Copy, Debug)]
+struct Hit {
+    edge: Edge,
+    fp: Fingerprint,
+}
+
+impl Hit {
+    fn rep(self, depth: u32) -> Rep {
+        Rep {
+            depth,
+            index: self.edge.index,
+            fp: self.fp,
+        }
+    }
+}
+
+/// What one worker saw during a level that can change the barrier's fold; folded
+/// sequentially there.
+///
+/// Every fresh state is kept — the barrier announces it — but a dedup hit only if it
+/// can teach its target something: the worker drops a hit whose parent hands down no
+/// context, a hit into an older unstable state whose lset already covers its parent's
+/// contexts, and a hit into an older stable state whose quotient edges from each of
+/// its parent's contexts the side already holds.  That edge map holds only earlier
+/// levels' edges, each with a shallower representative than this level can offer.
+/// Only an arrival at a state known to be stable carries a fingerprint: a hit into
+/// a state of this very level finds its target's among the level's fresh stable
+/// states, at the barrier.
 #[derive(Default)]
 struct Arrivals {
-    /// Every state this worker inserted, with its stable-projection key.
-    fresh: Vec<(Arrival, Option<u64>)>,
-    /// Dedup hits that may teach their target a new context.
-    existing: Vec<Arrival>,
-    /// Older *unstable* states reached with a context their lset does not cover yet:
+    /// Fresh stable states, with their projection keys: 32 bytes each.
+    stable: Vec<(Hit, u64)>,
+    /// Fresh unstable states: 8 bytes each.
+    unstable: Vec<Edge>,
+    /// Dedup hits into a state this level discovered, which the worker cannot tell
+    /// stable or not: 8 bytes each.
+    level_hits: Vec<Edge>,
+    /// Dedup hits into an older stable state through an edge the side lacks.
+    hits: Vec<Hit>,
+    /// Dedup hits into older *unstable* states bringing a context their lset lacks:
     /// re-enqueued at the barrier if the lset really grew.
-    revisits: Vec<StateIndex>,
+    revisits: Vec<Edge>,
 }
 
 /// The kernel visitor that records one side's stable projections and the
 /// stabilization edges of its projected quotient graph.
 ///
-/// Workers key each state once, when it enters the store (`on_fresh`), and collect
-/// arrivals; every table is written at the level barrier, so nothing here is locked
-/// and the fold order — hence every statistic — is independent of worker scheduling.
-/// Workers read the [`KnownColumn`] and the [`ContextTable`] (in `on_existing`); the
-/// barrier announces the level's fresh states in them, then grows lsets by interning
-/// their unions.  Set ids depend on the intern order, so none reaches an ordering, a
-/// statistic, a representative choice or a witness: those all read the sorted keys.
+/// Workers key each state once, when it enters the store (`on_fresh`), and buffer the
+/// arrivals that can change the fold ([`Arrivals`]); every table is written at the
+/// level barrier, so nothing here is locked and the fold order — hence every
+/// statistic — is independent of worker scheduling.  Workers read the
+/// [`KnownColumn`], the [`ContextTable`] and the quotient's edge map (in
+/// `on_existing`); the barrier announces the level's fresh states, folds the arrivals
+/// into projections, quotient edges and lsets, and matches the level's new edges
+/// against the frozen coarse [`Adjacency`].  What the visitor keeps grows with what
+/// the side learns — one 24-byte [`Rep`] per projection and per quotient edge, each
+/// distinct context set once, 4 bytes per state — while a level's arrivals live
+/// until its barrier only.  Set ids depend on the intern order, so none reaches an
+/// ordering, a statistic, a representative choice or a witness: those all read the
+/// sorted keys.
 struct RefineVisitor<'a, S: SpecState> {
     projection: &'a TraceProjection<S>,
     options: &'a RefineOptions,
     store: &'a StateStore<S>,
-    /// The coarse quotient, while the fine side is explored.  When it is complete,
-    /// exploration stops at the end of the first level that discovers a stable
-    /// projection absent from it — deeper levels cannot contain a shallower divergence,
-    /// so the minimal-depth divergence choice is unaffected while diverging checks skip
-    /// the rest of the (often much larger) fine state space.  Every stabilization edge
-    /// is matched against it as soon as the level discovering it finishes, so a run
-    /// truncated by a budget still reports how many edges it actually verified;
-    /// matches against a truncated coarse quotient count as coverage, but only a
-    /// *complete* one can condemn an edge.
-    coarse: Option<&'a Quotient>,
-    /// Coarse-quotient reachability, memoized across levels.
-    reach_memo: HashMap<u64, HashSet<u64>>,
+    /// The coarse side, while the fine side is explored.  When its quotient is
+    /// complete, exploration stops at the end of the first level that discovers a
+    /// stable projection absent from it — deeper levels cannot contain a shallower
+    /// divergence, so the minimal-depth divergence choice is unaffected while
+    /// diverging checks skip the rest of the (often much larger) fine state space.
+    /// Every stabilization edge is matched against it as soon as the level
+    /// discovering it finishes, so a run truncated by a budget still reports how many
+    /// edges it actually verified; matches against a truncated coarse quotient count
+    /// as coverage, but only a *complete* one can condemn an edge.
+    coarse: Option<Coarse<'a>>,
+    /// The scratch of the searches over the coarse adjacency.
+    walk: Walk,
     quotient: Quotient,
     /// What each state announced at an earlier barrier hands its successors.
     known: KnownColumn,
@@ -692,12 +941,48 @@ struct RefineVisitor<'a, S: SpecState> {
     draining: Option<u32>,
 }
 
+impl<S: SpecState> RefineVisitor<'_, S> {
+    /// Hands the contexts of `edge`'s parent to its target: quotient edges into a
+    /// stable target (`fp`, the target's fingerprint, picks their representatives),
+    /// lset growth — collected in `grown`, applied after the pass — on an unstable one.
+    fn fold(
+        &mut self,
+        edge: Edge,
+        fp: Option<Fingerprint>,
+        depth: u32,
+        new_edges: &mut Vec<(u64, u64)>,
+        grown: &mut Vec<(StateIndex, SetId)>,
+    ) {
+        let from = self.known.contexts_of(edge.parent);
+        let target = self.known.announced(edge.index);
+        if target.is_stable() {
+            let fp = fp.expect("an arrival at a stable state carries its fingerprint");
+            let rep = Hit { edge, fp }.rep(depth);
+            let key = self.contexts.get(target.set())[0];
+            for &from in self.contexts.get(from).iter().filter(|&&from| from != key) {
+                // Remember a concrete state completing this edge, so an
+                // unmatched-step divergence can reconstruct a witness that actually
+                // ends with the offending stabilization.
+                if offer_rep(&mut self.quotient.edges, (from, key), rep) {
+                    new_edges.push((from, key));
+                }
+            }
+        } else if !self.contexts.covers(target.set(), from) {
+            grown.push((edge.index, from));
+        }
+    }
+}
+
 impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
     type Local = Arrivals;
 
     fn on_fresh(&self, local: &mut Arrivals, at: Arrival, state: &S) -> bool {
         let key = stable_key(self.projection, state);
-        local.fresh.push((at, key));
+        let edge = Edge::from(at);
+        match key {
+            Some(key) => local.stable.push((Hit { edge, fp: at.fp }, key)),
+            None => local.unstable.push(edge),
+        }
         // While draining, stable successors close their stabilization and are not
         // expanded further: only the unstable closure of the final frontier grows the
         // capped exploration.
@@ -705,21 +990,32 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
     }
 
     fn on_existing(&self, local: &mut Arrivals, at: Arrival) {
-        // A state the barrier has not seen yet was inserted earlier in this very level
-        // and is already enqueued; older states are worth carrying to the barrier only
-        // if this edge brings a context they lack.
-        if let Some(known) = self.known.get(at.index) {
-            if self
-                .contexts
-                .covers(known.set(), self.known.contexts_from(at))
-            {
-                return;
-            }
-            if !known.is_stable() {
-                local.revisits.push(at.index);
-            }
+        let from = self.known.contexts_from(at);
+        if from == NO_CONTEXTS {
+            // No context to hand down: neither an edge nor lset growth.
+            return;
         }
-        local.existing.push(at);
+        let edge = Edge::from(at);
+        // A state the barrier has not seen yet was inserted earlier in this very
+        // level; whether it is stable, only the barrier knows.
+        let Some(target) = self.known.get(at.index) else {
+            local.level_hits.push(edge);
+            return;
+        };
+        if target.is_stable() {
+            let key = self.contexts.get(target.set())[0];
+            let edges = &self.quotient.edges;
+            let lacking = self
+                .contexts
+                .get(from)
+                .iter()
+                .any(|&from| from != key && !edges.contains_key(&(from, key)));
+            if lacking {
+                local.hits.push(Hit { edge, fp: at.fp });
+            }
+        } else if !self.contexts.covers(target.set(), from) {
+            local.revisits.push(edge);
+        }
     }
 
     fn on_level_end(
@@ -728,63 +1024,85 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         end: LevelEnd,
         requeue: &mut Vec<StateIndex>,
     ) -> ControlFlow<StopReason> {
+        // Every arrival of the level is one of its states: the level names the depth.
+        let depth = end.depth;
         // Pass 1: announce the level's states, so pass 2 finds the key of a target
-        // another worker inserted.
-        let mut missing = false;
-        for &(at, key) in locals.iter().flat_map(|local| &local.fresh) {
-            let known = match key {
-                Some(key) => {
-                    offer_rep(&mut self.quotient.projs, key, at);
-                    missing |= self
-                        .coarse
-                        .is_some_and(|coarse| coarse.complete && !coarse.projs.contains_key(&key));
-                    Known::stable(self.contexts.intern(&[key]))
-                }
-                None => Known::unstable(NO_CONTEXTS),
-            };
-            self.known.set(at.index, known);
+        // another worker inserted.  The column grows once, to the level's largest index.
+        let fresh = |local: &Arrivals| {
+            let stable = local.stable.iter().map(|(hit, _)| hit.edge.index);
+            stable
+                .chain(local.unstable.iter().map(|edge| edge.index))
+                .max()
+        };
+        if let Some(last) = locals.iter().filter_map(fresh).max() {
+            self.known.grow_to(last.0 as usize + 1);
         }
-
-        // Pass 2: every arrival hands its parent's contexts to its target — a quotient
-        // edge into a stable target, lset growth on an unstable one.  Growth is
-        // collected and applied after the pass: parents are read as the level saw them.
-        let mut new_edges: Vec<(u64, u64)> = Vec::new();
-        let mut grown: HashMap<StateIndex, Vec<u64>> = HashMap::new();
-        let arrivals = locals
-            .iter()
-            .flat_map(|local| local.fresh.iter().map(|(at, _)| at).chain(&local.existing));
-        for &at in arrivals {
-            let from = self.known.contexts_from(at);
-            let target = self.known.announced(at.index);
-            if target.is_stable() {
-                let key = self.contexts.get(target.set())[0];
-                for &from in self.contexts.get(from).iter().filter(|&&from| from != key) {
-                    if self.quotient.edges.entry(from).or_default().insert(key) {
-                        new_edges.push((from, key));
-                    }
-                    // Remember a concrete state completing this edge, so an
-                    // unmatched-step divergence can reconstruct a witness that
-                    // actually ends with the offending stabilization.
-                    offer_rep(&mut self.quotient.edge_reps, (from, key), at);
-                }
-            } else if !self.contexts.covers(target.set(), from) {
-                grown
-                    .entry(at.index)
-                    .or_default()
-                    .extend(self.contexts.get(from));
+        let mut missing = false;
+        for local in &locals {
+            for &(hit, key) in &local.stable {
+                offer_rep(&mut self.quotient.projs, key, hit.rep(depth));
+                missing |= self.coarse.is_some_and(|coarse| {
+                    coarse.quotient.complete && !coarse.quotient.projs.contains_key(&key)
+                });
+                let singleton = self.contexts.intern(&[key]);
+                self.known.set(hit.edge.index, Known::stable(singleton));
+            }
+            for edge in &local.unstable {
+                self.known.set(edge.index, Known::unstable(NO_CONTEXTS));
             }
         }
-        for (&index, extra) in &grown {
+
+        // Pass 2: every arrival hands its parent's contexts to its target.  Growth is
+        // collected and applied after the pass: parents are read as the level saw them.
+        let mut new_edges: Vec<(u64, u64)> = Vec::new();
+        let mut grown: Vec<(StateIndex, SetId)> = Vec::new();
+        // The fingerprints of the level's stable states, for the hits into them.
+        let mut level_fps: Vec<(StateIndex, Fingerprint)> = locals
+            .iter()
+            .flat_map(|local| &local.stable)
+            .map(|(hit, _)| (hit.edge.index, hit.fp))
+            .collect();
+        level_fps.sort_unstable_by_key(|&(index, _)| index);
+        let level_fp = |index: StateIndex| {
+            let at = level_fps.binary_search_by_key(&index, |&(index, _)| index);
+            at.ok().map(|at| level_fps[at].1)
+        };
+        for local in &locals {
+            let hits = local.stable.iter().map(|(hit, _)| hit).chain(&local.hits);
+            for hit in hits {
+                self.fold(hit.edge, Some(hit.fp), depth, &mut new_edges, &mut grown);
+            }
+            for &edge in &local.level_hits {
+                let fp = level_fp(edge.index);
+                self.fold(edge, fp, depth, &mut new_edges, &mut grown);
+            }
+            for &edge in local.unstable.iter().chain(&local.revisits) {
+                self.fold(edge, None, depth, &mut new_edges, &mut grown);
+            }
+        }
+        grown.sort_unstable();
+        let mut extra: Vec<u64> = Vec::new();
+        let mut grown_states: Vec<StateIndex> = Vec::new();
+        for growth in grown.chunk_by(|a, b| a.0 == b.0) {
+            let index = growth[0].0;
+            extra.clear();
+            for &(_, from) in growth {
+                extra.extend_from_slice(self.contexts.get(from));
+            }
             let lset = self.known.announced(index).set();
-            let lset = self.contexts.union(lset, extra);
+            let lset = self.contexts.union(lset, &extra);
             self.known.set(index, Known::unstable(lset));
+            grown_states.push(index);
         }
         // A grown lset on an *older* unstable state changes what its successors
         // stabilize from: re-enqueue it once (states of this level are already
         // enqueued and hand down the folded lset).
-        for index in locals.into_iter().flat_map(|local| local.revisits) {
-            if grown.remove(&index).is_some() {
-                requeue.push(index);
+        let mut requeued = vec![false; grown_states.len()];
+        for edge in locals.iter().flat_map(|local| &local.revisits) {
+            if let Ok(at) = grown_states.binary_search(&edge.index) {
+                if !std::mem::replace(&mut requeued[at], true) {
+                    requeue.push(edge.index);
+                }
             }
         }
 
@@ -797,14 +1115,12 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
                 new_edges.sort_unstable();
                 for (from, to) in new_edges {
                     self.quotient.edges_checked += 1;
-                    let reach = self
-                        .reach_memo
-                        .entry(from)
-                        .or_insert_with(|| coarse.reachable_from(from));
-                    if !reach.contains(&to) && coarse.complete {
-                        // Absence from an *incomplete* coarse quotient proves
-                        // nothing (the matching path may lie past the coarse
-                        // budget); only a complete quotient condemns an edge.
+                    // Absence from an *incomplete* coarse quotient proves nothing (the
+                    // matching path may lie past the coarse budget); only a complete
+                    // quotient condemns an edge.
+                    if coarse.quotient.complete
+                        && !coarse.adjacency.reaches(&mut self.walk, from, to)
+                    {
                         self.quotient.unmatched_edge = Some((from, to));
                         break;
                     }
@@ -849,7 +1165,7 @@ fn explore_side<S: SpecState>(
     projection: &TraceProjection<S>,
     options: &RefineOptions,
     deadline: Option<Instant>,
-    coarse: Option<&Quotient>,
+    coarse: Option<Coarse<'_>>,
 ) -> SideSummary<S> {
     let seen = StateStore::with_spill(StoreMode::Full, options.shards, &options.spill);
     let labels = LabelTable::new();
@@ -870,7 +1186,7 @@ fn explore_side<S: SpecState>(
             options,
             store: &seen,
             coarse,
-            reach_memo: HashMap::new(),
+            walk: Walk::default(),
             quotient: Quotient::default(),
             known: KnownColumn::default(),
             contexts: ContextTable::default(),
@@ -919,9 +1235,16 @@ pub fn check_refinement<S: SpecState>(
     // One deadline spans both sides.
     let deadline = options.time_budget.map(|b| start + b);
 
-    let coarse_side = explore_side(coarse, projection, options, deadline, None);
+    let mut coarse_side = explore_side(coarse, projection, options, deadline, None);
+    // The coarse quotient is final: freeze its edges for the fine side's queries.
+    let coarse_edges = std::mem::take(&mut coarse_side.quotient.edges);
+    let adjacency = Adjacency::freeze(coarse_edges.into_keys());
     let coarse_q = &coarse_side.quotient;
-    let fine_side = explore_side(fine, projection, options, deadline, Some(coarse_q));
+    let coarse_view = Coarse {
+        quotient: coarse_q,
+        adjacency: &adjacency,
+    };
+    let fine_side = explore_side(fine, projection, options, deadline, Some(coarse_view));
     let fine_q = &fine_side.quotient;
 
     let mut stats = RefineStats {
@@ -978,14 +1301,7 @@ pub fn check_refinement<S: SpecState>(
         if let Some((from, to)) = fine_q.unmatched_edge {
             // Prefer the concrete state that completed this edge over the class
             // representative: its trace ends in the offending stabilization.
-            let index = fine_q
-                .edge_reps
-                .get(&(from, to))
-                .unwrap_or_else(|| &fine_q.projs[&to])
-                .index;
-            // Every ddmin candidate re-asks the coarse quotient where its stable steps
-            // lead: one reachability walk per source class serves the whole shrink.
-            let reach_memo = RefCell::new(HashMap::new());
+            let index = fine_q.edges[&(from, to)].index;
             let mut d = build_divergence(
                 DivergenceKind::UnmatchedStep,
                 fine,
@@ -993,7 +1309,7 @@ pub fn check_refinement<S: SpecState>(
                 index,
                 projection,
                 options,
-                |candidate| trace_has_unmatched_edge(candidate, projection, coarse_q, &reach_memo),
+                |candidate| trace_has_unmatched_edge(candidate, projection, &adjacency),
             );
             // Render both endpoints of the unmatched step: the target is already in
             // `d.projection`; prepend the source class the coarse side cannot leave.
@@ -1060,27 +1376,21 @@ fn trace_reaches_projection<S: SpecState>(
 }
 
 /// Oracle: the candidate trace still contains a stabilization edge with no matching
-/// coarse path (used to shrink [`DivergenceKind::UnmatchedStep`] witnesses).
-/// `reach_memo` keeps [`Quotient::reachable_from`] per source class across candidates.
+/// coarse path (used to shrink [`DivergenceKind::UnmatchedStep`] witnesses).  Each
+/// candidate searches the frozen coarse adjacency afresh.
 fn trace_has_unmatched_edge<S: SpecState>(
     candidate: &Trace<S>,
     projection: &TraceProjection<S>,
-    coarse: &Quotient,
-    reach_memo: &RefCell<HashMap<u64, HashSet<u64>>>,
+    coarse: &Adjacency,
 ) -> bool {
+    let mut walk = Walk::default();
     let mut last_stable: Option<u64> = None;
     for step in &candidate.steps {
         let Some(key) = stable_key(projection, &step.state) else {
             continue;
         };
         if let Some(from) = last_stable {
-            let unmatched = from != key
-                && !reach_memo
-                    .borrow_mut()
-                    .entry(from)
-                    .or_insert_with(|| coarse.reachable_from(from))
-                    .contains(&key);
-            if unmatched {
+            if !coarse.reaches(&mut walk, from, key) {
                 return true;
             }
         }
@@ -1093,7 +1403,7 @@ fn trace_has_unmatched_edge<S: SpecState>(
 mod tests {
     use super::*;
     use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec, Value};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// A two-phase toy: module `M` raises `n` by two in one coarse step, or in two fine
     /// steps through an intermediate `mid` flag that the projection hides.
@@ -1581,7 +1891,7 @@ mod tests {
             a,
             "a union equal to a known set is it"
         );
-        assert_eq!(table.sets.len(), 3, "{{}}, {{3, 7}} and {{3}}, once each");
+        assert_eq!(table.ends.len(), 3, "{{}}, {{3, 7}} and {{3}}, once each");
     }
 
     #[test]
@@ -1651,6 +1961,128 @@ mod tests {
                     covered(from, known),
                     "{from:?} ⊆ {known:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_hit_bringing_one_new_context_into_a_known_stable_state_is_kept() {
+        // Stable 0 → stable 1 and unstable 2; 1 → unstable 3; 2 → stable 5 and
+        // unstable 6; 3 → 6; 6 → 5.  Level 2 learns 0 → 5 (through 2); level 3 grows
+        // 6's lset to {0, 1} through 3 and re-enqueues it, and drops 6's hit into 5
+        // from {0}, whose edge is known; level 4's hit into 5 from {0, 1} is the only
+        // arrival teaching 1 → 5, although 0 → 5 is known already.
+        let step = ActionDef::new(
+            "Step",
+            M,
+            Granularity::Baseline,
+            vec!["n", "mid"],
+            vec!["n", "mid"],
+            |s: &TState| {
+                let to = |n: u32| {
+                    let mid = matches!(n, 2 | 3 | 6);
+                    ActionInstance::new(format!("Step({n})"), TState { n, mid })
+                };
+                match s.n {
+                    0 => vec![to(1), to(2)],
+                    1 => vec![to(3)],
+                    2 => vec![to(5), to(6)],
+                    3 => vec![to(6)],
+                    6 => vec![to(5)],
+                    _ => vec![],
+                }
+            },
+        );
+        let spec = Spec::new(
+            "converging",
+            vec![TState { n: 0, mid: false }],
+            vec![ModuleSpec::new(M, Granularity::Baseline, vec![step])],
+            vec![],
+        );
+        let outcome = check_refinement(&spec, &spec, &projection(), &RefineOptions::default());
+        assert_eq!(outcome.verdict(), RefineVerdict::Refines, "{outcome}");
+        assert_eq!(outcome.stats.fine_states, 6);
+        assert_eq!(outcome.stats.fine_projections, 3, "0, 1 and 5");
+        assert_eq!(outcome.stats.edges_checked, 3, "0 → 1, 0 → 5 and 1 → 5");
+    }
+
+    #[test]
+    fn sets_whose_hashes_collide_keep_their_own_ids() {
+        // Build a pair `{0, y}` whose hash equals that of `{k}` by inverting the fold's
+        // last step: the multiplier is odd, so it has an inverse modulo 2^64.
+        const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+        let inverse = (0..6).fold(MUL, |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(MUL.wrapping_mul(inv)))
+        });
+        assert_eq!(MUL.wrapping_mul(inverse), 1);
+        let k = 42;
+        // The fold over `{0, y}` after its first key: `(len ^ 0) · MUL`, rotated.
+        let first = 2u64.wrapping_mul(MUL).rotate_left(29);
+        let y = first
+            ^ ContextTable::hash(&[k])
+                .rotate_right(29)
+                .wrapping_mul(inverse);
+        assert!(y > 0, "the pair is sorted");
+        assert_eq!(ContextTable::hash(&[0, y]), ContextTable::hash(&[k]));
+
+        let mut table = ContextTable::default();
+        let single = table.intern(&[k]);
+        let pair = table.intern(&[0, y]);
+        assert_ne!(single, pair, "a colliding hash is not an equal set");
+        assert_eq!(table.by_hash.len(), 2, "{{}} and the shared hash");
+        assert_eq!(table.intern(&[k]), single, "found again down the chain");
+        assert_eq!(table.intern(&[0, y]), pair);
+        assert_eq!(table.get(single), [k]);
+        assert_eq!(table.get(pair), [0, y]);
+    }
+
+    /// Which of the keys `0..=200` `from` reaches over `edges`, itself included: a
+    /// plain BFS.
+    fn reference_reach(edges: &BTreeSet<(u64, u64)>, from: u64) -> Vec<bool> {
+        let mut reached = vec![false; 201];
+        reached[from as usize] = true;
+        let mut queue = std::collections::VecDeque::from([from]);
+        while let Some(key) = queue.pop_front() {
+            for &(_, to) in edges.range((key, 0)..=(key, u64::MAX)) {
+                if !std::mem::replace(&mut reached[to as usize], true) {
+                    queue.push_back(to);
+                }
+            }
+        }
+        reached
+    }
+
+    proptest::proptest! {
+        /// The frozen adjacency answers `to ∈ reach(from)` as a plain BFS over the edge
+        /// set does, for every pair of keys up to 200: every key reaches itself, and a
+        /// key on no edge (200 never is) reaches nothing else.  One pass asks each
+        /// source about every target in a row (the resumed search), another changes
+        /// source on every query (a restarted one).
+        #[test]
+        fn adjacency_reachability_agrees_with_a_plain_search(
+            pairs in proptest::collection::vec((0u64..200, 0u64..200), 0..300),
+        ) {
+            let edges: BTreeSet<(u64, u64)> =
+                pairs.into_iter().filter(|(from, to)| from != to).collect();
+            // Spread the keys, so that absent ones fall between present ones.
+            let spread = |key: u64| key.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            let adjacency =
+                Adjacency::freeze(edges.iter().map(|&(from, to)| (spread(from), spread(to))));
+            let reach: Vec<Vec<bool>> = (0..=200).map(|from| reference_reach(&edges, from)).collect();
+            let mut walk = Walk::default();
+            let mut agree = |from: usize, to: usize| {
+                let reaches = adjacency.reaches(&mut walk, spread(from as u64), spread(to as u64));
+                proptest::prop_assert_eq!(reaches, reach[from][to], "{} ⟶ {}", from, to);
+            };
+            for from in 0..=200 {
+                for to in 0..=200 {
+                    agree(from, to);
+                }
+            }
+            for to in 0..=200 {
+                for from in (to % 7..=200).step_by(7) {
+                    agree(from, to);
+                }
             }
         }
     }

@@ -31,6 +31,16 @@ fn cells(base: RefineOptions) -> [RefineOptions; 2] {
     ]
 }
 
+/// The action labels of a divergence witness.
+fn witness_labels<S>(divergence: &remix_checker::RefineDivergence<S>) -> Vec<String> {
+    divergence
+        .witness
+        .action_labels()
+        .iter()
+        .map(|l| l.to_string())
+        .collect()
+}
+
 /// A cell's name for assertion messages.
 fn cell_name(options: &RefineOptions) -> String {
     format!("budget {:?}", options.spill.budget_bytes)
@@ -92,6 +102,45 @@ fn coarse_election_refines_baseline_conclusively() {
     }
 }
 
+/// Checks `fine` ⊑ `coarse` at one and two workers, in RAM and spilled, against the
+/// one-worker in-RAM figures: `(fine, coarse)` states, `(fine, coarse)` projections,
+/// edges checked, and both sides complete.
+fn assert_counts_in_every_cell(
+    config: ClusterConfig,
+    fine: SpecPreset,
+    coarse: SpecPreset,
+    expected: (usize, usize, usize, usize, usize),
+) {
+    for base in cells(options()) {
+        for workers in [1, 2] {
+            let options = base.clone().with_workers(workers);
+            let cell = cell_name(&options);
+            let run = Verifier::new(config)
+                .check_refinement(fine, coarse, &options)
+                .expect("presets form a refinement pair");
+            let stats = &run.outcome.stats;
+            assert_eq!(
+                run.outcome.verdict(),
+                RefineVerdict::Refines,
+                "{cell}, {workers} workers: {}",
+                run.outcome
+            );
+            assert!(stats.fine_complete && stats.coarse_complete, "{cell}");
+            assert_eq!(
+                (
+                    stats.fine_states,
+                    stats.coarse_states,
+                    stats.fine_projections,
+                    stats.coarse_projections,
+                    stats.edges_checked,
+                ),
+                expected,
+                "{cell}, {workers} workers"
+            );
+        }
+    }
+}
+
 #[test]
 #[cfg_attr(debug_assertions, ignore = "expensive dual exploration; use --release")]
 fn explore_bound_counts_are_independent_of_workers_and_spilling() {
@@ -104,39 +153,79 @@ fn explore_bound_counts_are_independent_of_workers_and_spilling() {
         max_crashes: 0,
         ..ClusterConfig::small(CodeVersion::V391)
     };
-    let counts = |stats: &remix_checker::RefineStats| {
-        (
-            stats.fine_states,
-            stats.coarse_states,
-            stats.fine_projections,
-            stats.coarse_projections,
-            stats.edges_checked,
-            stats.fine_complete,
-            stats.coarse_complete,
-        )
-    };
-    let expected = (65_653, 181, 181, 181, 441, true, true);
-    for base in cells(options()) {
-        for workers in [1, 2] {
-            let options = base.clone().with_workers(workers);
-            let cell = cell_name(&options);
-            let run = Verifier::new(config)
-                .check_refinement(SpecPreset::SysSpec, SpecPreset::MSpec1, &options)
-                .expect("presets form a refinement pair");
-            assert_eq!(
-                run.outcome.verdict(),
-                RefineVerdict::Refines,
-                "{cell}, {workers} workers: {}",
-                run.outcome
-            );
-            assert_eq!(
-                counts(&run.outcome.stats),
-                expected,
-                "{cell}, {workers} workers"
-            );
-        }
-    }
+    let expected = (65_653, 181, 181, 181, 441);
+    assert_counts_in_every_cell(config, SpecPreset::SysSpec, SpecPreset::MSpec1, expected);
 }
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "expensive dual exploration; use --release")]
+fn bookkeeping_bound_counts_are_independent_of_workers_and_spilling() {
+    // mSpec-2 ⊑ mSpec-1 under one crash, the refine workload's bookkeeping-bound pair:
+    // 2,327 projections and 5,818 quotient edges on each side, so what the barriers
+    // fold — projections, edges, lsets and their representatives — is most of the
+    // work, and workers drop most dedup hits before the barrier.  Neither the fold
+    // order of two workers nor a spilled store may move a count or the verdict.
+    let config = ClusterConfig::small(CodeVersion::V391)
+        .with_transactions(1)
+        .with_crashes(1);
+    let expected = (9_274, 7_894, 2_327, 2_327, 5_818);
+    assert_counts_in_every_cell(config, SpecPreset::MSpec2, SpecPreset::MSpec1, expected);
+}
+
+/// The shrunk witness of the crash-interrupted election round: the stock mSpec-1
+/// election cannot reach the stable projection it ends in.
+const INTERRUPTED_ROUND: [&str; 21] = [
+    "FLEBroadcastNotification(1)",
+    "FLEReceiveNotification(0, 1)",
+    "FLEBroadcastNotification(0)",
+    "FLEReceiveNotification(1, 0)",
+    "FLEDecide(0)",
+    "FLEDecide(1)",
+    "ConnectAndFollowerSendFOLLOWERINFO(0, 1)",
+    "LeaderProcessFOLLOWERINFO(1, 0)",
+    "FollowerProcessLEADERINFO(0, 1)",
+    "NodeCrash(1)",
+    "NodeRestart(1)",
+    "FLEBroadcastNotification(2)",
+    "FLEReceiveNotification(1, 2)",
+    "FLEBroadcastNotification(1)",
+    "FLEReceiveNotification(2, 1)",
+    "FLEDecide(1)",
+    "FLEDecide(2)",
+    "ConnectAndFollowerSendFOLLOWERINFO(1, 2)",
+    "LeaderProcessFOLLOWERINFO(2, 1)",
+    "FollowerProcessLEADERINFO(1, 2)",
+    "LeaderProcessACKEPOCH(2, 1)",
+];
+
+/// The shrunk witness of the gap the fault-complete election leaves: an unmatched
+/// stabilization step, which exercises the edge representatives and the reachability
+/// queries of the shrink oracle.
+const FAULT_COMPLETE_GAP: [&str; 23] = [
+    "FLEBroadcastNotification(2)",
+    "FLEReceiveNotification(0, 2)",
+    "FLEReceiveNotification(1, 2)",
+    "FLEBroadcastNotification(1)",
+    "FLEReceiveNotification(2, 1)",
+    "FLEDecide(1)",
+    "FLEDecide(2)",
+    "ConnectAndFollowerSendFOLLOWERINFO(1, 2)",
+    "LeaderProcessFOLLOWERINFO(2, 1)",
+    "FollowerProcessLEADERINFO(1, 2)",
+    "LeaderProcessACKEPOCH(2, 1)",
+    "LeaderSyncFollower(2, 1)",
+    "FollowerProcessSyncPackets(1, 2)",
+    "FollowerProcessNEWLEADER(1, 2)",
+    "LeaderProcessACKLD(2, 1)",
+    "NodeCrash(1)",
+    "NodeRestart(1)",
+    "FLEBroadcastNotification(0)",
+    "FLEReceiveNotification(2, 0)",
+    "FLEDecide(0)",
+    "ConnectAndFollowerSendFOLLOWERINFO(0, 2)",
+    "LeaderProcessFOLLOWERINFO(2, 0)",
+    "FollowerProcessLEADERINFO(0, 2)",
+];
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "expensive dual exploration; use --release")]
@@ -190,6 +279,7 @@ fn coarse_election_under_crashes_diverges_until_fault_completed() {
             "{cell}: the crash is load-bearing: {:?}",
             divergence.witness.action_labels()
         );
+        assert_eq!(witness_labels(divergence), INTERRUPTED_ROUND, "{cell}");
 
         // (b) The fault-complete module closes the witnessed gap: the same check either
         // refines within the bounds, or — in the spirit of §4.1's discrepancy-driven spec
@@ -208,6 +298,18 @@ fn coarse_election_under_crashes_diverges_until_fault_completed() {
                  divergence must be a different missing interaction"
             ),
         }
+        let next_gap = outcome
+            .divergence
+            .as_ref()
+            .map(|d| (d.kind, witness_labels(d)));
+        assert_eq!(
+            next_gap,
+            Some((
+                DivergenceKind::UnmatchedStep,
+                FAULT_COMPLETE_GAP.map(String::from).to_vec()
+            )),
+            "{cell}"
+        );
     }
 }
 
@@ -266,6 +368,22 @@ fn broken_coarse_action_yields_a_shrunk_fine_witness() {
             .iter()
             .map(|l| l.to_string())
             .collect();
+        assert_eq!(
+            labels,
+            [
+                "FLEBroadcastNotification(1)",
+                "FLEReceiveNotification(0, 1)",
+                "FLEBroadcastNotification(0)",
+                "FLEReceiveNotification(1, 0)",
+                "FLEDecide(0)",
+                "FLEDecide(1)",
+                "ConnectAndFollowerSendFOLLOWERINFO(0, 1)",
+                "LeaderProcessFOLLOWERINFO(1, 0)",
+                "FollowerProcessLEADERINFO(0, 1)",
+                "LeaderProcessACKEPOCH(1, 0)",
+            ],
+            "{cell}: the shrunk witness"
+        );
         let replayed = replay_labels(&fine, &fine.init[0], &labels).expect("witness replays");
         // ...that still reaches a stable projection the broken coarse spec is missing:
         // its final state has a committed leader epoch the sabotage can never produce.
@@ -543,6 +661,16 @@ fn zk4712_version_differential_localizes_to_faults_and_sync() {
                 .iter()
                 .any(|l| l.starts_with("FollowerSyncProcessorLogRequest")),
             "{cell}: the sync thread logging the stale request is load-bearing: {labels:?}"
+        );
+        assert_eq!(
+            witness_labels(divergence),
+            [
+                "NodeCrash(2)",
+                "FollowerShutdown(0)",
+                "FLEBroadcastNotification(0)",
+                "FollowerSyncProcessorLogRequest(0)",
+            ],
+            "{cell}: the shrunk witness"
         );
     }
 }
