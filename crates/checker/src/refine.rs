@@ -27,9 +27,10 @@
 //! stays in RAM when the store spills.
 //!
 //! Everything else a side keeps grows with what it *learns*, not with the arrivals
-//! and queries that taught it: one 24-byte representative per stable projection and
-//! per quotient edge (one map whose keys are the edge set), each distinct context set
-//! once.  A level's arrivals are buffered only until its barrier, and only those that
+//! and queries that taught it: one 24-byte representative per stable projection, one
+//! key per quotient edge, each distinct context set once.  An edge's representative
+//! is needed only while the level that discovered it is matched — the first
+//! unmatched edge keeps its own for the witness — so it lives in a level-local map.  A level's arrivals are buffered only until its barrier, and only those that
 //! can change the fold: 8 bytes for an arrival at an unstable or not yet classified
 //! state, 24–32 for one at a stable state.  Once the coarse side is finished its edges
 //! are frozen into a sorted compressed-sparse-row adjacency, and each fine edge
@@ -47,7 +48,7 @@
 //! for that reason.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 use std::ops::ControlFlow;
@@ -461,13 +462,9 @@ fn offer_rep<K: Eq + Hash>(reps: &mut HashMap<K, Rep>, key: K, rep: Rep) -> bool
 struct Quotient {
     /// Stable projections → representative state.
     projs: HashMap<u64, Rep>,
-    /// Stabilization edges of the projected quotient, `(from, to)` with `from ≠ to`
-    /// (the keys are the edge set), each with its representative: a concrete state
-    /// that completed the edge.  Its parent chain need not stabilize from `from`, but
-    /// it ends in the edge's target and is the best concrete anchor available without
-    /// per-context parents.  A finished coarse side hands its edges to an
-    /// [`Adjacency`] and keeps none.
-    edges: HashMap<(u64, u64), Rep>,
+    /// Stabilization edges of the projected quotient, `(from, to)` with `from ≠ to`.
+    /// A finished coarse side hands its edges to an [`Adjacency`] and keeps none.
+    edges: HashSet<(u64, u64)>,
     /// Whether exploration ran to exhaustion within the budgets.
     complete: bool,
     /// Stabilization edges checked incrementally against the other side's quotient
@@ -475,14 +472,17 @@ struct Quotient {
     edges_checked: usize,
     /// The first stabilization edge with no matching coarse path, by discovery level
     /// then key order (recorded during exploration; turned into a divergence by the
-    /// caller once the cheaper projection-inclusion checks come up clean).
-    unmatched_edge: Option<(u64, u64)>,
+    /// caller once the cheaper projection-inclusion checks come up clean), with its
+    /// representative: a concrete state that completed the edge.  Its parent chain
+    /// need not stabilize from `from`, but it ends in the edge's target and is the best
+    /// concrete anchor available without per-context parents.
+    unmatched_edge: Option<((u64, u64), Rep)>,
 }
 
 /// A finished quotient's edges, frozen for reachability queries: the keys that end an
 /// edge, sorted, name dense ids, and the successors of each id sit in one
 /// compressed-sparse-row array — 8 bytes per key, 4 per edge and 4 per row, where
-/// the edge map spent 40 and a control byte per bucket.  `to ∈ reach(from)` is a
+/// the edge set spends 16 and a control byte per bucket.  `to ∈ reach(from)` is a
 /// search over it (see [`Walk`]); no reachable set is kept between searches.
 #[derive(Default)]
 struct Adjacency {
@@ -876,7 +876,7 @@ impl Hit {
 /// can teach its target something: the worker drops a hit whose parent hands down no
 /// context, a hit into an older unstable state whose lset already covers its parent's
 /// contexts, and a hit into an older stable state whose quotient edges from each of
-/// its parent's contexts the side already holds.  That edge map holds only earlier
+/// its parent's contexts the side already holds.  That edge set holds only earlier
 /// levels' edges, each with a shallower representative than this level can offer.
 /// Only an arrival at a state known to be stable carries a fingerprint: a hit into
 /// a state of this very level finds its target's among the level's fresh stable
@@ -904,13 +904,13 @@ struct Arrivals {
 /// arrivals that can change the fold ([`Arrivals`]); every table is written at the
 /// level barrier, so nothing here is locked and the fold order — hence every
 /// statistic — is independent of worker scheduling.  Workers read the
-/// [`KnownColumn`], the [`ContextTable`] and the quotient's edge map (in
+/// [`KnownColumn`], the [`ContextTable`] and the quotient's edge set (in
 /// `on_existing`); the barrier announces the level's fresh states, folds the arrivals
 /// into projections, quotient edges and lsets, and matches the level's new edges
 /// against the frozen coarse [`Adjacency`].  What the visitor keeps grows with what
-/// the side learns — one 24-byte [`Rep`] per projection and per quotient edge, each
-/// distinct context set once, 4 bytes per state — while a level's arrivals live
-/// until its barrier only.  Set ids depend on the intern order, so none reaches an
+/// the side learns — one 24-byte [`Rep`] per projection, one key per quotient edge,
+/// each distinct context set once, 4 bytes per state — while a level's arrivals and
+/// its new edges' representatives live until its barrier only.  Set ids depend on the intern order, so none reaches an
 /// ordering, a statistic, a representative choice or a witness: those all read the
 /// sorted keys.
 struct RefineVisitor<'a, S: SpecState> {
@@ -943,14 +943,15 @@ struct RefineVisitor<'a, S: SpecState> {
 
 impl<S: SpecState> RefineVisitor<'_, S> {
     /// Hands the contexts of `edge`'s parent to its target: quotient edges into a
-    /// stable target (`fp`, the target's fingerprint, picks their representatives),
-    /// lset growth — collected in `grown`, applied after the pass — on an unstable one.
+    /// stable target (`fp`, the target's fingerprint, picks their representatives
+    /// among the level's `new_edges`), lset growth — collected in `grown`, applied
+    /// after the pass — on an unstable one.
     fn fold(
         &mut self,
         edge: Edge,
         fp: Option<Fingerprint>,
         depth: u32,
-        new_edges: &mut Vec<(u64, u64)>,
+        new_edges: &mut HashMap<(u64, u64), Rep>,
         grown: &mut Vec<(StateIndex, SetId)>,
     ) {
         let from = self.known.contexts_of(edge.parent);
@@ -960,11 +961,13 @@ impl<S: SpecState> RefineVisitor<'_, S> {
             let rep = Hit { edge, fp }.rep(depth);
             let key = self.contexts.get(target.set())[0];
             for &from in self.contexts.get(from).iter().filter(|&&from| from != key) {
-                // Remember a concrete state completing this edge, so an
+                // Remember a concrete state completing a new edge, so an
                 // unmatched-step divergence can reconstruct a witness that actually
-                // ends with the offending stabilization.
-                if offer_rep(&mut self.quotient.edges, (from, key), rep) {
-                    new_edges.push((from, key));
+                // ends with the offending stabilization.  An edge known from an
+                // earlier level already had a shallower one.
+                let edge = (from, key);
+                if self.quotient.edges.insert(edge) || new_edges.contains_key(&edge) {
+                    offer_rep(new_edges, edge, rep);
                 }
             }
         } else if !self.contexts.covers(target.set(), from) {
@@ -1009,7 +1012,7 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
                 .contexts
                 .get(from)
                 .iter()
-                .any(|&from| from != key && !edges.contains_key(&(from, key)));
+                .any(|&from| from != key && !edges.contains(&(from, key)));
             if lacking {
                 local.hits.push(Hit { edge, fp: at.fp });
             }
@@ -1054,7 +1057,7 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
 
         // Pass 2: every arrival hands its parent's contexts to its target.  Growth is
         // collected and applied after the pass: parents are read as the level saw them.
-        let mut new_edges: Vec<(u64, u64)> = Vec::new();
+        let mut new_edges: HashMap<(u64, u64), Rep> = HashMap::new();
         let mut grown: Vec<(StateIndex, SetId)> = Vec::new();
         // The fingerprints of the level's stable states, for the hits into them.
         let mut level_fps: Vec<(StateIndex, Fingerprint)> = locals
@@ -1112,16 +1115,18 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         // (projection inclusion first, then edge matching).
         if let Some(coarse) = self.coarse {
             if self.quotient.unmatched_edge.is_none() {
-                new_edges.sort_unstable();
-                for (from, to) in new_edges {
+                let mut new_edges: Vec<_> = new_edges.into_iter().collect();
+                new_edges.sort_unstable_by_key(|&(edge, _)| edge);
+                for ((from, to), rep) in new_edges {
                     self.quotient.edges_checked += 1;
                     // Absence from an *incomplete* coarse quotient proves nothing (the
                     // matching path may lie past the coarse budget); only a complete
-                    // quotient condemns an edge.
+                    // quotient condemns an edge.  Later levels are deeper, so the
+                    // level's representative is the edge's for good.
                     if coarse.quotient.complete
                         && !coarse.adjacency.reaches(&mut self.walk, from, to)
                     {
-                        self.quotient.unmatched_edge = Some((from, to));
+                        self.quotient.unmatched_edge = Some(((from, to), rep));
                         break;
                     }
                 }
@@ -1238,7 +1243,7 @@ pub fn check_refinement<S: SpecState>(
     let mut coarse_side = explore_side(coarse, projection, options, deadline, None);
     // The coarse quotient is final: freeze its edges for the fine side's queries.
     let coarse_edges = std::mem::take(&mut coarse_side.quotient.edges);
-    let adjacency = Adjacency::freeze(coarse_edges.into_keys());
+    let adjacency = Adjacency::freeze(coarse_edges);
     let coarse_q = &coarse_side.quotient;
     let coarse_view = Coarse {
         quotient: coarse_q,
@@ -1298,10 +1303,10 @@ pub fn check_refinement<S: SpecState>(
     //    explored prefix even under a budget); here the first recorded unmatched edge
     //    is turned into a witness, after the cheaper inclusion checks came up clean.
     if divergence.is_none() {
-        if let Some((from, to)) = fine_q.unmatched_edge {
+        if let Some(((from, _), rep)) = fine_q.unmatched_edge {
             // Prefer the concrete state that completed this edge over the class
             // representative: its trace ends in the offending stabilization.
-            let index = fine_q.edges[&(from, to)].index;
+            let index = rep.index;
             let mut d = build_divergence(
                 DivergenceKind::UnmatchedStep,
                 fine,

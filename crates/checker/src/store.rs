@@ -78,19 +78,24 @@
 //! only**.  The frontier and every later successor then share one allocation per
 //! distinct component value, and dropping the store frees 2.5 k components and a few
 //! hundred chunks, not one heap block per state.
-//! The pool is spec-agnostic (digest → slot → type-erased `Arc`), lives exactly as
-//! long as the store — it is dropped with it, inside what `CheckStats::teardown`
-//! clocks — and is **resident and unbudgeted**: [`StoreMode::FingerprintOnly`] and the
-//! spill tier bound what the store keeps per *state*, not the pool.  The pool is not
-//! small: a component costs ≈ 580–630 B, of which ≈ 165–180 B is bookkeeping — a 40-byte
-//! `(TypeId, Fingerprint)` key per hash bucket, a 32-byte `(Arc<dyn Any>, &'static
-//! str)` per slot (both tables sized to the next power of two), and 48 B of `Arc`
-//! header and inner value wrapper.  Measured with a counting allocator at the store's
-//! drop, that is ≈ 1.5 MB for the 2,510 components of the space above, and ≈ 5.6 MB
-//! for the 8,796 of `remix-bench`'s `bug-hunt` ZK-4394 run (16,384-entry tables),
-//! about as much heap as that store's rows (2.9 MB), records (1.4 MB) and row index
-//! (1.3 MB) together.  Pool slots and allocation addresses are per-run and never reach
-//! a key, a trace or a statistic.
+//! The pool is spec-agnostic (per type, digest → slot; slot → type-erased `Arc`), lives
+//! exactly as long as the store — it is dropped with it, inside what
+//! `CheckStats::teardown` clocks — and is **resident and unbudgeted**:
+//! [`StoreMode::FingerprintOnly`] and the spill tier bound what the store keeps per
+//! *state*, not the pool.  The pool is not small: a component costs ≈ 380–430 B, of
+//! which ≈ 80 B is bookkeeping — a 24-byte digest → slot bucket in its type's table
+//! and a 16-byte `Arc<dyn Pooled>` slot (both tables sized to the next power of two),
+//! and 48 B of `Arc` header and inner value wrapper — and the value itself is pooled
+//! exactly sized, without the spare capacity its writes left.  Measured with a
+//! counting allocator at the store's drop, that is 0.95 MB for the 2,510 components
+//! of the space above (1.46 MB with a 40-byte `(TypeId, Fingerprint)` key per bucket,
+//! a 32-byte `(Arc<dyn Any>, &'static str)` slot, values as their writes left them
+//! and `BTreeMap`s in the server state), and 3.78 MB (5.57) for the 8,796 of
+//! `remix-bench`'s `bug-hunt` ZK-4394 run: digest tables 423 KB (672), slots 262 KB
+//! (524, a 16,384-entry vector) and values 3.10 MB (4.37) — still more heap than that
+//! store's rows (2.9 MB), records (1.4 MB) and row index (1.3 MB) hold apiece.  Pool
+//! slots and allocation addresses are per-run and never reach a key, a trace or a
+//! statistic.
 //!
 //! # Rows
 //!

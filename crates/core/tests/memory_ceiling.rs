@@ -24,7 +24,10 @@ use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 /// 20.7–20.8 MiB.  With the Full store deduplicating on the rows themselves — a 5-byte
 /// row-index bucket per state instead of a fingerprint-map entry — it was
 /// 15.50–15.54 MiB.  With each row kept in 16-bit units, an 8-word row with the
-/// budgets inline in one word, it is about 11.3 MiB, and the 32-bit rows' 15.5 fail.
+/// budgets inline in one word, it was about 11.3 MiB, and the 32-bit rows' 15.5 fail.
+/// With the intern pool keeping 16-byte slots, one digest table per type and exactly
+/// sized values, and the server state's maps as sorted vectors, it is 10.8–11.0 MiB:
+/// too close to 11.3 for a ceiling between them.
 const CEILING_KIB: u64 = 13 * 1024;
 
 fn peak_rss_kib() -> u64 {

@@ -133,19 +133,31 @@ impl<T: Hash> Shared<T> {
     }
 }
 
-impl<T: Hash + Eq + Send + Sync + 'static> Shared<T> {
+impl<T: Clone + Hash + Eq + Send + Sync + 'static> Shared<T> {
     /// Points this handle at `pool`'s allocation of its value, adding this allocation
     /// to the pool when the value is new to it, and returns the allocation's slot.
     /// The value behind the handle never changes; a duplicate allocation is released
     /// (freed, if this was its last handle).
+    ///
+    /// A value new to the pool is kept for the rest of the run, so when this handle is
+    /// its only one the value is first replaced, in place, by its own clone: equal, with
+    /// the same digest, but without the spare capacity `push` left in its vectors.  The
+    /// allocation, and so every address the caller holds, stays where it is.
     pub fn intern(&mut self, pool: &mut InternPool) -> u32 {
         if let Some(slot) = self.slot(pool) {
             return slot;
         }
-        let slot = match pool.index.entry((TypeId::of::<T>(), self.digest())) {
-            Entry::Vacant(entry) => *entry.insert(push_slot(&mut pool.slots, &self.0)),
+        let digest = self.digest();
+        let InternPool { index, slots, .. } = pool;
+        let slot = match type_table::<T>(index).entry(digest) {
+            Entry::Vacant(entry) => {
+                if let Some(inner) = Arc::get_mut(&mut self.0) {
+                    inner.value = inner.value.clone();
+                }
+                *entry.insert(push_slot(slots, &self.0))
+            }
             Entry::Occupied(entry) => {
-                let pooled = downcast::<T>(&pool.slots[*entry.get() as usize]);
+                let pooled = downcast::<T>(&slots[*entry.get() as usize]);
                 if Arc::ptr_eq(&pooled, &self.0) || pooled.value == self.0.value {
                     self.0 = pooled;
                     *entry.get()
@@ -153,7 +165,7 @@ impl<T: Hash + Eq + Send + Sync + 'static> Shared<T> {
                     // A 128-bit collision: never merge unequal values.  The later
                     // one is addressable all the same, through a slot no digest
                     // leads to.
-                    push_slot(&mut pool.slots, &self.0)
+                    push_slot(slots, &self.0)
                 }
             }
         };
@@ -166,8 +178,37 @@ impl<T: Hash + Eq + Send + Sync + 'static> Shared<T> {
     }
 }
 
-/// One pooled allocation, type-erased, and the name of its type (for the census).
-type Slot = (Arc<dyn Any + Send + Sync>, &'static str);
+/// One pooled allocation, type-erased: a single fat pointer, whose vtable also names
+/// the value's type for the census.
+type Slot = Arc<dyn Pooled>;
+
+/// What a pool needs of an allocation it holds: its type back ([`Any`], to hand out
+/// typed handles) and the type's name (for [`InternPool::census`]).
+trait Pooled: Any + Send + Sync {
+    /// `std::any::type_name` of the value.
+    fn type_name(&self) -> &'static str;
+}
+
+impl<T: Send + Sync + 'static> Pooled for Inner<T> {
+    fn type_name(&self) -> &'static str {
+        std::any::type_name::<T>()
+    }
+}
+
+/// The digest table of `T`'s values, added on the first value of `T` a pool sees.
+fn type_table<T: 'static>(
+    index: &mut Vec<(TypeId, DigestMap<Fingerprint, u32>)>,
+) -> &mut DigestMap<Fingerprint, u32> {
+    let ty = TypeId::of::<T>();
+    let at = match index.iter().position(|(id, _)| *id == ty) {
+        Some(at) => at,
+        None => {
+            index.push((ty, DigestMap::default()));
+            index.len() - 1
+        }
+    };
+    &mut index[at].1
+}
 
 /// Appends `inner` to a pool's slots and returns where.
 ///
@@ -177,10 +218,7 @@ type Slot = (Arc<dyn Any + Send + Sync>, &'static str);
 /// stored row, and [`InternPool::NO_SLOT`] is never handed out.
 fn push_slot<T: Send + Sync + 'static>(slots: &mut Vec<Slot>, inner: &Arc<Inner<T>>) -> u32 {
     let slot = slot_number(slots.len());
-    slots.push((
-        Arc::clone(inner) as Arc<dyn Any + Send + Sync>,
-        std::any::type_name::<T>(),
-    ));
+    slots.push(Arc::clone(inner) as Slot);
     slot
 }
 
@@ -196,13 +234,19 @@ fn pool_id(counter: u64) -> u32 {
 }
 
 fn downcast<T: Send + Sync + 'static>(slot: &Slot) -> Arc<Inner<T>> {
-    Arc::clone(&slot.0)
-        .downcast::<Inner<T>>()
+    let any: Arc<dyn Any + Send + Sync> = Arc::<dyn Pooled>::clone(slot);
+    any.downcast::<Inner<T>>()
         .expect("a slot is read back at the type it was interned at")
 }
 
-/// A hash-consing table for [`Shared`] components of any type: digest → the slot of
-/// the one allocation the pool's users share for that value, and slot → allocation.
+/// A hash-consing table for [`Shared`] components of any type: per type, digest → the
+/// slot of the one allocation the pool's users share for that value, and slot →
+/// allocation.
+///
+/// What it keeps per distinct value, besides the allocation itself, is one 24-byte
+/// bucket of its type's digest table and one 16-byte slot: types are told apart by
+/// which table a digest is in, not by a `TypeId` in every key, and a slot is the one
+/// fat pointer `Arc<dyn Pooled>`, whose vtable also names the type.
 ///
 /// A pool belongs to one exploration (the checker's `StateStore` owns it) and only
 /// grows; dropping it releases the pool's own handle on every entry.  It is
@@ -211,8 +255,10 @@ fn downcast<T: Send + Sync + 'static>(slot: &Slot) -> Arc<Inner<T>> {
 pub struct InternPool {
     /// Process-unique and never 0, so an allocation's tag names at most one live pool.
     id: u32,
-    /// Hashed by the digest's own second word, see [`DigestMap`].
-    index: DigestMap<(TypeId, Fingerprint), u32>,
+    /// One digest table per pooled type, in the order the types were first interned
+    /// (a state type pools a handful), each hashed by the digest's own second word, see
+    /// [`DigestMap`].
+    index: Vec<(TypeId, DigestMap<Fingerprint, u32>)>,
     slots: Vec<Slot>,
 }
 
@@ -227,7 +273,7 @@ impl InternPool {
         InternPool {
             // ordering: Relaxed — only uniqueness matters, and fetch_add is atomic.
             id: pool_id(NEXT_ID.fetch_add(1, atomic::Ordering::Relaxed)),
-            index: DigestMap::default(),
+            index: Vec::new(),
             slots: Vec::new(),
         }
     }
@@ -256,8 +302,8 @@ impl InternPool {
     /// allocations.
     pub fn census(&self) -> BTreeMap<&'static str, usize> {
         let mut kinds = BTreeMap::new();
-        for (_, kind) in &self.slots {
-            *kinds.entry(*kind).or_default() += 1;
+        for slot in &self.slots {
+            *kinds.entry(slot.type_name()).or_default() += 1;
         }
         kinds
     }
@@ -492,6 +538,68 @@ mod tests {
         assert_eq!(pool.len(), 4);
     }
 
+    #[test]
+    fn a_new_uniquely_held_value_is_pooled_exactly_sized_in_place() {
+        let mut pool = InternPool::new();
+        let mut spare = Vec::with_capacity(16);
+        spare.extend([1u32, 2, 3]);
+        let mut fresh: Shared<Vec<u32>> = spare.into();
+        let (address, digest) = (Arc::as_ptr(&fresh.0), fresh.digest());
+        let slot = fresh.intern(&mut pool);
+        assert_eq!(
+            (fresh.len(), fresh.capacity()),
+            (3, 3),
+            "the spare capacity went"
+        );
+        assert_eq!(
+            Arc::as_ptr(&fresh.0),
+            address,
+            "the allocation did not move"
+        );
+        assert_eq!(fresh.digest(), digest);
+        assert!(Shared::ptr_eq(&pool.get::<Vec<u32>>(slot), &fresh));
+
+        // A handle that is not the only one is pooled as it is.
+        let mut spare = Vec::with_capacity(16);
+        spare.push(4u32);
+        let mut shared: Shared<Vec<u32>> = spare.into();
+        let other = shared.clone();
+        shared.intern(&mut pool);
+        assert!(Shared::ptr_eq(&shared, &other));
+        assert_eq!(shared.capacity(), 16, "a shared handle is left alone");
+    }
+
+    #[test]
+    fn equal_values_of_one_type_share_a_slot_apart_from_other_types() {
+        let mut pool = InternPool::new();
+        let mut plain: Shared<Vec<u32>> = vec![7].into();
+        let mut boxed: Shared<Box<Vec<u32>>> = Box::new(vec![7]).into();
+        let mut again: Shared<Box<Vec<u32>>> = Box::new(vec![7]).into();
+        assert_eq!(boxed.digest(), plain.digest(), "the hash streams coincide");
+        let slots = [
+            plain.intern(&mut pool),
+            boxed.intern(&mut pool),
+            again.intern(&mut pool),
+        ];
+        assert_eq!(
+            slots,
+            [0, 1, 1],
+            "the second box joins the first one's slot"
+        );
+        assert!(Shared::ptr_eq(&boxed, &again));
+        let mut name: Shared<String> = String::from("seven").into();
+        name.intern(&mut pool);
+        assert_eq!(
+            pool.census(),
+            BTreeMap::from([
+                (std::any::type_name::<Vec<u32>>(), 1),
+                (std::any::type_name::<Box<Vec<u32>>>(), 1),
+                (std::any::type_name::<String>(), 1),
+            ]),
+            "the census names every type"
+        );
+    }
+
     /// Every value of this type has the same digest: the worst collision there is.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Unhashed(u32);
@@ -606,7 +714,7 @@ mod tests {
         let tagged: Shared<u8> = Shared::new(0);
         let last = InternPool {
             id: u32::MAX,
-            index: DigestMap::default(),
+            index: Vec::new(),
             slots: Vec::new(),
         };
         tagged.0.tag.store(u64::MAX - 1, atomic::Ordering::Relaxed);

@@ -45,7 +45,7 @@ pub use projection::{
 };
 pub use state::{GhostState, ServerData, ZabState};
 pub use types::{
-    CodeViolation, Message, ServerState, Sid, SidSet, SyncMode, Txn, ViolationKind, Vote, ZabPhase,
-    Zxid,
+    CodeViolation, Message, ServerState, Sid, SidSet, SyncMode, Txn, VecMap, ViolationKind, Vote,
+    ZabPhase, Zxid,
 };
 pub use versions::{BugFlags, CodeVersion, BUG_LINEAGE, MODELLED_ISSUES};

@@ -16,9 +16,11 @@
 //! so reads (`state.servers[i].history.len()`, `state.msgs[i][j].first()`) are written
 //! as before and never copy; **any `&mut` copies a component that is still shared**,
 //! even when the write changes nothing, so writes that may be no-ops are guarded
-//! ([`ZabState::clear_channels`]).  `Shared`'s `Eq`/`Ord`/`Hash`/`Debug` are the value's
-//! and sets of sids are [`SidSet`] bitmasks with `BTreeSet<Sid>`'s `Ord` and `Hash`, so
-//! the layout is invisible to fingerprints, canonical forms and traces.
+//! ([`ZabState::clear_channels`]).  `Shared`'s `Eq`/`Ord`/`Hash`/`Debug` are the value's,
+//! sets of sids are [`SidSet`] bitmasks with `BTreeSet<Sid>`'s `Ord` and `Hash`, and
+//! maps follow the same rule as [`VecMap`]s, sorted vectors of pairs with `BTreeMap`'s
+//! `Eq`, `Ord`, `Hash` and `Debug`, so the layout is invisible to fingerprints,
+//! canonical forms and traces.
 //!
 //! # Two hashes
 //!
@@ -51,7 +53,9 @@ use std::hash::{Hash, Hasher};
 use remix_spec::{InternPool, Shared, SpecState, Value};
 
 use crate::config::ClusterConfig;
-use crate::types::{CodeViolation, Message, ServerState, Sid, SidSet, Txn, Vote, ZabPhase, Zxid};
+use crate::types::{
+    CodeViolation, Message, ServerState, Sid, SidSet, Txn, VecMap, Vote, ZabPhase, Zxid,
+};
 
 /// Per-server state.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,13 +85,13 @@ pub struct ServerData {
     /// Whether the current vote has been broadcast to peers.
     pub vote_broadcast: bool,
     /// Votes received from peers in the current election round.
-    pub recv_votes: BTreeMap<Sid, Vote>,
+    pub recv_votes: VecMap<Sid, Vote>,
 
     // Leader-side bookkeeping.
     /// `learners`: followers connected to this leader (FOLLOWERINFO received).
     pub learners: SidSet,
     /// Last zxid reported by each learner (from ACKEPOCH), used to pick the sync mode.
-    pub learner_last_zxid: BTreeMap<Sid, Zxid>,
+    pub learner_last_zxid: VecMap<Sid, Zxid>,
     /// Whether the leader has proposed its new epoch (sent LEADERINFO).
     pub epoch_proposed: bool,
     /// Followers that acknowledged the proposed epoch (ACKEPOCH received).
@@ -99,7 +103,7 @@ pub struct ServerData {
     /// Whether this leader has established its epoch (quorum of NEWLEADER acks).
     pub established: bool,
     /// Outstanding broadcast proposals and the servers that acknowledged them.
-    pub pending_acks: BTreeMap<Zxid, SidSet>,
+    pub pending_acks: VecMap<Zxid, SidSet>,
 
     // Follower-side synchronization bookkeeping.
     /// Whether the follower has sent FOLLOWERINFO to its leader.
@@ -135,15 +139,15 @@ impl ServerData {
                 leader: sid,
             },
             vote_broadcast: false,
-            recv_votes: BTreeMap::new(),
+            recv_votes: VecMap::new(),
             learners: SidSet::new(),
-            learner_last_zxid: BTreeMap::new(),
+            learner_last_zxid: VecMap::new(),
             epoch_proposed: false,
             epoch_acks: SidSet::new(),
             sync_sent: SidSet::new(),
             newleader_acks: SidSet::new(),
             established: false,
-            pending_acks: BTreeMap::new(),
+            pending_acks: VecMap::new(),
             connected: false,
             packets_not_committed: Vec::new(),
             packets_committed: Vec::new(),
@@ -226,13 +230,13 @@ impl ServerData {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GhostState {
     /// Leader that established each epoch (quorum of NEWLEADER acknowledgements).
-    pub established_leaders: BTreeMap<u32, Sid>,
+    pub established_leaders: VecMap<u32, Sid>,
     /// Set when a second, different leader establishes an already-established epoch
     /// (flags invariant I-1).
     pub duplicate_establishment: bool,
     /// The initial history of each established epoch (the leader's history at
     /// establishment time), as required by invariants I-8 and I-9.
-    pub initial_history: BTreeMap<u32, Vec<Txn>>,
+    pub initial_history: VecMap<u32, Vec<Txn>>,
     /// Every transaction broadcast by an established primary, in broadcast order.
     pub broadcast: Vec<Txn>,
 }

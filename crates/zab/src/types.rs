@@ -1,11 +1,17 @@
-//! Basic Zab / ZooKeeper domain types: zxids, transactions, messages, votes, and
-//! [`SidSet`] — the bitmask every set of server ids in the state is stored as (an
-//! inline `u16` where a `BTreeSet<Sid>` cost a heap node per non-empty set per state,
-//! with `BTreeSet<Sid>`'s iteration order, `Ord` and `Hash` stream).
+//! Basic Zab / ZooKeeper domain types: zxids, transactions, messages, votes, and the
+//! two collections the state is stored in:
+//!
+//! * [`SidSet`] — the bitmask every set of server ids in the state is stored as (an
+//!   inline `u16` where a `BTreeSet<Sid>` cost a heap node per non-empty set per state,
+//!   with `BTreeSet<Sid>`'s iteration order, `Ord` and `Hash` stream);
+//! * [`VecMap`] — the sorted vector every map in the state is stored as (one exactly
+//!   sized buffer of pairs where a one-entry `BTreeMap` leaf cost 192–368 bytes, with
+//!   `BTreeMap`'s iteration order, `Eq`, `Ord`, `Hash` stream and `Debug` rendering).
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Index;
 
 /// Server identifier (the `sid` / `myid` of a ZooKeeper ensemble member).
 pub type Sid = usize;
@@ -126,6 +132,179 @@ impl Hash for SidSet {
 impl fmt::Debug for SidSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// A map as a vector of `(key, value)` pairs sorted by key, without duplicate keys.
+///
+/// A drop-in for the `BTreeMap` it replaced, by the [`SidSet`] rule: the same method
+/// names, ascending iteration, and the same [`Eq`], lexicographic [`Ord`] over the
+/// pairs, length-prefixed [`Hash`] stream and [`Debug`] rendering, so state fingerprints
+/// and canonical representatives do not depend on the representation.  The maps of a
+/// state hold a few entries each, so a binary search and a shifting insert beat a
+/// tree's pointers, and a clone is one exactly sized buffer.
+#[derive(Clone, PartialEq, Eq)]
+pub struct VecMap<K, V>(Vec<(K, V)>);
+
+impl<K, V> VecMap<K, V> {
+    /// The empty map.
+    pub const fn new() -> Self {
+        VecMap(Vec::new())
+    }
+
+    /// The number of entries.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Returns `true` when the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Removes every entry.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// The entries in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.0.iter().map(|(key, value)| (key, value))
+    }
+
+    /// The keys in ascending order.
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.0.iter().map(|(key, _)| key)
+    }
+
+    /// The values in ascending key order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.0.iter().map(|(_, value)| value)
+    }
+}
+
+impl<K: Ord, V> VecMap<K, V> {
+    /// Where `key` is (`Ok`) or would be inserted (`Err`).
+    fn find(&self, key: &K) -> Result<usize, usize> {
+        self.0.binary_search_by(|(probe, _)| probe.cmp(key))
+    }
+
+    /// The value of `key`, if any.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.find(key).ok().map(|at| &self.0[at].1)
+    }
+
+    /// The value of `key`, if any, for writing.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.find(key).ok().map(|at| &mut self.0[at].1)
+    }
+
+    /// Returns `true` when `key` has a value.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.find(key).is_ok()
+    }
+
+    /// Sets the value of `key`; returns the value it replaced, if any.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.find(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.0[at].1, value)),
+            Err(at) => {
+                self.0.insert(at, (key, value));
+                None
+            }
+        }
+    }
+
+    /// Removes `key`; returns its value, if it had one.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.find(key).ok().map(|at| self.0.remove(at).1)
+    }
+
+    /// The place of `key` in the map, for in-place insertion or update.
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        let at = self.find(&key);
+        Entry { map: self, key, at }
+    }
+}
+
+/// A key's place in a [`VecMap`], from [`VecMap::entry`].
+pub struct Entry<'a, K, V> {
+    map: &'a mut VecMap<K, V>,
+    key: K,
+    at: Result<usize, usize>,
+}
+
+impl<'a, K, V: Default> Entry<'a, K, V> {
+    /// The key's value, inserting `V::default()` first if it has none.
+    pub fn or_default(self) -> &'a mut V {
+        let at = match self.at {
+            Ok(at) => at,
+            Err(at) => {
+                self.map.0.insert(at, (self.key, V::default()));
+                at
+            }
+        };
+        &mut self.map.0[at].1
+    }
+}
+
+impl<K, V> Default for VecMap<K, V> {
+    fn default() -> Self {
+        VecMap::new()
+    }
+}
+
+/// Later pairs win over earlier ones with the same key, as `BTreeMap`'s.
+impl<K: Ord, V> FromIterator<(K, V)> for VecMap<K, V> {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut map = VecMap(Vec::with_capacity(iter.size_hint().0));
+        for (key, value) in iter {
+            map.insert(key, value);
+        }
+        map
+    }
+}
+
+/// # Panics
+///
+/// When `key` has no value, as `BTreeMap`'s.
+impl<K: Ord, V> Index<&K> for VecMap<K, V> {
+    type Output = V;
+
+    fn index(&self, key: &K) -> &V {
+        self.get(key).expect("no entry found for key")
+    }
+}
+
+impl<K: Ord, V: Ord> PartialOrd for VecMap<K, V> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic over the ascending `(key, value)` pairs, as `BTreeMap`'s.
+impl<K: Ord, V: Ord> Ord for VecMap<K, V> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+/// The byte stream `BTreeMap` feeds a hasher: the length, then each key and its value.
+impl<K: Hash, V: Hash> Hash for VecMap<K, V> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        for (key, value) in &self.0 {
+            key.hash(state);
+            value.hash(state);
+        }
+    }
+}
+
+/// Renders as the map it is (`{0: a, 2: b}`), as `BTreeMap` does.
+impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for VecMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
