@@ -102,7 +102,8 @@ pub struct ExploreOptions {
     /// Lock stripes of the shared coverage map (see [`CoverageMap::new`] and the
     /// identically-motivated `CheckOptions::shards`).
     pub shards: usize,
-    /// Fingerprint-prefix granularity of the coverage counters, in leading bits.
+    /// Fingerprint-prefix granularity of the coverage counters, in leading bits:
+    /// clamped to 1..=32 (see [`CoverageMap::new`]), so a wider request counts at 32.
     pub prefix_bits: u32,
     /// Stop scheduling new traces once any invariant violation has been found
     /// (time-to-first-violation mode; in-flight traces still complete).
@@ -256,7 +257,7 @@ pub(crate) fn walk<S: SpecState>(
         return Trace::default();
     }
     // Prefixes already recorded by *this* trace: revisits add no prefix hit.
-    let mut seen_prefixes: HashSet<u64> = HashSet::new();
+    let mut seen_prefixes: HashSet<u32> = HashSet::new();
     let mut record = |guide: &Guide<'_>, fp: Fingerprint, label: &str| {
         if seen_prefixes.insert(guide.coverage.prefix_of(fp)) {
             guide.coverage.record(fp, label);
@@ -323,32 +324,41 @@ pub fn explore_one<S: SpecState>(
     walk(spec, max_depth, rng, deadline, Some(&guide))
 }
 
-/// Runs `job(index)` for the indices `0..total` on `workers` threads, each striding its
-/// own stripe (`worker`, `worker + workers`, …), and returns the results in index
-/// order — the one runner behind [`explore`], [`crate::simulate::simulate`] and the
-/// conformance checker's replay.
+/// Folds the indices `0..total` into one accumulator per worker on `workers` threads,
+/// each striding its own stripe (`worker`, `worker + workers`, …) — the one runner
+/// behind [`explore`], [`crate::simulate::simulate`] and the conformance checker's
+/// replay.  Worker `w` starts from `init()` and calls `fold(&mut acc, index)` for its
+/// stripe's indices in increasing order; the accumulators come back in worker order.
+///
+/// What a run keeps is what its accumulators keep: a caller that folds each index into
+/// a summary holds memory independent of `total`, where collecting one result per
+/// index would grow with the sampling budget.
 ///
 /// A stripe ends early once `halt()` holds (a spent budget, a stop flag), checked
-/// before every index but 0, so a run always produces at least one result.  Because a
-/// job sees nothing but its index, the results of the indices that did run are the same
-/// for every worker count.  A panicking job is re-raised on the caller.
-pub fn striped<T: Send>(
+/// before every index but 0, so a run always folds at least one index.  Because a fold
+/// sees nothing of other stripes, the indices that did run fold the same way for every
+/// worker count.  A panicking fold is re-raised on the caller.
+pub fn striped<A: Send>(
     total: usize,
     workers: usize,
     halt: impl Fn() -> bool + Sync,
-    job: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
+    init: impl Fn() -> A + Sync,
+    fold: impl Fn(&mut A, usize) + Sync,
+) -> Vec<A> {
     let total = total.max(1);
     let workers = workers.clamp(1, total);
-    let run_stripe = |worker: usize| -> Vec<(usize, T)> {
-        (worker..total)
-            .step_by(workers)
-            .take_while(|&index| index == 0 || !halt())
-            .map(|index| (index, job(index)))
-            .collect()
+    let run_stripe = |worker: usize| -> A {
+        let mut acc = init();
+        for index in (worker..total).step_by(workers) {
+            if index != 0 && halt() {
+                break;
+            }
+            fold(&mut acc, index);
+        }
+        acc
     };
-    let mut indexed: Vec<(usize, T)> = if workers == 1 {
-        run_stripe(0)
+    if workers == 1 {
+        vec![run_stripe(0)]
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -356,12 +366,10 @@ pub fn striped<T: Send>(
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         })
-    };
-    indexed.sort_by_key(|(index, _)| *index);
-    indexed.into_iter().map(|(_, result)| result).collect()
+    }
 }
 
 /// Weighted successor choice, relative to the least-visited candidate per dimension
@@ -447,32 +455,42 @@ pub fn explore<S: SpecState>(spec: &Spec<S>, options: &ExploreOptions) -> Explor
     // ordering: Acquire — pairs with the Release store below; a worker that observes
     // the stop also observes the violation that caused it.
     let halt = || stop.load(Ordering::Acquire) || deadline.is_some_and(|d| Instant::now() >= d);
-    let sample = |index: usize| -> (usize, u64, Vec<Violation<S>>) {
+    let sample = |tally: &mut Tally<S>, index: usize| {
         let mut rng = CheckerRng::for_trace(options.seed, index as u64);
         // Trace 0 skips only the *scheduling* budget check (so a budget-bound run still
         // reports at least one trace); the in-walk deadline applies to every trace,
         // keeping the documented one-step overshoot bound — an expired deadline still
         // yields the initial state.
         let trace = walk(spec, options.max_depth, &mut rng, deadline, Some(&guide));
-        // Record the first violating state *per invariant* of this trace: later
-        // violations of the same invariant add no information (the walk typically
-        // stays in violation), but a different invariant first violated deeper in
-        // the same trace must not be dropped.
-        let mut found: Vec<Violation<S>> = Vec::new();
+        tally.traces += 1;
+        tally.steps += trace.depth() as u64;
+        // Only the first violating step of an invariant on a trace can be kept (the
+        // walk typically stays in violation), and it is kept — its prefix cloned — only
+        // when it beats what this worker already keeps for that invariant.  A
+        // different invariant first violated deeper in the same trace is still seen.
+        let mut timed = false;
         for (depth, step) in trace.steps.iter().enumerate() {
-            let before = found.len();
-            for inv in spec.violated_invariants(&step.state) {
-                if found.iter().any(|f| f.invariant == inv.id) {
-                    continue;
-                }
-                found.push(Violation {
-                    invariant: inv.id,
-                    invariant_name: inv.name,
-                    depth: depth as u32,
-                    trace: prefix_trace(&trace, depth),
-                });
+            let violated = spec.violated_invariants(&step.state);
+            if violated.is_empty() {
+                continue;
             }
-            if found.len() > before {
+            for inv in violated {
+                if tally.beats(inv.id, index, depth as u32) {
+                    tally.keep(
+                        index,
+                        Violation {
+                            invariant: inv.id,
+                            invariant_name: inv.name,
+                            depth: depth as u32,
+                            trace: prefix_trace(&trace, depth),
+                        },
+                    );
+                }
+            }
+            // A trace's first violating step is its earliest violation, so timing only
+            // that one still gives the run's minimum.
+            if !timed {
+                timed = true;
                 let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 // ordering: AcqRel — concurrent minima must all join (Acquire)
                 // and publish (Release) so the final load sees the true minimum.
@@ -484,27 +502,18 @@ pub fn explore<S: SpecState>(spec: &Spec<S>, options: &ExploreOptions) -> Explor
                 }
             }
         }
-        (index, trace.depth() as u64, found)
     };
-    let results = striped(options.traces, options.workers, halt, sample);
-
-    let traces = results.len();
-    let mut steps = 0u64;
-    // Violations tagged with their trace index for the deterministic merge: lowest
-    // trace index wins per invariant, ties by depth.
-    let mut all: Vec<(usize, Violation<S>)> = Vec::new();
-    for (index, s, found) in results {
-        steps += s;
-        all.extend(found.into_iter().map(|v| (index, v)));
+    let tallies = striped(options.traces, options.workers, halt, Tally::new, sample);
+    let mut total = Tally::new();
+    for tally in tallies {
+        total.merge(tally);
     }
-    all.sort_by_key(|(index, v)| (*index, v.depth, v.invariant));
-    let first_violation_trace = all.first().map(|(index, _)| *index);
-    let mut violations: Vec<Violation<S>> = Vec::new();
-    for (_, v) in all {
-        if !violations.iter().any(|k| k.invariant == v.invariant) {
-            violations.push(v);
-        }
-    }
+    // Kept violations in `(trace index, depth, invariant)` order: per invariant the one
+    // with the lowest (trace, depth), whatever the worker count.
+    let mut kept = total.kept;
+    kept.sort_by_key(|(index, v)| (*index, v.depth, v.invariant));
+    let first_violation_trace = kept.first().map(|(index, _)| *index);
+    let violations = kept.into_iter().map(|(_, v)| v).collect();
 
     // ordering: Acquire — pairs with the AcqRel fetch_min above (workers have joined
     // by now, but the load should not rely on the join for its value).
@@ -514,8 +523,8 @@ pub fn explore<S: SpecState>(spec: &Spec<S>, options: &ExploreOptions) -> Explor
         spec_name: spec.name.clone(),
         violations,
         stats: ExploreStats {
-            traces,
-            steps,
+            traces: total.traces,
+            steps: total.steps,
             elapsed,
             first_violation_trace,
             time_to_first_violation: (nanos != u64::MAX).then(|| Duration::from_nanos(nanos)),
@@ -525,6 +534,56 @@ pub fn explore<S: SpecState>(spec: &Spec<S>, options: &ExploreOptions) -> Explor
                 .filter(|o| !o.is_zero()),
             coverage: coverage.snapshot(),
         },
+    }
+}
+
+/// What one sampling worker keeps of the traces it folded (see [`striped`]).
+struct Tally<S> {
+    /// Traces sampled.
+    traces: usize,
+    /// Transitions taken across those traces.
+    steps: u64,
+    /// Per invariant, the violation with the lowest `(trace index, depth)` seen, tagged
+    /// with its trace index.
+    kept: Vec<(usize, Violation<S>)>,
+}
+
+impl<S> Tally<S> {
+    fn new() -> Self {
+        Tally {
+            traces: 0,
+            steps: 0,
+            kept: Vec::new(),
+        }
+    }
+
+    /// Whether a violation of `invariant` on trace `index` at `depth` would be kept:
+    /// none of that invariant is kept yet, or the kept one is on a later `(trace,
+    /// depth)`.
+    fn beats(&self, invariant: &str, index: usize, depth: u32) -> bool {
+        self.kept
+            .iter()
+            .find(|(_, v)| v.invariant == invariant)
+            .is_none_or(|(kept, v)| (index, depth) < (*kept, v.depth))
+    }
+
+    /// Keeps `violation`, found on trace `index`, if it beats the one kept for its
+    /// invariant.
+    fn keep(&mut self, index: usize, violation: Violation<S>) {
+        if self.beats(violation.invariant, index, violation.depth) {
+            self.kept
+                .retain(|(_, v)| v.invariant != violation.invariant);
+            self.kept.push((index, violation));
+        }
+    }
+
+    /// Folds another worker's tally into this one.
+    fn merge(&mut self, other: Tally<S>) {
+        self.traces += other.traces;
+        self.steps += other.steps;
+        for (index, violation) in other.kept {
+            self.keep(index, violation);
+        }
     }
 }
 
@@ -615,6 +674,19 @@ mod tests {
         )
     }
 
+    /// The needle spec with a second invariant, `QUIET`, that most walks break within
+    /// a few steps (`Churn(2)` from the initial noise reaches 3).
+    fn noisy_needle_spec(target: u32) -> Spec<Walk> {
+        let mut spec = needle_spec(target);
+        spec.invariants.push(Invariant::always(
+            "QUIET",
+            "noise never reaches 3",
+            InvariantSource::Protocol,
+            |s: &Walk| s.noise != 3,
+        ));
+        spec
+    }
+
     fn options() -> ExploreOptions {
         ExploreOptions::default()
             .with_traces(400)
@@ -653,6 +725,67 @@ mod tests {
             a.violations.iter().map(|v| v.depth).collect::<Vec<_>>(),
             b.violations.iter().map(|v| v.depth).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn kept_violations_are_the_lowest_trace_and_depth_per_invariant() {
+        // Most traces violate both invariants; per invariant the run must keep the
+        // violation the old merge chose: every trace's first violation of each
+        // invariant, sorted by (trace, depth, invariant), the first per invariant kept.
+        let spec = noisy_needle_spec(2);
+        let opts = ExploreOptions {
+            stop_on_violation: false,
+            ..options().with_traces(200).with_max_depth(24).uniform()
+        };
+        let mut all = Vec::new();
+        for index in 0..opts.traces {
+            // A uniform walk draws the same choices with or without a coverage map.
+            let mut rng = CheckerRng::for_trace(opts.seed, index as u64);
+            let trace = walk(&spec, opts.max_depth, &mut rng, None, None);
+            let mut seen = Vec::new();
+            for (depth, step) in trace.steps.iter().enumerate() {
+                for inv in spec.violated_invariants(&step.state) {
+                    if !seen.contains(&inv.id) {
+                        seen.push(inv.id);
+                        all.push((index, depth as u32, inv.id, prefix_trace(&trace, depth)));
+                    }
+                }
+            }
+        }
+        let violating: HashSet<usize> = all.iter().map(|(index, ..)| *index).collect();
+        assert!(
+            violating.len() > opts.traces / 2,
+            "{} of {} traces violate",
+            violating.len(),
+            opts.traces
+        );
+        all.sort_by_key(|(index, depth, inv, _)| (*index, *depth, *inv));
+        let mut expected: Vec<(usize, u32, &str, Trace<Walk>)> = Vec::new();
+        for entry in all {
+            if !expected.iter().any(|kept| kept.2 == entry.2) {
+                expected.push(entry);
+            }
+        }
+        assert_eq!(expected.len(), 2, "both invariants are violated");
+        for workers in [1, 2, 3] {
+            let outcome = explore(&spec, &opts.clone().with_workers(workers));
+            assert_eq!(outcome.stats.traces, opts.traces);
+            assert_eq!(
+                outcome.stats.first_violation_trace,
+                Some(expected[0].0),
+                "workers={workers}"
+            );
+            let kept: Vec<(u32, &str, &Trace<Walk>)> = outcome
+                .violations
+                .iter()
+                .map(|v| (v.depth, v.invariant, &v.trace))
+                .collect();
+            let want: Vec<(u32, &str, &Trace<Walk>)> = expected
+                .iter()
+                .map(|(_, depth, inv, trace)| (*depth, *inv, trace))
+                .collect();
+            assert_eq!(kept, want, "workers={workers}");
+        }
     }
 
     #[test]

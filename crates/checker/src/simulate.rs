@@ -38,15 +38,19 @@ pub fn simulate_one<S: SpecState>(
 /// trace (index 0) is always produced.
 pub fn simulate<S: SpecState>(spec: &Spec<S>, options: &SimulationOptions) -> Vec<Trace<S>> {
     let start = Instant::now();
-    striped(
+    let stripes = striped(
         options.traces,
         options.workers,
         || options.time_budget.is_some_and(|b| start.elapsed() >= b),
-        |index| {
+        Vec::new,
+        |traces: &mut Vec<(usize, Trace<S>)>, index| {
             let mut rng = CheckerRng::for_trace(options.seed, index as u64);
-            simulate_one(spec, options.max_depth, &mut rng)
+            traces.push((index, simulate_one(spec, options.max_depth, &mut rng)));
         },
-    )
+    );
+    let mut indexed: Vec<(usize, Trace<S>)> = stripes.into_iter().flatten().collect();
+    indexed.sort_by_key(|(index, _)| *index);
+    indexed.into_iter().map(|(_, trace)| trace).collect()
 }
 
 #[cfg(test)]

@@ -54,7 +54,8 @@ fn uniform_exploration_matches_across_worker_counts() {
     // With uniform guidance the coverage map records hits but never influences a
     // choice, so guided exploration inherits simulate's determinism contract: the
     // sampled traces — and hence the violations found — are worker-count independent
-    // (as long as no early stop cuts the run short).
+    // (as long as no early stop cuts the run short), and each worker keeps only the
+    // lowest-(trace, depth) violation per invariant it saw, so the merged ones agree.
     let config = ClusterConfig::small(CodeVersion::V391).with_crashes(0);
     let spec = SpecPreset::MSpec1.build(&config);
     let opts = ExploreOptions::default()
@@ -67,21 +68,31 @@ fn uniform_exploration_matches_across_worker_counts() {
         ..opts
     };
     let one = explore(&spec, &opts);
-    let four = explore(&spec, &opts.clone().with_workers(4));
-    assert_eq!(one.stats.traces, four.stats.traces);
-    assert_eq!(one.stats.steps, four.stats.steps);
-    assert_eq!(
-        one.stats.first_violation_trace,
-        four.stats.first_violation_trace
-    );
-    assert_eq!(
-        one.stats.coverage.total_hits,
-        four.stats.coverage.total_hits
-    );
-    assert_eq!(
-        one.stats.coverage.distinct_prefixes,
-        four.stats.coverage.distinct_prefixes
-    );
+    let kept = |outcome: &remix_checker::ExploreOutcome<_>| {
+        outcome
+            .violations
+            .iter()
+            .map(|v| (v.invariant, v.depth, v.trace.clone()))
+            .collect::<Vec<_>>()
+    };
+    for workers in [2, 3, 4] {
+        let many = explore(&spec, &opts.clone().with_workers(workers));
+        assert_eq!(one.stats.traces, many.stats.traces, "workers={workers}");
+        assert_eq!(one.stats.steps, many.stats.steps, "workers={workers}");
+        assert_eq!(
+            one.stats.first_violation_trace, many.stats.first_violation_trace,
+            "workers={workers}"
+        );
+        assert_eq!(kept(&one), kept(&many), "workers={workers}");
+        assert_eq!(
+            one.stats.coverage.total_hits, many.stats.coverage.total_hits,
+            "workers={workers}"
+        );
+        assert_eq!(
+            one.stats.coverage.distinct_prefixes, many.stats.coverage.distinct_prefixes,
+            "workers={workers}"
+        );
+    }
     // `simulate` is the same walk without the coverage map: for one seed, trace budget
     // and depth, uniform exploration takes exactly the steps of simulate's batch.
     let batch = simulate(&spec, &options());

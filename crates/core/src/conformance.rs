@@ -134,6 +134,18 @@ pub enum Discrepancy {
     },
 }
 
+impl Discrepancy {
+    /// Index of the sampled trace the discrepancy was found on.
+    fn trace(&self) -> usize {
+        match self {
+            Discrepancy::VariableMismatch { trace, .. }
+            | Discrepancy::UnmappedAction { trace, .. }
+            | Discrepancy::EventRejected { trace, .. }
+            | Discrepancy::ImplementationError { trace, .. } => *trace,
+        }
+    }
+}
+
 /// A diverging trace minimized by delta debugging (§3.5.2's counterexamples, made
 /// readable): the shrunk schedule is a legal execution of the specification whose
 /// replay still produces a discrepancy, and no single remaining action can be removed
@@ -216,7 +228,7 @@ impl ConformanceChecker {
             remix_checker::explore::DEFAULT_PREFIX_BITS,
         );
 
-        let check_one = |index: usize| -> ConformanceReport {
+        let check_one = |report: &mut ConformanceReport, index: usize| {
             // The value `CheckerRng::for_trace` seeds this trace's sampling sub-stream
             // with, reused as the replay cluster's schedule identity (one shared
             // derivation, so the recorded identity cannot drift from the stream).
@@ -233,14 +245,12 @@ impl ConformanceChecker {
                     None,
                 ),
             };
-            let mut partial = ConformanceReport {
-                traces_checked: 1,
-                ..Default::default()
-            };
-            self.replay_trace_seeded(index, &trace, &mut partial, schedule_seed);
-            if options.shrink_divergences && !partial.discrepancies.is_empty() {
+            report.traces_checked += 1;
+            let before = report.discrepancies.len();
+            self.replay_trace_seeded(index, &trace, report, schedule_seed);
+            if options.shrink_divergences && report.discrepancies.len() > before {
                 let outcome = self.shrink_divergence(spec, &trace, schedule_seed);
-                partial.shrunk_divergences.push(ShrunkDivergence {
+                report.shrunk_divergences.push(ShrunkDivergence {
                     trace: index,
                     original_depth: outcome.original_depth,
                     shrunk_depth: outcome.shrunk_depth(),
@@ -253,24 +263,30 @@ impl ConformanceChecker {
                     schedule_seed,
                 });
             }
-            partial
         };
-        // At least one trace (index 0) is always produced, budget or not; partial
-        // reports come back in trace-index order, so the merge is deterministic.
-        let partials = striped(
+        // At least one trace (index 0) is always produced, budget or not.  Each worker
+        // folds its stripe into one report as it goes, so a run holds no per-trace
+        // partial report, only what the traces found.
+        let folded = striped(
             options.traces,
             options.workers,
             || options.time_budget.is_some_and(|b| start.elapsed() >= b),
+            ConformanceReport::default,
             check_one,
         );
 
         let mut report = ConformanceReport::default();
-        for partial in partials {
-            report.traces_checked += partial.traces_checked;
-            report.steps_replayed += partial.steps_replayed;
-            report.discrepancies.extend(partial.discrepancies);
-            report.shrunk_divergences.extend(partial.shrunk_divergences);
+        for part in folded {
+            report.traces_checked += part.traces_checked;
+            report.steps_replayed += part.steps_replayed;
+            report.discrepancies.extend(part.discrepancies);
+            report.shrunk_divergences.extend(part.shrunk_divergences);
         }
+        // Each worker's findings are in trace-index order; a stable sort by trace index
+        // interleaves the stripes into the order one worker produces, so the report is
+        // the same for every worker count.
+        report.discrepancies.sort_by_key(Discrepancy::trace);
+        report.shrunk_divergences.sort_by_key(|shrunk| shrunk.trace);
         report
     }
 
@@ -345,15 +361,14 @@ impl ConformanceChecker {
                 break;
             }
             let observation = cluster.observe();
-            let model_view = step.state.project(&self.compared_variables);
-            let impl_view = observation.project(&self.compared_variables);
-            let mismatches = compare_views(&model_view, &impl_view);
-            for (variable, model, implementation) in mismatches {
+            for (variable, model, implementation) in
+                mismatches(&step.state, &observation, &self.compared_variables)
+            {
                 report.discrepancies.push(Discrepancy::VariableMismatch {
                     trace: trace_index,
                     step: step_index,
                     action: step.action.clone(),
-                    variable,
+                    variable: variable.to_owned(),
                     model,
                     implementation,
                 });
@@ -387,20 +402,68 @@ impl ConformanceChecker {
     }
 }
 
-/// Compares two projected variable views, returning the differing variables.
-fn compare_views(
-    model: &BTreeMap<String, Value>,
-    implementation: &BTreeMap<String, Value>,
-) -> Vec<(String, Value, Value)> {
-    let mut out = Vec::new();
-    for (var, model_value) in model {
-        if let Some(impl_value) = implementation.get(var) {
-            if impl_value != model_value {
-                out.push((var.clone(), model_value.clone(), impl_value.clone()));
-            }
-        }
+/// The variables conformance can compare, in name order: the order a
+/// `BTreeMap<String, Value>` of both sides' projections lists them in.
+const COMPARABLE_BY_NAME: [&str; 5] = [
+    "acceptedEpoch",
+    "currentEpoch",
+    "history",
+    "lastCommitted",
+    "violation",
+];
+
+/// The variables of `compared` whose model value differs from the implementation's
+/// after a step, each with both sides' values, in name order.
+///
+/// Each side is read field by field, so a step that matches builds no `Value`; only a
+/// differing variable is projected (by `ZabState::project` and `Observation::project`,
+/// the views a mismatch reports).  A name listed twice is compared once, and a name
+/// neither side projects is skipped.
+fn mismatches(
+    model: &ZabState,
+    observed: &Observation,
+    compared: &[&str],
+) -> Vec<(&'static str, Value, Value)> {
+    COMPARABLE_BY_NAME
+        .into_iter()
+        .filter(|name| compared.contains(name) && differs(model, observed, name))
+        .map(|name| {
+            let view = |mut projected: BTreeMap<String, Value>| {
+                projected
+                    .remove(name)
+                    .expect("both sides project every comparable variable")
+            };
+            (
+                name,
+                view(model.project(&[name])),
+                view(observed.project(&[name])),
+            )
+        })
+        .collect()
+}
+
+/// Whether `variable` (one of [`COMPARABLE_BY_NAME`]) reads differently in the model
+/// state and in the observation: the field-by-field form of comparing their projected
+/// `Value`s.
+fn differs(model: &ZabState, observed: &Observation, variable: &str) -> bool {
+    let servers = model.servers.iter();
+    let mut nodes = observed.nodes.iter();
+    match variable {
+        "acceptedEpoch" => !servers
+            .map(|s| s.accepted_epoch)
+            .eq(nodes.map(|n| n.accepted_epoch)),
+        "currentEpoch" => !servers
+            .map(|s| s.current_epoch)
+            .eq(nodes.map(|n| n.current_epoch)),
+        "history" => !servers
+            .map(|s| s.history.as_slice())
+            .eq(nodes.map(|n| n.log.as_slice())),
+        "lastCommitted" => !servers
+            .map(|s| s.last_committed)
+            .eq(nodes.map(|n| n.committed)),
+        "violation" => model.violation.is_some() != nodes.any(|n| n.error.is_some()),
+        _ => unreachable!("{variable} is not a comparable variable"),
     }
-    out
 }
 
 #[cfg(test)]
@@ -513,6 +576,129 @@ mod tests {
         for shrunk in &report.shrunk_divergences {
             assert!(shrunk.shrunk_depth <= shrunk.original_depth);
             assert_eq!(shrunk.actions.len(), shrunk.shrunk_depth);
+        }
+    }
+
+    #[test]
+    fn reports_are_identical_across_worker_counts() {
+        // Every worker folds its stripe into one report; the merge must give the
+        // report one worker gives, discrepancy for discrepancy, on a run that has many.
+        let config = ClusterConfig::small(CodeVersion::V391).with_crashes(0);
+        let spec = SpecPreset::MSpec1.build(&config);
+        let checker = ConformanceChecker::new(config);
+        let options = ConformanceOptions {
+            traces: 20,
+            max_depth: 30,
+            ..options()
+        };
+        let one = checker.check(&spec, &options);
+        assert!(!one.conforms());
+        let rendered = format!("{one:?}");
+        for workers in [2, 3] {
+            let many = checker.check(
+                &spec,
+                &ConformanceOptions {
+                    workers,
+                    ..options.clone()
+                },
+            );
+            assert_eq!(format!("{many:?}"), rendered, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn comparable_names_are_the_observation_s_in_name_order() {
+        let mut names = Observation::comparable_variables().to_vec();
+        names.sort_unstable();
+        assert_eq!(names, COMPARABLE_BY_NAME);
+    }
+
+    /// The comparison the typed one replaced: both sides projected into `Value` maps,
+    /// compared in the maps' name order.
+    fn compare_views(
+        model: &BTreeMap<String, Value>,
+        implementation: &BTreeMap<String, Value>,
+    ) -> Vec<(String, Value, Value)> {
+        let mut out = Vec::new();
+        for (var, model_value) in model {
+            if let Some(impl_value) = implementation.get(var) {
+                if impl_value != model_value {
+                    out.push((var.clone(), model_value.clone(), impl_value.clone()));
+                }
+            }
+        }
+        out
+    }
+
+    /// Replays 20 sampled traces of `preset` (built for `model_config`) against an
+    /// implementation booted with `impl_config`, asserting after every step that the
+    /// typed comparison reports what the `Value`-map comparison reports; returns how
+    /// many steps matched and how many diverged.
+    fn typed_verdicts_agree(
+        preset: SpecPreset,
+        model_config: ClusterConfig,
+        impl_config: ClusterConfig,
+    ) -> (usize, usize) {
+        let spec = preset.build(&model_config);
+        let checker = ConformanceChecker::new(impl_config);
+        // Out of order, one name twice and one neither side projects.
+        let variables = [
+            "violation",
+            "history",
+            "noSuchVariable",
+            "currentEpoch",
+            "history",
+            "lastCommitted",
+            "acceptedEpoch",
+        ];
+        let (mut matching, mut diverging) = (0, 0);
+        for index in 0..20 {
+            let mut rng = CheckerRng::for_trace(7, index);
+            let trace = simulate_one(&spec, 30, &mut rng);
+            let mut cluster = Cluster::with_seed(impl_config, CheckerRng::trace_seed(7, index));
+            'steps: for step in trace.steps.iter().skip(1) {
+                let Some(events) = checker.mapping.translate(&step.action) else {
+                    continue;
+                };
+                for event in &events {
+                    if cluster.step(event).is_err() {
+                        break 'steps;
+                    }
+                }
+                let observation = cluster.observe();
+                let typed: Vec<(String, Value, Value)> =
+                    mismatches(&step.state, &observation, &variables)
+                        .into_iter()
+                        .map(|(name, model, implementation)| {
+                            (name.to_owned(), model, implementation)
+                        })
+                        .collect();
+                let reference = compare_views(
+                    &step.state.project(&variables),
+                    &observation.project(&variables),
+                );
+                assert_eq!(typed, reference, "trace {index}, action {}", step.action);
+                if typed.is_empty() {
+                    matching += 1;
+                } else {
+                    diverging += 1;
+                }
+            }
+        }
+        (matching, diverging)
+    }
+
+    #[test]
+    fn typed_comparison_matches_the_value_map_comparison() {
+        let v391 = ClusterConfig::small(CodeVersion::V391).with_crashes(0);
+        let final_fix = ClusterConfig::small(CodeVersion::FinalFix).with_crashes(0);
+        for (preset, model_config) in [(SpecPreset::MSpec1, v391), (SpecPreset::MSpec3, final_fix)]
+        {
+            let (matching, diverging) = typed_verdicts_agree(preset, model_config, v391);
+            assert!(
+                matching > 0 && diverging > 0,
+                "{preset:?}: {matching} matching and {diverging} diverging steps"
+            );
         }
     }
 
