@@ -1,12 +1,11 @@
-//! Concurrency tier, part 1 — the source lint and the lock-order findings.
+//! Concurrency tier, part 1 — the source lint.
 //!
 //! The parallel engine's soundness rests on conventions no type system checks:
 //! every blocking primitive goes through the instrumented `checker::sync` layer,
 //! every memory-ordering choice is justified in place, successor callbacks stay
 //! lock-free, and poisoning is handled by exactly one policy helper.  This module
 //! turns each convention into a scannable rule over `crates/*/src` (the
-//! no-parser, needle-based scanner [`crate::lint`] runs on) and converts the sync
-//! layer's [`AuditReport`] into findings:
+//! no-parser, needle-based scanner [`crate::lint`] runs on):
 //!
 //! * **`raw-sync-import`** — no `use std::sync::…` importing `Mutex`, `RwLock`,
 //!   `Condvar`, `Barrier`, `mpsc`, atomics or `Ordering` anywhere outside
@@ -34,17 +33,10 @@
 //! * **`poison-handled-centrally`** — no `PoisonError` handling (`into_inner`)
 //!   outside `checker::sync`'s `lock_or_recover` family; scattered poison
 //!   recovery is how policy drifts.
-//!
-//! Part 2, [`lock_order_findings`], maps a sync-audit [`AuditReport`] — rank
-//! violations and acquisition-order cycles, each carrying witness stacks — onto
-//! soundness-class findings, so the artefact pipeline treats "the engine can
-//! deadlock" exactly like "the engine drops states".
 
 use std::path::Path;
 
-use remix_checker::AuditReport;
-
-use crate::finding::{AnalysisReport, Finding, FindingClass, Tier};
+use crate::finding::{AnalysisReport, Tier};
 use crate::source::{balanced_span_end, flag, line_of, occurrences, workspace_sources};
 
 // Needles are assembled at compile time so this file does not trip its own rules
@@ -263,71 +255,16 @@ fn rule_poison_centrally(rel: &str, source: &str, report: &mut AnalysisReport) {
             format!("{rel}:{}", lineno + 1),
             "poison handling outside checker::sync; the one poisoning policy is \
              sync::lock_or_recover and its RwLock siblings — acquire through the \
-             Ordered* types instead"
+             sync layer's Mutex and RwLock instead"
                 .to_owned(),
         );
     }
 }
 
-/// Converts a sync-audit [`AuditReport`] into analysis findings: one
-/// soundness-class finding per rank violation and per acquisition-order cycle,
-/// each carrying its witness stacks in the detail text.
-pub fn lock_order_findings(report: &AuditReport) -> AnalysisReport {
-    let mut out = AnalysisReport {
-        audited_transitions: report.acquisitions,
-        ..AnalysisReport::default()
-    };
-    for v in &report.rank_violations {
-        out.findings.push(Finding {
-            tier: Tier::LockOrder,
-            class: FindingClass::Soundness,
-            action: "rank-inversion".to_owned(),
-            location: format!("{} -> {}", v.held_site, v.acquired_site),
-            field_path: String::new(),
-            effect_bits: String::new(),
-            detail: format!(
-                "lock `{}` (rank {}) acquired while holding `{}` (rank {}); the \
-                 hierarchy requires strictly descending ranks. held-stack: [{}]; \
-                 acquiring thread {} with stack [{}]",
-                v.acquired_site,
-                v.acquired_rank,
-                v.held_site,
-                v.held_rank,
-                v.held_stack.join(" > "),
-                v.witness.thread,
-                v.witness.stack.join(" > "),
-            ),
-            estimated_lost_pruning: 0,
-        });
-    }
-    for cycle in report.cycles() {
-        let witnesses: Vec<String> = cycle
-            .witnesses
-            .iter()
-            .map(|w| format!("{} holding [{}]", w.thread, w.stack.join(" > ")))
-            .collect();
-        out.findings.push(Finding {
-            tier: Tier::LockOrder,
-            class: FindingClass::Soundness,
-            action: "order-cycle".to_owned(),
-            location: cycle.sites.join(" -> "),
-            field_path: String::new(),
-            effect_bits: String::new(),
-            detail: format!(
-                "acquisition-order cycle through {} site(s): two schedules can \
-                 deadlock holding opposite ends. witnesses: {}",
-                cycle.sites.len(),
-                witnesses.join("; "),
-            ),
-            estimated_lost_pruning: 0,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finding::Finding;
 
     fn run(rel: &str, source: &str) -> Vec<Finding> {
         let mut r = AnalysisReport::default();
@@ -444,21 +381,5 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| f.action == "poison-handled-centrally"));
-    }
-
-    #[test]
-    fn rank_inversion_report_maps_to_soundness_findings() {
-        let audit = remix_checker::sync::seeded_rank_inversion();
-        let report = lock_order_findings(&audit);
-        assert!(report.has_soundness());
-        let actions: Vec<_> = report.findings.iter().map(|f| f.action.as_str()).collect();
-        assert!(actions.contains(&"rank-inversion"));
-        assert!(actions.contains(&"order-cycle"));
-        let cycle = report
-            .findings
-            .iter()
-            .find(|f| f.action == "order-cycle")
-            .expect("cycle finding");
-        assert!(cycle.detail.contains("seeded.outer") || cycle.location.contains("seeded.outer"));
     }
 }

@@ -32,9 +32,6 @@ pub enum Tier {
     /// Source-level concurrency lint (raw sync imports, unjustified orderings,
     /// locks inside successor callbacks, scattered poison handling).
     ConcurrencyLint,
-    /// Lock-order audit findings (rank inversions, acquisition-order cycles) from
-    /// the instrumented sync layer's [`AuditReport`](remix_checker::AuditReport).
-    LockOrder,
     /// Schedule-perturbation determinism oracle: seeded divergence between runs
     /// that must agree.
     ScheduleFuzz,
@@ -48,7 +45,6 @@ impl Tier {
             Tier::CommuteOracle => "commute_oracle",
             Tier::SpecLint => "spec_lint",
             Tier::ConcurrencyLint => "concurrency_lint",
-            Tier::LockOrder => "lock_order",
             Tier::ScheduleFuzz => "schedule_fuzz",
         }
     }

@@ -23,10 +23,10 @@
 //! 4. **Concurrency analysis** ([`concurrency`] + [`schedule`]) — a source lint
 //!    keeping every synchronization primitive on the instrumented
 //!    `remix_checker::sync` layer (with justified memory orderings and lock-free
-//!    successor callbacks), a mapping from the sync layer's lock-order
-//!    [`AuditReport`](remix_checker::AuditReport)s onto soundness findings, and a
-//!    schedule-perturbation oracle that re-runs workloads under seeded yield
-//!    injection and reports any divergence from the deterministic baseline.
+//!    successor callbacks), and a schedule-perturbation oracle that re-runs
+//!    workloads under seeded yield injection and reports any divergence from the
+//!    deterministic baseline.  Lock order needs no tier: the store's two nesting
+//!    locks can only be taken in one order (see `remix_checker::store`).
 //!
 //! `remix-core` wires tiers 1 and 2 into the `Verifier` as a pre-check gate
 //! (`Verifier::analyze_*`); the `remix-lint` binary in `remix-bench` drives tiers 3
@@ -45,7 +45,7 @@ mod source;
 
 pub use audit::{effect_audit, effect_audit_corpus};
 pub use commute::{commute_oracle, commute_oracle_corpus};
-pub use concurrency::{lint_concurrency, lock_order_findings};
+pub use concurrency::lint_concurrency;
 pub use finding::{AnalysisReport, Finding, FindingClass, Tier};
 pub use lint::lint_workspace;
 pub use schedule::{schedule_oracle, RunSignature, ScheduleOracleOptions};

@@ -19,9 +19,9 @@
 //!   action-definition constructor call: a panicking action closure takes down the
 //!   whole checker rather than reporting a violation trace.
 //! * **`env-read`** — no `std::env::var` / `var_os` / `vars` / `vars_os` outside
-//!   `crates/checker/src/sync.rs` (the lock audit's gate) and the binaries under
-//!   `crates/bench/src/bin/`: a verdict must depend on nothing but the spec and the
-//!   options a caller built, so library code never reads the environment.
+//!   the binaries under `crates/bench/src/bin/`: a verdict must depend on nothing but
+//!   the spec and the options a caller built, so library code never reads the
+//!   environment.
 //!
 //! Findings are [`Convention`](crate::finding::FindingClass::Convention)-class; CI
 //! fails on any of them.  The scanner skips string/character content only at the
@@ -46,8 +46,8 @@ const EXPECT: &str = concat!(".exp", "ect(");
 const ENABLED_SUFFIX: &str = concat!("_enab", "led");
 const ENV_READ: &str = concat!("env::", "var");
 
-/// Where reading the environment is allowed: a file, or every file under a directory.
-const ENV_READ_ALLOWED: [&str; 2] = ["crates/checker/src/sync.rs", "crates/bench/src/bin/"];
+/// Where reading the environment is allowed: every file under the binaries' directory.
+const ENV_READ_ALLOWED: &str = "crates/bench/src/bin/";
 
 /// Lints every `crates/*/src` tree under `root` (the workspace root).
 pub fn lint_workspace(root: &Path) -> AnalysisReport {
@@ -105,10 +105,7 @@ pub fn lint_file(rel: &str, source: &str, report: &mut AnalysisReport) {
         }
     }
     rule_no_panic_in_action(rel, source, report);
-    if !ENV_READ_ALLOWED
-        .iter()
-        .any(|allowed| rel.starts_with(allowed))
-    {
+    if !rel.starts_with(ENV_READ_ALLOWED) {
         rule_env_read(rel, source, report);
     }
 }
@@ -211,8 +208,9 @@ fn rule_env_read(rel: &str, source: &str, report: &mut AnalysisReport) {
             Tier::SpecLint,
             "env-read",
             format!("{rel}:{}", lineno + 1),
-            "environment read outside checker::sync and the bench binaries; take the \
-             value as an option field instead, so a run depends only on its options"
+            "environment read outside the bench binaries; library code reads no \
+             environment: take the value as an option field instead, so a run \
+             depends only on its options"
                 .to_owned(),
         );
     }
@@ -338,13 +336,17 @@ mod tests {
              \x20   let a = std::{ENV_READ}_os(\"X\");\n\
              \x20   let b = {ENV_READ}s_os().count();\n}}\n"
         );
-        let findings = run("crates/checker/src/options.rs", &src);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().all(|f| f.action == "env-read"));
-        assert!(findings[0].location.ends_with("options.rs:3"));
-        assert!(findings[1].location.ends_with("options.rs:4"));
-        for allowed in [
+        for flagged in [
+            "crates/checker/src/options.rs",
             "crates/checker/src/sync.rs",
+        ] {
+            let findings = run(flagged, &src);
+            assert_eq!(findings.len(), 2, "{flagged}: {findings:?}");
+            assert!(findings.iter().all(|f| f.action == "env-read"));
+            assert!(findings[0].location.ends_with(".rs:3"));
+            assert!(findings[1].location.ends_with(".rs:4"));
+        }
+        for allowed in [
             "crates/bench/src/bin/reproduce.rs",
             "crates/bench/src/bin/remix-bench/main.rs",
         ] {

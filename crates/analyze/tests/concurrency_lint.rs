@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 
-use remix_analyze::{lint_concurrency, lock_order_findings};
+use remix_analyze::lint_concurrency;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
@@ -31,30 +31,5 @@ fn workspace_is_clean_under_the_concurrency_lint() {
     assert!(
         report.corpus_states > 0,
         "the lint must actually have scanned source files"
-    );
-}
-
-#[test]
-fn seeded_rank_inversion_is_flagged_as_a_soundness_finding() {
-    let audit = remix_checker::sync::seeded_rank_inversion();
-    let report = lock_order_findings(&audit);
-    assert!(
-        report.has_soundness(),
-        "the seeded inversion must be flagged"
-    );
-    let finding = report
-        .findings
-        .iter()
-        .find(|f| f.action == "rank-inversion")
-        .expect("a rank-inversion finding");
-    assert!(
-        finding.location.contains("seeded.inner"),
-        "the inner (lower-rank) site is the acquisition: {}",
-        finding.location
-    );
-    assert!(
-        finding.detail.contains("seeded.outer"),
-        "the held higher-rank site appears in the detail: {}",
-        finding.detail
     );
 }

@@ -4,32 +4,25 @@
 //!
 //! * **Concurrency lint** — `lint_concurrency` over `crates/*/src`; rows carry
 //!   workload `"workspace"`.  Zero findings is the acceptance bar.
-//! * **Lock-order audit** — the parallel BFS matrix (workers {1, 2, 4} × store
-//!   modes × POR on/off) plus DFS on the Table 5 small workload, run inside one
-//!   audit session; the accumulated acquisition graph must have zero rank
-//!   violations and zero cycles.
-//! * **Seeded rank inversion** — `remix_checker::sync::seeded_rank_inversion`
-//!   nests two locks against the declared hierarchy; its findings are written with
-//!   `"seeded": true` and are *required*.
 //! * **Determinism matrix** — the schedule-perturbation oracle re-runs the same
 //!   workload across worker counts under seeded yield injection; any divergence
 //!   from the unperturbed baseline is a soundness row.
 //! * **Seeded divergence** — `seeded_schedule_divergence` checks a deliberately
 //!   history-dependent spec; its rows are `"seeded": true` and one is required.
 //!
-//! After the write the process asserts the acceptance bar (lint clean, the audit saw
-//! acquisitions and the fuzz compared cells with zero findings each — so no unseeded
-//! row at all — and both seeded regressions reproduced), so a bare
-//! `cargo bench --bench concurrency_soundness` fails loudly.
+//! Lock order has no tier: the store's two nesting locks can only be taken in one
+//! order, by the types of `remix_checker::store`.
+//!
+//! After the write the process asserts the acceptance bar (lint clean, the fuzz
+//! compared cells with zero findings — so no unseeded row at all — and the seeded
+//! regression reproduced), so a bare `cargo bench --bench concurrency_soundness`
+//! fails loudly.
 
 use std::time::Duration;
 
 use remix_analyze::schedule::seeded_schedule_divergence;
-use remix_analyze::{
-    lint_concurrency, lock_order_findings, schedule_oracle, ScheduleOracleOptions,
-};
-use remix_checker::sync::{audit, seeded_rank_inversion};
-use remix_checker::{check_bfs, check_dfs, CheckOptions, StoreMode};
+use remix_analyze::{lint_concurrency, schedule_oracle, ScheduleOracleOptions};
+use remix_checker::CheckOptions;
 use remix_core::json::JsonObject;
 use remix_core::ConcurrencyRow;
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
@@ -63,69 +56,6 @@ fn main() {
         "concurrency lint: {} finding(s) over {} files",
         lint.findings.len(),
         lint.corpus_states
-    );
-
-    // Tier: lock-order audit over the engine matrix.
-    let session = audit::session();
-    for workers in [1usize, 2, 4] {
-        for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
-            for por in [false, true] {
-                let outcome = check_bfs(
-                    &spec,
-                    &base
-                        .clone()
-                        .with_workers(workers)
-                        .with_store_mode(store)
-                        .with_por(por),
-                );
-                assert!(outcome.passed(), "the audited workload must pass");
-            }
-        }
-    }
-    let dfs = check_dfs(&spec, &base.clone().with_max_depth(24));
-    assert!(dfs.stats.distinct_states > 0);
-    let audit_report = session.report();
-    drop(session);
-    let order = lock_order_findings(&audit_report);
-    for finding in &order.findings {
-        rows.push(ConcurrencyRow::from_finding(
-            "mSpec-1 engine matrix",
-            finding,
-            false,
-        ));
-    }
-    runs.push(
-        JsonObject::new()
-            .string("run", "lock_order_audit")
-            .u128("acquisitions", audit_report.acquisitions.into())
-            .u128("lock_sites", audit_report.locks_seen.len() as u128)
-            .u128("order_edges", audit_report.edges.len() as u128)
-            .u128("findings", order.findings.len() as u128)
-            .finish(),
-    );
-    println!(
-        "lock-order audit: {} acquisitions over {} sites, {} edges, {} finding(s)",
-        audit_report.acquisitions,
-        audit_report.locks_seen.len(),
-        audit_report.edges.len(),
-        order.findings.len()
-    );
-
-    // Seeded regression: the deliberate rank inversion must be flagged.
-    let seeded_order = lock_order_findings(&seeded_rank_inversion());
-    let inversion_hit = seeded_order
-        .soundness()
-        .any(|f| f.action == "rank-inversion" && f.location.contains("seeded.inner"));
-    for finding in seeded_order.soundness() {
-        rows.push(ConcurrencyRow::from_finding(
-            "seeded-rank-inversion",
-            finding,
-            true,
-        ));
-    }
-    println!(
-        "seeded rank inversion: {} soundness finding(s), inner-site hit: {inversion_hit}",
-        seeded_order.soundness_count()
     );
 
     // Tier: schedule-perturbation determinism matrix.
@@ -180,7 +110,7 @@ fn main() {
         )
     });
     let json = format!(
-        "{{\n  \"bench\": \"concurrency_soundness\",\n  \"workload\": \"concurrency lint over crates/*/src; lock-order audit of the parallel BFS matrix (workers 1/2/4 x Full/FingerprintOnly x POR on/off) plus DFS on mSpec-1 small (FinalFix, 1 transaction, crash-free); schedule-perturbation determinism oracle across the same worker counts x 2 seeds; plus the seeded rank-inversion and seeded determinism-divergence regressions (seeded: true rows)\",\n  \"runs\": [\n{}\n  ],\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"concurrency_soundness\",\n  \"workload\": \"concurrency lint over crates/*/src; schedule-perturbation determinism oracle on mSpec-1 small (FinalFix, 1 transaction, crash-free) across workers 1/2/4 x 2 seeds; plus the seeded determinism-divergence regression (seeded: true rows)\",\n  \"runs\": [\n{}\n  ],\n  \"rows\": [\n{}\n  ]\n}}\n",
         runs.join(",\n"),
         rows.iter()
             .map(ConcurrencyRow::to_json)
@@ -196,15 +126,6 @@ fn main() {
         lint.findings
     );
     assert!(
-        audit_report.acquisitions > 0,
-        "the lock-order audit observed nothing"
-    );
-    assert!(
-        order.findings.is_empty(),
-        "lock-order findings on the honest engine: {:?}",
-        order.findings
-    );
-    assert!(
         oracle.diamonds_checked > 0,
         "the schedule fuzz compared no cells"
     );
@@ -212,10 +133,6 @@ fn main() {
         oracle.findings.is_empty(),
         "schedule-fuzz findings on the honest engine: {:?}",
         oracle.findings
-    );
-    assert!(
-        inversion_hit,
-        "the seeded rank inversion was not reproduced"
     );
     assert!(
         divergence_hit,

@@ -30,21 +30,21 @@ use std::collections::HashMap;
 
 use remix_spec::{action_name, LabelId, LabelTable};
 
-use crate::sync::{AtomicU64, CoverageRank, OrderedMutex, Ordering};
+use crate::sync::{AtomicU64, Mutex, Ordering};
 
 use crate::fingerprint::Fingerprint;
 
 /// One lock stripe of the coverage counters.
 struct CoverageShard {
-    /// Fingerprint-prefix → visit count (saturating).  Both maps of a stripe share one
-    /// lock rank (`coverage.stripe`) and are never held simultaneously:
-    /// [`CoverageMap::record`] drops the prefix guard before touching the action counter.
-    prefixes: OrderedMutex<CoverageRank, HashMap<u32, u32>>,
+    /// Fingerprint-prefix → visit count (saturating).  Both maps of a stripe are leaf
+    /// locks and are never held simultaneously: [`CoverageMap::record`] drops the
+    /// prefix guard before touching the action counter.
+    prefixes: Mutex<HashMap<u32, u32>>,
     /// Interned action-definition id → taken count.  Definition names are interned
     /// into the map's [`LabelTable`] (the same layer the state store uses for labels),
     /// so the per-step hot path allocates no strings: recording and looking up an
     /// action costs one read-locked table hit plus one striped counter bump.
-    actions: OrderedMutex<CoverageRank, HashMap<LabelId, u64>>,
+    actions: Mutex<HashMap<LabelId, u64>>,
     /// Lock acquisitions on this stripe that found it already held.
     contention: AtomicU64,
 }
@@ -97,8 +97,8 @@ impl CoverageMap {
         CoverageMap {
             shards: (0..n)
                 .map(|_| CoverageShard {
-                    prefixes: OrderedMutex::with_site("coverage.prefixes", HashMap::new()),
-                    actions: OrderedMutex::with_site("coverage.actions", HashMap::new()),
+                    prefixes: Mutex::new(HashMap::new()),
+                    actions: Mutex::new(HashMap::new()),
                     contention: AtomicU64::new(0),
                 })
                 .collect(),

@@ -52,4 +52,3 @@ pub use simulate::{simulate, simulate_one};
 pub use spill::{SpillConfig, SpillStats};
 pub use stop::StopCell;
 pub use store::{StateIndex, StateStore, StoreMode};
-pub use sync::{AuditReport, LockRank, OrderedMutex, OrderedRwLock};

@@ -44,7 +44,7 @@
 
 use remix_spec::{Effect, LabelId};
 
-use crate::sync::{OrderedRwLock, PorEffectsRank};
+use crate::sync::RwLock;
 
 /// A sorted, deduplicated set of sleeping labels.
 pub(crate) type SleepSet = Vec<LabelId>;
@@ -56,14 +56,15 @@ pub(crate) type SleepSet = Vec<LabelId>;
 /// `ActionInstance::effect`), so every recording for a label carries the same value and
 /// first-writer-wins is deterministic.  Labels without a recorded footprint are treated
 /// as dependent on everything (they can never justify keeping another label asleep).
+/// Its lock is a leaf: nothing else is acquired while a guard of it is held.
 pub(crate) struct FootprintTable {
-    effects: OrderedRwLock<PorEffectsRank, Vec<Option<Effect>>>,
+    effects: RwLock<Vec<Option<Effect>>>,
 }
 
 impl FootprintTable {
     pub(crate) fn new() -> Self {
         FootprintTable {
-            effects: OrderedRwLock::new(Vec::new()),
+            effects: RwLock::new(Vec::new()),
         }
     }
 

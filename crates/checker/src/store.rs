@@ -110,8 +110,8 @@
 //! insert: the moved-in state goes back to the caller, and the readers
 //! ([`StateStore::state_at`]: the BFS kernel's parent of every expansion, trace
 //! reconstruction, refinement's witnesses) decode the row into the stripe's scratch
-//! row and rebuild from it under the stripe's lock and then the pool's (rank order
-//! `store.shard` → `store.pool`, the insert's).
+//! row and rebuild from it under the stripe's lock and then the pool's, the insert's
+//! order (see "Locks").
 //!
 //! A row's words are `u32`s, but a run's pool holds a few thousand slots, so a stripe
 //! keeps its rows in 16-bit units: one unit per word while every word the stripe has
@@ -127,6 +127,23 @@
 //! to the system, which on the 221,490-state space above was 8 MiB of a 48 MiB peak.
 //! The row width in words is fixed by the first stored state and asserted for every
 //! later one.
+//!
+//! # Locks
+//!
+//! Two locks live here, and they nest in one order only: a stripe, then the intern
+//! pool.  The order is a fact of the types.  The pool's one accessor (the private
+//! `Pool::lock`) borrows the stripe the caller has locked and hands it back reborrowed,
+//! so no code can take the pool without holding a stripe, and the pool guard cannot
+//! outlive that borrow.  The paths that take it are the insert (a Full row, or a fresh
+//! fingerprint-only state's components), [`StateStore::index_of`],
+//! [`StateStore::state_at`], [`StateStore::interned_components`] and a test-only walk
+//! over the stored states.
+//!
+//! One condition must hold for that order to be the only one: **stripes never nest.**
+//! Each `StateStore` method locks one stripe and releases it before it returns, and the
+//! engines (the kernel, the expansion pipeline, DFS) hold a [`ShardHandle`] for a single
+//! `insert_edge` expression.  Code that holds two stripes at once, or locks a stripe
+//! while it holds a handle, would break it.
 
 use std::collections::hash_map::{Entry, VacantEntry};
 use std::collections::BTreeMap;
@@ -135,10 +152,7 @@ use std::hash::Hasher;
 use std::marker::PhantomData;
 use std::path::PathBuf;
 
-use crate::sync::{
-    AtomicBool, AtomicU64, AtomicUsize, OrderedMutex, OrderedMutexGuard, Ordering, PoolRank,
-    ShardRank,
-};
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
 
 use remix_spec::{
     CanonFn, DigestMap, InternPool, LabelId, LabelTable, PairHasher, Perm, Spec, SpecState, Trace,
@@ -491,7 +505,7 @@ impl RowIndex {
 }
 
 struct ShardCell<S> {
-    inner: OrderedMutex<ShardRank, StoreShard<S>>,
+    inner: Mutex<StoreShard<S>>,
     /// Lock acquisitions on this stripe that found it already held.
     contention: AtomicU64,
 }
@@ -525,10 +539,33 @@ pub struct StateStore<S> {
     /// Whether entries carry a recorded permutation (set by the first canonical insert).
     records_perms: AtomicBool,
     /// One allocation per distinct component value of the run; see the module docs.
-    pool: OrderedMutex<PoolRank, InternPool>,
+    pool: Pool,
     /// The out-of-core tier; `None` when no memory budget is configured (the store
     /// then behaves exactly as before the spill tier existed).
     spill: Option<StoreSpill>,
+}
+
+/// The store's intern pool behind its lock, which only a held stripe can take: see
+/// "Locks" in the module docs.
+struct Pool(Mutex<InternPool>);
+
+impl Pool {
+    /// Locks the pool under `held`, a stripe the caller has locked, and hands the stripe
+    /// back reborrowed: the pool guard lives no longer than that borrow, so the pool is
+    /// taken after its stripe and released before it.
+    fn lock<'a, S>(
+        &'a self,
+        held: &'a mut StoreShard<S>,
+    ) -> (MutexGuard<'a, InternPool>, &'a mut StoreShard<S>) {
+        (self.0.lock(), held)
+    }
+
+    /// Interns `state`'s components and writes its row into `held`'s scratch row.
+    fn write_row<S: SpecState>(&self, held: &mut StoreShard<S>, state: &mut S) {
+        let (mut pool, held) = self.lock(held);
+        held.row.clear();
+        state.intern(&mut pool, Some(&mut held.row));
+    }
 }
 
 impl<S> Drop for StateStore<S> {
@@ -555,13 +592,13 @@ pub enum Insert<S> {
 
 /// A locked stripe; the kernel holds one for a single `insert_edge`.
 pub struct ShardHandle<'a, S> {
-    guard: OrderedMutexGuard<'a, ShardRank, StoreShard<S>>,
+    guard: MutexGuard<'a, StoreShard<S>>,
     shard: u32,
     shard_bits: u32,
     len: &'a AtomicUsize,
     stride: &'a AtomicUsize,
     records_perms: &'a AtomicBool,
-    pool: &'a OrderedMutex<PoolRank, InternPool>,
+    pool: &'a Pool,
     spill: Option<&'a StoreSpill>,
 }
 
@@ -611,17 +648,18 @@ impl<S: SpecState> ShardHandle<'_, S> {
         perm: Option<Perm>,
     ) -> Insert<S> {
         let inner = &mut *self.guard;
+        if let DedupTable::Rows(_) = inner.table {
+            // The row is the state's identity, so it is written before the probe.
+            // Every component of a duplicate is pooled already: this finds them,
+            // and the pool grows only by what a fresh state brings.
+            self.pool.write_row(inner, &mut state);
+        }
         // Dedup: the in-RAM delta table first, then (budgeted stores only) every
         // spilled run, bloom filters first.  Runs and delta table are disjoint, so
         // the probe order never affects the answer — only which tier pays for it.
         // The table is probed once: a miss keeps where the insert below goes.
         let vacancy = match &mut inner.table {
             DedupTable::Rows(index) => {
-                // The row is the state's identity, so it is written before the probe.
-                // Every component of a duplicate is pooled already: this finds them,
-                // and the pool grows only by what a fresh state brings.
-                inner.row.clear();
-                state.intern(&mut self.pool.lock(), Some(&mut inner.row));
                 let hash = row_hash(inner.row.iter().copied());
                 if let Some(local) = index.find(hash, &inner.row, &inner.rows) {
                     return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
@@ -685,7 +723,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
                 vacant.insert(local);
                 // Only a distinct state reaches this point, so the pool is probed once
                 // per freshly written component of the run, never per edge.
-                state.intern(&mut self.pool.lock(), None);
+                state.intern(&mut self.pool.lock(inner).0, None);
             }
         }
         // ordering: AcqRel — the global length feeds the max_states stop decision on
@@ -816,7 +854,7 @@ impl<S: SpecState> StateStore<S> {
         StateStore {
             shards: (0..n)
                 .map(|_| ShardCell {
-                    inner: OrderedMutex::new(StoreShard {
+                    inner: Mutex::new(StoreShard {
                         table: DedupTable::new(mode),
                         runs: Vec::new(),
                         meta: ChunkVec::new(),
@@ -837,7 +875,7 @@ impl<S: SpecState> StateStore<S> {
             len: AtomicUsize::new(0),
             stride: AtomicUsize::new(0),
             records_perms: AtomicBool::new(false),
-            pool: OrderedMutex::new(InternPool::new()),
+            pool: Pool(Mutex::new(InternPool::new())),
             spill,
         }
     }
@@ -870,7 +908,7 @@ impl<S: SpecState> StateStore<S> {
 
     /// Locks one stripe (the kernel: for one edge's insert), counting the acquisition as
     /// contended when it had to wait (the try-then-count-then-block pattern lives in
-    /// [`OrderedMutex::lock_counting`], poison policy in `sync::lock_or_recover`).
+    /// `sync::Mutex::lock_counting`, poison policy in `sync::lock_or_recover`).
     pub fn lock_shard(&self, shard: usize) -> ShardHandle<'_, S> {
         let cell = &self.shards[shard];
         ShardHandle {
@@ -902,7 +940,9 @@ impl<S: SpecState> StateStore<S> {
     /// its rows point at — in [`StoreMode::Full`], for a type that keeps the default
     /// [`SpecState::intern`], every whole state.
     pub fn interned_components(&self) -> BTreeMap<&'static str, usize> {
-        self.pool.lock().census()
+        let mut stripe = self.shards[0].inner.lock();
+        let (pool, _) = self.pool.lock(&mut stripe);
+        pool.census()
     }
 
     /// Per-stripe contended-lock-acquisition counters.
@@ -926,6 +966,9 @@ impl<S: SpecState> StateStore<S> {
         let shard = self.shard_of(key);
         let mut guard = self.shards[shard].inner.lock();
         let inner = &mut *guard;
+        if let DedupTable::Rows(_) = inner.table {
+            self.pool.write_row(inner, &mut state.clone());
+        }
         let spilled = |key| {
             let spill = self.spill.as_ref()?;
             inner
@@ -934,15 +977,9 @@ impl<S: SpecState> StateStore<S> {
                 .find_map(|run| run.probe(key, &spill.counters))
         };
         let local = match &inner.table {
-            DedupTable::Rows(index) => {
-                inner.row.clear();
-                state
-                    .clone()
-                    .intern(&mut self.pool.lock(), Some(&mut inner.row));
-                index
-                    .find(row_hash(inner.row.iter().copied()), &inner.row, &inner.rows)
-                    .or_else(|| spilled(row_digest(inner.row.iter().copied())))
-            }
+            DedupTable::Rows(index) => index
+                .find(row_hash(inner.row.iter().copied()), &inner.row, &inner.rows)
+                .or_else(|| spilled(row_digest(inner.row.iter().copied()))),
             DedupTable::Keys(map) => map.get(&key).copied().or_else(|| spilled(key)),
         }?;
         Some(pack(local, shard as u32, self.shard_bits))
@@ -997,7 +1034,8 @@ impl<S: SpecState> StateStore<S> {
         let stored = inner.rows.words(local as usize, words)?;
         inner.row.clear();
         inner.row.extend(stored);
-        Some(S::from_row(&inner.row, &self.pool.lock()))
+        let (pool, held) = self.pool.lock(inner);
+        Some(S::from_row(&held.row, &pool))
     }
 
     /// Visits every stored state, stripe by stripe (nothing in
@@ -1008,11 +1046,11 @@ impl<S: SpecState> StateStore<S> {
         let words = self.stride.load(Ordering::Relaxed);
         let mut row = Vec::new();
         for shard in &self.shards {
-            let guard = shard.inner.lock();
-            let pool = self.pool.lock();
-            for local in 0..guard.rows.len {
+            let mut guard = shard.inner.lock();
+            let (pool, held) = self.pool.lock(&mut guard);
+            for local in 0..held.rows.len {
                 row.clear();
-                row.extend(guard.rows.words(local, words).expect("in range"));
+                row.extend(held.rows.words(local, words).expect("in range"));
                 f(&S::from_row(&row, &pool));
             }
         }

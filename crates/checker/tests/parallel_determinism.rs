@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use remix_checker::{check_bfs, CheckOptions};
+use remix_checker::{check_bfs, CheckOptions, StoreMode};
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
 fn options(workers: usize) -> CheckOptions {
@@ -35,6 +35,37 @@ fn parallel_and_sequential_bfs_exhaust_the_same_state_space() {
     assert_eq!(seq.stats.max_depth, par.stats.max_depth);
     assert_eq!(seq.stats.transitions, par.stats.transitions);
     assert!(seq.passed() && par.passed());
+}
+
+/// Every cell of workers {1, 2, 4} × store mode × POR on/off exhausts the same state
+/// space: neither the worker count nor the store backend nor sleep-set POR may change
+/// `distinct_states`.
+#[test]
+fn bfs_matrix_cells_agree_on_distinct_states() {
+    let config = ClusterConfig::small(CodeVersion::FinalFix)
+        .with_transactions(1)
+        .with_crashes(0);
+    let spec = SpecPreset::MSpec1.build(&config);
+    let mut baseline: Option<usize> = None;
+    for workers in [1, 2, 4] {
+        for store in [StoreMode::Full, StoreMode::FingerprintOnly] {
+            for por in [false, true] {
+                let outcome = check_bfs(
+                    &spec,
+                    &options(workers).with_store_mode(store).with_por(por),
+                );
+                assert!(outcome.passed(), "workload must pass in every cell");
+                let states = outcome.stats.distinct_states;
+                match baseline {
+                    None => baseline = Some(states),
+                    Some(expected) => assert_eq!(
+                        states, expected,
+                        "workers={workers} store={store:?} por={por} diverged"
+                    ),
+                }
+            }
+        }
+    }
 }
 
 #[test]

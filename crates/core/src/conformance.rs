@@ -457,7 +457,7 @@ fn differs(model: &ZabState, observed: &Observation, variable: &str) -> bool {
             .eq(nodes.map(|n| n.current_epoch)),
         "history" => !servers
             .map(|s| s.history.as_slice())
-            .eq(nodes.map(|n| n.log.as_slice())),
+            .eq(nodes.map(|n| n.log)),
         "lastCommitted" => !servers
             .map(|s| s.last_committed)
             .eq(nodes.map(|n| n.committed)),

@@ -325,27 +325,26 @@ impl AnalysisRow {
 }
 
 /// One row of the concurrency-soundness artefact (`BENCH_concurrency.json`): one
-/// finding of the concurrency tiers (`concurrency_lint`, `lock_order`,
-/// `schedule_fuzz`), plus the workload it was found on and whether it comes from a
-/// deliberately seeded regression.  The bench that writes it fails on any unseeded
-/// finding and *requires* the seeded rank-inversion and seeded
-/// determinism-divergence rows, so the pass keeps catching the incident classes it
-/// was built for.
+/// finding of the concurrency tiers (`concurrency_lint`, `schedule_fuzz`), plus the
+/// workload it was found on and whether it comes from a deliberately seeded
+/// regression.  The bench that writes it fails on any unseeded finding and
+/// *requires* the seeded determinism-divergence row, so the pass keeps catching the
+/// incident class it was built for.
 #[derive(Debug, Clone)]
 pub struct ConcurrencyRow {
     /// The audited workload (an engine preset name, or `"workspace"` for lint rows).
     pub workload: String,
-    /// The analysis tier (`concurrency_lint`, `lock_order`, `schedule_fuzz`).
+    /// The analysis tier (`concurrency_lint`, `schedule_fuzz`).
     pub tier: String,
     /// The severity class (`soundness`, `convention`).
     pub class: String,
-    /// The lint rule id (`raw-sync-import`, …) or finding kind (`rank-inversion`,
-    /// `order-cycle`, `determinism-divergence`).
+    /// The lint rule id (`raw-sync-import`, …) or finding kind
+    /// (`determinism-divergence`).
     pub action: String,
-    /// The offending source location, lock-site pair, or oracle cell (which carries
+    /// The offending source location or oracle cell (which carries
     /// the replayable `workers=… seed=…` coordinates for divergence rows).
     pub location: String,
-    /// Human-readable explanation, including witness stacks / replay recipe.
+    /// Human-readable explanation, including the replay recipe.
     pub detail: String,
     /// Whether the finding comes from a deliberately seeded regression.
     pub seeded: bool,
@@ -405,21 +404,21 @@ mod tests {
     #[test]
     fn concurrency_rows_serialize_to_json() {
         let finding = remix_analyze::Finding {
-            tier: remix_analyze::Tier::LockOrder,
+            tier: remix_analyze::Tier::ScheduleFuzz,
             class: remix_analyze::FindingClass::Soundness,
-            action: "rank-inversion".to_owned(),
-            location: "seeded.outer -> seeded.inner".to_owned(),
+            action: "determinism-divergence".to_owned(),
+            location: "seeded-racy-demo workers=2 seed=0xd1ce".to_owned(),
             field_path: String::new(),
             effect_bits: String::new(),
-            detail: "lock acquired against the declared hierarchy".to_owned(),
+            detail: "perturbed run diverged from the unperturbed baseline".to_owned(),
             estimated_lost_pruning: 0,
         };
-        let row = ConcurrencyRow::from_finding("seeded-inversion", &finding, true);
+        let row = ConcurrencyRow::from_finding("seeded-racy-demo", &finding, true);
         let json = row.to_json();
-        assert!(json.contains("\"workload\":\"seeded-inversion\""));
-        assert!(json.contains("\"tier\":\"lock_order\""));
+        assert!(json.contains("\"workload\":\"seeded-racy-demo\""));
+        assert!(json.contains("\"tier\":\"schedule_fuzz\""));
         assert!(json.contains("\"class\":\"soundness\""));
-        assert!(json.contains("\"action\":\"rank-inversion\""));
+        assert!(json.contains("\"action\":\"determinism-divergence\""));
         assert!(json.contains("\"seeded\":true"));
     }
 

@@ -531,8 +531,9 @@ impl Cluster {
         }
     }
 
-    /// Snapshots the observable state of the cluster.
-    pub fn observe(&self) -> Observation {
+    /// Snapshots the observable state of the cluster, borrowing each node's log and
+    /// error text.
+    pub fn observe(&self) -> Observation<'_> {
         Observation {
             nodes: self
                 .nodes
@@ -541,14 +542,14 @@ impl Cluster {
                     sid: n.server.sid,
                     current_epoch: n.server.disk.current_epoch,
                     accepted_epoch: n.server.disk.accepted_epoch,
-                    log: n.server.disk.log.clone(),
+                    log: &n.server.disk.log,
                     committed: n.server.disk.committed,
                     up: n.server.run_state != RunState::Down,
                     error: n
                         .server
                         .error
-                        .clone()
-                        .or_else(|| n.leader.as_ref().and_then(|l| l.error.clone())),
+                        .as_deref()
+                        .or_else(|| n.leader.as_ref().and_then(|l| l.error.as_deref())),
                 })
                 .collect(),
         }

@@ -1,5 +1,9 @@
 //! Observations: the code-level state snapshot compared against the model during
 //! conformance checking.
+//!
+//! An observation borrows from the cluster it was taken of — each node's durable log
+//! and error text are read in place, not copied — so taking one per replayed step
+//! costs one small vector of per-node records.
 
 use std::collections::BTreeMap;
 
@@ -8,7 +12,7 @@ use remix_zab::{Sid, Txn};
 
 /// The observable state of one server process.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeObservation {
+pub struct NodeObservation<'a> {
     /// The server id.
     pub sid: Sid,
     /// `currentEpoch` on disk.
@@ -16,23 +20,23 @@ pub struct NodeObservation {
     /// `acceptedEpoch` on disk.
     pub accepted_epoch: u32,
     /// The durable transaction log.
-    pub log: Vec<Txn>,
+    pub log: &'a [Txn],
     /// Number of committed (delivered) transactions.
     pub committed: usize,
     /// Whether the process is up.
     pub up: bool,
     /// Any error (exception / failed assertion) the process raised.
-    pub error: Option<String>,
+    pub error: Option<&'a str>,
 }
 
 /// The observable state of the whole cluster.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Observation {
+pub struct Observation<'a> {
     /// Per-server observations, indexed by sid.
-    pub nodes: Vec<NodeObservation>,
+    pub nodes: Vec<NodeObservation<'a>>,
 }
 
-impl Observation {
+impl<'a> Observation<'a> {
     /// Projects the observation into the same variable space as the model state, so the
     /// conformance checker can compare them value by value.
     pub fn project(&self, vars: &[&str]) -> BTreeMap<String, Value> {
@@ -81,10 +85,8 @@ impl Observation {
     }
 
     /// The first error raised by any node, if any.
-    pub fn first_error(&self) -> Option<(&NodeObservation, &str)> {
-        self.nodes
-            .iter()
-            .find_map(|n| n.error.as_deref().map(|e| (n, e)))
+    pub fn first_error(&self) -> Option<(&NodeObservation<'a>, &'a str)> {
+        self.nodes.iter().find_map(|n| n.error.map(|e| (n, e)))
     }
 }
 
@@ -92,14 +94,14 @@ impl Observation {
 mod tests {
     use super::*;
 
-    fn obs() -> Observation {
+    fn obs(log: &[Txn]) -> Observation<'_> {
         Observation {
             nodes: vec![
                 NodeObservation {
                     sid: 0,
                     current_epoch: 1,
                     accepted_epoch: 1,
-                    log: vec![Txn::new(1, 1, 7)],
+                    log,
                     committed: 1,
                     up: true,
                     error: None,
@@ -108,10 +110,10 @@ mod tests {
                     sid: 1,
                     current_epoch: 0,
                     accepted_epoch: 1,
-                    log: vec![],
+                    log: &[],
                     committed: 0,
                     up: true,
-                    error: Some("ZK-4394".to_owned()),
+                    error: Some("ZK-4394"),
                 },
             ],
         }
@@ -119,7 +121,8 @@ mod tests {
 
     #[test]
     fn projection_matches_the_model_variable_space() {
-        let o = obs();
+        let log = [Txn::new(1, 1, 7)];
+        let o = obs(&log);
         let p = o.project(Observation::comparable_variables());
         assert_eq!(p.len(), 5);
         assert_eq!(
@@ -138,7 +141,8 @@ mod tests {
 
     #[test]
     fn first_error_is_reported() {
-        let o = obs();
+        let log = [Txn::new(1, 1, 7)];
+        let o = obs(&log);
         let (node, err) = o.first_error().unwrap();
         assert_eq!(node.sid, 1);
         assert!(err.contains("ZK-4394"));
