@@ -66,19 +66,18 @@ where
         for module in &spec.modules {
             for def in &module.actions {
                 for inst in def.enabled(state) {
-                    match declared.entry(inst.label.clone()) {
+                    let label = inst.label.to_string();
+                    match declared.entry(label.clone()) {
                         std::collections::hash_map::Entry::Vacant(e) => {
                             e.insert(inst.effect);
                         }
                         std::collections::hash_map::Entry::Occupied(e) => {
-                            if *e.get() != inst.effect
-                                && nondeterministic.insert(inst.label.clone())
-                            {
+                            if *e.get() != inst.effect && nondeterministic.insert(label.clone()) {
                                 report.findings.push(Finding {
                                     tier: Tier::EffectAudit,
                                     class: FindingClass::Soundness,
                                     action: def.name.to_owned(),
-                                    location: inst.label.clone(),
+                                    location: label.clone(),
                                     field_path: String::new(),
                                     effect_bits: String::new(),
                                     detail: "label declares different footprints in \
@@ -101,18 +100,18 @@ where
                         if parent_hashes[idx] == child_hashes[idx] {
                             continue;
                         }
-                        let obs = observed.entry(inst.label.clone()).or_default();
+                        let obs = observed.entry(label.clone()).or_default();
                         *obs = obs.union(&field.domain);
                         if eff.covers_writes(&field.domain) {
                             continue;
                         }
-                        if reported.insert((inst.label.clone(), idx)) {
+                        if reported.insert((label.clone(), idx)) {
                             let missing = undeclared_bits(&eff, &field.domain);
                             report.findings.push(Finding {
                                 tier: Tier::EffectAudit,
                                 class: FindingClass::Soundness,
                                 action: def.name.to_owned(),
-                                location: inst.label.clone(),
+                                location: label.clone(),
                                 field_path: field.path.clone(),
                                 effect_bits: missing,
                                 detail: "observed write outside the declared Effect: \

@@ -46,7 +46,7 @@ pub fn commute_oracle_corpus<S: SpecState>(spec: &Spec<S>, states: &[S]) -> Anal
             for def in &module.actions {
                 for inst in def.enabled(state) {
                     if let Some(eff) = inst.effect.filter(|e| !e.is_global()) {
-                        insts.push((def.name, inst.label, inst.next, eff));
+                        insts.push((def.name, inst.label.to_string(), inst.next, eff));
                     }
                 }
             }

@@ -54,6 +54,7 @@ use std::time::Instant;
 use remix_spec::{canon_stats, LabelTable, Spec, SpecState, Trace};
 
 use crate::expand::Pipeline;
+use crate::fingerprint::{state_key, Fingerprint};
 use crate::kernel::{self, Arrival, LevelEnd, Run, Visitor};
 use crate::options::{CheckMode, CheckOptions, SymmetryMode};
 use crate::outcome::{CheckOutcome, CheckStats, StopReason, Violation};
@@ -65,6 +66,9 @@ use crate::sync::{AtomicUsize, Ordering};
 /// level barrier.
 struct PendingViolation {
     at: Arrival,
+    /// `state_key` of the violating state: the scheduling-independent tie-breaker
+    /// among same-depth violations (state indices depend on insert order).
+    key: Fingerprint,
     invariant: &'static str,
     invariant_name: &'static str,
 }
@@ -100,8 +104,10 @@ impl<S: SpecState> Visitor<S> for InvariantVisitor<'_, S> {
                 // below, so each increment must observe and publish its peers.
                 .fetch_add(violated.len(), Ordering::AcqRel)
                 + violated.len();
+            let key = state_key(state);
             local.extend(violated.into_iter().map(|inv| PendingViolation {
                 at,
+                key,
                 invariant: inv.id,
                 invariant_name: inv.name,
             }));
@@ -122,8 +128,8 @@ impl<S: SpecState> Visitor<S> for InvariantVisitor<'_, S> {
     ) -> ControlFlow<StopReason> {
         let mut pending: Vec<PendingViolation> = locals.into_iter().flatten().collect();
         // Sort so the representative chosen for each invariant does not depend on worker
-        // scheduling: lowest depth first, ties broken by fingerprint.
-        pending.sort_by_key(|p| (p.at.depth, p.invariant, p.at.fp));
+        // scheduling: lowest depth first, ties broken by the state's key.
+        pending.sort_by_key(|p| (p.at.depth, p.invariant, p.key));
         for p in pending {
             if self.violations.iter().any(|v| v.invariant == p.invariant) {
                 continue;
@@ -235,7 +241,6 @@ fn check_bfs_into<S: SpecState>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::Fingerprint;
     use crate::stop::STOP_TIME_BUDGET;
     use crate::store::StoreMode;
     use remix_spec::{
@@ -582,6 +587,8 @@ mod tests {
         /// `fresh` as of the last barrier, for the parent check.
         earlier: HashSet<StateIndex>,
         existing: u64,
+        /// The key each dedup hit's closure gave, sorted at the end.
+        existing_keys: Vec<Fingerprint>,
         levels: u32,
     }
 
@@ -601,7 +608,7 @@ mod tests {
     }
 
     impl Visitor<Pair> for Counting {
-        type Local = (Vec<StateIndex>, u64);
+        type Local = (Vec<StateIndex>, u64, Vec<Fingerprint>);
 
         fn on_fresh(&self, local: &mut Self::Local, at: Arrival, _: &Pair) -> bool {
             self.check_parent(at);
@@ -609,9 +616,15 @@ mod tests {
             true
         }
 
-        fn on_existing(&self, local: &mut Self::Local, at: Arrival) {
+        fn on_existing(
+            &self,
+            local: &mut Self::Local,
+            at: Arrival,
+            key: impl FnOnce() -> Fingerprint,
+        ) {
             self.check_parent(at);
             local.1 += 1;
+            local.2.push(key());
         }
 
         fn on_level_end(
@@ -620,10 +633,11 @@ mod tests {
             _end: LevelEnd,
             _requeue: &mut Vec<StateIndex>,
         ) -> ControlFlow<StopReason> {
-            for (fresh, existing) in locals {
+            for (fresh, existing, keys) in locals {
                 self.earlier.extend(&fresh);
                 self.fresh.extend(fresh);
                 self.existing += existing;
+                self.existing_keys.extend(keys);
             }
             self.levels += 1;
             ControlFlow::Continue(())
@@ -656,6 +670,7 @@ mod tests {
                 let Counting {
                     mut fresh,
                     existing,
+                    mut existing_keys,
                     levels,
                     ..
                 } = explored.visitor;
@@ -672,8 +687,15 @@ mod tests {
                 // Every explored edge is exactly one arrival; the initial state is the
                 // one fresh arrival that is not an edge.
                 assert_eq!(announced as u64 - 1 + existing, transitions, "{cell}");
-                let signature = (announced, existing, transitions, levels);
-                assert_eq!(*baseline.get_or_insert(signature), signature, "{cell}");
+                // Whether the insert had the key (fingerprint-only) or the closure keys
+                // the duplicate (Full), a hit is told its target's `state_key`.
+                existing_keys.sort();
+                let signature = (announced, existing, transitions, levels, existing_keys);
+                assert_eq!(
+                    baseline.get_or_insert(signature.clone()),
+                    &signature,
+                    "{cell}"
+                );
             }
         }
         assert_eq!(baseline.expect("ran").0, 141 * 142 / 2);
@@ -951,10 +973,14 @@ mod tests {
             outcome.stats.per_worker_transitions.iter().sum::<u64>(),
             outcome.stats.transitions
         );
-        assert_eq!(
-            outcome.stats.shard_contention.len(),
-            CheckOptions::default().shards
-        );
+        // One contention counter per stripe the store has: a Full store has one,
+        // whatever `shards` says; a fingerprint-only store has `shards`.
+        assert_eq!(outcome.stats.shard_contention.len(), 1);
+        let keyed = CheckOptions::default()
+            .with_workers(4)
+            .with_store_mode(StoreMode::FingerprintOnly);
+        let outcome = check_bfs(&spec, &keyed);
+        assert_eq!(outcome.stats.shard_contention.len(), keyed.shards);
     }
     /// Distinct values and distinct allocations among the handles of one component
     /// kind; `see` asserts `==` ⇒ `ptr_eq` (the converse holds by construction).

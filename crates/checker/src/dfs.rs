@@ -118,7 +118,7 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         CheckMode::Completion { violation_limit } => violation_limit,
     };
 
-    pipeline.seed(&store, |index, _fp, state| {
+    pipeline.seed(&store, |index, state| {
         best_depth.push(0);
         violations.check(index, 0, &state);
         stack.push((index, state, 0));
@@ -157,15 +157,10 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
         let (explored, _) = pipeline.expand(&state, &[], |succ| pending.push(succ));
         transitions += explored;
         for Successor {
-            label,
-            state: next,
-            fp,
-            ..
+            label, state: next, ..
         } in pending
         {
-            let insert = store
-                .lock_shard(store.shard_of(fp))
-                .insert(fp, Some(index), label, next);
+            let (insert, _) = store.insert(Some(index), label, next, None);
             match insert {
                 Insert::Fresh(nindex, next) => {
                     best_depth.push(ndepth);

@@ -3,17 +3,19 @@
 //! Every exhaustive engine does the same thing to an enumerated successor before the
 //! store sees it: skip it if its label is asleep (sleep-set POR, see [`crate::por`]),
 //! compute the sleep set it hands down, replace it by its orbit's canonical
-//! representative (by value: an already canonical successor is not cloned),
-//! reset the sleep set if canonicalization relabelled it, and key it ([`state_key`]: a
-//! hash over memoized component digests, so only what the action wrote is hashed).  The
-//! level-synchronous kernel and [`crate::dfs`] both call [`Pipeline::expand`]; it is
-//! the only caller of `Spec::for_each_successor` in this crate (the
+//! representative (by value: an already canonical successor is not cloned), and reset
+//! the sleep set if canonicalization relabelled it.  It does not key the successor: a
+//! [`StoreMode::Full`](crate::store::StoreMode) store dedups on the row it writes and
+//! needs no key, so the store's insert ([`StateStore::insert`]) keys a successor only
+//! for a fingerprint-only store, which computes `state_key`
+//! (a hash over memoized component digests, so only what the action wrote is hashed).
+//! The level-synchronous kernel and [`crate::dfs`] both call [`Pipeline::expand`]; it
+//! is the only caller of `Spec::for_each_successor` in this crate (the
 //! `single-successor-pipeline` lint rule keeps it that way).  Only BFS turns the
 //! reductions on: DFS, refinement and `corpus` build the pipeline with both off.
 
 use remix_spec::{CanonFn, Effect, LabelId, LabelTable, OwnedCanonFn, Perm, Spec, SpecState};
 
-use crate::fingerprint::{state_key, Fingerprint};
 use crate::por::{self, FootprintTable, SleepSet};
 use crate::store::{Insert, StateIndex, StateStore};
 
@@ -26,7 +28,6 @@ pub(crate) struct Successor<S> {
     pub(crate) perm: Option<Perm>,
     /// The sleep set this edge hands down to its target (empty when POR is off).
     pub(crate) sleep: SleepSet,
-    pub(crate) fp: Fingerprint,
 }
 
 /// A specification together with the reductions one run applies to it.
@@ -67,11 +68,7 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
     }
 
     /// Inserts the (canonicalized) initial states, handing each distinct one to `fresh`.
-    pub(crate) fn seed(
-        &self,
-        store: &StateStore<S>,
-        mut fresh: impl FnMut(StateIndex, Fingerprint, S),
-    ) {
+    pub(crate) fn seed(&self, store: &StateStore<S>, mut fresh: impl FnMut(StateIndex, S)) {
         for init in &self.spec.init {
             let (state, perm) = match self.canon {
                 Some(canon) => {
@@ -80,16 +77,9 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
                 }
                 None => (init.clone(), None),
             };
-            let fp = state_key(&state);
-            let insert = store.lock_shard(store.shard_of(fp)).insert_edge(
-                fp,
-                None,
-                LabelTable::init_id(),
-                state,
-                perm,
-            );
+            let (insert, _) = store.insert(None, LabelTable::init_id(), state, perm);
             if let Insert::Fresh(index, state) = insert {
-                fresh(index, fp, state);
+                fresh(index, state);
             }
         }
     }
@@ -121,7 +111,7 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
             .for_each_successor(state, self.labels, |label, next, effect| {
                 if self.por && sleep_in.binary_search(&label).is_ok() {
                     // Already covered through a sibling interleaving of an earlier
-                    // edge: skip before canonicalization and fingerprinting.
+                    // edge: skip before canonicalization and the insert.
                     pruned += 1;
                     return;
                 }
@@ -137,7 +127,7 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
                     }
                 }
                 // Under symmetry the successor is replaced by the canonical
-                // representative of its orbit before fingerprinting, so the whole
+                // representative of its orbit before the insert, so the whole
                 // orbit dedups to one store entry; the applied permutation rides
                 // along for later trace de-canonicalization.
                 let (next, perm) = match (self.owned, self.canon) {
@@ -156,13 +146,11 @@ impl<'a, S: SpecState> Pipeline<'a, S> {
                 if perm.is_some_and(|p| !p.is_identity()) {
                     sleep.clear();
                 }
-                let fp = state_key(&next);
                 emit(Successor {
                     label,
                     state: next,
                     perm,
                     sleep,
-                    fp,
                 });
             });
         for (label, effect) in fresh_effects {

@@ -9,10 +9,14 @@
 //!   [`SpecState::hash_key`], which a state type built on [`remix_spec::Shared`]
 //!   components implements as its inline scalars plus one memoized 128-bit digest per
 //!   component.  A successor therefore hashes only the one or two components its action
-//!   wrote and ~150 bytes of digests, not the whole state.  Every exhaustive engine keys
-//!   its [`StateStore`](crate::store::StateStore) on it — seeding and the successor
-//!   pipeline (the private `expand` module) when filling the store, trace replay when reading it
-//!   back — and nothing else may: keys never reach a trace, a statistic or an artefact.
+//!   wrote and ~150 bytes of digests, not the whole state.  It is computed only where
+//!   it is read: a fingerprint-only [`StateStore`](crate::store::StateStore) routes and
+//!   dedups on it (the kernel and seeding key each successor for such a store, trace
+//!   replay looks states up by it), BFS breaks ties among same-depth violations by it,
+//!   and refinement picks its witnesses' representatives by it (the kernel's dedup-hit
+//!   hook hands it out on demand).  A Full store dedups on rows and asks for no key, so
+//!   on its duplicate edges no digest is computed at all.  Nothing else may read it:
+//!   keys never reach a trace, a statistic or an artefact.
 //!
 //! Both are functions of the state's *value* alone (a digest is the fingerprint of a
 //! component's value, never an address, a pool slot or an insertion order), and they

@@ -28,14 +28,16 @@
 //!   enumeration callback pushes them into one per-worker `Vec` (no lock may be taken
 //!   inside it), and as soon as it returns each is inserted in enumeration order —
 //!   lock its stripe, `insert_edge`, unlock, then the visitor hook and the POR sleep
-//!   edge.  Half to four fifths of all successors are duplicates the dedup insert
-//!   frees, and each is interned (its just-written components replaced by the pool's)
-//!   inside that insert — in a Full store before the probe, whose key is the row it
-//!   writes, in a fingerprint-only one when it is fresh; parking successors per stripe
-//!   until a batch filled kept thousands of them — each with freshly allocated
-//!   components — cold between `state_key` and the insert, and freed them late.  A
-//!   batch amortised nothing but an uncontended stripe mutex: the pool lock is taken
-//!   per insert inside it.
+//!   edge.  Four in five successors are duplicates at the paper's scale, and a
+//!   duplicate costs its enumeration, one intern and one row probe: a Full store (one
+//!   stripe) needs no key, so none is computed, and a typed label is interned without
+//!   being rendered.  Each successor is interned (its just-written components replaced
+//!   by the pool's) inside that insert — in a Full store before the probe, whose key is
+//!   the row it writes, in a fingerprint-only one when it is fresh, after the
+//!   `state_key` that routed and deduped it; parking successors per stripe until a
+//!   batch filled kept thousands of them — each with freshly allocated components —
+//!   cold before the insert, and freed them late.  A batch amortised nothing but an
+//!   uncontended stripe mutex: the pool lock is taken per insert inside it.
 //!   Every team size inserts this way: there is one insert rule.
 //! * **One claim cursor** — every worker of a level claims its next run of frontier
 //!   indices from one shared atomic counter (`fetch_add`), so each state is expanded
@@ -63,8 +65,8 @@
 //!
 //! | hook | runs | invariant visitor | refinement visitor |
 //! |---|---|---|---|
-//! | `on_fresh` | worker, per new state, right after its insert, outside the stripe lock | state limit, invariants → pending violations; always enqueue | key the state (its stable projection, once) and buffer the arrival (8 B unstable, 32 B stable with its fingerprint and key); enqueue unless draining a capped run past a stable state |
-//! | `on_existing` | worker, per dedup hit (the duplicate copy is already dropped) | nothing | buffer the arrival only if it can change the fold: drop it when the parent hands down no context, when an older unstable target's lset already covers the parent's contexts, or when an older stable target's quotient edges from all of them are already in the side's edge map (8 B per kept arrival, 24 B with the target's fingerprint when it is known to be stable) |
+//! | `on_fresh` | worker, per new state, right after its insert, outside the stripe lock | state limit, invariants → pending violations (keyed by `state_key` for the tie-break); always enqueue | key the state (its stable projection, once) and buffer the arrival (8 B unstable; 32 B stable, with its `state_key`, computed here, and projection key); enqueue unless draining a capped run past a stable state |
+//! | `on_existing` | worker, per dedup hit, with a closure that keys the interned duplicate on demand | nothing | buffer the arrival only if it can change the fold: drop it when the parent hands down no context, when an older unstable target's lset already covers the parent's contexts, or when an older stable target's quotient edges from all of them are already in the side's edge map (8 B per kept arrival, 24 B with the target's `state_key`, asked of the closure, when it is known to be stable) |
 //! | `on_level_end` | coordinator, after the level's scope has joined (`&mut self`) | resolve violations into traces | fold keys into the dense per-state column (one interned context-set id and a stable bit per `StateIndex`), arrivals into projections / the edge map (one 24-byte representative per edge) / lsets, re-enqueue the indices of grown states, match new edges by searching the frozen coarse adjacency, state cap, early stops |
 //!
 //! No hook runs inside the successor-enumeration callback: an edge reaches a visitor
@@ -79,7 +81,7 @@ use std::time::Instant;
 use remix_spec::{LabelId, SpecState};
 
 use crate::expand::{Pipeline, Successor};
-use crate::fingerprint::Fingerprint;
+use crate::fingerprint::{state_key, Fingerprint};
 use crate::outcome::StopReason;
 use crate::por::{self, SleepSet};
 use crate::stop::{StopCell, STOP_TIME_BUDGET};
@@ -93,9 +95,6 @@ pub(crate) struct Arrival {
     /// The state the edge left (`None`: an initial state).  Parents were announced in
     /// an earlier level, so a visitor's barrier-written tables already know them.
     pub(crate) parent: Option<StateIndex>,
-    /// The scheduling-independent tie-breaker among same-depth arrivals (state indices
-    /// depend on insert order).
-    pub(crate) fp: Fingerprint,
     pub(crate) depth: u32,
 }
 
@@ -112,11 +111,22 @@ pub(crate) trait Visitor<S: SpecState>: Send + Sync {
     /// Per-worker accumulator of one level, handed over at the barrier.
     type Local: Default + Send;
 
-    /// A state entered the store; returns whether to expand it in the next level.
+    /// A state entered the store; returns whether to expand it in the next level.  A
+    /// visitor that needs a scheduling-independent tie-breaker among same-depth
+    /// arrivals (state indices depend on insert order) computes `state_key(state)`.
     fn on_fresh(&self, local: &mut Self::Local, at: Arrival, state: &S) -> bool;
 
-    /// An edge reached a state the store already holds.
-    fn on_existing(&self, _local: &mut Self::Local, _at: Arrival) {}
+    /// An edge reached a state the store already holds.  `key` computes the target's
+    /// `state_key` on demand: from the interned duplicate, whose components are the
+    /// pool's (so each digest is computed once per run), unless the insert already had
+    /// the key.
+    fn on_existing(
+        &self,
+        _local: &mut Self::Local,
+        _at: Arrival,
+        _key: impl FnOnce() -> Fingerprint,
+    ) {
+    }
 
     /// The level barrier: every worker of the level has returned.  The states whose
     /// indices are pushed to `requeue` join the next level, each rebuilt from its store
@@ -297,11 +307,10 @@ fn level_loop<S: SpecState, V: Visitor<S>>(
     let mut depth: u32 = 0;
     let mut output = {
         let mut seeds = WorkerResult::default();
-        run.pipeline.seed(run.store, |index, fp, state| {
+        run.pipeline.seed(run.store, |index, state| {
             let at = Arrival {
                 index,
                 parent: None,
-                fp,
                 depth: 0,
             };
             if visitor.on_fresh(&mut seeds.local, at, &state) {
@@ -520,19 +529,12 @@ impl<S: SpecState, V: Visitor<S>> Level<'_, S, V> {
         result: &mut WorkerResult<S, V::Local>,
     ) {
         let store = self.run.store;
-        // The handle is a temporary: the stripe is unlocked at the end of this statement.
-        let insert = store.lock_shard(store.shard_of(succ.fp)).insert_edge(
-            succ.fp,
-            Some(parent),
-            succ.label,
-            succ.state,
-            succ.perm,
-        );
+        // Only a fingerprint-only store keys the successor; a Full one needs no key.
+        let (insert, key) = store.insert(Some(parent), succ.label, succ.state, succ.perm);
         let (Insert::Fresh(index, _) | Insert::Existing(index, _)) = &insert;
         let at = Arrival {
             index: *index,
             parent: Some(parent),
-            fp: succ.fp,
             depth: self.child_depth,
         };
         // Both fresh and already-known targets contribute an arrival edge: a state
@@ -547,7 +549,10 @@ impl<S: SpecState, V: Visitor<S>> Level<'_, S, V> {
                     result.next_frontier.push(store, at.index, state);
                 }
             }
-            Insert::Existing(..) => self.visitor.on_existing(&mut result.local, at),
+            Insert::Existing(_, duplicate) => {
+                let key = || key.unwrap_or_else(|| state_key(&duplicate));
+                self.visitor.on_existing(&mut result.local, at, key);
+            }
         }
     }
 }

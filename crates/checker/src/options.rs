@@ -88,11 +88,14 @@ pub struct CheckOptions {
     /// (§4.4: the paper's runs use a 40-core machine).  `1` runs inline on the calling
     /// thread with no thread spawns.
     pub workers: usize,
-    /// Number of lock stripes of the discovered-state set (rounded up to a power of
-    /// two).  Successor inserts only contend when two workers hit the same stripe, so
-    /// this should comfortably exceed `workers`; the default of 64 keeps contention
+    /// Number of lock stripes of a [`StoreMode::FingerprintOnly`] store (rounded up to
+    /// a power of two), which routes each insert to a stripe by the leading bits of its
+    /// `state_key`.  Inserts only contend when two workers hit the same stripe, so this
+    /// should comfortably exceed `workers`; the default of 64 keeps contention
     /// (reported in `CheckStats::shard_contention`) negligible for any realistic core
-    /// count.
+    /// count.  A [`StoreMode::Full`] store ignores it: it has one stripe, because every
+    /// Full insert takes the store's one intern pool lock under its stripe anyway, and
+    /// one stripe needs no key to route by.
     pub shards: usize,
     /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub batch_size: usize,
@@ -186,7 +189,7 @@ impl CheckOptions {
         self
     }
 
-    /// Sets the number of lock stripes of the discovered-state set.
+    /// Sets the number of lock stripes of a fingerprint-only store (see the field).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

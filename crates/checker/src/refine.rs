@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 use remix_spec::{LabelTable, Spec, SpecState, Trace, TraceProjection};
 
 use crate::expand::Pipeline;
-use crate::fingerprint::Fingerprint;
+use crate::fingerprint::{state_key, Fingerprint};
 use crate::kernel::{self, Arrival, LevelEnd, Run, Visitor};
 use crate::options::SymmetryMode;
 use crate::outcome::StopReason;
@@ -90,7 +90,8 @@ pub struct RefineOptions {
     pub mode: RefineMode,
     /// Worker threads expanding each exploration frontier (both sides).
     pub workers: usize,
-    /// Lock stripes of each side's discovered-state set (rounded up to a power of two).
+    /// Ignored: each side runs a Full store, which has one stripe (see
+    /// [`CheckOptions::shards`](crate::CheckOptions)).
     pub shards: usize,
     /// Maximum exploration depth per side; `None` = unbounded.
     pub max_depth: Option<u32>,
@@ -851,8 +852,9 @@ impl From<Arrival> for Edge {
     }
 }
 
-/// A buffered arrival at a stable state, with that state's fingerprint, which a
-/// representative needs: 24 bytes.
+/// A buffered arrival at a stable state, with that state's fingerprint (its
+/// `state_key`, computed only for such an arrival), which a representative needs: 24
+/// bytes.
 #[derive(Clone, Copy, Debug)]
 struct Hit {
     edge: Edge,
@@ -983,7 +985,13 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         let key = stable_key(self.projection, state);
         let edge = Edge::from(at);
         match key {
-            Some(key) => local.stable.push((Hit { edge, fp: at.fp }, key)),
+            Some(key) => local.stable.push((
+                Hit {
+                    edge,
+                    fp: state_key(state),
+                },
+                key,
+            )),
             None => local.unstable.push(edge),
         }
         // While draining, stable successors close their stabilization and are not
@@ -992,7 +1000,12 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
         self.draining.is_none() || key.is_none()
     }
 
-    fn on_existing(&self, local: &mut Arrivals, at: Arrival) {
+    fn on_existing(
+        &self,
+        local: &mut Arrivals,
+        at: Arrival,
+        target_key: impl FnOnce() -> Fingerprint,
+    ) {
         let from = self.known.contexts_from(at);
         if from == NO_CONTEXTS {
             // No context to hand down: neither an edge nor lset growth.
@@ -1014,7 +1027,10 @@ impl<S: SpecState> Visitor<S> for RefineVisitor<'_, S> {
                 .iter()
                 .any(|&from| from != key && !edges.contains(&(from, key)));
             if lacking {
-                local.hits.push(Hit { edge, fp: at.fp });
+                local.hits.push(Hit {
+                    edge,
+                    fp: target_key(),
+                });
             }
         } else if !self.contexts.covers(target.set(), from) {
             local.revisits.push(edge);
@@ -1835,13 +1851,8 @@ mod tests {
     fn spilled_refinement_matches_the_in_ram_run_in_every_mode() {
         use crate::spill::SpillConfig;
 
-        // Few shards so the ~180-state sides overflow the per-shard flush floor (with
-        // the default 64 shards each delta table holds only a couple of entries and the
-        // budget can never force a flush).
-        let base = RefineOptions {
-            shards: 2,
-            ..RefineOptions::default()
-        };
+        // A Full store is one stripe, so the ~180-state sides overflow its flush floor.
+        let base = RefineOptions::default();
         let in_ram = check_refinement(
             &fine_spec(120),
             &coarse_spec(120, false),
@@ -1915,7 +1926,6 @@ mod tests {
         let at = |parent| Arrival {
             index: StateIndex(0),
             parent,
-            fp: crate::fingerprint::Fingerprint(0, 0),
             depth: 1,
         };
         for index in [stable, unstable] {

@@ -38,27 +38,31 @@
 //! is its row, and its dedup entry is one 5-byte bucket of the stripe's row index (a
 //! `u32` slot and a tag byte) that names the row; no fingerprint is kept per state.
 //!
-//! Both backends are safe for concurrent insertion from many workers: the arena is
-//! striped into power-of-two lock shards routed by the fingerprint's leading bits, and
-//! a [`StateIndex`] packs `(local slot, shard)` so indices stay valid forever without
-//! any cross-shard coordination.
+//! Both backends are safe for concurrent insertion from many workers.  A Full store is
+//! one table under one lock; a fingerprint-only arena is striped into power-of-two
+//! lock shards routed by the fingerprint's leading bits.  A [`StateIndex`] packs
+//! `(local slot, shard)` (a Full store's shard bits are none), so indices stay valid
+//! forever without any cross-shard coordination.
 //!
 //! # Keys
 //!
-//! The caller hands [`ShardHandle::insert`] a 128-bit [`Fingerprint`] and locks the
-//! stripe its leading bits route to.  The engines hand it [`state_key`] — a hash over
-//! the state's memoized component digests (see [`mod@crate::fingerprint`]) — and
-//! [`StateStore::index_of`] recomputes the same function to find the stripe, so a store
-//! whose states are to be looked up again (trace replay) must be filled with
-//! `state_key`s.  (For a state type without shared components the two functions
-//! coincide.)
+//! [`StoreMode::FingerprintOnly`] dedups on a 128-bit [`Fingerprint`]: the caller
+//! hands [`ShardHandle::insert`] one and locks the stripe its leading bits route to.
+//! Two states with one key are one state to it, a 2^-128 chance per pair it accepts
+//! for keeping nothing else.  The engines hand it [`state_key`] — a hash over the
+//! state's memoized component digests (see [`mod@crate::fingerprint`]) — and
+//! [`StateStore::index_of`] recomputes the same function to find the stripe, so a
+//! fingerprint-only store whose states are to be looked up again (trace replay) must be
+//! filled with `state_key`s.  (For a state type without shared components the two
+//! functions coincide.)
 //!
-//! [`StoreMode::FingerprintOnly`] dedups on that fingerprint: two states with one key
-//! are one state to it, a 2^-128 chance per pair it accepts for keeping nothing else.
 //! [`StoreMode::Full`] dedups on the state's row — its components hash-consed and
 //! equality-checked by the pool, its scalars written out — so its dedup is exact and
-//! the caller's fingerprint only picks the stripe.  The row index hashes the row's
-//! words and confirms a tag match by comparing the stored row word for word.  Under a
+//! needs no key: it has one stripe, takes any fingerprint [`ShardHandle::insert`] is
+//! handed without reading it, and the engines compute none for it
+//! (the crate's `StateStore::insert`).  At the paper's scale four edges in five are dedup hits,
+//! so a hit costs its enumeration, one intern and one row probe.  The row index hashes
+//! the row's words and confirms a tag match by comparing the stored row word for word.  Under a
 //! memory budget a Full stripe spills its rows' 128-bit [`PairHasher`] digests, read
 //! out of the arena, and probes the runs with the digest of the row being inserted: the
 //! in-RAM tier stays exact, and the spilled one is as exact as the fingerprint-only
@@ -70,32 +74,32 @@
 //! fine three-server model from 2,510 servers, channel rows and ghost states), so the
 //! store owns one [`InternPool`] per run and calls [`SpecState::intern`] before it
 //! hands back the state: each component the discovering action wrote is replaced by
-//! the pool's allocation of the same value (equality-checked, so a digest collision
-//! never merges two values), and the duplicate is freed while still hot.  A Full store
+//! the pool's allocation of the same value (found by a cheap table hash and
+//! equality-checked, so no hash collision ever merges two values), and the duplicate
+//! is freed while still hot.  A Full store
 //! does so on **every insert**, before the dedup probe, because the row it writes is
 //! what the probe compares; a duplicate's components are all pooled already, so this
 //! never grows the pool.  A fingerprint-only store does so on the **fresh-insert path
 //! only**.  The frontier and every later successor then share one allocation per
 //! distinct component value, and dropping the store frees 2.5 k components and a few
 //! hundred chunks, not one heap block per state.
-//! The pool is spec-agnostic (per type, digest → slot; slot → type-erased `Arc`), lives
+//! The pool is spec-agnostic (per type, an index of slots by value; slot →
+//! type-erased `Arc`), lives
 //! exactly as long as the store — it is dropped with it, inside what
 //! `CheckStats::teardown` clocks — and is **resident and unbudgeted**:
 //! [`StoreMode::FingerprintOnly`] and the spill tier bound what the store keeps per
 //! *state*, not the pool.  The pool is not small: a component costs ≈ 380–430 B, of
-//! which ≈ 80 B is bookkeeping — a 24-byte digest → slot bucket in its type's table
-//! and a 16-byte `Arc<dyn Pooled>` slot (both tables sized to the next power of two),
-//! and 48 B of `Arc` header and inner value wrapper — and the value itself is pooled
-//! exactly sized, without the spare capacity its writes left.  Measured with a
-//! counting allocator at the store's drop, that is 0.95 MB for the 2,510 components
-//! of the space above (1.46 MB with a 40-byte `(TypeId, Fingerprint)` key per bucket,
-//! a 32-byte `(Arc<dyn Any>, &'static str)` slot, values as their writes left them
-//! and `BTreeMap`s in the server state), and 3.78 MB (5.57) for the 8,796 of
-//! `remix-bench`'s `bug-hunt` ZK-4394 run: digest tables 423 KB (672), slots 262 KB
-//! (524, a 16,384-entry vector) and values 3.10 MB (4.37) — still more heap than that
-//! store's rows (2.9 MB), records (1.4 MB) and row index (1.3 MB) hold apiece.  Pool
-//! slots and allocation addresses are per-run and never reach a key, a trace or a
-//! statistic.
+//! which ≈ 70 B is bookkeeping — a 5-byte bucket in its type's index (at most 7/8 of
+//! the buckets held) and a 16-byte `Arc<dyn Pooled>` slot (both sized to the next power
+//! of two), and 48 B of `Arc` header and inner value wrapper — and the value itself is
+//! pooled exactly sized, without the spare capacity its writes left.  Measured with a
+//! counting allocator at the store's drop, before the index replaced 24-byte digest
+//! buckets, that was 0.95 MB for the 2,510 components of the space above, and 3.78 MB
+//! for the 8,796 of `remix-bench`'s `bug-hunt` ZK-4394 run: digest tables 423 KB (the
+//! index takes a fifth of that), slots 262 KB (a 16,384-entry vector) and values
+//! 3.10 MB — still more heap than that store's rows (2.9 MB), records (1.4 MB) and row
+//! index (1.3 MB) hold apiece.  Pool slots and allocation addresses are per-run and
+//! never reach a key, a trace or a statistic.
 //!
 //! # Rows
 //!
@@ -131,7 +135,13 @@
 //! # Locks
 //!
 //! Two locks live here, and they nest in one order only: a stripe, then the intern
-//! pool.  The order is a fact of the types.  The pool's one accessor (the private
+//! pool.  A [`StoreMode::Full`] store has exactly one stripe: every Full insert writes
+//! its row through the pool, so the pool's lock serialized Full inserts already, and
+//! one stripe needs no key to pick it by ([`StateStore::shard_of`] answers 0).  The
+//! pool is taken under that stripe on every Full insert.  A
+//! [`StoreMode::FingerprintOnly`] store has `CheckOptions::shards` stripes, routed by
+//! the leading bits of each insert's `state_key`, and takes the pool under one of them
+//! only for a fresh state.  The order is a fact of the types.  The pool's one accessor (the private
 //! `Pool::lock`) borrows the stripe the caller has locked and hands it back reborrowed,
 //! so no code can take the pool without holding a stripe, and the pool guard cannot
 //! outlive that borrow.  The paths that take it are the insert (a Full row, or a fresh
@@ -140,9 +150,10 @@
 //! over the stored states.
 //!
 //! One condition must hold for that order to be the only one: **stripes never nest.**
-//! Each `StateStore` method locks one stripe and releases it before it returns, and the
-//! engines (the kernel, the expansion pipeline, DFS) hold a [`ShardHandle`] for a single
-//! `insert_edge` expression.  Code that holds two stripes at once, or locks a stripe
+//! Each `StateStore` method locks one stripe and releases it before it returns — the
+//! engines (the kernel, the expansion pipeline, DFS) insert through one of them,
+//! `StateStore::insert`, which holds a [`ShardHandle`] for a single `insert_edge`
+//! expression.  Code that holds two stripes at once, or locks a stripe
 //! while it holds a handle, would break it.
 
 use std::collections::hash_map::{Entry, VacantEntry};
@@ -155,8 +166,8 @@ use std::path::PathBuf;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
 
 use remix_spec::{
-    CanonFn, DigestMap, InternPool, LabelId, LabelTable, PairHasher, Perm, Spec, SpecState, Trace,
-    INIT_LABEL,
+    CanonFn, DigestMap, InternPool, LabelId, LabelTable, PairHasher, Perm, SlotIndex, Spec,
+    SpecState, Trace, INIT_LABEL,
 };
 
 use crate::fingerprint::{state_key, Fingerprint};
@@ -197,6 +208,9 @@ const NO_PARENT: u32 = u32::MAX;
 
 /// Why indexing the arena by a [`StateIndex`] cannot fail.
 const NO_ENTRY: &str = "a StateIndex names an entry of the store that issued it";
+
+/// Why a fingerprint-only insert must be handed its key.
+const KEYED: &str = "a fingerprint-only store dedups on the state's key";
 
 /// Fixed per-entry metadata: 8 bytes regardless of the state type and the backend.
 /// The entry's fingerprint is not among them: the dedup tier (the stripe's map or a
@@ -353,10 +367,15 @@ enum DedupTable {
     /// fingerprint's own second word (its first picked the stripe): the key is uniform
     /// already, so the table probes with it instead of rehashing it.
     Keys(DigestMap<Fingerprint, u32>),
-    /// [`StoreMode::Full`]: local slots, found by the row they name in `rows`.  Boxed so
-    /// that a stripe is no larger than a map makes it: the stripe array's size moves
-    /// where the allocator places a run's later blocks, and with them its peak RSS.
-    Rows(Box<RowIndex>),
+    /// [`StoreMode::Full`]: local slots, found by the [`row_hash`] of the row they name
+    /// in `rows` and confirmed by comparing that row word for word, so a hit is exact:
+    /// two states meet only when their rows are equal, and a row is the state's value
+    /// (its components hash-consed and equality-checked by the pool, its scalars
+    /// written out).  Nothing of a row is kept in the index: a probe and a growth step
+    /// read the rows back out of the arena.  Boxed so that a stripe is no larger than
+    /// a map makes it: the stripe array's size moves where the allocator places a
+    /// run's later blocks, and with them its peak RSS.
+    Rows(Box<SlotIndex>),
 }
 
 impl DedupTable {
@@ -371,39 +390,14 @@ impl DedupTable {
     fn len(&self) -> usize {
         match self {
             DedupTable::Keys(map) => map.len(),
-            DedupTable::Rows(index) => index.len,
+            DedupTable::Rows(index) => index.len(),
         }
     }
 }
 
-/// A [`RowIndex`] bucket that holds no slot.  A held slot's tag is never 0.
-const EMPTY: u8 = 0;
-
-/// Bytes of one [`RowIndex`] bucket: its `u32` slot and its tag.
-const ROW_INDEX_BUCKET_BYTES: usize = std::mem::size_of::<u32>() + std::mem::size_of::<u8>();
-
-/// A [`StoreMode::Full`] stripe's dedup table: open addressing over the stripe's local
-/// slots, one `u32` and one tag byte per bucket (5 bytes), probed linearly.  A bucket's
-/// slot is found by the hash of the row it names and confirmed by comparing that row
-/// word for word, so a hit is exact: two states meet only when their rows are equal,
-/// and a row is the state's value (its components hash-consed and equality-checked by
-/// the pool, its scalars written out).  Nothing of a row is kept here: a probe and a
-/// growth step read the rows back out of the arena.
-///
-/// At most 7/8 of the buckets are held, so a probe always ends at an [`EMPTY`] one.
-#[derive(Default)]
-struct RowIndex {
-    /// [`EMPTY`], or the top byte of the held row's [`row_hash`] (at least 1).
-    tags: Vec<u8>,
-    /// The local slot each held bucket names.
-    slots: Vec<u32>,
-    /// Held buckets.
-    len: usize,
-}
-
-/// A cheap mix of a row's words, for [`RowIndex`]: a multiply-rotate pass and
-/// SplitMix64's finalizer, so every word reaches both the low bits that pick the bucket
-/// and the top byte that tags it.
+/// A cheap mix of a row's words, for a Full stripe's [`SlotIndex`] of rows: a
+/// multiply-rotate pass and SplitMix64's finalizer, so every word reaches both the low
+/// bits that pick the bucket and the top byte that tags it.
 fn row_hash(row: impl ExactSizeIterator<Item = u32>) -> u64 {
     let mut h = row.len() as u64;
     for word in row {
@@ -425,83 +419,6 @@ fn row_digest(row: impl Iterator<Item = u32>) -> Fingerprint {
         hasher.write_u32(word);
     }
     hasher.finish128()
-}
-
-impl RowIndex {
-    fn tag(hash: u64) -> u8 {
-        ((hash >> 56) as u8).max(1)
-    }
-
-    /// The slot whose row in `rows` equals `row` (`hash` is its [`row_hash`]).
-    fn find(&self, hash: u64, row: &[u32], rows: &ChunkVec<u16>) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.tags.len() - 1;
-        let tag = Self::tag(hash);
-        let mut bucket = hash as usize & mask;
-        loop {
-            match self.tags[bucket] {
-                EMPTY => return None,
-                held if held == tag => {
-                    let slot = self.slots[bucket];
-                    if rows.holds(slot as usize, row) {
-                        return Some(slot);
-                    }
-                }
-                _ => {}
-            }
-            bucket = (bucket + 1) & mask;
-        }
-    }
-
-    /// Adds `slot`, whose row (hashed `hash`) is stored in `rows` and not yet held;
-    /// every row is `words` words.
-    fn insert(&mut self, hash: u64, slot: u32, rows: &ChunkVec<u16>, words: usize) {
-        if (self.len + 1) * 8 > self.tags.len() * 7 {
-            self.grow(rows, words);
-        }
-        self.place(hash, slot);
-        self.len += 1;
-    }
-
-    fn place(&mut self, hash: u64, slot: u32) {
-        let mask = self.tags.len() - 1;
-        let mut bucket = hash as usize & mask;
-        while self.tags[bucket] != EMPTY {
-            bucket = (bucket + 1) & mask;
-        }
-        self.tags[bucket] = Self::tag(hash);
-        self.slots[bucket] = slot;
-    }
-
-    /// Doubles the buckets (16 at first) and re-places every held slot by its row.
-    fn grow(&mut self, rows: &ChunkVec<u16>, words: usize) {
-        let buckets = (self.tags.len() * 2).max(16);
-        let tags = std::mem::replace(&mut self.tags, vec![EMPTY; buckets]);
-        let slots = std::mem::replace(&mut self.slots, vec![0; buckets]);
-        for (tag, slot) in tags.into_iter().zip(slots) {
-            if tag != EMPTY {
-                let row = rows.words(slot as usize, words).expect(NO_ENTRY);
-                self.place(row_hash(row), slot);
-            }
-        }
-    }
-
-    /// Every held slot, in bucket order.
-    fn held(&self) -> impl Iterator<Item = u32> + '_ {
-        self.tags
-            .iter()
-            .zip(&self.slots)
-            .filter(|(&tag, _)| tag != EMPTY)
-            .map(|(_, &slot)| slot)
-    }
-
-    /// Empties the index, keeping its buckets for the slots to come.
-    fn clear(&mut self) {
-        self.tags.fill(EMPTY);
-        self.len = 0;
-    }
 }
 
 struct ShardCell<S> {
@@ -607,7 +524,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
     /// `parent` is `None`).  `fp` is any 128-bit function of the state's value that
     /// routed the caller to this stripe, [`state_key`] if states are to be looked up
     /// again (see the module docs).  [`StoreMode::FingerprintOnly`] deduplicates by
-    /// `fp`, [`StoreMode::Full`] by the state's row.
+    /// `fp`; [`StoreMode::Full`] by the state's row, and ignores `fp`.
     pub fn insert(
         &mut self,
         fp: Fingerprint,
@@ -615,7 +532,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
         label: LabelId,
         state: S,
     ) -> Insert<S> {
-        self.insert_edge(fp, parent, label, state, None)
+        self.insert_edge(Some(fp), parent, label, state, None)
     }
 
     /// Like [`ShardHandle::insert`], but for symmetry-reduced runs: `state` must be
@@ -634,14 +551,20 @@ impl<S: SpecState> ShardHandle<'_, S> {
         state: S,
         perm: Perm,
     ) -> Insert<S> {
-        self.insert_edge(fp, parent, label, state, Some(perm))
+        self.insert_edge(Some(fp), parent, label, state, Some(perm))
     }
 
     /// [`ShardHandle::insert_canonical`] when `perm` is set, [`ShardHandle::insert`]
-    /// otherwise — the form the engines use, which carry the permutation as an option.
+    /// otherwise — the form the engines use (through [`StateStore::insert`]), which
+    /// carry the permutation as an option and the key only for a store that dedups on
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// When a [`StoreMode::FingerprintOnly`] store is handed no key.
     pub(crate) fn insert_edge(
         &mut self,
-        fp: Fingerprint,
+        key: Option<Fingerprint>,
         parent: Option<StateIndex>,
         label: LabelId,
         mut state: S,
@@ -661,12 +584,13 @@ impl<S: SpecState> ShardHandle<'_, S> {
         let vacancy = match &mut inner.table {
             DedupTable::Rows(index) => {
                 let hash = row_hash(inner.row.iter().copied());
-                if let Some(local) = index.find(hash, &inner.row, &inner.rows) {
+                let (row, rows) = (&inner.row, &inner.rows);
+                if let Some(local) = index.find(hash, |slot| rows.holds(slot as usize, row)) {
                     return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
                 }
                 Vacancy::Row(index, hash)
             }
-            DedupTable::Keys(map) => match map.entry(fp) {
+            DedupTable::Keys(map) => match map.entry(key.expect(KEYED)) {
                 Entry::Occupied(known) => {
                     let local = *known.get();
                     return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
@@ -675,9 +599,9 @@ impl<S: SpecState> ShardHandle<'_, S> {
             },
         };
         if let Some(spill) = self.spill.filter(|_| !inner.runs.is_empty()) {
-            let key = match vacancy {
+            let key = match &vacancy {
                 Vacancy::Row(..) => row_digest(inner.row.iter().copied()),
-                Vacancy::Key(_) => fp,
+                Vacancy::Key(vacant) => *vacant.key(),
             };
             for run in &inner.runs {
                 if let Some(local) = run.probe(key, &spill.counters) {
@@ -717,7 +641,10 @@ impl<S: SpecState> ShardHandle<'_, S> {
             Vacancy::Row(index, hash) => {
                 fix_stride(self.stride, inner.row.len());
                 inner.rows.push_row(&inner.row);
-                index.insert(hash, local, &inner.rows, inner.row.len());
+                let (rows, words) = (&inner.rows, inner.row.len());
+                index.insert(hash, local, |slot| {
+                    row_hash(rows.words(slot as usize, words).expect(NO_ENTRY))
+                });
             }
             Vacancy::Key(vacant) => {
                 vacant.insert(local);
@@ -743,7 +670,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
 /// Where a fresh insert goes in its stripe's delta table, found by the dedup probe.
 enum Vacancy<'m> {
     /// [`StoreMode::Full`]: the row index, under the row's [`row_hash`].
-    Row(&'m mut RowIndex, u64),
+    Row(&'m mut SlotIndex, u64),
     /// [`StoreMode::FingerprintOnly`]: the fingerprint's vacant map entry.
     Key(VacantEntry<'m, Fingerprint, u32>),
 }
@@ -815,14 +742,17 @@ fn unpack(index: StateIndex, shard_bits: u32) -> (u32, u32) {
 }
 
 impl<S: SpecState> StateStore<S> {
-    /// Creates a fully in-RAM store with `shards` lock stripes (rounded up to a power
-    /// of two).  Equivalent to [`StateStore::with_spill`] with an inactive config.
+    /// Creates a fully in-RAM store: [`StoreMode::Full`] with one stripe,
+    /// [`StoreMode::FingerprintOnly`] with `shards` (rounded up to a power of two).
+    /// Equivalent to [`StateStore::with_spill`] with an inactive config.
     pub fn new(mode: StoreMode, shards: usize) -> Self {
         Self::with_spill(mode, shards, &SpillConfig::in_ram())
     }
 
-    /// Creates a store with `shards` lock stripes (rounded up to a power of two),
-    /// armed with the out-of-core tier when `config` carries a memory budget.
+    /// Creates a store armed with the out-of-core tier when `config` carries a memory
+    /// budget.  A [`StoreMode::Full`] store has one stripe whatever `shards` says (see
+    /// "Locks" in the module docs); a [`StoreMode::FingerprintOnly`] one has `shards`
+    /// stripes, rounded up to a power of two.
     ///
     /// Under a budget, each stripe's dedup table becomes a bounded *delta table*: when
     /// it reaches its share of the budget (`budget / 48 bytes-per-entry / stripes`,
@@ -838,7 +768,10 @@ impl<S: SpecState> StateStore<S> {
     /// Panics when the spill directory cannot be created: silently continuing
     /// unbudgeted would defeat the point of asking for a budget.
     pub fn with_spill(mode: StoreMode, shards: usize, config: &SpillConfig) -> Self {
-        let n = shards.max(1).next_power_of_two();
+        let n = match mode {
+            StoreMode::Full => 1,
+            StoreMode::FingerprintOnly => shards.max(1).next_power_of_two(),
+        };
         let bits = n.trailing_zeros();
         let spill = config.budget_bytes.map(|budget| {
             let dir = spill::create_spill_dir(config.dir.as_deref())
@@ -901,9 +834,36 @@ impl<S: SpecState> StateStore<S> {
         self.mode
     }
 
-    /// The stripe owning a fingerprint (routed by its leading bits).
+    /// The stripe owning a fingerprint (routed by its leading bits): always 0 in a
+    /// [`StoreMode::Full`] store, which has one stripe.
     pub fn shard_of(&self, fp: Fingerprint) -> usize {
         ((fp.0 >> self.shift) as usize) & self.mask
+    }
+
+    /// The key an insert into this store needs: [`state_key`] of `state` for a
+    /// [`StoreMode::FingerprintOnly`] store, which routes and dedups on it, and nothing
+    /// for a [`StoreMode::Full`] one, which dedups on the row in its one stripe.
+    fn key_for(&self, state: &S) -> Option<Fingerprint> {
+        (self.mode == StoreMode::FingerprintOnly).then(|| state_key(state))
+    }
+
+    /// The engines' insert: keys `state` as this store needs ([`StoreMode::Full`]: not
+    /// at all), locks the stripe the key routes to for this one insert, and hands back
+    /// the key it computed with the result.
+    pub(crate) fn insert(
+        &self,
+        parent: Option<StateIndex>,
+        label: LabelId,
+        state: S,
+        perm: Option<Perm>,
+    ) -> (Insert<S>, Option<Fingerprint>) {
+        let key = self.key_for(&state);
+        let shard = key.map_or(0, |key| self.shard_of(key));
+        // The handle is a temporary: the stripe is unlocked at the end of this statement.
+        let insert = self
+            .lock_shard(shard)
+            .insert_edge(key, parent, label, state, perm);
+        (insert, key)
     }
 
     /// Locks one stripe (the kernel: for one edge's insert), counting the acquisition as
@@ -955,15 +915,16 @@ impl<S: SpecState> StateStore<S> {
     }
 
     /// The index of `state`, if the store holds it (in the delta table or any spilled
-    /// run).  The stripe is the one [`state_key`] routes to, so a store that is to
-    /// answer this must be filled under `state_key`s.
+    /// run).
     ///
-    /// [`StoreMode::Full`] matches the state's row, so it writes one: the state's
-    /// components are interned as an insert would, and those of an absent state stay in
-    /// the pool.  [`StoreMode::FingerprintOnly`] matches the `state_key` itself.
+    /// [`StoreMode::Full`] matches the state's row in its one stripe, so it writes one:
+    /// the state's components are interned as an insert would, and those of an absent
+    /// state stay in the pool.  [`StoreMode::FingerprintOnly`] matches the
+    /// [`state_key`] itself, in the stripe it routes to, so a fingerprint-only store
+    /// that is to answer this must be filled under `state_key`s.
     pub fn index_of(&self, state: &S) -> Option<StateIndex> {
-        let key = state_key(state);
-        let shard = self.shard_of(key);
+        let key = self.key_for(state);
+        let shard = key.map_or(0, |key| self.shard_of(key));
         let mut guard = self.shards[shard].inner.lock();
         let inner = &mut *guard;
         if let DedupTable::Rows(_) = inner.table {
@@ -977,10 +938,18 @@ impl<S: SpecState> StateStore<S> {
                 .find_map(|run| run.probe(key, &spill.counters))
         };
         let local = match &inner.table {
-            DedupTable::Rows(index) => index
-                .find(row_hash(inner.row.iter().copied()), &inner.row, &inner.rows)
-                .or_else(|| spilled(row_digest(inner.row.iter().copied()))),
-            DedupTable::Keys(map) => map.get(&key).copied().or_else(|| spilled(key)),
+            DedupTable::Rows(index) => {
+                let (row, rows) = (&inner.row, &inner.rows);
+                index
+                    .find(row_hash(row.iter().copied()), |slot| {
+                        rows.holds(slot as usize, row)
+                    })
+                    .or_else(|| spilled(row_digest(row.iter().copied())))
+            }
+            DedupTable::Keys(map) => {
+                let key = key.expect(KEYED);
+                map.get(&key).copied().or_else(|| spilled(key))
+            }
         }?;
         Some(pack(local, shard as u32, self.shard_bits))
     }
@@ -1085,7 +1054,7 @@ impl<S: SpecState> StateStore<S> {
                         rows + shard.rows.len,
                     )
                 });
-                (std::mem::size_of::<u16>() * units).div_ceil(rows.max(1)) + ROW_INDEX_BUCKET_BYTES
+                (std::mem::size_of::<u16>() * units).div_ceil(rows.max(1)) + SlotIndex::BUCKET_BYTES
             }
             StoreMode::FingerprintOnly => {
                 std::mem::size_of::<Fingerprint>() + std::mem::size_of::<u32>()
@@ -1551,7 +1520,8 @@ mod tests {
 
     #[test]
     fn a_budgeted_store_finds_every_row_through_its_runs_after_widening() {
-        // A one-byte budget floors every stripe's delta table at the minimum flush size.
+        // A one-byte budget floors the delta table at the minimum flush size; a Full
+        // store has one stripe, whatever `shards` asks for.
         let budget = SpillConfig::in_ram().with_budget_bytes(1);
         let store = StateStore::<W>::with_spill(StoreMode::Full, 4, &budget);
         let narrow: Vec<(u32, StateIndex)> = (0..300).map(|i| (i, fresh_w(&store, i))).collect();
@@ -1562,13 +1532,13 @@ mod tests {
                 .all(|cell| !cell.inner.lock().runs.is_empty()),
             "every stripe flushed narrow rows"
         );
-        assert_eq!(unit_widths(&store), [1; 4]);
+        assert_eq!(unit_widths(&store), [1]);
         let wide = (0..300).map(|i| {
             let value = (1 << 16) + i;
             (value, fresh_w(&store, value))
         });
         let stored: Vec<(u32, StateIndex)> = narrow.into_iter().chain(wide).collect();
-        assert_eq!(unit_widths(&store), [2; 4], "every stripe met a wide row");
+        assert_eq!(unit_widths(&store), [2], "the stripe met a wide row");
         let probes_before = store.spill_stats().disk_probes;
         assert_holds(&store, &stored);
         assert!(
@@ -1634,12 +1604,12 @@ mod tests {
         let budget = SpillConfig::in_ram().with_budget_bytes(1);
         let [full, fp_only] = [StoreMode::Full, StoreMode::FingerprintOnly]
             .map(|mode| StateStore::<N>::with_spill(mode, 4, &budget));
-        let last = fill(&full, &labels, 300);
-        assert_eq!(
-            fill(&fp_only, &labels, 300),
-            last,
-            "the same inserts, the same indices"
-        );
+        // The Full store's one stripe and the fingerprint-only store's four number the
+        // same inserts differently.
+        let full_last = fill(&full, &labels, 300);
+        let last = fill(&fp_only, &labels, 300);
+        assert_eq!(full.shards.len(), 1);
+        assert_eq!(fp_only.shards.len(), 4);
         for store in [&full, &fp_only] {
             assert!(
                 store
@@ -1652,7 +1622,7 @@ mod tests {
         let probes_before = fp_only.spill_stats().disk_probes;
         let replayed = fp_only.reconstruct_trace(&spec, &labels, last);
         assert_eq!(replayed.depth(), 300);
-        assert_eq!(replayed, full.reconstruct_trace(&spec, &labels, last));
+        assert_eq!(replayed, full.reconstruct_trace(&spec, &labels, full_last));
         assert!(
             fp_only.spill_stats().disk_probes > probes_before,
             "replay looked entries up in the spilled runs"
@@ -1777,7 +1747,8 @@ mod tests {
 
     #[test]
     fn indices_pack_shard_and_slot() {
-        let store: StateStore<N> = StateStore::new(StoreMode::Full, 8);
+        // Only a fingerprint-only store has more than one stripe.
+        let store: StateStore<N> = StateStore::new(StoreMode::FingerprintOnly, 8);
         let labels = LabelTable::new();
         let mut seen = std::collections::HashSet::new();
         for i in 0..64u32 {

@@ -447,7 +447,7 @@ fn mismatches(
 /// `Value`s.
 fn differs(model: &ZabState, observed: &Observation, variable: &str) -> bool {
     let servers = model.servers.iter();
-    let mut nodes = observed.nodes.iter();
+    let mut nodes = observed.nodes();
     match variable {
         "acceptedEpoch" => !servers
             .map(|s| s.accepted_epoch)

@@ -14,6 +14,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::effect::Effect;
+use crate::label::Label;
 use crate::module::ModuleId;
 
 /// Granularity of a module specification (§3 of the paper).
@@ -86,8 +87,8 @@ impl fmt::Display for Granularity {
 /// that counterexample traces read like the paper's.
 #[derive(Debug, Clone)]
 pub struct ActionInstance<S> {
-    /// Fully instantiated label, e.g. `"NodeCrash(1)"`.
-    pub label: String,
+    /// Fully instantiated label, e.g. `NodeCrash` with `1`, rendered `"NodeCrash(1)"`.
+    pub label: Label,
     /// The successor state produced by executing the action.
     pub next: S,
     /// The instance's declared read/write footprint, when the action provides one.
@@ -100,9 +101,9 @@ pub struct ActionInstance<S> {
 }
 
 impl<S> ActionInstance<S> {
-    /// Creates a new instance with the given label and successor state (no declared
-    /// footprint).
-    pub fn new(label: impl Into<String>, next: S) -> Self {
+    /// Creates a new instance with the given label — a typed [`Label`], or a `String`
+    /// that is its own rendering — and successor state (no declared footprint).
+    pub fn new(label: impl Into<Label>, next: S) -> Self {
         ActionInstance {
             label: label.into(),
             next,
@@ -203,7 +204,7 @@ mod tests {
         let a = counter_action();
         assert_eq!(a.enabled(&0).len(), 1);
         assert_eq!(a.enabled(&0)[0].next, 1);
-        assert_eq!(a.enabled(&0)[0].label, "Increment(0)");
+        assert_eq!(a.enabled(&0)[0].label.to_string(), "Increment(0)");
         assert!(a.enabled(&3).is_empty());
     }
 

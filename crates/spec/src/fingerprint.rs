@@ -264,6 +264,80 @@ impl Hasher for DigestHasher {
 /// A `HashMap` whose keys end in a [`Fingerprint`], probed by [`DigestHasher`].
 pub type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<DigestHasher>>;
 
+/// A cheap 64-bit [`Hasher`] for in-memory tables whose hits are confirmed by value
+/// equality: one multiply-rotate step per word written (FxHash's), and SplitMix64's
+/// finalizer in `finish`, so every word reaches both the low bits that pick a bucket
+/// and the top byte a table may tag it with.  It is neither keyed nor collision
+/// resistant: a table that uses it must compare values on every hit, and must not
+/// hold outside input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TableHasher(u64);
+
+impl TableHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for TableHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word) ^ (tail.len() as u64) << 59);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, value: u8) {
+        self.add(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, value: u16) {
+        self.add(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.add(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.add(value);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, value: usize) {
+        self.add(value as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 30;
+        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+}
+
+/// The [`TableHasher`] hash of a value's `Hash` stream.
+pub fn table_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut hasher = TableHasher::default();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,6 +408,18 @@ mod tests {
         let mut slow = PairHasher::new();
         slow.write(&0xdead_beef_0bad_cafeu64.to_le_bytes());
         assert_eq!(fast.finish128(), slow.finish128());
+    }
+
+    #[test]
+    fn the_table_hash_follows_the_value() {
+        assert_eq!(table_hash(&vec![1u32, 2]), table_hash(&vec![1u32, 2]));
+        assert_ne!(table_hash(&vec![1u32, 2]), table_hash(&vec![2u32, 1]));
+        assert_ne!(
+            table_hash("ab"),
+            table_hash("ab\0"),
+            "a short tail counts its length"
+        );
+        assert_ne!(table_hash(&0u64), table_hash(&1u64));
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod module;
 pub mod projection;
 pub mod reflect;
 pub mod shared;
+pub mod slot_index;
 pub mod spec;
 pub mod symmetry;
 pub mod trace;
@@ -68,13 +69,14 @@ pub use analysis::{
 pub use compose::{compose, CompositionPlan, ModuleChoice};
 pub use effect::{Effect, EffectBit};
 pub use error::SpecError;
-pub use fingerprint::{fingerprint, DigestMap, Fingerprint, PairHasher};
+pub use fingerprint::{fingerprint, table_hash, DigestMap, Fingerprint, PairHasher, TableHasher};
 pub use invariant::{Invariant, InvariantScope, InvariantSource};
-pub use label::{LabelId, LabelTable, INIT_LABEL};
+pub use label::{Label, LabelId, LabelTable, INIT_LABEL};
 pub use module::{ModuleId, ModuleSpec};
 pub use projection::{StabilityFn, StateKeyFn, StateProjectionFn, TraceProjection};
 pub use reflect::{FieldInfo, StateFields};
 pub use shared::{InternPool, Shared};
+pub use slot_index::SlotIndex;
 pub use spec::{CanonFn, OwnedCanonFn, Spec, SpecState};
 pub use symmetry::{canon_stats, Canonicalize, Perm};
 pub use trace::{action_name, Trace, TraceStep};

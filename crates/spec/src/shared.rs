@@ -14,22 +14,25 @@
 //! `clear()` on a collection that is already empty.  Guard writes that may change
 //! nothing (`if !q.is_empty() { q.clear() }`).
 //!
-//! # Hash-consing: one digest, one allocation and one slot per distinct value
+//! # Hash-consing: one allocation and one slot per distinct value
 //!
 //! A state space is assembled from far fewer distinct components than states (221,490
 //! states of the three-server fine model from 1,657 servers, 702 channel rows and 151
-//! ghost states), so the allocation behind a handle carries two things besides the
+//! ghost states), so the allocation behind a handle carries three things besides the
 //! value:
 //!
 //! * the memoized **digest** of the value ([`Shared::digest`]: the 128-bit
-//!   [`fingerprint`] of `T`'s `Hash` stream), computed at the first read after a write
-//!   and cleared by every `DerefMut` — also on a uniquely owned handle, which
-//!   `Arc::make_mut` writes in place.  A state's store key
+//!   [`fingerprint`](crate::fingerprint::fingerprint) of `T`'s `Hash` stream), computed
+//!   at the first read after a write and cleared by every `DerefMut` — also on a
+//!   uniquely owned handle, which `Arc::make_mut` writes in place.  A state's store key
 //!   ([`SpecState::hash_key`](crate::SpecState::hash_key)) is a hash over these digests,
 //!   so a successor re-hashes only the components its action wrote.  The digest is a
 //!   function of the value alone — never of an address, a pool or an insertion order —
 //!   and it is *not* what `Hash for Shared<T>` feeds: that stays the value's own stream,
-//!   so [`fingerprint`] of a state is unchanged by the wrapper;
+//!   so the fingerprint of a state is unchanged by the wrapper.  Only a caller that asks
+//!   for a key computes it: hash-consing never does.  The same pass memoizes the value's
+//!   pool table key (below), so a value keyed before it is interned is hashed once;
+//! * the memoized **table key**, 0 until [`Shared::digest`] sets it;
 //! * a **tag** naming the [`InternPool`] that holds this very allocation and the slot
 //!   it holds it in (`(pool id << 32) | slot`, one word), so [`Shared::intern`]
 //!   recognises a pooled handle — and knows its slot — without a lookup.
@@ -40,13 +43,18 @@
 //! slot is the dictionary code of a value — the checker's store keeps a state as a row
 //! of them ([`SpecState::intern`](crate::SpecState::intern) /
 //! [`SpecState::from_row`](crate::SpecState::from_row)) — and, like an address, is
-//! per-pool and per-run: it never reaches a key, a trace or a statistic.  Equality is
-//! checked on every digest hit, so two unequal values that collide in all 128 bits are
-//! never merged — the later one gets a slot of its own.
+//! per-pool and per-run: it never reaches a key, a trace or a statistic.
+//!
+//! The pool finds a value by its **table hash**
+//! ([`table_hash`]: a cheap 64-bit hash of the same
+//! `Hash` stream, one multiply per word where the digest pays two SipHash rounds) in a
+//! per-type open-addressing index, and confirms every candidate by value
+//! equality.  So the table hash only has to spread values, not tell them apart: equal
+//! values always share one slot, and unequal values never do, even when their table
+//! hashes (or their digests) collide.
 
 use std::any::{Any, TypeId};
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -59,13 +67,17 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, OnceLock};
 
-use crate::fingerprint::{fingerprint, DigestMap, Fingerprint};
+use crate::fingerprint::{table_hash, Fingerprint, PairHasher, TableHasher};
+use crate::slot_index::SlotIndex;
 
 /// What one shared allocation holds: the value and what is memoized about it.
 struct Inner<T> {
     value: T,
     /// `fingerprint(&value)`, set at the first [`Shared::digest`] after a write.
     digest: OnceLock<Fingerprint>,
+    /// [`table_key`] of the value once known, 0 before: set by [`Shared::digest`], which
+    /// hashes the value's stream once for both, and read by [`Shared::intern`].
+    table: AtomicU64,
     /// `(pool id << 32) | slot` of an [`InternPool`] known to hold this allocation; 0
     /// for none (no pool has id 0).  A hint: a stale or foreign tag only costs
     /// [`Shared::intern`] a lookup.
@@ -77,6 +89,7 @@ impl<T> Inner<T> {
         Inner {
             value,
             digest: OnceLock::new(),
+            table: AtomicU64::new(0),
             tag: AtomicU64::new(0),
         }
     }
@@ -126,10 +139,33 @@ impl<T> Shared<T> {
 }
 
 impl<T: Hash> Shared<T> {
-    /// The 128-bit [`fingerprint`] of the value, computed once per allocation per
-    /// write: every handle sharing the allocation reads the memo.
+    /// The 128-bit [`fingerprint`](crate::fingerprint::fingerprint) of the value,
+    /// computed once per allocation per write: every handle sharing the allocation
+    /// reads the memo.
+    ///
+    /// The same pass over the value's `Hash` stream yields its pool table hash, which
+    /// is memoized beside the digest: a value keyed before it is interned (a
+    /// fingerprint-only store's fresh states) is traversed once, not twice.
     pub fn digest(&self) -> Fingerprint {
-        *self.0.digest.get_or_init(|| fingerprint(&self.0.value))
+        *self.0.digest.get_or_init(|| {
+            let mut both = BothHashers::default();
+            self.0.value.hash(&mut both);
+            let key = table_key(both.table.finish());
+            // ordering: Relaxed — a memo of a function of the value, which every
+            // writer computes alike.
+            self.0.table.store(key, atomic::Ordering::Relaxed);
+            both.pair.finish128()
+        })
+    }
+
+    /// [`table_key`] of the value: the memo [`Shared::digest`] left, or one pass of
+    /// [`table_hash`].
+    fn table_key(&self) -> u64 {
+        // ordering: Relaxed — see `digest`.
+        match self.0.table.load(atomic::Ordering::Relaxed) {
+            0 => table_key(table_hash(&self.0.value)),
+            known => known,
+        }
     }
 }
 
@@ -139,34 +175,36 @@ impl<T: Clone + Hash + Eq + Send + Sync + 'static> Shared<T> {
     /// The value behind the handle never changes; a duplicate allocation is released
     /// (freed, if this was its last handle).
     ///
+    /// The value is found by its [`table_hash`] and confirmed by `==`, so equal values
+    /// always share one slot and unequal ones never do, whatever their hashes.  No
+    /// digest is computed here.
+    ///
     /// A value new to the pool is kept for the rest of the run, so when this handle is
     /// its only one the value is first replaced, in place, by its own clone: equal, with
-    /// the same digest, but without the spare capacity `push` left in its vectors.  The
+    /// the same hashes, but without the spare capacity `push` left in its vectors.  The
     /// allocation, and so every address the caller holds, stays where it is.
     pub fn intern(&mut self, pool: &mut InternPool) -> u32 {
         if let Some(slot) = self.slot(pool) {
             return slot;
         }
-        let digest = self.digest();
+        let hash = self.table_key();
         let InternPool { index, slots, .. } = pool;
-        let slot = match type_table::<T>(index).entry(digest) {
-            Entry::Vacant(entry) => {
+        let table = type_table::<T>(index);
+        let value = &self.0.value;
+        let slot = match table.find(hash, |slot| value_of::<T>(&slots[slot as usize]) == value) {
+            Some(slot) => {
+                self.0 = downcast::<T>(&slots[slot as usize]);
+                slot
+            }
+            None => {
                 if let Some(inner) = Arc::get_mut(&mut self.0) {
                     inner.value = inner.value.clone();
                 }
-                *entry.insert(push_slot(slots, &self.0))
-            }
-            Entry::Occupied(entry) => {
-                let pooled = downcast::<T>(&slots[*entry.get() as usize]);
-                if Arc::ptr_eq(&pooled, &self.0) || pooled.value == self.0.value {
-                    self.0 = pooled;
-                    *entry.get()
-                } else {
-                    // A 128-bit collision: never merge unequal values.  The later
-                    // one is addressable all the same, through a slot no digest
-                    // leads to.
-                    push_slot(slots, &self.0)
-                }
+                let slot = push_slot(slots, &self.0);
+                table.insert(hash, slot, |slot| {
+                    table_key(table_hash(value_of::<T>(&slots[slot as usize])))
+                });
+                slot
             }
         };
         // ordering: Relaxed — see `slot`.
@@ -195,15 +233,68 @@ impl<T: Send + Sync + 'static> Pooled for Inner<T> {
     }
 }
 
-/// The digest table of `T`'s values, added on the first value of `T` a pool sees.
-fn type_table<T: 'static>(
-    index: &mut Vec<(TypeId, DigestMap<Fingerprint, u32>)>,
-) -> &mut DigestMap<Fingerprint, u32> {
+/// What a pool indexes a value by: its [`table_hash`], with 0 (the "not known yet" of
+/// an allocation's memo) read as 1.
+fn table_key(hash: u64) -> u64 {
+    hash.max(1)
+}
+
+/// The hashers of a digest and of a table key, fed from one traversal of a value.
+#[derive(Default)]
+struct BothHashers {
+    pair: PairHasher,
+    table: TableHasher,
+}
+
+impl Hasher for BothHashers {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.pair.write(bytes);
+        self.table.write(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, value: u8) {
+        self.pair.write_u8(value);
+        self.table.write_u8(value);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, value: u16) {
+        self.pair.write_u16(value);
+        self.table.write_u16(value);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.pair.write_u32(value);
+        self.table.write_u32(value);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.pair.write_u64(value);
+        self.table.write_u64(value);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, value: usize) {
+        self.pair.write_usize(value);
+        self.table.write_usize(value);
+    }
+
+    fn finish(&self) -> u64 {
+        self.pair.finish()
+    }
+}
+
+/// The index of `T`'s values, added on the first value of `T` a pool sees.
+fn type_table<T: 'static>(index: &mut Vec<(TypeId, SlotIndex)>) -> &mut SlotIndex {
     let ty = TypeId::of::<T>();
     let at = match index.iter().position(|(id, _)| *id == ty) {
         Some(at) => at,
         None => {
-            index.push((ty, DigestMap::default()));
+            index.push((ty, SlotIndex::default()));
             index.len() - 1
         }
     };
@@ -239,14 +330,23 @@ fn downcast<T: Send + Sync + 'static>(slot: &Slot) -> Arc<Inner<T>> {
         .expect("a slot is read back at the type it was interned at")
 }
 
-/// A hash-consing table for [`Shared`] components of any type: per type, digest → the
-/// slot of the one allocation the pool's users share for that value, and slot →
-/// allocation.
+/// The value a slot holds, borrowed.
+fn value_of<T: Send + Sync + 'static>(slot: &Slot) -> &T {
+    let any: &dyn Any = &**slot;
+    &any.downcast_ref::<Inner<T>>()
+        .expect("a slot is read back at the type it was interned at")
+        .value
+}
+
+/// A hash-consing table for [`Shared`] components of any type: per type, an index of
+/// the slots of the allocations the pool's users share, one per distinct value, and
+/// slot → allocation.
 ///
-/// What it keeps per distinct value, besides the allocation itself, is one 24-byte
-/// bucket of its type's digest table and one 16-byte slot: types are told apart by
-/// which table a digest is in, not by a `TypeId` in every key, and a slot is the one
-/// fat pointer `Arc<dyn Pooled>`, whose vtable also names the type.
+/// What it keeps per distinct value, besides the allocation itself, is one 5-byte
+/// bucket of its type's [`SlotIndex`] (a `u32` slot and a tag byte, at most 7/8 of the
+/// buckets held) and one 16-byte slot: types are told apart by which index a slot is in, not
+/// by a `TypeId` in every key, and a slot is the one fat pointer `Arc<dyn Pooled>`,
+/// whose vtable also names the type.
 ///
 /// A pool belongs to one exploration (the checker's `StateStore` owns it) and only
 /// grows; dropping it releases the pool's own handle on every entry.  It is
@@ -255,10 +355,10 @@ fn downcast<T: Send + Sync + 'static>(slot: &Slot) -> Arc<Inner<T>> {
 pub struct InternPool {
     /// Process-unique and never 0, so an allocation's tag names at most one live pool.
     id: u32,
-    /// One digest table per pooled type, in the order the types were first interned
-    /// (a state type pools a handful), each hashed by the digest's own second word, see
-    /// [`DigestMap`].
-    index: Vec<(TypeId, DigestMap<Fingerprint, u32>)>,
+    /// One index per pooled type, in the order the types were first interned (a state
+    /// type pools a handful): each of the type's slots, found by its value's
+    /// [`table_key`] and confirmed by `==`.
+    index: Vec<(TypeId, SlotIndex)>,
     slots: Vec<Slot>,
 }
 
@@ -287,8 +387,7 @@ impl InternPool {
         Shared(downcast(&self.slots[slot as usize]))
     }
 
-    /// Number of allocations the pool holds: one per distinct value (and one per
-    /// collider, see [`Shared::intern`]).
+    /// Number of allocations the pool holds: one per distinct value.
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -348,6 +447,7 @@ impl<T: Clone> DerefMut for Shared<T> {
         // the old value goes (a pool that holds the allocation also holds a handle,
         // so a pooled allocation is never unique and never written).
         inner.digest.take();
+        *inner.table.get_mut() = 0;
         *inner.tag.get_mut() = 0;
         &mut inner.value
     }
@@ -404,6 +504,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::fingerprint;
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_of<T: Hash>(value: &T) -> u64 {
@@ -488,6 +589,21 @@ mod tests {
         a.pop();
         assert_eq!(a.digest(), fingerprint(&vec![1u32]));
         assert_eq!(a.clone().digest(), a.digest(), "handles share the memo");
+    }
+
+    #[test]
+    fn the_digest_pass_also_memoizes_the_table_key() {
+        let memo = |a: &Shared<Vec<u32>>| a.0.table.load(atomic::Ordering::Relaxed);
+        let mut a: Shared<Vec<u32>> = vec![1, 2].into();
+        assert_eq!(memo(&a), 0, "nothing is hashed before a key is asked for");
+        assert_eq!(a.table_key(), table_key(table_hash(&vec![1u32, 2])));
+        a.digest();
+        assert_eq!(memo(&a), table_key(table_hash(&vec![1u32, 2])));
+        a.push(3);
+        assert_eq!(memo(&a), 0, "a write clears it with the digest");
+        a.digest();
+        assert_eq!(memo(&a), a.table_key());
+        assert_eq!(a.table_key(), table_key(table_hash(&vec![1u32, 2, 3])));
     }
 
     #[test]
@@ -600,7 +716,8 @@ mod tests {
         );
     }
 
-    /// Every value of this type has the same digest: the worst collision there is.
+    /// Every value of this type has the same digest and the same table hash: the worst
+    /// collision there is.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Unhashed(u32);
 
@@ -618,30 +735,69 @@ mod tests {
         }
         let values: Vec<u32> = handles.iter().map(|h| (**h).0).collect();
         assert_eq!(values, [0, 1, 0, 1], "no handle took another value");
+        assert!(Shared::ptr_eq(&handles[0], &handles[2]));
         assert!(
-            Shared::ptr_eq(&handles[0], &handles[2]),
-            "the pooled value is shared"
+            Shared::ptr_eq(&handles[1], &handles[3]),
+            "equality, not the hash, decides: a collider is shared like any value"
         );
-        assert!(
-            !Shared::ptr_eq(&handles[1], &handles[3]),
-            "no digest leads to a collider, so nothing joins it"
-        );
+        assert!(!Shared::ptr_eq(&handles[0], &handles[1]));
 
-        // Each collider is addressable all the same: a slot of its own, which reads
-        // back as that very allocation, and a second `intern` goes by the tag.
         let slots: Vec<u32> = handles
             .iter()
             .map(|h| h.slot(&pool).expect("tagged by intern"))
             .collect();
-        assert_eq!(slots, [0, 1, 0, 2]);
+        assert_eq!(slots, [0, 1, 0, 1]);
         for (handle, &slot) in handles.iter_mut().zip(&slots) {
             assert!(Shared::ptr_eq(&pool.get::<Unhashed>(slot), handle));
             assert_eq!(handle.intern(&mut pool), slot);
         }
-        assert_eq!(pool.len(), 3);
+        assert_eq!(pool.len(), 2);
         assert_eq!(
             pool.census(),
-            BTreeMap::from([(std::any::type_name::<Unhashed>(), 3)])
+            BTreeMap::from([(std::any::type_name::<Unhashed>(), 2)])
+        );
+    }
+
+    /// Values whose table hashes collide in classes of eight (the hash stream is the
+    /// value's class), told apart only by `==`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Classed(u32);
+
+    impl Hash for Classed {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            (self.0 / 8).hash(state);
+        }
+    }
+
+    #[test]
+    fn a_table_hash_collision_never_merges_unequal_values() {
+        assert_eq!(table_hash(&Classed(0)), table_hash(&Classed(7)));
+        let mut pool = InternPool::new();
+        // 100 distinct values, each interned through three separate allocations, in
+        // an order that interleaves the classes and grows the index several times.
+        let order: Vec<u32> = (0..300).map(|i| (i * 37) % 100).collect();
+        let mut handles: Vec<Shared<Classed>> = order.iter().map(|&v| Classed(v).into()).collect();
+        let slots: Vec<u32> = handles.iter_mut().map(|h| h.intern(&mut pool)).collect();
+
+        let mut slot_of: BTreeMap<u32, (u32, &Shared<Classed>)> = BTreeMap::new();
+        for ((&value, &slot), handle) in order.iter().zip(&slots).zip(&handles) {
+            assert_eq!((**handle).0, value, "interning never changes a value");
+            let (first_slot, first) = *slot_of.entry(value).or_insert((slot, handle));
+            assert_eq!(slot, first_slot, "equal values get one slot");
+            assert!(Shared::ptr_eq(handle, first), "and one allocation");
+        }
+        let distinct: std::collections::BTreeSet<u32> = slot_of.values().map(|(s, _)| *s).collect();
+        assert_eq!(distinct.len(), 100, "unequal values never merge");
+        for (&value, &(slot, handle)) in &slot_of {
+            let read = pool.get::<Classed>(slot);
+            assert!(Shared::ptr_eq(&read, handle), "get round-trips slot {slot}");
+            assert_eq!((*read).0, value);
+        }
+        assert_eq!(pool.len(), 100);
+        assert_eq!(
+            pool.census(),
+            BTreeMap::from([(std::any::type_name::<Classed>(), 100)]),
+            "the census counts every value"
         );
     }
 
@@ -704,8 +860,8 @@ mod tests {
     fn the_tag_is_one_word_of_two_halves() {
         assert_eq!(
             std::mem::size_of::<Inner<u64>>(),
-            std::mem::size_of::<(u64, OnceLock<Fingerprint>, u64)>(),
-            "value, digest memo and one tag word"
+            std::mem::size_of::<(u64, OnceLock<Fingerprint>, u64, u64)>(),
+            "value, digest memo, table-key memo and one tag word"
         );
         assert_eq!(slot_number(0), 0);
         assert_eq!(slot_number(u32::MAX as usize - 1), u32::MAX - 1);

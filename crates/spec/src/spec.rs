@@ -35,8 +35,11 @@ pub type OwnedCanonFn<S> = Arc<dyn Fn(S) -> (S, Perm) + Send + Sync>;
 /// the trait's business: a refinement check is handed its state projection as a
 /// function ([`TraceProjection::new`](crate::TraceProjection::new)).
 pub trait SpecState: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static {
-    /// Feeds the stream the exhaustive engines key their store on (`remix-checker`'s
-    /// `state_key`).  Like `Hash`, it must be a function of the state's *value* that
+    /// Feeds the stream of the exhaustive engines' state key (`remix-checker`'s
+    /// `state_key`): what a fingerprint-only store routes and dedups on, and what
+    /// breaks ties between same-depth states.  A Full store dedups on the row
+    /// [`SpecState::intern`] writes and asks for no key, so on its duplicate edges this
+    /// is never called.  Like `Hash`, it must be a function of the state's *value* that
     /// separates unequal states; unlike `Hash`, nothing outside the store depends on
     /// its bytes, so a type built on [`Shared`] components feeds each
     /// component's memoized [`digest`](crate::Shared::digest) here and re-hashes only
@@ -141,13 +144,13 @@ impl<S: SpecState> Spec<S> {
     }
 
     /// Enumerates all successors of `state` under the next-state relation, labelled with
-    /// the fully instantiated action name.
+    /// the fully instantiated action name, rendered.
     pub fn successors(&self, state: &S) -> Vec<(String, S)> {
         let mut out = Vec::new();
         for module in &self.modules {
             for action in &module.actions {
                 for inst in action.enabled(state) {
-                    out.push((inst.label, inst.next));
+                    out.push((inst.label.to_string(), inst.next));
                 }
             }
         }
@@ -155,13 +158,13 @@ impl<S: SpecState> Spec<S> {
     }
 
     /// Streams all successors of `state` to `f`, interning each instantiated label into
-    /// `labels` and handing over the dense [`LabelId`] instead of the `String`.
+    /// `labels` and handing over the dense [`LabelId`] instead of the label.
     ///
     /// This is the checker's hot-path variant of [`Spec::successors`]: no intermediate
-    /// successor vector is built, and the per-transition label allocation dies here —
-    /// the owned label of each [`ActionInstance`](crate::ActionInstance) is consumed by
-    /// the interner (stored once per *distinct* label for the whole run), so downstream
-    /// bookkeeping stores a `u32` per transition rather than a heap string.
+    /// successor vector is built, and no label is rendered — a typed
+    /// [`Label`](crate::Label) is looked up as it is, and rendered once per *distinct*
+    /// label for the whole run — so downstream bookkeeping stores a `u32` per
+    /// transition rather than a heap string.
     ///
     /// The third closure argument is the instance's declared [`Effect`] footprint
     /// (`None` when the action does not declare one), which drives partial-order
@@ -175,7 +178,7 @@ impl<S: SpecState> Spec<S> {
         for module in &self.modules {
             for action in &module.actions {
                 for inst in action.enabled(state) {
-                    f(labels.intern_owned(inst.label), inst.next, inst.effect);
+                    f(labels.intern_label(inst.label), inst.next, inst.effect);
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! commits through the follower's SyncRequestProcessor / CommitProcessor queues.
 
 use remix_spec::effect::flags;
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
+use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::BROADCAST;
 use crate::state::ZabState;
@@ -209,7 +209,7 @@ fn leader_process_request(cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabS
                     // Proposals go to a state-dependent follower set; the transaction
                     // budget and the ghost broadcast history are global scalars.
                     out.push(
-                        ActionInstance::new(format!("LeaderProcessRequest({i})"), next)
+                        ActionInstance::new(Label::new("LeaderProcessRequest").arg(i), next)
                             .with_effect(
                                 Effect::new()
                                     .writes_server(i)
@@ -261,7 +261,7 @@ fn follower_process_proposal(_cfg: &Cfg) -> ActionDef<ZabState> {
                 next.servers[i].history.push(txn);
                 next.send(i, j, Message::Ack { zxid: txn.zxid });
                 out.push(
-                    ActionInstance::new(format!("FollowerProcessPROPOSAL({i}, {j})"), next)
+                    ActionInstance::new(Label::new("FollowerProcessPROPOSAL").arg(i).arg(j), next)
                         .with_effect(eff_recv_reply(i, j).writes_flag(flags::VIOLATION)),
                 );
             }
@@ -319,7 +319,7 @@ fn leader_process_ack(_cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabStat
                 if leader_process_ack_step(&mut next, i, j) {
                     // Commits broadcast to a state-dependent follower set.
                     out.push(
-                        ActionInstance::new(format!("LeaderProcessACK({i}, {j})"), next)
+                        ActionInstance::new(Label::new("LeaderProcessACK").arg(i).arg(j), next)
                             .with_effect(Effect::new().writes_server(i).writes_channels_of(i)),
                     );
                 }
@@ -363,7 +363,7 @@ fn follower_process_commit(_cfg: &Cfg) -> ActionDef<ZabState> {
                 next.pop(j, i);
                 follower_apply_commit(&mut next, i, zxid, true);
                 out.push(
-                    ActionInstance::new(format!("FollowerProcessCOMMIT({i}, {j})"), next)
+                    ActionInstance::new(Label::new("FollowerProcessCOMMIT").arg(i).arg(j), next)
                         .with_effect(eff_recv(i, j).writes_flag(flags::VIOLATION)),
                 );
             }

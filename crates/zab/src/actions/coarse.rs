@@ -9,7 +9,7 @@
 //! the externally visible effects (`state`, `zabState`, `acceptedEpoch`, `currentEpoch`
 //! of the leader, learner bookkeeping) are preserved.
 
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
+use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::{DISCOVERY, ELECTION};
 use crate::state::ZabState;
@@ -153,10 +153,9 @@ fn election_and_discovery(cfg: &Cfg) -> ActionDef<ZabState> {
                         next.servers[o].vote = winning;
                     }
                 }
-                let members: Vec<String> = q.iter().map(|m| m.to_string()).collect();
                 out.push(
                     ActionInstance::new(
-                        format!("ElectionAndDiscovery({leader}, {{{}}})", members.join(", ")),
+                        Label::new("ElectionAndDiscovery").arg(leader).set(q.iter()),
                         next,
                     )
                     .with_effect(Effect::global()),
@@ -280,8 +279,11 @@ fn late_join(_cfg: &Cfg) -> ActionDef<ZabState> {
                 next.servers[l].epoch_acks.insert(i);
                 next.servers[l].learner_last_zxid.insert(i, last_zxid);
                 out.push(
-                    ActionInstance::new(format!("ElectionAndDiscoveryLateJoin({i}, {l})"), next)
-                        .with_effect(Effect::global()),
+                    ActionInstance::new(
+                        Label::new("ElectionAndDiscoveryLateJoin").arg(i).arg(l),
+                        next,
+                    )
+                    .with_effect(Effect::global()),
                 );
             }
             out
@@ -387,15 +389,12 @@ fn election_and_discovery_leader_crash(cfg: &Cfg) -> ActionDef<ZabState> {
                     next.crashes_remaining -= 1;
                     next.servers[leader].crash();
                     next.clear_channels(leader);
-                    let joined_label: Vec<String> = joined.iter().map(|m| m.to_string()).collect();
-                    let members: Vec<String> = q.iter().map(|m| m.to_string()).collect();
                     out.push(
                         ActionInstance::new(
-                            format!(
-                                "ElectionAndDiscoveryLeaderCrash({leader}, {{{}}}, {{{}}})",
-                                members.join(", "),
-                                joined_label.join(", ")
-                            ),
+                            Label::new("ElectionAndDiscoveryLeaderCrash")
+                                .arg(leader)
+                                .set(q.iter())
+                                .set(joined.iter().copied()),
                             next,
                         )
                         .with_effect(Effect::global()),
@@ -513,10 +512,13 @@ mod tests {
         let insts = m.actions[0].enabled(&s);
         let full = insts
             .iter()
-            .find(|i| i.label.contains("{0, 1, 2}"))
+            .find(|i| i.label.to_string().contains("{0, 1, 2}"))
             .expect("full-quorum election exists");
         // currentEpoch dominates the zxid in the vote order (the ZK-4643 mechanism).
-        assert!(full.label.starts_with("ElectionAndDiscovery(1,"));
+        assert!(full
+            .label
+            .to_string()
+            .starts_with("ElectionAndDiscovery(1,"));
         assert_eq!(full.next.servers[1].state, ServerState::Leading);
         assert_eq!(full.next.servers[0].leader, Some(1));
         // Learner bookkeeping is complete after the combined action.
@@ -533,7 +535,9 @@ mod tests {
         let mut s = ZabState::initial(&ClusterConfig::small(CodeVersion::V391));
         s.partitioned.insert((0, 1));
         let insts = m.actions[0].enabled(&s);
-        assert!(insts.iter().all(|i| !i.label.contains("{0, 1}")));
+        assert!(insts
+            .iter()
+            .all(|i| !i.label.to_string().contains("{0, 1}")));
         // {0, 2} and {1, 2} remain possible; the full set is not mutually connected.
         assert_eq!(insts.len(), 2);
     }
@@ -545,7 +549,7 @@ mod tests {
         s.servers[0].crash();
         let insts = m.actions[0].enabled(&s);
         assert_eq!(insts.len(), 1);
-        assert!(insts[0].label.contains("{1, 2}"));
+        assert!(insts[0].label.to_string().contains("{1, 2}"));
         // Once servers leave the LOOKING state no further election is offered.
         let settled = &insts[0].next;
         assert!(m.actions[0].enabled(settled).is_empty());

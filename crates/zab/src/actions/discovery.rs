@@ -1,6 +1,6 @@
 //! Baseline Discovery module: epoch negotiation between the new leader and its learners.
 
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
+use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::DISCOVERY;
 use crate::state::ZabState;
@@ -64,7 +64,9 @@ fn follower_info(_cfg: &Cfg) -> ActionDef<ZabState> {
                 next.send(i, j, msg);
                 out.push(
                     ActionInstance::new(
-                        format!("ConnectAndFollowerSendFOLLOWERINFO({i}, {j})"),
+                        Label::new("ConnectAndFollowerSendFOLLOWERINFO")
+                            .arg(i)
+                            .arg(j),
                         next,
                     )
                     .with_effect(Effect::new().writes_server(i).writes_channel(i, j)),
@@ -119,8 +121,11 @@ fn leader_process_follower_info(cfg: &Cfg) -> ActionDef<ZabState> {
                     }
                 }
                 out.push(
-                    ActionInstance::new(format!("LeaderProcessFOLLOWERINFO({i}, {j})"), next)
-                        .with_effect(eff_leader_process_follower_info(s.n(), i, j)),
+                    ActionInstance::new(
+                        Label::new("LeaderProcessFOLLOWERINFO").arg(i).arg(j),
+                        next,
+                    )
+                    .with_effect(eff_leader_process_follower_info(s.n(), i, j)),
                 );
             }
             out
@@ -170,8 +175,11 @@ fn follower_process_leader_info(_cfg: &Cfg) -> ActionDef<ZabState> {
                     next.servers[i].shutdown_to_looking(i, true);
                 }
                 out.push(
-                    ActionInstance::new(format!("FollowerProcessLEADERINFO({i}, {j})"), next)
-                        .with_effect(super::eff_recv_reply(i, j)),
+                    ActionInstance::new(
+                        Label::new("FollowerProcessLEADERINFO").arg(i).arg(j),
+                        next,
+                    )
+                    .with_effect(super::eff_recv_reply(i, j)),
                 );
             }
             out
@@ -211,7 +219,7 @@ fn leader_process_ack_epoch(_cfg: &Cfg) -> ActionDef<ZabState> {
                     }
                 }
                 out.push(
-                    ActionInstance::new(format!("LeaderProcessACKEPOCH({i}, {j})"), next)
+                    ActionInstance::new(Label::new("LeaderProcessACKEPOCH").arg(i).arg(j), next)
                         .with_effect(super::eff_recv(i, j)),
                 );
             }
@@ -322,7 +330,7 @@ mod tests {
         let inst = m.actions[2]
             .enabled(&s)
             .into_iter()
-            .find(|i| i.label == "FollowerProcessLEADERINFO(0, 2)")
+            .find(|i| i.label.to_string() == "FollowerProcessLEADERINFO(0, 2)")
             .unwrap();
         assert_eq!(inst.next.servers[0].state, ServerState::Looking);
     }

@@ -6,7 +6,7 @@
 //! notification per ordered pair, mirroring FLE's "latest notification supersedes"
 //! behaviour and keeping the state space finite.
 
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
+use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::ELECTION;
 use crate::state::ZabState;
@@ -71,7 +71,7 @@ fn fle_broadcast(_cfg: &Cfg) -> ActionDef<ZabState> {
                     let mut next = s.clone();
                     broadcast_vote(&mut next, i);
                     out.push(
-                        ActionInstance::new(format!("FLEBroadcastNotification({i})"), next)
+                        ActionInstance::new(Label::new("FLEBroadcastNotification").arg(i), next)
                             .with_effect(eff_broadcast(s.n(), i)),
                     );
                 }
@@ -110,7 +110,7 @@ fn fle_receive(_cfg: &Cfg) -> ActionDef<ZabState> {
                     }
                 }
                 out.push(
-                    ActionInstance::new(format!("FLEReceiveNotification({i}, {j})"), next)
+                    ActionInstance::new(Label::new("FLEReceiveNotification").arg(i).arg(j), next)
                         .with_effect(super::eff_recv(i, j)),
                 );
             }
@@ -159,7 +159,7 @@ fn fle_decide(_cfg: &Cfg) -> ActionDef<ZabState> {
                     }
                 }
                 out.push(
-                    ActionInstance::new(format!("FLEDecide({i})"), next)
+                    ActionInstance::new(Label::new("FLEDecide").arg(i), next)
                         .with_effect(Effect::new().writes_server(i)),
                 );
             }
@@ -195,7 +195,7 @@ fn fle_timeout(_cfg: &Cfg) -> ActionDef<ZabState> {
                     let mut next = s.clone();
                     next.servers[i].vote_broadcast = false;
                     out.push(
-                        ActionInstance::new(format!("FLENotificationTimeout({i})"), next)
+                        ActionInstance::new(Label::new("FLENotificationTimeout").arg(i), next)
                             .with_effect(eff_timeout(s.n(), i)),
                     );
                 }
@@ -294,13 +294,13 @@ mod tests {
         let b = m.actions[0]
             .enabled(&s)
             .into_iter()
-            .find(|i| i.label == "FLEBroadcastNotification(0)")
+            .find(|i| i.label.to_string() == "FLEBroadcastNotification(0)")
             .unwrap();
         let s = b.next;
         let r = m.actions[1]
             .enabled(&s)
             .into_iter()
-            .find(|i| i.label == "FLEReceiveNotification(1, 0)")
+            .find(|i| i.label.to_string() == "FLEReceiveNotification(1, 0)")
             .unwrap();
         let s = r.next;
         assert_eq!(s.servers[1].vote.leader, 0);
@@ -326,7 +326,7 @@ mod tests {
         let s2 = m.actions[0]
             .enabled(&s2)
             .into_iter()
-            .find(|inst| inst.label == format!("FLEBroadcastNotification({i})"))
+            .find(|inst| inst.label == Label::new("FLEBroadcastNotification").arg(i))
             .unwrap()
             .next;
         for j in 0..s2.n() {
@@ -349,7 +349,7 @@ mod tests {
             .actions
             .iter()
             .flat_map(|a| a.enabled(&s))
-            .map(|i| i.label)
+            .map(|i| i.label.to_string())
             .collect();
         assert!(labels
             .iter()

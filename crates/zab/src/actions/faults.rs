@@ -6,7 +6,7 @@
 //! requests may still be logged after the server joins a new epoch.
 
 use remix_spec::effect::flags;
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
+use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::FAULTS;
 use crate::state::ZabState;
@@ -43,7 +43,7 @@ fn node_crash(_cfg: &Cfg) -> ActionDef<ZabState> {
                 next.servers[i].crash();
                 next.clear_channels(i);
                 out.push(
-                    ActionInstance::new(format!("NodeCrash({i})"), next).with_effect(
+                    ActionInstance::new(Label::new("NodeCrash").arg(i), next).with_effect(
                         Effect::new()
                             .writes_server(i)
                             .writes_channels_of(i)
@@ -80,7 +80,7 @@ fn node_restart(_cfg: &Cfg) -> ActionDef<ZabState> {
                 // reachability of a link of `i` (e.g. `FollowerShutdown`'s dead-leader
                 // check) would be disabled by a restart it was declared independent of.
                 out.push(
-                    ActionInstance::new(format!("NodeRestart({i})"), next)
+                    ActionInstance::new(Label::new("NodeRestart").arg(i), next)
                         .with_effect(Effect::new().writes_server(i).writes_channels_of(i)),
                 );
             }
@@ -124,7 +124,7 @@ fn follower_shutdown(cfg: &Cfg) -> ActionDef<ZabState> {
                 next.clear_pair_channels(i, leader);
                 // The leader endpoint is state-dependent, so claim every channel of `i`.
                 out.push(
-                    ActionInstance::new(format!("FollowerShutdown({i})"), next)
+                    ActionInstance::new(Label::new("FollowerShutdown").arg(i), next)
                         .with_effect(Effect::new().writes_server(i).writes_channels_of(i)),
                 );
             }
@@ -170,7 +170,8 @@ fn leader_shutdown(cfg: &Cfg) -> ActionDef<ZabState> {
                     effect = effect.reads_server(j);
                 }
                 out.push(
-                    ActionInstance::new(format!("LeaderShutdown({i})"), next).with_effect(effect),
+                    ActionInstance::new(Label::new("LeaderShutdown").arg(i), next)
+                        .with_effect(effect),
                 );
             }
             out
@@ -205,7 +206,7 @@ fn network_partition(_cfg: &Cfg) -> ActionDef<ZabState> {
                     next.partitioned.insert((i, j));
                     next.clear_pair_channels(i, j);
                     out.push(
-                        ActionInstance::new(format!("NetworkPartition({i}, {j})"), next)
+                        ActionInstance::new(Label::new("NetworkPartition").arg(i).arg(j), next)
                             .with_effect(
                                 Effect::new()
                                     .reads_server(i)
@@ -236,7 +237,7 @@ fn partition_recover(_cfg: &Cfg) -> ActionDef<ZabState> {
                 let mut next = s.clone();
                 next.partitioned.remove(&(i, j));
                 out.push(
-                    ActionInstance::new(format!("PartitionRecover({i}, {j})"), next)
+                    ActionInstance::new(Label::new("PartitionRecover").arg(i).arg(j), next)
                         .with_effect(Effect::new().writes_channel(i, j).writes_channel(j, i)),
                 );
             }
@@ -315,8 +316,8 @@ mod tests {
         let insts = shutdown.enabled(&s2);
         assert_eq!(insts.len(), 2);
         assert!(insts.iter().all(|i| {
-            let sv =
-                &i.next.servers[usize::from(i.label.as_bytes()["FollowerShutdown(".len()] - b'0')];
+            let sv = &i.next.servers
+                [usize::from(i.label.to_string().as_bytes()["FollowerShutdown(".len()] - b'0')];
             sv.state == ServerState::Looking
         }));
     }
@@ -336,7 +337,7 @@ mod tests {
                 .unwrap()
                 .enabled(s)
                 .into_iter()
-                .find(|i| i.label == "FollowerShutdown(0)")
+                .find(|i| i.label.to_string() == "FollowerShutdown(0)")
                 .unwrap()
                 .next
         };

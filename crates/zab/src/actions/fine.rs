@@ -10,7 +10,7 @@
 //!   routed through the same thread queues.
 
 use remix_spec::effect::flags;
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
+use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::{BROADCAST, SYNCHRONIZATION};
 use crate::state::ZabState;
@@ -81,7 +81,9 @@ fn newleader_update_epoch(cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabS
                 }
                 out.push(
                     ActionInstance::new(
-                        format!("FollowerProcessNEWLEADER_UpdateEpoch({i}, {j})"),
+                        Label::new("FollowerProcessNEWLEADER_UpdateEpoch")
+                            .arg(i)
+                            .arg(j),
                         next,
                     )
                     .with_effect(eff_recv_reply(i, j)),
@@ -155,7 +157,9 @@ fn newleader_log_and_ack(cfg: &Cfg) -> ActionDef<ZabState> {
                 }
                 out.push(
                     ActionInstance::new(
-                        format!("FollowerProcessNEWLEADER_LogAndAck({i}, {j})"),
+                        Label::new("FollowerProcessNEWLEADER_LogAndAck")
+                            .arg(i)
+                            .arg(j),
                         next,
                     )
                     .with_effect(eff_recv_reply(i, j)),
@@ -221,7 +225,9 @@ fn newleader_log_async(cfg: &Cfg) -> ActionDef<ZabState> {
                 // Reads the NEWLEADER head without consuming it.
                 out.push(
                     ActionInstance::new(
-                        format!("FollowerProcessNEWLEADER_LogAsync({i}, {j})"),
+                        Label::new("FollowerProcessNEWLEADER_LogAsync")
+                            .arg(i)
+                            .arg(j),
                         next,
                     )
                     .with_effect(Effect::new().writes_server(i).reads_channel(j, i)),
@@ -283,7 +289,9 @@ fn newleader_reply_ack(cfg: &Cfg) -> ActionDef<ZabState> {
                 next.send(i, j, Message::Ack { zxid });
                 out.push(
                     ActionInstance::new(
-                        format!("FollowerProcessNEWLEADER_ReplyAck({i}, {j})"),
+                        Label::new("FollowerProcessNEWLEADER_ReplyAck")
+                            .arg(i)
+                            .arg(j),
                         next,
                     )
                     // Unlike the other handlers this one only moves messages (the
@@ -332,7 +340,7 @@ fn sync_processor_log_request(_cfg: &Cfg) -> ActionDef<ZabState> {
                 }
                 // The ACK goes to a state-dependent leader: claim every channel of `i`.
                 out.push(
-                    ActionInstance::new(format!("FollowerSyncProcessorLogRequest({i})"), next)
+                    ActionInstance::new(Label::new("FollowerSyncProcessorLogRequest").arg(i), next)
                         .with_effect(Effect::new().writes_server(i).writes_channels_of(i)),
                 );
             }
@@ -391,7 +399,7 @@ fn commit_processor_commit(cfg: &Cfg) -> ActionDef<ZabState> {
                     });
                 }
                 out.push(
-                    ActionInstance::new(format!("FollowerCommitProcessorCommit({i})"), next)
+                    ActionInstance::new(Label::new("FollowerCommitProcessorCommit").arg(i), next)
                         .with_effect(Effect::new().writes_server(i).writes_flag(flags::VIOLATION)),
                 );
             }
@@ -483,7 +491,7 @@ fn follower_process_uptodate_concurrent(cfg: &Cfg) -> ActionDef<ZabState> {
                 // The fine-grained model includes the follower's ACK to UPTODATE.
                 next.send(i, j, Message::Ack { zxid });
                 out.push(
-                    ActionInstance::new(format!("FollowerProcessUPTODATE({i}, {j})"), next)
+                    ActionInstance::new(Label::new("FollowerProcessUPTODATE").arg(i).arg(j), next)
                         .with_effect(eff_recv_reply(i, j)),
                 );
             }
@@ -533,7 +541,7 @@ fn follower_process_proposal_async(_cfg: &Cfg) -> ActionDef<ZabState> {
                 check_proposal(&mut next, i, txn);
                 next.servers[i].queued_requests.push(txn);
                 out.push(
-                    ActionInstance::new(format!("FollowerProcessPROPOSAL({i}, {j})"), next)
+                    ActionInstance::new(Label::new("FollowerProcessPROPOSAL").arg(i).arg(j), next)
                         .with_effect(eff_recv(i, j).writes_flag(flags::VIOLATION)),
                 );
             }
@@ -569,7 +577,7 @@ fn follower_process_commit_async(_cfg: &Cfg) -> ActionDef<ZabState> {
                 next.pop(j, i);
                 next.servers[i].pending_commits.push(zxid);
                 out.push(
-                    ActionInstance::new(format!("FollowerProcessCOMMIT({i}, {j})"), next)
+                    ActionInstance::new(Label::new("FollowerProcessCOMMIT").arg(i).arg(j), next)
                         .with_effect(eff_recv(i, j)),
                 );
             }
@@ -632,7 +640,7 @@ fn uptodate_baseline_at(_cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabSt
                 next.pop(j, i);
                 follower_uptodate_commit(&mut next, i, zxid);
                 out.push(
-                    ActionInstance::new(format!("FollowerProcessUPTODATE({i}, {j})"), next)
+                    ActionInstance::new(Label::new("FollowerProcessUPTODATE").arg(i).arg(j), next)
                         .with_effect(eff_recv(i, j)),
                 );
             }
@@ -842,7 +850,7 @@ mod tests {
         let s2 = log
             .enabled(&s)
             .into_iter()
-            .find(|i| i.label.contains("(0)"))
+            .find(|i| i.label.to_string().contains("(0)"))
             .unwrap()
             .next;
         assert_eq!(s2.servers[0].history.len(), 1);

@@ -8,7 +8,7 @@
 //! establishes the epoch and releases UPTODATE.
 
 use remix_spec::effect::flags;
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, ModuleSpec};
+use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::SYNCHRONIZATION;
 use crate::state::ZabState;
@@ -372,7 +372,7 @@ fn leader_sync_follower(_cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabSt
                 let mut next = s.clone();
                 if leader_sync_follower_step(&mut next, i, j) {
                     out.push(
-                        ActionInstance::new(format!("LeaderSyncFollower({i}, {j})"), next)
+                        ActionInstance::new(Label::new("LeaderSyncFollower").arg(i).arg(j), next)
                             .with_effect(Effect::new().writes_server(i).writes_channel(i, j)),
                     );
                 }
@@ -405,8 +405,11 @@ fn follower_process_sync_packets(_cfg: &Cfg, granularity: Granularity) -> Action
                 let mut next = s.clone();
                 if follower_process_sync_packets_step(&mut next, i, j) {
                     out.push(
-                        ActionInstance::new(format!("FollowerProcessSyncPackets({i}, {j})"), next)
-                            .with_effect(eff_recv(i, j)),
+                        ActionInstance::new(
+                            Label::new("FollowerProcessSyncPackets").arg(i).arg(j),
+                            next,
+                        )
+                        .with_effect(eff_recv(i, j)),
                     );
                 }
             }
@@ -466,7 +469,7 @@ fn follower_process_newleader_atomic(_cfg: &Cfg) -> ActionDef<ZabState> {
                     next.servers[i].shutdown_to_looking(i, true);
                 }
                 out.push(
-                    ActionInstance::new(format!("FollowerProcessNEWLEADER({i}, {j})"), next)
+                    ActionInstance::new(Label::new("FollowerProcessNEWLEADER").arg(i).arg(j), next)
                         .with_effect(eff_recv_reply(i, j)),
                 );
             }
@@ -511,7 +514,7 @@ fn leader_process_ackld(cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabSta
                     // Establishing the epoch broadcasts to a state-dependent follower
                     // set, records ghost bookkeeping and may record a violation.
                     out.push(
-                        ActionInstance::new(format!("LeaderProcessACKLD({i}, {j})"), next)
+                        ActionInstance::new(Label::new("LeaderProcessACKLD").arg(i).arg(j), next)
                             .with_effect(
                                 Effect::new()
                                     .writes_server(i)
@@ -569,7 +572,7 @@ fn follower_process_uptodate(_cfg: &Cfg) -> ActionDef<ZabState> {
                 next.pop(j, i);
                 follower_uptodate_commit(&mut next, i, zxid);
                 out.push(
-                    ActionInstance::new(format!("FollowerProcessUPTODATE({i}, {j})"), next)
+                    ActionInstance::new(Label::new("FollowerProcessUPTODATE").arg(i).arg(j), next)
                         .with_effect(eff_recv(i, j)),
                 );
             }
@@ -603,8 +606,11 @@ fn follower_process_commit_in_sync(cfg: &Cfg, granularity: Granularity) -> Actio
                 let mut next = s.clone();
                 if follower_commit_in_sync_step(&cfg, &mut next, i, j) {
                     out.push(
-                        ActionInstance::new(format!("FollowerProcessCOMMITInSync({i}, {j})"), next)
-                            .with_effect(eff_recv(i, j).writes_flag(flags::VIOLATION)),
+                        ActionInstance::new(
+                            Label::new("FollowerProcessCOMMITInSync").arg(i).arg(j),
+                            next,
+                        )
+                        .with_effect(eff_recv(i, j).writes_flag(flags::VIOLATION)),
                     );
                 }
             }
@@ -630,7 +636,7 @@ fn follower_process_proposal_in_sync(_cfg: &Cfg, granularity: Granularity) -> Ac
                 if follower_proposal_in_sync_step(&mut next, i, j) {
                     out.push(
                         ActionInstance::new(
-                            format!("FollowerProcessPROPOSALInSync({i}, {j})"),
+                            Label::new("FollowerProcessPROPOSALInSync").arg(i).arg(j),
                             next,
                         )
                         .with_effect(eff_recv(i, j)),
@@ -862,7 +868,7 @@ mod tests {
         let inst = action
             .enabled(&s)
             .into_iter()
-            .find(|i| i.label == "FollowerProcessNEWLEADER(0, 2)")
+            .find(|i| i.label.to_string() == "FollowerProcessNEWLEADER(0, 2)")
             .unwrap();
         assert_eq!(inst.next.servers[0].state, ServerState::Looking);
     }

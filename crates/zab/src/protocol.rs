@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use remix_spec::{compose, ActionDef, ActionInstance, Granularity, ModuleSpec, Spec};
+use remix_spec::{compose, ActionDef, ActionInstance, Granularity, Label, ModuleSpec, Spec};
 
 use crate::config::ClusterConfig;
 use crate::invariants::protocol_invariants;
@@ -97,9 +97,8 @@ fn oracle_elect(cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
                         next.servers[leader].learner_last_zxid.insert(m, z);
                     }
                 }
-                let members: Vec<String> = q.iter().map(|m| m.to_string()).collect();
                 out.push(ActionInstance::new(
-                    format!("OracleElectLeader({leader}, {{{}}})", members.join(", ")),
+                    Label::new("OracleElectLeader").arg(leader).set(q.iter()),
                     next,
                 ));
             }
@@ -151,7 +150,7 @@ fn leader_send_newleader(_cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
                     );
                     next.send(i, j, Message::NewLeader { epoch, zxid });
                     out.push(ActionInstance::new(
-                        format!("LeaderSendNEWLEADER({i}, {j})"),
+                        Label::new("LeaderSendNEWLEADER").arg(i).arg(j),
                         next,
                     ));
                 }
@@ -233,7 +232,7 @@ fn follower_newleader_actions(
                             next.servers[i].accepted_epoch = epoch;
                             next.send(i, j, Message::Ack { zxid });
                             out.push(ActionInstance::new(
-                                format!("FollowerProcessNEWLEADER({i}, {j})"),
+                                Label::new("FollowerProcessNEWLEADER").arg(i).arg(j),
                                 next,
                             ));
                         }
@@ -265,7 +264,9 @@ fn follower_newleader_actions(
                             let mut next = s.clone();
                             accept_history(&mut next, i, j);
                             out.push(ActionInstance::new(
-                                format!("FollowerProcessNEWLEADER_AcceptHistory({i}, {j})"),
+                                Label::new("FollowerProcessNEWLEADER_AcceptHistory")
+                                    .arg(i)
+                                    .arg(j),
                                 next,
                             ));
                         }
@@ -297,7 +298,9 @@ fn follower_newleader_actions(
                             next.servers[i].accepted_epoch = epoch;
                             next.send(i, j, Message::Ack { zxid });
                             out.push(ActionInstance::new(
-                                format!("FollowerProcessNEWLEADER_UpdateEpochAndAck({i}, {j})"),
+                                Label::new("FollowerProcessNEWLEADER_UpdateEpochAndAck")
+                                    .arg(i)
+                                    .arg(j),
                                 next,
                             ));
                         }
@@ -361,7 +364,7 @@ fn establishment_actions(_cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> 
                             }
                         }
                         out.push(ActionInstance::new(
-                            format!("LeaderProcessACKLD({i}, {j})"),
+                            Label::new("LeaderProcessACKLD").arg(i).arg(j),
                             next,
                         ));
                     }
@@ -397,7 +400,7 @@ fn establishment_actions(_cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> 
                         sv.phase = ZabPhase::Broadcast;
                         sv.serving = true;
                         out.push(ActionInstance::new(
-                            format!("FollowerProcessCOMMITLD({i}, {j})"),
+                            Label::new("FollowerProcessCOMMITLD").arg(i).arg(j),
                             next,
                         ));
                     }
@@ -426,7 +429,7 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
                         &cfg_prop, &mut next, i,
                     ) {
                         out.push(ActionInstance::new(
-                            format!("LeaderBroadcastPROPOSE({i})"),
+                            Label::new("LeaderBroadcastPROPOSE").arg(i),
                             next,
                         ));
                     }
@@ -460,7 +463,7 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
                         next.servers[i].history.push(txn);
                         next.send(i, j, Message::Ack { zxid: txn.zxid });
                         out.push(ActionInstance::new(
-                            format!("FollowerAcceptPROPOSE({i}, {j})"),
+                            Label::new("FollowerAcceptPROPOSE").arg(i).arg(j),
                             next,
                         ));
                     }
@@ -484,7 +487,7 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
                         let mut next = s.clone();
                         if crate::actions::broadcast::leader_process_ack_step(&mut next, i, j) {
                             out.push(ActionInstance::new(
-                                format!("LeaderProcessACK({i}, {j})"),
+                                Label::new("LeaderProcessACK").arg(i).arg(j),
                                 next,
                             ));
                         }
@@ -525,7 +528,7 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
                         next.pop(j, i);
                         crate::actions::broadcast::follower_apply_commit(&mut next, i, zxid, false);
                         out.push(ActionInstance::new(
-                            format!("FollowerDeliverCOMMIT({i}, {j})"),
+                            Label::new("FollowerDeliverCOMMIT").arg(i).arg(j),
                             next,
                         ));
                     }

@@ -30,7 +30,11 @@
 //! scalars, but each shared component as the 128-bit digest its allocation memoizes
 //! ([`Shared::digest`]), so keying a successor hashes the one or two components its
 //! action wrote and seven digests instead of the whole state.  Both are functions of
-//! the value alone.
+//! the value alone.  The checker computes `state_key` only where it reads it — a
+//! fingerprint-only store's routing and dedup, BFS's tie-break among same-depth
+//! violations, refinement's representatives — so on a Full store's duplicate edges no
+//! digest is computed: the pool finds each written component by a cheap table hash of
+//! the same `Hash` stream and confirms it by `==` (see `remix_spec::shared`).
 //!
 //! # The stored row
 //!

@@ -33,7 +33,7 @@ fn footprinted_instances(
         for action in &module.actions {
             for inst in action.enabled(s) {
                 if let Some(e) = inst.effect.filter(|e| !e.is_global()) {
-                    out.push((inst.label, inst.next, e));
+                    out.push((inst.label.to_string(), inst.next, e));
                 }
             }
         }

@@ -10,7 +10,7 @@ use remix_zab::{ClusterConfig, Message, Sid, Zxid};
 
 use crate::network::Network;
 use crate::node::{NodeHandle, RunState, SyncPhase};
-use crate::observation::{NodeObservation, Observation};
+use crate::observation::Observation;
 
 /// One schedulable code-level action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -531,28 +531,10 @@ impl Cluster {
         }
     }
 
-    /// Snapshots the observable state of the cluster, borrowing each node's log and
-    /// error text.
+    /// The observable state of the cluster: a view that reads each node's record, its
+    /// log and error text borrowed, when asked for it.
     pub fn observe(&self) -> Observation<'_> {
-        Observation {
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| NodeObservation {
-                    sid: n.server.sid,
-                    current_epoch: n.server.disk.current_epoch,
-                    accepted_epoch: n.server.disk.accepted_epoch,
-                    log: &n.server.disk.log,
-                    committed: n.server.disk.committed,
-                    up: n.server.run_state != RunState::Down,
-                    error: n
-                        .server
-                        .error
-                        .as_deref()
-                        .or_else(|| n.leader.as_ref().and_then(|l| l.error.as_deref())),
-                })
-                .collect(),
-        }
+        Observation::of(&self.nodes)
     }
 
     /// The last zxid of a node's log (helper for tests and mappings).
@@ -622,7 +604,7 @@ mod tests {
         }
         let obs = c.observe();
         assert!(obs.first_error().is_none());
-        for n in &obs.nodes {
+        for n in obs.nodes() {
             assert_eq!(n.current_epoch, 1, "server {}", n.sid);
             assert_eq!(n.log.len(), 1, "server {}", n.sid);
             assert_eq!(n.committed, 1, "server {}", n.sid);
@@ -661,9 +643,9 @@ mod tests {
         }
         let obs = c.observe();
         // The epoch is established and committed on the leader...
-        assert_eq!(obs.nodes[2].committed, 1);
+        assert_eq!(obs.node(2).committed, 1);
         // ...but the follower's disk has nothing: the data only lives in its queue.
-        assert!(obs.nodes[0].log.is_empty());
+        assert!(obs.node(0).log.is_empty());
         assert_eq!(c.nodes[0].server.sync_processor.queue.len(), 1);
     }
 
@@ -703,11 +685,11 @@ mod tests {
             .push(remix_zab::Txn::new(1, 1, 1));
         c.nodes[1].server.disk.current_epoch = 1;
         c.step(&SimEvent::Crash { node: 1 }).unwrap();
-        assert!(!c.observe().nodes[1].up);
+        assert!(!c.observe().node(1).up);
         c.step(&SimEvent::Restart { node: 1 }).unwrap();
         let obs = c.observe();
-        assert!(obs.nodes[1].up);
-        assert_eq!(obs.nodes[1].log.len(), 1);
-        assert_eq!(obs.nodes[1].current_epoch, 1);
+        assert!(obs.node(1).up);
+        assert_eq!(obs.node(1).log.len(), 1);
+        assert_eq!(obs.node(1).current_epoch, 1);
     }
 }

@@ -1,14 +1,16 @@
 //! Observations: the code-level state snapshot compared against the model during
 //! conformance checking.
 //!
-//! An observation borrows from the cluster it was taken of — each node's durable log
-//! and error text are read in place, not copied — so taking one per replayed step
-//! costs one small vector of per-node records.
+//! An observation borrows the nodes of the cluster it was taken of and reads each
+//! node's record when it is asked for — the durable log and error text in place, not
+//! copied — so taking one per replayed step allocates nothing.
 
 use std::collections::BTreeMap;
 
 use remix_spec::Value;
 use remix_zab::{Sid, Txn};
+
+use crate::node::{NodeHandle, RunState};
 
 /// The observable state of one server process.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,20 +31,59 @@ pub struct NodeObservation<'a> {
     pub error: Option<&'a str>,
 }
 
-/// The observable state of the whole cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+impl<'a> NodeObservation<'a> {
+    /// What `node` shows of itself: its disk, whether it is up, and the error its
+    /// follower side — or else its leader side — raised.
+    pub fn of(node: &'a NodeHandle) -> Self {
+        let server = &node.server;
+        NodeObservation {
+            sid: server.sid,
+            current_epoch: server.disk.current_epoch,
+            accepted_epoch: server.disk.accepted_epoch,
+            log: &server.disk.log,
+            committed: server.disk.committed,
+            up: server.run_state != RunState::Down,
+            error: server
+                .error
+                .as_deref()
+                .or_else(|| node.leader.as_ref().and_then(|l| l.error.as_deref())),
+        }
+    }
+}
+
+/// The observable state of the whole cluster: a view of its nodes, each read into a
+/// [`NodeObservation`] when [`Observation::nodes`] reaches it.
+#[derive(Debug, Clone, Copy)]
 pub struct Observation<'a> {
-    /// Per-server observations, indexed by sid.
-    pub nodes: Vec<NodeObservation<'a>>,
+    nodes: &'a [NodeHandle],
 }
 
 impl<'a> Observation<'a> {
+    /// The observation of `nodes`, indexed by sid.
+    pub fn of(nodes: &'a [NodeHandle]) -> Self {
+        Observation { nodes }
+    }
+
+    /// Per-server observations, in sid order.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeObservation<'a>> + 'a {
+        self.nodes.iter().map(NodeObservation::of)
+    }
+
+    /// The observation of server `sid`.
+    ///
+    /// # Panics
+    ///
+    /// When the cluster has no server `sid`.
+    pub fn node(&self, sid: Sid) -> NodeObservation<'a> {
+        NodeObservation::of(&self.nodes[sid])
+    }
+
     /// Projects the observation into the same variable space as the model state, so the
     /// conformance checker can compare them value by value.
     pub fn project(&self, vars: &[&str]) -> BTreeMap<String, Value> {
         let mut out = BTreeMap::new();
         let per_node = |f: &dyn Fn(&NodeObservation) -> Value| -> Value {
-            Value::Seq(self.nodes.iter().map(f).collect())
+            Value::Seq(self.nodes().map(|n| f(&n)).collect())
         };
         for var in vars {
             let v = match *var {
@@ -63,7 +104,7 @@ impl<'a> Observation<'a> {
                             .collect(),
                     )
                 })),
-                "violation" => Some(Value::Bool(self.nodes.iter().any(|n| n.error.is_some()))),
+                "violation" => Some(Value::Bool(self.nodes().any(|n| n.error.is_some()))),
                 _ => None,
             };
             if let Some(v) = v {
@@ -85,8 +126,8 @@ impl<'a> Observation<'a> {
     }
 
     /// The first error raised by any node, if any.
-    pub fn first_error(&self) -> Option<(&NodeObservation<'a>, &'a str)> {
-        self.nodes.iter().find_map(|n| n.error.map(|e| (n, e)))
+    pub fn first_error(&self) -> Option<(NodeObservation<'a>, &'a str)> {
+        self.nodes().find_map(|n| n.error.map(|e| (n, e)))
     }
 }
 
@@ -94,35 +135,24 @@ impl<'a> Observation<'a> {
 mod tests {
     use super::*;
 
-    fn obs(log: &[Txn]) -> Observation<'_> {
-        Observation {
-            nodes: vec![
-                NodeObservation {
-                    sid: 0,
-                    current_epoch: 1,
-                    accepted_epoch: 1,
-                    log,
-                    committed: 1,
-                    up: true,
-                    error: None,
-                },
-                NodeObservation {
-                    sid: 1,
-                    current_epoch: 0,
-                    accepted_epoch: 1,
-                    log: &[],
-                    committed: 0,
-                    up: true,
-                    error: Some("ZK-4394"),
-                },
-            ],
-        }
+    /// Two nodes: server 0 with one committed transaction in epoch 1, server 1 with
+    /// accepted epoch 1 and an error.
+    fn nodes() -> Vec<NodeHandle> {
+        let mut nodes = vec![NodeHandle::new(0), NodeHandle::new(1)];
+        let disk = &mut nodes[0].server.disk;
+        disk.current_epoch = 1;
+        disk.accepted_epoch = 1;
+        disk.log.push(Txn::new(1, 1, 7));
+        disk.committed = 1;
+        nodes[1].server.disk.accepted_epoch = 1;
+        nodes[1].server.error = Some("ZK-4394".to_owned());
+        nodes
     }
 
     #[test]
     fn projection_matches_the_model_variable_space() {
-        let log = [Txn::new(1, 1, 7)];
-        let o = obs(&log);
+        let nodes = nodes();
+        let o = Observation::of(&nodes);
         let p = o.project(Observation::comparable_variables());
         assert_eq!(p.len(), 5);
         assert_eq!(
@@ -141,8 +171,8 @@ mod tests {
 
     #[test]
     fn first_error_is_reported() {
-        let log = [Txn::new(1, 1, 7)];
-        let o = obs(&log);
+        let nodes = nodes();
+        let o = Observation::of(&nodes);
         let (node, err) = o.first_error().unwrap();
         assert_eq!(node.sid, 1);
         assert!(err.contains("ZK-4394"));
