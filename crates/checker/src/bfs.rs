@@ -973,14 +973,17 @@ mod tests {
             outcome.stats.per_worker_transitions.iter().sum::<u64>(),
             outcome.stats.transitions
         );
-        // One contention counter per stripe the store has: a Full store has one,
-        // whatever `shards` says; a fingerprint-only store has `shards`.
-        assert_eq!(outcome.stats.shard_contention.len(), 1);
+        // One contention counter per stripe the store has, in either backend.
+        assert_eq!(
+            outcome.stats.shard_contention.len(),
+            CheckOptions::default().shards
+        );
         let keyed = CheckOptions::default()
             .with_workers(4)
-            .with_store_mode(StoreMode::FingerprintOnly);
+            .with_store_mode(StoreMode::FingerprintOnly)
+            .with_shards(8);
         let outcome = check_bfs(&spec, &keyed);
-        assert_eq!(outcome.stats.shard_contention.len(), keyed.shards);
+        assert_eq!(outcome.stats.shard_contention.len(), 8);
     }
     /// Distinct values and distinct allocations among the handles of one component
     /// kind; `see` asserts `==` ⇒ `ptr_eq` (the converse holds by construction).

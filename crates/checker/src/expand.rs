@@ -6,8 +6,9 @@
 //! representative (by value: an already canonical successor is not cloned), and reset
 //! the sleep set if canonicalization relabelled it.  It does not key the successor: a
 //! [`StoreMode::Full`](crate::store::StoreMode) store dedups on the row it writes and
-//! needs no key, so the store's insert ([`StateStore::insert`]) keys a successor only
-//! for a fingerprint-only store, which computes `state_key`
+//! routes it to a stripe by the row's hash, so the store's insert
+//! ([`StateStore::insert`]) keys a successor only for a fingerprint-only store, which
+//! computes `state_key`
 //! (a hash over memoized component digests, so only what the action wrote is hashed).
 //! The level-synchronous kernel and [`crate::dfs`] both call [`Pipeline::expand`]; it
 //! is the only caller of `Spec::for_each_successor` in this crate (the

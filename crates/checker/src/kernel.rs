@@ -27,17 +27,17 @@
 //! * **Insert while hot** — what a worker stages is *one parent's successors*: the
 //!   enumeration callback pushes them into one per-worker `Vec` (no lock may be taken
 //!   inside it), and as soon as it returns each is inserted in enumeration order —
-//!   lock its stripe, `insert_edge`, unlock, then the visitor hook and the POR sleep
-//!   edge.  Four in five successors are duplicates at the paper's scale, and a
-//!   duplicate costs its enumeration, one intern and one row probe: a Full store (one
-//!   stripe) needs no key, so none is computed, and a typed label is interned without
-//!   being rendered.  Each successor is interned (its just-written components replaced
-//!   by the pool's) inside that insert — in a Full store before the probe, whose key is
-//!   the row it writes, in a fingerprint-only one when it is fresh, after the
-//!   `state_key` that routed and deduped it; parking successors per stripe until a
-//!   batch filled kept thousands of them — each with freshly allocated components —
-//!   cold before the insert, and freed them late.  A batch amortised nothing but an
-//!   uncontended stripe mutex: the pool lock is taken per insert inside it.
+//!   lock its stripe, insert, unlock, then the visitor hook and the POR sleep edge.
+//!   Four in five successors are duplicates at the paper's scale, and a duplicate
+//!   costs its enumeration, one intern and one row probe: a Full store routes by the
+//!   row's hash and needs no key, so none is computed, and a typed label is interned
+//!   without being rendered.  Each successor is interned (its just-written components
+//!   replaced by the pool's) inside that insert — in a Full store under the pool's lock
+//!   alone, before the row it writes picks and probes a stripe, in a fingerprint-only
+//!   one when it is fresh, after the `state_key` that routed and deduped it; parking
+//!   successors per stripe until a batch filled kept thousands of them — each with
+//!   freshly allocated components — cold before the insert, and freed them late.  A
+//!   batch amortised nothing but an uncontended stripe mutex.
 //!   Every team size inserts this way: there is one insert rule.
 //! * **One claim cursor** — every worker of a level claims its next run of frontier
 //!   indices from one shared atomic counter (`fetch_add`), so each state is expanded

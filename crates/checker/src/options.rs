@@ -88,14 +88,13 @@ pub struct CheckOptions {
     /// (§4.4: the paper's runs use a 40-core machine).  `1` runs inline on the calling
     /// thread with no thread spawns.
     pub workers: usize,
-    /// Number of lock stripes of a [`StoreMode::FingerprintOnly`] store (rounded up to
-    /// a power of two), which routes each insert to a stripe by the leading bits of its
-    /// `state_key`.  Inserts only contend when two workers hit the same stripe, so this
-    /// should comfortably exceed `workers`; the default of 64 keeps contention
-    /// (reported in `CheckStats::shard_contention`) negligible for any realistic core
-    /// count.  A [`StoreMode::Full`] store ignores it: it has one stripe, because every
-    /// Full insert takes the store's one intern pool lock under its stripe anyway, and
-    /// one stripe needs no key to route by.
+    /// Number of lock stripes of the discovered-state set (rounded up to a power of
+    /// two).  A [`StoreMode::FingerprintOnly`] store routes each insert to a stripe by
+    /// the leading bits of its `state_key`; a [`StoreMode::Full`] one by its row's hash,
+    /// after interning it under the pool's lock.  Inserts only contend when two workers
+    /// hit the same stripe, so this should comfortably exceed `workers`; the default of
+    /// 64 keeps contention (reported in `CheckStats::shard_contention`) negligible for
+    /// any realistic core count.
     pub shards: usize,
     /// Ignored — results never depended on it; deleted in the next `benchmark` PR.
     pub batch_size: usize,
@@ -189,7 +188,7 @@ impl CheckOptions {
         self
     }
 
-    /// Sets the number of lock stripes of a fingerprint-only store (see the field).
+    /// Sets the number of lock stripes of the discovered-state set.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

@@ -78,10 +78,9 @@ pub struct CheckStats {
     pub per_worker_transitions: Vec<u64>,
     /// Per-stripe contention counters of the discovered-state set, one per stripe the
     /// store has: how many lock acquisitions on each stripe had to wait (a stripe is
-    /// locked once per edge).  A [`StoreMode::Full`](crate::StoreMode) store has one
-    /// stripe, so one counter, which counts the workers meeting at it.  For a
-    /// fingerprint-only store, high values relative to `transitions` mean
-    /// `CheckOptions::shards` should be raised.
+    /// locked once per edge).  High values relative to `transitions` mean
+    /// `CheckOptions::shards` should be raised.  Waits on a Full store's intern pool,
+    /// taken once per edge before the stripe, are not counted here.
     pub shard_contention: Vec<u64>,
     /// Peak resident entry-payload bytes of the discovered-state store (the store is
     /// append-only, so the final size is the peak).  Counts the fixed per-entry

@@ -90,8 +90,7 @@ pub struct RefineOptions {
     pub mode: RefineMode,
     /// Worker threads expanding each exploration frontier (both sides).
     pub workers: usize,
-    /// Ignored: each side runs a Full store, which has one stripe (see
-    /// [`CheckOptions::shards`](crate::CheckOptions)).
+    /// Lock stripes of each side's discovered-state set (rounded up to a power of two).
     pub shards: usize,
     /// Maximum exploration depth per side; `None` = unbounded.
     pub max_depth: Option<u32>,
@@ -1851,8 +1850,13 @@ mod tests {
     fn spilled_refinement_matches_the_in_ram_run_in_every_mode() {
         use crate::spill::SpillConfig;
 
-        // A Full store is one stripe, so the ~180-state sides overflow its flush floor.
-        let base = RefineOptions::default();
+        // Few shards so the ~180-state sides overflow the per-shard flush floor (with
+        // the default 64 shards each delta table holds only a couple of entries and the
+        // budget can never force a flush).
+        let base = RefineOptions {
+            shards: 2,
+            ..RefineOptions::default()
+        };
         let in_ram = check_refinement(
             &fine_spec(120),
             &coarse_spec(120, false),

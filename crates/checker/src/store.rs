@@ -38,11 +38,11 @@
 //! is its row, and its dedup entry is one 5-byte bucket of the stripe's row index (a
 //! `u32` slot and a tag byte) that names the row; no fingerprint is kept per state.
 //!
-//! Both backends are safe for concurrent insertion from many workers.  A Full store is
-//! one table under one lock; a fingerprint-only arena is striped into power-of-two
-//! lock shards routed by the fingerprint's leading bits.  A [`StateIndex`] packs
-//! `(local slot, shard)` (a Full store's shard bits are none), so indices stay valid
-//! forever without any cross-shard coordination.
+//! Both backends are safe for concurrent insertion from many workers: the arena is
+//! striped into power-of-two lock shards, routed in a Full store by the hash of the
+//! state's row and in a fingerprint-only one by the fingerprint's leading bits.  A
+//! [`StateIndex`] packs `(local slot, shard)`, so indices stay valid forever without
+//! any cross-shard coordination.
 //!
 //! # Keys
 //!
@@ -58,11 +58,12 @@
 //!
 //! [`StoreMode::Full`] dedups on the state's row — its components hash-consed and
 //! equality-checked by the pool, its scalars written out — so its dedup is exact and
-//! needs no key: it has one stripe, takes any fingerprint [`ShardHandle::insert`] is
-//! handed without reading it, and the engines compute none for it
-//! (the crate's `StateStore::insert`).  At the paper's scale four edges in five are dedup hits,
-//! so a hit costs its enumeration, one intern and one row probe.  The row index hashes
-//! the row's words and confirms a tag match by comparing the stored row word for word.  Under a
+//! needs no key: the row's own hash picks its stripe, [`ShardHandle::insert`] ignores
+//! the fingerprint it is handed, and the engines compute none for it (the crate's
+//! `StateStore::insert`).  At the paper's scale four edges in five are dedup hits, so a
+//! hit costs its enumeration, one intern and one row probe.  The stripe's row index
+//! finds the row by the same hash and confirms a tag match by comparing the stored row
+//! word for word.  Under a
 //! memory budget a Full stripe spills its rows' 128-bit [`PairHasher`] digests, read
 //! out of the arena, and probes the runs with the digest of the row being inserted: the
 //! in-RAM tier stays exact, and the spilled one is as exact as the fingerprint-only
@@ -114,8 +115,7 @@
 //! insert: the moved-in state goes back to the caller, and the readers
 //! ([`StateStore::state_at`]: the BFS kernel's parent of every expansion, trace
 //! reconstruction, refinement's witnesses) decode the row into the stripe's scratch
-//! row and rebuild from it under the stripe's lock and then the pool's, the insert's
-//! order (see "Locks").
+//! row and rebuild from it under the stripe's lock and then the pool's (see "Locks").
 //!
 //! A row's words are `u32`s, but a run's pool holds a few thousand slots, so a stripe
 //! keeps its rows in 16-bit units: one unit per word while every word the stripe has
@@ -134,28 +134,28 @@
 //!
 //! # Locks
 //!
-//! Two locks live here, and they nest in one order only: a stripe, then the intern
-//! pool.  A [`StoreMode::Full`] store has exactly one stripe: every Full insert writes
-//! its row through the pool, so the pool's lock serialized Full inserts already, and
-//! one stripe needs no key to pick it by ([`StateStore::shard_of`] answers 0).  The
-//! pool is taken under that stripe on every Full insert.  A
-//! [`StoreMode::FingerprintOnly`] store has `CheckOptions::shards` stripes, routed by
-//! the leading bits of each insert's `state_key`, and takes the pool under one of them
-//! only for a fresh state.  The order is a fact of the types.  The pool's one accessor (the private
-//! `Pool::lock`) borrows the stripe the caller has locked and hands it back reborrowed,
-//! so no code can take the pool without holding a stripe, and the pool guard cannot
-//! outlive that borrow.  The paths that take it are the insert (a Full row, or a fresh
-//! fingerprint-only state's components), [`StateStore::index_of`],
-//! [`StateStore::state_at`], [`StateStore::interned_components`] and a test-only walk
-//! over the stored states.
+//! Two kinds of lock live here: the stripes and the intern pool.  **The pool is a
+//! leaf:** no code locks anything while it holds the pool, so however the pool is
+//! taken it cannot close a cycle.  **Stripes never nest:** each `StateStore` method
+//! locks at most one stripe and releases it before it returns.  Those two rules leave
+//! one nesting, a stripe and then the pool, and no order in which a wait can go round.
 //!
-//! One condition must hold for that order to be the only one: **stripes never nest.**
-//! Each `StateStore` method locks one stripe and releases it before it returns — the
-//! engines (the kernel, the expansion pipeline, DFS) insert through one of them,
-//! `StateStore::insert`, which holds a [`ShardHandle`] for a single `insert_edge`
-//! expression.  Code that holds two stripes at once, or locks a stripe
-//! while it holds a handle, would break it.
+//! * A [`StoreMode::Full`] insert (and [`StateStore::index_of`]) interns the state and
+//!   writes its row under the pool alone, into a per-thread scratch row, releases the
+//!   pool, and only then locks the stripe the row's hash routes to, for the probe and
+//!   the append.  So the pool serializes the intern only, and two workers probe and
+//!   append rows in different stripes at once.
+//! * A [`StoreMode::FingerprintOnly`] insert locks the stripe its `state_key` routes
+//!   to (through [`StateStore::lock_shard`]; the kernel holds that [`ShardHandle`] for
+//!   one insert) and, for a fresh state only, takes the pool under it.
+//! * [`StateStore::state_at`] and a test-only walk over the stored states decode a row
+//!   under its stripe and rebuild the state under the pool, taken under the stripe.
+//!   [`StateStore::interned_components`] takes the pool alone.
+//!
+//! Code that holds two stripes at once, locks a stripe while it holds a handle, or
+//! locks a stripe while it holds the pool, would break the order.
 
+use std::cell::Cell;
 use std::collections::hash_map::{Entry, VacantEntry};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -167,7 +167,7 @@ use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, MutexGuard, Orderin
 
 use remix_spec::{
     CanonFn, DigestMap, InternPool, LabelId, LabelTable, PairHasher, Perm, SlotIndex, Spec,
-    SpecState, Trace, INIT_LABEL,
+    SpecState, TableHasher, Trace, INIT_LABEL,
 };
 
 use crate::fingerprint::{state_key, Fingerprint};
@@ -209,9 +209,6 @@ const NO_PARENT: u32 = u32::MAX;
 /// Why indexing the arena by a [`StateIndex`] cannot fail.
 const NO_ENTRY: &str = "a StateIndex names an entry of the store that issued it";
 
-/// Why a fingerprint-only insert must be handed its key.
-const KEYED: &str = "a fingerprint-only store dedups on the state's key";
-
 /// Fixed per-entry metadata: 8 bytes regardless of the state type and the backend.
 /// The entry's fingerprint is not among them: the dedup tier (the stripe's map or a
 /// spilled run) keeps it, once.
@@ -220,6 +217,15 @@ struct SlotMeta {
     parent: u32,
     /// Interned label of the action that first discovered this state.
     label: LabelId,
+}
+
+impl SlotMeta {
+    fn new(parent: Option<StateIndex>, label: LabelId) -> Self {
+        SlotMeta {
+            parent: parent.map_or(NO_PARENT, |p| p.0),
+            label,
+        }
+    }
 }
 
 /// One lock stripe of the arena.
@@ -395,19 +401,16 @@ impl DedupTable {
     }
 }
 
-/// A cheap mix of a row's words, for a Full stripe's [`SlotIndex`] of rows: a
-/// multiply-rotate pass and SplitMix64's finalizer, so every word reaches both the low
-/// bits that pick the bucket and the top byte that tags it.
+/// The [`TableHasher`] hash of a row's words: its low bits pick the bucket of a Full
+/// stripe's [`SlotIndex`] of rows, its top byte tags it, and bits 32 on pick the
+/// stripe (see [`StateStore::shard_of_row`]).
 fn row_hash(row: impl ExactSizeIterator<Item = u32>) -> u64 {
-    let mut h = row.len() as u64;
+    let mut hasher = TableHasher::default();
+    hasher.write_usize(row.len());
     for word in row {
-        h = (h.rotate_left(29) ^ u64::from(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        hasher.write_u32(word);
     }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+    hasher.finish()
 }
 
 /// The 128-bit key a [`StoreMode::Full`] row is spilled and probed under: the row's
@@ -455,35 +458,41 @@ pub struct StateStore<S> {
     stride: AtomicUsize,
     /// Whether entries carry a recorded permutation (set by the first canonical insert).
     records_perms: AtomicBool,
-    /// One allocation per distinct component value of the run; see the module docs.
-    pool: Pool,
+    /// One allocation per distinct component value of the run; see the module docs.  A
+    /// leaf lock: nothing is locked while it is held (see "Locks").
+    pool: Mutex<InternPool>,
     /// The out-of-core tier; `None` when no memory budget is configured (the store
     /// then behaves exactly as before the spill tier existed).
     spill: Option<StoreSpill>,
 }
 
-/// The store's intern pool behind its lock, which only a held stripe can take: see
-/// "Locks" in the module docs.
-struct Pool(Mutex<InternPool>);
-
-impl Pool {
-    /// Locks the pool under `held`, a stripe the caller has locked, and hands the stripe
-    /// back reborrowed: the pool guard lives no longer than that borrow, so the pool is
-    /// taken after its stripe and released before it.
-    fn lock<'a, S>(
-        &'a self,
-        held: &'a mut StoreShard<S>,
-    ) -> (MutexGuard<'a, InternPool>, &'a mut StoreShard<S>) {
-        (self.0.lock(), held)
-    }
-
-    /// Interns `state`'s components and writes its row into `held`'s scratch row.
-    fn write_row<S: SpecState>(&self, held: &mut StoreShard<S>, state: &mut S) {
-        let (mut pool, held) = self.lock(held);
-        held.row.clear();
-        state.intern(&mut pool, Some(&mut held.row));
-    }
+thread_local! {
+    /// Where a [`StoreMode::Full`] insert or lookup writes the row of the state it is
+    /// handed: the row is written under the pool's lock and probed under its stripe's,
+    /// so it lives outside both, one per thread.
+    static ROW: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
+
+/// Runs `f` on this thread's empty scratch row (see [`ROW`]).
+fn with_row<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
+    ROW.with(|cell| {
+        let mut row = cell.take();
+        row.clear();
+        let out = f(&mut row);
+        cell.set(row);
+        out
+    })
+}
+
+/// What a stripe is probed with: in [`StoreMode::Full`] the state's row and its
+/// [`row_hash`], in [`StoreMode::FingerprintOnly`] the state's key.
+enum Probe<'r> {
+    Row(&'r [u32], u64),
+    Key(Fingerprint),
+}
+
+/// Why a stripe's table and its probe always agree on the backend.
+const ONE_BACKEND: &str = "a Full store is probed by row, a fingerprint-only one by key";
 
 impl<S> Drop for StateStore<S> {
     fn drop(&mut self) {
@@ -507,16 +516,13 @@ pub enum Insert<S> {
     Fresh(StateIndex, S),
 }
 
-/// A locked stripe; the kernel holds one for a single `insert_edge`.
+/// A locked stripe of a [`StoreMode::FingerprintOnly`] store, or the way into a
+/// [`StoreMode::Full`] one, whose inserts each lock the stripe their row hashes to (see
+/// [`StateStore::lock_shard`]).
 pub struct ShardHandle<'a, S> {
-    guard: MutexGuard<'a, StoreShard<S>>,
-    shard: u32,
-    shard_bits: u32,
-    len: &'a AtomicUsize,
-    stride: &'a AtomicUsize,
-    records_perms: &'a AtomicBool,
-    pool: &'a Pool,
-    spill: Option<&'a StoreSpill>,
+    store: &'a StateStore<S>,
+    /// The locked stripe and its number; `None` for a Full store.
+    held: Option<(MutexGuard<'a, StoreShard<S>>, usize)>,
 }
 
 impl<S: SpecState> ShardHandle<'_, S> {
@@ -532,7 +538,7 @@ impl<S: SpecState> ShardHandle<'_, S> {
         label: LabelId,
         state: S,
     ) -> Insert<S> {
-        self.insert_edge(Some(fp), parent, label, state, None)
+        self.insert_edge(fp, parent, label, state, None)
     }
 
     /// Like [`ShardHandle::insert`], but for symmetry-reduced runs: `state` must be
@@ -551,126 +557,35 @@ impl<S: SpecState> ShardHandle<'_, S> {
         state: S,
         perm: Perm,
     ) -> Insert<S> {
-        self.insert_edge(Some(fp), parent, label, state, Some(perm))
+        self.insert_edge(fp, parent, label, state, Some(perm))
     }
 
     /// [`ShardHandle::insert_canonical`] when `perm` is set, [`ShardHandle::insert`]
-    /// otherwise — the form the engines use (through [`StateStore::insert`]), which
-    /// carry the permutation as an option and the key only for a store that dedups on
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// When a [`StoreMode::FingerprintOnly`] store is handed no key.
-    pub(crate) fn insert_edge(
+    /// otherwise.
+    fn insert_edge(
         &mut self,
-        key: Option<Fingerprint>,
+        fp: Fingerprint,
         parent: Option<StateIndex>,
         label: LabelId,
-        mut state: S,
+        state: S,
         perm: Option<Perm>,
     ) -> Insert<S> {
-        let inner = &mut *self.guard;
-        if let DedupTable::Rows(_) = inner.table {
-            // The row is the state's identity, so it is written before the probe.
-            // Every component of a duplicate is pooled already: this finds them,
-            // and the pool grows only by what a fresh state brings.
-            self.pool.write_row(inner, &mut state);
+        match &mut self.held {
+            Some((guard, shard)) => {
+                let probe = Probe::Key(fp);
+                let meta = SlotMeta::new(parent, label);
+                self.store
+                    .insert_into(guard, *shard, probe, meta, state, perm)
+            }
+            None => self.store.insert_row(parent, label, state, perm),
         }
-        // Dedup: the in-RAM delta table first, then (budgeted stores only) every
-        // spilled run, bloom filters first.  Runs and delta table are disjoint, so
-        // the probe order never affects the answer — only which tier pays for it.
-        // The table is probed once: a miss keeps where the insert below goes.
-        let vacancy = match &mut inner.table {
-            DedupTable::Rows(index) => {
-                let hash = row_hash(inner.row.iter().copied());
-                let (row, rows) = (&inner.row, &inner.rows);
-                if let Some(local) = index.find(hash, |slot| rows.holds(slot as usize, row)) {
-                    return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
-                }
-                Vacancy::Row(index, hash)
-            }
-            DedupTable::Keys(map) => match map.entry(key.expect(KEYED)) {
-                Entry::Occupied(known) => {
-                    let local = *known.get();
-                    return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
-                }
-                Entry::Vacant(vacant) => Vacancy::Key(vacant),
-            },
-        };
-        if let Some(spill) = self.spill.filter(|_| !inner.runs.is_empty()) {
-            let key = match &vacancy {
-                Vacancy::Row(..) => row_digest(inner.row.iter().copied()),
-                Vacancy::Key(vacant) => *vacant.key(),
-            };
-            for run in &inner.runs {
-                if let Some(local) = run.probe(key, &spill.counters) {
-                    return Insert::Existing(pack(local, self.shard, self.shard_bits), state);
-                }
-            }
-        }
-        let local = inner.meta.len as u32;
-        // The packed index must round-trip: `local` may not spill into the
-        // shard bits, and `NO_PARENT` (u32::MAX) stays reserved.
-        assert!(
-            (self.shard_bits == 0 && local < u32::MAX)
-                || (self.shard_bits > 0 && local < 1 << (32 - self.shard_bits)),
-            "state-store stripe is full ({local} slots at {} shard bits)",
-            self.shard_bits
-        );
-        let index = pack(local, self.shard, self.shard_bits);
-        assert_ne!(index.0, NO_PARENT, "state store is full (2^32 entries)");
-        inner.meta.push(std::iter::once(SlotMeta {
-            parent: parent.map_or(NO_PARENT, |p| p.0),
-            label,
-        }));
-        if let Some(perm) = perm {
-            debug_assert_eq!(
-                inner.perms.len + 1,
-                inner.meta.len,
-                "stores mixing canonical and plain inserts cannot de-canonicalize"
-            );
-            inner.perms.push(std::iter::once(perm));
-            // ordering: Relaxed — like the stride, one fact every canonical insert
-            // agrees on; only the size accounting reads it.
-            if !self.records_perms.load(Ordering::Relaxed) {
-                self.records_perms.store(true, Ordering::Relaxed); // ordering: see above.
-            }
-        }
-        match vacancy {
-            Vacancy::Row(index, hash) => {
-                fix_stride(self.stride, inner.row.len());
-                inner.rows.push_row(&inner.row);
-                let (rows, words) = (&inner.rows, inner.row.len());
-                index.insert(hash, local, |slot| {
-                    row_hash(rows.words(slot as usize, words).expect(NO_ENTRY))
-                });
-            }
-            Vacancy::Key(vacant) => {
-                vacant.insert(local);
-                // Only a distinct state reaches this point, so the pool is probed once
-                // per freshly written component of the run, never per edge.
-                state.intern(&mut self.pool.lock(inner).0, None);
-            }
-        }
-        // ordering: AcqRel — the global length feeds the max_states stop decision on
-        // other workers, so it must publish with the insert and join prior counts.
-        self.len.fetch_add(1, Ordering::AcqRel);
-        if let Some(spill) = self.spill {
-            if inner.table.len() >= spill.flush_entries {
-                // ordering: Relaxed — see `fix_stride`.
-                let words = self.stride.load(Ordering::Relaxed);
-                flush_delta_table(inner, spill, self.shard, words);
-            }
-        }
-        Insert::Fresh(index, state)
     }
 }
 
 /// Where a fresh insert goes in its stripe's delta table, found by the dedup probe.
 enum Vacancy<'m> {
     /// [`StoreMode::Full`]: the row index, under the row's [`row_hash`].
-    Row(&'m mut SlotIndex, u64),
+    Row(&'m mut SlotIndex, &'m [u32], u64),
     /// [`StoreMode::FingerprintOnly`]: the fingerprint's vacant map entry.
     Key(VacantEntry<'m, Fingerprint, u32>),
 }
@@ -742,17 +657,14 @@ fn unpack(index: StateIndex, shard_bits: u32) -> (u32, u32) {
 }
 
 impl<S: SpecState> StateStore<S> {
-    /// Creates a fully in-RAM store: [`StoreMode::Full`] with one stripe,
-    /// [`StoreMode::FingerprintOnly`] with `shards` (rounded up to a power of two).
-    /// Equivalent to [`StateStore::with_spill`] with an inactive config.
+    /// Creates a fully in-RAM store with `shards` lock stripes (rounded up to a power of
+    /// two).  Equivalent to [`StateStore::with_spill`] with an inactive config.
     pub fn new(mode: StoreMode, shards: usize) -> Self {
         Self::with_spill(mode, shards, &SpillConfig::in_ram())
     }
 
-    /// Creates a store armed with the out-of-core tier when `config` carries a memory
-    /// budget.  A [`StoreMode::Full`] store has one stripe whatever `shards` says (see
-    /// "Locks" in the module docs); a [`StoreMode::FingerprintOnly`] one has `shards`
-    /// stripes, rounded up to a power of two.
+    /// Creates a store with `shards` lock stripes (rounded up to a power of two), armed
+    /// with the out-of-core tier when `config` carries a memory budget.
     ///
     /// Under a budget, each stripe's dedup table becomes a bounded *delta table*: when
     /// it reaches its share of the budget (`budget / 48 bytes-per-entry / stripes`,
@@ -768,10 +680,7 @@ impl<S: SpecState> StateStore<S> {
     /// Panics when the spill directory cannot be created: silently continuing
     /// unbudgeted would defeat the point of asking for a budget.
     pub fn with_spill(mode: StoreMode, shards: usize, config: &SpillConfig) -> Self {
-        let n = match mode {
-            StoreMode::Full => 1,
-            StoreMode::FingerprintOnly => shards.max(1).next_power_of_two(),
-        };
+        let n = shards.max(1).next_power_of_two();
         let bits = n.trailing_zeros();
         let spill = config.budget_bytes.map(|budget| {
             let dir = spill::create_spill_dir(config.dir.as_deref())
@@ -808,7 +717,7 @@ impl<S: SpecState> StateStore<S> {
             len: AtomicUsize::new(0),
             stride: AtomicUsize::new(0),
             records_perms: AtomicBool::new(false),
-            pool: Pool(Mutex::new(InternPool::new())),
+            pool: Mutex::new(InternPool::new()),
             spill,
         }
     }
@@ -834,22 +743,23 @@ impl<S: SpecState> StateStore<S> {
         self.mode
     }
 
-    /// The stripe owning a fingerprint (routed by its leading bits): always 0 in a
-    /// [`StoreMode::Full`] store, which has one stripe.
+    /// The stripe owning a fingerprint in a [`StoreMode::FingerprintOnly`] store
+    /// (routed by its leading bits).  A [`StoreMode::Full`] store routes each state by
+    /// its row instead ([`StateStore::lock_shard`] takes no stripe there).
     pub fn shard_of(&self, fp: Fingerprint) -> usize {
         ((fp.0 >> self.shift) as usize) & self.mask
     }
 
-    /// The key an insert into this store needs: [`state_key`] of `state` for a
-    /// [`StoreMode::FingerprintOnly`] store, which routes and dedups on it, and nothing
-    /// for a [`StoreMode::Full`] one, which dedups on the row in its one stripe.
-    fn key_for(&self, state: &S) -> Option<Fingerprint> {
-        (self.mode == StoreMode::FingerprintOnly).then(|| state_key(state))
+    /// The stripe owning a [`StoreMode::Full`] row, by bits 32 on of its [`row_hash`]:
+    /// the stripe's row index buckets by the low bits and tags by the top byte, so the
+    /// three stay independent.
+    fn shard_of_row(&self, hash: u64) -> usize {
+        ((hash >> 32) as usize) & self.mask
     }
 
-    /// The engines' insert: keys `state` as this store needs ([`StoreMode::Full`]: not
-    /// at all), locks the stripe the key routes to for this one insert, and hands back
-    /// the key it computed with the result.
+    /// The engines' insert: in [`StoreMode::Full`] by the state's row (no key is
+    /// computed); in [`StoreMode::FingerprintOnly`] by its [`state_key`], which is
+    /// handed back with the result.
     pub(crate) fn insert(
         &self,
         parent: Option<StateIndex>,
@@ -857,35 +767,164 @@ impl<S: SpecState> StateStore<S> {
         state: S,
         perm: Option<Perm>,
     ) -> (Insert<S>, Option<Fingerprint>) {
-        let key = self.key_for(&state);
-        let shard = key.map_or(0, |key| self.shard_of(key));
-        // The handle is a temporary: the stripe is unlocked at the end of this statement.
-        let insert = self
-            .lock_shard(shard)
-            .insert_edge(key, parent, label, state, perm);
-        (insert, key)
+        match self.mode {
+            StoreMode::Full => (self.insert_row(parent, label, state, perm), None),
+            StoreMode::FingerprintOnly => {
+                let key = state_key(&state);
+                // The handle is a temporary: the stripe is unlocked at the end of this
+                // statement.
+                let insert = self
+                    .lock_shard(self.shard_of(key))
+                    .insert_edge(key, parent, label, state, perm);
+                (insert, Some(key))
+            }
+        }
     }
 
-    /// Locks one stripe (the kernel: for one edge's insert), counting the acquisition as
-    /// contended when it had to wait (the try-then-count-then-block pattern lives in
-    /// `sync::Mutex::lock_counting`, poison policy in `sync::lock_or_recover`).
-    pub fn lock_shard(&self, shard: usize) -> ShardHandle<'_, S> {
-        let cell = &self.shards[shard];
-        ShardHandle {
-            guard: cell.inner.lock_counting(&cell.contention),
-            shard: shard as u32,
-            shard_bits: self.shard_bits,
-            len: &self.len,
-            stride: &self.stride,
-            records_perms: &self.records_perms,
-            pool: &self.pool,
-            spill: self.spill.as_ref(),
+    /// A [`StoreMode::Full`] insert: interns `state` and writes its row under the pool's
+    /// lock alone, then probes and appends under the lock of the stripe the row hashes
+    /// to.  The row is the state's identity, so it is written before the probe; every
+    /// component of a duplicate is pooled already, so the pool grows only by what a
+    /// fresh state brings.
+    fn insert_row(
+        &self,
+        parent: Option<StateIndex>,
+        label: LabelId,
+        mut state: S,
+        perm: Option<Perm>,
+    ) -> Insert<S> {
+        with_row(|row| {
+            state.intern(&mut self.pool.lock(), Some(row));
+            let hash = row_hash(row.iter().copied());
+            let shard = self.shard_of_row(hash);
+            let mut guard = self.lock_counting(shard);
+            let (probe, meta) = (Probe::Row(row, hash), SlotMeta::new(parent, label));
+            self.insert_into(&mut guard, shard, probe, meta, state, perm)
+        })
+    }
+
+    /// Inserts `state` into stripe `shard`, locked by the caller as `inner`, under
+    /// `probe`: the dedup and, for a fresh state, the append of its `meta`.
+    fn insert_into(
+        &self,
+        inner: &mut StoreShard<S>,
+        shard: usize,
+        probe: Probe<'_>,
+        meta: SlotMeta,
+        mut state: S,
+        perm: Option<Perm>,
+    ) -> Insert<S> {
+        let at = |local| pack(local, shard as u32, self.shard_bits);
+        // Dedup: the in-RAM delta table first, then (budgeted stores only) every
+        // spilled run, bloom filters first.  Runs and delta table are disjoint, so
+        // the probe order never affects the answer — only which tier pays for it.
+        // The table is probed once: a miss keeps where the insert below goes.
+        let vacancy = match (&mut inner.table, probe) {
+            (DedupTable::Rows(index), Probe::Row(row, hash)) => {
+                let rows = &inner.rows;
+                if let Some(local) = index.find(hash, |slot| rows.holds(slot as usize, row)) {
+                    return Insert::Existing(at(local), state);
+                }
+                Vacancy::Row(index, row, hash)
+            }
+            (DedupTable::Keys(map), Probe::Key(key)) => match map.entry(key) {
+                Entry::Occupied(known) => return Insert::Existing(at(*known.get()), state),
+                Entry::Vacant(vacant) => Vacancy::Key(vacant),
+            },
+            _ => unreachable!("{ONE_BACKEND}"),
+        };
+        let spilled = self.spilled(&inner.runs, || match &vacancy {
+            Vacancy::Row(_, row, _) => row_digest(row.iter().copied()),
+            Vacancy::Key(vacant) => *vacant.key(),
+        });
+        if let Some(local) = spilled {
+            return Insert::Existing(at(local), state);
         }
+        let local = inner.meta.len as u32;
+        // The packed index must round-trip: `local` may not spill into the
+        // shard bits, and `NO_PARENT` (u32::MAX) stays reserved.
+        assert!(
+            (self.shard_bits == 0 && local < u32::MAX)
+                || (self.shard_bits > 0 && local < 1 << (32 - self.shard_bits)),
+            "state-store stripe is full ({local} slots at {} shard bits)",
+            self.shard_bits
+        );
+        let index = at(local);
+        assert_ne!(index.0, NO_PARENT, "state store is full (2^32 entries)");
+        inner.meta.push(std::iter::once(meta));
+        if let Some(perm) = perm {
+            debug_assert_eq!(
+                inner.perms.len + 1,
+                inner.meta.len,
+                "stores mixing canonical and plain inserts cannot de-canonicalize"
+            );
+            inner.perms.push(std::iter::once(perm));
+            // ordering: Relaxed — like the stride, one fact every canonical insert
+            // agrees on; only the size accounting reads it.
+            if !self.records_perms.load(Ordering::Relaxed) {
+                self.records_perms.store(true, Ordering::Relaxed); // ordering: see above.
+            }
+        }
+        match vacancy {
+            Vacancy::Row(index, row, hash) => {
+                fix_stride(&self.stride, row.len());
+                inner.rows.push_row(row);
+                let (rows, words) = (&inner.rows, row.len());
+                index.insert(hash, local, |slot| {
+                    row_hash(rows.words(slot as usize, words).expect(NO_ENTRY))
+                });
+            }
+            Vacancy::Key(vacant) => {
+                vacant.insert(local);
+                // Only a distinct state reaches this point, so the pool is probed once
+                // per freshly written component of the run, never per edge.
+                state.intern(&mut self.pool.lock(), None);
+            }
+        }
+        // ordering: AcqRel — the global length feeds the max_states stop decision on
+        // other workers, so it must publish with the insert and join prior counts.
+        self.len.fetch_add(1, Ordering::AcqRel);
+        if let Some(spill) = &self.spill {
+            if inner.table.len() >= spill.flush_entries {
+                // ordering: Relaxed — see `fix_stride`.
+                let words = self.stride.load(Ordering::Relaxed);
+                flush_delta_table(inner, spill, shard as u32, words);
+            }
+        }
+        Insert::Fresh(index, state)
+    }
+
+    /// The slot a stripe's spilled `runs` hold under `key` (computed only when a
+    /// memory budget is set and the stripe has spilled).
+    fn spilled(&self, runs: &[SpillRun], key: impl FnOnce() -> Fingerprint) -> Option<u32> {
+        let spill = self.spill.as_ref().filter(|_| !runs.is_empty())?;
+        let key = key();
+        runs.iter().find_map(|run| run.probe(key, &spill.counters))
+    }
+
+    /// Locks stripe `shard`, counting the acquisition as contended when it had to wait
+    /// (the try-then-count-then-block pattern lives in `sync::Mutex::lock_counting`,
+    /// poison policy in `sync::lock_or_recover`).
+    fn lock_counting(&self, shard: usize) -> MutexGuard<'_, StoreShard<S>> {
+        let cell = &self.shards[shard];
+        cell.inner.lock_counting(&cell.contention)
+    }
+
+    /// The handle one insert goes through (the kernel's: one edge).  On a
+    /// [`StoreMode::FingerprintOnly`] store it holds stripe `shard` locked — the one
+    /// [`StateStore::shard_of`] routes the insert's key to — until it drops.  A
+    /// [`StoreMode::Full`] store routes by the row, which is known only once the state
+    /// is interned, so there the handle locks nothing and each of its inserts locks
+    /// the stripe its row hashes to, as the engines' inserts do.
+    pub fn lock_shard(&self, shard: usize) -> ShardHandle<'_, S> {
+        let held =
+            (self.mode == StoreMode::FingerprintOnly).then(|| (self.lock_counting(shard), shard));
+        ShardHandle { store: self, held }
     }
 
     /// Total number of entries across all stripes.
     pub fn len(&self) -> usize {
-        // ordering: Acquire — pairs with the AcqRel fetch_add in insert_edge; the
+        // ordering: Acquire — pairs with the AcqRel fetch_add in insert_into; the
         // reader uses this total for the max_states stop decision.
         self.len.load(Ordering::Acquire)
     }
@@ -900,9 +939,7 @@ impl<S: SpecState> StateStore<S> {
     /// its rows point at — in [`StoreMode::Full`], for a type that keeps the default
     /// [`SpecState::intern`], every whole state.
     pub fn interned_components(&self) -> BTreeMap<&'static str, usize> {
-        let mut stripe = self.shards[0].inner.lock();
-        let (pool, _) = self.pool.lock(&mut stripe);
-        pool.census()
+        self.pool.lock().census()
     }
 
     /// Per-stripe contended-lock-acquisition counters.
@@ -917,41 +954,37 @@ impl<S: SpecState> StateStore<S> {
     /// The index of `state`, if the store holds it (in the delta table or any spilled
     /// run).
     ///
-    /// [`StoreMode::Full`] matches the state's row in its one stripe, so it writes one:
-    /// the state's components are interned as an insert would, and those of an absent
-    /// state stay in the pool.  [`StoreMode::FingerprintOnly`] matches the
+    /// [`StoreMode::Full`] matches the state's row in the stripe it hashes to, so it
+    /// writes one: the state's components are interned as an insert would, and those
+    /// of an absent state stay in the pool.  [`StoreMode::FingerprintOnly`] matches the
     /// [`state_key`] itself, in the stripe it routes to, so a fingerprint-only store
     /// that is to answer this must be filled under `state_key`s.
     pub fn index_of(&self, state: &S) -> Option<StateIndex> {
-        let key = self.key_for(state);
-        let shard = key.map_or(0, |key| self.shard_of(key));
-        let mut guard = self.shards[shard].inner.lock();
-        let inner = &mut *guard;
-        if let DedupTable::Rows(_) = inner.table {
-            self.pool.write_row(inner, &mut state.clone());
-        }
-        let spilled = |key| {
-            let spill = self.spill.as_ref()?;
-            inner
-                .runs
-                .iter()
-                .find_map(|run| run.probe(key, &spill.counters))
+        let found = |shard: usize, probe: Probe<'_>| {
+            let guard = self.shards[shard].inner.lock();
+            let local = match (&guard.table, probe) {
+                (DedupTable::Rows(index), Probe::Row(row, hash)) => index
+                    .find(hash, |slot| guard.rows.holds(slot as usize, row))
+                    .or_else(|| self.spilled(&guard.runs, || row_digest(row.iter().copied()))),
+                (DedupTable::Keys(map), Probe::Key(key)) => map
+                    .get(&key)
+                    .copied()
+                    .or_else(|| self.spilled(&guard.runs, || key)),
+                _ => unreachable!("{ONE_BACKEND}"),
+            }?;
+            Some(pack(local, shard as u32, self.shard_bits))
         };
-        let local = match &inner.table {
-            DedupTable::Rows(index) => {
-                let (row, rows) = (&inner.row, &inner.rows);
-                index
-                    .find(row_hash(row.iter().copied()), |slot| {
-                        rows.holds(slot as usize, row)
-                    })
-                    .or_else(|| spilled(row_digest(row.iter().copied())))
+        match self.mode {
+            StoreMode::Full => with_row(|row| {
+                state.clone().intern(&mut self.pool.lock(), Some(row));
+                let hash = row_hash(row.iter().copied());
+                found(self.shard_of_row(hash), Probe::Row(row, hash))
+            }),
+            StoreMode::FingerprintOnly => {
+                let key = state_key(state);
+                found(self.shard_of(key), Probe::Key(key))
             }
-            DedupTable::Keys(map) => {
-                let key = key.expect(KEYED);
-                map.get(&key).copied().or_else(|| spilled(key))
-            }
-        }?;
-        Some(pack(local, shard as u32, self.shard_bits))
+        }
     }
 
     /// The `(parent, label)` discovery edge of an entry.  Neither its key nor its state
@@ -1003,8 +1036,7 @@ impl<S: SpecState> StateStore<S> {
         let stored = inner.rows.words(local as usize, words)?;
         inner.row.clear();
         inner.row.extend(stored);
-        let (pool, held) = self.pool.lock(inner);
-        Some(S::from_row(&held.row, &pool))
+        Some(S::from_row(&inner.row, &self.pool.lock()))
     }
 
     /// Visits every stored state, stripe by stripe (nothing in
@@ -1015,8 +1047,8 @@ impl<S: SpecState> StateStore<S> {
         let words = self.stride.load(Ordering::Relaxed);
         let mut row = Vec::new();
         for shard in &self.shards {
-            let mut guard = shard.inner.lock();
-            let (pool, held) = self.pool.lock(&mut guard);
+            let held = shard.inner.lock();
+            let pool = self.pool.lock();
             for local in 0..held.rows.len {
                 row.clear();
                 row.extend(held.rows.words(local, words).expect("in range"));
@@ -1060,7 +1092,7 @@ impl<S: SpecState> StateStore<S> {
                 std::mem::size_of::<Fingerprint>() + std::mem::size_of::<u32>()
             }
         };
-        // ordering: Relaxed — see `fix_stride` and `insert_edge`.
+        // ordering: Relaxed — see `fix_stride` and `insert_into`.
         let perm = if self.records_perms.load(Ordering::Relaxed) {
             std::mem::size_of::<Perm>()
         } else {
@@ -1520,8 +1552,7 @@ mod tests {
 
     #[test]
     fn a_budgeted_store_finds_every_row_through_its_runs_after_widening() {
-        // A one-byte budget floors the delta table at the minimum flush size; a Full
-        // store has one stripe, whatever `shards` asks for.
+        // A one-byte budget floors every stripe's delta table at the minimum flush size.
         let budget = SpillConfig::in_ram().with_budget_bytes(1);
         let store = StateStore::<W>::with_spill(StoreMode::Full, 4, &budget);
         let narrow: Vec<(u32, StateIndex)> = (0..300).map(|i| (i, fresh_w(&store, i))).collect();
@@ -1532,13 +1563,13 @@ mod tests {
                 .all(|cell| !cell.inner.lock().runs.is_empty()),
             "every stripe flushed narrow rows"
         );
-        assert_eq!(unit_widths(&store), [1]);
+        assert_eq!(unit_widths(&store), [1; 4]);
         let wide = (0..300).map(|i| {
             let value = (1 << 16) + i;
             (value, fresh_w(&store, value))
         });
         let stored: Vec<(u32, StateIndex)> = narrow.into_iter().chain(wide).collect();
-        assert_eq!(unit_widths(&store), [2], "the stripe met a wide row");
+        assert_eq!(unit_widths(&store), [2; 4], "every stripe met a wide row");
         let probes_before = store.spill_stats().disk_probes;
         assert_holds(&store, &stored);
         assert!(
@@ -1604,12 +1635,10 @@ mod tests {
         let budget = SpillConfig::in_ram().with_budget_bytes(1);
         let [full, fp_only] = [StoreMode::Full, StoreMode::FingerprintOnly]
             .map(|mode| StateStore::<N>::with_spill(mode, 4, &budget));
-        // The Full store's one stripe and the fingerprint-only store's four number the
-        // same inserts differently.
+        // A Full store routes by row and a fingerprint-only one by key, so they number
+        // the same inserts differently.
         let full_last = fill(&full, &labels, 300);
         let last = fill(&fp_only, &labels, 300);
-        assert_eq!(full.shards.len(), 1);
-        assert_eq!(fp_only.shards.len(), 4);
         for store in [&full, &fp_only] {
             assert!(
                 store
@@ -1747,7 +1776,6 @@ mod tests {
 
     #[test]
     fn indices_pack_shard_and_slot() {
-        // Only a fingerprint-only store has more than one stripe.
         let store: StateStore<N> = StateStore::new(StoreMode::FingerprintOnly, 8);
         let labels = LabelTable::new();
         let mut seen = std::collections::HashSet::new();

@@ -304,7 +304,7 @@ fn row_rebuilt_traces_equal_replayed_ones_on_the_bug_hunt_violations() {
 }
 
 /// Engine against engine at the scale the duplicate-edge path is tuned for: a Full
-/// store (one stripe, deduped on its rows, no key computed) and a fingerprint-only
+/// store (64 stripes routed and deduped by row, no key computed) and a fingerprint-only
 /// store (64 stripes routed and deduped by `state_key`) exhaust the same SysSpec space
 /// — four in five of its edges are dedup hits — at one worker and at two.
 #[test]
@@ -312,7 +312,7 @@ fn row_rebuilt_traces_equal_replayed_ones_on_the_bug_hunt_violations() {
     debug_assertions,
     ignore = "exhausts 65,653 states four times; use --release"
 )]
-fn the_one_table_full_store_matches_the_keyed_store() {
+fn the_row_routed_full_store_matches_the_keyed_store() {
     let config = ClusterConfig::small(CodeVersion::V391)
         .with_transactions(1)
         .with_crashes(0);
@@ -336,11 +336,7 @@ fn the_one_table_full_store_matches_the_keyed_store() {
                 (65_653, 371_369, 36),
                 "{cell}"
             );
-            let stripes = match mode {
-                StoreMode::Full => 1,
-                StoreMode::FingerprintOnly => options.shards,
-            };
-            assert_eq!(stats.shard_contention.len(), stripes, "{cell}");
+            assert_eq!(stats.shard_contention.len(), options.shards, "{cell}");
         }
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! A state space is assembled from far fewer distinct components than states (221,490
 //! states of the three-server fine model from 1,657 servers, 702 channel rows and 151
-//! ghost states), so the allocation behind a handle carries three things besides the
+//! ghost states), so the allocation behind a handle carries two things besides the
 //! value:
 //!
 //! * the memoized **digest** of the value ([`Shared::digest`]: the 128-bit
@@ -30,9 +30,7 @@
 //!   function of the value alone — never of an address, a pool or an insertion order —
 //!   and it is *not* what `Hash for Shared<T>` feeds: that stays the value's own stream,
 //!   so the fingerprint of a state is unchanged by the wrapper.  Only a caller that asks
-//!   for a key computes it: hash-consing never does.  The same pass memoizes the value's
-//!   pool table key (below), so a value keyed before it is interned is hashed once;
-//! * the memoized **table key**, 0 until [`Shared::digest`] sets it;
+//!   for a key computes it: hash-consing never does;
 //! * a **tag** naming the [`InternPool`] that holds this very allocation and the slot
 //!   it holds it in (`(pool id << 32) | slot`, one word), so [`Shared::intern`]
 //!   recognises a pooled handle — and knows its slot — without a lookup.
@@ -67,7 +65,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, OnceLock};
 
-use crate::fingerprint::{table_hash, Fingerprint, PairHasher, TableHasher};
+use crate::fingerprint::{fingerprint, table_hash, Fingerprint};
 use crate::slot_index::SlotIndex;
 
 /// What one shared allocation holds: the value and what is memoized about it.
@@ -75,9 +73,6 @@ struct Inner<T> {
     value: T,
     /// `fingerprint(&value)`, set at the first [`Shared::digest`] after a write.
     digest: OnceLock<Fingerprint>,
-    /// [`table_key`] of the value once known, 0 before: set by [`Shared::digest`], which
-    /// hashes the value's stream once for both, and read by [`Shared::intern`].
-    table: AtomicU64,
     /// `(pool id << 32) | slot` of an [`InternPool`] known to hold this allocation; 0
     /// for none (no pool has id 0).  A hint: a stale or foreign tag only costs
     /// [`Shared::intern`] a lookup.
@@ -89,7 +84,6 @@ impl<T> Inner<T> {
         Inner {
             value,
             digest: OnceLock::new(),
-            table: AtomicU64::new(0),
             tag: AtomicU64::new(0),
         }
     }
@@ -142,30 +136,8 @@ impl<T: Hash> Shared<T> {
     /// The 128-bit [`fingerprint`](crate::fingerprint::fingerprint) of the value,
     /// computed once per allocation per write: every handle sharing the allocation
     /// reads the memo.
-    ///
-    /// The same pass over the value's `Hash` stream yields its pool table hash, which
-    /// is memoized beside the digest: a value keyed before it is interned (a
-    /// fingerprint-only store's fresh states) is traversed once, not twice.
     pub fn digest(&self) -> Fingerprint {
-        *self.0.digest.get_or_init(|| {
-            let mut both = BothHashers::default();
-            self.0.value.hash(&mut both);
-            let key = table_key(both.table.finish());
-            // ordering: Relaxed — a memo of a function of the value, which every
-            // writer computes alike.
-            self.0.table.store(key, atomic::Ordering::Relaxed);
-            both.pair.finish128()
-        })
-    }
-
-    /// [`table_key`] of the value: the memo [`Shared::digest`] left, or one pass of
-    /// [`table_hash`].
-    fn table_key(&self) -> u64 {
-        // ordering: Relaxed — see `digest`.
-        match self.0.table.load(atomic::Ordering::Relaxed) {
-            0 => table_key(table_hash(&self.0.value)),
-            known => known,
-        }
+        *self.0.digest.get_or_init(|| fingerprint(&self.0.value))
     }
 }
 
@@ -187,7 +159,7 @@ impl<T: Clone + Hash + Eq + Send + Sync + 'static> Shared<T> {
         if let Some(slot) = self.slot(pool) {
             return slot;
         }
-        let hash = self.table_key();
+        let hash = table_hash(&self.0.value);
         let InternPool { index, slots, .. } = pool;
         let table = type_table::<T>(index);
         let value = &self.0.value;
@@ -202,7 +174,7 @@ impl<T: Clone + Hash + Eq + Send + Sync + 'static> Shared<T> {
                 }
                 let slot = push_slot(slots, &self.0);
                 table.insert(hash, slot, |slot| {
-                    table_key(table_hash(value_of::<T>(&slots[slot as usize])))
+                    table_hash(value_of::<T>(&slots[slot as usize]))
                 });
                 slot
             }
@@ -230,61 +202,6 @@ trait Pooled: Any + Send + Sync {
 impl<T: Send + Sync + 'static> Pooled for Inner<T> {
     fn type_name(&self) -> &'static str {
         std::any::type_name::<T>()
-    }
-}
-
-/// What a pool indexes a value by: its [`table_hash`], with 0 (the "not known yet" of
-/// an allocation's memo) read as 1.
-fn table_key(hash: u64) -> u64 {
-    hash.max(1)
-}
-
-/// The hashers of a digest and of a table key, fed from one traversal of a value.
-#[derive(Default)]
-struct BothHashers {
-    pair: PairHasher,
-    table: TableHasher,
-}
-
-impl Hasher for BothHashers {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        self.pair.write(bytes);
-        self.table.write(bytes);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, value: u8) {
-        self.pair.write_u8(value);
-        self.table.write_u8(value);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, value: u16) {
-        self.pair.write_u16(value);
-        self.table.write_u16(value);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, value: u32) {
-        self.pair.write_u32(value);
-        self.table.write_u32(value);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        self.pair.write_u64(value);
-        self.table.write_u64(value);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, value: usize) {
-        self.pair.write_usize(value);
-        self.table.write_usize(value);
-    }
-
-    fn finish(&self) -> u64 {
-        self.pair.finish()
     }
 }
 
@@ -357,7 +274,7 @@ pub struct InternPool {
     id: u32,
     /// One index per pooled type, in the order the types were first interned (a state
     /// type pools a handful): each of the type's slots, found by its value's
-    /// [`table_key`] and confirmed by `==`.
+    /// [`table_hash`] and confirmed by `==`.
     index: Vec<(TypeId, SlotIndex)>,
     slots: Vec<Slot>,
 }
@@ -447,7 +364,6 @@ impl<T: Clone> DerefMut for Shared<T> {
         // the old value goes (a pool that holds the allocation also holds a handle,
         // so a pooled allocation is never unique and never written).
         inner.digest.take();
-        *inner.table.get_mut() = 0;
         *inner.tag.get_mut() = 0;
         &mut inner.value
     }
@@ -589,21 +505,6 @@ mod tests {
         a.pop();
         assert_eq!(a.digest(), fingerprint(&vec![1u32]));
         assert_eq!(a.clone().digest(), a.digest(), "handles share the memo");
-    }
-
-    #[test]
-    fn the_digest_pass_also_memoizes_the_table_key() {
-        let memo = |a: &Shared<Vec<u32>>| a.0.table.load(atomic::Ordering::Relaxed);
-        let mut a: Shared<Vec<u32>> = vec![1, 2].into();
-        assert_eq!(memo(&a), 0, "nothing is hashed before a key is asked for");
-        assert_eq!(a.table_key(), table_key(table_hash(&vec![1u32, 2])));
-        a.digest();
-        assert_eq!(memo(&a), table_key(table_hash(&vec![1u32, 2])));
-        a.push(3);
-        assert_eq!(memo(&a), 0, "a write clears it with the digest");
-        a.digest();
-        assert_eq!(memo(&a), a.table_key());
-        assert_eq!(a.table_key(), table_key(table_hash(&vec![1u32, 2, 3])));
     }
 
     #[test]
@@ -860,8 +761,8 @@ mod tests {
     fn the_tag_is_one_word_of_two_halves() {
         assert_eq!(
             std::mem::size_of::<Inner<u64>>(),
-            std::mem::size_of::<(u64, OnceLock<Fingerprint>, u64, u64)>(),
-            "value, digest memo, table-key memo and one tag word"
+            std::mem::size_of::<(u64, OnceLock<Fingerprint>, u64)>(),
+            "value, digest memo and one tag word"
         );
         assert_eq!(slot_number(0), 0);
         assert_eq!(slot_number(u32::MAX as usize - 1), u32::MAX - 1);
