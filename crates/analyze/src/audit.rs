@@ -232,7 +232,7 @@ fn precision_findings<S: SpecState>(
 mod tests {
     use super::*;
 
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec};
+    use remix_spec::{ActionDef, Granularity, ModuleId, ModuleSpec};
 
     /// Two counters in "server 0" and "server 1" slots; `IncBoth` writes both but can
     /// be built with an under-declared footprint to exercise the audit.
@@ -265,22 +265,16 @@ mod tests {
             Granularity::Baseline,
             vec!["a", "b"],
             vec!["a", "b"],
-            move |s: &Pair| {
+            move |s: &Pair, sink| {
                 if s.a < 2 {
                     let mut eff = Effect::new().writes_server(0);
                     if declare_b {
                         eff = eff.writes_server(1);
                     }
-                    vec![ActionInstance::new(
-                        format!("IncBoth({})", s.a),
-                        Pair {
-                            a: s.a + 1,
-                            b: s.b + 1,
-                        },
-                    )
-                    .with_effect(eff)]
-                } else {
-                    vec![]
+                    sink.offer(format!("IncBoth({})", s.a), eff, |next| {
+                        next.a += 1;
+                        next.b += 1;
+                    });
                 }
             },
         );
@@ -319,14 +313,10 @@ mod tests {
             Granularity::Baseline,
             vec!["a"],
             vec!["a"],
-            move |s: &Pair| {
+            move |s: &Pair, sink| {
                 if s.a < 2 {
-                    vec![
-                        ActionInstance::new(format!("IncA({})", s.a), Pair { a: s.a + 1, b: s.b })
-                            .with_effect(Effect::new().writes_server(0).writes_server(2)),
-                    ]
-                } else {
-                    vec![]
+                    let eff = Effect::new().writes_server(0).writes_server(2);
+                    sink.offer(format!("IncA({})", s.a), eff, |next| next.a += 1);
                 }
             },
         );

@@ -140,7 +140,7 @@ fn corners<S: SpecState>(
 mod tests {
     use super::*;
 
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec};
+    use remix_spec::{ActionDef, Granularity, ModuleId, ModuleSpec};
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct Grid {
@@ -161,14 +161,10 @@ mod tests {
             Granularity::Baseline,
             vec!["x"],
             vec!["x"],
-            move |s: &Grid| {
+            move |s: &Grid, sink| {
                 if s.x < 2 {
-                    vec![
-                        ActionInstance::new(format!("IncX({})", s.x), Grid { x: s.x + 1, y: s.y })
-                            .with_effect(Effect::new().writes_server(0)),
-                    ]
-                } else {
-                    vec![]
+                    let eff = Effect::new().writes_server(0);
+                    sink.offer(format!("IncX({})", s.x), eff, |next| next.x += 1);
                 }
             },
         );
@@ -178,14 +174,10 @@ mod tests {
             Granularity::Baseline,
             vec!["y"],
             vec!["y"],
-            move |s: &Grid| {
+            move |s: &Grid, sink| {
                 if s.y < 2 && (honest || s.x == 0) {
-                    vec![
-                        ActionInstance::new(format!("IncY({})", s.y), Grid { x: s.x, y: s.y + 1 })
-                            .with_effect(Effect::new().writes_server(1)),
-                    ]
-                } else {
-                    vec![]
+                    let eff = Effect::new().writes_server(1);
+                    sink.offer(format!("IncY({})", s.y), eff, |next| next.y += 1);
                 }
             },
         );

@@ -206,16 +206,13 @@ pub fn seeded_schedule_divergence() -> AnalysisReport {
         remix_spec::Granularity::Baseline,
         vec!["n"],
         vec!["n"],
-        move |_s: &RacyState| {
+        move |_s: &RacyState, sink| {
             // ordering: Relaxed — deliberate shared-counter race, see above.
             let draw = RACE.fetch_add(1, Ordering::Relaxed);
             if draw < BUDGET {
-                vec![remix_spec::ActionInstance::new(
-                    format!("Race({draw})"),
-                    RacyState(draw + 1),
-                )]
-            } else {
-                vec![]
+                sink.offer(format!("Race({draw})"), None, |next| {
+                    *next = RacyState(draw + 1)
+                });
             }
         },
     );
@@ -239,7 +236,7 @@ pub fn seeded_schedule_divergence() -> AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec};
+    use remix_spec::{ActionDef, Granularity, ModuleId, ModuleSpec};
 
     fn chain_spec(limit: u64) -> Spec<RacyState> {
         let m = ModuleId("Chain");
@@ -249,14 +246,9 @@ mod tests {
             Granularity::Baseline,
             vec!["n"],
             vec!["n"],
-            move |s: &RacyState| {
+            move |s: &RacyState, sink| {
                 if s.0 < limit {
-                    vec![ActionInstance::new(
-                        format!("Inc({})", s.0),
-                        RacyState(s.0 + 1),
-                    )]
-                } else {
-                    vec![]
+                    sink.offer(format!("Inc({})", s.0), None, |next| next.0 += 1);
                 }
             },
         );

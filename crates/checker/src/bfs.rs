@@ -244,8 +244,7 @@ mod tests {
     use crate::stop::STOP_TIME_BUDGET;
     use crate::store::StoreMode;
     use remix_spec::{
-        ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
-        Shared,
+        ActionDef, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec, Shared,
     };
     use remix_zab::{
         ClusterConfig, CodeVersion, CodeViolation, GhostState, Message, ServerData, Sid, SpecPreset,
@@ -271,17 +270,9 @@ mod tests {
             Granularity::Baseline,
             vec!["a"],
             vec!["a"],
-            move |s: &Pair| {
+            move |s: &Pair, sink| {
                 if s.a < s.max {
-                    vec![ActionInstance::new(
-                        format!("IncA({})", s.a),
-                        Pair {
-                            a: s.a + 1,
-                            ..s.clone()
-                        },
-                    )]
-                } else {
-                    vec![]
+                    sink.offer(format!("IncA({})", s.a), None, |next| next.a += 1);
                 }
             },
         );
@@ -291,17 +282,9 @@ mod tests {
             Granularity::Baseline,
             vec!["a", "b"],
             vec!["b"],
-            move |s: &Pair| {
+            move |s: &Pair, sink| {
                 if s.b < s.a {
-                    vec![ActionInstance::new(
-                        format!("IncB({})", s.b),
-                        Pair {
-                            b: s.b + 1,
-                            ..s.clone()
-                        },
-                    )]
-                } else {
-                    vec![]
+                    sink.offer(format!("IncB({})", s.b), None, |next| next.b += 1);
                 }
             },
         );
@@ -525,25 +508,21 @@ mod tests {
             Granularity::Baseline,
             vec!["a"],
             vec!["a"],
-            |s: &Pair| {
+            |s: &Pair, sink| {
                 if s.a == 0 {
-                    return (1..=100)
-                        .map(|i| {
-                            ActionInstance::new(
-                                format!("Spawn({i})"),
-                                Pair {
-                                    a: i,
-                                    b: 0,
-                                    max: 100,
-                                },
-                            )
-                        })
-                        .collect();
+                    for i in 1..=100 {
+                        sink.offer(format!("Spawn({i})"), None, |next| {
+                            *next = Pair {
+                                a: i,
+                                b: 0,
+                                max: 100,
+                            }
+                        });
+                    }
                 }
                 if s.a == 42 {
                     panic!("boom in successor closure");
                 }
-                vec![]
             },
         );
         let spec = Spec::new(
@@ -861,30 +840,19 @@ mod tests {
             Granularity::Baseline,
             vec!["a", "b"],
             vec!["a", "b"],
-            move |s: &Pair| {
+            move |s: &Pair, sink| {
                 if s.a == 0 {
-                    (1..=width)
-                        .map(|i| {
-                            ActionInstance::new(
-                                format!("Spawn({i})"),
-                                Pair {
-                                    a: i,
-                                    b: 0,
-                                    max: width,
-                                },
-                            )
-                        })
-                        .collect()
+                    for i in 1..=width {
+                        sink.offer(format!("Spawn({i})"), None, |next| {
+                            *next = Pair {
+                                a: i,
+                                b: 0,
+                                max: width,
+                            }
+                        });
+                    }
                 } else if s.b < 2 {
-                    vec![ActionInstance::new(
-                        format!("Tick({},{})", s.a, s.b),
-                        Pair {
-                            b: s.b + 1,
-                            ..s.clone()
-                        },
-                    )]
-                } else {
-                    vec![]
+                    sink.offer(format!("Tick({},{})", s.a, s.b), None, |next| next.b += 1);
                 }
             },
         );

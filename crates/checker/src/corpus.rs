@@ -107,7 +107,7 @@ mod tests {
 
     use std::collections::HashSet;
 
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec, SpecState};
+    use remix_spec::{ActionDef, Granularity, ModuleId, ModuleSpec, SpecState};
     use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
     /// The plain breadth-first walk `corpus` was before it ran on the kernel, kept as
@@ -160,12 +160,13 @@ mod tests {
             Granularity::Baseline,
             vec!["n"],
             vec!["n"],
-            move |s: &Counter| {
-                std::iter::once(s.0 + 1)
+            move |s: &Counter, sink| {
+                for n in std::iter::once(s.0 + 1)
                     .chain(doubling.then_some(2 * s.0))
                     .filter(|&n| n <= max)
-                    .map(|n| ActionInstance::new(format!("Step({n})"), Counter(n)))
-                    .collect()
+                {
+                    sink.offer(format!("Step({n})"), None, |next| *next = Counter(n));
+                }
             },
         );
         let module = ModuleSpec::new(m, Granularity::Baseline, vec![step]);

@@ -8,7 +8,9 @@
 //!
 //! * **per-fingerprint-prefix hit counters** — how often each region of the state space
 //!   (identified by the leading [`CoverageMap::prefix_bits`] bits of the 128-bit state
-//!   fingerprint) has been visited across all sampled traces, and
+//!   fingerprint) has been visited across all sampled traces.  A prefix reads the
+//!   fingerprint's first half alone, so callers hand in its
+//!   [`fingerprint_head`](remix_spec::fingerprint_head) — one SipHash state, not two; and
 //! * **per-action hit counters** — how often each action *definition* (the label up to
 //!   its instantiation arguments, e.g. `NodeCrash` for `NodeCrash(2)`) has been taken.
 //!
@@ -31,8 +33,6 @@ use std::collections::HashMap;
 use remix_spec::{action_name, LabelId, LabelTable};
 
 use crate::sync::{AtomicU64, Mutex, Ordering};
-
-use crate::fingerprint::Fingerprint;
 
 /// One lock stripe of the coverage counters.
 struct CoverageShard {
@@ -114,10 +114,12 @@ impl CoverageMap {
         self.prefix_bits
     }
 
-    /// The coverage prefix of a fingerprint: its leading [`Self::prefix_bits`] bits.
-    pub fn prefix_of(&self, fp: Fingerprint) -> u32 {
+    /// The coverage prefix of a state whose fingerprint's first half is `head`
+    /// ([`fingerprint_head`](remix_spec::fingerprint_head)): its leading
+    /// [`Self::prefix_bits`] bits.
+    pub fn prefix_of(&self, head: u64) -> u32 {
         // At most 32 bits survive the shift.
-        (fp.0 >> self.prefix_shift) as u32
+        (head >> self.prefix_shift) as u32
     }
 
     fn shard_index(&self, prefix: u32) -> usize {
@@ -133,7 +135,8 @@ impl CoverageMap {
         (id.0 as usize) & self.mask
     }
 
-    /// Records one visit of the state with fingerprint `fp` reached by `action`, and
+    /// Records one visit of the state with fingerprint head `head` reached by `action`
+    /// (a label, or a bare definition name), and
     /// returns the prefix's hit count *before* this visit (so the caller can reason
     /// about how novel the step was).
     ///
@@ -144,8 +147,8 @@ impl CoverageMap {
     /// earlier every-step recording double-counted within-trace revisits — the
     /// `max_prefix_hits: 8193` from 8192 traces in the committed `BENCH_explore.json`
     /// artefact came from a walk stepping back into the initial state's region.
-    pub fn record(&self, fp: Fingerprint, action: &str) -> u64 {
-        let prefix = self.prefix_of(fp);
+    pub fn record(&self, head: u64, action: &str) -> u64 {
+        let prefix = self.prefix_of(head);
         let shard = &self.shards[self.shard_index(prefix)];
         let before = {
             let mut prefixes = shard.prefixes.lock_counting(&shard.contention);
@@ -171,9 +174,9 @@ impl CoverageMap {
         *actions.entry(id).or_insert(0) += 1;
     }
 
-    /// Hit count of the state region containing `fp`.
-    pub fn prefix_hits(&self, fp: Fingerprint) -> u64 {
-        let prefix = self.prefix_of(fp);
+    /// Hit count of the state region containing the state with fingerprint head `head`.
+    pub fn prefix_hits(&self, head: u64) -> u64 {
+        let prefix = self.prefix_of(head);
         let shard = &self.shards[self.shard_index(prefix)];
         let prefixes = shard.prefixes.lock_counting(&shard.contention);
         prefixes.get(&prefix).copied().map_or(0, u64::from)
@@ -220,12 +223,12 @@ impl CoverageMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::fingerprint;
+    use remix_spec::{fingerprint, fingerprint_head};
 
     #[test]
     fn records_and_reports_hits() {
         let map = CoverageMap::new(8, 16);
-        let fp = fingerprint(&42u64);
+        let fp = fingerprint_head(&42u64);
         assert_eq!(map.prefix_hits(fp), 0);
         assert_eq!(map.record(fp, "Step(1)"), 0);
         assert_eq!(map.record(fp, "Step(2)"), 1);
@@ -248,7 +251,7 @@ mod tests {
         // likely share one (and certainly at most two exist).
         let map = CoverageMap::new(1, 1);
         for i in 0..64u64 {
-            map.record(fingerprint(&i), "A");
+            map.record(fingerprint_head(&i), "A");
         }
         let snap = map.snapshot();
         assert!(snap.distinct_prefixes <= 2);
@@ -263,9 +266,9 @@ mod tests {
         assert_eq!(map.prefix_bits(), 32);
         let states: Vec<u64> = (0..48).chain(0..16).collect();
         for (visit, state) in states.iter().enumerate() {
-            let fp = fingerprint(state);
+            let fp = fingerprint_head(state);
             let expected = states[..visit].iter().filter(|s| *s == state).count() as u64;
-            assert_eq!(map.prefix_of(fp), (fp.0 >> 32) as u32);
+            assert_eq!(map.prefix_of(fp), (fingerprint(state).0 >> 32) as u32);
             assert_eq!(map.record(fp, "Visit(0)"), expected);
             assert_eq!(map.prefix_hits(fp), expected + 1);
         }
@@ -299,7 +302,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..256u64 {
                         map.record(
-                            fingerprint(&(i % 16)),
+                            fingerprint_head(&(i % 16)),
                             if t % 2 == 0 { "A(0)" } else { "B(1)" },
                         );
                     }

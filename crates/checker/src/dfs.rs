@@ -226,8 +226,7 @@ pub fn check_dfs<S: SpecState>(spec: &Spec<S>, options: &CheckOptions) -> CheckO
 mod tests {
     use super::*;
     use remix_spec::{
-        ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
-        Spec,
+        ActionDef, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec, Spec,
     };
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -243,11 +242,9 @@ mod tests {
             Granularity::Baseline,
             vec!["n"],
             vec!["n"],
-            move |s: &N| {
+            move |s: &N, sink| {
                 if s.0 < limit {
-                    vec![ActionInstance::new(format!("Inc({})", s.0), N(s.0 + 1))]
-                } else {
-                    vec![]
+                    sink.offer(format!("Inc({})", s.0), None, |next| next.0 += 1);
                 }
             },
         );
@@ -311,7 +308,7 @@ mod tests {
             Granularity::Baseline,
             vec!["n"],
             vec!["n"],
-            |s: &N| {
+            |s: &N, sink| {
                 let next = match s.0 {
                     0 => Some(20), // 0 → B
                     20 => Some(1), // B → X
@@ -319,8 +316,9 @@ mod tests {
                     2 => Some(3),  // Y → Z
                     _ => None,
                 };
-                next.map(|n| vec![ActionInstance::new(format!("Hop({})", s.0), N(n))])
-                    .unwrap_or_default()
+                if let Some(n) = next {
+                    sink.offer(format!("Hop({})", s.0), None, |next| *next = N(n));
+                }
             },
         );
         let detour = ActionDef::new(
@@ -329,15 +327,16 @@ mod tests {
             Granularity::Baseline,
             vec!["n"],
             vec!["n"],
-            |s: &N| {
+            |s: &N, sink| {
                 let next = match s.0 {
                     0 => Some(10),  // 0 → A1
                     10 => Some(11), // A1 → A2
                     11 => Some(1),  // A2 → X
                     _ => None,
                 };
-                next.map(|n| vec![ActionInstance::new(format!("Detour({})", s.0), N(n))])
-                    .unwrap_or_default()
+                if let Some(n) = next {
+                    sink.offer(format!("Detour({})", s.0), None, |next| *next = N(n));
+                }
             },
         );
         Spec::new(
@@ -414,11 +413,9 @@ mod tests {
             Granularity::Baseline,
             vec!["n"],
             vec!["n"],
-            move |s: &N| {
+            move |s: &N, sink| {
                 if s.0 > 0 && 2 * s.0 <= limit {
-                    vec![ActionInstance::new(format!("Dbl({})", s.0), N(2 * s.0))]
-                } else {
-                    vec![]
+                    sink.offer(format!("Dbl({})", s.0), None, |next| next.0 *= 2);
                 }
             },
         );

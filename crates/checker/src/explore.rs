@@ -26,10 +26,9 @@
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use remix_spec::{Spec, SpecState, Trace};
+use remix_spec::{fingerprint_head, ActionInstance, Offer, Spec, SpecState, Trace, INIT_LABEL};
 
 use crate::coverage::{CoverageMap, CoverageSnapshot};
-use crate::fingerprint::{fingerprint, Fingerprint};
 use crate::options::SymmetryMode;
 use crate::outcome::Violation;
 use crate::rng::CheckerRng;
@@ -246,6 +245,12 @@ pub(crate) struct Guide<'a> {
 /// `max_depth == 0` yields the initial state alone.  When `deadline` is set, the walk is
 /// cut off as soon as the deadline passes — checked before every step, so a single deep
 /// trace cannot overshoot a run's time budget by more than one step.
+///
+/// A uniform step builds one successor: it counts each action's offers, draws
+/// `rng.index(k)` over all `k` of them, and builds the drawn one by re-running the one
+/// action that owns it ([`remix_spec::ActionDef`]'s offer contract fixes the order).  A guided step
+/// builds every candidate, since it weighs them by their fingerprints.  Either way only
+/// the kept step's label is rendered, and its state moves into the trace uncopied.
 pub(crate) fn walk<S: SpecState>(
     spec: &Spec<S>,
     max_depth: u32,
@@ -258,51 +263,99 @@ pub(crate) fn walk<S: SpecState>(
     }
     // Prefixes already recorded by *this* trace: revisits add no prefix hit.
     let mut seen_prefixes: HashSet<u32> = HashSet::new();
-    let mut record = |guide: &Guide<'_>, fp: Fingerprint, label: &str| {
-        if seen_prefixes.insert(guide.coverage.prefix_of(fp)) {
-            guide.coverage.record(fp, label);
+    let mut record = |guide: &Guide<'_>, head: u64, action: &str| {
+        if seen_prefixes.insert(guide.coverage.prefix_of(head)) {
+            guide.coverage.record(head, action);
         } else {
-            guide.coverage.record_action(label);
+            guide.coverage.record_action(action);
         }
     };
     let init = spec.init[rng.index(spec.init.len())].clone();
     if let Some(guide) = guide {
-        record(guide, fingerprint(&init), "Init");
+        record(guide, fingerprint_head(&init), INIT_LABEL);
     }
-    let mut trace = Trace::from_init(init.clone());
-    let mut current = init;
+    // Reused across steps: each action's offer count (uniform steps), or every
+    // candidate built (guided steps).
+    let mut offers: Vec<usize> = Vec::new();
+    let mut candidates: Vec<ActionInstance<S>> = Vec::new();
+    let mut trace = Trace::from_init(init);
     for _ in 0..max_depth {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             break;
         }
-        let successors = spec.successors(&current);
-        if successors.is_empty() {
+        let Some(current) = trace.last_state() else {
             break;
-        }
-        // Guided choices hand back the chosen candidate's fingerprint, which
+        };
+        // Guided choices hand back the chosen candidate's fingerprint head, which
         // weighted_choice computed anyway.
-        let (choice, chosen_fp) = match guide {
+        let (step, chosen_head) = match guide {
             Some(Guide {
                 coverage,
                 guidance: Guidance::CoverageGuided { rarity_weight },
             }) => {
-                let (i, fp) = weighted_choice(&successors, coverage, *rarity_weight, rng);
-                (i, Some(fp))
+                candidates.clear();
+                spec.offer(current, &mut |offer: Offer<'_, S>| {
+                    candidates.push(offer.build(current))
+                });
+                if candidates.is_empty() {
+                    break;
+                }
+                let (i, head) = weighted_choice(&candidates, coverage, *rarity_weight, rng);
+                (candidates.swap_remove(i), Some(head))
             }
-            _ => (rng.index(successors.len()), None),
+            _ => {
+                offers.clear();
+                for action in spec.actions() {
+                    let mut count = 0;
+                    action.offer(current, &mut |_: Offer<'_, S>| count += 1);
+                    offers.push(count);
+                }
+                let total: usize = offers.iter().sum();
+                if total == 0 {
+                    break;
+                }
+                (build_nth(spec, &offers, current, rng.index(total)), None)
+            }
         };
-        let (label, next) = successors
-            .into_iter()
-            .nth(choice)
-            .expect("choice is in bounds");
         if let Some(guide) = guide {
-            let fp = chosen_fp.unwrap_or_else(|| fingerprint(&next));
-            record(guide, fp, &label);
+            let head = chosen_head.unwrap_or_else(|| fingerprint_head(&step.next));
+            record(guide, head, step.label.name());
         }
-        trace.push(label, next.clone());
-        current = next;
+        trace.push(step.label.to_string(), step.next);
     }
     trace
+}
+
+/// Builds offer `n` of everything `spec` offers in `state`, where `offers` holds each
+/// action's offer count there: only the action that owns offer `n` runs again, and
+/// only that offer is built.
+///
+/// # Panics
+///
+/// When `n` is not below the offers' sum, or the owning action offers fewer instances
+/// than it did when counted (a breach of the offer contract).
+fn build_nth<S: SpecState>(
+    spec: &Spec<S>,
+    offers: &[usize],
+    state: &S,
+    mut n: usize,
+) -> ActionInstance<S> {
+    for (action, &count) in spec.actions().zip(offers) {
+        if n >= count {
+            n -= count;
+            continue;
+        }
+        let mut built = None;
+        let mut seen = 0;
+        action.offer(state, &mut |offer: Offer<'_, S>| {
+            if seen == n {
+                built = Some(offer.build(state));
+            }
+            seen += 1;
+        });
+        return built.expect("an action offers the same instances on every call");
+    }
+    panic!("offer {n} is past the last action's offers")
 }
 
 /// Samples one trace, biased by `guidance` over the shared `coverage` map (see `walk`
@@ -374,7 +427,7 @@ pub fn striped<A: Send>(
 
 /// Weighted successor choice, relative to the least-visited candidate per dimension
 /// (see [`Guidance::CoverageGuided`] for the formula and its rationale).  Returns the
-/// chosen index together with the candidate's fingerprint so the caller records
+/// chosen index together with the candidate's fingerprint head so the caller records
 /// coverage without recomputing it.
 ///
 /// Normalizing each dimension by the candidate set's minimum makes the weights
@@ -383,24 +436,24 @@ pub fn striped<A: Send>(
 /// exceeded `rarity_weight * SCALE`.  The `+ 1` floor keeps every enabled action
 /// reachable.
 fn weighted_choice<S: SpecState>(
-    successors: &[(String, S)],
+    candidates: &[ActionInstance<S>],
     coverage: &CoverageMap,
     rarity_weight: u32,
     rng: &mut CheckerRng,
-) -> (usize, Fingerprint) {
+) -> (usize, u64) {
     const SCALE: u128 = 1024;
     // Prefix hits count *traces* that reached a region (per-trace dedup) while action
     // hits count *steps* globally, so the two live on very different scales: summed,
     // the action term would drown the novelty signal.  Each dimension is therefore
     // normalized by its own candidate-set minimum and the ratios are multiplied.
-    let hits: Vec<(Fingerprint, u64, u64)> = successors
+    let hits: Vec<(u64, u64, u64)> = candidates
         .iter()
-        .map(|(label, next)| {
-            let fp = fingerprint(next);
+        .map(|candidate| {
+            let head = fingerprint_head(&candidate.next);
             (
-                fp,
-                coverage.prefix_hits(fp),
-                coverage.action_hits_total(label),
+                head,
+                coverage.prefix_hits(head),
+                coverage.action_hits_total(candidate.label.name()),
             )
         })
         .collect();
@@ -598,7 +651,7 @@ fn prefix_trace<S: Clone>(trace: &Trace<S>, depth: usize) -> Trace<S> {
 mod tests {
     use super::*;
     use remix_spec::{
-        ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
+        ActionDef, Granularity, Invariant, InvariantSource, Label, ModuleId, ModuleSpec,
     };
 
     /// A walk with a hot "noise" loop and one rare "advance" chain: `Advance` is only
@@ -622,18 +675,12 @@ mod tests {
             Granularity::Baseline,
             vec!["noise"],
             vec!["noise"],
-            |s: &Walk| {
-                (1..=3u32)
-                    .map(|i| {
-                        ActionInstance::new(
-                            format!("Churn({i})"),
-                            Walk {
-                                noise: (s.noise + i) % 4,
-                                ..s.clone()
-                            },
-                        )
-                    })
-                    .collect()
+            |_: &Walk, sink| {
+                for i in 1..=3u32 {
+                    sink.offer(format!("Churn({i})"), None, |next| {
+                        next.noise = (next.noise + i) % 4
+                    });
+                }
             },
         );
         let advance = ActionDef::new(
@@ -642,17 +689,9 @@ mod tests {
             Granularity::Baseline,
             vec!["pos", "noise"],
             vec!["pos"],
-            |s: &Walk| {
+            |s: &Walk, sink| {
                 if s.noise == 0 {
-                    vec![ActionInstance::new(
-                        format!("Advance({})", s.pos),
-                        Walk {
-                            pos: s.pos + 1,
-                            noise: s.noise,
-                        },
-                    )]
-                } else {
-                    vec![]
+                    sink.offer(format!("Advance({})", s.pos), None, |next| next.pos += 1);
                 }
             },
         );
@@ -921,14 +960,19 @@ mod tests {
             coverage.record_action("Churn(2)");
         }
         let _ = spec; // hits come from the shared action counter
-        let successors = vec![
-            ("Churn(2)".to_owned(), hot.clone()),
-            ("Advance(0)".to_owned(), Walk { pos: 1, noise: 0 }),
-        ];
+        let candidates = [
+            ("Churn(2)", hot.clone()),
+            ("Advance(0)", Walk { pos: 1, noise: 0 }),
+        ]
+        .map(|(label, next)| ActionInstance {
+            label: Label::from(label),
+            next,
+            effect: None,
+        });
         let mut rng = CheckerRng::seed_from_u64(9);
         let mut cold_choices = 0usize;
         for _ in 0..256 {
-            if weighted_choice(&successors, &coverage, 16, &mut rng).0 == 1 {
+            if weighted_choice(&candidates, &coverage, 16, &mut rng).0 == 1 {
                 cold_choices += 1;
             }
         }

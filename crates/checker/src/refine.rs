@@ -1422,7 +1422,7 @@ fn trace_has_unmatched_edge<S: SpecState>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec, Value};
+    use remix_spec::{ActionDef, Granularity, ModuleId, ModuleSpec, Value};
     use std::collections::{BTreeMap, BTreeSet};
 
     /// A two-phase toy: module `M` raises `n` by two in one coarse step, or in two fine
@@ -1444,14 +1444,9 @@ mod tests {
             Granularity::Baseline,
             vec!["n", "mid"],
             vec!["mid"],
-            move |s: &TState| {
+            move |s: &TState, sink| {
                 if !s.mid && s.n < limit {
-                    vec![ActionInstance::new(
-                        format!("StepStart({})", s.n),
-                        TState { mid: true, ..*s },
-                    )]
-                } else {
-                    vec![]
+                    sink.offer(format!("StepStart({})", s.n), None, |next| next.mid = true);
                 }
             },
         );
@@ -1461,17 +1456,14 @@ mod tests {
             Granularity::Baseline,
             vec!["n", "mid"],
             vec!["n", "mid"],
-            |s: &TState| {
+            |s: &TState, sink| {
                 if s.mid {
-                    vec![ActionInstance::new(
-                        format!("StepFinish({})", s.n),
-                        TState {
-                            n: s.n + 2,
+                    sink.offer(format!("StepFinish({})", s.n), None, |next| {
+                        *next = TState {
+                            n: next.n + 2,
                             mid: false,
-                        },
-                    )]
-                } else {
-                    vec![]
+                        }
+                    });
                 }
             },
         );
@@ -1494,20 +1486,17 @@ mod tests {
             Granularity::Coarse,
             vec!["n"],
             vec!["n"],
-            move |s: &TState| {
+            move |s: &TState, sink| {
                 if s.n < limit {
                     // The broken variant jumps too far: it loses the fine spec's
                     // intermediate visible states (and invents states of its own).
                     let bump = if broken { 3 } else { 2 };
-                    vec![ActionInstance::new(
-                        format!("StepBoth({})", s.n),
-                        TState {
-                            n: s.n + bump,
+                    sink.offer(format!("StepBoth({})", s.n), None, |next| {
+                        *next = TState {
+                            n: next.n + bump,
                             mid: false,
-                        },
-                    )]
-                } else {
-                    vec![]
+                        }
+                    });
                 }
             },
         );
@@ -1597,10 +1586,10 @@ mod tests {
             Granularity::Coarse,
             vec!["n"],
             vec!["n"],
-            |s: &TState| match s.n {
-                0 => vec![ActionInstance::new("Jump(0)", TState { n: 4, mid: false })],
-                4 => vec![ActionInstance::new("Jump(4)", TState { n: 2, mid: false })],
-                _ => vec![],
+            |s: &TState, sink| match s.n {
+                0 => sink.offer("Jump(0)", None, |next| *next = TState { n: 4, mid: false }),
+                4 => sink.offer("Jump(4)", None, |next| *next = TState { n: 2, mid: false }),
+                _ => {}
             },
         );
         let coarse = Spec::new(
@@ -1757,7 +1746,7 @@ mod tests {
                 Granularity::Baseline,
                 vec!["n"],
                 vec![],
-                |s: &TState| vec![ActionInstance::new("Stutter", s.clone())],
+                |_: &TState, sink| sink.offer("Stutter", None, |_| {}),
             );
             spec.modules.push(ModuleSpec::new(
                 ModuleId("Loop"),
@@ -1805,15 +1794,17 @@ mod tests {
                 Granularity::Baseline,
                 vec!["n"],
                 vec!["n"],
-                move |s: &TState| match s.n {
+                move |s: &TState, sink| match s.n {
                     n if n == poisoned => panic!("boom in refinement closure"),
-                    0 => vec![ActionInstance::new("Seed", TState { n: 1, mid: false })],
-                    1 => (2..=101)
-                        .map(|n| {
-                            ActionInstance::new(format!("Spawn({n})"), TState { n, mid: false })
-                        })
-                        .collect(),
-                    _ => vec![],
+                    0 => sink.offer("Seed", None, |next| *next = TState { n: 1, mid: false }),
+                    1 => {
+                        for n in 2..=101 {
+                            sink.offer(format!("Spawn({n})"), None, |next| {
+                                *next = TState { n, mid: false }
+                            });
+                        }
+                    }
+                    _ => {}
                 },
             );
             Spec::new(
@@ -1997,18 +1988,18 @@ mod tests {
             Granularity::Baseline,
             vec!["n", "mid"],
             vec!["n", "mid"],
-            |s: &TState| {
-                let to = |n: u32| {
-                    let mid = matches!(n, 2 | 3 | 6);
-                    ActionInstance::new(format!("Step({n})"), TState { n, mid })
+            |s: &TState, sink| {
+                let targets: &[u32] = match s.n {
+                    0 => &[1, 2],
+                    1 => &[3],
+                    2 => &[5, 6],
+                    3 => &[6],
+                    6 => &[5],
+                    _ => &[],
                 };
-                match s.n {
-                    0 => vec![to(1), to(2)],
-                    1 => vec![to(3)],
-                    2 => vec![to(5), to(6)],
-                    3 => vec![to(6)],
-                    6 => vec![to(5)],
-                    _ => vec![],
+                for &n in targets {
+                    let mid = matches!(n, 2 | 3 | 6);
+                    sink.offer(format!("Step({n})"), None, |next| *next = TState { n, mid });
                 }
             },
         );

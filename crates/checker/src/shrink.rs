@@ -18,7 +18,9 @@
 //! against the implementation still produces a discrepancy — wired up in
 //! `remix-core`), or anything else a caller can phrase as a predicate.
 
-use remix_spec::{Spec, SpecState, Trace};
+use std::fmt::Write;
+
+use remix_spec::{Label, Offer, Spec, SpecState, Trace};
 
 /// The result of shrinking one trace.
 #[derive(Debug, Clone)]
@@ -53,23 +55,34 @@ impl<S> ShrinkOutcome<S> {
 ///
 /// Labels are fully instantiated (e.g. `NodeCrash(2)`), so replay is deterministic as
 /// long as labels are unique per state; if a state offers several successors under the
-/// same label, the first is taken.
+/// same label, the first is taken.  Each step renders the offered labels into one
+/// reused buffer and builds only the offer that matches.
 pub fn replay_labels<S: SpecState>(
     spec: &Spec<S>,
     init: &S,
     labels: &[String],
 ) -> Option<Trace<S>> {
     let mut trace = Trace::from_init(init.clone());
-    let mut current = init.clone();
+    let mut rendered = String::new();
     for label in labels {
-        let (taken, next) = spec
-            .successors(&current)
-            .into_iter()
-            .find(|(l, _)| l == label)?;
-        trace.push(taken, next.clone());
-        current = next;
+        let current = trace.last_state()?;
+        let mut next = None;
+        spec.offer(current, &mut |offer: Offer<'_, S>| {
+            if next.is_none() && render(&offer.label, &mut rendered) == label {
+                next = Some(offer.build(current).next);
+            }
+        });
+        trace.push(label.clone(), next?);
     }
     Some(trace)
+}
+
+/// `label` rendered into `buffer` (its old content dropped), handed back as a `&str`.
+pub(crate) fn render<'a>(label: &Label, buffer: &'a mut String) -> &'a str {
+    buffer.clear();
+    // Writing into a `String` cannot fail.
+    let _ = write!(buffer, "{label}");
+    buffer
 }
 
 /// Delta-debugs `trace` down to a locally minimal legal execution still accepted by
@@ -194,9 +207,7 @@ mod tests {
     use crate::options::SimulationOptions;
     use crate::rng::CheckerRng;
     use crate::simulate::simulate_one;
-    use remix_spec::{
-        ActionDef, ActionInstance, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
-    };
+    use remix_spec::{ActionDef, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec};
 
     /// Counter with an irrelevant toggle: `Inc` raises `n`, `Toggle` flips `t`, the
     /// violation only depends on `n`, so a minimal counterexample is all-`Inc`.
@@ -216,17 +227,9 @@ mod tests {
             Granularity::Baseline,
             vec!["n"],
             vec!["n"],
-            move |s: &TState| {
+            move |s: &TState, sink| {
                 if s.n < limit {
-                    vec![ActionInstance::new(
-                        format!("Inc({})", s.n),
-                        TState {
-                            n: s.n + 1,
-                            ..s.clone()
-                        },
-                    )]
-                } else {
-                    vec![]
+                    sink.offer(format!("Inc({})", s.n), None, |next| next.n += 1);
                 }
             },
         );
@@ -236,14 +239,8 @@ mod tests {
             Granularity::Baseline,
             vec!["t"],
             vec!["t"],
-            |s: &TState| {
-                vec![ActionInstance::new(
-                    format!("Toggle({})", s.t),
-                    TState {
-                        t: !s.t,
-                        ..s.clone()
-                    },
-                )]
+            |s: &TState, sink| {
+                sink.offer(format!("Toggle({})", s.t), None, |next| next.t = !next.t);
             },
         );
         let inv = Invariant::always(

@@ -56,7 +56,7 @@ pub fn simulate<S: SpecState>(spec: &Spec<S>, options: &SimulationOptions) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec};
+    use remix_spec::{ActionDef, Granularity, ModuleId, ModuleSpec};
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct N(u32);
@@ -71,14 +71,14 @@ mod tests {
             Granularity::Baseline,
             vec!["n"],
             vec!["n"],
-            |s: &N| {
+            |s: &N, sink| {
                 if s.0 >= 64 {
-                    return vec![];
+                    return;
                 }
-                vec![
-                    ActionInstance::new(format!("Double({})", s.0), N(s.0 * 2 + 1)),
-                    ActionInstance::new(format!("Inc({})", s.0), N(s.0 + 1)),
-                ]
+                sink.offer(format!("Double({})", s.0), None, |next| {
+                    next.0 = next.0 * 2 + 1
+                });
+                sink.offer(format!("Inc({})", s.0), None, |next| next.0 += 1);
             },
         );
         Spec::new(

@@ -26,10 +26,10 @@
 //! bytes of payload per state, independent of the state type, of which the 8-byte
 //! `(parent, label)` record stays resident when the fingerprints spill).  Traces are
 //! reconstructed on demand by **bounded re-exploration**: the recorded `(parent index,
-//! label)` chain is replayed forward through [`Spec::successors`], matching each step
-//! by label and by looking the successor up in the store, which must name the recorded
-//! entry — O(depth × branching) successor evaluations, paid only when a violation is
-//! actually reported.  This is the backend for exhaustive runs whose state count, not
+//! label)` chain is replayed forward through [`Spec::offer`], matching each step by
+//! label and by looking the successor up in the store, which must name the recorded
+//! entry — O(depth × branching) label renderings and one build per matching label,
+//! paid only when a violation is actually reported.  This is the backend for exhaustive runs whose state count, not
 //! state size, is the binding constraint.
 //!
 //! The per-entry record is the 8-byte `(parent, label)` pair in both backends.  What
@@ -166,11 +166,12 @@ use std::path::PathBuf;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
 
 use remix_spec::{
-    CanonFn, DigestMap, InternPool, LabelId, LabelTable, PairHasher, Perm, SlotIndex, Spec,
-    SpecState, TableHasher, Trace, INIT_LABEL,
+    ActionInstance, CanonFn, DigestMap, InternPool, LabelId, LabelTable, Offer, PairHasher, Perm,
+    SlotIndex, Spec, SpecState, TableHasher, Trace, INIT_LABEL,
 };
 
 use crate::fingerprint::{state_key, Fingerprint};
+use crate::shrink::render;
 use crate::spill::{self, SpillConfig, SpillCounters, SpillRun, SpillStats};
 
 /// Which backend a run stores discovered states in.
@@ -1113,7 +1114,7 @@ impl<S: SpecState> StateStore<S> {
     /// In [`StoreMode::Full`] this walks parent indices and rebuilds each stored state
     /// from its row — no successor evaluation.  In [`StoreMode::FingerprintOnly`] the stored states
     /// are gone, so the recorded `(parent, label)` chain is replayed forward through
-    /// [`Spec::successors`]: at each step the successor whose interned label matches
+    /// [`Spec::offer`]: at each step the offer whose rendered label matches
     /// the recorded [`LabelId`] *and* which the store [holds](Self::index_of) at the
     /// recorded entry is taken.  The replay is bounded by the chain's length; each step
     /// evaluates the successors of exactly one state.
@@ -1164,7 +1165,7 @@ impl<S: SpecState> StateStore<S> {
         };
         let (root, root_label) = chain[0];
         debug_assert_eq!(labels.resolve(root_label), INIT_LABEL);
-        let mut current = spec
+        let root = spec
             .init
             .iter()
             .find(|s| located(s).0 == Some(root))
@@ -1172,37 +1173,42 @@ impl<S: SpecState> StateStore<S> {
             .expect("chain root is (the canonical form of) an initial state of the replayed spec");
         // σ: the permutation mapping the current original-frame state onto its
         // canonical representative (the frame the chain is recorded in).
-        let mut sigma = located(&current).1;
-        let mut trace = Trace::from_init(current.clone());
+        let mut sigma = located(&root).1;
+        let mut trace = Trace::from_init(root);
+        let mut rendered = String::new();
         for &(index, label) in &chain[1..] {
+            let current = trace.last_state()?;
             // Labels name server ids, so they only identify a step in the frame they
-            // were recorded in.
+            // were recorded in: without `canon` only offers under the recorded label
+            // are built.
             let recorded = canon.is_none().then(|| labels.resolve(label));
             // The exact discovered execution satisfies canon(next).1 == π_edge ∘ σ.
             let expected = sigma
                 .as_ref()
                 .and_then(|sigma| Some(self.perm_of(index)?.compose(sigma)));
-            let mut chosen = None;
-            for (l, s) in spec.successors(&current) {
-                if recorded.as_ref().is_some_and(|recorded| *recorded != l) {
-                    continue;
+            let mut chosen: Option<(ActionInstance<S>, Option<Perm>)> = None;
+            let mut exact_found = false;
+            spec.offer(current, &mut |offer: Offer<'_, S>| {
+                if exact_found
+                    || recorded
+                        .as_ref()
+                        .is_some_and(|recorded| render(&offer.label, &mut rendered) != recorded)
+                {
+                    return;
                 }
-                let (at, perm) = located(&s);
+                let inst = offer.build(current);
+                let (at, perm) = located(&inst.next);
                 if at != Some(index) {
-                    continue;
+                    return;
                 }
-                let exact = perm == expected;
-                if exact || chosen.is_none() {
-                    chosen = Some((l, s, perm));
+                exact_found = perm == expected;
+                if exact_found || chosen.is_none() {
+                    chosen = Some((inst, perm));
                 }
-                if exact {
-                    break;
-                }
-            }
-            let (label, next, perm) = chosen?;
+            });
+            let (step, perm) = chosen?;
             sigma = perm;
-            trace.push(label, next.clone());
-            current = next;
+            trace.push(step.label.to_string(), step.next);
         }
         Some(trace)
     }
@@ -1276,7 +1282,7 @@ impl<S> fmt::Debug for StateStore<S> {
 mod tests {
     use super::*;
     use crate::fingerprint::fingerprint;
-    use remix_spec::{ActionDef, ActionInstance, Granularity, ModuleId, ModuleSpec};
+    use remix_spec::{ActionDef, Granularity, ModuleId, ModuleSpec};
     use std::collections::BTreeMap;
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -1292,11 +1298,9 @@ mod tests {
             Granularity::Baseline,
             vec!["n"],
             vec!["n"],
-            move |s: &N| {
+            move |s: &N, sink| {
                 if s.0 < limit {
-                    vec![ActionInstance::new(format!("Inc({})", s.0), N(s.0 + 1))]
-                } else {
-                    vec![]
+                    sink.offer(format!("Inc({})", s.0), None, |next| next.0 += 1);
                 }
             },
         );

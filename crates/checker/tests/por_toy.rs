@@ -6,8 +6,8 @@
 
 use remix_checker::{check_bfs, CheckOptions, StopReason, StoreMode};
 use remix_spec::{
-    ActionDef, ActionInstance, Effect, Granularity, Invariant, InvariantSource, ModuleId,
-    ModuleSpec, Spec, SpecState,
+    ActionDef, Effect, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec, Spec,
+    SpecState,
 };
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -29,18 +29,9 @@ fn grid_spec(nx: u32, ny: u32) -> Spec<Grid> {
         Granularity::Baseline,
         vec!["x"],
         vec!["x"],
-        move |s: &Grid| {
+        move |s: &Grid, sink| {
             if s.x < s.nx {
-                vec![ActionInstance::new(
-                    "IncX",
-                    Grid {
-                        x: s.x + 1,
-                        ..s.clone()
-                    },
-                )
-                .with_effect(Effect::new().writes_server(0))]
-            } else {
-                vec![]
+                sink.offer("IncX", Effect::new().writes_server(0), |next| next.x += 1);
             }
         },
     );
@@ -50,18 +41,9 @@ fn grid_spec(nx: u32, ny: u32) -> Spec<Grid> {
         Granularity::Baseline,
         vec!["y"],
         vec!["y"],
-        move |s: &Grid| {
+        move |s: &Grid, sink| {
             if s.y < s.ny {
-                vec![ActionInstance::new(
-                    "IncY",
-                    Grid {
-                        y: s.y + 1,
-                        ..s.clone()
-                    },
-                )
-                .with_effect(Effect::new().writes_server(1))]
-            } else {
-                vec![]
+                sink.offer("IncY", Effect::new().writes_server(1), |next| next.y += 1);
             }
         },
     );

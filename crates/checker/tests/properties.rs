@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use remix_checker::{fingerprint, CheckerRng, CoverageMap};
-use remix_spec::action_name;
+use remix_spec::{action_name, fingerprint_head};
 
 proptest! {
     /// Fingerprints are stable across clones: hashing is a pure function of the state
@@ -97,7 +97,7 @@ proptest! {
     ) {
         let map = CoverageMap::new(8, prefix_bits);
         for state in &states {
-            let fp = fingerprint(state);
+            let fp = fingerprint_head(state);
             let before = map.record(fp, "Visit(0)");
             prop_assert_eq!(map.prefix_hits(fp), before + 1);
         }

@@ -12,8 +12,8 @@
 
 use remix_checker::{check_bfs, CheckOptions, StopReason, StoreMode, SymmetryMode};
 use remix_spec::{
-    ActionDef, ActionInstance, Canonicalize, Effect, Granularity, Invariant, InvariantSource,
-    ModuleId, ModuleSpec, Perm, Spec, SpecState,
+    ActionDef, Canonicalize, Effect, Granularity, Invariant, InvariantSource, ModuleId, ModuleSpec,
+    Perm, Spec, SpecState,
 };
 
 /// `k` interchangeable workers, each a bare counter.
@@ -57,16 +57,14 @@ fn workers_spec(k: usize, max: u8, bad: Option<Vec<u8>>) -> Spec<Workers> {
         Granularity::Baseline,
         vec!["counters"],
         vec!["counters"],
-        move |s: &Workers| {
-            (0..s.0.len())
-                .filter(|&i| s.0[i] < max)
-                .map(|i| {
-                    let mut next = s.clone();
-                    next.0[i] += 1;
-                    ActionInstance::new(format!("Inc({i})"), next)
-                        .with_effect(Effect::new().writes_server(i))
-                })
-                .collect()
+        move |s: &Workers, sink| {
+            for i in (0..s.0.len()).filter(|&i| s.0[i] < max) {
+                sink.offer(
+                    format!("Inc({i})"),
+                    Effect::new().writes_server(i),
+                    |next| next.0[i] += 1,
+                );
+            }
         },
     );
     let invariants = match bad {

@@ -14,9 +14,11 @@ use remix_checker::{
     check_refinement, replay_labels, DivergenceKind, RefineOptions, RefineVerdict, SpillConfig,
 };
 use remix_core::Verifier;
-use remix_spec::{CompositionPlan, Granularity};
+use remix_spec::{CompositionPlan, Granularity, Offer, Sink};
 use remix_zab::modules::{BROADCAST, DISCOVERY, ELECTION, SYNCHRONIZATION};
-use remix_zab::{coarse_vs_baseline, ClusterConfig, CodeVersion, ServerState, SpecPreset};
+use remix_zab::{
+    coarse_vs_baseline, ClusterConfig, CodeVersion, ServerState, SpecPreset, ZabState,
+};
 
 fn options() -> RefineOptions {
     RefineOptions::default().with_time_budget(Duration::from_secs(120))
@@ -332,10 +334,10 @@ fn broken_coarse_action_yields_a_shrunk_fine_witness() {
             if action.name != "ElectionAndDiscovery" {
                 continue;
             }
-            let original = Arc::clone(&action.successors);
-            action.successors = Arc::new(move |s: &remix_zab::ZabState| {
-                let mut instances = original(s);
-                for inst in &mut instances {
+            let original = Arc::clone(&action.offers);
+            action.offers = Arc::new(move |s: &ZabState, sink: &mut dyn Sink<ZabState>| {
+                original(s, &mut |offer: Offer<'_, ZabState>| {
+                    let mut inst = offer.build(s);
                     for (i, sv) in inst.next.servers.iter_mut().enumerate() {
                         if sv.state == ServerState::Leading
                             && s.servers[i].state == ServerState::Looking
@@ -344,8 +346,8 @@ fn broken_coarse_action_yields_a_shrunk_fine_witness() {
                             sv.current_epoch = s.servers[i].current_epoch;
                         }
                     }
-                }
-                instances
+                    sink.offer(inst.label, inst.effect, |next| *next = inst.next);
+                });
             });
         }
     }

@@ -1,9 +1,10 @@
 //! Actions: guarded atomic state transitions with declared variable footprints.
 //!
 //! A TLA+ action is a conjunction of enabling conditions and next-state updates.  Here an
-//! [`ActionDef`] bundles a *successor function* (which enumerates every enabled parameter
-//! instantiation of the action in a given state and returns the resulting next states)
-//! together with metadata used by the rest of the framework:
+//! [`ActionDef`] bundles an *offer function* (which evaluates the action's guards in a
+//! given state and offers every enabled parameter instantiation to a caller's [`Sink`]
+//! as a label, a footprint and an update, without building the successor) together with
+//! metadata used by the rest of the framework:
 //!
 //! * the module the action belongs to (the paper decomposes Zab by phase),
 //! * the [`Granularity`] of the specification the action was written for, and
@@ -81,7 +82,8 @@ impl fmt::Display for Granularity {
     }
 }
 
-/// One enabled instantiation of an action in a particular state.
+/// One enabled instantiation of an action, built: its label, the successor state and
+/// its declared footprint.  [`ActionDef::enabled`] and [`Offer::build`] hand these out.
 ///
 /// The label carries the concrete parameters (e.g. `FollowerProcessNEWLEADER(2, 0)`) so
 /// that counterexample traces read like the paper's.
@@ -100,29 +102,93 @@ pub struct ActionInstance<S> {
     pub effect: Option<Effect>,
 }
 
-impl<S> ActionInstance<S> {
-    /// Creates a new instance with the given label — a typed [`Label`], or a `String`
-    /// that is its own rendering — and successor state (no declared footprint).
-    pub fn new(label: impl Into<Label>, next: S) -> Self {
-        ActionInstance {
-            label: label.into(),
-            next,
-            effect: None,
-        }
-    }
+/// One enabled instantiation of an action, offered to a [`Sink`] but not yet built:
+/// its label, its declared footprint, and the update that turns a copy of the parent
+/// into the successor.
+///
+/// A sink that keeps the instance calls [`Offer::build`]; one that only counts or
+/// compares labels drops the offer, and the successor is never built.
+pub struct Offer<'a, S> {
+    /// Fully instantiated label (see [`ActionInstance::label`]).
+    pub label: Label,
+    /// The declared footprint (see [`ActionInstance::effect`]).
+    pub effect: Option<Effect>,
+    apply: &'a mut dyn FnMut(&mut S),
+}
 
-    /// Attaches a declared read/write footprint to the instance.
-    #[must_use]
-    pub fn with_effect(mut self, effect: Effect) -> Self {
-        self.effect = Some(effect);
-        self
+impl<S: Clone> Offer<'_, S> {
+    /// Builds the instance: a copy of `parent` — the state the offer was made in —
+    /// with the offer's update applied.
+    pub fn build(self, parent: &S) -> ActionInstance<S> {
+        let mut next = parent.clone();
+        (self.apply)(&mut next);
+        ActionInstance {
+            label: self.label,
+            next,
+            effect: self.effect,
+        }
     }
 }
 
-/// Type of the successor-enumeration function of an action.
-pub type SuccessorFn<S> = Arc<dyn Fn(&S) -> Vec<ActionInstance<S>> + Send + Sync>;
+/// Where an action's enabled instances go: see [`ActionDef`] for the offer contract.
+///
+/// Any `FnMut(Offer<'_, S>)` closure is a sink.
+pub trait Sink<S> {
+    /// Receives one offer.
+    fn take(&mut self, offer: Offer<'_, S>);
+}
+
+impl<S, F: FnMut(Offer<'_, S>)> Sink<S> for F {
+    fn take(&mut self, offer: Offer<'_, S>) {
+        self(offer)
+    }
+}
+
+impl<'a, S> dyn Sink<S> + 'a {
+    /// Offers one enabled instance: its typed [`Label`] (or a `String` that is its own
+    /// rendering), its declared footprint (an [`Effect`], or `None` for none), and the
+    /// update `apply` that turns a copy of the parent into the successor.  `apply` runs
+    /// at most once, and only when the sink builds the instance.
+    pub fn offer(
+        &mut self,
+        label: impl Into<Label>,
+        effect: impl Into<Option<Effect>>,
+        apply: impl FnOnce(&mut S),
+    ) {
+        let mut apply = Some(apply);
+        self.take(Offer {
+            label: label.into(),
+            effect: effect.into(),
+            apply: &mut |next| {
+                if let Some(apply) = apply.take() {
+                    apply(next);
+                }
+            },
+        });
+    }
+}
+
+/// Type of the enumeration function of an action: it offers every enabled instance in
+/// the given state to the sink (see [`ActionDef`]).
+pub type OfferFn<S> = Arc<dyn Fn(&S, &mut dyn Sink<S>) + Send + Sync>;
 
 /// A named, guarded atomic action with a declared variable footprint.
+///
+/// # The offer contract
+///
+/// The action's function evaluates its guards on the parent state and offers each
+/// enabled instance to the caller's [`Sink`] (`sink.offer(label, effect, apply)`).
+/// Callers rely on three properties:
+///
+/// * **A fixed order.**  The same parent gets the same offers, in the same order, on
+///   every call: the samplers count the offers, draw one, and build it by calling the
+///   action again and taking the offer at the drawn position.
+/// * **`apply` is a function of the parent and the captured parameters only.**  It is
+///   handed a copy of the parent and writes the successor into it; whether the
+///   instance is enabled is decided before the offer, never inside `apply`, so a sink
+///   that does not build the instance still sees exactly the enabled ones.
+/// * **No panics.**  A panicking action takes down the whole checker instead of
+///   reporting a violation trace (`remix-lint`'s `no-panic-in-action` rule).
 #[derive(Clone)]
 pub struct ActionDef<S> {
     /// The action name without parameters, e.g. `"FollowerProcessNEWLEADER"`.
@@ -136,19 +202,19 @@ pub struct ActionDef<S> {
     pub reads: Vec<&'static str>,
     /// Variables written by the next-state updates.
     pub writes: Vec<&'static str>,
-    /// Enumerates every enabled instantiation of the action in the given state.
-    pub successors: SuccessorFn<S>,
+    /// Offers every enabled instantiation of the action in the given state.
+    pub offers: OfferFn<S>,
 }
 
 impl<S> ActionDef<S> {
-    /// Creates an action definition.
+    /// Creates an action definition from its offer function (see the offer contract).
     pub fn new(
         name: &'static str,
         module: ModuleId,
         granularity: Granularity,
         reads: Vec<&'static str>,
         writes: Vec<&'static str>,
-        successors: impl Fn(&S) -> Vec<ActionInstance<S>> + Send + Sync + 'static,
+        offers: impl Fn(&S, &mut dyn Sink<S>) + Send + Sync + 'static,
     ) -> Self {
         ActionDef {
             name,
@@ -156,13 +222,25 @@ impl<S> ActionDef<S> {
             granularity,
             reads,
             writes,
-            successors: Arc::new(successors),
+            offers: Arc::new(offers),
         }
     }
 
-    /// Enumerates the enabled instantiations of this action in `state`.
-    pub fn enabled(&self, state: &S) -> Vec<ActionInstance<S>> {
-        (self.successors)(state)
+    /// Offers the enabled instantiations of this action in `state` to `sink`.
+    pub fn offer(&self, state: &S, sink: &mut dyn Sink<S>) {
+        (self.offers)(state, sink)
+    }
+
+    /// The enabled instantiations of this action in `state`, each built.
+    pub fn enabled(&self, state: &S) -> Vec<ActionInstance<S>>
+    where
+        S: Clone,
+    {
+        let mut out = Vec::new();
+        self.offer(state, &mut |offer: Offer<'_, S>| {
+            out.push(offer.build(state))
+        });
+        out
     }
 }
 
@@ -189,11 +267,9 @@ mod tests {
             Granularity::Baseline,
             vec!["count"],
             vec!["count"],
-            |s: &u32| {
+            |s: &u32, sink| {
                 if *s < 3 {
-                    vec![ActionInstance::new(format!("Increment({s})"), s + 1)]
-                } else {
-                    vec![]
+                    sink.offer(format!("Increment({s})"), None, |next| *next += 1);
                 }
             },
         )
@@ -206,6 +282,30 @@ mod tests {
         assert_eq!(a.enabled(&0)[0].next, 1);
         assert_eq!(a.enabled(&0)[0].label.to_string(), "Increment(0)");
         assert!(a.enabled(&3).is_empty());
+    }
+
+    #[test]
+    fn an_offer_is_applied_only_when_built() {
+        let mut applied = 0;
+        let mut labels = Vec::new();
+        let counting: &mut dyn Sink<u32> =
+            &mut |offer: Offer<'_, u32>| labels.push(offer.label.to_string());
+        counting.offer(Label::new("Add").arg(1), None, |next| {
+            applied += 1;
+            *next += 1;
+        });
+        assert_eq!(labels, ["Add(1)"]);
+        assert_eq!(applied, 0, "counting builds nothing");
+        let mut built = None;
+        let building: &mut dyn Sink<u32> =
+            &mut |offer: Offer<'_, u32>| built = Some(offer.build(&5));
+        building.offer("Add(2)", Effect::global(), |next| {
+            applied += 1;
+            *next += 2;
+        });
+        let built = built.expect("built");
+        assert_eq!((built.next, built.effect), (7, Some(Effect::global())));
+        assert_eq!(applied, 1, "the kept offer, once");
     }
 
     #[test]

@@ -208,7 +208,7 @@ pub fn check_interaction_preservation<S>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::{ActionDef, ActionInstance, Granularity};
+    use crate::action::{ActionDef, Granularity};
 
     type S = u32;
 
@@ -219,8 +219,8 @@ mod tests {
         reads: Vec<&'static str>,
         writes: Vec<&'static str>,
     ) -> ActionDef<S> {
-        ActionDef::new(name, module, gran, reads, writes, |_s: &S| {
-            vec![ActionInstance::new("noop", 0u32)]
+        ActionDef::new(name, module, gran, reads, writes, |_s: &S, sink| {
+            sink.offer("noop", None, |next| *next = 0)
         })
     }
 

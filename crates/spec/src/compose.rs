@@ -97,7 +97,7 @@ pub fn compose<S: SpecState>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::{ActionDef, ActionInstance};
+    use crate::action::ActionDef;
     use crate::invariant::InvariantSource;
     use crate::spec::testutil::{Counters, MOD_X, MOD_Y};
 
@@ -108,7 +108,7 @@ mod tests {
             granularity,
             vec!["x"],
             vec!["x"],
-            |s: &Counters| vec![ActionInstance::new("Noop", s.clone())],
+            |_s: &Counters, sink| sink.offer("Noop", None, |_| {}),
         );
         ModuleSpec::new(module, granularity, vec![action])
     }

@@ -89,13 +89,11 @@ const KEY_A: (u64, u64) = (0x9e37_79b9_7f4a_7c15, 0xf39c_c060_5ced_c834);
 /// offset, not a prefix perturbation of the same key).
 const KEY_B: (u64, u64) = (0x1082_276b_f3a2_7251, 0x7109_88c0_bb3c_d9e2);
 
-/// A [`Hasher`] driving two distinctly keyed SipHash-1-3 states from one input stream.
-///
-/// One call to `state.hash(&mut PairHasher)` — a single traversal of the state — yields
-/// the full 128-bit [`Fingerprint`] via [`PairHasher::finish128`].
-pub struct PairHasher {
-    a: Sip13,
-    b: Sip13,
+/// A [`Hasher`] driving `N` distinctly keyed SipHash-1-3 states (the first `N` of
+/// [`KEY_A`], [`KEY_B`]) from one input stream: a [`PairHasher`] runs both, a
+/// [`HeadHasher`] the first alone.  `finish` is always the first state's hash.
+pub struct SipStream<const N: usize> {
+    states: [Sip13; N],
     /// Pending input bytes not yet forming a full 8-byte block (little-endian, low
     /// `pending_len` bytes valid).
     pending: u64,
@@ -104,18 +102,32 @@ pub struct PairHasher {
     written: u64,
 }
 
-impl Default for PairHasher {
+/// Two distinctly keyed SipHash-1-3 states from one input stream.
+///
+/// One call to `state.hash(&mut PairHasher)` — a single traversal of the state — yields
+/// the full 128-bit [`Fingerprint`] via [`PairHasher::finish128`].
+pub type PairHasher = SipStream<2>;
+
+/// The first state of a [`PairHasher`] alone: its `finish` is the first half of the
+/// [`Fingerprint`] of the same stream, at half the hashing cost.
+pub type HeadHasher = SipStream<1>;
+
+impl<const N: usize> Default for SipStream<N> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl PairHasher {
-    /// Creates the hasher pair with the module's fixed, distinct keys.
+impl<const N: usize> SipStream<N> {
+    /// Creates the hasher with the module's fixed, distinct keys.
+    ///
+    /// # Panics
+    ///
+    /// When `N` is above 2: there are two keys.
     pub fn new() -> Self {
-        PairHasher {
-            a: Sip13::new(KEY_A.0, KEY_A.1),
-            b: Sip13::new(KEY_B.0, KEY_B.1),
+        let keys = [KEY_A, KEY_B];
+        SipStream {
+            states: std::array::from_fn(|i| Sip13::new(keys[i].0, keys[i].1)),
             pending: 0,
             pending_len: 0,
             written: 0,
@@ -124,8 +136,16 @@ impl PairHasher {
 
     #[inline]
     fn compress(&mut self, block: u64) {
-        self.a.compress(block);
-        self.b.compress(block);
+        for state in &mut self.states {
+            state.compress(block);
+        }
+    }
+
+    /// SipHash's final block: the pending tail bytes with the input length in the top
+    /// byte, so streams of different lengths can never share a final block.
+    #[inline]
+    fn tail(&self) -> u64 {
+        self.pending | (self.written << 56)
     }
 
     /// Appends the low `len` bytes (1–8) of `value` — which must be zero above them — to
@@ -149,17 +169,17 @@ impl PairHasher {
             self.pending = (value >> 1) >> (63 - shift);
         }
     }
+}
 
+impl PairHasher {
     /// Finalizes both hashers, producing the 128-bit fingerprint.
     pub fn finish128(&self) -> Fingerprint {
-        // SipHash's final block: the pending tail bytes with the input length in the
-        // top byte, so streams of different lengths can never share a final block.
-        let tail = self.pending | (self.written << 56);
-        Fingerprint(self.a.finish(tail), self.b.finish(tail))
+        let tail = self.tail();
+        Fingerprint(self.states[0].finish(tail), self.states[1].finish(tail))
     }
 }
 
-impl Hasher for PairHasher {
+impl<const N: usize> Hasher for SipStream<N> {
     #[inline]
     fn write(&mut self, mut bytes: &[u8]) {
         self.written = self.written.wrapping_add(bytes.len() as u64);
@@ -222,7 +242,7 @@ impl Hasher for PairHasher {
     /// The first half of the fingerprint (the full 128 bits come from
     /// [`PairHasher::finish128`]).
     fn finish(&self) -> u64 {
-        self.finish128().0
+        self.states[0].finish(self.tail())
     }
 }
 
@@ -232,6 +252,15 @@ pub fn fingerprint<S: Hash + ?Sized>(state: &S) -> Fingerprint {
     let mut hasher = PairHasher::new();
     state.hash(&mut hasher);
     hasher.finish128()
+}
+
+/// The first half of [`fingerprint`]`(state)`, bit for bit, from one SipHash state
+/// instead of two: what a reader of the leading fingerprint bits alone (a coverage
+/// prefix) needs.
+pub fn fingerprint_head<S: Hash + ?Sized>(state: &S) -> u64 {
+    let mut hasher = HeadHasher::new();
+    state.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// The pass-through [`Hasher`] of a table keyed on a [`Fingerprint`]: the hash of a key
@@ -420,6 +449,15 @@ mod tests {
             "a short tail counts its length"
         );
         assert_ne!(table_hash(&0u64), table_hash(&1u64));
+    }
+
+    #[test]
+    fn the_head_is_the_first_half() {
+        let bytes: Vec<u8> = (0..37).collect();
+        let long = (7u16, &bytes, "tail");
+        assert_eq!(fingerprint_head(&()), fingerprint(&()).0);
+        assert_eq!(fingerprint_head(&42u64), fingerprint(&42u64).0);
+        assert_eq!(fingerprint_head(&long), fingerprint(&long).0);
     }
 
     #[test]

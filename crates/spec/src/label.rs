@@ -129,6 +129,15 @@ impl Label {
         self.push(Param::Set(bits))
     }
 
+    /// The action *definition* name: a typed label's name, a string label's text up
+    /// to its arguments (see [`action_name`](crate::action_name)).
+    pub fn name(&self) -> &str {
+        match &self.0 {
+            Repr::Typed { name, .. } => name,
+            Repr::Text(text) => crate::trace::action_name(text),
+        }
+    }
+
     fn push(mut self, param: Param) -> Self {
         match &mut self.0 {
             Repr::Typed { params, len, .. } => {
@@ -345,6 +354,7 @@ mod tests {
             (Label::from("IncX(1)"), "IncX(1)".to_owned()),
         ];
         for (label, text) in cases {
+            assert_eq!(label.name(), crate::action_name(&text));
             assert_eq!(label.to_string(), text);
         }
     }

@@ -61,7 +61,7 @@ pub mod symmetry;
 pub mod trace;
 pub mod value;
 
-pub use action::{ActionDef, ActionInstance, Granularity};
+pub use action::{ActionDef, ActionInstance, Granularity, Offer, OfferFn, Sink};
 pub use analysis::{
     check_interaction_preservation, dependency_variables, interaction_variables, module_footprint,
     InteractionAnalysis, ModuleFootprint, PreservationReport, PreservationViolation,
@@ -69,7 +69,10 @@ pub use analysis::{
 pub use compose::{compose, CompositionPlan, ModuleChoice};
 pub use effect::{Effect, EffectBit};
 pub use error::SpecError;
-pub use fingerprint::{fingerprint, table_hash, DigestMap, Fingerprint, PairHasher, TableHasher};
+pub use fingerprint::{
+    fingerprint, fingerprint_head, table_hash, DigestMap, Fingerprint, HeadHasher, PairHasher,
+    TableHasher,
+};
 pub use invariant::{Invariant, InvariantScope, InvariantSource};
 pub use label::{Label, LabelId, LabelTable, INIT_LABEL};
 pub use module::{ModuleId, ModuleSpec};

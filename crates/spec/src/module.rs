@@ -102,7 +102,6 @@ impl<S> fmt::Debug for ModuleSpec<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::ActionInstance;
 
     fn action(
         name: &'static str,
@@ -115,7 +114,7 @@ mod tests {
             Granularity::Baseline,
             reads,
             writes,
-            move |_s: &u32| vec![ActionInstance::new(name, 0u32)],
+            move |_s: &u32, sink| sink.offer(name, None, |next| *next = 0),
         )
     }
 

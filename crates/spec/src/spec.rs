@@ -5,7 +5,7 @@ use std::hash::{Hash, Hasher};
 
 use std::sync::Arc;
 
-use crate::action::{ActionDef, Granularity};
+use crate::action::{ActionDef, Granularity, Offer, Sink};
 use crate::effect::Effect;
 use crate::invariant::Invariant;
 use crate::label::{LabelId, LabelTable};
@@ -143,24 +143,31 @@ impl<S: SpecState> Spec<S> {
         self
     }
 
+    /// Offers every enabled instance of the next-state relation in `state` to `sink`,
+    /// action by action in module order (see [`ActionDef`]'s offer contract).  This is
+    /// the one enumeration protocol: every other enumeration is a sink over it.
+    pub fn offer(&self, state: &S, sink: &mut dyn Sink<S>) {
+        for action in self.actions() {
+            action.offer(state, sink);
+        }
+    }
+
     /// Enumerates all successors of `state` under the next-state relation, labelled with
     /// the fully instantiated action name, rendered.
     pub fn successors(&self, state: &S) -> Vec<(String, S)> {
         let mut out = Vec::new();
-        for module in &self.modules {
-            for action in &module.actions {
-                for inst in action.enabled(state) {
-                    out.push((inst.label.to_string(), inst.next));
-                }
-            }
-        }
+        self.offer(state, &mut |offer: Offer<'_, S>| {
+            let inst = offer.build(state);
+            out.push((inst.label.to_string(), inst.next));
+        });
         out
     }
 
     /// Streams all successors of `state` to `f`, interning each instantiated label into
     /// `labels` and handing over the dense [`LabelId`] instead of the label.
     ///
-    /// This is the checker's hot-path variant of [`Spec::successors`]: no intermediate
+    /// This is the checker's hot-path variant of [`Spec::successors`]: every offer is
+    /// built (the parent cloned and the update applied) and handed over as it comes, no
     /// successor vector is built, and no label is rendered — a typed
     /// [`Label`](crate::Label) is looked up as it is, and rendered once per *distinct*
     /// label for the whole run — so downstream bookkeeping stores a `u32` per
@@ -175,13 +182,10 @@ impl<S: SpecState> Spec<S> {
         labels: &LabelTable,
         mut f: impl FnMut(LabelId, S, Option<Effect>),
     ) {
-        for module in &self.modules {
-            for action in &module.actions {
-                for inst in action.enabled(state) {
-                    f(labels.intern_label(inst.label), inst.next, inst.effect);
-                }
-            }
-        }
+        self.offer(state, &mut |offer: Offer<'_, S>| {
+            let inst = offer.build(state);
+            f(labels.intern_label(inst.label), inst.next, inst.effect);
+        });
     }
 
     /// Returns the invariants violated by `state` (empty when all hold).
@@ -247,7 +251,6 @@ pub(crate) mod testutil {
     //! A tiny two-counter specification used by unit tests across the crate.
 
     use super::*;
-    use crate::action::ActionInstance;
     use crate::invariant::InvariantSource;
 
     /// A toy state with two counters owned by two different "modules".
@@ -269,14 +272,9 @@ pub(crate) mod testutil {
             Granularity::Baseline,
             vec!["x"],
             vec!["x"],
-            move |s: &Counters| {
+            move |s: &Counters, sink| {
                 if s.x < max {
-                    vec![ActionInstance::new(
-                        format!("IncX({})", s.x),
-                        Counters { x: s.x + 1, y: s.y },
-                    )]
-                } else {
-                    vec![]
+                    sink.offer(format!("IncX({})", s.x), None, |next| next.x += 1);
                 }
             },
         );
@@ -286,15 +284,10 @@ pub(crate) mod testutil {
             Granularity::Baseline,
             vec!["x", "y"],
             vec!["y"],
-            move |s: &Counters| {
+            move |s: &Counters, sink| {
                 // `y` may only grow while it is below `x` (an interaction with module X).
                 if s.y < s.x {
-                    vec![ActionInstance::new(
-                        format!("IncY({})", s.y),
-                        Counters { x: s.x, y: s.y + 1 },
-                    )]
-                } else {
-                    vec![]
+                    sink.offer(format!("IncY({})", s.y), None, |next| next.y += 1);
                 }
             },
         );

@@ -5,7 +5,7 @@
 //! commits through the follower's SyncRequestProcessor / CommitProcessor queues.
 
 use remix_spec::effect::flags;
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
+use remix_spec::{ActionDef, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::BROADCAST;
 use crate::state::ZabState;
@@ -198,29 +198,25 @@ fn leader_process_request(cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabS
             "ackldRecv",
         ],
         vec!["history", "proposalAcks", "msgs", "txnBudget", "ghost"],
-        move |s: &ZabState| {
-            let mut out = Vec::new();
+        move |s: &ZabState, sink| {
             for i in servers(s) {
                 if !leader_process_request_enabled(&cfg, s, i) {
                     continue;
                 }
-                let mut next = s.clone();
-                if leader_process_request_step(&cfg, &mut next, i) {
-                    // Proposals go to a state-dependent follower set; the transaction
-                    // budget and the ghost broadcast history are global scalars.
-                    out.push(
-                        ActionInstance::new(Label::new("LeaderProcessRequest").arg(i), next)
-                            .with_effect(
-                                Effect::new()
-                                    .writes_server(i)
-                                    .writes_channels_of(i)
-                                    .writes_flag(flags::TXN_BUDGET)
-                                    .writes_flag(flags::GHOST),
-                            ),
-                    );
-                }
+                // Proposals go to a state-dependent follower set; the transaction
+                // budget and the ghost broadcast history are global scalars.
+                sink.offer(
+                    Label::new("LeaderProcessRequest").arg(i),
+                    Effect::new()
+                        .writes_server(i)
+                        .writes_channels_of(i)
+                        .writes_flag(flags::TXN_BUDGET)
+                        .writes_flag(flags::GHOST),
+                    |next| {
+                        leader_process_request_step(&cfg, next, i);
+                    },
+                );
             }
-            out
         },
     )
 }
@@ -240,8 +236,7 @@ fn follower_process_proposal(_cfg: &Cfg) -> ActionDef<ZabState> {
             "msgs",
         ],
         vec!["history", "msgs", "violation"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -255,17 +250,17 @@ fn follower_process_proposal(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let txn = *txn;
-                let mut next = s.clone();
-                next.pop(j, i);
-                check_proposal(&mut next, i, txn);
-                next.servers[i].history.push(txn);
-                next.send(i, j, Message::Ack { zxid: txn.zxid });
-                out.push(
-                    ActionInstance::new(Label::new("FollowerProcessPROPOSAL").arg(i).arg(j), next)
-                        .with_effect(eff_recv_reply(i, j).writes_flag(flags::VIOLATION)),
+                sink.offer(
+                    Label::new("FollowerProcessPROPOSAL").arg(i).arg(j),
+                    eff_recv_reply(i, j).writes_flag(flags::VIOLATION),
+                    |next| {
+                        next.pop(j, i);
+                        check_proposal(next, i, txn);
+                        next.servers[i].history.push(txn);
+                        next.send(i, j, Message::Ack { zxid: txn.zxid });
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -309,22 +304,20 @@ fn leader_process_ack(_cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabStat
             "msgs",
         ],
         vec!["proposalAcks", "ackldRecv", "lastCommitted", "msgs"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 if !leader_process_ack_enabled(s, i, j) {
                     continue;
                 }
-                let mut next = s.clone();
-                if leader_process_ack_step(&mut next, i, j) {
-                    // Commits broadcast to a state-dependent follower set.
-                    out.push(
-                        ActionInstance::new(Label::new("LeaderProcessACK").arg(i).arg(j), next)
-                            .with_effect(Effect::new().writes_server(i).writes_channels_of(i)),
-                    );
-                }
+                // Commits broadcast to a state-dependent follower set.
+                sink.offer(
+                    Label::new("LeaderProcessACK").arg(i).arg(j),
+                    Effect::new().writes_server(i).writes_channels_of(i),
+                    |next| {
+                        leader_process_ack_step(next, i, j);
+                    },
+                );
             }
-            out
         },
     )
 }
@@ -344,8 +337,7 @@ fn follower_process_commit(_cfg: &Cfg) -> ActionDef<ZabState> {
             "msgs",
         ],
         vec!["lastCommitted", "msgs", "violation"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -359,15 +351,15 @@ fn follower_process_commit(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let zxid = *zxid;
-                let mut next = s.clone();
-                next.pop(j, i);
-                follower_apply_commit(&mut next, i, zxid, true);
-                out.push(
-                    ActionInstance::new(Label::new("FollowerProcessCOMMIT").arg(i).arg(j), next)
-                        .with_effect(eff_recv(i, j).writes_flag(flags::VIOLATION)),
+                sink.offer(
+                    Label::new("FollowerProcessCOMMIT").arg(i).arg(j),
+                    eff_recv(i, j).writes_flag(flags::VIOLATION),
+                    |next| {
+                        next.pop(j, i);
+                        follower_apply_commit(next, i, zxid, true);
+                    },
                 );
             }
-            out
         },
     )
 }

@@ -9,7 +9,7 @@
 //! the externally visible effects (`state`, `zabState`, `acceptedEpoch`, `currentEpoch`
 //! of the leader, learner bookkeeping) are preserved.
 
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
+use remix_spec::{ActionDef, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::{DISCOVERY, ELECTION};
 use crate::state::ZabState;
@@ -75,17 +75,16 @@ fn election_and_discovery(cfg: &Cfg) -> ActionDef<ZabState> {
             "currentVote",
             "receiveVotes",
         ],
-        move |s: &ZabState| {
-            let mut out = Vec::new();
+        move |s: &ZabState, sink| {
             let looking: Vec<Sid> = (0..s.n())
                 .filter(|&i| s.servers[i].is_up() && s.servers[i].state == ServerState::Looking)
                 .collect();
             if looking.len() < s.quorum_size() {
-                return out;
+                return;
             }
             let new_epoch = s.max_accepted_epoch() + 1;
             if new_epoch > cfg.max_epoch {
-                return out;
+                return;
             }
             for q in quorums(&looking, s.quorum_size()) {
                 // Every member of the quorum must be mutually reachable for the election
@@ -98,70 +97,67 @@ fn election_and_discovery(cfg: &Cfg) -> ActionDef<ZabState> {
                 let Some(leader) = q.iter().max_by_key(|&i| candidate_vote(s, i)) else {
                     continue;
                 };
-                let mut next = s.clone();
-                for member in q.iter() {
-                    let last_zxid = next.servers[member].last_zxid();
-                    let sv = &mut next.servers[member];
-                    sv.accepted_epoch = new_epoch;
-                    sv.phase = ZabPhase::Synchronization;
-                    sv.leader = Some(leader);
-                    sv.recv_votes.clear();
-                    sv.vote = Vote {
-                        epoch: sv.current_epoch,
-                        zxid: last_zxid,
-                        leader,
-                    };
-                    if member == leader {
-                        sv.state = ServerState::Leading;
-                        sv.current_epoch = new_epoch;
-                        sv.epoch_proposed = true;
-                        sv.established = false;
-                    } else {
-                        sv.state = ServerState::Following;
-                        sv.connected = true;
-                    }
-                }
-                // Leader-side discovery bookkeeping: every follower of Q has reported its
-                // last zxid (ACKEPOCH) by the end of the combined action.
-                let followers: Vec<Sid> = q.iter().filter(|&m| m != leader).collect();
-                for &f in &followers {
-                    let fz = next.servers[f].last_zxid();
-                    next.servers[leader].learners.insert(f);
-                    next.servers[leader].epoch_acks.insert(f);
-                    next.servers[leader].learner_last_zxid.insert(f, fz);
-                }
-                // Non-participants that overheard the winning round keep the notification
-                // remnants fast leader election leaves behind: the winning vote, recorded
-                // from every reachable quorum member, adopted when it beats their own.
-                // These remnants are internal (hidden from granularity projections) but
-                // enable `ElectionAndDiscoveryLateJoin` later — without them the coarse
-                // module would lose the baseline's late-join interaction with the
-                // Synchronization module (a refinement-checker finding).
-                let winning = candidate_vote(s, leader);
-                for &o in &looking {
-                    if q.contains(&o) {
-                        continue;
-                    }
-                    let mut overheard = false;
-                    for member in q.iter() {
-                        if s.reachable(o, member) {
-                            next.servers[o].recv_votes.insert(member, winning);
-                            overheard = true;
+                sink.offer(
+                    Label::new("ElectionAndDiscovery").arg(leader).set(q.iter()),
+                    Effect::global(),
+                    |next| {
+                        for member in q.iter() {
+                            let last_zxid = next.servers[member].last_zxid();
+                            let sv = &mut next.servers[member];
+                            sv.accepted_epoch = new_epoch;
+                            sv.phase = ZabPhase::Synchronization;
+                            sv.leader = Some(leader);
+                            sv.recv_votes.clear();
+                            sv.vote = Vote {
+                                epoch: sv.current_epoch,
+                                zxid: last_zxid,
+                                leader,
+                            };
+                            if member == leader {
+                                sv.state = ServerState::Leading;
+                                sv.current_epoch = new_epoch;
+                                sv.epoch_proposed = true;
+                                sv.established = false;
+                            } else {
+                                sv.state = ServerState::Following;
+                                sv.connected = true;
+                            }
                         }
-                    }
-                    if overheard && winning > next.servers[o].vote {
-                        next.servers[o].vote = winning;
-                    }
-                }
-                out.push(
-                    ActionInstance::new(
-                        Label::new("ElectionAndDiscovery").arg(leader).set(q.iter()),
-                        next,
-                    )
-                    .with_effect(Effect::global()),
+                        // Leader-side discovery bookkeeping: every follower of Q has reported its
+                        // last zxid (ACKEPOCH) by the end of the combined action.
+                        let followers: Vec<Sid> = q.iter().filter(|&m| m != leader).collect();
+                        for &f in &followers {
+                            let fz = next.servers[f].last_zxid();
+                            next.servers[leader].learners.insert(f);
+                            next.servers[leader].epoch_acks.insert(f);
+                            next.servers[leader].learner_last_zxid.insert(f, fz);
+                        }
+                        // Non-participants that overheard the winning round keep the notification
+                        // remnants fast leader election leaves behind: the winning vote, recorded
+                        // from every reachable quorum member, adopted when it beats their own.
+                        // These remnants are internal (hidden from granularity projections) but
+                        // enable `ElectionAndDiscoveryLateJoin` later — without them the coarse
+                        // module would lose the baseline's late-join interaction with the
+                        // Synchronization module (a refinement-checker finding).
+                        let winning = candidate_vote(s, leader);
+                        for &o in &looking {
+                            if q.contains(&o) {
+                                continue;
+                            }
+                            let mut overheard = false;
+                            for member in q.iter() {
+                                if s.reachable(o, member) {
+                                    next.servers[o].recv_votes.insert(member, winning);
+                                    overheard = true;
+                                }
+                            }
+                            if overheard && winning > next.servers[o].vote {
+                                next.servers[o].vote = winning;
+                            }
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -207,8 +203,7 @@ fn late_join(_cfg: &Cfg) -> ActionDef<ZabState> {
             "currentVote",
             "receiveVotes",
         ],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for i in 0..s.n() {
                 let sv = &s.servers[i];
                 if !sv.is_up() || sv.state != ServerState::Looking {
@@ -264,29 +259,26 @@ fn late_join(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 }
                 let last_zxid = sv.last_zxid();
-                let mut next = s.clone();
-                {
-                    let joiner = &mut next.servers[i];
-                    joiner.state = ServerState::Following;
-                    joiner.phase = ZabPhase::Synchronization;
-                    joiner.leader = Some(l);
-                    joiner.accepted_epoch = epoch;
-                    joiner.connected = true;
-                    joiner.vote = my_vote;
-                    joiner.recv_votes.clear();
-                }
-                next.servers[l].learners.insert(i);
-                next.servers[l].epoch_acks.insert(i);
-                next.servers[l].learner_last_zxid.insert(i, last_zxid);
-                out.push(
-                    ActionInstance::new(
-                        Label::new("ElectionAndDiscoveryLateJoin").arg(i).arg(l),
-                        next,
-                    )
-                    .with_effect(Effect::global()),
+                sink.offer(
+                    Label::new("ElectionAndDiscoveryLateJoin").arg(i).arg(l),
+                    Effect::global(),
+                    |next| {
+                        {
+                            let joiner = &mut next.servers[i];
+                            joiner.state = ServerState::Following;
+                            joiner.phase = ZabPhase::Synchronization;
+                            joiner.leader = Some(l);
+                            joiner.accepted_epoch = epoch;
+                            joiner.connected = true;
+                            joiner.vote = my_vote;
+                            joiner.recv_votes.clear();
+                        }
+                        next.servers[l].learners.insert(i);
+                        next.servers[l].epoch_acks.insert(i);
+                        next.servers[l].learner_last_zxid.insert(i, last_zxid);
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -340,20 +332,19 @@ fn election_and_discovery_leader_crash(cfg: &Cfg) -> ActionDef<ZabState> {
             "queuedRequests",
             "committedRequests",
         ],
-        move |s: &ZabState| {
-            let mut out = Vec::new();
+        move |s: &ZabState, sink| {
             if s.crashes_remaining == 0 {
-                return out;
+                return;
             }
             let looking: Vec<Sid> = (0..s.n())
                 .filter(|&i| s.servers[i].is_up() && s.servers[i].state == ServerState::Looking)
                 .collect();
             if looking.len() < s.quorum_size() {
-                return out;
+                return;
             }
             let new_epoch = s.max_accepted_epoch() + 1;
             if new_epoch > cfg.max_epoch {
-                return out;
+                return;
             }
             for q in quorums(&looking, s.quorum_size()) {
                 let connected = q.iter().all(|a| q.iter().all(|b| s.reachable(a, b)));
@@ -367,41 +358,38 @@ fn election_and_discovery_leader_crash(cfg: &Cfg) -> ActionDef<ZabState> {
                 // Every subset J of followers may have completed the handshake before
                 // the crash (including none: the leader died right after proposing).
                 for joined in subsets(&followers) {
-                    let mut next = s.clone();
-                    for &j in &joined {
-                        let last_zxid = next.servers[j].last_zxid();
-                        let sv = &mut next.servers[j];
-                        sv.accepted_epoch = new_epoch;
-                        sv.phase = ZabPhase::Synchronization;
-                        sv.state = ServerState::Following;
-                        sv.leader = Some(leader);
-                        sv.connected = true;
-                        sv.recv_votes.clear();
-                        sv.vote = Vote {
-                            epoch: sv.current_epoch,
-                            zxid: last_zxid,
-                            leader,
-                        };
-                    }
-                    // The leader durably accepted the epoch it proposed but never
-                    // committed it (`currentEpoch` stays), then crashed.
-                    next.servers[leader].accepted_epoch = new_epoch;
-                    next.crashes_remaining -= 1;
-                    next.servers[leader].crash();
-                    next.clear_channels(leader);
-                    out.push(
-                        ActionInstance::new(
-                            Label::new("ElectionAndDiscoveryLeaderCrash")
-                                .arg(leader)
-                                .set(q.iter())
-                                .set(joined.iter().copied()),
-                            next,
-                        )
-                        .with_effect(Effect::global()),
+                    sink.offer(
+                        Label::new("ElectionAndDiscoveryLeaderCrash")
+                            .arg(leader)
+                            .set(q.iter())
+                            .set(joined.iter().copied()),
+                        Effect::global(),
+                        |next| {
+                            for &j in &joined {
+                                let last_zxid = next.servers[j].last_zxid();
+                                let sv = &mut next.servers[j];
+                                sv.accepted_epoch = new_epoch;
+                                sv.phase = ZabPhase::Synchronization;
+                                sv.state = ServerState::Following;
+                                sv.leader = Some(leader);
+                                sv.connected = true;
+                                sv.recv_votes.clear();
+                                sv.vote = Vote {
+                                    epoch: sv.current_epoch,
+                                    zxid: last_zxid,
+                                    leader,
+                                };
+                            }
+                            // The leader durably accepted the epoch it proposed but never
+                            // committed it (`currentEpoch` stays), then crashed.
+                            next.servers[leader].accepted_epoch = new_epoch;
+                            next.crashes_remaining -= 1;
+                            next.servers[leader].crash();
+                            next.clear_channels(leader);
+                        },
                     );
                 }
             }
-            out
         },
     )
 }

@@ -1,6 +1,6 @@
 //! Baseline Discovery module: epoch negotiation between the new leader and its learners.
 
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
+use remix_spec::{ActionDef, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::DISCOVERY;
 use crate::state::ZabState;
@@ -43,8 +43,7 @@ fn follower_info(_cfg: &Cfg) -> ActionDef<ZabState> {
             "history",
         ],
         vec!["msgs", "leaderAddr"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if sv.state != ServerState::Following
@@ -55,24 +54,21 @@ fn follower_info(_cfg: &Cfg) -> ActionDef<ZabState> {
                 {
                     continue;
                 }
-                let mut next = s.clone();
-                next.servers[i].connected = true;
-                let msg = Message::FollowerInfo {
-                    accepted_epoch: next.servers[i].accepted_epoch,
-                    last_zxid: next.servers[i].last_zxid(),
-                };
-                next.send(i, j, msg);
-                out.push(
-                    ActionInstance::new(
-                        Label::new("ConnectAndFollowerSendFOLLOWERINFO")
-                            .arg(i)
-                            .arg(j),
-                        next,
-                    )
-                    .with_effect(Effect::new().writes_server(i).writes_channel(i, j)),
+                sink.offer(
+                    Label::new("ConnectAndFollowerSendFOLLOWERINFO")
+                        .arg(i)
+                        .arg(j),
+                    Effect::new().writes_server(i).writes_channel(i, j),
+                    |next| {
+                        next.servers[i].connected = true;
+                        let msg = Message::FollowerInfo {
+                            accepted_epoch: next.servers[i].accepted_epoch,
+                            last_zxid: next.servers[i].last_zxid(),
+                        };
+                        next.send(i, j, msg);
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -87,8 +83,7 @@ fn leader_process_follower_info(cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::Baseline,
         vec!["state", "learners", "acceptedEpoch", "msgs"],
         vec!["learners", "acceptedEpoch", "msgs"],
-        move |s: &ZabState| {
-            let mut out = Vec::new();
+        move |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 if !s.servers[i].is_up() || s.servers[i].state != ServerState::Leading {
                     continue;
@@ -97,38 +92,35 @@ fn leader_process_follower_info(cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let last_zxid = *last_zxid;
-                let mut next = s.clone();
-                next.pop(j, i);
-                next.servers[i].learners.insert(j);
-                next.servers[i].learner_last_zxid.insert(j, last_zxid);
-                if next.servers[i].epoch_proposed {
-                    // Epoch already chosen: inform the newly connected learner directly.
-                    let epoch = next.servers[i].accepted_epoch;
-                    next.send(i, j, Message::LeaderInfo { epoch });
-                } else {
-                    let mut connected = next.servers[i].learners;
-                    connected.insert(i);
-                    if next.is_quorum(&connected) {
-                        let epoch = next.max_accepted_epoch() + 1;
-                        if epoch <= cfg.max_epoch {
-                            next.servers[i].accepted_epoch = epoch;
-                            next.servers[i].epoch_proposed = true;
-                            let learners = next.servers[i].learners;
-                            for l in learners.iter() {
-                                next.send(i, l, Message::LeaderInfo { epoch });
+                sink.offer(
+                    Label::new("LeaderProcessFOLLOWERINFO").arg(i).arg(j),
+                    eff_leader_process_follower_info(s.n(), i, j),
+                    |next| {
+                        next.pop(j, i);
+                        next.servers[i].learners.insert(j);
+                        next.servers[i].learner_last_zxid.insert(j, last_zxid);
+                        if next.servers[i].epoch_proposed {
+                            // Epoch already chosen: inform the newly connected learner directly.
+                            let epoch = next.servers[i].accepted_epoch;
+                            next.send(i, j, Message::LeaderInfo { epoch });
+                        } else {
+                            let mut connected = next.servers[i].learners;
+                            connected.insert(i);
+                            if next.is_quorum(&connected) {
+                                let epoch = next.max_accepted_epoch() + 1;
+                                if epoch <= cfg.max_epoch {
+                                    next.servers[i].accepted_epoch = epoch;
+                                    next.servers[i].epoch_proposed = true;
+                                    let learners = next.servers[i].learners;
+                                    for l in learners.iter() {
+                                        next.send(i, l, Message::LeaderInfo { epoch });
+                                    }
+                                }
                             }
                         }
-                    }
-                }
-                out.push(
-                    ActionInstance::new(
-                        Label::new("LeaderProcessFOLLOWERINFO").arg(i).arg(j),
-                        next,
-                    )
-                    .with_effect(eff_leader_process_follower_info(s.n(), i, j)),
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -149,8 +141,7 @@ fn follower_process_leader_info(_cfg: &Cfg) -> ActionDef<ZabState> {
             "msgs",
         ],
         vec!["acceptedEpoch", "zabState", "msgs", "state"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up() || sv.state != ServerState::Following || sv.leader != Some(j) {
@@ -160,29 +151,26 @@ fn follower_process_leader_info(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let epoch = *epoch;
-                let mut next = s.clone();
-                next.pop(j, i);
-                if epoch >= next.servers[i].accepted_epoch {
-                    next.servers[i].accepted_epoch = epoch;
-                    next.servers[i].phase = ZabPhase::Synchronization;
-                    let ack = Message::AckEpoch {
-                        current_epoch: next.servers[i].current_epoch,
-                        last_zxid: next.servers[i].last_zxid(),
-                    };
-                    next.send(i, j, ack);
-                } else {
-                    // Epoch regression: the follower abandons this leader.
-                    next.servers[i].shutdown_to_looking(i, true);
-                }
-                out.push(
-                    ActionInstance::new(
-                        Label::new("FollowerProcessLEADERINFO").arg(i).arg(j),
-                        next,
-                    )
-                    .with_effect(super::eff_recv_reply(i, j)),
+                sink.offer(
+                    Label::new("FollowerProcessLEADERINFO").arg(i).arg(j),
+                    super::eff_recv_reply(i, j),
+                    |next| {
+                        next.pop(j, i);
+                        if epoch >= next.servers[i].accepted_epoch {
+                            next.servers[i].accepted_epoch = epoch;
+                            next.servers[i].phase = ZabPhase::Synchronization;
+                            let ack = Message::AckEpoch {
+                                current_epoch: next.servers[i].current_epoch,
+                                last_zxid: next.servers[i].last_zxid(),
+                            };
+                            next.send(i, j, ack);
+                        } else {
+                            // Epoch regression: the follower abandons this leader.
+                            next.servers[i].shutdown_to_looking(i, true);
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -196,8 +184,7 @@ fn leader_process_ack_epoch(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::Baseline,
         vec!["state", "ackeRecv", "acceptedEpoch", "msgs"],
         vec!["ackeRecv", "currentEpoch", "zabState", "msgs"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 if !s.servers[i].is_up() || s.servers[i].state != ServerState::Leading {
                     continue;
@@ -206,24 +193,24 @@ fn leader_process_ack_epoch(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let last_zxid = *last_zxid;
-                let mut next = s.clone();
-                next.pop(j, i);
-                next.servers[i].epoch_acks.insert(j);
-                next.servers[i].learner_last_zxid.insert(j, last_zxid);
-                if next.servers[i].phase == ZabPhase::Discovery {
-                    let mut acked = next.servers[i].epoch_acks;
-                    acked.insert(i);
-                    if next.is_quorum(&acked) {
-                        next.servers[i].current_epoch = next.servers[i].accepted_epoch;
-                        next.servers[i].phase = ZabPhase::Synchronization;
-                    }
-                }
-                out.push(
-                    ActionInstance::new(Label::new("LeaderProcessACKEPOCH").arg(i).arg(j), next)
-                        .with_effect(super::eff_recv(i, j)),
+                sink.offer(
+                    Label::new("LeaderProcessACKEPOCH").arg(i).arg(j),
+                    super::eff_recv(i, j),
+                    |next| {
+                        next.pop(j, i);
+                        next.servers[i].epoch_acks.insert(j);
+                        next.servers[i].learner_last_zxid.insert(j, last_zxid);
+                        if next.servers[i].phase == ZabPhase::Discovery {
+                            let mut acked = next.servers[i].epoch_acks;
+                            acked.insert(i);
+                            if next.is_quorum(&acked) {
+                                next.servers[i].current_epoch = next.servers[i].accepted_epoch;
+                                next.servers[i].phase = ZabPhase::Synchronization;
+                            }
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }

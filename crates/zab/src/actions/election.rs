@@ -6,7 +6,7 @@
 //! notification per ordered pair, mirroring FLE's "latest notification supersedes"
 //! behaviour and keeping the state space finite.
 
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
+use remix_spec::{ActionDef, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::ELECTION;
 use crate::state::ZabState;
@@ -63,20 +63,19 @@ fn fle_broadcast(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::Baseline,
         vec!["state", "currentVote", "electionMsgs"],
         vec!["electionMsgs", "currentVote"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for i in servers(s) {
                 let sv = &s.servers[i];
                 if sv.state == ServerState::Looking && !sv.vote_broadcast {
-                    let mut next = s.clone();
-                    broadcast_vote(&mut next, i);
-                    out.push(
-                        ActionInstance::new(Label::new("FLEBroadcastNotification").arg(i), next)
-                            .with_effect(eff_broadcast(s.n(), i)),
+                    sink.offer(
+                        Label::new("FLEBroadcastNotification").arg(i),
+                        eff_broadcast(s.n(), i),
+                        |next| {
+                            broadcast_vote(next, i);
+                        },
                     );
                 }
             }
-            out
         },
     )
 }
@@ -90,8 +89,7 @@ fn fle_receive(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::Baseline,
         vec!["state", "currentVote", "receiveVotes", "electionMsgs"],
         vec!["currentVote", "receiveVotes", "electionMsgs"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in super::pairs(s) {
                 if !s.servers[i].is_up() {
                     continue;
@@ -100,21 +98,21 @@ fn fle_receive(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let vote = *vote;
-                let mut next = s.clone();
-                next.pop(j, i);
-                if next.servers[i].state == ServerState::Looking {
-                    next.servers[i].recv_votes.insert(j, vote);
-                    if vote > next.servers[i].vote {
-                        next.servers[i].vote = vote;
-                        next.servers[i].vote_broadcast = false;
-                    }
-                }
-                out.push(
-                    ActionInstance::new(Label::new("FLEReceiveNotification").arg(i).arg(j), next)
-                        .with_effect(super::eff_recv(i, j)),
+                sink.offer(
+                    Label::new("FLEReceiveNotification").arg(i).arg(j),
+                    super::eff_recv(i, j),
+                    |next| {
+                        next.pop(j, i);
+                        if next.servers[i].state == ServerState::Looking {
+                            next.servers[i].recv_votes.insert(j, vote);
+                            if vote > next.servers[i].vote {
+                                next.servers[i].vote = vote;
+                                next.servers[i].vote_broadcast = false;
+                            }
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -128,8 +126,7 @@ fn fle_decide(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::Baseline,
         vec!["state", "currentVote", "receiveVotes"],
         vec!["state", "zabState", "leaderAddr", "receiveVotes"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for i in servers(s) {
                 let sv = &s.servers[i];
                 if sv.state != ServerState::Looking || !sv.vote_broadcast {
@@ -146,24 +143,22 @@ fn fle_decide(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 }
                 let leader = sv.vote.leader;
-                let mut next = s.clone();
-                {
-                    let sv = &mut next.servers[i];
-                    sv.recv_votes.clear();
-                    sv.leader = Some(leader);
-                    sv.phase = ZabPhase::Discovery;
-                    if leader == i {
-                        sv.state = ServerState::Leading;
-                    } else {
-                        sv.state = ServerState::Following;
-                    }
-                }
-                out.push(
-                    ActionInstance::new(Label::new("FLEDecide").arg(i), next)
-                        .with_effect(Effect::new().writes_server(i)),
+                sink.offer(
+                    Label::new("FLEDecide").arg(i),
+                    Effect::new().writes_server(i),
+                    |next| {
+                        let sv = &mut next.servers[i];
+                        sv.recv_votes.clear();
+                        sv.leader = Some(leader);
+                        sv.phase = ZabPhase::Discovery;
+                        if leader == i {
+                            sv.state = ServerState::Leading;
+                        } else {
+                            sv.state = ServerState::Following;
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -177,8 +172,7 @@ fn fle_timeout(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::Baseline,
         vec!["state", "currentVote", "electionMsgs"],
         vec!["currentVote"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for i in servers(s) {
                 let sv = &s.servers[i];
                 if sv.state != ServerState::Looking || !sv.vote_broadcast {
@@ -192,15 +186,15 @@ fn fle_timeout(_cfg: &Cfg) -> ActionDef<ZabState> {
                     j != i && s.reachable(i, j) && s.servers[j].state == ServerState::Looking
                 });
                 if quiet && peer_looking {
-                    let mut next = s.clone();
-                    next.servers[i].vote_broadcast = false;
-                    out.push(
-                        ActionInstance::new(Label::new("FLENotificationTimeout").arg(i), next)
-                            .with_effect(eff_timeout(s.n(), i)),
+                    sink.offer(
+                        Label::new("FLENotificationTimeout").arg(i),
+                        eff_timeout(s.n(), i),
+                        |next| {
+                            next.servers[i].vote_broadcast = false;
+                        },
                     );
                 }
             }
-            out
         },
     )
 }

@@ -6,7 +6,7 @@
 //! requests may still be logged after the server joins a new epoch.
 
 use remix_spec::effect::flags;
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
+use remix_spec::{ActionDef, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::FAULTS;
 use crate::state::ZabState;
@@ -29,29 +29,27 @@ fn node_crash(_cfg: &Cfg) -> ActionDef<ZabState> {
             "queuedRequests",
             "committedRequests",
         ],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             if s.crashes_remaining == 0 {
-                return out;
+                return;
             }
             for i in servers(s) {
                 if !s.servers[i].is_up() {
                     continue;
                 }
-                let mut next = s.clone();
-                next.crashes_remaining -= 1;
-                next.servers[i].crash();
-                next.clear_channels(i);
-                out.push(
-                    ActionInstance::new(Label::new("NodeCrash").arg(i), next).with_effect(
-                        Effect::new()
-                            .writes_server(i)
-                            .writes_channels_of(i)
-                            .writes_flag(flags::CRASH_BUDGET),
-                    ),
+                sink.offer(
+                    Label::new("NodeCrash").arg(i),
+                    Effect::new()
+                        .writes_server(i)
+                        .writes_channels_of(i)
+                        .writes_flag(flags::CRASH_BUDGET),
+                    |next| {
+                        next.crashes_remaining -= 1;
+                        next.servers[i].crash();
+                        next.clear_channels(i);
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -65,26 +63,25 @@ fn node_restart(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::Baseline,
         vec!["state"],
         vec!["state", "zabState", "currentVote", "lastCommitted"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for i in servers(s) {
                 if s.servers[i].state != ServerState::Down {
                     continue;
                 }
-                let mut next = s.clone();
-                next.servers[i].restart(i);
                 // Restart flips `reachable(i, j)` for every peer `j` from false to
                 // true, and link status is charged to the channel pair bits (the
                 // convention in `actions/mod.rs`), so `i`'s channels are written even
                 // though no message moves — otherwise a guard or a `send` reading
                 // reachability of a link of `i` (e.g. `FollowerShutdown`'s dead-leader
                 // check) would be disabled by a restart it was declared independent of.
-                out.push(
-                    ActionInstance::new(Label::new("NodeRestart").arg(i), next)
-                        .with_effect(Effect::new().writes_server(i).writes_channels_of(i)),
+                sink.offer(
+                    Label::new("NodeRestart").arg(i),
+                    Effect::new().writes_server(i).writes_channels_of(i),
+                    |next| {
+                        next.servers[i].restart(i);
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -107,8 +104,7 @@ fn follower_shutdown(cfg: &Cfg) -> ActionDef<ZabState> {
             "committedRequests",
             "msgs",
         ],
-        move |s: &ZabState| {
-            let mut out = Vec::new();
+        move |s: &ZabState, sink| {
             for i in servers(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up() || sv.state != ServerState::Following {
@@ -118,17 +114,14 @@ fn follower_shutdown(cfg: &Cfg) -> ActionDef<ZabState> {
                 if s.reachable(i, leader) {
                     continue;
                 }
-                let mut next = s.clone();
-                let clear_queue = !cfg.bugs().shutdown_keeps_request_queue;
-                next.servers[i].shutdown_to_looking(i, clear_queue);
-                next.clear_pair_channels(i, leader);
                 // The leader endpoint is state-dependent, so claim every channel of `i`.
-                out.push(
-                    ActionInstance::new(Label::new("FollowerShutdown").arg(i), next)
-                        .with_effect(Effect::new().writes_server(i).writes_channels_of(i)),
-                );
+                let effect = Effect::new().writes_server(i).writes_channels_of(i);
+                sink.offer(Label::new("FollowerShutdown").arg(i), effect, |next| {
+                    let clear_queue = !cfg.bugs().shutdown_keeps_request_queue;
+                    next.servers[i].shutdown_to_looking(i, clear_queue);
+                    next.clear_pair_channels(i, leader);
+                });
             }
-            out
         },
     )
 }
@@ -149,8 +142,7 @@ fn leader_shutdown(cfg: &Cfg) -> ActionDef<ZabState> {
             "committedRequests",
             "msgs",
         ],
-        move |s: &ZabState| {
-            let mut out = Vec::new();
+        move |s: &ZabState, sink| {
             for i in servers(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up() || sv.state != ServerState::Leading {
@@ -160,21 +152,17 @@ fn leader_shutdown(cfg: &Cfg) -> ActionDef<ZabState> {
                 if s.is_quorum(&reachable) {
                     continue;
                 }
-                let mut next = s.clone();
-                let clear_queue = !cfg.bugs().shutdown_keeps_request_queue;
-                next.servers[i].shutdown_to_looking(i, clear_queue);
-                next.clear_channels(i);
                 // The quorum scan reads every server's up status.
                 let mut effect = Effect::new().writes_server(i).writes_channels_of(i);
                 for j in servers(s) {
                     effect = effect.reads_server(j);
                 }
-                out.push(
-                    ActionInstance::new(Label::new("LeaderShutdown").arg(i), next)
-                        .with_effect(effect),
-                );
+                sink.offer(Label::new("LeaderShutdown").arg(i), effect, |next| {
+                    let clear_queue = !cfg.bugs().shutdown_keeps_request_queue;
+                    next.servers[i].shutdown_to_looking(i, clear_queue);
+                    next.clear_channels(i);
+                });
             }
-            out
         },
     )
 }
@@ -188,10 +176,9 @@ fn network_partition(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::Baseline,
         vec!["partitions"],
         vec!["partitions", "msgs"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             if s.partitions_remaining == 0 {
-                return out;
+                return;
             }
             for i in 0..s.n() {
                 for j in (i + 1)..s.n() {
@@ -201,24 +188,22 @@ fn network_partition(_cfg: &Cfg) -> ActionDef<ZabState> {
                     {
                         continue;
                     }
-                    let mut next = s.clone();
-                    next.partitions_remaining -= 1;
-                    next.partitioned.insert((i, j));
-                    next.clear_pair_channels(i, j);
-                    out.push(
-                        ActionInstance::new(Label::new("NetworkPartition").arg(i).arg(j), next)
-                            .with_effect(
-                                Effect::new()
-                                    .reads_server(i)
-                                    .reads_server(j)
-                                    .writes_channel(i, j)
-                                    .writes_channel(j, i)
-                                    .writes_flag(flags::PARTITION_BUDGET),
-                            ),
+                    sink.offer(
+                        Label::new("NetworkPartition").arg(i).arg(j),
+                        Effect::new()
+                            .reads_server(i)
+                            .reads_server(j)
+                            .writes_channel(i, j)
+                            .writes_channel(j, i)
+                            .writes_flag(flags::PARTITION_BUDGET),
+                        |next| {
+                            next.partitions_remaining -= 1;
+                            next.partitioned.insert((i, j));
+                            next.clear_pair_channels(i, j);
+                        },
                     );
                 }
             }
-            out
         },
     )
 }
@@ -231,17 +216,16 @@ fn partition_recover(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::Baseline,
         vec!["partitions"],
         vec!["partitions"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for &(i, j) in &s.partitioned {
-                let mut next = s.clone();
-                next.partitioned.remove(&(i, j));
-                out.push(
-                    ActionInstance::new(Label::new("PartitionRecover").arg(i).arg(j), next)
-                        .with_effect(Effect::new().writes_channel(i, j).writes_channel(j, i)),
+                sink.offer(
+                    Label::new("PartitionRecover").arg(i).arg(j),
+                    Effect::new().writes_channel(i, j).writes_channel(j, i),
+                    |next| {
+                        next.partitioned.remove(&(i, j));
+                    },
                 );
             }
-            out
         },
     )
 }

@@ -10,7 +10,7 @@
 //!   routed through the same thread queues.
 
 use remix_spec::effect::flags;
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
+use remix_spec::{ActionDef, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::{BROADCAST, SYNCHRONIZATION};
 use crate::state::ZabState;
@@ -47,10 +47,9 @@ fn newleader_update_epoch(cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabS
             "msgs",
         ],
         vec!["currentEpoch", "msgs"],
-        move |s: &ZabState| {
+        move |s: &ZabState, sink| {
             let bugs = cfg.bugs();
             let fine_concurrent = granularity == Granularity::FineConcurrent;
-            let mut out = Vec::new();
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -71,25 +70,22 @@ fn newleader_update_epoch(cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabS
                     // Fixed ordering: the history must be logged before the epoch.
                     continue;
                 }
-                let mut next = s.clone();
-                next.servers[i].current_epoch = epoch;
-                if !bugs.epoch_updated_before_history && !fine_concurrent {
-                    // Fixed ordering at the atomicity granularity: the epoch update is
-                    // the last step of the handshake, so acknowledge here.
-                    next.pop(j, i);
-                    next.send(i, j, Message::Ack { zxid });
-                }
-                out.push(
-                    ActionInstance::new(
-                        Label::new("FollowerProcessNEWLEADER_UpdateEpoch")
-                            .arg(i)
-                            .arg(j),
-                        next,
-                    )
-                    .with_effect(eff_recv_reply(i, j)),
+                sink.offer(
+                    Label::new("FollowerProcessNEWLEADER_UpdateEpoch")
+                        .arg(i)
+                        .arg(j),
+                    eff_recv_reply(i, j),
+                    |next| {
+                        next.servers[i].current_epoch = epoch;
+                        if !bugs.epoch_updated_before_history && !fine_concurrent {
+                            // Fixed ordering at the atomicity granularity: the epoch update is
+                            // the last step of the handshake, so acknowledge here.
+                            next.pop(j, i);
+                            next.send(i, j, Message::Ack { zxid });
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -113,9 +109,8 @@ fn newleader_log_and_ack(cfg: &Cfg) -> ActionDef<ZabState> {
             "msgs",
         ],
         vec!["history", "packetsSync", "msgs"],
-        move |s: &ZabState| {
+        move |s: &ZabState, sink| {
             let bugs = cfg.bugs();
-            let mut out = Vec::new();
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -145,27 +140,24 @@ fn newleader_log_and_ack(cfg: &Cfg) -> ActionDef<ZabState> {
                         continue;
                     }
                 }
-                let mut next = s.clone();
-                {
-                    let sv = &mut next.servers[i];
-                    let pending: Vec<Txn> = sv.packets_not_committed.drain(..).collect();
-                    sv.history.extend(pending);
-                }
-                if bugs.epoch_updated_before_history {
-                    next.pop(j, i);
-                    next.send(i, j, Message::Ack { zxid });
-                }
-                out.push(
-                    ActionInstance::new(
-                        Label::new("FollowerProcessNEWLEADER_LogAndAck")
-                            .arg(i)
-                            .arg(j),
-                        next,
-                    )
-                    .with_effect(eff_recv_reply(i, j)),
+                sink.offer(
+                    Label::new("FollowerProcessNEWLEADER_LogAndAck")
+                        .arg(i)
+                        .arg(j),
+                    eff_recv_reply(i, j),
+                    |next| {
+                        {
+                            let sv = &mut next.servers[i];
+                            let pending: Vec<Txn> = sv.packets_not_committed.drain(..).collect();
+                            sv.history.extend(pending);
+                        }
+                        if bugs.epoch_updated_before_history {
+                            next.pop(j, i);
+                            next.send(i, j, Message::Ack { zxid });
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -192,9 +184,8 @@ fn newleader_log_async(cfg: &Cfg) -> ActionDef<ZabState> {
             "msgs",
         ],
         vec!["queuedRequests", "packetsSync", "history"],
-        move |s: &ZabState| {
+        move |s: &ZabState, sink| {
             let bugs = cfg.bugs();
-            let mut out = Vec::new();
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -214,26 +205,23 @@ fn newleader_log_async(cfg: &Cfg) -> ActionDef<ZabState> {
                 if bugs.epoch_updated_before_history && sv.current_epoch != epoch {
                     continue;
                 }
-                let mut next = s.clone();
-                let sv = &mut next.servers[i];
-                let pending: Vec<Txn> = sv.packets_not_committed.drain(..).collect();
-                if bugs.synchronous_sync_logging {
-                    sv.history.extend(pending);
-                } else {
-                    sv.queued_requests.extend(pending);
-                }
                 // Reads the NEWLEADER head without consuming it.
-                out.push(
-                    ActionInstance::new(
-                        Label::new("FollowerProcessNEWLEADER_LogAsync")
-                            .arg(i)
-                            .arg(j),
-                        next,
-                    )
-                    .with_effect(Effect::new().writes_server(i).reads_channel(j, i)),
+                sink.offer(
+                    Label::new("FollowerProcessNEWLEADER_LogAsync")
+                        .arg(i)
+                        .arg(j),
+                    Effect::new().writes_server(i).reads_channel(j, i),
+                    |next| {
+                        let sv = &mut next.servers[i];
+                        let pending: Vec<Txn> = sv.packets_not_committed.drain(..).collect();
+                        if bugs.synchronous_sync_logging {
+                            sv.history.extend(pending);
+                        } else {
+                            sv.queued_requests.extend(pending);
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -258,9 +246,8 @@ fn newleader_reply_ack(cfg: &Cfg) -> ActionDef<ZabState> {
             "msgs",
         ],
         vec!["msgs"],
-        move |s: &ZabState| {
+        move |s: &ZabState, sink| {
             let bugs = cfg.bugs();
-            let mut out = Vec::new();
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -284,28 +271,23 @@ fn newleader_reply_ack(cfg: &Cfg) -> ActionDef<ZabState> {
                     // Fixed behaviour: only acknowledge once everything is persisted.
                     continue;
                 }
-                let mut next = s.clone();
-                next.pop(j, i);
-                next.send(i, j, Message::Ack { zxid });
-                out.push(
-                    ActionInstance::new(
-                        Label::new("FollowerProcessNEWLEADER_ReplyAck")
-                            .arg(i)
-                            .arg(j),
-                        next,
-                    )
-                    // Unlike the other handlers this one only moves messages (the
-                    // guard reads `i`'s local state but nothing on the server
-                    // changes), so the server bit is read-only.
-                    .with_effect(
-                        Effect::new()
-                            .reads_server(i)
-                            .writes_channel(j, i)
-                            .writes_channel(i, j),
-                    ),
+                // Unlike the other handlers this one only moves messages (the
+                // guard reads `i`'s local state but nothing on the server
+                // changes), so the server bit is read-only.
+                sink.offer(
+                    Label::new("FollowerProcessNEWLEADER_ReplyAck")
+                        .arg(i)
+                        .arg(j),
+                    Effect::new()
+                        .reads_server(i)
+                        .writes_channel(j, i)
+                        .writes_channel(i, j),
+                    |next| {
+                        next.pop(j, i);
+                        next.send(i, j, Message::Ack { zxid });
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -322,29 +304,28 @@ fn sync_processor_log_request(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::FineConcurrent,
         vec!["state", "queuedRequests", "leaderAddr", "history"],
         vec!["history", "queuedRequests", "msgs"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for i in servers(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up() || sv.queued_requests.is_empty() || sv.state == ServerState::Leading
                 {
                     continue;
                 }
-                let mut next = s.clone();
-                let txn = next.servers[i].queued_requests.remove(0);
-                next.servers[i].history.push(txn);
-                if next.servers[i].state == ServerState::Following {
-                    if let Some(l) = next.servers[i].leader {
-                        next.send(i, l, Message::Ack { zxid: txn.zxid });
-                    }
-                }
                 // The ACK goes to a state-dependent leader: claim every channel of `i`.
-                out.push(
-                    ActionInstance::new(Label::new("FollowerSyncProcessorLogRequest").arg(i), next)
-                        .with_effect(Effect::new().writes_server(i).writes_channels_of(i)),
+                sink.offer(
+                    Label::new("FollowerSyncProcessorLogRequest").arg(i),
+                    Effect::new().writes_server(i).writes_channels_of(i),
+                    |next| {
+                        let txn = next.servers[i].queued_requests.remove(0);
+                        next.servers[i].history.push(txn);
+                        if next.servers[i].state == ServerState::Following {
+                            if let Some(l) = next.servers[i].leader {
+                                next.send(i, l, Message::Ack { zxid: txn.zxid });
+                            }
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -361,9 +342,8 @@ fn commit_processor_commit(cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::FineConcurrent,
         vec!["state", "committedRequests", "history", "lastCommitted"],
         vec!["committedRequests", "lastCommitted", "violation"],
-        move |s: &ZabState| {
+        move |s: &ZabState, sink| {
             let bugs = cfg.bugs();
-            let mut out = Vec::new();
             for i in servers(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up() || sv.pending_commits.is_empty() || sv.state == ServerState::Looking
@@ -380,30 +360,30 @@ fn commit_processor_commit(cfg: &Cfg) -> ActionDef<ZabState> {
                     // Fixed behaviour: wait until the logging thread catches up.
                     continue;
                 }
-                let mut next = s.clone();
-                next.servers[i].pending_commits.remove(0);
-                if already_delivered {
-                    // Duplicate commit: ignored.
-                } else if is_next {
-                    next.servers[i].last_committed += 1;
-                } else {
-                    // ZK-3023: the committed transaction is not in the log (the sync
-                    // thread has not persisted it yet) — the implementation's assertion
-                    // about the follower's history being in sync with the leader's
-                    // initial history fails.
-                    next.record_violation(CodeViolation {
-                        kind: ViolationKind::BadState,
-                        instance: 1,
-                        server: i,
-                        issue: "ZK-3023",
-                    });
-                }
-                out.push(
-                    ActionInstance::new(Label::new("FollowerCommitProcessorCommit").arg(i), next)
-                        .with_effect(Effect::new().writes_server(i).writes_flag(flags::VIOLATION)),
+                sink.offer(
+                    Label::new("FollowerCommitProcessorCommit").arg(i),
+                    Effect::new().writes_server(i).writes_flag(flags::VIOLATION),
+                    |next| {
+                        next.servers[i].pending_commits.remove(0);
+                        if already_delivered {
+                            // Duplicate commit: ignored.
+                        } else if is_next {
+                            next.servers[i].last_committed += 1;
+                        } else {
+                            // ZK-3023: the committed transaction is not in the log (the sync
+                            // thread has not persisted it yet) — the implementation's assertion
+                            // about the follower's history being in sync with the leader's
+                            // initial history fails.
+                            next.record_violation(CodeViolation {
+                                kind: ViolationKind::BadState,
+                                instance: 1,
+                                server: i,
+                                issue: "ZK-3023",
+                            });
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -436,9 +416,8 @@ fn follower_process_uptodate_concurrent(cfg: &Cfg) -> ActionDef<ZabState> {
             "serving",
             "msgs",
         ],
-        move |s: &ZabState| {
+        move |s: &ZabState, sink| {
             let bugs = cfg.bugs();
-            let mut out = Vec::new();
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -452,50 +431,51 @@ fn follower_process_uptodate_concurrent(cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let zxid = *zxid;
-                let mut next = s.clone();
-                next.pop(j, i);
-                if bugs.synchronous_sync_logging {
-                    // Final fix: the synchronization path is synchronous end to end.
-                    follower_uptodate_commit(&mut next, i, zxid);
-                } else {
-                    let sv = &mut next.servers[i];
-                    // Late proposals still pending go to the logging thread.
-                    let pending: Vec<Txn> = sv.packets_not_committed.drain(..).collect();
-                    sv.queued_requests.extend(pending);
-                    // Deferred commits (including the initial history up to the NEWLEADER
-                    // zxid) go to the commit thread.
-                    let deferred: Vec<_> = sv.packets_committed.drain(..).collect();
-                    let mut to_commit: Vec<_> = Vec::new();
-                    let already: std::collections::BTreeSet<_> = sv.history[..sv.last_committed]
-                        .iter()
-                        .map(|t| t.zxid)
-                        .collect();
-                    for t in sv.history.iter().chain(sv.queued_requests.iter()) {
-                        if t.zxid <= zxid
-                            && !already.contains(&t.zxid)
-                            && !to_commit.contains(&t.zxid)
-                        {
-                            to_commit.push(t.zxid);
+                sink.offer(
+                    Label::new("FollowerProcessUPTODATE").arg(i).arg(j),
+                    eff_recv_reply(i, j),
+                    |next| {
+                        next.pop(j, i);
+                        if bugs.synchronous_sync_logging {
+                            // Final fix: the synchronization path is synchronous end to end.
+                            follower_uptodate_commit(next, i, zxid);
+                        } else {
+                            let sv = &mut next.servers[i];
+                            // Late proposals still pending go to the logging thread.
+                            let pending: Vec<Txn> = sv.packets_not_committed.drain(..).collect();
+                            sv.queued_requests.extend(pending);
+                            // Deferred commits (including the initial history up to the NEWLEADER
+                            // zxid) go to the commit thread.
+                            let deferred: Vec<_> = sv.packets_committed.drain(..).collect();
+                            let mut to_commit: Vec<_> = Vec::new();
+                            let already: std::collections::BTreeSet<_> = sv.history
+                                [..sv.last_committed]
+                                .iter()
+                                .map(|t| t.zxid)
+                                .collect();
+                            for t in sv.history.iter().chain(sv.queued_requests.iter()) {
+                                if t.zxid <= zxid
+                                    && !already.contains(&t.zxid)
+                                    && !to_commit.contains(&t.zxid)
+                                {
+                                    to_commit.push(t.zxid);
+                                }
+                            }
+                            for z in deferred {
+                                if !already.contains(&z) && !to_commit.contains(&z) {
+                                    to_commit.push(z);
+                                }
+                            }
+                            to_commit.sort();
+                            sv.pending_commits.extend(to_commit);
+                            sv.phase = ZabPhase::Broadcast;
+                            sv.serving = true;
                         }
-                    }
-                    for z in deferred {
-                        if !already.contains(&z) && !to_commit.contains(&z) {
-                            to_commit.push(z);
-                        }
-                    }
-                    to_commit.sort();
-                    sv.pending_commits.extend(to_commit);
-                    sv.phase = ZabPhase::Broadcast;
-                    sv.serving = true;
-                }
-                // The fine-grained model includes the follower's ACK to UPTODATE.
-                next.send(i, j, Message::Ack { zxid });
-                out.push(
-                    ActionInstance::new(Label::new("FollowerProcessUPTODATE").arg(i).arg(j), next)
-                        .with_effect(eff_recv_reply(i, j)),
+                        // The fine-grained model includes the follower's ACK to UPTODATE.
+                        next.send(i, j, Message::Ack { zxid });
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -521,8 +501,7 @@ fn follower_process_proposal_async(_cfg: &Cfg) -> ActionDef<ZabState> {
             "msgs",
         ],
         vec!["queuedRequests", "msgs", "violation"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -536,16 +515,16 @@ fn follower_process_proposal_async(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let txn = *txn;
-                let mut next = s.clone();
-                next.pop(j, i);
-                check_proposal(&mut next, i, txn);
-                next.servers[i].queued_requests.push(txn);
-                out.push(
-                    ActionInstance::new(Label::new("FollowerProcessPROPOSAL").arg(i).arg(j), next)
-                        .with_effect(eff_recv(i, j).writes_flag(flags::VIOLATION)),
+                sink.offer(
+                    Label::new("FollowerProcessPROPOSAL").arg(i).arg(j),
+                    eff_recv(i, j).writes_flag(flags::VIOLATION),
+                    |next| {
+                        next.pop(j, i);
+                        check_proposal(next, i, txn);
+                        next.servers[i].queued_requests.push(txn);
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -558,8 +537,7 @@ fn follower_process_commit_async(_cfg: &Cfg) -> ActionDef<ZabState> {
         Granularity::FineConcurrent,
         vec!["state", "zabState", "leaderAddr", "msgs"],
         vec!["committedRequests", "msgs"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -573,15 +551,15 @@ fn follower_process_commit_async(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let zxid = *zxid;
-                let mut next = s.clone();
-                next.pop(j, i);
-                next.servers[i].pending_commits.push(zxid);
-                out.push(
-                    ActionInstance::new(Label::new("FollowerProcessCOMMIT").arg(i).arg(j), next)
-                        .with_effect(eff_recv(i, j)),
+                sink.offer(
+                    Label::new("FollowerProcessCOMMIT").arg(i).arg(j),
+                    eff_recv(i, j),
+                    |next| {
+                        next.pop(j, i);
+                        next.servers[i].pending_commits.push(zxid);
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -621,8 +599,7 @@ fn uptodate_baseline_at(_cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabSt
             "serving",
             "msgs",
         ],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -636,15 +613,15 @@ fn uptodate_baseline_at(_cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabSt
                     continue;
                 };
                 let zxid = *zxid;
-                let mut next = s.clone();
-                next.pop(j, i);
-                follower_uptodate_commit(&mut next, i, zxid);
-                out.push(
-                    ActionInstance::new(Label::new("FollowerProcessUPTODATE").arg(i).arg(j), next)
-                        .with_effect(eff_recv(i, j)),
+                sink.offer(
+                    Label::new("FollowerProcessUPTODATE").arg(i).arg(j),
+                    eff_recv(i, j),
+                    |next| {
+                        next.pop(j, i);
+                        follower_uptodate_commit(next, i, zxid);
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -873,13 +850,14 @@ mod tests {
         s.servers[0].queued_requests.push(Txn::new(1, 1, 1));
         s.servers[0].packets_not_committed.clear();
 
-        let commit = |m: &ModuleSpec<ZabState>, s: &ZabState| -> Vec<ActionInstance<ZabState>> {
-            m.actions
-                .iter()
-                .find(|a| a.name == "FollowerCommitProcessorCommit")
-                .unwrap()
-                .enabled(s)
-        };
+        let commit =
+            |m: &ModuleSpec<ZabState>, s: &ZabState| -> Vec<remix_spec::ActionInstance<ZabState>> {
+                m.actions
+                    .iter()
+                    .find(|a| a.name == "FollowerCommitProcessorCommit")
+                    .unwrap()
+                    .enabled(s)
+            };
         let insts = commit(&buggy, &s);
         assert_eq!(insts.len(), 1);
         let v = insts[0].next.violation.clone().expect("ZK-3023 violation");

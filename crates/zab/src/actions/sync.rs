@@ -8,7 +8,7 @@
 //! establishes the epoch and releases UPTODATE.
 
 use remix_spec::effect::flags;
-use remix_spec::{ActionDef, ActionInstance, Effect, Granularity, Label, ModuleSpec};
+use remix_spec::{ActionDef, Effect, Granularity, Label, ModuleSpec};
 
 use crate::modules::SYNCHRONIZATION;
 use crate::state::ZabState;
@@ -363,21 +363,19 @@ fn leader_sync_follower(_cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabSt
             "lastCommitted",
         ],
         vec!["msgs", "ackldRecv"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 if !leader_sync_follower_enabled(s, i, j) {
                     continue;
                 }
-                let mut next = s.clone();
-                if leader_sync_follower_step(&mut next, i, j) {
-                    out.push(
-                        ActionInstance::new(Label::new("LeaderSyncFollower").arg(i).arg(j), next)
-                            .with_effect(Effect::new().writes_server(i).writes_channel(i, j)),
-                    );
-                }
+                sink.offer(
+                    Label::new("LeaderSyncFollower").arg(i).arg(j),
+                    Effect::new().writes_server(i).writes_channel(i, j),
+                    |next| {
+                        leader_sync_follower_step(next, i, j);
+                    },
+                );
             }
-            out
         },
     )
 }
@@ -396,24 +394,19 @@ fn follower_process_sync_packets(_cfg: &Cfg, granularity: Granularity) -> Action
             "msgs",
         ],
         vec!["history", "lastCommitted", "packetsSync", "msgs"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 if !follower_process_sync_packets_enabled(s, i, j) {
                     continue;
                 }
-                let mut next = s.clone();
-                if follower_process_sync_packets_step(&mut next, i, j) {
-                    out.push(
-                        ActionInstance::new(
-                            Label::new("FollowerProcessSyncPackets").arg(i).arg(j),
-                            next,
-                        )
-                        .with_effect(eff_recv(i, j)),
-                    );
-                }
+                sink.offer(
+                    Label::new("FollowerProcessSyncPackets").arg(i).arg(j),
+                    eff_recv(i, j),
+                    |next| {
+                        follower_process_sync_packets_step(next, i, j);
+                    },
+                );
             }
-            out
         },
     )
 }
@@ -442,8 +435,7 @@ fn follower_process_newleader_atomic(_cfg: &Cfg) -> ActionDef<ZabState> {
             "state",
             "zabState",
         ],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -457,23 +449,23 @@ fn follower_process_newleader_atomic(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let (epoch, zxid) = (*epoch, *zxid);
-                let mut next = s.clone();
-                next.pop(j, i);
-                if next.servers[i].accepted_epoch == epoch {
-                    let sv = &mut next.servers[i];
-                    sv.current_epoch = epoch;
-                    let pending: Vec<Txn> = sv.packets_not_committed.drain(..).collect();
-                    sv.history.extend(pending);
-                    next.send(i, j, Message::Ack { zxid });
-                } else {
-                    next.servers[i].shutdown_to_looking(i, true);
-                }
-                out.push(
-                    ActionInstance::new(Label::new("FollowerProcessNEWLEADER").arg(i).arg(j), next)
-                        .with_effect(eff_recv_reply(i, j)),
+                sink.offer(
+                    Label::new("FollowerProcessNEWLEADER").arg(i).arg(j),
+                    eff_recv_reply(i, j),
+                    |next| {
+                        next.pop(j, i);
+                        if next.servers[i].accepted_epoch == epoch {
+                            let sv = &mut next.servers[i];
+                            sv.current_epoch = epoch;
+                            let pending: Vec<Txn> = sv.packets_not_committed.drain(..).collect();
+                            sv.history.extend(pending);
+                            next.send(i, j, Message::Ack { zxid });
+                        } else {
+                            next.servers[i].shutdown_to_looking(i, true);
+                        }
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -503,29 +495,25 @@ fn leader_process_ackld(cfg: &Cfg, granularity: Granularity) -> ActionDef<ZabSta
             "ghost",
             "proposalAcks",
         ],
-        move |s: &ZabState| {
-            let mut out = Vec::new();
+        move |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 if !leader_process_ackld_enabled(s, i, j) {
                     continue;
                 }
-                let mut next = s.clone();
-                if leader_process_ackld_step(&cfg, &mut next, i, j) {
-                    // Establishing the epoch broadcasts to a state-dependent follower
-                    // set, records ghost bookkeeping and may record a violation.
-                    out.push(
-                        ActionInstance::new(Label::new("LeaderProcessACKLD").arg(i).arg(j), next)
-                            .with_effect(
-                                Effect::new()
-                                    .writes_server(i)
-                                    .writes_channels_of(i)
-                                    .writes_flag(flags::GHOST)
-                                    .writes_flag(flags::VIOLATION),
-                            ),
-                    );
-                }
+                // Establishing the epoch broadcasts to a state-dependent follower
+                // set, records ghost bookkeeping and may record a violation.
+                sink.offer(
+                    Label::new("LeaderProcessACKLD").arg(i).arg(j),
+                    Effect::new()
+                        .writes_server(i)
+                        .writes_channels_of(i)
+                        .writes_flag(flags::GHOST)
+                        .writes_flag(flags::VIOLATION),
+                    |next| {
+                        leader_process_ackld_step(&cfg, next, i, j);
+                    },
+                );
             }
-            out
         },
     )
 }
@@ -553,8 +541,7 @@ fn follower_process_uptodate(_cfg: &Cfg) -> ActionDef<ZabState> {
             "serving",
             "msgs",
         ],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 let sv = &s.servers[i];
                 if !sv.is_up()
@@ -568,15 +555,15 @@ fn follower_process_uptodate(_cfg: &Cfg) -> ActionDef<ZabState> {
                     continue;
                 };
                 let zxid = *zxid;
-                let mut next = s.clone();
-                next.pop(j, i);
-                follower_uptodate_commit(&mut next, i, zxid);
-                out.push(
-                    ActionInstance::new(Label::new("FollowerProcessUPTODATE").arg(i).arg(j), next)
-                        .with_effect(eff_recv(i, j)),
+                sink.offer(
+                    Label::new("FollowerProcessUPTODATE").arg(i).arg(j),
+                    eff_recv(i, j),
+                    |next| {
+                        next.pop(j, i);
+                        follower_uptodate_commit(next, i, zxid);
+                    },
                 );
             }
-            out
         },
     )
 }
@@ -597,24 +584,19 @@ fn follower_process_commit_in_sync(cfg: &Cfg, granularity: Granularity) -> Actio
             "msgs",
         ],
         vec!["packetsSync", "msgs", "violation"],
-        move |s: &ZabState| {
-            let mut out = Vec::new();
+        move |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 if !follower_commit_in_sync_enabled(s, i, j) {
                     continue;
                 }
-                let mut next = s.clone();
-                if follower_commit_in_sync_step(&cfg, &mut next, i, j) {
-                    out.push(
-                        ActionInstance::new(
-                            Label::new("FollowerProcessCOMMITInSync").arg(i).arg(j),
-                            next,
-                        )
-                        .with_effect(eff_recv(i, j).writes_flag(flags::VIOLATION)),
-                    );
-                }
+                sink.offer(
+                    Label::new("FollowerProcessCOMMITInSync").arg(i).arg(j),
+                    eff_recv(i, j).writes_flag(flags::VIOLATION),
+                    |next| {
+                        follower_commit_in_sync_step(&cfg, next, i, j);
+                    },
+                );
             }
-            out
         },
     )
 }
@@ -626,24 +608,19 @@ fn follower_process_proposal_in_sync(_cfg: &Cfg, granularity: Granularity) -> Ac
         granularity,
         vec!["state", "zabState", "leaderAddr", "msgs"],
         vec!["packetsSync", "msgs"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for (i, j) in pairs(s) {
                 if !follower_proposal_in_sync_enabled(s, i, j) {
                     continue;
                 }
-                let mut next = s.clone();
-                if follower_proposal_in_sync_step(&mut next, i, j) {
-                    out.push(
-                        ActionInstance::new(
-                            Label::new("FollowerProcessPROPOSALInSync").arg(i).arg(j),
-                            next,
-                        )
-                        .with_effect(eff_recv(i, j)),
-                    );
-                }
+                sink.offer(
+                    Label::new("FollowerProcessPROPOSALInSync").arg(i).arg(j),
+                    eff_recv(i, j),
+                    |next| {
+                        follower_proposal_in_sync_step(next, i, j);
+                    },
+                );
             }
-            out
         },
     )
 }

@@ -25,7 +25,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use remix_spec::effect::flags;
-use remix_spec::{Effect, FieldInfo, Spec, StateFields};
+use remix_spec::{Effect, FieldInfo, Offer, Sink, Spec, StateFields};
 
 use crate::state::{ServerData, ZabState};
 
@@ -188,18 +188,15 @@ pub fn underdeclare_node_restart(spec: &mut Spec<ZabState>) {
             if action.name != "NodeRestart" {
                 continue;
             }
-            let orig = Arc::clone(&action.successors);
-            action.successors = Arc::new(move |s: &ZabState| {
-                orig(s)
-                    .into_iter()
-                    .map(|mut inst| {
-                        if let Some(e) = inst.effect.as_mut() {
-                            e.writes_channels = 0;
-                            e.reads_channels = 0;
-                        }
-                        inst
-                    })
-                    .collect()
+            let orig = Arc::clone(&action.offers);
+            action.offers = Arc::new(move |s: &ZabState, sink: &mut dyn Sink<ZabState>| {
+                orig(s, &mut |mut offer: Offer<'_, ZabState>| {
+                    if let Some(e) = offer.effect.as_mut() {
+                        e.writes_channels = 0;
+                        e.reads_channels = 0;
+                    }
+                    sink.take(offer);
+                });
             });
         }
     }

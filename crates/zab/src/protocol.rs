@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use remix_spec::{compose, ActionDef, ActionInstance, Granularity, Label, ModuleSpec, Spec};
+use remix_spec::{compose, ActionDef, Granularity, Label, ModuleSpec, Spec};
 
 use crate::config::ClusterConfig;
 use crate::invariants::protocol_invariants;
@@ -46,17 +46,16 @@ fn oracle_elect(cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
             "currentEpoch",
             "learners",
         ],
-        move |s: &ZabState| {
-            let mut out = Vec::new();
+        move |s: &ZabState, sink| {
             let looking: Vec<Sid> = (0..s.n())
                 .filter(|&i| s.servers[i].is_up() && s.servers[i].state == ServerState::Looking)
                 .collect();
             if looking.len() < s.quorum_size() {
-                return out;
+                return;
             }
             let new_epoch = s.max_accepted_epoch() + 1;
             if new_epoch > cfg.max_epoch {
-                return out;
+                return;
             }
             // The oracle considers every quorum of looking servers.
             let n = looking.len();
@@ -76,33 +75,33 @@ fn oracle_elect(cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
                 else {
                     continue;
                 };
-                let mut next = s.clone();
-                for m in q.iter() {
-                    let sv = &mut next.servers[m];
-                    sv.accepted_epoch = new_epoch;
-                    sv.leader = Some(leader);
-                    sv.phase = ZabPhase::Synchronization;
-                    if m == leader {
-                        sv.state = ServerState::Leading;
-                        sv.current_epoch = new_epoch;
-                    } else {
-                        sv.state = ServerState::Following;
-                    }
-                }
-                for m in q.iter() {
-                    if m != leader {
-                        let z = next.servers[m].last_zxid();
-                        next.servers[leader].learners.insert(m);
-                        next.servers[leader].epoch_acks.insert(m);
-                        next.servers[leader].learner_last_zxid.insert(m, z);
-                    }
-                }
-                out.push(ActionInstance::new(
+                sink.offer(
                     Label::new("OracleElectLeader").arg(leader).set(q.iter()),
-                    next,
-                ));
+                    None,
+                    |next| {
+                        for m in q.iter() {
+                            let sv = &mut next.servers[m];
+                            sv.accepted_epoch = new_epoch;
+                            sv.leader = Some(leader);
+                            sv.phase = ZabPhase::Synchronization;
+                            if m == leader {
+                                sv.state = ServerState::Leading;
+                                sv.current_epoch = new_epoch;
+                            } else {
+                                sv.state = ServerState::Following;
+                            }
+                        }
+                        for m in q.iter() {
+                            if m != leader {
+                                let z = next.servers[m].last_zxid();
+                                next.servers[leader].learners.insert(m);
+                                next.servers[leader].epoch_acks.insert(m);
+                                next.servers[leader].learner_last_zxid.insert(m, z);
+                            }
+                        }
+                    },
+                );
             }
-            out
         },
     )
 }
@@ -116,8 +115,7 @@ fn leader_send_newleader(_cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
         Granularity::Protocol,
         vec!["state", "zabState", "history", "ackeRecv"],
         vec!["msgs"],
-        |s: &ZabState| {
-            let mut out = Vec::new();
+        |s: &ZabState, sink| {
             for i in 0..s.n() {
                 if s.servers[i].state != ServerState::Leading
                     || s.servers[i].phase != ZabPhase::Synchronization
@@ -128,34 +126,34 @@ fn leader_send_newleader(_cfg: &Arc<ClusterConfig>) -> ActionDef<ZabState> {
                     if s.servers[i].sync_sent.contains(&j) || !s.reachable(i, j) {
                         continue;
                     }
-                    let mut next = s.clone();
-                    let epoch = next.servers[i].accepted_epoch;
-                    let history = next.servers[i].history.clone();
-                    let committed_upto = if next.servers[i].last_committed > 0 {
-                        next.servers[i].history[next.servers[i].last_committed - 1].zxid
-                    } else {
-                        Zxid::ZERO
-                    };
-                    let zxid = next.servers[i].last_zxid();
-                    next.servers[i].sync_sent.insert(j);
-                    next.send(
-                        i,
-                        j,
-                        Message::SyncPackets {
-                            mode: crate::types::SyncMode::Snap,
-                            txns: history,
-                            committed_upto,
-                            trunc_to: Zxid::ZERO,
+                    sink.offer(
+                        Label::new("LeaderSendNEWLEADER").arg(i).arg(j),
+                        None,
+                        |next| {
+                            let epoch = next.servers[i].accepted_epoch;
+                            let history = next.servers[i].history.clone();
+                            let committed_upto = if next.servers[i].last_committed > 0 {
+                                next.servers[i].history[next.servers[i].last_committed - 1].zxid
+                            } else {
+                                Zxid::ZERO
+                            };
+                            let zxid = next.servers[i].last_zxid();
+                            next.servers[i].sync_sent.insert(j);
+                            next.send(
+                                i,
+                                j,
+                                Message::SyncPackets {
+                                    mode: crate::types::SyncMode::Snap,
+                                    txns: history,
+                                    committed_upto,
+                                    trunc_to: Zxid::ZERO,
+                                },
+                            );
+                            next.send(i, j, Message::NewLeader { epoch, zxid });
                         },
                     );
-                    next.send(i, j, Message::NewLeader { epoch, zxid });
-                    out.push(ActionInstance::new(
-                        Label::new("LeaderSendNEWLEADER").arg(i).arg(j),
-                        next,
-                    ));
                 }
             }
-            out
         },
     )
 }
@@ -206,8 +204,7 @@ fn follower_newleader_actions(
                 Granularity::Protocol,
                 vec!["state", "zabState", "leaderAddr", "acceptedEpoch", "msgs"],
                 vec!["currentEpoch", "history", "lastCommitted", "msgs"],
-                |s: &ZabState| {
-                    let mut out = Vec::new();
+                |s: &ZabState, sink| {
                     for i in 0..s.n() {
                         for j in 0..s.n() {
                             if i == j {
@@ -224,20 +221,20 @@ fn follower_newleader_actions(
                             let Some((epoch, zxid)) = pending(&probe, i, j) else {
                                 continue;
                             };
-                            let mut next = s.clone();
-                            // Atomically: accept the history, set the epoch, acknowledge.
-                            accept_history(&mut next, i, j);
-                            next.pop(j, i);
-                            next.servers[i].current_epoch = epoch;
-                            next.servers[i].accepted_epoch = epoch;
-                            next.send(i, j, Message::Ack { zxid });
-                            out.push(ActionInstance::new(
+                            sink.offer(
                                 Label::new("FollowerProcessNEWLEADER").arg(i).arg(j),
-                                next,
-                            ));
+                                None,
+                                |next| {
+                                    // Atomically: accept the history, set the epoch, acknowledge.
+                                    accept_history(next, i, j);
+                                    next.pop(j, i);
+                                    next.servers[i].current_epoch = epoch;
+                                    next.servers[i].accepted_epoch = epoch;
+                                    next.send(i, j, Message::Ack { zxid });
+                                },
+                            );
                         }
                     }
-                    out
                 },
             )]
         }
@@ -248,8 +245,7 @@ fn follower_newleader_actions(
                 Granularity::Protocol,
                 vec!["state", "zabState", "leaderAddr", "msgs"],
                 vec!["history", "lastCommitted", "msgs"],
-                |s: &ZabState| {
-                    let mut out = Vec::new();
+                |s: &ZabState, sink| {
                     for i in 0..s.n() {
                         for j in 0..s.n() {
                             if i == j || !matches!(s.head(j, i), Some(Message::SyncPackets { .. }))
@@ -261,17 +257,17 @@ fn follower_newleader_actions(
                             if pending(&probe, i, j).is_none() {
                                 continue;
                             }
-                            let mut next = s.clone();
-                            accept_history(&mut next, i, j);
-                            out.push(ActionInstance::new(
+                            sink.offer(
                                 Label::new("FollowerProcessNEWLEADER_AcceptHistory")
                                     .arg(i)
                                     .arg(j),
-                                next,
-                            ));
+                                None,
+                                |next| {
+                                    accept_history(next, i, j);
+                                },
+                            );
                         }
                     }
-                    out
                 },
             ),
             ActionDef::new(
@@ -280,8 +276,7 @@ fn follower_newleader_actions(
                 Granularity::Protocol,
                 vec!["state", "zabState", "leaderAddr", "acceptedEpoch", "msgs"],
                 vec!["currentEpoch", "acceptedEpoch", "msgs"],
-                |s: &ZabState| {
-                    let mut out = Vec::new();
+                |s: &ZabState, sink| {
                     for i in 0..s.n() {
                         for j in 0..s.n() {
                             if i == j {
@@ -292,20 +287,20 @@ fn follower_newleader_actions(
                             let Some((epoch, zxid)) = pending(s, i, j) else {
                                 continue;
                             };
-                            let mut next = s.clone();
-                            next.pop(j, i);
-                            next.servers[i].current_epoch = epoch;
-                            next.servers[i].accepted_epoch = epoch;
-                            next.send(i, j, Message::Ack { zxid });
-                            out.push(ActionInstance::new(
+                            sink.offer(
                                 Label::new("FollowerProcessNEWLEADER_UpdateEpochAndAck")
                                     .arg(i)
                                     .arg(j),
-                                next,
-                            ));
+                                None,
+                                |next| {
+                                    next.pop(j, i);
+                                    next.servers[i].current_epoch = epoch;
+                                    next.servers[i].accepted_epoch = epoch;
+                                    next.send(i, j, Message::Ack { zxid });
+                                },
+                            );
                         }
                     }
-                    out
                 },
             ),
         ],
@@ -329,8 +324,7 @@ fn establishment_actions(_cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> 
                 "msgs",
                 "ghost",
             ],
-            |s: &ZabState| {
-                let mut out = Vec::new();
+            |s: &ZabState, sink| {
                 for i in 0..s.n() {
                     for j in 0..s.n() {
                         if i == j
@@ -345,31 +339,31 @@ fn establishment_actions(_cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> 
                         if *zxid != s.servers[i].last_zxid() {
                             continue;
                         }
-                        let mut next = s.clone();
-                        next.pop(j, i);
-                        next.servers[i].newleader_acks.insert(j);
-                        let mut acked = next.servers[i].newleader_acks;
-                        acked.insert(i);
-                        if next.is_quorum(&acked) && !next.servers[i].established {
-                            let epoch = next.servers[i].accepted_epoch;
-                            let history = next.servers[i].history.clone();
-                            next.servers[i].established = true;
-                            next.servers[i].last_committed = next.servers[i].history.len();
-                            next.servers[i].phase = ZabPhase::Broadcast;
-                            next.servers[i].serving = true;
-                            next.record_establishment(epoch, i, history);
-                            let last = next.servers[i].last_zxid();
-                            for f in next.servers[i].newleader_acks.iter() {
-                                next.send(i, f, Message::UpToDate { zxid: last });
-                            }
-                        }
-                        out.push(ActionInstance::new(
+                        sink.offer(
                             Label::new("LeaderProcessACKLD").arg(i).arg(j),
-                            next,
-                        ));
+                            None,
+                            |next| {
+                                next.pop(j, i);
+                                next.servers[i].newleader_acks.insert(j);
+                                let mut acked = next.servers[i].newleader_acks;
+                                acked.insert(i);
+                                if next.is_quorum(&acked) && !next.servers[i].established {
+                                    let epoch = next.servers[i].accepted_epoch;
+                                    let history = next.servers[i].history.clone();
+                                    next.servers[i].established = true;
+                                    next.servers[i].last_committed = next.servers[i].history.len();
+                                    next.servers[i].phase = ZabPhase::Broadcast;
+                                    next.servers[i].serving = true;
+                                    next.record_establishment(epoch, i, history);
+                                    let last = next.servers[i].last_zxid();
+                                    for f in next.servers[i].newleader_acks.iter() {
+                                        next.send(i, f, Message::UpToDate { zxid: last });
+                                    }
+                                }
+                            },
+                        );
                     }
                 }
-                out
             },
         ),
         ActionDef::new(
@@ -378,8 +372,7 @@ fn establishment_actions(_cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> 
             Granularity::Protocol,
             vec!["state", "zabState", "leaderAddr", "history", "msgs"],
             vec!["lastCommitted", "zabState", "serving", "msgs"],
-            |s: &ZabState| {
-                let mut out = Vec::new();
+            |s: &ZabState, sink| {
                 for i in 0..s.n() {
                     for j in 0..s.n() {
                         if i == j
@@ -393,19 +386,20 @@ fn establishment_actions(_cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> 
                             continue;
                         };
                         let zxid = *zxid;
-                        let mut next = s.clone();
-                        next.pop(j, i);
-                        let sv = &mut next.servers[i];
-                        sv.last_committed = sv.history.iter().filter(|t| t.zxid <= zxid).count();
-                        sv.phase = ZabPhase::Broadcast;
-                        sv.serving = true;
-                        out.push(ActionInstance::new(
+                        sink.offer(
                             Label::new("FollowerProcessCOMMITLD").arg(i).arg(j),
-                            next,
-                        ));
+                            None,
+                            |next| {
+                                next.pop(j, i);
+                                let sv = &mut next.servers[i];
+                                sv.last_committed =
+                                    sv.history.iter().filter(|t| t.zxid <= zxid).count();
+                                sv.phase = ZabPhase::Broadcast;
+                                sv.serving = true;
+                            },
+                        );
                     }
                 }
-                out
             },
         ),
     ]
@@ -421,20 +415,16 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
             Granularity::Protocol,
             vec!["state", "zabState", "currentEpoch", "history", "txnBudget"],
             vec!["history", "proposalAcks", "msgs", "txnBudget", "ghost"],
-            move |s: &ZabState| {
-                let mut out = Vec::new();
+            move |s: &ZabState, sink| {
                 for i in 0..s.n() {
-                    let mut next = s.clone();
-                    if crate::actions::broadcast::leader_process_request_step(
-                        &cfg_prop, &mut next, i,
-                    ) {
-                        out.push(ActionInstance::new(
-                            Label::new("LeaderBroadcastPROPOSE").arg(i),
-                            next,
-                        ));
+                    if crate::actions::broadcast::leader_process_request_enabled(&cfg_prop, s, i) {
+                        sink.offer(Label::new("LeaderBroadcastPROPOSE").arg(i), None, |next| {
+                            crate::actions::broadcast::leader_process_request_step(
+                                &cfg_prop, next, i,
+                            );
+                        });
                     }
                 }
-                out
             },
         ),
         ActionDef::new(
@@ -443,8 +433,7 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
             Granularity::Protocol,
             vec!["state", "zabState", "leaderAddr", "history", "msgs"],
             vec!["history", "msgs"],
-            |s: &ZabState| {
-                let mut out = Vec::new();
+            |s: &ZabState, sink| {
                 for i in 0..s.n() {
                     for j in 0..s.n() {
                         if i == j
@@ -458,17 +447,17 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
                             continue;
                         };
                         let txn = *txn;
-                        let mut next = s.clone();
-                        next.pop(j, i);
-                        next.servers[i].history.push(txn);
-                        next.send(i, j, Message::Ack { zxid: txn.zxid });
-                        out.push(ActionInstance::new(
+                        sink.offer(
                             Label::new("FollowerAcceptPROPOSE").arg(i).arg(j),
-                            next,
-                        ));
+                            None,
+                            |next| {
+                                next.pop(j, i);
+                                next.servers[i].history.push(txn);
+                                next.send(i, j, Message::Ack { zxid: txn.zxid });
+                            },
+                        );
                     }
                 }
-                out
             },
         ),
         ActionDef::new(
@@ -477,23 +466,17 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
             Granularity::Protocol,
             vec!["state", "zabState", "proposalAcks", "msgs"],
             vec!["proposalAcks", "lastCommitted", "ackldRecv", "msgs"],
-            |s: &ZabState| {
-                let mut out = Vec::new();
+            |s: &ZabState, sink| {
                 for i in 0..s.n() {
                     for j in 0..s.n() {
                         if i == j {
                             continue;
                         }
-                        let mut next = s.clone();
-                        if crate::actions::broadcast::leader_process_ack_step(&mut next, i, j) {
-                            out.push(ActionInstance::new(
-                                Label::new("LeaderProcessACK").arg(i).arg(j),
-                                next,
-                            ));
-                        }
+                        sink.offer(Label::new("LeaderProcessACK").arg(i).arg(j), None, |next| {
+                            crate::actions::broadcast::leader_process_ack_step(next, i, j);
+                        });
                     }
                 }
-                out
             },
         ),
         ActionDef::new(
@@ -509,8 +492,7 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
                 "msgs",
             ],
             vec!["lastCommitted", "msgs"],
-            |s: &ZabState| {
-                let mut out = Vec::new();
+            |s: &ZabState, sink| {
                 for i in 0..s.n() {
                     for j in 0..s.n() {
                         if i == j
@@ -524,16 +506,18 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
                             continue;
                         };
                         let zxid = *zxid;
-                        let mut next = s.clone();
-                        next.pop(j, i);
-                        crate::actions::broadcast::follower_apply_commit(&mut next, i, zxid, false);
-                        out.push(ActionInstance::new(
+                        sink.offer(
                             Label::new("FollowerDeliverCOMMIT").arg(i).arg(j),
-                            next,
-                        ));
+                            None,
+                            |next| {
+                                next.pop(j, i);
+                                crate::actions::broadcast::follower_apply_commit(
+                                    next, i, zxid, false,
+                                );
+                            },
+                        );
                     }
                 }
-                out
             },
         ),
     ]

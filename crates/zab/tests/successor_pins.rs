@@ -6,9 +6,13 @@
 //! instances and an order-sensitive FNV-1a 64 digest of each state's sequence of
 //! `(rendered label, fingerprint(successor))` pairs, corpus state by corpus state.  A
 //! reordered, dropped, added or differently built successor moves the digest.
+//!
+//! The samplers count offers without building them and then build one; on every corpus
+//! state the offers counted without applying, the offers applied, and the successors
+//! `Spec::successors` hands out must agree.
 
 use remix_checker::{corpus, CorpusOptions};
-use remix_spec::fingerprint;
+use remix_spec::{fingerprint, LabelTable, Offer};
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
 /// Per preset (in [`SpecPreset::all`]'s order): the instances the corpus enables, and
@@ -53,10 +57,16 @@ fn every_preset_enumerates_the_pinned_successors() {
                 ..CorpusOptions::default()
             },
         );
+        let labels = LabelTable::new();
         let mut digest = Fnv::new();
         let mut instances = 0usize;
         for state in &states {
             let successors = spec.successors(state);
+            let mut counted = 0;
+            spec.offer(state, &mut |_: Offer<'_, _>| counted += 1);
+            let mut applied = 0;
+            spec.for_each_successor(state, &labels, |_, _, _| applied += 1);
+            assert_eq!((counted, applied), (successors.len(), successors.len()), "{preset:?}");
             for (label, next) in &successors {
                 let fp = fingerprint(next);
                 digest.bytes(label.as_bytes());
