@@ -3,21 +3,25 @@
 //! A self-contained scanner over `crates/*/src` (plain `std::fs`, no parser, no new
 //! dependencies) enforcing the conventions that keep footprint declarations honest:
 //!
+//! An action offers each enabled instance as `sink.offer(label, effect, apply)`; an
+//! *offer* below is any `.offer(` call with those three arguments.
+//!
 //! * **`effect-annotation`** — in protocol action files (any path under a
-//!   `src/actions/` directory), every action-instance constructor call must
-//!   immediately attach a declared footprint via `.with_effect(..)`.  Unannotated
-//!   instances silently opt out of POR *and* of the effect audit.
+//!   `src/actions/` directory), every offer must declare a footprint: its effect
+//!   argument may not be `None`.  Unannotated instances silently opt out of POR *and*
+//!   of the effect audit.
 //! * **`fault-link-bits`** — in `actions/faults.rs`, every top-level function that
-//!   constructs an instance must mention `writes_channel`: fault actions flip
-//!   link-level reachability, so a footprint without channel-pair bits is exactly the
+//!   offers an instance must mention `writes_channel`: fault actions flip link-level
+//!   reachability, so a footprint without channel-pair bits is exactly the
 //!   NodeRestart under-declaration.
 //! * **`guard-extracted`** — every `*_enabled` guard function defined in a crate must
 //!   be referenced at least twice in that crate (its definition plus at least one
 //!   call): an uncalled guard means a step function re-implements the enabling
 //!   condition inline and the two will drift.
 //! * **`no-panic-in-action`** — no `.unwrap()` / `.expect(` inside the span of an
-//!   action-definition constructor call: a panicking action closure takes down the
-//!   whole checker rather than reporting a violation trace.
+//!   action-definition constructor call or inside an offer's `apply`: a panicking
+//!   action closure takes down the whole checker rather than reporting a violation
+//!   trace.
 //! * **`env-read`** — no `std::env::var` / `var_os` / `vars` / `vars_os` outside
 //!   the binaries under `crates/bench/src/bin/`: a verdict must depend on nothing but
 //!   the spec and the options a caller built, so library code never reads the
@@ -29,17 +33,16 @@
 //! Rust — rules are phrased so that false positives are fixed by making the code
 //! follow the convention, which is the point.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::finding::{AnalysisReport, Tier};
-use crate::source::{balanced_span_end, flag, line_of, occurrences, workspace_sources};
+use crate::source::{balanced_span_end, call_args, flag, line_of, occurrences, workspace_sources};
 
 // Needles are assembled at compile time so this file does not contain its own
 // patterns (the linter scans every crate, including this one).
-const INSTANCE_NEW: &str = concat!("Action", "Instance::new(");
+const OFFER: &str = concat!(".off", "er(");
 const DEF_NEW: &str = concat!("Action", "Def::new(");
-const WITH_EFFECT: &str = concat!(".with_", "effect(");
 const WRITES_CHANNEL: &str = concat!("writes_", "channel");
 const UNWRAP: &str = concat!(".unw", "rap()");
 const EXPECT: &str = concat!(".exp", "ect(");
@@ -110,9 +113,9 @@ pub fn lint_file(rel: &str, source: &str, report: &mut AnalysisReport) {
     }
 }
 
-/// `rest` with leading whitespace and `//` line comments skipped: a comment between
-/// a constructor and its builder call (rustfmt happily reflows one there) must not
-/// hide the annotation from the lint.
+/// `rest` with leading whitespace and `//` line comments skipped: a comment in front of
+/// an offer's effect argument (rustfmt happily reflows one there) must not hide the
+/// annotation from the lint.
 fn skip_trivia(mut rest: &str) -> &str {
     loop {
         rest = rest.trim_start();
@@ -126,20 +129,24 @@ fn skip_trivia(mut rest: &str) -> &str {
     }
 }
 
+/// Every offer in `source` — a `.offer(` call with three arguments, `(label, effect,
+/// apply)` — as the offset of its `.offer(` and its arguments.
+fn offers(source: &str) -> impl Iterator<Item = (usize, Vec<&str>)> {
+    occurrences(source, OFFER).filter_map(|start| {
+        let args = call_args(source, start + OFFER.len() - 1)?;
+        (args.len() == 3).then_some((start, args))
+    })
+}
+
 fn rule_effect_annotation(rel: &str, source: &str, report: &mut AnalysisReport) {
-    for start in occurrences(source, INSTANCE_NEW) {
-        let open = start + INSTANCE_NEW.len() - 1;
-        let Some(end) = balanced_span_end(source, open) else {
-            continue;
-        };
-        let rest = skip_trivia(&source[end..]);
-        if !rest.starts_with(WITH_EFFECT) {
+    for (start, args) in offers(source) {
+        if skip_trivia(args[1]) == "None" {
             flag(
                 report,
                 Tier::SpecLint,
                 "effect-annotation",
                 format!("{rel}:{}", line_of(source, start)),
-                "action instance constructed without a declared Effect \
+                "action instance offered without a declared Effect \
                          footprint; unannotated instances opt out of POR and of the \
                          effect audit"
                     .to_owned(),
@@ -159,7 +166,7 @@ fn rule_fault_link_bits(rel: &str, source: &str, report: &mut AnalysisReport) {
     fn_starts.push(source.len());
     for w in fn_starts.windows(2) {
         let body = &source[w[0]..w[1]];
-        if body.contains(INSTANCE_NEW) && !body.contains(WRITES_CHANNEL) {
+        if offers(body).next().is_some() && !body.contains(WRITES_CHANNEL) {
             flag(
                 report,
                 Tier::SpecLint,
@@ -175,26 +182,34 @@ fn rule_fault_link_bits(rel: &str, source: &str, report: &mut AnalysisReport) {
 }
 
 fn rule_no_panic_in_action(rel: &str, source: &str, report: &mut AnalysisReport) {
-    for start in occurrences(source, DEF_NEW) {
-        let open = start + DEF_NEW.len() - 1;
-        let Some(end) = balanced_span_end(source, open) else {
-            continue;
-        };
-        let span = &source[start..end];
+    // The spans an action runs in: action-definition constructor calls, and every
+    // offer's `apply` (which may sit in a helper outside any constructor).
+    let mut spans: Vec<&str> = occurrences(source, DEF_NEW)
+        .filter_map(|start| {
+            let end = balanced_span_end(source, start + DEF_NEW.len() - 1)?;
+            Some(&source[start..end])
+        })
+        .collect();
+    spans.extend(offers(source).map(|(_, args)| args[2]));
+    // Offsets, so a panic inside an offer inside a constructor is flagged once.
+    let mut hits = BTreeSet::new();
+    for span in spans {
+        let base = span.as_ptr() as usize - source.as_ptr() as usize;
         for needle in [UNWRAP, EXPECT] {
-            for hit in occurrences(span, needle) {
-                flag(
-                    report,
-                    Tier::SpecLint,
-                    "no-panic-in-action",
-                    format!("{rel}:{}", line_of(source, start + hit)),
-                    "panicking call inside an action definition closure; \
-                             action closures must degrade (skip the instance or record \
-                             a violation), not abort the checker"
-                        .to_owned(),
-                );
-            }
+            hits.extend(occurrences(span, needle).map(|hit| base + hit));
         }
+    }
+    for hit in hits {
+        flag(
+            report,
+            Tier::SpecLint,
+            "no-panic-in-action",
+            format!("{rel}:{}", line_of(source, hit)),
+            "panicking call inside an action definition closure; \
+                     action closures must degrade (skip the instance or record \
+                     a violation), not abort the checker"
+                .to_owned(),
+        );
     }
 }
 
@@ -277,8 +292,9 @@ mod tests {
     #[test]
     fn unannotated_instance_in_actions_dir_is_flagged() {
         let src = format!(
-            "fn a() {{ let i = {INSTANCE_NEW}\"L(0)\", next); }}\n\
-             fn b() {{ let i = {INSTANCE_NEW}\"L(1)\", next){WITH_EFFECT}e); }}\n"
+            "fn a() {{ sink{OFFER}Label::new(\"L\").arg(0), None, |next| next.x = 1); }}\n\
+             fn b() {{ sink{OFFER}Label::new(\"L\").arg(1), eff_recv(i, j), |next| {{\n\
+             \x20   next.x = 1;\n}}); }}\n"
         );
         let findings = run("crates/x/src/actions/foo.rs", &src);
         assert_eq!(findings.len(), 1);
@@ -286,14 +302,18 @@ mod tests {
         assert!(findings[0].location.ends_with(":1"));
         // Outside an actions dir the rule does not apply.
         assert!(run("crates/x/src/state.rs", &src).is_empty());
+        // Enumerating a spec's or an action's offers is no offer.
+        let sinks = format!("fn c() {{ spec{OFFER}s, &mut |o: Offer<'_, S>| n += 1); }}\n");
+        assert!(run("crates/x/src/actions/foo.rs", &sinks).is_empty());
     }
 
     #[test]
     fn comment_between_constructor_and_annotation_is_tolerated() {
         let src = format!(
-            "fn a() {{\n    let i = {INSTANCE_NEW}\"L(0)\", next)\n\
+            "fn a() {{\n    sink{OFFER}\n        Label::new(\"L\"),\n\
              \x20       // rustfmt reflows explanatory comments to here\n\
-             \x20       {WITH_EFFECT}e);\n}}\n"
+             \x20       Effect::new().writes_server(i),\n\
+             \x20       |next| next.x = 1,\n    );\n}}\n"
         );
         assert!(run("crates/x/src/actions/foo.rs", &src).is_empty());
     }
@@ -301,10 +321,8 @@ mod tests {
     #[test]
     fn fault_fn_without_channel_bits_is_flagged() {
         let src = format!(
-            "pub fn crash() {{ {INSTANCE_NEW}\"C(0)\", n){WITH_EFFECT}\
-             Effect::new().{WRITES_CHANNEL}s_of(0)); }}\n\
-             pub fn restart() {{ {INSTANCE_NEW}\"R(0)\", n){WITH_EFFECT}\
-             Effect::new().writes_server(0)); }}\n"
+            "pub fn crash() {{ sink{OFFER}l, Effect::new().{WRITES_CHANNEL}s_of(0), |n| {{}}); }}\n\
+             pub fn restart() {{ sink{OFFER}l, Effect::new().writes_server(0), |n| {{}}); }}\n"
         );
         let findings = run("crates/x/src/actions/faults.rs", &src);
         let fault: Vec<_> = findings
@@ -318,8 +336,8 @@ mod tests {
     #[test]
     fn panic_inside_action_def_is_flagged() {
         let src = format!(
-            "fn m() {{ {DEF_NEW}\"A\", m, g, vec![], vec![], move |s| {{\n\
-             let x = q.iter().max(){EXPECT}\"nonempty\");\nvec![]\n}})\n}}\n"
+            "fn m() {{ {DEF_NEW}\"A\", m, g, vec![], vec![], move |s, sink| {{\n\
+             let x = q.iter().max(){EXPECT}\"nonempty\");\n}})\n}}\n"
         );
         let findings = run("crates/x/src/foo.rs", &src);
         assert_eq!(findings.len(), 1);
@@ -327,6 +345,26 @@ mod tests {
         // The same panic outside an action span is not this lint's business.
         let outside = format!("fn m() {{ let x = q.iter().max(){EXPECT}\"nonempty\"); }}\n");
         assert!(run("crates/x/src/foo.rs", &outside).is_empty());
+    }
+
+    #[test]
+    fn panic_inside_an_apply_is_flagged_once() {
+        // An apply in a helper outside any constructor, and one inside a constructor.
+        let src = format!(
+            "fn h(sink: &mut dyn Sink<S>) {{\n    sink{OFFER}l, e, |next| {{\n\
+             \x20       next.x = q.first(){UNWRAP};\n    }});\n}}\n\
+             fn m() {{ {DEF_NEW}\"A\", m, g, vec![], vec![], |s, sink| {{\n\
+             sink{OFFER}l, e, |next| next.y = q.last(){UNWRAP});\n}})\n}}\n"
+        );
+        let findings = run("crates/x/src/foo.rs", &src);
+        let lines: Vec<_> = findings.iter().map(|f| f.location.as_str()).collect();
+        assert_eq!(lines, ["crates/x/src/foo.rs:3", "crates/x/src/foo.rs:7"]);
+        // The guard in front of an offer may still panic-check its own inputs.
+        let clean = format!(
+            "fn h(sink: &mut dyn Sink<S>) {{\n    let x = q.first(){UNWRAP};\n\
+             \x20   sink{OFFER}l, e, move |next| next.x = x);\n}}\n"
+        );
+        assert!(run("crates/x/src/foo.rs", &clean).is_empty());
     }
 
     #[test]
@@ -364,9 +402,11 @@ mod tests {
 
     #[test]
     fn balanced_spans_skip_string_parens() {
-        let src = format!("{INSTANCE_NEW}format!(\"L({{i}})\"), next)");
-        let end = balanced_span_end(&src, INSTANCE_NEW.len() - 1).expect("closes");
+        let src = format!("{OFFER}format!(\"L({{i}}, \"), None, |a, b| f(a, b))");
+        let end = balanced_span_end(&src, OFFER.len() - 1).expect("closes");
         assert_eq!(end, src.len());
+        let args = call_args(&src, OFFER.len() - 1).expect("closes");
+        assert_eq!(args, ["format!(\"L({i}, \")", "None", "|a, b| f(a, b)"]);
     }
 
     #[test]

@@ -85,6 +85,21 @@ pub(crate) fn occurrences<'a>(
     source.match_indices(needle).map(|(i, _)| i)
 }
 
+/// The offset of the `"` closing the string literal whose opening `"` is at `open`
+/// (`bytes.len()` when it never closes).
+fn string_end(bytes: &[u8], open: usize) -> usize {
+    let mut i = open + 1;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' => i += 1,
+            b'"' => return i,
+            _ => {}
+        }
+        i += 1;
+    }
+    bytes.len()
+}
+
 /// Byte offset just past the `(`-balanced span starting at `open` (the offset of the
 /// opening parenthesis), skipping double-quoted string content.  Returns `None` when
 /// the span never closes (malformed source).
@@ -94,17 +109,7 @@ pub(crate) fn balanced_span_end(source: &str, open: usize) -> Option<usize> {
     let mut i = open;
     while i < bytes.len() {
         match bytes[i] {
-            b'"' => {
-                i += 1;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'\\' => i += 1,
-                        b'"' => break,
-                        _ => {}
-                    }
-                    i += 1;
-                }
-            }
+            b'"' => i = string_end(bytes, i),
             b'(' => depth += 1,
             b')' => {
                 depth -= 1;
@@ -117,4 +122,39 @@ pub(crate) fn balanced_span_end(source: &str, open: usize) -> Option<usize> {
         i += 1;
     }
     None
+}
+
+/// The top-level arguments of the call whose `(` is at `open`, each trimmed, split at
+/// the commas outside any bracket, string or closure parameter list (`|a, b|` at the
+/// start of an argument); `None` when the call never closes.
+pub(crate) fn call_args(source: &str, open: usize) -> Option<Vec<&str>> {
+    let end = balanced_span_end(source, open)? - 1;
+    let bytes = source.as_bytes();
+    let mut args = Vec::new();
+    let (mut depth, mut start, mut i) = (0usize, open + 1, open + 1);
+    while i < end {
+        match bytes[i] {
+            b'"' => i = string_end(bytes, i),
+            b'|' if depth == 0
+                && matches!(source[start..i].trim(), "" | "move" | "&mut" | "&mut move") =>
+            {
+                i += source[i + 1..end]
+                    .find('|')
+                    .map_or(end - i, |close| close + 1);
+            }
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth = depth.saturating_sub(1),
+            b',' if depth == 0 => {
+                args.push(source[start..i].trim());
+                start = i + 1;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    let last = source[start..end].trim();
+    if !last.is_empty() {
+        args.push(last);
+    }
+    Some(args)
 }

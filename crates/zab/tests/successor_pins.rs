@@ -66,7 +66,11 @@ fn every_preset_enumerates_the_pinned_successors() {
             spec.offer(state, &mut |_: Offer<'_, _>| counted += 1);
             let mut applied = 0;
             spec.for_each_successor(state, &labels, |_, _, _| applied += 1);
-            assert_eq!((counted, applied), (successors.len(), successors.len()), "{preset:?}");
+            assert_eq!(
+                (counted, applied),
+                (successors.len(), successors.len()),
+                "{preset:?}"
+            );
             for (label, next) in &successors {
                 let fp = fingerprint(next);
                 digest.bytes(label.as_bytes());
