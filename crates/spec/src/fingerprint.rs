@@ -90,7 +90,7 @@ const KEY_A: (u64, u64) = (0x9e37_79b9_7f4a_7c15, 0xf39c_c060_5ced_c834);
 const KEY_B: (u64, u64) = (0x1082_276b_f3a2_7251, 0x7109_88c0_bb3c_d9e2);
 
 /// A [`Hasher`] driving `N` distinctly keyed SipHash-1-3 states (the first `N` of
-/// [`KEY_A`], [`KEY_B`]) from one input stream: a [`PairHasher`] runs both, a
+/// `KEY_A`, `KEY_B`) from one input stream: a [`PairHasher`] runs both, a
 /// [`HeadHasher`] the first alone.  `finish` is always the first state's hash.
 pub struct SipStream<const N: usize> {
     states: [Sip13; N],

@@ -22,7 +22,7 @@
 //! value:
 //!
 //! * the memoized **digest** of the value ([`Shared::digest`]: the 128-bit
-//!   [`fingerprint`](crate::fingerprint::fingerprint) of `T`'s `Hash` stream), computed
+//!   [`fingerprint`] of `T`'s `Hash` stream), computed
 //!   at the first read after a write and cleared by every `DerefMut` — also on a
 //!   uniquely owned handle, which `Arc::make_mut` writes in place.  A state's store key
 //!   ([`SpecState::hash_key`](crate::SpecState::hash_key)) is a hash over these digests,
@@ -133,7 +133,7 @@ impl<T> Shared<T> {
 }
 
 impl<T: Hash> Shared<T> {
-    /// The 128-bit [`fingerprint`](crate::fingerprint::fingerprint) of the value,
+    /// The 128-bit [`fingerprint`] of the value,
     /// computed once per allocation per write: every handle sharing the allocation
     /// reads the memo.
     pub fn digest(&self) -> Fingerprint {

@@ -33,7 +33,7 @@ use crate::types::Sid;
 pub type Cfg = Arc<ClusterConfig>;
 
 // ---------------------------------------------------------------------------------------
-// Declared read/write footprints (`ActionInstance::with_effect`).
+// Declared read/write footprints (the `effect` argument of `sink.offer`).
 //
 // A footprint must be a conservative superset of everything the action's guard reads and
 // its step writes, as a function of the label parameters alone.  The conventions:

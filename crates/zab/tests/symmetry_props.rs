@@ -214,7 +214,7 @@ proptest! {
     /// write must be identical between the pre- and post-state — untouched servers,
     /// unwritten channels (content and partition status) and unwritten global
     /// scalars.  An under-declared write set would make sleep-set pruning unsound, so
-    /// this is the safety net for every `with_effect` annotation in the action
+    /// this is the safety net for every declared offer `Effect` in the action
     /// library.
     #[test]
     fn declared_footprints_cover_every_write(
