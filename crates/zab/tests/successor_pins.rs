@@ -9,10 +9,11 @@
 //!
 //! The samplers count offers without building them and then build one; on every corpus
 //! state the offers counted without applying, the offers applied, and the successors
-//! `Spec::successors` hands out must agree.
+//! `Spec::successors` hands out must agree.  Coverage prefixes read
+//! `fingerprint_head`, which must equal every successor's `fingerprint(..).0`.
 
 use remix_checker::{corpus, CorpusOptions};
-use remix_spec::{fingerprint, LabelTable, Offer};
+use remix_spec::{fingerprint, fingerprint_head, LabelTable, Offer};
 use remix_zab::{ClusterConfig, CodeVersion, SpecPreset};
 
 /// Per preset (in [`SpecPreset::all`]'s order): the instances the corpus enables, and
@@ -73,6 +74,7 @@ fn every_preset_enumerates_the_pinned_successors() {
             );
             for (label, next) in &successors {
                 let fp = fingerprint(next);
+                assert_eq!(fingerprint_head(next), fp.0, "{preset:?} {label}");
                 digest.bytes(label.as_bytes());
                 digest.bytes(&[0]);
                 digest.bytes(&fp.0.to_le_bytes());
