@@ -469,7 +469,8 @@ fn broadcast_actions(cfg: &Arc<ClusterConfig>) -> Vec<ActionDef<ZabState>> {
             |s: &ZabState, sink| {
                 for i in 0..s.n() {
                     for j in 0..s.n() {
-                        if i == j {
+                        if i == j || !crate::actions::broadcast::leader_process_ack_enabled(s, i, j)
+                        {
                             continue;
                         }
                         sink.offer(Label::new("LeaderProcessACK").arg(i).arg(j), None, |next| {
