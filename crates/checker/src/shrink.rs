@@ -18,9 +18,7 @@
 //! against the implementation still produces a discrepancy — wired up in
 //! `remix-core`), or anything else a caller can phrase as a predicate.
 
-use std::fmt::Write;
-
-use remix_spec::{Label, Offer, Spec, SpecState, Trace};
+use remix_spec::{Offer, Spec, SpecState, Trace};
 
 /// The result of shrinking one trace.
 #[derive(Debug, Clone)]
@@ -68,21 +66,13 @@ pub fn replay_labels<S: SpecState>(
         let current = trace.last_state()?;
         let mut next = None;
         spec.offer(current, &mut |offer: Offer<'_, S>| {
-            if next.is_none() && render(&offer.label, &mut rendered) == label {
+            if next.is_none() && offer.label.render_into(&mut rendered) == label {
                 next = Some(offer.build(current).next);
             }
         });
         trace.push(label.clone(), next?);
     }
     Some(trace)
-}
-
-/// `label` rendered into `buffer` (its old content dropped), handed back as a `&str`.
-pub(crate) fn render<'a>(label: &Label, buffer: &'a mut String) -> &'a str {
-    buffer.clear();
-    // Writing into a `String` cannot fail.
-    let _ = write!(buffer, "{label}");
-    buffer
 }
 
 /// Delta-debugs `trace` down to a locally minimal legal execution still accepted by

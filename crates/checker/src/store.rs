@@ -171,7 +171,6 @@ use remix_spec::{
 };
 
 use crate::fingerprint::{state_key, Fingerprint};
-use crate::shrink::render;
 use crate::spill::{self, SpillConfig, SpillCounters, SpillRun, SpillStats};
 
 /// Which backend a run stores discovered states in.
@@ -1192,7 +1191,7 @@ impl<S: SpecState> StateStore<S> {
                 if exact_found
                     || recorded
                         .as_ref()
-                        .is_some_and(|recorded| render(&offer.label, &mut rendered) != recorded)
+                        .is_some_and(|recorded| offer.label.render_into(&mut rendered) != recorded)
                 {
                     return;
                 }

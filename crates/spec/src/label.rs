@@ -153,6 +153,15 @@ impl Label {
         }
         self
     }
+
+    /// The label rendered into `buffer` (its old content dropped), handed back as a
+    /// `&str`: one reused buffer renders label after label without allocating.
+    pub fn render_into<'a>(&self, buffer: &'a mut String) -> &'a str {
+        buffer.clear();
+        // Writing into a `String` cannot fail.
+        let _ = fmt::Write::write_fmt(buffer, format_args!("{self}"));
+        buffer
+    }
 }
 
 impl fmt::Display for Label {

@@ -70,8 +70,7 @@ pub use compose::{compose, CompositionPlan, ModuleChoice};
 pub use effect::{Effect, EffectBit};
 pub use error::SpecError;
 pub use fingerprint::{
-    fingerprint, fingerprint_head, table_hash, DigestMap, Fingerprint, HeadHasher, PairHasher,
-    TableHasher,
+    fingerprint, fingerprint_head, table_hash, DigestMap, Fingerprint, PairHasher, TableHasher,
 };
 pub use invariant::{Invariant, InvariantScope, InvariantSource};
 pub use label::{Label, LabelId, LabelTable, INIT_LABEL};
